@@ -405,6 +405,10 @@ func serveDebug(addr string, tr *obs.Tracer, svc *serve.GraphService) error {
 		fmt.Fprintf(w, "%-22s %d\n", "breaker_trips", st.BreakerTrips)
 		fmt.Fprintf(w, "%-22s %d\n", "breaker_fast_fails", st.BreakerFastFails)
 		fmt.Fprintf(w, "%-22s %d\n", "breaker_open", st.BreakerOpen)
+		fmt.Fprintf(w, "%-22s %d\n", "prepared_resident", st.PreparedResident)
+		fmt.Fprintf(w, "%-22s %d\n", "prepared_edges", st.PreparedEdges)
+		fmt.Fprintf(w, "%-22s %d\n", "prepared_bytes", st.PreparedBytes)
+		fmt.Fprintf(w, "%-22s %.3f\n", "prepared_load_seconds", st.PreparedLoadSeconds)
 		fmt.Fprintf(w, "%-22s %.1f\n", "uptime_s", svc.Uptime().Seconds())
 		tel := svc.Telemetry()
 		if len(tel.Histograms) > 0 {

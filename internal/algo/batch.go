@@ -109,6 +109,13 @@ func (b *BatchBFS) Scatter(iter int, src graph.VertexID, srcVal uint64, dst grap
 	return pack(frontier, uint32(src)), true
 }
 
+// Active implements SourceFilter: only a vertex on some root's frontier
+// emits.
+func (b *BatchBFS) Active(iter int, val uint64) bool {
+	frontier, _ := unpack(val)
+	return frontier != 0
+}
+
 // BeginGather implements Program: the previous iteration's frontier is
 // consumed; discoveries of this iteration build the next one.
 func (b *BatchBFS) BeginGather(iter int, val uint64) uint64 {

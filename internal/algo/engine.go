@@ -8,6 +8,9 @@
 // whose meaning belongs to the Program; this keeps the on-disk format
 // fixed while supporting BFS, connected components, PageRank and
 // multi-source reachability without type machinery.
+//
+// A run handed a resident xstream.PreparedGraph under an in-memory
+// budget runs the same loop in RAM instead (runResident).
 package algo
 
 import (
@@ -60,6 +63,19 @@ type DstApplier interface {
 	ApplyTo(iter int, dst graph.VertexID, val uint64, payload uint64) (uint64, bool)
 }
 
+// SourceFilter is an optional Program extension for programs whose
+// Scatter emits only from vertices in a recognisable state — a BFS
+// frontier, a distance or label that has just improved. Active reports
+// whether a vertex holding val can emit in iteration iter; false
+// promises Scatter returns emit == false for every out-edge of that
+// vertex. The in-memory regime keeps the answers on a bitmap of one bit
+// per vertex and skips the edges of inactive sources without loading
+// their values; Scatter still decides every edge of an active source,
+// so no result and no count changes.
+type SourceFilter interface {
+	Active(iter int, val uint64) bool
+}
+
 // update is the on-disk update record: destination plus payload.
 const updateRecBytes = 12
 
@@ -106,6 +122,9 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 
 	run := metrics.Run{Engine: prog.Name()}
 
+	// Active reads a packed value, never a vertex id, so the filter is the
+	// caller's program's own: taken before the relabelling wrapper.
+	filter, _ := prog.(SourceFilter)
 	if rt.Perm != nil {
 		// Reordered dataset: translate every vertex id crossing the
 		// Program boundary back to original labels (see permProgram).
@@ -117,6 +136,10 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	}
 	if da, ok := prog.(DstApplier); ok {
 		applyTo = da.ApplyTo
+	}
+
+	if pg := rt.Opts.Prepared; pg.Resident() && rt.InMemory() {
+		return runResident(rt, pg, prog, filter, applyTo, run)
 	}
 
 	P := rt.Parts.P()
@@ -360,6 +383,104 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	}
 	if rt.Perm != nil {
 		res.Values = graph.ReindexByPerm(rt.Perm, res.Values)
+	}
+	rt.FinishMetrics(&run)
+	res.Metrics = run
+	return res, nil
+}
+
+// runResident is RunContext's in-memory regime: the same BSP loop over
+// the PreparedGraph's shared resident edge list, in stored-edge order,
+// with no device traffic. Scatter reads the values the iteration started
+// with and every emitted update is folded straight into the next-values
+// array, so there is no update file and no materialised update list —
+// and because an out-of-core run at one partition applies its updates in
+// exactly this order, the result is byte-identical to it. The shared
+// edge list is only read; the two value arrays and the bitmap come from
+// the prepared graph's scratch free-list.
+//
+// With a SourceFilter the pass over an inactive source's edge is a test
+// on a bitmap small enough to stay in the nearest cache. Without one
+// every edge is a random read into a vertex-sized array, and in all but
+// the one or two wide iterations of a traversal that read is the whole
+// cost: the run time then follows whatever else is contending for the
+// outer caches, run to run, where a sequential scan does not.
+func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, filter SourceFilter,
+	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
+	scratch := pg.AcquireScratch()
+	defer pg.ReleaseScratch(scratch)
+	edges, weights := pg.Edges(), pg.Weights()
+	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
+	for v := range cur {
+		cur[v] = prog.Init(graph.VertexID(v))
+	}
+	var active []uint64 // nil without a filter; else bit v = cur[v] can emit
+	if filter != nil {
+		active = scratch.Bitmap(len(cur))
+	}
+
+	maxIter := rt.Opts.MaxIterations
+	if maxIter <= 0 {
+		maxIter = int(rt.Meta.Vertices) + 1
+	}
+	for iter := 0; iter < maxIter; iter++ {
+		if err := rt.Checkpoint(); err != nil {
+			return nil, err
+		}
+		if rt.Opts.FaultHook != nil {
+			rt.Opts.FaultHook() // same chaos seam as the streaming scatter pass
+		}
+		for v, val := range cur {
+			next[v] = prog.BeginGather(iter, val)
+		}
+		for w := range active {
+			var bits uint64
+			for b, val := range cur[w*64 : min(w*64+64, len(cur))] {
+				if filter.Active(iter, val) {
+					bits |= 1 << uint(b)
+				}
+			}
+			active[w] = bits
+		}
+		var emitted int64
+		weight := float32(1)
+		for i, e := range edges {
+			if active != nil && active[e.Src>>6]&(1<<(e.Src&63)) == 0 {
+				continue
+			}
+			if weights != nil {
+				weight = weights[i]
+			}
+			payload, emit := prog.Scatter(iter, e.Src, cur[e.Src], e.Dst, weight)
+			if emit {
+				next[e.Dst], _ = applyTo(iter, e.Dst, next[e.Dst], payload)
+				emitted++
+			}
+		}
+		var changes uint64
+		for v, val := range next {
+			nv, changed := prog.EndGather(iter, val)
+			next[v] = nv
+			if changed {
+				changes++
+			}
+		}
+		cur, next = next, cur
+		rt.RAMScan(pg.ResidentBytes())
+		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate +
+			float64(emitted)*rt.Costs.GatherPerUpdate + float64(len(cur))*rt.Costs.PerVertex)
+		run.Iterations = append(run.Iterations, metrics.Iteration{
+			Index: iter, EdgesStreamed: int64(len(edges)), Updates: emitted, NewlyVisited: changes})
+		if prog.Converged(iter, changes, emitted) {
+			break
+		}
+	}
+
+	res := &Result{}
+	if rt.Perm != nil {
+		res.Values = graph.ReindexByPerm(rt.Perm, cur)
+	} else {
+		res.Values = append([]uint64(nil), cur...)
 	}
 	rt.FinishMetrics(&run)
 	res.Metrics = run

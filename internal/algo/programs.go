@@ -50,6 +50,13 @@ func (b *BFS) Scatter(iter int, src graph.VertexID, srcVal uint64, dst graph.Ver
 	return 0, false
 }
 
+// Active implements SourceFilter: the frontier of iteration iter is the
+// vertices at level iter.
+func (b *BFS) Active(iter int, val uint64) bool {
+	level, _ := unpack(val)
+	return level == uint32(iter)
+}
+
 // BeginGather implements Program.
 func (b *BFS) BeginGather(iter int, val uint64) uint64 { return val }
 
@@ -108,6 +115,13 @@ func (WCC) Scatter(iter int, src graph.VertexID, srcVal uint64, dst graph.Vertex
 		return uint64(label), true
 	}
 	return 0, false
+}
+
+// Active implements SourceFilter: only a label that changed in the
+// previous iteration (or initially) is propagated.
+func (WCC) Active(iter int, val uint64) bool {
+	_, changedAt := unpack(val)
+	return int(changedAt) == iter
 }
 
 // BeginGather implements Program.

@@ -58,6 +58,13 @@ func (s *SSSP) Scatter(iter int, src graph.VertexID, srcVal uint64, dst graph.Ve
 	return uint64(math.Float32bits(d + weight)), true
 }
 
+// Active implements SourceFilter: only a distance that improved in the
+// previous iteration is relaxed further.
+func (s *SSSP) Active(iter int, val uint64) bool {
+	_, changedAt := unpackDist(val)
+	return changedAt == uint32(iter)
+}
+
 // BeginGather implements Program.
 func (s *SSSP) BeginGather(iter int, val uint64) uint64 { return val }
 

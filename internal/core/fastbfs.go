@@ -1126,8 +1126,8 @@ func (e *engine) drainPending() {
 }
 
 // runInMemory reuses X-Stream's in-memory fast path with an in-memory
-// trim step: after each iteration, edges whose source is already visited
-// (level below the next frontier's) are compacted away — NoLevel is the
+// trim policy: after each iteration, edges whose source is already
+// visited (level below the next frontier's) are dropped — NoLevel is the
 // maximum uint32, so "keep iff level[src] >= next frontier level" keeps
 // exactly the unvisited and just-discovered sources.
 func runInMemory(rt *xstream.Runtime, opts Options) (*Result, error) {
@@ -1135,30 +1135,23 @@ func runInMemory(rt *xstream.Runtime, opts Options) (*Result, error) {
 		return xstream.RunInMemory(rt, EngineName, nil)
 	}
 	next := uint32(0)
-	visited := uint64(1)
-	trim := func(edges []graph.Edge, level []uint32) []graph.Edge {
+	trim := func(level []uint32) (uint32, bool) {
 		next++
 		if int(next)-1 < opts.TrimStartIteration {
-			return edges
+			return 0, false
 		}
 		if opts.TrimVisitedFraction > 0 {
-			visited = 0
+			var visited uint64
 			for _, l := range level {
 				if l != xstream.NoLevel {
 					visited++
 				}
 			}
 			if float64(visited)/float64(rt.Meta.Vertices) < opts.TrimVisitedFraction {
-				return edges
+				return 0, false
 			}
 		}
-		out := edges[:0]
-		for _, e := range edges {
-			if level[e.Src] >= next {
-				out = append(out, e)
-			}
-		}
-		return out
+		return next, true
 	}
 	return xstream.RunInMemory(rt, EngineName, trim)
 }

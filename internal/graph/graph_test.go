@@ -308,16 +308,48 @@ func TestPartitioningIntervalsAreContiguousAndDisjoint(t *testing.T) {
 	}
 }
 
+// TestPartitioningOf checks the closed-form Of against the interval
+// table it must agree with: exhaustively for every vertex of every
+// (V, P) with V <= 300, and at every interval boundary for vertex counts
+// at the top of the VertexID space, where the 32-bit arithmetic is
+// tightest.
 func TestPartitioningOf(t *testing.T) {
-	pt, err := NewPartitioning(100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := VertexID(0); v < 100; v++ {
+	check := func(pt *Partitioning, v VertexID) {
 		i := pt.Of(v)
-		if !pt.Contains(i, v) {
-			t.Fatalf("Of(%d) = %d but Contains is false", v, i)
+		if i < 0 || i >= pt.P() || !pt.Contains(i, v) {
+			t.Fatalf("V=%d P=%d: Of(%d) = %d, which does not contain it", pt.Vertices(), pt.P(), v, i)
 		}
+		if lo, hi := pt.Interval(i); v < lo || v >= hi {
+			t.Fatalf("V=%d P=%d: Of(%d) = %d, interval [%d,%d)", pt.Vertices(), pt.P(), v, i, lo, hi)
+		}
+	}
+	for v := uint64(1); v <= 300; v++ {
+		for p := 1; uint64(p) <= v; p++ {
+			pt, err := NewPartitioning(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for u := VertexID(0); uint64(u) < v; u++ {
+				check(pt, u)
+			}
+		}
+	}
+	for _, v := range []uint64{1<<32 - 1, 1<<32 - 2, 1 << 31, 1<<31 + 1} {
+		for _, p := range []int{1, 2, 3, 7, 1000, 65536, 65537} {
+			pt, err := NewPartitioning(v, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < pt.P(); i++ {
+				lo, hi := pt.Interval(i)
+				check(pt, lo)
+				check(pt, hi-1)
+				check(pt, lo+(hi-lo)/2)
+			}
+		}
+	}
+	if _, err := NewPartitioning(1<<32, 1); err == nil {
+		t.Error("vertex count beyond the VertexID space accepted")
 	}
 }
 

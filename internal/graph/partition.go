@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partitioning divides the vertex id space [0, Vertices) into P disjoint,
 // contiguous intervals. FastBFS and X-Stream both partition this way: each
@@ -15,17 +12,26 @@ import (
 type Partitioning struct {
 	vertices uint64
 	starts   []VertexID // starts[i] is the first vertex of partition i; len = P+1
+
+	// The even split in closed form, for Of: the first `extra` partitions
+	// hold base+1 vertices and cover [0, split); the rest hold base.
+	base  uint32
+	extra uint32
+	split VertexID
 }
 
 // NewPartitioning builds an even vertex-interval partitioning of vertices
-// into p partitions. It returns an error if p < 1 or p exceeds the vertex
-// count.
+// into p partitions. It returns an error if p < 1, p exceeds the vertex
+// count, or the vertex count exceeds the VertexID space.
 func NewPartitioning(vertices uint64, p int) (*Partitioning, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("graph: partition count %d < 1", p)
 	}
 	if uint64(p) > vertices {
 		return nil, fmt.Errorf("graph: partition count %d exceeds vertex count %d", p, vertices)
+	}
+	if vertices > uint64(NoVertex) {
+		return nil, fmt.Errorf("graph: %d vertices exceeds the VertexID space", vertices)
 	}
 	starts := make([]VertexID, p+1)
 	base := vertices / uint64(p)
@@ -39,7 +45,8 @@ func NewPartitioning(vertices uint64, p int) (*Partitioning, error) {
 		}
 	}
 	starts[p] = VertexID(vertices)
-	return &Partitioning{vertices: vertices, starts: starts}, nil
+	return &Partitioning{vertices: vertices, starts: starts,
+		base: uint32(base), extra: uint32(extra), split: VertexID(extra * (base + 1))}, nil
 }
 
 // P returns the number of partitions.
@@ -64,9 +71,10 @@ func (pt *Partitioning) Of(v VertexID) int {
 	if uint64(v) >= pt.vertices {
 		panic(fmt.Sprintf("graph: vertex %d outside id space [0,%d)", v, pt.vertices))
 	}
-	// sort.Search finds the first partition whose interval ends after v.
-	i := sort.Search(pt.P(), func(i int) bool { return pt.starts[i+1] > v })
-	return i
+	if v < pt.split {
+		return int(uint32(v) / (pt.base + 1))
+	}
+	return int(pt.extra + uint32(v-pt.split)/pt.base)
 }
 
 // Contains reports whether vertex v falls in partition i.

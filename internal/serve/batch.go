@@ -410,5 +410,6 @@ func (s *GraphService) batchOpts(maxIter int) xstream.Options {
 	opts.Sim = opts.Sim.Clone()
 	opts.Tracer = nil
 	opts.KeepFiles = false
+	opts.Prepared = s.prepared
 	return opts
 }

@@ -330,6 +330,11 @@ func (s *GraphService) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		runtime.Version(), s.name, string(s.meta.EdgeCodec()))
 	fmt.Fprintf(w, "# TYPE fastbfs_graph_vertices gauge\nfastbfs_graph_vertices %d\n", s.meta.Vertices)
 	fmt.Fprintf(w, "# TYPE fastbfs_graph_edges gauge\nfastbfs_graph_edges %d\n", s.meta.Edges)
+	st := s.Stats()
+	fmt.Fprintf(w, "# TYPE fastbfs_prepared_resident gauge\nfastbfs_prepared_resident %d\n", st.PreparedResident)
+	fmt.Fprintf(w, "# TYPE fastbfs_prepared_edges gauge\nfastbfs_prepared_edges %d\n", st.PreparedEdges)
+	fmt.Fprintf(w, "# TYPE fastbfs_prepared_bytes gauge\nfastbfs_prepared_bytes %d\n", st.PreparedBytes)
+	fmt.Fprintf(w, "# TYPE fastbfs_prepared_load_seconds gauge\nfastbfs_prepared_load_seconds %g\n", st.PreparedLoadSeconds)
 	_ = obs.WriteProm(w, "fastbfs", s.Telemetry())
 }
 

@@ -17,11 +17,14 @@
 //     repeated traversal from a popular root is answered without
 //     touching the engines at all.
 //
-// Concurrent queries share one volume; isolation comes from a unique
-// per-query FilePrefix, a per-query clone of the simulated-device
-// configuration (devices accumulate fluid state) and a nil engine
-// tracer (a shared tracer's time source is engine-thread-only). The
-// service keeps its own Tracer for the serve_* counters.
+// Concurrent queries share one volume and one immutable
+// xstream.PreparedGraph (DESIGN.md §16) — metadata, permutation and,
+// when the graph fits the memory budget, the resident edge list, all
+// loaded once at New; isolation comes from a unique per-query
+// FilePrefix, a per-query clone of the simulated-device configuration
+// (devices accumulate fluid state) and a nil engine tracer (a shared
+// tracer's time source is engine-thread-only). The service keeps its
+// own Tracer for the serve_* counters.
 package serve
 
 import (
@@ -352,6 +355,10 @@ type GraphService struct {
 	meta graph.Meta
 	cfg  Config
 
+	// prepared is the graph as opened: shared, read-only, handed to every
+	// engine run. The service serves this snapshot until it is closed.
+	prepared *xstream.PreparedGraph
+
 	tr    *obs.Tracer
 	ctr   serveCounters
 	start time.Time
@@ -385,14 +392,28 @@ type GraphService struct {
 	batcher *batcher
 }
 
-// New opens graphName on vol for serving. The graph's metadata is
-// validated once here; a missing graph fails with errs.ErrGraphNotFound.
+// New opens graphName on vol for serving: it builds the shared
+// PreparedGraph — metadata, permutation and, when the graph fits
+// cfg.Base's memory budget, the whole validated edge list — once, with
+// the engines' fault injection and transient-fault retries. A missing
+// graph fails with errs.ErrGraphNotFound; a volume that cannot be read
+// or a damaged graph fails here with errs.ErrIOFailed / errs.ErrCorrupted
+// rather than failing every query later.
 func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error) {
 	cfg.setDefaults()
-	m, err := graph.LoadMeta(vol, graphName)
+	// New's signature predates contexts; nothing can cancel an open.
+	pg, err := xstream.LoadPrepared(context.TODO(), vol, graphName, cfg.Base.Base)
 	if err != nil {
 		return nil, err
 	}
+	if pg.Resident() {
+		log.Printf("serve: %s: resident: %d edges (%d bytes) loaded in %.3fs; memory budget %d >= in-memory need %d",
+			graphName, len(pg.Edges()), pg.ResidentBytes(), pg.LoadTime.Seconds(), pg.Budget, pg.Need)
+	} else {
+		log.Printf("serve: %s: not resident: memory budget %d < in-memory need %d; every query streams the graph from the volume",
+			graphName, pg.Budget, pg.Need)
+	}
+	m := pg.Meta
 	tr := cfg.Tracer
 	if tr == nil {
 		// Counters back Stats and the health endpoint, so they must exist
@@ -401,15 +422,16 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 		tr = obs.New()
 	}
 	s := &GraphService{
-		vol:     vol,
-		name:    graphName,
-		meta:    m,
-		cfg:     cfg,
-		tr:      tr,
-		start:   time.Now(),
-		closing: make(chan struct{}),
-		cache:   newLRU(cfg.CacheEntries),
-		pred:    newPredictor(),
+		vol:      vol,
+		name:     graphName,
+		meta:     m,
+		cfg:      cfg,
+		prepared: pg,
+		tr:       tr,
+		start:    time.Now(),
+		closing:  make(chan struct{}),
+		cache:    newLRU(cfg.CacheEntries),
+		pred:     newPredictor(),
 	}
 	s.adm = newAdmitter(s)
 	s.brk = newBreaker(s)
@@ -444,6 +466,7 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 		breakerProbe: s.tr.Counter(obs.CtrServeBreakerProbe),
 		breakerOpen:  s.tr.Counter(obs.CtrServeBreakerOpen),
 	}
+	s.ctr.ioRetries.Add(pg.LoadRetries)
 	if cfg.BatchSize > 0 {
 		s.batcher = newBatcher(s)
 	}
@@ -900,8 +923,9 @@ func uniq(vs []graph.VertexID) int {
 }
 
 // queryOpts builds the per-query engine options: the shared Base with a
-// unique file prefix, a cloned device simulation and no engine tracer
-// (concurrent runs cannot share the tracer's time source).
+// unique file prefix, a cloned device simulation, no engine tracer
+// (concurrent runs cannot share the tracer's time source) and the
+// service's prepared graph.
 func (s *GraphService) queryOpts(q Query) core.Options {
 	opts := s.cfg.Base
 	opts.Base.Root = q.Root
@@ -910,6 +934,7 @@ func (s *GraphService) queryOpts(q Query) core.Options {
 	opts.Base.Sim = opts.Base.Sim.Clone()
 	opts.Base.Tracer = nil
 	opts.Base.KeepFiles = false
+	opts.Base.Prepared = s.prepared
 	if s.cfg.PanicRoot > 0 && int64(q.Root) == s.cfg.PanicRoot {
 		// Chaos seam: a poisoned root panics mid-scatter so the panic
 		// unwinds through the engine's deferred cleanup and is recovered
@@ -1073,11 +1098,27 @@ type Stats struct {
 	BreakerTrips     int64 `json:"breaker_trips"`
 	BreakerFastFails int64 `json:"breaker_fast_fails"`
 	BreakerOpen      int64 `json:"breaker_open"`
+	// The prepared graph (DESIGN.md §16), fixed at open: whether the edge
+	// list is resident (0/1), how many edges and bytes it holds, and how
+	// long the load took. Resident queries move no device bytes.
+	PreparedResident    int64   `json:"prepared_resident"`
+	PreparedEdges       int64   `json:"prepared_edges"`
+	PreparedBytes       int64   `json:"prepared_bytes"`
+	PreparedLoadSeconds float64 `json:"prepared_load_seconds"`
 }
 
 // Stats reads the current counter values.
 func (s *GraphService) Stats() Stats {
+	var resident int64
+	if s.prepared.Resident() {
+		resident = 1
+	}
 	return Stats{
+		PreparedResident:    resident,
+		PreparedEdges:       int64(len(s.prepared.Edges())),
+		PreparedBytes:       s.prepared.ResidentBytes(),
+		PreparedLoadSeconds: s.prepared.LoadTime.Seconds(),
+
 		InFlight:    s.ctr.inflight.Value(),
 		QueueDepth:  s.ctr.queueDepth.Value(),
 		Admitted:    s.ctr.admitted.Value(),

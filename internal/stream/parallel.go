@@ -93,8 +93,15 @@ type ScatterPool struct {
 	// point like any other scatter error.
 	FaultHook func()
 
-	shards sync.Pool
 	chunks sync.Pool
+
+	// shards is the free-list of recycled shards, held strongly so their
+	// grown update slices survive garbage collections for as long as the
+	// pool lives (one run, or many for a pool kept in a per-graph
+	// scratch); at most PipelineDepth plus Workers shards ever exist. mu
+	// guards it, since workers fetch their own shards.
+	mu     sync.Mutex
+	shards []*Shard
 }
 
 // NewScatterPool sizes a pool: workers goroutines (minimum 1; 1 means
@@ -117,15 +124,24 @@ func NewScatterPool(workers, chunkEdges, parts int) *ScatterPool {
 func (sp *ScatterPool) Workers() int { return sp.workers }
 
 func (sp *ScatterPool) getShard() *Shard {
-	if v := sp.shards.Get(); v != nil {
-		sh := v.(*Shard)
-		sh.reset()
-		return sh
+	var sh *Shard
+	sp.mu.Lock()
+	if n := len(sp.shards); n > 0 {
+		sh, sp.shards = sp.shards[n-1], sp.shards[:n-1]
 	}
-	return &Shard{ByPart: make([][]graph.Update, sp.parts)}
+	sp.mu.Unlock()
+	if sh == nil {
+		return &Shard{ByPart: make([][]graph.Update, sp.parts)}
+	}
+	sh.reset()
+	return sh
 }
 
-func (sp *ScatterPool) putShard(sh *Shard) { sp.shards.Put(sh) }
+func (sp *ScatterPool) putShard(sh *Shard) {
+	sp.mu.Lock()
+	sp.shards = append(sp.shards, sh)
+	sp.mu.Unlock()
+}
 
 func (sp *ScatterPool) getChunk() []graph.Edge {
 	if v := sp.chunks.Get(); v != nil {

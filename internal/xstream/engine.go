@@ -602,51 +602,60 @@ func scatter(rt *Runtime, pool *stream.ScatterPool, v *Verts, sc *stream.Scanner
 	return scanned, emitted, candDeg, nil
 }
 
+// TrimPolicy is the in-memory path's trimming hook. RunInMemory calls it
+// once after every iteration's gather with the current levels; ok asks
+// for a trim pass that drops every live edge whose source level is below
+// floor. X-Stream passes a nil policy and rescans everything.
+type TrimPolicy func(level []uint32) (floor uint32, ok bool)
+
+// loadOneShot builds the single-use PreparedGraph of a run that was not
+// handed a resident one (the CLI and library path): the edge load goes
+// through the run's own timing, so it is charged to BytesRead and the
+// simulation clock exactly like the streaming load it replaces.
+func (rt *Runtime) loadOneShot() (*PreparedGraph, error) {
+	pg := &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm,
+		Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
+	n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
+	if err != nil {
+		return nil, err
+	}
+	rt.BytesRead += n
+	return pg, nil
+}
+
 // RunInMemory is the fast path when the whole graph fits the memory
-// budget: one streaming load of the edge list, then pure in-memory
-// iterations (the paper's Fig. 9 cliff at 4 GB). The trim callback, when
-// non-nil, lets FastBFS compact the in-memory edge array each iteration;
-// X-Stream passes nil and rescans everything. engineName labels the
-// metrics record.
-func RunInMemory(rt *Runtime, engineName string, trim func(edges []graph.Edge, level []uint32) []graph.Edge) (*Result, error) {
+// budget: pure in-memory iterations over a PreparedGraph's resident edge
+// list (the paper's Fig. 9 cliff at 4 GB). A run handed a resident
+// Options.Prepared iterates over the shared list and reads nothing from
+// the device; any other run loads a one-shot list first. The shared list
+// is never written: the first trim pass copies its survivors into the
+// run's scratch and later passes compact that copy in place. engineName
+// labels the metrics record.
+func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, error) {
 	run := metrics.Run{Engine: engineName, SwitchIteration: -1}
 	tr := rt.Tracer()
 	ctr := obs.NewEngineCounters(tr)
 	runSpan := tr.Span("run").Attr("in_memory", 1)
 	lds := runSpan.Child("load")
-
-	// One full sequential load of the dataset.
-	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), rt.MainTiming(), rt.Opts.StreamBufSize)
-	if err != nil {
-		return nil, err
-	}
-	// The loaded edge list lives in a stream.Resident — the same
-	// representation the FastBFS residency cache promotes partitions
-	// into — so the in-memory path is "everything resident from the
-	// start" rather than a separate structure.
-	live := stream.NewResident(int64(rt.Meta.Edges))
-	for {
-		e, ok, err := sc.Next()
-		if err != nil {
-			sc.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := rt.Meta.CheckEdge(e); err != nil {
-			sc.Close()
-			return nil, err
-		}
-		if err := live.Append(e); err != nil {
-			sc.Close()
+	pg := rt.Opts.Prepared
+	if !pg.Resident() {
+		var err error
+		if pg, err = rt.loadOneShot(); err != nil {
 			return nil, err
 		}
 	}
-	rt.BytesRead += sc.BytesRead()
-	sc.Close()
 	ctr.BytesRead.Set(rt.BytesRead)
-	lds.Attr("edges", live.Count()).End()
+	lds.Attr("edges", int64(len(pg.edges))).End()
+
+	scratch := pg.AcquireScratch()
+	defer pg.ReleaseScratch(scratch)
+	// edges is the live edge list. A shared list stays untouched: its
+	// first trim pass moves the survivors into scratch (private from then
+	// on). A one-shot list is this run's alone and is compacted in place
+	// from the first pass.
+	edges, private := pg.edges, pg != rt.Opts.Prepared
+	updates := scratch.Updates[:0]
+	defer func() { scratch.Updates = updates }()
 
 	level := make([]uint32, rt.Meta.Vertices)
 	parent := make([]graph.VertexID, rt.Meta.Vertices)
@@ -667,7 +676,7 @@ func RunInMemory(rt *Runtime, engineName string, trim func(edges []graph.Edge, l
 	// The in-memory path has no destination partitions to route by, so
 	// the pool's shards hold a single slot; chunk-order merge still
 	// reproduces the sequential update order exactly.
-	pool := stream.NewScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, 1)
+	pool := scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes)
 	pool.ChunkCounter = ctr.ScatterChunks
 	pool.BusyCounter = ctr.ScatterBusyNs
 	pool.FaultHook = rt.Opts.FaultHook
@@ -680,8 +689,7 @@ func RunInMemory(rt *Runtime, engineName string, trim func(edges []graph.Edge, l
 		ctr.Iteration.Set(int64(iter))
 		itRow := metrics.Iteration{Index: int(iter), Frontier: 0}
 		ss := itSpan.Child("scatter")
-		edges := live.Edges()
-		var updates []graph.Update
+		updates = updates[:0]
 		err := pool.RunSlice(edges, func(chunk []graph.Edge, out *stream.Shard) {
 			for _, e := range chunk {
 				if level[e.Src] == iter {
@@ -698,7 +706,7 @@ func RunInMemory(rt *Runtime, engineName string, trim func(edges []graph.Edge, l
 		itRow.EdgesStreamed = int64(len(edges))
 		ctr.Edges.Add(int64(len(edges)))
 		ctr.UpdatesEmitted.Add(int64(len(updates)))
-		rt.RAMScan(live.Bytes())
+		rt.RAMScan(int64(len(edges)) * graph.EdgeBytes)
 		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(len(updates))*rt.Costs.AppendPerUpdate)
 		ss.Attr("edges", int64(len(edges))).Attr("emitted", int64(len(updates))).End()
 		gs := itSpan.Child("gather")
@@ -720,8 +728,19 @@ func RunInMemory(rt *Runtime, engineName string, trim func(edges []graph.Edge, l
 		if trim != nil {
 			ts := itSpan.Child("stay-write")
 			before := len(edges)
-			live.Replace(trim(edges, level))
-			kept := int(live.Count())
+			if floor, ok := trim(level); ok {
+				live := edges[:0]
+				if !private {
+					live, private = scratch.Survivors(before), true
+				}
+				for _, e := range edges {
+					if level[e.Src] >= floor {
+						live = append(live, e)
+					}
+				}
+				edges = live
+			}
+			kept := len(edges)
 			itRow.StayEdges = int64(kept)
 			itRow.TrimActive = true
 			run.TrimmedEdges += int64(before - kept)

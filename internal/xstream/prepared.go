@@ -1,0 +1,344 @@
+package xstream
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"sync"
+	"time"
+
+	"fastbfs/internal/errs"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/obs"
+	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
+)
+
+// PreparedGraph is the load-once, query-many form of a stored graph
+// (DESIGN.md §16): the metadata, the stored permutation and — when the
+// whole graph fits the memory budget it was
+// prepared under (the InMemory rule) — the validated edge list itself.
+// A long-lived caller builds one with LoadPrepared and hands it to every
+// run through Options.Prepared; runs then skip the per-run metadata,
+// permutation and edge loads.
+//
+// Ownership. Everything reachable from the exported fields and from
+// Edges/Weights is shared by every concurrent run and is READ-ONLY after
+// LoadPrepared returns: no run may write through those slices (trimming
+// copies survivors into run-private scratch on its first pass). The only
+// mutable state is the scratch free-list, guarded by mu.
+type PreparedGraph struct {
+	Meta graph.Meta
+	Perm *graph.Permutation // nil unless the dataset was stored reordered
+
+	// Budget is the memory budget the residency decision was made under
+	// and Need what InMemory asks of it; Resident() == (Budget >= Need).
+	Budget, Need uint64
+	// LoadBytes and LoadTime are the device bytes and wall time the
+	// resident edge load took (zero when not resident); LoadRetries counts
+	// the transient faults retried while opening the graph.
+	LoadBytes   int64
+	LoadTime    time.Duration
+	LoadRetries int64
+
+	edges   []graph.Edge // nil unless resident; shared, never written
+	weights []float32    // parallel to edges; nil for unweighted graphs
+
+	mu   sync.Mutex
+	free []*Scratch
+}
+
+// Resident reports whether the edge list is held in memory. Nil-safe: a
+// nil PreparedGraph is "nothing prepared".
+func (pg *PreparedGraph) Resident() bool { return pg != nil && pg.edges != nil }
+
+// Edges returns the shared resident edge list in stored order (nil when
+// not resident). Callers must not write through it.
+func (pg *PreparedGraph) Edges() []graph.Edge { return pg.edges }
+
+// Weights returns the edge weights parallel to Edges, or nil for an
+// unweighted graph (every edge then weighs 1). Read-only, like Edges.
+func (pg *PreparedGraph) Weights() []float32 { return pg.weights }
+
+// ResidentBytes is the memory the shared edge list (and weights) holds.
+func (pg *PreparedGraph) ResidentBytes() int64 {
+	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4
+}
+
+// Scratch is one in-memory run's private working memory. It comes from
+// the PreparedGraph's free-list so its buffers keep their grown capacity
+// across iterations and across queries; the list holds at most
+// maxFreeScratch entries.
+type Scratch struct {
+	// Edges receives the trim survivors: the first trimming pass copies
+	// them out of the shared list, later passes compact in place.
+	Edges []graph.Edge
+	// Updates is the BFS engines' per-iteration update list.
+	Updates []graph.Update
+	// Values are the algo engine's current and next vertex values.
+	Values [2][]uint64
+	// Bits is the algo engine's active-source bitmap.
+	Bits []uint64
+
+	pool                  *stream.ScatterPool
+	poolWorkers, poolSize int
+}
+
+// AcquireScratch pops a scratch off the free-list, or makes an empty one.
+func (pg *PreparedGraph) AcquireScratch() *Scratch {
+	pg.mu.Lock()
+	defer pg.mu.Unlock()
+	if n := len(pg.free); n > 0 {
+		s := pg.free[n-1]
+		pg.free = pg.free[:n-1]
+		return s
+	}
+	return &Scratch{}
+}
+
+// maxFreeScratch caps the free-list. A warmed scratch pins up to a
+// survivor buffer the size of the edge list plus update and value
+// arrays, none of it in the MemoryBudget accounting, so a burst of N
+// concurrent runs must not leave N of them behind for good: releases
+// beyond the cap go to the garbage collector. Four is the serving
+// layer's default concurrency; a wider service reallocates scratch only
+// for its runs beyond the fourth.
+const maxFreeScratch = 4
+
+// ReleaseScratch returns a scratch to the free-list, or drops it when
+// the list is full. The caller must hold no reference into its buffers
+// afterwards.
+func (pg *PreparedGraph) ReleaseScratch(s *Scratch) {
+	pg.mu.Lock()
+	if len(pg.free) < maxFreeScratch {
+		pg.free = append(pg.free, s)
+	}
+	pg.mu.Unlock()
+}
+
+// Survivors returns the empty survivor buffer with room for n edges.
+func (s *Scratch) Survivors(n int) []graph.Edge {
+	if cap(s.Edges) < n {
+		s.Edges = make([]graph.Edge, 0, n)
+	}
+	return s.Edges[:0]
+}
+
+// ValuePair returns the two value arrays sized to n vertices.
+func (s *Scratch) ValuePair(n int) (cur, next []uint64) {
+	for i := range s.Values {
+		if cap(s.Values[i]) < n {
+			s.Values[i] = make([]uint64, n)
+		}
+		s.Values[i] = s.Values[i][:n]
+	}
+	return s.Values[0], s.Values[1]
+}
+
+// Bitmap returns the bitmap sized to one bit per vertex of n; the caller
+// writes every word before reading it.
+func (s *Scratch) Bitmap(n int) []uint64 {
+	words := (n + 63) / 64
+	if cap(s.Bits) < words {
+		s.Bits = make([]uint64, words)
+	}
+	s.Bits = s.Bits[:words]
+	return s.Bits
+}
+
+// ScatterPool returns the scratch's single-partition scatter pool for
+// the given worker count and chunk size — kept across runs, so its
+// shards are too; the caller sets the per-run counters and fault hook.
+func (s *Scratch) ScatterPool(workers, chunkEdges int) *stream.ScatterPool {
+	if s.pool == nil || s.poolWorkers != workers || s.poolSize != chunkEdges {
+		s.pool = stream.NewScatterPool(workers, chunkEdges, 1)
+		s.poolWorkers, s.poolSize = workers, chunkEdges
+	}
+	return s.pool
+}
+
+// InMemoryNeed is the memory budget at which a graph runs in memory:
+// InMemoryFactor times its edge data plus two sets of vertex state.
+func InMemoryNeed(m graph.Meta) uint64 {
+	return InMemoryFactor*m.DataBytes() + 2*PerVertexMemBytes*m.Vertices
+}
+
+// faultVolume applies FASTBFS_FAULTS — the single chaos entry point, so
+// every engine, the CLI and the serving layer get seeded fault injection
+// uniformly. A volume that is already Faulty (a test drove the injection
+// itself) is left alone.
+func faultVolume(vol storage.Volume) (storage.Volume, error) {
+	spec := os.Getenv("FASTBFS_FAULTS")
+	if spec == "" {
+		return vol, nil
+	}
+	if _, already := vol.(*storage.Faulty); already {
+		return vol, nil
+	}
+	fs, err := storage.ParseFaultSpec(spec)
+	if err != nil {
+		return nil, fmt.Errorf("xstream: FASTBFS_FAULTS: %w: %v", errs.ErrBadOptions, err)
+	}
+	if fs.Enabled() {
+		vol = storage.NewFaulty(vol, fs)
+	}
+	return vol, nil
+}
+
+// newRetrier builds a run's transient-fault retry policy from its options.
+func newRetrier(ctx context.Context, opts Options) *stream.Retrier {
+	retry := stream.NewRetrier(ctx, uint64(opts.Root)+1)
+	retry.Attempts = opts.RetryAttempts
+	retry.RetryCounter = opts.Tracer.Counter(obs.CtrIORetries)
+	retry.FailureCounter = opts.Tracer.Counter(obs.CtrIOFailures)
+	return retry
+}
+
+// loadMetaPerm reads a stored graph's configuration and, for a reordered
+// dataset, its permutation sidecar, retrying transient faults.
+func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string) (graph.Meta, *graph.Permutation, error) {
+	var m graph.Meta
+	if err := retry.Do("load meta "+graphName, func() error {
+		var e error
+		m, e = graph.LoadMeta(vol, graphName)
+		return e
+	}); err != nil {
+		return graph.Meta{}, nil, err
+	}
+	var perm *graph.Permutation
+	if m.Reordered {
+		if err := retry.Do("load perm "+graphName, func() error {
+			var e error
+			perm, e = graph.LoadPerm(vol, graphName, m.Vertices)
+			return e
+		}); err != nil {
+			return graph.Meta{}, nil, err
+		}
+	}
+	return m, perm, nil
+}
+
+// LoadPrepared opens graphName once for many runs: it reads and
+// validates the metadata and permutation and, when the graph fits
+// opts.MemoryBudget, loads and validates the whole edge list — all
+// through the same FASTBFS_FAULTS wrapping and transient-fault Retrier
+// as an engine run, so a flaky volume is retried and a broken one fails
+// here (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound)
+// instead of failing every later query. Only the budget, stream buffer
+// size, retry budget and tracer of opts are used.
+func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*PreparedGraph, error) {
+	opts.SetDefaults("prepared")
+	vol, err := faultVolume(vol)
+	if err != nil {
+		return nil, err
+	}
+	retry := newRetrier(ctx, opts)
+	m, perm, err := loadMetaPerm(retry, vol, graphName)
+	if err != nil {
+		return nil, err
+	}
+	pg := &PreparedGraph{Meta: m, Perm: perm, Budget: opts.MemoryBudget, Need: InMemoryNeed(m)}
+	if pg.Budget >= pg.Need {
+		start := time.Now()
+		if pg.LoadBytes, err = pg.loadEdges(vol, stream.Timing{Retry: retry}, opts.StreamBufSize); err != nil {
+			return nil, err
+		}
+		pg.LoadTime = time.Since(start)
+	}
+	pg.LoadRetries = retry.Retries()
+	return pg, nil
+}
+
+// loadEdges reads the stored edge file into pg.edges (and pg.weights)
+// chunk by chunk, validating every endpoint, and returns the device
+// bytes it consumed. The scanner refills exactly as a record-at-a-time
+// read would, so a timing that carries a simulation clock is charged the
+// same operation sequence as the streaming load it replaces.
+func (pg *PreparedGraph) loadEdges(vol storage.Volume, tm stream.Timing, bufSize int) (int64, error) {
+	m := pg.Meta
+	name := graph.EdgeFileName(m.Name)
+	edges := make([]graph.Edge, m.Edges)
+	check := func(es []graph.Edge) error {
+		for _, e := range es {
+			if uint64(e.Src) >= m.Vertices || uint64(e.Dst) >= m.Vertices {
+				return fmt.Errorf("xstream: %w: %w", errs.ErrCorrupted, m.CheckEdge(e))
+			}
+		}
+		return nil
+	}
+	miscount := func(rel string) error {
+		return fmt.Errorf("xstream: %w: %s holds %s than the %d edges its config declares", errs.ErrCorrupted, name, rel, m.Edges)
+	}
+	chunk := bufSize / graph.EdgeBytes
+	if chunk < 1 {
+		chunk = 1
+	}
+	if !m.Weighted {
+		sc, err := stream.NewEdgeScanner(vol, name, tm, bufSize)
+		if err != nil {
+			return 0, err
+		}
+		defer sc.Close()
+		for n := 0; n < len(edges); {
+			end := min(n+chunk, len(edges))
+			k, err := sc.NextChunk(edges[n:end])
+			if err != nil {
+				return 0, err
+			}
+			if k == 0 {
+				return 0, miscount("fewer")
+			}
+			if err := check(edges[n : n+k]); err != nil {
+				return 0, err
+			}
+			n += k
+		}
+		// Read through to end of stream: the trailing refill is part of
+		// the charged operation sequence, and extra records are damage.
+		var extra [1]graph.Edge
+		if k, err := sc.NextChunk(extra[:]); err != nil {
+			return 0, err
+		} else if k > 0 {
+			return 0, miscount("more")
+		}
+		pg.edges = edges
+		return sc.BytesRead(), nil
+	}
+
+	sc, err := stream.NewScanner(vol, name, tm, bufSize, graph.WEdgeBytes, graph.GetWEdge)
+	if err != nil {
+		return 0, err
+	}
+	defer sc.Close()
+	weights := make([]float32, m.Edges)
+	buf := make([]graph.WEdge, min(chunk, len(edges)+1))
+	n := 0
+	for {
+		k, err := sc.NextChunk(buf)
+		if err != nil {
+			return 0, err
+		}
+		if k == 0 {
+			break
+		}
+		if n+k > len(edges) {
+			return 0, miscount("more")
+		}
+		for i, we := range buf[:k] {
+			if we.Weight < 0 {
+				return 0, fmt.Errorf("xstream: %w: negative weight on %d->%d", errs.ErrCorrupted, we.Src, we.Dst)
+			}
+			edges[n+i] = graph.Edge{Src: we.Src, Dst: we.Dst}
+			weights[n+i] = we.Weight
+		}
+		if err := check(edges[n : n+k]); err != nil {
+			return 0, err
+		}
+		n += k
+	}
+	if n < len(edges) {
+		return 0, miscount("fewer")
+	}
+	pg.edges, pg.weights = edges, weights
+	return sc.BytesRead(), nil
+}

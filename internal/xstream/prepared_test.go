@@ -1,0 +1,211 @@
+package xstream
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"fastbfs/internal/errs"
+	"fastbfs/internal/gen"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/storage"
+)
+
+func rmatStored(t *testing.T, opts graph.StoreOptions) (*storage.Mem, graph.Meta, []graph.Edge) {
+	t.Helper()
+	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.StoreGraph(vol, m, edges, opts); err != nil {
+		t.Fatal(err)
+	}
+	return vol, m, edges
+}
+
+// TestPreparedRunMatchesOneShot: an in-memory run over a resident
+// PreparedGraph answers exactly like the one-shot run that loads the
+// edge file itself, iteration row for iteration row, but reads nothing
+// and is not charged the load — and its scratch goes back on the
+// free-list, which therefore never outgrows the runs in flight.
+func TestPreparedRunMatchesOneShot(t *testing.T) {
+	for _, so := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
+		vol, m, edges := rmatStored(t, so)
+		root := maxDegreeVertex(m, edges)
+		opts := Options{Root: root, MemoryBudget: 1 << 20, StreamBufSize: 512, Sim: DefaultSim()}
+		want, err := Run(vol, m.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Metrics.BytesRead == 0 || len(want.Metrics.Iterations) < 3 {
+			t.Fatalf("one-shot run read %d bytes over %d iterations", want.Metrics.BytesRead, len(want.Metrics.Iterations))
+		}
+
+		pg, err := LoadPrepared(context.Background(), vol, m.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pg.Resident() || uint64(len(pg.Edges())) != m.Edges || pg.LoadBytes != want.Metrics.BytesRead {
+			t.Fatalf("prepared: resident=%v edges=%d load bytes=%d, want %d edges and the one-shot run's %d bytes",
+				pg.Resident(), len(pg.Edges()), pg.LoadBytes, m.Edges, want.Metrics.BytesRead)
+		}
+		shared := append([]graph.Edge(nil), pg.Edges()...)
+		opts.Prepared = pg
+		for i := 0; i < 3; i++ {
+			opts.Sim = DefaultSim() // devices accumulate state: one per run
+			got, err := Run(vol, m.Name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) {
+				t.Fatalf("codec %q run %d: prepared answer differs from the one-shot run", so.Codec, i)
+			}
+			if !reflect.DeepEqual(got.Metrics.Iterations, want.Metrics.Iterations) {
+				t.Fatalf("codec %q run %d: iteration rows differ", so.Codec, i)
+			}
+			if got.Metrics.BytesRead != 0 || got.Metrics.ExecTime >= want.Metrics.ExecTime {
+				t.Fatalf("codec %q run %d: prepared run read %d bytes in %v simulated s (one-shot %v)",
+					so.Codec, i, got.Metrics.BytesRead, got.Metrics.ExecTime, want.Metrics.ExecTime)
+			}
+		}
+		if len(pg.free) != 1 {
+			t.Fatalf("%d scratches on the free-list after sequential runs, want 1", len(pg.free))
+		}
+		if !reflect.DeepEqual(pg.Edges(), shared) {
+			t.Fatal("shared edge list was written")
+		}
+	}
+}
+
+// TestScratchFreeListIsCapped: a burst of concurrent runs leaves at most
+// maxFreeScratch warmed scratches pinned behind it.
+func TestScratchFreeListIsCapped(t *testing.T) {
+	pg := &PreparedGraph{}
+	burst := make([]*Scratch, 2*maxFreeScratch)
+	for i := range burst {
+		burst[i] = pg.AcquireScratch()
+	}
+	for _, s := range burst {
+		pg.ReleaseScratch(s)
+	}
+	if len(pg.free) != maxFreeScratch {
+		t.Fatalf("%d scratches kept after a burst of %d, want %d", len(pg.free), len(burst), maxFreeScratch)
+	}
+}
+
+// TestOneShotTrimCompactsInPlace: a run that loaded its own one-shot edge
+// list shares it with nobody, so trimming compacts it in place from the
+// first pass — a trimming run allocates no second edge-list-sized buffer
+// over a run that never trims.
+func TestOneShotTrimCompactsInPlace(t *testing.T) {
+	m, edges, err := gen.RMAT(10, 16, gen.Graph500(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 1 << 30, ScatterWorkers: 1}
+	opts.SetDefaults("oneshot")
+	run := func(trim TrimPolicy) (*Result, uint64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rt, err := NewRuntimeContext(context.Background(), vol, m.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Cleanup()
+		res, err := RunInMemory(rt, "oneshot", trim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return res, after.TotalAlloc - before.TotalAlloc
+	}
+	plain, plainBytes := run(nil)
+	next := uint32(0)
+	trimmed, trimBytes := run(func([]uint32) (uint32, bool) { next++; return next, true })
+	if !reflect.DeepEqual(trimmed.Levels, plain.Levels) || !reflect.DeepEqual(trimmed.Parents, plain.Parents) {
+		t.Fatal("trimming changed the answer")
+	}
+	if trimmed.Metrics.TrimmedEdges == 0 {
+		t.Fatal("the trimming run trimmed nothing")
+	}
+	if list := m.Edges * graph.EdgeBytes; trimBytes > plainBytes+list/2 {
+		t.Fatalf("trimming run allocated %d bytes, plain run %d: a second %d-byte edge buffer was made",
+			trimBytes, plainBytes, list)
+	}
+}
+
+// TestPreparedNonResidentStillStreams: below the in-memory budget the
+// prepared graph holds no edges and the run streams exactly as before —
+// only the metadata and permutation come from it, so the run no longer
+// needs the config file.
+func TestPreparedNonResidentStillStreams(t *testing.T) {
+	vol, m, edges := rmatStored(t, graph.StoreOptions{ReorderByDegree: true})
+	opts := smallOpts()
+	opts.Root = maxDegreeVertex(m, edges)
+	want, err := Run(vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := LoadPrepared(context.Background(), vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pg.Resident() || pg.Edges() != nil || pg.Budget >= pg.Need {
+		t.Fatalf("4 KiB budget: resident=%v budget=%d need=%d", pg.Resident(), pg.Budget, pg.Need)
+	}
+	if err := vol.Remove(graph.ConfFileName(m.Name)); err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.Remove(graph.PermFileName(m.Name)); err != nil {
+		t.Fatal(err)
+	}
+	opts.Prepared = pg
+	opts.Sim = DefaultSim() // devices accumulate state: one per run
+	got, err := Run(vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) {
+		t.Fatal("streaming run over a prepared graph differs")
+	}
+	if got.Metrics.BytesRead != want.Metrics.BytesRead || got.Metrics.ExecTime != want.Metrics.ExecTime {
+		t.Fatalf("streaming run changed: %d bytes %v s, want %d bytes %v s",
+			got.Metrics.BytesRead, got.Metrics.ExecTime, want.Metrics.BytesRead, want.Metrics.ExecTime)
+	}
+	opts.Prepared = nil
+	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrGraphNotFound) {
+		t.Fatalf("run without the prepared graph or the config: err = %v", err)
+	}
+	other := &PreparedGraph{Meta: pg.Meta, Perm: pg.Perm}
+	other.Meta.Name = "other"
+	opts.Prepared = other
+	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrBadOptions) {
+		t.Fatalf("prepared graph of another dataset accepted: %v", err)
+	}
+}
+
+// TestLoadPreparedRejectsDamagedEdges: the resident load validates what
+// it keeps — an endpoint outside the vertex space is corruption, found
+// at open rather than by every later run.
+func TestLoadPreparedRejectsDamagedEdges(t *testing.T) {
+	vol, m, edges := rmatStored(t, graph.StoreOptions{})
+	edges[len(edges)/2].Dst = graph.VertexID(m.Vertices)
+	if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(edges)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
+		t.Fatalf("out-of-range endpoint: err = %v, want ErrCorrupted", err)
+	}
+	// Below the in-memory budget the edge file is not read at open.
+	if pg, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 4096}); err != nil || pg.Resident() {
+		t.Fatalf("non-resident open of a damaged edge file: %v", err)
+	}
+}

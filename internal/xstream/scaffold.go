@@ -185,6 +185,14 @@ type Options struct {
 	// it into a stream.PanicError (wrapping errs.ErrInternal) that
 	// aborts only the run that raised it.
 	FaultHook func()
+	// Prepared, when non-nil, is the shared load-once form of the graph
+	// this run is over (see PreparedGraph): the run takes metadata and
+	// permutation from it instead of re-reading them, and a run the
+	// InMemory rule sends down the in-memory path iterates over its
+	// resident edge list instead of reloading the edge file. It adds no
+	// policy of its own — which path a run takes is still decided by
+	// MemoryBudget alone.
+	Prepared *PreparedGraph
 }
 
 // SetDefaults fills unset fields with defaults.
@@ -386,31 +394,22 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// FASTBFS_FAULTS wraps the volume with seeded fault injection — the
-	// single chaos entry point, so every engine, the CLI and the serving
-	// layer get it uniformly. A volume that is already Faulty (a test
-	// drove the injection itself) is left alone.
-	if spec := os.Getenv("FASTBFS_FAULTS"); spec != "" {
-		if _, already := vol.(*storage.Faulty); !already {
-			fs, err := storage.ParseFaultSpec(spec)
-			if err != nil {
-				return nil, fmt.Errorf("xstream: FASTBFS_FAULTS: %w: %v", errs.ErrBadOptions, err)
-			}
-			if fs.Enabled() {
-				vol = storage.NewFaulty(vol, fs)
-			}
-		}
+	vol, err := faultVolume(vol)
+	if err != nil {
+		return nil, err
 	}
-	retry := stream.NewRetrier(ctx, uint64(opts.Root)+1)
-	retry.Attempts = opts.RetryAttempts
-	retry.RetryCounter = opts.Tracer.Counter(obs.CtrIORetries)
-	retry.FailureCounter = opts.Tracer.Counter(obs.CtrIOFailures)
+	retry := newRetrier(ctx, opts)
 	var m graph.Meta
-	if err := retry.Do("load meta "+graphName, func() error {
-		var e error
-		m, e = graph.LoadMeta(vol, graphName)
-		return e
-	}); err != nil {
+	// A reordered dataset's edges carry stored labels; perm moves the
+	// root into stored space (validated below in the caller's original
+	// space) and results translate back on collection.
+	var perm *graph.Permutation
+	if pg := opts.Prepared; pg != nil {
+		if pg.Meta.Name != graphName {
+			return nil, fmt.Errorf("xstream: prepared graph is %s, run is over %s: %w", pg.Meta.Name, graphName, errs.ErrBadOptions)
+		}
+		m, perm = pg.Meta, pg.Perm
+	} else if m, perm, err = loadMetaPerm(retry, vol, graphName); err != nil {
 		return nil, err
 	}
 	if uint64(opts.Root) >= m.Vertices {
@@ -426,18 +425,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 	if opts.Codec == "" {
 		codec = m.EdgeCodec()
 	}
-	// A reordered dataset's edges carry stored labels; load the stored
-	// permutation and move the root into stored space (validated above in
-	// the caller's original space). Results translate back on collection.
-	var perm *graph.Permutation
-	if m.Reordered {
-		if err := retry.Do("load perm "+graphName, func() error {
-			var e error
-			perm, e = graph.LoadPerm(vol, graphName, m.Vertices)
-			return e
-		}); err != nil {
-			return nil, err
-		}
+	if perm != nil {
 		opts.Root = perm.ToStored(opts.Root)
 	}
 	p := opts.Partitions
@@ -482,8 +470,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 
 // InMemory reports whether the whole graph fits the memory budget.
 func (rt *Runtime) InMemory() bool {
-	need := InMemoryFactor*rt.Meta.DataBytes() + 2*PerVertexMemBytes*rt.Meta.Vertices
-	return rt.Opts.MemoryBudget >= need
+	return rt.Opts.MemoryBudget >= InMemoryNeed(rt.Meta)
 }
 
 // MainTiming returns the stream timing for the main disk. Wall mode
