@@ -221,27 +221,24 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		maxIter = int(rt.Meta.Vertices) + 1
 	}
 
+	// shuf holds the iteration's update writers. Whatever is still open
+	// when the run returns — a cancelled or failed pass, a panicking
+	// FaultHook — is aborted here (a no-op on a closed writer), so no
+	// early exit leaves a half-written update file or a stream buffer
+	// behind.
+	shuf := make([]*stream.Writer[updRec], P)
+	defer stream.AbortAll(shuf)
+
 	for iter := 0; iter < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
 			return nil, err
 		}
 		itRow := metrics.Iteration{Index: iter}
 
-		// Scatter pass. abortShuf releases the open update writers (and
-		// their stream buffers) on every early exit, so a cancelled or
-		// failed pass leaves no half-written update files behind.
-		shuf := make([]*stream.Writer[updRec], P)
-		abortShuf := func() {
-			for _, w := range shuf {
-				if w != nil {
-					w.Abort()
-				}
-			}
-		}
+		// Scatter pass.
 		for p := 0; p < P; p++ {
 			w, err := stream.NewWriter(rt.Vol, updFile(0, p), rt.AuxTiming(), rt.Opts.StreamBufSize, updateRecBytes, putUpdRec)
 			if err != nil {
-				abortShuf()
 				return nil, err
 			}
 			shuf[p] = w
@@ -249,7 +246,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		var emitted int64
 		for p := 0; p < P; p++ {
 			if err := rt.Checkpoint(); err != nil {
-				abortShuf()
 				return nil, err
 			}
 			if rt.Opts.FaultHook != nil {
@@ -262,13 +258,11 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			}
 			vals, err := loadVals(p)
 			if err != nil {
-				abortShuf()
 				return nil, err
 			}
 			lo, _ := rt.Parts.Interval(p)
 			sc, err := stream.NewScanner(rt.Vol, edgeFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge)
 			if err != nil {
-				abortShuf()
 				return nil, err
 			}
 			sc.Prefetch(rt.Opts.PrefetchBuffers)
@@ -277,7 +271,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 				e, ok, err := sc.Next()
 				if err != nil {
 					sc.Close()
-					abortShuf()
 					return nil, err
 				}
 				if !ok {
@@ -288,7 +281,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 				if emit {
 					if err := shuf[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
 						sc.Close()
-						abortShuf()
 						return nil, err
 					}
 					emitted++
@@ -299,11 +291,8 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
 			itRow.EdgesStreamed += scanned
 		}
-		for i, w := range shuf {
+		for _, w := range shuf {
 			if err := w.Close(); err != nil {
-				for _, rest := range shuf[i+1:] {
-					rest.Abort()
-				}
 				return nil, err
 			}
 			rt.BytesWritten += w.BytesWritten()
@@ -407,8 +396,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 // outer caches, run to run, where a sequential scan does not.
 func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, filter SourceFilter,
 	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
-	scratch := pg.AcquireScratch()
-	defer pg.ReleaseScratch(scratch)
+	scratch := rt.Scratch()
 	edges, weights := pg.Edges(), pg.Weights()
 	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
 	for v := range cur {
@@ -492,12 +480,10 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string) error {
 	tm := rt.MainTiming()
 	outs := make([]*stream.Writer[graph.WEdge], rt.Parts.P())
+	defer stream.AbortAll(outs) // whatever an error return leaves open
 	for p := range outs {
 		w, err := stream.NewWriter(rt.Vol, edgeFile(p), tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.PutWEdge)
 		if err != nil {
-			for _, o := range outs[:p] {
-				o.Abort()
-			}
 			return err
 		}
 		outs[p] = w

@@ -202,7 +202,7 @@ func (e *engine) roleTiming(role string) stream.Timing {
 	case sim == nil:
 		return e.mainTiming()
 	case role == "stay" && sim.StayDisk != nil:
-		return stream.Timing{Clock: e.rt.Clock, Device: sim.StayDisk, Retry: e.rt.Retry}
+		return e.stayDiskTiming()
 	case role == "aux" && sim.AuxDisk != nil:
 		return e.auxTiming()
 	}

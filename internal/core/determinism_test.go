@@ -21,6 +21,8 @@ type recordingVolume struct {
 	storage.Volume
 	mu  sync.Mutex
 	log map[string][][]byte
+	// all widens the log from update and stay files to every file.
+	all bool
 }
 
 func newRecordingVolume(v storage.Volume) *recordingVolume {
@@ -50,7 +52,7 @@ func (w *recordingWriter) Write(p []byte) (int, error) {
 
 func (w *recordingWriter) Close() error {
 	err := w.w.Close()
-	if err == nil && (strings.Contains(w.name, "_upd") || strings.Contains(w.name, "_stay")) {
+	if err == nil && (w.rv.all || strings.Contains(w.name, "_upd") || strings.Contains(w.name, "_stay")) {
 		// Stay files publish on the stay-writer goroutine; lock.
 		w.rv.mu.Lock()
 		w.rv.log[w.name] = append(w.rv.log[w.name], w.buf)

@@ -281,23 +281,18 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	defer sc.Close()
 	stayTiming := e.otherTiming(e.mainTiming())
 	outs := make([]*stream.Writer[graph.Edge], e.rt.Parts.P())
+	abort := func() {
+		stream.AbortAll(outs) // the writers still open; a closed one ignores it
+		bs.End()
+	}
 	for p := range outs {
 		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.rt.Opts.StreamBufSize, e.rt.Codec)
 		if werr != nil {
-			for _, o := range outs[:p] {
-				o.Abort()
-			}
-			bs.End()
+			abort()
 			return 0, 0, werr
 		}
 		w.SetAsync()
 		outs[p] = w
-	}
-	abort := func() {
-		for _, o := range outs {
-			o.Abort()
-		}
-		bs.End()
 	}
 
 	// Global winner scratch (transient, like OutDeg outside the
@@ -312,41 +307,44 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	var total uint64
 	var candidates, stayed int64
 	perPart := make([]int64, e.rt.Parts.P())
+	chunk := e.rt.EdgeChunk()
 	for {
-		r, ok, serr := sc.Next()
+		n, serr := sc.NextChunk(chunk)
 		if serr != nil {
 			abort()
 			return 0, 0, serr
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if cerr := e.rt.Meta.CheckEdge(r); cerr != nil {
-			abort()
-			return 0, 0, fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, revName, cerr)
-		}
-		total++
-		if e.rt.VisitedBits.Get(r.Src) {
-			continue // target already has a parent — dead in-edge
-		}
-		if d.frontier.Get(r.Dst) {
-			candidates++
-			pu := int32(e.rt.Parts.Of(r.Dst))
-			if bestPart[r.Src] < 0 || pu < bestPart[r.Src] {
-				bestPart[r.Src] = pu
-				bestParent[r.Src] = r.Dst
+		for _, r := range chunk[:n] {
+			if cerr := e.rt.Meta.CheckEdge(r); cerr != nil {
+				abort()
+				return 0, 0, fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, revName, cerr)
 			}
+			total++
+			if e.rt.VisitedBits.Get(r.Src) {
+				continue // target already has a parent — dead in-edge
+			}
+			if d.frontier.Get(r.Dst) {
+				candidates++
+				pu := int32(e.rt.Parts.Of(r.Dst))
+				if bestPart[r.Src] < 0 || pu < bestPart[r.Src] {
+					bestPart[r.Src] = pu
+					bestParent[r.Src] = r.Dst
+				}
+			}
+			if trim && bestPart[r.Src] >= 0 {
+				continue // target will be visited when this pass ends
+			}
+			p := e.rt.Parts.Of(r.Src)
+			if werr := outs[p].Append(r); werr != nil {
+				abort()
+				return 0, 0, werr
+			}
+			stayed++
+			perPart[p]++
 		}
-		if trim && bestPart[r.Src] >= 0 {
-			continue // target will be visited when this pass ends
-		}
-		p := e.rt.Parts.Of(r.Src)
-		if werr := outs[p].Append(r); werr != nil {
-			abort()
-			return 0, 0, werr
-		}
-		stayed++
-		perPart[p]++
 	}
 	if total != e.rt.Meta.Edges {
 		abort()
@@ -355,7 +353,7 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	}
 	for p, o := range outs {
 		if cerr := o.Close(); cerr != nil {
-			bs.End()
+			abort()
 			return 0, 0, cerr
 		}
 		e.rt.BytesWritten += o.BytesWritten()

@@ -160,10 +160,10 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 	if err != nil {
 		return nil, err
 	}
+	defer rt.Cleanup()
 	if rt.Meta.Weighted {
 		return nil, fmt.Errorf("fastbfs: %w: BFS takes unweighted graphs; %s is weighted", errs.ErrBadOptions, graphName)
 	}
-	defer rt.Cleanup()
 	if rt.InMemory() && opts.CheckpointVol == nil {
 		// The in-memory fast path has no durable intermediate state to
 		// checkpoint; checkpointed runs always stream.
@@ -265,7 +265,7 @@ func (e *engine) otherTiming(t stream.Timing) stream.Timing {
 		return t
 	}
 	if sim.StayDisk != nil {
-		return stream.Timing{Clock: e.rt.Clock, Device: sim.StayDisk, Retry: e.rt.Retry}
+		return e.stayDiskTiming()
 	}
 	if sim.AuxDisk == nil {
 		return t
@@ -274,6 +274,11 @@ func (e *engine) otherTiming(t stream.Timing) stream.Timing {
 		return e.mainTiming()
 	}
 	return e.auxTiming()
+}
+
+// stayDiskTiming is the stream timing of the dedicated stay disk.
+func (e *engine) stayDiskTiming() stream.Timing {
+	return stream.Timing{Clock: e.rt.Clock, Device: e.rt.Opts.Sim.StayDisk, Retry: e.rt.Retry, Bufs: e.rt.Bufs}
 }
 
 func (e *engine) run() (*Result, error) {
@@ -856,28 +861,31 @@ func (e *engine) gather(v *xstream.Verts, updFile string, level uint32, onNew fu
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	chunk := e.rt.UpdateChunk()
 	for {
-		u, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
 			return newly, applied, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		applied++
-		i := int(u.Dst - v.Lo)
-		if i < 0 || i >= len(v.Level) {
-			return newly, applied, fmt.Errorf("fastbfs: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
-		}
-		if v.Level[i] == xstream.NoLevel {
-			v.Level[i] = level
-			v.Parent[i] = u.Parent
-			newly++
-			if e.rt.VisitedBits != nil {
-				e.rt.VisitedBits.Set(u.Dst)
+		for _, u := range chunk[:n] {
+			applied++
+			i := int(u.Dst - v.Lo)
+			if i < 0 || i >= len(v.Level) {
+				return newly, applied, fmt.Errorf("fastbfs: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
 			}
-			if onNew != nil {
-				onNew(u.Dst)
+			if v.Level[i] == xstream.NoLevel {
+				v.Level[i] = level
+				v.Parent[i] = u.Parent
+				newly++
+				if e.rt.VisitedBits != nil {
+					e.rt.VisitedBits.Set(u.Dst)
+				}
+				if onNew != nil {
+					onNew(u.Dst)
+				}
 			}
 		}
 	}

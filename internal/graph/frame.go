@@ -118,11 +118,56 @@ type FrameReader struct {
 	off  int
 	done bool // terminator seen
 	err  error
+
+	// bufs, when non-nil, lends the payload buffer; hint is the size
+	// asked for first (frames longer than it get an exact-size buffer).
+	bufs Buffers
+	hint int
+}
+
+// Buffers is a free-list a FrameReader borrows its payload buffer from
+// and returns it to — stream.BufPool, declared here because this
+// package sits below the stream layer.
+type Buffers interface {
+	// Get returns a buffer of exactly size bytes, contents arbitrary.
+	Get(size int) []byte
+	// Put takes back a buffer obtained from Get.
+	Put(b []byte)
 }
 
 // NewFrameReader returns a FrameReader over r, which must be
 // positioned after the magic (see SniffFrameReader for detection).
 func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// NewFrameReaderBufs is NewFrameReader with the payload buffer borrowed
+// from bufs: sizeHint bytes at the first frame (the reading stream's own
+// buffer size — writers emit one frame per flush, so frames are rarely
+// longer), kept until Release. The caller must call Release when done.
+func NewFrameReaderBufs(r io.Reader, bufs Buffers, sizeHint int) *FrameReader {
+	return &FrameReader{r: r, bufs: bufs, hint: sizeHint}
+}
+
+// Release gives the payload buffer back to the free-list it came from.
+// The reader must not be read again.
+func (fr *FrameReader) Release() {
+	if fr.bufs != nil {
+		fr.bufs.Put(fr.buf)
+	}
+	fr.buf, fr.off = nil, 0
+	if fr.err == nil {
+		fr.err = fmt.Errorf("graph: read from released frame reader")
+	}
+}
+
+// grow replaces the payload buffer with one of at least n bytes.
+func (fr *FrameReader) grow(n int) {
+	if fr.bufs == nil {
+		fr.buf = make([]byte, n)
+		return
+	}
+	fr.bufs.Put(fr.buf)
+	fr.buf = fr.bufs.Get(max(n, fr.hint))
+}
 
 // SniffMagic reads up to 4 bytes from r and reports whether they are
 // the frame magic. It returns the bytes consumed so a raw reader can
@@ -184,7 +229,7 @@ func (fr *FrameReader) nextFrame() error {
 		return fr.corrupt("frame length %d exceeds cap %d", length, MaxFramePayload)
 	}
 	if cap(fr.buf) < int(length) {
-		fr.buf = make([]byte, length)
+		fr.grow(int(length))
 	}
 	fr.buf = fr.buf[:length]
 	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {

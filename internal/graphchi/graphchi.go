@@ -110,10 +110,10 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 	if err != nil {
 		return nil, err
 	}
+	defer rt.Cleanup()
 	if rt.Meta.Weighted {
 		return nil, fmt.Errorf("graphchi: %w: BFS takes unweighted graphs; %s is weighted", errs.ErrBadOptions, graphName)
 	}
-	defer rt.Cleanup()
 	e := &engine{rt: rt, rv: rv}
 	return e.run()
 }

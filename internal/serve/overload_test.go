@@ -18,6 +18,7 @@ import (
 	"fastbfs/internal/graph"
 	"fastbfs/internal/serve"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 )
 
 // Overload-resilience tests (DESIGN.md §15): panic isolation, deadline
@@ -107,6 +108,24 @@ func TestServicePanicIsolation(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines grew %d -> %d across recovered panics", before, after)
+	}
+}
+
+// TestServicePanicIsolationUnderPoisoningPool repeats the test above
+// with the stream layer's poisoning pool audit installed (DESIGN.md
+// §17): the three panicking queries — two recovered on a scatter
+// worker, one unwinding the algo engine's own thread — and the innocent
+// one after them stream on buffers filled with 0xA5, every one of which
+// must be back in its pool once the service has closed.
+func TestServicePanicIsolationUnderPoisoningPool(t *testing.T) {
+	audit := stream.AuditPools()
+	defer audit.Stop()
+	TestServicePanicIsolation(t)
+	if n := audit.Outstanding(); n != 0 {
+		t.Errorf("%d stream buffers still outstanding after the service closed", n)
+	}
+	if audit.Peak() == 0 {
+		t.Error("no query drew a buffer from an audited pool; the audit checked nothing")
 	}
 }
 

@@ -40,6 +40,16 @@ func residentBase() core.Options {
 	return core.Options{Base: xstream.Options{MemoryBudget: 1 << 30, StreamBufSize: 256, ScatterWorkers: 2, Sim: xstream.DefaultSim()}}
 }
 
+// streamingBase is a budget below every test graph (4 partitions on the
+// 256-vertex one): the prepared graph holds metadata and permutation
+// only, and every query streams — on the buffers of a scratch borrowed
+// from the prepared graph's free-list.
+func streamingBase() core.Options {
+	o := residentBase()
+	o.Base.MemoryBudget = 1024
+	return o
+}
+
 // hubRoots returns the n highest-degree vertices, highest first: roots
 // whose traversals take several iterations on an R-MAT graph.
 func hubRoots(vertices uint64, edges []graph.Edge, n int) []graph.VertexID {
@@ -78,16 +88,24 @@ func waitGoroutines(t *testing.T, before int, what string) {
 
 // TestPreparedConcurrentQueriesMatchUnpreparedRuns is the prepared
 // graph's acceptance test. Three stores of one R-MAT graph (fixed,
-// delta+reordered, weighted) sit on a Counting volume; services at an
-// in-memory budget — batching off, batch width 2, batch width 32 — take
-// 70-odd queries at once: solo fastbfs and xstream BFS with and without
-// an iteration cap, batched BFS, MS-BFS, SSSP, one query on a poisoned
-// root and one cancelled mid-run. Every answer must be byte-identical to
-// the same query run through the engine's own RunContext WITHOUT a
-// prepared graph; between the opens and the closes the volume must see
-// not one byte of traffic; and the shared edge lists must come out
-// exactly as they went in.
+// delta+reordered, weighted) sit on a Counting volume; services —
+// batching off, batch width 2, batch width 32 — take 70-odd queries at
+// once: solo fastbfs and xstream BFS with and without an iteration cap,
+// batched BFS, MS-BFS, SSSP, one query on a poisoned root and one
+// cancelled mid-run. Every answer must be byte-identical to the same
+// query run through the engine's own RunContext WITHOUT a prepared
+// graph. At the in-memory budget the volume must see not one byte of
+// traffic between the opens and the closes, and the shared edge lists
+// must come out exactly as they went in; at the out-of-core budget
+// every query streams on a scratch (stream buffers, scatter pool,
+// vertex arrays) handed from query to query through the prepared
+// graph's free-list, four at a time.
 func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
+	t.Run("resident", func(t *testing.T) { preparedConcurrentQueries(t, residentBase(), true) })
+	t.Run("out-of-core", func(t *testing.T) { preparedConcurrentQueries(t, streamingBase(), false) })
+}
+
+func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +137,7 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 	// References: each engine's own RunContext, same options, no Prepared.
 	ctx := context.Background()
 	refBFS := func(g string, e serve.Engine, root graph.VertexID, maxIter int) *core.Result {
-		o := residentBase()
+		o := base
 		o.Base.Root, o.Base.MaxIterations = root, maxIter
 		var res *core.Result
 		var err error
@@ -137,7 +155,7 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 		return res
 	}
 	refAlgo := func(g string, prog algo.Program) []uint64 {
-		res, err := algo.RunContext(ctx, vol, g, prog, residentBase().Base)
+		res, err := algo.RunContext(ctx, vol, g, prog, base.Base)
 		if err != nil {
 			t.Fatalf("reference %s on %s: %v", prog.Name(), g, err)
 		}
@@ -158,18 +176,40 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 	}
 	var jobs []job
 	var services []*serve.GraphService
+	var vols []storage.Volume // services[i]'s volume
 	open := func(g string, cfg serve.Config) *serve.GraphService {
 		cfg.CacheEntries = -1 // every query must execute
 		cfg.MaxInFlight, cfg.MaxQueue = 4, 128
 		if cfg.Base.Base.MemoryBudget == 0 {
-			cfg.Base = residentBase()
+			cfg.Base = base
 		}
-		svc, err := serve.New(vol, g, cfg)
+		// Resident services share the volume they never touch again. A
+		// streaming service gets a copy of the dataset to itself: services
+		// number their working files from q1 each, so two of them streaming
+		// on one volume would remove each other's.
+		svol := storage.Volume(vol)
+		if !resident {
+			own := storage.NewMem()
+			for f := range stored {
+				b, err := storage.ReadAll(mem, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := storage.WriteAll(own, f, b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			svol = own
+		}
+		vols = append(vols, svol)
+		svc, err := serve.New(svol, g, cfg)
 		if err != nil {
 			t.Fatalf("open %s: %v", g, err)
 		}
-		if st := svc.Stats(); st.PreparedResident != 1 || st.PreparedEdges != int64(len(edges)) {
+		if st := svc.Stats(); resident && (st.PreparedResident != 1 || st.PreparedEdges != int64(len(edges))) {
 			t.Fatalf("%s: prepared stats %+v, want resident with %d edges", g, st, len(edges))
+		} else if !resident && (st.PreparedResident != 0 || st.PreparedEdges != 0) {
+			t.Fatalf("%s: prepared stats %+v, want not resident", g, st)
 		}
 		services = append(services, svc)
 		return svc
@@ -226,7 +266,7 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 	victimCtx, cancelVictim := context.WithCancel(ctx)
 	defer cancelVictim()
 	var hookCalls atomic.Int64
-	victimBase := residentBase()
+	victimBase := base
 	victimBase.Base.FaultHook = func() {
 		if hookCalls.Add(1) == 2 {
 			cancelVictim()
@@ -271,8 +311,10 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 				fail <- what + ": differs from the run without a prepared graph"
 			case res.Batched != j.batched:
 				fail <- fmt.Sprintf("%s: Batched = %v", what, res.Batched)
-			case res.Metrics.BytesRead != 0 || res.Metrics.BytesWritten != 0:
+			case resident && (res.Metrics.BytesRead != 0 || res.Metrics.BytesWritten != 0):
 				fail <- fmt.Sprintf("%s: resident query reports %d/%d device bytes", what, res.Metrics.BytesRead, res.Metrics.BytesWritten)
+			case !resident && (res.Metrics.BytesRead == 0 || res.Metrics.BytesWritten == 0):
+				fail <- what + ": out-of-core query reports no device traffic"
 			}
 		}(i, j)
 	}
@@ -285,8 +327,8 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 
 	for i, svc := range services {
 		st := svc.Stats()
-		if st.DeviceBytes != 0 {
-			t.Errorf("service %d: %d device bytes over resident queries", i, st.DeviceBytes)
+		if resident && st.DeviceBytes != 0 || !resident && st.Completed > 0 && st.DeviceBytes == 0 {
+			t.Errorf("service %d: %d device bytes over %d answered queries, resident = %v", i, st.DeviceBytes, st.Completed, resident)
 		}
 		if bs := st.BatchRuns; bs > 0 && (bs != 1 || st.BatchSolo != 0) {
 			t.Errorf("service %d: %d batch runs, %d solo members; want one full batch", i, bs, st.BatchSolo)
@@ -298,15 +340,17 @@ func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 			t.Errorf("service %d: shared edge list changed under the load", i)
 		}
 	}
-	if d := vol.Stats().Sub(io0); d.BytesRead != 0 || d.BytesWritten != 0 {
+	if d := vol.Stats().Sub(io0); resident && (d.BytesRead != 0 || d.BytesWritten != 0) {
 		t.Errorf("volume moved %d bytes read, %d written between open and close", d.BytesRead, d.BytesWritten)
 	}
 	if n := hookCalls.Load(); n < 2 {
 		t.Errorf("victim's fault hook fired %d times; the cancellation was not mid-run", n)
 	}
-	for _, f := range vol.List() {
-		if !stored[f] {
-			t.Errorf("leftover working file %s", f)
+	for i, v := range vols {
+		for _, f := range v.List() {
+			if !stored[f] {
+				t.Errorf("service %d: leftover working file %s", i, f)
+			}
 		}
 	}
 	waitGoroutines(t, before, "across the prepared load")
@@ -357,6 +401,82 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 		t.Fatalf("a warmed query allocates %d bytes; want < %d (result arrays %d + 4x)", perQuery, 5*result, result)
 	}
 	t.Logf("warmed resident query: %d bytes allocated (result arrays %d, edge list %d)", perQuery, result, m.Edges*graph.EdgeBytes)
+}
+
+// TestPreparedOutOfCoreWarmQueryAllocation: with a budget below the
+// graph a served query streams, but on a scratch it borrows from the
+// prepared graph — stream buffers, scatter chunks and shards, vertex
+// arrays, all warmed by the queries before it. It must allocate less
+// than half of what the same query allocates as a stand-alone
+// core.RunContext, which builds its own pool and drops it, and answer
+// with the same levels and parents byte for byte.
+func TestPreparedOutOfCoreWarmQueryAllocation(t *testing.T) {
+	if os.Getenv("FASTBFS_FAULTS") != "" {
+		t.Skip("the fault-injecting volume keeps an image of every file it writes, served or not")
+	}
+	m, edges, err := gen.RMAT(12, 8, gen.Graph500(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.Store(vol, m, edges); err != nil {
+		t.Fatal(err)
+	}
+	// 4096 vertices x 16 B / 8 KiB = 8 partitions. What is left to a
+	// warmed query is mostly the Mem volume's own images of the files it
+	// writes, which no pool can save; 256 KiB buffers keep that term from
+	// drowning the buffers this test is about.
+	base := core.Options{Base: xstream.Options{MemoryBudget: 8192, StreamBufSize: 256 << 10, ScatterWorkers: 2}}
+	svc, err := serve.New(vol, m.Name, serve.Config{CacheEntries: -1, Base: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if svc.Stats().PreparedResident != 0 {
+		t.Fatal("service is resident; the queries would not stream")
+	}
+	roots := hubRoots(m.Vertices, edges, 8)
+	standalone := func(i int) *core.Result {
+		o := base
+		o.Base.Root = roots[i%len(roots)]
+		res, err := core.RunContext(context.Background(), vol, m.Name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	served := func(i int) *serve.Result {
+		res, err := svc.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Root: roots[i%len(roots)]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for i := 0; i < 2*len(roots); i++ { // warm: grow the scratch to its high-water mark
+		got, want := served(i), standalone(i)
+		if got.Visited < m.Vertices/4 || got.Metrics.BytesWritten == 0 {
+			t.Fatalf("root %d: %d vertices reached, %d bytes written; want a streaming traversal", roots[i%len(roots)], got.Visited, got.Metrics.BytesWritten)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) {
+			t.Fatalf("root %d: served answer differs from the stand-alone run", roots[i%len(roots)])
+		}
+	}
+	const runs = 16
+	perQuery := func(query func(i int)) uint64 {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < runs; i++ {
+			query(i)
+		}
+		runtime.ReadMemStats(&ms1)
+		return (ms1.TotalAlloc - ms0.TotalAlloc) / runs
+	}
+	warm := perQuery(func(i int) { served(i) })
+	alone := perQuery(func(i int) { standalone(i) })
+	t.Logf("warmed out-of-core served query: %d bytes allocated; stand-alone run: %d (edge list %d)", warm, alone, m.Edges*graph.EdgeBytes)
+	if 2*warm >= alone {
+		t.Fatalf("a warmed served query allocates %d bytes, the stand-alone run %d; want less than half", warm, alone)
+	}
 }
 
 // TestNewRetriesTransientFaultsAtOpen: transient read faults while the

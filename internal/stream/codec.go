@@ -44,8 +44,9 @@ const deltaStageSize = 128 << 10
 // framedReader, so read-ahead stays deterministic in compressed space.
 type deltaReader struct {
 	inner storage.Reader
-	src   io.Reader // deframed compressed payload
-	cbuf  []byte    // compressed staging
+	src   *graph.FrameReader // deframed compressed payload
+	bufs  *BufPool
+	cbuf  []byte // compressed staging
 	cpos  int
 	cfill int
 	out   []byte // decoded block not yet delivered
@@ -54,8 +55,13 @@ type deltaReader struct {
 	eof   bool  // src exhausted
 }
 
-func newDeltaReader(inner storage.Reader, src io.Reader) *deltaReader {
-	return &deltaReader{inner: inner, src: src, cbuf: make([]byte, deltaStageSize)}
+// deltaBlockBytes is the largest decoded block, so the decode target
+// never grows out of its pooled buffer.
+const deltaBlockBytes = graph.DeltaBlockMaxEdges * graph.EdgeBytes
+
+func newDeltaReader(inner storage.Reader, src *graph.FrameReader, bufs *BufPool) *deltaReader {
+	return &deltaReader{inner: inner, src: src, bufs: bufs,
+		cbuf: bufs.Get(deltaStageSize), out: bufs.Get(deltaBlockBytes)[:0]}
 }
 
 func (d *deltaReader) Read(p []byte) (int, error) {
@@ -98,9 +104,19 @@ func (d *deltaReader) Read(p []byte) (int, error) {
 	}
 }
 
-func (d *deltaReader) Close() error       { return d.inner.Close() }
 func (d *deltaReader) Size() int64        { return d.inner.Size() }
 func (d *deltaReader) DeviceBytes() int64 { return d.taken }
+
+// Close returns the stage, the decode target and the frame payload
+// buffer to the run's free-list. The scanner above never reads a closed
+// reader.
+func (d *deltaReader) Close() error {
+	d.bufs.Put(d.cbuf)
+	d.bufs.Put(d.out)
+	d.cbuf, d.out = nil, nil
+	d.src.Release()
+	return d.inner.Close()
+}
 
 // deltaWriter is a storage.Writer that delta-encodes each Write (one
 // writer flush, whole records) into blocks and emits them as one FBD1
@@ -109,12 +125,17 @@ func (d *deltaReader) DeviceBytes() int64 { return d.taken }
 type deltaWriter struct {
 	inner storage.Writer
 	fw    *graph.FrameWriter
-	enc   []byte
-	dev   int64
+	bufs  *BufPool
+	// enc is the encode target, bufSize bytes from bufs: a flush of
+	// bufSize raw bytes encodes to less on every graph seen here, and an
+	// encoding that does not fit spills into a one-off allocation.
+	enc []byte
+	dev int64
 }
 
-func newDeltaWriter(w storage.Writer) *deltaWriter {
-	return &deltaWriter{inner: w, fw: graph.NewFrameWriterMagic(w, graph.FrameMagicDelta)}
+func newDeltaWriter(w storage.Writer, bufs *BufPool, bufSize int) *deltaWriter {
+	return &deltaWriter{inner: w, fw: graph.NewFrameWriterMagic(w, graph.FrameMagicDelta),
+		bufs: bufs, enc: bufs.Get(bufSize)}
 }
 
 func (w *deltaWriter) Write(p []byte) (int, error) {
@@ -122,7 +143,6 @@ func (w *deltaWriter) Write(p []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	w.enc = enc
 	if _, err := w.fw.Write(enc); err != nil {
 		return 0, err
 	}
@@ -131,6 +151,7 @@ func (w *deltaWriter) Write(p []byte) (int, error) {
 }
 
 func (w *deltaWriter) Close() error {
+	w.release()
 	if err := w.fw.Finish(); err != nil {
 		w.inner.Abort()
 		return err
@@ -138,7 +159,16 @@ func (w *deltaWriter) Close() error {
 	return w.inner.Close()
 }
 
-func (w *deltaWriter) Abort() error       { return w.inner.Abort() }
+func (w *deltaWriter) Abort() error {
+	w.release()
+	return w.inner.Abort()
+}
+
+func (w *deltaWriter) release() {
+	w.bufs.Put(w.enc)
+	w.enc = nil
+}
+
 func (w *deltaWriter) DeviceBytes() int64 { return w.dev }
 
 // NewCodecEdgeWriter buffers graph.Edge records into a file under the
@@ -153,7 +183,8 @@ func NewCodecEdgeWriter(vol storage.Volume, name string, timing Timing, bufSize 
 	if err != nil {
 		return nil, err
 	}
-	return newWriterOver(newDeltaWriter(w), timing, bufSize, graph.EdgeBytes, graph.PutEdge), nil
+	bufSize = recordBufSize(bufSize, graph.EdgeBytes)
+	return newWriterOver(newDeltaWriter(w, timing.Bufs, bufSize), timing, bufSize, graph.EdgeBytes, graph.PutEdge), nil
 }
 
 // NewCodecFramedEdgeWriter is NewFramedEdgeWriter under a codec: the

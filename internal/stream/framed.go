@@ -77,18 +77,29 @@ func createFramed(vol storage.Volume, name string, rt *Retrier) (storage.Writer,
 type framedReader struct {
 	inner storage.Reader
 	r     io.Reader
+	// fr is r when r is a frame decoder (nil for a raw replay); Close
+	// returns its payload buffer to the run's free-list.
+	fr *graph.FrameReader
 }
 
 func (f *framedReader) Read(p []byte) (int, error) { return f.r.Read(p) }
-func (f *framedReader) Close() error               { return f.inner.Close() }
 func (f *framedReader) Size() int64                { return f.inner.Size() }
+
+func (f *framedReader) Close() error {
+	if f.fr != nil {
+		f.fr.Release()
+	}
+	return f.inner.Close()
+}
 
 // openSniffed opens name, detects the container magic, and returns a
 // reader producing the record stream: deframed (CRC-verified) for FBC1
 // files, deframed and block-decoded for FBD1 delta files,
-// byte-for-byte for raw ones. rt may be nil.
-func openSniffed(vol storage.Volume, name string, rt *Retrier) (storage.Reader, error) {
-	r, err := openRetrying(vol, name, rt)
+// byte-for-byte for raw ones. The frame payload buffer (bufSize bytes,
+// the reading scanner's own size) and the delta stage come from
+// timing.Bufs and go back at Close.
+func openSniffed(vol storage.Volume, name string, timing Timing, bufSize int) (storage.Reader, error) {
+	r, err := openRetrying(vol, name, timing.Retry)
 	if err != nil {
 		return nil, err
 	}
@@ -99,9 +110,10 @@ func openSniffed(vol storage.Volume, name string, rt *Retrier) (storage.Reader, 
 	}
 	switch magic {
 	case graph.FrameMagic:
-		return &framedReader{inner: r, r: graph.NewFrameReader(r)}, nil
+		fr := graph.NewFrameReaderBufs(r, timing.Bufs, bufSize)
+		return &framedReader{inner: r, r: fr, fr: fr}, nil
 	case graph.FrameMagicDelta:
-		return newDeltaReader(r, graph.NewFrameReader(r)), nil
+		return newDeltaReader(r, graph.NewFrameReaderBufs(r, timing.Bufs, bufSize), timing.Bufs), nil
 	}
 	if len(prefix) == 0 {
 		return r, nil

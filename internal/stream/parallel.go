@@ -39,6 +39,10 @@ type Shard struct {
 	// partition, each slice in edge-scan order.
 	ByPart [][]graph.Update
 	// Stays holds the chunk's surviving (trim-rule) edges in scan order.
+	// For a chunk decoded from a scanner it starts as the empty front of
+	// the pool-owned buffer the chunk itself sits in, so appending
+	// survivors compacts them in place instead of growing a second copy
+	// (see ScatterFunc); for a caller's slice it is the shard's own.
 	Stays []graph.Edge
 
 	Scanned int64
@@ -47,19 +51,27 @@ type Shard struct {
 	// Err aborts the run at this chunk's merge point (edges outside the
 	// partition's vertex interval).
 	Err error
+
+	// own is the shard's own survivor storage, kept (with its grown
+	// capacity) while Stays borrows a chunk buffer; chunk is that buffer,
+	// held until the shard has been merged.
+	own   []graph.Edge
+	chunk []graph.Edge
 }
 
 func (s *Shard) reset() {
 	for i := range s.ByPart {
 		s.ByPart[i] = s.ByPart[i][:0]
 	}
-	s.Stays = s.Stays[:0]
+	s.Stays = s.own[:0]
 	s.Scanned, s.Emitted, s.Stayed, s.Err = 0, 0, 0, nil
 }
 
 // ScatterFunc classifies one chunk of edges into out. It runs on a
 // worker goroutine: it must only read shared state (vertex levels) and
-// write to out.
+// write to out. out.Stays may alias the front of edges: append to it at
+// most one survivor per edge scanned, in scan order, and do not go back
+// to an edge already passed.
 type ScatterFunc func(edges []graph.Edge, out *Shard)
 
 // MergeFunc folds one completed shard into the engine's streams. It runs
@@ -93,15 +105,15 @@ type ScatterPool struct {
 	// point like any other scatter error.
 	FaultHook func()
 
-	chunks sync.Pool
-
-	// shards is the free-list of recycled shards, held strongly so their
-	// grown update slices survive garbage collections for as long as the
-	// pool lives (one run, or many for a pool kept in a per-graph
-	// scratch); at most PipelineDepth plus Workers shards ever exist. mu
-	// guards it, since workers fetch their own shards.
+	// shards and chunks are the free-lists of recycled shards and decoded
+	// edge-chunk buffers, held strongly so they (and the shards' grown
+	// update slices) survive garbage collections for as long as the pool
+	// lives (one run, or many for a pool kept in a per-graph scratch); at
+	// most PipelineDepth plus Workers of either ever exist. mu guards
+	// both, since workers fetch their own shards and release their chunks.
 	mu     sync.Mutex
 	shards []*Shard
+	chunks [][]graph.Edge
 }
 
 // NewScatterPool sizes a pool: workers goroutines (minimum 1; 1 means
@@ -138,30 +150,49 @@ func (sp *ScatterPool) getShard() *Shard {
 }
 
 func (sp *ScatterPool) putShard(sh *Shard) {
+	if sh.chunk == nil {
+		sh.own = sh.Stays // keep what a caller's-slice chunk grew
+	}
 	sp.mu.Lock()
+	if sh.chunk != nil {
+		sp.chunks = append(sp.chunks, sh.chunk)
+		sh.chunk = nil
+	}
 	sp.shards = append(sp.shards, sh)
 	sp.mu.Unlock()
 }
 
 func (sp *ScatterPool) getChunk() []graph.Edge {
-	if v := sp.chunks.Get(); v != nil {
-		return v.([]graph.Edge)
+	var c []graph.Edge
+	sp.mu.Lock()
+	if n := len(sp.chunks); n > 0 {
+		c, sp.chunks = sp.chunks[n-1], sp.chunks[:n-1]
 	}
-	return make([]graph.Edge, sp.chunkEdges)
+	sp.mu.Unlock()
+	if c == nil {
+		c = make([]graph.Edge, sp.chunkEdges)
+	}
+	return c
+}
+
+func (sp *ScatterPool) putChunk(c []graph.Edge) {
+	sp.mu.Lock()
+	sp.chunks = append(sp.chunks, c)
+	sp.mu.Unlock()
 }
 
 // RunScanner streams sc chunk by chunk through the pool. The scanner is
 // consumed on the calling goroutine (its refills charge the clock); the
 // caller still owns closing it.
 func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, func(), error) {
+	next := func() ([]graph.Edge, bool, error) {
 		buf := sp.getChunk()
 		n, err := sc.NextChunk(buf)
 		if err != nil || n == 0 {
-			sp.chunks.Put(buf)
-			return nil, nil, err
+			sp.putChunk(buf)
+			return nil, false, err
 		}
-		return buf[:n], func() { sp.chunks.Put(buf) }, nil
+		return buf[:n], true, nil
 	}
 	return sp.run(next, fn, merge)
 }
@@ -170,9 +201,9 @@ func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge
 // in-memory fast path), chunking it into subslices without copying.
 func (sp *ScatterPool) RunSlice(edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
 	off := 0
-	next := func() ([]graph.Edge, func(), error) {
+	next := func() ([]graph.Edge, bool, error) {
 		if off >= len(edges) {
-			return nil, nil, nil
+			return nil, false, nil
 		}
 		end := off + sp.chunkEdges
 		if end > len(edges) {
@@ -180,17 +211,18 @@ func (sp *ScatterPool) RunSlice(edges []graph.Edge, fn ScatterFunc, merge MergeF
 		}
 		c := edges[off:end]
 		off = end
-		return c, nil, nil
+		return c, false, nil
 	}
 	return sp.run(next, fn, merge)
 }
 
 // chunkJob carries one chunk to a worker; out (buffered, capacity 1)
 // carries the shard back so a worker never blocks on delivering results.
+// pooled marks edges as the front of a getChunk buffer.
 type chunkJob struct {
-	edges   []graph.Edge
-	release func()
-	out     chan *Shard
+	edges  []graph.Edge
+	pooled bool
+	out    chan *Shard
 }
 
 // PipelineDepth is how many chunks may be dispatched ahead of the merge
@@ -204,15 +236,16 @@ type chunkJob struct {
 // depth can't all be kept busy.
 const PipelineDepth = 32
 
-// run is the pool's engine: next yields chunks (nil = end of stream) on
-// the calling goroutine, fn classifies them, merge folds shards back in
+// run is the pool's engine: next yields chunks (nil = end of stream; the
+// bool marks the front of a getChunk buffer) on the calling goroutine,
+// fn classifies them, merge folds shards back in
 // chunk order. Serial and parallel modes share the same dispatch/merge
 // structure (classification just happens inline vs. on a worker), so
 // the sequence of next and merge calls — and everything the simulated
 // clock observes — is identical for every worker count. On any error —
 // scan, classify or merge — it stops dispatching, joins every worker
 // and returns the first error.
-func (sp *ScatterPool) run(next func() ([]graph.Edge, func(), error), fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), fn ScatterFunc, merge MergeFunc) error {
 	parallel := sp.workers > 1
 	var jobs chan chunkJob
 	var wg sync.WaitGroup
@@ -223,12 +256,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, func(), error), fn Scatter
 			go func() {
 				defer wg.Done()
 				for j := range jobs {
-					sh := sp.getShard()
-					sp.classify(j.edges, sh, fn)
-					if j.release != nil {
-						j.release()
-					}
-					j.out <- sh
+					j.out <- sp.classify(j.edges, j.pooled, fn)
 				}
 			}()
 		}
@@ -248,22 +276,17 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, func(), error), fn Scatter
 		}
 		sp.putShard(sh)
 	}
-	dispatch := func(edges []graph.Edge, release func()) {
+	dispatch := func(edges []graph.Edge, pooled bool) {
 		out := make(chan *Shard, 1)
 		if parallel {
-			jobs <- chunkJob{edges: edges, release: release, out: out}
+			jobs <- chunkJob{edges: edges, pooled: pooled, out: out}
 		} else {
-			sh := sp.getShard()
-			sp.classify(edges, sh, fn)
-			if release != nil {
-				release()
-			}
-			out <- sh
+			out <- sp.classify(edges, pooled, fn)
 		}
 		pending = append(pending, out)
 	}
 	for firstErr == nil {
-		edges, release, err := next()
+		edges, pooled, err := next()
 		if err != nil {
 			firstErr = err
 			break
@@ -271,7 +294,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, func(), error), fn Scatter
 		if edges == nil {
 			break
 		}
-		dispatch(edges, release)
+		dispatch(edges, pooled)
 		if len(pending) >= PipelineDepth {
 			mergeOne()
 		}
@@ -302,11 +325,32 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return errs.ErrInternal }
 
-// classify runs fn over one chunk with utilization accounting. A panic
-// in fn (or the FaultHook) is recovered into sh.Err rather than killing
-// the process: a long-lived server cannot afford one poisoned chunk
-// taking every query down with it.
-func (sp *ScatterPool) classify(edges []graph.Edge, sh *Shard, fn ScatterFunc) {
+// classify runs fn over one chunk into a recycled shard. A pooled
+// chunk's survivors compact into the front of its own buffer, which the
+// shard then holds until it has been merged; a chunk that kept none gives
+// the buffer straight back.
+func (sp *ScatterPool) classify(edges []graph.Edge, pooled bool, fn ScatterFunc) *Shard {
+	sh := sp.getShard()
+	if pooled {
+		sh.Stays = edges[:0]
+	}
+	sp.classifyInto(edges, sh, fn)
+	if pooled {
+		if len(sh.Stays) > 0 {
+			sh.chunk = edges[:cap(edges)]
+		} else {
+			sh.Stays = sh.own[:0]
+			sp.putChunk(edges[:cap(edges)])
+		}
+	}
+	return sh
+}
+
+// classifyInto runs fn over one chunk with utilization accounting. A
+// panic in fn (or the FaultHook) is recovered into sh.Err rather than
+// killing the process: a long-lived server cannot afford one poisoned
+// chunk taking every query down with it.
+func (sp *ScatterPool) classifyInto(edges []graph.Edge, sh *Shard, fn ScatterFunc) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.Err = &PanicError{Value: r, Stack: debug.Stack()}

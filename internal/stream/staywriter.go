@@ -26,8 +26,18 @@ import (
 // computation and foreground I/O on the timeline exactly as the real
 // background write would.
 //
+// The private buffers are a bounded set drawn from the run's BufPool
+// (each StayFile's Timing.Bufs): at most bufCount+1 are with the writer
+// goroutine — queued or being written — at any moment, which returns
+// each one to the pool as soon as its write finished, failed or was
+// skipped for a discarded file; with the one buffer the engine is
+// filling, a StayWriter that has one file open at a time (every engine
+// here) holds at most bufCount+2 buffers for its whole life. A buffer
+// stays owned by the goroutine until storage's Write has returned — the
+// retry wrapper may re-issue it.
+//
 // The engine blocks only when the private buffers are exhausted (the
-// paper's condition 1) — modelled both for real (bounded task channel)
+// paper's condition 1) — modelled both for real (the slots semaphore)
 // and in virtual time (the in-flight completion queue). Condition 2 —
 // a partition's scatter arriving before its previous stay write finished
 // — is the engine's decision: it either waits for StayFile.Use or calls
@@ -39,6 +49,10 @@ type StayWriter struct {
 	bufCount int
 
 	tasks chan stayTask
+	// slots counts the buffers handed to the writer goroutine and not
+	// yet returned to their pool: the engine takes a slot before a
+	// hand-off, the goroutine frees it after the Put.
+	slots chan struct{}
 	wg    sync.WaitGroup
 
 	// inflight holds handles of background buffer writes handed to the
@@ -70,7 +84,8 @@ const (
 
 type stayTask struct {
 	f    *StayFile
-	data []byte
+	data []byte // what to write
+	buf  []byte // the pool buffer data lives in, returned after the write
 	op   stayOp
 }
 
@@ -92,6 +107,7 @@ func NewStayWriter(vol storage.Volume, bufSize, bufCount int) *StayWriter {
 		bufSize:  bufSize,
 		bufCount: bufCount,
 		tasks:    make(chan stayTask, bufCount),
+		slots:    make(chan struct{}, bufCount+1),
 		ctx:      context.Background(),
 	}
 	sw.wg.Add(1)
@@ -118,6 +134,8 @@ func (sw *StayWriter) run() {
 					f.err = err
 				}
 			}
+			f.timing.Bufs.Put(t.buf)
+			<-sw.slots
 		case opClose:
 			if f.err != nil || f.discard.Load() {
 				f.w.Abort()
@@ -207,7 +225,6 @@ func (sw *StayWriter) BeginCodec(name string, timing Timing, codec graph.Codec) 
 		name:     name,
 		w:        w,
 		codec:    codec,
-		buf:      make([]byte, sw.bufSize),
 		dataDone: make(chan struct{}),
 	}, nil
 }
@@ -230,6 +247,12 @@ func (f *StayFile) Append(e graph.Edge) error {
 	}
 	if f.fill+graph.EdgeBytes > len(f.buf) {
 		f.flushAsync()
+		if f.buf == nil {
+			// The first buffer, or the replacement of the one that just
+			// left with its task — taken after the hand-off, so the two
+			// never count against the bound together.
+			f.buf = f.timing.Bufs.Get(f.sw.bufSize)
+		}
 	}
 	graph.PutEdge(f.buf[f.fill:], e)
 	f.fill += graph.EdgeBytes
@@ -245,21 +268,26 @@ func (f *StayFile) flushAsync() {
 		return
 	}
 	sw := f.sw
-	data := f.buf[:f.fill]
+	sw.slots <- struct{}{}
+	data, buf := f.buf[:f.fill], f.buf
 	if f.codec == graph.CodecDelta {
 		// Encode on the engine thread so the device reservation below
-		// covers the encoded bytes; the raw bytes are a memory pass.
-		enc, err := graph.AppendDeltaBlocks(make([]byte, 0, f.fill), data)
+		// covers the encoded bytes; the raw bytes are a memory pass. The
+		// raw buffer stays with the file and the encoded copy travels. An
+		// encoding larger than its raw input (none on any graph here)
+		// spills out of the pooled buffer into a one-off allocation; the
+		// pooled one still goes back after the write.
+		buf = f.timing.Bufs.Get(sw.bufSize)
+		enc, err := graph.AppendDeltaBlocks(buf[:0], data)
 		if err != nil {
 			panic(err) // the buffer holds whole records by construction
 		}
 		f.timing.memPass(int64(f.fill))
 		data = enc
-		f.fill = 0
 	} else {
-		f.buf = make([]byte, sw.bufSize)
-		f.fill = 0
+		f.buf = nil // travels with the task
 	}
+	f.fill = 0
 	f.dev += int64(len(data))
 	if c := f.timing.Clock; c != nil {
 		// Retire buffers whose writes completed.
@@ -278,18 +306,21 @@ func (f *StayFile) flushAsync() {
 		f.ops = append(f.ops, op)
 		sw.inflight = append(sw.inflight, op)
 	}
-	sw.tasks <- stayTask{f: f, data: data, op: opWrite}
+	sw.tasks <- stayTask{f: f, data: data, buf: buf, op: opWrite}
 }
 
-// Close flushes the remaining edges and enqueues the file's publication.
-// It returns immediately; the write completes in the background. After
-// Close the engine must eventually call either Use or Discard.
+// Close flushes the remaining edges and enqueues the file's publication;
+// the file holds no buffer afterwards. It returns immediately; the write
+// completes in the background. After Close the engine must eventually
+// call either Use or Discard.
 func (f *StayFile) Close() error {
 	if f.closed {
 		return nil
 	}
 	f.closed = true
 	f.flushAsync()
+	f.timing.Bufs.Put(f.buf) // what the flush left behind: nothing, or the delta codec's raw buffer
+	f.buf = nil
 	f.sw.tasks <- stayTask{f: f, op: opClose}
 	return nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"fastbfs/internal/disksim"
@@ -279,5 +280,162 @@ func TestStayWriterManyFilesInterleaved(t *testing.T) {
 				t.Fatalf("file s%d edge %d = %v", i, r, e)
 			}
 		}
+	}
+}
+
+// stayGate parks the writer goroutine inside its first storage write of
+// the file "s" until release is closed, so a test can fill the private
+// buffers behind it deterministically.
+type stayGate struct {
+	parked, release chan struct{}
+	fail            error // returned by every write once released
+}
+
+func gateStayWrites(vol *storage.Mem, fail error) *stayGate {
+	g := &stayGate{parked: make(chan struct{}), release: make(chan struct{}), fail: fail}
+	first := true
+	vol.FailWrites(func(name string, written int64) error {
+		if name != "s" {
+			return nil
+		}
+		if first { // the hook only ever runs on the writer goroutine
+			first = false
+			close(g.parked)
+			<-g.release
+		}
+		return g.fail
+	})
+	return g
+}
+
+// TestStayWriterHoldsBoundedBuffers is the buffer-accounting contract: a
+// StayWriter with one file open at a time holds at most bufCount+2
+// buffers however long the file and however slow the device — it reaches
+// exactly that many when the writer goroutine stalls — and has returned
+// every one of them once the file is used, discarded before its writes
+// ran, or failed on a permanent write fault; the final flush issued by
+// Close takes no replacement buffer.
+func TestStayWriterHoldsBoundedBuffers(t *testing.T) {
+	const bufSize, bufCount = 256, 4
+	perBuf := bufSize / graph.EdgeBytes
+	boom := errors.New("stay disk gone")
+	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		for _, tc := range []struct {
+			name string
+			fail error
+			// finish resolves the closed file and returns whether it must
+			// exist on the volume afterwards.
+			finish func(t *testing.T, f *StayFile) bool
+		}{
+			{"use", nil, func(t *testing.T, f *StayFile) bool {
+				if err := f.Use(); err != nil {
+					t.Fatal(err)
+				}
+				return true
+			}},
+			{"write-fault", boom, func(t *testing.T, f *StayFile) bool {
+				if err := f.Use(); !errors.Is(err, boom) {
+					t.Fatalf("Use = %v, want the injected fault", err)
+				}
+				return false
+			}},
+		} {
+			t.Run(string(codec)+"/"+tc.name, func(t *testing.T) {
+				a := audited(t)
+				vol := storage.NewMem()
+				gate := gateStayWrites(vol, tc.fail)
+				sw := NewStayWriter(vol, bufSize, bufCount)
+				defer sw.Shutdown()
+				f, err := sw.BeginCodec("s", Timing{Bufs: NewBufPool()}, codec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Release the parked writer only once the engine side has
+				// handed off every buffer it may: the next Append then
+				// blocks on the bound, holding exactly bufCount+2.
+				go func() {
+					<-gate.parked
+					for len(sw.slots) < cap(sw.slots) {
+						runtime.Gosched()
+					}
+					close(gate.release)
+				}()
+				edges := makeEdges(40 * perBuf)
+				for _, e := range edges {
+					if err := f.Append(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				published := tc.finish(t, f)
+				if got := a.Peak(); got != bufCount+2 {
+					t.Errorf("peak of %d buffers, want exactly bufCount+2 = %d", got, bufCount+2)
+				}
+				if n := a.Outstanding(); n != 0 {
+					t.Errorf("%d buffers outstanding after the file was resolved", n)
+				}
+				if vol.Exists("s") != published {
+					t.Errorf("file on volume = %v, want %v", vol.Exists("s"), published)
+				}
+				if !published {
+					return
+				}
+				sc, err := NewEdgeScanner(vol, "s", Timing{}, bufSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer sc.Close()
+				for i, want := range edges {
+					if got, ok, err := sc.Next(); err != nil || !ok || got != want {
+						t.Fatalf("edge %d = %v ok=%v err=%v, want %v (a recycled buffer leaked into the file)", i, got, ok, err, want)
+					}
+				}
+			})
+		}
+
+		// Cancel: Discard lands while the first write is still parked, so
+		// every queued buffer is skipped — and still returned.
+		t.Run(string(codec)+"/discard-before-write", func(t *testing.T) {
+			a := audited(t)
+			vol := storage.NewMem()
+			gate := gateStayWrites(vol, nil)
+			sw := NewStayWriter(vol, bufSize, bufCount)
+			defer sw.Shutdown()
+			f, err := sw.BeginCodec("s", Timing{Bufs: NewBufPool()}, codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three full buffers and a tail: four writes and the close fit
+			// the queue behind the parked goroutine without blocking.
+			for _, e := range makeEdges(3*perBuf + 5) {
+				if err := f.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-gate.parked
+			if n := a.Outstanding(); n != 4 {
+				t.Errorf("%d buffers outstanding with four writes queued and the file closed, want 4 (Close must not take a replacement)", n)
+			}
+			done := make(chan error, 1)
+			go func() { done <- f.Discard() }()
+			for !f.discard.Load() {
+				runtime.Gosched()
+			}
+			close(gate.release)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n := a.Outstanding(); n != 0 {
+				t.Errorf("%d buffers outstanding after Discard returned", n)
+			}
+			if vol.Exists("s") {
+				t.Error("discarded stay file was published")
+			}
+		})
 	}
 }

@@ -38,6 +38,10 @@ type Timing struct {
 	// encode/decode passes. Zero disables the charge (fixed-codec
 	// streams never pay it).
 	MemBW float64
+	// Bufs is the owning run's buffer free-list: every stream built with
+	// this Timing takes its buffers there at open and returns them at
+	// Close/Abort. Nil (the zero Timing) allocates per stream.
+	Bufs *BufPool
 }
 
 func (t Timing) read(n int64, sid disksim.StreamID) {
@@ -103,15 +107,19 @@ func NewScanner[T any](vol storage.Volume, name string, timing Timing, bufSize, 
 	return newScannerOver(r, timing, bufSize, recSize, decode), nil
 }
 
-// newScannerOver builds a Scanner on an already-opened reader.
-func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T) *Scanner[T] {
+// recordBufSize rounds bufSize to a whole number of records (at least
+// one), so refills and flushes never split a record.
+func recordBufSize(bufSize, recSize int) int {
 	if bufSize < recSize {
 		bufSize = recSize
 	}
-	// Round the buffer down to a whole number of records so refills never
-	// split a record.
-	bufSize -= bufSize % recSize
-	return &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(), buf: make([]byte, bufSize), recSize: recSize, decode: decode}
+	return bufSize - bufSize%recSize
+}
+
+// newScannerOver builds a Scanner on an already-opened reader.
+func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T) *Scanner[T] {
+	return &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(),
+		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, decode: decode}
 }
 
 // Next returns the next record. ok is false at end of stream.
@@ -186,6 +194,9 @@ func (s *Scanner[T]) topUp() {
 }
 
 func (s *Scanner[T]) refill() error {
+	if s.closed {
+		return fmt.Errorf("stream: read from closed scanner")
+	}
 	if s.eof {
 		return nil
 	}
@@ -252,8 +263,10 @@ func (s *Scanner[T]) BytesRead() int64 { return s.read }
 // Size returns the underlying file's size in bytes.
 func (s *Scanner[T]) Size() int64 { return s.r.Size() }
 
-// Close releases the underlying file, cancelling any outstanding
-// read-ahead (refunding its unconsumed device time and bytes).
+// Close releases the underlying file and returns the buffer to the
+// run's free-list, cancelling any outstanding read-ahead (refunding its
+// unconsumed device time and bytes). Reading a closed scanner is an
+// error.
 func (s *Scanner[T]) Close() error {
 	if s.closed {
 		return nil
@@ -265,6 +278,8 @@ func (s *Scanner[T]) Close() error {
 		}
 	}
 	s.pending, s.pendingN = nil, nil
+	s.timing.Bufs.Put(s.buf)
+	s.buf, s.pos, s.fill = nil, 0, 0
 	return s.r.Close()
 }
 
@@ -273,7 +288,7 @@ func (s *Scanner[T]) Close() error {
 // and raw edge partitions stream through the same scanner, and
 // integrity violations in framed inputs surface as errs.ErrCorrupted.
 func NewEdgeScanner(vol storage.Volume, name string, timing Timing, bufSize int) (*Scanner[graph.Edge], error) {
-	r, err := openSniffed(vol, name, timing.Retry)
+	r, err := openSniffed(vol, name, timing, recordBufSize(bufSize, graph.EdgeBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +298,7 @@ func NewEdgeScanner(vol storage.Volume, name string, timing Timing, bufSize int)
 // NewUpdateScanner streams graph.Update records from a file, sniffing
 // the frame magic like NewEdgeScanner (update files are framed).
 func NewUpdateScanner(vol storage.Volume, name string, timing Timing, bufSize int) (*Scanner[graph.Update], error) {
-	r, err := openSniffed(vol, name, timing.Retry)
+	r, err := openSniffed(vol, name, timing, recordBufSize(bufSize, graph.UpdateBytes))
 	if err != nil {
 		return nil, err
 	}
@@ -326,11 +341,8 @@ func NewWriter[T any](vol storage.Volume, name string, timing Timing, bufSize, r
 
 // newWriterOver builds a Writer on an already-created storage writer.
 func newWriterOver[T any](w storage.Writer, timing Timing, bufSize, recSize int, encode func([]byte, T)) *Writer[T] {
-	if bufSize < recSize {
-		bufSize = recSize
-	}
-	bufSize -= bufSize % recSize
-	return &Writer[T]{w: w, timing: timing, sid: disksim.NewStreamID(), buf: make([]byte, bufSize), recSize: recSize, encode: encode}
+	return &Writer[T]{w: w, timing: timing, sid: disksim.NewStreamID(),
+		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, encode: encode}
 }
 
 // Append adds one record, flushing if the buffer is full.
@@ -346,6 +358,29 @@ func (w *Writer[T]) Append(rec T) error {
 	w.encode(w.buf[w.fill:], rec)
 	w.fill += w.recSize
 	w.count++
+	return nil
+}
+
+// AppendChunk adds recs in order — Append over a slice, flushing at
+// exactly the records Append would.
+func (w *Writer[T]) AppendChunk(recs []T) error {
+	if w.closed {
+		return fmt.Errorf("stream: append to closed writer")
+	}
+	for len(recs) > 0 {
+		if w.fill+w.recSize > len(w.buf) {
+			if err := w.Flush(); err != nil {
+				return err
+			}
+		}
+		n := min((len(w.buf)-w.fill)/w.recSize, len(recs))
+		for _, rec := range recs[:n] {
+			w.encode(w.buf[w.fill:], rec)
+			w.fill += w.recSize
+		}
+		w.count += int64(n)
+		recs = recs[n:]
+	}
 	return nil
 }
 
@@ -390,27 +425,48 @@ func (w *Writer[T]) Count() int64 { return w.count }
 // device's view, so encoded bytes for delta files.
 func (w *Writer[T]) BytesWritten() int64 { return w.written }
 
-// Close flushes and publishes the file.
+// Close flushes and publishes the file, and returns the buffer to the
+// run's free-list.
 func (w *Writer[T]) Close() error {
 	if w.closed {
 		return nil
 	}
-	if err := w.Flush(); err != nil {
+	err := w.Flush()
+	w.release()
+	if err != nil {
 		w.w.Abort()
-		w.closed = true
 		return err
 	}
-	w.closed = true
 	return w.w.Close()
 }
 
-// Abort discards the file.
+// Abort discards the file and returns the buffer.
 func (w *Writer[T]) Abort() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
+	w.release()
 	return w.w.Abort()
+}
+
+// AbortAll aborts every writer of ws that is still open (nil entries
+// and closed writers are skipped) — what a function holding a set of
+// writers defers, so that no error return strands a half-written file
+// or a buffer.
+func AbortAll[T any](ws []*Writer[T]) {
+	for _, w := range ws {
+		if w != nil {
+			w.Abort()
+		}
+	}
+}
+
+// release marks the writer closed and gives its buffer back; Append on
+// a closed writer is an error, so the buffer is never touched again.
+func (w *Writer[T]) release() {
+	w.closed = true
+	w.timing.Bufs.Put(w.buf)
+	w.buf, w.fill = nil, 0
 }
 
 // NewEdgeWriter buffers graph.Edge records into a file.
@@ -456,9 +512,7 @@ func NewShuffler(vol storage.Volume, pt *graph.Partitioning, timing Timing, bufS
 	for p := 0; p < pt.P(); p++ {
 		w, err := NewUpdateWriter(vol, nameFor(p), timing, bufSize)
 		if err != nil {
-			for _, o := range sh.outs[:p] {
-				o.Abort()
-			}
+			sh.Abort()
 			return nil, err
 		}
 		sh.outs[p] = w
@@ -477,13 +531,7 @@ func (sh *Shuffler) Append(u graph.Update) error {
 // chunk order, so every partition's update file carries its updates in
 // global edge-scan order no matter how many workers produced them.
 func (sh *Shuffler) AppendTo(p int, us []graph.Update) error {
-	o := sh.outs[p]
-	for _, u := range us {
-		if err := o.Append(u); err != nil {
-			return err
-		}
-	}
-	return nil
+	return sh.outs[p].AppendChunk(us)
 }
 
 // P returns the number of destination partitions.
@@ -537,8 +585,4 @@ func (sh *Shuffler) Close() error {
 }
 
 // Abort discards every partition's update file.
-func (sh *Shuffler) Abort() {
-	for _, o := range sh.outs {
-		o.Abort()
-	}
-}
+func (sh *Shuffler) Abort() { AbortAll(sh.outs) }

@@ -243,47 +243,39 @@ func (rt *Runtime) EnsureReverse() error {
 	}
 	defer sc.Close()
 	outs := make([]*stream.Writer[graph.Edge], rt.Parts.P())
+	defer stream.AbortAll(outs) // whatever an error return leaves open
 	for p := range outs {
 		w, err := stream.NewCodecFramedEdgeWriter(rt.Vol, rt.RevEdgeFile(p), tm, rt.Opts.StreamBufSize, rt.Codec)
 		if err != nil {
-			for _, o := range outs[:p] {
-				o.Abort()
-			}
 			return err
 		}
 		w.SetAsync() // write-behind; readers barrier through AwaitFile
 		outs[p] = w
 	}
-	abort := func() {
-		for _, o := range outs {
-			o.Abort()
-		}
-	}
 	var total uint64
+	chunk := rt.EdgeChunk()
 	for {
-		r, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
-			abort()
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if err := rt.Meta.CheckEdge(r); err != nil {
-			abort()
-			return fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, graph.ReverseFileName(rt.Meta.Name), err)
-		}
-		total++
-		if rt.VisitedBits != nil && rt.VisitedBits.Get(r.Src) {
-			continue // target already has a parent — dead in-edge
-		}
-		if err := outs[rt.Parts.Of(r.Src)].Append(r); err != nil {
-			abort()
-			return err
+		for _, r := range chunk[:n] {
+			if err := rt.Meta.CheckEdge(r); err != nil {
+				return fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, graph.ReverseFileName(rt.Meta.Name), err)
+			}
+			total++
+			if rt.VisitedBits != nil && rt.VisitedBits.Get(r.Src) {
+				continue // target already has a parent — dead in-edge
+			}
+			if err := outs[rt.Parts.Of(r.Src)].Append(r); err != nil {
+				return err
+			}
 		}
 	}
 	if total != rt.Meta.Edges {
-		abort()
 		return fmt.Errorf("%w: reverse-edge file %s has %d edges, config says %d",
 			errs.ErrCorrupted, graph.ReverseFileName(rt.Meta.Name), total, rt.Meta.Edges)
 	}

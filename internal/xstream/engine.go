@@ -44,10 +44,10 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 	if err != nil {
 		return nil, err
 	}
+	defer rt.Cleanup()
 	if rt.Meta.Weighted {
 		return nil, fmt.Errorf("xstream: BFS takes unweighted graphs; %s is weighted: %w", graphName, errs.ErrBadOptions)
 	}
-	defer rt.Cleanup()
 	if rt.InMemory() {
 		return RunInMemory(rt, EngineName, nil)
 	}
@@ -507,25 +507,28 @@ func gather(rt *Runtime, v *Verts, updFile string, level uint32) (newly uint64, 
 	}
 	defer sc.Close()
 	sc.Prefetch(rt.Opts.PrefetchBuffers)
+	chunk := rt.UpdateChunk()
 	for {
-		u, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
 			return newly, applied, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		applied++
-		i := int(u.Dst - v.Lo)
-		if i < 0 || i >= len(v.Level) {
-			return newly, applied, fmt.Errorf("xstream: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
-		}
-		if v.Level[i] == NoLevel {
-			v.Level[i] = level
-			v.Parent[i] = u.Parent
-			newly++
-			if rt.VisitedBits != nil {
-				rt.VisitedBits.Set(u.Dst)
+		for _, u := range chunk[:n] {
+			applied++
+			i := int(u.Dst - v.Lo)
+			if i < 0 || i >= len(v.Level) {
+				return newly, applied, fmt.Errorf("xstream: update %v outside partition [%d,%d)", u, v.Lo, int(v.Lo)+len(v.Level))
+			}
+			if v.Level[i] == NoLevel {
+				v.Level[i] = level
+				v.Parent[i] = u.Parent
+				newly++
+				if rt.VisitedBits != nil {
+					rt.VisitedBits.Set(u.Dst)
+				}
 			}
 		}
 	}
@@ -647,8 +650,7 @@ func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, erro
 	ctr.BytesRead.Set(rt.BytesRead)
 	lds.Attr("edges", int64(len(pg.edges))).End()
 
-	scratch := pg.AcquireScratch()
-	defer pg.ReleaseScratch(scratch)
+	scratch := rt.scratch
 	// edges is the live edge list. A shared list stays untouched: its
 	// first trim pass moves the survivors into scratch (private from then
 	// on). A one-shot list is this run's alone and is compacted in place
@@ -676,7 +678,7 @@ func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, erro
 	// The in-memory path has no destination partitions to route by, so
 	// the pool's shards hold a single slot; chunk-order merge still
 	// reproduces the sequential update order exactly.
-	pool := scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes)
+	pool := scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, 1)
 	pool.ChunkCounter = ctr.ScatterChunks
 	pool.BusyCounter = ctr.ScatterBusyNs
 	pool.FaultHook = rt.Opts.FaultHook

@@ -65,24 +65,40 @@ func (pg *PreparedGraph) ResidentBytes() int64 {
 	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4
 }
 
-// Scratch is one in-memory run's private working memory. It comes from
-// the PreparedGraph's free-list so its buffers keep their grown capacity
-// across iterations and across queries; the list holds at most
-// maxFreeScratch entries.
+// Scratch is one run's private working memory: every Runtime owns one
+// from construction to Cleanup. A run over Options.Prepared borrows it
+// from the PreparedGraph's free-list, so its buffers keep their grown
+// capacity across iterations and across queries (the list holds at most
+// maxFreeScratch entries); any other run builds an empty one and drops
+// it with the Runtime.
 type Scratch struct {
-	// Edges receives the trim survivors: the first trimming pass copies
-	// them out of the shared list, later passes compact in place.
+	// Edges receives the in-memory trim survivors: the first trimming
+	// pass copies them out of the shared list, later passes compact in
+	// place.
 	Edges []graph.Edge
-	// Updates is the BFS engines' per-iteration update list.
+	// Updates is the in-memory BFS engines' per-iteration update list.
 	Updates []graph.Update
 	// Values are the algo engine's current and next vertex values.
 	Values [2][]uint64
 	// Bits is the algo engine's active-source bitmap.
 	Bits []uint64
 
-	pool                  *stream.ScatterPool
-	poolWorkers, poolSize int
+	// bufs is the streaming run's buffer free-list (Runtime.Bufs).
+	bufs *stream.BufPool
+	// level and parent back the one partition's vertex state a streaming
+	// run holds at a time (Runtime.InitVerts/LoadVerts); vertRecs,
+	// edgeChunk and updChunk are its NextChunk decode targets.
+	level     []uint32
+	parent    []graph.VertexID
+	vertRecs  []vertRec
+	edgeChunk []graph.Edge
+	updChunk  []graph.Update
+
+	pool                             *stream.ScatterPool
+	poolWorkers, poolSize, poolParts int
 }
+
+func newScratch() *Scratch { return &Scratch{bufs: stream.NewBufPool()} }
 
 // AcquireScratch pops a scratch off the free-list, or makes an empty one.
 func (pg *PreparedGraph) AcquireScratch() *Scratch {
@@ -93,12 +109,13 @@ func (pg *PreparedGraph) AcquireScratch() *Scratch {
 		pg.free = pg.free[:n-1]
 		return s
 	}
-	return &Scratch{}
+	return newScratch()
 }
 
 // maxFreeScratch caps the free-list. A warmed scratch pins up to a
 // survivor buffer the size of the edge list plus update and value
-// arrays, none of it in the MemoryBudget accounting, so a burst of N
+// arrays — or, out of core, a streaming run's peak set of stream
+// buffers — none of it in the MemoryBudget accounting, so a burst of N
 // concurrent runs must not leave N of them behind for good: releases
 // beyond the cap go to the garbage collector. Four is the serving
 // layer's default concurrency; a wider service reallocates scratch only
@@ -126,35 +143,51 @@ func (s *Scratch) Survivors(n int) []graph.Edge {
 
 // ValuePair returns the two value arrays sized to n vertices.
 func (s *Scratch) ValuePair(n int) (cur, next []uint64) {
-	for i := range s.Values {
-		if cap(s.Values[i]) < n {
-			s.Values[i] = make([]uint64, n)
-		}
-		s.Values[i] = s.Values[i][:n]
-	}
-	return s.Values[0], s.Values[1]
+	return chunk(&s.Values[0], n), chunk(&s.Values[1], n)
 }
 
 // Bitmap returns the bitmap sized to one bit per vertex of n; the caller
 // writes every word before reading it.
 func (s *Scratch) Bitmap(n int) []uint64 {
-	words := (n + 63) / 64
-	if cap(s.Bits) < words {
-		s.Bits = make([]uint64, words)
-	}
-	s.Bits = s.Bits[:words]
-	return s.Bits
+	return chunk(&s.Bits, (n+63)/64)
 }
 
-// ScatterPool returns the scratch's single-partition scatter pool for
-// the given worker count and chunk size — kept across runs, so its
-// shards are too; the caller sets the per-run counters and fault hook.
-func (s *Scratch) ScatterPool(workers, chunkEdges int) *stream.ScatterPool {
-	if s.pool == nil || s.poolWorkers != workers || s.poolSize != chunkEdges {
-		s.pool = stream.NewScatterPool(workers, chunkEdges, 1)
-		s.poolWorkers, s.poolSize = workers, chunkEdges
+// ScatterPool returns the scratch's scatter pool for the given worker
+// count, chunk size and destination-partition count (1 in memory) —
+// kept across runs, so its shards and chunk buffers are too; the caller
+// sets the per-run counters and fault hook.
+func (s *Scratch) ScatterPool(workers, chunkEdges, parts int) *stream.ScatterPool {
+	if s.pool == nil || s.poolWorkers != workers || s.poolSize != chunkEdges || s.poolParts != parts {
+		s.pool = stream.NewScatterPool(workers, chunkEdges, parts)
+		s.poolWorkers, s.poolSize, s.poolParts = workers, chunkEdges, parts
 	}
 	return s.pool
+}
+
+// alignedChunk is the NextChunk length for a scanner whose buffer holds
+// recs records: it divides recs, so a chunk never straddles a refill
+// and the refills stay where record-at-a-time reading puts them — each
+// just before the first record of a new buffer, after everything done
+// for the records before it — and it is halved toward a cache-sized
+// 8192 records for as long as recs stays even.
+func alignedChunk(recs int) int {
+	if recs < 1 {
+		return 1
+	}
+	for recs > 8192 && recs%2 == 0 {
+		recs /= 2
+	}
+	return recs
+}
+
+// chunk returns *buf resized to n elements, contents arbitrary,
+// reallocating only when its capacity falls short.
+func chunk[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
 }
 
 // InMemoryNeed is the memory budget at which a graph runs in memory:

@@ -11,6 +11,7 @@ import (
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 )
 
 func rmatStored(t *testing.T, opts graph.StoreOptions) (*storage.Mem, graph.Meta, []graph.Edge) {
@@ -189,6 +190,65 @@ func TestPreparedNonResidentStillStreams(t *testing.T) {
 	opts.Prepared = other
 	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("prepared graph of another dataset accepted: %v", err)
+	}
+}
+
+// TestStreamingRunBorrowsPreparedScratch: a streaming run over a
+// prepared graph works on a scratch — stream buffers, scatter pool,
+// vertex arrays — taken from the graph's free-list and left there for
+// the next run, whichever way it returns; a run that fails before it
+// starts takes none. Under the stream layer's poisoning audit, so the
+// second run reads 0xA5 wherever it trusts what the first left behind.
+func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
+	audit := stream.AuditPools()
+	defer audit.Stop()
+	vol, m, edges := rmatStored(t, graph.StoreOptions{Reverse: true})
+	opts := smallOpts()
+	opts.Root = maxDegreeVertex(m, edges)
+	opts.Direction = DirectionAuto
+	want, err := Run(vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := LoadPrepared(context.Background(), vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Prepared = pg
+	var scratch *Scratch
+	for i := 0; i < 3; i++ {
+		opts.Sim = DefaultSim() // devices accumulate state: one per run
+		got, err := Run(vol, m.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) ||
+			got.Metrics.ExecTime != want.Metrics.ExecTime {
+			t.Fatalf("run %d on a borrowed scratch differs from the run that owns its own", i)
+		}
+		if len(pg.free) != 1 || scratch != nil && pg.free[0] != scratch {
+			t.Fatalf("run %d: %d scratches on the free-list, want the one every run shares", i, len(pg.free))
+		}
+		scratch = pg.free[0]
+		if scratch.bufs == nil || scratch.pool == nil || cap(scratch.level) == 0 {
+			t.Fatalf("run %d left a scratch without its stream buffers, scatter pool or vertex arrays", i)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Sim = DefaultSim()
+	if _, err := RunContext(ctx, vol, m.Name, opts); !errors.Is(err, errs.ErrCancelled) {
+		t.Fatalf("cancelled run: err = %v", err)
+	}
+	opts.Root = graph.VertexID(m.Vertices) // rejected before the run owns anything
+	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrBadOptions) {
+		t.Fatalf("run from a root outside the graph: err = %v", err)
+	}
+	if len(pg.free) != 1 || pg.free[0] != scratch {
+		t.Fatalf("%d scratches on the free-list after a cancelled and a rejected run, want the same one", len(pg.free))
+	}
+	if n := audit.Outstanding(); n != 0 {
+		t.Fatalf("%d stream buffers outstanding after every run returned", n)
 	}
 }
 

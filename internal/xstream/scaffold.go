@@ -283,6 +283,18 @@ type Runtime struct {
 	// counters are the run-wide retry/failure totals.
 	Retry *stream.Retrier
 
+	// Bufs is the run's stream-buffer free-list, carried to every stream
+	// by MainTiming/AuxTiming like Retry (engines that build a Timing by
+	// hand must set it too). It belongs to scratch, the run's private
+	// working memory — borrowed from Options.Prepared's free-list when
+	// the run has one, so a served query reuses the buffers of the
+	// queries before it, and returned there by Cleanup.
+	Bufs    *stream.BufPool
+	scratch *Scratch
+	// verts is the one partition's vertex state InitVerts/LoadVerts hand
+	// out, backed by scratch.
+	verts Verts
+
 	// Codec is the resolved working-file codec (never empty): Options.Codec
 	// when set, else the dataset's stored codec. Engines pass it to every
 	// edge-carrying working-file writer; readers sniff, so mixed inputs
@@ -465,8 +477,19 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		rt.countVol = cv
 		rt.startIO = cv.Stats()
 	}
+	// Last, so no error return above strands a borrowed scratch.
+	if pg := opts.Prepared; pg != nil {
+		rt.scratch = pg.AcquireScratch()
+	} else {
+		rt.scratch = newScratch()
+	}
+	rt.Bufs = rt.scratch.bufs
 	return rt, nil
 }
+
+// Scratch returns the run's private working memory (see Scratch); it is
+// the run's until Cleanup.
+func (rt *Runtime) Scratch() *Scratch { return rt.scratch }
 
 // InMemory reports whether the whole graph fits the memory budget.
 func (rt *Runtime) InMemory() bool {
@@ -478,32 +501,31 @@ func (rt *Runtime) InMemory() bool {
 // and exist in both modes.
 func (rt *Runtime) MainTiming() stream.Timing {
 	if rt.Clock == nil {
-		return stream.Timing{Retry: rt.Retry}
+		return stream.Timing{Retry: rt.Retry, Bufs: rt.Bufs}
 	}
 	return stream.Timing{Clock: rt.Clock, Device: rt.Opts.Sim.MainDisk, Retry: rt.Retry,
-		MemBW: rt.Costs.MemBandwidth}
+		MemBW: rt.Costs.MemBandwidth, Bufs: rt.Bufs}
 }
 
 // AuxTiming returns the stream timing for the update/stay-out disk —
 // the additional disk when configured, otherwise the main disk.
 func (rt *Runtime) AuxTiming() stream.Timing {
-	if rt.Clock == nil {
-		return stream.Timing{Retry: rt.Retry}
-	}
-	if rt.Opts.Sim.AuxDisk != nil {
+	if rt.Clock != nil && rt.Opts.Sim.AuxDisk != nil {
 		return stream.Timing{Clock: rt.Clock, Device: rt.Opts.Sim.AuxDisk, Retry: rt.Retry,
-			MemBW: rt.Costs.MemBandwidth}
+			MemBW: rt.Costs.MemBandwidth, Bufs: rt.Bufs}
 	}
 	return rt.MainTiming()
 }
 
-// NewScatterPool builds the run's scatter worker pool. The chunk size
-// is the stream buffer's edge capacity, so chunk boundaries line up
-// with scanner refills and — critically — depend only on the buffer
-// size, never on the worker count, keeping output bytes deterministic.
+// NewScatterPool sets up the run's scatter worker pool — the scratch's,
+// so a prepared run inherits the shards and chunk buffers of the runs
+// before it. The chunk size is the stream buffer's edge capacity, so
+// chunk boundaries line up with scanner refills and — critically —
+// depend only on the buffer size, never on the worker count, keeping
+// output bytes deterministic.
 func (rt *Runtime) NewScatterPool(ctr obs.EngineCounters) *stream.ScatterPool {
 	chunk := rt.Opts.StreamBufSize / graph.EdgeBytes
-	sp := stream.NewScatterPool(rt.Opts.ScatterWorkers, chunk, rt.Parts.P())
+	sp := rt.scratch.ScatterPool(rt.Opts.ScatterWorkers, chunk, rt.Parts.P())
 	sp.ChunkCounter = ctr.ScatterChunks
 	sp.BusyCounter = ctr.ScatterBusyNs
 	sp.FaultHook = rt.Opts.FaultHook
@@ -595,16 +617,24 @@ func (rt *Runtime) StayFile(iter, p int) string {
 	return fmt.Sprintf("%s_stay%d_%d", rt.Opts.FilePrefix, iter, p)
 }
 
-// Cleanup removes every working file with the run's prefix.
+// Cleanup ends the run: it removes every working file with the run's
+// prefix (unless KeepFiles) and hands a borrowed scratch back to the
+// prepared graph. Engines defer it first, so it runs after everything
+// that could still hold a stream buffer — open streams, the stay-writer
+// goroutine — has been closed or joined.
 func (rt *Runtime) Cleanup() {
-	if rt.Opts.KeepFiles {
-		return
-	}
-	prefix := rt.Opts.FilePrefix + "_"
-	for _, name := range rt.Vol.List() {
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			rt.Vol.Remove(name)
+	if !rt.Opts.KeepFiles {
+		prefix := rt.Opts.FilePrefix + "_"
+		for _, name := range rt.Vol.List() {
+			if len(name) > len(prefix) && name[:len(prefix)] == prefix {
+				rt.Vol.Remove(name)
+			}
 		}
+	}
+	if pg := rt.Opts.Prepared; pg != nil && rt.scratch != nil {
+		// The next run to acquire it owns its buffers from here on.
+		pg.ReleaseScratch(rt.scratch)
+		rt.scratch, rt.Bufs, rt.verts = nil, nil, Verts{}
 	}
 }
 
@@ -624,33 +654,34 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 		rt.VisitedBits = NewBitset(rt.Meta.Vertices)
 	}
 	outs := make([]*stream.Writer[graph.Edge], rt.Parts.P())
+	defer stream.AbortAll(outs) // whatever an error return leaves open
 	for p := range outs {
 		w, err := stream.NewCodecEdgeWriter(rt.Vol, rt.EdgeFile(p), tm, rt.Opts.StreamBufSize, rt.Codec)
 		if err != nil {
-			for _, o := range outs[:p] {
-				o.Abort()
-			}
 			return nil, err
 		}
 		w.SetAsync() // write-behind; readers barrier through AwaitFile
 		outs[p] = w
 	}
+	chunk := rt.EdgeChunk()
 	for {
-		e, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if err := rt.Meta.CheckEdge(e); err != nil {
-			return nil, err
-		}
-		if rt.OutDeg != nil {
-			rt.OutDeg[e.Src]++
-		}
-		if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
-			return nil, err
+		for _, e := range chunk[:n] {
+			if err := rt.Meta.CheckEdge(e); err != nil {
+				return nil, err
+			}
+			if rt.OutDeg != nil {
+				rt.OutDeg[e.Src]++
+			}
+			if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
+				return nil, err
+			}
 		}
 	}
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
@@ -667,8 +698,23 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 	return counts, nil
 }
 
+// EdgeChunk and UpdateChunk return the run-owned NextChunk targets for
+// the engines' sequential passes over an edge or update stream read
+// with the run's stream buffer size (see alignedChunk); each is valid
+// until the next call.
+func (rt *Runtime) EdgeChunk() []graph.Edge {
+	return chunk(&rt.scratch.edgeChunk, alignedChunk(rt.Opts.StreamBufSize/graph.EdgeBytes))
+}
+
+// UpdateChunk is EdgeChunk for update streams.
+func (rt *Runtime) UpdateChunk() []graph.Update {
+	return chunk(&rt.scratch.updChunk, alignedChunk(rt.Opts.StreamBufSize/graph.UpdateBytes))
+}
+
 // Verts is one partition's in-memory vertex state: BFS level (NoLevel =
-// unvisited) and parent.
+// unvisited) and parent. A streaming run holds one partition at a time:
+// the Verts InitVerts and LoadVerts return is backed by run-owned arrays
+// and stays valid only until the next call of either.
 type Verts struct {
 	Lo     graph.VertexID
 	Level  []uint32
@@ -686,16 +732,40 @@ type vertRec struct {
 	parent graph.VertexID
 }
 
+func getVertRec(b []byte) vertRec {
+	u := graph.GetUpdate(b) // same layout: two little-endian uint32
+	return vertRec{level: uint32(u.Dst), parent: u.Parent}
+}
+
+func putVertRec(b []byte, rec vertRec) {
+	graph.PutUpdate(b, graph.Update{Dst: graph.VertexID(rec.level), Parent: rec.parent})
+}
+
+// partVerts points the run's Verts at partition p, contents arbitrary.
+func (rt *Runtime) partVerts(p int) *Verts {
+	lo, hi := rt.Parts.Interval(p)
+	// Intervals differ by at most one vertex and partition 0 is a widest.
+	widest := int(rt.Parts.Size(0))
+	rt.verts = Verts{Lo: lo,
+		Level:  chunk(&rt.scratch.level, widest)[:hi-lo],
+		Parent: chunk(&rt.scratch.parent, widest)[:hi-lo]}
+	return &rt.verts
+}
+
+// vertRecChunk is the run-owned decode/encode chunk for a vertex file
+// of n records (see alignedChunk).
+func (rt *Runtime) vertRecChunk(n int) []vertRec {
+	return chunk(&rt.scratch.vertRecs, min(n, alignedChunk(rt.Opts.StreamBufSize/vertRecBytes)))
+}
+
 // InitVerts returns a fresh all-unvisited vertex state for partition p.
 func (rt *Runtime) InitVerts(p int) *Verts {
-	lo, hi := rt.Parts.Interval(p)
-	n := int(hi - lo)
-	v := &Verts{Lo: lo, Level: make([]uint32, n), Parent: make([]graph.VertexID, n)}
+	v := rt.partVerts(p)
 	for i := range v.Level {
 		v.Level[i] = NoLevel
 		v.Parent[i] = graph.NoVertex
 	}
-	rt.Compute(float64(n) * rt.Costs.PerVertex)
+	rt.Compute(float64(len(v.Level)) * rt.Costs.PerVertex)
 	return v
 }
 
@@ -709,28 +779,27 @@ func (rt *Runtime) LoadVerts(p int) (*Verts, error) {
 // resume must name which generation to load.
 func (rt *Runtime) LoadVertsFile(p int, name string) (*Verts, error) {
 	rt.AwaitFile(name)
-	lo, hi := rt.Parts.Interval(p)
-	n := int(hi - lo)
-	sc, err := stream.NewScanner(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes,
-		func(b []byte) vertRec {
-			u := graph.GetUpdate(b) // same layout: two little-endian uint32
-			return vertRec{level: uint32(u.Dst), parent: u.Parent}
-		})
+	sc, err := stream.NewScanner(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes, getVertRec)
 	if err != nil {
 		return nil, err
 	}
 	defer sc.Close()
-	v := &Verts{Lo: lo, Level: make([]uint32, n), Parent: make([]graph.VertexID, n)}
-	for i := 0; i < n; i++ {
-		rec, ok, err := sc.Next()
+	v := rt.partVerts(p)
+	n := len(v.Level)
+	recs := rt.vertRecChunk(n)
+	for i := 0; i < n; {
+		k, err := sc.NextChunk(recs[:min(len(recs), n-i)])
 		if err != nil {
 			return nil, err
 		}
-		if !ok {
+		if k == 0 {
 			return nil, fmt.Errorf("xstream: vertex file %s truncated at record %d of %d", name, i, n)
 		}
-		v.Level[i] = rec.level
-		v.Parent[i] = rec.parent
+		for j, rec := range recs[:k] {
+			v.Level[i+j] = rec.level
+			v.Parent[i+j] = rec.parent
+		}
+		i += k
 	}
 	rt.BytesRead += sc.BytesRead()
 	rt.Compute(float64(n) * rt.Costs.PerVertex)
@@ -747,16 +816,18 @@ func (rt *Runtime) SaveVerts(p int, v *Verts) error {
 // SaveVertsFile is SaveVerts to an explicitly named vertex file (see
 // LoadVertsFile).
 func (rt *Runtime) SaveVertsFile(p int, name string, v *Verts) error {
-	w, err := stream.NewWriter(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes,
-		func(b []byte, rec vertRec) {
-			graph.PutUpdate(b, graph.Update{Dst: graph.VertexID(rec.level), Parent: rec.parent})
-		})
+	w, err := stream.NewWriter(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes, putVertRec)
 	if err != nil {
 		return err
 	}
 	w.SetAsync() // write-behind; next LoadVerts barriers through AwaitFile
-	for i := range v.Level {
-		if err := w.Append(vertRec{level: v.Level[i], parent: v.Parent[i]}); err != nil {
+	recs := rt.vertRecChunk(len(v.Level))
+	for i := 0; i < len(v.Level); i += len(recs) {
+		k := min(len(recs), len(v.Level)-i)
+		for j := range recs[:k] {
+			recs[j] = vertRec{level: v.Level[i+j], parent: v.Parent[i+j]}
+		}
+		if err := w.AppendChunk(recs[:k]); err != nil {
 			w.Abort()
 			return err
 		}

@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"slices"
 	"testing"
 
 	"fastbfs/internal/disksim"
@@ -108,13 +109,23 @@ func TestVertexStoreRoundTrip(t *testing.T) {
 	if err := rt.SaveVerts(p, v); err != nil {
 		t.Fatal(err)
 	}
+	// The run holds one partition's vertex state at a time, in arrays it
+	// re-slices per partition: keep a copy, and dirty the arrays through
+	// another partition before loading p back into them.
+	level, parent := slices.Clone(v.Level), slices.Clone(v.Parent)
+	if other := rt.InitVerts(0); &other.Level[0] != &v.Level[0] {
+		t.Fatal("InitVerts allocated a second vertex array; the run-owned one should be re-sliced")
+	}
 	got, err := rt.LoadVerts(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range v.Level {
-		if got.Level[i] != v.Level[i] || got.Parent[i] != v.Parent[i] {
-			t.Fatalf("record %d: (%d,%d) vs (%d,%d)", i, got.Level[i], got.Parent[i], v.Level[i], v.Parent[i])
+	if got.Lo != lo || len(got.Level) != int(hi-lo) || len(got.Parent) != int(hi-lo) {
+		t.Fatalf("loaded Verts covers [%d,+%d), want [%d,%d)", got.Lo, len(got.Level), lo, hi)
+	}
+	for i := range level {
+		if got.Level[i] != level[i] || got.Parent[i] != parent[i] {
+			t.Fatalf("record %d: (%d,%d) vs (%d,%d)", i, got.Level[i], got.Parent[i], level[i], parent[i])
 		}
 	}
 }
