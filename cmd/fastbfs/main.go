@@ -66,7 +66,7 @@ func main() {
 	mem := flag.Uint64("mem", 1<<30, "working memory budget in bytes")
 	threads := flag.Int("threads", 4, "compute threads")
 	workers := flag.Int("workers", 0, "scatter worker goroutines (0 = FASTBFS_WORKERS env or NumCPU; results are identical for any count)")
-	sim := flag.Bool("sim", false, "use the simulated testbed instead of wall-clock time")
+	sim := flag.Bool("sim", false, "use the paper's simulated testbed instead of wall-clock time (and the paper's engines: the update filter is off)")
 	simScale := flag.Float64("simscale", 1, "scale down the simulated positioning cost by this factor")
 	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
 	twoDisks := flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
@@ -150,6 +150,9 @@ func main() {
 			}
 		}
 		opts.Sim = cfg
+		// The simulated testbed reproduces the paper's figures, so it runs
+		// the paper's engines: every frontier out-edge's update is shuffled.
+		opts.DisableUpdateFilter = true
 	}
 	ob.noteRun(*engine, *name, *sim)
 
@@ -210,6 +213,7 @@ func runFromConfig(vol storage.Volume, name, path string, report, validate bool,
 		fail(err)
 	}
 	co := cfg.CoreOptions()
+	co.Base.DisableUpdateFilter = cfg.Sim // as for -sim
 	co.Base.Tracer = ob.tracer
 	co.CheckpointVol = ckVol
 	co.Resume = resume

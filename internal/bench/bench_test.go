@@ -413,14 +413,32 @@ func TestAblFeaturesNeitherMatchesXStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	xsRead := cell(t, tbl.Rows[0][2])
-	neither := tbl.Rows[len(tbl.Rows)-1]
-	if got := cell(t, neither[2]); got != xsRead {
+	row := func(label string) []string {
+		for _, r := range tbl.Rows {
+			if r[0] == label {
+				return r
+			}
+		}
+		t.Fatalf("no %q row in %v", label, tbl.Rows)
+		return nil
+	}
+	xs, full := row("xstream (reference)"), row("fastbfs full")
+	if got, xsRead := cell(t, row("fastbfs, neither")[2]), cell(t, xs[2]); got != xsRead {
 		t.Errorf("fastbfs-with-nothing reads %v MB, xstream %v MB", got, xsRead)
 	}
-	full := tbl.Rows[1]
-	if !(cell(t, full[1]) < cell(t, tbl.Rows[0][1])) {
+	if !(cell(t, full[1]) < cell(t, xs[1])) {
 		t.Error("full fastbfs not faster than xstream reference")
+	}
+	// The update filter removes update traffic from either engine: fewer
+	// bytes written (the update files) and read back (the gathers).
+	for _, pair := range [][2][]string{
+		{row("xstream + update filter"), xs},
+		{row("fastbfs full + update filter"), full},
+	} {
+		on, off := pair[0], pair[1]
+		if !(cell(t, on[2]) < cell(t, off[2]) && cell(t, on[3]) < cell(t, off[3])) {
+			t.Errorf("%s read/wrote %s/%s MB, %s %s/%s MB", on[0], on[2], on[3], off[0], off[2], off[3])
+		}
 	}
 }
 

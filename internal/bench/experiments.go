@@ -53,6 +53,10 @@ func baseOpts(ds Dataset, sim *xstream.SimConfig) xstream.Options {
 		// overlaps the update streaming on the other disk.
 		PrefetchBuffers: 8,
 		Sim:             sim,
+		// The paper's engines shuffle one update per frontier out-edge;
+		// the figures reproduce them, so the update filter (DESIGN.md §18)
+		// stays off here and is measured as an ablation row of its own.
+		DisableUpdateFilter: true,
 	}
 }
 

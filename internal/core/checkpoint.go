@@ -285,14 +285,21 @@ func (e *engine) seedFromManifest(man *checkpointManifest, run *metrics.Run) err
 		if mp.StayBroken {
 			e.stayDisabled++
 		}
-		need := []string{mp.Input, mp.VertexFile, mp.Fallback}
+		pending := "" // the sealed update file the resumed iteration gathers
 		if !man.Done && mp.Updates > 0 {
-			need = append(need, e.rt.UpdateFile(iterIn(man.Iteration+1), p))
+			pending = e.rt.UpdateFile(iterIn(man.Iteration+1), p)
 		}
-		for _, name := range need {
+		for _, name := range []string{mp.Input, mp.VertexFile, mp.Fallback, pending} {
 			if name != "" && !e.rt.Vol.Exists(name) {
 				return fmt.Errorf("fastbfs: checkpoint manifest names %s but the working volume does not have it: %w",
 					name, errs.ErrCorrupted)
+			}
+		}
+		if !man.Done {
+			// The update filter's bitmaps lived in RAM: rebuild them, or the
+			// resumed run shuffles dead updates the uninterrupted one dropped.
+			if err := e.rt.SeedFilter(p, mp.VertexFile, pending); err != nil {
+				return err
 			}
 		}
 	}

@@ -141,6 +141,66 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 	}
 }
 
+// TestResumeRebuildsUpdateFilter kills a run at every iteration boundary
+// in turn — the last one included, where a resumed run that forgot which
+// destinations were already claimed would shuffle dead updates and take
+// an iteration more — and requires the resumed run to gather, filter,
+// discover and skip exactly what the uninterrupted run does in every
+// row, with the update filter on and off.
+func TestResumeRebuildsUpdateFilter(t *testing.T) {
+	for _, noFilter := range []bool{false, true} {
+		opts := func(ck storage.Volume, resume bool, maxIter int) Options {
+			o := ckOpts(ck, resume, maxIter)
+			o.Base.DisableUpdateFilter = noFilter
+			// Checkpointed runs are top-down; so must their reference be.
+			o.Base.Direction = xstream.DirectionTopDown
+			// Several partitions: one that scatters early aims at vertices a
+			// later one is about to gather, which only the claims catch.
+			o.Base.Partitions = 4
+			return o
+		}
+		var filtered int64
+		for seed := int64(1); seed <= 4; seed++ {
+			refVol, m := seededGraph(t, seed)
+			ref, err := Run(refVol, m.Name, opts(nil, false, 0))
+			if err != nil {
+				t.Fatalf("seed %d: reference: %v", seed, err)
+			}
+			filtered += ref.Metrics.UpdatesFiltered()
+			want := ref.Metrics.Iterations
+			for killIter := 1; killIter < len(want); killIter++ {
+				vol, _ := seededGraph(t, seed)
+				ck := storage.NewMem()
+				if _, err := Run(vol, m.Name, opts(ck, false, killIter)); err != nil {
+					t.Fatalf("seed %d kill %d: partial run: %v", seed, killIter, err)
+				}
+				resumed, err := Run(vol, m.Name, opts(ck, true, 0))
+				if err != nil {
+					t.Fatalf("seed %d kill %d: resume: %v", seed, killIter, err)
+				}
+				assertSameResult(t, "resume", resumed, ref)
+				got := resumed.Metrics.Iterations
+				if len(got) != len(want) {
+					t.Fatalf("seed %d kill %d (filter off = %v): %d iteration rows after resume, want %d", seed, killIter, noFilter, len(got), len(want))
+				}
+				for i := range want {
+					g, w := got[i], want[i]
+					if g.Updates != w.Updates || g.Filtered != w.Filtered || g.NewlyVisited != w.NewlyVisited ||
+						g.Frontier != w.Frontier || g.SkippedPartitions != w.SkippedPartitions {
+						t.Fatalf("seed %d kill %d (filter off = %v): iteration %d after resume %+v, uninterrupted %+v", seed, killIter, noFilter, i, g, w)
+					}
+				}
+				if resumed.Metrics.UpdatesFiltered() != ref.Metrics.UpdatesFiltered() {
+					t.Fatalf("seed %d kill %d: %d updates filtered after resume, %d uninterrupted", seed, killIter, resumed.Metrics.UpdatesFiltered(), ref.Metrics.UpdatesFiltered())
+				}
+			}
+		}
+		if (filtered == 0) != noFilter {
+			t.Fatalf("filter off = %v, yet the reference runs filtered %d updates", noFilter, filtered)
+		}
+	}
+}
+
 func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 	// Kill the run from inside a stay write (the hook cancels the run's
 	// context, which the engine observes mid-iteration), then resume. The

@@ -295,14 +295,10 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		outs[p] = w
 	}
 
-	// Global winner scratch (transient, like OutDeg outside the
-	// modelled budget): winners land across every partition because the
-	// .rev scan is in dataset order, not partition order.
-	bestPart := make([]int32, e.rt.Meta.Vertices)
-	for i := range bestPart {
-		bestPart[i] = -1
-	}
-	bestParent := make([]graph.VertexID, e.rt.Meta.Vertices)
+	// Global winner table (like OutDeg outside the modelled budget):
+	// winners land across every partition because the .rev scan is in
+	// dataset order, not partition order.
+	bestPart, bestParent := e.rt.Winners(int(e.rt.Meta.Vertices))
 	trim := e.trimActive(iter)
 	var total uint64
 	var candidates, stayed int64
@@ -473,11 +469,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 
 	plo, phi := e.rt.Parts.Interval(p)
 	lo, n := plo, int(phi-plo)
-	bestPart := make([]int32, n)
-	bestParent := make([]graph.VertexID, n)
-	for i := range bestPart {
-		bestPart[i] = -1
-	}
+	bestPart, bestParent := e.rt.Winners(n)
 	trim := stay != nil
 	var scanned, candidates, stayed int64
 	classify := func(edges []graph.Edge, out *stream.Shard) {

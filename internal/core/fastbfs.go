@@ -229,12 +229,12 @@ type engine struct {
 	ctr obs.EngineCounters
 
 	// ds is the direction heuristic state; dir the bottom-up working
-	// state, allocated at the first switch (see direction.go). candDeg
-	// accumulates the out-degree sum over the current top-down
-	// iteration's emitted update targets — α's look-ahead input.
-	ds      *xstream.DirState
-	dir     *dirRun
-	candDeg float64
+	// state, allocated at the first switch (see direction.go). filter
+	// carries every scatter's updates into the shuffler and totals the
+	// current top-down iteration's wave (xstream/filter.go).
+	ds     *xstream.DirState
+	dir    *dirRun
+	filter *xstream.UpdateFilter
 
 	// ck is the checkpoint writer (nil when not checkpointing);
 	// graveyard holds deletions deferred until the next manifest no
@@ -343,6 +343,7 @@ func (e *engine) run() (*Result, error) {
 		}
 	}
 	prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
+	e.filter = e.rt.NewUpdateFilter(e.ctr)
 	e.sw = stream.NewStayWriter(e.rt.Vol, e.opts.StayBufSize, e.opts.StayBufCount)
 	e.sw.SetContext(e.rt.Context())
 	e.sw.WaitCounter = e.ctr.BufferWaits
@@ -388,7 +389,7 @@ func (e *engine) run() (*Result, error) {
 		// update/frontier counts for selective scheduling).
 		skipGather := prevBottom
 		prevBottom = false
-		e.candDeg = 0
+		e.filter.Wave = xstream.Wave{}
 		itSpan := runSpan.Child("iteration").SetIter(iter)
 		e.ctr.Iteration.Set(int64(iter))
 		trimNow := e.trimActive(iter)
@@ -411,18 +412,15 @@ func (e *engine) run() (*Result, error) {
 			}
 		}
 
-		counts := sh.Counts()
-		var emittedTotal int64
-		for _, c := range counts {
-			emittedTotal += c
-		}
+		wave := e.filter.Wave
+		itRow.Filtered = wave.Filtered()
 		shs := itSpan.Child("shuffle")
 		if err := sh.Close(); err != nil {
 			return nil, err
 		}
-		shs.Attr("updates", emittedTotal).End()
-		for p := range e.parts {
-			e.parts[p].updates = counts[p]
+		shs.Attr("updates", wave.Written).End()
+		for p, c := range sh.Counts() {
+			e.parts[p].updates = c
 		}
 		var shBytes int64
 		for _, b := range sh.BytesPerPartition() {
@@ -442,10 +440,10 @@ func (e *engine) run() (*Result, error) {
 		}
 		// The scatter emits one update per frontier out-edge — frontier
 		// vertices were unvisited until now, so trimming never dropped
-		// their edges — making emittedTotal exactly this frontier's
-		// out-degree sum.
-		e.ds.RecordFrontier(itRow.Frontier, float64(emittedTotal), !skipGather)
-		e.ds.RecordScatter(emittedTotal, e.candDeg)
+		// their edges — making the emitted count, taken before the update
+		// filter, exactly this frontier's out-degree sum.
+		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
+		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
 		run.Iterations = append(run.Iterations, itRow)
 		e.ctr.Frontier.Set(int64(itRow.Frontier))
 		e.ctr.BytesRead.Set(e.rt.BytesRead)
@@ -453,7 +451,8 @@ func (e *engine) run() (*Result, error) {
 		itSpan.Attr("frontier", int64(itRow.Frontier)).
 			Attr("new", int64(itRow.NewlyVisited)).
 			Attr("edges", itRow.EdgesStreamed).
-			Attr("stay_edges", itRow.StayEdges).End()
+			Attr("stay_edges", itRow.StayEdges).
+			Attr("filtered", itRow.Filtered).End()
 		e.tr.EmitCounters()
 
 		if iter > 0 && !skipGather {
@@ -462,14 +461,16 @@ func (e *engine) run() (*Result, error) {
 			}
 		}
 
-		// Iteration complete: persist the manifest (atomic), then the
-		// deletions deferred while the previous manifest still referenced
-		// their files become safe.
-		if err := e.writeManifest(iter, emittedTotal == 0, &run); err != nil {
+		// Nothing written means no partition has anything to gather: the
+		// traversal is done, whatever the frontier still emitted at visited
+		// vertices. Iteration complete: persist the manifest (atomic), then
+		// the deletions deferred while the previous manifest still
+		// referenced their files become safe.
+		done := wave.Written == 0
+		if err := e.writeManifest(iter, done, &run); err != nil {
 			return nil, err
 		}
-
-		if emittedTotal == 0 {
+		if done {
 			break
 		}
 	}
@@ -652,8 +653,10 @@ func (e *engine) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 			// volume: re-reading that superset is the cancellation
 			// fallback taken late (§II-C2). Updates already shuffled from
 			// the corrupt file's readable prefix are re-emitted by the
-			// wider re-scatter; the first-wins gather makes the
-			// duplicates harmless.
+			// wider re-scatter — frontier edges keep their relative order
+			// in both files, so the prefix's claims are the re-scatter's
+			// own first updates and the filter drops the repeats; with the
+			// filter off the first-wins gather makes them harmless.
 			if !errors.Is(err, errs.ErrCorrupted) || st.fallback == "" {
 				return err
 			}
@@ -902,17 +905,19 @@ type edgeSink interface {
 }
 
 // scatter streams the edge input through the worker pool: frontier
-// sources emit updates; when stay is non-nil, edges with unvisited
-// sources are appended to it (the trim rule — a visited source can
-// never produce a future update). Workers only classify; the shuffler
-// and the stay file (whose buffer hand-offs interact with the virtual
-// clock) stay on the engine thread, fed in chunk order, so file bytes
-// and timing are identical for any worker count.
+// sources emit updates through the run's update filter; when stay is
+// non-nil, edges with unvisited sources are appended to it (the trim rule
+// — a visited source can never produce a future update). Workers only
+// classify; the filter's claims, the shuffler and the stay file (whose
+// buffer hand-offs interact with the virtual clock) stay on the engine
+// thread, fed in chunk order, so file bytes and timing are identical for
+// any worker count.
 func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter uint32, sh *stream.Shuffler, stay edgeSink) (scanned, stayed int64, err error) {
 	defer sc.Close()
-	var emitted int64
+	var written int64
 	lo, n := v.Lo, len(v.Level)
 	trim := stay != nil
+	f := e.filter
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, edge := range edges {
 			out.Scanned++
@@ -922,9 +927,7 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 				return
 			}
 			if v.Level[i] == iter {
-				p := e.rt.Parts.Of(edge.Dst)
-				out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: edge.Dst, Parent: edge.Src})
-				out.Emitted++
+				f.Emit(out, edge)
 			}
 			if trim && v.Level[i] == xstream.NoLevel {
 				out.Stays = append(out.Stays, edge)
@@ -934,24 +937,12 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 	}
 	merge := func(s *stream.Shard) error {
 		scanned += s.Scanned
-		emitted += s.Emitted
 		stayed += s.Stayed
 		e.ctr.Edges.Add(s.Scanned)
-		e.ctr.UpdatesEmitted.Add(s.Emitted)
-		for p, us := range s.ByPart {
-			if len(us) == 0 {
-				continue
-			}
-			if e.rt.OutDeg != nil {
-				// α's look-ahead: the emitted updates are the next
-				// level's candidates; sum their out-degrees.
-				for _, u := range us {
-					e.candDeg += float64(e.rt.OutDeg[u.Dst])
-				}
-			}
-			if err := sh.AppendTo(p, us); err != nil {
-				return err
-			}
+		w, err := f.Flush(s, sh)
+		written += w
+		if err != nil {
+			return err
 		}
 		for _, edge := range s.Stays {
 			if err := stay.Append(edge); err != nil {
@@ -964,7 +955,7 @@ func (e *engine) scatter(v *xstream.Verts, sc *stream.Scanner[graph.Edge], iter 
 		return scanned, stayed, err
 	}
 	e.rt.BytesRead += sc.BytesRead()
-	work := float64(scanned)*e.rt.Costs.ScatterPerEdge + float64(emitted)*e.rt.Costs.AppendPerUpdate
+	work := float64(scanned)*e.rt.Costs.ScatterPerEdge + float64(written)*e.rt.Costs.AppendPerUpdate
 	if trim {
 		work += float64(stayed) * e.rt.Costs.AppendPerStay
 	}
@@ -1040,8 +1031,9 @@ func (e *engine) iterateResident(p, iter int, skipGather bool, sh *stream.Shuffl
 func (e *engine) scatterResident(v *xstream.Verts, res *stream.Resident, iter uint32, sh *stream.Shuffler) (scanned, stayed int64, err error) {
 	edges := res.Edges()
 	kept := edges[:0]
-	var emitted int64
+	var written int64
 	lo, n := v.Lo, len(v.Level)
+	f := e.filter
 	classify := func(chunk []graph.Edge, out *stream.Shard) {
 		for _, edge := range chunk {
 			out.Scanned++
@@ -1051,9 +1043,7 @@ func (e *engine) scatterResident(v *xstream.Verts, res *stream.Resident, iter ui
 				return
 			}
 			if v.Level[i] == iter {
-				p := e.rt.Parts.Of(edge.Dst)
-				out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: edge.Dst, Parent: edge.Src})
-				out.Emitted++
+				f.Emit(out, edge)
 			}
 			if v.Level[i] == xstream.NoLevel {
 				out.Stays = append(out.Stays, edge)
@@ -1063,24 +1053,12 @@ func (e *engine) scatterResident(v *xstream.Verts, res *stream.Resident, iter ui
 	}
 	merge := func(s *stream.Shard) error {
 		scanned += s.Scanned
-		emitted += s.Emitted
 		stayed += s.Stayed
 		e.ctr.Edges.Add(s.Scanned)
-		e.ctr.UpdatesEmitted.Add(s.Emitted)
-		for p, us := range s.ByPart {
-			if len(us) == 0 {
-				continue
-			}
-			if e.rt.OutDeg != nil {
-				// α's look-ahead: the emitted updates are the next
-				// level's candidates; sum their out-degrees.
-				for _, u := range us {
-					e.candDeg += float64(e.rt.OutDeg[u.Dst])
-				}
-			}
-			if err := sh.AppendTo(p, us); err != nil {
-				return err
-			}
+		w, err := f.Flush(s, sh)
+		written += w
+		if err != nil {
+			return err
 		}
 		kept = append(kept, s.Stays...)
 		return nil
@@ -1096,7 +1074,7 @@ func (e *engine) scatterResident(v *xstream.Verts, res *stream.Resident, iter ui
 	e.resd.Shrink(freed)
 	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
 	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
-		float64(emitted)*e.rt.Costs.AppendPerUpdate +
+		float64(written)*e.rt.Costs.AppendPerUpdate +
 		float64(stayed)*e.rt.Costs.AppendPerStay)
 	return scanned, stayed, nil
 }

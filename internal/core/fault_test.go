@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -269,32 +270,37 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	vol, _ := storedGraph(t)
-	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 42, ReadP: 0.05, WriteP: 0.05})
-	o := opts()
-	// p=0.05 makes a default-budget exhaustion (p^4 per op) just likely
-	// enough to flake over a whole run; 12 attempts puts it at p^12.
-	o.Base.RetryAttempts = 12
-	res, err := Run(faulty, m.Name, o)
-	if err != nil {
-		t.Fatalf("run under transient faults: %v", err)
-	}
-	if res.Visited != want.Visited {
-		t.Fatalf("visited %d under faults, want %d", res.Visited, want.Visited)
-	}
-	if !slices.Equal(res.Levels, want.Levels) || !slices.Equal(res.Parents, want.Parents) {
-		t.Fatal("result not byte-identical to the fault-free run")
-	}
-	if res.Metrics.IORetries == 0 {
-		t.Fatal("no retries recorded under p=0.05 fault injection")
-	}
-	if res.Metrics.IOFailures != 0 {
-		t.Fatalf("%d I/O failures leaked past the retry budget", res.Metrics.IOFailures)
-	}
-	// Zero file leaks: only the stored dataset survives the run.
-	for _, f := range vol.List() {
-		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) {
-			t.Errorf("leftover working file %s", f)
+	// With the update filter and without it: retried writes must neither
+	// lose nor double a claimed update.
+	for _, noFilter := range []bool{false, true} {
+		vol, _ := storedGraph(t)
+		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 42, ReadP: 0.05, WriteP: 0.05})
+		o := opts()
+		o.Base.DisableUpdateFilter = noFilter
+		// p=0.05 makes a default-budget exhaustion (p^4 per op) just likely
+		// enough to flake over a whole run; 12 attempts puts it at p^12.
+		o.Base.RetryAttempts = 12
+		res, err := Run(faulty, m.Name, o)
+		if err != nil {
+			t.Fatalf("run under transient faults: %v", err)
+		}
+		if res.Visited != want.Visited {
+			t.Fatalf("visited %d under faults, want %d", res.Visited, want.Visited)
+		}
+		if !slices.Equal(res.Levels, want.Levels) || !slices.Equal(res.Parents, want.Parents) {
+			t.Fatalf("result not byte-identical to the fault-free run (filter off = %v)", noFilter)
+		}
+		if res.Metrics.IORetries == 0 {
+			t.Fatal("no retries recorded under p=0.05 fault injection")
+		}
+		if res.Metrics.IOFailures != 0 {
+			t.Fatalf("%d I/O failures leaked past the retry budget", res.Metrics.IOFailures)
+		}
+		// Zero file leaks: only the stored dataset survives the run.
+		for _, f := range vol.List() {
+			if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) {
+				t.Errorf("leftover working file %s", f)
+			}
 		}
 	}
 
@@ -304,6 +310,87 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines grew %d -> %d across the faulted run", before, after)
+	}
+}
+
+// TestCorruptAdoptedStayFallsBack drives the corrupt-adopted-stay path
+// end to end: background stay writes are torn or bit-flipped at
+// publication, the next scatter adopts the file, shuffles the updates of
+// its readable prefix — claiming their destinations in the update filter
+// — hits the bad frame and re-scatters the wider input it kept as a
+// fallback. The tree must equal the fault-free run's with the filter on
+// (the prefix's claims are the re-scatter's own first updates) and off
+// (the first-wins gather absorbs the repeats), with nothing leaked.
+func TestCorruptAdoptedStayFallsBack(t *testing.T) {
+	opts := func() Options {
+		// The stay-file path is under test: keep partitions on the device,
+		// and keep the stay files fixed-width so each spans many frames and
+		// a fault usually leaves a readable prefix (a delta stay file here
+		// is a frame or two).
+		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Codec: graph.CodecFixed, Sim: xstream.DefaultSim()},
+			ResidencyBudget: ResidencyOff}
+	}
+	refVol, m := storedGraph(t)
+	want, err := Run(refVol, m.Name, opts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Metrics.StayCorruptions != 0 {
+		t.Fatalf("fault-free run reports %d corrupt stay files", want.Metrics.StayCorruptions)
+	}
+	// emitted totals every update a run's scatters generated: the ones its
+	// gathers applied plus the ones filtered. A failed scatter attempt
+	// whose readable prefix reached the shuffler adds to it.
+	emitted := func(res *Result) int64 {
+		n := res.Metrics.UpdatesFiltered()
+		for _, it := range res.Metrics.Iterations {
+			n += it.Updates
+		}
+		return n
+	}
+	before := runtime.NumGoroutine()
+	for _, fault := range []storage.FaultSpec{
+		{TornP: 0.5, Match: "_stay"},
+		{FlipP: 0.5, Match: "_stay"},
+	} {
+		for _, noFilter := range []bool{false, true} {
+			var corruptions, prefixes int
+			for seed := uint64(1); seed <= 8; seed++ {
+				vol, _ := storedGraph(t)
+				fault.Seed = seed
+				o := opts()
+				o.Base.DisableUpdateFilter = noFilter
+				o.Base.ScatterWorkers = 1 + int(seed)%4
+				res, err := Run(storage.NewFaulty(vol, fault), m.Name, o)
+				label := fmt.Sprintf("%+v, filter off = %v", fault, noFilter)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Visited != want.Visited || !slices.Equal(res.Levels, want.Levels) || !slices.Equal(res.Parents, want.Parents) {
+					t.Fatalf("%s: tree differs from the fault-free run after %d stay corruptions", label, res.Metrics.StayCorruptions)
+				}
+				corruptions += res.Metrics.StayCorruptions
+				if emitted(res) > emitted(want) {
+					prefixes++
+				}
+				for _, f := range vol.List() {
+					if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) {
+						t.Errorf("%s: leftover working file %s", label, f)
+					}
+				}
+			}
+			if corruptions == 0 || prefixes == 0 {
+				t.Fatalf("%+v, filter off = %v: %d stay corruptions, %d runs shuffled a corrupt file's prefix; the fallback went untested",
+					fault, noFilter, corruptions, prefixes)
+			}
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines grew %d -> %d across the corrupted runs", before, after)
 	}
 }
 

@@ -65,6 +65,8 @@ func TestSuitesUnderPoisoningPool(t *testing.T) {
 		{"RunSurfacesGatherReadFailure", TestRunSurfacesGatherReadFailure},
 		{"ResidentPromotionFaultAbortsCleanly", TestResidentPromotionFaultAbortsCleanly},
 		{"CancelMidRunReleasesEverything", TestCancelMidRunReleasesEverything},
+		{"CorruptAdoptedStayFallsBack", TestCorruptAdoptedStayFallsBack},
+		{"ResumeRebuildsUpdateFilter", TestResumeRebuildsUpdateFilter},
 	} {
 		t.Run(tc.name, func(t *testing.T) { underAudit(t, tc.fn) })
 	}

@@ -29,8 +29,14 @@ type Iteration struct {
 	NewlyVisited uint64
 	// EdgesStreamed is the number of edges read during scatter.
 	EdgesStreamed int64
-	// Updates is the number of updates generated during scatter.
+	// Updates is the number of updates this iteration's gather applied —
+	// the ones the previous iteration's scatter wrote.
 	Updates int64
+	// Filtered is the number of updates this iteration's scatter
+	// generated and the update filter dropped before the shuffle (their
+	// destination already visited, or already claimed by an earlier
+	// update). The scatter generated Filtered plus the next row's Updates.
+	Filtered int64
 	// StayEdges is the number of edges written to stay files (FastBFS).
 	StayEdges int64
 	// SkippedPartitions counts partitions bypassed by selective
@@ -156,6 +162,16 @@ func (r *Run) EdgesStreamed() int64 {
 	return n
 }
 
+// UpdatesFiltered sums the updates the update filter dropped across all
+// iterations: generated, but never shuffled, written or gathered.
+func (r *Run) UpdatesFiltered() int64 {
+	var n int64
+	for _, it := range r.Iterations {
+		n += it.Filtered
+	}
+	return n
+}
+
 // String renders a compact single-line summary.
 func (r *Run) String() string {
 	s := fmt.Sprintf("%s on %s: time=%.3fs iowait=%.0f%% read=%.3fGB written=%.3fGB iters=%d visited=%d",
@@ -202,6 +218,9 @@ func (r *Run) Report() string {
 	if r.TrimmedEdges > 0 {
 		fmt.Fprintf(&b, "trimmed edges: %d\n", r.TrimmedEdges)
 	}
+	if n := r.UpdatesFiltered(); n > 0 {
+		fmt.Fprintf(&b, "updates filtered: %d\n", n)
+	}
 	if r.StayBufferWaits > 0 {
 		fmt.Fprintf(&b, "stay-buf waits: %d\n", r.StayBufferWaits)
 	}
@@ -235,14 +254,14 @@ func (r *Run) Report() string {
 			d.Name, GB(d.BytesRead), GB(d.BytesWritten), d.BusyTime, d.Ops)
 	}
 	if len(r.Iterations) > 0 {
-		b.WriteString("iter  dir  frontier      new     edges   updates      stay  skip  cancel trim\n")
+		b.WriteString("iter  dir  frontier      new     edges   updates  filtered      stay  skip  cancel trim\n")
 		for _, it := range r.Iterations {
 			dir := "down"
 			if it.BottomUp {
 				dir = "up"
 			}
-			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %5d %7d %v\n",
-				it.Index, dir, it.Frontier, it.NewlyVisited, it.EdgesStreamed, it.Updates, it.StayEdges,
+			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %5d %7d %v\n",
+				it.Index, dir, it.Frontier, it.NewlyVisited, it.EdgesStreamed, it.Updates, it.Filtered, it.StayEdges,
 				it.SkippedPartitions, it.Cancelled, it.TrimActive)
 		}
 	}

@@ -473,6 +473,7 @@ func (s *Span) End() {
 const (
 	CtrEdgesStreamed   = "edges_streamed"
 	CtrUpdatesEmitted  = "updates_emitted"
+	CtrUpdatesFiltered = "updates_filtered" // emitted updates the update filter dropped before the shuffle
 	CtrUpdatesApplied  = "updates_applied"
 	CtrStayEdges       = "stay_edges"
 	CtrStayBytes       = "stay_bytes_written"
@@ -573,6 +574,7 @@ const (
 type EngineCounters struct {
 	Edges          *Counter // edges streamed through scatter
 	UpdatesEmitted *Counter // updates emitted by scatter
+	Filtered       *Counter // of those, dropped by the update filter before the shuffle
 	UpdatesApplied *Counter // updates applied by gather
 	StayEdges      *Counter // edges written to stay files
 	StayBytes      *Counter // bytes written to stay files
@@ -608,6 +610,7 @@ func NewEngineCounters(t *Tracer) EngineCounters {
 	return EngineCounters{
 		Edges:          t.Counter(CtrEdgesStreamed),
 		UpdatesEmitted: t.Counter(CtrUpdatesEmitted),
+		Filtered:       t.Counter(CtrUpdatesFiltered),
 		UpdatesApplied: t.Counter(CtrUpdatesApplied),
 		StayEdges:      t.Counter(CtrStayEdges),
 		StayBytes:      t.Counter(CtrStayBytes),

@@ -406,7 +406,7 @@ func (s *GraphService) batchOpts(maxIter int) xstream.Options {
 	opts := s.cfg.Base.Base
 	opts.Root = 0
 	opts.MaxIterations = maxIter
-	opts.FilePrefix = fmt.Sprintf("b%d_batch", s.seq.Add(1))
+	opts.FilePrefix = s.runPrefix("b", "batch")
 	opts.Sim = opts.Sim.Clone()
 	opts.Tracer = nil
 	opts.KeepFiles = false

@@ -176,33 +176,16 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 	}
 	var jobs []job
 	var services []*serve.GraphService
-	var vols []storage.Volume // services[i]'s volume
 	open := func(g string, cfg serve.Config) *serve.GraphService {
 		cfg.CacheEntries = -1 // every query must execute
 		cfg.MaxInFlight, cfg.MaxQueue = 4, 128
 		if cfg.Base.Base.MemoryBudget == 0 {
 			cfg.Base = base
 		}
-		// Resident services share the volume they never touch again. A
-		// streaming service gets a copy of the dataset to itself: services
-		// number their working files from q1 each, so two of them streaming
-		// on one volume would remove each other's.
-		svol := storage.Volume(vol)
-		if !resident {
-			own := storage.NewMem()
-			for f := range stored {
-				b, err := storage.ReadAll(mem, f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := storage.WriteAll(own, f, b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			svol = own
-		}
-		vols = append(vols, svol)
-		svc, err := serve.New(svol, g, cfg)
+		// Every service shares the one volume: a streaming service's working
+		// files carry its process-unique id, so services never remove each
+		// other's.
+		svc, err := serve.New(vol, g, cfg)
 		if err != nil {
 			t.Fatalf("open %s: %v", g, err)
 		}
@@ -346,11 +329,9 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 	if n := hookCalls.Load(); n < 2 {
 		t.Errorf("victim's fault hook fired %d times; the cancellation was not mid-run", n)
 	}
-	for i, v := range vols {
-		for _, f := range v.List() {
-			if !stored[f] {
-				t.Errorf("service %d: leftover working file %s", i, f)
-			}
+	for _, f := range vol.List() {
+		if !stored[f] {
+			t.Errorf("leftover working file %s", f)
 		}
 	}
 	waitGoroutines(t, before, "across the prepared load")

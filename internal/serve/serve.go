@@ -366,7 +366,11 @@ type GraphService struct {
 	// slowMu serializes writes to the slow-query log.
 	slowMu sync.Mutex
 
-	// seq numbers queries for their unique working-file prefixes.
+	// id is unique among the process's services and seq numbers this
+	// one's queries; together they make every run's working-file prefix
+	// its own, even when several services stream on one volume (see
+	// runPrefix).
+	id  uint64
 	seq atomic.Uint64
 
 	mu      sync.Mutex
@@ -422,6 +426,7 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 		tr = obs.New()
 	}
 	s := &GraphService{
+		id:       serviceIDs.Add(1),
 		vol:      vol,
 		name:     graphName,
 		meta:     m,
@@ -922,6 +927,18 @@ func uniq(vs []graph.VertexID) int {
 	return n
 }
 
+// serviceIDs hands every GraphService of the process its id.
+var serviceIDs atomic.Uint64
+
+// runPrefix names one run's working files: kind ("q" for a solo query,
+// "b" for a batch) first, so tests and tooling can tell them apart, then
+// the service and the run's number within it — an engine run removes
+// every file under its prefix when it ends, so two services on one
+// volume must never produce the same one.
+func (s *GraphService) runPrefix(kind, what string) string {
+	return fmt.Sprintf("%s%d_%d_%s", kind, s.id, s.seq.Add(1), what)
+}
+
 // queryOpts builds the per-query engine options: the shared Base with a
 // unique file prefix, a cloned device simulation, no engine tracer
 // (concurrent runs cannot share the tracer's time source) and the
@@ -930,7 +947,7 @@ func (s *GraphService) queryOpts(q Query) core.Options {
 	opts := s.cfg.Base
 	opts.Base.Root = q.Root
 	opts.Base.MaxIterations = q.MaxIterations
-	opts.Base.FilePrefix = fmt.Sprintf("q%d_%s", s.seq.Add(1), q.Algorithm)
+	opts.Base.FilePrefix = s.runPrefix("q", string(q.Algorithm))
 	opts.Base.Sim = opts.Base.Sim.Clone()
 	opts.Base.Tracer = nil
 	opts.Base.KeepFiles = false

@@ -48,6 +48,11 @@ type Shard struct {
 	Scanned int64
 	Emitted int64
 	Stayed  int64
+	// CandDeg is the out-degree sum over the targets of the chunk's
+	// emitted updates, when the engine keeps a degree table (the
+	// direction heuristic's look-ahead, summed here so it runs on the
+	// workers).
+	CandDeg int64
 	// Err aborts the run at this chunk's merge point (edges outside the
 	// partition's vertex interval).
 	Err error
@@ -64,7 +69,7 @@ func (s *Shard) reset() {
 		s.ByPart[i] = s.ByPart[i][:0]
 	}
 	s.Stays = s.own[:0]
-	s.Scanned, s.Emitted, s.Stayed, s.Err = 0, 0, 0, nil
+	s.Scanned, s.Emitted, s.Stayed, s.CandDeg, s.Err = 0, 0, 0, 0, nil
 }
 
 // ScatterFunc classifies one chunk of edges into out. It runs on a

@@ -94,6 +94,25 @@ func (b *Bitset) Set(i graph.VertexID) { b.w[i>>6] |= 1 << (uint(i) & 63) }
 // Get reports whether vertex i is marked.
 func (b *Bitset) Get(i graph.VertexID) bool { return b.w[i>>6]>>(uint(i)&63)&1 == 1 }
 
+// Claim marks vertex i and reports whether this call was the one that
+// marked it.
+func (b *Bitset) Claim(i graph.VertexID) bool {
+	w, m := &b.w[i>>6], uint64(1)<<(uint(i)&63)
+	if *w&m != 0 {
+		return false
+	}
+	*w |= m
+	return true
+}
+
+// reset makes b an all-zero bitmap over n vertices, keeping its storage
+// when that is large enough (the scratch-owned bitmaps of filter.go).
+func (b *Bitset) reset(n uint64) *Bitset {
+	chunk(&b.w, int((n+63)/64))
+	b.Clear()
+	return b
+}
+
 // Clear zeroes the bitmap for reuse.
 func (b *Bitset) Clear() {
 	for i := range b.w {

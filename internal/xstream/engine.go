@@ -75,6 +75,7 @@ func runStreaming(rt *Runtime) (*Result, error) {
 		return nil, err
 	}
 	prep.Attr("edges", int64(rt.Meta.Edges)).End()
+	filter := rt.NewUpdateFilter(ctr)
 
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
@@ -228,7 +229,7 @@ func runStreaming(rt *Runtime) (*Result, error) {
 		// frontier in the vertex state.
 		skipGather := prevBottom
 		prevBottom = false
-		var candDegTotal float64
+		filter.Wave = Wave{}
 		sh, err := stream.NewShuffler(rt.Vol, rt.Parts, rt.AuxTiming(), rt.Opts.StreamBufSize,
 			func(p int) string { return rt.UpdateFile(out, p) })
 		if err != nil {
@@ -287,13 +288,12 @@ func runStreaming(rt *Runtime) (*Result, error) {
 			}
 			// X-Stream scatters every partition unconditionally.
 			ss := itSpan.Child("scatter").SetPart(p)
-			scanned, emitted, candDeg, err := scatter(rt, pool, v, edgeScan, uint32(iter), sh, ctr)
+			scanned, emitted, err := scatter(rt, pool, v, edgeScan, uint32(iter), sh, filter, ctr)
 			ss.Attr("edges", scanned).Attr("emitted", emitted).End()
 			if err != nil {
 				sh.Abort()
 				return nil, err
 			}
-			candDegTotal += candDeg
 			itRow.EdgesStreamed += scanned
 			svs := itSpan.Child("load").SetPart(p)
 			err = rt.SaveVerts(p, v)
@@ -310,30 +310,30 @@ func runStreaming(rt *Runtime) (*Result, error) {
 		if skipGather {
 			itRow.Frontier = carryFrontier
 		}
-		var emittedTotal int64
-		for _, c := range sh.Counts() {
-			emittedTotal += c
-		}
+		wave := filter.Wave
+		itRow.Filtered = wave.Filtered()
 		shs := itSpan.Child("shuffle")
 		if err := sh.Close(); err != nil {
 			return nil, err
 		}
-		shs.Attr("updates", emittedTotal).End()
+		shs.Attr("updates", wave.Written).End()
 		rt.BytesWritten += shufflerBytes(sh)
 		for p, op := range sh.LastOps() {
 			rt.RegisterReady(rt.UpdateFile(out, p), op)
 		}
-		// The scatter emits one update per frontier out-edge, so
-		// emittedTotal is exactly this frontier's out-degree sum.
-		ds.RecordFrontier(itRow.Frontier, float64(emittedTotal), !skipGather)
-		ds.RecordScatter(emittedTotal, candDegTotal)
+		// The scatter emits one update per frontier out-edge, so the
+		// emitted count — taken before the filter — is exactly this
+		// frontier's out-degree sum.
+		ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
+		ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
 		run.Iterations = append(run.Iterations, itRow)
 		ctr.Frontier.Set(int64(itRow.Frontier))
 		ctr.BytesRead.Set(rt.BytesRead)
 		ctr.BytesWritten.Set(rt.BytesWritten)
 		itSpan.Attr("frontier", int64(itRow.Frontier)).
 			Attr("new", int64(itRow.NewlyVisited)).
-			Attr("edges", itRow.EdgesStreamed).End()
+			Attr("edges", itRow.EdgesStreamed).
+			Attr("filtered", itRow.Filtered).End()
 		tr.EmitCounters()
 
 		// Delete the consumed update set and switch roles.
@@ -344,7 +344,9 @@ func runStreaming(rt *Runtime) (*Result, error) {
 		}
 		in, out = out, in
 
-		if emittedTotal == 0 {
+		// Nothing written means nothing to gather: the traversal is done,
+		// whatever the frontier still emitted at visited vertices.
+		if wave.Written == 0 {
 			break
 		}
 	}
@@ -429,11 +431,7 @@ func bottomUpPartition(rt *Runtime, pool *stream.ScatterPool, ctr obs.EngineCoun
 	defer sc.Close()
 	sc.Prefetch(rt.Opts.PrefetchBuffers)
 	lo, n := v.Lo, len(v.Level)
-	bestPart := make([]int32, n)
-	bestParent := make([]graph.VertexID, n)
-	for i := range bestPart {
-		bestPart[i] = -1
-	}
+	bestPart, bestParent := rt.Winners(n)
 	var candidates int64
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, r := range edges {
@@ -551,16 +549,16 @@ func openEdgeScanner(rt *Runtime, name string) (*stream.Scanner[graph.Edge], err
 
 // scatter streams a partition's edge input through the worker pool;
 // edges whose source is in the current frontier (level == iter) emit an
-// update to the destination. Classification (frontier test + partition
-// routing) runs on pool workers; the scanner and the shuffler's writers
-// stay on the engine thread, and shards merge in chunk order, so the
-// update files and all accounting are identical for any worker count
-// (see internal/stream/parallel.go). candDeg is the out-degree sum over
-// emitted update targets — the direction heuristic's look-ahead at the
-// next level's edge volume — computed only when the run may switch
-// (OutDeg non-nil), 0 otherwise.
-func scatter(rt *Runtime, pool *stream.ScatterPool, v *Verts, sc *stream.Scanner[graph.Edge], iter uint32, sh *stream.Shuffler, ctr obs.EngineCounters) (scanned, emitted int64, candDeg float64, err error) {
+// update to the destination through the run's update filter.
+// Classification (frontier test, visited test, partition routing) runs
+// on pool workers; the scanner, the filter's claims and the shuffler's
+// writers stay on the engine thread, and shards merge in chunk order, so
+// the update files and all accounting are identical for any worker count
+// (see internal/stream/parallel.go). The iteration's emitted, written and
+// candidate out-degree totals accumulate in f.Wave.
+func scatter(rt *Runtime, pool *stream.ScatterPool, v *Verts, sc *stream.Scanner[graph.Edge], iter uint32, sh *stream.Shuffler, f *UpdateFilter, ctr obs.EngineCounters) (scanned, emitted int64, err error) {
 	defer sc.Close()
+	var written int64
 	lo, n := v.Lo, len(v.Level)
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, e := range edges {
@@ -571,9 +569,7 @@ func scatter(rt *Runtime, pool *stream.ScatterPool, v *Verts, sc *stream.Scanner
 				return
 			}
 			if v.Level[i] == iter {
-				p := rt.Parts.Of(e.Dst)
-				out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: e.Dst, Parent: e.Src})
-				out.Emitted++
+				f.Emit(out, e)
 			}
 		}
 	}
@@ -581,28 +577,16 @@ func scatter(rt *Runtime, pool *stream.ScatterPool, v *Verts, sc *stream.Scanner
 		scanned += s.Scanned
 		emitted += s.Emitted
 		ctr.Edges.Add(s.Scanned)
-		ctr.UpdatesEmitted.Add(s.Emitted)
-		for p, us := range s.ByPart {
-			if len(us) == 0 {
-				continue
-			}
-			if rt.OutDeg != nil {
-				for _, u := range us {
-					candDeg += float64(rt.OutDeg[u.Dst])
-				}
-			}
-			if err := sh.AppendTo(p, us); err != nil {
-				return err
-			}
-		}
-		return nil
+		w, err := f.Flush(s, sh)
+		written += w
+		return err
 	}
 	if err := pool.RunScanner(sc, classify, merge); err != nil {
-		return scanned, emitted, candDeg, err
+		return scanned, emitted, err
 	}
 	rt.BytesRead += sc.BytesRead()
-	rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
-	return scanned, emitted, candDeg, nil
+	rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(written)*rt.Costs.AppendPerUpdate)
+	return scanned, emitted, nil
 }
 
 // TrimPolicy is the in-memory path's trimming hook. RunInMemory calls it

@@ -93,6 +93,12 @@ type Scratch struct {
 	vertRecs  []vertRec
 	edgeChunk []graph.Edge
 	updChunk  []graph.Update
+	// visited and claimed back the run's vertex bitmaps (Runtime.VisitedBits
+	// and the update filter's claims, see filter.go); bestPart and
+	// bestParent a bottom-up pass's winner table (Runtime.Winners).
+	visited, claimed Bitset
+	bestPart         []int32
+	bestParent       []graph.VertexID
 
 	pool                             *stream.ScatterPool
 	poolWorkers, poolSize, poolParts int

@@ -179,6 +179,13 @@ type Options struct {
 	// the dataset's stored codec, then fixed; the resolution happens in
 	// NewRuntimeContext (see Runtime.Codec).
 	Codec graph.Codec
+	// DisableUpdateFilter turns the streaming engines' update filter off
+	// (ablation, like core's DisableTrimming): every frontier out-edge's
+	// update is shuffled, written and gathered, as in the paper's engines.
+	// The paper-shape experiments pin it so their tables keep reproducing
+	// the unfiltered X-Stream and FastBFS; results are identical either
+	// way (see filter.go).
+	DisableUpdateFilter bool
 	// FaultHook, when non-nil, runs before every scatter chunk — the
 	// chaos-testing seam behind the daemon's -panic-root flag. A hook
 	// that panics exercises panic isolation: the scatter pool recovers
@@ -335,13 +342,17 @@ type Runtime struct {
 	OutDeg []uint32
 
 	// VisitedBits mirrors the vertex files' visited state in RAM
-	// (vertices/8 bytes, outside the modelled budget like OutDeg),
-	// maintained only when the run may go bottom-up. The lazy
-	// reverse-edge split consults it to drop in-edges of vertices that
-	// are already visited at split time — they can never yield a
-	// bottom-up candidate, and dropping them is what makes bottom-up
-	// iterations read fewer bytes than a full edge scan.
+	// (vertices/8 bytes from the run's scratch, outside the modelled
+	// budget like OutDeg), maintained by MarkRoot, the gathers and the
+	// bottom-up passes for its two readers: the update filter, whose
+	// scatter workers drop updates to visited destinations, and the lazy
+	// reverse-edge split, which drops in-edges of vertices already visited
+	// at split time — they can never yield a bottom-up candidate, and
+	// dropping them is what makes bottom-up iterations read fewer bytes
+	// than a full edge scan. Nil for a top-down run with the filter
+	// disabled. claimed is the filter's second bitmap (see filter.go).
 	VisitedBits *Bitset
+	claimed     *Bitset
 
 	// revReady flags that PrepareReverse has split the dataset's
 	// reverse-edge file into per-partition streams; the split is lazy —
@@ -635,6 +646,7 @@ func (rt *Runtime) Cleanup() {
 		// The next run to acquire it owns its buffers from here on.
 		pg.ReleaseScratch(rt.scratch)
 		rt.scratch, rt.Bufs, rt.verts = nil, nil, Verts{}
+		rt.VisitedBits, rt.claimed = nil, nil
 	}
 }
 
@@ -649,9 +661,9 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 		return nil, err
 	}
 	defer sc.Close()
+	rt.allocBitmaps()
 	if rt.Opts.Direction != DirectionTopDown {
 		rt.OutDeg = make([]uint32, rt.Meta.Vertices)
-		rt.VisitedBits = NewBitset(rt.Meta.Vertices)
 	}
 	outs := make([]*stream.Writer[graph.Edge], rt.Parts.P())
 	defer stream.AbortAll(outs) // whatever an error return leaves open
@@ -709,6 +721,17 @@ func (rt *Runtime) EdgeChunk() []graph.Edge {
 // UpdateChunk is EdgeChunk for update streams.
 func (rt *Runtime) UpdateChunk() []graph.Update {
 	return chunk(&rt.scratch.updChunk, alignedChunk(rt.Opts.StreamBufSize/graph.UpdateBytes))
+}
+
+// Winners returns a bottom-up pass's run-owned winner table over n
+// vertices — bestPart all -1 (no candidate yet), bestParent arbitrary —
+// valid until the next call.
+func (rt *Runtime) Winners(n int) (bestPart []int32, bestParent []graph.VertexID) {
+	bestPart = chunk(&rt.scratch.bestPart, n)
+	for i := range bestPart {
+		bestPart[i] = -1
+	}
+	return bestPart, chunk(&rt.scratch.bestParent, n)
 }
 
 // Verts is one partition's in-memory vertex state: BFS level (NoLevel =
