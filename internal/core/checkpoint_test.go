@@ -105,14 +105,6 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 		if partial.Metrics.Checkpoints != killIter {
 			t.Fatalf("seed %d: %d checkpoints after %d iterations", seed, partial.Metrics.Checkpoints, killIter)
 		}
-		man, err := (&checkpointer{vol: ck}).load()
-		if err != nil || man == nil {
-			t.Fatalf("seed %d: manifest after partial run: %v %v", seed, man, err)
-		}
-		if man.Iteration != killIter-1 || man.Done {
-			t.Fatalf("seed %d: manifest iteration %d done=%v, want %d false", seed, man.Iteration, man.Done, killIter-1)
-		}
-
 		tr, iters := iterRecorder()
 		opts := ckOpts(ck, true, 0)
 		opts.Base.Tracer = tr
@@ -288,10 +280,6 @@ func TestResumeDoneManifestOnlyRecollects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := (&checkpointer{vol: ck}).load()
-	if err != nil || man == nil || !man.Done {
-		t.Fatalf("manifest after converged run: %+v, %v", man, err)
-	}
 	tr, iters := iterRecorder()
 	opts := ckOpts(ck, true, 0)
 	opts.Base.Tracer = tr
@@ -313,13 +301,18 @@ func TestResumeCorruptManifestFails(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The manifest is the only file a run keeps on its checkpoint volume.
+	files := ck.List()
+	if len(files) != 1 {
+		t.Fatalf("checkpoint volume holds %v, want the manifest alone", files)
+	}
 	corrupt := func(t *testing.T, mutate func([]byte) []byte) {
 		t.Helper()
-		raw, err := storage.ReadAll(ck, manifestName)
+		raw, err := storage.ReadAll(ck, files[0])
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := ck.Create(manifestName)
+		w, err := ck.Create(files[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,5 +360,41 @@ func TestResumeMismatchedRunFails(t *testing.T) {
 	vol2, _ := seededGraph(t, 24)
 	if _, err := Run(vol2, m.Name, ckOpts(ck, true, 0)); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("resume against a volume missing the working files: %v, want ErrCorrupted", err)
+	}
+}
+
+// TestCheckpointedAutoRecordsDirectionFallback: a checkpointed run cannot
+// go bottom-up, so direction auto is pinned to top-down — and says so,
+// the way a graph stored without its reverse-edge file does, in the
+// metrics record and the direction_fallbacks counter.
+func TestCheckpointedAutoRecordsDirectionFallback(t *testing.T) {
+	for _, tc := range []struct {
+		dir      xstream.Direction
+		fallback bool
+	}{{xstream.DirectionAuto, true}, {xstream.DirectionTopDown, false}} {
+		vol, m := seededGraph(t, 25)
+		col := &obs.Collect{}
+		tr := obs.New(col)
+		opts := ckOpts(storage.NewMem(), false, 0)
+		opts.Base.Direction = tc.dir
+		opts.Base.Tracer = tr
+		res, err := Run(vol, m.Name, opts)
+		tr.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.dir, err)
+		}
+		if res.Metrics.BottomUpIterations != 0 {
+			t.Fatalf("%s: checkpointed run went bottom-up", tc.dir)
+		}
+		if res.Metrics.DirectionFallback != tc.fallback {
+			t.Errorf("%s: DirectionFallback = %v, want %v", tc.dir, res.Metrics.DirectionFallback, tc.fallback)
+		}
+		want := int64(0)
+		if tc.fallback {
+			want = 1
+		}
+		if got := obs.Summarize(col.Events()).Counters[obs.CtrDirectionFallbacks]; got != want {
+			t.Errorf("%s: direction_fallbacks counter = %d, want %d", tc.dir, got, want)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package core
+package xstream
 
 import (
 	"errors"
@@ -9,14 +9,14 @@ import (
 	"fastbfs/internal/metrics"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/stream"
-	"fastbfs/internal/xstream"
 )
 
-// This file ports the direction-optimizing (Beamer-style hybrid) BFS
-// into the FastBFS engine. The policy machinery — Direction, DirState,
-// the frontier bitmaps, the lazy reverse-edge split — is shared with
-// the X-Stream engine (internal/xstream/direction.go); what is specific
-// to FastBFS is how bottom-up passes compose with the trimming idea:
+// This file holds the kernel's bottom-up iterations (DESIGN.md §12):
+// the one out-of-core form of the direction-optimizing (Beamer-style
+// hybrid) BFS, run by every engine built on the kernel. The policy
+// machinery — Direction, DirState, the frontier bitmaps, the byte-identity
+// winner rule — is in direction.go; this is how the passes stream, and
+// how they compose with the trimming idea when the Policy has it on:
 //
 //   - Each partition's reverse-edge input is trimmed the same way the
 //     forward input is: while a bottom-up pass scans partition p's
@@ -26,7 +26,8 @@ import (
 //     next bottom-up pass. A visited vertex has its parent forever, so
 //     its in-edges are dead — this is the trim rule transposed to the
 //     in-edge direction, and it makes consecutive bottom-up passes read
-//     a fast-shrinking stream.
+//     a fast-shrinking stream. With trimming off (X-Stream) a partition
+//     keeps rescanning the input the first pass split off for it.
 //   - Reverse stay files are written write-behind (SetAsync with an
 //     AwaitFile barrier) but without the forward path's grace-and-
 //     cancel: a reverse stay is consumed by the immediately following
@@ -44,32 +45,32 @@ import (
 //     counts seed the update/frontier state selective scheduling
 //     consults when β hands the run back to top-down.
 //
-// Checkpointed runs pin the direction to top-down: bottom-up state
-// (bitmaps, reverse stay chains) is not manifest-covered, and the
+// Checkpointed runs pin the direction to top-down (RunPolicy): bottom-up
+// state (bitmaps, reverse stay chains) is not manifest-covered, and the
 // resume guarantees only hold for the scatter/gather loop. Residency
 // stays forward-only — a promoted partition's RAM-resident edges are
 // forward edges, so bottom-up passes read its reverse input from the
 // device like any other partition's.
 
-// dirRun is the engine's bottom-up working state, allocated at the
+// dirRun is the kernel's bottom-up working state, allocated at the
 // first top-down→bottom-up transition.
 type dirRun struct {
 	// frontier holds the current level's vertices; next collects the
 	// level being formed.
-	frontier, next *xstream.Bitset
+	frontier, next *Bitset
 	// carryFrontier is the size of the frontier formed by the last
 	// bottom-up pass, reported by the following iteration.
 	carryFrontier uint64
-	// revInput is each partition's current reverse-edge input — the
-	// lazy split's file first, then the chain of reverse stay files.
+	// revInput is each partition's current reverse-edge input, once the
+	// fused first pass has split it off — that pass's file first, then,
+	// under trimming, the chain of reverse stay files.
 	revInput  []string
 	revTiming []stream.Timing
 	// revBroken marks partitions whose reverse stay writes failed
 	// permanently; they rescan their current input untrimmed.
 	revBroken []bool
 	// revEdges is the edge count of each partition's current reverse
-	// input, once known (-1 before the first trimmed rewrite): a
-	// partition whose reverse input ran dry can never produce a
+	// input: a partition whose reverse input ran dry can never produce a
 	// candidate again and is skipped without touching the device.
 	revEdges []int64
 	// split records that the fused first pass has consumed the
@@ -80,31 +81,14 @@ type dirRun struct {
 
 // revStayFile is partition p's reverse stay file written by the
 // bottom-up pass of iteration iter.
-func (e *engine) revStayFile(iter, p int) string {
+func (e *kernel) revStayFile(iter, p int) string {
 	return fmt.Sprintf("%s_rstay%d_%d", e.rt.Opts.FilePrefix, iter, p)
-}
-
-// resolveDirectionPolicy applies the FastBFS-specific gating before the
-// shared reverse-file resolution: checkpointed runs pin auto to
-// top-down silently (bottom-up state is not manifest-covered) and
-// reject an explicit bottomup.
-func resolveDirectionPolicy(opts *Options) error {
-	if opts.CheckpointVol == nil {
-		return nil
-	}
-	switch opts.Base.Direction {
-	case xstream.DirectionBottomUp:
-		return fmt.Errorf("fastbfs: %w: direction bottomup cannot be checkpointed (bottom-up state is not manifest-covered); use topdown or drop the checkpoint volume", errs.ErrBadOptions)
-	case xstream.DirectionAuto:
-		opts.Base.Direction = xstream.DirectionTopDown
-	}
-	return nil
 }
 
 // unvisitedIn is partition p's count of still-unvisited vertices,
 // derived from the running visited tally so no vertex file has to be
 // loaded to evaluate the bottom-up skip rule.
-func (e *engine) unvisitedIn(p int) int64 {
+func (e *kernel) unvisitedIn(p int) int64 {
 	lo, hi := e.rt.Parts.Interval(p)
 	return int64(hi-lo) - int64(e.parts[p].visitedCount)
 }
@@ -117,23 +101,18 @@ func (e *engine) unvisitedIn(p int) int64 {
 // ends with a reverse-input pass over each partition. It returns the
 // number of vertices that pass discovered; zero means the traversal is
 // complete.
-func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Run, runSpan *obs.Span) (uint64, error) {
+func (e *kernel) bottomUpIteration(iter int, wasBottom bool, run *metrics.Run, runSpan *obs.Span) (uint64, error) {
 	itSpan := runSpan.Child("iteration").SetIter(iter)
 	e.ctr.Iteration.Set(int64(iter))
 	d := e.dir
 	if d == nil {
 		d = &dirRun{
-			frontier:  xstream.NewBitset(e.rt.Meta.Vertices),
-			next:      xstream.NewBitset(e.rt.Meta.Vertices),
+			frontier:  NewBitset(e.rt.Meta.Vertices),
+			next:      NewBitset(e.rt.Meta.Vertices),
 			revInput:  make([]string, e.rt.Parts.P()),
 			revTiming: make([]stream.Timing, e.rt.Parts.P()),
 			revBroken: make([]bool, e.rt.Parts.P()),
 			revEdges:  make([]int64, e.rt.Parts.P()),
-		}
-		for p := range d.revInput {
-			d.revInput[p] = e.rt.RevEdgeFile(p)
-			d.revTiming[p] = e.mainTiming()
-			d.revEdges[p] = -1
 		}
 		e.dir = d
 		e.ctr.SwitchIteration.Set(int64(e.ds.SwitchIteration))
@@ -145,51 +124,34 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 		// scatter shuffled, exactly like a normal gather, recording the
 		// formed frontier in the bitmap as it lands.
 		d.frontier.Clear()
-		var aNewly uint64
 		var aDeg float64
 		for p := 0; p < e.rt.Parts.P(); p++ {
 			if err := e.rt.Checkpoint(); err != nil {
 				return 0, err
 			}
 			st := &e.parts[p]
-			if st.updates == 0 && !e.opts.DisableSelectiveScheduling {
+			if st.updates == 0 && e.pol.SelectiveScheduling {
 				st.frontier = 0
 				continue
 			}
-			lds := itSpan.Child("load").SetPart(p)
-			v, err := e.loadVerts(p)
-			lds.End()
+			v, err := e.loadVerts(p, itSpan)
 			if err != nil {
 				return 0, err
 			}
-			gs := itSpan.Child("gather").SetPart(p)
-			newly, applied, err := e.gather(v, e.rt.UpdateFile(in, p), uint32(iter), func(vid graph.VertexID) {
+			if err := e.gatherInto(p, iter, v, func(vid graph.VertexID) {
 				d.frontier.Set(vid)
 				aDeg += float64(e.rt.OutDeg[vid])
-			})
-			gs.Attr("applied", applied).End()
-			if err != nil {
+			}, &itRow, itSpan); err != nil {
 				return 0, err
 			}
-			e.ctr.UpdatesApplied.Add(applied)
-			e.ctr.Visited.Add(int64(newly))
-			st.frontier = newly
-			st.visitedCount += newly
-			e.visited += newly
-			itRow.NewlyVisited += newly
-			itRow.Updates += applied
-			aNewly += newly
-			if newly > 0 {
-				svs := itSpan.Child("load").SetPart(p)
-				err := e.saveVerts(p, iter, v)
-				svs.End()
-				if err != nil {
+			if st.frontier > 0 {
+				if err := e.saveVerts(p, iter, v, itSpan); err != nil {
 					return 0, err
 				}
 			}
 		}
-		e.ds.RecordFrontier(aNewly, aDeg, true)
-		itRow.Frontier = aNewly
+		itRow.Frontier = itRow.NewlyVisited
+		e.ds.RecordFrontier(itRow.Frontier, aDeg, true)
 	} else {
 		itRow.Frontier = d.carryFrontier
 	}
@@ -218,9 +180,7 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 			if e.unvisitedIn(p) == 0 || d.revEdges[p] == 0 {
 				e.parts[p].updates = 0
 				e.parts[p].frontier = 0
-				itRow.SkippedPartitions++
-				e.skipped++
-				e.ctr.Skipped.Add(1)
+				e.skip(&itRow)
 				continue
 			}
 			n, dg, err := e.bottomUpPartition(p, iter, d, &itRow, itSpan)
@@ -237,22 +197,13 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 	itRow.NewlyVisited += newly
 	d.carryFrontier = newly
 	d.frontier, d.next = d.next, d.frontier
-
-	run.Iterations = append(run.Iterations, itRow)
-	e.ctr.Frontier.Set(int64(itRow.Frontier))
-	e.ctr.BytesRead.Set(e.rt.BytesRead)
-	e.ctr.BytesWritten.Set(e.rt.BytesWritten)
-	itSpan.Attr("frontier", int64(itRow.Frontier)).
-		Attr("new", int64(itRow.NewlyVisited)).
-		Attr("edges", itRow.EdgesStreamed).
-		Attr("bottomup", 1).End()
-	e.tr.EmitCounters()
+	e.endIteration(run, itRow, itSpan.Attr("bottomup", 1))
 
 	// The transition consumed its update set; consecutive bottom-up
 	// iterations have none.
 	if !wasBottom && iter > 0 {
 		for p := 0; p < e.rt.Parts.P(); p++ {
-			e.removeLater(e.rt.UpdateFile(in, p))
+			e.removeLater(e.rt.UpdateFile(iterIn(iter), p))
 		}
 	}
 	return newly, nil
@@ -266,20 +217,20 @@ func (e *engine) bottomUpIteration(iter, in int, wasBottom bool, run *metrics.Ru
 // source partition strictly improves — exactly the (source partition,
 // original position) minimum top-down's gather would pick. An in-edge
 // is written through to its target's partition file only while its
-// target is unvisited AND still winnerless, so the per-partition inputs
-// start winner-filtered instead of being full-size files the next pass
-// immediately re-trims. Corruption in the .rev stream (frame checksum,
+// target is unvisited AND, when trimming is active, still winnerless, so
+// the per-partition inputs start winner-filtered instead of being
+// full-size files the next pass immediately re-trims. Corruption in the .rev stream (frame checksum,
 // malformed edge, edge-count mismatch) surfaces as errs.ErrCorrupted.
-func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
 	revName := graph.ReverseFileName(e.rt.Meta.Name)
 	bs := itSpan.Child("reverse-split")
-	sc, err := stream.NewEdgeScanner(e.rt.Vol, revName, e.mainTiming(), e.rt.Opts.StreamBufSize)
+	sc, err := stream.NewEdgeScanner(e.rt.Vol, revName, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
 	if err != nil {
 		bs.End()
 		return 0, 0, err
 	}
 	defer sc.Close()
-	stayTiming := e.otherTiming(e.mainTiming())
+	stayTiming := e.otherTiming(e.rt.MainTiming())
 	outs := make([]*stream.Writer[graph.Edge], e.rt.Parts.P())
 	abort := func() {
 		stream.AbortAll(outs) // the writers still open; a closed one ignores it
@@ -390,9 +341,7 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		if count == 0 {
 			continue
 		}
-		lds := itSpan.Child("load").SetPart(p)
-		v, verr := e.loadVerts(p)
-		lds.End()
+		v, verr := e.loadVerts(p, itSpan)
 		if verr != nil {
 			return newly, degSum, verr
 		}
@@ -407,10 +356,7 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 			e.rt.VisitedBits.Set(vid)
 			degSum += float64(e.rt.OutDeg[vid])
 		}
-		svs := itSpan.Child("load").SetPart(p)
-		verr = e.saveVerts(p, iter, v)
-		svs.End()
-		if verr != nil {
+		if verr := e.saveVerts(p, iter, v, itSpan); verr != nil {
 			return newly, degSum, verr
 		}
 		st.visitedCount += count
@@ -427,7 +373,7 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 // bottomUpPartition scans one partition's reverse-edge input against
 // the frontier bitmap, applying the shared byte-identity winner rule
 // (smallest source partition, first seen wins ties — see
-// internal/xstream/direction.go). When trimming is active the edges
+// direction.go). When trimming is active the edges
 // that survive the trim rule — target still unvisited when its stay
 // decision merges — are rewritten to a reverse stay file that replaces
 // the input. Classification needs only the in-RAM visited bitmap, so
@@ -437,7 +383,7 @@ func (e *engine) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 // resolved on the engine thread in chunk order and winners applied
 // after the pool drains, so file bytes and results are identical for
 // any worker count.
-func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
 	st := &e.parts[p]
 	e.rt.AwaitFile(d.revInput[p])
 	sc, err := stream.NewEdgeScanner(e.rt.Vol, d.revInput[p], d.revTiming[p], e.rt.Opts.StreamBufSize)
@@ -451,7 +397,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	var stayTiming stream.Timing
 	if itRow.TrimActive && !d.revBroken[p] {
 		stayTiming = e.otherTiming(d.revTiming[p])
-		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.opts.StayBufSize, e.rt.Codec)
+		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.pol.StayBufSize, e.rt.Codec)
 		switch {
 		case werr == nil:
 			w.SetAsync() // write-behind; the next pass barriers through AwaitFile
@@ -459,9 +405,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		case errors.Is(werr, errs.ErrIOFailed):
 			// Cannot create the stay file: degrade this partition to
 			// untrimmed reverse rescans instead of failing the run.
-			d.revBroken[p] = true
-			e.stayDisabled++
-			e.ctr.StayDisabled.Set(int64(e.stayDisabled))
+			e.markStayBroken(&d.revBroken[p])
 		default:
 			return 0, 0, werr
 		}
@@ -477,7 +421,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 			out.Scanned++
 			i := int(r.Src - lo)
 			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("fastbfs: reverse edge %v outside partition [%d,%d)", r, lo, int(lo)+n)
+				out.Err = fmt.Errorf("%s: reverse edge %v outside partition [%d,%d)", e.name, r, lo, int(lo)+n)
 				return
 			}
 			if e.rt.VisitedBits.Get(r.Src) {
@@ -532,7 +476,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		if errors.Is(err, errs.ErrCorrupted) {
 			// Unlike a forward stay there is no wider fallback input
 			// once the reverse chain has advanced: fail stop.
-			return 0, 0, fmt.Errorf("fastbfs: reverse input %s: %w", d.revInput[p], err)
+			return 0, 0, fmt.Errorf("%s: reverse input %s: %w", e.name, d.revInput[p], err)
 		}
 		return 0, 0, err
 	}
@@ -543,9 +487,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		if cerr := stay.Close(); cerr != nil {
 			// The rewrite failed but the current input is intact:
 			// degrade to untrimmed rescans of it.
-			d.revBroken[p] = true
-			e.stayDisabled++
-			e.ctr.StayDisabled.Set(int64(e.stayDisabled))
+			e.markStayBroken(&d.revBroken[p])
 		} else {
 			e.rt.BytesWritten += stay.BytesWritten()
 			e.rt.RegisterReady(e.revStayFile(iter, p), stay.LastOp())
@@ -568,9 +510,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	if newly > 0 {
 		// Only a partition that actually discovered vertices pays any
 		// vertex-file traffic: load, apply the winners, write back.
-		lds := itSpan.Child("load").SetPart(p)
-		v, err := e.loadVerts(p)
-		lds.End()
+		v, err := e.loadVerts(p, itSpan)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -584,10 +524,7 @@ func (e *engine) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 				degSum += float64(e.rt.OutDeg[vid])
 			}
 		}
-		svs := itSpan.Child("load").SetPart(p)
-		err = e.saveVerts(p, iter, v)
-		svs.End()
-		if err != nil {
+		if err := e.saveVerts(p, iter, v, itSpan); err != nil {
 			return newly, degSum, err
 		}
 	}

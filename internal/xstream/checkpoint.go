@@ -12,14 +12,14 @@
 // The recovery invariants the manifest relies on:
 //
 //   - files named by a manifest are never mutated or deleted until the
-//     NEXT manifest is durable (deferred deletions via the engine's
+//     NEXT manifest is durable (deferred deletions via the kernel's
 //     graveyard; vertex state and stay files use per-generation names);
 //   - a stay file pending at crash time was never adopted, so losing it
 //     is the grace-and-cancel path: the recorded input is a superset;
 //   - update files written by the crashed iteration belong to the set
 //     the resumed iteration re-creates (truncate-on-create), while the
 //     set it reads was sealed by the last completed iteration.
-package core
+package xstream
 
 import (
 	"encoding/json"
@@ -131,21 +131,21 @@ func (c *checkpointer) load() (*checkpointManifest, error) {
 		if errors.Is(err, storage.ErrNotExist) {
 			return nil, nil
 		}
-		return nil, fmt.Errorf("fastbfs: reading checkpoint manifest: %w", err)
+		return nil, fmt.Errorf("reading checkpoint manifest: %w", err)
 	}
 	data, err := graph.DeframeAll(raw)
 	if err != nil {
-		return nil, fmt.Errorf("fastbfs: checkpoint manifest frames: %w", err)
+		return nil, fmt.Errorf("checkpoint manifest frames: %w", err)
 	}
 	man := &checkpointManifest{}
 	if err := json.Unmarshal(data, man); err != nil {
-		return nil, fmt.Errorf("fastbfs: checkpoint manifest: %w: %v", errs.ErrCorrupted, err)
+		return nil, fmt.Errorf("checkpoint manifest: %w: %v", errs.ErrCorrupted, err)
 	}
 	if man.Version != manifestVersion {
-		return nil, fmt.Errorf("fastbfs: checkpoint manifest version %d, want %d: %w", man.Version, manifestVersion, errs.ErrCorrupted)
+		return nil, fmt.Errorf("checkpoint manifest version %d, want %d: %w", man.Version, manifestVersion, errs.ErrCorrupted)
 	}
 	if man.Iteration < 0 || len(man.Parts) == 0 {
-		return nil, fmt.Errorf("fastbfs: checkpoint manifest is inconsistent (iteration %d, %d partitions): %w",
+		return nil, fmt.Errorf("checkpoint manifest is inconsistent (iteration %d, %d partitions): %w",
 			man.Iteration, len(man.Parts), errs.ErrCorrupted)
 	}
 	return man, nil
@@ -155,14 +155,14 @@ func (c *checkpointer) load() (*checkpointManifest, error) {
 // iteration iter. Checkpointed runs keep one generation per saving
 // iteration so a crash mid-iteration never clobbers the state the
 // manifest points at; un-checkpointed runs overwrite a single file.
-func (e *engine) vertexGenFile(iter, p int) string {
+func (e *kernel) vertexGenFile(iter, p int) string {
 	return fmt.Sprintf("%s_vtxg%d_%d", e.rt.Opts.FilePrefix, iter, p)
 }
 
 // removeLater deletes a working file — immediately when the run is not
 // checkpointed, otherwise after the next manifest is durable (the
 // current manifest may still name it).
-func (e *engine) removeLater(name string) {
+func (e *kernel) removeLater(name string) {
 	if name == "" {
 		return
 	}
@@ -175,7 +175,7 @@ func (e *engine) removeLater(name string) {
 
 // flushGraveyard performs the deferred deletions; called only once a
 // manifest that no longer references them has been persisted.
-func (e *engine) flushGraveyard() {
+func (e *kernel) flushGraveyard() {
 	for _, name := range e.graveyard {
 		e.rt.Vol.Remove(name)
 	}
@@ -185,7 +185,7 @@ func (e *engine) flushGraveyard() {
 // timingRole names the device a stream timing points at, for the
 // manifest; roleTiming rebuilds the timing on resume. Wall mode has a
 // single implicit device, so everything is "main".
-func (e *engine) timingRole(t stream.Timing) string {
+func (e *kernel) timingRole(t stream.Timing) string {
 	sim := e.rt.Opts.Sim
 	if sim == nil || t.Device == nil || t.Device == sim.MainDisk {
 		return "main"
@@ -196,30 +196,30 @@ func (e *engine) timingRole(t stream.Timing) string {
 	return "aux"
 }
 
-func (e *engine) roleTiming(role string) stream.Timing {
+func (e *kernel) roleTiming(role string) stream.Timing {
 	sim := e.rt.Opts.Sim
 	switch {
 	case sim == nil:
-		return e.mainTiming()
+		return e.rt.MainTiming()
 	case role == "stay" && sim.StayDisk != nil:
 		return e.stayDiskTiming()
 	case role == "aux" && sim.AuxDisk != nil:
-		return e.auxTiming()
+		return e.rt.AuxTiming()
 	}
-	return e.mainTiming()
+	return e.rt.MainTiming()
 }
 
 // writeManifest snapshots the run after completed iteration iter and
 // persists it, then performs the deletions that were deferred while the
 // previous manifest still referenced their files. No-op without a
 // checkpoint volume.
-func (e *engine) writeManifest(iter int, done bool, run *metrics.Run) error {
+func (e *kernel) writeManifest(iter int, done bool, run *metrics.Run) error {
 	if e.ck == nil {
 		return nil
 	}
 	man := &checkpointManifest{
 		Version:         manifestVersion,
-		Engine:          EngineName,
+		Engine:          e.name,
 		Graph:           e.rt.Meta.Name,
 		FilePrefix:      e.rt.Opts.FilePrefix,
 		Codec:           string(e.rt.Codec),
@@ -248,7 +248,7 @@ func (e *engine) writeManifest(iter int, done bool, run *metrics.Run) error {
 		}
 	}
 	if err := e.ck.write(man); err != nil {
-		return fmt.Errorf("fastbfs: checkpoint after iteration %d: %w", iter, err)
+		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.name, iter, err)
 	}
 	e.ctr.Checkpoints.Add(1)
 	e.flushGraveyard()
@@ -259,16 +259,16 @@ func (e *engine) writeManifest(iter int, done bool, run *metrics.Run) error {
 // and validates that every file it names still exists on the working
 // volume — a missing file means the checkpoint and working volumes
 // diverged, which resume must refuse rather than silently restart.
-func (e *engine) seedFromManifest(man *checkpointManifest, run *metrics.Run) error {
-	if man.Engine != EngineName || man.Graph != e.rt.Meta.Name ||
+func (e *kernel) seedFromManifest(man *checkpointManifest, run *metrics.Run) error {
+	if man.Engine != e.name || man.Graph != e.rt.Meta.Name ||
 		man.FilePrefix != e.rt.Opts.FilePrefix || len(man.Parts) != e.rt.Parts.P() {
-		return fmt.Errorf("fastbfs: checkpoint manifest (engine %q graph %q prefix %q, %d partitions) does not match this run (%q, %d partitions): %w",
-			man.Engine, man.Graph, man.FilePrefix, len(man.Parts), e.rt.Meta.Name, e.rt.Parts.P(), errs.ErrCorrupted)
+		return fmt.Errorf("%s: checkpoint manifest (engine %q graph %q prefix %q, %d partitions) does not match this run (%q, %d partitions): %w",
+			e.name, man.Engine, man.Graph, man.FilePrefix, len(man.Parts), e.rt.Meta.Name, e.rt.Parts.P(), errs.ErrCorrupted)
 	}
 	manCodec, err := graph.ParseCodec(man.Codec)
 	if err != nil || manCodec != e.rt.Codec {
-		return fmt.Errorf("fastbfs: checkpoint manifest was written under codec %q but this run uses %q: %w",
-			man.Codec, e.rt.Codec, errs.ErrCorrupted)
+		return fmt.Errorf("%s: checkpoint manifest was written under codec %q but this run uses %q: %w",
+			e.name, man.Codec, e.rt.Codec, errs.ErrCorrupted)
 	}
 	for p := range man.Parts {
 		mp := &man.Parts[p]
@@ -291,8 +291,8 @@ func (e *engine) seedFromManifest(man *checkpointManifest, run *metrics.Run) err
 		}
 		for _, name := range []string{mp.Input, mp.VertexFile, mp.Fallback, pending} {
 			if name != "" && !e.rt.Vol.Exists(name) {
-				return fmt.Errorf("fastbfs: checkpoint manifest names %s but the working volume does not have it: %w",
-					name, errs.ErrCorrupted)
+				return fmt.Errorf("%s: checkpoint manifest names %s but the working volume does not have it: %w",
+					e.name, name, errs.ErrCorrupted)
 			}
 		}
 		if !man.Done {

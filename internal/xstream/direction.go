@@ -5,14 +5,12 @@ import (
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/stream"
 )
 
-// This file holds the direction-optimizing scaffolding shared by the
-// streaming engines: the direction policy type, the Beamer-style switch
-// heuristic state, the global frontier bitmap bottom-up iterations
-// exchange, and the lazy split of the dataset's reverse-edge file into
-// per-partition streams.
+// This file holds the direction-optimizing policy machinery of the
+// streaming kernel: the direction policy type, the Beamer-style switch
+// heuristic state and the global frontier bitmap bottom-up iterations
+// exchange. The bottom-up passes themselves are in bottomup.go.
 //
 // The out-of-core formulation (DESIGN.md §12): a top-down iteration
 // scatters the frontier's out-edges into shuffled update files; a
@@ -230,83 +228,4 @@ func (ds *DirState) RecordScatter(emitted int64, candDeg float64) {
 	ds.prevCand = ds.candCount
 	ds.candCount = emitted
 	ds.candDeg = candDeg
-}
-
-// RevEdgeFile is partition p's reverse-edge (in-edge) stream: every
-// dataset edge u→v with v in partition p, stored as v→u in original
-// edge order, in the checksummed framed format.
-func (rt *Runtime) RevEdgeFile(p int) string {
-	return fmt.Sprintf("%s_redge_%d", rt.Opts.FilePrefix, p)
-}
-
-// EnsureReverse lazily splits the dataset's reverse-edge file into
-// per-partition streams — the bottom-up analogue of Prepare, routed by
-// the in-edge's destination-side vertex. It is called at the first
-// top-down→bottom-up transition, never eagerly, so an auto run that
-// stays top-down moves exactly the top-down byte count. In-edges of
-// vertices already visited at split time (VisitedBits) are dropped:
-// those vertices can never be a bottom-up candidate again, and the
-// filter is what makes each bottom-up pass read fewer bytes than a
-// full edge scan. The split preserves the original edge order inside
-// each partition (the byte-identity tie-break) and re-frames each
-// stream, so corruption in any reverse partition later surfaces as
-// errs.ErrCorrupted.
-func (rt *Runtime) EnsureReverse() error {
-	if rt.revReady {
-		return nil
-	}
-	tm := rt.MainTiming()
-	sc, err := stream.NewEdgeScanner(rt.Vol, graph.ReverseFileName(rt.Meta.Name), tm, rt.Opts.StreamBufSize)
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	outs := make([]*stream.Writer[graph.Edge], rt.Parts.P())
-	defer stream.AbortAll(outs) // whatever an error return leaves open
-	for p := range outs {
-		w, err := stream.NewCodecFramedEdgeWriter(rt.Vol, rt.RevEdgeFile(p), tm, rt.Opts.StreamBufSize, rt.Codec)
-		if err != nil {
-			return err
-		}
-		w.SetAsync() // write-behind; readers barrier through AwaitFile
-		outs[p] = w
-	}
-	var total uint64
-	chunk := rt.EdgeChunk()
-	for {
-		n, err := sc.NextChunk(chunk)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, r := range chunk[:n] {
-			if err := rt.Meta.CheckEdge(r); err != nil {
-				return fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, graph.ReverseFileName(rt.Meta.Name), err)
-			}
-			total++
-			if rt.VisitedBits != nil && rt.VisitedBits.Get(r.Src) {
-				continue // target already has a parent — dead in-edge
-			}
-			if err := outs[rt.Parts.Of(r.Src)].Append(r); err != nil {
-				return err
-			}
-		}
-	}
-	if total != rt.Meta.Edges {
-		return fmt.Errorf("%w: reverse-edge file %s has %d edges, config says %d",
-			errs.ErrCorrupted, graph.ReverseFileName(rt.Meta.Name), total, rt.Meta.Edges)
-	}
-	rt.Compute(float64(total) * rt.Costs.ScatterPerEdge)
-	for p, o := range outs {
-		if err := o.Close(); err != nil {
-			return err
-		}
-		rt.BytesWritten += o.BytesWritten()
-		rt.RegisterReady(rt.RevEdgeFile(p), o.LastOp())
-	}
-	rt.BytesRead += sc.BytesRead()
-	rt.revReady = true
-	return nil
 }

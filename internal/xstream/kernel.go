@@ -1,0 +1,1014 @@
+package xstream
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"fastbfs/internal/errs"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/metrics"
+	"fastbfs/internal/obs"
+	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
+)
+
+// This file is the one out-of-core BFS loop (DESIGN.md §19). The paper
+// builds FastBFS "as a modification of X-Stream", and so does this
+// package: X-Stream is the loop below run under the zero Policy, FastBFS
+// (internal/core) the same loop with trimming, selective scheduling, the
+// residency cache and checkpointing switched on. bottomup.go holds the
+// loop's bottom-up iterations, checkpoint.go its manifest.
+//
+// The trim rule is "eliminate iff the source vertex is visited", which is
+// equivalent to the paper's "eliminate if processing generated an update"
+// when the input is the immediately previous stay list, and remains
+// correct when a cancellation forces re-reading an older input (see
+// DESIGN.md).
+
+// Policy is what an engine adds to X-Stream's loop: a plain value,
+// resolved once by the engine's front-end (core.Options for FastBFS) and
+// never consulted for defaults or the environment again. The zero Policy
+// adds nothing — every partition is streamed whole every iteration.
+type Policy struct {
+	// Trim turns the stay-file mechanism on (§II-C1): every scatter
+	// rewrites the edges whose source is still unvisited and the rewrite
+	// replaces the partition's input. TrimStartIteration and
+	// TrimVisitedFraction are the trim threshold of §II-C3.
+	Trim                bool
+	TrimStartIteration  int
+	TrimVisitedFraction float64
+	// SelectiveScheduling skips a partition that received no updates, and
+	// the scatter of one that holds no frontier vertex (§II-C3).
+	SelectiveScheduling bool
+
+	// StayBufSize and StayBufCount size the stay writer's private edge
+	// buffers; GracePeriod (virtual seconds) and GraceWall (real-disk
+	// mode) are how long a scatter waits for its partition's late stay
+	// file before cancelling it (§II-C2). Read only when Trim is set.
+	StayBufSize  int
+	StayBufCount int
+	GracePeriod  float64
+	GraceWall    time.Duration
+
+	// ResidencyBudget is the resident-partition cache's byte budget
+	// (DESIGN.md §8); zero or negative leaves the cache off.
+	ResidencyBudget int64
+
+	// CheckpointVol, when non-nil, makes the run persist a manifest after
+	// every completed iteration and keep its working files; Resume
+	// restarts from that manifest (DESIGN.md §10, checkpoint.go).
+	CheckpointVol storage.Volume
+	Resume        bool
+
+	// InMemoryTrim is handed to RunInMemory when the graph fits the
+	// memory budget and the run takes the in-memory path instead.
+	InMemoryTrim TrimPolicy
+}
+
+// RunPolicy is the entry sequence every engine built on the kernel
+// shares: defaults, runtime, the unweighted-graph check, then the
+// in-memory path or the streaming loop under pol. engine names the run in
+// metrics, working-file prefix, manifest and error text.
+func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string, opts Options, pol Policy) (*Result, error) {
+	opts.SetDefaults(engine)
+	pinned := false
+	if pol.CheckpointVol != nil {
+		// A resumable run must leave its working files behind: Cleanup
+		// would delete the very state the manifest names. And it stays
+		// top-down: bottom-up state (frontier bitmaps, reverse stay chains)
+		// is not manifest-covered.
+		opts.KeepFiles = true
+		switch opts.Direction {
+		case DirectionBottomUp:
+			return nil, fmt.Errorf("%s: %w: direction bottomup cannot be checkpointed (bottom-up state is not manifest-covered); use topdown or drop the checkpoint volume", engine, errs.ErrBadOptions)
+		case DirectionAuto:
+			opts.Direction, pinned = DirectionTopDown, true
+		}
+	}
+	rt, err := NewRuntimeContext(ctx, vol, graphName, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Cleanup()
+	if rt.Meta.Weighted {
+		return nil, fmt.Errorf("%s: %w: BFS takes unweighted graphs; %s is weighted", engine, errs.ErrBadOptions, graphName)
+	}
+	if rt.InMemory() && pol.CheckpointVol == nil {
+		// The in-memory fast path has no durable intermediate state to
+		// checkpoint; checkpointed runs always stream.
+		return RunInMemory(rt, engine, pol.InMemoryTrim)
+	}
+	e := &kernel{rt: rt, name: engine, pol: pol, dirPinned: pinned}
+	return e.run()
+}
+
+// partState tracks one partition's edge input and pending stay write.
+type partState struct {
+	// input is the current edge-input file; inputTiming carries the
+	// device it lives on (the "stay stream in" side).
+	input       string
+	inputTiming stream.Timing
+	// fallback, when non-empty, is the input this partition's current
+	// (adopted-stay) input replaced. It is kept until the adopted file
+	// survives one full scatter read — its frame checksums then prove
+	// the background write was neither torn nor bit-flipped — and a
+	// corruption detected before that falls back to it, which is safe
+	// because the stay list is a subset of the input it replaced.
+	fallback       string
+	fallbackTiming stream.Timing
+	// pending is the stay file written during this partition's previous
+	// scatter, still owned by the background writer.
+	pending       *stream.StayFile
+	pendingTiming stream.Timing
+	// stayBroken marks a partition whose stay writes failed permanently:
+	// trimming is degraded off for it (each scatter would otherwise burn
+	// a grace wait and a cancellation on a write that cannot succeed).
+	stayBroken bool
+	// vertexFile is the partition's current vertex-state file. It is the
+	// fixed VertexFile name normally, and a per-iteration generation
+	// name under checkpointing (see vertexGenFile).
+	vertexFile string
+	// resident, when non-nil, holds this partition's live edge set in
+	// RAM: the partition was promoted by the residency cache and its
+	// scatters no longer touch the device (DESIGN.md §8). Promotion is
+	// monotone, so resident never reverts to nil.
+	resident *stream.Resident
+	// updates is the number of updates routed to this partition by the
+	// last scatter phase; selective scheduling skips the partition when
+	// it is zero.
+	updates int64
+	// frontier is the number of vertices newly discovered in this
+	// partition's last gather (the partition's share of the frontier).
+	frontier uint64
+	// visitedCount is the running number of visited vertices in this
+	// partition, maintained by every gather, root mark and bottom-up
+	// pass; the bottom-up skip rule reads it instead of the vertex file.
+	visitedCount uint64
+}
+
+type kernel struct {
+	rt   *Runtime
+	name string
+	pol  Policy
+	// dirPinned records that RunPolicy rewrote direction auto to top-down
+	// for a checkpointed run.
+	dirPinned bool
+
+	sw    *stream.StayWriter // nil unless pol.Trim
+	pool  *stream.ScatterPool
+	parts []partState
+	resd  *stream.Residency
+
+	tr  *obs.Tracer
+	ctr obs.EngineCounters
+
+	// ds is the direction heuristic state; dir the bottom-up working
+	// state, allocated at the first switch (see bottomup.go). filter
+	// carries every scatter's updates into the shuffler and totals the
+	// current top-down iteration's wave (filter.go).
+	ds     *DirState
+	dir    *dirRun
+	filter *UpdateFilter
+
+	// ck is the checkpoint writer (nil when not checkpointing);
+	// graveyard holds deletions deferred until the next manifest no
+	// longer references the files.
+	ck        *checkpointer
+	graveyard []string
+
+	visited       uint64
+	cancellations int
+	skipped       int
+	trimmed       int64
+	stayCorrupt   int
+	stayDisabled  int
+	resumed       int // iterations restored from a manifest (0 = fresh)
+}
+
+// otherTiming returns the device the stay-out stream should use: a
+// dedicated stay disk when configured, otherwise the opposite disk from
+// t in two-disk mode (the per-iteration role switch, §IV-C3); with one
+// disk it is t itself.
+func (e *kernel) otherTiming(t stream.Timing) stream.Timing {
+	sim := e.rt.Opts.Sim
+	if sim == nil {
+		return t
+	}
+	if sim.StayDisk != nil {
+		return e.stayDiskTiming()
+	}
+	if sim.AuxDisk == nil {
+		return t
+	}
+	if t.Device == sim.AuxDisk {
+		return e.rt.MainTiming()
+	}
+	return e.rt.AuxTiming()
+}
+
+// stayDiskTiming is the stream timing of the dedicated stay disk.
+func (e *kernel) stayDiskTiming() stream.Timing {
+	return stream.Timing{Clock: e.rt.Clock, Device: e.rt.Opts.Sim.StayDisk, Retry: e.rt.Retry, Bufs: e.rt.Bufs}
+}
+
+func (e *kernel) run() (*Result, error) {
+	run := metrics.Run{Engine: e.name, SwitchIteration: -1}
+	e.tr = e.rt.Tracer()
+	e.ctr = obs.NewEngineCounters(e.tr)
+	e.pool = e.rt.NewScatterPool(e.ctr)
+	dir, fellBack, err := e.rt.ResolveDirection()
+	if err != nil {
+		return nil, err
+	}
+	if fellBack || e.dirPinned {
+		run.DirectionFallback = true
+		e.ctr.DirectionFallbacks.Add(1)
+	}
+	e.ds = NewDirState(e.rt, dir)
+	e.ctr.SwitchIteration.Set(-1)
+	budget := e.pol.ResidencyBudget
+	if e.pol.CheckpointVol != nil {
+		// A promoted partition's live edge set exists only in RAM and
+		// would be lost at a crash; checkpointed runs keep every
+		// partition on the device.
+		budget = 0
+		e.ck = &checkpointer{vol: e.pol.CheckpointVol}
+	}
+	e.resd = stream.NewResidency(budget, e.rt.Parts.P())
+	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
+	if e.resd != nil {
+		runSpan.Attr("residency_budget", budget)
+	}
+
+	e.parts = make([]partState, e.rt.Parts.P())
+	for p := range e.parts {
+		e.parts[p].input = e.rt.EdgeFile(p)
+		e.parts[p].inputTiming = e.rt.MainTiming()
+		e.parts[p].vertexFile = e.rt.VertexFile(p)
+	}
+
+	var man *checkpointManifest
+	if e.ck != nil && e.pol.Resume {
+		if man, err = e.ck.load(); err != nil {
+			return nil, fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	startIter := 0
+	if man != nil {
+		if err := e.seedFromManifest(man, &run); err != nil {
+			return nil, err
+		}
+		startIter = man.Iteration + 1
+		runSpan.Attr("resumed_iterations", int64(startIter))
+	}
+
+	prep := runSpan.Child("load")
+	if man == nil {
+		// Resume skips the partition-split pass: the per-partition edge
+		// (or stay) inputs the manifest names are already on the volume.
+		if _, err := e.rt.Prepare(); err != nil {
+			return nil, err
+		}
+	}
+	prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
+	e.filter = e.rt.NewUpdateFilter(e.ctr)
+	if e.pol.Trim {
+		e.sw = stream.NewStayWriter(e.rt.Vol, e.pol.StayBufSize, e.pol.StayBufCount)
+		e.sw.SetContext(e.rt.Context())
+		e.sw.WaitCounter = e.ctr.BufferWaits
+		defer e.sw.Shutdown()
+		defer e.drainPending()
+	}
+
+	maxIter := e.rt.Opts.MaxIterations
+	if maxIter <= 0 {
+		maxIter = int(e.rt.Meta.Vertices) + 1
+	}
+	if man != nil && man.Done {
+		// The checkpointed run had already converged; skip straight to
+		// collecting its recorded vertex state.
+		maxIter = startIter
+	}
+
+	prevBottom := false
+	for iter := startIter; iter < maxIter; iter++ {
+		// Iteration iter consumes update set iterIn(iter) and produces
+		// the other one (the two sets' roles switch every iteration, so
+		// the gather's input is never tainted by the scatter's output).
+		in, out := iterIn(iter), 1-iterIn(iter)
+		if err := e.rt.Checkpoint(); err != nil {
+			return nil, err
+		}
+		bottom := e.ds.Decide(iter)
+		if bottom != prevBottom {
+			e.ctr.DirectionSwitches.Add(1)
+		}
+		if bottom {
+			newly, err := e.bottomUpIteration(iter, prevBottom, &run, runSpan)
+			if err != nil {
+				return nil, err
+			}
+			prevBottom = true
+			if newly == 0 {
+				break
+			}
+			continue
+		}
+		// A top-down iteration right after a bottom-up one has no update
+		// files to gather: the bottom-up pass already formed this level's
+		// frontier in the vertex state (and seeded each partition's
+		// update/frontier counts for selective scheduling).
+		skipGather := prevBottom
+		prevBottom = false
+		e.filter.Wave = Wave{}
+		itSpan := runSpan.Child("iteration").SetIter(iter)
+		e.ctr.Iteration.Set(int64(iter))
+		trimNow := e.trimActive(iter)
+		sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
+			func(p int) string { return e.rt.UpdateFile(out, p) })
+		if err != nil {
+			return nil, err
+		}
+		sh.SetAsync() // update streams are write-behind with a gather barrier
+		itRow := metrics.Iteration{Index: iter, TrimActive: trimNow}
+
+		for p := 0; p < e.rt.Parts.P(); p++ {
+			if err := e.rt.Checkpoint(); err != nil {
+				sh.Abort()
+				return nil, err
+			}
+			if err := e.iteratePartition(p, iter, trimNow, skipGather, sh, &itRow, itSpan); err != nil {
+				sh.Abort()
+				return nil, err
+			}
+		}
+
+		wave := e.filter.Wave
+		itRow.Filtered = wave.Filtered()
+		shs := itSpan.Child("shuffle")
+		if err := sh.Close(); err != nil {
+			return nil, err
+		}
+		shs.Attr("updates", wave.Written).End()
+		for p, c := range sh.Counts() {
+			e.parts[p].updates = c
+		}
+		for _, b := range sh.BytesPerPartition() {
+			e.rt.BytesWritten += b
+		}
+		for p, op := range sh.LastOps() {
+			e.rt.RegisterReady(e.rt.UpdateFile(out, p), op)
+		}
+
+		itRow.Frontier = itRow.NewlyVisited
+		if iter == 0 {
+			itRow.Frontier = 1
+		}
+		if skipGather {
+			itRow.Frontier = e.dir.carryFrontier
+		}
+		// The scatter emits one update per frontier out-edge — frontier
+		// vertices were unvisited until now, so trimming never dropped
+		// their edges — making the emitted count, taken before the update
+		// filter, exactly this frontier's out-degree sum.
+		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
+		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
+		e.endIteration(&run, itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("filtered", itRow.Filtered))
+
+		if iter > 0 && !skipGather {
+			for p := 0; p < e.rt.Parts.P(); p++ {
+				e.removeLater(e.rt.UpdateFile(in, p))
+			}
+		}
+
+		// Nothing written means no partition has anything to gather: the
+		// traversal is done, whatever the frontier still emitted at visited
+		// vertices. Iteration complete: persist the manifest (atomic), then
+		// the deletions deferred while the previous manifest still
+		// referenced their files become safe.
+		done := wave.Written == 0
+		if err := e.writeManifest(iter, done, &run); err != nil {
+			return nil, err
+		}
+		if done {
+			break
+		}
+	}
+	runSpan.Attr("visited", int64(e.visited)).End()
+	e.tr.EmitCounters()
+
+	res, err := e.rt.CollectResultFrom(func(p int) string { return e.parts[p].vertexFile })
+	if err != nil {
+		return nil, err
+	}
+	res.Visited = e.visited
+	run.Visited = e.visited
+	run.Cancellations = e.cancellations
+	run.Skipped = e.skipped
+	run.TrimmedEdges = e.trimmed
+	run.StayCorruptions = e.stayCorrupt
+	run.StayDisabledParts = e.stayDisabled
+	run.Resumed = e.resumed
+	if e.ck != nil {
+		run.Checkpoints = e.ck.written
+	}
+	run.BottomUpIterations = int(e.ds.BottomUpIters)
+	run.DirectionSwitches = int(e.ds.Switches)
+	run.SwitchIteration = e.ds.SwitchIteration
+	if e.sw != nil {
+		run.StayBufferWaits = e.sw.BufferWaits()
+	}
+	run.ResidentParts = e.resd.ResidentParts()
+	run.ResidentBytes = e.resd.Bytes()
+	run.ResidentScans = e.resd.Scans()
+	run.ResidentBytesSaved = e.resd.SavedBytes()
+	e.rt.FinishMetrics(&run)
+	res.Metrics = run
+	return res, nil
+}
+
+// endIteration files a finished iteration's row and closes its span and
+// live counters, in either direction.
+func (e *kernel) endIteration(run *metrics.Run, itRow metrics.Iteration, itSpan *obs.Span) {
+	run.Iterations = append(run.Iterations, itRow)
+	e.ctr.Frontier.Set(int64(itRow.Frontier))
+	e.ctr.BytesRead.Set(e.rt.BytesRead)
+	e.ctr.BytesWritten.Set(e.rt.BytesWritten)
+	itSpan.Attr("frontier", int64(itRow.Frontier)).
+		Attr("new", int64(itRow.NewlyVisited)).
+		Attr("edges", itRow.EdgesStreamed).End()
+	e.tr.EmitCounters()
+}
+
+// loadVerts and saveVerts read and write partition p's vertex state
+// through its current file name. Under checkpointing each save opens a
+// new per-iteration generation and the superseded file is deleted only
+// after the next manifest (which names the new generation) is durable —
+// a crash mid-iteration therefore never clobbers the state the last
+// manifest points at. Both are traced as load spans.
+func (e *kernel) loadVerts(p int, itSpan *obs.Span) (*Verts, error) {
+	lds := itSpan.Child("load").SetPart(p)
+	defer lds.End()
+	return e.rt.LoadVertsFile(p, e.parts[p].vertexFile)
+}
+
+func (e *kernel) saveVerts(p, iter int, v *Verts, itSpan *obs.Span) error {
+	svs := itSpan.Child("load").SetPart(p)
+	defer svs.End()
+	st := &e.parts[p]
+	name := st.vertexFile
+	if e.ck != nil {
+		name = e.vertexGenFile(iter, p)
+	}
+	if err := e.rt.SaveVertsFile(p, name, v); err != nil {
+		return err
+	}
+	if name != st.vertexFile {
+		e.removeLater(st.vertexFile)
+		st.vertexFile = name
+	}
+	return nil
+}
+
+// skip books a partition bypassed by selective scheduling.
+func (e *kernel) skip(itRow *metrics.Iteration) {
+	itRow.SkippedPartitions++
+	e.skipped++
+	e.ctr.Skipped.Add(1)
+}
+
+// markStayBroken degrades a partition to untrimmed scatters after a
+// permanent stay-write failure: the stay file is an optimization, and a
+// partition whose stay writes cannot succeed would otherwise burn a
+// grace wait and a cancellation every iteration.
+func (e *kernel) markStayBroken(broken *bool) {
+	if *broken {
+		return
+	}
+	*broken = true
+	e.stayDisabled++
+	e.ctr.StayDisabled.Set(int64(e.stayDisabled))
+}
+
+// dropFallback releases the superseded input once the adopted stay file
+// has survived one full verified read. After a corruption fallback the
+// fallback IS the current input again, in which case only the
+// bookkeeping is cleared.
+func (e *kernel) dropFallback(st *partState) {
+	if st.fallback == "" {
+		return
+	}
+	if st.fallback != st.input {
+		e.removeLater(st.fallback)
+	}
+	st.fallback, st.fallbackTiming = "", stream.Timing{}
+}
+
+// iteratePartition runs partition p's share of one top-down iteration:
+// gather the updates addressed to it, then scatter its edge input —
+// from RAM once the residency cache promoted the partition, else from the
+// device, adopting or cancelling the pending stay file and writing a new
+// one if trimming is active.
+func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span) error {
+	st := &e.parts[p]
+
+	// Selective scheduling (§II-C3): a partition that received no updates
+	// has no frontier and nothing to do this iteration.
+	if e.pol.SelectiveScheduling && iter > 0 && st.updates == 0 {
+		st.frontier = 0
+		e.skip(itRow)
+		return nil
+	}
+
+	// Resolve and open the scatter input ahead of the gather: the
+	// pending stay file's adopt-or-cancel decision happens as the
+	// partition's processing starts (§II-C2), and the opened scanner's
+	// read-ahead overlaps the update streaming. The grace wait for a
+	// late stay write is time spent on the stay mechanism, hence the
+	// stay-write span — a phase of runs that have the mechanism, so an
+	// X-Stream trace never shows it. A promoted partition's edges live in
+	// RAM: it has no stay file to resolve and no device input to open
+	// (DESIGN.md §8).
+	if e.pol.Trim && st.resident == nil {
+		sws := itSpan.Child("stay-write").SetPart(p)
+		e.resolvePending(st, itRow)
+		sws.End()
+	}
+	lds := itSpan.Child("load").SetPart(p)
+	var edgeScan *stream.Scanner[graph.Edge]
+	if st.resident == nil {
+		var err error
+		if edgeScan, err = e.openInput(st); err != nil {
+			return err
+		}
+	}
+
+	var v *Verts
+	if iter == 0 {
+		v = e.rt.InitVerts(p)
+		st.frontier = 0
+		if e.rt.MarkRoot(v) {
+			st.frontier = 1
+			st.visitedCount++
+			e.visited++
+			e.ctr.Visited.Add(1)
+			itRow.NewlyVisited++
+		}
+		lds.End()
+	} else {
+		var err error
+		v, err = e.rt.LoadVertsFile(p, st.vertexFile)
+		lds.End()
+		if err == nil && !skipGather {
+			err = e.gatherInto(p, iter, v, nil, itRow, itSpan)
+		}
+		if err != nil {
+			if edgeScan != nil {
+				edgeScan.Close()
+			}
+			return err
+		}
+	}
+
+	// Scatter only when this partition holds frontier vertices; without
+	// selective scheduling every partition scatters every iteration, as
+	// X-Stream does.
+	var err error
+	switch {
+	case st.frontier == 0 && e.pol.SelectiveScheduling:
+		// The speculative input open is abandoned; Close cancels its
+		// read-ahead with a device refund.
+		if edgeScan != nil {
+			edgeScan.Close()
+		}
+		if iter > 0 {
+			e.skip(itRow)
+		}
+	case st.resident != nil:
+		err = e.scatterResident(st, p, iter, sh, itRow, itSpan, v)
+	default:
+		err = e.scatterDevice(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan, v)
+	}
+	if err != nil {
+		return err
+	}
+
+	// Save vertex state when it changed (gather applied something or
+	// this is the initializing iteration). A skip-gather iteration
+	// never modifies vertex state: the bottom-up pass that formed this
+	// frontier already saved it.
+	if iter == 0 || st.frontier > 0 && !skipGather || !e.pol.SelectiveScheduling {
+		return e.saveVerts(p, iter, v, itSpan)
+	}
+	return nil
+}
+
+// openInput opens partition st's current edge input with the configured
+// read-ahead, first waiting out the file's write-behind barrier if one is
+// pending.
+func (e *kernel) openInput(st *partState) (*stream.Scanner[graph.Edge], error) {
+	e.rt.AwaitFile(st.input)
+	sc, err := stream.NewEdgeScanner(e.rt.Vol, st.input, st.inputTiming, e.rt.Opts.StreamBufSize)
+	if err != nil {
+		return nil, err
+	}
+	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	return sc, nil
+}
+
+// gatherInto applies the update file iteration iter consumes for
+// partition p to its loaded vertex state v, and books what the gather
+// found: the partition's share of the new frontier and the run's visited
+// and update totals. onNew is passed through to gather.
+func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), itRow *metrics.Iteration, itSpan *obs.Span) error {
+	gs := itSpan.Child("gather").SetPart(p)
+	newly, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), onNew)
+	gs.Attr("applied", applied).End()
+	if err != nil {
+		return err
+	}
+	st := &e.parts[p]
+	e.ctr.UpdatesApplied.Add(applied)
+	e.ctr.Visited.Add(int64(newly))
+	st.frontier = newly
+	st.visitedCount += newly
+	e.visited += newly
+	itRow.NewlyVisited += newly
+	itRow.Updates += applied // generated by the previous iteration's scatter
+	return nil
+}
+
+// scatterDevice scatters partition p from its on-device input. A
+// corrupted adopted stay file — a torn or bit-flipped background write
+// caught by its frame checksums — is recoverable while the input it
+// replaced is still on the volume: re-reading that superset is the
+// cancellation fallback taken late (§II-C2). Updates already shuffled
+// from the corrupt file's readable prefix are re-emitted by the wider
+// re-scatter — frontier edges keep their relative order in both files, so
+// the prefix's claims are the re-scatter's own first updates and the
+// filter drops the repeats; with the filter off the first-wins gather
+// makes them harmless.
+func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *Verts) error {
+	for {
+		err := e.scatterInput(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan, v)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, errs.ErrCorrupted) || st.fallback == "" {
+			return err
+		}
+		e.removeLater(st.input)
+		st.input, st.inputTiming = st.fallback, st.fallbackTiming
+		st.fallback, st.fallbackTiming = "", stream.Timing{}
+		e.stayCorrupt++
+		e.cancellations++ // a late cancellation of the stay adoption
+		itRow.Cancelled++
+		e.ctr.Cancellations.Add(1)
+		e.ctr.StayCorrupt.Add(1)
+		if edgeScan, err = e.openInput(st); err != nil {
+			return err
+		}
+	}
+	// The input survived a full read — its checksummed frames verified
+	// end to end — so the superseded fallback can go.
+	e.dropFallback(st)
+	return nil
+}
+
+// scatterInput runs one scatter attempt over st.input: pick the trim
+// sink (a stay file, or a residency capture when the whole input fits
+// the cache's fair share), stream the input through the worker pool and
+// finalize the sink. The scanner is consumed and closed in all cases.
+// When trimming is active the surviving edges need a sink. If the
+// capture path wins, this scatter promotes the partition: the stays are
+// captured in RAM instead of a stay file, so there is no async write,
+// no grace race and no possible cancellation for this partition ever
+// again.
+func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *Verts) error {
+	var sink edgeSink
+	var stay *stream.StayFile
+	var capture *stream.Resident
+	var reserved int64
+	if trimNow && !st.stayBroken {
+		if sz := edgeScan.Size(); e.resd.TryReserve(sz) {
+			reserved = sz
+			capture = stream.NewResident(sz / graph.EdgeBytes)
+			sink = capture
+		} else {
+			stayTiming := e.otherTiming(st.inputTiming)
+			f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Codec)
+			switch {
+			case err == nil:
+				stay = f
+				sink = stay
+				st.pendingTiming = stayTiming
+			case errors.Is(err, errs.ErrIOFailed):
+				// Could not even create the stay file: degrade this
+				// partition to untrimmed scatters instead of failing the
+				// run.
+				e.markStayBroken(&st.stayBroken)
+			default:
+				edgeScan.Close()
+				return err
+			}
+		}
+	}
+	var keep func([]graph.Edge) error
+	if sink != nil {
+		keep = func(stays []graph.Edge) error {
+			for _, edge := range stays {
+				if err := sink.Append(edge); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	ss := itSpan.Child("scatter").SetPart(p)
+	defer ss.End()
+	scanned, stayed, err := e.scatter(v, uint32(iter), sh, keep, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
+		if err := e.pool.RunScanner(edgeScan, classify, merge); err != nil {
+			return err
+		}
+		e.rt.BytesRead += edgeScan.BytesRead()
+		return nil
+	})
+	edgeScan.Close()
+	ss.Attr("edges", scanned).Attr("stayed", stayed)
+	if err != nil {
+		if stay != nil {
+			stay.Close()
+			stay.Discard()
+		}
+		e.resd.Release(reserved)
+		return err
+	}
+	itRow.EdgesStreamed += scanned
+	if stay != nil {
+		if err := stay.Close(); err != nil {
+			return err
+		}
+		st.pending = stay
+		e.ctr.StayEdges.Add(stayed)
+		e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
+	}
+	if capture != nil {
+		// Promotion: the live edge set is now in RAM; the on-device
+		// input is gone for good. The stay write that a device run
+		// would have issued is traffic saved.
+		e.resd.Commit(reserved, capture.Bytes())
+		e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
+		st.resident = capture
+		e.removeLater(st.input)
+		st.input, st.inputTiming = "", stream.Timing{}
+		e.ctr.Promotions.Add(1)
+		e.ctr.ResidentParts.Set(e.resd.ResidentParts())
+		e.ctr.ResidentBytes.Set(e.resd.Bytes())
+		ss.Attr("promote", 1)
+	}
+	if sink != nil {
+		itRow.StayEdges += stayed
+		e.trimmed += scanned - stayed
+	}
+	return nil
+}
+
+// iterIn maps an iteration to the update-stream set it consumes.
+func iterIn(iter int) int { return iter % 2 }
+
+// resolvePending decides what becomes of the stay file st's previous
+// scatter left with the background writer: adopt it as the partition's
+// input if its write is (or will shortly be) done, otherwise cancel it
+// and keep the previous input — the paper's grace-and-cancel policy
+// (§II-C2).
+func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
+	f := st.pending
+	if f == nil {
+		return
+	}
+	st.pending = nil
+	adopt := false
+	var useErr error
+	if clock := e.rt.Clock; clock != nil {
+		if f.ReadyAt() <= clock.Now()+e.pol.GracePeriod {
+			clock.WaitUntil(f.ReadyAt())
+			if err := f.Use(); err == nil {
+				adopt = true
+			} else {
+				useErr = err
+			}
+		}
+	} else {
+		ok, err := f.TryUse(e.pol.GraceWall)
+		if ok && err == nil {
+			adopt = true
+		} else if err != nil {
+			useErr = err
+		}
+	}
+	if !adopt {
+		f.Discard()
+		e.cancellations++
+		itRow.Cancelled++
+		e.ctr.Cancellations.Add(1)
+		if useErr != nil {
+			// The background write failed outright (not merely late):
+			// further stay writes for this partition would fail the same
+			// way, so degrade trimming off for it.
+			e.markStayBroken(&st.stayBroken)
+		}
+		return
+	}
+	if st.input != f.Name() {
+		// The stay file replaces the previous input ("FastBFS replaces
+		// the previous files ... with the new stay files", §II-A) — but
+		// the replaced file is kept as a fallback until the adopted one
+		// survives a full checksummed read (dropFallback); a torn or
+		// bit-flipped stay write detected before that falls back to it.
+		st.fallback, st.fallbackTiming = st.input, st.inputTiming
+	}
+	// The adopted stay file's device bytes are the write amount trimming
+	// really added (cancelled writes were refunded on the device
+	// timeline; delta stays count their encoded size).
+	e.rt.BytesWritten += f.DeviceBytes()
+	st.input = f.Name()
+	st.inputTiming = st.pendingTiming
+}
+
+// gather streams partition updates and marks unvisited destinations: an
+// unvisited destination becomes visited at level with the update's
+// parent. onNew, when non-nil, is called for each newly visited vertex
+// (the bottom-up transition pass uses it to build its frontier bitmap).
+func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph.VertexID)) (newly uint64, applied int64, err error) {
+	e.rt.AwaitFile(updFile)
+	sc, err := stream.NewUpdateScanner(e.rt.Vol, updFile, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer sc.Close()
+	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	chunk := e.rt.UpdateChunk()
+	for {
+		n, err := sc.NextChunk(chunk)
+		if err != nil {
+			return newly, applied, err
+		}
+		if n == 0 {
+			break
+		}
+		for _, u := range chunk[:n] {
+			applied++
+			i := int(u.Dst - v.Lo)
+			if i < 0 || i >= len(v.Level) {
+				return newly, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.name, u, v.Lo, int(v.Lo)+len(v.Level))
+			}
+			if v.Level[i] == NoLevel {
+				v.Level[i] = level
+				v.Parent[i] = u.Parent
+				newly++
+				if e.rt.VisitedBits != nil {
+					e.rt.VisitedBits.Set(u.Dst)
+				}
+				if onNew != nil {
+					onNew(u.Dst)
+				}
+			}
+		}
+	}
+	e.rt.BytesRead += sc.BytesRead()
+	e.rt.Compute(float64(applied) * e.rt.Costs.GatherPerUpdate)
+	return newly, applied, nil
+}
+
+// edgeSink receives the edges that survive the trim rule during a device
+// scatter: a *stream.StayFile, or a *stream.Resident when the scatter is
+// promoting the partition into the residency cache.
+type edgeSink interface {
+	Append(graph.Edge) error
+}
+
+// scatter streams one partition's edges through the worker pool — run
+// feeds them to it from the device scanner or the resident slice and
+// settles that source's own accounting. Frontier sources (level == iter)
+// emit updates through the run's update filter; when keep is non-nil it
+// receives, chunk by chunk, the edges with unvisited sources (the trim
+// rule — a visited source can never produce a future update). Workers
+// only classify (frontier test, visited test, partition routing); the
+// filter's claims, the shuffler and the survivors' sink (a stay file's
+// buffer hand-offs interact with the virtual clock) stay on the engine
+// thread, fed in chunk order, so file bytes, timing and all accounting
+// are identical for any worker count (see internal/stream/parallel.go).
+func (e *kernel) scatter(v *Verts, iter uint32, sh *stream.Shuffler, keep func([]graph.Edge) error,
+	run func(stream.ScatterFunc, stream.MergeFunc) error) (scanned, stayed int64, err error) {
+	var written int64
+	lo, n := v.Lo, len(v.Level)
+	trim := keep != nil
+	f := e.filter
+	classify := func(edges []graph.Edge, out *stream.Shard) {
+		for _, edge := range edges {
+			out.Scanned++
+			i := int(edge.Src - lo)
+			if i < 0 || i >= n {
+				out.Err = fmt.Errorf("%s: edge %v outside partition [%d,%d)", e.name, edge, lo, int(lo)+n)
+				return
+			}
+			if v.Level[i] == iter {
+				f.Emit(out, edge)
+			}
+			if trim && v.Level[i] == NoLevel {
+				out.Stays = append(out.Stays, edge)
+				out.Stayed++
+			}
+		}
+	}
+	merge := func(s *stream.Shard) error {
+		scanned += s.Scanned
+		stayed += s.Stayed
+		e.ctr.Edges.Add(s.Scanned)
+		w, err := f.Flush(s, sh)
+		written += w
+		if err != nil || !trim {
+			return err
+		}
+		return keep(s.Stays)
+	}
+	if err := run(classify, merge); err != nil {
+		return scanned, stayed, err
+	}
+	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
+		float64(written)*e.rt.Costs.AppendPerUpdate +
+		float64(stayed)*e.rt.Costs.AppendPerStay)
+	return scanned, stayed, nil
+}
+
+// scatterResident scatters a promoted partition from RAM through the
+// same worker pool. The device read is replaced by a serial
+// memory-bandwidth charge on the virtual clock, and trimming becomes an
+// in-place compaction of the resident slice: merged chunks append their
+// survivors at indices strictly below any chunk still being classified
+// (the merge frontier trails the dispatch frontier), so workers never
+// see a mutated edge. No stay file is written — the avoided write is
+// counted as device traffic saved.
+func (e *kernel) scatterResident(st *partState, p, iter int, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, v *Verts) error {
+	res := st.resident
+	edges := res.Edges()
+	kept := edges[:0]
+	ss := itSpan.Child("scatter").SetPart(p).Attr("resident", 1)
+	scanned, stayed, err := e.scatter(v, uint32(iter), sh, func(stays []graph.Edge) error {
+		kept = append(kept, stays...)
+		return nil
+	}, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
+		if err := e.pool.RunSlice(edges, classify, merge); err != nil {
+			return err
+		}
+		scannedBytes := int64(len(edges)) * graph.EdgeBytes
+		e.rt.RAMScan(scannedBytes)
+		e.resd.NoteScan(scannedBytes)
+		return nil
+	})
+	ss.Attr("edges", scanned).Attr("stayed", stayed).End()
+	if err != nil {
+		return err
+	}
+	freed := res.Bytes() - int64(len(kept))*graph.EdgeBytes
+	res.Replace(kept)
+	e.resd.Shrink(freed)
+	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
+	itRow.EdgesStreamed += scanned
+	itRow.StayEdges += stayed
+	e.trimmed += scanned - stayed
+	e.ctr.ResidentScans.Add(1)
+	e.ctr.ResidentBytes.Set(e.resd.Bytes())
+	return nil
+}
+
+// trimActive applies the trim-threshold policy (§II-C3).
+func (e *kernel) trimActive(iter int) bool {
+	if !e.pol.Trim || iter < e.pol.TrimStartIteration {
+		return false
+	}
+	if e.pol.TrimVisitedFraction > 0 {
+		frac := float64(e.visited) / float64(e.rt.Meta.Vertices)
+		if frac < e.pol.TrimVisitedFraction {
+			return false
+		}
+	}
+	return true
+}
+
+// drainPending resolves stay files still owned by the writer when the
+// run ends (their partitions never scattered again). It waits for each
+// background write to settle before discarding, so whether the file was
+// published (and then removed) never races with the writer goroutine —
+// keeping end-of-run volume contents deterministic.
+func (e *kernel) drainPending() {
+	for p := range e.parts {
+		if f := e.parts[p].pending; f != nil {
+			f.Use()
+			f.Discard()
+			e.parts[p].pending = nil
+		}
+	}
+}

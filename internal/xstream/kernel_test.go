@@ -1,0 +1,105 @@
+package xstream
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"fastbfs/internal/gen"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/obs"
+	"fastbfs/internal/storage"
+)
+
+// TestXStreamTraceHasOnlyXStreamPhases: X-Stream is the kernel with the
+// stay mechanism off, and its trace must not show it — no stay-write span
+// (a partition with no pending stay file resolves nothing), and no
+// bottom-up phase in a top-down run.
+func TestXStreamTraceHasOnlyXStreamPhases(t *testing.T) {
+	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.Store(vol, m, edges); err != nil {
+		t.Fatal(err)
+	}
+	col := &obs.Collect{}
+	tr := obs.New(col)
+	o := smallOpts()
+	o.Root = maxDegreeVertex(m, edges)
+	o.Direction = DirectionTopDown
+	o.Tracer = tr
+	if _, err := Run(vol, m.Name, o); err != nil {
+		t.Fatal(err)
+	}
+	tr.Close()
+	seen := map[string]int{}
+	for _, e := range col.Events() {
+		if e.Kind == obs.KindSpan {
+			seen[e.Name]++
+		}
+	}
+	for _, phase := range []string{"stay-write", "bottomup", "reverse-split"} {
+		if seen[phase] != 0 {
+			t.Errorf("top-down X-Stream trace has %d %s spans", seen[phase], phase)
+		}
+	}
+	for _, phase := range []string{"load", "gather", "scatter", "shuffle"} {
+		if seen[phase] == 0 {
+			t.Errorf("X-Stream trace has no %s span", phase)
+		}
+	}
+}
+
+// TestManifestRecordsLastCompletedIteration reads back what a
+// checkpointed run leaves on its checkpoint volume: after a run capped at
+// k iterations the manifest names iteration k-1 and is not done (resume
+// restarts at k); after a converged run it is done.
+func TestManifestRecordsLastCompletedIteration(t *testing.T) {
+	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const engine = "fastbfs"
+	run := func(vol, ck storage.Volume, maxIter int) *Result {
+		t.Helper()
+		o := smallOpts()
+		o.Root = maxDegreeVertex(m, edges)
+		o.MaxIterations = maxIter
+		res, err := RunPolicy(context.Background(), vol, m.Name, engine, o, Policy{
+			Trim: true, SelectiveScheduling: true,
+			StayBufSize: o.StreamBufSize, StayBufCount: 8,
+			GracePeriod: 0.05, GraceWall: 50 * time.Millisecond,
+			CheckpointVol: ck,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	for _, killIter := range []int{1, 2, 0} { // 0 = run to convergence
+		vol, ck := storage.NewMem(), storage.NewMem()
+		if err := graph.Store(vol, m, edges); err != nil {
+			t.Fatal(err)
+		}
+		res := run(vol, ck, killIter)
+		man, err := (&checkpointer{vol: ck}).load()
+		if err != nil || man == nil {
+			t.Fatalf("kill at %d: manifest: %v, %v", killIter, man, err)
+		}
+		if man.Engine != engine || man.Graph != m.Name {
+			t.Errorf("kill at %d: manifest is for engine %q graph %q", killIter, man.Engine, man.Graph)
+		}
+		wantIter, wantDone := killIter-1, false
+		if killIter == 0 {
+			wantIter, wantDone = len(res.Metrics.Iterations)-1, true
+		}
+		if man.Iteration != wantIter || man.Done != wantDone {
+			t.Errorf("kill at %d: manifest iteration %d done=%v, want %d %v", killIter, man.Iteration, man.Done, wantIter, wantDone)
+		}
+		if files := ck.List(); len(files) != 1 || files[0] != manifestName {
+			t.Errorf("kill at %d: checkpoint volume holds %v, want %s alone", killIter, files, manifestName)
+		}
+	}
+}

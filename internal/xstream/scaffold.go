@@ -10,10 +10,12 @@
 // needed" — and re-streams the *entire* edge set every iteration, which
 // is exactly the indiscriminate I/O FastBFS trims away.
 //
-// This package also exports the scaffolding FastBFS shares with
-// X-Stream (options, the per-partition vertex store, and the initial
-// streaming-partition split), since the paper builds FastBFS by
-// modifying X-Stream.
+// The paper builds FastBFS by modifying X-Stream, so this package also
+// holds what the two share — which is everything but a policy: the
+// options, the per-partition vertex store, the initial
+// streaming-partition split, and the streaming loop itself (kernel.go),
+// which X-Stream runs with every FastBFS mechanism off and
+// internal/core runs with them on.
 package xstream
 
 import (
@@ -269,7 +271,7 @@ type Result struct {
 	Metrics metrics.Run
 }
 
-// Runtime bundles the pieces of a run shared by X-Stream and FastBFS:
+// Runtime bundles the pieces of a run every engine on the kernel shares:
 // the volume, partitioning, virtual clock (nil in wall mode), byte
 // accounting and naming.
 type Runtime struct {
@@ -345,20 +347,14 @@ type Runtime struct {
 	// (vertices/8 bytes from the run's scratch, outside the modelled
 	// budget like OutDeg), maintained by MarkRoot, the gathers and the
 	// bottom-up passes for its two readers: the update filter, whose
-	// scatter workers drop updates to visited destinations, and the lazy
-	// reverse-edge split, which drops in-edges of vertices already visited
-	// at split time — they can never yield a bottom-up candidate, and
-	// dropping them is what makes bottom-up iterations read fewer bytes
-	// than a full edge scan. Nil for a top-down run with the filter
-	// disabled. claimed is the filter's second bitmap (see filter.go).
+	// scatter workers drop updates to visited destinations, and the
+	// bottom-up passes, which drop in-edges of vertices already visited —
+	// they can never yield a bottom-up candidate, and dropping them is what
+	// makes bottom-up iterations read fewer bytes than a full edge scan.
+	// Nil for a top-down run with the filter disabled. claimed is the
+	// filter's second bitmap (see filter.go).
 	VisitedBits *Bitset
 	claimed     *Bitset
-
-	// revReady flags that PrepareReverse has split the dataset's
-	// reverse-edge file into per-partition streams; the split is lazy —
-	// paid only at the first top-down→bottom-up transition, so an auto
-	// run that never switches moves exactly the top-down byte count.
-	revReady bool
 }
 
 // Tracer returns the run's tracer (nil when tracing is disabled; all
