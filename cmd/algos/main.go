@@ -23,6 +23,7 @@ import (
 
 	"fastbfs/internal/algo"
 	"fastbfs/internal/core"
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
@@ -99,7 +100,7 @@ func main() {
 		for _, part := range strings.Split(*roots, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(part), 10, 32)
 			if err != nil {
-				fail(fmt.Errorf("bad root %q: %w", part, err))
+				fail(fmt.Errorf("bad root %q: %w: %w", part, errs.ErrBadOptions, err))
 			}
 			rs = append(rs, graph.VertexID(v))
 		}
@@ -154,11 +155,12 @@ func main() {
 		fmt.Printf("diameter lower bound: %d hops (%d sweeps)\n", est.LowerBound, est.Samples)
 
 	default:
-		fail(fmt.Errorf("unknown algorithm %q", *algoName))
+		fail(fmt.Errorf("unknown algorithm %q: %w", *algoName, errs.ErrBadOptions))
 	}
 }
 
+// fail reports err and exits with its errs.ExitCode.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "algos:", err)
-	os.Exit(1)
+	os.Exit(errs.ExitCode(err))
 }

@@ -36,7 +36,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -355,19 +354,8 @@ func (ob *observability) progressPage(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// fail exits with a code derived from the error's sentinel: 2 for a
-// malformed request (bad flags, unknown engine, root out of range), 3
-// for a missing graph, 4 for an I/O failure past the retry budget or
-// detected data corruption, 1 otherwise.
+// fail reports err and exits with its errs.ExitCode.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "fastbfs:", err)
-	switch {
-	case errors.Is(err, errs.ErrBadOptions):
-		os.Exit(2)
-	case errors.Is(err, errs.ErrGraphNotFound):
-		os.Exit(3)
-	case errors.Is(err, errs.ErrIOFailed), errors.Is(err, errs.ErrCorrupted):
-		os.Exit(4)
-	}
-	os.Exit(1)
+	os.Exit(errs.ExitCode(err))
 }

@@ -20,26 +20,25 @@
 // Cross-query batching (DESIGN.md §13) is on by default: concurrent
 // uncapped BFS queries coalesce into shared bit-parallel runs of up to
 // -batch-size distinct roots, held at most -batch-wait for companions.
-// -batch-size 0 disables it. The flags default from the
-// FASTBFS_BATCH_SIZE and FASTBFS_BATCH_WAIT environment variables when
-// set. -config loads a runtime-settings file (internal/runconfig) in
-// place of the engine flags (-mem, -threads, -workers, -sim, -simscale,
-// -ssd, -residency-budget); its batch_size/batch_wait_ms keys supply
-// batch defaults that explicit -batch-size/-batch-wait flags override.
+// -batch-size 0 disables it. -config loads a runtime-settings file
+// (internal/runconfig) in place of the engine flags (-mem, -threads,
+// -workers, -sim, -simscale, -ssd, -residency-budget); its
+// batch_size/batch_wait_ms keys supply batch defaults that explicit
+// -batch-size/-batch-wait flags override.
 //
 // Overload resilience (DESIGN.md §15): -shed turns on deadline-aware
 // admission and CoDel-style queue aging (shed queries get 429 +
-// Retry-After; default from FASTBFS_SHED), -breaker-threshold tunes the
-// per-graph circuit breaker (0 disables; default from
-// FASTBFS_BREAKER_THRESHOLD), -cache-ttl bounds result-cache freshness
-// (expired entries still answer allow_stale queries in degraded mode),
-// -priority-header names the header carrying the admission class
-// (FASTBFS_PRIORITY_HEADER), and -panic-root poisons one root with a
-// mid-scatter panic (FASTBFS_PANIC_ROOT) — the chaos hook CI uses to
-// prove panic isolation. The runconfig keys shed, shed_target_ms,
-// shed_interval_ms, breaker_threshold, breaker_backoff_ms,
-// breaker_max_backoff_ms, cache_ttl_ms and priority_header supply
-// defaults that explicit flags override (flag > config > env).
+// Retry-After), -breaker-threshold tunes the per-graph circuit breaker
+// (0 disables), -cache-ttl bounds result-cache freshness (expired
+// entries still answer allow_stale queries in degraded mode),
+// -priority-header names the header carrying the admission class, and
+// -panic-root poisons one root with a mid-scatter panic — the chaos hook
+// CI uses to prove panic isolation. The runconfig keys shed,
+// shed_target_ms, shed_interval_ms, breaker_threshold,
+// breaker_backoff_ms, breaker_max_backoff_ms, cache_ttl_ms and
+// priority_header supply defaults that explicit flags override (flag >
+// config). The daemon's own settings have those two channels and no
+// environment variables.
 //
 // Endpoints:
 //
@@ -72,7 +71,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -81,7 +79,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -95,43 +92,6 @@ import (
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
-
-// envInt and envDuration supply flag defaults from the environment, so
-// deployments can set FASTBFS_BATCH_SIZE / FASTBFS_BATCH_WAIT without
-// editing unit files; a malformed value falls back to the built-in.
-func envInt(name string, def int) int {
-	if v := os.Getenv(name); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return def
-}
-
-func envDuration(name string, def time.Duration) time.Duration {
-	if v := os.Getenv(name); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			return d
-		}
-	}
-	return def
-}
-
-func envBool(name string, def bool) bool {
-	if v := os.Getenv(name); v != "" {
-		if b, err := strconv.ParseBool(v); err == nil {
-			return b
-		}
-	}
-	return def
-}
-
-func envString(name, def string) string {
-	if v := os.Getenv(name); v != "" {
-		return v
-	}
-	return def
-}
 
 func main() {
 	addr := flag.String("addr", "localhost:8090", "address to serve the query API on")
@@ -147,27 +107,27 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 4, "queries executing concurrently")
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for a slot (0 = 2*max-inflight; negative = reject immediately when busy)")
 	cacheEntries := flag.Int("cache", 64, "result-cache entries (negative disables)")
-	batchSize := flag.Int("batch-size", envInt("FASTBFS_BATCH_SIZE", algo.MaxBatchRoots),
+	batchSize := flag.Int("batch-size", algo.MaxBatchRoots,
 		"distinct roots coalesced per shared BFS run (0 disables batching; max 32)")
-	batchWait := flag.Duration("batch-wait", envDuration("FASTBFS_BATCH_WAIT", 2*time.Millisecond),
+	batchWait := flag.Duration("batch-wait", 2*time.Millisecond,
 		"how long a forming batch waits for companion queries")
-	shed := flag.Bool("shed", envBool("FASTBFS_SHED", false),
+	shed := flag.Bool("shed", false,
 		"enable deadline-aware admission and CoDel-style queue shedding (429 + Retry-After)")
-	shedTarget := flag.Duration("shed-target", envDuration("FASTBFS_SHED_TARGET", 25*time.Millisecond),
+	shedTarget := flag.Duration("shed-target", 25*time.Millisecond,
 		"acceptable queue wait before aging sheds begin")
-	shedInterval := flag.Duration("shed-interval", envDuration("FASTBFS_SHED_INTERVAL", 100*time.Millisecond),
+	shedInterval := flag.Duration("shed-interval", 100*time.Millisecond,
 		"how long queue wait must stay above -shed-target before shedding")
-	breakerThreshold := flag.Int("breaker-threshold", envInt("FASTBFS_BREAKER_THRESHOLD", 5),
+	breakerThreshold := flag.Int("breaker-threshold", 5,
 		"consecutive I/O failures tripping the circuit breaker (0 disables)")
-	breakerBackoff := flag.Duration("breaker-backoff", envDuration("FASTBFS_BREAKER_BACKOFF", 500*time.Millisecond),
+	breakerBackoff := flag.Duration("breaker-backoff", 500*time.Millisecond,
 		"circuit breaker's initial open interval before the half-open probe")
-	breakerMaxBackoff := flag.Duration("breaker-max-backoff", envDuration("FASTBFS_BREAKER_MAX_BACKOFF", 8*time.Second),
+	breakerMaxBackoff := flag.Duration("breaker-max-backoff", 8*time.Second,
 		"cap on the breaker's doubled backoff after failed probes")
-	cacheTTL := flag.Duration("cache-ttl", envDuration("FASTBFS_CACHE_TTL", 0),
+	cacheTTL := flag.Duration("cache-ttl", 0,
 		"result-cache freshness bound (0 = never expire; expired entries still serve allow_stale)")
-	priorityHeader := flag.String("priority-header", envString("FASTBFS_PRIORITY_HEADER", "X-Fastbfs-Priority"),
+	priorityHeader := flag.String("priority-header", "X-Fastbfs-Priority",
 		"HTTP header carrying the admission class (interactive/batch)")
-	panicRoot := flag.Int64("panic-root", int64(envInt("FASTBFS_PANIC_ROOT", 0)),
+	panicRoot := flag.Int64("panic-root", 0,
 		"chaos: panic mid-scatter for queries on this root (0 disables)")
 	configPath := flag.String("config", "", "runtime-settings file supplying the engine options (replaces -mem/-threads/-workers/-sim/-simscale/-ssd/-residency-budget)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
@@ -434,17 +394,8 @@ func serveDebug(addr string, tr *obs.Tracer, svc *serve.GraphService) error {
 	return nil
 }
 
-// fail mirrors cmd/fastbfs: exit 2 for malformed input, 3 for a missing
-// graph, 4 for an I/O failure or detected corruption, 1 otherwise.
+// fail reports err and exits with its errs.ExitCode.
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "fastbfsd:", err)
-	switch {
-	case errors.Is(err, errs.ErrBadOptions):
-		os.Exit(2)
-	case errors.Is(err, errs.ErrGraphNotFound):
-		os.Exit(3)
-	case errors.Is(err, errs.ErrIOFailed), errors.Is(err, errs.ErrCorrupted):
-		os.Exit(4)
-	}
-	os.Exit(1)
+	os.Exit(errs.ExitCode(err))
 }

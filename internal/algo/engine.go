@@ -154,45 +154,20 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		return nil, err
 	}
 
-	// Initialize vertex values.
-	for p := 0; p < P; p++ {
-		lo, hi := rt.Parts.Interval(p)
-		w, err := stream.NewWriter(rt.Vol, vertexFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, 8,
-			func(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) })
-		if err != nil {
-			return nil, err
-		}
-		for v := lo; v < hi; v++ {
-			if err := w.Append(prog.Init(v)); err != nil {
-				w.Abort()
-				return nil, err
-			}
-		}
-		if err := w.Close(); err != nil {
-			return nil, err
-		}
-		rt.BytesWritten += w.BytesWritten()
-	}
-
 	loadVals := func(p int) ([]uint64, error) {
-		lo, hi := rt.Parts.Interval(p)
-		n := int(hi - lo)
 		sc, err := stream.NewScanner(rt.Vol, vertexFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, 8,
 			func(b []byte) uint64 { return binary.LittleEndian.Uint64(b) })
 		if err != nil {
 			return nil, err
 		}
 		defer sc.Close()
-		vals := make([]uint64, n)
-		for i := 0; i < n; i++ {
-			v, ok, err := sc.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("algo: value file %s truncated", vertexFile(p))
-			}
-			vals[i] = v
+		vals := make([]uint64, rt.Parts.Size(p))
+		n, err := sc.NextChunk(vals)
+		if err != nil {
+			return nil, err
+		}
+		if n < len(vals) {
+			return nil, fmt.Errorf("algo: value file %s truncated", vertexFile(p))
 		}
 		rt.BytesRead += sc.BytesRead()
 		return vals, nil
@@ -203,11 +178,9 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		if err != nil {
 			return err
 		}
-		for _, v := range vals {
-			if err := w.Append(v); err != nil {
-				w.Abort()
-				return err
-			}
+		if err := w.AppendChunk(vals); err != nil {
+			w.Abort()
+			return err
 		}
 		if err := w.Close(); err != nil {
 			return err
@@ -216,37 +189,42 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		return nil
 	}
 
+	// Initialize vertex values (partition 0 is a widest).
+	initial := make([]uint64, rt.Parts.Size(0))
+	for p := 0; p < P; p++ {
+		lo, hi := rt.Parts.Interval(p)
+		vals := initial[:hi-lo]
+		for i := range vals {
+			vals[i] = prog.Init(lo + graph.VertexID(i))
+		}
+		if err := saveVals(p, vals); err != nil {
+			return nil, err
+		}
+	}
+
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = int(rt.Meta.Vertices) + 1
 	}
 
-	// shuf holds the iteration's update writers. Whatever is still open
-	// when the run returns — a cancelled or failed pass, a panicking
-	// FaultHook — is aborted here (a no-op on a closed writer), so no
-	// early exit leaves a half-written update file or a stream buffer
-	// behind.
-	shuf := make([]*stream.Writer[updRec], P)
-	defer stream.AbortAll(shuf)
-
-	for iter := 0; iter < maxIter; iter++ {
-		if err := rt.Checkpoint(); err != nil {
-			return nil, err
+	// scatterPass streams every partition's edges once, shuffling what the
+	// program emits into iteration iter's update files. Whatever writer is
+	// still open when it returns — a cancelled or failed pass, a panicking
+	// FaultHook — is aborted, so no early exit leaves a half-written update
+	// file or a stream buffer behind.
+	scatterPass := func(iter int, itRow *metrics.Iteration) (emitted int64, err error) {
+		shuf, err := stream.OpenWriterSet(rt.Vol, P, func(p int) string { return updFile(0, p) },
+			func(name string) (*stream.Writer[updRec], error) {
+				return stream.NewWriter(rt.Vol, name, rt.AuxTiming(), rt.Opts.StreamBufSize, updateRecBytes, putUpdRec)
+			})
+		if err != nil {
+			return 0, err
 		}
-		itRow := metrics.Iteration{Index: iter}
-
-		// Scatter pass.
-		for p := 0; p < P; p++ {
-			w, err := stream.NewWriter(rt.Vol, updFile(0, p), rt.AuxTiming(), rt.Opts.StreamBufSize, updateRecBytes, putUpdRec)
-			if err != nil {
-				return nil, err
-			}
-			shuf[p] = w
-		}
-		var emitted int64
+		defer shuf.Abort()
+		w := shuf.W
 		for p := 0; p < P; p++ {
 			if err := rt.Checkpoint(); err != nil {
-				return nil, err
+				return 0, err
 			}
 			if rt.Opts.FaultHook != nil {
 				// The chaos seam the streaming engines expose through their
@@ -258,12 +236,12 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			}
 			vals, err := loadVals(p)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			lo, _ := rt.Parts.Interval(p)
 			sc, err := stream.NewScanner(rt.Vol, edgeFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			sc.Prefetch(rt.Opts.PrefetchBuffers)
 			var scanned int64
@@ -271,7 +249,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 				e, ok, err := sc.Next()
 				if err != nil {
 					sc.Close()
-					return nil, err
+					return 0, err
 				}
 				if !ok {
 					break
@@ -279,9 +257,9 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 				scanned++
 				payload, emit := prog.Scatter(iter, e.Src, vals[int(e.Src-lo)], e.Dst, e.Weight)
 				if emit {
-					if err := shuf[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
+					if err := w[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
 						sc.Close()
-						return nil, err
+						return 0, err
 					}
 					emitted++
 				}
@@ -291,11 +269,21 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
 			itRow.EdgesStreamed += scanned
 		}
-		for _, w := range shuf {
-			if err := w.Close(); err != nil {
-				return nil, err
-			}
-			rt.BytesWritten += w.BytesWritten()
+		if err := shuf.Close(); err != nil {
+			return 0, err
+		}
+		rt.BytesWritten += shuf.Bytes()
+		return emitted, nil
+	}
+
+	for iter := 0; iter < maxIter; iter++ {
+		if err := rt.Checkpoint(); err != nil {
+			return nil, err
+		}
+		itRow := metrics.Iteration{Index: iter}
+		emitted, err := scatterPass(iter, &itRow)
+		if err != nil {
+			return nil, err
 		}
 		itRow.Updates = emitted
 
@@ -479,69 +467,60 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 // per-partition weighted edge files; unweighted edges get weight 1.
 func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string) error {
 	tm := rt.MainTiming()
-	outs := make([]*stream.Writer[graph.WEdge], rt.Parts.P())
-	defer stream.AbortAll(outs) // whatever an error return leaves open
-	for p := range outs {
-		w, err := stream.NewWriter(rt.Vol, edgeFile(p), tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.PutWEdge)
+	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), edgeFile, func(name string) (*stream.Writer[graph.WEdge], error) {
+		return stream.NewWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.PutWEdge)
+	})
+	if err != nil {
+		return err
+	}
+	defer outs.Abort() // whatever an error return leaves open
+	name := graph.EdgeFileName(rt.Meta.Name)
+	if rt.Meta.Weighted {
+		var sc *stream.Scanner[graph.WEdge]
+		if sc, err = stream.NewScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge); err == nil {
+			err = routeEdges(rt, sc, outs.W, func(e graph.WEdge) graph.WEdge { return e })
+		}
+	} else {
+		var sc *stream.Scanner[graph.Edge]
+		if sc, err = stream.NewEdgeScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize); err == nil {
+			err = routeEdges(rt, sc, outs.W, func(e graph.Edge) graph.WEdge { return graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: 1} })
+		}
+	}
+	if err != nil {
+		return err
+	}
+	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
+	if err := outs.Close(); err != nil {
+		return err
+	}
+	rt.BytesWritten += outs.Bytes()
+	return nil
+}
+
+// routeEdges is prepareWeighted's scan: every record of sc, as the
+// weighted edge wedge makes of it, checked and appended to its source's
+// partition writer. It closes sc.
+func routeEdges[T any](rt *xstream.Runtime, sc *stream.Scanner[T], outs []*stream.Writer[graph.WEdge], wedge func(T) graph.WEdge) error {
+	defer sc.Close()
+	for {
+		rec, ok, err := sc.Next()
 		if err != nil {
 			return err
 		}
-		outs[p] = w
-	}
-	route := func(e graph.WEdge) error {
+		if !ok {
+			break
+		}
+		e := wedge(rec)
+		if e.Weight < 0 {
+			return fmt.Errorf("algo: negative weight on %d->%d", e.Src, e.Dst)
+		}
 		if err := rt.Meta.CheckEdge(graph.Edge{Src: e.Src, Dst: e.Dst}); err != nil {
 			return err
 		}
-		return outs[rt.Parts.Of(e.Src)].Append(e)
-	}
-	if rt.Meta.Weighted {
-		sc, err := stream.NewScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge)
-		if err != nil {
+		if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
 			return err
 		}
-		defer sc.Close()
-		for {
-			e, ok, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if e.Weight < 0 {
-				return fmt.Errorf("algo: negative weight on %d->%d", e.Src, e.Dst)
-			}
-			if err := route(e); err != nil {
-				return err
-			}
-		}
-		rt.BytesRead += sc.BytesRead()
-	} else {
-		sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), tm, rt.Opts.StreamBufSize)
-		if err != nil {
-			return err
-		}
-		defer sc.Close()
-		for {
-			e, ok, err := sc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := route(graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: 1}); err != nil {
-				return err
-			}
-		}
-		rt.BytesRead += sc.BytesRead()
 	}
-	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	for _, o := range outs {
-		if err := o.Close(); err != nil {
-			return err
-		}
-		rt.BytesWritten += o.BytesWritten()
-	}
+	rt.BytesRead += sc.BytesRead()
 	return nil
 }

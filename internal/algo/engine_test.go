@@ -1,11 +1,16 @@
 package algo
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
+	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 	"fastbfs/internal/xstream"
 )
 
@@ -166,6 +171,54 @@ func TestEngineManyPartitions(t *testing.T) {
 		for v := range levels {
 			if levels[v] != want[v] {
 				t.Fatalf("partitions=%d: vertex %d level %d vs %d", parts, v, levels[v], want[v])
+			}
+		}
+	}
+}
+
+// TestAlgoWriterFaultLeavesNothing drives stream.WriterSet's all-or-nothing
+// contract through this engine's two uses of it — the weighted split and
+// an iteration's update shuffle — with a permanent write fault on
+// partition k's file, failing an Append's flush (small buffer) or the
+// Close (large one). The run keeps its files, so a file of the set still
+// on the volume is one the set left there, and every pooled buffer must be
+// back, which an open writer's would not be.
+func TestAlgoWriterFaultLeavesNothing(t *testing.T) {
+	m, edges, err := gen.RMAT(7, 8, gen.Graph500(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.Store(vol, m, edges); err != nil {
+		t.Fatal(err)
+	}
+	const parts = 4
+	for _, set := range []string{"_we_", "_u0_"} {
+		for _, bufSize := range []int{512, 1 << 20} {
+			for k := 0; k < parts; k++ {
+				name := fmt.Sprintf("%s%d/buf=%d", set, k, bufSize)
+				audit := stream.AuditPools()
+				o := xstream.Options{MemoryBudget: 4096, Partitions: parts, StreamBufSize: bufSize,
+					KeepFiles: true, FilePrefix: "t", Sim: xstream.DefaultSim()}
+				faulty := storage.NewFaulty(vol, storage.FaultSpec{PWriteP: 1, Match: fmt.Sprintf("t%s%d", set, k)})
+				// Emits on every edge, so every partition's update file is written.
+				_, err := Run(faulty, m.Name, &countingProgram{maxIter: 2}, o)
+				audit.Stop()
+				var fe *storage.FaultError
+				if !errors.Is(err, errs.ErrIOFailed) || !errors.As(err, &fe) || fe.Transient {
+					t.Fatalf("%s: err = %v, want the permanent write fault as ErrIOFailed", name, err)
+				}
+				for _, f := range vol.List() {
+					if strings.Contains(f, set) {
+						t.Errorf("%s: the failed set left %s on the volume", name, f)
+					}
+					if strings.HasPrefix(f, "t_") {
+						vol.Remove(f)
+					}
+				}
+				if n := audit.Outstanding(); n != 0 {
+					t.Errorf("%s: %d pooled buffers outstanding after the failed run", name, n)
+				}
 			}
 		}
 	}

@@ -28,7 +28,7 @@ func AblTrimStart(cfg Config) (*Table, error) {
 	// A long path with extra weight: each vertex also points at a few
 	// earlier vertices, so the graph is large but converges one vertex
 	// per level.
-	pm, pedges, err := gen.Path(20000)
+	pm, pedges, err := gen.Path(uint64(cfg.Scale.PathVertices))
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +60,8 @@ func AblTrimStart(cfg Config) (*Table, error) {
 			fmt.Sprintf("%d", res.Metrics.TrimmedEdges), mb(res.Metrics.BytesWritten))
 	}
 	// High-diameter path: trimming every iteration rewrites a nearly
-	// whole graph 20000 times; the visited-fraction threshold ("till the
-	// stay list shrinks") is the remedy.
+	// whole graph once per vertex; the visited-fraction threshold ("till
+	// the stay list shrinks") is the remedy.
 	for _, frac := range []float64{0, 0.5, 0.9} {
 		o := core.Options{Base: baseOpts(pathDS, hddSim(cfg.Scale)), TrimVisitedFraction: frac}
 		res, err := core.Run(vol, pathDS.Meta.Name, o)

@@ -27,6 +27,10 @@ type Scale struct {
 	// TwitterScale / FriendsterScale size the social-graph stand-ins.
 	TwitterScale, FriendsterScale int
 
+	// PathVertices sizes abl-trimstart's high-diameter path, whose runs
+	// take one iteration per vertex and so grow with its square.
+	PathVertices int
+
 	// MemoryFrac is the default working-memory budget as a fraction of
 	// each dataset's edge-data size (the paper's 4 GB against rmat25's
 	// 6 GB ≈ 2/3).
@@ -40,19 +44,22 @@ func Scales() map[string]Scale {
 			Name: "tiny", Factor: 8192,
 			TuneScale: 10, MidScale: 12, LargeScale: 14,
 			TwitterScale: 13, FriendsterScale: 13,
-			MemoryFrac: 2.0 / 3.0,
+			PathVertices: 5000,
+			MemoryFrac:   2.0 / 3.0,
 		},
 		"small": {
 			Name: "small", Factor: 2048,
 			TuneScale: 12, MidScale: 14, LargeScale: 16,
 			TwitterScale: 15, FriendsterScale: 15,
-			MemoryFrac: 2.0 / 3.0,
+			PathVertices: 20000,
+			MemoryFrac:   2.0 / 3.0,
 		},
 		"medium": {
 			Name: "medium", Factor: 256,
 			TuneScale: 15, MidScale: 17, LargeScale: 19,
 			TwitterScale: 18, FriendsterScale: 18,
-			MemoryFrac: 2.0 / 3.0,
+			PathVertices: 20000,
+			MemoryFrac:   2.0 / 3.0,
 		},
 	}
 }

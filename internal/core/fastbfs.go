@@ -28,8 +28,8 @@
 // of it a Policy value switches on. This package is the front-end
 // everything else imports — the options with their defaults and
 // environment lookup, the residency budget's sentinels and parser, Run and
-// RunContext, and the in-memory path's trim policy — and resolves its
-// options once into that value; it holds no loop (DESIGN.md §19).
+// RunContext — and resolves its options once into that value; it holds no
+// loop and no rule of its own (DESIGN.md §19).
 package core
 
 import (
@@ -165,38 +165,5 @@ func (o *Options) policy() xstream.Policy {
 		ResidencyBudget:     o.ResidencyBudget, // ResidencyOff is negative: off
 		CheckpointVol:       o.CheckpointVol,
 		Resume:              o.Resume,
-		InMemoryTrim:        o.inMemoryTrim(),
-	}
-}
-
-// inMemoryTrim is the trim policy of X-Stream's in-memory fast path,
-// which FastBFS reuses when the graph fits the budget: after each
-// iteration, edges whose source is already visited (level below the next
-// frontier's) are dropped — NoLevel is the maximum uint32, so "keep iff
-// level[src] >= next frontier level" keeps exactly the unvisited and
-// just-discovered sources. Nil (rescan everything) with trimming off.
-func (o *Options) inMemoryTrim() xstream.TrimPolicy {
-	if o.DisableTrimming {
-		return nil
-	}
-	start, fraction := o.TrimStartIteration, o.TrimVisitedFraction
-	next := uint32(0)
-	return func(level []uint32) (uint32, bool) {
-		next++
-		if int(next)-1 < start {
-			return 0, false
-		}
-		if fraction > 0 {
-			var visited uint64
-			for _, l := range level {
-				if l != xstream.NoLevel {
-					visited++
-				}
-			}
-			if float64(visited)/float64(len(level)) < fraction {
-				return 0, false
-			}
-		}
-		return next, true
 	}
 }

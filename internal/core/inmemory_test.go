@@ -27,15 +27,41 @@ func TestInMemoryTrimStartDelays(t *testing.T) {
 	opts.TrimStartIteration = 2
 	res := checkAgainstReference(t, m, edges, root, opts)
 	rows := res.Metrics.Iterations
-	// Before the threshold every iteration scans the full edge list.
+	// Before the threshold every iteration scans the full edge list, and
+	// its row says no pass ran.
 	for _, it := range rows[:2] {
 		if it.EdgesStreamed != int64(m.Edges) {
 			t.Fatalf("iteration %d scanned %d edges before TrimStart, want full %d",
 				it.Index, it.EdgesStreamed, m.Edges)
 		}
+		if it.TrimActive || it.StayEdges != 0 {
+			t.Fatalf("iteration %d reports TrimActive=%v, %d stay edges before TrimStart", it.Index, it.TrimActive, it.StayEdges)
+		}
 	}
 	if len(rows) > 3 && rows[3].EdgesStreamed >= int64(m.Edges) {
 		t.Fatalf("no trimming after the threshold: iteration 3 scanned %d", rows[3].EdgesStreamed)
+	}
+	// Every row names the frontier it scattered: the root, then what the
+	// iteration before discovered.
+	frontier := uint64(1)
+	for _, it := range rows {
+		if it.Frontier != frontier {
+			t.Fatalf("iteration %d reports frontier %d, scattered %d", it.Index, it.Frontier, frontier)
+		}
+		if it.Index >= 2 && !it.TrimActive {
+			t.Fatalf("iteration %d did not trim past TrimStart", it.Index)
+		}
+		frontier = it.NewlyVisited
+	}
+	// A pass that did not run is not charged: a threshold no iteration
+	// reaches costs what trimming switched off costs, to the last digit.
+	never, off := inMemOpts(), inMemOpts()
+	never.TrimStartIteration = 1 << 20
+	off.DisableTrimming = true
+	a, b := checkAgainstReference(t, m, edges, root, never), checkAgainstReference(t, m, edges, root, off)
+	if a.Metrics.ComputeTime != b.Metrics.ComputeTime || a.Metrics.ExecTime != b.Metrics.ExecTime {
+		t.Fatalf("a run that never reached its trim threshold computed %v s of %v, an untrimmed one %v of %v",
+			a.Metrics.ComputeTime, a.Metrics.ExecTime, b.Metrics.ComputeTime, b.Metrics.ExecTime)
 	}
 }
 

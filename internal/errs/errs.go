@@ -13,6 +13,22 @@ package errs
 
 import "errors"
 
+// ExitCode is the process exit status the commands report err with: 2
+// for a malformed request (bad flags, unknown engine, root out of range),
+// 3 for a missing graph, 4 for an I/O failure past the retry budget or
+// detected data corruption, 1 otherwise.
+func ExitCode(err error) int {
+	switch {
+	case errors.Is(err, ErrBadOptions):
+		return 2
+	case errors.Is(err, ErrGraphNotFound):
+		return 3
+	case errors.Is(err, ErrIOFailed), errors.Is(err, ErrCorrupted):
+		return 4
+	}
+	return 1
+}
+
 var (
 	// ErrGraphNotFound reports that the named graph (its config or edge
 	// file) does not exist on the volume.

@@ -47,3 +47,23 @@ func TestChainCarriesBothSentinelAndCause(t *testing.T) {
 		t.Fatalf("chain %v must not match ErrCorrupted", err)
 	}
 }
+
+// TestExitCode pins the status the three commands exit with, through
+// wrapping, and that an error carrying no sentinel is a plain failure.
+func TestExitCode(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want int
+	}{
+		{errs.ErrBadOptions, 2},
+		{errs.ErrGraphNotFound, 3},
+		{errs.ErrIOFailed, 4},
+		{errs.ErrCorrupted, 4},
+		{errs.ErrCancelled, 1},
+		{errors.New("anything else"), 1},
+	} {
+		if got := errs.ExitCode(fmt.Errorf("cmd: %w", c.err)); got != c.want {
+			t.Errorf("ExitCode(%v) = %d, want %d", c.err, got, c.want)
+		}
+	}
+}

@@ -14,16 +14,14 @@ import (
 	"fastbfs/internal/graph"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/stream"
-	"fastbfs/internal/xstream"
 )
 
 // batcher coalesces concurrent single-source BFS queries into shared
 // bit-parallel algo.BatchBFS runs (DESIGN.md §13). A query that misses
-// the result cache joins the forming batch for its MaxIterations group
-// (today only uncapped queries batch, so there is one group; the
-// grouping keeps a future capped path from ever mixing caps), and the
-// batch executes as one engine pass once it is full (BatchSize distinct
-// roots) or its hold window (BatchWait) expires. Batching follows the
+// the result cache joins the forming batch (only uncapped queries batch,
+// see batchable, so every member wants the same run), and the batch
+// executes as one engine pass once it is full (BatchSize distinct roots)
+// or its hold window (BatchWait) expires. Batching follows the
 // group-commit idea: the batch also stays joinable while it waits for
 // an execution slot, so an idle service answers at near-solo latency
 // while a saturated one grows batches and amortizes the graph stream.
@@ -36,14 +34,14 @@ import (
 type batcher struct {
 	s *GraphService
 
-	// mu guards pending/open and every batch's membership state.
+	// mu guards forming/open and every batch's membership state.
 	mu      sync.Mutex
-	pending map[int]*batch // forming (joinable) batches by MaxIterations
-	open    int            // unsealed batches, bounded like the solo wait queue
+	forming *batch // the joinable batch, nil when none is
+	open    int    // unsealed batches, bounded like the solo wait queue
 }
 
 func newBatcher(s *GraphService) *batcher {
-	return &batcher{s: s, pending: make(map[int]*batch)}
+	return &batcher{s: s}
 }
 
 // batchEntry is one query riding a batch.
@@ -66,8 +64,7 @@ type batchEntry struct {
 
 // batch is one forming or executing group of queries.
 type batch struct {
-	b   *batcher
-	key int // the group's MaxIterations
+	b *batcher
 
 	// ctx is cancelled with errs.ErrBatchAbandoned once every member
 	// leaves, stopping a run nobody is waiting for.
@@ -140,7 +137,7 @@ func (s *GraphService) submitBatched(ctx context.Context, q Query, cacheKey stri
 	return e.res, nil
 }
 
-// join adds a query to its group's forming batch, creating one (and its
+// join adds a query to the forming batch, creating one (and its
 // runner goroutine) if none is open. The number of unsealed batches is
 // bounded like the solo wait queue; past it, join fails with ErrBusy.
 func (ba *batcher) join(ctx context.Context, q Query, cacheKey string, useCache bool) (*batchEntry, *batch, error) {
@@ -148,7 +145,7 @@ func (ba *batcher) join(ctx context.Context, q Query, cacheKey string, useCache 
 	e := &batchEntry{q: q, cacheKey: cacheKey, useCache: useCache, joined: time.Now(), done: make(chan struct{})}
 	ba.mu.Lock()
 	defer ba.mu.Unlock()
-	bt := ba.pending[q.MaxIterations]
+	bt := ba.forming
 	if bt == nil {
 		limit := s.cfg.MaxQueue
 		if limit < 1 {
@@ -160,13 +157,13 @@ func (ba *batcher) join(ctx context.Context, q Query, cacheKey string, useCache 
 		}
 		bctx, cancel := context.WithCancelCause(context.Background())
 		bt = &batch{
-			b: ba, key: q.MaxIterations, ctx: bctx, cancel: cancel,
+			b: ba, ctx: bctx, cancel: cancel,
 			hold:    make(chan struct{}),
 			full:    make(chan struct{}),
 			rootSet: make(map[graph.VertexID]bool),
 		}
 		bt.timer = time.AfterFunc(s.cfg.BatchWait, bt.fireHold)
-		ba.pending[q.MaxIterations] = bt
+		ba.forming = bt
 		ba.open++
 		// The runner registers with the drain group so Shutdown waits
 		// for batches already forming; the creating Submit holds a wg
@@ -191,7 +188,7 @@ func (ba *batcher) join(ctx context.Context, q Query, cacheKey string, useCache 
 	if len(bt.rootSet) >= s.cfg.BatchSize {
 		// Full: stop admitting members (a 33rd distinct root would not
 		// fit the frontier mask) and wake the runner.
-		delete(ba.pending, bt.key)
+		ba.forming = nil
 		bt.fullOnce.Do(func() { close(bt.full) })
 	}
 	return e, bt, nil
@@ -225,8 +222,8 @@ func (bt *batch) seal() (live []*batchEntry, roots []graph.VertexID) {
 	ba.mu.Lock()
 	defer ba.mu.Unlock()
 	bt.sealed = true
-	if ba.pending[bt.key] == bt {
-		delete(ba.pending, bt.key)
+	if ba.forming == bt {
+		ba.forming = nil
 	}
 	ba.open--
 	now := time.Now()
@@ -253,8 +250,8 @@ func (bt *batch) fail(err error) {
 	ba.mu.Lock()
 	if !bt.sealed {
 		bt.sealed = true
-		if ba.pending[bt.key] == bt {
-			delete(ba.pending, bt.key)
+		if ba.forming == bt {
+			ba.forming = nil
 		}
 		ba.open--
 	}
@@ -332,12 +329,12 @@ func (bt *batch) run() {
 	defer s.ctr.inflight.Add(-int64(len(live)))
 
 	sp := s.tr.Span("serve_batch")
-	sp.Attr("members", int64(len(live))).Attr("roots", int64(len(roots))).Attr("max_iterations", int64(bt.key))
+	sp.Attr("members", int64(len(live))).Attr("roots", int64(len(roots)))
 	execStart := time.Now()
 	prog, err := algo.NewBatchBFS(roots, s.meta.Vertices)
 	var res *algo.Result
 	if err == nil {
-		opts := s.batchOpts(bt.key)
+		opts := s.runOpts("b", "batch", 0, 0).Base
 		func() {
 			// Engine-thread panic isolation for the shared run: the engine's
 			// deferred cleanup runs during unwinding, then the panic becomes
@@ -397,19 +394,4 @@ func (bt *batch) run() {
 	}
 	ba.mu.Unlock()
 	bt.cancel(nil)
-}
-
-// batchOpts builds the shared run's engine options: like queryOpts but
-// on the algo engine's base options, with a "b"-prefixed working-file
-// namespace so tests and tooling can tell batch runs from solo ones.
-func (s *GraphService) batchOpts(maxIter int) xstream.Options {
-	opts := s.cfg.Base.Base
-	opts.Root = 0
-	opts.MaxIterations = maxIter
-	opts.FilePrefix = s.runPrefix("b", "batch")
-	opts.Sim = opts.Sim.Clone()
-	opts.Tracer = nil
-	opts.KeepFiles = false
-	opts.Prepared = s.prepared
-	return opts
 }

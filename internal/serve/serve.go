@@ -369,7 +369,7 @@ type GraphService struct {
 	// id is unique among the process's services and seq numbers this
 	// one's queries; together they make every run's working-file prefix
 	// its own, even when several services stream on one volume (see
-	// runPrefix).
+	// runOpts).
 	id  uint64
 	seq atomic.Uint64
 
@@ -930,32 +930,28 @@ func uniq(vs []graph.VertexID) int {
 // serviceIDs hands every GraphService of the process its id.
 var serviceIDs atomic.Uint64
 
-// runPrefix names one run's working files: kind ("q" for a solo query,
-// "b" for a batch) first, so tests and tooling can tell them apart, then
-// the service and the run's number within it — an engine run removes
-// every file under its prefix when it ends, so two services on one
-// volume must never produce the same one.
-func (s *GraphService) runPrefix(kind, what string) string {
-	return fmt.Sprintf("%s%d_%d_%s", kind, s.id, s.seq.Add(1), what)
-}
-
-// queryOpts builds the per-query engine options: the shared Base with a
-// unique file prefix, a cloned device simulation, no engine tracer
-// (concurrent runs cannot share the tracer's time source) and the
-// service's prepared graph.
-func (s *GraphService) queryOpts(q Query) core.Options {
+// runOpts builds one engine run's options, for a solo query (kind "q")
+// and for a batch's shared run (kind "b", root 0) alike: the shared Base
+// with a cloned device simulation, no engine tracer (concurrent runs
+// cannot share the tracer's time source), the service's prepared graph,
+// and a working-file prefix of its own — kind first, so tests and tooling
+// can tell the two apart, then the service and the run's number within
+// it: an engine run removes every file under its prefix when it ends, so
+// two services on one volume must never produce the same one.
+func (s *GraphService) runOpts(kind, what string, root graph.VertexID, maxIter int) core.Options {
 	opts := s.cfg.Base
-	opts.Base.Root = q.Root
-	opts.Base.MaxIterations = q.MaxIterations
-	opts.Base.FilePrefix = s.runPrefix("q", string(q.Algorithm))
+	opts.Base.Root = root
+	opts.Base.MaxIterations = maxIter
+	opts.Base.FilePrefix = fmt.Sprintf("%s%d_%d_%s", kind, s.id, s.seq.Add(1), what)
 	opts.Base.Sim = opts.Base.Sim.Clone()
 	opts.Base.Tracer = nil
 	opts.Base.KeepFiles = false
 	opts.Base.Prepared = s.prepared
-	if s.cfg.PanicRoot > 0 && int64(q.Root) == s.cfg.PanicRoot {
+	if s.cfg.PanicRoot > 0 && int64(root) == s.cfg.PanicRoot {
 		// Chaos seam: a poisoned root panics mid-scatter so the panic
 		// unwinds through the engine's deferred cleanup and is recovered
-		// here in the serving layer — proving isolation end to end.
+		// here in the serving layer — proving isolation end to end. Such
+		// a query always runs solo (batchable).
 		opts.Base.FaultHook = func() { panic("serve: injected mid-scatter panic (PanicRoot)") }
 	}
 	return opts
@@ -996,7 +992,7 @@ func (s *GraphService) execute(ctx context.Context, q Query) (res *Result, err e
 			s.notePanic(q, pe.Value, pe.Stack)
 		}
 	}()
-	opts := s.queryOpts(q)
+	opts := s.runOpts("q", string(q.Algorithm), q.Root, q.MaxIterations)
 	switch q.Algorithm {
 	case AlgoBFS:
 		res, err := RunEngine(ctx, q.Engine, s.vol, s.name, opts)

@@ -449,18 +449,6 @@ func (w *Writer[T]) Abort() error {
 	return w.w.Abort()
 }
 
-// AbortAll aborts every writer of ws that is still open (nil entries
-// and closed writers are skipped) — what a function holding a set of
-// writers defers, so that no error return strands a half-written file
-// or a buffer.
-func AbortAll[T any](ws []*Writer[T]) {
-	for _, w := range ws {
-		if w != nil {
-			w.Abort()
-		}
-	}
-}
-
 // release marks the writer closed and gives its buffer back; Append on
 // a closed writer is an error, so the buffer is never touched again.
 func (w *Writer[T]) release() {
@@ -497,32 +485,117 @@ func NewUpdateWriter(vol storage.Volume, name string, timing Timing, bufSize int
 	return newWriterOver(w, timing, bufSize, graph.UpdateBytes, graph.PutUpdate), nil
 }
 
+// WriterSet is one Writer per partition, opened, accounted and closed as
+// a unit — every partitioned output in this repository: X-Stream's edge
+// split, the reverse split, the update shuffle (Shuffler) and
+// internal/algo's weighted split and shuffle. Routing stays with the
+// caller, whose hot loop indexes W directly.
+//
+// A set publishes every file or leaves none: a failed open aborts the
+// writers already opened, a failed Close aborts the ones still open and
+// removes the files already published. Abort after Close does nothing, so
+// a function holding a set defers it.
+type WriterSet[T any] struct {
+	W     []*Writer[T]
+	Names []string // partition p's file name
+	vol   storage.Volume
+}
+
+// OpenWriterSet opens n writers on vol: partition p's is open(nameFor(p)).
+func OpenWriterSet[T any](vol storage.Volume, n int, nameFor func(p int) string, open func(name string) (*Writer[T], error)) (*WriterSet[T], error) {
+	s := &WriterSet[T]{W: make([]*Writer[T], 0, n), Names: make([]string, n), vol: vol}
+	for p := range s.Names {
+		s.Names[p] = nameFor(p)
+		w, err := open(s.Names[p])
+		if err != nil {
+			s.Abort()
+			return nil, err
+		}
+		s.W = append(s.W, w)
+	}
+	return s, nil
+}
+
+// SetAsync switches every writer to write-behind.
+func (s *WriterSet[T]) SetAsync() {
+	for _, w := range s.W {
+		w.SetAsync()
+	}
+}
+
+// Counts returns the number of records appended to each partition.
+func (s *WriterSet[T]) Counts() []int64 {
+	c := make([]int64, len(s.W))
+	for p, w := range s.W {
+		c[p] = w.Count()
+	}
+	return c
+}
+
+// Bytes returns the bytes flushed so far, all partitions together.
+func (s *WriterSet[T]) Bytes() int64 {
+	var n int64
+	for _, w := range s.W {
+		n += w.BytesWritten()
+	}
+	return n
+}
+
+// LastOps returns each writer's latest write-behind handle (nil entries
+// where nothing flushed).
+func (s *WriterSet[T]) LastOps() []*disksim.AsyncOp {
+	ops := make([]*disksim.AsyncOp, len(s.W))
+	for p, w := range s.W {
+		ops[p] = w.LastOp()
+	}
+	return ops
+}
+
+// Close flushes and publishes every partition's file, in partition order.
+func (s *WriterSet[T]) Close() error {
+	for p, w := range s.W {
+		if err := w.Close(); err != nil {
+			s.Abort()
+			for _, name := range s.Names[:p] {
+				s.vol.Remove(name)
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// Abort discards the file of every writer still open.
+func (s *WriterSet[T]) Abort() {
+	for _, w := range s.W {
+		w.Abort()
+	}
+}
+
 // Shuffler routes updates to per-destination-partition update files —
 // the scatter phase's shuffle ("updates are shuffled by the destination
-// vertices into different partitions", §III).
+// vertices into different partitions", §III): a WriterSet of update
+// writers plus the partitioning that routes into it.
 type Shuffler struct {
-	pt   *graph.Partitioning
-	outs []*Writer[graph.Update]
+	*WriterSet[graph.Update]
+	pt *graph.Partitioning
 }
 
 // NewShuffler creates one update writer per partition. nameFor maps a
 // partition index to its update file name.
 func NewShuffler(vol storage.Volume, pt *graph.Partitioning, timing Timing, bufSize int, nameFor func(p int) string) (*Shuffler, error) {
-	sh := &Shuffler{pt: pt, outs: make([]*Writer[graph.Update], pt.P())}
-	for p := 0; p < pt.P(); p++ {
-		w, err := NewUpdateWriter(vol, nameFor(p), timing, bufSize)
-		if err != nil {
-			sh.Abort()
-			return nil, err
-		}
-		sh.outs[p] = w
+	ws, err := OpenWriterSet(vol, pt.P(), nameFor, func(name string) (*Writer[graph.Update], error) {
+		return NewUpdateWriter(vol, name, timing, bufSize)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return sh, nil
+	return &Shuffler{WriterSet: ws, pt: pt}, nil
 }
 
 // Append routes one update to the partition owning its destination.
 func (sh *Shuffler) Append(u graph.Update) error {
-	return sh.outs[sh.pt.Of(u.Dst)].Append(u)
+	return sh.W[sh.pt.Of(u.Dst)].Append(u)
 }
 
 // AppendTo appends a batch of updates already routed to partition p —
@@ -531,58 +604,8 @@ func (sh *Shuffler) Append(u graph.Update) error {
 // chunk order, so every partition's update file carries its updates in
 // global edge-scan order no matter how many workers produced them.
 func (sh *Shuffler) AppendTo(p int, us []graph.Update) error {
-	return sh.outs[p].AppendChunk(us)
+	return sh.W[p].AppendChunk(us)
 }
 
 // P returns the number of destination partitions.
-func (sh *Shuffler) P() int { return len(sh.outs) }
-
-// Counts returns the number of updates routed to each partition.
-func (sh *Shuffler) Counts() []int64 {
-	c := make([]int64, len(sh.outs))
-	for i, o := range sh.outs {
-		c[i] = o.Count()
-	}
-	return c
-}
-
-// SetAsync switches every partition writer to write-behind.
-func (sh *Shuffler) SetAsync() {
-	for _, o := range sh.outs {
-		o.SetAsync()
-	}
-}
-
-// LastOps returns each partition writer's latest write-behind handle
-// (nil entries where nothing flushed).
-func (sh *Shuffler) LastOps() []*disksim.AsyncOp {
-	ops := make([]*disksim.AsyncOp, len(sh.outs))
-	for i, o := range sh.outs {
-		ops[i] = o.LastOp()
-	}
-	return ops
-}
-
-// BytesPerPartition returns the bytes flushed to each partition's update
-// file so far.
-func (sh *Shuffler) BytesPerPartition() []int64 {
-	c := make([]int64, len(sh.outs))
-	for i, o := range sh.outs {
-		c[i] = o.BytesWritten()
-	}
-	return c
-}
-
-// Close flushes and publishes every partition's update file.
-func (sh *Shuffler) Close() error {
-	var first error
-	for _, o := range sh.outs {
-		if err := o.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Abort discards every partition's update file.
-func (sh *Shuffler) Abort() { AbortAll(sh.outs) }
+func (sh *Shuffler) P() int { return len(sh.W) }

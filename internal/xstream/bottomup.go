@@ -101,7 +101,7 @@ func (e *kernel) unvisitedIn(p int) int64 {
 // ends with a reverse-input pass over each partition. It returns the
 // number of vertices that pass discovered; zero means the traversal is
 // complete.
-func (e *kernel) bottomUpIteration(iter int, wasBottom bool, run *metrics.Run, runSpan *obs.Span) (uint64, error) {
+func (e *kernel) bottomUpIteration(iter int, wasBottom bool, runSpan *obs.Span) (uint64, error) {
 	itSpan := runSpan.Child("iteration").SetIter(iter)
 	e.ctr.Iteration.Set(int64(iter))
 	d := e.dir
@@ -117,7 +117,8 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, run *metrics.Run, r
 		e.dir = d
 		e.ctr.SwitchIteration.Set(int64(e.ds.SwitchIteration))
 	}
-	itRow := metrics.Iteration{Index: iter, BottomUp: true, TrimActive: e.trimActive(iter)}
+	itRow := metrics.Iteration{Index: iter, BottomUp: true,
+		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)}
 
 	if !wasBottom {
 		// Transition pass: consume the update files the last top-down
@@ -191,13 +192,13 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, run *metrics.Run, r
 			degSum += dg
 		}
 	}
-	e.visited += newly
+	e.run.Visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ctr.BottomUpIters.Add(1)
 	itRow.NewlyVisited += newly
 	d.carryFrontier = newly
 	d.frontier, d.next = d.next, d.frontier
-	e.endIteration(run, itRow, itSpan.Attr("bottomup", 1))
+	e.endIteration(itRow, itSpan.Attr("bottomup", 1))
 
 	// The transition consumed its update set; consecutive bottom-up
 	// iterations have none.
@@ -210,66 +211,124 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, run *metrics.Run, r
 }
 
 // fusedFirstBottomUp is the run's first bottom-up pass, fused with the
-// reverse-edge split. One sequential scan of the dataset's .rev file
-// (original edge order) both resolves this pass's winners and writes
-// each partition's reverse input for the next pass. Sequential original
-// order makes the winner rule direct: keep the first candidate whose
-// source partition strictly improves — exactly the (source partition,
-// original position) minimum top-down's gather would pick. An in-edge
-// is written through to its target's partition file only while its
+// reverse-edge split (splitReverse): the scan resolves this pass's
+// winners into a global table (like OutDeg outside the modelled budget —
+// winners land across every partition because the .rev scan is in dataset
+// order, not partition order), which is then applied partition by
+// partition.
+func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+	bestPart, bestParent := e.rt.Winners(int(e.rt.Meta.Vertices))
+	scanned, candidates, stayed, err := e.splitReverse(iter, d, bestPart, bestParent, itRow, itSpan.Child("reverse-split"))
+	if err != nil {
+		return 0, 0, err
+	}
+
+	for p := 0; p < e.rt.Parts.P(); p++ {
+		if err := e.rt.Checkpoint(); err != nil {
+			return 0, 0, err
+		}
+		lo, hi := e.rt.Parts.Interval(p)
+		n, dg, err := e.applyWinners(p, iter, d, bestPart[lo:hi], bestParent[lo:hi], itSpan)
+		if err != nil {
+			return 0, 0, err
+		}
+		newly += n
+		degSum += dg
+	}
+	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
+		float64(candidates)*e.rt.Costs.GatherPerUpdate +
+		float64(newly)*e.rt.Costs.PerVertex +
+		float64(stayed)*e.rt.Costs.AppendPerStay)
+	return newly, degSum, nil
+}
+
+// applyWinners ends a bottom-up pass over partition p: the vertices with
+// a winner in bestPart (indexed from the partition's first vertex) are
+// visited at level iter+1 under their bestParent and join the next
+// frontier. Only a partition that discovered vertices pays vertex-file
+// traffic: load, apply, write back. The partition's share of the new
+// frontier also seeds the state selective scheduling consults when the
+// run hands back to top-down. It returns the share and its out-degree sum.
+func (e *kernel) applyWinners(p, iter int, d *dirRun, bestPart []int32, bestParent []graph.VertexID, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+	for _, bp := range bestPart {
+		if bp >= 0 {
+			newly++
+		}
+	}
+	st := &e.parts[p]
+	st.updates, st.frontier = int64(newly), newly
+	if newly == 0 {
+		return 0, 0, nil
+	}
+	v, err := e.loadVerts(p, itSpan)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, bp := range bestPart {
+		if bp >= 0 {
+			v.Level[i] = uint32(iter) + 1
+			v.Parent[i] = bestParent[i]
+			vid := v.Lo + graph.VertexID(i)
+			d.next.Set(vid)
+			e.rt.VisitedBits.Set(vid)
+			degSum += float64(e.rt.OutDeg[vid])
+		}
+	}
+	if err := e.saveVerts(p, iter, v, itSpan); err != nil {
+		return 0, 0, err
+	}
+	st.visitedCount += newly
+	e.ctr.Visited.Add(int64(newly))
+	return newly, degSum, nil
+}
+
+// splitReverse is the one sequential scan of the dataset's .rev file
+// (original edge order) that both resolves the first bottom-up pass's
+// winners and writes each partition's reverse input for the next pass.
+// Sequential original order makes the winner rule direct: keep the first
+// candidate whose source partition strictly improves — exactly the (source
+// partition, original position) minimum top-down's gather would pick. An
+// in-edge is written through to its target's partition file only while its
 // target is unvisited AND, when trimming is active, still winnerless, so
 // the per-partition inputs start winner-filtered instead of being
-// full-size files the next pass immediately re-trims. Corruption in the .rev stream (frame checksum,
-// malformed edge, edge-count mismatch) surfaces as errs.ErrCorrupted.
-func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
+// full-size files the next pass immediately re-trims. Corruption in the
+// .rev stream (frame checksum, malformed edge, edge-count mismatch)
+// surfaces as errs.ErrCorrupted. bs is the pass's span, ended here.
+func (e *kernel) splitReverse(iter int, d *dirRun, bestPart []int32, bestParent []graph.VertexID,
+	itRow *metrics.Iteration, bs *obs.Span) (scanned, candidates, stayed int64, err error) {
+	defer bs.End()
 	revName := graph.ReverseFileName(e.rt.Meta.Name)
-	bs := itSpan.Child("reverse-split")
 	sc, err := stream.NewEdgeScanner(e.rt.Vol, revName, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
 	if err != nil {
-		bs.End()
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer sc.Close()
 	stayTiming := e.otherTiming(e.rt.MainTiming())
-	outs := make([]*stream.Writer[graph.Edge], e.rt.Parts.P())
-	abort := func() {
-		stream.AbortAll(outs) // the writers still open; a closed one ignores it
-		bs.End()
+	outs, err := stream.OpenWriterSet(e.rt.Vol, e.rt.Parts.P(), func(p int) string { return e.revStayFile(iter, p) },
+		func(name string) (*stream.Writer[graph.Edge], error) {
+			return stream.NewCodecFramedEdgeWriter(e.rt.Vol, name, stayTiming, e.rt.Opts.StreamBufSize, e.rt.Codec)
+		})
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	for p := range outs {
-		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.rt.Opts.StreamBufSize, e.rt.Codec)
-		if werr != nil {
-			abort()
-			return 0, 0, werr
-		}
-		w.SetAsync()
-		outs[p] = w
-	}
+	defer outs.Abort() // whatever an error return leaves open
+	outs.SetAsync()
 
-	// Global winner table (like OutDeg outside the modelled budget):
-	// winners land across every partition because the .rev scan is in
-	// dataset order, not partition order.
-	bestPart, bestParent := e.rt.Winners(int(e.rt.Meta.Vertices))
-	trim := e.trimActive(iter)
-	var total uint64
-	var candidates, stayed int64
-	perPart := make([]int64, e.rt.Parts.P())
-	chunk := e.rt.EdgeChunk()
+	trim := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)
+	w, chunk := outs.W, e.rt.EdgeChunk()
 	for {
-		n, serr := sc.NextChunk(chunk)
-		if serr != nil {
-			abort()
-			return 0, 0, serr
+		n, err := sc.NextChunk(chunk)
+		if err != nil {
+			return 0, 0, 0, err
 		}
 		if n == 0 {
 			break
 		}
 		for _, r := range chunk[:n] {
-			if cerr := e.rt.Meta.CheckEdge(r); cerr != nil {
-				abort()
-				return 0, 0, fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, revName, cerr)
+			if err := e.rt.Meta.CheckEdge(r); err != nil {
+				return 0, 0, 0, fmt.Errorf("%w: reverse-edge file %s: %w", errs.ErrCorrupted, revName, err)
 			}
-			total++
+			scanned++
 			if e.rt.VisitedBits.Get(r.Src) {
 				continue // target already has a parent — dead in-edge
 			}
@@ -284,90 +343,35 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 			if trim && bestPart[r.Src] >= 0 {
 				continue // target will be visited when this pass ends
 			}
-			p := e.rt.Parts.Of(r.Src)
-			if werr := outs[p].Append(r); werr != nil {
-				abort()
-				return 0, 0, werr
+			if err := w[e.rt.Parts.Of(r.Src)].Append(r); err != nil {
+				return 0, 0, 0, err
 			}
 			stayed++
-			perPart[p]++
 		}
 	}
-	if total != e.rt.Meta.Edges {
-		abort()
-		return 0, 0, fmt.Errorf("%w: reverse-edge file %s has %d edges, config says %d",
-			errs.ErrCorrupted, revName, total, e.rt.Meta.Edges)
+	if uint64(scanned) != e.rt.Meta.Edges {
+		return 0, 0, 0, fmt.Errorf("%w: reverse-edge file %s has %d edges, config says %d",
+			errs.ErrCorrupted, revName, scanned, e.rt.Meta.Edges)
 	}
-	for p, o := range outs {
-		if cerr := o.Close(); cerr != nil {
-			abort()
-			return 0, 0, cerr
-		}
-		e.rt.BytesWritten += o.BytesWritten()
-		e.rt.RegisterReady(e.revStayFile(iter, p), o.LastOp())
-		d.revInput[p] = e.revStayFile(iter, p)
-		d.revTiming[p] = stayTiming
-		d.revEdges[p] = perPart[p]
+	if err := sealWriters(e.rt, outs); err != nil {
+		return 0, 0, 0, err
 	}
+	copy(d.revEdges, outs.Counts())
+	for p := range d.revInput {
+		d.revInput[p], d.revTiming[p] = outs.Names[p], stayTiming
+	}
+	d.split = true
 	e.rt.BytesRead += sc.BytesRead()
-	scanned := int64(total)
 	e.ctr.Edges.Add(scanned)
 	itRow.EdgesStreamed += scanned
 	if trim {
 		itRow.StayEdges += stayed
-		e.trimmed += scanned - stayed
+		e.run.TrimmedEdges += scanned - stayed
 		e.ctr.StayEdges.Add(stayed)
 		e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 	}
-	bs.Attr("edges", scanned).Attr("stay_edges", stayed).End()
-	d.split = true
-
-	// Apply the winners partition by partition; only partitions that
-	// discovered vertices pay vertex-file traffic.
-	for p := 0; p < e.rt.Parts.P(); p++ {
-		if err := e.rt.Checkpoint(); err != nil {
-			return newly, degSum, err
-		}
-		st := &e.parts[p]
-		lo, hi := e.rt.Parts.Interval(p)
-		var count uint64
-		for vid := lo; vid < hi; vid++ {
-			if bestPart[vid] >= 0 {
-				count++
-			}
-		}
-		st.updates = int64(count)
-		st.frontier = count
-		if count == 0 {
-			continue
-		}
-		v, verr := e.loadVerts(p, itSpan)
-		if verr != nil {
-			return newly, degSum, verr
-		}
-		for vid := lo; vid < hi; vid++ {
-			if bestPart[vid] < 0 {
-				continue
-			}
-			i := int(vid - lo)
-			v.Level[i] = uint32(iter) + 1
-			v.Parent[i] = bestParent[vid]
-			d.next.Set(vid)
-			e.rt.VisitedBits.Set(vid)
-			degSum += float64(e.rt.OutDeg[vid])
-		}
-		if verr := e.saveVerts(p, iter, v, itSpan); verr != nil {
-			return newly, degSum, verr
-		}
-		st.visitedCount += count
-		newly += count
-		e.ctr.Visited.Add(int64(count))
-	}
-	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
-		float64(candidates)*e.rt.Costs.GatherPerUpdate +
-		float64(newly)*e.rt.Costs.PerVertex +
-		float64(stayed)*e.rt.Costs.AppendPerStay)
-	return newly, degSum, nil
+	bs.Attr("edges", scanned).Attr("stay_edges", stayed)
+	return scanned, candidates, stayed, nil
 }
 
 // bottomUpPartition scans one partition's reverse-edge input against
@@ -384,7 +388,6 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 // after the pool drains, so file bytes and results are identical for
 // any worker count.
 func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
-	st := &e.parts[p]
 	e.rt.AwaitFile(d.revInput[p])
 	sc, err := stream.NewEdgeScanner(e.rt.Vol, d.revInput[p], d.revTiming[p], e.rt.Opts.StreamBufSize)
 	if err != nil {
@@ -421,7 +424,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 			out.Scanned++
 			i := int(r.Src - lo)
 			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("%s: reverse edge %v outside partition [%d,%d)", e.name, r, lo, int(lo)+n)
+				out.Err = fmt.Errorf("%s: reverse edge %v outside partition [%d,%d)", e.run.Engine, r, lo, int(lo)+n)
 				return
 			}
 			if e.rt.VisitedBits.Get(r.Src) {
@@ -476,7 +479,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		if errors.Is(err, errs.ErrCorrupted) {
 			// Unlike a forward stay there is no wider fallback input
 			// once the reverse chain has advanced: fail stop.
-			return 0, 0, fmt.Errorf("%s: reverse input %s: %w", e.name, d.revInput[p], err)
+			return 0, 0, fmt.Errorf("%s: reverse input %s: %w", e.run.Engine, d.revInput[p], err)
 		}
 		return 0, 0, err
 	}
@@ -496,44 +499,15 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 			d.revTiming[p] = stayTiming
 			d.revEdges[p] = stayed
 			itRow.StayEdges += stayed
-			e.trimmed += scanned - stayed
+			e.run.TrimmedEdges += scanned - stayed
 			e.ctr.StayEdges.Add(stayed)
 			e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 		}
 	}
 
-	for i := range bestPart {
-		if bestPart[i] >= 0 {
-			newly++
-		}
+	if newly, degSum, err = e.applyWinners(p, iter, d, bestPart, bestParent, itSpan); err != nil {
+		return 0, 0, err
 	}
-	if newly > 0 {
-		// Only a partition that actually discovered vertices pays any
-		// vertex-file traffic: load, apply the winners, write back.
-		v, err := e.loadVerts(p, itSpan)
-		if err != nil {
-			return 0, 0, err
-		}
-		for i := range bestPart {
-			if bestPart[i] >= 0 {
-				v.Level[i] = uint32(iter) + 1
-				v.Parent[i] = bestParent[i]
-				vid := lo + graph.VertexID(i)
-				d.next.Set(vid)
-				e.rt.VisitedBits.Set(vid)
-				degSum += float64(e.rt.OutDeg[vid])
-			}
-		}
-		if err := e.saveVerts(p, iter, v, itSpan); err != nil {
-			return newly, degSum, err
-		}
-	}
-	e.ctr.Visited.Add(int64(newly))
-	st.visitedCount += newly
-	// Seed the state selective scheduling consults when the run hands
-	// back to top-down: the partition's share of the new frontier.
-	st.updates = int64(newly)
-	st.frontier = newly
 	itRow.EdgesStreamed += scanned
 	work := float64(scanned)*e.rt.Costs.ScatterPerEdge +
 		float64(candidates)*e.rt.Costs.GatherPerUpdate +

@@ -89,8 +89,7 @@ type checkpointManifest struct {
 
 // checkpointer owns the manifest on its dedicated volume.
 type checkpointer struct {
-	vol     storage.Volume
-	written int // manifests persisted by this run
+	vol storage.Volume
 }
 
 // write persists the manifest atomically: marshal, frame with a CRC,
@@ -115,11 +114,7 @@ func (c *checkpointer) write(man *checkpointManifest) error {
 			return err
 		}
 	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	c.written++
-	return nil
+	return w.Close()
 }
 
 // load reads and validates the manifest. A missing manifest returns
@@ -213,24 +208,24 @@ func (e *kernel) roleTiming(role string) stream.Timing {
 // persists it, then performs the deletions that were deferred while the
 // previous manifest still referenced their files. No-op without a
 // checkpoint volume.
-func (e *kernel) writeManifest(iter int, done bool, run *metrics.Run) error {
+func (e *kernel) writeManifest(iter int, done bool) error {
 	if e.ck == nil {
 		return nil
 	}
 	man := &checkpointManifest{
 		Version:         manifestVersion,
-		Engine:          e.name,
+		Engine:          e.run.Engine,
 		Graph:           e.rt.Meta.Name,
 		FilePrefix:      e.rt.Opts.FilePrefix,
 		Codec:           string(e.rt.Codec),
 		Iteration:       iter,
 		Done:            done,
-		Visited:         e.visited,
-		Cancellations:   e.cancellations,
-		Skipped:         e.skipped,
-		Trimmed:         e.trimmed,
-		StayCorruptions: e.stayCorrupt,
-		Iterations:      run.Iterations,
+		Visited:         e.run.Visited,
+		Cancellations:   e.run.Cancellations,
+		Skipped:         e.run.Skipped,
+		Trimmed:         e.run.TrimmedEdges,
+		StayCorruptions: e.run.StayCorruptions,
+		Iterations:      e.run.Iterations,
 		Parts:           make([]manifestPart, len(e.parts)),
 	}
 	for p := range e.parts {
@@ -248,8 +243,9 @@ func (e *kernel) writeManifest(iter int, done bool, run *metrics.Run) error {
 		}
 	}
 	if err := e.ck.write(man); err != nil {
-		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.name, iter, err)
+		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.run.Engine, iter, err)
 	}
+	e.run.Checkpoints++
 	e.ctr.Checkpoints.Add(1)
 	e.flushGraveyard()
 	return nil
@@ -259,16 +255,16 @@ func (e *kernel) writeManifest(iter int, done bool, run *metrics.Run) error {
 // and validates that every file it names still exists on the working
 // volume — a missing file means the checkpoint and working volumes
 // diverged, which resume must refuse rather than silently restart.
-func (e *kernel) seedFromManifest(man *checkpointManifest, run *metrics.Run) error {
-	if man.Engine != e.name || man.Graph != e.rt.Meta.Name ||
+func (e *kernel) seedFromManifest(man *checkpointManifest) error {
+	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name ||
 		man.FilePrefix != e.rt.Opts.FilePrefix || len(man.Parts) != e.rt.Parts.P() {
 		return fmt.Errorf("%s: checkpoint manifest (engine %q graph %q prefix %q, %d partitions) does not match this run (%q, %d partitions): %w",
-			e.name, man.Engine, man.Graph, man.FilePrefix, len(man.Parts), e.rt.Meta.Name, e.rt.Parts.P(), errs.ErrCorrupted)
+			e.run.Engine, man.Engine, man.Graph, man.FilePrefix, len(man.Parts), e.rt.Meta.Name, e.rt.Parts.P(), errs.ErrCorrupted)
 	}
 	manCodec, err := graph.ParseCodec(man.Codec)
 	if err != nil || manCodec != e.rt.Codec {
 		return fmt.Errorf("%s: checkpoint manifest was written under codec %q but this run uses %q: %w",
-			e.name, man.Codec, e.rt.Codec, errs.ErrCorrupted)
+			e.run.Engine, man.Codec, e.rt.Codec, errs.ErrCorrupted)
 	}
 	for p := range man.Parts {
 		mp := &man.Parts[p]
@@ -283,7 +279,7 @@ func (e *kernel) seedFromManifest(man *checkpointManifest, run *metrics.Run) err
 		st.updates = mp.Updates
 		st.stayBroken = mp.StayBroken
 		if mp.StayBroken {
-			e.stayDisabled++
+			e.run.StayDisabledParts++
 		}
 		pending := "" // the sealed update file the resumed iteration gathers
 		if !man.Done && mp.Updates > 0 {
@@ -292,7 +288,7 @@ func (e *kernel) seedFromManifest(man *checkpointManifest, run *metrics.Run) err
 		for _, name := range []string{mp.Input, mp.VertexFile, mp.Fallback, pending} {
 			if name != "" && !e.rt.Vol.Exists(name) {
 				return fmt.Errorf("%s: checkpoint manifest names %s but the working volume does not have it: %w",
-					e.name, name, errs.ErrCorrupted)
+					e.run.Engine, name, errs.ErrCorrupted)
 			}
 		}
 		if !man.Done {
@@ -303,15 +299,15 @@ func (e *kernel) seedFromManifest(man *checkpointManifest, run *metrics.Run) err
 			}
 		}
 	}
-	e.visited = man.Visited
-	e.cancellations = man.Cancellations
-	e.skipped = man.Skipped
-	e.trimmed = man.Trimmed
-	e.stayCorrupt = man.StayCorruptions
-	e.resumed = man.Iteration + 1
-	run.Iterations = append(run.Iterations, man.Iterations...)
-	if e.stayDisabled > 0 {
-		e.ctr.StayDisabled.Set(int64(e.stayDisabled))
+	e.run.Visited = man.Visited
+	e.run.Cancellations = man.Cancellations
+	e.run.Skipped = man.Skipped
+	e.run.TrimmedEdges = man.Trimmed
+	e.run.StayCorruptions = man.StayCorruptions
+	e.run.Resumed = man.Iteration + 1
+	e.run.Iterations = man.Iterations
+	if e.run.StayDisabledParts > 0 {
+		e.ctr.StayDisabled.Set(int64(e.run.StayDisabledParts))
 	}
 	return nil
 }

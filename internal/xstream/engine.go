@@ -5,7 +5,6 @@ import (
 
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
@@ -41,49 +40,35 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 	return RunPolicy(ctx, vol, graphName, EngineName, opts, Policy{})
 }
 
-// TrimPolicy is the in-memory path's trimming hook. RunInMemory calls it
-// once after every iteration's gather with the current levels; ok asks
-// for a trim pass that drops every live edge whose source level is below
-// floor. X-Stream passes a nil policy and rescans everything.
-type TrimPolicy func(level []uint32) (floor uint32, ok bool)
-
-// loadOneShot builds the single-use PreparedGraph of a run that was not
-// handed a resident one (the CLI and library path): the edge load goes
-// through the run's own timing, so it is charged to BytesRead and the
-// simulation clock exactly like the streaming load it replaces.
-func (rt *Runtime) loadOneShot() (*PreparedGraph, error) {
-	pg := &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm,
-		Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
-	n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
-	if err != nil {
-		return nil, err
-	}
-	rt.BytesRead += n
-	return pg, nil
-}
-
-// RunInMemory is the fast path when the whole graph fits the memory
+// runInMemory is the fast path when the whole graph fits the memory
 // budget: pure in-memory iterations over a PreparedGraph's resident edge
 // list (the paper's Fig. 9 cliff at 4 GB). A run handed a resident
 // Options.Prepared iterates over the shared list and reads nothing from
-// the device; any other run loads a one-shot list first. The shared list
-// is never written: the first trim pass copies its survivors into the
-// run's scratch and later passes compact that copy in place. engineName
-// labels the metrics record.
-func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, error) {
-	run := metrics.Run{Engine: engineName, SwitchIteration: -1}
-	tr := rt.Tracer()
-	ctr := obs.NewEngineCounters(tr)
-	runSpan := tr.Span("run").Attr("in_memory", 1)
+// the device; any other run loads a one-shot list first. Of the policy
+// only trimming applies: an iteration the trim threshold admits drops,
+// after its gather, every edge whose source is already visited — level
+// below the next frontier's; NoLevel is the maximum uint32, so "keep iff
+// level[src] > iter" keeps exactly the unvisited and just-discovered
+// sources. The shared list is never written: the first trim pass copies
+// its survivors into the run's scratch and later passes compact that copy
+// in place.
+func (e *kernel) runInMemory() (*Result, error) {
+	rt := e.rt
+	runSpan := e.tr.Span("run").Attr("in_memory", 1)
 	lds := runSpan.Child("load")
 	pg := rt.Opts.Prepared
 	if !pg.Resident() {
-		var err error
-		if pg, err = rt.loadOneShot(); err != nil {
+		// The CLI and library path: a single-use list, loaded through the
+		// run's own timing, so it is charged to BytesRead and the simulation
+		// clock exactly like the streaming load it replaces.
+		pg = &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm, Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
+		n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
+		if err != nil {
 			return nil, err
 		}
+		rt.BytesRead += n
 	}
-	ctr.BytesRead.Set(rt.BytesRead)
+	e.ctr.BytesRead.Set(rt.BytesRead)
 	lds.Attr("edges", int64(len(pg.edges))).End()
 
 	scratch := rt.scratch
@@ -104,34 +89,28 @@ func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, erro
 	rt.Compute(float64(rt.Meta.Vertices) * rt.Costs.PerVertex)
 	level[rt.Opts.Root] = 0
 	parent[rt.Opts.Root] = rt.Opts.Root
-	visited := uint64(1)
-	ctr.Visited.Add(1)
+	e.run.Visited = 1
+	e.ctr.Visited.Add(1)
 
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
 		maxIter = int(rt.Meta.Vertices) + 1
 	}
-	// The in-memory path has no destination partitions to route by, so
-	// the pool's shards hold a single slot; chunk-order merge still
-	// reproduces the sequential update order exactly.
-	pool := scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, 1)
-	pool.ChunkCounter = ctr.ScatterChunks
-	pool.BusyCounter = ctr.ScatterBusyNs
-	pool.FaultHook = rt.Opts.FaultHook
-	ctr.ScatterWorkers.Set(int64(pool.Workers()))
+	frontier := uint64(1) // the vertices at level iter: what iteration iter scatters
 	for iter := uint32(0); int(iter) < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
 			return nil, err
 		}
 		itSpan := runSpan.Child("iteration").SetIter(int(iter))
-		ctr.Iteration.Set(int64(iter))
-		itRow := metrics.Iteration{Index: int(iter), Frontier: 0}
+		e.ctr.Iteration.Set(int64(iter))
+		itRow := metrics.Iteration{Index: int(iter), Frontier: frontier, EdgesStreamed: int64(len(edges))}
 		ss := itSpan.Child("scatter")
 		updates = updates[:0]
-		err := pool.RunSlice(edges, func(chunk []graph.Edge, out *stream.Shard) {
-			for _, e := range chunk {
-				if level[e.Src] == iter {
-					out.ByPart[0] = append(out.ByPart[0], graph.Update{Dst: e.Dst, Parent: e.Src})
+		// Chunk-order merge reproduces the sequential update order exactly.
+		err := e.pool.RunSlice(edges, func(chunk []graph.Edge, out *stream.Shard) {
+			for _, edge := range chunk {
+				if level[edge.Src] == iter {
+					out.ByPart[0] = append(out.ByPart[0], graph.Update{Dst: edge.Dst, Parent: edge.Src})
 				}
 			}
 		}, func(s *stream.Shard) error {
@@ -141,68 +120,53 @@ func RunInMemory(rt *Runtime, engineName string, trim TrimPolicy) (*Result, erro
 		if err != nil {
 			return nil, err
 		}
-		itRow.EdgesStreamed = int64(len(edges))
-		ctr.Edges.Add(int64(len(edges)))
-		ctr.UpdatesEmitted.Add(int64(len(updates)))
-		rt.RAMScan(int64(len(edges)) * graph.EdgeBytes)
+		itRow.Updates = int64(len(updates))
+		e.ctr.Edges.Add(itRow.EdgesStreamed)
+		e.ctr.UpdatesEmitted.Add(itRow.Updates)
+		rt.RAMScan(itRow.EdgesStreamed * graph.EdgeBytes)
 		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(len(updates))*rt.Costs.AppendPerUpdate)
-		ss.Attr("edges", int64(len(edges))).Attr("emitted", int64(len(updates))).End()
+		ss.Attr("edges", itRow.EdgesStreamed).Attr("emitted", itRow.Updates).End()
 		gs := itSpan.Child("gather")
-		var newly uint64
 		for _, u := range updates {
 			if level[u.Dst] == NoLevel {
 				level[u.Dst] = iter + 1
 				parent[u.Dst] = u.Parent
-				newly++
+				itRow.NewlyVisited++
 			}
 		}
 		rt.Compute(float64(len(updates)) * rt.Costs.GatherPerUpdate)
-		gs.Attr("applied", int64(len(updates))).End()
-		ctr.UpdatesApplied.Add(int64(len(updates)))
-		ctr.Visited.Add(int64(newly))
-		visited += newly
-		itRow.Updates = int64(len(updates))
-		itRow.NewlyVisited = newly
-		if trim != nil {
+		gs.Attr("applied", itRow.Updates).End()
+		e.ctr.UpdatesApplied.Add(itRow.Updates)
+		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
+		e.run.Visited += itRow.NewlyVisited
+		frontier = itRow.NewlyVisited
+		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices) {
 			ts := itSpan.Child("stay-write")
-			before := len(edges)
-			if floor, ok := trim(level); ok {
-				live := edges[:0]
-				if !private {
-					live, private = scratch.Survivors(before), true
-				}
-				for _, e := range edges {
-					if level[e.Src] >= floor {
-						live = append(live, e)
-					}
-				}
-				edges = live
+			live := edges[:0]
+			if !private {
+				live, private = scratch.Survivors(len(edges)), true
 			}
-			kept := len(edges)
-			itRow.StayEdges = int64(kept)
+			for _, edge := range edges {
+				if level[edge.Src] > iter {
+					live = append(live, edge)
+				}
+			}
+			edges = live
+			itRow.StayEdges = int64(len(edges))
 			itRow.TrimActive = true
-			run.TrimmedEdges += int64(before - kept)
-			rt.Compute(float64(before) * rt.Costs.AppendPerStay)
-			ts.Attr("stay_edges", int64(kept)).End()
-			ctr.StayEdges.Add(int64(kept))
+			e.run.TrimmedEdges += itRow.EdgesStreamed - itRow.StayEdges
+			rt.Compute(float64(itRow.EdgesStreamed) * rt.Costs.AppendPerStay)
+			ts.Attr("stay_edges", itRow.StayEdges).End()
+			e.ctr.StayEdges.Add(itRow.StayEdges)
 		}
-		run.Iterations = append(run.Iterations, itRow)
-		ctr.Frontier.Set(int64(newly))
-		itSpan.Attr("frontier", int64(itRow.Frontier)).
-			Attr("new", int64(newly)).
-			Attr("edges", itRow.EdgesStreamed).End()
-		tr.EmitCounters()
+		e.endIteration(itRow, itSpan)
 		if len(updates) == 0 {
 			break
 		}
 	}
-	runSpan.Attr("visited", int64(visited)).End()
-	tr.EmitCounters()
-
-	res := &Result{Levels: level, Parents: parent, Visited: visited}
-	rt.TranslateResult(res)
-	run.Visited = visited
-	rt.FinishMetrics(&run)
-	res.Metrics = run
-	return res, nil
+	return e.finish(runSpan, func() (*Result, error) {
+		res := &Result{Levels: level, Parents: parent}
+		rt.TranslateResult(res)
+		return res, nil
+	})
 }

@@ -61,10 +61,21 @@ type Policy struct {
 	// restarts from that manifest (DESIGN.md §10, checkpoint.go).
 	CheckpointVol storage.Volume
 	Resume        bool
+}
 
-	// InMemoryTrim is handed to RunInMemory when the graph fits the
-	// memory budget and the run takes the in-memory path instead.
-	InMemoryTrim TrimPolicy
+// TrimActive is the trim threshold (§II-C3), the one rule both regimes
+// ask: whether an iteration trims, given how many of the graph's vertices
+// the run has visited. The streaming loop asks as iteration iter starts,
+// the in-memory loop after its gather — each just before it would rewrite
+// its edges.
+func (p Policy) TrimActive(iter int, visited, vertices uint64) bool {
+	if !p.Trim || iter < p.TrimStartIteration {
+		return false
+	}
+	if p.TrimVisitedFraction > 0 && float64(visited)/float64(vertices) < p.TrimVisitedFraction {
+		return false
+	}
+	return true
 }
 
 // RunPolicy is the entry sequence every engine built on the kernel
@@ -97,11 +108,13 @@ func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string
 	}
 	if rt.InMemory() && pol.CheckpointVol == nil {
 		// The in-memory fast path has no durable intermediate state to
-		// checkpoint; checkpointed runs always stream.
-		return RunInMemory(rt, engine, pol.InMemoryTrim)
+		// checkpoint; checkpointed runs always stream. It has no destination
+		// partitions to route by either, so its shards hold a single slot.
+		return newKernel(rt, engine, pol, 1).runInMemory()
 	}
-	e := &kernel{rt: rt, name: engine, pol: pol, dirPinned: pinned}
-	return e.run()
+	e := newKernel(rt, engine, pol, rt.Parts.P())
+	e.run.DirectionFallback = pinned
+	return e.runStreaming()
 }
 
 // partState tracks one partition's edge input and pending stay write.
@@ -148,13 +161,17 @@ type partState struct {
 	visitedCount uint64
 }
 
+// kernel is one BFS run on either regime: runStreaming (below) out of
+// core, runInMemory (engine.go) when the graph fits the budget.
 type kernel struct {
-	rt   *Runtime
-	name string
-	pol  Policy
-	// dirPinned records that RunPolicy rewrote direction auto to top-down
-	// for a checkpointed run.
-	dirPinned bool
+	rt  *Runtime
+	pol Policy
+
+	// run is the measurement record, and the only place the run's totals
+	// live: the loop counts straight into it (visited vertices, skips,
+	// cancellations, trimmed edges, iteration rows), the manifest is written
+	// from it and a resume seeds it, so nothing is copied out at the end.
+	run metrics.Run
 
 	sw    *stream.StayWriter // nil unless pol.Trim
 	pool  *stream.ScatterPool
@@ -177,14 +194,25 @@ type kernel struct {
 	// longer references the files.
 	ck        *checkpointer
 	graveyard []string
+}
 
-	visited       uint64
-	cancellations int
-	skipped       int
-	trimmed       int64
-	stayCorrupt   int
-	stayDisabled  int
-	resumed       int // iterations restored from a manifest (0 = fresh)
+// newKernel sets up what both regimes share: the record, named for the
+// engine, the tracer with its live counters, and the scatter worker pool.
+// The pool is the scratch's, so a prepared run inherits the shards and
+// chunk buffers of the runs before it; its shards are shardParts wide.
+// The chunk size is the stream buffer's edge capacity, so chunk boundaries
+// line up with scanner refills and — critically — depend only on the
+// buffer size, never on the worker count, keeping output bytes
+// deterministic.
+func newKernel(rt *Runtime, engine string, pol Policy, shardParts int) *kernel {
+	e := &kernel{rt: rt, pol: pol, run: metrics.Run{Engine: engine, SwitchIteration: -1}, tr: rt.Tracer()}
+	e.ctr = obs.NewEngineCounters(e.tr)
+	e.pool = rt.scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, shardParts)
+	e.pool.ChunkCounter = e.ctr.ScatterChunks
+	e.pool.BusyCounter = e.ctr.ScatterBusyNs
+	e.pool.FaultHook = rt.Opts.FaultHook
+	e.ctr.ScatterWorkers.Set(int64(e.pool.Workers()))
+	return e
 }
 
 // otherTiming returns the device the stay-out stream should use: a
@@ -213,17 +241,13 @@ func (e *kernel) stayDiskTiming() stream.Timing {
 	return stream.Timing{Clock: e.rt.Clock, Device: e.rt.Opts.Sim.StayDisk, Retry: e.rt.Retry, Bufs: e.rt.Bufs}
 }
 
-func (e *kernel) run() (*Result, error) {
-	run := metrics.Run{Engine: e.name, SwitchIteration: -1}
-	e.tr = e.rt.Tracer()
-	e.ctr = obs.NewEngineCounters(e.tr)
-	e.pool = e.rt.NewScatterPool(e.ctr)
+func (e *kernel) runStreaming() (*Result, error) {
 	dir, fellBack, err := e.rt.ResolveDirection()
 	if err != nil {
 		return nil, err
 	}
-	if fellBack || e.dirPinned {
-		run.DirectionFallback = true
+	if fellBack || e.run.DirectionFallback { // RunPolicy pinned a checkpointed auto run
+		e.run.DirectionFallback = true
 		e.ctr.DirectionFallbacks.Add(1)
 	}
 	e.ds = NewDirState(e.rt, dir)
@@ -252,12 +276,12 @@ func (e *kernel) run() (*Result, error) {
 	var man *checkpointManifest
 	if e.ck != nil && e.pol.Resume {
 		if man, err = e.ck.load(); err != nil {
-			return nil, fmt.Errorf("%s: %w", e.name, err)
+			return nil, fmt.Errorf("%s: %w", e.run.Engine, err)
 		}
 	}
 	startIter := 0
 	if man != nil {
-		if err := e.seedFromManifest(man, &run); err != nil {
+		if err := e.seedFromManifest(man); err != nil {
 			return nil, err
 		}
 		startIter = man.Iteration + 1
@@ -306,7 +330,7 @@ func (e *kernel) run() (*Result, error) {
 			e.ctr.DirectionSwitches.Add(1)
 		}
 		if bottom {
-			newly, err := e.bottomUpIteration(iter, prevBottom, &run, runSpan)
+			newly, err := e.bottomUpIteration(iter, prevBottom, runSpan)
 			if err != nil {
 				return nil, err
 			}
@@ -325,7 +349,7 @@ func (e *kernel) run() (*Result, error) {
 		e.filter.Wave = Wave{}
 		itSpan := runSpan.Child("iteration").SetIter(iter)
 		e.ctr.Iteration.Set(int64(iter))
-		trimNow := e.trimActive(iter)
+		trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)
 		sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
 			func(p int) string { return e.rt.UpdateFile(out, p) })
 		if err != nil {
@@ -348,18 +372,12 @@ func (e *kernel) run() (*Result, error) {
 		wave := e.filter.Wave
 		itRow.Filtered = wave.Filtered()
 		shs := itSpan.Child("shuffle")
-		if err := sh.Close(); err != nil {
+		if err := sealWriters(e.rt, sh.WriterSet); err != nil {
 			return nil, err
 		}
 		shs.Attr("updates", wave.Written).End()
 		for p, c := range sh.Counts() {
 			e.parts[p].updates = c
-		}
-		for _, b := range sh.BytesPerPartition() {
-			e.rt.BytesWritten += b
-		}
-		for p, op := range sh.LastOps() {
-			e.rt.RegisterReady(e.rt.UpdateFile(out, p), op)
 		}
 
 		itRow.Frontier = itRow.NewlyVisited
@@ -375,7 +393,7 @@ func (e *kernel) run() (*Result, error) {
 		// filter, exactly this frontier's out-degree sum.
 		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
 		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
-		e.endIteration(&run, itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("filtered", itRow.Filtered))
+		e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("filtered", itRow.Filtered))
 
 		if iter > 0 && !skipGather {
 			for p := 0; p < e.rt.Parts.P(); p++ {
@@ -389,50 +407,32 @@ func (e *kernel) run() (*Result, error) {
 		// the deletions deferred while the previous manifest still
 		// referenced their files become safe.
 		done := wave.Written == 0
-		if err := e.writeManifest(iter, done, &run); err != nil {
+		if err := e.writeManifest(iter, done); err != nil {
 			return nil, err
 		}
 		if done {
 			break
 		}
 	}
-	runSpan.Attr("visited", int64(e.visited)).End()
-	e.tr.EmitCounters()
-
-	res, err := e.rt.CollectResultFrom(func(p int) string { return e.parts[p].vertexFile })
-	if err != nil {
-		return nil, err
-	}
-	res.Visited = e.visited
-	run.Visited = e.visited
-	run.Cancellations = e.cancellations
-	run.Skipped = e.skipped
-	run.TrimmedEdges = e.trimmed
-	run.StayCorruptions = e.stayCorrupt
-	run.StayDisabledParts = e.stayDisabled
-	run.Resumed = e.resumed
-	if e.ck != nil {
-		run.Checkpoints = e.ck.written
-	}
-	run.BottomUpIterations = int(e.ds.BottomUpIters)
-	run.DirectionSwitches = int(e.ds.Switches)
-	run.SwitchIteration = e.ds.SwitchIteration
+	e.run.BottomUpIterations = int(e.ds.BottomUpIters)
+	e.run.DirectionSwitches = int(e.ds.Switches)
+	e.run.SwitchIteration = e.ds.SwitchIteration
 	if e.sw != nil {
-		run.StayBufferWaits = e.sw.BufferWaits()
+		e.run.StayBufferWaits = e.sw.BufferWaits()
 	}
-	run.ResidentParts = e.resd.ResidentParts()
-	run.ResidentBytes = e.resd.Bytes()
-	run.ResidentScans = e.resd.Scans()
-	run.ResidentBytesSaved = e.resd.SavedBytes()
-	e.rt.FinishMetrics(&run)
-	res.Metrics = run
-	return res, nil
+	e.run.ResidentParts = e.resd.ResidentParts()
+	e.run.ResidentBytes = e.resd.Bytes()
+	e.run.ResidentScans = e.resd.Scans()
+	e.run.ResidentBytesSaved = e.resd.SavedBytes()
+	return e.finish(runSpan, func() (*Result, error) {
+		return e.rt.CollectResultFrom(func(p int) string { return e.parts[p].vertexFile })
+	})
 }
 
 // endIteration files a finished iteration's row and closes its span and
-// live counters, in either direction.
-func (e *kernel) endIteration(run *metrics.Run, itRow metrics.Iteration, itSpan *obs.Span) {
-	run.Iterations = append(run.Iterations, itRow)
+// live counters, in either direction and either regime.
+func (e *kernel) endIteration(itRow metrics.Iteration, itSpan *obs.Span) {
+	e.run.Iterations = append(e.run.Iterations, itRow)
 	e.ctr.Frontier.Set(int64(itRow.Frontier))
 	e.ctr.BytesRead.Set(e.rt.BytesRead)
 	e.ctr.BytesWritten.Set(e.rt.BytesWritten)
@@ -440,6 +440,23 @@ func (e *kernel) endIteration(run *metrics.Run, itRow metrics.Iteration, itSpan 
 		Attr("new", int64(itRow.NewlyVisited)).
 		Attr("edges", itRow.EdgesStreamed).End()
 	e.tr.EmitCounters()
+}
+
+// finish ends a run whose loop is over: it closes the run span, has
+// collect assemble the BFS tree — outside the span, like the paper's
+// output step — and completes the record with the runtime's timing and
+// device totals.
+func (e *kernel) finish(runSpan *obs.Span, collect func() (*Result, error)) (*Result, error) {
+	runSpan.Attr("visited", int64(e.run.Visited)).End()
+	e.tr.EmitCounters()
+	res, err := collect()
+	if err != nil {
+		return nil, err
+	}
+	res.Visited = e.run.Visited
+	e.rt.FinishMetrics(&e.run)
+	res.Metrics = e.run
+	return res, nil
 }
 
 // loadVerts and saveVerts read and write partition p's vertex state
@@ -475,7 +492,7 @@ func (e *kernel) saveVerts(p, iter int, v *Verts, itSpan *obs.Span) error {
 // skip books a partition bypassed by selective scheduling.
 func (e *kernel) skip(itRow *metrics.Iteration) {
 	itRow.SkippedPartitions++
-	e.skipped++
+	e.run.Skipped++
 	e.ctr.Skipped.Add(1)
 }
 
@@ -488,8 +505,8 @@ func (e *kernel) markStayBroken(broken *bool) {
 		return
 	}
 	*broken = true
-	e.stayDisabled++
-	e.ctr.StayDisabled.Set(int64(e.stayDisabled))
+	e.run.StayDisabledParts++
+	e.ctr.StayDisabled.Set(int64(e.run.StayDisabledParts))
 }
 
 // dropFallback releases the superseded input once the adopted stay file
@@ -552,7 +569,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		if e.rt.MarkRoot(v) {
 			st.frontier = 1
 			st.visitedCount++
-			e.visited++
+			e.run.Visited++
 			e.ctr.Visited.Add(1)
 			itRow.NewlyVisited++
 		}
@@ -634,7 +651,7 @@ func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), i
 	e.ctr.Visited.Add(int64(newly))
 	st.frontier = newly
 	st.visitedCount += newly
-	e.visited += newly
+	e.run.Visited += newly
 	itRow.NewlyVisited += newly
 	itRow.Updates += applied // generated by the previous iteration's scatter
 	return nil
@@ -662,8 +679,8 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 		e.removeLater(st.input)
 		st.input, st.inputTiming = st.fallback, st.fallbackTiming
 		st.fallback, st.fallbackTiming = "", stream.Timing{}
-		e.stayCorrupt++
-		e.cancellations++ // a late cancellation of the stay adoption
+		e.run.StayCorruptions++
+		e.run.Cancellations++ // a late cancellation of the stay adoption
 		itRow.Cancelled++
 		e.ctr.Cancellations.Add(1)
 		e.ctr.StayCorrupt.Add(1)
@@ -770,7 +787,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	}
 	if sink != nil {
 		itRow.StayEdges += stayed
-		e.trimmed += scanned - stayed
+		e.run.TrimmedEdges += scanned - stayed
 	}
 	return nil
 }
@@ -810,7 +827,7 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 	}
 	if !adopt {
 		f.Discard()
-		e.cancellations++
+		e.run.Cancellations++
 		itRow.Cancelled++
 		e.ctr.Cancellations.Add(1)
 		if useErr != nil {
@@ -862,7 +879,7 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 			applied++
 			i := int(u.Dst - v.Lo)
 			if i < 0 || i >= len(v.Level) {
-				return newly, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.name, u, v.Lo, int(v.Lo)+len(v.Level))
+				return newly, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.run.Engine, u, v.Lo, int(v.Lo)+len(v.Level))
 			}
 			if v.Level[i] == NoLevel {
 				v.Level[i] = level
@@ -911,7 +928,7 @@ func (e *kernel) scatter(v *Verts, iter uint32, sh *stream.Shuffler, keep func([
 			out.Scanned++
 			i := int(edge.Src - lo)
 			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("%s: edge %v outside partition [%d,%d)", e.name, edge, lo, int(lo)+n)
+				out.Err = fmt.Errorf("%s: edge %v outside partition [%d,%d)", e.run.Engine, edge, lo, int(lo)+n)
 				return
 			}
 			if v.Level[i] == iter {
@@ -978,24 +995,10 @@ func (e *kernel) scatterResident(st *partState, p, iter int, sh *stream.Shuffler
 	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
 	itRow.EdgesStreamed += scanned
 	itRow.StayEdges += stayed
-	e.trimmed += scanned - stayed
+	e.run.TrimmedEdges += scanned - stayed
 	e.ctr.ResidentScans.Add(1)
 	e.ctr.ResidentBytes.Set(e.resd.Bytes())
 	return nil
-}
-
-// trimActive applies the trim-threshold policy (§II-C3).
-func (e *kernel) trimActive(iter int) bool {
-	if !e.pol.Trim || iter < e.pol.TrimStartIteration {
-		return false
-	}
-	if e.pol.TrimVisitedFraction > 0 {
-		frac := float64(e.visited) / float64(e.rt.Meta.Vertices)
-		if frac < e.pol.TrimVisitedFraction {
-			return false
-		}
-	}
-	return true
 }
 
 // drainPending resolves stay files still owned by the writer when the

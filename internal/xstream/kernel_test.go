@@ -103,3 +103,95 @@ func TestManifestRecordsLastCompletedIteration(t *testing.T) {
 		}
 	}
 }
+
+// TestTrimRuleSharedByBothRegimes: the trim threshold is one rule,
+// Policy.TrimActive, and both regimes' iteration rows must say what it
+// decided — over start ∈ {0, 2} × fraction ∈ {0, 0.3}. A streaming
+// iteration asks as it starts, with what the iterations before it
+// visited; an in-memory one after its gather, with its own discoveries
+// counted. A row the rule held back wrote no stay edges, and in memory
+// (where a pass's survivors are exactly the next scan) left the edge list
+// as it was.
+func TestTrimRuleSharedByBothRegimes(t *testing.T) {
+	m, edges, err := gen.RMAT(9, 8, gen.Graph500(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.Store(vol, m, edges); err != nil {
+		t.Fatal(err)
+	}
+	if (Policy{}).TrimActive(5, m.Vertices, m.Vertices) {
+		t.Error("the rule trims with trimming off")
+	}
+	for _, start := range []int{0, 2} {
+		for _, fraction := range []float64{0, 0.3} {
+			for _, inMemory := range []bool{false, true} {
+				o := smallOpts()
+				o.Root = maxDegreeVertex(m, edges)
+				o.Direction = DirectionTopDown
+				if inMemory {
+					o.MemoryBudget = 1 << 30
+				}
+				pol := Policy{Trim: true, TrimStartIteration: start, TrimVisitedFraction: fraction,
+					SelectiveScheduling: true, StayBufSize: o.StreamBufSize, StayBufCount: 8,
+					GracePeriod: 0.05, GraceWall: 50 * time.Millisecond}
+				res, err := RunPolicy(context.Background(), vol, m.Name, "fastbfs", o, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows := res.Metrics.Iterations
+				asked := uint64(0) // visited when the rule is asked about row i
+				if inMemory {
+					asked = 1 // the root, which no in-memory row discovers
+				}
+				held, trimmed := 0, 0
+				for i, it := range rows {
+					if inMemory {
+						asked += it.NewlyVisited
+					}
+					want := pol.TrimActive(i, asked, m.Vertices)
+					if it.TrimActive != want {
+						t.Errorf("start %d fraction %v inMemory %v: row %d says TrimActive=%v with %d visited, the rule says %v",
+							start, fraction, inMemory, i, it.TrimActive, asked, want)
+					}
+					if !inMemory {
+						asked += it.NewlyVisited
+					}
+					if it.TrimActive {
+						trimmed++
+					} else {
+						held++
+						if it.StayEdges != 0 {
+							t.Errorf("start %d fraction %v inMemory %v: row %d did not trim but reports %d stay edges",
+								start, fraction, inMemory, i, it.StayEdges)
+						}
+					}
+					if inMemory && i+1 < len(rows) {
+						next := it.EdgesStreamed
+						if it.TrimActive {
+							next = it.StayEdges
+						}
+						if rows[i+1].EdgesStreamed != next {
+							t.Errorf("start %d fraction %v: in-memory row %d scans %d edges, row %d left %d",
+								start, fraction, i+1, rows[i+1].EdgesStreamed, i, next)
+						}
+					}
+				}
+				// A streaming run has visited nothing when it asks about row 0.
+				minHeld := start
+				if !inMemory && fraction > 0 {
+					minHeld = max(start, 1)
+				}
+				if trimmed == 0 || held < minHeld || (start == 0 && fraction == 0 && held != 0) {
+					t.Errorf("start %d fraction %v inMemory %v: %d rows trimmed, %d held back",
+						start, fraction, inMemory, trimmed, held)
+				}
+				if res.Visited != asked {
+					t.Errorf("start %d fraction %v inMemory %v: rows add up to %d visited, the run says %d",
+						start, fraction, inMemory, asked, res.Visited)
+				}
+			}
+		}
+	}
+}

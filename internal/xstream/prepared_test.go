@@ -112,7 +112,7 @@ func TestOneShotTrimCompactsInPlace(t *testing.T) {
 	}
 	opts := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 1 << 30, ScatterWorkers: 1}
 	opts.SetDefaults("oneshot")
-	run := func(trim TrimPolicy) (*Result, uint64) {
+	run := func(pol Policy) (*Result, uint64) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -121,16 +121,15 @@ func TestOneShotTrimCompactsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rt.Cleanup()
-		res, err := RunInMemory(rt, "oneshot", trim)
+		res, err := newKernel(rt, "oneshot", pol, 1).runInMemory()
 		if err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		return res, after.TotalAlloc - before.TotalAlloc
 	}
-	plain, plainBytes := run(nil)
-	next := uint32(0)
-	trimmed, trimBytes := run(func([]uint32) (uint32, bool) { next++; return next, true })
+	plain, plainBytes := run(Policy{})
+	trimmed, trimBytes := run(Policy{Trim: true})
 	if !reflect.DeepEqual(trimmed.Levels, plain.Levels) || !reflect.DeepEqual(trimmed.Parents, plain.Parents) {
 		t.Fatal("trimming changed the answer")
 	}

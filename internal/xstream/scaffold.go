@@ -524,22 +524,6 @@ func (rt *Runtime) AuxTiming() stream.Timing {
 	return rt.MainTiming()
 }
 
-// NewScatterPool sets up the run's scatter worker pool — the scratch's,
-// so a prepared run inherits the shards and chunk buffers of the runs
-// before it. The chunk size is the stream buffer's edge capacity, so
-// chunk boundaries line up with scanner refills and — critically —
-// depend only on the buffer size, never on the worker count, keeping
-// output bytes deterministic.
-func (rt *Runtime) NewScatterPool(ctr obs.EngineCounters) *stream.ScatterPool {
-	chunk := rt.Opts.StreamBufSize / graph.EdgeBytes
-	sp := rt.scratch.ScatterPool(rt.Opts.ScatterWorkers, chunk, rt.Parts.P())
-	sp.ChunkCounter = ctr.ScatterChunks
-	sp.BusyCounter = ctr.ScatterBusyNs
-	sp.FaultHook = rt.Opts.FaultHook
-	ctr.ScatterWorkers.Set(int64(sp.Workers()))
-	return sp
-}
-
 // Compute charges thread-scaled compute work (no-op in wall mode).
 func (rt *Runtime) Compute(seconds float64) {
 	if rt.Clock != nil {
@@ -661,17 +645,15 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 	if rt.Opts.Direction != DirectionTopDown {
 		rt.OutDeg = make([]uint32, rt.Meta.Vertices)
 	}
-	outs := make([]*stream.Writer[graph.Edge], rt.Parts.P())
-	defer stream.AbortAll(outs) // whatever an error return leaves open
-	for p := range outs {
-		w, err := stream.NewCodecEdgeWriter(rt.Vol, rt.EdgeFile(p), tm, rt.Opts.StreamBufSize, rt.Codec)
-		if err != nil {
-			return nil, err
-		}
-		w.SetAsync() // write-behind; readers barrier through AwaitFile
-		outs[p] = w
+	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), rt.EdgeFile, func(name string) (*stream.Writer[graph.Edge], error) {
+		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Codec)
+	})
+	if err != nil {
+		return nil, err
 	}
-	chunk := rt.EdgeChunk()
+	defer outs.Abort() // whatever an error return leaves open
+	outs.SetAsync()    // write-behind; readers barrier through AwaitFile
+	w, chunk := outs.W, rt.EdgeChunk()
 	for {
 		n, err := sc.NextChunk(chunk)
 		if err != nil {
@@ -687,23 +669,30 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
 			}
-			if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
+			if err := w[rt.Parts.Of(e.Src)].Append(e); err != nil {
 				return nil, err
 			}
 		}
 	}
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	counts := make([]int64, len(outs))
-	for p, o := range outs {
-		counts[p] = o.Count()
-		if err := o.Close(); err != nil {
-			return nil, err
-		}
-		rt.BytesWritten += o.BytesWritten()
-		rt.RegisterReady(rt.EdgeFile(p), o.LastOp())
+	if err := sealWriters(rt, outs); err != nil {
+		return nil, err
 	}
 	rt.BytesRead += sc.BytesRead()
-	return counts, nil
+	return outs.Counts(), nil
+}
+
+// sealWriters closes a writer set and books it with the run: the bytes it
+// wrote, and each file's write-behind barrier for the file's first reader.
+func sealWriters[T any](rt *Runtime, ws *stream.WriterSet[T]) error {
+	if err := ws.Close(); err != nil {
+		return err
+	}
+	rt.BytesWritten += ws.Bytes()
+	for p, op := range ws.LastOps() {
+		rt.RegisterReady(ws.Names[p], op)
+	}
+	return nil
 }
 
 // EdgeChunk and UpdateChunk return the run-owned NextChunk targets for

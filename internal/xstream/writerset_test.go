@@ -1,0 +1,57 @@
+package xstream
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+
+	"fastbfs/internal/errs"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
+)
+
+// TestSplitFaultLeavesNothing drives stream.WriterSet's all-or-nothing
+// contract through the kernel's two partition splits — Prepare's forward
+// split and the fused reverse split of the first bottom-up pass — with a
+// permanent write fault on partition k's file. The small stream buffer
+// fails an Append's flush, the large one the Close's. The run keeps its
+// files (Cleanup removes nothing), so whatever file of the set is on the
+// volume afterwards, the set itself left there; and every buffer the run's
+// pool handed out must be back, which an open writer's would not be.
+func TestSplitFaultLeavesNothing(t *testing.T) {
+	vol, m, edges := rmatStored(t, graph.StoreOptions{Reverse: true})
+	const parts = 4
+	for _, split := range []string{"_edge_", "_rstay1_"} {
+		for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+			for _, bufSize := range []int{512, 1 << 20} {
+				for k := 0; k < parts; k++ {
+					name := fmt.Sprintf("%s%d/%s/buf=%d", split, k, codec, bufSize)
+					audit := stream.AuditPools()
+					o := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 4096, Partitions: parts,
+						StreamBufSize: bufSize, Codec: codec, Direction: DirectionBottomUp,
+						KeepFiles: true, FilePrefix: "t", Sim: DefaultSim()}
+					faulty := storage.NewFaulty(vol, storage.FaultSpec{PWriteP: 1, Match: fmt.Sprintf("t%s%d", split, k)})
+					_, err := Run(faulty, m.Name, o)
+					audit.Stop()
+					var fe *storage.FaultError
+					if !errors.Is(err, errs.ErrIOFailed) || !errors.As(err, &fe) || fe.Transient {
+						t.Fatalf("%s: err = %v, want the permanent write fault as ErrIOFailed", name, err)
+					}
+					for _, f := range vol.List() {
+						if strings.Contains(f, split) {
+							t.Errorf("%s: the failed split left %s on the volume", name, f)
+						}
+						if strings.HasPrefix(f, "t_") {
+							vol.Remove(f)
+						}
+					}
+					if n := audit.Outstanding(); n != 0 {
+						t.Errorf("%s: %d pooled buffers outstanding after the failed run", name, n)
+					}
+				}
+			}
+		}
+	}
+}
