@@ -386,6 +386,9 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
 	scratch := rt.Scratch()
 	edges, weights := pg.Edges(), pg.Weights()
+	// What an iteration scans. The prepared graph's adjacency index is
+	// resident too, but this loop never reads it.
+	scanned := int64(len(edges))*graph.EdgeBytes + int64(len(weights))*4
 	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
 	for v := range cur {
 		cur[v] = prog.Init(graph.VertexID(v))
@@ -442,7 +445,7 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 			}
 		}
 		cur, next = next, cur
-		rt.RAMScan(pg.ResidentBytes())
+		rt.RAMScan(scanned)
 		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate +
 			float64(emitted)*rt.Costs.GatherPerUpdate + float64(len(cur))*rt.Costs.PerVertex)
 		run.Iterations = append(run.Iterations, metrics.Iteration{

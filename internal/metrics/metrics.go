@@ -27,7 +27,8 @@ type Iteration struct {
 	Frontier uint64
 	// NewlyVisited is the number of vertices discovered this iteration.
 	NewlyVisited uint64
-	// EdgesStreamed is the number of edges read during scatter.
+	// EdgesStreamed is the number of edges read during scatter; over a
+	// resident graph's adjacency index, the adjacency entries examined.
 	EdgesStreamed int64
 	// Updates is the number of updates this iteration's gather applied —
 	// the ones the previous iteration's scatter wrote.

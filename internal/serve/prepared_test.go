@@ -589,7 +589,13 @@ func TestPreparedObservability(t *testing.T) {
 			t.Errorf("open logged %q, want one line containing %q", got, c.logWant)
 		}
 		st := svc.Stats()
-		wantEdges, wantBytes := int64(m.Edges)*c.resident, int64(m.DataBytes())*c.resident
+		// Resident is the edge list and the adjacency index over it, which
+		// at its largest is the list's bytes again and two offset arrays.
+		pg := serve.PreparedOf(svc)
+		wantEdges, wantBytes := int64(m.Edges)*c.resident, pg.ResidentBytes()
+		if list := int64(m.DataBytes()) * c.resident; wantBytes < list+list/2 || wantBytes > 2*list+16*int64(m.Vertices+1)*c.resident {
+			t.Errorf("resident=%d: prepared graph holds %d bytes for a %d-byte edge list", c.resident, wantBytes, list)
+		}
 		if st.PreparedResident != c.resident || st.PreparedEdges != wantEdges || st.PreparedBytes != wantBytes ||
 			(st.PreparedLoadSeconds > 0) != (c.resident == 1) {
 			t.Errorf("resident=%d: stats %+v", c.resident, st)

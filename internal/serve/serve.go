@@ -19,12 +19,12 @@
 //
 // Concurrent queries share one volume and one immutable
 // xstream.PreparedGraph (DESIGN.md §16) — metadata, permutation and,
-// when the graph fits the memory budget, the resident edge list, all
-// loaded once at New; isolation comes from a unique per-query
-// FilePrefix, a per-query clone of the simulated-device configuration
-// (devices accumulate fluid state) and a nil engine tracer (a shared
-// tracer's time source is engine-thread-only). The service keeps its
-// own Tracer for the serve_* counters.
+// when the graph fits the memory budget, the resident edge list and its
+// adjacency index, all built once at New; isolation comes from a unique
+// per-query FilePrefix, a per-query clone of the simulated-device
+// configuration (devices accumulate fluid state) and a nil engine tracer
+// (a shared tracer's time source is engine-thread-only). The service
+// keeps its own Tracer for the serve_* counters.
 package serve
 
 import (
@@ -398,11 +398,12 @@ type GraphService struct {
 
 // New opens graphName on vol for serving: it builds the shared
 // PreparedGraph — metadata, permutation and, when the graph fits
-// cfg.Base's memory budget, the whole validated edge list — once, with
-// the engines' fault injection and transient-fault retries. A missing
-// graph fails with errs.ErrGraphNotFound; a volume that cannot be read
-// or a damaged graph fails here with errs.ErrIOFailed / errs.ErrCorrupted
-// rather than failing every query later.
+// cfg.Base's memory budget, the whole validated edge list and the
+// adjacency index over it — once, with the engines' fault injection and
+// transient-fault retries. A missing graph fails with
+// errs.ErrGraphNotFound; a volume that cannot be read or a damaged graph
+// fails here with errs.ErrIOFailed / errs.ErrCorrupted rather than
+// failing every query later.
 func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error) {
 	cfg.setDefaults()
 	// New's signature predates contexts; nothing can cancel an open.
@@ -411,7 +412,7 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 		return nil, err
 	}
 	if pg.Resident() {
-		log.Printf("serve: %s: resident: %d edges (%d bytes) loaded in %.3fs; memory budget %d >= in-memory need %d",
+		log.Printf("serve: %s: resident: %d edges (%d bytes with the index) loaded in %.3fs; memory budget %d >= in-memory need %d",
 			graphName, len(pg.Edges()), pg.ResidentBytes(), pg.LoadTime.Seconds(), pg.Budget, pg.Need)
 	} else {
 		log.Printf("serve: %s: not resident: memory budget %d < in-memory need %d; every query streams the graph from the volume",
@@ -1112,8 +1113,9 @@ type Stats struct {
 	BreakerFastFails int64 `json:"breaker_fast_fails"`
 	BreakerOpen      int64 `json:"breaker_open"`
 	// The prepared graph (DESIGN.md §16), fixed at open: whether the edge
-	// list is resident (0/1), how many edges and bytes it holds, and how
-	// long the load took. Resident queries move no device bytes.
+	// list is resident (0/1), how many edges it holds, how many bytes with
+	// its adjacency index, and how long loading and indexing took.
+	// Resident queries move no device bytes.
 	PreparedResident    int64   `json:"prepared_resident"`
 	PreparedEdges       int64   `json:"prepared_edges"`
 	PreparedBytes       int64   `json:"prepared_bytes"`

@@ -8,9 +8,10 @@ import (
 )
 
 // This file holds the direction-optimizing policy machinery of the
-// streaming kernel: the direction policy type, the Beamer-style switch
-// heuristic state and the global frontier bitmap bottom-up iterations
-// exchange. The bottom-up passes themselves are in bottomup.go.
+// kernel: the direction policy type, the Beamer-style switch heuristic
+// state — consulted by the streaming loop and by the indexed resident
+// traversal — and the global frontier bitmap the streaming bottom-up
+// iterations exchange. Those passes themselves are in bottomup.go.
 //
 // The out-of-core formulation (DESIGN.md §12): a top-down iteration
 // scatters the frontier's out-edges into shuffled update files; a
@@ -169,24 +170,49 @@ func NewDirState(rt *Runtime, dir Direction) *DirState {
 	}
 }
 
-// Decide picks iteration iter's mode (true = bottom-up), updating the
-// switch accounting. Iteration 0 is always top-down: the root is
-// planted during its gather-less first pass and bottom-up needs an
-// existing frontier.
+// Decide picks iteration iter's mode (true = bottom-up) from what the
+// Record methods logged, updating the switch accounting.
 func (ds *DirState) Decide(iter int) bool {
+	// β: drop back to top-down once the frontier is small. α: go
+	// bottom-up once the candidate wave's out-edges dominate the
+	// unexplored remainder — and only while the wave is still growing, so
+	// the collapsing tail stays top-down.
+	return ds.pick(iter,
+		float64(ds.lastCount) >= ds.vertices/ds.beta,
+		ds.candCount > ds.prevCand && ds.candDeg > ds.unexplored/ds.alpha)
+}
+
+// DecideExact is Decide for the indexed resident traversal (engine.go),
+// which needs no look-ahead and no estimate: its index gives it Beamer's
+// own inputs for the very level it is about to expand — the frontier's
+// size and out-degree sum, what a top-down level expands, against the
+// unvisited vertices and their in-degree sum, all a bottom-up level can
+// scan. α prices that scan at 1/α of the in-degree sum, for its early
+// exits; it is never under one entry per unvisited vertex, which is what
+// keeps a tree or a sparse graph top-down. The growth guard is Decide's.
+func (ds *DirState) DecideExact(iter int, frontier, frontierOut, unvisited, unvisitedIn uint64) bool {
+	growing := frontier > ds.lastCount
+	ds.lastCount = frontier
+	return ds.pick(iter,
+		float64(frontier) >= ds.vertices/ds.beta,
+		growing && float64(frontierOut) > max(float64(unvisitedIn)/ds.alpha, float64(unvisited)))
+}
+
+// pick applies the policy to the heuristic's two verdicts — stay
+// bottom-up (β) and go bottom-up (α) — and keeps the switch accounting.
+// Iteration 0 is always top-down: it expands the root alone (the
+// streaming loop plants it during that gather-less first pass) and
+// bottom-up needs an existing frontier.
+func (ds *DirState) pick(iter int, stay, enter bool) bool {
 	bottom := false
 	switch {
 	case iter == 0 || ds.Conf == DirectionTopDown:
 	case ds.Conf == DirectionBottomUp:
 		bottom = true
 	case ds.Mode == DirectionBottomUp:
-		// β: drop back to top-down once the frontier is small.
-		bottom = float64(ds.lastCount) >= ds.vertices/ds.beta
+		bottom = stay
 	default:
-		// α: go bottom-up once the candidate wave's out-edges dominate
-		// the unexplored remainder — and only while the wave is still
-		// growing, so the collapsing tail stays top-down.
-		bottom = ds.candCount > ds.prevCand && ds.candDeg > ds.unexplored/ds.alpha
+		bottom = enter
 	}
 	mode := DirectionTopDown
 	if bottom {

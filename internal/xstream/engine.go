@@ -5,6 +5,7 @@ import (
 
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
+	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
@@ -41,56 +42,42 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 }
 
 // runInMemory is the fast path when the whole graph fits the memory
-// budget: pure in-memory iterations over a PreparedGraph's resident edge
-// list (the paper's Fig. 9 cliff at 4 GB). A run handed a resident
-// Options.Prepared iterates over the shared list and reads nothing from
-// the device; any other run loads a one-shot list first. Of the policy
-// only trimming applies: an iteration the trim threshold admits drops,
-// after its gather, every edge whose source is already visited — level
-// below the next frontier's; NoLevel is the maximum uint32, so "keep iff
-// level[src] > iter" keeps exactly the unvisited and just-discovered
-// sources. The shared list is never written: the first trim pass copies
-// its survivors into the run's scratch and later passes compact that copy
-// in place.
+// budget (the paper's Fig. 9 cliff at 4 GB). A run handed a resident
+// Options.Prepared traverses its adjacency index (runIndexed) and reads
+// nothing from the device. Any other run — the CLI, the library — loads a
+// one-shot edge list and iterates over that: an index costs a pass over
+// the list, which a list used once never repays. Of the policy only
+// trimming applies, and only to that loop: an iteration the trim
+// threshold admits drops, after its gather, every edge whose source is
+// already visited — level below the next frontier's; NoLevel is the
+// maximum uint32, so "keep iff level[src] > iter" keeps exactly the
+// unvisited and just-discovered sources. The list is the run's alone, so
+// it is compacted in place.
 func (e *kernel) runInMemory() (*Result, error) {
 	rt := e.rt
+	if pg := rt.Opts.Prepared; pg.Resident() {
+		return e.runIndexed(pg.index, DirectionAuto)
+	}
 	runSpan := e.tr.Span("run").Attr("in_memory", 1)
 	lds := runSpan.Child("load")
-	pg := rt.Opts.Prepared
-	if !pg.Resident() {
-		// The CLI and library path: a single-use list, loaded through the
-		// run's own timing, so it is charged to BytesRead and the simulation
-		// clock exactly like the streaming load it replaces.
-		pg = &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm, Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
-		n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
-		if err != nil {
-			return nil, err
-		}
-		rt.BytesRead += n
+	// Loaded through the run's own timing, so the list is charged to
+	// BytesRead and the simulation clock exactly like the streaming load
+	// it replaces.
+	pg := &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm, Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
+	n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
+	if err != nil {
+		return nil, err
 	}
+	rt.BytesRead += n
 	e.ctr.BytesRead.Set(rt.BytesRead)
-	lds.Attr("edges", int64(len(pg.edges))).End()
+	edges := pg.edges
+	lds.Attr("edges", int64(len(edges))).End()
 
 	scratch := rt.scratch
-	// edges is the live edge list. A shared list stays untouched: its
-	// first trim pass moves the survivors into scratch (private from then
-	// on). A one-shot list is this run's alone and is compacted in place
-	// from the first pass.
-	edges, private := pg.edges, pg != rt.Opts.Prepared
 	updates := scratch.Updates[:0]
 	defer func() { scratch.Updates = updates }()
 
-	level := make([]uint32, rt.Meta.Vertices)
-	parent := make([]graph.VertexID, rt.Meta.Vertices)
-	for i := range level {
-		level[i] = NoLevel
-		parent[i] = graph.NoVertex
-	}
-	rt.Compute(float64(rt.Meta.Vertices) * rt.Costs.PerVertex)
-	level[rt.Opts.Root] = 0
-	parent[rt.Opts.Root] = rt.Opts.Root
-	e.run.Visited = 1
-	e.ctr.Visited.Add(1)
+	level, parent := e.plantRoot()
 
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
@@ -143,9 +130,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices) {
 			ts := itSpan.Child("stay-write")
 			live := edges[:0]
-			if !private {
-				live, private = scratch.Survivors(len(edges)), true
-			}
 			for _, edge := range edges {
 				if level[edge.Src] > iter {
 					live = append(live, edge)
@@ -164,9 +148,122 @@ func (e *kernel) runInMemory() (*Result, error) {
 			break
 		}
 	}
+	return e.finishTree(runSpan, level, parent)
+}
+
+// plantRoot makes an in-memory run's result arrays — all a warmed
+// resident query allocates — with nothing visited but the root, at level
+// 0 and its own parent.
+func (e *kernel) plantRoot() (level []uint32, parent []graph.VertexID) {
+	rt := e.rt
+	level = make([]uint32, rt.Meta.Vertices)
+	parent = make([]graph.VertexID, rt.Meta.Vertices)
+	for i := range level {
+		level[i] = NoLevel
+		parent[i] = graph.NoVertex
+	}
+	rt.Compute(float64(rt.Meta.Vertices) * rt.Costs.PerVertex)
+	level[rt.Opts.Root] = 0
+	parent[rt.Opts.Root] = rt.Opts.Root
+	e.run.Visited = 1
+	e.ctr.Visited.Add(1)
+	return level, parent
+}
+
+// finishTree ends an in-memory run: the arrays it worked on are the
+// answer, once translated back to the caller's vertex labels.
+func (e *kernel) finishTree(runSpan *obs.Span, level []uint32, parent []graph.VertexID) (*Result, error) {
 	return e.finish(runSpan, func() (*Result, error) {
 		res := &Result{Levels: level, Parents: parent}
-		rt.TranslateResult(res)
+		e.rt.TranslateResult(res)
 		return res, nil
 	})
+}
+
+// runIndexed is the in-memory path over a resident graph's adjacency
+// index: a BFS that examines only the adjacency it needs. A top-down
+// level expands the frontier queue's out-lists; a bottom-up level scans
+// each unvisited vertex's in-list against a bitmap of the frontier and
+// stops at the first hit. conf is the direction policy — DirectionAuto
+// for every real run, which picks per level by α and β on the exact
+// frontier out-degree and unvisited in-degree sums (DirState.DecideExact);
+// the pure policies are the tests' seam. One goroutine per run: the
+// daemon's concurrency is across queries.
+//
+// Levels, parents and the row sequence are the edge-list loop's. Its
+// parent rule is first update wins, which picks the frontier in-neighbour
+// whose edge sits earliest in the stored list; a vertex's in-list keeps
+// stored order, so the first frontier vertex in it is that neighbour in
+// either direction.
+func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
+	rt := e.rt
+	runSpan := e.tr.Span("run").Attr("in_memory", 1).Attr("indexed", 1)
+	level, parent := e.plantRoot()
+	root := rt.Opts.Root
+
+	scratch := rt.scratch
+	frontier, next := append(scratch.queue[0][:0], root), scratch.queue[1]
+	defer func() { scratch.queue = [2][]graph.VertexID{frontier, next} }()
+	bits := &Bitset{w: scratch.Bitmap(len(level))}
+	ds := NewDirState(rt, conf)
+	e.ctr.SwitchIteration.Set(-1)
+	// What the heuristic weighs: the out-degree sum of the frontier, all a
+	// top-down level can expand, and the in-degree sum of the unvisited
+	// vertices, all a bottom-up one can scan.
+	frontierOut, unvisitedIn := uint64(ix.outDeg[root]), rt.Meta.Edges-ix.inDeg(root)
+
+	maxIter := rt.Opts.MaxIterations
+	if maxIter <= 0 {
+		maxIter = int(rt.Meta.Vertices) + 1
+	}
+	for iter := uint32(0); int(iter) < maxIter; iter++ {
+		if err := rt.Checkpoint(); err != nil {
+			return nil, err
+		}
+		if rt.Opts.FaultHook != nil {
+			rt.Opts.FaultHook() // same chaos seam as a scatter chunk
+		}
+		itSpan := runSpan.Child("iteration").SetIter(int(iter))
+		e.ctr.Iteration.Set(int64(iter))
+		itRow := metrics.Iteration{Index: int(iter), Frontier: uint64(len(frontier))}
+		if frontierOut == 0 {
+			// Nothing leaves the frontier. The edge-list loop learns that
+			// from a scan that emits no update; this is that closing row.
+			e.endIteration(itRow, itSpan)
+			break
+		}
+		switches := ds.Switches
+		itRow.BottomUp = ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-e.run.Visited, unvisitedIn)
+		e.ctr.DirectionSwitches.Add(ds.Switches - switches)
+		var examined uint64
+		if itRow.BottomUp {
+			e.ctr.BottomUpIters.Add(1)
+			e.ctr.SwitchIteration.Set(int64(ds.SwitchIteration))
+			ls := itSpan.Child("bottomup")
+			next, examined = ix.bottomUp(frontier, next[:0], bits, level, parent, iter)
+			ls.End()
+		} else {
+			ls := itSpan.Child("scatter")
+			next, examined = ix.topDown(frontier, next[:0], level, parent, iter)
+			ls.End()
+		}
+		itRow.EdgesStreamed = int64(examined)
+		itRow.NewlyVisited = uint64(len(next))
+		frontierOut = 0
+		for _, v := range next {
+			frontierOut += uint64(ix.outDeg[v])
+			unvisitedIn -= ix.inDeg(v)
+		}
+		frontier, next = next, frontier
+		e.run.Visited += itRow.NewlyVisited
+		e.ctr.Edges.Add(itRow.EdgesStreamed)
+		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
+		rt.RAMScan(itRow.EdgesStreamed * 4) // each entry charged as a vertex ID
+		rt.Compute(float64(examined)*rt.Costs.ScatterPerEdge + float64(itRow.NewlyVisited)*rt.Costs.GatherPerUpdate)
+		e.endIteration(itRow, itSpan)
+	}
+	e.run.BottomUpIterations = int(ds.BottomUpIters)
+	e.run.DirectionSwitches = int(ds.Switches)
+	e.run.SwitchIteration = ds.SwitchIteration
+	return e.finishTree(runSpan, level, parent)
 }

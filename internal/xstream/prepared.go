@@ -17,16 +17,18 @@ import (
 // PreparedGraph is the load-once, query-many form of a stored graph
 // (DESIGN.md §16): the metadata, the stored permutation and — when the
 // whole graph fits the memory budget it was
-// prepared under (the InMemory rule) — the validated edge list itself.
+// prepared under (the InMemory rule) — the validated edge list itself
+// with an adjacency index over it.
 // A long-lived caller builds one with LoadPrepared and hands it to every
 // run through Options.Prepared; runs then skip the per-run metadata,
-// permutation and edge loads.
+// permutation and edge loads, and a BFS traverses the index.
 //
-// Ownership. Everything reachable from the exported fields and from
-// Edges/Weights is shared by every concurrent run and is READ-ONLY after
-// LoadPrepared returns: no run may write through those slices (trimming
-// copies survivors into run-private scratch on its first pass). The only
-// mutable state is the scratch free-list, guarded by mu.
+// Ownership. Everything reachable from the exported fields, from
+// Edges/Weights and from the index is shared by every concurrent run and
+// is READ-ONLY after LoadPrepared returns: no run writes through those
+// slices, and none needs to — the indexed traversal (engine.go) reads
+// only the adjacency it is about to use, so it has nothing to trim. The
+// only mutable state is the scratch free-list, guarded by mu.
 type PreparedGraph struct {
 	Meta graph.Meta
 	Perm *graph.Permutation // nil unless the dataset was stored reordered
@@ -34,15 +36,17 @@ type PreparedGraph struct {
 	// Budget is the memory budget the residency decision was made under
 	// and Need what InMemory asks of it; Resident() == (Budget >= Need).
 	Budget, Need uint64
-	// LoadBytes and LoadTime are the device bytes and wall time the
-	// resident edge load took (zero when not resident); LoadRetries counts
-	// the transient faults retried while opening the graph.
+	// LoadBytes are the device bytes the resident edge load read and
+	// LoadTime the wall time that load and the index build over it took
+	// (zero when not resident); LoadRetries counts the transient faults
+	// retried while opening the graph.
 	LoadBytes   int64
 	LoadTime    time.Duration
 	LoadRetries int64
 
 	edges   []graph.Edge // nil unless resident; shared, never written
 	weights []float32    // parallel to edges; nil for unweighted graphs
+	index   *adjIndex    // over edges, nil unless resident; shared, never written
 
 	mu   sync.Mutex
 	free []*Scratch
@@ -60,9 +64,10 @@ func (pg *PreparedGraph) Edges() []graph.Edge { return pg.edges }
 // unweighted graph (every edge then weighs 1). Read-only, like Edges.
 func (pg *PreparedGraph) Weights() []float32 { return pg.weights }
 
-// ResidentBytes is the memory the shared edge list (and weights) holds.
+// ResidentBytes is the memory the shared edge list, its weights and the
+// adjacency index hold.
 func (pg *PreparedGraph) ResidentBytes() int64 {
-	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4
+	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4 + pg.index.bytes()
 }
 
 // Scratch is one run's private working memory: every Runtime owns one
@@ -72,16 +77,15 @@ func (pg *PreparedGraph) ResidentBytes() int64 {
 // maxFreeScratch entries); any other run builds an empty one and drops
 // it with the Runtime.
 type Scratch struct {
-	// Edges receives the in-memory trim survivors: the first trimming
-	// pass copies them out of the shared list, later passes compact in
-	// place.
-	Edges []graph.Edge
-	// Updates is the in-memory BFS engines' per-iteration update list.
+	// Updates is the edge-list in-memory loop's per-iteration update list.
 	Updates []graph.Update
 	// Values are the algo engine's current and next vertex values.
 	Values [2][]uint64
-	// Bits is the algo engine's active-source bitmap.
+	// Bits is the algo engine's active-source bitmap and the indexed
+	// traversal's frontier bitmap.
 	Bits []uint64
+	// queue holds the indexed traversal's current and next frontier.
+	queue [2][]graph.VertexID
 
 	// bufs is the streaming run's buffer free-list (Runtime.Bufs).
 	bufs *stream.BufPool
@@ -118,9 +122,9 @@ func (pg *PreparedGraph) AcquireScratch() *Scratch {
 	return newScratch()
 }
 
-// maxFreeScratch caps the free-list. A warmed scratch pins up to a
-// survivor buffer the size of the edge list plus update and value
-// arrays — or, out of core, a streaming run's peak set of stream
+// maxFreeScratch caps the free-list. A warmed scratch pins vertex-sized
+// arrays (two frontier queues and a bitmap, or the algo engine's two
+// value arrays) — or, out of core, a streaming run's peak set of stream
 // buffers — none of it in the MemoryBudget accounting, so a burst of N
 // concurrent runs must not leave N of them behind for good: releases
 // beyond the cap go to the garbage collector. Four is the serving
@@ -137,14 +141,6 @@ func (pg *PreparedGraph) ReleaseScratch(s *Scratch) {
 		pg.free = append(pg.free, s)
 	}
 	pg.mu.Unlock()
-}
-
-// Survivors returns the empty survivor buffer with room for n edges.
-func (s *Scratch) Survivors(n int) []graph.Edge {
-	if cap(s.Edges) < n {
-		s.Edges = make([]graph.Edge, 0, n)
-	}
-	return s.Edges[:0]
 }
 
 // ValuePair returns the two value arrays sized to n vertices.
@@ -197,7 +193,11 @@ func chunk[T any](buf *[]T, n int) []T {
 }
 
 // InMemoryNeed is the memory budget at which a graph runs in memory:
-// InMemoryFactor times its edge data plus two sets of vertex state.
+// InMemoryFactor times its edge data plus two sets of vertex state. A
+// resident PreparedGraph spends one share of the edge data on the list
+// and less than a second on the adjacency index (at most 9 bytes an edge
+// and 20 a vertex, of the 16 and 32 left), so ResidentBytes never exceeds
+// it; the rest is its runs' vertex-sized arrays.
 func InMemoryNeed(m graph.Meta) uint64 {
 	return InMemoryFactor*m.DataBytes() + 2*PerVertexMemBytes*m.Vertices
 }
@@ -259,10 +259,10 @@ func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string) (
 
 // LoadPrepared opens graphName once for many runs: it reads and
 // validates the metadata and permutation and, when the graph fits
-// opts.MemoryBudget, loads and validates the whole edge list — all
-// through the same FASTBFS_FAULTS wrapping and transient-fault Retrier
-// as an engine run, so a flaky volume is retried and a broken one fails
-// here (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound)
+// opts.MemoryBudget, loads and validates the whole edge list and indexes
+// it — all through the same FASTBFS_FAULTS wrapping and transient-fault
+// Retrier as an engine run, so a flaky volume is retried and a broken one
+// fails here (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound)
 // instead of failing every later query. Only the budget, stream buffer
 // size, retry budget and tracer of opts are used.
 func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*PreparedGraph, error) {
@@ -282,6 +282,7 @@ func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opt
 		if pg.LoadBytes, err = pg.loadEdges(vol, stream.Timing{Retry: retry}, opts.StreamBufSize); err != nil {
 			return nil, err
 		}
+		pg.index = buildIndex(m.Vertices, pg.edges)
 		pg.LoadTime = time.Since(start)
 	}
 	pg.LoadRetries = retry.Retries()

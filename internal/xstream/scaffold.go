@@ -44,8 +44,11 @@ const PerVertexMemBytes = 16
 
 // InMemoryFactor is how many times the binary edge-list size must fit in
 // the memory budget before the engine switches to the in-memory fast
-// path (edges + an update set + working room, matching the paper's
-// observation that rmat22's 768 MB ran in memory at 4 GB but not 2 GB).
+// path, matching the paper's observation that rmat22's 768 MB ran in
+// memory at 4 GB but not 2 GB. A one-shot run spends it on the edges, an
+// update set and working room; a resident PreparedGraph on the edges
+// (1×) and the adjacency index over them (under 1×), the rest being its
+// runs' vertex state (see InMemoryNeed).
 const InMemoryFactor = 3
 
 // SimConfig selects simulated-time mode and carries the device and cost
@@ -165,8 +168,10 @@ type Options struct {
 	// back to pure top-down (counted, never an error), while an explicit
 	// `bottomup` on such a graph is ErrBadOptions. Empty takes the
 	// FASTBFS_DIRECTION environment variable, else topdown. The
-	// in-memory fast path ignores the direction (it has no device
-	// traffic to save).
+	// in-memory fast path ignores the policy (it has no device traffic to
+	// save and its answer is the same either way): over a resident
+	// Prepared graph it chooses a direction per level by α and β, and the
+	// one-shot edge-list loop has no direction at all.
 	Direction Direction
 	// DirectionAlpha and DirectionBeta are the hybrid heuristic's switch
 	// ratios (Beamer's α and β): switch to bottom-up when the frontier's
@@ -197,8 +202,8 @@ type Options struct {
 	// Prepared, when non-nil, is the shared load-once form of the graph
 	// this run is over (see PreparedGraph): the run takes metadata and
 	// permutation from it instead of re-reading them, and a run the
-	// InMemory rule sends down the in-memory path iterates over its
-	// resident edge list instead of reloading the edge file. It adds no
+	// InMemory rule sends down the in-memory path traverses its resident
+	// adjacency index instead of reloading the edge file. It adds no
 	// policy of its own — which path a run takes is still decided by
 	// MemoryBudget alone.
 	Prepared *PreparedGraph
