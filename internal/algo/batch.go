@@ -6,6 +6,7 @@ import (
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/xstream"
 )
 
 // MaxBatchRoots is the widest batch one BatchBFS run can carry: the
@@ -36,11 +37,15 @@ const MaxBatchRoots = 32
 // original edge position) order — so the solo engines' first-update-
 // wins parent rule picks the same parent, and first discovery happens
 // at the same iteration.
+//
+// That is the run out of core, where the pass over the device is what a
+// batch shares. Over a resident prepared graph there is no pass to share
+// and no value, update or Program method is involved: RunContext hands
+// the trees to xstream.Runtime.RunForest, which grows each from its root
+// by the solo engines' own indexed traversal.
 type BatchBFS struct {
-	roots   []graph.VertexID
 	rootBit map[graph.VertexID]int
-	levels  [][]uint32
-	parents [][]graph.VertexID
+	trees   xstream.Forest
 }
 
 // NewBatchBFS builds a batch over distinct roots on a graph with the
@@ -55,10 +60,13 @@ func NewBatchBFS(roots []graph.VertexID, vertices uint64) (*BatchBFS, error) {
 		return nil, fmt.Errorf("algo: batch of %d roots exceeds the %d-bit frontier mask: %w", len(roots), MaxBatchRoots, errs.ErrBadOptions)
 	}
 	b := &BatchBFS{
-		roots:   append([]graph.VertexID(nil), roots...),
 		rootBit: make(map[graph.VertexID]int, len(roots)),
-		levels:  make([][]uint32, len(roots)),
-		parents: make([][]graph.VertexID, len(roots)),
+		trees: xstream.Forest{
+			Roots:   append([]graph.VertexID(nil), roots...),
+			Levels:  make([][]uint32, len(roots)),
+			Parents: make([][]graph.VertexID, len(roots)),
+			Visited: make([]uint64, len(roots)),
+		},
 	}
 	for i, r := range roots {
 		if uint64(r) >= vertices {
@@ -74,8 +82,8 @@ func NewBatchBFS(roots []graph.VertexID, vertices uint64) (*BatchBFS, error) {
 			lv[v] = NoLevel
 			par[v] = graph.NoVertex
 		}
-		b.levels[i] = lv
-		b.parents[i] = par
+		b.trees.Levels[i] = lv
+		b.trees.Parents[i] = par
 	}
 	return b, nil
 }
@@ -93,8 +101,7 @@ func (b *BatchBFS) Init(v graph.VertexID) uint64 {
 		return 0
 	}
 	m := uint32(1) << uint(i)
-	b.levels[i][v] = 0
-	b.parents[i][v] = v
+	b.trees.Levels[i][v], b.trees.Parents[i][v], b.trees.Visited[i] = 0, v, 1
 	return pack(m, m)
 }
 
@@ -107,13 +114,6 @@ func (b *BatchBFS) Scatter(iter int, src graph.VertexID, srcVal uint64, dst grap
 		return 0, false
 	}
 	return pack(frontier, uint32(src)), true
-}
-
-// Active implements SourceFilter: only a vertex on some root's frontier
-// emits.
-func (b *BatchBFS) Active(iter int, val uint64) bool {
-	frontier, _ := unpack(val)
-	return frontier != 0
 }
 
 // BeginGather implements Program: the previous iteration's frontier is
@@ -145,8 +145,9 @@ func (b *BatchBFS) ApplyTo(iter int, dst graph.VertexID, val, payload uint64) (u
 	for m := fresh; m != 0; {
 		i := bits.TrailingZeros32(m)
 		m &^= 1 << uint(i)
-		b.levels[i][dst] = uint32(iter) + 1
-		b.parents[i][dst] = graph.VertexID(src)
+		b.trees.Levels[i][dst] = uint32(iter) + 1
+		b.trees.Parents[i][dst] = graph.VertexID(src)
+		b.trees.Visited[i]++
 	}
 	return pack(frontier|fresh, seen|fresh), true
 }
@@ -160,7 +161,7 @@ func (b *BatchBFS) EndGather(iter int, val uint64) (uint64, bool) { return val, 
 func (b *BatchBFS) Converged(iter int, changes uint64, emitted int64) bool { return emitted == 0 }
 
 // Roots returns the batch's roots in bit order.
-func (b *BatchBFS) Roots() []graph.VertexID { return b.roots }
+func (b *BatchBFS) Roots() []graph.VertexID { return b.trees.Roots }
 
 // RootIndex returns root's bit index, or -1 if it is not in the batch.
 func (b *BatchBFS) RootIndex(root graph.VertexID) int {
@@ -172,19 +173,12 @@ func (b *BatchBFS) RootIndex(root graph.VertexID) int {
 
 // LevelsOf returns root i's per-vertex BFS levels (NoLevel =
 // unreached). The slice is owned by the program; treat it as read-only.
-func (b *BatchBFS) LevelsOf(i int) []uint32 { return b.levels[i] }
+func (b *BatchBFS) LevelsOf(i int) []uint32 { return b.trees.Levels[i] }
 
 // ParentsOf returns root i's per-vertex BFS parents (graph.NoVertex =
 // unreached, the root is its own parent). Read-only, like LevelsOf.
-func (b *BatchBFS) ParentsOf(i int) []graph.VertexID { return b.parents[i] }
+func (b *BatchBFS) ParentsOf(i int) []graph.VertexID { return b.trees.Parents[i] }
 
-// VisitedOf counts the vertices root i reached.
-func (b *BatchBFS) VisitedOf(i int) uint64 {
-	var n uint64
-	for _, l := range b.levels[i] {
-		if l != NoLevel {
-			n++
-		}
-	}
-	return n
-}
+// VisitedOf is the number of vertices root i reached, counted as each
+// was.
+func (b *BatchBFS) VisitedOf(i int) uint64 { return b.trees.Visited[i] }

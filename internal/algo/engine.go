@@ -10,7 +10,9 @@
 // multi-source reachability without type machinery.
 //
 // A run handed a resident xstream.PreparedGraph under an in-memory
-// budget runs the same loop in RAM instead (runResident).
+// budget runs the same loop in RAM instead (runResident) — except a
+// BatchBFS, which is then a traversal of the graph's adjacency index from
+// each root and no vertex program at all (xstream.Runtime.RunForest).
 package algo
 
 import (
@@ -96,7 +98,8 @@ func getUpdRec(b []byte) updRec {
 	}
 }
 
-// Result of a program run: the final packed value per vertex.
+// Result of a program run: the final packed value per vertex — nil for
+// a BatchBFS over a resident graph, whose answer is its trees.
 type Result struct {
 	Values  []uint64
 	Metrics metrics.Run
@@ -120,6 +123,18 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	}
 	defer rt.Cleanup()
 
+	resident := rt.Opts.Prepared.Resident() && rt.InMemory()
+	if b, ok := prog.(*BatchBFS); ok && resident {
+		// Residency alone picks the loop, as it does for a solo BFS: the
+		// trees are grown over the index, in the caller's labels, and there
+		// are no packed values to return.
+		run, err := rt.RunForest(b.Name(), &b.trees)
+		if err != nil {
+			return nil, err
+		}
+		return &Result{Metrics: run}, nil
+	}
+
 	run := metrics.Run{Engine: prog.Name()}
 
 	// Active reads a packed value, never a vertex id, so the filter is the
@@ -138,8 +153,8 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		applyTo = da.ApplyTo
 	}
 
-	if pg := rt.Opts.Prepared; pg.Resident() && rt.InMemory() {
-		return runResident(rt, pg, prog, filter, applyTo, run)
+	if resident {
+		return runResident(rt, rt.Opts.Prepared, prog, filter, applyTo, run)
 	}
 
 	P := rt.Parts.P()
@@ -386,8 +401,9 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
 	scratch := rt.Scratch()
 	edges, weights := pg.Edges(), pg.Weights()
-	// What an iteration scans. The prepared graph's adjacency index is
-	// resident too, but this loop never reads it.
+	// What an iteration scans: the list, whatever the program. Only a
+	// traversal can be answered from the prepared graph's adjacency index,
+	// and the one this package has, BatchBFS, never gets here.
 	scanned := int64(len(edges))*graph.EdgeBytes + int64(len(weights))*4
 	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
 	for v := range cur {

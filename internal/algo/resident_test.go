@@ -59,6 +59,9 @@ func edgeSum(pg *xstream.PreparedGraph) uint32 {
 // options without one (one partition, so the update order coincides) —
 // on a plain store, a delta+reordered store and a weighted store —
 // while moving no device bytes and never writing the shared edge list.
+// A BatchBFS has no values and no update stream in RAM, where it is a
+// traversal of the adjacency index: its contract is every root's tree —
+// levels, parents and visited count — at every width, capped or not.
 func TestResidentRunMatchesStreaming(t *testing.T) {
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 21)
 	if err != nil {
@@ -102,8 +105,11 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 		{"bfs-capped", func() Program { return NewBFS(root) }, 2},
 		{"msbfs", func() Program { return NewMultiSourceBFS([]graph.VertexID{batchRoots[5], 1, batchRoots[20]}) }, 0},
 		{"sssp-unit", func() Program { return NewSSSP(root) }, 0},
+		{"batch1", func() Program { return newBatch(batchRoots[3:4]) }, 0},
 		{"batch2", func() Program { return newBatch(batchRoots[:2]) }, 0},
+		{"batch2-capped", func() Program { return newBatch(batchRoots[:2]) }, 2},
 		{"batch32", func() Program { return newBatch(batchRoots) }, 0},
+		{"batch32-capped", func() Program { return newBatch(batchRoots) }, 1},
 		{"wcc", func() Program { return WCC{} }, 0},
 		{"pagerank", func() Program { return NewPageRank(deg, 5) }, 0},
 	}
@@ -113,7 +119,10 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 	}{
 		{"plain", unweighted},
 		{"reord", unweighted},
-		{"weighted", []progCase{{"sssp", func() Program { return NewSSSP(root) }, 0}}},
+		{"weighted", []progCase{
+			{"sssp", func() Program { return NewSSSP(root) }, 0},
+			{"batch2", func() Program { return newBatch(batchRoots[:2]) }, 0},
+		}},
 	} {
 		pg := prepare(t, vol, g.name)
 		sum := edgeSum(pg)
@@ -134,6 +143,22 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s resident: %v", g.name, pc.name, err)
 			}
+			if got.Metrics.BytesRead != 0 || got.Metrics.BytesWritten != 0 {
+				t.Errorf("%s/%s: resident run moved %d/%d device bytes", g.name, pc.name,
+					got.Metrics.BytesRead, got.Metrics.BytesWritten)
+			}
+			if b, ok := residentProg.(*BatchBFS); ok {
+				sb := streamProg.(*BatchBFS)
+				for i := range b.Roots() {
+					if !reflect.DeepEqual(b.LevelsOf(i), sb.LevelsOf(i)) || !reflect.DeepEqual(b.ParentsOf(i), sb.ParentsOf(i)) || b.VisitedOf(i) != sb.VisitedOf(i) {
+						t.Errorf("%s/%s: root %d tree differs from the streaming run", g.name, pc.name, i)
+					}
+				}
+				if got.Values != nil {
+					t.Errorf("%s/%s: resident batch run returned packed values", g.name, pc.name)
+				}
+				continue
+			}
 			if !reflect.DeepEqual(got.Values, want.Values) {
 				t.Errorf("%s/%s: resident values differ from the streaming run", g.name, pc.name)
 			}
@@ -147,18 +172,6 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 					if it.EdgesStreamed != w.EdgesStreamed || it.Updates != w.Updates || it.NewlyVisited != w.NewlyVisited {
 						t.Errorf("%s/%s iteration %d: resident streamed %d edges, %d updates, %d changes; streaming %d, %d, %d",
 							g.name, pc.name, i, it.EdgesStreamed, it.Updates, it.NewlyVisited, w.EdgesStreamed, w.Updates, w.NewlyVisited)
-					}
-				}
-			}
-			if got.Metrics.BytesRead != 0 || got.Metrics.BytesWritten != 0 {
-				t.Errorf("%s/%s: resident run moved %d/%d device bytes", g.name, pc.name,
-					got.Metrics.BytesRead, got.Metrics.BytesWritten)
-			}
-			if b, ok := residentProg.(*BatchBFS); ok {
-				sb := streamProg.(*BatchBFS)
-				for i := range b.Roots() {
-					if !reflect.DeepEqual(b.LevelsOf(i), sb.LevelsOf(i)) || !reflect.DeepEqual(b.ParentsOf(i), sb.ParentsOf(i)) {
-						t.Errorf("%s/%s: root %d tree differs from the streaming run", g.name, pc.name, i)
 					}
 				}
 			}
@@ -210,19 +223,11 @@ func TestSourceFilterContract(t *testing.T) {
 	}
 	vol := store(t, m, edges)
 	deg := graph.Degrees(m.Vertices, edges)
-	roots := hubs(deg, MaxBatchRoots)
-	batch := func(n int) Program {
-		b, err := NewBatchBFS(roots[:n], m.Vertices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
+	roots := hubs(deg, 10)
 	opts := xstream.Options{MemoryBudget: 1024, StreamBufSize: 512}
 	for _, prog := range []Program{
 		NewBFS(roots[0]),
 		NewMultiSourceBFS([]graph.VertexID{roots[3], 1, roots[9]}),
-		batch(1), batch(2), batch(MaxBatchRoots),
 		NewSSSP(roots[0]),
 		WCC{},
 	} {
@@ -245,7 +250,8 @@ func TestSourceFilterContract(t *testing.T) {
 // TestResidentRunPollsContextAndFaultHook: the in-memory loop keeps the
 // streaming loop's seams — the fault hook fires once per iteration and a
 // context cancelled mid-run stops the run at the next iteration boundary
-// with ErrCancelled, its scratch back on the free-list for the next run.
+// with ErrCancelled, its scratch back on the free-list for the next run —
+// and so does the indexed traversal a resident BatchBFS is.
 func TestResidentRunPollsContextAndFaultHook(t *testing.T) {
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 21)
 	if err != nil {
@@ -253,41 +259,57 @@ func TestResidentRunPollsContextAndFaultHook(t *testing.T) {
 	}
 	vol := store(t, m, edges)
 	pg := prepare(t, vol, m.Name)
-	root := hubs(graph.Degrees(m.Vertices, edges), 1)[0]
+	roots := hubs(graph.Degrees(m.Vertices, edges), 2)
 
-	o := residentOpts()
-	o.Prepared = pg
-	calls := 0
-	o.FaultHook = func() { calls++ }
-	res, err := Run(vol, m.Name, NewBFS(root), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters := len(res.Metrics.Iterations); iters < 3 || calls != iters {
-		t.Fatalf("fault hook fired %d times over %d iterations", calls, iters)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	calls = 0
-	o.FaultHook = func() {
-		if calls++; calls == 2 {
-			cancel()
+	for name, newProg := range map[string]func() Program{
+		"bfs": func() Program { return NewBFS(roots[0]) },
+		"batch": func() Program {
+			b, err := NewBatchBFS(roots, m.Vertices)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		},
+	} {
+		o := residentOpts()
+		o.Prepared = pg
+		calls := 0
+		o.FaultHook = func() { calls++ }
+		first := newProg()
+		res, err := Run(vol, m.Name, first, o)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := RunContext(ctx, vol, m.Name, NewBFS(root), o); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("run cancelled in iteration 1: err = %v, want ErrCancelled", err)
-	}
-	if calls != 2 {
-		t.Fatalf("cancelled run kept iterating: %d hook calls", calls)
-	}
+		if iters := len(res.Metrics.Iterations); iters < 3 || calls != iters {
+			t.Fatalf("%s: fault hook fired %d times over %d iterations", name, calls, iters)
+		}
 
-	o.FaultHook = nil
-	again, err := Run(vol, m.Name, NewBFS(root), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Values, res.Values) {
-		t.Fatal("run after a cancelled one (reused scratch) differs")
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		calls = 0
+		o.FaultHook = func() {
+			if calls++; calls == 2 {
+				cancel()
+			}
+		}
+		if _, err := RunContext(ctx, vol, m.Name, newProg(), o); !errors.Is(err, errs.ErrCancelled) {
+			t.Fatalf("%s: run cancelled in iteration 1: err = %v, want ErrCancelled", name, err)
+		}
+		if calls != 2 {
+			t.Fatalf("%s: cancelled run kept iterating: %d hook calls", name, calls)
+		}
+
+		o.FaultHook = nil
+		second := newProg()
+		again, err := Run(vol, m.Name, second, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Values, res.Values) {
+			t.Fatalf("%s: run after a cancelled one (reused scratch) differs", name)
+		}
+		if b, ok := second.(*BatchBFS); ok && !reflect.DeepEqual(b.trees, first.(*BatchBFS).trees) {
+			t.Fatal("batch after a cancelled one (reused scratch) grew other trees")
+		}
 	}
 }

@@ -17,10 +17,12 @@ import (
 )
 
 // batcher coalesces concurrent single-source BFS queries into shared
-// bit-parallel algo.BatchBFS runs (DESIGN.md §13). A query that misses
+// algo.BatchBFS runs (DESIGN.md §13): out of core one bit-parallel pass
+// of the algo engine's streaming loop for all the roots, over a resident
+// graph the indexed traversal from each root in turn. A query that misses
 // the result cache joins the forming batch (only uncapped queries batch,
 // see batchable, so every member wants the same run), and the batch
-// executes as one engine pass once it is full (BatchSize distinct roots)
+// executes as one engine run once it is full (BatchSize distinct roots)
 // or its hold window (BatchWait) expires. Batching follows the
 // group-commit idea: the batch also stays joinable while it waits for
 // an execution slot, so an idle service answers at near-solo latency
@@ -29,8 +31,11 @@ import (
 // GraphChi queries never batch: its sliding-windows traversal order
 // produces different (equally valid) parent trees, and batching
 // promises results byte-identical to the query's own standalone run.
-// The fastbfs and xstream engines share the algo engine's deterministic
-// update order, so their solo trees match the batch demux exactly.
+// The fastbfs and xstream engines give a vertex the parent whose edge
+// comes first in stored order, and so does a batch on either path — the
+// streaming loop by applying updates in that order, a resident batch by
+// being the solo engines' own indexed traversal — so their solo trees
+// match the batch demux exactly.
 type batcher struct {
 	s *GraphService
 
@@ -85,11 +90,11 @@ type batch struct {
 
 // batchable reports whether a normalized query may ride a shared run:
 // uncapped single-source BFS on the fastbfs or xstream engine. Capped
-// queries stay solo — the algo engine that executes batches advances
-// one level deeper per MaxIterations unit than the BFS engines do, so
-// a capped batch demux would not be byte-identical to the query's own
-// standalone run. GraphChi stays solo for the same reason (different
-// traversal order, different parent trees).
+// queries stay solo — out of core the algo engine that executes batches
+// advances one level deeper per MaxIterations unit than the streaming
+// BFS engines do, so a capped batch demux would not be byte-identical
+// to the query's own standalone run. GraphChi stays solo for the same
+// reason (different traversal order, different parent trees).
 func (s *GraphService) batchable(q Query) bool {
 	if s.cfg.PanicRoot > 0 && int64(q.Root) == s.cfg.PanicRoot {
 		// A poisoned chaos root must run solo so its injected panic fails
@@ -364,7 +369,11 @@ func (bt *batch) run() {
 		return
 	}
 	s.pred.observe(Query{Algorithm: AlgoBFS, Engine: EngineFastBFS}, exec)
-	sp.Label("outcome", OutcomeOK).End()
+	// What the run did: in RAM the levels of every root's traversal and the
+	// adjacency entries they examined, out of core the passes the roots
+	// shared and the edges those streamed.
+	sp.Attr("levels", int64(len(res.Metrics.Iterations))).Attr("bottomup_levels", int64(res.Metrics.BottomUpIterations)).
+		Attr("examined", res.Metrics.EdgesStreamed()).Label("outcome", OutcomeOK).End()
 
 	bytes := res.Metrics.BytesRead + res.Metrics.BytesWritten
 	s.ctr.batchRuns.Add(1)
@@ -374,20 +383,27 @@ func (bt *batch) run() {
 	s.ctr.ioFailures.Add(res.Metrics.IOFailures)
 	s.tr.Histogram(obs.HistServeBatchSize, nil).Observe(time.Duration(len(roots)) * time.Second)
 
-	ba := bt.b
-	ba.mu.Lock()
-	for _, e := range bt.entries {
-		if e.gone || e.resolved {
-			continue
-		}
-		i := prog.RootIndex(e.q.Root)
-		e.res = &Result{
-			Levels:  prog.LevelsOf(i),
-			Parents: prog.ParentsOf(i),
-			Visited: prog.VisitedOf(i),
+	// Every member's Result — its own, Submit stamps its trace ID into it,
+	// around its root's shared arrays — is built before the lock every join
+	// and leave needs: under it the answers are only published.
+	results := make([]*Result, len(live))
+	for i, e := range live {
+		r := prog.RootIndex(e.q.Root)
+		results[i] = &Result{
+			Levels:  prog.LevelsOf(r),
+			Parents: prog.ParentsOf(r),
+			Visited: prog.VisitedOf(r),
 			Metrics: res.Metrics,
 			Batched: true,
 		}
+	}
+	ba := bt.b
+	ba.mu.Lock()
+	for i, e := range live {
+		if e.gone || e.resolved {
+			continue
+		}
+		e.res = results[i]
 		e.exec, e.ran = exec, true
 		e.resolved = true
 		close(e.done)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fastbfs/internal/core"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/serve"
@@ -20,11 +21,10 @@ import (
 // Batch execution tests (DESIGN.md §13). Run with -race: the batcher is
 // shared mutable state between every Submit and the runner goroutines.
 
-// refBFSCapped is refBFS with an iteration cap, for batches grouped on
-// MaxIterations.
-func refBFSCapped(t *testing.T, e serve.Engine, vol storage.Volume, name string, root graph.VertexID, maxIter int) ([]uint32, []graph.VertexID) {
+// refBFSCapped is refBFS with an iteration cap and the service's own
+// options, for batches grouped on MaxIterations.
+func refBFSCapped(t *testing.T, o core.Options, e serve.Engine, vol storage.Volume, name string, root graph.VertexID, maxIter int) ([]uint32, []graph.VertexID) {
 	t.Helper()
-	o := smallBase()
 	o.Base.Root = root
 	o.Base.MaxIterations = maxIter
 	res, err := serve.RunEngine(context.Background(), e, vol, name, o)
@@ -38,19 +38,32 @@ func refBFSCapped(t *testing.T, e serve.Engine, vol storage.Volume, name string,
 // whole feature stands on: K concurrent queries answered through the
 // batcher return levels AND parents byte-identical to their serial
 // standalone runs — across batch sizes {1, 7, 32}, duplicate roots,
-// both batchable engines, and mixed MaxIterations groups. The cache is
-// disabled so every query actually rides a batch.
+// both batchable engines, and mixed MaxIterations groups, out of core
+// (the streaming loop) and over a resident graph (the indexed
+// traversal). The cache is disabled so every query actually rides a
+// batch.
 func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 	vol, m := storedGraph(t)
-	for _, bs := range []int{1, 7, 32} {
-		t.Run(fmt.Sprintf("size%d", bs), func(t *testing.T) {
+	for _, c := range []struct {
+		bs       int
+		resident bool
+	}{{1, false}, {7, false}, {32, false}, {1, true}, {7, true}} {
+		bs, resident, base := c.bs, c.resident, smallBase()
+		name := fmt.Sprintf("size%d", bs)
+		if resident {
+			base, name = residentBase(), name+"-resident"
+		}
+		t.Run(name, func(t *testing.T) {
 			svc, err := serve.New(vol, m.Name, serve.Config{
 				MaxInFlight: 2, MaxQueue: 64, CacheEntries: -1,
 				BatchSize: bs, BatchWait: 30 * time.Millisecond,
-				Base: smallBase(),
+				Base: base,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if got := svc.Stats().PreparedResident == 1; got != resident {
+				t.Fatalf("service resident: %v, want %v", got, resident)
 			}
 			before := runtime.NumGoroutine()
 
@@ -87,7 +100,7 @@ func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 				if out.err != nil {
 					t.Fatalf("query %d (%s root %d cap %d): %v", i, q.Engine, q.Root, q.MaxIterations, out.err)
 				}
-				wantLv, wantPar := refBFSCapped(t, q.Engine, vol, m.Name, q.Root, q.MaxIterations)
+				wantLv, wantPar := refBFSCapped(t, base, q.Engine, vol, m.Name, q.Root, q.MaxIterations)
 				if !reflect.DeepEqual(out.res.Levels, wantLv) {
 					t.Errorf("query %d (%s root %d cap %d): batched levels differ from serial run", i, q.Engine, q.Root, q.MaxIterations)
 				}
@@ -113,11 +126,14 @@ func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 			if st.Completed != K {
 				t.Errorf("Completed = %d, want %d", st.Completed, K)
 			}
-			if st.DeviceBytes <= 0 {
+			if !resident && st.DeviceBytes <= 0 {
 				t.Error("DeviceBytes not accounted for batch runs")
 			}
-			if bs > 1 && st.BatchBytesSaved <= 0 {
+			if !resident && bs > 1 && st.BatchBytesSaved <= 0 {
 				t.Errorf("BatchBytesSaved = %d at batch size %d", st.BatchBytesSaved, bs)
+			}
+			if resident && st.DeviceBytes != 0 {
+				t.Errorf("resident service moved %d device bytes", st.DeviceBytes)
 			}
 
 			if err := svc.Close(); err != nil {

@@ -340,7 +340,10 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 // TestPreparedWarmQueryAllocation bounds what a warmed resident solo
 // query allocates: its two result arrays (V x 8 bytes) plus less than
 // four times that again — against a reload of the whole edge list and an
-// update list per iteration before the graph was prepared.
+// update list per iteration before the graph was prepared. A warmed
+// two-wide batch allocates its four result arrays and under 64 KiB more:
+// queues and bitmap are the pooled scratch's, and no packed value array
+// is built for nobody to read.
 func TestPreparedWarmQueryAllocation(t *testing.T) {
 	m, edges, err := gen.RMAT(12, 8, gen.Graph500(), 5)
 	if err != nil {
@@ -382,6 +385,45 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 		t.Fatalf("a warmed query allocates %d bytes; want < %d (result arrays %d + 4x)", perQuery, 5*result, result)
 	}
 	t.Logf("warmed resident query: %d bytes allocated (result arrays %d, edge list %d)", perQuery, result, m.Edges*graph.EdgeBytes)
+
+	// A batch of two runs the moment its second root joins, long before
+	// the hold window ends.
+	batched, err := serve.New(vol, m.Name, serve.Config{CacheEntries: -1, BatchSize: 2, BatchWait: time.Minute,
+		Base: core.Options{Base: xstream.Options{ScatterWorkers: 2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batched.Close()
+	pair := func(i int) {
+		var wg sync.WaitGroup
+		for _, root := range []graph.VertexID{roots[i%len(roots)], roots[(i+1)%len(roots)]} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := batched.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Root: root})
+				if err != nil || !res.Batched || res.Visited < m.Vertices/4 {
+					t.Errorf("root %d: err %v, result %+v; want a batched answer from the giant component", root, err, res)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i := 0; i < 2*len(roots); i++ {
+		pair(i)
+	}
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < runs; i++ {
+		pair(i)
+	}
+	runtime.ReadMemStats(&ms1)
+	perBatch := (ms1.TotalAlloc - ms0.TotalAlloc) / runs
+	if perBatch >= 2*result+64<<10 {
+		t.Fatalf("a warmed two-wide batch allocates %d bytes; want < %d (four result arrays %d + 64 KiB)", perBatch, 2*result+64<<10, 2*result)
+	}
+	if st := batched.Stats(); st.BatchRuns != int64(2*len(roots)+runs) || st.DeviceBytes != 0 {
+		t.Fatalf("%d batch runs moving %d device bytes, want %d two-wide runs and none", st.BatchRuns, st.DeviceBytes, 2*len(roots)+runs)
+	}
+	t.Logf("warmed two-wide batch: %d bytes allocated (result arrays %d)", perBatch, 2*result)
 }
 
 // TestPreparedOutOfCoreWarmQueryAllocation: with a budget below the
