@@ -65,11 +65,11 @@ func main() {
 	mem := flag.Uint64("mem", 1<<30, "working memory budget in bytes")
 	threads := flag.Int("threads", 4, "compute threads")
 	workers := flag.Int("workers", 0, "scatter worker goroutines (0 = FASTBFS_WORKERS env or NumCPU; results are identical for any count)")
-	sim := flag.Bool("sim", false, "use the paper's simulated testbed instead of wall-clock time (and the paper's engines: the update filter is off)")
+	sim := flag.Bool("sim", false, "use the paper's simulated testbed instead of wall-clock time (and the paper's engines: the update filter is off, every scatter trims)")
 	simScale := flag.Float64("simscale", 1, "scale down the simulated positioning cost by this factor")
 	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
 	twoDisks := flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
-	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration")
+	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration (0 = a scatter trims when its partition's edge counts say the stay file pays; -1 = every scatter trims, the paper's default)")
 	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = FASTBFS_DIRECTION env, else topdown)")
 	codec := flag.String("codec", "", "working-file codec: fixed or delta (empty = FASTBFS_CODEC env, else the dataset's stored codec)")
 	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget (bytes with K/M/G suffix, 0/off, or unbounded; empty = FASTBFS_RESIDENCY env)")
@@ -149,9 +149,6 @@ func main() {
 			}
 		}
 		opts.Sim = cfg
-		// The simulated testbed reproduces the paper's figures, so it runs
-		// the paper's engines: every frontier out-edge's update is shuffled.
-		opts.DisableUpdateFilter = true
 	}
 	ob.noteRun(*engine, *name, *sim)
 
@@ -163,7 +160,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	res, err := serve.RunEngine(context.Background(), eng, vol, *name, core.Options{
+	co := core.Options{
 		Base:                       opts,
 		TrimStartIteration:         *trimStart,
 		DisableTrimming:            *noTrim,
@@ -171,7 +168,13 @@ func main() {
 		ResidencyBudget:            budget,
 		CheckpointVol:              ckVol,
 		Resume:                     *resume,
-	})
+	}
+	if *sim {
+		// The simulated testbed reproduces the paper's figures, so it runs
+		// the paper's engines.
+		paperEngines(&co)
+	}
+	res, err := serve.RunEngine(context.Background(), eng, vol, *name, co)
 	if err != nil {
 		fail(err)
 	}
@@ -179,6 +182,17 @@ func main() {
 	printResult(res, *report)
 	if *validate {
 		validateResult(vol, *name, graph.VertexID(*root), res)
+	}
+}
+
+// paperEngines pins a simulated run to the engines the paper measured,
+// whose figures the testbed reproduces: every frontier out-edge's update is
+// shuffled (no update filter) and trimming goes by the paper's threshold —
+// from the first iteration, unless a later start is set.
+func paperEngines(o *core.Options) {
+	o.Base.DisableUpdateFilter = true
+	if o.TrimStartIteration == 0 {
+		o.TrimStartIteration = core.TrimEveryIteration
 	}
 }
 
@@ -212,7 +226,9 @@ func runFromConfig(vol storage.Volume, name, path string, report, validate bool,
 		fail(err)
 	}
 	co := cfg.CoreOptions()
-	co.Base.DisableUpdateFilter = cfg.Sim // as for -sim
+	if cfg.Sim {
+		paperEngines(&co) // as for -sim
+	}
 	co.Base.Tracer = ob.tracer
 	co.CheckpointVol = ckVol
 	co.Resume = resume

@@ -120,12 +120,13 @@ func printSummary(s *obs.Summary) {
 		fmt.Println("trace contains no spans")
 	} else {
 		// Header: iter, one column per phase, total, then frontier/new/
-		// filtered when the iteration spans carried them.
+		// filtered and the trim decision (stay edges kept, and predicted
+		// before the scans) when the iteration spans carried them.
 		fmt.Printf("%5s", "iter")
 		for _, ph := range s.Phases {
 			fmt.Printf(" %11s", ph)
 		}
-		fmt.Printf(" %11s %10s %10s %10s\n", "total", "frontier", "new", "filtered")
+		fmt.Printf(" %11s %10s %10s %10s %10s %10s\n", "total", "frontier", "new", "filtered", "stay", "predicted")
 		for _, ip := range s.Iters {
 			if ip.Iter < 0 {
 				fmt.Printf("%5s", "setup")
@@ -137,7 +138,8 @@ func printSummary(s *obs.Summary) {
 			}
 			fmt.Printf(" %11.6f", ip.Total)
 			if ip.Attrs != nil {
-				fmt.Printf(" %10d %10d %10d", ip.Attrs["frontier"], ip.Attrs["new"], ip.Attrs["filtered"])
+				fmt.Printf(" %10d %10d %10d %10d %10d", ip.Attrs["frontier"], ip.Attrs["new"], ip.Attrs["filtered"],
+					ip.Attrs["stay_edges"], ip.Attrs["stay_predicted"])
 			}
 			fmt.Println()
 		}

@@ -18,7 +18,9 @@ import (
 
 // AblTrimStart sweeps TrimStartIteration on both a fast-converging
 // scale-free graph and a high-diameter path — the case the paper says
-// motivates delaying trimming.
+// motivates delaying trimming — and closes each graph with the rule the
+// library defaults to: no threshold, each scatter trims when its
+// partition's edge counts say the stay file pays.
 func AblTrimStart(cfg Config) (*Table, error) {
 	vol := storage.NewMem()
 	ds, err := BuildTuneDataset(vol, cfg.Scale, cfg.Seed)
@@ -49,36 +51,41 @@ func AblTrimStart(cfg Config) (*Table, error) {
 			"squander of resources is to start the graph trimming several iterations later, till the stay list " +
 			"shrinks to a relatively small proportion\"",
 	}
+	// row runs FastBFS on d under one trim setting and files the result:
+	// the paper's engine (runFastBFS) for its thresholds, core.Run as it is
+	// for the rule the library defaults to.
+	row := func(d Dataset, label string, run func(storage.Volume, string, core.Options) (*xstream.Result, error), o core.Options) error {
+		o.Base = baseOpts(d, hddSim(cfg.Scale))
+		res, err := run(vol, d.Meta.Name, o)
+		if err != nil {
+			return err
+		}
+		t.AddRow(d.PaperName, label, secs(res.Metrics.ExecTime),
+			fmt.Sprintf("%d", res.Metrics.TrimmedEdges), mb(res.Metrics.BytesWritten))
+		return nil
+	}
 	// Fast-converging graph: iteration-count threshold.
 	for _, start := range []int{0, 1, 2, 4, 8} {
-		o := core.Options{Base: baseOpts(ds, hddSim(cfg.Scale)), TrimStartIteration: start}
-		res, err := core.Run(vol, ds.Meta.Name, o)
-		if err != nil {
+		if err := row(ds, fmt.Sprintf("start at iter %d", start), runFastBFS, core.Options{TrimStartIteration: start}); err != nil {
 			return nil, err
 		}
-		t.AddRow(ds.PaperName, fmt.Sprintf("start at iter %d", start), secs(res.Metrics.ExecTime),
-			fmt.Sprintf("%d", res.Metrics.TrimmedEdges), mb(res.Metrics.BytesWritten))
+	}
+	if err := row(ds, "model", core.Run, core.Options{}); err != nil {
+		return nil, err
 	}
 	// High-diameter path: trimming every iteration rewrites a nearly
 	// whole graph once per vertex; the visited-fraction threshold ("till
 	// the stay list shrinks") is the remedy.
 	for _, frac := range []float64{0, 0.5, 0.9} {
-		o := core.Options{Base: baseOpts(pathDS, hddSim(cfg.Scale)), TrimVisitedFraction: frac}
-		res, err := core.Run(vol, pathDS.Meta.Name, o)
-		if err != nil {
+		if err := row(pathDS, fmt.Sprintf("visited >= %.0f%%", 100*frac), runFastBFS, core.Options{TrimVisitedFraction: frac}); err != nil {
 			return nil, err
 		}
-		t.AddRow(pathDS.PaperName, fmt.Sprintf("visited >= %.0f%%", 100*frac), secs(res.Metrics.ExecTime),
-			fmt.Sprintf("%d", res.Metrics.TrimmedEdges), mb(res.Metrics.BytesWritten))
 	}
-	{
-		o := core.Options{Base: baseOpts(pathDS, hddSim(cfg.Scale)), DisableTrimming: true}
-		res, err := core.Run(vol, pathDS.Meta.Name, o)
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(pathDS.PaperName, "trimming off", secs(res.Metrics.ExecTime),
-			fmt.Sprintf("%d", res.Metrics.TrimmedEdges), mb(res.Metrics.BytesWritten))
+	if err := row(pathDS, "trimming off", runFastBFS, core.Options{DisableTrimming: true}); err != nil {
+		return nil, err
+	}
+	if err := row(pathDS, "model", core.Run, core.Options{}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -98,7 +105,7 @@ func AblStayBuffers(cfg Config) (*Table, error) {
 	}
 	for _, count := range []int{1, 2, 4, 8, 32} {
 		o := core.Options{Base: baseOpts(ds, hddSim(cfg.Scale)), StayBufSize: 16 << 10, StayBufCount: count}
-		res, err := core.Run(vol, ds.Meta.Name, o)
+		res, err := runFastBFS(vol, ds.Meta.Name, o)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +140,7 @@ func AblGrace(cfg Config) (*Table, error) {
 	}
 	for _, grace := range []float64{1e-9, 1e-5, 1e-3, 1e-1, 10} {
 		o := core.Options{Base: baseOpts(ds, mkSim()), GracePeriod: grace}
-		res, err := core.Run(vol, ds.Meta.Name, o)
+		res, err := runFastBFS(vol, ds.Meta.Name, o)
 		if err != nil {
 			return nil, err
 		}
@@ -185,7 +192,7 @@ func AblFeatures(cfg Config) (*Table, error) {
 		if c.xs {
 			res, err = xstream.Run(vol, ds.Meta.Name, mkBase(c.filter))
 		} else {
-			res, err = core.Run(vol, ds.Meta.Name, core.Options{
+			res, err = runFastBFS(vol, ds.Meta.Name, core.Options{
 				Base:                       mkBase(c.filter),
 				DisableTrimming:            c.noTrim,
 				DisableSelectiveScheduling: c.noSelSch,

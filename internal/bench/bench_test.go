@@ -390,6 +390,28 @@ func TestAblationsRun(t *testing.T) {
 		if len(tbl.Rows) == 0 {
 			t.Fatalf("%s: empty table", id)
 		}
+		if id != "abl-trimstart" {
+			continue
+		}
+		// Trimming by the edge counts is no slower than the best static
+		// threshold, on the fast-converging graph and on the path.
+		best, model := map[string]float64{}, map[string]float64{}
+		for _, r := range tbl.Rows {
+			secs := cell(t, r[2])
+			if r[1] == "model" {
+				model[r[0]] = secs
+			} else if b, ok := best[r[0]]; !ok || secs < b {
+				best[r[0]] = secs
+			}
+		}
+		if len(model) != 2 {
+			t.Fatalf("%s: model rows for %d graphs, want 2: %v", id, len(model), tbl.Rows)
+		}
+		for g, secs := range model {
+			if !(secs <= best[g]) {
+				t.Errorf("%s on %s: the model takes %v s, the best static threshold %v s", id, g, secs, best[g])
+			}
+		}
 	}
 }
 

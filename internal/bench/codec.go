@@ -66,7 +66,7 @@ func CodecSweep(cfg Config) (*Table, error) {
 		}
 
 		ds := Dataset{PaperName: "rmat/ef8", Meta: sm, Root: root, Budget: scaledBudget(sm, cfg.Scale) / 32}
-		res, err := core.Run(vol, sm.Name, core.Options{Base: baseOpts(ds, hddSim(cfg.Scale))})
+		res, err := runFastBFS(vol, sm.Name, core.Options{Base: baseOpts(ds, hddSim(cfg.Scale))})
 		if err != nil {
 			return nil, fmt.Errorf("fastbfs codec=%s reorder=%v: %w", v.codec, v.reorder, err)
 		}

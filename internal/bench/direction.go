@@ -71,7 +71,7 @@ func DirectionSweep(cfg Config) (*Table, error) {
 			if eng == "xstream" {
 				res, err = xstream.Run(vol, ds.Meta.Name, o)
 			} else {
-				res, err = core.Run(vol, ds.Meta.Name, core.Options{Base: o})
+				res, err = runFastBFS(vol, ds.Meta.Name, core.Options{Base: o})
 			}
 			if err != nil {
 				return nil, fmt.Errorf("%s direction=%s on %s: %w", eng, dir, ds.Meta.Name, err)

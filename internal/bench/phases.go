@@ -28,7 +28,7 @@ func PhaseBreakdown(cfg Config) (*Table, error) {
 	o.Tracer = tr
 
 	cfg.logf("  %s (%s): fastbfs traced", ds.PaperName, ds.Meta.Name)
-	res, err := core.Run(vol, ds.Meta.Name, core.Options{Base: o})
+	res, err := runFastBFS(vol, ds.Meta.Name, core.Options{Base: o})
 	if err != nil {
 		return nil, fmt.Errorf("fastbfs traced on %s: %w", ds.Meta.Name, err)
 	}

@@ -48,7 +48,7 @@ func Residency(cfg Config) (*Table, error) {
 	for i, b := range budgets {
 		cfg.logf("  %s: fastbfs residency=%s", ds.PaperName, b.label)
 		o := core.Options{Base: baseOpts(ds, hddSim(cfg.Scale)), ResidencyBudget: b.budget}
-		res, err := core.Run(vol, ds.Meta.Name, o)
+		res, err := runFastBFS(vol, ds.Meta.Name, o)
 		if err != nil {
 			return nil, fmt.Errorf("fastbfs residency=%s on %s: %w", b.label, ds.Meta.Name, err)
 		}

@@ -55,7 +55,7 @@ func Workers(cfg Config) (*Table, error) {
 			o := baseOpts(ds, nil) // wall mode: Mem volume, real elapsed time
 			o.ScatterWorkers = w
 			o.Tracer = obs.New(col)
-			res, err := core.Run(vol, ds.Meta.Name, core.Options{Base: o})
+			res, err := runFastBFS(vol, ds.Meta.Name, core.Options{Base: o})
 			if err != nil {
 				return nil, fmt.Errorf("fastbfs workers=%d on %s: %w", w, ds.Meta.Name, err)
 			}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"strings"
@@ -59,10 +62,10 @@ func assertSameResult(t *testing.T, tag string, got, want *Result) {
 		t.Fatalf("%s: visited %d, want %d", tag, got.Visited, want.Visited)
 	}
 	if !slices.Equal(got.Levels, want.Levels) {
-		t.Fatalf("%s: levels differ from the uninterrupted reference", tag)
+		t.Fatalf("%s: levels differ from the reference run", tag)
 	}
 	if !slices.Equal(got.Parents, want.Parents) {
-		t.Fatalf("%s: parents differ from the uninterrupted reference", tag)
+		t.Fatalf("%s: parents differ from the reference run", tag)
 	}
 }
 
@@ -79,11 +82,62 @@ func iterRecorder() (*obs.Tracer, *[]int) {
 	return tr, iters
 }
 
+// dropInputEdges rewrites the manifest on ck as a run from before the trim
+// rule counted edges wrote it: no partition carries its input's edge count.
+func dropInputEdges(t *testing.T, ck storage.Volume) {
+	t.Helper()
+	raw, err := storage.ReadAll(ck, "manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := graph.DeframeAll(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
+	if err := dec.Decode(&man); err != nil {
+		t.Fatal(err)
+	}
+	dropped := 0
+	for _, part := range man["parts"].([]any) {
+		if _, ok := part.(map[string]any)["input_edges"]; ok {
+			delete(part.(map[string]any), "input_edges")
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("the manifest carries no input edge count to drop")
+	}
+	if body, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	w, err := ck.Create("manifest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(graph.FrameAll(body)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCrashMatrixBoundaryKills(t *testing.T) {
 	// Kill (via the MaxIterations cap, which exits the loop exactly where
 	// a process death at an iteration boundary would) at a seed-dependent
 	// iteration, resume, and require byte-identical output — across many
-	// seeded graphs.
+	// seeded graphs, trimming by the edge counts (which a resume recounts:
+	// every prediction after it must still be exact), by them from a
+	// manifest that carries none, and at every scatter as the paper does.
+	type variant struct {
+		name      string
+		trimStart int
+		countless bool
+	}
+	variants := []variant{{"counts", 0, false}, {"count-less manifest", 0, true}, {"every scatter", TrimEveryIteration, false}}
 	for seed := int64(1); seed <= 12; seed++ {
 		refVol, m := seededGraph(t, seed)
 		ref, err := Run(refVol, m.Name, ckOpts(nil, false, 0))
@@ -95,39 +149,48 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 			continue
 		}
 		killIter := 1 + int(seed)%(total-1)
-
-		vol, _ := seededGraph(t, seed)
-		ck := storage.NewMem()
-		partial, err := Run(vol, m.Name, ckOpts(ck, false, killIter))
-		if err != nil {
-			t.Fatalf("seed %d: partial run: %v", seed, err)
-		}
-		if partial.Metrics.Checkpoints != killIter {
-			t.Fatalf("seed %d: %d checkpoints after %d iterations", seed, partial.Metrics.Checkpoints, killIter)
-		}
-		tr, iters := iterRecorder()
-		opts := ckOpts(ck, true, 0)
-		opts.Base.Tracer = tr
-		resumed, err := Run(vol, m.Name, opts)
-		tr.Close()
-		if err != nil {
-			t.Fatalf("seed %d: resume: %v", seed, err)
-		}
-		assertSameResult(t, "boundary kill", resumed, ref)
-		if resumed.Metrics.Resumed != killIter {
-			t.Fatalf("seed %d: resumed=%d, want %d", seed, resumed.Metrics.Resumed, killIter)
-		}
-		if len(resumed.Metrics.Iterations) != total {
-			t.Fatalf("seed %d: %d iteration rows after resume, want %d", seed, len(resumed.Metrics.Iterations), total)
-		}
-		// The trace proves no completed iteration was re-run: the resumed
-		// run's iteration spans start exactly at the manifest's successor.
-		if len(*iters) == 0 || (*iters)[0] != killIter {
-			t.Fatalf("seed %d: resumed run executed iterations %v, want to start at %d", seed, *iters, killIter)
-		}
-		for _, it := range *iters {
-			if it < killIter {
-				t.Fatalf("seed %d: resume re-ran completed iteration %d", seed, it)
+		for _, v := range variants {
+			tag := fmt.Sprintf("seed %d, %s", seed, v.name)
+			vol, _ := seededGraph(t, seed)
+			ck := storage.NewMem()
+			po := ckOpts(ck, false, killIter)
+			po.TrimStartIteration = v.trimStart
+			partial, err := Run(vol, m.Name, po)
+			if err != nil {
+				t.Fatalf("%s: partial run: %v", tag, err)
+			}
+			if partial.Metrics.Checkpoints != killIter {
+				t.Fatalf("%s: %d checkpoints after %d iterations", tag, partial.Metrics.Checkpoints, killIter)
+			}
+			if v.countless {
+				dropInputEdges(t, ck)
+			}
+			tr, iters := iterRecorder()
+			opts := ckOpts(ck, true, 0)
+			opts.TrimStartIteration = v.trimStart
+			opts.Base.Tracer = tr
+			resumed, err := Run(vol, m.Name, opts)
+			tr.Close()
+			if err != nil {
+				t.Fatalf("%s: resume: %v", tag, err)
+			}
+			assertSameResult(t, tag, resumed, ref)
+			checkTrimRows(t, tag, resumed, countsTrims(m, opts))
+			if resumed.Metrics.Resumed != killIter {
+				t.Fatalf("%s: resumed=%d, want %d", tag, resumed.Metrics.Resumed, killIter)
+			}
+			if len(resumed.Metrics.Iterations) != total {
+				t.Fatalf("%s: %d iteration rows after resume, want %d", tag, len(resumed.Metrics.Iterations), total)
+			}
+			// The trace proves no completed iteration was re-run: the resumed
+			// run's iteration spans start exactly at the manifest's successor.
+			if len(*iters) == 0 || (*iters)[0] != killIter {
+				t.Fatalf("%s: resumed run executed iterations %v, want to start at %d", tag, *iters, killIter)
+			}
+			for _, it := range *iters {
+				if it < killIter {
+					t.Fatalf("%s: resume re-ran completed iteration %d", tag, it)
+				}
 			}
 		}
 	}
@@ -218,13 +281,26 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		var stayWrites atomic.Int64
 		killAfter := 1 + int64(seed)%5
+		// Half the matrix trims at every scatter, as the paper does: the
+		// stay writes this test kills from are its subject, and a run that
+		// trims by the edge counts makes few (on a volume that publishes a
+		// file in one write, too few to be killed from).
+		trimStart := 0
+		if seed%2 == 1 {
+			trimStart = TrimEveryIteration
+		}
+		opts := func(resume bool) Options {
+			o := ckOpts(ck, resume, 0)
+			o.TrimStartIteration = trimStart
+			return o
+		}
 		vol.FailWrites(func(name string, written int64) error {
 			if strings.Contains(name, "_stay") && stayWrites.Add(1) >= killAfter {
 				cancel()
 			}
 			return nil
 		})
-		_, err = RunContext(ctx, vol, m.Name, ckOpts(ck, false, 0))
+		_, err = RunContext(ctx, vol, m.Name, opts(false))
 		vol.FailWrites(nil)
 		cancel()
 		if err != nil {
@@ -234,11 +310,12 @@ func TestCrashMatrixMidStayWriteKills(t *testing.T) {
 			killed++
 		}
 
-		resumed, err := Run(vol, m.Name, ckOpts(ck, true, 0))
+		resumed, err := Run(vol, m.Name, opts(true))
 		if err != nil {
 			t.Fatalf("seed %d: resume after mid-write kill: %v", seed, err)
 		}
 		assertSameResult(t, "mid-stay-write kill", resumed, ref)
+		checkTrimRows(t, "mid-stay-write kill", resumed, trimStart == 0)
 	}
 	if killed == 0 {
 		t.Fatal("no run in the matrix was actually killed mid-write")

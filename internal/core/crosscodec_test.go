@@ -134,10 +134,18 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					}
 					variant := fmt.Sprintf("codec=%s,reorder=%v,dir=%s", codec, reorder, d)
 
-					bo.Sim = xstream.DefaultSim()
-					fb, err := Run(vol, m.Name, Options{Base: bo})
-					check("fastbfs("+variant+")", fb, err)
-					baseline("fastbfs("+variant+")", key{"fastbfs", reorder}, fb)
+					// FastBFS trims by the edge counts, which no encoding or
+					// relabeling may throw off, and then as the paper does, at
+					// every scatter: one tree.
+					for _, trimStart := range []int{0, TrimEveryIteration} {
+						o := Options{Base: bo, TrimStartIteration: trimStart}
+						o.Base.Sim = xstream.DefaultSim()
+						fb, err := Run(vol, m.Name, o)
+						label := fmt.Sprintf("fastbfs(%s,trimstart=%d)", variant, trimStart)
+						check(label, fb, err)
+						checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
+						baseline(label, key{"fastbfs", reorder}, fb)
+					}
 
 					bo.Sim = xstream.DefaultSim()
 					xs, err := xstream.Run(vol, m.Name, bo)
@@ -162,6 +170,7 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					fb, err := Run(vol, m.Name, Options{Base: bo})
 					label := fmt.Sprintf("fastbfs(stored=fixed,work=delta,reorder=%v)", reorder)
 					check(label, fb, err)
+					checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, Options{Base: bo}))
 					baseline(label, key{"fastbfs", reorder}, fb)
 				}
 			}

@@ -64,9 +64,11 @@ func TestAllEnginesAgreeProperty(t *testing.T) {
 		if delayTrim {
 			fbOpts.TrimStartIteration = 2
 		}
-		if !check(Run(vol, m.Name, fbOpts)) {
+		fb, err := Run(vol, m.Name, fbOpts)
+		if !check(fb, err) {
 			return false
 		}
+		checkTrimRows(t, "fastbfs", fb, countsTrims(m, fbOpts))
 		if !check(xstream.Run(vol, m.Name, xstream.Options{
 			Root: root, MemoryBudget: budget, StreamBufSize: bufSize, Sim: mkSim(),
 		})) {
@@ -163,15 +165,32 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 			// most the smallest trimmed partitions, and unbounded (every
 			// partition promoted at its first trim). The BFS output must
 			// be byte-identical across the sweep, and at unbounded there
-			// is no stay file left to cancel.
+			// is no stay file left to cancel. Each run trims by the edge
+			// counts, whose every prediction must be exact; with all
+			// partitions on the device it is also held against the paper's
+			// trim-at-every-scatter: the same tree, and no stay file above
+			// half its input.
 			var fbOff *xstream.Result
 			for _, rb := range []int64{ResidencyOff, 4096, ResidencyUnbounded} {
 				o := Options{Base: base, ResidencyBudget: rb}
 				o.Base.Sim = xstream.DefaultSim()
 				fb, err := Run(vol, m.Name, o)
+				label := fmt.Sprintf("graph %d workers=%d fastbfs(residency=%d)", g, w, rb)
 				check(fmt.Sprintf("fastbfs(residency=%d)", rb), fb, err)
+				counted := countsTrims(m, o)
+				checkTrimRows(t, label, fb, counted)
 				if rb == ResidencyOff {
 					fbOff = fb
+					o.Base.Sim, o.TrimStartIteration = xstream.DefaultSim(), TrimEveryIteration
+					pin, err := Run(vol, m.Name, o)
+					check("fastbfs(trim every iteration)", pin, err)
+					assertSameResult(t, label+" against the static rule", fb, pin)
+					for _, it := range fb.Metrics.Iterations {
+						if counted && !it.BottomUp && 2*it.StayEdges > it.EdgesStreamed {
+							t.Fatalf("%s: iteration %d kept %d of the %d edges it streamed in stay files",
+								label, it.Index, it.StayEdges, it.EdgesStreamed)
+						}
+					}
 					continue
 				}
 				for i := range fb.Levels {
@@ -293,10 +312,21 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 					o.Base.Sim = xstream.DefaultSim()
 					fb, err := Run(vol, m.Name, o)
 					check(label, fb, err)
+					checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
 					if fbBase == nil {
 						fbBase = fb
 					} else {
 						identical(label, fb, fbBase)
+					}
+					if rb == ResidencyOff {
+						// The paper's trim-at-every-scatter grows the same tree
+						// (and, going bottom-up, counts its forward trims too).
+						label += ", trim every iteration"
+						o.Base.Sim, o.TrimStartIteration = xstream.DefaultSim(), TrimEveryIteration
+						pin, err := Run(vol, m.Name, o)
+						check(label, pin, err)
+						checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), pin, false)
+						identical(label, pin, fbBase)
 					}
 				}
 				label := fmt.Sprintf("xstream(dir=%s,workers=%d)", d, w)

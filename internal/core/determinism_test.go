@@ -89,6 +89,9 @@ func runRecorded(t *testing.T, workers int) (*recordingVolume, *Result) {
 		// partition would stop producing them, so pin the cache off
 		// (FASTBFS_RESIDENCY must not leak into this contract).
 		ResidencyBudget: ResidencyOff,
+		// And every scatter trims, so the log holds a stay file per
+		// partition and iteration, not only the few that pay.
+		TrimStartIteration: TrimEveryIteration,
 	})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)

@@ -12,10 +12,12 @@
 //     iteration; if it is still not ready after a short grace period,
 //     the write is cancelled and the previous input is re-read, which is
 //     always correct because the stay list is a subset of it (§II-C2);
-//  3. a configurable trim threshold — trimming can start several
-//     iterations late, or once enough of the graph has converged, to
-//     avoid rewriting a nearly-whole graph for nothing on
-//     high-diameter inputs (§II-C3);
+//  3. a trim threshold — a scatter rewrites its partition only once
+//     that at least halves it, which the engine knows from exact edge
+//     counts before the scan, so no iteration rewrites a nearly-whole
+//     graph for nothing; the paper's two static knobs (start several
+//     iterations late, or once enough of the graph has converged,
+//     §II-C3) remain for reproducing it;
 //  4. coarse-grained selective scheduling — partitions that received no
 //     updates are skipped entirely in the next iteration (§II-C3);
 //  5. two-disk I/O scheduling — in two-disk mode the stay-out stream and
@@ -49,13 +51,18 @@ const EngineName = "fastbfs"
 type Options struct {
 	Base xstream.Options
 
-	// TrimStartIteration delays trimming until the given iteration
-	// ("the easiest way to avoid this squander of resources is to start
-	// the graph trimming several iterations later", §II-C3).
-	TrimStartIteration int
-	// TrimVisitedFraction additionally requires that at least this
-	// fraction of vertices be visited before trimming starts ("till the
-	// stay list shrinks to a relatively small proportion").
+	// TrimStartIteration and TrimVisitedFraction are the paper's static
+	// trim threshold. Both zero — the default — leaves it unset, and each
+	// scatter decides from its partition's exact edge counts whether a
+	// stay file pays (xstream.Policy.TrimActive). A positive
+	// TrimStartIteration delays trimming until that iteration ("the
+	// easiest way to avoid this squander of resources is to start the
+	// graph trimming several iterations later", §II-C3), TrimEveryIteration
+	// trims from the first, the paper's default; TrimVisitedFraction
+	// additionally requires that at least this fraction of vertices be
+	// visited ("till the stay list shrinks to a relatively small
+	// proportion").
+	TrimStartIteration  int
 	TrimVisitedFraction float64
 	// DisableTrimming turns the stay-file mechanism off entirely
 	// (ablation: FastBFS degenerates to X-Stream plus selective
@@ -128,6 +135,10 @@ func (o *Options) SetDefaults() {
 		}
 	}
 }
+
+// TrimEveryIteration, for Options.TrimStartIteration, is the paper's
+// default threshold: every scatter trims, from the first iteration on.
+const TrimEveryIteration = xstream.TrimEveryIteration
 
 // Result is the FastBFS output (same shape as X-Stream's).
 type Result = xstream.Result

@@ -37,7 +37,34 @@ func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root 
 	if err := bfs.Validate(m, edges, got); err != nil {
 		t.Fatalf("fastbfs tree invalid: %v", err)
 	}
+	checkTrimRows(t, "fastbfs", res, countsTrims(m, opts))
 	return res
+}
+
+// countsTrims reports whether a run of m under o keeps the trim rule's edge
+// counts on every partition: it streams, and no static threshold is set.
+func countsTrims(m graph.Meta, o Options) bool {
+	streams := o.CheckpointVol != nil || o.Base.MemoryBudget != 0 && o.Base.MemoryBudget < xstream.InMemoryNeed(m)
+	return streams && o.TrimStartIteration == 0 && o.TrimVisitedFraction == 0
+}
+
+// checkTrimRows asserts the trim rule's accounting on a finished run
+// (xstream.Policy.TrimActive): in every top-down row, the stay edges the
+// rule predicted before the scans are the stay edges the scans kept — the
+// production kernel only books a miss, the suites fail on it. A run that
+// keeps no counts predicts 0 (a static threshold on a top-down run, the
+// in-memory loop); counted says this run is not one of those, so 0 against
+// kept edges is a miss too. Bottom-up rows hold the reverse chain's stays,
+// which nobody predicts.
+func checkTrimRows(t testing.TB, label string, res *Result, counted bool) {
+	t.Helper()
+	for _, it := range res.Metrics.Iterations {
+		if it.BottomUp || it.StayPredicted == it.StayEdges || !counted && it.StayPredicted == 0 {
+			continue
+		}
+		t.Fatalf("%s: iteration %d predicted %d stay edges, its scatters kept %d",
+			label, it.Index, it.StayPredicted, it.StayEdges)
+	}
 }
 
 func smallOpts() Options {
@@ -162,6 +189,52 @@ func TestFastBFSReadsLessThanXStream(t *testing.T) {
 	}
 	if !(fb.Metrics.TotalBytes() < xs.Metrics.TotalBytes()) {
 		t.Fatalf("fastbfs total bytes %d >= xstream %d", fb.Metrics.TotalBytes(), xs.Metrics.TotalBytes())
+	}
+}
+
+// TestFastBFSTrimsOnlyWhenItPays is the trim rule's no-op guard, on the
+// fast-converging graph and on the high-diameter one the paper's threshold
+// exists for: trimming by the edge counts never writes a stay file that
+// keeps more than half the edges it read, and moves no more bytes than
+// trimming at every scatter does or than not trimming at all.
+func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
+	rmat, rmatEdges, err := gen.RMAT(10, 8, gen.Graph500(), 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, pathEdges, err := gen.Path(400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []struct {
+		m     graph.Meta
+		edges []graph.Edge
+		root  graph.VertexID
+	}{{rmat, rmatEdges, maxDegreeVertex(rmat, rmatEdges)}, {path, pathEdges, 0}} {
+		run := func(mod func(*Options)) *Result {
+			o := smallOpts()
+			o.Base.MemoryBudget = 1024 // several partitions of the path too
+			o.Base.Direction = xstream.DirectionTopDown
+			o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
+			mod(&o)
+			return checkAgainstReference(t, g.m, g.edges, g.root, o)
+		}
+		counts := run(func(*Options) {})
+		every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
+		never := run(func(o *Options) { o.DisableTrimming = true })
+		if counts.Metrics.TrimmedEdges == 0 {
+			t.Fatalf("%s: trimming by the counts trimmed nothing", g.m.Name)
+		}
+		if got := counts.Metrics.TotalBytes(); got > every.Metrics.TotalBytes() || got > never.Metrics.TotalBytes() {
+			t.Fatalf("%s: %d bytes moved trimming by the counts, %d trimming at every scatter, %d never trimming",
+				g.m.Name, got, every.Metrics.TotalBytes(), never.Metrics.TotalBytes())
+		}
+		for _, it := range counts.Metrics.Iterations {
+			if 2*it.StayEdges > it.EdgesStreamed {
+				t.Fatalf("%s: iteration %d kept %d of the %d edges it streamed in stay files",
+					g.m.Name, it.Index, it.StayEdges, it.EdgesStreamed)
+			}
+		}
 	}
 }
 

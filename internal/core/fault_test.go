@@ -94,6 +94,7 @@ func TestRunSurvivesStayWriteFailure(t *testing.T) {
 	if res.Metrics.Cancellations == 0 {
 		t.Fatal("failed stay writes should be recorded as cancellations")
 	}
+	checkTrimRows(t, "failing stay writes", res, true) // a lost stay file leaves the counts right
 }
 
 func TestRunSurfacesPrepareFailure(t *testing.T) {
@@ -190,6 +191,7 @@ func TestParallelScatterSurvivesStayFaults(t *testing.T) {
 	if res.Metrics.Cancellations == 0 {
 		t.Fatal("failed stay writes should be recorded as cancellations")
 	}
+	checkTrimRows(t, "failing stay writes", res, true) // a lost stay file leaves the counts right
 }
 
 func TestRunSurfacesGatherReadFailure(t *testing.T) {
@@ -296,6 +298,7 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 		if res.Metrics.IOFailures != 0 {
 			t.Fatalf("%d I/O failures leaked past the retry budget", res.Metrics.IOFailures)
 		}
+		checkTrimRows(t, "transient faults", res, true)
 		// Zero file leaks: only the stored dataset survives the run.
 		for _, f := range vol.List() {
 			if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) {
@@ -322,16 +325,16 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 // (the prefix's claims are the re-scatter's own first updates) and off
 // (the first-wins gather absorbs the repeats), with nothing leaked.
 func TestCorruptAdoptedStayFallsBack(t *testing.T) {
-	opts := func() Options {
+	opts := func(trimStart int) Options {
 		// The stay-file path is under test: keep partitions on the device,
 		// and keep the stay files fixed-width so each spans many frames and
 		// a fault usually leaves a readable prefix (a delta stay file here
 		// is a frame or two).
 		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Codec: graph.CodecFixed, Sim: xstream.DefaultSim()},
-			ResidencyBudget: ResidencyOff}
+			ResidencyBudget: ResidencyOff, TrimStartIteration: trimStart}
 	}
 	refVol, m := storedGraph(t)
-	want, err := Run(refVol, m.Name, opts())
+	want, err := Run(refVol, m.Name, opts(TrimEveryIteration))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,11 +357,14 @@ func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 		{FlipP: 0.5, Match: "_stay"},
 	} {
 		for _, noFilter := range []bool{false, true} {
-			var corruptions, prefixes int
+			var corruptions, prefixes, counted int
 			for seed := uint64(1); seed <= 8; seed++ {
 				vol, _ := storedGraph(t)
 				fault.Seed = seed
-				o := opts()
+				// Every scatter trims, so a corrupt stay file is still
+				// mid-frontier when it is adopted and its readable prefix has
+				// updates to shuffle.
+				o := opts(TrimEveryIteration)
 				o.Base.DisableUpdateFilter = noFilter
 				o.Base.ScatterWorkers = 1 + int(seed)%4
 				res, err := Run(storage.NewFaulty(vol, fault), m.Name, o)
@@ -369,6 +375,16 @@ func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 				if res.Visited != want.Visited || !slices.Equal(res.Levels, want.Levels) || !slices.Equal(res.Parents, want.Parents) {
 					t.Fatalf("%s: tree differs from the fault-free run after %d stay corruptions", label, res.Metrics.StayCorruptions)
 				}
+				// Trimming by the edge counts, a fallback restores the older
+				// input's count with its name: same tree, every prediction exact.
+				o.TrimStartIteration = 0
+				model, err := Run(storage.NewFaulty(vol, fault), m.Name, o)
+				if err != nil {
+					t.Fatalf("%s, trimming by the counts: %v", label, err)
+				}
+				assertSameResult(t, label+", trimming by the counts", model, want)
+				checkTrimRows(t, label, model, true)
+				counted += model.Metrics.StayCorruptions
 				corruptions += res.Metrics.StayCorruptions
 				if emitted(res) > emitted(want) {
 					prefixes++
@@ -379,9 +395,9 @@ func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 					}
 				}
 			}
-			if corruptions == 0 || prefixes == 0 {
-				t.Fatalf("%+v, filter off = %v: %d stay corruptions, %d runs shuffled a corrupt file's prefix; the fallback went untested",
-					fault, noFilter, corruptions, prefixes)
+			if corruptions == 0 || prefixes == 0 || counted == 0 {
+				t.Fatalf("%+v, filter off = %v: %d stay corruptions (%d trimming by the counts), %d runs shuffled a corrupt file's prefix; the fallback went untested",
+					fault, noFilter, corruptions, counted, prefixes)
 			}
 		}
 	}
@@ -442,4 +458,5 @@ func TestWallModeCancellationViaSlowWriter(t *testing.T) {
 	if res.Metrics.Cancellations == 0 {
 		t.Fatal("expected wall-mode cancellations with a slow stay writer and ~zero grace")
 	}
+	checkTrimRows(t, "cancelled stay writes", res, true) // a cancel keeps the old input and its count
 }

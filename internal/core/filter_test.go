@@ -173,6 +173,9 @@ func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
 						label := fmt.Sprintf("%s fastbfs(residency=%d)", variant, rb)
 						on, off := filterPair(t, label, false, vol, m.Name, Options{Base: base, ResidencyBudget: rb})
 						check(label, on, off)
+						// What the trim rule counts, no dropped update changes.
+						checkTrimRows(t, label, on, streams)
+						checkTrimRows(t, label+" filter off", off, streams)
 					}
 					on, off := filterPair(t, variant+" xstream", true, vol, m.Name, Options{Base: base})
 					check(variant+" xstream", on, off)

@@ -40,13 +40,21 @@ type Iteration struct {
 	Filtered int64
 	// StayEdges is the number of edges written to stay files (FastBFS).
 	StayEdges int64
+	// StayPredicted is what the trim rule expected StayEdges to be when it
+	// chose, before the scans: the live edge counts of the partitions whose
+	// scatters trimmed, summed. The two are equal unless a count is off; 0
+	// in a row whose trims went uncounted (the static threshold on a
+	// top-down run, bottom-up passes, the in-memory loop).
+	StayPredicted int64
 	// SkippedPartitions counts partitions bypassed by selective
 	// scheduling this iteration.
 	SkippedPartitions int
 	// Cancelled counts stay writes cancelled while preparing this
 	// iteration's input.
 	Cancelled int
-	// TrimActive reports whether trimming ran this iteration.
+	// TrimActive reports whether the trim rule let this iteration trim; with
+	// no static threshold set, each of its scatters then decided for its
+	// partition (StayPredicted, StayEdges).
 	TrimActive bool
 	// BottomUp reports whether this iteration ran in the bottom-up
 	// direction (in-edge scan against the frontier bitmap) instead of
@@ -256,15 +264,15 @@ func (r *Run) Report() string {
 			d.Name, GB(d.BytesRead), GB(d.BytesWritten), d.BusyTime, d.Ops)
 	}
 	if len(r.Iterations) > 0 {
-		b.WriteString("iter  dir  frontier      new     edges   updates  filtered      stay  skip  cancel trim\n")
+		b.WriteString("iter  dir  frontier      new     edges   updates  filtered      stay predicted  skip  cancel trim\n")
 		for _, it := range r.Iterations {
 			dir := "down"
 			if it.BottomUp {
 				dir = "up"
 			}
-			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %5d %7d %v\n",
+			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %9d %5d %7d %v\n",
 				it.Index, dir, it.Frontier, it.NewlyVisited, it.EdgesStreamed, it.Updates, it.Filtered, it.StayEdges,
-				it.SkippedPartitions, it.Cancelled, it.TrimActive)
+				it.StayPredicted, it.SkippedPartitions, it.Cancelled, it.TrimActive)
 		}
 	}
 	return b.String()

@@ -25,7 +25,7 @@ func sample() *Run {
 		},
 		Iterations: []Iteration{
 			{Index: 0, Frontier: 1, NewlyVisited: 1, EdgesStreamed: 100, Updates: 0, StayEdges: 90, TrimActive: true},
-			{Index: 1, Frontier: 10, NewlyVisited: 10, EdgesStreamed: 90, Updates: 12, Filtered: 33, StayEdges: 40, SkippedPartitions: 1, Cancelled: 1, TrimActive: true},
+			{Index: 1, Frontier: 10, NewlyVisited: 10, EdgesStreamed: 90, Updates: 12, Filtered: 33, StayEdges: 40, StayPredicted: 41, SkippedPartitions: 1, Cancelled: 1, TrimActive: true},
 			{Index: 2, Frontier: 0, NewlyVisited: 0, EdgesStreamed: 40, Updates: 3},
 		},
 	}
@@ -90,9 +90,9 @@ func TestReportContainsEverything(t *testing.T) {
 			t.Errorf("Report missing %q", want)
 		}
 	}
-	// Per-iteration rows present, including the direction and filtered
-	// columns.
-	if !strings.Contains(rep, "   1 down        10       10        90        12        33        40     1       1 true") {
+	// Per-iteration rows present, including the direction, filtered and
+	// predicted-stay columns.
+	if !strings.Contains(rep, "   1 down        10       10        90        12        33        40        41     1       1 true") {
 		t.Errorf("Report missing iteration row:\n%s", rep)
 	}
 }

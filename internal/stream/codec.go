@@ -184,7 +184,7 @@ func NewCodecEdgeWriter(vol storage.Volume, name string, timing Timing, bufSize 
 		return nil, err
 	}
 	bufSize = recordBufSize(bufSize, graph.EdgeBytes)
-	return newWriterOver(newDeltaWriter(w, timing.Bufs, bufSize), timing, bufSize, graph.EdgeBytes, graph.PutEdge), nil
+	return newWriterOver(newDeltaWriter(w, timing.Bufs, bufSize), timing, bufSize, graph.EdgeBytes, graph.PutEdge, encodeEdges), nil
 }
 
 // NewCodecFramedEdgeWriter is NewFramedEdgeWriter under a codec: the

@@ -166,11 +166,11 @@ func NewResident(capEdges int64) *Resident {
 	return &Resident{edges: make([]graph.Edge, 0, capEdges)}
 }
 
-// Append adds one surviving edge during the promoting scatter. The
-// error return matches StayFile.Append so both satisfy the engine's
-// edge-sink interface; appends to a Resident cannot fail.
-func (r *Resident) Append(e graph.Edge) error {
-	r.edges = append(r.edges, e)
+// AppendChunk adds a chunk's surviving edges during the promoting
+// scatter. The error return matches StayFile.AppendChunk so both satisfy
+// the engine's edge-sink interface; appends to a Resident cannot fail.
+func (r *Resident) AppendChunk(es []graph.Edge) error {
+	r.edges = append(r.edges, es...)
 	return nil
 }
 

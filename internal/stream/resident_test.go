@@ -102,8 +102,8 @@ func TestResidencySavedAccounting(t *testing.T) {
 func TestResidentAppendAndTrim(t *testing.T) {
 	res := NewResident(10)
 	edges := makeEdges(10)
-	for _, e := range edges {
-		if err := res.Append(e); err != nil {
+	for _, chunk := range [][]graph.Edge{edges[:3], nil, edges[3:]} {
+		if err := res.AppendChunk(chunk); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -132,7 +132,7 @@ func TestResidentAppendAndTrim(t *testing.T) {
 
 func TestResidentNegativeCapacity(t *testing.T) {
 	res := NewResident(-5)
-	if err := res.Append(graph.Edge{Src: 1, Dst: 2}); err != nil {
+	if err := res.AppendChunk([]graph.Edge{{Src: 1, Dst: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if res.Count() != 1 {

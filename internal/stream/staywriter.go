@@ -260,6 +260,28 @@ func (f *StayFile) Append(e graph.Edge) error {
 	return nil
 }
 
+// AppendChunk adds es in order — Append over a slice, handing buffers
+// over at exactly the edges Append would.
+func (f *StayFile) AppendChunk(es []graph.Edge) error {
+	if f.closed {
+		return fmt.Errorf("stream: append to closed stay file %s", f.name)
+	}
+	for len(es) > 0 {
+		if f.fill+graph.EdgeBytes > len(f.buf) {
+			f.flushAsync()
+			if f.buf == nil {
+				f.buf = f.timing.Bufs.Get(f.sw.bufSize) // see Append
+			}
+		}
+		n := min((len(f.buf)-f.fill)/graph.EdgeBytes, len(es))
+		encodeEdges(f.buf[f.fill:], es[:n])
+		f.fill += n * graph.EdgeBytes
+		f.count += int64(n)
+		es = es[n:]
+	}
+	return nil
+}
+
 // flushAsync reserves device time for the current buffer and hands it to
 // the writer goroutine, stalling (real and virtual) if every private
 // buffer is already in flight.

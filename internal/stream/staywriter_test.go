@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -12,59 +13,81 @@ import (
 )
 
 func TestStayWriterWritesFileInBackground(t *testing.T) {
-	vol := storage.NewMem()
-	dev := disksim.HDD("stay")
-	tm, c := timing(dev)
-	sw := NewStayWriter(vol, 256, 4)
-	defer sw.Shutdown()
+	// Edge by edge, then in ragged chunks (what a scatter's merged shards
+	// are): the same bytes, in the same device operations, ready at the
+	// same virtual time.
+	var firstRaw []byte
+	var firstReady float64
+	var firstOps int64
+	for _, chunks := range [][]int{nil, {1, 31, 32, 33, 0, 64, 39}} {
+		vol := storage.NewMem()
+		dev := disksim.HDD("stay")
+		tm, c := timing(dev)
+		sw := NewStayWriter(vol, 256, 4)
+		defer sw.Shutdown()
 
-	f, err := sw.Begin("stay_0", tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edges := makeEdges(200)
-	for _, e := range edges {
-		if err := f.Append(e); err != nil {
+		f, err := sw.Begin("stay_0", tm)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if f.Count() != 200 {
-		t.Fatalf("Count = %d", f.Count())
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if f.ReadyAt() <= 0 {
-		t.Fatal("ReadyAt not set")
-	}
-	if err := f.Use(); err != nil {
-		t.Fatal(err)
-	}
-	c.WaitUntil(f.ReadyAt())
-
-	raw, err := storage.ReadAll(vol, "stay_0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stay files are framed; the payload is the raw edge records.
-	data, err := graph.DeframeAll(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := graph.BytesToEdges(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(edges) {
-		t.Fatalf("stay file has %d edges, want %d", len(got), len(edges))
-	}
-	for i := range edges {
-		if got[i] != edges[i] {
-			t.Fatalf("edge %d mismatch", i)
+		edges := makeEdges(200)
+		if chunks == nil {
+			for _, e := range edges {
+				if err := f.Append(e); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}
-	if dev.BytesWritten() != int64(200*graph.EdgeBytes) {
-		t.Fatalf("device bytesWritten = %d", dev.BytesWritten())
+		for rest := edges; len(chunks) > 0; chunks = chunks[1:] {
+			if err := f.AppendChunk(rest[:chunks[0]]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[chunks[0]:]
+		}
+		if f.Count() != 200 {
+			t.Fatalf("Count = %d", f.Count())
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if f.ReadyAt() <= 0 {
+			t.Fatal("ReadyAt not set")
+		}
+		if err := f.Use(); err != nil {
+			t.Fatal(err)
+		}
+		c.WaitUntil(f.ReadyAt())
+
+		raw, err := storage.ReadAll(vol, "stay_0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Stay files are framed; the payload is the raw edge records.
+		data, err := graph.DeframeAll(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := graph.BytesToEdges(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(edges) {
+			t.Fatalf("stay file has %d edges, want %d", len(got), len(edges))
+		}
+		for i := range edges {
+			if got[i] != edges[i] {
+				t.Fatalf("edge %d mismatch", i)
+			}
+		}
+		if dev.BytesWritten() != int64(200*graph.EdgeBytes) {
+			t.Fatalf("device bytesWritten = %d", dev.BytesWritten())
+		}
+		if firstRaw == nil {
+			firstRaw, firstReady, firstOps = raw, f.ReadyAt(), dev.Ops()
+		} else if !bytes.Equal(raw, firstRaw) || f.ReadyAt() != firstReady || dev.Ops() != firstOps {
+			t.Fatalf("appended in chunks: %d bytes in %d device operations ready at %v; edge by edge %d in %d at %v",
+				len(raw), dev.Ops(), f.ReadyAt(), len(firstRaw), firstOps, firstReady)
+		}
 	}
 }
 

@@ -76,8 +76,12 @@ type Scanner[T any] struct {
 	fill    int
 	recSize int
 	decode  func([]byte) T
-	eof     bool
-	read    int64
+	// span is decode over a run of records, all the buffer holds or the
+	// caller takes: NextChunk's inner loop, one call a refill instead of
+	// one a record.
+	span func(dst []T, src []byte)
+	eof  bool
+	read int64
 
 	// Read-ahead state: issued chunks not yet consumed (with their
 	// sizes) and how many bytes of the file have been covered by
@@ -104,7 +108,11 @@ func NewScanner[T any](vol storage.Volume, name string, timing Timing, bufSize, 
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, recSize, decode), nil
+	return newScannerOver(r, timing, bufSize, recSize, decode, func(dst []T, src []byte) {
+		for i := range dst {
+			dst[i] = decode(src[i*recSize:])
+		}
+	}), nil
 }
 
 // recordBufSize rounds bufSize to a whole number of records (at least
@@ -117,9 +125,36 @@ func recordBufSize(bufSize, recSize int) int {
 }
 
 // newScannerOver builds a Scanner on an already-opened reader.
-func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T) *Scanner[T] {
+func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T, span func([]T, []byte)) *Scanner[T] {
 	return &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(),
-		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, decode: decode}
+		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, decode: decode, span: span}
+}
+
+// decodeEdges and decodeUpdates are the edge and update scanners' span
+// decoders, and encodeEdges and encodeUpdates the writers' encoders: loops
+// over one record type, which the compiler inlines the codec into.
+func decodeEdges(dst []graph.Edge, src []byte) {
+	for i := range dst {
+		dst[i] = graph.GetEdge(src[i*graph.EdgeBytes:])
+	}
+}
+
+func decodeUpdates(dst []graph.Update, src []byte) {
+	for i := range dst {
+		dst[i] = graph.GetUpdate(src[i*graph.UpdateBytes:])
+	}
+}
+
+func encodeEdges(dst []byte, recs []graph.Edge) {
+	for i, e := range recs {
+		graph.PutEdge(dst[i*graph.EdgeBytes:], e)
+	}
+}
+
+func encodeUpdates(dst []byte, recs []graph.Update) {
+	for i, u := range recs {
+		graph.PutUpdate(dst[i*graph.UpdateBytes:], u)
+	}
 }
 
 // Next returns the next record. ok is false at end of stream.
@@ -157,9 +192,10 @@ func (s *Scanner[T]) NextChunk(dst []T) (int, error) {
 				break
 			}
 		}
-		dst[n] = s.decode(s.buf[s.pos:])
-		s.pos += s.recSize
-		n++
+		k := min((s.fill-s.pos)/s.recSize, len(dst)-n)
+		s.span(dst[n:n+k], s.buf[s.pos:s.fill])
+		s.pos += k * s.recSize
+		n += k
 	}
 	return n, nil
 }
@@ -292,7 +328,7 @@ func NewEdgeScanner(vol storage.Volume, name string, timing Timing, bufSize int)
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge), nil
+	return newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge, decodeEdges), nil
 }
 
 // NewUpdateScanner streams graph.Update records from a file, sniffing
@@ -302,7 +338,7 @@ func NewUpdateScanner(vol storage.Volume, name string, timing Timing, bufSize in
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, graph.UpdateBytes, graph.GetUpdate), nil
+	return newScannerOver(r, timing, bufSize, graph.UpdateBytes, graph.GetUpdate, decodeUpdates), nil
 }
 
 // Writer buffers fixed-size records of type T into a file, flushing (and
@@ -320,6 +356,8 @@ type Writer[T any] struct {
 	fill    int
 	recSize int
 	encode  func([]byte, T)
+	// span is encode over a run of records (see Scanner.span).
+	span    func(dst []byte, recs []T)
 	count   int64
 	written int64
 	closed  bool
@@ -336,13 +374,17 @@ func NewWriter[T any](vol storage.Volume, name string, timing Timing, bufSize, r
 	if err != nil {
 		return nil, err
 	}
-	return newWriterOver(w, timing, bufSize, recSize, encode), nil
+	return newWriterOver(w, timing, bufSize, recSize, encode, func(dst []byte, recs []T) {
+		for i, rec := range recs {
+			encode(dst[i*recSize:], rec)
+		}
+	}), nil
 }
 
 // newWriterOver builds a Writer on an already-created storage writer.
-func newWriterOver[T any](w storage.Writer, timing Timing, bufSize, recSize int, encode func([]byte, T)) *Writer[T] {
+func newWriterOver[T any](w storage.Writer, timing Timing, bufSize, recSize int, encode func([]byte, T), span func([]byte, []T)) *Writer[T] {
 	return &Writer[T]{w: w, timing: timing, sid: disksim.NewStreamID(),
-		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, encode: encode}
+		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, encode: encode, span: span}
 }
 
 // Append adds one record, flushing if the buffer is full.
@@ -374,10 +416,8 @@ func (w *Writer[T]) AppendChunk(recs []T) error {
 			}
 		}
 		n := min((len(w.buf)-w.fill)/w.recSize, len(recs))
-		for _, rec := range recs[:n] {
-			w.encode(w.buf[w.fill:], rec)
-			w.fill += w.recSize
-		}
+		w.span(w.buf[w.fill:], recs[:n])
+		w.fill += n * w.recSize
 		w.count += int64(n)
 		recs = recs[n:]
 	}
@@ -471,7 +511,7 @@ func NewFramedEdgeWriter(vol storage.Volume, name string, timing Timing, bufSize
 	if err != nil {
 		return nil, err
 	}
-	return newWriterOver(w, timing, bufSize, graph.EdgeBytes, graph.PutEdge), nil
+	return newWriterOver(w, timing, bufSize, graph.EdgeBytes, graph.PutEdge, encodeEdges), nil
 }
 
 // NewUpdateWriter buffers graph.Update records into a file, written in
@@ -482,7 +522,7 @@ func NewUpdateWriter(vol storage.Volume, name string, timing Timing, bufSize int
 	if err != nil {
 		return nil, err
 	}
-	return newWriterOver(w, timing, bufSize, graph.UpdateBytes, graph.PutUpdate), nil
+	return newWriterOver(w, timing, bufSize, graph.UpdateBytes, graph.PutUpdate, encodeUpdates), nil
 }
 
 // WriterSet is one Writer per partition, opened, accounted and closed as

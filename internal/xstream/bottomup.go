@@ -117,15 +117,16 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, runSpan *obs.Span) 
 		e.dir = d
 		e.ctr.SwitchIteration.Set(int64(e.ds.SwitchIteration))
 	}
+	// The reverse stay chain keeps no edge counts for the trim rule.
 	itRow := metrics.Iteration{Index: iter, BottomUp: true,
-		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)}
+		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)}
 
 	if !wasBottom {
 		// Transition pass: consume the update files the last top-down
 		// scatter shuffled, exactly like a normal gather, recording the
 		// formed frontier in the bitmap as it lands.
 		d.frontier.Clear()
-		var aDeg float64
+		var aDeg int64
 		for p := 0; p < e.rt.Parts.P(); p++ {
 			if err := e.rt.Checkpoint(); err != nil {
 				return 0, err
@@ -139,12 +140,11 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, runSpan *obs.Span) 
 			if err != nil {
 				return 0, err
 			}
-			if err := e.gatherInto(p, iter, v, func(vid graph.VertexID) {
-				d.frontier.Set(vid)
-				aDeg += float64(e.rt.OutDeg[vid])
-			}, &itRow, itSpan); err != nil {
+			deg, err := e.gatherInto(p, iter, v, d.frontier.Set, &itRow, itSpan)
+			if err != nil {
 				return 0, err
 			}
+			aDeg += deg
 			if st.frontier > 0 {
 				if err := e.saveVerts(p, iter, v, itSpan); err != nil {
 					return 0, err
@@ -152,7 +152,7 @@ func (e *kernel) bottomUpIteration(iter int, wasBottom bool, runSpan *obs.Span) 
 			}
 		}
 		itRow.Frontier = itRow.NewlyVisited
-		e.ds.RecordFrontier(itRow.Frontier, aDeg, true)
+		e.ds.RecordFrontier(itRow.Frontier, float64(aDeg), true)
 	} else {
 		itRow.Frontier = d.carryFrontier
 	}
@@ -264,6 +264,7 @@ func (e *kernel) applyWinners(p, iter int, d *dirRun, bestPart []int32, bestPare
 	if err != nil {
 		return 0, 0, err
 	}
+	var deg int64
 	for i, bp := range bestPart {
 		if bp >= 0 {
 			v.Level[i] = uint32(iter) + 1
@@ -271,15 +272,15 @@ func (e *kernel) applyWinners(p, iter int, d *dirRun, bestPart []int32, bestPare
 			vid := v.Lo + graph.VertexID(i)
 			d.next.Set(vid)
 			e.rt.VisitedBits.Set(vid)
-			degSum += float64(e.rt.OutDeg[vid])
+			deg += e.rt.outDegree(vid)
 		}
 	}
 	if err := e.saveVerts(p, iter, v, itSpan); err != nil {
 		return 0, 0, err
 	}
-	st.visitedCount += newly
+	st.visit(newly, deg)
 	e.ctr.Visited.Add(int64(newly))
-	return newly, degSum, nil
+	return newly, float64(deg), nil
 }
 
 // splitReverse is the one sequential scan of the dataset's .rev file
@@ -314,7 +315,7 @@ func (e *kernel) splitReverse(iter int, d *dirRun, bestPart []int32, bestParent 
 	defer outs.Abort() // whatever an error return leaves open
 	outs.SetAsync()
 
-	trim := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)
+	trim := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
 	w, chunk := outs.W, e.rt.EdgeChunk()
 	for {
 		n, err := sc.NextChunk(chunk)

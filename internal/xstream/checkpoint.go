@@ -47,6 +47,9 @@ type manifestPart struct {
 	// "aux" or "stay") so resume can rebuild its Timing.
 	Input     string `json:"input"`
 	InputRole string `json:"input_role,omitempty"`
+	// InputEdges is Input's edge count, for the trim rule; nil when the run
+	// did not know it (and in manifests written before the rule counted).
+	InputEdges *int64 `json:"input_edges,omitempty"`
 	// Fallback, when set, is the superseded input still held until the
 	// adopted stay file survives a full verified read.
 	Fallback     string `json:"fallback,omitempty"`
@@ -237,6 +240,9 @@ func (e *kernel) writeManifest(iter int, done bool) error {
 			Updates:    st.updates,
 			StayBroken: st.stayBroken,
 		}
+		if st.inputEdges >= 0 {
+			man.Parts[p].InputEdges = &st.inputEdges
+		}
 		if st.fallback != "" {
 			man.Parts[p].Fallback = st.fallback
 			man.Parts[p].FallbackRole = e.timingRole(st.fallbackTiming)
@@ -266,11 +272,21 @@ func (e *kernel) seedFromManifest(man *checkpointManifest) error {
 		return fmt.Errorf("%s: checkpoint manifest was written under codec %q but this run uses %q: %w",
 			e.run.Engine, man.Codec, e.rt.Codec, errs.ErrCorrupted)
 	}
+	if e.rt.OutDeg != nil && !man.Done {
+		// The trim rule's degree table lived in RAM too, and Prepare, whose
+		// pass counts it, is skipped: one read of the stored edge file.
+		if err := e.rt.scanStored(nil); err != nil {
+			return err
+		}
+	}
 	for p := range man.Parts {
 		mp := &man.Parts[p]
 		st := &e.parts[p]
 		st.input = mp.Input
 		st.inputTiming = e.roleTiming(mp.InputRole)
+		if mp.InputEdges != nil {
+			st.inputEdges = *mp.InputEdges
+		}
 		st.fallback = mp.Fallback
 		if mp.Fallback != "" {
 			st.fallbackTiming = e.roleTiming(mp.FallbackRole)
@@ -294,7 +310,9 @@ func (e *kernel) seedFromManifest(man *checkpointManifest) error {
 		if !man.Done {
 			// The update filter's bitmaps lived in RAM: rebuild them, or the
 			// resumed run shuffles dead updates the uninterrupted one dropped.
-			if err := e.rt.SeedFilter(p, mp.VertexFile, pending); err != nil {
+			// The same read of the vertex file recounts the live edges.
+			var err error
+			if st.live, err = e.rt.SeedResumed(p, mp.VertexFile, pending); err != nil {
 				return err
 			}
 		}

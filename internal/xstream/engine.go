@@ -128,7 +128,7 @@ func (e *kernel) runInMemory() (*Result, error) {
 		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
 		e.run.Visited += itRow.NewlyVisited
 		frontier = itRow.NewlyVisited
-		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices) {
+		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices, UnknownEdges, UnknownEdges) {
 			ts := itSpan.Child("stay-write")
 			live := edges[:0]
 			for _, edge := range edges {

@@ -70,10 +70,15 @@ type UpdateFilter struct {
 }
 
 // NewUpdateFilter builds the run's filter over the bitmaps Prepare (or,
-// on resume, SeedFilter) set up; call it after them.
-func (rt *Runtime) NewUpdateFilter(ctr obs.EngineCounters) *UpdateFilter {
-	f := &UpdateFilter{parts: rt.Parts, outDeg: rt.OutDeg,
-		emitted: ctr.UpdatesEmitted, dropped: ctr.Filtered}
+// on resume, SeedResumed) set up; call it after them. dir is the run's
+// resolved direction policy: only a run that may go bottom-up has a
+// reader for Wave.CandDeg, so a top-down run sums nothing, whether or
+// not the trim rule keeps a degree table.
+func (rt *Runtime) NewUpdateFilter(dir Direction, ctr obs.EngineCounters) *UpdateFilter {
+	f := &UpdateFilter{parts: rt.Parts, emitted: ctr.UpdatesEmitted, dropped: ctr.Filtered}
+	if dir != DirectionTopDown {
+		f.outDeg = rt.OutDeg
+	}
 	if !rt.Opts.DisableUpdateFilter {
 		f.visited, f.claimed = rt.VisitedBits, rt.claimed
 	}
@@ -138,36 +143,46 @@ func (rt *Runtime) allocBitmaps() {
 	}
 }
 
-// SeedFilter rebuilds partition p's share of the filter's bitmaps for a
-// run resumed from a checkpoint, which skips Prepare and every gather
-// that filled them: the visited vertices of the manifest's vertex file,
-// and — from updFile, the sealed update file the resumed iteration will
-// gather, "" when the partition has none — the destinations whose
-// winning update is already written. With both restored the resumed run
-// drops exactly what the uninterrupted run drops. It is a no-op when
-// the filter is disabled.
-func (rt *Runtime) SeedFilter(p int, vertexFile, updFile string) error {
+// SeedResumed rebuilds partition p's share of what a run resumed from a
+// checkpoint would hold in RAM had it not skipped Prepare and every
+// gather so far. For the update filter, its bitmaps: the visited vertices
+// of the manifest's vertex file, and — from updFile, the sealed update
+// file the resumed iteration will gather, "" when the partition has none
+// — the destinations whose winning update is already written, so the
+// resumed run drops exactly what the uninterrupted one does. For the trim
+// rule, the partition's live edge count, returned: the out-degree sum of
+// the vertices that file leaves unvisited (UnknownEdges without a degree
+// table, which is recounted before this). A run with neither reads nothing.
+func (rt *Runtime) SeedResumed(p int, vertexFile, updFile string) (live int64, err error) {
 	rt.allocBitmaps()
-	if rt.claimed == nil {
-		return nil
+	if rt.claimed == nil && rt.OutDeg == nil {
+		return UnknownEdges, nil
 	}
 	v, err := rt.LoadVertsFile(p, vertexFile)
 	if err != nil {
-		return err
+		return 0, err
+	}
+	live = UnknownEdges
+	if rt.OutDeg != nil {
+		live = 0
 	}
 	for i, lv := range v.Level {
-		if lv != NoLevel {
-			rt.VisitedBits.Set(v.Lo + graph.VertexID(i))
-			rt.claimed.Set(v.Lo + graph.VertexID(i))
+		vid := v.Lo + graph.VertexID(i)
+		switch {
+		case lv == NoLevel && rt.OutDeg != nil:
+			live += int64(rt.OutDeg[vid])
+		case lv != NoLevel && rt.claimed != nil:
+			rt.VisitedBits.Set(vid)
+			rt.claimed.Set(vid)
 		}
 	}
-	if updFile == "" {
-		return nil
+	if updFile == "" || rt.claimed == nil {
+		return live, nil
 	}
 	rt.AwaitFile(updFile)
 	sc, err := stream.NewUpdateScanner(rt.Vol, updFile, rt.AuxTiming(), rt.Opts.StreamBufSize)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	defer sc.Close()
 	lo, hi := rt.Parts.Interval(p)
@@ -175,18 +190,18 @@ func (rt *Runtime) SeedFilter(p int, vertexFile, updFile string) error {
 	for {
 		n, err := sc.NextChunk(chunk)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if n == 0 {
 			break
 		}
 		for _, u := range chunk[:n] {
 			if u.Dst < lo || u.Dst >= hi {
-				return fmt.Errorf("xstream: update %v outside partition [%d,%d)", u, lo, hi)
+				return 0, fmt.Errorf("xstream: update %v outside partition [%d,%d)", u, lo, hi)
 			}
 			rt.claimed.Set(u.Dst)
 		}
 	}
 	rt.BytesRead += sc.BytesRead()
-	return nil
+	return live, nil
 }

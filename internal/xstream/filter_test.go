@@ -45,6 +45,9 @@ func filterRuntime(t *testing.T, opts Options) *Runtime {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Cleanup)
+	// A degree table whatever the direction, as a run trimming by the edge
+	// counts keeps: a top-down filter must still sum no candidate degrees.
+	rt.allocOutDeg()
 	if _, err := rt.Prepare(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +69,7 @@ func TestUpdateFilterFirstClaimIsFirstWins(t *testing.T) {
 			t.Fatalf("dir %s, filter off: VisitedBits %v, claimed %v", dir, off.VisitedBits, off.claimed)
 		}
 		V := graph.VertexID(on.Meta.Vertices)
-		fOn, fOff := on.NewUpdateFilter(obs.EngineCounters{}), off.NewUpdateFilter(obs.EngineCounters{})
+		fOn, fOff := on.NewUpdateFilter(dir, obs.EngineCounters{}), off.NewUpdateFilter(dir, obs.EngineCounters{})
 		parentOn, parentOff := make([]graph.VertexID, V), make([]graph.VertexID, V)
 		for i := range parentOn {
 			parentOn[i], parentOff[i] = graph.NoVertex, graph.NoVertex

@@ -32,10 +32,11 @@ import (
 // never consulted for defaults or the environment again. The zero Policy
 // adds nothing — every partition is streamed whole every iteration.
 type Policy struct {
-	// Trim turns the stay-file mechanism on (§II-C1): every scatter
-	// rewrites the edges whose source is still unvisited and the rewrite
-	// replaces the partition's input. TrimStartIteration and
-	// TrimVisitedFraction are the trim threshold of §II-C3.
+	// Trim turns the stay-file mechanism on (§II-C1): a scatter rewrites the
+	// edges whose source is still unvisited and the rewrite replaces the
+	// partition's input. Which scatters do is TrimActive's rule.
+	// TrimStartIteration and TrimVisitedFraction are the paper's static
+	// threshold (§II-C3); left at zero, the rule counts edges instead.
 	Trim                bool
 	TrimStartIteration  int
 	TrimVisitedFraction float64
@@ -63,19 +64,41 @@ type Policy struct {
 	Resume        bool
 }
 
-// TrimActive is the trim threshold (§II-C3), the one rule both regimes
-// ask: whether an iteration trims, given how many of the graph's vertices
-// the run has visited. The streaming loop asks as iteration iter starts,
-// the in-memory loop after its gather — each just before it would rewrite
-// its edges.
-func (p Policy) TrimActive(iter int, visited, vertices uint64) bool {
-	if !p.Trim || iter < p.TrimStartIteration {
+// TrimEveryIteration as Policy.TrimStartIteration is the paper's default
+// threshold: every scatter trims, from the first iteration on. Zero leaves
+// the threshold unset, which hands the decision to the edge counts.
+const TrimEveryIteration = -1
+
+// UnknownEdges stands for an edge count nobody took.
+const UnknownEdges int64 = -1
+
+// static reports whether the paper's threshold is set, and so decides.
+func (p Policy) static() bool { return p.TrimStartIteration != 0 || p.TrimVisitedFraction > 0 }
+
+// TrimActive is the trim rule, the one both regimes ask just before they
+// would rewrite their edges: whether doing so pays. input is the number of
+// edges the rewrite has to read and live how many of them it keeps — the
+// out-degree sum of the still-unvisited sources, since a visited source's
+// edges are all a trim ever drops. A rewrite costs live edges written and
+// saves input-live edges of the next read, so it pays once it at least
+// halves its input; both files are in the run's working codec, so counting
+// edges is counting bytes. A caller with no counts (UnknownEdges: the
+// in-memory compaction, which writes nothing, and the reverse stay chain)
+// trims.
+//
+// With the paper's static threshold set (§II-C3) the counts are not
+// consulted: trimming starts at an iteration, once a fraction of the
+// vertices is visited. The streaming loop asks that as iteration iter
+// starts, the in-memory loop after its gather.
+func (p Policy) TrimActive(iter int, visited, vertices uint64, live, input int64) bool {
+	if !p.Trim {
 		return false
 	}
-	if p.TrimVisitedFraction > 0 && float64(visited)/float64(vertices) < p.TrimVisitedFraction {
-		return false
+	if p.static() {
+		return iter >= p.TrimStartIteration && (p.TrimVisitedFraction <= 0 ||
+			float64(visited)/float64(vertices) >= p.TrimVisitedFraction)
 	}
-	return true
+	return live < 0 || input < 0 || 2*live <= input
 }
 
 // RunPolicy is the entry sequence every engine built on the kernel
@@ -157,8 +180,26 @@ type partState struct {
 	frontier uint64
 	// visitedCount is the running number of visited vertices in this
 	// partition, maintained by every gather, root mark and bottom-up
-	// pass; the bottom-up skip rule reads it instead of the vertex file.
+	// pass (see visit); the bottom-up skip rule reads it instead of the
+	// vertex file.
 	visitedCount uint64
+	// inputEdges is the number of edges in input — the split's count, then
+	// each adopted stay file's — and fallbackEdges that of fallback. live is
+	// the out-degree sum of the partition's still-unvisited vertices, kept
+	// while the run has a degree table: what a trimming scatter of any of
+	// the partition's inputs keeps, known before the scan starts. The trim
+	// rule weighs them (Policy.TrimActive); each is UnknownEdges when nobody
+	// counted it.
+	inputEdges, fallbackEdges, live int64
+}
+
+// visit books n newly visited vertices of the partition, whose
+// out-degrees sum to deg (0 without a degree table).
+func (st *partState) visit(n uint64, deg int64) {
+	st.visitedCount += n
+	if st.live >= 0 {
+		st.live -= deg
+	}
 }
 
 // kernel is one BFS run on either regime: runStreaming (below) out of
@@ -268,9 +309,11 @@ func (e *kernel) runStreaming() (*Result, error) {
 
 	e.parts = make([]partState, e.rt.Parts.P())
 	for p := range e.parts {
-		e.parts[p].input = e.rt.EdgeFile(p)
-		e.parts[p].inputTiming = e.rt.MainTiming()
-		e.parts[p].vertexFile = e.rt.VertexFile(p)
+		e.parts[p] = partState{input: e.rt.EdgeFile(p), inputTiming: e.rt.MainTiming(), vertexFile: e.rt.VertexFile(p),
+			inputEdges: UnknownEdges, fallbackEdges: UnknownEdges, live: UnknownEdges}
+	}
+	if e.pol.Trim && !e.pol.static() {
+		e.rt.allocOutDeg() // the trim rule weighs edge counts
 	}
 
 	var man *checkpointManifest
@@ -292,12 +335,19 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if man == nil {
 		// Resume skips the partition-split pass: the per-partition edge
 		// (or stay) inputs the manifest names are already on the volume.
-		if _, err := e.rt.Prepare(); err != nil {
+		counts, err := e.rt.Prepare()
+		if err != nil {
 			return nil, err
+		}
+		for p := range e.parts {
+			e.parts[p].inputEdges = counts[p]
+			if e.rt.OutDeg != nil {
+				e.parts[p].live = counts[p] // nothing visited yet
+			}
 		}
 	}
 	prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
-	e.filter = e.rt.NewUpdateFilter(e.ctr)
+	e.filter = e.rt.NewUpdateFilter(dir, e.ctr)
 	if e.pol.Trim {
 		e.sw = stream.NewStayWriter(e.rt.Vol, e.pol.StayBufSize, e.pol.StayBufCount)
 		e.sw.SetContext(e.rt.Context())
@@ -349,7 +399,9 @@ func (e *kernel) runStreaming() (*Result, error) {
 		e.filter.Wave = Wave{}
 		itSpan := runSpan.Child("iteration").SetIter(iter)
 		e.ctr.Iteration.Set(int64(iter))
-		trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices)
+		// Asked without counts, the trim rule says whether this iteration
+		// trims at all; a scatter that would write then asks for its partition.
+		trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
 		sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
 			func(p int) string { return e.rt.UpdateFile(out, p) })
 		if err != nil {
@@ -393,7 +445,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 		// filter, exactly this frontier's out-degree sum.
 		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
 		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
-		e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("filtered", itRow.Filtered))
+		e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
 
 		if iter > 0 && !skipGather {
 			for p := 0; p < e.rt.Parts.P(); p++ {
@@ -568,7 +620,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		st.frontier = 0
 		if e.rt.MarkRoot(v) {
 			st.frontier = 1
-			st.visitedCount++
+			st.visit(1, e.rt.outDegree(e.rt.Opts.Root))
 			e.run.Visited++
 			e.ctr.Visited.Add(1)
 			itRow.NewlyVisited++
@@ -579,7 +631,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		v, err = e.rt.LoadVertsFile(p, st.vertexFile)
 		lds.End()
 		if err == nil && !skipGather {
-			err = e.gatherInto(p, iter, v, nil, itRow, itSpan)
+			_, err = e.gatherInto(p, iter, v, nil, itRow, itSpan)
 		}
 		if err != nil {
 			if edgeScan != nil {
@@ -637,24 +689,25 @@ func (e *kernel) openInput(st *partState) (*stream.Scanner[graph.Edge], error) {
 
 // gatherInto applies the update file iteration iter consumes for
 // partition p to its loaded vertex state v, and books what the gather
-// found: the partition's share of the new frontier and the run's visited
-// and update totals. onNew is passed through to gather.
-func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), itRow *metrics.Iteration, itSpan *obs.Span) error {
+// found: the partition's share of the new frontier — whose out-degree sum
+// it returns, 0 without a degree table — and the run's visited and update
+// totals. onNew is passed through to gather.
+func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), itRow *metrics.Iteration, itSpan *obs.Span) (deg int64, err error) {
 	gs := itSpan.Child("gather").SetPart(p)
-	newly, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), onNew)
+	newly, deg, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), onNew)
 	gs.Attr("applied", applied).End()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	st := &e.parts[p]
 	e.ctr.UpdatesApplied.Add(applied)
 	e.ctr.Visited.Add(int64(newly))
 	st.frontier = newly
-	st.visitedCount += newly
+	st.visit(newly, deg)
 	e.run.Visited += newly
 	itRow.NewlyVisited += newly
 	itRow.Updates += applied // generated by the previous iteration's scatter
-	return nil
+	return deg, nil
 }
 
 // scatterDevice scatters partition p from its on-device input. A
@@ -677,7 +730,7 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 			return err
 		}
 		e.removeLater(st.input)
-		st.input, st.inputTiming = st.fallback, st.fallbackTiming
+		st.input, st.inputTiming, st.inputEdges = st.fallback, st.fallbackTiming, st.fallbackEdges
 		st.fallback, st.fallbackTiming = "", stream.Timing{}
 		e.run.StayCorruptions++
 		e.run.Cancellations++ // a late cancellation of the stay adoption
@@ -695,14 +748,14 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 }
 
 // scatterInput runs one scatter attempt over st.input: pick the trim
-// sink (a stay file, or a residency capture when the whole input fits
-// the cache's fair share), stream the input through the worker pool and
-// finalize the sink. The scanner is consumed and closed in all cases.
-// When trimming is active the surviving edges need a sink. If the
-// capture path wins, this scatter promotes the partition: the stays are
-// captured in RAM instead of a stay file, so there is no async write,
-// no grace race and no possible cancellation for this partition ever
-// again.
+// sink, stream the input through the worker pool and finalize the sink.
+// The scanner is consumed and closed in all cases. In an iteration that
+// trims, the surviving edges go to a residency capture when the whole input
+// fits the cache's fair share — this scatter then promotes the partition:
+// the stays stay in RAM, so there is no async write, no grace race and no
+// possible cancellation for this partition ever again — and otherwise to a
+// stay file, when the trim rule finds, on this partition's counts, that
+// writing one pays. A capture writes nothing, so it does not ask.
 func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *Verts) error {
 	var sink edgeSink
 	var stay *stream.StayFile
@@ -713,7 +766,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 			reserved = sz
 			capture = stream.NewResident(sz / graph.EdgeBytes)
 			sink = capture
-		} else {
+		} else if e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.inputEdges) {
 			stayTiming := e.otherTiming(st.inputTiming)
 			f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Codec)
 			switch {
@@ -734,14 +787,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	}
 	var keep func([]graph.Edge) error
 	if sink != nil {
-		keep = func(stays []graph.Edge) error {
-			for _, edge := range stays {
-				if err := sink.Append(edge); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
+		keep = sink.AppendChunk
 	}
 	ss := itSpan.Child("scatter").SetPart(p)
 	defer ss.End()
@@ -754,6 +800,11 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	})
 	edgeScan.Close()
 	ss.Attr("edges", scanned).Attr("stayed", stayed)
+	if st.live >= 0 {
+		// The trim decision's log entry: what the rule weighed against the
+		// input's edges, beside what the scan then kept.
+		ss.Attr("live", st.live)
+	}
 	if err != nil {
 		if stay != nil {
 			stay.Close()
@@ -786,10 +837,23 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 		ss.Attr("promote", 1)
 	}
 	if sink != nil {
-		itRow.StayEdges += stayed
-		e.run.TrimmedEdges += scanned - stayed
+		e.bookTrim(st, itRow, scanned, stayed)
 	}
 	return nil
+}
+
+// bookTrim books a scatter that trimmed its partition, to a stay file or
+// in RAM: stayed of the scanned edges survived. A known live count is what
+// the rule predicted before the scan, and the row gets both: a miss is for
+// the record's reader to see (and the suites to fail on), never the query's
+// problem — the survivors just counted are the live edges.
+func (e *kernel) bookTrim(st *partState, itRow *metrics.Iteration, scanned, stayed int64) {
+	itRow.StayEdges += stayed
+	e.run.TrimmedEdges += scanned - stayed
+	if st.live >= 0 {
+		itRow.StayPredicted += st.live
+		st.live = stayed
+	}
 }
 
 // iterIn maps an iteration to the update-stream set it consumes.
@@ -844,25 +908,26 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 		// the replaced file is kept as a fallback until the adopted one
 		// survives a full checksummed read (dropFallback); a torn or
 		// bit-flipped stay write detected before that falls back to it.
-		st.fallback, st.fallbackTiming = st.input, st.inputTiming
+		st.fallback, st.fallbackTiming, st.fallbackEdges = st.input, st.inputTiming, st.inputEdges
 	}
 	// The adopted stay file's device bytes are the write amount trimming
 	// really added (cancelled writes were refunded on the device
 	// timeline; delta stays count their encoded size).
 	e.rt.BytesWritten += f.DeviceBytes()
-	st.input = f.Name()
-	st.inputTiming = st.pendingTiming
+	st.input, st.inputTiming, st.inputEdges = f.Name(), st.pendingTiming, f.Count()
 }
 
 // gather streams partition updates and marks unvisited destinations: an
 // unvisited destination becomes visited at level with the update's
-// parent. onNew, when non-nil, is called for each newly visited vertex
-// (the bottom-up transition pass uses it to build its frontier bitmap).
-func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph.VertexID)) (newly uint64, applied int64, err error) {
+// parent. It returns how many did and, when the run has a degree table,
+// their out-degree sum. onNew, when non-nil, is called for each newly
+// visited vertex (the bottom-up transition pass uses it to build its
+// frontier bitmap).
+func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph.VertexID)) (newly uint64, deg, applied int64, err error) {
 	e.rt.AwaitFile(updFile)
 	sc, err := stream.NewUpdateScanner(e.rt.Vol, updFile, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
@@ -870,7 +935,7 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 	for {
 		n, err := sc.NextChunk(chunk)
 		if err != nil {
-			return newly, applied, err
+			return newly, deg, applied, err
 		}
 		if n == 0 {
 			break
@@ -879,12 +944,13 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 			applied++
 			i := int(u.Dst - v.Lo)
 			if i < 0 || i >= len(v.Level) {
-				return newly, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.run.Engine, u, v.Lo, int(v.Lo)+len(v.Level))
+				return newly, deg, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.run.Engine, u, v.Lo, int(v.Lo)+len(v.Level))
 			}
 			if v.Level[i] == NoLevel {
 				v.Level[i] = level
 				v.Parent[i] = u.Parent
 				newly++
+				deg += e.rt.outDegree(u.Dst)
 				if e.rt.VisitedBits != nil {
 					e.rt.VisitedBits.Set(u.Dst)
 				}
@@ -896,14 +962,15 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 	}
 	e.rt.BytesRead += sc.BytesRead()
 	e.rt.Compute(float64(applied) * e.rt.Costs.GatherPerUpdate)
-	return newly, applied, nil
+	return newly, deg, applied, nil
 }
 
 // edgeSink receives the edges that survive the trim rule during a device
-// scatter: a *stream.StayFile, or a *stream.Resident when the scatter is
-// promoting the partition into the residency cache.
+// scatter, a merged chunk at a time: a *stream.StayFile, or a
+// *stream.Resident when the scatter is promoting the partition into the
+// residency cache.
 type edgeSink interface {
-	Append(graph.Edge) error
+	AppendChunk([]graph.Edge) error
 }
 
 // scatter streams one partition's edges through the worker pool — run
@@ -994,8 +1061,7 @@ func (e *kernel) scatterResident(st *partState, p, iter int, sh *stream.Shuffler
 	e.resd.Shrink(freed)
 	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
 	itRow.EdgesStreamed += scanned
-	itRow.StayEdges += stayed
-	e.run.TrimmedEdges += scanned - stayed
+	e.bookTrim(st, itRow, scanned, stayed)
 	e.ctr.ResidentScans.Add(1)
 	e.ctr.ResidentBytes.Set(e.resd.Bytes())
 	return nil

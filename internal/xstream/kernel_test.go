@@ -121,8 +121,21 @@ func TestTrimRuleSharedByBothRegimes(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	if (Policy{}).TrimActive(5, m.Vertices, m.Vertices) {
+	if (Policy{}).TrimActive(5, m.Vertices, m.Vertices, 0, 1) {
 		t.Error("the rule trims with trimming off")
+	}
+	// With no threshold set the rule weighs the counts: a rewrite pays once
+	// it halves its input, and a count nobody took says trim.
+	for _, c := range []struct {
+		live, input int64
+		want        bool
+	}{{5, 10, true}, {6, 10, false}, {0, 0, true}, {UnknownEdges, 10, true}, {5, UnknownEdges, true}} {
+		if got := (Policy{Trim: true}).TrimActive(0, 1, m.Vertices, c.live, c.input); got != c.want {
+			t.Errorf("keeping %d of %d edges: the rule says trim = %v, want %v", c.live, c.input, got, c.want)
+		}
+	}
+	if !(Policy{Trim: true, TrimStartIteration: TrimEveryIteration}).TrimActive(0, 1, m.Vertices, 10, 10) {
+		t.Error("the paper's threshold weighed the counts")
 	}
 	for _, start := range []int{0, 2} {
 		for _, fraction := range []float64{0, 0.3} {
@@ -150,7 +163,7 @@ func TestTrimRuleSharedByBothRegimes(t *testing.T) {
 					if inMemory {
 						asked += it.NewlyVisited
 					}
-					want := pol.TrimActive(i, asked, m.Vertices)
+					want := pol.TrimActive(i, asked, m.Vertices, UnknownEdges, UnknownEdges)
 					if it.TrimActive != want {
 						t.Errorf("start %d fraction %v inMemory %v: row %d says TrimActive=%v with %d visited, the rule says %v",
 							start, fraction, inMemory, i, it.TrimActive, asked, want)

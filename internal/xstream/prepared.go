@@ -103,6 +103,8 @@ type Scratch struct {
 	visited, claimed Bitset
 	bestPart         []int32
 	bestParent       []graph.VertexID
+	// outDeg backs the run's out-degree table (Runtime.OutDeg).
+	outDeg []uint32
 
 	pool                             *stream.ScatterPool
 	poolWorkers, poolSize, poolParts int

@@ -339,13 +339,15 @@ type Runtime struct {
 	countVol *storage.Counting
 	startIO  storage.IOStats
 
-	// OutDeg is the per-vertex out-degree table, built during Prepare
-	// when the run may go bottom-up (Direction != topdown). Bottom-up
-	// iterations use it to compute the newly-formed frontier's
-	// out-degree sum for the switch-back heuristic. Like the frontier
-	// bitmaps, its 4 bytes/vertex live outside the modelled memory
-	// budget (the paper's budget covers partition state, not global
-	// scalars).
+	// OutDeg is the per-vertex out-degree table, counted by Prepare's split
+	// pass for the two decisions that weigh edges: the direction heuristic
+	// (a run that may go bottom-up sums it over each formed frontier and
+	// each candidate wave) and the trim rule (each partition's live edge
+	// count, see partState). Nil for a run with neither — X-Stream top-down,
+	// or FastBFS on the paper's static threshold. Its 4 bytes/vertex come
+	// from the run's scratch and, like the frontier bitmaps, live outside
+	// the modelled memory budget (the paper's budget covers partition
+	// state, not global scalars).
 	OutDeg []uint32
 
 	// VisitedBits mirrors the vertex files' visited state in RAM
@@ -631,7 +633,7 @@ func (rt *Runtime) Cleanup() {
 		// The next run to acquire it owns its buffers from here on.
 		pg.ReleaseScratch(rt.scratch)
 		rt.scratch, rt.Bufs, rt.verts = nil, nil, Verts{}
-		rt.VisitedBits, rt.claimed = nil, nil
+		rt.VisitedBits, rt.claimed, rt.OutDeg = nil, nil, nil
 	}
 }
 
@@ -641,14 +643,9 @@ func (rt *Runtime) Cleanup() {
 // GraphChi's shard sort). It returns the per-partition edge counts.
 func (rt *Runtime) Prepare() ([]int64, error) {
 	tm := rt.MainTiming()
-	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), tm, rt.Opts.StreamBufSize)
-	if err != nil {
-		return nil, err
-	}
-	defer sc.Close()
 	rt.allocBitmaps()
 	if rt.Opts.Direction != DirectionTopDown {
-		rt.OutDeg = make([]uint32, rt.Meta.Vertices)
+		rt.allocOutDeg() // the kernel has, already, when its trim rule counts edges
 	}
 	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), rt.EdgeFile, func(name string) (*stream.Writer[graph.Edge], error) {
 		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Codec)
@@ -658,33 +655,69 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 	}
 	defer outs.Abort() // whatever an error return leaves open
 	outs.SetAsync()    // write-behind; readers barrier through AwaitFile
-	w, chunk := outs.W, rt.EdgeChunk()
+	if err := rt.scanStored(outs.W); err != nil {
+		return nil, err
+	}
+	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
+	if err := sealWriters(rt, outs); err != nil {
+		return nil, err
+	}
+	return outs.Counts(), nil
+}
+
+// scanStored is the one pass over the dataset's stored edge file: each edge
+// is checked against the metadata, counted into the out-degree table when
+// the run keeps one, and appended to its source's partition writer in w —
+// nil for a run resumed from a checkpoint, which skips Prepare and only
+// recounts the table.
+func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
+	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), rt.MainTiming(), rt.Opts.StreamBufSize)
+	if err != nil {
+		return err
+	}
+	defer sc.Close()
+	chunk := rt.EdgeChunk()
 	for {
 		n, err := sc.NextChunk(chunk)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n == 0 {
 			break
 		}
 		for _, e := range chunk[:n] {
 			if err := rt.Meta.CheckEdge(e); err != nil {
-				return nil, err
+				return err
 			}
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
 			}
-			if err := w[rt.Parts.Of(e.Src)].Append(e); err != nil {
-				return nil, err
+			if w != nil {
+				if err := w[rt.Parts.Of(e.Src)].Append(e); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	if err := sealWriters(rt, outs); err != nil {
-		return nil, err
-	}
 	rt.BytesRead += sc.BytesRead()
-	return outs.Counts(), nil
+	return nil
+}
+
+// allocOutDeg sets up the out-degree table from the run's scratch, all
+// zero, for scanStored to count into. Idempotent.
+func (rt *Runtime) allocOutDeg() {
+	if rt.OutDeg == nil {
+		rt.OutDeg = chunk(&rt.scratch.outDeg, int(rt.Meta.Vertices))
+		clear(rt.OutDeg)
+	}
+}
+
+// outDegree is v's out-degree, 0 for a run that keeps no degree table.
+func (rt *Runtime) outDegree(v graph.VertexID) int64 {
+	if rt.OutDeg == nil {
+		return 0
+	}
+	return int64(rt.OutDeg[v])
 }
 
 // sealWriters closes a writer set and books it with the run: the bytes it
