@@ -47,7 +47,6 @@ import (
 
 	"fastbfs/internal/bfs"
 	"fastbfs/internal/core"
-	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/obs"
@@ -105,83 +104,64 @@ func main() {
 		fail(err)
 	}
 
+	// One path from settings to options: the flags fill the same
+	// runconfig.Config a -config file parses into.
+	cfg := runconfig.Default()
 	if *configPath != "" {
-		runFromConfig(vol, *name, *configPath, *report, *validate, ob, ckVol, *resume)
-		return
-	}
-	opts := xstream.Options{
-		Root:           graph.VertexID(*root),
-		MemoryBudget:   *mem,
-		Threads:        *threads,
-		ScatterWorkers: *workers,
-		Tracer:         ob.tracer,
-	}
-	// An empty -direction leaves the option unset so the engine's
-	// defaulting (FASTBFS_DIRECTION, else topdown) applies.
-	if *direction != "" {
-		d, err := xstream.ParseDirection(*direction)
-		if err != nil {
+		if cfg, err = runconfig.ParseFile(*configPath); err != nil {
 			fail(err)
 		}
-		opts.Direction = d
-	}
-	// Same treatment for -codec: empty keeps the engine's FASTBFS_CODEC /
-	// stored-codec defaulting.
-	if *codec != "" {
-		c, err := graph.ParseCodec(*codec)
-		if err != nil {
-			fail(err)
-		}
-		opts.Codec = c
-	}
-	if *sim {
-		cfg := &xstream.SimConfig{CPU: disksim.DefaultCPU(), Costs: disksim.DefaultCosts()}
+	} else {
+		cfg.Engine, cfg.Root = *engine, graph.VertexID(*root)
+		cfg.MemoryBudget, cfg.Threads, cfg.ScatterWorkers = *mem, *threads, *workers
+		cfg.TrimStartIteration, cfg.DisableTrimming, cfg.DisableSelectiveScheduling = *trimStart, *noTrim, *noSelSched
+		cfg.Sim, cfg.SeekScale, cfg.AdditionalDisk = *sim, *simScale, *twoDisks
 		if *ssd {
-			cfg.MainDisk = disksim.SSDScaled("ssd0", *simScale)
-		} else {
-			cfg.MainDisk = disksim.HDDScaled("hdd0", *simScale)
+			cfg.Device = "ssd"
 		}
-		if *twoDisks {
-			if *ssd {
-				cfg.AuxDisk = disksim.SSDScaled("ssd1", *simScale)
-			} else {
-				cfg.AuxDisk = disksim.HDDScaled("hdd1", *simScale)
+		// An empty -direction or -codec stays unset, so the engine's
+		// defaulting (FASTBFS_DIRECTION else topdown, FASTBFS_CODEC else the
+		// stored codec) applies; an empty -residency-budget parses to unset.
+		if *direction != "" {
+			if cfg.Direction, err = xstream.ParseDirection(*direction); err != nil {
+				fail(err)
 			}
 		}
-		opts.Sim = cfg
+		if *codec != "" {
+			if cfg.Codec, err = graph.ParseCodec(*codec); err != nil {
+				fail(err)
+			}
+		}
+		if cfg.ResidencyBudget, err = core.ParseResidencyBudget(*residency); err != nil {
+			fail(err)
+		}
 	}
-	ob.noteRun(*engine, *name, *sim)
-
-	eng, err := serve.ParseEngine(*engine)
+	ob.noteRun(cfg.Engine, *name, cfg.Sim)
+	eng, err := serve.ParseEngine(cfg.Engine)
 	if err != nil {
 		fail(err)
 	}
-	budget, err := core.ParseResidencyBudget(*residency)
-	if err != nil {
-		fail(err)
-	}
-	co := core.Options{
-		Base:                       opts,
-		TrimStartIteration:         *trimStart,
-		DisableTrimming:            *noTrim,
-		DisableSelectiveScheduling: *noSelSched,
-		ResidencyBudget:            budget,
-		CheckpointVol:              ckVol,
-		Resume:                     *resume,
-	}
-	if *sim {
+	co := cfg.CoreOptions()
+	if cfg.Sim {
 		// The simulated testbed reproduces the paper's figures, so it runs
 		// the paper's engines.
 		paperEngines(&co)
 	}
+	co.Base.Tracer = ob.tracer
+	co.CheckpointVol = ckVol
+	co.Resume = *resume
 	res, err := serve.RunEngine(context.Background(), eng, vol, *name, co)
 	if err != nil {
 		fail(err)
 	}
 
-	printResult(res, *report)
+	if *report {
+		fmt.Print(res.Metrics.Report())
+	} else {
+		fmt.Println(res.Metrics.String())
+	}
 	if *validate {
-		validateResult(vol, *name, graph.VertexID(*root), res)
+		validateResult(vol, *name, cfg.Root, res)
 	}
 }
 
@@ -207,47 +187,6 @@ func checkpointVolume(dir string, resume bool) (storage.Volume, error) {
 		return nil, nil
 	}
 	return storage.NewOS(dir)
-}
-
-// runFromConfig executes a run described by a runtime-settings file.
-func runFromConfig(vol storage.Volume, name, path string, report, validate bool, ob *observability, ckVol storage.Volume, resume bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		fail(err)
-	}
-	cfg, err := runconfig.Parse(f)
-	f.Close()
-	if err != nil {
-		fail(err)
-	}
-	ob.noteRun(cfg.Engine, name, cfg.Sim)
-	eng, err := serve.ParseEngine(cfg.Engine)
-	if err != nil {
-		fail(err)
-	}
-	co := cfg.CoreOptions()
-	if cfg.Sim {
-		paperEngines(&co) // as for -sim
-	}
-	co.Base.Tracer = ob.tracer
-	co.CheckpointVol = ckVol
-	co.Resume = resume
-	res, err := serve.RunEngine(context.Background(), eng, vol, name, co)
-	if err != nil {
-		fail(err)
-	}
-	printResult(res, report)
-	if validate {
-		validateResult(vol, name, cfg.Root, res)
-	}
-}
-
-func printResult(res *xstream.Result, report bool) {
-	if report {
-		fmt.Print(res.Metrics.Report())
-	} else {
-		fmt.Println(res.Metrics.String())
-	}
 }
 
 func validateResult(vol storage.Volume, name string, root graph.VertexID, res *xstream.Result) {

@@ -17,10 +17,14 @@
 //	         [-drain-timeout 30s] [-debugaddr localhost:6060]
 //	         [-tracefile serve.jsonl] [-slow-query 500ms]
 //
-// Cross-query batching (DESIGN.md §13) is on by default: concurrent
-// uncapped BFS queries coalesce into shared bit-parallel runs of up to
-// -batch-size distinct roots, held at most -batch-wait for companions.
-// -batch-size 0 disables it. -config loads a runtime-settings file
+// Cross-query batching (DESIGN.md §13) engages out of core only, where a
+// pass over the device is what a batch shares: with -mem below the graph,
+// concurrent uncapped BFS queries coalesce into shared bit-parallel runs
+// of up to -batch-size distinct roots, held at most -batch-wait for
+// companions (-batch-size 0 disables it). At a budget the graph fits the
+// daemon holds it resident and never batches, whatever -batch-size says:
+// every BFS query is one indexed traversal on its own slot and meets
+// -max-queue like any other query. -config loads a runtime-settings file
 // (internal/runconfig) in place of the engine flags (-mem, -threads,
 // -workers, -sim, -simscale, -ssd, -residency-budget); its
 // batch_size/batch_wait_ms keys supply batch defaults that explicit
@@ -42,7 +46,7 @@
 //
 // Endpoints:
 //
-//	POST /query   {"algorithm":"bfs|msbfs|sssp","engine":"fastbfs|xstream|graphchi",
+//	POST /query   {"algorithm":"bfs|msbfs|sssp","engine":"fastbfs|xstream",
 //	               "root":1,"roots":[..],"max_iterations":0,"timeout_ms":0,
 //	               "no_cache":false,"priority":"interactive|batch",
 //	               "allow_stale":false,"include_values":false}
@@ -84,13 +88,11 @@ import (
 
 	"fastbfs/internal/algo"
 	"fastbfs/internal/core"
-	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/runconfig"
 	"fastbfs/internal/serve"
 	"fastbfs/internal/storage"
-	"fastbfs/internal/xstream"
 )
 
 func main() {
@@ -108,7 +110,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for a slot (0 = 2*max-inflight; negative = reject immediately when busy)")
 	cacheEntries := flag.Int("cache", 64, "result-cache entries (negative disables)")
 	batchSize := flag.Int("batch-size", algo.MaxBatchRoots,
-		"distinct roots coalesced per shared BFS run (0 disables batching; max 32)")
+		"out of core: distinct roots coalesced per shared BFS run (0 disables batching; max 32); a resident graph is never batched")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond,
 		"how long a forming batch waits for companion queries")
 	shed := flag.Bool("shed", false,
@@ -144,41 +146,24 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	budget, err := core.ParseResidencyBudget(*residency)
-	if err != nil {
-		fail(err)
-	}
-
-	base := core.Options{
-		Base: xstream.Options{
-			MemoryBudget:   *mem,
-			Threads:        *threads,
-			ScatterWorkers: *workers,
-		},
-		ResidencyBudget: budget,
-	}
-	if *sim {
-		cfg := &xstream.SimConfig{CPU: disksim.DefaultCPU(), Costs: disksim.DefaultCosts()}
+	// One path from settings to options: the engine flags fill the same
+	// runconfig.Config a -config file parses into.
+	rc := runconfig.Default()
+	if *configPath == "" {
+		rc.MemoryBudget, rc.Threads, rc.ScatterWorkers = *mem, *threads, *workers
+		rc.Sim, rc.SeekScale = *sim, *simScale
 		if *ssd {
-			cfg.MainDisk = disksim.SSDScaled("ssd0", *simScale)
-		} else {
-			cfg.MainDisk = disksim.HDDScaled("hdd0", *simScale)
+			rc.Device = "ssd"
 		}
-		base.Base.Sim = cfg
-	}
-	if *configPath != "" {
+		if rc.ResidencyBudget, err = core.ParseResidencyBudget(*residency); err != nil {
+			fail(err)
+		}
+	} else {
 		// The settings file replaces the engine-option flags wholesale;
 		// its batch keys are defaults that explicit flags still override.
-		f, err := os.Open(*configPath)
-		if err != nil {
+		if rc, err = runconfig.ParseFile(*configPath); err != nil {
 			fail(err)
 		}
-		rc, err := runconfig.Parse(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-		base = rc.CoreOptions()
 		setFlags := map[string]bool{}
 		flag.Visit(func(fl *flag.Flag) { setFlags[fl.Name] = true })
 		if !setFlags["batch-size"] && rc.BatchSize >= 0 {
@@ -212,6 +197,7 @@ func main() {
 			*priorityHeader = rc.PriorityHeader
 		}
 	}
+	base := rc.CoreOptions()
 
 	var sinks []obs.Sink
 	if *traceFile != "" {

@@ -6,7 +6,6 @@ import (
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/xstream"
 )
 
 // MaxBatchRoots is the widest batch one BatchBFS run can carry: the
@@ -38,14 +37,16 @@ const MaxBatchRoots = 32
 // wins parent rule picks the same parent, and first discovery happens
 // at the same iteration.
 //
-// That is the run out of core, where the pass over the device is what a
-// batch shares. Over a resident prepared graph there is no pass to share
-// and no value, update or Program method is involved: RunContext hands
-// the trees to xstream.Runtime.RunForest, which grows each from its root
-// by the solo engines' own indexed traversal.
+// The pass over the device is what a batch shares, so the serving layer
+// forms batches only out of core; over a resident prepared graph a
+// BatchBFS is a Program like any other on the in-memory loop.
 type BatchBFS struct {
 	rootBit map[graph.VertexID]int
-	trees   xstream.Forest
+	roots   []graph.VertexID
+	// levels, parents and visited are the trees, one a root in bit order.
+	levels  [][]uint32
+	parents [][]graph.VertexID
+	visited []uint64
 }
 
 // NewBatchBFS builds a batch over distinct roots on a graph with the
@@ -61,12 +62,10 @@ func NewBatchBFS(roots []graph.VertexID, vertices uint64) (*BatchBFS, error) {
 	}
 	b := &BatchBFS{
 		rootBit: make(map[graph.VertexID]int, len(roots)),
-		trees: xstream.Forest{
-			Roots:   append([]graph.VertexID(nil), roots...),
-			Levels:  make([][]uint32, len(roots)),
-			Parents: make([][]graph.VertexID, len(roots)),
-			Visited: make([]uint64, len(roots)),
-		},
+		roots:   append([]graph.VertexID(nil), roots...),
+		levels:  make([][]uint32, len(roots)),
+		parents: make([][]graph.VertexID, len(roots)),
+		visited: make([]uint64, len(roots)),
 	}
 	for i, r := range roots {
 		if uint64(r) >= vertices {
@@ -82,8 +81,8 @@ func NewBatchBFS(roots []graph.VertexID, vertices uint64) (*BatchBFS, error) {
 			lv[v] = NoLevel
 			par[v] = graph.NoVertex
 		}
-		b.trees.Levels[i] = lv
-		b.trees.Parents[i] = par
+		b.levels[i] = lv
+		b.parents[i] = par
 	}
 	return b, nil
 }
@@ -101,7 +100,7 @@ func (b *BatchBFS) Init(v graph.VertexID) uint64 {
 		return 0
 	}
 	m := uint32(1) << uint(i)
-	b.trees.Levels[i][v], b.trees.Parents[i][v], b.trees.Visited[i] = 0, v, 1
+	b.levels[i][v], b.parents[i][v], b.visited[i] = 0, v, 1
 	return pack(m, m)
 }
 
@@ -145,9 +144,9 @@ func (b *BatchBFS) ApplyTo(iter int, dst graph.VertexID, val, payload uint64) (u
 	for m := fresh; m != 0; {
 		i := bits.TrailingZeros32(m)
 		m &^= 1 << uint(i)
-		b.trees.Levels[i][dst] = uint32(iter) + 1
-		b.trees.Parents[i][dst] = graph.VertexID(src)
-		b.trees.Visited[i]++
+		b.levels[i][dst] = uint32(iter) + 1
+		b.parents[i][dst] = graph.VertexID(src)
+		b.visited[i]++
 	}
 	return pack(frontier|fresh, seen|fresh), true
 }
@@ -161,7 +160,7 @@ func (b *BatchBFS) EndGather(iter int, val uint64) (uint64, bool) { return val, 
 func (b *BatchBFS) Converged(iter int, changes uint64, emitted int64) bool { return emitted == 0 }
 
 // Roots returns the batch's roots in bit order.
-func (b *BatchBFS) Roots() []graph.VertexID { return b.trees.Roots }
+func (b *BatchBFS) Roots() []graph.VertexID { return b.roots }
 
 // RootIndex returns root's bit index, or -1 if it is not in the batch.
 func (b *BatchBFS) RootIndex(root graph.VertexID) int {
@@ -173,12 +172,12 @@ func (b *BatchBFS) RootIndex(root graph.VertexID) int {
 
 // LevelsOf returns root i's per-vertex BFS levels (NoLevel =
 // unreached). The slice is owned by the program; treat it as read-only.
-func (b *BatchBFS) LevelsOf(i int) []uint32 { return b.trees.Levels[i] }
+func (b *BatchBFS) LevelsOf(i int) []uint32 { return b.levels[i] }
 
 // ParentsOf returns root i's per-vertex BFS parents (graph.NoVertex =
 // unreached, the root is its own parent). Read-only, like LevelsOf.
-func (b *BatchBFS) ParentsOf(i int) []graph.VertexID { return b.trees.Parents[i] }
+func (b *BatchBFS) ParentsOf(i int) []graph.VertexID { return b.parents[i] }
 
 // VisitedOf is the number of vertices root i reached, counted as each
 // was.
-func (b *BatchBFS) VisitedOf(i int) uint64 { return b.trees.Visited[i] }
+func (b *BatchBFS) VisitedOf(i int) uint64 { return b.visited[i] }

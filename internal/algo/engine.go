@@ -10,9 +10,7 @@
 // multi-source reachability without type machinery.
 //
 // A run handed a resident xstream.PreparedGraph under an in-memory
-// budget runs the same loop in RAM instead (runResident) — except a
-// BatchBFS, which is then a traversal of the graph's adjacency index from
-// each root and no vertex program at all (xstream.Runtime.RunForest).
+// budget runs the same loop in RAM instead (runResident).
 package algo
 
 import (
@@ -98,8 +96,7 @@ func getUpdRec(b []byte) updRec {
 	}
 }
 
-// Result of a program run: the final packed value per vertex — nil for
-// a BatchBFS over a resident graph, whose answer is its trees.
+// Result of a program run: the final packed value per vertex.
 type Result struct {
 	Values  []uint64
 	Metrics metrics.Run
@@ -123,18 +120,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	}
 	defer rt.Cleanup()
 
-	resident := rt.Opts.Prepared.Resident() && rt.InMemory()
-	if b, ok := prog.(*BatchBFS); ok && resident {
-		// Residency alone picks the loop, as it does for a solo BFS: the
-		// trees are grown over the index, in the caller's labels, and there
-		// are no packed values to return.
-		run, err := rt.RunForest(b.Name(), &b.trees)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Metrics: run}, nil
-	}
-
 	run := metrics.Run{Engine: prog.Name()}
 
 	// Active reads a packed value, never a vertex id, so the filter is the
@@ -153,7 +138,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		applyTo = da.ApplyTo
 	}
 
-	if resident {
+	if rt.Opts.Prepared.Resident() && rt.InMemory() {
 		return runResident(rt, rt.Opts.Prepared, prog, filter, applyTo, run)
 	}
 
@@ -162,10 +147,16 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	updFile := func(set, p int) string { return fmt.Sprintf("%s_u%d_%d", rt.Opts.FilePrefix, set, p) }
 	edgeFile := func(p int) string { return fmt.Sprintf("%s_we_%d", rt.Opts.FilePrefix, p) }
 
+	// NextChunk targets that divide the stream buffer: a chunk never
+	// straddles a refill, so every device read stays where reading record
+	// by record put it among the writes around it.
+	wedges := make([]graph.WEdge, rt.ChunkLen(graph.WEdgeBytes))
+	upds := make([]updRec, rt.ChunkLen(updateRecBytes))
+
 	// Prepare: split the stored graph into per-partition weighted edge
 	// files. Unweighted inputs get unit weights, so every Program runs
 	// on either representation.
-	if err := prepareWeighted(rt, edgeFile); err != nil {
+	if err := prepareWeighted(rt, edgeFile, wedges); err != nil {
 		return nil, err
 	}
 
@@ -261,22 +252,24 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			sc.Prefetch(rt.Opts.PrefetchBuffers)
 			var scanned int64
 			for {
-				e, ok, err := sc.Next()
+				n, err := sc.NextChunk(wedges)
 				if err != nil {
 					sc.Close()
 					return 0, err
 				}
-				if !ok {
+				if n == 0 {
 					break
 				}
-				scanned++
-				payload, emit := prog.Scatter(iter, e.Src, vals[int(e.Src-lo)], e.Dst, e.Weight)
-				if emit {
-					if err := w[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
-						sc.Close()
-						return 0, err
+				scanned += int64(n)
+				for _, e := range wedges[:n] {
+					payload, emit := prog.Scatter(iter, e.Src, vals[int(e.Src-lo)], e.Dst, e.Weight)
+					if emit {
+						if err := w[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
+							sc.Close()
+							return 0, err
+						}
+						emitted++
 					}
-					emitted++
 				}
 			}
 			rt.BytesRead += sc.BytesRead()
@@ -322,18 +315,19 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			}
 			var applied int64
 			for {
-				u, ok, err := sc.Next()
+				n, err := sc.NextChunk(upds)
 				if err != nil {
 					sc.Close()
 					return nil, err
 				}
-				if !ok {
+				if n == 0 {
 					break
 				}
-				applied++
-				i := int(u.dst - lo)
-				nv, _ := applyTo(iter, u.dst, vals[i], u.payload)
-				vals[i] = nv
+				applied += int64(n)
+				for _, u := range upds[:n] {
+					i := int(u.dst - lo)
+					vals[i], _ = applyTo(iter, u.dst, vals[i], u.payload)
+				}
 			}
 			rt.BytesRead += sc.BytesRead()
 			sc.Close()
@@ -401,9 +395,7 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
 	scratch := rt.Scratch()
 	edges, weights := pg.Edges(), pg.Weights()
-	// What an iteration scans: the list, whatever the program. Only a
-	// traversal can be answered from the prepared graph's adjacency index,
-	// and the one this package has, BatchBFS, never gets here.
+	// What an iteration scans: the list, whatever the program.
 	scanned := int64(len(edges))*graph.EdgeBytes + int64(len(weights))*4
 	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
 	for v := range cur {
@@ -483,8 +475,9 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 }
 
 // prepareWeighted splits the stored graph (weighted or not) into
-// per-partition weighted edge files; unweighted edges get weight 1.
-func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string) error {
+// per-partition weighted edge files; unweighted edges get weight 1. chunk
+// is the run's weighted-edge NextChunk target.
+func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string, chunk []graph.WEdge) error {
 	tm := rt.MainTiming()
 	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), edgeFile, func(name string) (*stream.Writer[graph.WEdge], error) {
 		return stream.NewWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.PutWEdge)
@@ -497,12 +490,12 @@ func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string) error {
 	if rt.Meta.Weighted {
 		var sc *stream.Scanner[graph.WEdge]
 		if sc, err = stream.NewScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge); err == nil {
-			err = routeEdges(rt, sc, outs.W, func(e graph.WEdge) graph.WEdge { return e })
+			err = routeEdges(rt, sc, chunk, outs.W, func(e graph.WEdge) graph.WEdge { return e })
 		}
 	} else {
 		var sc *stream.Scanner[graph.Edge]
 		if sc, err = stream.NewEdgeScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize); err == nil {
-			err = routeEdges(rt, sc, outs.W, func(e graph.Edge) graph.WEdge { return graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: 1} })
+			err = routeEdges(rt, sc, rt.EdgeChunk(), outs.W, func(e graph.Edge) graph.WEdge { return graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: 1} })
 		}
 	}
 	if err != nil {
@@ -516,28 +509,30 @@ func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string) error {
 	return nil
 }
 
-// routeEdges is prepareWeighted's scan: every record of sc, as the
-// weighted edge wedge makes of it, checked and appended to its source's
-// partition writer. It closes sc.
-func routeEdges[T any](rt *xstream.Runtime, sc *stream.Scanner[T], outs []*stream.Writer[graph.WEdge], wedge func(T) graph.WEdge) error {
+// routeEdges is prepareWeighted's scan, chunk by aligned chunk: every
+// record of sc, as the weighted edge wedge makes of it, checked and
+// appended to its source's partition writer. It closes sc.
+func routeEdges[T any](rt *xstream.Runtime, sc *stream.Scanner[T], chunk []T, outs []*stream.Writer[graph.WEdge], wedge func(T) graph.WEdge) error {
 	defer sc.Close()
 	for {
-		rec, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		e := wedge(rec)
-		if e.Weight < 0 {
-			return fmt.Errorf("algo: negative weight on %d->%d", e.Src, e.Dst)
-		}
-		if err := rt.Meta.CheckEdge(graph.Edge{Src: e.Src, Dst: e.Dst}); err != nil {
-			return err
-		}
-		if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
-			return err
+		for _, rec := range chunk[:n] {
+			e := wedge(rec)
+			if e.Weight < 0 {
+				return fmt.Errorf("algo: negative weight on %d->%d", e.Src, e.Dst)
+			}
+			if err := rt.Meta.CheckEdge(graph.Edge{Src: e.Src, Dst: e.Dst}); err != nil {
+				return err
+			}
+			if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
+				return err
+			}
 		}
 	}
 	rt.BytesRead += sc.BytesRead()

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -277,43 +276,6 @@ func TestFig10Shape(t *testing.T) {
 		if !(fb1 < xs) {
 			t.Errorf("%s: single-disk fastbfs (%v) not faster than xstream (%v)", row[0], fb1, xs)
 		}
-	}
-}
-
-func TestWorkersShape(t *testing.T) {
-	tbl, err := Workers(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) < 3 {
-		t.Fatalf("rows = %d, want a sweep over at least {1,2,4}", len(tbl.Rows))
-	}
-	// Output invariance down the column: visited counts and chunk counts
-	// are identical for every pool size — chunk boundaries never depend
-	// on the worker count (DESIGN.md §7).
-	for _, row := range tbl.Rows[1:] {
-		if row[6] != tbl.Rows[0][6] {
-			t.Errorf("workers=%s visited %s, workers=%s visited %s", row[0], row[6], tbl.Rows[0][0], tbl.Rows[0][6])
-		}
-		if row[4] != tbl.Rows[0][4] {
-			t.Errorf("workers=%s chunks %s, workers=%s chunks %s", row[0], row[4], tbl.Rows[0][0], tbl.Rows[0][4])
-		}
-	}
-	// A wall-clock scatter win is only physically possible with spare
-	// cores; on a multicore machine the best parallel pool (min-of-3
-	// reps per row) must beat serial.
-	if runtime.NumCPU() < 4 {
-		t.Skipf("only %d CPU(s): parallel scatter cannot beat serial here", runtime.NumCPU())
-	}
-	serial := cell(t, tbl.Rows[0][2])
-	best := serial
-	for _, row := range tbl.Rows[1:] {
-		if s := cell(t, row[2]); s < best {
-			best = s
-		}
-	}
-	if !(best < serial) {
-		t.Errorf("no scatter wall-clock improvement: serial %.4fs, best parallel %.4fs", serial, best)
 	}
 }
 

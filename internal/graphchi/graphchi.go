@@ -251,20 +251,25 @@ func (e *engine) preprocess() error {
 		}
 		outs[q] = w
 	}
+	// An aligned chunk never straddles a refill: device reads stay where
+	// reading edge by edge put them among the shard writes.
+	chunk := rt.EdgeChunk()
 	for {
-		edge, ok, err := sc.Next()
+		n, err := sc.NextChunk(chunk)
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if n == 0 {
 			break
 		}
-		if err := rt.Meta.CheckEdge(edge); err != nil {
-			return err
-		}
-		rec := shardRec{src: edge.Src, dst: edge.Dst, value: NoLevel}
-		if err := outs[rt.Parts.Of(edge.Dst)].Append(rec); err != nil {
-			return err
+		for _, edge := range chunk[:n] {
+			if err := rt.Meta.CheckEdge(edge); err != nil {
+				return err
+			}
+			rec := shardRec{src: edge.Src, dst: edge.Dst, value: NoLevel}
+			if err := outs[rt.Parts.Of(edge.Dst)].Append(rec); err != nil {
+				return err
+			}
 		}
 	}
 	rt.BytesRead += sc.BytesRead()

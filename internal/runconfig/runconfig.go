@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -145,6 +146,16 @@ func Parse(r io.Reader) (Config, error) {
 		return cfg, fmt.Errorf("runconfig: %w", err)
 	}
 	return cfg, cfg.Validate()
+}
+
+// ParseFile is Parse on the file at path.
+func ParseFile(path string) (Config, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return Config{}, err
+	}
+	defer f.Close()
+	return Parse(f)
 }
 
 func (c *Config) set(key, val string) error {

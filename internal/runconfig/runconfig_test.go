@@ -1,10 +1,13 @@
 package runconfig
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"fastbfs/internal/disksim"
+	"fastbfs/internal/graph"
 	"fastbfs/internal/xstream"
 )
 
@@ -191,6 +194,64 @@ func TestParseOverloadErrors(t *testing.T) {
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %q", name, in)
+		}
+	}
+}
+
+// TestFlagBuiltMatchesFileBuilt pins the one path from settings to
+// options: a Config filled field by field, the way cmd/fastbfs and
+// cmd/fastbfsd fill it from their flags, materializes the same
+// core.Options as a settings file that says the same thing — and the
+// simulated testbed the commands used to build by hand from -sim, -ssd,
+// -simscale and -twodisks.
+func TestFlagBuiltMatchesFileBuilt(t *testing.T) {
+	testbed := func(main, aux *disksim.Device) *xstream.SimConfig {
+		return &xstream.SimConfig{CPU: disksim.DefaultCPU(), Costs: disksim.DefaultCosts(), MainDisk: main, AuxDisk: aux}
+	}
+	for _, c := range []struct {
+		name  string
+		flags func(*Config)
+		file  string
+		sim   *xstream.SimConfig
+	}{
+		{"defaults", func(*Config) {}, "", nil},
+		{"wall, the CLI's flag defaults",
+			func(c *Config) { c.MemoryBudget, c.Threads = 1<<30, 4 },
+			"memory_budget = 1G\nthreads = 4", nil},
+		{"-sim", func(c *Config) { c.Sim = true }, "sim = true", testbed(disksim.HDDScaled("hdd0", 1), nil)},
+		{"-sim -ssd -simscale 2048 -twodisks",
+			func(c *Config) { c.Sim, c.Device, c.SeekScale, c.AdditionalDisk = true, "ssd", 2048, true },
+			"sim = true\ndevice = ssd\nseek_scale = 2048\nadditional_disk = true",
+			testbed(disksim.SSDScaled("ssd0", 2048), disksim.SSDScaled("ssd1", 2048))},
+		{"-sim -twodisks on the HDD",
+			func(c *Config) { c.Sim, c.AdditionalDisk = true, true },
+			"sim = true\nadditional_disk = true",
+			testbed(disksim.HDDScaled("hdd0", 1), disksim.HDDScaled("hdd1", 1))},
+		{"engine, root and policy flags",
+			func(c *Config) {
+				c.Engine, c.Root, c.ScatterWorkers = "xstream", 42, 3
+				c.Direction, c.Codec = xstream.DirectionAuto, graph.CodecDelta
+				c.TrimStartIteration, c.DisableTrimming, c.DisableSelectiveScheduling = -1, true, true
+				c.ResidencyBudget = 64 << 20
+			},
+			"engine = xstream\nroot = 42\nscatter_workers = 3\ndirection = auto\ncodec = delta\n" +
+				"trim_start_iteration = -1\ndisable_trimming = true\ndisable_selective_scheduling = true\nresidency_budget = 64M", nil},
+	} {
+		built := Default()
+		c.flags(&built)
+		parsed, err := Parse(strings.NewReader(c.file))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(built, parsed) {
+			t.Errorf("%s: flag-built config %+v, file-built %+v", c.name, built, parsed)
+		}
+		got := built.CoreOptions()
+		if want := parsed.CoreOptions(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: flag-built options %+v, file-built %+v", c.name, got, want)
+		}
+		if !reflect.DeepEqual(got.Base.Sim, c.sim) {
+			t.Errorf("%s: simulated testbed %+v, want %+v", c.name, got.Base.Sim, c.sim)
 		}
 	}
 }

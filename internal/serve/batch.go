@@ -17,25 +17,22 @@ import (
 )
 
 // batcher coalesces concurrent single-source BFS queries into shared
-// algo.BatchBFS runs (DESIGN.md §13): out of core one bit-parallel pass
-// of the algo engine's streaming loop for all the roots, over a resident
-// graph the indexed traversal from each root in turn. A query that misses
-// the result cache joins the forming batch (only uncapped queries batch,
-// see batchable, so every member wants the same run), and the batch
-// executes as one engine run once it is full (BatchSize distinct roots)
-// or its hold window (BatchWait) expires. Batching follows the
-// group-commit idea: the batch also stays joinable while it waits for
-// an execution slot, so an idle service answers at near-solo latency
-// while a saturated one grows batches and amortizes the graph stream.
+// algo.BatchBFS runs (DESIGN.md §13): one bit-parallel pass of the algo
+// engine's streaming loop for all the roots. It exists only on a service
+// whose graph is out of core (New), where that pass over the device is
+// what the members share. A query that misses the result cache joins the
+// forming batch (only uncapped queries batch, see batchable, so every
+// member wants the same run), and the batch executes as one engine run
+// once it is full (BatchSize distinct roots) or its hold window
+// (BatchWait) expires. Batching follows the group-commit idea: the batch
+// also stays joinable while it waits for an execution slot, so an idle
+// service answers at near-solo latency while a saturated one grows
+// batches and amortizes the graph stream.
 //
-// GraphChi queries never batch: its sliding-windows traversal order
-// produces different (equally valid) parent trees, and batching
-// promises results byte-identical to the query's own standalone run.
 // The fastbfs and xstream engines give a vertex the parent whose edge
-// comes first in stored order, and so does a batch on either path — the
-// streaming loop by applying updates in that order, a resident batch by
-// being the solo engines' own indexed traversal — so their solo trees
-// match the batch demux exactly.
+// comes first in stored order, and so does the streaming loop by applying
+// updates in that order, so their solo trees match the batch demux
+// exactly.
 type batcher struct {
 	s *GraphService
 
@@ -89,19 +86,18 @@ type batch struct {
 }
 
 // batchable reports whether a normalized query may ride a shared run:
-// uncapped single-source BFS on the fastbfs or xstream engine. Capped
-// queries stay solo — out of core the algo engine that executes batches
-// advances one level deeper per MaxIterations unit than the streaming
-// BFS engines do, so a capped batch demux would not be byte-identical
-// to the query's own standalone run. GraphChi stays solo for the same
-// reason (different traversal order, different parent trees).
+// uncapped single-source BFS on a service that batches. Capped queries
+// stay solo — the algo engine that executes batches advances one level
+// deeper per MaxIterations unit than the streaming BFS engines do, so a
+// capped batch demux would not be byte-identical to the query's own
+// standalone run.
 func (s *GraphService) batchable(q Query) bool {
 	if s.cfg.PanicRoot > 0 && int64(q.Root) == s.cfg.PanicRoot {
 		// A poisoned chaos root must run solo so its injected panic fails
 		// exactly one query, never a shared run's innocent members.
 		return false
 	}
-	return s.batcher != nil && q.Algorithm == AlgoBFS && q.Engine != EngineGraphChi && q.MaxIterations == 0
+	return s.batcher != nil && q.Algorithm == AlgoBFS && q.MaxIterations == 0
 }
 
 // submitBatched answers one cache-missed query through the batcher. It
@@ -369,11 +365,10 @@ func (bt *batch) run() {
 		return
 	}
 	s.pred.observe(Query{Algorithm: AlgoBFS, Engine: EngineFastBFS}, exec)
-	// What the run did: in RAM the levels of every root's traversal and the
-	// adjacency entries they examined, out of core the passes the roots
-	// shared and the edges those streamed.
-	sp.Attr("levels", int64(len(res.Metrics.Iterations))).Attr("bottomup_levels", int64(res.Metrics.BottomUpIterations)).
-		Attr("examined", res.Metrics.EdgesStreamed()).Label("outcome", OutcomeOK).End()
+	// What the run did: the passes the roots shared and the edges those
+	// streamed.
+	sp.Attr("levels", int64(len(res.Metrics.Iterations))).Attr("examined", res.Metrics.EdgesStreamed()).
+		Label("outcome", OutcomeOK).End()
 
 	bytes := res.Metrics.BytesRead + res.Metrics.BytesWritten
 	s.ctr.batchRuns.Add(1)

@@ -38,10 +38,10 @@ func refBFSCapped(t *testing.T, o core.Options, e serve.Engine, vol storage.Volu
 // whole feature stands on: K concurrent queries answered through the
 // batcher return levels AND parents byte-identical to their serial
 // standalone runs — across batch sizes {1, 7, 32}, duplicate roots,
-// both batchable engines, and mixed MaxIterations groups, out of core
-// (the streaming loop) and over a resident graph (the indexed
-// traversal). The cache is disabled so every query actually rides a
-// batch.
+// both batchable engines, and mixed MaxIterations groups. That is out of
+// core; a resident service given the same settings and load forms no
+// batch and answers every query solo, with the same trees. The cache is
+// disabled so every query actually executes.
 func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 	vol, m := storedGraph(t)
 	for _, c := range []struct {
@@ -107,20 +107,23 @@ func TestBatchedQueriesMatchSerialRuns(t *testing.T) {
 				if !reflect.DeepEqual(out.res.Parents, wantPar) {
 					t.Errorf("query %d (%s root %d cap %d): batched parents differ from serial run", i, q.Engine, q.Root, q.MaxIterations)
 				}
-				if out.res.Batched != (q.MaxIterations == 0) {
-					t.Errorf("query %d (cap %d): Batched = %v; uncapped queries batch, capped ones go solo", i, q.MaxIterations, out.res.Batched)
+				if out.res.Batched != (!resident && q.MaxIterations == 0) {
+					t.Errorf("query %d (cap %d): Batched = %v; out of core uncapped queries batch, every other goes solo", i, q.MaxIterations, out.res.Batched)
 				}
 			}
 
-			const uncapped = K * 3 / 4 // i%4 == 3 carries a cap
+			uncapped := int64(K * 3 / 4) // i%4 == 3 carries a cap
+			if resident {
+				uncapped = 0
+			}
 			st := svc.Stats()
 			if st.BatchQueries != uncapped {
 				t.Errorf("BatchQueries = %d, want %d", st.BatchQueries, uncapped)
 			}
-			if st.BatchRuns < 1 || st.BatchRuns > K {
-				t.Errorf("BatchRuns = %d out of range [1,%d]", st.BatchRuns, K)
+			if resident && st.BatchRuns != 0 || !resident && (st.BatchRuns < 1 || st.BatchRuns > K) {
+				t.Errorf("BatchRuns = %d; want 0 on a resident service, [1,%d] out of core", st.BatchRuns, K)
 			}
-			if bs > 1 && st.BatchCoalesced == 0 {
+			if !resident && bs > 1 && st.BatchCoalesced == 0 {
 				t.Errorf("no coalesced queries at batch size %d with %d concurrent submits", bs, K)
 			}
 			if st.Completed != K {
@@ -332,34 +335,38 @@ func TestBatchAbandonment(t *testing.T) {
 	assertOnlyDataset(t, vol, m)
 }
 
-// TestBatchGraphChiBypass: graphchi queries take the solo path even
-// with batching on — its traversal order yields different (valid)
-// parent trees, and batching promises byte-identity with the query's
-// own engine.
-func TestBatchGraphChiBypass(t *testing.T) {
+// TestResidentServiceNeverHolds: residency, not BatchSize, picks the
+// path. A resident service told to hold every batch for an hour answers
+// two concurrent queries at once, each solo on its own slot.
+func TestResidentServiceNeverHolds(t *testing.T) {
 	vol, m := storedGraph(t)
 	svc, err := serve.New(vol, m.Name, serve.Config{
-		MaxInFlight: 2, MaxQueue: 8, CacheEntries: -1,
-		BatchSize: 32, BatchWait: 10 * time.Millisecond,
-		Base: smallBase(),
+		CacheEntries: -1, BatchSize: 32, BatchWait: time.Hour, Base: residentBase(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-
-	res, err := svc.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Engine: serve.EngineGraphChi, Root: 6})
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	for _, root := range []graph.VertexID{3, 9} {
+		ref := refBFS(t, serve.EngineFastBFS, vol, m.Name, root)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := svc.Submit(ctx, serve.Query{Algorithm: serve.AlgoBFS, Root: root})
+			if err != nil {
+				t.Errorf("root %d: %v", root, err)
+				return
+			}
+			if res.Batched || !reflect.DeepEqual(res.Levels, ref.Levels) || !reflect.DeepEqual(res.Parents, ref.Parents) {
+				t.Errorf("root %d: Batched = %v, or the tree differs from the serial run", root, res.Batched)
+			}
+		}()
 	}
-	if res.Batched {
-		t.Error("graphchi query was batched")
-	}
-	ref := refBFS(t, serve.EngineGraphChi, vol, m.Name, 6)
-	if !reflect.DeepEqual(res.Levels, ref.Levels) || !reflect.DeepEqual(res.Parents, ref.Parents) {
-		t.Error("graphchi bypass result differs from serial run")
-	}
-	if st := svc.Stats(); st.BatchQueries != 0 {
-		t.Errorf("BatchQueries = %d for a graphchi-only load, want 0", st.BatchQueries)
+	wg.Wait()
+	if st := svc.Stats(); st.BatchRuns != 0 || st.BatchQueries != 0 || st.Completed != 2 {
+		t.Errorf("stats %+v; want two solo answers and no batch run", st)
 	}
 }

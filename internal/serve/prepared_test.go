@@ -91,8 +91,9 @@ func waitGoroutines(t *testing.T, before int, what string) {
 // delta+reordered, weighted) sit on a Counting volume; services —
 // batching off, batch width 2, batch width 32 — take 70-odd queries at
 // once: solo fastbfs and xstream BFS with and without an iteration cap,
-// batched BFS, MS-BFS, SSSP, one query on a poisoned root and one
-// cancelled mid-run. Every answer must be byte-identical to the same
+// BFS through the batching services (batched out of core, solo on a
+// resident one, whose hour-long hold window must then never open),
+// MS-BFS, SSSP, one query on a poisoned root and one cancelled mid-run. Every answer must be byte-identical to the same
 // query run through the engine's own RunContext WITHOUT a prepared
 // graph. At the in-memory budget the volume must see not one byte of
 // traffic between the opens and the closes, and the shared edge lists
@@ -224,12 +225,13 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 		jobs = append(jobs, job{svc: solo, q: serve.Query{Algorithm: serve.AlgoBFS, Root: panicRoot}, wantErr: errs.ErrInternal})
 
 		for _, width := range []int{2, 32} {
-			// The hold window never expires: a batch runs when it is full,
-			// so its width is exactly BatchSize.
+			// The hold window never expires: out of core a batch runs when
+			// it is full, so its width is exactly BatchSize; a resident
+			// service forms none.
 			bsvc := open(g, serve.Config{BatchSize: width, BatchWait: time.Hour})
 			for k := 0; k < width; k++ {
 				ref := refBFS(g, serve.EngineFastBFS, roots[k], 0)
-				jobs = append(jobs, job{svc: bsvc, batched: true,
+				jobs = append(jobs, job{svc: bsvc, batched: !resident,
 					q:    serve.Query{Algorithm: serve.AlgoBFS, Engine: []serve.Engine{serve.EngineFastBFS, serve.EngineXStream}[k%2], Root: roots[k]},
 					want: serve.Result{Levels: ref.Levels, Parents: ref.Parents, Visited: ref.Visited}})
 			}
@@ -313,8 +315,8 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 		if resident && st.DeviceBytes != 0 || !resident && st.Completed > 0 && st.DeviceBytes == 0 {
 			t.Errorf("service %d: %d device bytes over %d answered queries, resident = %v", i, st.DeviceBytes, st.Completed, resident)
 		}
-		if bs := st.BatchRuns; bs > 0 && (bs != 1 || st.BatchSolo != 0) {
-			t.Errorf("service %d: %d batch runs, %d solo members; want one full batch", i, bs, st.BatchSolo)
+		if bs := st.BatchRuns; bs > 0 && (resident || bs != 1 || st.BatchSolo != 0) {
+			t.Errorf("service %d: %d batch runs, %d solo members; want one full batch out of core, none resident", i, bs, st.BatchSolo)
 		}
 		if err := svc.Close(); err != nil {
 			t.Fatal(err)
@@ -340,10 +342,10 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 // TestPreparedWarmQueryAllocation bounds what a warmed resident solo
 // query allocates: its two result arrays (V x 8 bytes) plus less than
 // four times that again — against a reload of the whole edge list and an
-// update list per iteration before the graph was prepared. A warmed
-// two-wide batch allocates its four result arrays and under 64 KiB more:
-// queues and bitmap are the pooled scratch's, and no packed value array
-// is built for nobody to read.
+// update list per iteration before the graph was prepared. Two at once
+// on a service told to batch run solo all the same, and allocate their
+// four result arrays and under 64 KiB more: queues and bitmaps are the
+// pooled scratches'.
 func TestPreparedWarmQueryAllocation(t *testing.T) {
 	m, edges, err := gen.RMAT(12, 8, gen.Graph500(), 5)
 	if err != nil {
@@ -386,8 +388,7 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 	}
 	t.Logf("warmed resident query: %d bytes allocated (result arrays %d, edge list %d)", perQuery, result, m.Edges*graph.EdgeBytes)
 
-	// A batch of two runs the moment its second root joins, long before
-	// the hold window ends.
+	// Resident, so BatchSize forms no batch and the hold window never opens.
 	batched, err := serve.New(vol, m.Name, serve.Config{CacheEntries: -1, BatchSize: 2, BatchWait: time.Minute,
 		Base: core.Options{Base: xstream.Options{ScatterWorkers: 2}}})
 	if err != nil {
@@ -401,8 +402,8 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				res, err := batched.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Root: root})
-				if err != nil || !res.Batched || res.Visited < m.Vertices/4 {
-					t.Errorf("root %d: err %v, result %+v; want a batched answer from the giant component", root, err, res)
+				if err != nil || res.Batched || res.Visited < m.Vertices/4 {
+					t.Errorf("root %d: err %v, result %+v; want a solo answer from the giant component", root, err, res)
 				}
 			}()
 		}
@@ -418,12 +419,12 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	perBatch := (ms1.TotalAlloc - ms0.TotalAlloc) / runs
 	if perBatch >= 2*result+64<<10 {
-		t.Fatalf("a warmed two-wide batch allocates %d bytes; want < %d (four result arrays %d + 64 KiB)", perBatch, 2*result+64<<10, 2*result)
+		t.Fatalf("a warmed pair of queries allocates %d bytes; want < %d (four result arrays %d + 64 KiB)", perBatch, 2*result+64<<10, 2*result)
 	}
-	if st := batched.Stats(); st.BatchRuns != int64(2*len(roots)+runs) || st.DeviceBytes != 0 {
-		t.Fatalf("%d batch runs moving %d device bytes, want %d two-wide runs and none", st.BatchRuns, st.DeviceBytes, 2*len(roots)+runs)
+	if st := batched.Stats(); st.BatchRuns != 0 || st.Completed != int64(2*(2*len(roots)+runs)) || st.DeviceBytes != 0 {
+		t.Fatalf("%d batch runs, %d answers moving %d device bytes; want none, %d and none", st.BatchRuns, st.Completed, st.DeviceBytes, 2*(2*len(roots)+runs))
 	}
-	t.Logf("warmed two-wide batch: %d bytes allocated (result arrays %d)", perBatch, 2*result)
+	t.Logf("warmed pair of queries: %d bytes allocated (result arrays %d)", perBatch, 2*result)
 }
 
 // TestPreparedOutOfCoreWarmQueryAllocation: with a budget below the

@@ -62,8 +62,8 @@ const (
 	EngineFastBFS Engine = iota
 	// EngineXStream is the unmodified edge-centric baseline.
 	EngineXStream
-	// EngineGraphChi is the parallel-sliding-windows baseline; it needs
-	// a volume with ranged access.
+	// EngineGraphChi is the parallel-sliding-windows baseline, for
+	// RunEngine and the CLI; the service does not serve it.
 	EngineGraphChi
 )
 
@@ -128,8 +128,9 @@ const (
 type Query struct {
 	// Algorithm defaults to AlgoBFS when empty.
 	Algorithm Algorithm
-	// Engine picks the BFS engine; ignored (normalized to the default)
-	// for AlgoMSBFS and AlgoSSSP, which run on the algo engine.
+	// Engine picks the BFS engine, fastbfs or xstream; ignored
+	// (normalized to the default) for AlgoMSBFS and AlgoSSSP, which run on
+	// the algo engine.
 	Engine Engine
 	// Root is the source vertex for AlgoBFS and AlgoSSSP.
 	Root graph.VertexID
@@ -197,11 +198,13 @@ type Config struct {
 	// CacheEntries sizes the LRU result cache. Default 64; negative
 	// disables caching.
 	CacheEntries int
-	// BatchSize turns on cross-query batch execution (DESIGN.md §13):
-	// single-source BFS queries on the fastbfs/xstream engines that miss
-	// the result cache accumulate into shared bit-parallel runs of up to
-	// BatchSize distinct roots per pass. 0 disables batching; values
-	// above algo.MaxBatchRoots (32) are clamped to it.
+	// BatchSize turns on cross-query batch execution (DESIGN.md §13) for
+	// a graph served out of core: single-source BFS queries that miss the
+	// result cache accumulate into shared bit-parallel runs of up to
+	// BatchSize distinct roots per pass over the device. 0 disables
+	// batching; values above algo.MaxBatchRoots (32) are clamped to it. A
+	// resident graph has no pass to share, so its service never batches,
+	// whatever BatchSize says.
 	BatchSize int
 	// BatchWait is the longest a forming batch is held open waiting for
 	// companion queries before it executes. Default 2ms when batching is
@@ -392,7 +395,7 @@ type GraphService struct {
 
 	cache *lru
 	// batcher coalesces BFS queries into shared runs; nil when
-	// Config.BatchSize is 0.
+	// Config.BatchSize is 0 or the graph is resident.
 	batcher *batcher
 }
 
@@ -414,6 +417,11 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 	if pg.Resident() {
 		log.Printf("serve: %s: resident: %d edges (%d bytes with the index) loaded in %.3fs; memory budget %d >= in-memory need %d",
 			graphName, len(pg.Edges()), pg.ResidentBytes(), pg.LoadTime.Seconds(), pg.Budget, pg.Need)
+		// A batch shares a pass over the device. A resident query makes
+		// none — it is one indexed traversal on its own admission slot — so
+		// residency, not the setting, turns batching off (and /healthz says
+		// so).
+		cfg.BatchSize, cfg.BatchWait = 0, 0
 	} else {
 		log.Printf("serve: %s: not resident: memory budget %d < in-memory need %d; every query streams the graph from the volume",
 			graphName, pg.Budget, pg.Need)
@@ -749,7 +757,7 @@ func histLabels(q Query, outcome string) map[string]string {
 	}
 	engineL := "invalid"
 	switch q.Engine {
-	case EngineFastBFS, EngineXStream, EngineGraphChi:
+	case EngineFastBFS, EngineXStream:
 		engineL = q.Engine.String()
 	}
 	return map[string]string{"algo": algoL, "engine": engineL, "outcome": outcome}
@@ -872,9 +880,7 @@ func (s *GraphService) normalize(q Query) (Query, string, error) {
 		switch q.Engine {
 		case EngineFastBFS, EngineXStream:
 		case EngineGraphChi:
-			if _, ok := s.vol.(storage.RangeVolume); !ok {
-				return q, "", fmt.Errorf("serve: graphchi needs a volume with ranged access: %w", errs.ErrBadOptions)
-			}
+			return q, "", fmt.Errorf("serve: graphchi is a paper baseline, not a serving engine (run cmd/fastbfs -engine graphchi): %w", errs.ErrBadOptions)
 		default:
 			return q, "", fmt.Errorf("serve: unknown engine %d: %w", int(q.Engine), errs.ErrBadOptions)
 		}

@@ -265,7 +265,7 @@ func TestServiceSaturationCancellationAndDrain(t *testing.T) {
 }
 
 // TestServiceConcurrentMixedLoad is the acceptance test: 36 concurrent
-// queries (mixed BFS on all three engines, multi-source BFS, SSSP, plus
+// queries (mixed BFS on both serving engines, multi-source BFS, SSSP, plus
 // pre-cancelled submissions) against one service with tight admission
 // limits. Rejected queries retry until admitted; every answer must be
 // byte-identical to its serial reference, and the drained service must
@@ -294,10 +294,10 @@ func TestServiceConcurrentMixedLoad(t *testing.T) {
 			q:      serve.Query{Algorithm: serve.AlgoBFS, Engine: serve.EngineXStream, Root: 2 + 3*p},
 			wantLv: x.Levels, wantPar: x.Parents, checkVis: true, wantVis: x.Visited,
 		})
-		g := refBFS(t, serve.EngineGraphChi, vol, m.Name, 4+3*p)
+		x = refBFS(t, serve.EngineXStream, vol, m.Name, 4+3*p)
 		distinct = append(distinct, job{
-			q:      serve.Query{Algorithm: serve.AlgoBFS, Engine: serve.EngineGraphChi, Root: 4 + 3*p},
-			wantLv: g.Levels, wantPar: g.Parents, checkVis: true, wantVis: g.Visited,
+			q:      serve.Query{Algorithm: serve.AlgoBFS, Engine: serve.EngineXStream, Root: 4 + 3*p},
+			wantLv: x.Levels, wantPar: x.Parents, checkVis: true, wantVis: x.Visited,
 		})
 		roots := []graph.VertexID{5*p + 6, 5*p + 60, 5*p + 120}
 		lv, par := refMSBFS(t, vol, m.Name, roots)
@@ -505,6 +505,12 @@ func TestServiceRejectsBadQueries(t *testing.T) {
 		if _, err := svc.Submit(context.Background(), q); !errors.Is(err, errs.ErrBadOptions) {
 			t.Errorf("query %+v: err = %v, want ErrBadOptions", q, err)
 		}
+	}
+	// GraphChi is a paper baseline: the service refuses it and says where
+	// it does run.
+	_, err = svc.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Engine: serve.EngineGraphChi, Root: 1})
+	if !errors.Is(err, errs.ErrBadOptions) || !strings.Contains(err.Error(), "cmd/fastbfs -engine graphchi") {
+		t.Errorf("graphchi query: err = %v, want ErrBadOptions naming cmd/fastbfs -engine graphchi", err)
 	}
 	if st := svc.Stats(); st.Admitted != 0 {
 		t.Errorf("malformed queries reached admission: %+v", st)

@@ -77,8 +77,7 @@ func (e *kernel) runInMemory() (*Result, error) {
 	updates := scratch.Updates[:0]
 	defer func() { scratch.Updates = updates }()
 
-	level, parent := e.newTree()
-	e.plant(level, parent, rt.Opts.Root)
+	level, parent := e.plantRoot()
 
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
@@ -152,9 +151,10 @@ func (e *kernel) runInMemory() (*Result, error) {
 	return e.finishTree(runSpan, level, parent)
 }
 
-// newTree makes an in-memory run's result arrays — all a warmed resident
-// query allocates — with nothing visited.
-func (e *kernel) newTree() (level []uint32, parent []graph.VertexID) {
+// plantRoot makes an in-memory run's result arrays — all a warmed
+// resident query allocates — with nothing visited but the root, at level
+// 0 and its own parent.
+func (e *kernel) plantRoot() (level []uint32, parent []graph.VertexID) {
 	rt := e.rt
 	level = make([]uint32, rt.Meta.Vertices)
 	parent = make([]graph.VertexID, rt.Meta.Vertices)
@@ -163,15 +163,10 @@ func (e *kernel) newTree() (level []uint32, parent []graph.VertexID) {
 		parent[i] = graph.NoVertex
 	}
 	rt.Compute(float64(rt.Meta.Vertices) * rt.Costs.PerVertex)
-	return level, parent
-}
-
-// plant starts a tree in arrays with nothing visited: root at level 0,
-// its own parent, the run's next visited vertex.
-func (e *kernel) plant(level []uint32, parent []graph.VertexID, root graph.VertexID) {
-	level[root], parent[root] = 0, root
-	e.run.Visited++
+	level[rt.Opts.Root], parent[rt.Opts.Root] = 0, rt.Opts.Root
+	e.run.Visited = 1
 	e.ctr.Visited.Add(1)
+	return level, parent
 }
 
 // finishTree ends an in-memory run: the arrays it worked on are the
@@ -185,86 +180,25 @@ func (e *kernel) finishTree(runSpan *obs.Span, level []uint32, parent []graph.Ve
 }
 
 // runIndexed is the in-memory path over a resident graph's adjacency
-// index, for the run's one root.
-func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
-	runSpan := e.tr.Span("run").Attr("in_memory", 1).Attr("indexed", 1)
-	level, parent := e.newTree()
-	if _, err := e.growTree(runSpan, ix, conf, e.rt.Opts.Root, level, parent); err != nil {
-		return nil, err
-	}
-	return e.finishTree(runSpan, level, parent)
-}
-
-// Forest is a batch of BFS trees over one graph, one a root, in the
-// caller's vertex labels: what Runtime.RunForest fills. Levels[i] and
-// Parents[i] come in holding NoLevel and graph.NoVertex throughout;
-// Visited[i] goes out as the vertices root i reached, and over a
-// reordered graph the trees go out in arrays of their own.
-type Forest struct {
-	Roots   []graph.VertexID
-	Levels  [][]uint32
-	Parents [][]graph.VertexID
-	Visited []uint64
-}
-
-// RunForest is the in-memory path for a batch of roots: it grows f's
-// trees, one root after another, over the resident prepared graph of rt's
-// options (Options.Prepared must be Resident) and returns the run's
-// record, named for engine — each root's rows in turn, the counts summed.
-// Every tree is its root's own runIndexed tree because it is grown the
-// same way. The run's own root option plays no part.
-func (rt *Runtime) RunForest(engine string, f *Forest) (metrics.Run, error) {
-	return newKernel(rt, engine, Policy{}, 1).runForest(rt.Opts.Prepared.index, DirectionAuto, f)
-}
-
-func (e *kernel) runForest(ix *adjIndex, conf Direction, f *Forest) (metrics.Run, error) {
-	rt := e.rt
-	runSpan := e.tr.Span("run").Attr("in_memory", 1).Attr("indexed", 1).Attr("roots", int64(len(f.Roots)))
-	// A tree is grown in stored ids, as a solo run's is: its root goes in
-	// relabelled and it is translated back once the run is over.
-	for i, root := range f.Roots {
-		if rt.Perm != nil {
-			root = rt.Perm.ToStored(root)
-		}
-		var err error
-		if f.Visited[i], err = e.growTree(runSpan, ix, conf, root, f.Levels[i], f.Parents[i]); err != nil {
-			return metrics.Run{}, err
-		}
-	}
-	res, err := e.finish(runSpan, func() (*Result, error) {
-		for i := range f.Roots {
-			tree := &Result{Levels: f.Levels[i], Parents: f.Parents[i]}
-			rt.TranslateResult(tree)
-			f.Levels[i], f.Parents[i] = tree.Levels, tree.Parents
-		}
-		return &Result{}, nil
-	})
-	if err != nil {
-		return metrics.Run{}, err
-	}
-	return res.Metrics, nil
-}
-
-// growTree is the indexed traversal: a BFS from root, in level and parent
-// arrays that hold nothing visited, that examines only the adjacency it
-// needs and returns how many vertices it reached. A top-down level expands
-// the frontier queue's out-lists; a bottom-up level scans each unvisited
-// vertex's in-list against a bitmap of the frontier and stops at the first
-// hit. conf is the direction policy — DirectionAuto for every real run,
-// which picks per level by α and β on the exact frontier out-degree and
-// unvisited in-degree sums (DirState.DecideExact); the pure policies are
-// the tests' seam. One goroutine per run: the daemon's concurrency is
-// across queries.
+// index: a BFS from the run's root that examines only the adjacency it
+// needs. A top-down level expands the frontier queue's out-lists; a
+// bottom-up level scans each unvisited vertex's in-list against a bitmap
+// of the frontier and stops at the first hit. conf is the direction
+// policy — DirectionAuto for every real run, which picks per level by α
+// and β on the exact frontier out-degree and unvisited in-degree sums
+// (DirState.DecideExact); the pure policies are the tests' seam. One
+// goroutine per run: the daemon's concurrency is across queries.
 //
 // Levels, parents and the row sequence are the edge-list loop's. Its
 // parent rule is first update wins, which picks the frontier in-neighbour
 // whose edge sits earliest in the stored list; a vertex's in-list keeps
 // stored order, so the first frontier vertex in it is that neighbour in
 // either direction.
-func (e *kernel) growTree(runSpan *obs.Span, ix *adjIndex, conf Direction, root graph.VertexID, level []uint32, parent []graph.VertexID) (visited uint64, err error) {
+func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 	rt := e.rt
-	e.plant(level, parent, root)
-	visited = 1
+	runSpan := e.tr.Span("run").Attr("in_memory", 1).Attr("indexed", 1)
+	level, parent := e.plantRoot()
+	root := rt.Opts.Root
 
 	scratch := rt.scratch
 	frontier, next := append(scratch.queue[0][:0], root), scratch.queue[1]
@@ -283,7 +217,7 @@ func (e *kernel) growTree(runSpan *obs.Span, ix *adjIndex, conf Direction, root 
 	}
 	for iter := uint32(0); int(iter) < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
-			return 0, err
+			return nil, err
 		}
 		if rt.Opts.FaultHook != nil {
 			rt.Opts.FaultHook() // same chaos seam as a scatter chunk
@@ -298,7 +232,7 @@ func (e *kernel) growTree(runSpan *obs.Span, ix *adjIndex, conf Direction, root 
 			break
 		}
 		switches := ds.Switches
-		itRow.BottomUp = ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-visited, unvisitedIn)
+		itRow.BottomUp = ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-e.run.Visited, unvisitedIn)
 		e.ctr.DirectionSwitches.Add(ds.Switches - switches)
 		var examined uint64
 		if itRow.BottomUp {
@@ -320,7 +254,6 @@ func (e *kernel) growTree(runSpan *obs.Span, ix *adjIndex, conf Direction, root 
 			unvisitedIn -= ix.inDeg(v)
 		}
 		frontier, next = next, frontier
-		visited += itRow.NewlyVisited
 		e.run.Visited += itRow.NewlyVisited
 		e.ctr.Edges.Add(itRow.EdgesStreamed)
 		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
@@ -328,10 +261,8 @@ func (e *kernel) growTree(runSpan *obs.Span, ix *adjIndex, conf Direction, root 
 		rt.Compute(float64(examined)*rt.Costs.ScatterPerEdge + float64(itRow.NewlyVisited)*rt.Costs.GatherPerUpdate)
 		e.endIteration(itRow, itSpan)
 	}
-	e.run.BottomUpIterations += int(ds.BottomUpIters)
-	e.run.DirectionSwitches += int(ds.Switches)
-	if e.run.SwitchIteration < 0 {
-		e.run.SwitchIteration = ds.SwitchIteration
-	}
-	return visited, nil
+	e.run.BottomUpIterations = int(ds.BottomUpIters)
+	e.run.DirectionSwitches = int(ds.Switches)
+	e.run.SwitchIteration = ds.SwitchIteration
+	return e.finishTree(runSpan, level, parent)
 }

@@ -78,53 +78,15 @@ func runIndexedAs(t *testing.T, vol storage.Volume, name string, opts Options, c
 
 func examinedEntries(run metrics.Run) uint64 { return uint64(run.EdgesStreamed()) }
 
-// runForestAs is runIndexedAs for a batch: opts' resident prepared graph
-// traversed from every root under a fixed policy, the way algo.RunContext
-// runs a BatchBFS — a runtime, the traversal, Cleanup.
-func runForestAs(ctx context.Context, vol storage.Volume, name string, opts Options, conf Direction, roots []graph.VertexID) (*Forest, metrics.Run, error) {
-	opts.SetDefaults("batch")
-	rt, err := NewRuntimeContext(ctx, vol, name, opts)
-	if err != nil {
-		return nil, metrics.Run{}, err
-	}
-	defer rt.Cleanup()
-	e := newKernel(rt, "batch", Policy{}, 1)
-	f := &Forest{Roots: roots, Visited: make([]uint64, len(roots))}
-	for range roots {
-		level, parent := e.newTree()
-		f.Levels, f.Parents = append(f.Levels, level), append(f.Parents, parent)
-	}
-	run, err := e.runForest(opts.Prepared.index, conf, f)
-	return f, run, err
-}
-
-// sameTrees reports whether root i of the forest got the tree, parents
-// and visited count included, of its own single-source run, and the
-// forest's record those runs' rows.
-func sameTrees(f *Forest, run metrics.Run, solo map[graph.VertexID]*Result) (i int, ok bool) {
-	rows := 0
-	for i, root := range f.Roots {
-		want := solo[root]
-		if !reflect.DeepEqual(f.Levels[i], want.Levels) || !reflect.DeepEqual(f.Parents[i], want.Parents) || f.Visited[i] != want.Visited {
-			return i, false
-		}
-		rows += len(want.Metrics.Iterations)
-	}
-	return 0, rows == len(run.Iterations)
-}
-
 // TestIndexedTraversalMatchesEdgeListLoops: over every graph shape, store
 // layout and root, the indexed resident run returns the levels and
 // parents of the one-shot in-memory run and of the one-partition
 // streaming run, byte for byte, whichever directions it takes; its index
 // lists every vertex's neighbours in stored edge order; and it examines
-// at most E + V adjacency entries. A batch of 1, 2, 3 or 32 roots —
-// dead ends, isolated vertices and other components among them — grows,
-// whichever directions it takes, the tree each root's own run does, for
-// at most E + V entries a root.
+// at most E + V adjacency entries.
 func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 	ctx := context.Background()
-	hybridWentBottomUp, batchWentBottomUp := false, false
+	hybridWentBottomUp := false
 	for name, g := range indexedGraphs(t) {
 		var plain *PreparedGraph // of the first layout, the edges as given
 		for _, so := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
@@ -184,46 +146,6 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 						name, so.Codec, root, n, g.m.Edges+g.m.Vertices)
 				}
 			}
-
-			// The batch axis: the graph's own roots first, then whatever
-			// vertices fill the width.
-			roots := slices.Clone(g.roots)
-			for v := graph.VertexID(0); len(roots) < 32 && uint64(v) < g.m.Vertices; v++ {
-				if !slices.Contains(roots, v) {
-					roots = append(roots, v)
-				}
-			}
-			opts := Options{MemoryBudget: need, Prepared: pg}
-			solo := map[graph.VertexID]*Result{}
-			for _, root := range roots {
-				opts.Root = root
-				if solo[root], err = Run(vol, name, opts); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, width := range []int{1, 2, 3, 32} {
-				batch := roots[:min(width, len(roots))]
-				for _, conf := range []Direction{DirectionTopDown, DirectionBottomUp, DirectionAuto} {
-					f, run, err := runForestAs(ctx, vol, name, opts, conf, batch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if i, ok := sameTrees(f, run, solo); !ok {
-						t.Fatalf("%s (codec %q) %s batch of %v: root %d's tree, or the run's %d rows, differ from its own run", name, so.Codec, conf, batch, batch[i], len(run.Iterations))
-					}
-					if conf == DirectionTopDown && run.BottomUpIterations != 0 {
-						t.Fatalf("%s %s batch of %d: %d bottom-up levels", name, conf, len(batch), run.BottomUpIterations)
-					}
-					if conf != DirectionAuto {
-						continue
-					}
-					batchWentBottomUp = batchWentBottomUp || len(batch) > 1 && run.BottomUpIterations > 0
-					if n, most := examinedEntries(run), uint64(len(batch))*(g.m.Edges+g.m.Vertices); n > most {
-						t.Fatalf("%s (codec %q) batch of %v: %d adjacency entries examined, want at most %d x (E + V) = %d",
-							name, so.Codec, batch, n, len(batch), most)
-					}
-				}
-			}
 		}
 
 		// A weighted store of the same graph: BFS refuses it on every path,
@@ -249,8 +171,8 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 			}
 		}
 	}
-	if !hybridWentBottomUp || !batchWentBottomUp {
-		t.Fatalf("hybrid run took a bottom-up level: %v, hybrid batch: %v; the α switch is not exercised", hybridWentBottomUp, batchWentBottomUp)
+	if !hybridWentBottomUp {
+		t.Fatal("no hybrid run took a bottom-up level; the α switch is not exercised")
 	}
 }
 
@@ -357,9 +279,8 @@ func TestIndexedHybridReadsAFractionOfTheEdges(t *testing.T) {
 // TestIndexedRunKeepsTheLoopSeams: the indexed traversal stops where the
 // edge-list loop would — at the iteration cap, with the same partial
 // answer, and at the level boundary after a cancellation, with its
-// scratch back on the free-list — and calls the fault hook once a level.
-// So does a batch: capped, each root has its own capped run's tree;
-// cancelled, or with a hook that panics, it gives its scratch back.
+// scratch back on the free-list — and calls the fault hook once a level;
+// a hook that panics costs the free-list nothing either.
 func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
 	opts := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 1 << 20}
@@ -404,53 +325,24 @@ func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 		t.Fatalf("%d scratches on the free-list after the cancelled run, want 1", len(pg.free))
 	}
 
-	batch := []graph.VertexID{opts.Root, edges[0].Src, edges[len(edges)/2].Dst}
-	opts.MaxIterations, opts.FaultHook = 2, nil
-	solo := map[graph.VertexID]*Result{}
-	for _, root := range batch {
-		opts.Root = root
-		if solo[root], err = Run(vol, m.Name, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	f, run, err := runForestAs(context.Background(), vol, m.Name, opts, DirectionAuto, batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i, ok := sameTrees(f, run, solo); !ok || len(run.Iterations) > 2*len(batch) {
-		t.Fatalf("cap 2: batch stopped after %d rows, root %d's tree and rows its own capped run's: %v", len(run.Iterations), batch[i], ok)
-	}
-
-	ctx, cancel = context.WithCancel(context.Background())
-	defer cancel()
-	levels, opts.MaxIterations = 0, 0
-	opts.FaultHook = func() {
-		if levels++; levels == 2 {
-			cancel()
-		}
-	}
-	if _, _, err := runForestAs(ctx, vol, m.Name, opts, DirectionAuto, batch); !errors.Is(err, errs.ErrCancelled) || levels != 2 {
-		t.Fatalf("batch cancelled mid-traversal: err = %v after %d hook calls, want ErrCancelled after 2", err, levels)
-	}
 	opts.FaultHook = func() { panic("injected") }
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("the batch swallowed its fault hook's panic")
+				t.Fatal("the run swallowed its fault hook's panic")
 			}
 		}()
-		runForestAs(context.Background(), vol, m.Name, opts, DirectionAuto, batch)
+		Run(vol, m.Name, opts)
 	}()
 	if len(pg.free) != 1 {
-		t.Fatalf("%d scratches on the free-list after the cancelled and the panicked batch, want 1", len(pg.free))
+		t.Fatalf("%d scratches on the free-list after the cancelled and the panicked run, want 1", len(pg.free))
 	}
 }
 
 // TestIndexedConcurrentQueriesShareTheIndex: 36 queries at once over one
-// prepared graph, every third a batch of three roots, each answer like
-// the one-shot run from their root, and leave the shared edge list and
-// index exactly as LoadPrepared built them. Run under -race in CI: the
-// index is read by all and written by none.
+// prepared graph each answer like the one-shot run from their root, and
+// leave the shared edge list and index exactly as LoadPrepared built them.
+// Run under -race in CI: the index is read by all and written by none.
 func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
 	opts := Options{MemoryBudget: 1 << 20}
@@ -463,13 +355,11 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 		outOff: slices.Clone(pg.index.outOff), out: slices.Clone(pg.index.out), outDeg: slices.Clone(pg.index.outDeg)}
 	const queries = 36
 	want := make([]*Result, queries)
-	solo := map[graph.VertexID]*Result{}
 	for i := range want {
 		opts.Root = edges[i*len(edges)/queries].Src
 		if want[i], err = Run(vol, m.Name, opts); err != nil {
 			t.Fatal(err)
 		}
-		solo[opts.Root] = want[i]
 	}
 	opts.Prepared = pg
 	var wg sync.WaitGroup
@@ -478,21 +368,6 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 		go func(i int, opts Options) {
 			defer wg.Done()
 			opts.Root = edges[i*len(edges)/queries].Src
-			if i%3 == 0 {
-				batch := []graph.VertexID{opts.Root}
-				for _, j := range []int{i + 1, i + 2} {
-					if root := edges[j*len(edges)/queries].Src; !slices.Contains(batch, root) {
-						batch = append(batch, root)
-					}
-				}
-				f, run, err := runForestAs(context.Background(), vol, m.Name, opts, DirectionAuto, batch)
-				if err != nil {
-					t.Error(err)
-				} else if r, ok := sameTrees(f, run, solo); !ok {
-					t.Errorf("batch %d: root %d's tree differs from the one-shot run", i, batch[r])
-				}
-				return
-			}
 			got, err := Run(vol, m.Name, opts)
 			if err != nil {
 				t.Error(err)
