@@ -122,17 +122,24 @@ func printSummary(s *obs.Summary) {
 		// Header: iter, one column per phase, total, then frontier/new/
 		// filtered and the trim decision (stay edges kept, and predicted
 		// before the scans) when the iteration spans carried them.
-		fmt.Printf("%5s", "iter")
+		// dir is the pass: down, up, or file for a top-down pass over the
+		// stored edge file (the iteration span's bottomup / stored attrs).
+		fmt.Printf("%5s %4s", "iter", "dir")
 		for _, ph := range s.Phases {
 			fmt.Printf(" %11s", ph)
 		}
 		fmt.Printf(" %11s %10s %10s %10s %10s %10s\n", "total", "frontier", "new", "filtered", "stay", "predicted")
 		for _, ip := range s.Iters {
-			if ip.Iter < 0 {
-				fmt.Printf("%5s", "setup")
-			} else {
-				fmt.Printf("%5d", ip.Iter)
+			iter, dir := fmt.Sprint(ip.Iter), "down"
+			switch {
+			case ip.Iter < 0:
+				iter, dir = "setup", ""
+			case ip.Attrs["bottomup"] == 1:
+				dir = "up"
+			case ip.Attrs["stored"] == 1:
+				dir = "file"
 			}
+			fmt.Printf("%5s %4s", iter, dir)
 			for _, ph := range s.Phases {
 				fmt.Printf(" %11.6f", ip.Phase[ph])
 			}
@@ -143,7 +150,7 @@ func printSummary(s *obs.Summary) {
 			}
 			fmt.Println()
 		}
-		fmt.Printf("%5s", "sum")
+		fmt.Printf("%5s %4s", "sum", "")
 		for _, ph := range s.Phases {
 			fmt.Printf(" %11.6f", s.PhaseTotal[ph])
 		}

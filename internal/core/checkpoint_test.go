@@ -216,8 +216,9 @@ func TestResumeRebuildsUpdateFilter(t *testing.T) {
 		}
 		var filtered int64
 		for seed := int64(1); seed <= 4; seed++ {
+			// Checkpointed runs split up front; so must their reference.
 			refVol, m := seededGraph(t, seed)
-			ref, err := Run(refVol, m.Name, opts(nil, false, 0))
+			ref, err := Run(refVol, m.Name, opts(storage.NewMem(), false, 0))
 			if err != nil {
 				t.Fatalf("seed %d: reference: %v", seed, err)
 			}

@@ -18,13 +18,17 @@ import (
 // direction sweeps, storing under every codec {fixed, delta} × reorder
 // {off, on} and running FastBFS and X-Stream under directions {topdown,
 // auto} (GraphChi closes the loop top-down) produces BFS output that
-// matches the in-memory reference and validates as a parent tree.
+// matches the in-memory reference and validates as a parent tree, at
+// worker counts {1, 4, 8} and (FastBFS) residency {off, unbounded}, with
+// FastBFS trimming by the counts and on the paper's threshold.
 //
 // Byte-identity is asserted at two strengths, deliberately different:
 //
-//   - within a reorder setting, every run — any codec, direction,
-//     engine — must equal that setting's first run bit for bit, levels
-//     AND parents: the codec is an encoding, so it must be invisible;
+//   - within a reorder setting, every FastBFS and X-Stream run — any
+//     codec, direction, worker count, residency, trim rule — must equal
+//     that setting's first run bit for bit, levels AND parents: the codec
+//     is an encoding, so it must be invisible, and the two engines share
+//     one winner rule;
 //   - across reorder settings only levels are compared byte for byte.
 //     Relabeling changes partition assignment and therefore which of
 //     several equal-level parents wins first-update-wins, so parents
@@ -101,11 +105,10 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 			}
 		}
 
-		// Parent trees are deterministic per engine, not across engines
-		// (each engine's scatter order picks its own first-update-wins
-		// winner), so byte-identity is asserted against a per-engine,
-		// per-reorder baseline; levels-only identity bridges the two
-		// reorder settings at the end.
+		// GraphChi's shard order picks its own first-update-wins winner, so
+		// byte-identity is asserted against a per-engine, per-reorder
+		// baseline (X-Stream's is FastBFS's); levels-only identity bridges
+		// the two reorder settings at the end.
 		type key struct {
 			engine  string
 			reorder bool
@@ -128,29 +131,33 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 					t.Fatalf("graph %d store(%s,reorder=%v): %v", g, codec, reorder, err)
 				}
 				for _, d := range directions {
-					bo := xstream.Options{
-						Root: root, MemoryBudget: budget, Partitions: partitions,
-						StreamBufSize: bufSize, Direction: d,
-					}
-					variant := fmt.Sprintf("codec=%s,reorder=%v,dir=%s", codec, reorder, d)
+					for _, w := range []int{1, 4, 8} {
+						bo := xstream.Options{
+							Root: root, MemoryBudget: budget, Partitions: partitions,
+							StreamBufSize: bufSize, ScatterWorkers: w, Direction: d,
+						}
+						variant := fmt.Sprintf("codec=%s,reorder=%v,dir=%s,workers=%d", codec, reorder, d, w)
 
-					// FastBFS trims by the edge counts, which no encoding or
-					// relabeling may throw off, and then as the paper does, at
-					// every scatter: one tree.
-					for _, trimStart := range []int{0, TrimEveryIteration} {
-						o := Options{Base: bo, TrimStartIteration: trimStart}
-						o.Base.Sim = xstream.DefaultSim()
-						fb, err := Run(vol, m.Name, o)
-						label := fmt.Sprintf("fastbfs(%s,trimstart=%d)", variant, trimStart)
-						check(label, fb, err)
-						checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
-						baseline(label, key{"fastbfs", reorder}, fb)
-					}
+						// FastBFS trims by the edge counts, which no encoding or
+						// relabeling may throw off, and then as the paper does, at
+						// every scatter: one tree.
+						for _, rb := range []int64{ResidencyOff, ResidencyUnbounded} {
+							for _, trimStart := range []int{0, TrimEveryIteration} {
+								o := Options{Base: bo, TrimStartIteration: trimStart, ResidencyBudget: rb}
+								o.Base.Sim = xstream.DefaultSim()
+								fb, err := Run(vol, m.Name, o)
+								label := fmt.Sprintf("fastbfs(%s,residency=%d,trimstart=%d)", variant, rb, trimStart)
+								check(label, fb, err)
+								checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
+								baseline(label, key{"fastbfs", reorder}, fb)
+							}
+						}
 
-					bo.Sim = xstream.DefaultSim()
-					xs, err := xstream.Run(vol, m.Name, bo)
-					check("xstream("+variant+")", xs, err)
-					baseline("xstream("+variant+")", key{"xstream", reorder}, xs)
+						bo.Sim = xstream.DefaultSim()
+						xs, err := xstream.Run(vol, m.Name, bo)
+						check("xstream("+variant+")", xs, err)
+						baseline("xstream("+variant+")", key{"fastbfs", reorder}, xs)
+					}
 				}
 				bo := xstream.Options{
 					Root: root, MemoryBudget: budget, Partitions: partitions,

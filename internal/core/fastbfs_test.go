@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,7 @@ import (
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
+	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -21,6 +23,13 @@ func checkAgainstReference(t *testing.T, m graph.Meta, edges []graph.Edge, root 
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
+	return checkStoredAgainstReference(t, vol, m, edges, root, opts)
+}
+
+// checkStoredAgainstReference is checkAgainstReference over a graph the
+// caller stored on vol.
+func checkStoredAgainstReference(t *testing.T, vol storage.Volume, m graph.Meta, edges []graph.Edge, root graph.VertexID, opts Options) *Result {
+	t.Helper()
 	opts.Base.Root = root
 	res, err := Run(vol, m.Name, opts)
 	if err != nil {
@@ -64,6 +73,42 @@ func checkTrimRows(t testing.TB, label string, res *Result, counted bool) {
 		}
 		t.Fatalf("%s: iteration %d predicted %d stay edges, its scatters kept %d",
 			label, it.Index, it.StayPredicted, it.StayEdges)
+	}
+}
+
+// checkKeptHalf asserts the bound the trim rule puts on a run that trims by
+// the counts: no scatter's stay files keep more than half the edges it
+// streamed, and the split pass — the row that read the stored file and
+// wrote the partitions — keeps at most half of it for the partitions holding
+// the frontier: the live count on its span, which the rule weighed. The
+// split also writes every other partition's live edges, as its first input.
+// events is the run's trace; a run with a split row must have one.
+func checkKeptHalf(t testing.TB, label string, res *Result, events []obs.Event) {
+	t.Helper()
+	splits := 0
+	for _, it := range res.Metrics.Iterations {
+		switch {
+		case it.BottomUp:
+		case it.Stored:
+			if it.StayEdges > 0 {
+				splits++
+			}
+		case 2*it.StayEdges > it.EdgesStreamed:
+			t.Fatalf("%s: iteration %d kept %d of the %d edges it streamed in stay files",
+				label, it.Index, it.StayEdges, it.EdgesStreamed)
+		}
+	}
+	for _, ev := range events {
+		if _, split := ev.Attrs["stay_predicted"]; ev.Kind == obs.KindSpan && ev.Name == "scatter" && split {
+			splits--
+			if 2*ev.Attrs["live"] > ev.Attrs["edges"] {
+				t.Fatalf("%s: iteration %d split the stored file with %d live edges in the frontier's partitions of the %d it streamed",
+					label, ev.Iter, ev.Attrs["live"], ev.Attrs["edges"])
+			}
+		}
+	}
+	if splits > 0 {
+		t.Fatalf("%s: %d split rows have no split span in the trace", label, splits)
 	}
 }
 
@@ -193,46 +238,74 @@ func TestFastBFSReadsLessThanXStream(t *testing.T) {
 }
 
 // TestFastBFSTrimsOnlyWhenItPays is the trim rule's no-op guard, on the
-// fast-converging graph and on the high-diameter one the paper's threshold
-// exists for: trimming by the edge counts never writes a stay file that
-// keeps more than half the edges it read, and moves no more bytes than
-// trimming at every scatter does or than not trimming at all.
+// fast-converging graph, on the high-diameter ones the paper's threshold
+// exists for and on the shapes between, stored fixed and delta+reordered:
+// trimming by the edge counts never writes more than half of what the rule
+// weighed (checkKeptHalf), and moves no more bytes than trimming at every
+// scatter does or than not trimming at all — both of which split the stored
+// file up front. On rmat it writes less than one copy of the stored file:
+// the split is written late and trimmed, never as a copy.
 func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
-	rmat, rmatEdges, err := gen.RMAT(10, 8, gen.Graph500(), 31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, pathEdges, err := gen.Path(400)
-	if err != nil {
-		t.Fatal(err)
+	tendrils := func() (graph.Meta, []graph.Edge, error) {
+		m, edges, err := gen.Uniform(200, 600, 5)
+		if err == nil {
+			m, edges = gen.AddTendrils(m, edges, 3, 40, m.Undirected, 7)
+		}
+		return m, edges, err
 	}
 	for _, g := range []struct {
-		m     graph.Meta
-		edges []graph.Edge
-		root  graph.VertexID
-	}{{rmat, rmatEdges, maxDegreeVertex(rmat, rmatEdges)}, {path, pathEdges, 0}} {
-		run := func(mod func(*Options)) *Result {
-			o := smallOpts()
-			o.Base.MemoryBudget = 1024 // several partitions of the path too
-			o.Base.Direction = xstream.DirectionTopDown
-			o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
-			mod(&o)
-			return checkAgainstReference(t, g.m, g.edges, g.root, o)
+		gen           func() (graph.Meta, []graph.Edge, error)
+		maxRoot, rmat bool // root: the highest-degree vertex, else vertex 0
+	}{
+		{func() (graph.Meta, []graph.Edge, error) { return gen.RMAT(10, 8, gen.Graph500(), 31) }, true, true},
+		{func() (graph.Meta, []graph.Edge, error) { return gen.Path(400) }, false, false},
+		{func() (graph.Meta, []graph.Edge, error) { return gen.Star(400) }, false, false},
+		{func() (graph.Meta, []graph.Edge, error) { return gen.Cycle(400) }, false, false},
+		{func() (graph.Meta, []graph.Edge, error) { return gen.BinaryTree(511) }, false, false},
+		{tendrils, true, false},
+	} {
+		m, edges, err := g.gen()
+		if err != nil {
+			t.Fatal(err)
 		}
-		counts := run(func(*Options) {})
-		every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
-		never := run(func(o *Options) { o.DisableTrimming = true })
-		if counts.Metrics.TrimmedEdges == 0 {
-			t.Fatalf("%s: trimming by the counts trimmed nothing", g.m.Name)
+		root := graph.VertexID(0)
+		if g.maxRoot {
+			root = maxDegreeVertex(m, edges)
 		}
-		if got := counts.Metrics.TotalBytes(); got > every.Metrics.TotalBytes() || got > never.Metrics.TotalBytes() {
-			t.Fatalf("%s: %d bytes moved trimming by the counts, %d trimming at every scatter, %d never trimming",
-				g.m.Name, got, every.Metrics.TotalBytes(), never.Metrics.TotalBytes())
-		}
-		for _, it := range counts.Metrics.Iterations {
-			if 2*it.StayEdges > it.EdgesStreamed {
-				t.Fatalf("%s: iteration %d kept %d of the %d edges it streamed in stay files",
-					g.m.Name, it.Index, it.StayEdges, it.EdgesStreamed)
+		for _, store := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
+			label := fmt.Sprintf("%s codec=%s", m.Name, store.Codec)
+			vol := storage.NewMem()
+			if err := graph.StoreGraph(vol, m, edges, store); err != nil {
+				t.Fatal(err)
+			}
+			run := func(mod func(*Options)) *Result {
+				o := smallOpts()
+				o.Base.MemoryBudget = 1024 // several partitions of the path too
+				o.Base.Direction = xstream.DirectionTopDown
+				o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
+				mod(&o)
+				return checkStoredAgainstReference(t, vol, m, edges, root, o)
+			}
+			col := &obs.Collect{}
+			counts := run(func(o *Options) { o.Base.Tracer = obs.New(col) })
+			every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
+			never := run(func(o *Options) { o.DisableTrimming = true })
+			if counts.Metrics.TrimmedEdges == 0 {
+				t.Fatalf("%s: trimming by the counts trimmed nothing", label)
+			}
+			if got := counts.Metrics.TotalBytes(); got > every.Metrics.TotalBytes() || got > never.Metrics.TotalBytes() {
+				t.Fatalf("%s: %d bytes moved trimming by the counts, %d trimming at every scatter, %d never trimming",
+					label, got, every.Metrics.TotalBytes(), never.Metrics.TotalBytes())
+			}
+			checkKeptHalf(t, label, counts, col.Events())
+			stored, err := vol.Size(graph.EdgeFileName(m.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Working files in another codec (FASTBFS_CODEC) split up front.
+			if g.rmat && store.Codec == "" && counts.Metrics.Iterations[0].Stored && counts.Metrics.BytesWritten >= stored {
+				t.Fatalf("%s: trimming by the counts wrote %d bytes, one copy of the %d-byte stored file or more",
+					label, counts.Metrics.BytesWritten, stored)
 			}
 		}
 	}
@@ -523,6 +596,9 @@ func TestCancelledStayWritesRefundDeviceTimeline(t *testing.T) {
 		opts.StayBufCount = 1024 // never stall on stay-buffer exhaustion
 		opts.ResidencyBudget = ResidencyOff
 		opts.DisableTrimming = disableTrim
+		// The paper's threshold: both runs split up front, and every scatter
+		// of the trimming one writes a stay file to cancel.
+		opts.TrimStartIteration = TrimEveryIteration
 		return checkAgainstReference(t, m, edges, root, opts)
 	}
 	cancelled, disabled := run(false), run(true)

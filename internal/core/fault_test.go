@@ -136,8 +136,9 @@ func TestParallelScatterFaultAbortsCleanly(t *testing.T) {
 			// shards are already merged and more are in flight. The call
 			// count covers wrapped volumes (the FASTBFS_FAULTS chaos cell)
 			// that batch a file into one write at publish time, where the
-			// offset never advances past the first chunk.
-			if strings.Contains(name, "_upd") && (written >= 512 || updWrites.Add(1) >= 3) {
+			// offset never advances past the first chunk: the run writes
+			// update files only after its split, two on this graph.
+			if strings.Contains(name, "_upd") && (written >= 512 || updWrites.Add(1) >= 2) {
 				return boom
 			}
 			return nil
@@ -226,8 +227,8 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 
 func TestResidentPromotionFaultAbortsCleanly(t *testing.T) {
 	// Resident-promotion fault point: with an unbounded residency budget,
-	// iteration 0's scatter captures every partition into RAM — a
-	// permanent read fault on the partition edge input mid-capture must
+	// the first scatter after the split captures every partition into RAM
+	// — a permanent read fault on the partition edge input mid-capture must
 	// surface ErrIOFailed (the error path also refunds the reservation)
 	// and leak no goroutines.
 	warm, wm := storedGraph(t)
@@ -239,7 +240,7 @@ func TestResidentPromotionFaultAbortsCleanly(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vol, m := storedGraph(t)
 		// Match only the per-partition working edge files (the promoting
-		// scatter's input), not the stored dataset Prepare reads.
+		// scatter's input), not the stored dataset the stored passes read.
 		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: "fastbfs_edge_"})
 		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded})
 		if !errors.Is(err, errs.ErrIOFailed) {

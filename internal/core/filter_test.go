@@ -101,8 +101,10 @@ func assertFilterAccounting(t *testing.T, label string, on, off *Result) {
 // FastBFS and X-Stream produce the same levels, parents and direction
 // decisions with the filter on as with it off, at every worker count
 // {1, 4, 8} × direction {topdown, bottomup, auto} × stored codec {fixed,
-// delta+reordered} and (FastBFS) residency {off, unbounded}; the
-// top-down pairs are also checked row by row (assertFilterAccounting).
+// delta+reordered} and (FastBFS) residency {off, unbounded} × trim rule
+// {the counts, the paper's threshold}; the top-down pairs are also checked
+// row by row (assertFilterAccounting). Every run of a stored graph grows
+// the tree its first run grew, byte for byte.
 func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
 	directions := []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionBottomUp, xstream.DirectionAuto}
 	stores := []graph.StoreOptions{
@@ -155,13 +157,18 @@ func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
 			// A graph that fits the budget runs in memory, where nothing is
 			// shuffled: only the tree is compared.
 			streams := budget < xstream.InMemoryNeed(sm)
+			var first *Result
 			for _, d := range directions {
 				for _, w := range []int{1, 4, 8} {
 					base := xstream.Options{Root: root, MemoryBudget: budget, Partitions: partitions,
 						StreamBufSize: bufSize, ScatterWorkers: w, Direction: d}
 					check := func(label string, on, off *Result) {
 						t.Helper()
+						if first == nil {
+							first = on
+						}
 						assertFilterInvisible(t, label, on, off)
+						assertSameResult(t, label+" against the first run", on, first)
 						if streams && d == xstream.DirectionTopDown {
 							assertFilterAccounting(t, label, on, off)
 						}
@@ -170,12 +177,15 @@ func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
 					}
 					variant := fmt.Sprintf("graph %d codec=%s dir=%s workers=%d", g, store.Codec, d, w)
 					for _, rb := range []int64{ResidencyOff, ResidencyUnbounded} {
-						label := fmt.Sprintf("%s fastbfs(residency=%d)", variant, rb)
-						on, off := filterPair(t, label, false, vol, m.Name, Options{Base: base, ResidencyBudget: rb})
-						check(label, on, off)
-						// What the trim rule counts, no dropped update changes.
-						checkTrimRows(t, label, on, streams)
-						checkTrimRows(t, label+" filter off", off, streams)
+						for _, trimStart := range []int{0, TrimEveryIteration} {
+							label := fmt.Sprintf("%s fastbfs(residency=%d,trimstart=%d)", variant, rb, trimStart)
+							on, off := filterPair(t, label, false, vol, m.Name, Options{Base: base, ResidencyBudget: rb, TrimStartIteration: trimStart})
+							check(label, on, off)
+							// What the trim rule counts, no dropped update changes.
+							counted := streams && trimStart == 0
+							checkTrimRows(t, label, on, counted)
+							checkTrimRows(t, label+" filter off", off, counted)
+						}
 					}
 					on, off := filterPair(t, variant+" xstream", true, vol, m.Name, Options{Base: base})
 					check(variant+" xstream", on, off)

@@ -60,6 +60,11 @@ type Iteration struct {
 	// direction (in-edge scan against the frontier bitmap) instead of
 	// the top-down scatter/gather.
 	BottomUp bool
+	// Stored reports a top-down iteration that scanned the stored edge file
+	// (a FastBFS run before its split pass), forming the next level with no
+	// update file: the next row's Updates and NewlyVisited book it, as the
+	// gather it replaced would have.
+	Stored bool
 }
 
 // Run is the complete measurement record of one engine execution.
@@ -269,6 +274,8 @@ func (r *Run) Report() string {
 			dir := "down"
 			if it.BottomUp {
 				dir = "up"
+			} else if it.Stored {
+				dir = "file"
 			}
 			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %9d %5d %7d %v\n",
 				it.Index, dir, it.Frontier, it.NewlyVisited, it.EdgesStreamed, it.Updates, it.Filtered, it.StayEdges,

@@ -190,6 +190,14 @@ func (sp *ScatterPool) putChunk(c []graph.Edge) {
 // consumed on the calling goroutine (its refills charge the clock); the
 // caller still owns closing it.
 func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
+	return sp.RunScannerDepth(sc, PipelineDepth, fn, merge)
+}
+
+// RunScannerDepth is RunScanner with at most depth chunks dispatched
+// ahead of the merge: fewer chunk buffers in flight over a long stream, and
+// at depth 1 the device sees what a serial read-then-process loop issues.
+// Like PipelineDepth, depth must not depend on the worker count.
+func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, fn ScatterFunc, merge MergeFunc) error {
 	next := func() ([]graph.Edge, bool, error) {
 		buf := sp.getChunk()
 		n, err := sc.NextChunk(buf)
@@ -199,7 +207,7 @@ func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge
 		}
 		return buf[:n], true, nil
 	}
-	return sp.run(next, fn, merge)
+	return sp.run(next, depth, fn, merge)
 }
 
 // RunSlice runs the pool over an in-memory edge list (the engines'
@@ -218,7 +226,7 @@ func (sp *ScatterPool) RunSlice(edges []graph.Edge, fn ScatterFunc, merge MergeF
 		off = end
 		return c, false, nil
 	}
-	return sp.run(next, fn, merge)
+	return sp.run(next, PipelineDepth, fn, merge)
 }
 
 // chunkJob carries one chunk to a worker; out (buffered, capacity 1)
@@ -243,14 +251,14 @@ const PipelineDepth = 32
 
 // run is the pool's engine: next yields chunks (nil = end of stream; the
 // bool marks the front of a getChunk buffer) on the calling goroutine,
-// fn classifies them, merge folds shards back in
-// chunk order. Serial and parallel modes share the same dispatch/merge
+// fn classifies them, merge folds shards back in chunk order, at most
+// depth chunks behind dispatch. Serial and parallel modes share the same dispatch/merge
 // structure (classification just happens inline vs. on a worker), so
 // the sequence of next and merge calls — and everything the simulated
 // clock observes — is identical for every worker count. On any error —
 // scan, classify or merge — it stops dispatching, joins every worker
 // and returns the first error.
-func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), depth int, fn ScatterFunc, merge MergeFunc) error {
 	parallel := sp.workers > 1
 	var jobs chan chunkJob
 	var wg sync.WaitGroup
@@ -300,7 +308,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), fn ScatterFu
 			break
 		}
 		dispatch(edges, pooled)
-		if len(pending) >= PipelineDepth {
+		if len(pending) >= depth {
 			mergeOne()
 		}
 	}

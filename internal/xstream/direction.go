@@ -158,6 +158,13 @@ type DirState struct {
 	candDeg   float64
 	candCount int64
 	prevCand  int64
+	// storedPrice is, while the forward input is still the stored edge
+	// file (a FastBFS run before its split, split.go), what a top-down pass
+	// would read: the whole file, less what the bottom-up passes β held
+	// back from it have read (RecordBottomUp) — it holds them until they
+	// have read as much. held says Decide just held one.
+	storedPrice float64
+	held        bool
 }
 
 // NewDirState builds the heuristic state for a run under the resolved
@@ -173,12 +180,14 @@ func NewDirState(rt *Runtime, dir Direction) *DirState {
 // Decide picks iteration iter's mode (true = bottom-up) from what the
 // Record methods logged, updating the switch accounting.
 func (ds *DirState) Decide(iter int) bool {
-	// β: drop back to top-down once the frontier is small. α: go
-	// bottom-up once the candidate wave's out-edges dominate the
-	// unexplored remainder — and only while the wave is still growing, so
-	// the collapsing tail stays top-down.
-	return ds.pick(iter,
-		float64(ds.lastCount) >= ds.vertices/ds.beta,
+	// β: drop back to top-down once the frontier is small, unless that
+	// pass is priced at the stored file. α: go bottom-up once the
+	// candidate wave's out-edges dominate the unexplored remainder — and
+	// only while the wave is still growing, so the collapsing tail stays
+	// top-down.
+	stay := float64(ds.lastCount) >= ds.vertices/ds.beta
+	ds.held = !stay && ds.storedPrice > 0 && ds.Mode == DirectionBottomUp
+	return ds.pick(iter, stay || ds.held,
 		ds.candCount > ds.prevCand && ds.candDeg > ds.unexplored/ds.alpha)
 }
 
@@ -244,6 +253,14 @@ func (ds *DirState) RecordFrontier(count uint64, degSum float64, formedNow bool)
 		if ds.unexplored < 0 {
 			ds.unexplored = 0
 		}
+	}
+}
+
+// RecordBottomUp logs the edges a bottom-up pass read; one β held back
+// pays them toward the stored pass it stands in for.
+func (ds *DirState) RecordBottomUp(edges int64) {
+	if ds.held {
+		ds.storedPrice -= float64(edges)
 	}
 }
 

@@ -72,6 +72,36 @@ func TestDirStateHeuristic(t *testing.T) {
 	}
 }
 
+// TestDirStateStoredPrice: while a top-down pass would read the whole
+// stored edge file, β holds bottom-up on a collapsed frontier until the
+// held passes have read that many edges, then drops back; passes it did
+// not hold pay nothing.
+func TestDirStateStoredPrice(t *testing.T) {
+	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
+		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
+	ds := NewDirState(rt, DirectionAuto)
+	ds.storedPrice = float64(rt.Meta.Edges)
+	ds.Decide(0)
+	ds.RecordFrontier(5, 30, true)
+	ds.RecordScatter(400, 6000)
+	if !ds.Decide(1) {
+		t.Fatal("α did not fire on a dominant candidate wave")
+	}
+	ds.RecordFrontier(500, 3000, true)
+	ds.RecordBottomUp(9000) // β did not hold this pass: it pays nothing
+	for iter, read := range []int64{6000, 4000} {
+		ds.RecordFrontier(10, 40, true)
+		if !ds.Decide(2 + iter) {
+			t.Fatalf("iteration %d: β dropped to a stored pass with %.0f edges of it unpaid", 2+iter, ds.storedPrice)
+		}
+		ds.RecordBottomUp(read)
+	}
+	ds.RecordFrontier(10, 40, true)
+	if ds.Decide(4) {
+		t.Fatal("β held bottom-up after the held passes read the stored file's edges")
+	}
+}
+
 func TestDirStateForcedModes(t *testing.T) {
 	rt := &Runtime{Meta: graph.Meta{Vertices: 100, Edges: 500},
 		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}

@@ -131,11 +131,12 @@ func (f *UpdateFilter) Flush(s *stream.Shard, sh *stream.Shuffler) (written int6
 }
 
 // allocBitmaps sets up the run's vertex bitmaps from its scratch, all
-// clear: VisitedBits when the filter or a bottom-up pass will read it,
-// claimed for the filter alone. Idempotent.
-func (rt *Runtime) allocBitmaps() {
+// clear: VisitedBits when the filter, a bottom-up pass or a stored pass
+// (stored, split.go) will read it, claimed for the filter alone.
+// Idempotent.
+func (rt *Runtime) allocBitmaps(stored bool) {
 	filter := !rt.Opts.DisableUpdateFilter
-	if rt.VisitedBits == nil && (filter || rt.Opts.Direction != DirectionTopDown) {
+	if rt.VisitedBits == nil && (filter || stored || rt.Opts.Direction != DirectionTopDown) {
 		rt.VisitedBits = rt.scratch.visited.reset(rt.Meta.Vertices)
 	}
 	if rt.claimed == nil && filter {
@@ -154,7 +155,7 @@ func (rt *Runtime) allocBitmaps() {
 // the vertices that file leaves unvisited (UnknownEdges without a degree
 // table, which is recounted before this). A run with neither reads nothing.
 func (rt *Runtime) SeedResumed(p int, vertexFile, updFile string) (live int64, err error) {
-	rt.allocBitmaps()
+	rt.allocBitmaps(false)
 	if rt.claimed == nil && rt.OutDeg == nil {
 		return UnknownEdges, nil
 	}

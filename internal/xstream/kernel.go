@@ -84,7 +84,7 @@ func (p Policy) static() bool { return p.TrimStartIteration != 0 || p.TrimVisite
 // halves its input; both files are in the run's working codec, so counting
 // edges is counting bytes. A caller with no counts (UnknownEdges: the
 // in-memory compaction, which writes nothing, and the reverse stay chain)
-// trims.
+// trims. The split of the stored file asks it in its own terms (split.go).
 //
 // With the paper's static threshold set (§II-C3) the counts are not
 // consulted: trimming starts at an iteration, once a fraction of the
@@ -222,13 +222,17 @@ type kernel struct {
 	tr  *obs.Tracer
 	ctr obs.EngineCounters
 
-	// ds is the direction heuristic state; dir the bottom-up working
-	// state, allocated at the first switch (see bottomup.go). filter
-	// carries every scatter's updates into the shuffler and totals the
-	// current top-down iteration's wave (filter.go).
+	// ds is the direction heuristic state; dir the frontier bitmaps and
+	// bottom-up working state, allocated at the first pass that forms a
+	// level in the vertex state (bottomup.go, split.go). filter carries
+	// every scatter's updates into the shuffler and totals the current
+	// top-down iteration's wave (filter.go).
 	ds     *DirState
 	dir    *dirRun
 	filter *UpdateFilter
+	// stored is set while the stored edge file is every partition's input:
+	// a FastBFS run that trims by the counts, until its split pass (split.go).
+	stored bool
 
 	// ck is the checkpoint writer (nil when not checkpointing);
 	// graveyard holds deletions deferred until the next manifest no
@@ -312,7 +316,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 		e.parts[p] = partState{input: e.rt.EdgeFile(p), inputTiming: e.rt.MainTiming(), vertexFile: e.rt.VertexFile(p),
 			inputEdges: UnknownEdges, fallbackEdges: UnknownEdges, live: UnknownEdges}
 	}
-	if e.pol.Trim && !e.pol.static() {
+	counting := e.pol.Trim && !e.pol.static()
+	if counting {
 		e.rt.allocOutDeg() // the trim rule weighs edge counts
 	}
 
@@ -331,10 +336,18 @@ func (e *kernel) runStreaming() (*Result, error) {
 		runSpan.Attr("resumed_iterations", int64(startIter))
 	}
 
-	prep := runSpan.Child("load")
-	if man == nil {
-		// Resume skips the partition-split pass: the per-partition edge
-		// (or stay) inputs the manifest names are already on the volume.
+	// A run that trims by the counts splits when the split pays (split.go),
+	// if its working files share the stored file's codec, so that the rule's
+	// edge counts are bytes; the rest split up front. Resume skips the
+	// split: the per-partition edge (or stay) inputs the manifest names are
+	// already on the volume.
+	e.stored = counting && e.ck == nil && e.rt.Codec == e.rt.Meta.EdgeCodec()
+	switch {
+	case e.stored:
+		e.rt.allocBitmaps(true)
+		e.ds.storedPrice = float64(e.rt.Meta.Edges)
+	case man == nil:
+		prep := runSpan.Child("load")
 		counts, err := e.rt.Prepare()
 		if err != nil {
 			return nil, err
@@ -345,8 +358,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 				e.parts[p].live = counts[p] // nothing visited yet
 			}
 		}
+		prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
 	}
-	prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
 	e.filter = e.rt.NewUpdateFilter(dir, e.ctr)
 	if e.pol.Trim {
 		e.sw = stream.NewStayWriter(e.rt.Vol, e.pol.StayBufSize, e.pol.StayBufCount)
@@ -366,7 +379,10 @@ func (e *kernel) runStreaming() (*Result, error) {
 		maxIter = startIter
 	}
 
-	prevBottom := false
+	// prevBottom is whether the last iteration went bottom-up; formed,
+	// whether it formed this one's frontier in the vertex state (a
+	// bottom-up or a stored pass), leaving no update file to gather.
+	prevBottom, formed := false, false
 	for iter := startIter; iter < maxIter; iter++ {
 		// Iteration iter consumes update set iterIn(iter) and produces
 		// the other one (the two sets' roles switch every iteration, so
@@ -380,22 +396,31 @@ func (e *kernel) runStreaming() (*Result, error) {
 			e.ctr.DirectionSwitches.Add(1)
 		}
 		if bottom {
-			newly, err := e.bottomUpIteration(iter, prevBottom, runSpan)
+			newly, err := e.bottomUpIteration(iter, formed, runSpan)
 			if err != nil {
 				return nil, err
 			}
-			prevBottom = true
+			prevBottom, formed = true, true
 			if newly == 0 {
 				break
 			}
 			continue
 		}
-		// A top-down iteration right after a bottom-up one has no update
-		// files to gather: the bottom-up pass already formed this level's
-		// frontier in the vertex state (and seeded each partition's
-		// update/frontier counts for selective scheduling).
-		skipGather := prevBottom
-		prevBottom = false
+		if e.stored {
+			done, err := e.storedIteration(iter, iter+1 == maxIter, prevBottom, runSpan)
+			if err != nil {
+				return nil, err
+			}
+			prevBottom, formed = false, true
+			if done {
+				break
+			}
+			continue
+		}
+		// The pass before a formed frontier already seeded each
+		// partition's update/frontier counts for selective scheduling.
+		skipGather, wasBottom := formed, prevBottom
+		prevBottom, formed = false, false
 		e.filter.Wave = Wave{}
 		itSpan := runSpan.Child("iteration").SetIter(iter)
 		e.ctr.Iteration.Set(int64(iter))
@@ -409,6 +434,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 		}
 		sh.SetAsync() // update streams are write-behind with a gather barrier
 		itRow := metrics.Iteration{Index: iter, TrimActive: trimNow}
+		e.bookCarried(&itRow)
 
 		for p := 0; p < e.rt.Parts.P(); p++ {
 			if err := e.rt.Checkpoint(); err != nil {
@@ -442,8 +468,9 @@ func (e *kernel) runStreaming() (*Result, error) {
 		// The scatter emits one update per frontier out-edge — frontier
 		// vertices were unvisited until now, so trimming never dropped
 		// their edges — making the emitted count, taken before the update
-		// filter, exactly this frontier's out-degree sum.
-		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !skipGather)
+		// filter, exactly this frontier's out-degree sum. Only a bottom-up
+		// pass formed (and recorded) it before this iteration.
+		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !wasBottom)
 		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
 		e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
 
@@ -750,8 +777,9 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 // scatterInput runs one scatter attempt over st.input: pick the trim
 // sink, stream the input through the worker pool and finalize the sink.
 // The scanner is consumed and closed in all cases. In an iteration that
-// trims, the surviving edges go to a residency capture when the whole input
-// fits the cache's fair share — this scatter then promotes the partition:
+// trims, the surviving edges go to a residency capture when they fit the
+// cache's fair share — the live count's worth of edges, or the whole input
+// without one — and this scatter then promotes the partition:
 // the stays stay in RAM, so there is no async write, no grace race and no
 // possible cancellation for this partition ever again — and otherwise to a
 // stay file, when the trim rule finds, on this partition's counts, that
@@ -762,7 +790,13 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	var capture *stream.Resident
 	var reserved int64
 	if trimNow && !st.stayBroken {
-		if sz := edgeScan.Size(); e.resd.TryReserve(sz) {
+		// The capture will hold the live edges, decoded: reserve that, and the
+		// input's size only where nobody counted them.
+		sz := edgeScan.Size()
+		if st.live >= 0 {
+			sz = st.live * graph.EdgeBytes
+		}
+		if e.resd.TryReserve(sz) {
 			reserved = sz
 			capture = stream.NewResident(sz / graph.EdgeBytes)
 			sink = capture
@@ -854,6 +888,14 @@ func (e *kernel) bookTrim(st *partState, itRow *metrics.Iteration, scanned, stay
 		itRow.StayPredicted += st.live
 		st.live = stayed
 	}
+}
+
+// bookStays books a pass that kept stayed of its scanned edges in files.
+func (e *kernel) bookStays(itRow *metrics.Iteration, scanned, stayed int64) {
+	itRow.StayEdges += stayed
+	e.run.TrimmedEdges += scanned - stayed
+	e.ctr.StayEdges.Add(stayed)
+	e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 }
 
 // iterIn maps an iteration to the update-stream set it consumes.

@@ -98,10 +98,9 @@ type Scratch struct {
 	edgeChunk []graph.Edge
 	updChunk  []graph.Update
 	// visited and claimed back the run's vertex bitmaps (Runtime.VisitedBits
-	// and the update filter's claims, see filter.go); bestPart and
-	// bestParent a bottom-up pass's winner table (Runtime.Winners).
+	// and the update filter's claims, see filter.go); bestParent a pass's
+	// winner table (Runtime.Winners).
 	visited, claimed Bitset
-	bestPart         []int32
 	bestParent       []graph.VertexID
 	// outDeg backs the run's out-degree table (Runtime.OutDeg).
 	outDeg []uint32

@@ -339,8 +339,9 @@ type Runtime struct {
 	countVol *storage.Counting
 	startIO  storage.IOStats
 
-	// OutDeg is the per-vertex out-degree table, counted by Prepare's split
-	// pass for the two decisions that weigh edges: the direction heuristic
+	// OutDeg is the per-vertex out-degree table, counted by the first pass
+	// over the stored edge file — Prepare's, or iteration 0's stored pass
+	// (split.go) — for the two decisions that weigh edges: the direction heuristic
 	// (a run that may go bottom-up sums it over each formed frontier and
 	// each candidate wave) and the trim rule (each partition's live edge
 	// count, see partState). Nil for a run with neither — X-Stream top-down,
@@ -640,21 +641,19 @@ func (rt *Runtime) Cleanup() {
 // Prepare splits the stored raw edge list into per-partition streaming
 // edge files — X-Stream's cheap, sort-free setup pass (one sequential
 // read of the dataset plus one sequential write; contrast with
-// GraphChi's shard sort). It returns the per-partition edge counts.
+// GraphChi's shard sort). It returns the per-partition edge counts. A
+// FastBFS run that trims by the counts does not call it: its split pass
+// writes the same files, later and trimmed (split.go).
 func (rt *Runtime) Prepare() ([]int64, error) {
-	tm := rt.MainTiming()
-	rt.allocBitmaps()
+	rt.allocBitmaps(false)
 	if rt.Opts.Direction != DirectionTopDown {
 		rt.allocOutDeg() // the kernel has, already, when its trim rule counts edges
 	}
-	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), rt.EdgeFile, func(name string) (*stream.Writer[graph.Edge], error) {
-		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Codec)
-	})
+	outs, err := rt.openEdgeFiles()
 	if err != nil {
 		return nil, err
 	}
 	defer outs.Abort() // whatever an error return leaves open
-	outs.SetAsync()    // write-behind; readers barrier through AwaitFile
 	if err := rt.scanStored(outs.W); err != nil {
 		return nil, err
 	}
@@ -663,6 +662,20 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 		return nil, err
 	}
 	return outs.Counts(), nil
+}
+
+// openEdgeFiles opens the writer set of the partitions' edge files on the
+// main disk, write-behind (their readers barrier through AwaitFile).
+func (rt *Runtime) openEdgeFiles() (*stream.WriterSet[graph.Edge], error) {
+	tm := rt.MainTiming()
+	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), rt.EdgeFile, func(name string) (*stream.Writer[graph.Edge], error) {
+		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Codec)
+	})
+	if err != nil {
+		return nil, err
+	}
+	outs.SetAsync()
+	return outs, nil
 }
 
 // scanStored is the one pass over the dataset's stored edge file: each edge
@@ -751,15 +764,16 @@ func (rt *Runtime) UpdateChunk() []graph.Update {
 	return chunk(&rt.scratch.updChunk, rt.ChunkLen(graph.UpdateBytes))
 }
 
-// Winners returns a bottom-up pass's run-owned winner table over n
-// vertices — bestPart all -1 (no candidate yet), bestParent arbitrary —
-// valid until the next call.
-func (rt *Runtime) Winners(n int) (bestPart []int32, bestParent []graph.VertexID) {
-	bestPart = chunk(&rt.scratch.bestPart, n)
-	for i := range bestPart {
-		bestPart[i] = -1
+// Winners returns a pass's run-owned winner table over n vertices, all
+// NoVertex (no candidate yet), valid until the next call. It holds each
+// vertex's best parent so far; the winner rule's other key, the parent's
+// partition, is closed-form (Partitioning.Of), so it takes no array.
+func (rt *Runtime) Winners(n int) []graph.VertexID {
+	best := chunk(&rt.scratch.bestParent, n)
+	for i := range best {
+		best[i] = graph.NoVertex
 	}
-	return bestPart, chunk(&rt.scratch.bestParent, n)
+	return best
 }
 
 // Verts is one partition's in-memory vertex state: BFS level (NoLevel =

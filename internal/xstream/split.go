@@ -1,0 +1,404 @@
+package xstream
+
+import (
+	"fmt"
+
+	"fastbfs/internal/errs"
+	"fastbfs/internal/graph"
+	"fastbfs/internal/metrics"
+	"fastbfs/internal/obs"
+	"fastbfs/internal/stream"
+)
+
+// This file holds the split pass (DESIGN.md §5, §12): one scan of a dataset
+// edge file in stored order that forms the next level and can write each
+// partition's input on the way. Forward, over the stored edge list, it is
+// each top-down iteration of a FastBFS run that trims by the counts until
+// writing the partitions pays (storedIteration); other runs split up front
+// with Prepare. Reverse, over the .rev file, it is a run's first bottom-up
+// pass (fusedFirstBottomUp). Both keep the winner top-down's gather would —
+// smallest source partition, then first position: every partition file is
+// an order-preserving subsequence of its dataset file, so that is the update
+// a partition-ordered scatter claims first, whichever pass forms a level.
+
+// passStats is what a split pass counted: edges scanned, the frontier's
+// among them (emitted, before any filter), those to an unvisited vertex
+// (candidates), vertices that won a parent (claims), edges written
+// (stayed), and the out-degree sum over the emitted edges' targets.
+type passStats struct{ scanned, emitted, candidates, claims, stayed, candDeg int64 }
+
+// splitPass scans the stored edge file — the .rev file when rev is set —
+// against e.dir.frontier, resolving into best the parent each unvisited
+// vertex wins: a forward edge offers its destination its source, a reverse
+// one its target its other end. With outs, an edge whose source (a reverse
+// edge's target) is unvisited goes to that vertex's partition file — with
+// dropWon, unless the vertex has just won: its other in-edges are dead.
+// Iteration 0's forward pass counts the out-degree table. Workers classify;
+// winners and writes resolve on the engine thread in scan order. The
+// reverse pass runs one chunk deep, the device operations of a serial loop;
+// the forward one two, since a stored file 32 chunks deep in flight is 32
+// stream buffers. A malformed edge or an edge count off the metadata is
+// errs.ErrCorrupted.
+func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
+	name, depth := graph.EdgeFileName(e.rt.Meta.Name), 2
+	if rev {
+		name, depth = graph.ReverseFileName(e.rt.Meta.Name), 1
+	}
+	sc, err := stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
+	if err != nil {
+		return ps, err
+	}
+	defer sc.Close()
+	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
+	var w []*stream.Writer[graph.Edge]
+	if outs != nil {
+		w = outs.W
+	}
+	// Iteration 0 counts the table as it scans, and sums α's look-ahead
+	// over the root's out-edges once the count is complete.
+	count, deg := !rev && iter == 0, e.filter.outDeg
+	var rootOut []graph.VertexID
+	if count {
+		deg = nil
+	}
+	ends := func(x graph.Edge) (key, par graph.VertexID) {
+		if rev {
+			return x.Src, x.Dst
+		}
+		return x.Dst, x.Src
+	}
+	classify := func(edges []graph.Edge, out *stream.Shard) {
+		for _, x := range edges {
+			if err := m.CheckEdge(x); err != nil {
+				out.Err = fmt.Errorf("%w: edge file %s: %w", errs.ErrCorrupted, name, err)
+				return
+			}
+			out.Scanned++
+			key, par := ends(x)
+			cand := front.Get(par)
+			if cand {
+				out.Emitted++
+				if deg != nil {
+					out.CandDeg += int64(deg[key])
+				}
+				cand = !visited.Get(key)
+			}
+			if cand || count || w != nil && !visited.Get(x.Src) {
+				out.Stays = append(out.Stays, x)
+			}
+		}
+	}
+	merge := func(s *stream.Shard) error {
+		ps.scanned += s.Scanned
+		ps.emitted += s.Emitted
+		ps.candDeg += s.CandDeg
+		e.ctr.Edges.Add(s.Scanned)
+		for _, x := range s.Stays {
+			key, par := ends(x)
+			if count {
+				e.rt.OutDeg[x.Src]++
+			}
+			if front.Get(par) {
+				if count && e.filter.outDeg != nil {
+					rootOut = append(rootOut, key)
+				}
+				if !visited.Get(key) {
+					ps.candidates++
+					switch b := best[key]; {
+					case b == graph.NoVertex:
+						best[key] = par
+						ps.claims++
+					case parts.Of(par) < parts.Of(b):
+						best[key] = par
+					}
+				}
+			}
+			if w == nil || visited.Get(x.Src) || dropWon && best[x.Src] != graph.NoVertex {
+				continue
+			}
+			if err := w[parts.Of(x.Src)].Append(x); err != nil {
+				return err
+			}
+			ps.stayed++
+		}
+		return nil
+	}
+	if err := e.pool.RunScannerDepth(sc, depth, classify, merge); err != nil {
+		return ps, err
+	}
+	if uint64(ps.scanned) != m.Edges {
+		return ps, fmt.Errorf("%w: edge file %s has %d edges, config says %d", errs.ErrCorrupted, name, ps.scanned, m.Edges)
+	}
+	e.rt.BytesRead += sc.BytesRead()
+	for _, v := range rootOut {
+		ps.candDeg += int64(e.rt.OutDeg[v])
+	}
+	return ps, nil
+}
+
+// work is a split pass's compute charge, with newly the vertices it visited.
+func (e *kernel) work(ps passStats, newly uint64) {
+	c := e.rt.Costs
+	e.rt.Compute(float64(ps.scanned)*c.ScatterPerEdge + float64(ps.candidates)*c.GatherPerUpdate +
+		float64(newly)*c.PerVertex + float64(ps.stayed)*c.AppendPerStay)
+}
+
+// storedIteration is top-down iteration iter of a run still streaming the
+// stored edge file (e.stored). One forward split pass forms the next level
+// as a bottom-up pass would, with no update file; the row books what the
+// scatter it replaces would have emitted and filtered, the next row the
+// level, as the gather would have. The pass also writes every partition's
+// file — each edge whose source is unvisited, a partition's live edges —
+// once that pays by the trim rule: its write, W, at most the reads it
+// saves the next pass (the stored file less R, the live edges of the
+// partitions holding the frontier) or, while a split run's pass would read
+// at most half the stored file, those the stored passes read beyond a
+// split run's so far (d.excess). Iteration 0 counts the degree table and
+// never splits. The level goes to the vertex files if the phase ends here,
+// else to a log (logLevel); a capped run's last iteration forms nothing,
+// as the updates its scatter would write are never gathered. afterBottom
+// says a bottom-up pass formed this frontier.
+func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.Span) (done bool, err error) {
+	d := e.frontierState()
+	itSpan := runSpan.Child("iteration").SetIter(iter).Attr("stored", 1)
+	e.ctr.Iteration.Set(int64(iter))
+	itRow := metrics.Iteration{Index: iter, Stored: true,
+		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)}
+	n, root, edges := e.rt.Meta.Vertices, e.rt.Opts.Root, int64(e.rt.Meta.Edges)
+	var live, kept int64 // R and W
+	if iter == 0 {
+		d.frontier.Clear()
+		d.frontier.Set(root)
+		e.rt.VisitedBits.Set(root)
+		itRow.Frontier, itRow.NewlyVisited = 1, 1
+		e.run.Visited++
+		e.ctr.Visited.Add(1)
+	} else {
+		itRow.Frontier = d.carryFrontier
+		e.bookCarried(&itRow)
+		for p := range e.parts {
+			if e.parts[p].frontier > 0 {
+				live += e.parts[p].live
+			}
+			kept += e.parts[p].live
+		}
+	}
+	pays := func(saved int64) bool { return e.pol.TrimActive(iter, e.run.Visited, n, kept, kept+saved) }
+	var outs *stream.WriterSet[graph.Edge]
+	if iter > 0 && !last && (pays(edges-live) || e.pol.TrimActive(iter, e.run.Visited, n, live, edges) && pays(d.excess)) {
+		if outs, err = e.rt.openEdgeFiles(); err != nil {
+			return false, err
+		}
+		defer outs.Abort() // whatever an error return leaves open
+	} else if iter > 0 {
+		d.excess += edges - live
+	}
+
+	d.next.Clear()
+	d.best = e.rt.Winners(int(n))
+	ss := itSpan.Child("scatter")
+	ps, err := e.splitPass(iter, false, false, d.best, outs)
+	if err == nil && outs != nil {
+		err = sealWriters(e.rt, outs)
+	}
+	if err != nil {
+		ss.End()
+		return false, err
+	}
+	itRow.EdgesStreamed = ps.scanned
+	if outs != nil {
+		e.stored, e.ds.storedPrice = false, 0
+		for p, c := range outs.Counts() {
+			e.parts[p].inputEdges = c
+		}
+		itRow.StayPredicted = kept
+		e.bookStays(&itRow, ps.scanned, ps.stayed)
+		ss.Attr("live", live).Attr("stay_predicted", kept)
+	}
+	ss.Attr("edges", ps.scanned).Attr("stayed", ps.stayed).End()
+
+	if iter == 0 { // the table just counted gives each partition its live edges
+		for p := range e.parts {
+			lo, hi := e.rt.Parts.Interval(p)
+			e.parts[p].live = 0
+			for _, c := range e.rt.OutDeg[lo:hi] {
+				e.parts[p].live += int64(c)
+			}
+		}
+		rp := &e.parts[e.rt.Parts.Of(root)]
+		d.excess = edges - rp.live // a split run's iteration 0 reads the root's partition
+		rp.visit(1, e.rt.outDegree(root))
+		d.fresh = true
+	}
+	if last {
+		d.best = e.rt.Winners(int(n))
+	}
+	// The replaced scatter would have written, through the update filter,
+	// the first claim on each unvisited destination; without it, all.
+	wave := Wave{Emitted: ps.emitted, Written: ps.claims, CandDeg: ps.candDeg}
+	if e.filter.claimed == nil {
+		wave.Written = wave.Emitted
+	}
+	var newly uint64
+	var degSum float64
+	for p := range e.parts {
+		k, dg := e.formLevel(p, d)
+		newly, degSum = newly+k, degSum+dg
+	}
+	e.work(ps, newly)
+	e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !afterBottom)
+	e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
+	// The phase ends with the split or the run, or at the first bottom-up
+	// pass, which folds the logs with its level (fusedFirstBottomUp); after
+	// that one, a stored pass folds its own level, as a bottom-up one does.
+	if outs != nil || last || wave.Written == 0 || d.split {
+		err = e.endStored(iter, d, itSpan)
+	} else {
+		err = e.logLevel(iter, d, itSpan)
+	}
+	if err != nil {
+		return false, err
+	}
+	d.frontier, d.next = d.next, d.frontier
+	d.carryFrontier, d.carryDeg, d.carryUpdates, d.unbooked = newly, degSum, wave.Written, true
+	itRow.Filtered = wave.Filtered()
+	e.ctr.UpdatesEmitted.Add(wave.Emitted)
+	e.ctr.Filtered.Add(wave.Filtered())
+	e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
+	return wave.Written == 0, nil
+}
+
+// formLevel books partition p's winners in d.best — the next level, in the
+// bitmaps and the partition's counts — and returns their number and
+// out-degree sum; foldLevel writes them.
+func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
+	lo, hi := e.rt.Parts.Interval(p)
+	var n uint64
+	var deg int64
+	for v := lo; v < hi; v++ {
+		if d.best[v] != graph.NoVertex {
+			d.next.Set(v)
+			e.rt.VisitedBits.Set(v)
+			n++
+			deg += e.rt.outDegree(v)
+		}
+	}
+	st := &e.parts[p]
+	st.updates, st.frontier = int64(n), n
+	st.visit(n, deg)
+	e.ctr.Visited.Add(int64(n))
+	return n, float64(deg)
+}
+
+// foldLevel writes partition p's new levels to its vertex file with one
+// load — none in a stored phase that no vertex file predates (d.fresh: the
+// root's is started with the root) — and one save: the levels the stored
+// passes logged (d.logged), then d.best's winners as level iter+1. A
+// bottom-up pass folds each partition that won something as it ends; a
+// stored phase folds every partition once, as it ends (endStored).
+func (e *kernel) foldLevel(p, iter int, d *dirRun, itSpan *obs.Span) error {
+	var v *Verts
+	if d.fresh {
+		lds := itSpan.Child("load").SetPart(p)
+		v = e.rt.InitVerts(p)
+		e.rt.MarkRoot(v)
+		lds.End()
+	} else {
+		var err error
+		if v, err = e.loadVerts(p, itSpan); err != nil {
+			return err
+		}
+	}
+	for _, j := range d.logged {
+		gs := itSpan.Child("gather").SetPart(p)
+		_, _, _, err := e.gather(v, e.logFile(j, p), uint32(j)+1, nil)
+		gs.End()
+		if err != nil {
+			return err
+		}
+	}
+	lo, hi := e.rt.Parts.Interval(p)
+	for i, b := range d.best[lo:hi] {
+		if b != graph.NoVertex {
+			v.Level[i], v.Parent[i] = uint32(iter)+1, b
+		}
+	}
+	return e.saveVerts(p, iter, v, itSpan)
+}
+
+// logFile is partition p's log of the level stored pass iter formed.
+func (e *kernel) logFile(iter, p int) string {
+	return fmt.Sprintf("%s_won%d_%d", e.rt.Opts.FilePrefix, iter, p)
+}
+
+// logLevel ends a stored pass that does not end its phase: its winners go,
+// one update record each, to per-partition log files, so that the vertex
+// files take the phase's levels once, at its end, instead of a load and a
+// save per pass.
+func (e *kernel) logLevel(iter int, d *dirRun, itSpan *obs.Span) error {
+	ls := itSpan.Child("shuffle")
+	defer ls.End()
+	sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
+		func(p int) string { return e.logFile(iter, p) })
+	if err != nil {
+		return err
+	}
+	sh.SetAsync()
+	for v, b := range d.best {
+		if b != graph.NoVertex {
+			if err := sh.Append(graph.Update{Dst: graph.VertexID(v), Parent: b}); err != nil {
+				sh.Abort()
+				return err
+			}
+		}
+	}
+	if err := sealWriters(e.rt, sh.WriterSet); err != nil {
+		return err
+	}
+	d.logged = append(d.logged, iter)
+	return nil
+}
+
+// endStored ends a stored phase: every partition folds its levels, but in
+// a phase some vertex file predates, one that won nothing. These are a
+// short query's first writes, so a cancel they outlast is seen here, as a
+// run that splits up front sees one after Prepare's.
+func (e *kernel) endStored(iter int, d *dirRun, itSpan *obs.Span) error {
+	for p := range e.parts {
+		if err := e.rt.Checkpoint(); err != nil {
+			return err
+		}
+		if !d.fresh && e.parts[p].updates == 0 {
+			continue
+		}
+		if err := e.foldLevel(p, iter, d, itSpan); err != nil {
+			return err
+		}
+	}
+	e.dropLogs(d)
+	return e.rt.Checkpoint()
+}
+
+// dropLogs ends a stored phase whose levels every vertex file took.
+func (e *kernel) dropLogs(d *dirRun) {
+	for _, j := range d.logged {
+		for p := range e.parts {
+			e.removeLater(e.logFile(j, p))
+		}
+	}
+	d.logged, d.fresh = d.logged[:0], false
+}
+
+// bookCarried books into itRow the level the last stored pass formed as
+// the gather it replaced would have: newly visited vertices, and the
+// updates the replaced scatter would have written. A no-op once booked,
+// and after any other pass.
+func (e *kernel) bookCarried(itRow *metrics.Iteration) {
+	if d := e.dir; d != nil && d.unbooked {
+		d.unbooked = false
+		itRow.NewlyVisited += d.carryFrontier
+		itRow.Updates += d.carryUpdates
+		e.run.Visited += d.carryFrontier
+		e.ctr.UpdatesApplied.Add(d.carryUpdates)
+	}
+}
