@@ -22,8 +22,10 @@
 //
 // Fault tolerance: -checkpoint names a directory where the FastBFS
 // engine persists a crash-consistent manifest after every completed
-// iteration; re-running the same command with -resume restarts a killed
-// run at the last completed iteration with byte-identical output. I/O
+// iteration, naming the per-level logs it keeps in -dir; re-running the
+// same command with -resume restarts a killed run at the next iteration
+// with byte-identical output, in any direction. A graph that fits -mem
+// runs in memory and ignores both. I/O
 // failures past the retry budget and detected data corruption exit with
 // code 4.
 //

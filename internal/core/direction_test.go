@@ -273,23 +273,3 @@ func TestFastBFSDirectionObsCounters(t *testing.T) {
 		t.Errorf("direction_fallbacks counter = %d on a healthy run", got)
 	}
 }
-
-func TestFastBFSCheckpointPinsDirection(t *testing.T) {
-	// Bottom-up iterations are not checkpointable (the reverse stay
-	// chain is not in the manifest), so checkpointed runs pin auto to
-	// top-down silently and reject an explicit bottomup request.
-	vol, m := storedGraph(t)
-	ck := storage.NewMem()
-	o := ckOpts(ck, false, 0)
-	o.Base.Direction = xstream.DirectionAuto
-	res := runDirection(t, vol, m.Name, o)
-	if res.Metrics.BottomUpIterations != 0 || res.Metrics.SwitchIteration != -1 {
-		t.Fatalf("checkpointed auto ran %d bottom-up iterations", res.Metrics.BottomUpIterations)
-	}
-
-	o = ckOpts(storage.NewMem(), false, 0)
-	o.Base.Direction = xstream.DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrBadOptions) {
-		t.Fatalf("checkpoint + bottomup: err = %v, want ErrBadOptions", err)
-	}
-}

@@ -95,17 +95,13 @@ type Options struct {
 	ResidencyBudget int64
 
 	// CheckpointVol, when non-nil, enables crash-consistent
-	// checkpointing: after every completed iteration a manifest is
-	// atomically persisted to this volume (DESIGN.md §10). Checkpointed
-	// runs keep their working files (Cleanup would delete the state a
-	// resume needs), pin the residency cache off (RAM-resident edge sets
-	// do not survive a crash), take the streaming path even when the
-	// graph fits in memory, and write vertex state under per-iteration
-	// generation names so a crash mid-iteration never clobbers the
-	// state the last manifest points at.
+	// checkpointing (DESIGN.md §10): a streaming run keeps a log of every
+	// level it forms on the working volume, and after every completed
+	// iteration atomically persists a manifest naming them to this
+	// volume. A run on the in-memory path ignores it.
 	CheckpointVol storage.Volume
-	// Resume restarts from CheckpointVol's manifest: the run skips the
-	// partition-split pass, seeds engine state from the manifest and
+	// Resume restarts from CheckpointVol's manifest: the run folds the
+	// logs into its vertex state, starts again from the stored edge file and
 	// continues at the iteration after the last completed one. With no
 	// manifest present the run is simply fresh; a corrupt or mismatched
 	// manifest fails with errs.ErrCorrupted.

@@ -53,7 +53,7 @@ func checkStoredAgainstReference(t *testing.T, vol storage.Volume, m graph.Meta,
 // countsTrims reports whether a run of m under o keeps the trim rule's edge
 // counts on every partition: it streams, and no static threshold is set.
 func countsTrims(m graph.Meta, o Options) bool {
-	streams := o.CheckpointVol != nil || o.Base.MemoryBudget != 0 && o.Base.MemoryBudget < xstream.InMemoryNeed(m)
+	streams := o.Base.MemoryBudget != 0 && o.Base.MemoryBudget < xstream.InMemoryNeed(m)
 	return streams && o.TrimStartIteration == 0 && o.TrimVisitedFraction == 0
 }
 

@@ -134,8 +134,7 @@ type Run struct {
 	// changes; SwitchIteration is the first bottom-up iteration, -1
 	// when the run stayed top-down throughout. DirectionFallback is set
 	// when direction=auto was demoted to top-down for the whole run: the
-	// stored graph has no reverse-edge file, or the run is checkpointed
-	// (bottom-up state is not manifest-covered).
+	// stored graph has no reverse-edge file.
 	BottomUpIterations int
 	DirectionSwitches  int
 	SwitchIteration    int
@@ -262,7 +261,7 @@ func (r *Run) Report() string {
 			r.BottomUpIterations, r.DirectionSwitches, r.SwitchIteration)
 	}
 	if r.DirectionFallback {
-		b.WriteString("direction:     auto fell back to top-down (no reverse-edge file, or a checkpointed run)\n")
+		b.WriteString("direction:     auto fell back to top-down (no reverse-edge file)\n")
 	}
 	for _, d := range r.Devices {
 		fmt.Fprintf(&b, "device %-6s read=%.4fGB written=%.4fGB busy=%.4fs ops=%d\n",

@@ -501,7 +501,7 @@ const (
 	CtrBottomUpIters      = "bottomup_iterations" // iterations run in bottom-up direction
 	CtrDirectionSwitches  = "direction_switches"  // top-down↔bottom-up mode changes
 	CtrSwitchIteration    = "switch_iteration"    // gauge: first bottom-up iteration (-1 = never)
-	CtrDirectionFallbacks = "direction_fallbacks" // auto runs demoted to top-down (no reverse-edge file, or checkpointed)
+	CtrDirectionFallbacks = "direction_fallbacks" // auto runs demoted to top-down (no reverse-edge file)
 )
 
 // Counter names maintained by the query service (internal/serve). They
@@ -602,7 +602,7 @@ type EngineCounters struct {
 	BottomUpIters      *Counter // iterations run in bottom-up direction
 	DirectionSwitches  *Counter // top-down↔bottom-up mode changes
 	SwitchIteration    *Counter // gauge: first bottom-up iteration (-1 = never)
-	DirectionFallbacks *Counter // auto runs demoted to top-down (no reverse-edge file, or checkpointed)
+	DirectionFallbacks *Counter // auto runs demoted to top-down (no reverse-edge file)
 }
 
 // NewEngineCounters registers (or re-fetches) the standard counter set.

@@ -21,8 +21,7 @@ import (
 // one fails the run (errs.ErrCorrupted), as its predecessor is gone; one
 // that cannot be written degrades the partition to untrimmed rescans. A
 // partition with no unvisited vertex is skipped on the visited tallies,
-// without I/O. Checkpointed runs stay top-down (RunPolicy), and residency
-// holds forward edges only.
+// without I/O. Residency holds forward edges only.
 
 // dirRun is the state of the passes that form a level straight into the
 // vertex state, bottom-up and stored (split.go), allocated at the first.
@@ -128,7 +127,7 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 			}
 			aDeg += deg
 			if st.frontier > 0 {
-				if err := e.saveVerts(p, iter, v, itSpan); err != nil {
+				if err := e.saveVerts(p, v, itSpan); err != nil {
 					return 0, err
 				}
 			}
@@ -172,6 +171,11 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 			degSum += dg
 		}
 	}
+	if e.ck != nil {
+		if err := e.writeLog(iter, d, itSpan); err != nil {
+			return 0, err
+		}
+	}
 	e.run.Visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ds.RecordBottomUp(itRow.EdgesStreamed)
@@ -180,13 +184,8 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 	d.carryFrontier = newly
 	d.frontier, d.next = d.next, d.frontier
 	e.endIteration(itRow, itSpan.Attr("bottomup", 1))
-
-	// The transition consumed its update set; an iteration after a pass
-	// that formed its level has none.
-	if !formed && iter > 0 {
-		for p := 0; p < e.rt.Parts.P(); p++ {
-			e.removeLater(e.rt.UpdateFile(iterIn(iter), p))
-		}
+	if !formed { // the transition consumed its update set
+		e.dropUpdates(iter)
 	}
 	return newly, nil
 }
@@ -368,7 +367,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		} else {
 			e.rt.BytesWritten += stay.BytesWritten()
 			e.rt.RegisterReady(e.revStayFile(iter, p), stay.LastOp())
-			e.removeLater(d.revInput[p])
+			e.rt.Vol.Remove(d.revInput[p])
 			d.revInput[p] = e.revStayFile(iter, p)
 			d.revTiming[p] = stayTiming
 			d.revEdges[p] = stayed

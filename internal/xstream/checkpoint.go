@@ -1,331 +1,191 @@
-// Crash-consistent checkpointing (DESIGN.md §10). After every completed
-// iteration the engine persists a manifest describing exactly the state
-// a resumed run needs: the last completed iteration, each partition's
-// current edge input (and fallback), vertex-state generation and update
-// count, plus the run-level counters and per-iteration metric rows. The
-// manifest is written atomically — temp file, Sync when the volume
-// supports it, rename — so a crash leaves either the previous manifest
-// or the new one, never a torn mix, and its JSON body travels inside a
-// single CRC32-C frame so at-rest corruption is detected rather than
-// deserialized.
-//
-// The recovery invariants the manifest relies on:
-//
-//   - files named by a manifest are never mutated or deleted until the
-//     NEXT manifest is durable (deferred deletions via the kernel's
-//     graveyard; vertex state and stay files use per-generation names);
-//   - a stay file pending at crash time was never adopted, so losing it
-//     is the grace-and-cancel path: the recorded input is a superset;
-//   - update files written by the crashed iteration belong to the set
-//     the resumed iteration re-creates (truncate-on-create), while the
-//     set it reads was sealed by the last completed iteration.
+// Checkpoint and resume (DESIGN.md §10). A run's durable state is its
+// levels: every pass that forms one logs its winners per partition
+// (logFile), and after each iteration an atomic manifest names the logs and
+// the direction heuristic's state. Every partition input is an order-keeping
+// subset of the stored edge file (stay ⊆ input, PAPER.md §1 idea 2), so a
+// resumed run needs nothing else: it folds the logs into its vertex state
+// and starts again from the stored file.
 package xstream
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/metrics"
 	"fastbfs/internal/storage"
-	"fastbfs/internal/stream"
 )
 
-// manifestVersion guards the manifest schema; a mismatch is treated as
-// corruption rather than guessed at.
-const manifestVersion = 1
+// manifestVersion guards the manifest schema: a mismatch is corruption,
+// never a guess. manifestName is the file on the checkpoint volume.
+const (
+	manifestVersion = 2
+	manifestName    = "manifest"
+)
 
-// manifestName is the manifest's file name on the checkpoint volume.
-const manifestName = "manifest"
-
-// manifestPart is one partition's recoverable state.
-type manifestPart struct {
-	// Input is the partition's current edge-input file on the working
-	// volume; InputRole names the simulated device it lives on ("main",
-	// "aux" or "stay") so resume can rebuild its Timing.
-	Input     string `json:"input"`
-	InputRole string `json:"input_role,omitempty"`
-	// InputEdges is Input's edge count, for the trim rule; nil when the run
-	// did not know it (and in manifests written before the rule counted).
-	InputEdges *int64 `json:"input_edges,omitempty"`
-	// Fallback, when set, is the superseded input still held until the
-	// adopted stay file survives a full verified read.
-	Fallback     string `json:"fallback,omitempty"`
-	FallbackRole string `json:"fallback_role,omitempty"`
-	// VertexFile is the partition's current vertex-state generation.
-	VertexFile string `json:"vertex_file"`
-	// Updates is the partition's incoming update count from the last
-	// completed iteration (drives selective scheduling on resume).
-	Updates int64 `json:"updates"`
-	// StayBroken records that stay writing is degraded off for this
-	// partition after a permanent write failure.
-	StayBroken bool `json:"stay_broken,omitempty"`
-}
-
-// checkpointManifest is the durable snapshot written after every
-// completed iteration.
+// checkpointManifest is the snapshot written after every iteration: the
+// levels 1..Iteration+1 are in logFile(j, p) for j ≤ Iteration and every
+// partition p < Parts, and Dir is the heuristic after Iteration, the last
+// completed iteration. Done marks a finished run (resume only collects).
 type checkpointManifest struct {
-	Version    int    `json:"version"`
-	Engine     string `json:"engine"`
-	Graph      string `json:"graph"`
-	FilePrefix string `json:"file_prefix"`
-	// Codec is the working-file codec the checkpointed run used; empty
-	// (a pre-codec manifest) means fixed. The named working files are in
-	// this codec, so a resume under a different one must refuse.
-	Codec string `json:"codec,omitempty"`
-	// Iteration is the last COMPLETED iteration; resume restarts at
-	// Iteration+1. Done marks a finished run (resume only re-collects).
-	Iteration int  `json:"iteration"`
-	Done      bool `json:"done"`
-
-	Visited         uint64 `json:"visited"`
-	Cancellations   int    `json:"cancellations"`
-	Skipped         int    `json:"skipped"`
-	Trimmed         int64  `json:"trimmed"`
-	StayCorruptions int    `json:"stay_corruptions,omitempty"`
-
-	Iterations []metrics.Iteration `json:"iterations"`
-	Parts      []manifestPart      `json:"parts"`
+	Version                   int
+	Engine, Graph, FilePrefix string
+	Root                      graph.VertexID
+	Parts, Iteration          int
+	Done                      bool
+	Dir                       dirHistory
 }
 
-// checkpointer owns the manifest on its dedicated volume.
-type checkpointer struct {
-	vol storage.Volume
+// check is what a parsed manifest guarantees.
+func (m *checkpointManifest) check() error {
+	if m.Version != manifestVersion || m.Iteration < 0 || m.Parts < 1 || m.Parts > 1<<24 ||
+		m.Dir.Mode != DirectionTopDown && m.Dir.Mode != DirectionBottomUp {
+		return fmt.Errorf("checkpoint manifest (version %d, iteration %d, %d partitions, mode %q) is not one this build wrote: %w",
+			m.Version, m.Iteration, m.Parts, m.Dir.Mode, errs.ErrCorrupted)
+	}
+	return nil
 }
 
-// write persists the manifest atomically: marshal, frame with a CRC,
-// write to a temp file, force it to stable storage, publish by rename
-// (the volume's Create/Close contract).
-func (c *checkpointer) write(man *checkpointManifest) error {
-	data, err := json.Marshal(man)
-	if err != nil {
-		return fmt.Errorf("marshal manifest: %w", err)
+// writeManifest records that iteration iter completed and logged its level:
+// framed, written to a temp file, synced, published by rename (the volume's
+// Create/Close contract). No-op without a checkpoint volume.
+func (e *kernel) writeManifest(iter int, done bool) error {
+	if e.ck == nil {
+		return nil
 	}
-	w, err := c.vol.Create(manifestName)
-	if err != nil {
-		return err
+	data, err := json.Marshal(&checkpointManifest{Version: manifestVersion, Engine: e.run.Engine,
+		Graph: e.rt.Meta.Name, FilePrefix: e.rt.Opts.FilePrefix, Root: e.rt.Opts.Root, Parts: e.rt.Parts.P(),
+		Iteration: iter, Done: done, Dir: e.ds.dirHistory})
+	var w storage.Writer
+	if err == nil {
+		w, err = e.ck.Create(manifestName)
 	}
-	if _, err := w.Write(graph.FrameAll(data)); err != nil {
-		w.Abort()
-		return err
-	}
-	if sw, ok := w.(storage.SyncWriter); ok {
-		if err := sw.Sync(); err != nil {
+	if err == nil {
+		_, err = w.Write(graph.FrameAll(data))
+		if sw, ok := w.(storage.SyncWriter); ok && err == nil {
+			err = sw.Sync()
+		}
+		if err == nil {
+			err = w.Close()
+		} else {
 			w.Abort()
-			return err
 		}
 	}
-	return w.Close()
+	if err != nil {
+		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.run.Engine, iter, err)
+	}
+	e.run.Checkpoints++
+	e.ctr.Checkpoints.Add(1)
+	return nil
 }
 
-// load reads and validates the manifest. A missing manifest returns
-// (nil, nil) — resume of a never-checkpointed run is a fresh run. Any
-// frame, JSON or schema violation wraps errs.ErrCorrupted.
-func (c *checkpointer) load() (*checkpointManifest, error) {
-	raw, err := storage.ReadAll(c.vol, manifestName)
-	if err != nil {
-		if errors.Is(err, storage.ErrNotExist) {
-			return nil, nil
-		}
+// loadManifest reads the manifest on vol; a missing one is (nil, nil), as
+// resuming a never-checkpointed run is a fresh run.
+func loadManifest(vol storage.Volume) (*checkpointManifest, error) {
+	raw, err := storage.ReadAll(vol, manifestName)
+	if errors.Is(err, storage.ErrNotExist) {
+		return nil, nil
+	} else if err != nil {
 		return nil, fmt.Errorf("reading checkpoint manifest: %w", err)
+	}
+	return parseManifest(raw)
+}
+
+// parseManifest decodes a manifest file — magic, one frame, terminator —
+// into one that passes check, or fails with errs.ErrCorrupted. The frame's
+// length and the terminator must account for the whole file before the
+// deframer sizes a buffer by a length field.
+func parseManifest(raw []byte) (*checkpointManifest, error) {
+	if len(raw) < 20 || int64(binary.LittleEndian.Uint32(raw[4:8]))+20 != int64(len(raw)) ||
+		binary.LittleEndian.Uint64(raw[len(raw)-8:]) != 0 {
+		return nil, fmt.Errorf("checkpoint manifest is not one frame: %w", errs.ErrCorrupted)
 	}
 	data, err := graph.DeframeAll(raw)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint manifest frames: %w", err)
+		return nil, fmt.Errorf("checkpoint manifest: %w", err)
 	}
 	man := &checkpointManifest{}
 	if err := json.Unmarshal(data, man); err != nil {
 		return nil, fmt.Errorf("checkpoint manifest: %w: %v", errs.ErrCorrupted, err)
 	}
-	if man.Version != manifestVersion {
-		return nil, fmt.Errorf("checkpoint manifest version %d, want %d: %w", man.Version, manifestVersion, errs.ErrCorrupted)
-	}
-	if man.Iteration < 0 || len(man.Parts) == 0 {
-		return nil, fmt.Errorf("checkpoint manifest is inconsistent (iteration %d, %d partitions): %w",
-			man.Iteration, len(man.Parts), errs.ErrCorrupted)
-	}
-	return man, nil
+	return man, man.check()
 }
 
-// vertexGenFile names partition p's vertex-state file written in
-// iteration iter. Checkpointed runs keep one generation per saving
-// iteration so a crash mid-iteration never clobbers the state the
-// manifest points at; un-checkpointed runs overwrite a single file.
-func (e *kernel) vertexGenFile(iter, p int) string {
-	return fmt.Sprintf("%s_vtxg%d_%d", e.rt.Opts.FilePrefix, iter, p)
-}
-
-// removeLater deletes a working file — immediately when the run is not
-// checkpointed, otherwise after the next manifest is durable (the
-// current manifest may still name it).
-func (e *kernel) removeLater(name string) {
-	if name == "" {
-		return
+// resume folds the manifest's logs into the vertex files and bitmaps (claims
+// included), for the loop to re-enter at man.Iteration+1 as it re-enters
+// top-down after a bottom-up pass: the frontier formed, nothing to gather.
+// Unless the run is done, it then reads the stored file once: a run back in
+// its stored phase recounts the degree table, the others call Prepare. A
+// manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
+func (e *kernel) resume(man *checkpointManifest) error {
+	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
+		man.Root != e.rt.Opts.Root || man.Parts != e.rt.Parts.P() || uint64(man.Iteration) >= e.rt.Meta.Vertices {
+		return fmt.Errorf("%s: the checkpoint manifest is another run's: %w", e.run.Engine, errs.ErrCorrupted)
 	}
-	if e.ck == nil {
-		e.rt.Vol.Remove(name)
-		return
+	if e.ds.dirHistory = man.Dir; !e.stored {
+		e.ds.StoredPrice = 0
 	}
-	e.graveyard = append(e.graveyard, name)
-}
-
-// flushGraveyard performs the deferred deletions; called only once a
-// manifest that no longer references them has been persisted.
-func (e *kernel) flushGraveyard() {
-	for _, name := range e.graveyard {
-		e.rt.Vol.Remove(name)
-	}
-	e.graveyard = e.graveyard[:0]
-}
-
-// timingRole names the device a stream timing points at, for the
-// manifest; roleTiming rebuilds the timing on resume. Wall mode has a
-// single implicit device, so everything is "main".
-func (e *kernel) timingRole(t stream.Timing) string {
-	sim := e.rt.Opts.Sim
-	if sim == nil || t.Device == nil || t.Device == sim.MainDisk {
-		return "main"
-	}
-	if sim.StayDisk != nil && t.Device == sim.StayDisk {
-		return "stay"
-	}
-	return "aux"
-}
-
-func (e *kernel) roleTiming(role string) stream.Timing {
-	sim := e.rt.Opts.Sim
-	switch {
-	case sim == nil:
-		return e.rt.MainTiming()
-	case role == "stay" && sim.StayDisk != nil:
-		return e.stayDiskTiming()
-	case role == "aux" && sim.AuxDisk != nil:
-		return e.rt.AuxTiming()
-	}
-	return e.rt.MainTiming()
-}
-
-// writeManifest snapshots the run after completed iteration iter and
-// persists it, then performs the deletions that were deferred while the
-// previous manifest still referenced their files. No-op without a
-// checkpoint volume.
-func (e *kernel) writeManifest(iter int, done bool) error {
-	if e.ck == nil {
-		return nil
-	}
-	man := &checkpointManifest{
-		Version:         manifestVersion,
-		Engine:          e.run.Engine,
-		Graph:           e.rt.Meta.Name,
-		FilePrefix:      e.rt.Opts.FilePrefix,
-		Codec:           string(e.rt.Codec),
-		Iteration:       iter,
-		Done:            done,
-		Visited:         e.run.Visited,
-		Cancellations:   e.run.Cancellations,
-		Skipped:         e.run.Skipped,
-		Trimmed:         e.run.TrimmedEdges,
-		StayCorruptions: e.run.StayCorruptions,
-		Iterations:      e.run.Iterations,
-		Parts:           make([]manifestPart, len(e.parts)),
-	}
+	e.rt.allocBitmaps(true)
+	d := e.frontierState()
 	for p := range e.parts {
-		st := &e.parts[p]
-		man.Parts[p] = manifestPart{
-			Input:      st.input,
-			InputRole:  e.timingRole(st.inputTiming),
-			VertexFile: st.vertexFile,
-			Updates:    st.updates,
-			StayBroken: st.stayBroken,
+		v, st := e.rt.InitVerts(p), &e.parts[p]
+		if e.rt.MarkRoot(v) {
+			st.visitedCount = 1
 		}
-		if st.inputEdges >= 0 {
-			man.Parts[p].InputEdges = &st.inputEdges
+		var applied int64
+		for j := 0; j <= man.Iteration; j++ {
+			onNew := d.frontier.Set // the frontier the loop re-enters at
+			if j < man.Iteration {
+				onNew = nil
+			}
+			newly, _, a, err := e.gather(v, e.logFile(j, p), uint32(j)+1, onNew)
+			if errors.Is(err, storage.ErrNotExist) {
+				return fmt.Errorf("%s: checkpoint manifest names a log the working volume lacks: %w: %w", e.run.Engine, errs.ErrCorrupted, err)
+			} else if err != nil {
+				return err
+			}
+			st.frontier, st.updates, applied = newly, int64(newly), a
+			st.visitedCount += newly
 		}
-		if st.fallback != "" {
-			man.Parts[p].Fallback = st.fallback
-			man.Parts[p].FallbackRole = e.timingRole(st.fallbackTiming)
-		}
-	}
-	if err := e.ck.write(man); err != nil {
-		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.run.Engine, iter, err)
-	}
-	e.run.Checkpoints++
-	e.ctr.Checkpoints.Add(1)
-	e.flushGraveyard()
-	return nil
-}
-
-// seedFromManifest restores the engine's state from a loaded manifest
-// and validates that every file it names still exists on the working
-// volume — a missing file means the checkpoint and working volumes
-// diverged, which resume must refuse rather than silently restart.
-func (e *kernel) seedFromManifest(man *checkpointManifest) error {
-	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name ||
-		man.FilePrefix != e.rt.Opts.FilePrefix || len(man.Parts) != e.rt.Parts.P() {
-		return fmt.Errorf("%s: checkpoint manifest (engine %q graph %q prefix %q, %d partitions) does not match this run (%q, %d partitions): %w",
-			e.run.Engine, man.Engine, man.Graph, man.FilePrefix, len(man.Parts), e.rt.Meta.Name, e.rt.Parts.P(), errs.ErrCorrupted)
-	}
-	manCodec, err := graph.ParseCodec(man.Codec)
-	if err != nil || manCodec != e.rt.Codec {
-		return fmt.Errorf("%s: checkpoint manifest was written under codec %q but this run uses %q: %w",
-			e.run.Engine, man.Codec, e.rt.Codec, errs.ErrCorrupted)
-	}
-	if e.rt.OutDeg != nil && !man.Done {
-		// The trim rule's degree table lived in RAM too, and Prepare, whose
-		// pass counts it, is skipped: one read of the stored edge file.
-		if err := e.rt.scanStored(nil); err != nil {
+		d.carryFrontier += st.frontier
+		d.carryUpdates += applied
+		e.run.Visited += st.visitedCount
+		if err := e.rt.SaveVerts(p, v); err != nil {
 			return err
 		}
 	}
-	for p := range man.Parts {
-		mp := &man.Parts[p]
-		st := &e.parts[p]
-		st.input = mp.Input
-		st.inputTiming = e.roleTiming(mp.InputRole)
-		if mp.InputEdges != nil {
-			st.inputEdges = *mp.InputEdges
-		}
-		st.fallback = mp.Fallback
-		if mp.Fallback != "" {
-			st.fallbackTiming = e.roleTiming(mp.FallbackRole)
-		}
-		st.vertexFile = mp.VertexFile
-		st.updates = mp.Updates
-		st.stayBroken = mp.StayBroken
-		if mp.StayBroken {
-			e.run.StayDisabledParts++
-		}
-		pending := "" // the sealed update file the resumed iteration gathers
-		if !man.Done && mp.Updates > 0 {
-			pending = e.rt.UpdateFile(iterIn(man.Iteration+1), p)
-		}
-		for _, name := range []string{mp.Input, mp.VertexFile, mp.Fallback, pending} {
-			if name != "" && !e.rt.Vol.Exists(name) {
-				return fmt.Errorf("%s: checkpoint manifest names %s but the working volume does not have it: %w",
-					e.run.Engine, name, errs.ErrCorrupted)
-			}
-		}
-		if !man.Done {
-			// The update filter's bitmaps lived in RAM: rebuild them, or the
-			// resumed run shuffles dead updates the uninterrupted one dropped.
-			// The same read of the vertex file recounts the live edges.
-			var err error
-			if st.live, err = e.rt.SeedResumed(p, mp.VertexFile, pending); err != nil {
-				return err
-			}
+	if e.rt.claimed != nil {
+		copy(e.rt.claimed.w, e.rt.VisitedBits.w)
+	}
+	if e.run.Resumed = man.Iteration + 1; man.Done {
+		return nil
+	}
+	// Prepare keeps the frontier's edges, the next scatter's.
+	var err error
+	if e.stored {
+		err = e.rt.scanStored(nil)
+	} else {
+		var counts []int64
+		e.rt.VisitedBits.toggle(d.frontier)
+		counts, err = e.rt.Prepare()
+		e.rt.VisitedBits.toggle(d.frontier)
+		for p, c := range counts {
+			e.parts[p].inputEdges = c
 		}
 	}
-	e.run.Visited = man.Visited
-	e.run.Cancellations = man.Cancellations
-	e.run.Skipped = man.Skipped
-	e.run.TrimmedEdges = man.Trimmed
-	e.run.StayCorruptions = man.StayCorruptions
-	e.run.Resumed = man.Iteration + 1
-	e.run.Iterations = man.Iterations
-	if e.run.StayDisabledParts > 0 {
-		e.ctr.StayDisabled.Set(int64(e.run.StayDisabledParts))
+	if err != nil {
+		return err
+	}
+	if e.rt.OutDeg != nil {
+		d.carryDeg = float64(e.countLive())
+	}
+	// A top-down or stored pass formed the last level: the next iteration
+	// books it as the gather it skips would have, and the heuristic
+	// records it (bookCarried). A bottom-up pass did both itself.
+	if d.unbooked = man.Dir.Mode != DirectionBottomUp; d.unbooked {
+		e.run.Visited -= d.carryFrontier
 	}
 	return nil
 }

@@ -119,6 +119,13 @@ func (b *Bitset) Clear() {
 	}
 }
 
+// toggle flips every bit o holds.
+func (b *Bitset) toggle(o *Bitset) {
+	for i, w := range o.w {
+		b.w[i] ^= w
+	}
+}
+
 // DirState is the per-run direction heuristic state. The engines call
 // Decide at the top of every iteration and the Record methods as each
 // pass completes; everything in between is plain bookkeeping, so the
@@ -136,45 +143,50 @@ func (b *Bitset) Clear() {
 // bottoms out. The β test is exact — a bottom-up pass counts its newly
 // formed frontier and that frontier's out-degree sum as it runs.
 type DirState struct {
-	// Conf is the resolved policy; Mode is the mode Decide last chose.
+	// Conf is the resolved policy.
 	Conf Direction
-	Mode Direction
-
-	// Switches counts mode changes; BottomUpIters counts bottom-up
-	// iterations; SwitchIteration is the first bottom-up iteration (-1
-	// when the run never switched).
-	Switches        int64
-	BottomUpIters   int64
-	SwitchIteration int
+	dirHistory
 
 	alpha, beta float64
 	vertices    float64
-	unexplored  float64
-	// lastCount is the size of the most recently formed frontier (β's
-	// input). candDeg/candCount describe the last top-down scatter's
-	// emitted update wave — the next level's candidates — and prevCand
-	// the wave before it (α's growth guard).
-	lastCount uint64
-	candDeg   float64
-	candCount int64
-	prevCand  int64
-	// storedPrice is, while the forward input is still the stored edge
+	// held says Decide just held a bottom-up pass back from a stored one.
+	held bool
+}
+
+// dirHistory is the part of DirState a checkpoint keeps (checkpoint.go):
+// what Decide reads, and the switch accounting.
+type dirHistory struct {
+	// Mode is the mode Decide last chose. Switches counts mode changes;
+	// BottomUpIters counts bottom-up iterations; SwitchIteration is the
+	// first bottom-up iteration (-1 when the run never switched).
+	Mode            Direction
+	Switches        int64
+	BottomUpIters   int64
+	SwitchIteration int
+	// Unexplored is α's estimate of the edges not yet expanded; LastCount
+	// the size of the most recently formed frontier (β's input).
+	// CandDeg/CandCount describe the last top-down scatter's emitted update
+	// wave — the next level's candidates — and PrevCand the wave before it
+	// (α's growth guard).
+	Unexplored float64
+	LastCount  uint64
+	CandDeg    float64
+	CandCount  int64
+	PrevCand   int64
+	// StoredPrice is, while the forward input is still the stored edge
 	// file (a FastBFS run before its split, split.go), what a top-down pass
 	// would read: the whole file, less what the bottom-up passes β held
 	// back from it have read (RecordBottomUp) — it holds them until they
-	// have read as much. held says Decide just held one.
-	storedPrice float64
-	held        bool
+	// have read as much.
+	StoredPrice float64
 }
 
 // NewDirState builds the heuristic state for a run under the resolved
 // policy dir.
 func NewDirState(rt *Runtime, dir Direction) *DirState {
-	return &DirState{
-		Conf: dir, Mode: DirectionTopDown, SwitchIteration: -1,
-		alpha: float64(rt.Opts.DirectionAlpha), beta: float64(rt.Opts.DirectionBeta),
-		vertices: float64(rt.Meta.Vertices), unexplored: float64(rt.Meta.Edges),
-	}
+	return &DirState{Conf: dir,
+		dirHistory: dirHistory{Mode: DirectionTopDown, SwitchIteration: -1, Unexplored: float64(rt.Meta.Edges)},
+		alpha:      float64(rt.Opts.DirectionAlpha), beta: float64(rt.Opts.DirectionBeta), vertices: float64(rt.Meta.Vertices)}
 }
 
 // Decide picks iteration iter's mode (true = bottom-up) from what the
@@ -185,10 +197,10 @@ func (ds *DirState) Decide(iter int) bool {
 	// candidate wave's out-edges dominate the unexplored remainder — and
 	// only while the wave is still growing, so the collapsing tail stays
 	// top-down.
-	stay := float64(ds.lastCount) >= ds.vertices/ds.beta
-	ds.held = !stay && ds.storedPrice > 0 && ds.Mode == DirectionBottomUp
+	stay := float64(ds.LastCount) >= ds.vertices/ds.beta
+	ds.held = !stay && ds.StoredPrice > 0 && ds.Mode == DirectionBottomUp
 	return ds.pick(iter, stay || ds.held,
-		ds.candCount > ds.prevCand && ds.candDeg > ds.unexplored/ds.alpha)
+		ds.CandCount > ds.PrevCand && ds.CandDeg > ds.Unexplored/ds.alpha)
 }
 
 // DecideExact is Decide for the indexed resident traversal (engine.go),
@@ -200,8 +212,8 @@ func (ds *DirState) Decide(iter int) bool {
 // exits; it is never under one entry per unvisited vertex, which is what
 // keeps a tree or a sparse graph top-down. The growth guard is Decide's.
 func (ds *DirState) DecideExact(iter int, frontier, frontierOut, unvisited, unvisitedIn uint64) bool {
-	growing := frontier > ds.lastCount
-	ds.lastCount = frontier
+	growing := frontier > ds.LastCount
+	ds.LastCount = frontier
 	return ds.pick(iter,
 		float64(frontier) >= ds.vertices/ds.beta,
 		growing && float64(frontierOut) > max(float64(unvisitedIn)/ds.alpha, float64(unvisited)))
@@ -247,11 +259,11 @@ func (ds *DirState) pick(iter int, stay, enter bool) bool {
 // the bottom-up pass built, and subtracting its edges twice would drain
 // the unexplored estimate early.
 func (ds *DirState) RecordFrontier(count uint64, degSum float64, formedNow bool) {
-	ds.lastCount = count
+	ds.LastCount = count
 	if formedNow {
-		ds.unexplored -= degSum
-		if ds.unexplored < 0 {
-			ds.unexplored = 0
+		ds.Unexplored -= degSum
+		if ds.Unexplored < 0 {
+			ds.Unexplored = 0
 		}
 	}
 }
@@ -260,7 +272,7 @@ func (ds *DirState) RecordFrontier(count uint64, degSum float64, formedNow bool)
 // pays them toward the stored pass it stands in for.
 func (ds *DirState) RecordBottomUp(edges int64) {
 	if ds.held {
-		ds.storedPrice -= float64(edges)
+		ds.StoredPrice -= float64(edges)
 	}
 }
 
@@ -268,7 +280,7 @@ func (ds *DirState) RecordBottomUp(edges int64) {
 // updates it wrote and the out-degree sum over their target vertices
 // (α's look-ahead input).
 func (ds *DirState) RecordScatter(emitted int64, candDeg float64) {
-	ds.prevCand = ds.candCount
-	ds.candCount = emitted
-	ds.candDeg = candDeg
+	ds.PrevCand = ds.CandCount
+	ds.CandCount = emitted
+	ds.CandDeg = candDeg
 }

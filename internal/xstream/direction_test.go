@@ -80,7 +80,7 @@ func TestDirStateStoredPrice(t *testing.T) {
 	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
 		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
 	ds := NewDirState(rt, DirectionAuto)
-	ds.storedPrice = float64(rt.Meta.Edges)
+	ds.StoredPrice = float64(rt.Meta.Edges)
 	ds.Decide(0)
 	ds.RecordFrontier(5, 30, true)
 	ds.RecordScatter(400, 6000)
@@ -92,7 +92,7 @@ func TestDirStateStoredPrice(t *testing.T) {
 	for iter, read := range []int64{6000, 4000} {
 		ds.RecordFrontier(10, 40, true)
 		if !ds.Decide(2 + iter) {
-			t.Fatalf("iteration %d: β dropped to a stored pass with %.0f edges of it unpaid", 2+iter, ds.storedPrice)
+			t.Fatalf("iteration %d: β dropped to a stored pass with %.0f edges of it unpaid", 2+iter, ds.StoredPrice)
 		}
 		ds.RecordBottomUp(read)
 	}

@@ -1,8 +1,6 @@
 package xstream
 
 import (
-	"fmt"
-
 	"fastbfs/internal/graph"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/stream"
@@ -37,9 +35,8 @@ import (
 // The counts the direction heuristic consumes (Wave.Emitted, Wave.CandDeg)
 // are taken before either step, over every frontier out-edge, so Decide
 // sees the numbers an unfiltered run produces. Everything that asks
-// "was anything written" — termination, selective scheduling, the
-// checkpoint manifest — reads the shuffler's counts, which now hold only
-// what passed.
+// "was anything written" — termination, selective scheduling — reads the
+// shuffler's counts, which now hold only what passed.
 
 // Wave totals the scatters of one top-down iteration.
 type Wave struct {
@@ -69,8 +66,8 @@ type UpdateFilter struct {
 	emitted, dropped *obs.Counter
 }
 
-// NewUpdateFilter builds the run's filter over the bitmaps Prepare (or,
-// on resume, SeedResumed) set up; call it after them. dir is the run's
+// NewUpdateFilter builds the run's filter over the bitmaps Prepare, the
+// stored phase or a resume set up; call it after them. dir is the run's
 // resolved direction policy: only a run that may go bottom-up has a
 // reader for Wave.CandDeg, so a top-down run sums nothing, whether or
 // not the trim rule keeps a degree table.
@@ -142,67 +139,4 @@ func (rt *Runtime) allocBitmaps(stored bool) {
 	if rt.claimed == nil && filter {
 		rt.claimed = rt.scratch.claimed.reset(rt.Meta.Vertices)
 	}
-}
-
-// SeedResumed rebuilds partition p's share of what a run resumed from a
-// checkpoint would hold in RAM had it not skipped Prepare and every
-// gather so far. For the update filter, its bitmaps: the visited vertices
-// of the manifest's vertex file, and — from updFile, the sealed update
-// file the resumed iteration will gather, "" when the partition has none
-// — the destinations whose winning update is already written, so the
-// resumed run drops exactly what the uninterrupted one does. For the trim
-// rule, the partition's live edge count, returned: the out-degree sum of
-// the vertices that file leaves unvisited (UnknownEdges without a degree
-// table, which is recounted before this). A run with neither reads nothing.
-func (rt *Runtime) SeedResumed(p int, vertexFile, updFile string) (live int64, err error) {
-	rt.allocBitmaps(false)
-	if rt.claimed == nil && rt.OutDeg == nil {
-		return UnknownEdges, nil
-	}
-	v, err := rt.LoadVertsFile(p, vertexFile)
-	if err != nil {
-		return 0, err
-	}
-	live = UnknownEdges
-	if rt.OutDeg != nil {
-		live = 0
-	}
-	for i, lv := range v.Level {
-		vid := v.Lo + graph.VertexID(i)
-		switch {
-		case lv == NoLevel && rt.OutDeg != nil:
-			live += int64(rt.OutDeg[vid])
-		case lv != NoLevel && rt.claimed != nil:
-			rt.VisitedBits.Set(vid)
-			rt.claimed.Set(vid)
-		}
-	}
-	if updFile == "" || rt.claimed == nil {
-		return live, nil
-	}
-	rt.AwaitFile(updFile)
-	sc, err := stream.NewUpdateScanner(rt.Vol, updFile, rt.AuxTiming(), rt.Opts.StreamBufSize)
-	if err != nil {
-		return 0, err
-	}
-	defer sc.Close()
-	lo, hi := rt.Parts.Interval(p)
-	chunk := rt.UpdateChunk()
-	for {
-		n, err := sc.NextChunk(chunk)
-		if err != nil {
-			return 0, err
-		}
-		if n == 0 {
-			break
-		}
-		for _, u := range chunk[:n] {
-			if u.Dst < lo || u.Dst >= hi {
-				return 0, fmt.Errorf("xstream: update %v outside partition [%d,%d)", u, lo, hi)
-			}
-			rt.claimed.Set(u.Dst)
-		}
-	}
-	rt.BytesRead += sc.BytesRead()
-	return live, nil
 }

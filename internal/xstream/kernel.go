@@ -19,7 +19,8 @@ import (
 // package: X-Stream is the loop below run under the zero Policy, FastBFS
 // (internal/core) the same loop with trimming, selective scheduling, the
 // residency cache and checkpointing switched on. bottomup.go holds the
-// loop's bottom-up iterations, checkpoint.go its manifest.
+// loop's bottom-up iterations, split.go its passes over the stored edge
+// file, checkpoint.go its manifest and resume.
 //
 // The trim rule is "eliminate iff the source vertex is visited", which is
 // equivalent to the paper's "eliminate if processing generated an update"
@@ -57,9 +58,10 @@ type Policy struct {
 	// (DESIGN.md §8); zero or negative leaves the cache off.
 	ResidencyBudget int64
 
-	// CheckpointVol, when non-nil, makes the run persist a manifest after
-	// every completed iteration and keep its working files; Resume
-	// restarts from that manifest (DESIGN.md §10, checkpoint.go).
+	// CheckpointVol, when non-nil, makes a streaming run keep a log of
+	// every level it forms and persist a manifest naming them after every
+	// iteration; Resume restarts from that manifest (DESIGN.md §10,
+	// checkpoint.go). A run on the in-memory path ignores both.
 	CheckpointVol storage.Volume
 	Resume        bool
 }
@@ -107,20 +109,6 @@ func (p Policy) TrimActive(iter int, visited, vertices uint64, live, input int64
 // metrics, working-file prefix, manifest and error text.
 func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string, opts Options, pol Policy) (*Result, error) {
 	opts.SetDefaults(engine)
-	pinned := false
-	if pol.CheckpointVol != nil {
-		// A resumable run must leave its working files behind: Cleanup
-		// would delete the very state the manifest names. And it stays
-		// top-down: bottom-up state (frontier bitmaps, reverse stay chains)
-		// is not manifest-covered.
-		opts.KeepFiles = true
-		switch opts.Direction {
-		case DirectionBottomUp:
-			return nil, fmt.Errorf("%s: %w: direction bottomup cannot be checkpointed (bottom-up state is not manifest-covered); use topdown or drop the checkpoint volume", engine, errs.ErrBadOptions)
-		case DirectionAuto:
-			opts.Direction, pinned = DirectionTopDown, true
-		}
-	}
 	rt, err := NewRuntimeContext(ctx, vol, graphName, opts)
 	if err != nil {
 		return nil, err
@@ -129,15 +117,12 @@ func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string
 	if rt.Meta.Weighted {
 		return nil, fmt.Errorf("%s: %w: BFS takes unweighted graphs; %s is weighted", engine, errs.ErrBadOptions, graphName)
 	}
-	if rt.InMemory() && pol.CheckpointVol == nil {
-		// The in-memory fast path has no durable intermediate state to
-		// checkpoint; checkpointed runs always stream. It has no destination
-		// partitions to route by either, so its shards hold a single slot.
+	if rt.InMemory() {
+		// The in-memory fast path has no destination partitions to route by,
+		// so its shards hold a single slot.
 		return newKernel(rt, engine, pol, 1).runInMemory()
 	}
-	e := newKernel(rt, engine, pol, rt.Parts.P())
-	e.run.DirectionFallback = pinned
-	return e.runStreaming()
+	return newKernel(rt, engine, pol, rt.Parts.P()).runStreaming()
 }
 
 // partState tracks one partition's edge input and pending stay write.
@@ -162,10 +147,6 @@ type partState struct {
 	// trimming is degraded off for it (each scatter would otherwise burn
 	// a grace wait and a cancellation on a write that cannot succeed).
 	stayBroken bool
-	// vertexFile is the partition's current vertex-state file. It is the
-	// fixed VertexFile name normally, and a per-iteration generation
-	// name under checkpointing (see vertexGenFile).
-	vertexFile string
 	// resident, when non-nil, holds this partition's live edge set in
 	// RAM: the partition was promoted by the residency cache and its
 	// scatters no longer touch the device (DESIGN.md §8). Promotion is
@@ -210,8 +191,8 @@ type kernel struct {
 
 	// run is the measurement record, and the only place the run's totals
 	// live: the loop counts straight into it (visited vertices, skips,
-	// cancellations, trimmed edges, iteration rows), the manifest is written
-	// from it and a resume seeds it, so nothing is copied out at the end.
+	// cancellations, trimmed edges, iteration rows), so nothing is copied
+	// out at the end.
 	run metrics.Run
 
 	sw    *stream.StayWriter // nil unless pol.Trim
@@ -234,11 +215,8 @@ type kernel struct {
 	// a FastBFS run that trims by the counts, until its split pass (split.go).
 	stored bool
 
-	// ck is the checkpoint writer (nil when not checkpointing);
-	// graveyard holds deletions deferred until the next manifest no
-	// longer references the files.
-	ck        *checkpointer
-	graveyard []string
+	// ck is the checkpoint volume (nil when not checkpointing).
+	ck storage.Volume
 }
 
 // newKernel sets up what both regimes share: the record, named for the
@@ -291,29 +269,21 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fellBack || e.run.DirectionFallback { // RunPolicy pinned a checkpointed auto run
+	if fellBack {
 		e.run.DirectionFallback = true
 		e.ctr.DirectionFallbacks.Add(1)
 	}
 	e.ds = NewDirState(e.rt, dir)
 	e.ctr.SwitchIteration.Set(-1)
-	budget := e.pol.ResidencyBudget
-	if e.pol.CheckpointVol != nil {
-		// A promoted partition's live edge set exists only in RAM and
-		// would be lost at a crash; checkpointed runs keep every
-		// partition on the device.
-		budget = 0
-		e.ck = &checkpointer{vol: e.pol.CheckpointVol}
-	}
-	e.resd = stream.NewResidency(budget, e.rt.Parts.P())
+	e.resd = stream.NewResidency(e.pol.ResidencyBudget, e.rt.Parts.P())
 	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
 	if e.resd != nil {
-		runSpan.Attr("residency_budget", budget)
+		runSpan.Attr("residency_budget", e.pol.ResidencyBudget)
 	}
 
 	e.parts = make([]partState, e.rt.Parts.P())
 	for p := range e.parts {
-		e.parts[p] = partState{input: e.rt.EdgeFile(p), inputTiming: e.rt.MainTiming(), vertexFile: e.rt.VertexFile(p),
+		e.parts[p] = partState{input: e.rt.EdgeFile(p), inputTiming: e.rt.MainTiming(),
 			inputEdges: UnknownEdges, fallbackEdges: UnknownEdges, live: UnknownEdges}
 	}
 	counting := e.pol.Trim && !e.pol.static()
@@ -322,31 +292,34 @@ func (e *kernel) runStreaming() (*Result, error) {
 	}
 
 	var man *checkpointManifest
-	if e.ck != nil && e.pol.Resume {
-		if man, err = e.ck.load(); err != nil {
+	if e.pol.CheckpointVol != nil {
+		e.ck = e.pol.CheckpointVol
+		e.rt.keepLogs = true
+		if !e.pol.Resume {
+			// This run's logs overwrite the old one's: its manifest goes first.
+			e.ck.Remove(manifestName)
+		} else if man, err = loadManifest(e.ck); err != nil {
 			return nil, fmt.Errorf("%s: %w", e.run.Engine, err)
 		}
-	}
-	startIter := 0
-	if man != nil {
-		if err := e.seedFromManifest(man); err != nil {
-			return nil, err
-		}
-		startIter = man.Iteration + 1
-		runSpan.Attr("resumed_iterations", int64(startIter))
 	}
 
 	// A run that trims by the counts splits when the split pays (split.go),
 	// if its working files share the stored file's codec, so that the rule's
-	// edge counts are bytes; the rest split up front. Resume skips the
-	// split: the per-partition edge (or stay) inputs the manifest names are
-	// already on the volume.
-	e.stored = counting && e.ck == nil && e.rt.Codec == e.rt.Meta.EdgeCodec()
+	// edge counts are bytes; the rest split up front. A resumed run goes back
+	// to its stored phase if it had not split: β still prices a stored pass.
+	e.stored = counting && e.rt.Codec == e.rt.Meta.EdgeCodec() && (man == nil || man.Dir.StoredPrice > 0)
+	startIter := 0
 	switch {
+	case man != nil:
+		if err := e.resume(man); err != nil {
+			return nil, err
+		}
+		startIter = man.Iteration + 1
+		runSpan.Attr("resumed_iterations", int64(startIter))
 	case e.stored:
 		e.rt.allocBitmaps(true)
-		e.ds.storedPrice = float64(e.rt.Meta.Edges)
-	case man == nil:
+		e.ds.StoredPrice = float64(e.rt.Meta.Edges)
+	default:
 		prep := runSpan.Child("load")
 		counts, err := e.rt.Prepare()
 		if err != nil {
@@ -373,119 +346,41 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if maxIter <= 0 {
 		maxIter = int(e.rt.Meta.Vertices) + 1
 	}
-	if man != nil && man.Done {
-		// The checkpointed run had already converged; skip straight to
-		// collecting its recorded vertex state.
-		maxIter = startIter
-	}
-
 	// prevBottom is whether the last iteration went bottom-up; formed,
 	// whether it formed this one's frontier in the vertex state (a
-	// bottom-up or a stored pass), leaving no update file to gather.
+	// bottom-up or a stored pass, or a resume), leaving no update file to
+	// gather.
 	prevBottom, formed := false, false
+	if man != nil {
+		prevBottom, formed = man.Dir.Mode == DirectionBottomUp, true
+		if man.Done {
+			maxIter = startIter // the run had converged: only collect
+		}
+	}
 	for iter := startIter; iter < maxIter; iter++ {
-		// Iteration iter consumes update set iterIn(iter) and produces
-		// the other one (the two sets' roles switch every iteration, so
-		// the gather's input is never tainted by the scatter's output).
-		in, out := iterIn(iter), 1-iterIn(iter)
 		if err := e.rt.Checkpoint(); err != nil {
 			return nil, err
 		}
-		bottom := e.ds.Decide(iter)
+		bottom, stored := e.ds.Decide(iter), e.stored
 		if bottom != prevBottom {
 			e.ctr.DirectionSwitches.Add(1)
 		}
-		if bottom {
-			newly, err := e.bottomUpIteration(iter, formed, runSpan)
-			if err != nil {
-				return nil, err
-			}
-			prevBottom, formed = true, true
-			if newly == 0 {
-				break
-			}
-			continue
+		var done bool
+		switch {
+		case bottom:
+			var newly uint64
+			newly, err = e.bottomUpIteration(iter, formed, runSpan)
+			done = newly == 0
+		case stored:
+			done, err = e.storedIteration(iter, iter+1 == maxIter, prevBottom, runSpan)
+		default:
+			done, err = e.topDownIteration(iter, formed, prevBottom, runSpan)
 		}
-		if e.stored {
-			done, err := e.storedIteration(iter, iter+1 == maxIter, prevBottom, runSpan)
-			if err != nil {
-				return nil, err
-			}
-			prevBottom, formed = false, true
-			if done {
-				break
-			}
-			continue
-		}
-		// The pass before a formed frontier already seeded each
-		// partition's update/frontier counts for selective scheduling.
-		skipGather, wasBottom := formed, prevBottom
-		prevBottom, formed = false, false
-		e.filter.Wave = Wave{}
-		itSpan := runSpan.Child("iteration").SetIter(iter)
-		e.ctr.Iteration.Set(int64(iter))
-		// Asked without counts, the trim rule says whether this iteration
-		// trims at all; a scatter that would write then asks for its partition.
-		trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
-		sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
-			func(p int) string { return e.rt.UpdateFile(out, p) })
 		if err != nil {
 			return nil, err
 		}
-		sh.SetAsync() // update streams are write-behind with a gather barrier
-		itRow := metrics.Iteration{Index: iter, TrimActive: trimNow}
-		e.bookCarried(&itRow)
-
-		for p := 0; p < e.rt.Parts.P(); p++ {
-			if err := e.rt.Checkpoint(); err != nil {
-				sh.Abort()
-				return nil, err
-			}
-			if err := e.iteratePartition(p, iter, trimNow, skipGather, sh, &itRow, itSpan); err != nil {
-				sh.Abort()
-				return nil, err
-			}
-		}
-
-		wave := e.filter.Wave
-		itRow.Filtered = wave.Filtered()
-		shs := itSpan.Child("shuffle")
-		if err := sealWriters(e.rt, sh.WriterSet); err != nil {
-			return nil, err
-		}
-		shs.Attr("updates", wave.Written).End()
-		for p, c := range sh.Counts() {
-			e.parts[p].updates = c
-		}
-
-		itRow.Frontier = itRow.NewlyVisited
-		if iter == 0 {
-			itRow.Frontier = 1
-		}
-		if skipGather {
-			itRow.Frontier = e.dir.carryFrontier
-		}
-		// The scatter emits one update per frontier out-edge — frontier
-		// vertices were unvisited until now, so trimming never dropped
-		// their edges — making the emitted count, taken before the update
-		// filter, exactly this frontier's out-degree sum. Only a bottom-up
-		// pass formed (and recorded) it before this iteration.
-		e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !wasBottom)
-		e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
-		e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
-
-		if iter > 0 && !skipGather {
-			for p := 0; p < e.rt.Parts.P(); p++ {
-				e.removeLater(e.rt.UpdateFile(in, p))
-			}
-		}
-
-		// Nothing written means no partition has anything to gather: the
-		// traversal is done, whatever the frontier still emitted at visited
-		// vertices. Iteration complete: persist the manifest (atomic), then
-		// the deletions deferred while the previous manifest still
-		// referenced their files become safe.
-		done := wave.Written == 0
+		prevBottom, formed = bottom, bottom || stored
+		// The iteration's level is logged: persist the manifest (atomic).
 		if err := e.writeManifest(iter, done); err != nil {
 			return nil, err
 		}
@@ -503,9 +398,95 @@ func (e *kernel) runStreaming() (*Result, error) {
 	e.run.ResidentBytes = e.resd.Bytes()
 	e.run.ResidentScans = e.resd.Scans()
 	e.run.ResidentBytesSaved = e.resd.SavedBytes()
-	return e.finish(runSpan, func() (*Result, error) {
-		return e.rt.CollectResultFrom(func(p int) string { return e.parts[p].vertexFile })
-	})
+	return e.finish(runSpan, e.rt.CollectResult)
+}
+
+// topDownIteration runs top-down iteration iter over the partitions'
+// inputs: each gathers the updates the last scatter wrote it, unless a
+// pass formed this frontier in the vertex state (skipGather; wasBottom
+// says a bottom-up one), then scatters. It reports whether the traversal
+// is done: nothing written means no partition has anything to gather,
+// whatever the frontier still emitted at visited vertices.
+func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan *obs.Span) (done bool, err error) {
+	e.filter.Wave = Wave{}
+	itSpan := runSpan.Child("iteration").SetIter(iter)
+	e.ctr.Iteration.Set(int64(iter))
+	// Asked without counts, the trim rule says whether this iteration
+	// trims at all; a scatter that would write then asks for its partition.
+	trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
+	sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
+		func(p int) string { return e.updFile(iter, p) })
+	if err != nil {
+		return false, err
+	}
+	sh.SetAsync() // update streams are write-behind with a gather barrier
+	itRow := metrics.Iteration{Index: iter, TrimActive: trimNow}
+	e.bookCarried(&itRow)
+
+	for p := 0; p < e.rt.Parts.P(); p++ {
+		if err := e.rt.Checkpoint(); err != nil {
+			sh.Abort()
+			return false, err
+		}
+		if err := e.iteratePartition(p, iter, trimNow, skipGather, sh, &itRow, itSpan); err != nil {
+			sh.Abort()
+			return false, err
+		}
+	}
+
+	wave := e.filter.Wave
+	itRow.Filtered = wave.Filtered()
+	shs := itSpan.Child("shuffle")
+	if err := sealWriters(e.rt, sh.WriterSet); err != nil {
+		return false, err
+	}
+	shs.Attr("updates", wave.Written).End()
+	for p, c := range sh.Counts() {
+		e.parts[p].updates = c
+	}
+
+	itRow.Frontier = itRow.NewlyVisited
+	if iter == 0 {
+		itRow.Frontier = 1
+	}
+	if skipGather {
+		itRow.Frontier = e.dir.carryFrontier
+	}
+	// The scatter emits one update per frontier out-edge — frontier
+	// vertices were unvisited until now, so trimming never dropped
+	// their edges — making the emitted count, taken before the update
+	// filter, exactly this frontier's out-degree sum. Only a bottom-up
+	// pass formed (and recorded) it before this iteration.
+	e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !wasBottom)
+	e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
+	e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
+	if !skipGather {
+		e.dropUpdates(iter)
+	}
+	return wave.Written == 0, nil
+}
+
+// updFile is the update file iteration iter's scatter writes for partition
+// p, and iteration iter+1 gathers: under checkpointing, the log of the
+// level it forms (whose first record per vertex is the winner), else one of
+// the two update sets whose roles switch every iteration, so the gather's
+// input is never the scatter's output (§III).
+func (e *kernel) updFile(iter, p int) string {
+	if e.ck != nil {
+		return e.logFile(iter, p)
+	}
+	return e.rt.UpdateFile((iter+1)%2, p)
+}
+
+// dropUpdates removes the update files iteration iter gathered, unless
+// they are logs.
+func (e *kernel) dropUpdates(iter int) {
+	if iter == 0 || e.ck != nil {
+		return
+	}
+	for p := range e.parts {
+		e.rt.Vol.Remove(e.updFile(iter-1, p))
+	}
 }
 
 // endIteration files a finished iteration's row and closes its span and
@@ -538,34 +519,18 @@ func (e *kernel) finish(runSpan *obs.Span, collect func() (*Result, error)) (*Re
 	return res, nil
 }
 
-// loadVerts and saveVerts read and write partition p's vertex state
-// through its current file name. Under checkpointing each save opens a
-// new per-iteration generation and the superseded file is deleted only
-// after the next manifest (which names the new generation) is durable —
-// a crash mid-iteration therefore never clobbers the state the last
-// manifest points at. Both are traced as load spans.
+// loadVerts and saveVerts read and write partition p's vertex state,
+// traced as load spans.
 func (e *kernel) loadVerts(p int, itSpan *obs.Span) (*Verts, error) {
 	lds := itSpan.Child("load").SetPart(p)
 	defer lds.End()
-	return e.rt.LoadVertsFile(p, e.parts[p].vertexFile)
+	return e.rt.LoadVerts(p)
 }
 
-func (e *kernel) saveVerts(p, iter int, v *Verts, itSpan *obs.Span) error {
+func (e *kernel) saveVerts(p int, v *Verts, itSpan *obs.Span) error {
 	svs := itSpan.Child("load").SetPart(p)
 	defer svs.End()
-	st := &e.parts[p]
-	name := st.vertexFile
-	if e.ck != nil {
-		name = e.vertexGenFile(iter, p)
-	}
-	if err := e.rt.SaveVertsFile(p, name, v); err != nil {
-		return err
-	}
-	if name != st.vertexFile {
-		e.removeLater(st.vertexFile)
-		st.vertexFile = name
-	}
-	return nil
+	return e.rt.SaveVerts(p, v)
 }
 
 // skip books a partition bypassed by selective scheduling.
@@ -597,7 +562,7 @@ func (e *kernel) dropFallback(st *partState) {
 		return
 	}
 	if st.fallback != st.input {
-		e.removeLater(st.fallback)
+		e.rt.Vol.Remove(st.fallback)
 	}
 	st.fallback, st.fallbackTiming = "", stream.Timing{}
 }
@@ -655,7 +620,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		lds.End()
 	} else {
 		var err error
-		v, err = e.rt.LoadVertsFile(p, st.vertexFile)
+		v, err = e.rt.LoadVerts(p)
 		lds.End()
 		if err == nil && !skipGather {
 			_, err = e.gatherInto(p, iter, v, nil, itRow, itSpan)
@@ -696,7 +661,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	// never modifies vertex state: the bottom-up pass that formed this
 	// frontier already saved it.
 	if iter == 0 || st.frontier > 0 && !skipGather || !e.pol.SelectiveScheduling {
-		return e.saveVerts(p, iter, v, itSpan)
+		return e.saveVerts(p, v, itSpan)
 	}
 	return nil
 }
@@ -721,7 +686,7 @@ func (e *kernel) openInput(st *partState) (*stream.Scanner[graph.Edge], error) {
 // totals. onNew is passed through to gather.
 func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), itRow *metrics.Iteration, itSpan *obs.Span) (deg int64, err error) {
 	gs := itSpan.Child("gather").SetPart(p)
-	newly, deg, applied, err := e.gather(v, e.rt.UpdateFile(iterIn(iter), p), uint32(iter), onNew)
+	newly, deg, applied, err := e.gather(v, e.updFile(iter-1, p), uint32(iter), onNew)
 	gs.Attr("applied", applied).End()
 	if err != nil {
 		return 0, err
@@ -756,7 +721,7 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 		if !errors.Is(err, errs.ErrCorrupted) || st.fallback == "" {
 			return err
 		}
-		e.removeLater(st.input)
+		e.rt.Vol.Remove(st.input)
 		st.input, st.inputTiming, st.inputEdges = st.fallback, st.fallbackTiming, st.fallbackEdges
 		st.fallback, st.fallbackTiming = "", stream.Timing{}
 		e.run.StayCorruptions++
@@ -863,7 +828,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 		e.resd.Commit(reserved, capture.Bytes())
 		e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
 		st.resident = capture
-		e.removeLater(st.input)
+		e.rt.Vol.Remove(st.input)
 		st.input, st.inputTiming = "", stream.Timing{}
 		e.ctr.Promotions.Add(1)
 		e.ctr.ResidentParts.Set(e.resd.ResidentParts())
@@ -897,9 +862,6 @@ func (e *kernel) bookStays(itRow *metrics.Iteration, scanned, stayed int64) {
 	e.ctr.StayEdges.Add(stayed)
 	e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 }
-
-// iterIn maps an iteration to the update-stream set it consumes.
-func iterIn(iter int) int { return iter % 2 }
 
 // resolvePending decides what becomes of the stay file st's previous
 // scatter left with the background writer: adopt it as the partition's

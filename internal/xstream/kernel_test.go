@@ -84,7 +84,7 @@ func TestManifestRecordsLastCompletedIteration(t *testing.T) {
 			t.Fatal(err)
 		}
 		res := run(vol, ck, killIter)
-		man, err := (&checkpointer{vol: ck}).load()
+		man, err := loadManifest(ck)
 		if err != nil || man == nil {
 			t.Fatalf("kill at %d: manifest: %v, %v", killIter, man, err)
 		}

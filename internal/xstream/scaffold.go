@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
 	"fastbfs/internal/disksim"
@@ -363,6 +364,10 @@ type Runtime struct {
 	// filter's second bitmap (see filter.go).
 	VisitedBits *Bitset
 	claimed     *Bitset
+
+	// keepLogs makes Cleanup leave the level logs, a checkpointed run's
+	// durable state (checkpoint.go).
+	keepLogs bool
 }
 
 // Tracer returns the run's tracer (nil when tracing is disabled; all
@@ -608,24 +613,23 @@ func (rt *Runtime) UpdateFile(set, p int) string {
 // name carries the full iteration (a per-generation name, not a
 // two-slot alternation): the engine may hold up to three generations at
 // once — the current input, the fallback it replaced (kept until the
-// input survives a verified read) and the pending write — and under
-// checkpointing a file named by the last durable manifest must never be
-// truncated by a later Create. Superseded generations are removed as
-// soon as they stop being referenced.
+// input survives a verified read) and the pending write. Superseded
+// generations are removed as soon as they stop being referenced.
 func (rt *Runtime) StayFile(iter, p int) string {
 	return fmt.Sprintf("%s_stay%d_%d", rt.Opts.FilePrefix, iter, p)
 }
 
 // Cleanup ends the run: it removes every working file with the run's
-// prefix (unless KeepFiles) and hands a borrowed scratch back to the
-// prepared graph. Engines defer it first, so it runs after everything
-// that could still hold a stream buffer — open streams, the stay-writer
-// goroutine — has been closed or joined.
+// prefix but a checkpointed run's level logs (unless KeepFiles), and hands
+// a borrowed scratch back to the prepared graph. Engines defer it first,
+// so it runs after everything that could still hold a stream buffer —
+// open streams, the stay-writer goroutine — has been closed or joined.
 func (rt *Runtime) Cleanup() {
 	if !rt.Opts.KeepFiles {
 		prefix := rt.Opts.FilePrefix + "_"
 		for _, name := range rt.Vol.List() {
-			if len(name) > len(prefix) && name[:len(prefix)] == prefix {
+			if len(name) > len(prefix) && name[:len(prefix)] == prefix &&
+				!(rt.keepLogs && strings.HasPrefix(name[len(prefix):], "won")) {
 				rt.Vol.Remove(name)
 			}
 		}
@@ -643,7 +647,8 @@ func (rt *Runtime) Cleanup() {
 // read of the dataset plus one sequential write; contrast with
 // GraphChi's shard sort). It returns the per-partition edge counts. A
 // FastBFS run that trims by the counts does not call it: its split pass
-// writes the same files, later and trimmed (split.go).
+// writes the same files, later and trimmed (split.go). A resumed run that
+// does not calls it with vertices already visited, whose edges it drops.
 func (rt *Runtime) Prepare() ([]int64, error) {
 	rt.allocBitmaps(false)
 	if rt.Opts.Direction != DirectionTopDown {
@@ -657,7 +662,6 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 	if err := rt.scanStored(outs.W); err != nil {
 		return nil, err
 	}
-	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
 	if err := sealWriters(rt, outs); err != nil {
 		return nil, err
 	}
@@ -680,9 +684,9 @@ func (rt *Runtime) openEdgeFiles() (*stream.WriterSet[graph.Edge], error) {
 
 // scanStored is the one pass over the dataset's stored edge file: each edge
 // is checked against the metadata, counted into the out-degree table when
-// the run keeps one, and appended to its source's partition writer in w —
-// nil for a run resumed from a checkpoint, which skips Prepare and only
-// recounts the table.
+// the run keeps one, and appended to its source's partition writer in w
+// unless the source is visited — w is nil for a resumed run that streams
+// the stored file, which only recounts the table.
 func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), rt.MainTiming(), rt.Opts.StreamBufSize)
 	if err != nil {
@@ -705,7 +709,7 @@ func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
 			}
-			if w != nil {
+			if w != nil && (rt.VisitedBits == nil || !rt.VisitedBits.Get(e.Src)) {
 				if err := w[rt.Parts.Of(e.Src)].Append(e); err != nil {
 					return err
 				}
@@ -713,6 +717,7 @@ func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 		}
 	}
 	rt.BytesRead += sc.BytesRead()
+	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
 	return nil
 }
 
@@ -836,13 +841,7 @@ func (rt *Runtime) InitVerts(p int) *Verts {
 
 // LoadVerts reads partition p's vertex-state file into memory.
 func (rt *Runtime) LoadVerts(p int) (*Verts, error) {
-	return rt.LoadVertsFile(p, rt.VertexFile(p))
-}
-
-// LoadVertsFile is LoadVerts from an explicitly named vertex file —
-// checkpointed runs keep one vertex file per iteration generation, so
-// resume must name which generation to load.
-func (rt *Runtime) LoadVertsFile(p int, name string) (*Verts, error) {
+	name := rt.VertexFile(p)
 	rt.AwaitFile(name)
 	sc, err := stream.NewScanner(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes, getVertRec)
 	if err != nil {
@@ -875,12 +874,7 @@ func (rt *Runtime) LoadVertsFile(p int, name string) (*Verts, error) {
 // vertices of each partition should be saved back to disk after each
 // iteration", §II-A).
 func (rt *Runtime) SaveVerts(p int, v *Verts) error {
-	return rt.SaveVertsFile(p, rt.VertexFile(p), v)
-}
-
-// SaveVertsFile is SaveVerts to an explicitly named vertex file (see
-// LoadVertsFile).
-func (rt *Runtime) SaveVertsFile(p int, name string, v *Verts) error {
+	name := rt.VertexFile(p)
 	w, err := stream.NewWriter(rt.Vol, name, rt.MainTiming(), rt.Opts.StreamBufSize, vertRecBytes, putVertRec)
 	if err != nil {
 		return err
@@ -925,19 +919,12 @@ func (rt *Runtime) MarkRoot(v *Verts) bool {
 // vertex file. It does not charge I/O time: dumping the result is
 // outside the measured execution, like the paper's output step.
 func (rt *Runtime) CollectResult() (*Result, error) {
-	return rt.CollectResultFrom(rt.VertexFile)
-}
-
-// CollectResultFrom is CollectResult reading each partition's vertex
-// state from the file nameFor(p) — resume from a checkpoint collects
-// the manifest's recorded generation instead of the default names.
-func (rt *Runtime) CollectResultFrom(nameFor func(p int) string) (*Result, error) {
 	res := &Result{
 		Levels:  make([]uint32, rt.Meta.Vertices),
 		Parents: make([]graph.VertexID, rt.Meta.Vertices),
 	}
 	for p := 0; p < rt.Parts.P(); p++ {
-		name := nameFor(p)
+		name := rt.VertexFile(p)
 		var b []byte
 		if err := rt.Retry.Do("collect "+name, func() error {
 			var e error

@@ -156,7 +156,8 @@ func (e *kernel) work(ps passStats, newly uint64) {
 // split run's so far (d.excess). Iteration 0 counts the degree table and
 // never splits. The level goes to the vertex files if the phase ends here,
 // else to a log (logLevel); a capped run's last iteration forms nothing,
-// as the updates its scatter would write are never gathered. afterBottom
+// as the updates its scatter would write are never gathered (a
+// checkpointed run logs it, for its resume). afterBottom
 // says a bottom-up pass formed this frontier.
 func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.Span) (done bool, err error) {
 	d := e.frontierState()
@@ -207,7 +208,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	}
 	itRow.EdgesStreamed = ps.scanned
 	if outs != nil {
-		e.stored, e.ds.storedPrice = false, 0
+		e.stored, e.ds.StoredPrice = false, 0
 		for p, c := range outs.Counts() {
 			e.parts[p].inputEdges = c
 		}
@@ -218,17 +219,16 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	ss.Attr("edges", ps.scanned).Attr("stayed", ps.stayed).End()
 
 	if iter == 0 { // the table just counted gives each partition its live edges
-		for p := range e.parts {
-			lo, hi := e.rt.Parts.Interval(p)
-			e.parts[p].live = 0
-			for _, c := range e.rt.OutDeg[lo:hi] {
-				e.parts[p].live += int64(c)
-			}
-		}
+		rootDeg := e.countLive()
 		rp := &e.parts[e.rt.Parts.Of(root)]
-		d.excess = edges - rp.live // a split run's iteration 0 reads the root's partition
-		rp.visit(1, e.rt.outDegree(root))
+		d.excess = edges - rp.live - rootDeg // a split run's iteration 0 reads the root's partition
+		rp.visitedCount++
 		d.fresh = true
+	}
+	if e.ck != nil { // a checkpointed run logs every level, a capped run's last too
+		if err := e.writeLog(iter, d, itSpan); err != nil {
+			return false, err
+		}
 	}
 	if last {
 		d.best = e.rt.Winners(int(n))
@@ -290,6 +290,24 @@ func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
 	return n, float64(deg)
 }
 
+// countLive sets each partition's live edges from a degree table just
+// counted — the out-degree sum of its unvisited vertices — and returns the
+// frontier's, which is visited.
+func (e *kernel) countLive() (frontierDeg int64) {
+	for p := range e.parts {
+		e.parts[p].live = 0
+	}
+	for v, deg := range e.rt.OutDeg {
+		switch vid := graph.VertexID(v); {
+		case !e.rt.VisitedBits.Get(vid):
+			e.parts[e.rt.Parts.Of(vid)].live += int64(deg)
+		case e.dir.frontier.Get(vid):
+			frontierDeg += int64(deg)
+		}
+	}
+	return frontierDeg
+}
+
 // foldLevel writes partition p's new levels to its vertex file with one
 // load — none in a stored phase that no vertex file predates (d.fresh: the
 // root's is started with the root) — and one save: the levels the stored
@@ -323,7 +341,7 @@ func (e *kernel) foldLevel(p, iter int, d *dirRun, itSpan *obs.Span) error {
 			v.Level[i], v.Parent[i] = uint32(iter)+1, b
 		}
 	}
-	return e.saveVerts(p, iter, v, itSpan)
+	return e.saveVerts(p, v, itSpan)
 }
 
 // logFile is partition p's log of the level stored pass iter formed.
@@ -331,11 +349,22 @@ func (e *kernel) logFile(iter, p int) string {
 	return fmt.Sprintf("%s_won%d_%d", e.rt.Opts.FilePrefix, iter, p)
 }
 
-// logLevel ends a stored pass that does not end its phase: its winners go,
-// one update record each, to per-partition log files, so that the vertex
-// files take the phase's levels once, at its end, instead of a load and a
-// save per pass.
+// logLevel ends a stored pass that does not end its phase: its winners go
+// to a log (writeLog), so that the vertex files take the phase's levels
+// once, at its end, instead of a load and a save per pass.
 func (e *kernel) logLevel(iter int, d *dirRun, itSpan *obs.Span) error {
+	if e.ck == nil { // a checkpointed run has logged it
+		if err := e.writeLog(iter, d, itSpan); err != nil {
+			return err
+		}
+	}
+	d.logged = append(d.logged, iter)
+	return nil
+}
+
+// writeLog writes the winners in d.best, the level iteration iter formed,
+// one update record each, to per-partition log files.
+func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) error {
 	ls := itSpan.Child("shuffle")
 	defer ls.End()
 	sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
@@ -352,11 +381,7 @@ func (e *kernel) logLevel(iter int, d *dirRun, itSpan *obs.Span) error {
 			}
 		}
 	}
-	if err := sealWriters(e.rt, sh.WriterSet); err != nil {
-		return err
-	}
-	d.logged = append(d.logged, iter)
-	return nil
+	return sealWriters(e.rt, sh.WriterSet)
 }
 
 // endStored ends a stored phase: every partition folds its levels, but in
@@ -379,11 +404,14 @@ func (e *kernel) endStored(iter int, d *dirRun, itSpan *obs.Span) error {
 	return e.rt.Checkpoint()
 }
 
-// dropLogs ends a stored phase whose levels every vertex file took.
+// dropLogs ends a stored phase whose levels every vertex file took; a
+// checkpointed run keeps the logs.
 func (e *kernel) dropLogs(d *dirRun) {
-	for _, j := range d.logged {
-		for p := range e.parts {
-			e.removeLater(e.logFile(j, p))
+	if e.ck == nil {
+		for _, j := range d.logged {
+			for p := range e.parts {
+				e.rt.Vol.Remove(e.logFile(j, p))
+			}
 		}
 	}
 	d.logged, d.fresh = d.logged[:0], false
