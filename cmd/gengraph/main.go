@@ -92,7 +92,7 @@ func main() {
 	if stored.EdgeCodec() == graph.CodecDelta {
 		bytes = stored.StoredBytes
 	}
-	fmt.Printf("stored %s: %d vertices, %d edges, %d bytes, codec %s, reordered %v (%s, %s)\n",
+	fmt.Printf("stored %s: %d vertices, %d edges, %d bytes, codec %s, reordered %v (%s, %s, %s)\n",
 		stored.Name, stored.Vertices, stored.Edges, bytes, stored.EdgeCodec(), stored.Reordered,
-		graph.EdgeFileName(m.Name), graph.ConfFileName(m.Name))
+		graph.EdgeFileName(m.Name), graph.IndexFileName(m.Name), graph.ConfFileName(m.Name))
 }

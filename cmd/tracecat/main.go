@@ -123,7 +123,8 @@ func printSummary(s *obs.Summary) {
 		// filtered and the trim decision (stay edges kept, and predicted
 		// before the scans) when the iteration spans carried them.
 		// dir is the pass: down, up, or file for a top-down pass over the
-		// stored edge file (the iteration span's bottomup / stored attrs).
+		// stored edge file, sprs for one that read only its frontier's
+		// ranges (the iteration span's bottomup / stored / sparse attrs).
 		fmt.Printf("%5s %4s", "iter", "dir")
 		for _, ph := range s.Phases {
 			fmt.Printf(" %11s", ph)
@@ -136,6 +137,8 @@ func printSummary(s *obs.Summary) {
 				iter, dir = "setup", ""
 			case ip.Attrs["bottomup"] == 1:
 				dir = "up"
+			case ip.Attrs["sparse"] == 1:
+				dir = "sprs"
 			case ip.Attrs["stored"] == 1:
 				dir = "file"
 			}

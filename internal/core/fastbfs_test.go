@@ -47,6 +47,7 @@ func checkStoredAgainstReference(t *testing.T, vol storage.Volume, m graph.Meta,
 		t.Fatalf("fastbfs tree invalid: %v", err)
 	}
 	checkTrimRows(t, "fastbfs", res, countsTrims(m, opts))
+	checkFileRows(t, "fastbfs", res)
 	return res
 }
 
@@ -239,12 +240,13 @@ func TestFastBFSReadsLessThanXStream(t *testing.T) {
 
 // TestFastBFSTrimsOnlyWhenItPays is the trim rule's no-op guard, on the
 // fast-converging graph, on the high-diameter ones the paper's threshold
-// exists for and on the shapes between, stored fixed and delta+reordered:
-// trimming by the edge counts never writes more than half of what the rule
-// weighed (checkKeptHalf), and moves no more bytes than trimming at every
-// scatter does or than not trimming at all — both of which split the stored
-// file up front. On rmat it writes less than one copy of the stored file:
-// the split is written late and trimmed, never as a copy.
+// exists for and on the shapes between, stored fixed and delta+reordered,
+// on a device where the stored passes read dense and one where they read
+// sparse: trimming by the edge counts never writes more than half of what
+// the rule weighed (checkKeptHalf), and moves no more bytes than trimming
+// at every scatter does or than not trimming at all — both of which split
+// the stored file up front. On rmat it writes less than one copy of the
+// stored file: the split is written late and trimmed, never as a copy.
 func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
 	tendrils := func() (graph.Meta, []graph.Edge, error) {
 		m, edges, err := gen.Uniform(200, 600, 5)
@@ -273,39 +275,44 @@ func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
 			root = maxDegreeVertex(m, edges)
 		}
 		for _, store := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
-			label := fmt.Sprintf("%s codec=%s", m.Name, store.Codec)
-			vol := storage.NewMem()
-			if err := graph.StoreGraph(vol, m, edges, store); err != nil {
-				t.Fatal(err)
-			}
-			run := func(mod func(*Options)) *Result {
-				o := smallOpts()
-				o.Base.MemoryBudget = 1024 // several partitions of the path too
-				o.Base.Direction = xstream.DirectionTopDown
-				o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
-				mod(&o)
-				return checkStoredAgainstReference(t, vol, m, edges, root, o)
-			}
-			col := &obs.Collect{}
-			counts := run(func(o *Options) { o.Base.Tracer = obs.New(col) })
-			every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
-			never := run(func(o *Options) { o.DisableTrimming = true })
-			if counts.Metrics.TrimmedEdges == 0 {
-				t.Fatalf("%s: trimming by the counts trimmed nothing", label)
-			}
-			if got := counts.Metrics.TotalBytes(); got > every.Metrics.TotalBytes() || got > never.Metrics.TotalBytes() {
-				t.Fatalf("%s: %d bytes moved trimming by the counts, %d trimming at every scatter, %d never trimming",
-					label, got, every.Metrics.TotalBytes(), never.Metrics.TotalBytes())
-			}
-			checkKeptHalf(t, label, counts, col.Events())
-			stored, err := vol.Size(graph.EdgeFileName(m.Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Working files in another codec (FASTBFS_CODEC) split up front.
-			if g.rmat && store.Codec == "" && counts.Metrics.Iterations[0].Stored && counts.Metrics.BytesWritten >= stored {
-				t.Fatalf("%s: trimming by the counts wrote %d bytes, one copy of the %d-byte stored file or more",
-					label, counts.Metrics.BytesWritten, stored)
+			// The HDD's seek is worth more than these files, so its stored
+			// passes read dense; sparseSim's lets them read sparse.
+			for _, sim := range []func() *xstream.SimConfig{xstream.DefaultSim, sparseSim} {
+				label := fmt.Sprintf("%s codec=%s seek=%gs", m.Name, store.Codec, sim().MainDisk.SeekLatency)
+				vol := storage.NewMem()
+				if err := graph.StoreGraph(vol, m, edges, store); err != nil {
+					t.Fatal(err)
+				}
+				run := func(mod func(*Options)) *Result {
+					o := smallOpts()
+					o.Base.Sim = sim()
+					o.Base.MemoryBudget = 1024 // several partitions of the path too
+					o.Base.Direction = xstream.DirectionTopDown
+					o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
+					mod(&o)
+					return checkStoredAgainstReference(t, vol, m, edges, root, o)
+				}
+				col := &obs.Collect{}
+				counts := run(func(o *Options) { o.Base.Tracer = obs.New(col) })
+				every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
+				never := run(func(o *Options) { o.DisableTrimming = true })
+				if counts.Metrics.TrimmedEdges == 0 {
+					t.Fatalf("%s: trimming by the counts trimmed nothing", label)
+				}
+				if got := counts.Metrics.TotalBytes(); got > every.Metrics.TotalBytes() || got > never.Metrics.TotalBytes() {
+					t.Fatalf("%s: %d bytes moved trimming by the counts, %d trimming at every scatter, %d never trimming",
+						label, got, every.Metrics.TotalBytes(), never.Metrics.TotalBytes())
+				}
+				checkKeptHalf(t, label, counts, col.Events())
+				stored, err := vol.Size(graph.EdgeFileName(m.Name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Working files in another codec (FASTBFS_CODEC) split up front.
+				if g.rmat && store.Codec == "" && counts.Metrics.Iterations[0].Stored && counts.Metrics.BytesWritten >= stored {
+					t.Fatalf("%s: trimming by the counts wrote %d bytes, one copy of the %d-byte stored file or more",
+						label, counts.Metrics.BytesWritten, stored)
+				}
 			}
 		}
 	}
@@ -520,7 +527,7 @@ func TestFastBFSWallClockOnOSVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the dataset files remain.
-	if n := len(vol.List()); n != 3 {
+	if n := len(vol.List()); n != 4 {
 		t.Fatalf("files left on OS volume: %v", vol.List())
 	}
 }

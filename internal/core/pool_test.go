@@ -68,6 +68,9 @@ func TestSuitesUnderPoisoningPool(t *testing.T) {
 		{"CorruptAdoptedStayFallsBack", TestCorruptAdoptedStayFallsBack},
 		{"ResumeRebuildsUpdateFilter", TestResumeRebuildsUpdateFilter},
 		{"CrashMatrixBoundaryKills", TestCrashMatrixBoundaryKills},
+		{"StoredPassAbortLeavesNothing", TestStoredPassAbortLeavesNothing},
+		{"SparseMatchesDense", TestSparseMatchesDense},
+		{"StoredPassCorruptionFailsStop", TestStoredPassCorruptionFailsStop},
 	} {
 		t.Run(tc.name, func(t *testing.T) { underAudit(t, tc.fn) })
 	}

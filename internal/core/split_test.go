@@ -59,23 +59,39 @@ func TestPromotionReservesWhatItHolds(t *testing.T) {
 // TestStoredPassCorruptionFailsStop: the stored file torn or bit-flipped
 // under a run — between its first stored pass and the next — fails the next
 // pass with ErrCorrupted, never a wrong tree: a fixed-width file by its edge
-// count or an out-of-range source, a delta one by its frame checksums.
+// count or an out-of-range source, a delta one by its frame checksums. Read
+// sparse (sparseSim), a fixed file whose every source is relabelled — each
+// still in range, and the file has no checksum — fails the index check.
 func TestStoredPassCorruptionFailsStop(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		store  graph.StoreOptions
-		damage func([]byte) []byte
+		name              string
+		store             graph.StoreOptions
+		sim               func() *xstream.SimConfig
+		scale, edgeFactor int
+		damage            func([]byte) []byte
 	}{
-		{"fixed/torn", graph.StoreOptions{}, func(b []byte) []byte { return b[:len(b)/16*8] }},
-		{"fixed/flipped", graph.StoreOptions{}, func(b []byte) []byte { b[len(b)/16*8+3] ^= 0xFF; return b }},
-		{"delta/torn", graph.StoreOptions{Codec: graph.CodecDelta}, func(b []byte) []byte { return b[:len(b)/2] }},
-		{"delta/flipped", graph.StoreOptions{Codec: graph.CodecDelta}, func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b }},
+		{"fixed/torn", graph.StoreOptions{}, xstream.DefaultSim, 9, 8, func(b []byte) []byte { return b[:len(b)/16*8] }},
+		{"fixed/flipped", graph.StoreOptions{}, xstream.DefaultSim, 9, 8, func(b []byte) []byte { b[len(b)/16*8+3] ^= 0xFF; return b }},
+		{"delta/torn", graph.StoreOptions{Codec: graph.CodecDelta}, xstream.DefaultSim, 9, 8, func(b []byte) []byte { return b[:len(b)/2] }},
+		{"delta/flipped", graph.StoreOptions{Codec: graph.CodecDelta}, xstream.DefaultSim, 9, 8, func(b []byte) []byte { b[len(b)/2] ^= 0xFF; return b }},
+		{"sparse/fixed/relabelled", graph.StoreOptions{}, sparseSim, 10, 8, func(b []byte) []byte {
+			for i := 0; i < len(b); i += graph.EdgeBytes {
+				b[i] ^= 1
+			}
+			return b
+		}},
+		{"sparse/fixed/torn", graph.StoreOptions{}, sparseSim, 10, 8, func(b []byte) []byte { return b[:graph.EdgeBytes] }},
+		{"sparse/delta/flipped", graph.StoreOptions{Codec: graph.CodecDelta}, sparseSim, 13, 24, func(b []byte) []byte {
+			b[len(b)/3] ^= 0xFF // in each of its two frames
+			b[len(b)-20] ^= 0xFF
+			return b
+		}},
 	} {
-		vol, m, root := storedRMAT(t, 9, 8, tc.store)
+		vol, m, root := storedRMAT(t, tc.scale, tc.edgeFactor, tc.store)
 		name, stored := graph.EdgeFileName(m.Name), vol.List()
 		var damaged atomic.Bool
 		o := smallOpts()
-		o.Base.Root, o.Base.Direction = root, xstream.DirectionTopDown
+		o.Base.Root, o.Base.Direction, o.Base.Sim = root, xstream.DirectionTopDown, tc.sim()
 		// The stored passes need the store's codec, whatever FASTBFS_CODEC says.
 		o.Base.Codec = storeCodec(tc.store)
 		o.Base.FaultHook = func() { // in iteration 0's pass: the next one opens the damage
@@ -101,62 +117,75 @@ func TestStoredPassCorruptionFailsStop(t *testing.T) {
 // TestStoredPassAbortLeavesNothing: a run cancelled in the middle of a
 // stored pass, or whose fault hook panics there, fails as such, and one
 // under transient I/O faults (what FASTBFS_FAULTS injects) grows the
-// fault-free tree; none leaves a working file or a goroutine behind.
+// fault-free tree; none leaves a working file or a goroutine behind. Each
+// runs on a device where every stored pass is dense, and on one where the
+// passes over the indexed store read sparse.
 func TestStoredPassAbortLeavesNothing(t *testing.T) {
 	vol, m, root := storedRMAT(t, 9, 8, graph.StoreOptions{Reverse: true})
 	stored := vol.List()
-	opts := func(d xstream.Direction) Options {
-		o := smallOpts()
-		o.Base.Root, o.Base.Direction, o.Base.ScatterWorkers = root, d, 4
-		o.Base.Codec = graph.CodecFixed // the store's: the stored passes need it
-		return o
-	}
-	want, err := Run(vol, m.Name, opts(xstream.DirectionTopDown))
-	if err != nil || !want.Metrics.Iterations[1].Stored {
-		t.Fatalf("reference run: %v (rows %+v)", err, want.Metrics.Iterations)
-	}
-	chunksPerPass := int64(m.Edges) / int64(smallOpts().Base.StreamBufSize/graph.EdgeBytes)
 	before := runtime.NumGoroutine()
-	for _, d := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
-		for _, stop := range []int64{2, chunksPerPass + 2} { // iteration 0's pass, and the next
-			for _, panics := range []bool{false, true} {
-				label := fmt.Sprintf("dir=%s chunk %d panic=%v", d, stop, panics)
-				ctx, cancel := context.WithCancel(context.Background())
-				var chunks atomic.Int64
-				o := opts(d)
-				o.Base.FaultHook = func() {
-					if chunks.Add(1) == stop {
-						if panics {
-							panic("injected")
+	for _, c := range []struct {
+		sim    func() *xstream.SimConfig
+		sparse bool
+	}{{xstream.DefaultSim, false}, {sparseSim, true}} {
+		sparse := c.sparse
+		opts := func(d xstream.Direction, hook func()) Options {
+			o := smallOpts()
+			o.Base.Root, o.Base.Direction, o.Base.ScatterWorkers, o.Base.Sim, o.Base.FaultHook = root, d, 4, c.sim(), hook
+			o.Base.Codec = graph.CodecFixed // the store's: the stored passes need it
+			return o
+		}
+		want, err := Run(vol, m.Name, opts(xstream.DirectionTopDown, nil))
+		if err != nil || !want.Metrics.Iterations[1].Stored {
+			t.Fatalf("reference run: %v (rows %+v)", err, want.Metrics.Iterations)
+		}
+		if checkFileRows(t, "reference run", want) != sparse {
+			t.Fatalf("reference run: read sparse %v, want %v", !sparse, sparse)
+		}
+		chunk := int64(smallOpts().Base.StreamBufSize / graph.EdgeBytes)
+		for _, d := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
+			// Iteration 0's pass, and the next.
+			for _, stop := range []int64{2, (want.Metrics.Iterations[0].EdgesStreamed+chunk-1)/chunk + 2} {
+				for _, panics := range []bool{false, true} {
+					label := fmt.Sprintf("sparse=%v dir=%s chunk %d panic=%v", sparse, d, stop, panics)
+					ctx, cancel := context.WithCancel(context.Background())
+					var chunks atomic.Int64
+					_, err := RunContext(ctx, vol, m.Name, opts(d, func() {
+						if chunks.Add(1) == stop {
+							if panics {
+								panic("injected")
+							}
+							cancel()
 						}
-						cancel()
+					}))
+					cancel()
+					wantErr := errs.ErrCancelled
+					if panics {
+						wantErr = errs.ErrInternal
 					}
-				}
-				_, err := RunContext(ctx, vol, m.Name, o)
-				cancel()
-				wantErr := errs.ErrCancelled
-				if panics {
-					wantErr = errs.ErrInternal
-				}
-				if !errors.Is(err, wantErr) {
-					t.Fatalf("%s: err = %v, want %v", label, err, wantErr)
-				}
-				if got := vol.List(); !slices.Equal(got, stored) {
-					t.Fatalf("%s: volume holds %v, want only the dataset %v", label, got, stored)
+					if !errors.Is(err, wantErr) {
+						t.Fatalf("%s: err = %v, want %v", label, err, wantErr)
+					}
+					if got := vol.List(); !slices.Equal(got, stored) {
+						t.Fatalf("%s: volume holds %v, want only the dataset %v", label, got, stored)
+					}
 				}
 			}
 		}
-	}
-	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 25, ReadP: 0.05, WriteP: 0.05})
-	o := opts(xstream.DirectionTopDown)
-	o.Base.RetryAttempts = 12
-	got, err := Run(faulty, m.Name, o)
-	if err != nil || got.Metrics.IORetries == 0 {
-		t.Fatalf("under transient faults: err %v, %d retries", err, got.Metrics.IORetries)
-	}
-	assertSameResult(t, "under transient faults", got, want)
-	if files := vol.List(); !slices.Equal(files, stored) {
-		t.Fatalf("volume holds %v after the faulty run, want %v", files, stored)
+		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 25, ReadP: 0.05, WriteP: 0.05})
+		o := opts(xstream.DirectionTopDown, nil)
+		o.Base.RetryAttempts = 12
+		got, err := Run(faulty, m.Name, o)
+		if err != nil || got.Metrics.IORetries == 0 {
+			t.Fatalf("sparse=%v under transient faults: err %v, %d retries", sparse, err, got.Metrics.IORetries)
+		}
+		assertSameResult(t, fmt.Sprintf("sparse=%v under transient faults", sparse), got, want)
+		if checkFileRows(t, "under transient faults", got) != sparse {
+			t.Fatalf("sparse=%v: the faulty run read otherwise", sparse)
+		}
+		if files := vol.List(); !slices.Equal(files, stored) {
+			t.Fatalf("volume holds %v after the faulty run, want %v", files, stored)
+		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -1,6 +1,8 @@
 package gen
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"fastbfs/internal/graph"
@@ -187,6 +189,8 @@ func TestStoreAndLoadRoundTrip(t *testing.T) {
 	if len(gotEdges) != len(edges) {
 		t.Fatalf("edges = %d, want %d", len(gotEdges), len(edges))
 	}
+	// The store sorts by source, each source's edges in generated order.
+	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.Src, b.Src) })
 	for i := range edges {
 		if gotEdges[i] != edges[i] {
 			t.Fatalf("edge %d differs", i)

@@ -143,7 +143,11 @@ func FuzzReverseFormat(f *testing.F) {
 		if err != nil {
 			t.Fatalf("aligned prefix rejected: %v", err)
 		}
-		enc := reverseBytes(edges)
+		rev := make([]Edge, len(edges))
+		for i, e := range edges {
+			rev[i] = e.Reverse()
+		}
+		enc := framedMiB(EdgesToBytes(rev)) // StoreGraph's fixed .rev
 
 		// Property 1: round trip. Deframing yields exactly the input
 		// edges, endpoint-swapped, in original order.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -121,8 +122,9 @@ type FrameReader struct {
 
 	// bufs, when non-nil, lends the payload buffer; hint is the size
 	// asked for first (frames longer than it get an exact-size buffer).
-	bufs Buffers
-	hint int
+	// limit, when set, caps a frame below MaxFramePayload.
+	bufs        Buffers
+	hint, limit int
 }
 
 // Buffers is a free-list a FrameReader borrows its payload buffer from
@@ -225,8 +227,8 @@ func (fr *FrameReader) nextFrame() error {
 		fr.done = true
 		return io.EOF
 	}
-	if length > MaxFramePayload {
-		return fr.corrupt("frame length %d exceeds cap %d", length, MaxFramePayload)
+	if lim := cmp.Or(fr.limit, MaxFramePayload); uint64(length) > uint64(lim) {
+		return fr.corrupt("frame length %d exceeds cap %d", length, lim)
 	}
 	if cap(fr.buf) < int(length) {
 		fr.grow(int(length))

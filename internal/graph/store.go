@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"io"
+	"slices"
 	"strings"
 
 	"fastbfs/internal/errs"
@@ -35,46 +38,17 @@ func HasReverse(vol storage.Volume, name string) bool {
 	return err == nil && sz > 0
 }
 
-// reverseFrameEdges caps the edge count per frame in the reverse file
-// (1 MiB payloads), keeping reader allocations bounded.
-const reverseFrameEdges = (1 << 20) / EdgeBytes
-
-// reverseBytes encodes edges with endpoints swapped, in original order,
-// into the framed container.
-func reverseBytes(edges []Edge) []byte {
-	var out writeBuf
-	fw := NewFrameWriter(&out)
-	buf := make([]byte, 0, reverseFrameEdges*EdgeBytes)
-	for i := 0; i < len(edges); i += reverseFrameEdges {
-		end := i + reverseFrameEdges
-		if end > len(edges) {
-			end = len(edges)
-		}
-		buf = buf[:0]
-		for _, e := range edges[i:end] {
-			var rec [EdgeBytes]byte
-			PutEdge(rec[:], e.Reverse())
-			buf = append(buf, rec[:]...)
-		}
-		if _, err := fw.Write(buf); err != nil {
-			panic(err) // writeBuf cannot fail and the payload is under the cap
-		}
-	}
-	if err := fw.Finish(); err != nil {
-		panic(err)
-	}
-	return out.b
-}
-
 // deltaFileBytes encodes raw fixed-width edge records into the FBD1
-// framed container: delta blocks packed into ~1 MiB frames. Chunking
-// at a multiple of DeltaBlockMaxEdges keeps frame payloads at whole
-// blocks, so the encoding is identical to one pass over the full list.
-func deltaFileBytes(raw []byte) []byte {
+// framed container: delta blocks packed into frames of IndexFrameEdges
+// edges, whose byte offsets it returns too. Chunking at a multiple of
+// DeltaBlockMaxEdges keeps frame payloads at whole blocks, so the encoding
+// is identical to one pass over the full list.
+func deltaFileBytes(raw []byte) ([]byte, []int64) {
 	var out writeBuf
 	fw := NewFrameWriterMagic(&out, FrameMagicDelta)
-	const chunk = reverseFrameEdges * EdgeBytes
+	const chunk = IndexFrameEdges * EdgeBytes
 	var enc []byte
+	var frames []int64
 	for off := 0; off < len(raw); off += chunk {
 		end := off + chunk
 		if end > len(raw) {
@@ -88,11 +62,12 @@ func deltaFileBytes(raw []byte) []byte {
 		if _, err := fw.Write(enc); err != nil {
 			panic(err) // writeBuf cannot fail; encoded chunk is under the frame cap
 		}
+		frames = append(frames, int64(len(out.b)-frameHeaderBytes-len(enc)))
 	}
 	if err := fw.Finish(); err != nil {
 		panic(err)
 	}
-	return out.b
+	return out.b, frames
 }
 
 // StoreOptions configures StoreGraph.
@@ -104,16 +79,18 @@ type StoreOptions struct {
 	// bottom-up traversal direction.
 	Reverse bool
 	// ReorderByDegree relabels vertices by descending total degree and
-	// sorts the edge list before writing, persisting the old↔new
-	// mapping in the .perm sidecar. Engines translate roots and
-	// results at the API boundary, so callers keep using the original
+	// sorts each source's edges by destination before writing, persisting
+	// the old↔new mapping in the .perm sidecar. Engines translate roots
+	// and results at the API boundary, so callers keep using the original
 	// labels.
 	ReorderByDegree bool
 }
 
-// StoreGraph writes a graph — edge list, optional reverse file and
-// permutation sidecar, plus configuration file — to a volume under the
-// requested codec. The edge count in m is overwritten with len(edges).
+// StoreGraph writes a graph — edge list sorted by source, its degree index,
+// optional reverse file and permutation sidecar, plus configuration file —
+// to a volume under the requested codec. The sort is stable: each source
+// keeps its edges in the given order (in destination order when
+// reordered). The edge count in m is overwritten with len(edges).
 func StoreGraph(vol storage.Volume, m Meta, edges []Edge, opts StoreOptions) error {
 	codec, err := ParseCodec(string(opts.Codec))
 	if err != nil {
@@ -131,47 +108,39 @@ func StoreGraph(vol storage.Volume, m Meta, edges []Edge, opts StoreOptions) err
 			return err
 		}
 	}
+	var perm *Permutation
 	if opts.ReorderByDegree {
-		perm := DegreePermutation(m.Vertices, edges)
-		relabeled := make([]Edge, len(edges))
-		copy(relabeled, edges)
-		perm.Apply(relabeled)
-		sort.Slice(relabeled, func(i, j int) bool {
-			if relabeled[i].Src != relabeled[j].Src {
-				return relabeled[i].Src < relabeled[j].Src
-			}
-			return relabeled[i].Dst < relabeled[j].Dst
-		})
-		edges = relabeled
+		perm = DegreePermutation(m.Vertices, edges)
 		if err := StorePerm(vol, m.Name, perm); err != nil {
 			return err
 		}
 	}
+	edges, deg := sortBySource(m.Vertices, edges, perm)
 	raw := EdgesToBytes(edges)
-	var file []byte
+	file, frames := raw, []int64(nil)
 	if codec == CodecDelta {
-		file = deltaFileBytes(raw)
+		file, frames = deltaFileBytes(raw)
 		m.StoredBytes = uint64(len(file))
-	} else {
-		file = raw
 	}
 	if err := storage.WriteAll(vol, EdgeFileName(m.Name), file); err != nil {
 		return err
 	}
 	if opts.Reverse {
-		var rev []byte
+		rev := make([]byte, len(raw))
+		for off := 0; off < len(raw); off += EdgeBytes {
+			PutEdge(rev[off:], GetEdge(raw[off:]).Reverse())
+		}
 		if codec == CodecDelta {
-			rraw := make([]byte, len(raw))
-			for off := 0; off < len(raw); off += EdgeBytes {
-				PutEdge(rraw[off:], GetEdge(raw[off:]).Reverse())
-			}
-			rev = deltaFileBytes(rraw)
+			rev, _ = deltaFileBytes(rev)
 		} else {
-			rev = reverseBytes(edges)
+			rev = framedMiB(rev)
 		}
 		if err := storage.WriteAll(vol, ReverseFileName(m.Name), rev); err != nil {
 			return err
 		}
+	}
+	if err := storage.WriteAll(vol, IndexFileName(m.Name), indexBytes(deg, frames)); err != nil {
+		return err
 	}
 	var conf strings.Builder
 	if err := WriteConfig(&conf, m); err != nil {
@@ -187,8 +156,9 @@ func Store(vol storage.Volume, m Meta, edges []Edge) error {
 	return StoreGraph(vol, m, edges, StoreOptions{Reverse: true})
 }
 
-// StoreWeighted writes a weighted graph — binary WEdge list plus
-// configuration file — to a volume.
+// StoreWeighted writes a weighted graph — binary WEdge list, stably
+// sorted by source like StoreGraph's, plus configuration file — to a
+// volume.
 func StoreWeighted(vol storage.Volume, m Meta, edges []WEdge) error {
 	m.Edges = uint64(len(edges))
 	m.Weighted = true
@@ -203,6 +173,8 @@ func StoreWeighted(vol storage.Volume, m Meta, edges []WEdge) error {
 			return fmt.Errorf("graph %q: negative weight on %d->%d", m.Name, e.Src, e.Dst)
 		}
 	}
+	edges = slices.Clone(edges)
+	slices.SortStableFunc(edges, func(a, b WEdge) int { return cmp.Compare(a.Src, b.Src) })
 	if err := storage.WriteAll(vol, EdgeFileName(m.Name), WEdgesToBytes(edges)); err != nil {
 		return err
 	}
@@ -308,4 +280,121 @@ func LoadEdges(vol storage.Volume, name string) (Meta, []Edge, error) {
 		}
 	}
 	return m, edges, nil
+}
+
+// IndexFileName returns the name of a dataset's degree index (DESIGN.md
+// §5). A graph stored without one is read whole.
+func IndexFileName(name string) string { return name + ".idx" }
+
+// frameMiB caps the .rev and .idx frames, bounding a reader's buffer.
+const frameMiB = 1 << 20
+
+// IndexFrameEdges is the edge count of every frame of a stored delta edge
+// file but the last: the grain at which the index places its edges.
+const IndexFrameEdges = frameMiB / EdgeBytes
+
+// sortBySource returns edges sorted by source and the out-degree table: a
+// counting sort, each source's edges in the given order — or, relabelled
+// by a non-nil perm, in destination order.
+func sortBySource(vertices uint64, edges []Edge, perm *Permutation) ([]Edge, []uint32) {
+	if perm != nil {
+		edges = slices.Clone(edges)
+		perm.Apply(edges)
+	}
+	deg := Degrees(vertices, edges)
+	next := make([]int, vertices)
+	for v := 1; v < len(next); v++ {
+		next[v] = next[v-1] + int(deg[v-1])
+	}
+	out := make([]Edge, len(edges))
+	for _, e := range edges {
+		out[next[e.Src]] = e
+		next[e.Src]++
+	}
+	for v, pos := 0, 0; perm != nil && v < len(deg); v, pos = v+1, pos+int(deg[v]) {
+		slices.SortFunc(out[pos:pos+int(deg[v])], func(a, b Edge) int { return cmp.Compare(a.Dst, b.Dst) })
+	}
+	return out, deg
+}
+
+// framedMiB frames b in payloads of frameMiB, the last shorter.
+func framedMiB(b []byte) []byte {
+	var chunks [][]byte
+	for ; len(b) > 0; b = b[min(len(b), frameMiB):] {
+		chunks = append(chunks, b[:min(len(b), frameMiB)])
+	}
+	return FrameAll(chunks...)
+}
+
+// indexFrames is the frame count of m's delta edge file, 0 for a fixed one.
+func indexFrames(m Meta) uint64 {
+	if m.EdgeCodec() != CodecDelta {
+		return 0
+	}
+	return (m.Edges + IndexFrameEdges - 1) / IndexFrameEdges
+}
+
+// indexBytes encodes a .idx file: the frame offsets, 8 B each, then the
+// degrees, 4 B each, little-endian.
+func indexBytes(deg []uint32, frames []int64) []byte {
+	b := make([]byte, 0, 8*len(frames)+4*len(deg))
+	for _, off := range frames {
+		b = binary.LittleEndian.AppendUint64(b, uint64(off))
+	}
+	for _, d := range deg {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return framedMiB(b)
+}
+
+// ReadIndex reads m's size-byte .idx file from r: the degrees into deg (len
+// m.Vertices), the frame offsets into the slice it returns (nil for a fixed
+// file), the frames through a buffer from bufs. It checks the size m
+// implies before it reads or allocates, each frame's CRC, that the degrees
+// sum to m.Edges and that the offsets rise from the first frame to inside
+// the edge file: anything else is errs.ErrCorrupted.
+func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, error) {
+	bad := func(format string, a ...any) error {
+		return fmt.Errorf("graph %s: %w: index "+format, append([]any{m.Name, errs.ErrCorrupted}, a...)...)
+	}
+	nf := indexFrames(m)
+	payload := 8*nf + 4*m.Vertices
+	if nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices || uint64(size) != 12+8*((payload+frameMiB-1)/frameMiB)+payload {
+		return nil, bad("of %d bytes for %d vertices and %d frames", size, m.Vertices, nf)
+	}
+	if magic, _, err := SniffContainer(r); err != nil || magic != FrameMagic {
+		return nil, bad("with no frame magic (%v)", err)
+	}
+	fr := NewFrameReaderBufs(r, bufs, frameMiB)
+	fr.limit = frameMiB
+	defer fr.Release()
+	var frames []int64
+	if nf > 0 {
+		frames = make([]int64, nf)
+	}
+	var sum uint64
+	var buf [4096]byte
+	for at := uint64(0); at < payload; { // reads start 8-aligned: no offset straddles two
+		c := buf[:min(payload-at, uint64(len(buf)))]
+		if _, err := io.ReadFull(fr, c); err != nil {
+			return nil, bad("payload: %v", err)
+		}
+		for i := 0; i < len(c); i, at = i+4, at+4 {
+			if at >= 8*nf {
+				deg[(at-8*nf)/4] = binary.LittleEndian.Uint32(c[i:])
+				sum += uint64(deg[(at-8*nf)/4])
+			} else if at%8 == 0 {
+				frames[at/8] = int64(binary.LittleEndian.Uint64(c[i:]))
+			}
+		}
+	}
+	if n, err := fr.Read(buf[:1]); n != 0 || err != io.EOF || sum != m.Edges {
+		return nil, bad("payload past %d bytes (%v), or degrees summing to %d, not %d", payload, err, sum, m.Edges)
+	}
+	for i, off := range append(frames, int64(m.StoredBytes)-frameHeaderBytes)[1:] { // the terminator ends the last
+		if frames[0] != 4 || off-frames[i] <= frameHeaderBytes {
+			return nil, bad("frame %d at byte %d, the next at %d", i, frames[i], off)
+		}
+	}
+	return frames, nil
 }

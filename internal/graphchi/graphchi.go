@@ -134,6 +134,18 @@ func (e *engine) shardFile(q int) string {
 	return fmt.Sprintf("%s_shard_%d", e.rt.Opts.FilePrefix, q)
 }
 
+// readWindow reads bytes [off, end) of shard q.
+func (e *engine) readWindow(q int, off, end int64) ([]byte, error) {
+	rr, err := stream.OpenRange(e.rv, e.shardFile(q), e.rt.Retry)
+	if err != nil {
+		return nil, err
+	}
+	defer rr.Close()
+	data := make([]byte, end-off)
+	_, err = rr.ReadAt(data, off)
+	return data, err
+}
+
 func (e *engine) run() (*xstream.Result, error) {
 	run := metrics.Run{Engine: EngineName}
 	e.tr = e.rt.Tracer()
@@ -336,7 +348,7 @@ func (e *engine) seedRoot() error {
 		if off == end {
 			continue
 		}
-		data, err := e.rv.ReadRange(e.shardFile(q), off, end-off)
+		data, err := e.readWindow(q, off, end)
 		if err != nil {
 			return err
 		}
@@ -454,7 +466,7 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 		if off == end {
 			continue
 		}
-		data, err := e.rv.ReadRange(e.shardFile(q), off, end-off)
+		data, err := e.readWindow(q, off, end)
 		if err != nil {
 			return changed, scanned, newly, err
 		}

@@ -65,6 +65,12 @@ type Iteration struct {
 	// update file: the next row's Updates and NewlyVisited book it, as the
 	// gather it replaced would have.
 	Stored bool
+	// Sparse reports a stored row whose pass read only the byte ranges of
+	// the indexed stored file its frontier needed; FileBytes is what the
+	// pass read of the file, and FilePredicted what the ranges promised
+	// before the read (0 on a dense row, which reads the whole file).
+	Sparse                   bool
+	FileBytes, FilePredicted int64
 }
 
 // Run is the complete measurement record of one engine execution.
@@ -268,17 +274,20 @@ func (r *Run) Report() string {
 			d.Name, GB(d.BytesRead), GB(d.BytesWritten), d.BusyTime, d.Ops)
 	}
 	if len(r.Iterations) > 0 {
-		b.WriteString("iter  dir  frontier      new     edges   updates  filtered      stay predicted  skip  cancel trim\n")
+		b.WriteString("iter  dir  frontier      new     edges   updates  filtered      stay predicted    file B  skip  cancel trim\n")
 		for _, it := range r.Iterations {
 			dir := "down"
-			if it.BottomUp {
+			switch {
+			case it.BottomUp:
 				dir = "up"
-			} else if it.Stored {
+			case it.Sparse:
+				dir = "sprs"
+			case it.Stored:
 				dir = "file"
 			}
-			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %9d %5d %7d %v\n",
+			fmt.Fprintf(&b, "%4d %4s %9d %8d %9d %9d %9d %9d %9d %9d %5d %7d %v\n",
 				it.Index, dir, it.Frontier, it.NewlyVisited, it.EdgesStreamed, it.Updates, it.Filtered, it.StayEdges,
-				it.StayPredicted, it.SkippedPartitions, it.Cancelled, it.TrimActive)
+				it.StayPredicted, it.FileBytes, it.SkippedPartitions, it.Cancelled, it.TrimActive)
 		}
 	}
 	return b.String()

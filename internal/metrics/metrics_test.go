@@ -90,10 +90,14 @@ func TestReportContainsEverything(t *testing.T) {
 			t.Errorf("Report missing %q", want)
 		}
 	}
-	// Per-iteration rows present, including the direction, filtered and
-	// predicted-stay columns.
-	if !strings.Contains(rep, "   1 down        10       10        90        12        33        40        41     1       1 true") {
+	// Per-iteration rows present, including the direction, filtered,
+	// predicted-stay and stored-file columns.
+	if !strings.Contains(rep, "   1 down        10       10        90        12        33        40        41         0     1       1 true") {
 		t.Errorf("Report missing iteration row:\n%s", rep)
+	}
+	sparse := (&Run{Iterations: []Iteration{{Stored: true, Sparse: true, EdgesStreamed: 25, FileBytes: 200, FilePredicted: 200}}}).Report()
+	if !strings.Contains(sparse, "   0 sprs         0        0        25         0         0         0         0       200") {
+		t.Errorf("Report missing the sparse stored row:\n%s", sparse)
 	}
 }
 

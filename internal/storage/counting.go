@@ -94,20 +94,6 @@ func (c *Counting) Size(name string) (int64, error) { return c.inner.Size(name) 
 // List implements Volume.
 func (c *Counting) List() []string { return c.inner.List() }
 
-// ReadRange implements RangeVolume when the wrapped volume does.
-func (c *Counting) ReadRange(name string, off, length int64) ([]byte, error) {
-	rv, ok := c.inner.(RangeVolume)
-	if !ok {
-		return nil, fmt.Errorf("storage: %T does not support ReadRange", c.inner)
-	}
-	b, err := rv.ReadRange(name, off, length)
-	if err == nil {
-		c.bytesRead.Add(int64(len(b)))
-		c.readOps.Add(1)
-	}
-	return b, err
-}
-
 // Patch implements RangeVolume when the wrapped volume does.
 func (c *Counting) Patch(name string, off int64, data []byte) error {
 	rv, ok := c.inner.(RangeVolume)
@@ -132,6 +118,13 @@ func (r *countingReader) Read(p []byte) (int, error) {
 	if n > 0 {
 		r.vol.bytesRead.Add(int64(n))
 	}
+	return n, err
+}
+
+// ReadAt counts the bytes a ranged read moves; the open was the operation.
+func (r *countingReader) ReadAt(p []byte, off int64) (int, error) {
+	n, err := readAt(r.inner, p, off)
+	r.vol.bytesRead.Add(int64(n))
 	return n, err
 }
 

@@ -28,11 +28,11 @@ import (
 //   - bit flips (FlipP): one random published byte is inverted,
 //     modelling silent media corruption — again only checksums help.
 //
-// Probabilities are per-operation (per Read/Write call for transient and
-// permanent errors, per file for torn writes and bit flips). Create,
-// Rename, Remove and the metadata calls are never faulted: the fault
-// model is data-path corruption and data-path errors, not namespace
-// loss. ReadRange/Patch (GraphChi's path) pass through unfaulted.
+// Probabilities are per-operation (per Read, ReadAt or Write call for
+// transient and permanent errors, per file for torn writes and bit
+// flips). Create, Rename, Remove and the metadata calls are never
+// faulted: the fault model is data-path corruption and data-path errors,
+// not namespace loss.
 type Faulty struct {
 	inner Volume
 	spec  FaultSpec
@@ -243,19 +243,30 @@ type faultyReader struct {
 }
 
 func (r *faultyReader) Read(p []byte) (int, error) {
-	if r.dead != nil {
-		return 0, r.dead
-	}
-	// Faults fire *before* the inner read consumes bytes, so a retried
-	// call observes the stream exactly where the failed call left it.
-	if r.vol.roll(r.vol.spec.PReadP) {
-		r.dead = &FaultError{Op: "read", Name: r.name, Transient: false}
-		return 0, r.dead
-	}
-	if r.vol.roll(r.vol.spec.ReadP) {
-		return 0, &FaultError{Op: "read", Name: r.name, Transient: true}
+	if err := r.fault(); err != nil {
+		return 0, err
 	}
 	return r.inner.Read(p)
+}
+
+// ReadAt faults like Read; a retried call reads the same range again.
+func (r *faultyReader) ReadAt(p []byte, off int64) (int, error) {
+	if err := r.fault(); err != nil {
+		return 0, err
+	}
+	return readAt(r.inner, p, off)
+}
+
+// fault rolls a read's fault, before the inner read consumes bytes, so a
+// retried call observes the stream exactly where the failed call left it.
+func (r *faultyReader) fault() error {
+	if r.dead == nil && r.vol.roll(r.vol.spec.PReadP) {
+		r.dead = &FaultError{Op: "read", Name: r.name, Transient: false}
+	}
+	if r.dead == nil && r.vol.roll(r.vol.spec.ReadP) {
+		return &FaultError{Op: "read", Name: r.name, Transient: true}
+	}
+	return r.dead
 }
 
 func (r *faultyReader) Close() error { return r.inner.Close() }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -106,22 +107,6 @@ func (m *Mem) Size(name string) (int64, error) {
 	return int64(len(b)), nil
 }
 
-// ReadRange implements RangeVolume.
-func (m *Mem) ReadRange(name string, off, length int64) ([]byte, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, ok := m.files[name]
-	if !ok {
-		return nil, fmt.Errorf("storage: read range %s: %w", name, ErrNotExist)
-	}
-	if off < 0 || length < 0 || off+length > int64(len(b)) {
-		return nil, fmt.Errorf("storage: read range %s: [%d,%d) outside file of %d bytes", name, off, off+length, len(b))
-	}
-	out := make([]byte, length)
-	copy(out, b[off:off+length])
-	return out, nil
-}
-
 // Patch implements RangeVolume.
 func (m *Mem) Patch(name string, off int64, data []byte) error {
 	m.mu.Lock()
@@ -216,6 +201,11 @@ func (r *memReader) Read(p []byte) (int, error) {
 	n := copy(p, r.data[r.off:])
 	r.off += n
 	return n, nil
+}
+
+// ReadAt implements io.ReaderAt.
+func (r *memReader) ReadAt(p []byte, off int64) (int, error) {
+	return bytes.NewReader(r.data).ReadAt(p, off)
 }
 
 func (r *memReader) Close() error {

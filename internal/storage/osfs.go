@@ -136,34 +136,6 @@ func (v *OS) Size(name string) (int64, error) {
 	return st.Size(), nil
 }
 
-// ReadRange implements RangeVolume.
-func (v *OS) ReadRange(name string, off, length int64) ([]byte, error) {
-	p, err := v.path(name)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("storage: read range %s: %w", name, ErrNotExist)
-		}
-		return nil, fmt.Errorf("storage: read range %s: %w", name, err)
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("storage: read range %s: %w", name, err)
-	}
-	if off < 0 || length < 0 || off+length > st.Size() {
-		return nil, fmt.Errorf("storage: read range %s: [%d,%d) outside file of %d bytes", name, off, off+length, st.Size())
-	}
-	out := make([]byte, length)
-	if _, err := f.ReadAt(out, off); err != nil {
-		return nil, fmt.Errorf("storage: read range %s: %w", name, err)
-	}
-	return out, nil
-}
-
 // Patch implements RangeVolume.
 func (v *OS) Patch(name string, off int64, data []byte) error {
 	p, err := v.path(name)
@@ -269,6 +241,7 @@ type osReader struct {
 	size int64
 }
 
-func (r *osReader) Read(p []byte) (int, error) { return r.f.Read(p) }
-func (r *osReader) Close() error               { return r.f.Close() }
-func (r *osReader) Size() int64                { return r.size }
+func (r *osReader) Read(p []byte) (int, error)              { return r.f.Read(p) }
+func (r *osReader) ReadAt(p []byte, off int64) (int, error) { return r.f.ReadAt(p, off) }
+func (r *osReader) Close() error                            { return r.f.Close() }
+func (r *osReader) Size() int64                             { return r.size }

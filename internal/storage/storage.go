@@ -7,10 +7,11 @@
 // internal/disksim; engines call both. This separation keeps results
 // (BFS trees, byte counts) real while making timing deterministic.
 //
-// The access pattern is deliberately restricted to what the FastBFS /
-// X-Stream designs need: whole files are written once, sequentially,
-// then read sequentially any number of times. There is no random access
-// — that restriction is the point of edge-centric streaming.
+// Files are written once, sequentially, then read any number of times:
+// streamed whole, or — through the io.ReaderAt every reader of this
+// package also implements — in byte ranges, which is how a stored pass
+// reads only the frontier's edges of an indexed edge file and how
+// GraphChi reads its sliding windows.
 package storage
 
 import (
@@ -55,18 +56,22 @@ type SyncWriter interface {
 	Sync() error
 }
 
-// RangeVolume is implemented by volumes that additionally support the
-// random-access pattern GraphChi's parallel sliding windows need:
-// reading a byte range of a shard and patching a byte range in place.
-// The FastBFS/X-Stream engines never use it — edge-centric streaming is
-// precisely the design that avoids this access pattern.
+// RangeVolume is implemented by volumes that can also patch a byte range
+// of a file in place, which GraphChi's parallel sliding windows need.
 type RangeVolume interface {
 	Volume
-	// ReadRange reads length bytes at offset off of an existing file.
-	ReadRange(name string, off, length int64) ([]byte, error)
 	// Patch overwrites len(data) bytes at offset off of an existing
 	// file. The range must lie within the file.
 	Patch(name string, off int64, data []byte) error
+}
+
+// readAt is ReadAt on r, for the wrappers whose inner reader may lack it.
+func readAt(r Reader, p []byte, off int64) (int, error) {
+	ra, ok := r.(io.ReaderAt)
+	if !ok {
+		return 0, fmt.Errorf("storage: %T reads no ranges", r)
+	}
+	return ra.ReadAt(p, off)
 }
 
 // Volume is a flat namespace of sequential files.

@@ -361,3 +361,43 @@ func TestReaderAfterClose(t *testing.T) {
 		t.Fatalf("read after close: err = %v, want failure", err)
 	}
 }
+
+// TestReadersReadRanges: every volume's reader, and the counting and
+// faulting wrappers over it, reads ranges (io.ReaderAt): the bytes at the
+// offset, io.EOF past the end; the counting volume counts what a ranged
+// read moves, and the faulting one faults it, transiently or for good.
+func TestReadersReadRanges(t *testing.T) {
+	for name, v := range volumes(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := WriteAll(v, "f", []byte("0123456789")); err != nil {
+				t.Fatal(err)
+			}
+			cv := NewCounting(v, "c")
+			r, err := cv.Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			p := make([]byte, 4)
+			if n, err := r.(io.ReaderAt).ReadAt(p, 3); n != 4 || err != nil || string(p) != "3456" {
+				t.Fatalf("ReadAt(3) = %d %q %v", n, p[:n], err)
+			}
+			if n, err := r.(io.ReaderAt).ReadAt(p, 8); n != 2 || err != io.EOF {
+				t.Fatalf("ReadAt past the end = %d, %v; want 2, io.EOF", n, err)
+			}
+			if st := cv.Stats(); st.BytesRead != 6 || st.ReadOps != 1 {
+				t.Fatalf("counted %d bytes in %d ops, want 6 in 1", st.BytesRead, st.ReadOps)
+			}
+			for _, spec := range []FaultSpec{{Seed: 1, ReadP: 1}, {Seed: 1, PReadP: 1}} {
+				fr, err := NewFaulty(v, spec).Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fr.(io.ReaderAt).ReadAt(p, 0); err == nil || IsTransient(err) != (spec.ReadP > 0) {
+					t.Fatalf("%+v: ReadAt err = %v", spec, err)
+				}
+				fr.Close()
+			}
+		})
+	}
+}

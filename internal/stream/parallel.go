@@ -186,10 +186,16 @@ func (sp *ScatterPool) putChunk(c []graph.Edge) {
 	sp.mu.Unlock()
 }
 
+// EdgeChunks is what the pool reads edges from: a *Scanner[graph.Edge], or
+// a wrapper checking what one reads.
+type EdgeChunks interface {
+	NextChunk([]graph.Edge) (int, error)
+}
+
 // RunScanner streams sc chunk by chunk through the pool. The scanner is
 // consumed on the calling goroutine (its refills charge the clock); the
 // caller still owns closing it.
-func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) RunScanner(sc EdgeChunks, fn ScatterFunc, merge MergeFunc) error {
 	return sp.RunScannerDepth(sc, PipelineDepth, fn, merge)
 }
 
@@ -197,7 +203,7 @@ func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge
 // ahead of the merge: fewer chunk buffers in flight over a long stream, and
 // at depth 1 the device sees what a serial read-then-process loop issues.
 // Like PipelineDepth, depth must not depend on the worker count.
-func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) RunScannerDepth(sc EdgeChunks, depth int, fn ScatterFunc, merge MergeFunc) error {
 	next := func() ([]graph.Edge, bool, error) {
 		buf := sp.getChunk()
 		n, err := sc.NextChunk(buf)

@@ -226,6 +226,16 @@ func (rr *retryReader) Read(p []byte) (int, error) {
 	return n, tail
 }
 
+// ReadAt retries like Read; a short read is the file's end, not a fault.
+func (rr *retryReader) ReadAt(p []byte, off int64) (n int, err error) {
+	ra, ok := rr.inner.(io.ReaderAt)
+	if !ok {
+		return 0, fmt.Errorf("stream: %s: %T reads no ranges", rr.name, rr.inner)
+	}
+	err = rr.rt.Do("read "+rr.name, func() (e error) { n, e = ra.ReadAt(p, off); return e })
+	return n, err
+}
+
 func (rr *retryReader) Close() error { return rr.inner.Close() }
 func (rr *retryReader) Size() int64  { return rr.inner.Size() }
 

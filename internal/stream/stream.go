@@ -16,6 +16,7 @@ import (
 	"io"
 
 	"fastbfs/internal/disksim"
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 )
@@ -82,6 +83,9 @@ type Scanner[T any] struct {
 	span func(dst []T, src []byte)
 	eof  bool
 	read int64
+	// charged marks a reader that charges the device itself, range by
+	// range (NewRangeScanner).
+	charged bool
 
 	// Read-ahead state: issued chunks not yet consumed (with their
 	// sizes) and how many bytes of the file have been covered by
@@ -284,7 +288,7 @@ func (s *Scanner[T]) refill() error {
 			if waited {
 				s.topUp()
 			}
-		} else {
+		} else if !s.charged {
 			s.timing.read(dev, s.sid)
 		}
 		s.read += dev
@@ -340,6 +344,98 @@ func NewUpdateScanner(vol storage.Volume, name string, timing Timing, bufSize in
 	}
 	return newScannerOver(r, timing, bufSize, graph.UpdateBytes, graph.GetUpdate, decodeUpdates), nil
 }
+
+// RangeReader reads a file at offsets through one open, each read retried
+// like every stream's; its callers charge the device.
+type RangeReader interface {
+	io.ReaderAt
+	io.Closer
+}
+
+// OpenRange opens name on vol for ranged reads; rt may be nil.
+func OpenRange(vol storage.Volume, name string, rt *Retrier) (RangeReader, error) {
+	r, err := openRetrying(vol, name, rt)
+	if err != nil {
+		return nil, err
+	}
+	if rr, ok := r.(RangeReader); ok {
+		return rr, nil
+	}
+	r.Close()
+	return nil, fmt.Errorf("stream: %s: %T reads no ranges", name, r)
+}
+
+// Range is Len bytes of a file at offset Off.
+type Range struct{ Off, Len int64 }
+
+// NewRangeScanner streams the edges in ranges of an edge file, in order,
+// read into the scanner's pooled buffer: raw records, or — framed — a delta
+// file's whole frames, CRC-checked and decoded. Each range costs the device
+// a positioning and its transfer; BytesRead counts the ranges' bytes.
+func NewRangeScanner(vol storage.Volume, name string, timing Timing, bufSize int, ranges []Range, framed bool) (*Scanner[graph.Edge], error) {
+	rr, err := OpenRange(vol, name, timing.Retry)
+	if err != nil {
+		return nil, err
+	}
+	src := &rangeSource{RangeReader: rr, timing: timing, ranges: ranges}
+	var r storage.Reader = src
+	if framed {
+		src.tail = 8 // a terminator frame closes the ranges' frames
+		r = rangeDelta{newDeltaReader(src, graph.NewFrameReaderBufs(src, timing.Bufs, recordBufSize(bufSize, graph.EdgeBytes)), timing.Bufs), src}
+	}
+	sc := newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge, decodeEdges)
+	sc.charged = true
+	return sc, nil
+}
+
+// rangeSource is the bytes of a file's ranges, then tail zero bytes; each
+// range is charged as it is read, under a stream ID of its own.
+type rangeSource struct {
+	RangeReader
+	timing    Timing
+	ranges    []Range
+	off, read int64 // off: bytes of ranges[0] read
+	sid       disksim.StreamID
+	tail      int
+}
+
+func (s *rangeSource) Size() int64 { return 0 } // nothing reads ahead of it
+
+func (s *rangeSource) Read(p []byte) (int, error) {
+	for len(s.ranges) > 0 && s.off == s.ranges[0].Len {
+		s.ranges, s.off, s.sid = s.ranges[1:], 0, 0
+	}
+	if len(s.ranges) == 0 {
+		n := min(len(p), s.tail)
+		if n == 0 {
+			return 0, io.EOF
+		}
+		clear(p[:n])
+		s.tail -= n
+		return n, nil
+	}
+	n := min(int64(len(p)), s.ranges[0].Len-s.off)
+	if m, err := s.ReadAt(p[:n], s.ranges[0].Off+s.off); int64(m) < n {
+		if err == nil || err == io.EOF {
+			err = fmt.Errorf("stream: %w: the file ends inside a range", errs.ErrCorrupted)
+		}
+		return 0, err
+	}
+	if s.sid == 0 {
+		s.sid = disksim.NewStreamID()
+	}
+	s.timing.read(n, s.sid)
+	s.off, s.read = s.off+n, s.read+n
+	return int(n), nil
+}
+
+// rangeDelta decodes a rangeSource; its device bytes are the ranges'.
+type rangeDelta struct {
+	*deltaReader
+	src *rangeSource
+}
+
+func (d rangeDelta) DeviceBytes() int64 { return d.src.read }
 
 // Writer buffers fixed-size records of type T into a file, flushing (and
 // charging a device write) whenever the buffer fills. By default flushes

@@ -116,8 +116,9 @@ func parseManifest(raw []byte) (*checkpointManifest, error) {
 // resume folds the manifest's logs into the vertex files and bitmaps (claims
 // included), for the loop to re-enter at man.Iteration+1 as it re-enters
 // top-down after a bottom-up pass: the frontier formed, nothing to gather.
-// Unless the run is done, it then reads the stored file once: a run back in
-// its stored phase recounts the degree table, the others call Prepare. A
+// Unless the run is done, it then takes the degree table: a run back in its
+// stored phase loads it with the index, or recounts it reading the stored
+// file once; the others call Prepare. A
 // manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
 func (e *kernel) resume(man *checkpointManifest) error {
 	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
@@ -165,7 +166,9 @@ func (e *kernel) resume(man *checkpointManifest) error {
 	// Prepare keeps the frontier's edges, the next scatter's.
 	var err error
 	if e.stored {
-		err = e.rt.scanStored(nil)
+		if err = e.openIndex(); err == nil && e.index == nil {
+			err = e.rt.scanStored(nil)
+		}
 	} else {
 		var counts []int64
 		e.rt.VisitedBits.toggle(d.frontier)

@@ -213,7 +213,9 @@ type kernel struct {
 	filter *UpdateFilter
 	// stored is set while the stored edge file is every partition's input:
 	// a FastBFS run that trims by the counts, until its split pass (split.go).
+	// index is that file's degree index, when the run loaded it (openIndex).
 	stored bool
+	index  *storedIndex
 
 	// ck is the checkpoint volume (nil when not checkpointing).
 	ck storage.Volume
@@ -319,6 +321,9 @@ func (e *kernel) runStreaming() (*Result, error) {
 	case e.stored:
 		e.rt.allocBitmaps(true)
 		e.ds.StoredPrice = float64(e.rt.Meta.Edges)
+		if err := e.openIndex(); err != nil {
+			return nil, err
+		}
 	default:
 		prep := runSpan.Child("load")
 		counts, err := e.rt.Prepare()

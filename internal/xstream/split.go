@@ -2,7 +2,10 @@ package xstream
 
 import (
 	"fmt"
+	"io"
+	"slices"
 
+	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
@@ -24,8 +27,12 @@ import (
 // passStats is what a split pass counted: edges scanned, the frontier's
 // among them (emitted, before any filter), those to an unvisited vertex
 // (candidates), vertices that won a parent (claims), edges written
-// (stayed), and the out-degree sum over the emitted edges' targets.
-type passStats struct{ scanned, emitted, candidates, claims, stayed, candDeg int64 }
+// (stayed), the out-degree sum over the emitted edges' targets, the bytes
+// it read and, were it sparse, the bytes its ranges promised.
+type passStats struct {
+	scanned, emitted, candidates, claims, stayed, candDeg, read, predicted int64
+	sparse                                                                 bool
+}
 
 // splitPass scans the stored edge file — the .rev file when rev is set —
 // against e.dir.frontier, resolving into best the parent each unvisited
@@ -33,18 +40,31 @@ type passStats struct{ scanned, emitted, candidates, claims, stayed, candDeg int
 // one its target its other end. With outs, an edge whose source (a reverse
 // edge's target) is unvisited goes to that vertex's partition file — with
 // dropWon, unless the vertex has just won: its other in-edges are dead.
-// Iteration 0's forward pass counts the out-degree table. Workers classify;
-// winners and writes resolve on the engine thread in scan order. The
-// reverse pass runs one chunk deep, the device operations of a serial loop;
-// the forward one two, since a stored file 32 chunks deep in flight is 32
-// stream buffers. A malformed edge or an edge count off the metadata is
-// errs.ErrCorrupted.
+// Over an indexed file a forward pass reads sparse when that pays
+// (sparseRuns, runCheck); without an index iteration 0's counts the degree
+// table. Workers classify; winners and writes resolve on the engine thread
+// in scan order, sparse or dense alike. The reverse pass runs one chunk
+// deep, the device operations of a serial loop; the forward one two, since
+// a stored file 32 chunks deep in flight is 32 stream buffers. A malformed
+// edge or an edge count off the metadata is errs.ErrCorrupted.
 func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
 	name, depth := graph.EdgeFileName(e.rt.Meta.Name), 2
 	if rev {
 		name, depth = graph.ReverseFileName(e.rt.Meta.Name), 1
 	}
-	sc, err := stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
+	var runs []stream.Range
+	if !rev && e.index != nil {
+		runs, ps.predicted, ps.sparse = e.sparseRuns(outs != nil)
+	}
+	var sc *stream.Scanner[graph.Edge]
+	var src stream.EdgeChunks
+	if ps.sparse {
+		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, runs, e.index.frames != nil)
+		src = &runCheck{Scanner: sc, ix: e.index, deg: e.rt.OutDeg, runs: runs, v: -1}
+	} else {
+		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
+		src = sc
+	}
 	if err != nil {
 		return ps, err
 	}
@@ -54,9 +74,9 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 	if outs != nil {
 		w = outs.W
 	}
-	// Iteration 0 counts the table as it scans, and sums α's look-ahead
-	// over the root's out-edges once the count is complete.
-	count, deg := !rev && iter == 0, e.filter.outDeg
+	// Without an index, iteration 0 counts the table as it scans, and sums
+	// α's look-ahead over the root's out-edges once the count is complete.
+	count, deg := !rev && iter == 0 && e.index == nil, e.filter.outDeg
 	var rootOut []graph.VertexID
 	if count {
 		deg = nil
@@ -123,13 +143,14 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 		}
 		return nil
 	}
-	if err := e.pool.RunScannerDepth(sc, depth, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(src, depth, classify, merge); err != nil {
 		return ps, err
 	}
-	if uint64(ps.scanned) != m.Edges {
+	if !ps.sparse && uint64(ps.scanned) != m.Edges {
 		return ps, fmt.Errorf("%w: edge file %s has %d edges, config says %d", errs.ErrCorrupted, name, ps.scanned, m.Edges)
 	}
-	e.rt.BytesRead += sc.BytesRead()
+	ps.read = sc.BytesRead()
+	e.rt.BytesRead += ps.read
 	for _, v := range rootOut {
 		ps.candDeg += int64(e.rt.OutDeg[v])
 	}
@@ -153,7 +174,7 @@ func (e *kernel) work(ps passStats, newly uint64) {
 // saves the next pass (the stored file less R, the live edges of the
 // partitions holding the frontier) or, while a split run's pass would read
 // at most half the stored file, those the stored passes read beyond a
-// split run's so far (d.excess). Iteration 0 counts the degree table and
+// split run's so far (d.excess, of the edges each pass read). Iteration 0
 // never splits. The level goes to the vertex files if the phase ends here,
 // else to a log (logLevel); a capped run's last iteration forms nothing,
 // as the updates its scatter would write are never gathered (a
@@ -191,8 +212,6 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 			return false, err
 		}
 		defer outs.Abort() // whatever an error return leaves open
-	} else if iter > 0 {
-		d.excess += edges - live
 	}
 
 	d.next.Clear()
@@ -206,7 +225,15 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 		ss.End()
 		return false, err
 	}
-	itRow.EdgesStreamed = ps.scanned
+	itRow.EdgesStreamed, itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = ps.scanned, ps.sparse, ps.read, ps.predicted
+	if ps.sparse {
+		ss.Attr("sparse", 1)
+		itSpan.Attr("sparse", 1)
+	}
+	ss.Attr("bytes", ps.read).Attr("bytes_predicted", ps.predicted)
+	if outs == nil && iter > 0 {
+		d.excess += ps.scanned - live
+	}
 	if outs != nil {
 		e.stored, e.ds.StoredPrice = false, 0
 		for p, c := range outs.Counts() {
@@ -221,7 +248,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	if iter == 0 { // the table just counted gives each partition its live edges
 		rootDeg := e.countLive()
 		rp := &e.parts[e.rt.Parts.Of(root)]
-		d.excess = edges - rp.live - rootDeg // a split run's iteration 0 reads the root's partition
+		d.excess = ps.scanned - rp.live - rootDeg // a split run's iteration 0 reads the root's partition
 		rp.visitedCount++
 		d.fresh = true
 	}
@@ -429,4 +456,133 @@ func (e *kernel) bookCarried(itRow *metrics.Iteration) {
 		e.run.Visited += d.carryFrontier
 		e.ctr.UpdatesApplied.Add(d.carryUpdates)
 	}
+}
+
+// storedIndex is the stored edge file's degree index (DESIGN.md §5; the
+// degrees are OutDeg): its delta frames' offsets (nil when fixed), the
+// file's bytes and edges, and the grain, the bytes a positioning is worth.
+type storedIndex struct {
+	frames             []int64
+	size, edges, grain int64
+}
+
+// openIndex loads the degrees into OutDeg for a run entering its stored
+// phase. It leaves e.index nil — the run counts and reads dense — when the
+// graph has no index, or when the least a sparse pass reads (a delta frame
+// at the file's mean bytes an edge), a grain and the index reach the file.
+func (e *kernel) openIndex() error {
+	rt, name := e.rt, graph.IndexFileName(e.rt.Meta.Name)
+	isz, err := rt.Vol.Size(name)
+	if err != nil {
+		return nil // stored before the index
+	}
+	ix := &storedIndex{size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: 64 << 10}
+	var least int64
+	if rt.Meta.EdgeCodec() == graph.CodecDelta {
+		ix.size = int64(rt.Meta.StoredBytes)
+		least = ix.size * min(graph.IndexFrameEdges, ix.edges) / max(ix.edges, 1)
+	}
+	if sim := rt.Opts.Sim; sim != nil {
+		ix.grain = int64(sim.MainDisk.SeekLatency * sim.MainDisk.Bandwidth)
+	}
+	if least+ix.grain+isz >= ix.size {
+		return nil
+	}
+	rr, err := stream.OpenRange(rt.Vol, name, rt.Retry)
+	if err != nil {
+		return err
+	}
+	defer rr.Close()
+	if ix.frames, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
+		return err
+	}
+	if rt.Clock != nil {
+		rt.Clock.Read(rt.Opts.Sim.MainDisk, isz, disksim.NewStreamID())
+	}
+	rt.BytesRead += isz
+	e.index = ix
+	return nil
+}
+
+// span is the byte range of the stored file holding its edges [lo, hi): at
+// edge grain in a fixed file, at frame grain in a delta one.
+func (ix *storedIndex) span(lo, hi int64) (off, end int64) {
+	if ix.frames == nil {
+		return lo * graph.EdgeBytes, hi * graph.EdgeBytes
+	}
+	end = ix.size - 8 // the terminator frame
+	if g := (hi-1)/graph.IndexFrameEdges + 1; g < int64(len(ix.frames)) {
+		end = ix.frames[g]
+	}
+	return ix.frames[lo/graph.IndexFrameEdges], end
+}
+
+// edgesOf is the edges [first, last) a range of spans holds.
+func (ix *storedIndex) edgesOf(r stream.Range) (first, last int64) {
+	if ix.frames == nil {
+		return r.Off / graph.EdgeBytes, (r.Off + r.Len) / graph.EdgeBytes
+	}
+	f, _ := slices.BinarySearch(ix.frames, r.Off)
+	g, _ := slices.BinarySearch(ix.frames, r.Off+r.Len) // len(frames) at the terminator
+	return int64(f) * graph.IndexFrameEdges, min(int64(g)*graph.IndexFrameEdges, ix.edges)
+}
+
+// sparseRuns returns the ranges a forward stored pass reads sparse — the
+// frontier's out-edges and, when it splits, every unvisited source's — in
+// file order, merged across gaps under a grain, and their bytes; or sparse
+// false, for a dense pass, once bytes plus a grain a range reach the file's.
+func (e *kernel) sparseRuns(split bool) (runs []stream.Range, bytes int64, sparse bool) {
+	ix, front, visited := e.index, e.dir.frontier, e.rt.VisitedBits
+	var pos int64
+	for v, d := range e.rt.OutDeg {
+		lo := pos
+		if pos += int64(d); d == 0 || !front.Get(graph.VertexID(v)) && (!split || visited.Get(graph.VertexID(v))) {
+			continue
+		}
+		off, end := ix.span(lo, pos)
+		if n := len(runs); n > 0 && off-runs[n-1].Off-runs[n-1].Len < ix.grain {
+			grown := max(runs[n-1].Len, end-runs[n-1].Off)
+			bytes, runs[n-1].Len = bytes+grown-runs[n-1].Len, grown
+		} else {
+			runs, bytes = append(runs, stream.Range{Off: off, Len: end - off}), bytes+end-off
+		}
+		if bytes+int64(len(runs))*ix.grain >= ix.size {
+			return nil, 0, false
+		}
+	}
+	return runs, bytes, true
+}
+
+// runCheck checks each edge a sparse pass reads: a range holds the edges
+// edgesOf gives, each with the source the degrees place it at. Anything
+// else is errs.ErrCorrupted, a file its index does not describe.
+type runCheck struct {
+	*stream.Scanner[graph.Edge]
+	ix            *storedIndex
+	deg           []uint32
+	runs          []stream.Range
+	v             int   // the source of edge at, vEnd edges preceding v+1
+	vEnd, at, due int64 // due: what the current range still holds
+}
+
+func (c *runCheck) NextChunk(dst []graph.Edge) (int, error) {
+	n, err := c.Scanner.NextChunk(dst)
+	for _, x := range dst[:n] {
+		if c.due == 0 && len(c.runs) > 0 {
+			first, last := c.ix.edgesOf(c.runs[0])
+			c.at, c.due, c.runs = first, last-first, c.runs[1:]
+		}
+		for c.due > 0 && c.vEnd <= c.at {
+			c.v++
+			c.vEnd += int64(c.deg[c.v])
+		}
+		if c.due == 0 || x.Src != graph.VertexID(c.v) {
+			return 0, fmt.Errorf("%w: stored edge file: edge %v where the index has %d's", errs.ErrCorrupted, x, c.v)
+		}
+		c.at, c.due = c.at+1, c.due-1
+	}
+	if n == 0 && err == nil && c.due+int64(len(c.runs)) > 0 {
+		return 0, fmt.Errorf("%w: stored edge file: a range ends short of its edges", errs.ErrCorrupted)
+	}
+	return n, err
 }
