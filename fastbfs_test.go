@@ -1,7 +1,11 @@
 package fastbfs
 
 import (
+	"context"
 	"testing"
+
+	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 // TestPublicAPIEndToEnd drives the facade the way the README's
@@ -87,6 +91,49 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 	if est.LowerBound < 1 {
 		t.Fatalf("diameter lower bound = %d", est.LowerBound)
+	}
+}
+
+// TestRunBytesReconcileWithTheVolume: in wall mode a FastBFS run's record
+// holds every byte its volume moved — configuration, permutation, degree
+// index, stored passes, working files and the collect of the tree — in the
+// two out-of-core configurations the benchmark runs: a fixed store
+// top-down, and a reordered delta store under direction auto, both at 8
+// partitions.
+func TestRunBytesReconcileWithTheVolume(t *testing.T) {
+	for _, c := range []struct {
+		store StoreOptions
+		dir   string
+	}{
+		{StoreOptions{Codec: CodecFixed, Reverse: true}, "topdown"},
+		{StoreOptions{Codec: CodecDelta, ReorderByDegree: true, Reverse: true}, "auto"},
+	} {
+		osv, err := NewOSVolume(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol := storage.NewCounting(osv, "disk")
+		meta, edges, err := GenerateRMAT(12, 16, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := StoreGraph(context.Background(), vol, meta, edges, c.store); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Base: EngineOptions{Root: edges[0].Src, MemoryBudget: 8192, ScatterWorkers: 2, Direction: xstream.Direction(c.dir)}}
+		before := vol.Stats()
+		res, err := Run(context.Background(), EngineFastBFS, vol, meta.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, r := vol.Stats().Sub(before), res.Metrics
+		if r.BytesRead != moved.BytesRead || r.BytesWritten != moved.BytesWritten {
+			t.Fatalf("%s/%s: the run records %d bytes read and %d written, the volume moved %d and %d",
+				c.store.Codec, c.dir, r.BytesRead, r.BytesWritten, moved.BytesRead, moved.BytesWritten)
+		}
+		if len(r.Devices) != 1 || r.Devices[0].Name != "disk" || res.Visited < meta.Vertices/4 {
+			t.Fatalf("%s/%s: devices %+v, %d vertices visited", c.store.Codec, c.dir, r.Devices, res.Visited)
+		}
 	}
 }
 

@@ -220,11 +220,14 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 // TestEnginesAgreeAcrossDirections is the direction-equivalence
 // property: over 50 random graphs spanning the same families as the
 // worker sweep, FastBFS — trimming by the counts, which streams the stored
-// file until its split pass, and on the paper's threshold, which splits up
-// front — and X-Stream produce BFS output byte-identical to the first
-// run's top-down baseline — same levels AND same parents — under every
-// direction mode {topdown, bottomup, auto}, worker count {1, 4, 8} and
-// (FastBFS only) residency setting {off, unbounded}. The bottom-up and
+// file until its split pass and keeps its levels in logs, and on the
+// paper's threshold, which splits up front and keeps vertex files — and
+// X-Stream produce BFS output byte-identical to the first run's top-down
+// baseline — same levels AND same parents — under every direction mode
+// {topdown, bottomup, auto}, worker count {1, 4, 8} and (FastBFS only)
+// residency setting {off, unbounded}, with the update filter off on every
+// other graph (a log then holds every update, its first one per vertex
+// the winner). The bottom-up and
 // stored passes' winner rule is defined to reproduce top-down's
 // deterministic parent choice exactly, so any divergence is a bug, not a
 // tie-break artifact. GraphChi has no bottom-up mode and closes the
@@ -309,7 +312,7 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 			for _, w := range workerCounts {
 				base := xstream.Options{
 					Root: root, MemoryBudget: budget, Partitions: partitions,
-					StreamBufSize: bufSize, ScatterWorkers: w, Direction: d,
+					StreamBufSize: bufSize, ScatterWorkers: w, Direction: d, DisableUpdateFilter: g%2 == 1,
 				}
 				for _, rb := range residencies {
 					for _, trimStart := range []int{0, TrimEveryIteration} {

@@ -71,6 +71,7 @@ func TestSuitesUnderPoisoningPool(t *testing.T) {
 		{"StoredPassAbortLeavesNothing", TestStoredPassAbortLeavesNothing},
 		{"SparseMatchesDense", TestSparseMatchesDense},
 		{"StoredPassCorruptionFailsStop", TestStoredPassCorruptionFailsStop},
+		{"CountRuleKeepsNoVertexFile", TestCountRuleKeepsNoVertexFile},
 	} {
 		t.Run(tc.name, func(t *testing.T) { underAudit(t, tc.fn) })
 	}

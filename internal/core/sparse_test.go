@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
 	"fastbfs/internal/graph"
@@ -41,7 +44,8 @@ func checkFileRows(t testing.TB, label string, res *Result) (sparse bool) {
 // .idx removed — how a graph stored before the index runs — grows
 // byte-identical levels and parents across engine × partitions × codec ×
 // direction, and the indexed run moves no more device bytes. The delta
-// graph spans two frames, so a sparse pass can skip one.
+// graph spans 48 frames of a delta block each, so a sparse pass reads a
+// few.
 func TestSparseMatchesDense(t *testing.T) {
 	for _, g := range []struct {
 		store             graph.StoreOptions
@@ -88,6 +92,78 @@ func TestSparseMatchesDense(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSparseReadsMiBFrames: a delta store written before the block grain —
+// its edge file in frames of 131,072 edges, its index holding their
+// offsets — still reads sparse and grows the tree its block-framed store
+// grows, moving more bytes: a sparse pass reads whole frames.
+func TestSparseReadsMiBFrames(t *testing.T) {
+	so := graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}
+	blocks, m, root := storedRMAT(t, 13, 24, so)
+	mib, _, _ := storedRMAT(t, 13, 24, so)
+	b, err := storage.ReadAll(mib, graph.EdgeFileName(m.Name))
+	if err == nil {
+		b, err = graph.DeframeAll(b)
+	}
+	if err == nil {
+		b, err = graph.DecodeDeltaStream(b)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	fw := graph.NewFrameWriterMagic(&file, graph.FrameMagicDelta)
+	var index []byte
+	for off, frame := 0, (1<<20)/graph.EdgeBytes*graph.EdgeBytes; off < len(b); off += frame {
+		enc, err := graph.AppendDeltaBlocks(nil, b[off:min(off+frame, len(b))])
+		if err == nil {
+			_, err = fw.Write(enc)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		index = binary.LittleEndian.AppendUint64(index, uint64(file.Len()-8-len(enc)))
+	}
+	edges, err := graph.BytesToEdges(b)
+	if err == nil {
+		err = fw.Finish()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range graph.Degrees(m.Vertices, edges) {
+		index = binary.LittleEndian.AppendUint32(index, d)
+	}
+	m, err = graph.LoadMeta(mib, m.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.StoredBytes = uint64(file.Len())
+	var conf strings.Builder
+	if err := graph.WriteConfig(&conf, m); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{graph.EdgeFileName(m.Name): file.Bytes(),
+		graph.IndexFileName(m.Name): graph.FrameAll(index), graph.ConfFileName(m.Name): []byte(conf.String())} {
+		if err := storage.WriteAll(mib, name, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run := func(vol storage.Volume) *Result {
+		o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
+			Sim: sparseSim(), Codec: graph.CodecDelta}, ResidencyBudget: ResidencyOff}
+		res, err := Run(vol, m.Name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got, want := run(mib), run(blocks)
+	assertSameResult(t, "MiB frames", got, want)
+	if !checkFileRows(t, "MiB frames", got) || got.Metrics.TotalBytes() <= want.Metrics.TotalBytes() {
+		t.Fatalf("MiB frames: sparse %v, %d device bytes; block frames %d", checkFileRows(t, "", got), got.Metrics.TotalBytes(), want.Metrics.TotalBytes())
 	}
 }
 

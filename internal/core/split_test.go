@@ -82,7 +82,7 @@ func TestStoredPassCorruptionFailsStop(t *testing.T) {
 		}},
 		{"sparse/fixed/torn", graph.StoreOptions{}, sparseSim, 10, 8, func(b []byte) []byte { return b[:graph.EdgeBytes] }},
 		{"sparse/delta/flipped", graph.StoreOptions{Codec: graph.CodecDelta}, sparseSim, 13, 24, func(b []byte) []byte {
-			b[len(b)/3] ^= 0xFF // in each of its two frames
+			b[len(b)/3] ^= 0xFF // in a frame a third of the way in, and in the last
 			b[len(b)-20] ^= 0xFF
 			return b
 		}},

@@ -151,8 +151,8 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 	for off := 0; off < len(raw); off += EdgeBytes {
 		PutEdge(rraw[off:], GetEdge(raw[off:]).Reverse())
 	}
-	wantEdges, _ := deltaFileBytes(raw)
-	wantRev, _ := deltaFileBytes(rraw)
+	wantEdges, _ := deltaFileBytes(raw, IndexFrameEdges)
+	wantRev, _ := deltaFileBytes(rraw, mibFrameEdges)
 	for name, want := range map[string][]byte{EdgeFileName("g"): wantEdges, ReverseFileName("g"): wantRev} {
 		got, err := storage.ReadAll(vol, name)
 		if err != nil {
@@ -164,11 +164,36 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 	}
 }
 
+// TestIndexBeforeBlockGrainLoads: a delta store written before the block
+// grain framed its edge file in MiB frames, and its .idx holds their
+// offsets. ReadIndex tells the grain by the index's size and loads it: the
+// degrees, and the offset of every MiB frame.
+func TestIndexBeforeBlockGrainLoads(t *testing.T) {
+	const vertices = 3000
+	edges := skewedEdges(vertices, 2*mibFrameEdges+777)
+	m := Meta{Name: "g", Vertices: vertices, Edges: uint64(len(edges)), Codec: CodecDelta}
+	sorted, deg := sortBySource(vertices, edges, nil)
+	for _, grain := range []int{IndexFrameEdges, mibFrameEdges} {
+		file, want := deltaFileBytes(EdgesToBytes(sorted), grain)
+		m.StoredBytes = uint64(len(file))
+		idx := indexBytes(deg, want)
+		if got := IndexFrame(m, int64(len(idx))); got != int64(grain) {
+			t.Fatalf("an index of %d-edge frames reads as %d-edge frames", grain, got)
+		}
+		got := make([]uint32, vertices)
+		frames, err := ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, got, nil)
+		if err != nil || !slices.Equal(frames, want) || !slices.Equal(got, deg) {
+			t.Fatalf("%d-edge frames: loaded %d offsets (want %d), degrees equal %v, err %v",
+				grain, len(frames), len(want), slices.Equal(got, deg), err)
+		}
+	}
+}
+
 // indexMetas are the stores FuzzIndex reads indexes against: a fixed file
-// and a delta file of three frames.
+// and a delta file of three MiB frames or 65 block frames.
 var indexMetas = []Meta{
 	{Name: "f", Vertices: 37, Edges: 100, Codec: CodecFixed},
-	{Name: "d", Vertices: 37, Edges: 2*IndexFrameEdges + 5, Codec: CodecDelta, StoredBytes: 900_000},
+	{Name: "d", Vertices: 37, Edges: 2*mibFrameEdges + 5, Codec: CodecDelta, StoredBytes: 900_000},
 }
 
 func FuzzIndex(f *testing.F) {
@@ -177,10 +202,20 @@ func FuzzIndex(f *testing.F) {
 	// summing to Edges, with frame offsets rising from the first frame to
 	// inside the edge file, or fail with errs.ErrCorrupted; the loader
 	// never panics, and sizes nothing by a length it has not checked. The
-	// corpus holds a valid index of each store and well-framed ones that
-	// break each check past the CRC.
+	// corpus holds a valid index of each store, the delta one at each grain,
+	// and well-framed ones that break each check past the CRC.
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), FrameAll(make([]byte, 4*37)))
+	d := indexMetas[1]
+	deg := make([]uint32, d.Vertices)
+	deg[0] = uint32(d.Edges)
+	for _, grain := range []uint64{IndexFrameEdges, mibFrameEdges} {
+		frames := make([]int64, indexFrames(d, grain))
+		for i := range frames {
+			frames[i] = 4 + int64(i)*10_000
+		}
+		f.Add(uint8(1), indexBytes(deg, frames))
+	}
 	f.Fuzz(func(t *testing.T, which uint8, b []byte) {
 		m := indexMetas[int(which)%len(indexMetas)]
 		deg := make([]uint32, m.Vertices)
@@ -195,8 +230,9 @@ func FuzzIndex(f *testing.F) {
 		for _, d := range deg {
 			sum += uint64(d)
 		}
-		if sum != m.Edges || uint64(len(frames)) != indexFrames(m) {
-			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames (want %d)", m.Name, sum, m.Edges, len(frames), indexFrames(m))
+		want := indexFrames(m, uint64(IndexFrame(m, int64(len(b)))))
+		if sum != m.Edges || uint64(len(frames)) != want {
+			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames (want %d)", m.Name, sum, m.Edges, len(frames), want)
 		}
 		for j, off := range frames {
 			if j == 0 && off != 4 || j > 0 && off <= frames[j-1] || off >= int64(m.StoredBytes)-8 {

@@ -39,14 +39,14 @@ func HasReverse(vol storage.Volume, name string) bool {
 }
 
 // deltaFileBytes encodes raw fixed-width edge records into the FBD1
-// framed container: delta blocks packed into frames of IndexFrameEdges
-// edges, whose byte offsets it returns too. Chunking at a multiple of
+// framed container: delta blocks packed into frames of frameEdges edges,
+// whose byte offsets it returns too. Chunking at a multiple of
 // DeltaBlockMaxEdges keeps frame payloads at whole blocks, so the encoding
 // is identical to one pass over the full list.
-func deltaFileBytes(raw []byte) ([]byte, []int64) {
+func deltaFileBytes(raw []byte, frameEdges int) ([]byte, []int64) {
 	var out writeBuf
 	fw := NewFrameWriterMagic(&out, FrameMagicDelta)
-	const chunk = IndexFrameEdges * EdgeBytes
+	chunk := frameEdges * EdgeBytes
 	var enc []byte
 	var frames []int64
 	for off := 0; off < len(raw); off += chunk {
@@ -119,7 +119,7 @@ func StoreGraph(vol storage.Volume, m Meta, edges []Edge, opts StoreOptions) err
 	raw := EdgesToBytes(edges)
 	file, frames := raw, []int64(nil)
 	if codec == CodecDelta {
-		file, frames = deltaFileBytes(raw)
+		file, frames = deltaFileBytes(raw, IndexFrameEdges)
 		m.StoredBytes = uint64(len(file))
 	}
 	if err := storage.WriteAll(vol, EdgeFileName(m.Name), file); err != nil {
@@ -131,7 +131,7 @@ func StoreGraph(vol storage.Volume, m Meta, edges []Edge, opts StoreOptions) err
 			PutEdge(rev[off:], GetEdge(raw[off:]).Reverse())
 		}
 		if codec == CodecDelta {
-			rev, _ = deltaFileBytes(rev)
+			rev, _ = deltaFileBytes(rev, mibFrameEdges)
 		} else {
 			rev = framedMiB(rev)
 		}
@@ -290,8 +290,13 @@ func IndexFileName(name string) string { return name + ".idx" }
 const frameMiB = 1 << 20
 
 // IndexFrameEdges is the edge count of every frame of a stored delta edge
-// file but the last: the grain at which the index places its edges.
-const IndexFrameEdges = frameMiB / EdgeBytes
+// file but the last — one delta block, about 10 KB: the grain at which the
+// index places its edges and a sparse pass reads them.
+const IndexFrameEdges = DeltaBlockMaxEdges
+
+// mibFrameEdges frames a delta .rev file, and a delta edge file stored
+// before the block grain (whose index still loads: IndexFrame).
+const mibFrameEdges = frameMiB / EdgeBytes
 
 // sortBySource returns edges sorted by source and the out-degree table: a
 // counting sort, each source's edges in the given order — or, relabelled
@@ -326,12 +331,25 @@ func framedMiB(b []byte) []byte {
 	return FrameAll(chunks...)
 }
 
-// indexFrames is the frame count of m's delta edge file, 0 for a fixed one.
-func indexFrames(m Meta) uint64 {
+// indexFrames is the frame count of m's delta edge file in frames of grain
+// edges, 0 for a fixed one.
+func indexFrames(m Meta, grain uint64) uint64 {
 	if m.EdgeCodec() != CodecDelta {
 		return 0
 	}
-	return (m.Edges + IndexFrameEdges - 1) / IndexFrameEdges
+	return (m.Edges + grain - 1) / grain
+}
+
+// IndexFrame is the frame edges of m's .idx of size bytes, told by the size:
+// IndexFrameEdges, or mibFrameEdges for a delta file stored before the block
+// grain; 0 when neither fits.
+func IndexFrame(m Meta, size int64) int64 {
+	for _, g := range []uint64{IndexFrameEdges, mibFrameEdges} {
+		if payload := 8*indexFrames(m, g) + 4*m.Vertices; uint64(size) == 12+8*((payload+frameMiB-1)/frameMiB)+payload {
+			return int64(g)
+		}
+	}
+	return 0
 }
 
 // indexBytes encodes a .idx file: the frame offsets, 8 B each, then the
@@ -349,17 +367,18 @@ func indexBytes(deg []uint32, frames []int64) []byte {
 
 // ReadIndex reads m's size-byte .idx file from r: the degrees into deg (len
 // m.Vertices), the frame offsets into the slice it returns (nil for a fixed
-// file), the frames through a buffer from bufs. It checks the size m
-// implies before it reads or allocates, each frame's CRC, that the degrees
-// sum to m.Edges and that the offsets rise from the first frame to inside
-// the edge file: anything else is errs.ErrCorrupted.
+// file; each frame IndexFrame edges), the frames through a buffer from bufs.
+// It checks the size m implies before it reads or allocates, each frame's
+// CRC, that the degrees sum to m.Edges and that the offsets rise from the
+// first frame to inside the edge file: anything else is errs.ErrCorrupted.
 func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, error) {
 	bad := func(format string, a ...any) error {
 		return fmt.Errorf("graph %s: %w: index "+format, append([]any{m.Name, errs.ErrCorrupted}, a...)...)
 	}
-	nf := indexFrames(m)
+	grain := IndexFrame(m, size)
+	nf := indexFrames(m, uint64(max(grain, 1)))
 	payload := 8*nf + 4*m.Vertices
-	if nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices || uint64(size) != 12+8*((payload+frameMiB-1)/frameMiB)+payload {
+	if grain == 0 || nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices {
 		return nil, bad("of %d bytes for %d vertices and %d frames", size, m.Vertices, nf)
 	}
 	if magic, _, err := SniffContainer(r); err != nil || magic != FrameMagic {

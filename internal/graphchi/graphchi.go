@@ -84,8 +84,7 @@ func Run(vol storage.Volume, graphName string, opts xstream.Options) (*xstream.R
 // abandons the PSW run and its shard files are removed by Cleanup.
 func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts xstream.Options) (*xstream.Result, error) {
 	opts.SetDefaults(EngineName)
-	rv, ok := vol.(storage.RangeVolume)
-	if !ok {
+	if _, ok := vol.(storage.RangeVolume); !ok {
 		return nil, fmt.Errorf("graphchi: %w: volume does not support ranged access (PSW needs it)", errs.ErrBadOptions)
 	}
 	if opts.Partitions == 0 {
@@ -114,7 +113,8 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 	if rt.Meta.Weighted {
 		return nil, fmt.Errorf("graphchi: %w: BFS takes unweighted graphs; %s is weighted", errs.ErrBadOptions, graphName)
 	}
-	e := &engine{rt: rt, rv: rv}
+	// The run's volume, so the record counts the windows and patches too.
+	e := &engine{rt: rt, rv: rt.Vol.(storage.RangeVolume)}
 	return e.run()
 }
 

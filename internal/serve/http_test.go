@@ -163,13 +163,13 @@ func TestHTTPQueryAndHealth(t *testing.T) {
 }
 
 func TestHTTPIOFailureReasonAndDegradedHealth(t *testing.T) {
-	// Permanent read faults on the per-query update files exhaust the
+	// Permanent read faults on the per-query level logs exhaust the
 	// engine's retry budget: the query must answer 500 with a
 	// machine-readable reason, and /healthz must flip to "degraded"
 	// (still 200 — the service keeps serving) once a failure is on
 	// record. Draining still wins over degraded.
 	vol, m := storedGraph(t)
-	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 1, PReadP: 1, Match: "_upd"})
+	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 1, PReadP: 1, Match: "_won"})
 	svc, err := serve.New(faulty, m.Name, serve.Config{CacheEntries: -1, Base: smallBase()})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestHTTPTransientRetriesStayHealthy(t *testing.T) {
 	vol, m := storedGraph(t)
 	base := smallBase()
 	base.Base.RetryAttempts = 20
-	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 7, ReadP: 0.2, WriteP: 0.2, Match: "_upd"})
+	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 7, ReadP: 0.2, WriteP: 0.2, Match: "_won"})
 	svc, err := serve.New(faulty, m.Name, serve.Config{Base: base})
 	if err != nil {
 		t.Fatal(err)

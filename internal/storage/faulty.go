@@ -235,6 +235,12 @@ func (v *Faulty) Size(name string) (int64, error) { return v.inner.Size(name) }
 // List implements Volume.
 func (v *Faulty) List() []string { return v.inner.List() }
 
+// Patch implements RangeVolume over a wrapped RangeVolume; it injects
+// nothing.
+func (v *Faulty) Patch(name string, off int64, data []byte) error {
+	return v.inner.(RangeVolume).Patch(name, off, data)
+}
+
 type faultyReader struct {
 	vol   *Faulty
 	name  string

@@ -23,11 +23,13 @@ import (
 // partition with no unvisited vertex is skipped on the visited tallies,
 // without I/O. Residency holds forward edges only.
 
-// dirRun is the state of the passes that form a level straight into the
-// vertex state, bottom-up and stored (split.go), allocated at the first.
+// dirRun is a streaming run's frontier bitmaps and the state of the passes
+// that form a level without an update file, bottom-up and stored
+// (split.go).
 type dirRun struct {
-	// frontier holds the current level's vertices; next collects the
-	// level being formed.
+	// frontier holds the current level's vertices — what a top-down scatter
+	// expands, set by the gathers — and next collects the level a bottom-up
+	// or stored pass is forming.
 	frontier, next *Bitset
 	// carryFrontier is the size of the frontier the last such pass formed,
 	// reported by the next iteration, and carryDeg its out-degree sum.
@@ -37,13 +39,9 @@ type dirRun struct {
 	carryDeg      float64
 	carryUpdates  int64
 	unbooked      bool
-	// best is the pass's winner table (Runtime.Winners). logged lists the
-	// stored passes whose levels wait in log files for the phase's end
-	// (split.go), fresh marks a phase that no vertex file predates, and
-	// excess counts the edges its passes read beyond a split run's.
+	// best is the pass's winner table (Runtime.Winners), and excess counts
+	// the edges the stored passes read beyond a split run's.
 	best   []graph.VertexID
-	logged []int
-	fresh  bool
 	excess int64
 	// revInput is each partition's reverse input once the fused first
 	// pass has split it off (then, trimming, its reverse stay chain), on
@@ -57,15 +55,12 @@ type dirRun struct {
 	split     bool
 }
 
-// frontierState returns the run's dirRun.
-func (e *kernel) frontierState() *dirRun {
-	if e.dir == nil {
-		n, p := e.rt.Meta.Vertices, e.rt.Parts.P()
-		e.dir = &dirRun{frontier: NewBitset(n), next: NewBitset(n),
-			revInput: make([]string, p), revTiming: make([]stream.Timing, p),
-			revBroken: make([]bool, p), revEdges: make([]int64, p)}
-	}
-	return e.dir
+// newDirRun allocates a streaming run's dirRun.
+func (e *kernel) newDirRun() *dirRun {
+	n, p := e.rt.Meta.Vertices, e.rt.Parts.P()
+	return &dirRun{frontier: NewBitset(n), next: NewBitset(n),
+		revInput: make([]string, p), revTiming: make([]stream.Timing, p),
+		revBroken: make([]bool, p), revEdges: make([]int64, p)}
 }
 
 // revStayFile is partition p's reverse stay file written by the
@@ -85,11 +80,12 @@ func (e *kernel) unvisitedIn(p int) int64 {
 // bottomUpIteration runs one whole bottom-up iteration. On a
 // transition from a top-down scatter it first gathers the pending update
 // set normally — forming this level the top-down way while building its
-// frontier bitmap; after a pass that formed the level in the vertex state
+// frontier bitmap; after a pass that formed the level without one
 // (formed: bottom-up, or stored) there is nothing to gather. It then splits
 // the reverse-edge file if this is the run's first switch. Every bottom-up
-// iteration ends with a reverse-input pass over each partition. It returns
-// the number of vertices that pass discovered; zero means the traversal is
+// iteration ends with a reverse-input pass over each partition, and logs
+// the level it forms (writeLog) in a run that keeps logs. It returns the
+// number of vertices that pass discovered; zero means the traversal is
 // complete.
 func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (uint64, error) {
 	itSpan := runSpan.Child("iteration").SetIter(iter)
@@ -97,7 +93,7 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 	if iter == e.ds.SwitchIteration {
 		e.ctr.SwitchIteration.Set(int64(iter))
 	}
-	d := e.frontierState()
+	d := e.dir
 	// The reverse stay chain keeps no edge counts for the trim rule.
 	itRow := metrics.Iteration{Index: iter, BottomUp: true,
 		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)}
@@ -117,16 +113,19 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 				st.frontier = 0
 				continue
 			}
-			v, err := e.loadVerts(p, itSpan)
-			if err != nil {
-				return 0, err
+			var v *Verts
+			var err error
+			if !e.logs {
+				if v, err = e.loadVerts(p, itSpan); err != nil {
+					return 0, err
+				}
 			}
-			deg, err := e.gatherInto(p, iter, v, d.frontier.Set, &itRow, itSpan)
+			deg, err := e.gatherInto(p, iter, v, &itRow, itSpan)
 			if err != nil {
 				return 0, err
 			}
 			aDeg += deg
-			if st.frontier > 0 {
+			if v != nil && st.frontier > 0 {
 				if err := e.saveVerts(p, v, itSpan); err != nil {
 					return 0, err
 				}
@@ -171,11 +170,12 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 			degSum += dg
 		}
 	}
-	if e.ck != nil {
+	if e.logs {
 		if err := e.writeLog(iter, d, itSpan); err != nil {
 			return 0, err
 		}
 	}
+	e.levels = iter + 1
 	e.run.Visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ds.RecordBottomUp(itRow.EdgesStreamed)
@@ -199,7 +199,7 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 // pass — lazy (a run that stays top-down pays nothing), late (the visited
 // filter covers everything the transition just formed), and, while
 // trimming, already winner-filtered instead of full-size files the next
-// pass immediately re-trims. The winners are then applied partition by
+// pass immediately re-trims. The winners are then booked partition by
 // partition.
 func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
 	bs := itSpan.Child("reverse-split")
@@ -237,15 +237,12 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 			return 0, 0, err
 		}
 		n, dg := e.formLevel(p, d)
-		if n > 0 || len(d.logged) > 0 {
-			if err := e.foldLevel(p, iter, d, itSpan); err != nil {
-				return 0, 0, err
-			}
+		if err := e.saveLevel(p, iter, n, d, itSpan); err != nil {
+			return 0, 0, err
 		}
 		newly += n
 		degSum += dg
 	}
-	e.dropLogs(d)
 	e.work(ps, newly)
 	return newly, degSum, nil
 }
@@ -256,8 +253,8 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 // direction.go). When trimming is active the edges
 // that survive the trim rule — target still unvisited when its stay
 // decision merges — are rewritten to a reverse stay file that replaces
-// the input. Classification needs only the in-RAM visited bitmap, so
-// the partition's vertex file is loaded (and written back) only when
+// the input. Classification needs only the in-RAM visited bitmap, so a
+// paper-pin run loads its vertex file (and writes it back) only when
 // the scan actually discovered vertices. Classification runs on the
 // pool's workers against read-only state; winners and stay appends are
 // resolved on the engine thread in chunk order and winners applied
@@ -375,12 +372,31 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 	}
 
-	if newly, degSum = e.formLevel(p, d); newly > 0 {
-		if err := e.foldLevel(p, iter, d, itSpan); err != nil {
-			return 0, 0, err
-		}
+	newly, degSum = e.formLevel(p, d)
+	if err := e.saveLevel(p, iter, newly, d, itSpan); err != nil {
+		return 0, 0, err
 	}
 	itRow.EdgesStreamed += scanned
 	e.work(passStats{scanned: scanned, candidates: candidates, stayed: stayed}, newly)
 	return newly, degSum, nil
+}
+
+// saveLevel writes the newly vertices partition p won in d.best to its
+// vertex file as level iter+1, with one load and one save: the paper pin's
+// bottom-up passes. A run that keeps logs logs the level instead.
+func (e *kernel) saveLevel(p, iter int, newly uint64, d *dirRun, itSpan *obs.Span) error {
+	if e.logs || newly == 0 {
+		return nil
+	}
+	v, err := e.loadVerts(p, itSpan)
+	if err != nil {
+		return err
+	}
+	lo, hi := e.rt.Parts.Interval(p)
+	for i, b := range d.best[lo:hi] {
+		if b != graph.NoVertex {
+			v.Level[i], v.Parent[i] = uint32(iter)+1, b
+		}
+	}
+	return e.saveVerts(p, v, itSpan)
 }

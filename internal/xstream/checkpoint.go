@@ -1,10 +1,10 @@
 // Checkpoint and resume (DESIGN.md §10). A run's durable state is its
-// levels: every pass that forms one logs its winners per partition
-// (logFile), and after each iteration an atomic manifest names the logs and
-// the direction heuristic's state. Every partition input is an order-keeping
-// subset of the stored edge file (stay ⊆ input, PAPER.md §1 idea 2), so a
-// resumed run needs nothing else: it folds the logs into its vertex state
-// and starts again from the stored file.
+// levels: a run that keeps logs logs every level per partition (logFile),
+// and checkpointing adds an atomic manifest, after each iteration, naming
+// the logs and the direction heuristic's state. Every partition input is an
+// order-keeping subset of the stored edge file (stay ⊆ input, PAPER.md §1
+// idea 2), so a resumed run needs nothing else: it folds the logs into its
+// bitmaps and starts again from the stored file.
 package xstream
 
 import (
@@ -113,12 +113,12 @@ func parseManifest(raw []byte) (*checkpointManifest, error) {
 	return man, man.check()
 }
 
-// resume folds the manifest's logs into the vertex files and bitmaps (claims
-// included), for the loop to re-enter at man.Iteration+1 as it re-enters
-// top-down after a bottom-up pass: the frontier formed, nothing to gather.
-// Unless the run is done, it then takes the degree table: a run back in its
-// stored phase loads it with the index, or recounts it reading the stored
-// file once; the others call Prepare. A
+// resume folds the manifest's logs into the bitmaps (claims included) and
+// the partitions' counts, for the loop to re-enter at man.Iteration+1 as
+// it re-enters top-down after a bottom-up pass: the frontier formed,
+// nothing to gather. Unless the run is done, it then takes the degree
+// table: a run back in its stored phase loads it with the index, or
+// recounts it reading the stored file once; the others call Prepare. A
 // manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
 func (e *kernel) resume(man *checkpointManifest) error {
 	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
@@ -128,35 +128,31 @@ func (e *kernel) resume(man *checkpointManifest) error {
 	if e.ds.dirHistory = man.Dir; !e.stored {
 		e.ds.StoredPrice = 0
 	}
-	e.rt.allocBitmaps(true)
-	d := e.frontierState()
-	for p := range e.parts {
-		v, st := e.rt.InitVerts(p), &e.parts[p]
-		if e.rt.MarkRoot(v) {
-			st.visitedCount = 1
+	d := e.dir
+	e.rt.VisitedBits.Set(e.rt.Opts.Root)
+	e.parts[e.rt.Parts.Of(e.rt.Opts.Root)].visitedCount, e.run.Visited = 1, 1
+	for j := 0; j <= man.Iteration; j++ {
+		if j == man.Iteration {
+			d.frontier.Clear() // the last level is the frontier the loop re-enters at
 		}
-		var applied int64
-		for j := 0; j <= man.Iteration; j++ {
-			onNew := d.frontier.Set // the frontier the loop re-enters at
-			if j < man.Iteration {
-				onNew = nil
-			}
-			newly, _, a, err := e.gather(v, e.logFile(j, p), uint32(j)+1, onNew)
+		for p := range e.parts {
+			st := &e.parts[p]
+			newly, _, applied, err := e.gather(p, nil, e.logFile(j, p), 0)
 			if errors.Is(err, storage.ErrNotExist) {
 				return fmt.Errorf("%s: checkpoint manifest names a log the working volume lacks: %w: %w", e.run.Engine, errs.ErrCorrupted, err)
 			} else if err != nil {
 				return err
 			}
-			st.frontier, st.updates, applied = newly, int64(newly), a
+			st.frontier, st.updates = newly, int64(newly)
 			st.visitedCount += newly
-		}
-		d.carryFrontier += st.frontier
-		d.carryUpdates += applied
-		e.run.Visited += st.visitedCount
-		if err := e.rt.SaveVerts(p, v); err != nil {
-			return err
+			e.run.Visited += newly
+			if j == man.Iteration {
+				d.carryFrontier += newly
+				d.carryUpdates += applied
+			}
 		}
 	}
+	e.levels = man.Iteration + 1
 	if e.rt.claimed != nil {
 		copy(e.rt.claimed.w, e.rt.VisitedBits.w)
 	}

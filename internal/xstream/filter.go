@@ -128,15 +128,12 @@ func (f *UpdateFilter) Flush(s *stream.Shard, sh *stream.Shuffler) (written int6
 }
 
 // allocBitmaps sets up the run's vertex bitmaps from its scratch, all
-// clear: VisitedBits when the filter, a bottom-up pass or a stored pass
-// (stored, split.go) will read it, claimed for the filter alone.
-// Idempotent.
-func (rt *Runtime) allocBitmaps(stored bool) {
-	filter := !rt.Opts.DisableUpdateFilter
-	if rt.VisitedBits == nil && (filter || stored || rt.Opts.Direction != DirectionTopDown) {
+// clear: VisitedBits, and claimed for the filter. Idempotent.
+func (rt *Runtime) allocBitmaps() {
+	if rt.VisitedBits == nil {
 		rt.VisitedBits = rt.scratch.visited.reset(rt.Meta.Vertices)
 	}
-	if rt.claimed == nil && filter {
+	if rt.claimed == nil && !rt.Opts.DisableUpdateFilter {
 		rt.claimed = rt.scratch.claimed.reset(rt.Meta.Vertices)
 	}
 }

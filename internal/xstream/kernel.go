@@ -204,10 +204,9 @@ type kernel struct {
 	ctr obs.EngineCounters
 
 	// ds is the direction heuristic state; dir the frontier bitmaps and
-	// bottom-up working state, allocated at the first pass that forms a
-	// level in the vertex state (bottomup.go, split.go). filter carries
-	// every scatter's updates into the shuffler and totals the current
-	// top-down iteration's wave (filter.go).
+	// the bottom-up and stored passes' working state (bottomup.go,
+	// split.go). filter carries every scatter's updates into the shuffler
+	// and totals the current top-down iteration's wave (filter.go).
 	ds     *DirState
 	dir    *dirRun
 	filter *UpdateFilter
@@ -216,6 +215,13 @@ type kernel struct {
 	// index is that file's degree index, when the run loaded it (openIndex).
 	stored bool
 	index  *storedIndex
+
+	// logs is set for a run whose vertex state is the RAM bitmaps and one
+	// log per level (logFile) — a run that trims by the counts or
+	// checkpoints; the paper pin keeps §II-A's vertex files. Logs 0 to
+	// levels-1 hold the tree's levels 1 to levels (collectLogs).
+	logs   bool
+	levels int
 
 	// ck is the checkpoint volume (nil when not checkpointing).
 	ck storage.Volume
@@ -292,6 +298,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if counting {
 		e.rt.allocOutDeg() // the trim rule weighs edge counts
 	}
+	e.rt.allocBitmaps()
+	e.dir = e.newDirRun()
 
 	var man *checkpointManifest
 	if e.pol.CheckpointVol != nil {
@@ -304,6 +312,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 			return nil, fmt.Errorf("%s: %w", e.run.Engine, err)
 		}
 	}
+	e.logs = counting || e.ck != nil
 
 	// A run that trims by the counts splits when the split pays (split.go),
 	// if its working files share the stored file's codec, so that the rule's
@@ -319,7 +328,6 @@ func (e *kernel) runStreaming() (*Result, error) {
 		startIter = man.Iteration + 1
 		runSpan.Attr("resumed_iterations", int64(startIter))
 	case e.stored:
-		e.rt.allocBitmaps(true)
 		e.ds.StoredPrice = float64(e.rt.Meta.Edges)
 		if err := e.openIndex(); err != nil {
 			return nil, err
@@ -352,9 +360,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 		maxIter = int(e.rt.Meta.Vertices) + 1
 	}
 	// prevBottom is whether the last iteration went bottom-up; formed,
-	// whether it formed this one's frontier in the vertex state (a
-	// bottom-up or a stored pass, or a resume), leaving no update file to
-	// gather.
+	// whether it formed this one's frontier without an update file (a
+	// bottom-up or a stored pass, or a resume), leaving nothing to gather.
 	prevBottom, formed := false, false
 	if man != nil {
 		prevBottom, formed = man.Dir.Mode == DirectionBottomUp, true
@@ -403,19 +410,29 @@ func (e *kernel) runStreaming() (*Result, error) {
 	e.run.ResidentBytes = e.resd.Bytes()
 	e.run.ResidentScans = e.resd.Scans()
 	e.run.ResidentBytesSaved = e.resd.SavedBytes()
+	// A cancel a short query's last writes outlast is seen before the collect.
+	if err := e.rt.Checkpoint(); err != nil {
+		return nil, err
+	}
+	if e.logs {
+		return e.finish(runSpan, e.collectLogs)
+	}
 	return e.finish(runSpan, e.rt.CollectResult)
 }
 
 // topDownIteration runs top-down iteration iter over the partitions'
 // inputs: each gathers the updates the last scatter wrote it, unless a
-// pass formed this frontier in the vertex state (skipGather; wasBottom
-// says a bottom-up one), then scatters. It reports whether the traversal
-// is done: nothing written means no partition has anything to gather,
-// whatever the frontier still emitted at visited vertices.
+// pass formed this frontier without them (skipGather; wasBottom says a
+// bottom-up one), then scatters. It reports whether the traversal is done:
+// nothing written means no partition has anything to gather, whatever the
+// frontier still emitted at visited vertices.
 func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan *obs.Span) (done bool, err error) {
 	e.filter.Wave = Wave{}
 	itSpan := runSpan.Child("iteration").SetIter(iter)
 	e.ctr.Iteration.Set(int64(iter))
+	if !skipGather {
+		e.dir.frontier.Clear() // the gathers set this iteration's frontier
+	}
 	// Asked without counts, the trim rule says whether this iteration
 	// trims at all; a scatter that would write then asks for its partition.
 	trimNow := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
@@ -439,6 +456,7 @@ func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan 
 		}
 	}
 
+	e.levels = iter
 	wave := e.filter.Wave
 	itRow.Filtered = wave.Filtered()
 	shs := itSpan.Child("shuffle")
@@ -450,10 +468,7 @@ func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan 
 		e.parts[p].updates = c
 	}
 
-	itRow.Frontier = itRow.NewlyVisited
-	if iter == 0 {
-		itRow.Frontier = 1
-	}
+	itRow.Frontier = itRow.NewlyVisited // iteration 0's: the root
 	if skipGather {
 		itRow.Frontier = e.dir.carryFrontier
 	}
@@ -472,12 +487,12 @@ func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan 
 }
 
 // updFile is the update file iteration iter's scatter writes for partition
-// p, and iteration iter+1 gathers: under checkpointing, the log of the
+// p, and iteration iter+1 gathers: in a run that keeps logs, the log of the
 // level it forms (whose first record per vertex is the winner), else one of
 // the two update sets whose roles switch every iteration, so the gather's
 // input is never the scatter's output (§III).
 func (e *kernel) updFile(iter, p int) string {
-	if e.ck != nil {
+	if e.logs {
 		return e.logFile(iter, p)
 	}
 	return e.rt.UpdateFile((iter+1)%2, p)
@@ -486,7 +501,7 @@ func (e *kernel) updFile(iter, p int) string {
 // dropUpdates removes the update files iteration iter gathered, unless
 // they are logs.
 func (e *kernel) dropUpdates(iter int) {
-	if iter == 0 || e.ck != nil {
+	if iter == 0 || e.logs {
 		return
 	}
 	for p := range e.parts {
@@ -521,6 +536,51 @@ func (e *kernel) finish(runSpan *obs.Span, collect func() (*Result, error)) (*Re
 	res.Visited = e.run.Visited
 	e.rt.FinishMetrics(&e.run)
 	res.Metrics = e.run
+	return res, nil
+}
+
+// collectLogs assembles the BFS tree of a run that keeps logs: the root at
+// level 0, its own parent, then the logs in level order, where a vertex's
+// first record sets its level and parent. Like CollectResult it charges no
+// time. A log that is missing, or logs that reach fewer vertices than the
+// run visited, are errs.ErrCorrupted.
+func (e *kernel) collectLogs() (*Result, error) {
+	rt, root, n := e.rt, e.rt.Opts.Root, e.rt.Meta.Vertices
+	res := &Result{Levels: make([]uint32, n), Parents: make([]graph.VertexID, n), Visited: 1}
+	for i := range res.Levels {
+		res.Levels[i], res.Parents[i] = NoLevel, graph.NoVertex
+	}
+	res.Levels[root], res.Parents[root] = 0, root
+	chunk := rt.UpdateChunk()
+	for j := 0; j < e.levels; j++ {
+		for p := range e.parts {
+			sc, err := stream.NewUpdateScanner(rt.Vol, e.logFile(j, p), stream.Timing{Retry: rt.Retry, Bufs: rt.Bufs}, rt.Opts.StreamBufSize)
+			for k := -1; err == nil && k != 0; {
+				k, err = sc.NextChunk(chunk)
+				for _, u := range chunk[:k] {
+					if uint64(u.Dst) >= n {
+						err = fmt.Errorf("%w: update %v past the vertices", errs.ErrCorrupted, u)
+					} else if res.Levels[u.Dst] == NoLevel {
+						res.Levels[u.Dst], res.Parents[u.Dst] = uint32(j)+1, u.Parent
+						res.Visited++
+					}
+				}
+			}
+			if sc != nil {
+				sc.Close()
+			}
+			if errors.Is(err, storage.ErrNotExist) {
+				err = fmt.Errorf("%w: %w", errs.ErrCorrupted, err)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s: level log %s: %w", e.run.Engine, e.logFile(j, p), err)
+			}
+		}
+	}
+	if res.Visited < e.run.Visited {
+		return nil, fmt.Errorf("%s: %w: the level logs reach %d vertices, the run visited %d", e.run.Engine, errs.ErrCorrupted, res.Visited, e.run.Visited)
+	}
+	rt.TranslateResult(res)
 	return res, nil
 }
 
@@ -611,37 +671,34 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		}
 	}
 
+	// The paper pin's vertex file, started at iteration 0 (DESIGN.md §5);
+	// a run that keeps logs has its state in the bitmaps.
 	var v *Verts
-	if iter == 0 {
+	var err error
+	switch {
+	case e.logs:
+	case iter == 0:
 		v = e.rt.InitVerts(p)
-		st.frontier = 0
-		if e.rt.MarkRoot(v) {
-			st.frontier = 1
-			st.visit(1, e.rt.outDegree(e.rt.Opts.Root))
-			e.run.Visited++
-			e.ctr.Visited.Add(1)
-			itRow.NewlyVisited++
-		}
-		lds.End()
-	} else {
-		var err error
+		e.rt.MarkRoot(v)
+	default:
 		v, err = e.rt.LoadVerts(p)
-		lds.End()
-		if err == nil && !skipGather {
-			_, err = e.gatherInto(p, iter, v, nil, itRow, itSpan)
+	}
+	lds.End()
+	if iter == 0 && p == e.rt.Parts.Of(e.rt.Opts.Root) {
+		e.markRoot(itRow)
+	} else if err == nil && iter > 0 && !skipGather {
+		_, err = e.gatherInto(p, iter, v, itRow, itSpan)
+	}
+	if err != nil {
+		if edgeScan != nil {
+			edgeScan.Close()
 		}
-		if err != nil {
-			if edgeScan != nil {
-				edgeScan.Close()
-			}
-			return err
-		}
+		return err
 	}
 
 	// Scatter only when this partition holds frontier vertices; without
 	// selective scheduling every partition scatters every iteration, as
 	// X-Stream does.
-	var err error
 	switch {
 	case st.frontier == 0 && e.pol.SelectiveScheduling:
 		// The speculative input open is abandoned; Close cancels its
@@ -653,9 +710,9 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 			e.skip(itRow)
 		}
 	case st.resident != nil:
-		err = e.scatterResident(st, p, iter, sh, itRow, itSpan, v)
+		err = e.scatterResident(st, p, sh, itRow, itSpan)
 	default:
-		err = e.scatterDevice(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan, v)
+		err = e.scatterDevice(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan)
 	}
 	if err != nil {
 		return err
@@ -665,10 +722,24 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	// this is the initializing iteration). A skip-gather iteration
 	// never modifies vertex state: the bottom-up pass that formed this
 	// frontier already saved it.
-	if iter == 0 || st.frontier > 0 && !skipGather || !e.pol.SelectiveScheduling {
+	if v != nil && (iter == 0 || st.frontier > 0 && !skipGather || !e.pol.SelectiveScheduling) {
 		return e.saveVerts(p, v, itSpan)
 	}
 	return nil
+}
+
+// markRoot visits the root, iteration 0's frontier, in the bitmaps and
+// its partition's counts.
+func (e *kernel) markRoot(itRow *metrics.Iteration) {
+	root := e.rt.Opts.Root
+	e.rt.VisitedBits.Set(root)
+	e.dir.frontier.Set(root)
+	st := &e.parts[e.rt.Parts.Of(root)]
+	st.frontier = 1
+	st.visit(1, e.rt.outDegree(root))
+	e.run.Visited++
+	e.ctr.Visited.Add(1)
+	itRow.NewlyVisited++
 }
 
 // openInput opens partition st's current edge input with the configured
@@ -685,13 +756,13 @@ func (e *kernel) openInput(st *partState) (*stream.Scanner[graph.Edge], error) {
 }
 
 // gatherInto applies the update file iteration iter consumes for
-// partition p to its loaded vertex state v, and books what the gather
-// found: the partition's share of the new frontier — whose out-degree sum
-// it returns, 0 without a degree table — and the run's visited and update
-// totals. onNew is passed through to gather.
-func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), itRow *metrics.Iteration, itSpan *obs.Span) (deg int64, err error) {
+// partition p (to its loaded vertex state v, in the paper pin), and books
+// what the gather found: the partition's share of the new frontier — whose
+// out-degree sum it returns, 0 without a degree table — and the run's
+// visited and update totals.
+func (e *kernel) gatherInto(p, iter int, v *Verts, itRow *metrics.Iteration, itSpan *obs.Span) (deg int64, err error) {
 	gs := itSpan.Child("gather").SetPart(p)
-	newly, deg, applied, err := e.gather(v, e.updFile(iter-1, p), uint32(iter), onNew)
+	newly, deg, applied, err := e.gather(p, v, e.updFile(iter-1, p), uint32(iter))
 	gs.Attr("applied", applied).End()
 	if err != nil {
 		return 0, err
@@ -717,9 +788,9 @@ func (e *kernel) gatherInto(p, iter int, v *Verts, onNew func(graph.VertexID), i
 // the prefix's claims are the re-scatter's own first updates and the
 // filter drops the repeats; with the filter off the first-wins gather
 // makes them harmless.
-func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *Verts) error {
+func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge]) error {
 	for {
-		err := e.scatterInput(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan, v)
+		err := e.scatterInput(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan)
 		if err == nil {
 			break
 		}
@@ -754,7 +825,7 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 // possible cancellation for this partition ever again — and otherwise to a
 // stay file, when the trim rule finds, on this partition's counts, that
 // writing one pays. A capture writes nothing, so it does not ask.
-func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge], v *Verts) error {
+func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge]) error {
 	var sink edgeSink
 	var stay *stream.StayFile
 	var capture *stream.Resident
@@ -795,7 +866,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	}
 	ss := itSpan.Child("scatter").SetPart(p)
 	defer ss.End()
-	scanned, stayed, err := e.scatter(v, uint32(iter), sh, keep, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
+	scanned, stayed, err := e.scatter(p, sh, keep, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
 		if err := e.pool.RunScanner(edgeScan, classify, merge); err != nil {
 			return err
 		}
@@ -926,13 +997,12 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 	st.input, st.inputTiming, st.inputEdges = f.Name(), st.pendingTiming, f.Count()
 }
 
-// gather streams partition updates and marks unvisited destinations: an
-// unvisited destination becomes visited at level with the update's
-// parent. It returns how many did and, when the run has a degree table,
-// their out-degree sum. onNew, when non-nil, is called for each newly
-// visited vertex (the bottom-up transition pass uses it to build its
-// frontier bitmap).
-func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph.VertexID)) (newly uint64, deg, applied int64, err error) {
+// gather streams partition p's updates from updFile and visits their
+// unvisited destinations: each joins the visited set and the frontier and,
+// in the paper pin's vertex state v, takes level and the update's parent.
+// It returns how many did and, when the run has a degree table, their
+// out-degree sum.
+func (e *kernel) gather(p int, v *Verts, updFile string, level uint32) (newly uint64, deg, applied int64, err error) {
 	e.rt.AwaitFile(updFile)
 	sc, err := stream.NewUpdateScanner(e.rt.Vol, updFile, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize)
 	if err != nil {
@@ -940,6 +1010,8 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	lo, hi := e.rt.Parts.Interval(p)
+	visited, front := e.rt.VisitedBits, e.dir.frontier
 	chunk := e.rt.UpdateChunk()
 	for {
 		n, err := sc.NextChunk(chunk)
@@ -951,21 +1023,17 @@ func (e *kernel) gather(v *Verts, updFile string, level uint32, onNew func(graph
 		}
 		for _, u := range chunk[:n] {
 			applied++
-			i := int(u.Dst - v.Lo)
-			if i < 0 || i >= len(v.Level) {
-				return newly, deg, applied, fmt.Errorf("%s: update %v outside partition [%d,%d)", e.run.Engine, u, v.Lo, int(v.Lo)+len(v.Level))
+			if u.Dst < lo || u.Dst >= hi {
+				return newly, deg, applied, fmt.Errorf("%s: %w: update %v outside partition [%d,%d)", e.run.Engine, errs.ErrCorrupted, u, lo, hi)
 			}
-			if v.Level[i] == NoLevel {
-				v.Level[i] = level
-				v.Parent[i] = u.Parent
-				newly++
-				deg += e.rt.outDegree(u.Dst)
-				if e.rt.VisitedBits != nil {
-					e.rt.VisitedBits.Set(u.Dst)
-				}
-				if onNew != nil {
-					onNew(u.Dst)
-				}
+			if !visited.Claim(u.Dst) {
+				continue
+			}
+			front.Set(u.Dst)
+			newly++
+			deg += e.rt.outDegree(u.Dst)
+			if v != nil {
+				v.Level[u.Dst-lo], v.Parent[u.Dst-lo] = level, u.Parent
 			}
 		}
 	}
@@ -982,35 +1050,35 @@ type edgeSink interface {
 	AppendChunk([]graph.Edge) error
 }
 
-// scatter streams one partition's edges through the worker pool — run
+// scatter streams partition p's edges through the worker pool — run
 // feeds them to it from the device scanner or the resident slice and
-// settles that source's own accounting. Frontier sources (level == iter)
-// emit updates through the run's update filter; when keep is non-nil it
-// receives, chunk by chunk, the edges with unvisited sources (the trim
-// rule — a visited source can never produce a future update). Workers
-// only classify (frontier test, visited test, partition routing); the
-// filter's claims, the shuffler and the survivors' sink (a stay file's
-// buffer hand-offs interact with the virtual clock) stay on the engine
-// thread, fed in chunk order, so file bytes, timing and all accounting
-// are identical for any worker count (see internal/stream/parallel.go).
-func (e *kernel) scatter(v *Verts, iter uint32, sh *stream.Shuffler, keep func([]graph.Edge) error,
+// settles that source's own accounting. Frontier sources emit updates
+// through the run's update filter; when keep is non-nil it receives, chunk
+// by chunk, the edges with unvisited sources (the trim rule — a visited
+// source can never produce a future update). Workers only classify, on the
+// bitmaps (frontier test, visited test, partition routing); the filter's
+// claims, the shuffler and the survivors' sink (a stay file's buffer
+// hand-offs interact with the virtual clock) stay on the engine thread,
+// fed in chunk order, so file bytes, timing and all accounting are
+// identical for any worker count (see internal/stream/parallel.go).
+func (e *kernel) scatter(p int, sh *stream.Shuffler, keep func([]graph.Edge) error,
 	run func(stream.ScatterFunc, stream.MergeFunc) error) (scanned, stayed int64, err error) {
 	var written int64
-	lo, n := v.Lo, len(v.Level)
+	lo, hi := e.rt.Parts.Interval(p)
+	front, visited := e.dir.frontier, e.rt.VisitedBits
 	trim := keep != nil
 	f := e.filter
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, edge := range edges {
 			out.Scanned++
-			i := int(edge.Src - lo)
-			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("%s: edge %v outside partition [%d,%d)", e.run.Engine, edge, lo, int(lo)+n)
+			if edge.Src < lo || edge.Src >= hi {
+				out.Err = fmt.Errorf("%s: edge %v outside partition [%d,%d)", e.run.Engine, edge, lo, hi)
 				return
 			}
-			if v.Level[i] == iter {
+			if front.Get(edge.Src) {
 				f.Emit(out, edge)
 			}
-			if trim && v.Level[i] == NoLevel {
+			if trim && !visited.Get(edge.Src) {
 				out.Stays = append(out.Stays, edge)
 				out.Stayed++
 			}
@@ -1044,12 +1112,12 @@ func (e *kernel) scatter(v *Verts, iter uint32, sh *stream.Shuffler, keep func([
 // (the merge frontier trails the dispatch frontier), so workers never
 // see a mutated edge. No stay file is written — the avoided write is
 // counted as device traffic saved.
-func (e *kernel) scatterResident(st *partState, p, iter int, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, v *Verts) error {
+func (e *kernel) scatterResident(st *partState, p int, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span) error {
 	res := st.resident
 	edges := res.Edges()
 	kept := edges[:0]
 	ss := itSpan.Child("scatter").SetPart(p).Attr("resident", 1)
-	scanned, stayed, err := e.scatter(v, uint32(iter), sh, func(stays []graph.Edge) error {
+	scanned, stayed, err := e.scatter(p, sh, func(stays []graph.Edge) error {
 		kept = append(kept, stays...)
 		return nil
 	}, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {

@@ -323,6 +323,9 @@ type Runtime struct {
 	// callers never see stored labels.
 	Perm *graph.Permutation
 
+	// BytesRead and BytesWritten are the traffic the time model charges, in
+	// payload units (framing is invisible to it); a wall-clock record
+	// reports io's count instead.
 	BytesRead    int64
 	BytesWritten int64
 
@@ -334,11 +337,12 @@ type Runtime struct {
 
 	wallStart time.Time
 
-	// countVol is set when the volume is a storage.Counting wrapper; its
-	// delta over the run feeds DeviceStats in wall mode, where there is
-	// no simulated device to report on.
-	countVol *storage.Counting
-	startIO  storage.IOStats
+	// io counts everything the run moves through Vol, which it wraps —
+	// metadata, index and collect included. In wall mode, with no simulated
+	// device to report on, it is the record's bytes, and a device named
+	// after the storage.Counting volume the run was handed, if any (volName).
+	io      *storage.Counting
+	volName string
 
 	// OutDeg is the per-vertex out-degree table, counted by the first pass
 	// over the stored edge file — Prepare's, or iteration 0's stored pass
@@ -352,15 +356,12 @@ type Runtime struct {
 	// state, not global scalars).
 	OutDeg []uint32
 
-	// VisitedBits mirrors the vertex files' visited state in RAM
-	// (vertices/8 bytes from the run's scratch, outside the modelled
-	// budget like OutDeg), maintained by MarkRoot, the gathers and the
-	// bottom-up passes for its two readers: the update filter, whose
-	// scatter workers drop updates to visited destinations, and the
-	// bottom-up passes, which drop in-edges of vertices already visited —
-	// they can never yield a bottom-up candidate, and dropping them is what
-	// makes bottom-up iterations read fewer bytes than a full edge scan.
-	// Nil for a top-down run with the filter disabled. claimed is the
+	// VisitedBits is a streaming run's visited set (vertices/8 bytes from
+	// the run's scratch, outside the modelled budget like OutDeg),
+	// maintained by the root's marking, the gathers and the passes that
+	// form a level: the scatter's trim test reads it, the update filter's
+	// workers drop updates to visited destinations, and the bottom-up and
+	// stored passes drop edges to vertices already visited. claimed is the
 	// filter's second bitmap (see filter.go).
 	VisitedBits *Bitset
 	claimed     *Bitset
@@ -430,6 +431,17 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 	if err != nil {
 		return nil, err
 	}
+	// Name the device after a Counting volume, even under the fault wrapper.
+	inner := vol
+	for f, ok := inner.(*storage.Faulty); ok; f, ok = inner.(*storage.Faulty) {
+		inner = f.Inner()
+	}
+	var volName string
+	if cv, ok := inner.(*storage.Counting); ok {
+		volName = cv.Name()
+	}
+	io := storage.NewCounting(vol, volName)
+	vol = io
 	retry := newRetrier(ctx, opts)
 	var m graph.Meta
 	// A reordered dataset's edges carry stored labels; perm moves the
@@ -472,7 +484,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		return nil, err
 	}
 	rt := &Runtime{Vol: vol, Meta: m, Parts: parts, Opts: opts, ctx: ctx, Retry: retry,
-		Codec: codec, Perm: perm,
+		Codec: codec, Perm: perm, io: io, volName: volName,
 		fileReady: make(map[string]*disksim.AsyncOp), wallStart: time.Now()}
 	if opts.Sim != nil {
 		if opts.Sim.MainDisk == nil {
@@ -483,19 +495,6 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		// Trace in simulated seconds: span timestamps then line up with
 		// the clock-derived ExecTime in the metrics record.
 		opts.Tracer.SetTimeSource(rt.Clock.Now)
-	}
-	// Find a Counting volume even under the fault-injection wrapper.
-	inner := vol
-	for {
-		if f, ok := inner.(*storage.Faulty); ok {
-			inner = f.Inner()
-			continue
-		}
-		break
-	}
-	if cv, ok := inner.(*storage.Counting); ok {
-		rt.countVol = cv
-		rt.startIO = cv.Stats()
 	}
 	// Last, so no error return above strands a borrowed scratch.
 	if pg := opts.Prepared; pg != nil {
@@ -583,12 +582,11 @@ func (rt *Runtime) FinishMetrics(run *metrics.Run) {
 		}
 	} else {
 		run.ExecTime = time.Since(rt.wallStart).Seconds()
-		if rt.countVol != nil {
-			// Wall mode has no simulated devices; report the counting
-			// volume's delta over the run instead.
-			d := rt.countVol.Stats().Sub(rt.startIO)
+		d := rt.io.Stats()
+		run.BytesRead, run.BytesWritten = d.BytesRead, d.BytesWritten
+		if rt.volName != "" {
 			run.Devices = append(run.Devices, metrics.DeviceStats{
-				Name: rt.countVol.Name(), BytesRead: d.BytesRead, BytesWritten: d.BytesWritten,
+				Name: rt.volName, BytesRead: d.BytesRead, BytesWritten: d.BytesWritten,
 				Ops: d.ReadOps + d.WriteOps,
 			})
 		}
@@ -650,7 +648,7 @@ func (rt *Runtime) Cleanup() {
 // writes the same files, later and trimmed (split.go). A resumed run that
 // does not calls it with vertices already visited, whose edges it drops.
 func (rt *Runtime) Prepare() ([]int64, error) {
-	rt.allocBitmaps(false)
+	rt.allocBitmaps()
 	if rt.Opts.Direction != DirectionTopDown {
 		rt.allocOutDeg() // the kernel has, already, when its trim rule counts edges
 	}
@@ -709,7 +707,7 @@ func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
 			}
-			if w != nil && (rt.VisitedBits == nil || !rt.VisitedBits.Get(e.Src)) {
+			if w != nil && !rt.VisitedBits.Get(e.Src) {
 				if err := w[rt.Parts.Of(e.Src)].Append(e); err != nil {
 					return err
 				}
@@ -782,7 +780,8 @@ func (rt *Runtime) Winners(n int) []graph.VertexID {
 }
 
 // Verts is one partition's in-memory vertex state: BFS level (NoLevel =
-// unvisited) and parent. A streaming run holds one partition at a time:
+// unvisited) and parent, the paper pin's and GraphChi's (a run that keeps
+// level logs has none). A streaming run holds one partition at a time:
 // the Verts InitVerts and LoadVerts return is backed by run-owned arrays
 // and stays valid only until the next call of either.
 type Verts struct {
@@ -925,12 +924,8 @@ func (rt *Runtime) CollectResult() (*Result, error) {
 	}
 	for p := 0; p < rt.Parts.P(); p++ {
 		name := rt.VertexFile(p)
-		var b []byte
-		if err := rt.Retry.Do("collect "+name, func() error {
-			var e error
-			b, e = storage.ReadAll(rt.Vol, name)
-			return e
-		}); err != nil {
+		b, err := stream.ReadAll(rt.Vol, name, rt.Retry)
+		if err != nil {
 			return nil, err
 		}
 		lo, hi := rt.Parts.Interval(p)

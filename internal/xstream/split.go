@@ -166,35 +166,30 @@ func (e *kernel) work(ps passStats, newly uint64) {
 
 // storedIteration is top-down iteration iter of a run still streaming the
 // stored edge file (e.stored). One forward split pass forms the next level
-// as a bottom-up pass would, with no update file; the row books what the
-// scatter it replaces would have emitted and filtered, the next row the
-// level, as the gather would have. The pass also writes every partition's
-// file — each edge whose source is unvisited, a partition's live edges —
-// once that pays by the trim rule: its write, W, at most the reads it
-// saves the next pass (the stored file less R, the live edges of the
-// partitions holding the frontier) or, while a split run's pass would read
-// at most half the stored file, those the stored passes read beyond a
-// split run's so far (d.excess, of the edges each pass read). Iteration 0
-// never splits. The level goes to the vertex files if the phase ends here,
-// else to a log (logLevel); a capped run's last iteration forms nothing,
-// as the updates its scatter would write are never gathered (a
-// checkpointed run logs it, for its resume). afterBottom
-// says a bottom-up pass formed this frontier.
+// as a bottom-up pass would, with no update file, and logs it (writeLog);
+// the row books what the scatter it replaces would have emitted and
+// filtered, the next row the level, as the gather would have. The pass also
+// writes every partition's file — each edge whose source is unvisited, a
+// partition's live edges — once that pays by the trim rule: its write, W,
+// at most the reads it saves the next pass (the stored file less R, the
+// live edges of the partitions holding the frontier) or, while a split
+// run's pass would read at most half the stored file, those the stored
+// passes read beyond a split run's so far (d.excess, of the edges each pass
+// read). Iteration 0 never splits. A capped run's last iteration forms
+// nothing, as the updates its scatter would write are never gathered (its
+// log serves a checkpointed run's resume). afterBottom says a bottom-up
+// pass formed this frontier.
 func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.Span) (done bool, err error) {
-	d := e.frontierState()
+	d := e.dir
 	itSpan := runSpan.Child("iteration").SetIter(iter).Attr("stored", 1)
 	e.ctr.Iteration.Set(int64(iter))
 	itRow := metrics.Iteration{Index: iter, Stored: true,
 		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)}
-	n, root, edges := e.rt.Meta.Vertices, e.rt.Opts.Root, int64(e.rt.Meta.Edges)
+	n, edges := e.rt.Meta.Vertices, int64(e.rt.Meta.Edges)
 	var live, kept int64 // R and W
 	if iter == 0 {
-		d.frontier.Clear()
-		d.frontier.Set(root)
-		e.rt.VisitedBits.Set(root)
-		itRow.Frontier, itRow.NewlyVisited = 1, 1
-		e.run.Visited++
-		e.ctr.Visited.Add(1)
+		e.markRoot(&itRow)
+		itRow.Frontier = 1
 	} else {
 		itRow.Frontier = d.carryFrontier
 		e.bookCarried(&itRow)
@@ -247,18 +242,16 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 
 	if iter == 0 { // the table just counted gives each partition its live edges
 		rootDeg := e.countLive()
-		rp := &e.parts[e.rt.Parts.Of(root)]
+		rp := &e.parts[e.rt.Parts.Of(e.rt.Opts.Root)]
 		d.excess = ps.scanned - rp.live - rootDeg // a split run's iteration 0 reads the root's partition
-		rp.visitedCount++
-		d.fresh = true
 	}
-	if e.ck != nil { // a checkpointed run logs every level, a capped run's last too
-		if err := e.writeLog(iter, d, itSpan); err != nil {
-			return false, err
-		}
+	if err := e.writeLog(iter, d, itSpan); err != nil {
+		return false, err
 	}
 	if last {
 		d.best = e.rt.Winners(int(n))
+	} else {
+		e.levels = iter + 1
 	}
 	// The replaced scatter would have written, through the update filter,
 	// the first claim on each unvisited destination; without it, all.
@@ -275,17 +268,6 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	e.work(ps, newly)
 	e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !afterBottom)
 	e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
-	// The phase ends with the split or the run, or at the first bottom-up
-	// pass, which folds the logs with its level (fusedFirstBottomUp); after
-	// that one, a stored pass folds its own level, as a bottom-up one does.
-	if outs != nil || last || wave.Written == 0 || d.split {
-		err = e.endStored(iter, d, itSpan)
-	} else {
-		err = e.logLevel(iter, d, itSpan)
-	}
-	if err != nil {
-		return false, err
-	}
 	d.frontier, d.next = d.next, d.frontier
 	d.carryFrontier, d.carryDeg, d.carryUpdates, d.unbooked = newly, degSum, wave.Written, true
 	itRow.Filtered = wave.Filtered()
@@ -297,7 +279,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 
 // formLevel books partition p's winners in d.best — the next level, in the
 // bitmaps and the partition's counts — and returns their number and
-// out-degree sum; foldLevel writes them.
+// out-degree sum; writeLog, or the paper pin's saveLevel, writes them.
 func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
 	lo, hi := e.rt.Parts.Interval(p)
 	var n uint64
@@ -335,58 +317,10 @@ func (e *kernel) countLive() (frontierDeg int64) {
 	return frontierDeg
 }
 
-// foldLevel writes partition p's new levels to its vertex file with one
-// load — none in a stored phase that no vertex file predates (d.fresh: the
-// root's is started with the root) — and one save: the levels the stored
-// passes logged (d.logged), then d.best's winners as level iter+1. A
-// bottom-up pass folds each partition that won something as it ends; a
-// stored phase folds every partition once, as it ends (endStored).
-func (e *kernel) foldLevel(p, iter int, d *dirRun, itSpan *obs.Span) error {
-	var v *Verts
-	if d.fresh {
-		lds := itSpan.Child("load").SetPart(p)
-		v = e.rt.InitVerts(p)
-		e.rt.MarkRoot(v)
-		lds.End()
-	} else {
-		var err error
-		if v, err = e.loadVerts(p, itSpan); err != nil {
-			return err
-		}
-	}
-	for _, j := range d.logged {
-		gs := itSpan.Child("gather").SetPart(p)
-		_, _, _, err := e.gather(v, e.logFile(j, p), uint32(j)+1, nil)
-		gs.End()
-		if err != nil {
-			return err
-		}
-	}
-	lo, hi := e.rt.Parts.Interval(p)
-	for i, b := range d.best[lo:hi] {
-		if b != graph.NoVertex {
-			v.Level[i], v.Parent[i] = uint32(iter)+1, b
-		}
-	}
-	return e.saveVerts(p, v, itSpan)
-}
-
-// logFile is partition p's log of the level stored pass iter formed.
+// logFile is partition p's log of the level iteration iter formed: its
+// winners, or the update file whose first record for a vertex is its winner.
 func (e *kernel) logFile(iter, p int) string {
 	return fmt.Sprintf("%s_won%d_%d", e.rt.Opts.FilePrefix, iter, p)
-}
-
-// logLevel ends a stored pass that does not end its phase: its winners go
-// to a log (writeLog), so that the vertex files take the phase's levels
-// once, at its end, instead of a load and a save per pass.
-func (e *kernel) logLevel(iter int, d *dirRun, itSpan *obs.Span) error {
-	if e.ck == nil { // a checkpointed run has logged it
-		if err := e.writeLog(iter, d, itSpan); err != nil {
-			return err
-		}
-	}
-	d.logged = append(d.logged, iter)
-	return nil
 }
 
 // writeLog writes the winners in d.best, the level iteration iter formed,
@@ -411,45 +345,12 @@ func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) error {
 	return sealWriters(e.rt, sh.WriterSet)
 }
 
-// endStored ends a stored phase: every partition folds its levels, but in
-// a phase some vertex file predates, one that won nothing. These are a
-// short query's first writes, so a cancel they outlast is seen here, as a
-// run that splits up front sees one after Prepare's.
-func (e *kernel) endStored(iter int, d *dirRun, itSpan *obs.Span) error {
-	for p := range e.parts {
-		if err := e.rt.Checkpoint(); err != nil {
-			return err
-		}
-		if !d.fresh && e.parts[p].updates == 0 {
-			continue
-		}
-		if err := e.foldLevel(p, iter, d, itSpan); err != nil {
-			return err
-		}
-	}
-	e.dropLogs(d)
-	return e.rt.Checkpoint()
-}
-
-// dropLogs ends a stored phase whose levels every vertex file took; a
-// checkpointed run keeps the logs.
-func (e *kernel) dropLogs(d *dirRun) {
-	if e.ck == nil {
-		for _, j := range d.logged {
-			for p := range e.parts {
-				e.rt.Vol.Remove(e.logFile(j, p))
-			}
-		}
-	}
-	d.logged, d.fresh = d.logged[:0], false
-}
-
 // bookCarried books into itRow the level the last stored pass formed as
 // the gather it replaced would have: newly visited vertices, and the
 // updates the replaced scatter would have written. A no-op once booked,
 // and after any other pass.
 func (e *kernel) bookCarried(itRow *metrics.Iteration) {
-	if d := e.dir; d != nil && d.unbooked {
+	if d := e.dir; d.unbooked {
 		d.unbooked = false
 		itRow.NewlyVisited += d.carryFrontier
 		itRow.Updates += d.carryUpdates
@@ -459,11 +360,12 @@ func (e *kernel) bookCarried(itRow *metrics.Iteration) {
 }
 
 // storedIndex is the stored edge file's degree index (DESIGN.md §5; the
-// degrees are OutDeg): its delta frames' offsets (nil when fixed), the
-// file's bytes and edges, and the grain, the bytes a positioning is worth.
+// degrees are OutDeg): its delta frames' offsets (nil when fixed) and the
+// edges each frame holds, the file's bytes and edges, and the grain, the
+// bytes a positioning is worth.
 type storedIndex struct {
-	frames             []int64
-	size, edges, grain int64
+	frames                         []int64
+	frameEdges, size, edges, grain int64
 }
 
 // openIndex loads the degrees into OutDeg for a run entering its stored
@@ -476,11 +378,12 @@ func (e *kernel) openIndex() error {
 	if err != nil {
 		return nil // stored before the index
 	}
-	ix := &storedIndex{size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: 64 << 10}
+	ix := &storedIndex{frameEdges: graph.IndexFrame(rt.Meta, isz), size: int64(rt.Meta.DataBytes()),
+		edges: int64(rt.Meta.Edges), grain: 64 << 10}
 	var least int64
 	if rt.Meta.EdgeCodec() == graph.CodecDelta {
 		ix.size = int64(rt.Meta.StoredBytes)
-		least = ix.size * min(graph.IndexFrameEdges, ix.edges) / max(ix.edges, 1)
+		least = ix.size * min(ix.frameEdges, ix.edges) / max(ix.edges, 1)
 	}
 	if sim := rt.Opts.Sim; sim != nil {
 		ix.grain = int64(sim.MainDisk.SeekLatency * sim.MainDisk.Bandwidth)
@@ -511,10 +414,10 @@ func (ix *storedIndex) span(lo, hi int64) (off, end int64) {
 		return lo * graph.EdgeBytes, hi * graph.EdgeBytes
 	}
 	end = ix.size - 8 // the terminator frame
-	if g := (hi-1)/graph.IndexFrameEdges + 1; g < int64(len(ix.frames)) {
+	if g := (hi-1)/ix.frameEdges + 1; g < int64(len(ix.frames)) {
 		end = ix.frames[g]
 	}
-	return ix.frames[lo/graph.IndexFrameEdges], end
+	return ix.frames[lo/ix.frameEdges], end
 }
 
 // edgesOf is the edges [first, last) a range of spans holds.
@@ -524,7 +427,7 @@ func (ix *storedIndex) edgesOf(r stream.Range) (first, last int64) {
 	}
 	f, _ := slices.BinarySearch(ix.frames, r.Off)
 	g, _ := slices.BinarySearch(ix.frames, r.Off+r.Len) // len(frames) at the terminator
-	return int64(f) * graph.IndexFrameEdges, min(int64(g)*graph.IndexFrameEdges, ix.edges)
+	return int64(f) * ix.frameEdges, min(int64(g)*ix.frameEdges, ix.edges)
 }
 
 // sparseRuns returns the ranges a forward stored pass reads sparse — the
