@@ -71,7 +71,7 @@ func main() {
 	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
 	twoDisks := flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
 	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration (0 = a scatter trims when its partition's edge counts say the stay file pays; -1 = every scatter trims, the paper's default)")
-	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = FASTBFS_DIRECTION env, else topdown)")
+	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = topdown)")
 	codec := flag.String("codec", "", "working-file codec: fixed or delta (empty = FASTBFS_CODEC env, else the dataset's stored codec)")
 	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget (bytes with K/M/G suffix, 0/off, or unbounded; empty = FASTBFS_RESIDENCY env)")
 	noTrim := flag.Bool("notrim", false, "fastbfs: disable trimming")
@@ -122,8 +122,8 @@ func main() {
 			cfg.Device = "ssd"
 		}
 		// An empty -direction or -codec stays unset, so the engine's
-		// defaulting (FASTBFS_DIRECTION else topdown, FASTBFS_CODEC else the
-		// stored codec) applies; an empty -residency-budget parses to unset.
+		// defaulting (topdown; FASTBFS_CODEC else the stored codec)
+		// applies; an empty -residency-budget parses to unset.
 		if *direction != "" {
 			if cfg.Direction, err = xstream.ParseDirection(*direction); err != nil {
 				fail(err)

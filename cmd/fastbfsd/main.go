@@ -10,10 +10,7 @@
 //	         [-sim] [-simscale 2048] [-residency-budget 64M]
 //	         [-max-inflight 4] [-max-queue 8] [-cache 64]
 //	         [-batch-size 32] [-batch-wait 2ms] [-config run.conf]
-//	         [-shed] [-shed-target 25ms] [-shed-interval 100ms]
-//	         [-breaker-threshold 5] [-breaker-backoff 500ms]
-//	         [-breaker-max-backoff 8s] [-cache-ttl 0]
-//	         [-priority-header X-Fastbfs-Priority] [-panic-root 0]
+//	         [-shed] [-breaker-threshold 5] [-cache-ttl 0] [-panic-root 0]
 //	         [-drain-timeout 30s] [-debugaddr localhost:6060]
 //	         [-tracefile serve.jsonl] [-slow-query 500ms]
 //
@@ -34,22 +31,18 @@
 // admission and CoDel-style queue aging (shed queries get 429 +
 // Retry-After), -breaker-threshold tunes the per-graph circuit breaker
 // (0 disables), -cache-ttl bounds result-cache freshness (expired
-// entries still answer allow_stale queries in degraded mode),
-// -priority-header names the header carrying the admission class, and
+// entries still answer allow_stale queries in degraded mode), and
 // -panic-root poisons one root with a mid-scatter panic — the chaos hook
 // CI uses to prove panic isolation. The runconfig keys shed,
-// shed_target_ms, shed_interval_ms, breaker_threshold,
-// breaker_backoff_ms, breaker_max_backoff_ms, cache_ttl_ms and
-// priority_header supply defaults that explicit flags override (flag >
-// config). The daemon's own settings have those two channels and no
-// environment variables.
+// breaker_threshold and cache_ttl_ms supply defaults that explicit flags
+// override (flag > config). The daemon's own settings have those two
+// channels and no environment variables.
 //
 // Endpoints:
 //
 //	POST /query   {"algorithm":"bfs|msbfs|sssp","engine":"fastbfs|xstream",
 //	               "root":1,"roots":[..],"max_iterations":0,"timeout_ms":0,
-//	               "no_cache":false,"priority":"interactive|batch",
-//	               "allow_stale":false,"include_values":false}
+//	               "no_cache":false,"allow_stale":false,"include_values":false}
 //	GET  /healthz liveness, uptime, build info plus live service counters
 //	GET  /readyz  readiness: not draining, breaker closed, queue sane
 //	GET  /metrics serve counters + latency histograms, Prometheus text
@@ -115,20 +108,10 @@ func main() {
 		"how long a forming batch waits for companion queries")
 	shed := flag.Bool("shed", false,
 		"enable deadline-aware admission and CoDel-style queue shedding (429 + Retry-After)")
-	shedTarget := flag.Duration("shed-target", 25*time.Millisecond,
-		"acceptable queue wait before aging sheds begin")
-	shedInterval := flag.Duration("shed-interval", 100*time.Millisecond,
-		"how long queue wait must stay above -shed-target before shedding")
 	breakerThreshold := flag.Int("breaker-threshold", 5,
 		"consecutive I/O failures tripping the circuit breaker (0 disables)")
-	breakerBackoff := flag.Duration("breaker-backoff", 500*time.Millisecond,
-		"circuit breaker's initial open interval before the half-open probe")
-	breakerMaxBackoff := flag.Duration("breaker-max-backoff", 8*time.Second,
-		"cap on the breaker's doubled backoff after failed probes")
 	cacheTTL := flag.Duration("cache-ttl", 0,
 		"result-cache freshness bound (0 = never expire; expired entries still serve allow_stale)")
-	priorityHeader := flag.String("priority-header", "X-Fastbfs-Priority",
-		"HTTP header carrying the admission class (interactive/batch)")
 	panicRoot := flag.Int64("panic-root", 0,
 		"chaos: panic mid-scatter for queries on this root (0 disables)")
 	configPath := flag.String("config", "", "runtime-settings file supplying the engine options (replaces -mem/-threads/-workers/-sim/-simscale/-ssd/-residency-budget)")
@@ -175,26 +158,11 @@ func main() {
 		if !setFlags["shed"] && rc.Shed >= 0 {
 			*shed = rc.Shed != 0
 		}
-		if !setFlags["shed-target"] && rc.ShedTargetMillis > 0 {
-			*shedTarget = time.Duration(rc.ShedTargetMillis) * time.Millisecond
-		}
-		if !setFlags["shed-interval"] && rc.ShedIntervalMillis > 0 {
-			*shedInterval = time.Duration(rc.ShedIntervalMillis) * time.Millisecond
-		}
 		if !setFlags["breaker-threshold"] && rc.BreakerThreshold >= 0 {
 			*breakerThreshold = rc.BreakerThreshold
 		}
-		if !setFlags["breaker-backoff"] && rc.BreakerBackoffMillis > 0 {
-			*breakerBackoff = time.Duration(rc.BreakerBackoffMillis) * time.Millisecond
-		}
-		if !setFlags["breaker-max-backoff"] && rc.BreakerMaxBackoffMillis > 0 {
-			*breakerMaxBackoff = time.Duration(rc.BreakerMaxBackoffMillis) * time.Millisecond
-		}
 		if !setFlags["cache-ttl"] && rc.CacheTTLMillis >= 0 {
 			*cacheTTL = time.Duration(rc.CacheTTLMillis) * time.Millisecond
-		}
-		if !setFlags["priority-header"] && rc.PriorityHeader != "" {
-			*priorityHeader = rc.PriorityHeader
 		}
 	}
 	base := rc.CoreOptions()
@@ -210,22 +178,17 @@ func main() {
 	tr := obs.New(sinks...)
 	defer tr.Close()
 	cfg := serve.Config{
-		MaxInFlight:       *maxInFlight,
-		MaxQueue:          *maxQueue,
-		CacheEntries:      *cacheEntries,
-		BatchSize:         *batchSize,
-		BatchWait:         *batchWait,
-		Shed:              *shed,
-		ShedTarget:        *shedTarget,
-		ShedInterval:      *shedInterval,
-		CacheTTL:          *cacheTTL,
-		BreakerThreshold:  *breakerThreshold,
-		BreakerBackoff:    *breakerBackoff,
-		BreakerMaxBackoff: *breakerMaxBackoff,
-		PriorityHeader:    *priorityHeader,
-		PanicRoot:         *panicRoot,
-		Base:              base,
-		Tracer:            tr,
+		MaxInFlight:      *maxInFlight,
+		MaxQueue:         *maxQueue,
+		CacheEntries:     *cacheEntries,
+		BatchSize:        *batchSize,
+		BatchWait:        *batchWait,
+		Shed:             *shed,
+		CacheTTL:         *cacheTTL,
+		BreakerThreshold: *breakerThreshold,
+		PanicRoot:        *panicRoot,
+		Base:             base,
+		Tracer:           tr,
 	}
 	if *breakerThreshold == 0 {
 		// The flag's 0 means "breaker off"; the serve layer spells that -1

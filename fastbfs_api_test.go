@@ -3,7 +3,12 @@ package fastbfs
 import (
 	"context"
 	"errors"
+	"io"
+	"reflect"
 	"testing"
+	"time"
+
+	"fastbfs/internal/obs"
 )
 
 // TestPublicContextAPI covers the context-first entry points: the
@@ -89,5 +94,50 @@ func TestPublicContextAPI(t *testing.T) {
 	}
 	if _, err := svc.Submit(context.Background(), Query{Algorithm: AlgoBFS, Root: 1}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after Close: %v, want ErrClosed", err)
+	}
+}
+
+// TestServiceAPIPinned is the offline half of the API guard: it names
+// every exported field of ServiceConfig and Query, the deprecated no-ops
+// included, so removing one fails to compile. A field added later and
+// not named here fails the non-zero check below.
+func TestServiceAPIPinned(t *testing.T) {
+	cfg := ServiceConfig{
+		MaxInFlight:        1,
+		MaxQueue:           1,
+		CacheEntries:       1,
+		BatchSize:          1,
+		BatchWait:          time.Millisecond,
+		Base:               DefaultOptions(),
+		Tracer:             obs.New(),
+		SlowQueryThreshold: time.Second,
+		SlowQueryLog:       io.Discard,
+		Shed:               true,
+		ShedTarget:         time.Millisecond,
+		ShedInterval:       time.Millisecond,
+		CacheTTL:           time.Second,
+		BreakerThreshold:   1,
+		BreakerBackoff:     time.Second,
+		BreakerMaxBackoff:  time.Second,
+		PriorityHeader:     "X-Fastbfs-Priority", // Deprecated: ignored
+		PanicRoot:          1,
+	}
+	q := Query{
+		Algorithm:     AlgoMSBFS,
+		Engine:        EngineXStream,
+		Root:          1,
+		Roots:         []VertexID{1},
+		MaxIterations: 1,
+		NoCache:       true,
+		Priority:      1, // Deprecated: ignored
+		AllowStale:    true,
+		TraceID:       "pin",
+	}
+	for _, v := range []reflect.Value{reflect.ValueOf(cfg), reflect.ValueOf(q)} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Type().Field(i); f.IsExported() && v.Field(i).IsZero() {
+				t.Errorf("%s.%s is not pinned by this test", v.Type().Name(), f.Name)
+			}
+		}
 	}
 }

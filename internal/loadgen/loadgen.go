@@ -75,9 +75,6 @@ type Mix struct {
 	// AllowStale opts queries into degraded-mode answers from expired
 	// cache entries while the server sheds or its breaker is open.
 	AllowStale bool `json:"allow_stale,omitempty"`
-	// Priority is the admission class sent with every query
-	// ("interactive"/"batch"; empty = server default).
-	Priority string `json:"priority,omitempty"`
 }
 
 // Mixes are the named presets accepted by ParseMix (and cmd/loadgen
@@ -302,7 +299,6 @@ type query struct {
 	NoCache    bool     `json:"no_cache,omitempty"`
 	TimeoutMs  int      `json:"timeout_ms,omitempty"`
 	AllowStale bool     `json:"allow_stale,omitempty"`
-	Priority   string   `json:"priority,omitempty"`
 }
 
 // distinctStride picks the step of the Distinct root walk: Knuth's
@@ -355,7 +351,7 @@ func nextQuery(rng *rand.Rand, mix Mix, vertices uint64, seq *uint64) query {
 		return uint32(rng.Int63n(int64(vertices)))
 	}
 	q := query{Algorithm: algo, Engine: mix.Engine, NoCache: mix.NoCache,
-		TimeoutMs: mix.TimeoutMs, AllowStale: mix.AllowStale, Priority: mix.Priority}
+		TimeoutMs: mix.TimeoutMs, AllowStale: mix.AllowStale}
 	if algo == "msbfs" {
 		for i := 0; i < 4; i++ {
 			q.Roots = append(q.Roots, root())

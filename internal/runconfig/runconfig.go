@@ -39,8 +39,7 @@ type Config struct {
 	MaxIterations   int
 	ScatterWorkers  int
 	// Direction is the traversal direction policy: topdown (default),
-	// bottomup, or auto for the Beamer-style hybrid. Empty leaves the
-	// engine's defaulting (FASTBFS_DIRECTION) in effect.
+	// bottomup, or auto for the Beamer-style hybrid. Empty means topdown.
 	Direction xstream.Direction
 	// Codec is the working-file codec for the run (fixed or delta).
 	// Empty leaves the engine's defaulting in effect — FASTBFS_CODEC,
@@ -91,26 +90,15 @@ type Config struct {
 	BatchWaitMillis int
 
 	// Overload-control settings (DESIGN.md §15), daemon-only like the
-	// batch knobs. Shed uses -1 for "not specified" (daemon flag/env
+	// batch knobs. Shed uses -1 for "not specified" (the daemon's flag
 	// default applies), 0 for off, 1 for on.
 	Shed int
-	// ShedTargetMillis/ShedIntervalMillis are the CoDel target and
-	// interval in milliseconds; 0 means not specified.
-	ShedTargetMillis   int
-	ShedIntervalMillis int
 	// BreakerThreshold is the circuit breaker's consecutive-I/O-failure
 	// trip count: -1 not specified, 0 disables the breaker.
 	BreakerThreshold int
-	// BreakerBackoffMillis/BreakerMaxBackoffMillis bound the breaker's
-	// open interval; 0 means not specified.
-	BreakerBackoffMillis    int
-	BreakerMaxBackoffMillis int
 	// CacheTTLMillis bounds result-cache freshness: -1 not specified,
 	// 0 means entries never expire.
 	CacheTTLMillis int
-	// PriorityHeader names the HTTP header carrying the admission class;
-	// empty means not specified.
-	PriorityHeader string
 }
 
 // Default returns the configuration used when a key is absent.
@@ -230,20 +218,10 @@ func (c *Config) set(key, val string) error {
 		if b {
 			c.Shed = 1
 		}
-	case "shed_target_ms":
-		c.ShedTargetMillis, err = strconv.Atoi(val)
-	case "shed_interval_ms":
-		c.ShedIntervalMillis, err = strconv.Atoi(val)
 	case "breaker_threshold":
 		c.BreakerThreshold, err = strconv.Atoi(val)
-	case "breaker_backoff_ms":
-		c.BreakerBackoffMillis, err = strconv.Atoi(val)
-	case "breaker_max_backoff_ms":
-		c.BreakerMaxBackoffMillis, err = strconv.Atoi(val)
 	case "cache_ttl_ms":
 		c.CacheTTLMillis, err = strconv.Atoi(val)
-	case "priority_header":
-		c.PriorityHeader = val
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}
@@ -299,20 +277,8 @@ func (c Config) Validate() error {
 	if c.BatchWaitMillis < 0 {
 		return fmt.Errorf("runconfig: batch_wait_ms must be non-negative, got %d", c.BatchWaitMillis)
 	}
-	if c.ShedTargetMillis < 0 {
-		return fmt.Errorf("runconfig: shed_target_ms must be non-negative, got %d", c.ShedTargetMillis)
-	}
-	if c.ShedIntervalMillis < 0 {
-		return fmt.Errorf("runconfig: shed_interval_ms must be non-negative, got %d", c.ShedIntervalMillis)
-	}
 	if c.BreakerThreshold < -1 {
 		return fmt.Errorf("runconfig: breaker_threshold must be -1 (unset), 0 (off) or positive, got %d", c.BreakerThreshold)
-	}
-	if c.BreakerBackoffMillis < 0 {
-		return fmt.Errorf("runconfig: breaker_backoff_ms must be non-negative, got %d", c.BreakerBackoffMillis)
-	}
-	if c.BreakerMaxBackoffMillis < 0 {
-		return fmt.Errorf("runconfig: breaker_max_backoff_ms must be non-negative, got %d", c.BreakerMaxBackoffMillis)
 	}
 	if c.CacheTTLMillis < -1 {
 		return fmt.Errorf("runconfig: cache_ttl_ms must be -1 (unset) or non-negative, got %d", c.CacheTTLMillis)

@@ -139,26 +139,22 @@ func TestParseBytesSuffixes(t *testing.T) {
 func TestParseOverloadKeys(t *testing.T) {
 	in := `
 shed = true
-shed_target_ms = 30
-shed_interval_ms = 150
 breaker_threshold = 3
-breaker_backoff_ms = 250
-breaker_max_backoff_ms = 4000
 cache_ttl_ms = 60000
-priority_header = X-Tier
 `
 	cfg, err := Parse(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Shed != 1 || cfg.ShedTargetMillis != 30 || cfg.ShedIntervalMillis != 150 {
-		t.Fatalf("shed keys: %+v", cfg)
+	if cfg.Shed != 1 || cfg.BreakerThreshold != 3 || cfg.CacheTTLMillis != 60000 {
+		t.Fatalf("overload keys: %+v", cfg)
 	}
-	if cfg.BreakerThreshold != 3 || cfg.BreakerBackoffMillis != 250 || cfg.BreakerMaxBackoffMillis != 4000 {
-		t.Fatalf("breaker keys: %+v", cfg)
-	}
-	if cfg.CacheTTLMillis != 60000 || cfg.PriorityHeader != "X-Tier" {
-		t.Fatalf("cache/priority keys: %+v", cfg)
+	// The admission knobs no deployment set are gone: a file that still
+	// names one is rejected like any other unknown key.
+	for _, key := range []string{"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header"} {
+		if _, err := Parse(strings.NewReader(key + " = 1\n")); err == nil {
+			t.Errorf("removed key %s accepted", key)
+		}
 	}
 }
 
@@ -173,9 +169,6 @@ func TestParseOverloadDefaultsUnset(t *testing.T) {
 		t.Fatalf("unset sentinels: shed=%d breaker_threshold=%d cache_ttl_ms=%d, want -1/-1/-1",
 			cfg.Shed, cfg.BreakerThreshold, cfg.CacheTTLMillis)
 	}
-	if cfg.ShedTargetMillis != 0 || cfg.ShedIntervalMillis != 0 || cfg.PriorityHeader != "" {
-		t.Fatalf("zero-value keys: %+v", cfg)
-	}
 	if _, err := Parse(strings.NewReader("shed = false\nbreaker_threshold = 0\n")); err != nil {
 		t.Fatalf("explicit off values rejected: %v", err)
 	}
@@ -183,13 +176,9 @@ func TestParseOverloadDefaultsUnset(t *testing.T) {
 
 func TestParseOverloadErrors(t *testing.T) {
 	cases := map[string]string{
-		"bad shed bool":        "shed = maybe\n",
-		"negative shed target": "shed_target_ms = -5\n",
-		"negative interval":    "shed_interval_ms = -1\n",
-		"bad breaker":          "breaker_threshold = -2\n",
-		"negative backoff":     "breaker_backoff_ms = -1\n",
-		"negative max backoff": "breaker_max_backoff_ms = -10\n",
-		"bad cache ttl":        "cache_ttl_ms = -2\n",
+		"bad shed bool": "shed = maybe\n",
+		"bad breaker":   "breaker_threshold = -2\n",
+		"bad cache ttl": "cache_ttl_ms = -2\n",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,13 +13,10 @@ import (
 )
 
 // This file is the service's overload-aware admission layer (DESIGN.md
-// §15). It replaces the original plain semaphore with a slot manager
-// that knows three things a channel cannot express:
+// §15): MaxInFlight execution slots and one bounded FIFO wait queue,
+// with two ways out of the queue besides a grant:
 //
-//   - two priority classes (interactive vs batch), so cheap
-//     latency-sensitive lookups are not starved behind cold full-graph
-//     scans — with anti-starvation so batch work still drains;
-//   - CoDel-style queue aging: when the head-of-queue wait has stayed
+//   - CoDel-style queue aging: when the granted-head wait has stayed
 //     above ShedTarget for ShedInterval, one aged waiter is shed per
 //     grant (429 + Retry-After) instead of occupying a slot it can no
 //     longer use productively;
@@ -31,43 +27,15 @@ import (
 // Submit-time deadline prediction (queue wait + exec EWMA) lives in
 // GraphService.hopeless; this file owns the queue itself.
 
-// Priority is a query's admission class.
+// Priority was a query's admission class.
+//
+// Deprecated: admission has one FIFO queue; the value is ignored.
 type Priority int
 
-const (
-	// PriorityInteractive is the default class: latency-sensitive
-	// queries, granted slots first.
-	PriorityInteractive Priority = iota
-	// PriorityBatch marks throughput work (bulk scans, analytics): it
-	// waits behind interactive queries, with anti-starvation so it
-	// still drains under sustained interactive load.
-	PriorityBatch
-)
-
-// String returns the class's wire name.
-func (p Priority) String() string {
-	if p == PriorityBatch {
-		return "batch"
-	}
-	return "interactive"
-}
-
-// ParsePriority maps a wire name ("", "interactive", "batch") to a
-// Priority. Unknown names fail with errs.ErrBadOptions.
-func ParsePriority(s string) (Priority, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "interactive":
-		return PriorityInteractive, nil
-	case "batch":
-		return PriorityBatch, nil
-	}
-	return 0, fmt.Errorf("serve: unknown priority %q: %w", s, errs.ErrBadOptions)
-}
-
-// batchStarvationStride is the anti-starvation policy: after this many
-// consecutive interactive grants while batch work waits, the next slot
-// goes to the batch queue regardless.
-const batchStarvationStride = 4
+// String names the one admission class.
+//
+// Deprecated: every query is admitted in arrival order.
+func (Priority) String() string { return "interactive" }
 
 // retryAfterError decorates an admission or breaker rejection with a
 // client retry hint; the HTTP layer surfaces it as a Retry-After
@@ -171,7 +139,6 @@ func (p *predictor) slotSeconds() float64 { return p.slot.seconds() }
 
 // waiter is one query parked in the admission queue.
 type waiter struct {
-	class    Priority
 	enqueued time.Time
 	deadline time.Time // zero = none
 	execPred float64   // EWMA-predicted exec seconds at enqueue time
@@ -180,39 +147,31 @@ type waiter struct {
 }
 
 // admitter is the slot manager: MaxInFlight execution slots, a bounded
-// two-class wait queue, CoDel-style aging and grant-time deadline
-// re-checks. All its counters live on the owning service.
+// FIFO wait queue, CoDel-style aging and grant-time deadline re-checks.
+// All its counters live on the owning service.
 type admitter struct {
 	s *GraphService
 
 	mu     sync.Mutex
 	slots  int
 	inUse  int
-	queues [2][]*waiter // indexed by Priority
+	queue  []*waiter // arrival order
 	closed bool
 
 	// CoDel state: when the granted-head wait first stayed above
 	// ShedTarget (zero = currently below target).
 	aboveSince time.Time
-	// interactiveRun counts consecutive interactive grants while batch
-	// work waits, for the anti-starvation stride.
-	interactiveRun int
 }
 
 func newAdmitter(s *GraphService) *admitter {
 	return &admitter{s: s, slots: s.cfg.MaxInFlight}
 }
 
-func (a *admitter) queuedLocked() int {
-	return len(a.queues[PriorityInteractive]) + len(a.queues[PriorityBatch])
-}
-
 // queueState reports the queue depth and whether it is full.
 func (a *admitter) queueState() (queued int, full bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	q := a.queuedLocked()
-	return q, q >= a.s.cfg.MaxQueue
+	return len(a.queue), len(a.queue) >= a.s.cfg.MaxQueue
 }
 
 // estimatedWait predicts the queue wait a newly arriving query faces:
@@ -225,7 +184,7 @@ func (a *admitter) estimatedWait() time.Duration {
 		return 0
 	}
 	a.mu.Lock()
-	queued := a.queuedLocked()
+	queued := len(a.queue)
 	free := a.slots - a.inUse
 	a.mu.Unlock()
 	if free > 0 && queued == 0 {
@@ -235,12 +194,12 @@ func (a *admitter) estimatedWait() time.Duration {
 	return time.Duration(waves * slotSec * float64(time.Second))
 }
 
-// acquire obtains an execution slot, waiting in the bounded class
-// queue when every slot is busy. It fails with errs.ErrBusy (plus a
-// Retry-After hint) when the queue is full, errs.ErrCancelled when ctx
-// dies while waiting, errs.ErrClosed when the service shuts down under
-// the waiter, and errs.ErrDeadlineHopeless when overload control sheds
-// the waiter from the queue. A granted slot is returned with release.
+// acquire obtains an execution slot, waiting in the bounded queue when
+// every slot is busy. It fails with errs.ErrBusy (plus a Retry-After
+// hint) when the queue is full, errs.ErrCancelled when ctx dies while
+// waiting, errs.ErrClosed when the service shuts down under the waiter,
+// and errs.ErrDeadlineHopeless when overload control sheds the waiter
+// from the queue. A granted slot is returned with release.
 func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 	s := a.s
 	a.mu.Lock()
@@ -248,7 +207,7 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 		a.mu.Unlock()
 		return fmt.Errorf("serve: %s: %w", s.name, errs.ErrClosed)
 	}
-	if a.inUse < a.slots && a.queuedLocked() == 0 {
+	if a.inUse < a.slots && len(a.queue) == 0 {
 		a.inUse++
 		a.mu.Unlock()
 		return nil
@@ -256,7 +215,7 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 	// Batch runners (noShed) bypass the queue bound: the batcher already
 	// bounds forming batches like the wait queue, and a runner that got
 	// ErrBusy here would fail every member it carries.
-	if queued := a.queuedLocked(); !noShed && queued >= s.cfg.MaxQueue {
+	if queued := len(a.queue); !noShed && queued >= s.cfg.MaxQueue {
 		a.mu.Unlock()
 		s.ctr.rejected.Add(1)
 		hint := a.estimatedWait()
@@ -264,7 +223,6 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 			s.name, s.cfg.MaxInFlight, queued, errs.ErrBusy))
 	}
 	w := &waiter{
-		class:    q.Priority,
 		enqueued: time.Now(),
 		execPred: s.pred.execSeconds(q),
 		noShed:   noShed,
@@ -273,8 +231,8 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 	if dl, ok := ctx.Deadline(); ok {
 		w.deadline = dl
 	}
-	a.queues[w.class] = append(a.queues[w.class], w)
-	s.ctr.queueDepth.Set(int64(a.queuedLocked()))
+	a.queue = append(a.queue, w)
+	s.ctr.queueDepth.Set(int64(len(a.queue)))
 	a.mu.Unlock()
 
 	select {
@@ -288,7 +246,7 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 	a.mu.Lock()
 	removed := a.removeLocked(w)
 	if removed {
-		s.ctr.queueDepth.Set(int64(a.queuedLocked()))
+		s.ctr.queueDepth.Set(int64(len(a.queue)))
 	}
 	a.mu.Unlock()
 	if removed {
@@ -306,55 +264,46 @@ func (a *admitter) acquire(ctx context.Context, q Query, noShed bool) error {
 	return err
 }
 
-// removeLocked deletes w from its class queue; false means w was
-// already granted or shed.
+// removeLocked deletes w from the queue; false means w was already
+// granted or shed.
 func (a *admitter) removeLocked(w *waiter) bool {
-	q := a.queues[w.class]
-	for i, cand := range q {
+	for i, cand := range a.queue {
 		if cand == w {
-			a.queues[w.class] = append(q[:i], q[i+1:]...)
+			a.queue = append(a.queue[:i], a.queue[i+1:]...)
 			return true
 		}
 	}
 	return false
 }
 
-// release returns an execution slot, granting it to the next waiter
-// per the class policy. This is where queue aging runs: grants are the
-// only moments queue time becomes observable, so CoDel-style shedding
-// happens here, at most one shed per grant.
+// release returns an execution slot, granting it to the longest
+// waiter. This is where queue aging runs: grants are the only moments
+// queue time becomes observable, so CoDel-style shedding happens here,
+// at most one shed per grant.
 func (a *admitter) release() {
 	s := a.s
 	now := time.Now()
-	var grant *waiter
-	var shed []*waiter
+	var grant, shed *waiter
 	a.mu.Lock()
-	for {
-		w := a.popLocked()
-		if w == nil {
-			a.inUse--
-			break
-		}
-		if s.cfg.Shed && !w.noShed && a.shouldShedLocked(w, now) && len(shed) == 0 {
+	for len(a.queue) > 0 {
+		w := a.queue[0]
+		a.queue = a.queue[1:]
+		if s.cfg.Shed && !w.noShed && shed == nil && a.shouldShedLocked(w, now) {
 			// One shed per grant (the CoDel interval restarts below), then
 			// the next waiter is granted regardless: gradual pressure
 			// relief, not queue collapse.
-			shed = append(shed, w)
+			shed = w
 			a.aboveSince = now
 			continue
 		}
 		grant = w
 		break
 	}
-	if grant != nil {
-		if grant.class == PriorityInteractive && len(a.queues[PriorityBatch]) > 0 {
-			a.interactiveRun++
-		} else {
-			a.interactiveRun = 0
-		}
+	if grant == nil {
+		a.inUse--
+	} else {
 		// The slot transfers to the waiter: inUse is unchanged.
-		age := now.Sub(grant.enqueued)
-		if age > s.cfg.ShedTarget {
+		if now.Sub(grant.enqueued) > s.cfg.ShedTarget {
 			if a.aboveSince.IsZero() {
 				a.aboveSince = now
 			}
@@ -362,43 +311,18 @@ func (a *admitter) release() {
 			a.aboveSince = time.Time{}
 		}
 	}
-	s.ctr.queueDepth.Set(int64(a.queuedLocked()))
+	s.ctr.queueDepth.Set(int64(len(a.queue)))
 	a.mu.Unlock()
 
-	hint := time.Duration(0)
-	if len(shed) > 0 {
-		hint = a.estimatedWait()
-	}
-	for _, w := range shed {
+	if shed != nil {
 		s.ctr.shed.Add(1)
 		s.ctr.shedQueue.Add(1)
-		age := now.Sub(w.enqueued)
-		w.ready <- withRetryAfter(hint, fmt.Errorf("serve: %s: shed after %v queued: %w",
-			s.name, age.Round(time.Microsecond), errs.ErrDeadlineHopeless))
+		shed.ready <- withRetryAfter(a.estimatedWait(), fmt.Errorf("serve: %s: shed after %v queued: %w",
+			s.name, now.Sub(shed.enqueued).Round(time.Microsecond), errs.ErrDeadlineHopeless))
 	}
 	if grant != nil {
 		grant.ready <- nil
 	}
-}
-
-// popLocked picks the next waiter by class policy: interactive first,
-// except that after batchStarvationStride consecutive interactive
-// grants with batch work waiting, the batch head goes first.
-func (a *admitter) popLocked() *waiter {
-	class := PriorityInteractive
-	if len(a.queues[PriorityInteractive]) == 0 ||
-		(len(a.queues[PriorityBatch]) > 0 && a.interactiveRun >= batchStarvationStride) {
-		if len(a.queues[PriorityBatch]) > 0 {
-			class = PriorityBatch
-		}
-	}
-	q := a.queues[class]
-	if len(q) == 0 {
-		return nil
-	}
-	w := q[0]
-	a.queues[class] = q[1:]
-	return w
 }
 
 // shouldShedLocked is the CoDel condition for one waiter at grant
@@ -411,12 +335,7 @@ func (a *admitter) shouldShedLocked(w *waiter, now time.Time) bool {
 	if age > cfg.ShedTarget && !a.aboveSince.IsZero() && now.Sub(a.aboveSince) >= cfg.ShedInterval {
 		return true
 	}
-	if !w.deadline.IsZero() && w.execPred > 0 {
-		if w.deadline.Sub(now).Seconds() < w.execPred {
-			return true
-		}
-	}
-	return false
+	return !w.deadline.IsZero() && w.execPred > 0 && w.deadline.Sub(now).Seconds() < w.execPred
 }
 
 // close wakes every queued waiter with errs.ErrClosed, synchronously,
@@ -426,11 +345,8 @@ func (a *admitter) close() {
 	s := a.s
 	a.mu.Lock()
 	a.closed = true
-	var all []*waiter
-	for class := range a.queues {
-		all = append(all, a.queues[class]...)
-		a.queues[class] = nil
-	}
+	all := a.queue
+	a.queue = nil
 	s.ctr.queueDepth.Set(0)
 	a.mu.Unlock()
 	for _, w := range all {

@@ -299,8 +299,8 @@ func (bt *batch) run() {
 		return
 	}
 
-	// Slot wait goes through the admitter like every solo query —
-	// interactive class, but exempt from shedding and the queue bound
+	// Slot wait goes through the admitter like every solo query — the
+	// same FIFO queue, but exempt from shedding and the queue bound
 	// (noShed): members manage their own deadlines by leaving, and the
 	// batcher already bounds forming batches. The batch stays joinable
 	// while it waits, which is where saturation grows batches.

@@ -26,9 +26,6 @@ type httpQuery struct {
 	// closing the connection, which also cancels it).
 	TimeoutMs int  `json:"timeout_ms,omitempty"`
 	NoCache   bool `json:"no_cache,omitempty"`
-	// Priority is the admission class ("interactive"/"batch"); when
-	// empty, the priority header (Config.PriorityHeader) applies.
-	Priority string `json:"priority,omitempty"`
 	// AllowStale opts into degraded-mode answers from expired cache
 	// entries when the service is shedding or the breaker is open.
 	AllowStale bool `json:"allow_stale,omitempty"`
@@ -39,19 +36,19 @@ type httpQuery struct {
 
 // httpResult is the JSON response body of POST /query.
 type httpResult struct {
-	Graph     string   `json:"graph"`
-	Algorithm string   `json:"algorithm"`
-	TraceID   string   `json:"trace_id"`
-	Visited   uint64   `json:"visited"`
-	Cached    bool     `json:"cached"`
-	Batched   bool     `json:"batched,omitempty"`
+	Graph     string `json:"graph"`
+	Algorithm string `json:"algorithm"`
+	TraceID   string `json:"trace_id"`
+	Visited   uint64 `json:"visited"`
+	Cached    bool   `json:"cached"`
+	Batched   bool   `json:"batched,omitempty"`
 	// Stale marks a degraded-mode answer served from an expired cache
 	// entry (the query set allow_stale and the service was overloaded or
 	// the breaker open).
-	Stale bool `json:"stale,omitempty"`
-	ExecTime  float64  `json:"exec_time,omitempty"`
-	Levels    []uint32 `json:"levels,omitempty"`
-	Parents   []uint32 `json:"parents,omitempty"`
+	Stale    bool     `json:"stale,omitempty"`
+	ExecTime float64  `json:"exec_time,omitempty"`
+	Levels   []uint32 `json:"levels,omitempty"`
+	Parents  []uint32 `json:"parents,omitempty"`
 	// Distances uses -1 for unreached vertices: the engine's +Inf
 	// sentinel is not representable in JSON.
 	Distances []float32 `json:"distances,omitempty"`
@@ -175,24 +172,12 @@ func (s *GraphService) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, statusFor(err), httpError{Error: err.Error(), TraceID: traceID})
 		return
 	}
-	// The JSON priority field wins; requests without one fall back to
-	// the priority header so proxies can classify whole client tiers.
-	prioStr := hq.Priority
-	if prioStr == "" {
-		prioStr = r.Header.Get(s.cfg.PriorityHeader)
-	}
-	prio, err := ParsePriority(prioStr)
-	if err != nil {
-		writeJSON(w, statusFor(err), httpError{Error: err.Error(), TraceID: traceID})
-		return
-	}
 	q := Query{
 		Algorithm:     Algorithm(hq.Algorithm),
 		Engine:        engine,
 		Root:          graph.VertexID(hq.Root),
 		MaxIterations: hq.MaxIterations,
 		NoCache:       hq.NoCache,
-		Priority:      prio,
 		AllowStale:    hq.AllowStale,
 		TraceID:       traceID,
 	}

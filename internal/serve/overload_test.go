@@ -23,8 +23,8 @@ import (
 
 // Overload-resilience tests (DESIGN.md §15): panic isolation, deadline
 // and queue-aging sheds, the per-graph circuit breaker, degraded-mode
-// stale answers, priority ordering and the HTTP overload surface
-// (Retry-After, /readyz, degraded /healthz).
+// stale answers and the HTTP overload surface (Retry-After, /readyz,
+// degraded /healthz).
 
 // failQueryWrites injects a permanent write error into the service's
 // per-query working files (prefix "q") while armed. Unlike writeGate it
@@ -365,50 +365,10 @@ func TestServiceBreakerProbeRecovery(t *testing.T) {
 	}
 }
 
-// TestServicePriorityOrdering: with one slot and both classes queued,
-// the interactive waiter is granted ahead of the batch waiter that
-// arrived first.
-func TestServicePriorityOrdering(t *testing.T) {
-	vol, m := storedGraph(t)
-	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, CacheEntries: -1, Base: smallBase()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gate := newWriteGate(vol)
-
-	order := make(chan string, 3)
-	submit := func(tag string, q serve.Query) {
-		if _, err := svc.Submit(context.Background(), q); err != nil {
-			t.Errorf("%s query: %v", tag, err)
-		}
-		order <- tag
-	}
-	go submit("blocker", serve.Query{Algorithm: serve.AlgoBFS, Root: 1})
-	waitFor(t, func() bool { return svc.Stats().InFlight == 1 }, "blocker in flight")
-	go submit("batch", serve.Query{Algorithm: serve.AlgoBFS, Root: 2, Priority: serve.PriorityBatch})
-	waitFor(t, func() bool { return svc.Stats().QueueDepth == 1 }, "batch waiter queued")
-	go submit("interactive", serve.Query{Algorithm: serve.AlgoBFS, Root: 3})
-	waitFor(t, func() bool { return svc.Stats().QueueDepth == 2 }, "interactive waiter queued")
-
-	gate.release()
-	var tags []string
-	for i := 0; i < 3; i++ {
-		tags = append(tags, <-order)
-	}
-	iAt, bAt := indexOf(tags, "interactive"), indexOf(tags, "batch")
-	if iAt < 0 || bAt < 0 || iAt > bAt {
-		t.Fatalf("completion order %v: interactive must finish before the earlier-queued batch query", tags)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertOnlyDataset(t, vol, m)
-}
-
 // TestHTTPOverloadSurface: every 429/503 carries Retry-After, /readyz
 // tracks queue and drain state, /healthz reports degraded while the
-// breaker is open, and the priority header is parsed (and rejected when
-// malformed).
+// breaker is open, and a request still naming an admission class, in
+// the body or the header, is answered like any other.
 func TestHTTPOverloadSurface(t *testing.T) {
 	vol, m := storedGraph(t)
 	svc, err := serve.New(vol, m.Name, serve.Config{
@@ -447,12 +407,29 @@ func TestHTTPOverloadSurface(t *testing.T) {
 		t.Fatalf("fresh service readyz: %d ready=%v %v", code, ready, reasons)
 	}
 
-	// Priority header: accepted on the happy path, a 400 when garbage.
-	if rec := query(`{"algorithm":"bfs","root":1}`, map[string]string{"X-Fastbfs-Priority": "batch"}); rec.Code != http.StatusOK {
-		t.Fatalf("batch-priority query: %d %s", rec.Code, rec.Body.String())
+	// Admission has one class: a priority in the body or the header, even
+	// a malformed one, is ignored and the query answered like any other.
+	plain := query(`{"algorithm":"bfs","root":1}`, nil)
+	if plain.Code != http.StatusOK {
+		t.Fatalf("plain query: %d %s", plain.Code, plain.Body.String())
 	}
-	if rec := query(`{"algorithm":"bfs","root":1}`, map[string]string{"X-Fastbfs-Priority": "yolo"}); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad priority header: %d, want 400", rec.Code)
+	visited := func(rec *httptest.ResponseRecorder) uint64 {
+		var body struct {
+			Visited uint64 `json:"visited"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatalf("query body %q: %v", rec.Body.String(), err)
+		}
+		return body.Visited
+	}
+	for name, rec := range map[string]*httptest.ResponseRecorder{
+		`"priority":"batch"`:        query(`{"algorithm":"bfs","root":1,"priority":"batch"}`, nil),
+		"X-Fastbfs-Priority: batch": query(`{"algorithm":"bfs","root":1}`, map[string]string{"X-Fastbfs-Priority": "batch"}),
+		"X-Fastbfs-Priority: yolo":  query(`{"algorithm":"bfs","root":1}`, map[string]string{"X-Fastbfs-Priority": "yolo"}),
+	} {
+		if rec.Code != http.StatusOK || visited(rec) != visited(plain) {
+			t.Fatalf("query with %s: %d %s, want 200 like %s", name, rec.Code, rec.Body.String(), plain.Body.String())
+		}
 	}
 
 	// Saturate: one pinned in flight, one queued (queue full).
@@ -557,13 +534,4 @@ func slicesContains(xs []string, want string) bool {
 		}
 	}
 	return false
-}
-
-func indexOf(xs []string, want string) int {
-	for i, x := range xs {
-		if x == want {
-			return i
-		}
-	}
-	return -1
 }

@@ -142,9 +142,8 @@ type Query struct {
 	// NoCache bypasses the result cache for this query, both lookup and
 	// store.
 	NoCache bool
-	// Priority is the query's admission class (DESIGN.md §15):
-	// interactive (the default) is granted execution slots ahead of
-	// batch, which marks bulk/analytics work that can wait.
+	// Deprecated: Priority does nothing. Admission has one FIFO queue
+	// (DESIGN.md §15).
 	Priority Priority
 	// AllowStale opts into degraded-mode answers: when the circuit
 	// breaker is open or overload control sheds the query, an expired
@@ -253,12 +252,12 @@ type Config struct {
 	BreakerThreshold int
 	// BreakerBackoff is the breaker's initial open interval before the
 	// half-open probe; a failed probe doubles it up to BreakerMaxBackoff.
-	// Defaults 500ms and 8s.
+	// Defaults 500ms and max(8s, BreakerBackoff); a cap below the
+	// initial backoff is raised to it.
 	BreakerBackoff    time.Duration
 	BreakerMaxBackoff time.Duration
-	// PriorityHeader names the HTTP header carrying the admission class
-	// ("interactive"/"batch") for requests that don't set the JSON
-	// priority field. Default "X-Fastbfs-Priority".
+	// Deprecated: PriorityHeader does nothing. Admission has one FIFO
+	// queue, and the header is ignored like any other.
 	PriorityHeader string
 	// PanicRoot, when positive, installs a chaos fault hook that panics
 	// mid-scatter for queries rooted at that vertex — the seam the
@@ -309,12 +308,11 @@ func (c *Config) setDefaults() {
 	if c.BreakerBackoff <= 0 {
 		c.BreakerBackoff = 500 * time.Millisecond
 	}
-	if c.BreakerMaxBackoff < c.BreakerBackoff {
+	if c.BreakerMaxBackoff <= 0 {
 		c.BreakerMaxBackoff = 8 * time.Second
 	}
-	if c.PriorityHeader == "" {
-		c.PriorityHeader = "X-Fastbfs-Priority"
-	}
+	// A failed probe must never shorten the open interval.
+	c.BreakerMaxBackoff = max(c.BreakerMaxBackoff, c.BreakerBackoff)
 }
 
 // serveCounters are the service's live obs counters (no-ops on a nil

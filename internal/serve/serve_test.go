@@ -593,9 +593,9 @@ func TestServiceShutdownDrains(t *testing.T) {
 
 // TestServiceShutdownExpiredContextWakesWaiters is the regression test
 // for the drain-ordering bug: Shutdown called with an already-expired
-// context must still wake every queued waiter — in both priority
-// classes — with ErrClosed before returning the deadline error, rather
-// than abandoning them parked on their grant channels.
+// context must still wake every queued waiter with ErrClosed before
+// returning the deadline error, rather than abandoning them parked on
+// their grant channels.
 func TestServiceShutdownExpiredContextWakesWaiters(t *testing.T) {
 	vol, m := storedGraph(t)
 	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, MaxQueue: 4, Base: smallBase()})
@@ -611,28 +611,25 @@ func TestServiceShutdownExpiredContextWakesWaiters(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return svc.Stats().InFlight == 1 }, "blocker in flight")
 
-	classes := []serve.Priority{
-		serve.PriorityInteractive, serve.PriorityBatch,
-		serve.PriorityInteractive, serve.PriorityBatch,
-	}
-	waiters := make(chan error, len(classes))
-	for i, class := range classes {
-		q := serve.Query{Algorithm: serve.AlgoBFS, Root: graph.VertexID(10 + i), Priority: class}
+	const queued = 4
+	waiters := make(chan error, queued)
+	for i := 0; i < queued; i++ {
+		q := serve.Query{Algorithm: serve.AlgoBFS, Root: graph.VertexID(10 + i)}
 		go func() {
 			_, err := svc.Submit(context.Background(), q)
 			waiters <- err
 		}()
 	}
-	waitFor(t, func() bool { return svc.Stats().QueueDepth == int64(len(classes)) }, "waiters queued")
+	waitFor(t, func() bool { return svc.Stats().QueueDepth == queued }, "waiters queued")
 
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if err := svc.Shutdown(expired); err == nil {
 		t.Fatal("Shutdown with an expired deadline reported a clean drain")
 	}
-	// Every waiter — interactive and batch — was woken with ErrClosed;
-	// none is left parked waiting for a grant that will never come.
-	for i := 0; i < len(classes); i++ {
+	// Every waiter was woken with ErrClosed; none is left parked waiting
+	// for a grant that will never come.
+	for i := 0; i < queued; i++ {
 		select {
 		case err := <-waiters:
 			if !errors.Is(err, errs.ErrClosed) {

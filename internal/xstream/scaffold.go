@@ -167,8 +167,7 @@ type Options struct {
 	// iterations stream the reverse-edge partitions split from the
 	// dataset's .rev file; `auto` on a graph stored without one falls
 	// back to pure top-down (counted, never an error), while an explicit
-	// `bottomup` on such a graph is ErrBadOptions. Empty takes the
-	// FASTBFS_DIRECTION environment variable, else topdown. The
+	// `bottomup` on such a graph is ErrBadOptions. Empty means topdown. The
 	// in-memory fast path ignores the policy (it has no device traffic to
 	// save and its answer is the same either way): over a resident
 	// Prepared graph it chooses a direction per level by α and β, and the
@@ -242,13 +241,6 @@ func (o *Options) SetDefaults(engineName string) {
 	}
 	if o.FilePrefix == "" {
 		o.FilePrefix = engineName
-	}
-	if o.Direction == "" {
-		if s := os.Getenv("FASTBFS_DIRECTION"); s != "" {
-			if d, err := ParseDirection(s); err == nil {
-				o.Direction = d
-			}
-		}
 	}
 	if o.Direction == "" {
 		o.Direction = DirectionTopDown
