@@ -8,7 +8,7 @@
 //	fastbfs -dir DATA -graph rmat20 -root 1 [-engine fastbfs|xstream|graphchi]
 //	        [-mem 1073741824] [-threads 4] [-workers N] [-sim] [-simscale 2048]
 //	        [-twodisks] [-ssd] [-trimstart 0] [-notrim] [-noselsched]
-//	        [-direction auto|topdown|bottomup] [-residency-budget 64M]
+//	        [-direction auto|topdown|bottomup]
 //	        [-checkpoint CKDIR] [-resume]
 //	        [-report] [-validate] [-quiet]
 //	        [-tracefile trace.jsonl] [-debugaddr localhost:6060]
@@ -73,7 +73,6 @@ func main() {
 	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration (0 = a scatter trims when its partition's edge counts say the stay file pays; -1 = every scatter trims, the paper's default)")
 	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = topdown)")
 	codec := flag.String("codec", "", "working-file codec: fixed or delta (empty = FASTBFS_CODEC env, else the dataset's stored codec)")
-	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget (bytes with K/M/G suffix, 0/off, or unbounded; empty = FASTBFS_RESIDENCY env)")
 	noTrim := flag.Bool("notrim", false, "fastbfs: disable trimming")
 	noSelSched := flag.Bool("noselsched", false, "fastbfs: disable selective scheduling")
 	checkpoint := flag.String("checkpoint", "", "fastbfs: persist a crash-consistent checkpoint manifest to this directory after every iteration")
@@ -123,7 +122,7 @@ func main() {
 		}
 		// An empty -direction or -codec stays unset, so the engine's
 		// defaulting (topdown; FASTBFS_CODEC else the stored codec)
-		// applies; an empty -residency-budget parses to unset.
+		// applies.
 		if *direction != "" {
 			if cfg.Direction, err = xstream.ParseDirection(*direction); err != nil {
 				fail(err)
@@ -133,9 +132,6 @@ func main() {
 			if cfg.Codec, err = graph.ParseCodec(*codec); err != nil {
 				fail(err)
 			}
-		}
-		if cfg.ResidencyBudget, err = core.ParseResidencyBudget(*residency); err != nil {
-			fail(err)
 		}
 	}
 	ob.noteRun(cfg.Engine, *name, cfg.Sim)

@@ -7,7 +7,7 @@
 //
 //	fastbfsd -dir DATA -graph rmat20 [-addr localhost:8090]
 //	         [-mem 1073741824] [-threads 4] [-workers N]
-//	         [-sim] [-simscale 2048] [-residency-budget 64M]
+//	         [-sim] [-simscale 2048]
 //	         [-max-inflight 4] [-max-queue 8] [-cache 64]
 //	         [-batch-size 32] [-batch-wait 2ms] [-config run.conf]
 //	         [-shed] [-breaker-threshold 5] [-cache-ttl 0] [-panic-root 0]
@@ -23,7 +23,7 @@
 // every BFS query is one indexed traversal on its own slot and meets
 // -max-queue like any other query. -config loads a runtime-settings file
 // (internal/runconfig) in place of the engine flags (-mem, -threads,
-// -workers, -sim, -simscale, -ssd, -residency-budget); its
+// -workers, -sim, -simscale, -ssd); its
 // batch_size/batch_wait_ms keys supply batch defaults that explicit
 // -batch-size/-batch-wait flags override.
 //
@@ -80,7 +80,6 @@ import (
 	"time"
 
 	"fastbfs/internal/algo"
-	"fastbfs/internal/core"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/runconfig"
@@ -98,7 +97,6 @@ func main() {
 	sim := flag.Bool("sim", false, "run queries against the simulated testbed (per-query device clones)")
 	simScale := flag.Float64("simscale", 1, "scale down the simulated positioning cost by this factor")
 	ssd := flag.Bool("ssd", false, "simulate the SSD instead of the HDD")
-	residency := flag.String("residency-budget", "", "fastbfs: resident-partition cache budget per query (bytes with K/M/G suffix, 0/off, or unbounded)")
 	maxInFlight := flag.Int("max-inflight", 4, "queries executing concurrently")
 	maxQueue := flag.Int("max-queue", 0, "queries allowed to wait for a slot (0 = 2*max-inflight; negative = reject immediately when busy)")
 	cacheEntries := flag.Int("cache", 64, "result-cache entries (negative disables)")
@@ -114,7 +112,7 @@ func main() {
 		"result-cache freshness bound (0 = never expire; expired entries still serve allow_stale)")
 	panicRoot := flag.Int64("panic-root", 0,
 		"chaos: panic mid-scatter for queries on this root (0 disables)")
-	configPath := flag.String("config", "", "runtime-settings file supplying the engine options (replaces -mem/-threads/-workers/-sim/-simscale/-ssd/-residency-budget)")
+	configPath := flag.String("config", "", "runtime-settings file supplying the engine options (replaces -mem/-threads/-workers/-sim/-simscale/-ssd)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight queries")
 	debugAddr := flag.String("debugaddr", "", "serve pprof, expvar counters and a stats page on this address")
 	traceFile := flag.String("tracefile", "", "append JSONL trace events (serve_query spans, drain telemetry) to this file")
@@ -137,9 +135,6 @@ func main() {
 		rc.Sim, rc.SeekScale = *sim, *simScale
 		if *ssd {
 			rc.Device = "ssd"
-		}
-		if rc.ResidencyBudget, err = core.ParseResidencyBudget(*residency); err != nil {
-			fail(err)
 		}
 	} else {
 		// The settings file replaces the engine-option flags wholesale;

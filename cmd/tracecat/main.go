@@ -170,10 +170,6 @@ func printSummary(s *obs.Summary) {
 		for _, n := range names {
 			fmt.Printf("  %-22s %d\n", n, s.Counters[n])
 		}
-		if parts := s.Counters[obs.CtrResidentParts]; parts > 0 {
-			fmt.Printf("\nresidency: %d partition(s) promoted, %d RAM scan(s), %d bytes held\n",
-				parts, s.Counters[obs.CtrResidentScans], s.Counters[obs.CtrResidentBytes])
-		}
 	}
 
 	if len(s.Hists) > 0 {

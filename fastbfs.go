@@ -243,8 +243,7 @@ func ParseEngine(s string) (Engine, error) { return serve.ParseEngine(s) }
 // FastBFS's stay writer), so a cancelled run releases its buffers and
 // working files promptly and returns an error matching ErrCancelled.
 // The baselines read only opts.Base; the FastBFS-specific fields (trim
-// policy, stay buffers, grace periods, residency budget) apply to
-// EngineFastBFS.
+// policy, stay buffers, grace periods) apply to EngineFastBFS.
 func Run(ctx context.Context, engine Engine, vol Volume, graphName string, opts Options) (*Result, error) {
 	return serve.RunEngine(ctx, engine, vol, graphName, opts)
 }

@@ -141,3 +141,31 @@ func TestServiceAPIPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestResidencyAPIPinned names the fields the removed resident-partition
+// cache left behind, so removing one fails to compile: the budget is
+// accepted and ignored, and the four counters stay zero. Like
+// TestServiceAPIPinned it names them as literal keys only.
+func TestResidencyAPIPinned(t *testing.T) {
+	vol := NewMemVolume()
+	meta, edges, err := GenerateRMAT(8, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Store(vol, meta, edges); err != nil {
+		t.Fatal(err)
+	}
+	base := EngineOptions{Root: 1, MemoryBudget: 4096, StreamBufSize: 256, Sim: DefaultSim()}
+	opts := Options{Base: base, ResidencyBudget: 1 << 30} // Deprecated: ignored
+	res, err := Run(context.Background(), EngineFastBFS, vol, meta.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := RunMetrics{ResidentParts: 1, ResidentBytes: 1, ResidentScans: 1, ResidentBytesSaved: 1} // Deprecated: always zero
+	got, want := reflect.ValueOf(res.Metrics), reflect.ValueOf(pinned)
+	for i := 0; i < want.NumField(); i++ {
+		if name := want.Type().Field(i).Name; !want.Field(i).IsZero() && !got.Field(i).IsZero() {
+			t.Errorf("RunMetrics.%s = %v, want 0", name, got.Field(i))
+		}
+	}
+}

@@ -138,7 +138,6 @@ func Registry() []Experiment {
 		{ID: "abl-grace", Title: "Ablation: cancellation grace period", Run: AblGrace},
 		{ID: "abl-features", Title: "Ablation: trimming / selective scheduling on-off", Run: AblFeatures},
 		{ID: "phases", Title: "Per-iteration phase breakdown (traced FastBFS run)", Run: PhaseBreakdown},
-		{ID: "residency", Title: "Resident-partition cache budget sweep", Run: Residency},
 		{ID: "direction", Title: "Traversal direction sweep (topdown vs auto hybrid)", Run: DirectionSweep},
 		{ID: "codec", Title: "Storage codec sweep (fixed vs delta, ± degree reorder)", Run: CodecSweep},
 	}

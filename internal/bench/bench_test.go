@@ -279,36 +279,6 @@ func TestFig10Shape(t *testing.T) {
 	}
 }
 
-func TestResidencyShape(t *testing.T) {
-	tbl, err := Residency(tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("rows = %d, want budgets {off, 1 partition, half graph, unbounded}", len(tbl.Rows))
-	}
-	// Same BFS result at every budget; the experiment itself enforces
-	// the unbounded-beats-off acceptance bound, so here check the sweep
-	// is monotone-ish: exec time never rises as the budget grows.
-	for i, row := range tbl.Rows[1:] {
-		if row[8] != tbl.Rows[0][8] {
-			t.Errorf("budget=%s visited %s, budget=%s visited %s", row[0], row[8], tbl.Rows[0][0], tbl.Rows[0][8])
-		}
-		if prev, cur := cell(t, tbl.Rows[i][1]), cell(t, row[1]); cur > prev {
-			t.Errorf("exec time rose with the budget: %s=%.4fs after %s=%.4fs", row[0], cur, tbl.Rows[i][0], prev)
-		}
-	}
-	// The off row keeps the cache dark; the unbounded row must have
-	// promoted something and saved device traffic.
-	if got := cell(t, tbl.Rows[0][5]); got != 0 {
-		t.Errorf("budget=off reported %v resident partitions", got)
-	}
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if cell(t, last[5]) == 0 || cell(t, last[7]) == 0 {
-		t.Errorf("budget=unbounded promoted nothing: resident=%s saved=%sMB", last[5], last[7])
-	}
-}
-
 func TestDirectionShape(t *testing.T) {
 	tbl, err := DirectionSweep(tinyCfg())
 	if err != nil {

@@ -34,7 +34,7 @@ func CodecSweep(cfg Config) (*Table, error) {
 		Header: []string{"codec", "reorder", "stored B/edge", "exec (s)", "speedup", "dev read (MB)", "dev written (MB)", "bytes vs fixed", "visited"},
 		PaperNote: "beyond the paper: zig-zag varint delta blocks over the paper's raw binary edge lists; " +
 			"degree reordering clusters hub edges so consecutive deltas collapse to one or two bytes, " +
-			"compounding with trimming (smaller stay rewrites) and the residency budget (more partitions fit)",
+			"compounding with trimming (smaller stay rewrites)",
 	}
 
 	variants := []struct {

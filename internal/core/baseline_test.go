@@ -44,7 +44,6 @@ type baselineRecord struct {
 func TestPinnedBaselineRuns(t *testing.T) {
 	// The record is of fault-free runs with FastBFS's defaults.
 	t.Setenv("FASTBFS_FAULTS", "")
-	t.Setenv("FASTBFS_RESIDENCY", "")
 
 	graphs := []struct {
 		scale, edgeFactor int

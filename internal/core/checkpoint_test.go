@@ -23,30 +23,21 @@ import (
 // the middle of a stay write must, after resume, produce levels and
 // parents byte-identical to an uninterrupted run — and must never re-run
 // an iteration the manifest records as completed — in every direction,
-// with the residency cache off and unbounded, over both stored codecs.
+// over both stored codecs.
 
 // ckCase is one cell of the crash matrix.
 type ckCase struct {
-	dir       xstream.Direction
-	residency int64
-	codec     graph.Codec
+	dir   xstream.Direction
+	codec graph.Codec
 }
 
-func (c ckCase) String() string {
-	res := "resident"
-	if c.residency == ResidencyOff {
-		res = "streamed"
-	}
-	return fmt.Sprintf("%s/%s/%s", c.dir, res, c.codec)
-}
+func (c ckCase) String() string { return fmt.Sprintf("%s/%s", c.dir, c.codec) }
 
 func ckCases() []ckCase {
 	var cs []ckCase
 	for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto, xstream.DirectionBottomUp} {
-		for _, res := range []int64{ResidencyOff, ResidencyUnbounded} {
-			for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
-				cs = append(cs, ckCase{dir, res, codec})
-			}
+		for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+			cs = append(cs, ckCase{dir, codec})
 		}
 	}
 	return cs
@@ -79,9 +70,8 @@ func ckOpts(c ckCase, ck storage.Volume, resume bool, maxIter int) Options {
 			Direction:     c.dir,
 			Sim:           xstream.DefaultSim(),
 		},
-		ResidencyBudget: c.residency,
-		CheckpointVol:   ck,
-		Resume:          resume,
+		CheckpointVol: ck,
+		Resume:        resume,
 	}
 }
 
@@ -122,10 +112,9 @@ func devBytes(r *Result) (n int64) {
 // resumeBound is what a resume may move beyond the uninterrupted run: one
 // read of the stored edge file and one write of the live edges (each at
 // most the file), the logs written and read back and the vertex files
-// written once (24 B a vertex), a read of the live edges a resident run had
-// held in RAM, and, if the resumed run goes bottom-up, the reverse split
-// redone (a read and a write of the .rev file).
-func resumeBound(t *testing.T, vol storage.Volume, m graph.Meta, c ckCase, resumed *Result) int64 {
+// written once (24 B a vertex) and, if the resumed run goes bottom-up, the
+// reverse split redone (a read and a write of the .rev file).
+func resumeBound(t *testing.T, vol storage.Volume, m graph.Meta, resumed *Result) int64 {
 	t.Helper()
 	stored, err := vol.Size(graph.EdgeFileName(m.Name))
 	if err != nil {
@@ -136,9 +125,6 @@ func resumeBound(t *testing.T, vol storage.Volume, m graph.Meta, c ckCase, resum
 		t.Fatal(err)
 	}
 	bound := 2*stored + 24*int64(m.Vertices)
-	if c.residency != ResidencyOff {
-		bound += stored
-	}
 	if resumed.Metrics.BottomUpIterations > 0 {
 		bound += 2 * rev
 	}
@@ -238,7 +224,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 					assertSameResult(t, tag, resumed, ref)
 					checkTrimRows(t, tag, resumed, v.trimStart == 0)
 					extra := devBytes(partial) + devBytes(resumed) - devBytes(ref)
-					bound := resumeBound(t, vol, m, c, resumed)
+					bound := resumeBound(t, vol, m, resumed)
 					if extra > bound {
 						t.Fatalf("%s: partial and resumed runs moved %d device bytes beyond the uninterrupted run, bound %d", tag, extra, bound)
 					}
@@ -294,7 +280,7 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 // does in every row, with the update filter on and off. Both runs trim at
 // every scatter, so neither has a stored phase whose rows could differ.
 func TestResumeRebuildsUpdateFilter(t *testing.T) {
-	c := ckCase{xstream.DirectionTopDown, ResidencyOff, graph.CodecFixed}
+	c := ckCase{xstream.DirectionTopDown, graph.CodecFixed}
 	for _, noFilter := range []bool{false, true} {
 		opts := func(ck storage.Volume, resume bool, maxIter int) Options {
 			o := ckOpts(c, ck, resume, maxIter)
@@ -348,7 +334,7 @@ func TestResumeRebuildsUpdateFilter(t *testing.T) {
 // the graph was stored without its reverse-edge file. The metrics record
 // and the direction_fallbacks counter agree.
 func TestCheckpointedAutoRecordsDirectionFallback(t *testing.T) {
-	c := ckCase{xstream.DirectionAuto, ResidencyOff, graph.CodecFixed}
+	c := ckCase{xstream.DirectionAuto, graph.CodecFixed}
 	for _, reverse := range []bool{true, false} {
 		m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 25)
 		if err != nil {

@@ -19,13 +19,13 @@ import (
 // {off, on} and running FastBFS and X-Stream under directions {topdown,
 // auto} (GraphChi closes the loop top-down) produces BFS output that
 // matches the in-memory reference and validates as a parent tree, at
-// worker counts {1, 4, 8} and (FastBFS) residency {off, unbounded}, with
-// FastBFS trimming by the counts and on the paper's threshold.
+// worker counts {1, 4, 8}, with FastBFS trimming by the counts and on the
+// paper's threshold.
 //
 // Byte-identity is asserted at two strengths, deliberately different:
 //
 //   - within a reorder setting, every FastBFS and X-Stream run — any
-//     codec, direction, worker count, residency, trim rule — must equal
+//     codec, direction, worker count, trim rule — must equal
 //     that setting's first run bit for bit, levels AND parents: the codec
 //     is an encoding, so it must be invisible, and the two engines share
 //     one winner rule;
@@ -141,16 +141,14 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 						// FastBFS trims by the edge counts, which no encoding or
 						// relabeling may throw off, and then as the paper does, at
 						// every scatter: one tree.
-						for _, rb := range []int64{ResidencyOff, ResidencyUnbounded} {
-							for _, trimStart := range []int{0, TrimEveryIteration} {
-								o := Options{Base: bo, TrimStartIteration: trimStart, ResidencyBudget: rb}
-								o.Base.Sim = xstream.DefaultSim()
-								fb, err := Run(vol, m.Name, o)
-								label := fmt.Sprintf("fastbfs(%s,residency=%d,trimstart=%d)", variant, rb, trimStart)
-								check(label, fb, err)
-								checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
-								baseline(label, key{"fastbfs", reorder}, fb)
-							}
+						for _, trimStart := range []int{0, TrimEveryIteration} {
+							o := Options{Base: bo, TrimStartIteration: trimStart}
+							o.Base.Sim = xstream.DefaultSim()
+							fb, err := Run(vol, m.Name, o)
+							label := fmt.Sprintf("fastbfs(%s,trimstart=%d)", variant, trimStart)
+							check(label, fb, err)
+							checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
+							baseline(label, key{"fastbfs", reorder}, fb)
 						}
 
 						bo.Sim = xstream.DefaultSim()

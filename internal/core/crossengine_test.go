@@ -161,51 +161,26 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 					t.Fatalf("graph %d %s workers=%d: invalid tree: %v", g, engine, w, e)
 				}
 			}
-			// FastBFS additionally sweeps the residency budget: off (all
-			// device, today's behavior), a tiny budget that can promote at
-			// most the smallest trimmed partitions, and unbounded (every
-			// partition promoted at its first trim). The BFS output must
-			// be byte-identical across the sweep, and at unbounded there
-			// is no stay file left to cancel. Each run trims by the edge
-			// counts, whose every prediction must be exact; with all
-			// partitions on the device it is also held against the paper's
-			// trim-at-every-scatter: the same tree, and nothing written
-			// above half of what the rule weighed (checkKeptHalf).
-			var fbOff *xstream.Result
-			for _, rb := range []int64{ResidencyOff, 4096, ResidencyUnbounded} {
-				o := Options{Base: base, ResidencyBudget: rb}
-				o.Base.Sim = xstream.DefaultSim()
-				col := &obs.Collect{}
-				if rb == ResidencyOff {
-					o.Base.Tracer = obs.New(col)
-				}
-				fb, err := Run(vol, m.Name, o)
-				o.Base.Tracer = nil
-				label := fmt.Sprintf("graph %d workers=%d fastbfs(residency=%d)", g, w, rb)
-				check(fmt.Sprintf("fastbfs(residency=%d)", rb), fb, err)
-				counted := countsTrims(m, o)
-				checkTrimRows(t, label, fb, counted)
-				if rb == ResidencyOff {
-					fbOff = fb
-					o.Base.Sim, o.TrimStartIteration = xstream.DefaultSim(), TrimEveryIteration
-					pin, err := Run(vol, m.Name, o)
-					check("fastbfs(trim every iteration)", pin, err)
-					assertSameResult(t, label+" against the static rule", fb, pin)
-					if counted {
-						checkKeptHalf(t, label, fb, col.Events())
-					}
-					continue
-				}
-				for i := range fb.Levels {
-					if fb.Levels[i] != fbOff.Levels[i] || fb.Parents[i] != fbOff.Parents[i] {
-						t.Fatalf("graph %d workers=%d residency=%d: output diverged from budget-off at vertex %d: level %d/%d parent %d/%d",
-							g, w, rb, i, fb.Levels[i], fbOff.Levels[i], fb.Parents[i], fbOff.Parents[i])
-					}
-				}
-				if rb == ResidencyUnbounded && fb.Metrics.Cancellations != 0 {
-					t.Fatalf("graph %d workers=%d: unbounded residency still cancelled %d stay writes",
-						g, w, fb.Metrics.Cancellations)
-				}
+			// FastBFS trims by the edge counts, whose every prediction must
+			// be exact, and is held against the paper's trim-at-every-scatter:
+			// the same tree, and nothing written above half of what the rule
+			// weighed (checkKeptHalf).
+			o := Options{Base: base}
+			o.Base.Sim = xstream.DefaultSim()
+			col := &obs.Collect{}
+			o.Base.Tracer = obs.New(col)
+			fb, err := Run(vol, m.Name, o)
+			o.Base.Tracer = nil
+			label := fmt.Sprintf("graph %d workers=%d fastbfs", g, w)
+			check("fastbfs", fb, err)
+			counted := countsTrims(m, o)
+			checkTrimRows(t, label, fb, counted)
+			o.Base.Sim, o.TrimStartIteration = xstream.DefaultSim(), TrimEveryIteration
+			pin, err := Run(vol, m.Name, o)
+			check("fastbfs(trim every iteration)", pin, err)
+			assertSameResult(t, label+" against the static rule", fb, pin)
+			if counted {
+				checkKeptHalf(t, label, fb, col.Events())
 			}
 			base.Sim = xstream.DefaultSim()
 			xs, err := xstream.Run(vol, m.Name, base)
@@ -224,18 +199,15 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 // paper's threshold, which splits up front and keeps vertex files — and
 // X-Stream produce BFS output byte-identical to the first run's top-down
 // baseline — same levels AND same parents — under every direction mode
-// {topdown, bottomup, auto}, worker count {1, 4, 8} and (FastBFS only)
-// residency setting {off, unbounded}, with the update filter off on every
-// other graph (a log then holds every update, its first one per vertex
-// the winner). The bottom-up and
-// stored passes' winner rule is defined to reproduce top-down's
-// deterministic parent choice exactly, so any divergence is a bug, not a
-// tie-break artifact. GraphChi has no bottom-up mode and closes the
+// {topdown, bottomup, auto} and worker count {1, 4, 8}, with the update
+// filter off on every other graph (a log then holds every update, its
+// first one per vertex the winner). The bottom-up and stored passes'
+// winner rule is defined to reproduce top-down's deterministic parent
+// choice exactly, so any divergence is a bug, not a tie-break artifact. GraphChi has no bottom-up mode and closes the
 // cross-engine loop with its top-down run against the reference.
 func TestEnginesAgreeAcrossDirections(t *testing.T) {
 	directions := []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionBottomUp, xstream.DirectionAuto}
 	workerCounts := []int{1, 4, 8}
-	residencies := []int64{ResidencyOff, ResidencyUnbounded}
 	rng := rand.New(rand.NewSource(7))
 	const numGraphs = 50
 	for g := 0; g < numGraphs; g++ {
@@ -314,19 +286,17 @@ func TestEnginesAgreeAcrossDirections(t *testing.T) {
 					Root: root, MemoryBudget: budget, Partitions: partitions,
 					StreamBufSize: bufSize, ScatterWorkers: w, Direction: d, DisableUpdateFilter: g%2 == 1,
 				}
-				for _, rb := range residencies {
-					for _, trimStart := range []int{0, TrimEveryIteration} {
-						label := fmt.Sprintf("fastbfs(dir=%s,workers=%d,residency=%d,trimstart=%d)", d, w, rb, trimStart)
-						o := Options{Base: base, ResidencyBudget: rb, TrimStartIteration: trimStart}
-						o.Base.Sim = xstream.DefaultSim()
-						fb, err := Run(vol, m.Name, o)
-						check(label, fb, err)
-						checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
-						if fbBase == nil {
-							fbBase = fb
-						} else {
-							identical(label, fb, fbBase)
-						}
+				for _, trimStart := range []int{0, TrimEveryIteration} {
+					label := fmt.Sprintf("fastbfs(dir=%s,workers=%d,trimstart=%d)", d, w, trimStart)
+					o := Options{Base: base, TrimStartIteration: trimStart}
+					o.Base.Sim = xstream.DefaultSim()
+					fb, err := Run(vol, m.Name, o)
+					check(label, fb, err)
+					checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, o))
+					if fbBase == nil {
+						fbBase = fb
+					} else {
+						identical(label, fb, fbBase)
 					}
 				}
 				label := fmt.Sprintf("xstream(dir=%s,workers=%d)", d, w)

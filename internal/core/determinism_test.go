@@ -85,10 +85,6 @@ func runRecorded(t *testing.T, workers int) (*recordingVolume, *Result) {
 		// adopted: adopt-vs-cancel decisions depend only on simulated
 		// time, never on real-time races, so the file log is exact.
 		GracePeriod: 1e9,
-		// The recorded file log includes every stay file; a resident
-		// partition would stop producing them, so pin the cache off
-		// (FASTBFS_RESIDENCY must not leak into this contract).
-		ResidencyBudget: ResidencyOff,
 		// And every scatter trims, so the log holds a stay file per
 		// partition and iteration, not only the few that pay.
 		TrimStartIteration: TrimEveryIteration,

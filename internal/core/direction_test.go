@@ -58,11 +58,7 @@ func TestFastBFSDirectionsByteIdentical(t *testing.T) {
 		// working files; compression shrinks both sides and shifts the
 		// ratio, so pin the codec rather than inherit FASTBFS_CODEC.
 		// Cross-codec direction equivalence is TestEnginesAgreeAcrossCodecs.
-		// Residency is pinned off for the same reason: a promoted partition
-		// stops reading its input in both directions (26.0% under
-		// FASTBFS_RESIDENCY=unbounded).
 		o.Base.Codec = graph.CodecFixed
-		o.ResidencyBudget = ResidencyOff
 		return o
 	}
 	// Top-down is checked against the in-memory reference; the other
@@ -140,11 +136,10 @@ func TestFastBFSDirectionsByteIdentical(t *testing.T) {
 	}
 }
 
-func TestFastBFSDirectionWorkerAndResidencyInvariance(t *testing.T) {
+func TestFastBFSDirectionWorkerInvariance(t *testing.T) {
 	// The bottom-up merge runs on the engine thread in strict chunk
 	// order, so worker count must change neither the tree nor a single
-	// simulated byte or second. Residency only caches forward edge
-	// sets, so it must not perturb bottom-up results either.
+	// simulated byte or second.
 	m, edges, err := gen.RMAT(10, 8, gen.Graph500(), 42)
 	if err != nil {
 		t.Fatal(err)
@@ -178,14 +173,6 @@ func TestFastBFSDirectionWorkerAndResidencyInvariance(t *testing.T) {
 			t.Fatalf("workers=%d simulated %.6fs, workers=1 %.6fs",
 				w, got.Metrics.ExecTime, ref.Metrics.ExecTime)
 		}
-	}
-	o := base()
-	o.ResidencyBudget = ResidencyUnbounded
-	got := runDirection(t, vol, m.Name, o)
-	assertSameTree(t, "residency", got, ref)
-	if got.Metrics.BottomUpIterations != ref.Metrics.BottomUpIterations {
-		t.Fatalf("residency changed bottom-up iterations: %d vs %d",
-			got.Metrics.BottomUpIterations, ref.Metrics.BottomUpIterations)
 	}
 }
 

@@ -28,15 +28,13 @@
 // The modification is literal: there is one streaming loop, in
 // internal/xstream (kernel.go), and the five mechanisms are the branches
 // of it a Policy value switches on. This package is the front-end
-// everything else imports — the options with their defaults and
-// environment lookup, the residency budget's sentinels and parser, Run and
+// everything else imports — the options with their defaults, Run and
 // RunContext — and resolves its options once into that value; it holds no
 // loop and no rule of its own (DESIGN.md §19).
 package core
 
 import (
 	"context"
-	"os"
 	"time"
 
 	"fastbfs/internal/storage"
@@ -86,12 +84,9 @@ type Options struct {
 	// Default 50 ms.
 	GraceWall time.Duration
 
-	// ResidencyBudget is the resident-partition cache's byte budget: a
-	// partition whose trimmed input fits its fair share (budget /
-	// partitions) is promoted into RAM and never touches the device
-	// again (see DESIGN.md §8). 0 consults the FASTBFS_RESIDENCY
-	// environment variable and otherwise leaves the cache off;
-	// ResidencyOff forces it off; ResidencyUnbounded removes the limit.
+	// Deprecated: ResidencyBudget is ignored. The resident-partition cache
+	// it sized is gone (DESIGN.md §8); every partition streams from the
+	// device.
 	ResidencyBudget int64
 
 	// CheckpointVol, when non-nil, enables crash-consistent
@@ -122,13 +117,6 @@ func (o *Options) SetDefaults() {
 	}
 	if o.GraceWall == 0 {
 		o.GraceWall = 50 * time.Millisecond
-	}
-	if o.ResidencyBudget == 0 {
-		if s := os.Getenv("FASTBFS_RESIDENCY"); s != "" {
-			if b, err := ParseResidencyBudget(s); err == nil {
-				o.ResidencyBudget = b
-			}
-		}
 	}
 }
 
@@ -169,7 +157,6 @@ func (o *Options) policy() xstream.Policy {
 		StayBufCount:        o.StayBufCount,
 		GracePeriod:         o.GracePeriod,
 		GraceWall:           o.GraceWall,
-		ResidencyBudget:     o.ResidencyBudget, // ResidencyOff is negative: off
 		CheckpointVol:       o.CheckpointVol,
 		Resume:              o.Resume,
 	}

@@ -288,7 +288,6 @@ func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
 					o.Base.Sim = sim()
 					o.Base.MemoryBudget = 1024 // several partitions of the path too
 					o.Base.Direction = xstream.DirectionTopDown
-					o.ResidencyBudget = ResidencyOff // a resident partition writes nothing either way
 					mod(&o)
 					return checkStoredAgainstReference(t, vol, m, edges, root, o)
 				}
@@ -436,9 +435,6 @@ func TestFastBFSCancellationUnderTinyGrace(t *testing.T) {
 		StayDisk: &disksim.Device{Name: "slowstay", SeekLatency: 1e-4, Bandwidth: 1e5},
 	}
 	opts.GracePeriod = 1e-9
-	// Keep every partition on the device: a resident partition has no
-	// stay file to cancel, which is exactly the path under test.
-	opts.ResidencyBudget = ResidencyOff
 	res := checkAgainstReference(t, m, edges, root, opts)
 	if res.Metrics.Cancellations == 0 {
 		t.Fatal("expected cancellations under a nanosecond grace period on a slow disk")
@@ -601,7 +597,6 @@ func TestCancelledStayWritesRefundDeviceTimeline(t *testing.T) {
 		}
 		opts.GracePeriod = -1
 		opts.StayBufCount = 1024 // never stall on stay-buffer exhaustion
-		opts.ResidencyBudget = ResidencyOff
 		opts.DisableTrimming = disableTrim
 		// The paper's threshold: both runs split up front, and every scatter
 		// of the trimming one writes a stay file to cancel.

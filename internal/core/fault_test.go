@@ -82,9 +82,7 @@ func TestRunSurvivesStayWriteFailure(t *testing.T) {
 		}
 		return nil
 	})
-	// Pin the residency cache off: this test is about the stay-file
-	// fallback path, which a promoted partition never takes.
-	res, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyOff})
+	res, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
 	if err != nil {
 		t.Fatalf("stay-write failure killed the run: %v", err)
 	}
@@ -181,7 +179,7 @@ func TestParallelScatterSurvivesStayFaults(t *testing.T) {
 	})
 	opts := Options{Base: xstream.Options{
 		MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
-	}, ResidencyBudget: ResidencyOff} // stay-file path under test: keep partitions on the device
+	}}
 	res, err := Run(vol, m.Name, opts)
 	if err != nil {
 		t.Fatalf("stay-write failure killed the parallel run: %v", err)
@@ -229,38 +227,6 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines grew %d -> %d across gather-fault runs", before, after)
-	}
-}
-
-func TestResidentPromotionFaultAbortsCleanly(t *testing.T) {
-	// Resident-promotion fault point: with an unbounded residency budget,
-	// the first scatter after the split captures every partition into RAM
-	// — a permanent read fault on the partition edge input mid-capture must
-	// surface ErrIOFailed (the error path also refunds the reservation)
-	// and leak no goroutines.
-	warm, wm := storedGraph(t)
-	if _, err := Run(warm, wm.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded}); err != nil {
-		t.Fatal(err)
-	}
-	before := runtime.NumGoroutine()
-
-	for i := 0; i < 5; i++ {
-		vol, m := storedGraph(t)
-		// Match only the per-partition working edge files (the promoting
-		// scatter's input), not the stored dataset the stored passes read.
-		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: "fastbfs_edge_"})
-		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}, ResidencyBudget: ResidencyUnbounded})
-		if !errors.Is(err, errs.ErrIOFailed) {
-			t.Fatalf("run %d: err = %v, want ErrIOFailed", i, err)
-		}
-	}
-
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("goroutines grew %d -> %d across promotion-fault runs", before, after)
 	}
 }
 
@@ -334,12 +300,11 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 // (the first-wins gather absorbs the repeats), with nothing leaked.
 func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 	opts := func(trimStart int) Options {
-		// The stay-file path is under test: keep partitions on the device,
-		// and keep the stay files fixed-width so each spans many frames and
-		// a fault usually leaves a readable prefix (a delta stay file here
-		// is a frame or two).
+		// Keep the stay files fixed-width so each spans many frames and a
+		// fault usually leaves a readable prefix (a delta stay file here is
+		// a frame or two).
 		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Codec: graph.CodecFixed, Sim: xstream.DefaultSim()},
-			ResidencyBudget: ResidencyOff, TrimStartIteration: trimStart}
+			TrimStartIteration: trimStart}
 	}
 	refVol, m := storedGraph(t)
 	want, err := Run(refVol, m.Name, opts(TrimEveryIteration))
@@ -447,9 +412,6 @@ func TestWallModeCancellationViaSlowWriter(t *testing.T) {
 	opts := Options{
 		Base:      xstream.Options{MemoryBudget: 4096, StreamBufSize: 256},
 		GraceWall: 1, // nanoseconds: effectively immediate timeout
-		// Keep partitions on the device: a promoted partition never
-		// writes the stay file this test slows down.
-		ResidencyBudget: ResidencyOff,
 	}
 	res, err := Run(vol, m.Name, opts)
 	if err != nil {

@@ -101,8 +101,8 @@ func assertFilterAccounting(t *testing.T, label string, on, off *Result) {
 // FastBFS and X-Stream produce the same levels, parents and direction
 // decisions with the filter on as with it off, at every worker count
 // {1, 4, 8} × direction {topdown, bottomup, auto} × stored codec {fixed,
-// delta+reordered} and (FastBFS) residency {off, unbounded} × trim rule
-// {the counts, the paper's threshold}; the top-down pairs are also checked
+// delta+reordered} and (FastBFS) trim rule {the counts, the paper's
+// threshold}; the top-down pairs are also checked
 // row by row (assertFilterAccounting). Every run of a stored graph grows
 // the tree its first run grew, byte for byte.
 func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
@@ -176,16 +176,14 @@ func TestUpdateFilterOnOffByteIdentical(t *testing.T) {
 						streamed += on.Metrics.EdgesStreamed()
 					}
 					variant := fmt.Sprintf("graph %d codec=%s dir=%s workers=%d", g, store.Codec, d, w)
-					for _, rb := range []int64{ResidencyOff, ResidencyUnbounded} {
-						for _, trimStart := range []int{0, TrimEveryIteration} {
-							label := fmt.Sprintf("%s fastbfs(residency=%d,trimstart=%d)", variant, rb, trimStart)
-							on, off := filterPair(t, label, false, vol, m.Name, Options{Base: base, ResidencyBudget: rb, TrimStartIteration: trimStart})
-							check(label, on, off)
-							// What the trim rule counts, no dropped update changes.
-							counted := streams && trimStart == 0
-							checkTrimRows(t, label, on, counted)
-							checkTrimRows(t, label+" filter off", off, counted)
-						}
+					for _, trimStart := range []int{0, TrimEveryIteration} {
+						label := fmt.Sprintf("%s fastbfs(trimstart=%d)", variant, trimStart)
+						on, off := filterPair(t, label, false, vol, m.Name, Options{Base: base, TrimStartIteration: trimStart})
+						check(label, on, off)
+						// What the trim rule counts, no dropped update changes.
+						counted := streams && trimStart == 0
+						checkTrimRows(t, label, on, counted)
+						checkTrimRows(t, label+" filter off", off, counted)
 					}
 					on, off := filterPair(t, variant+" xstream", true, vol, m.Name, Options{Base: base})
 					check(variant+" xstream", on, off)

@@ -36,7 +36,7 @@ func vertexFileLister(vol storage.Volume) (tr *obs.Tracer, iters, withVtx *int) 
 
 // TestCountRuleKeepsNoVertexFile lists the working volume after every
 // iteration of a run that trims by the counts — fresh, killed at iteration
-// 2 and resumed — across direction × residency × codec × update filter: no
+// 2 and resumed — across direction × codec × update filter: no
 // listing holds a vertex file, the resumed run grows the fresh run's tree,
 // and the fresh run leaves only the dataset, the checkpointed ones only
 // their logs. X-Stream and FastBFS on the paper's threshold write theirs.

@@ -63,7 +63,6 @@ func TestSuitesUnderPoisoningPool(t *testing.T) {
 		{"FastBFSCancellationUnderTinyGrace", TestFastBFSCancellationUnderTinyGrace},
 		{"RunSurfacesPrepareFailure", TestRunSurfacesPrepareFailure},
 		{"RunSurfacesGatherReadFailure", TestRunSurfacesGatherReadFailure},
-		{"ResidentPromotionFaultAbortsCleanly", TestResidentPromotionFaultAbortsCleanly},
 		{"CancelMidRunReleasesEverything", TestCancelMidRunReleasesEverything},
 		{"CorruptAdoptedStayFallsBack", TestCorruptAdoptedStayFallsBack},
 		{"ResumeRebuildsUpdateFilter", TestResumeRebuildsUpdateFilter},
@@ -91,9 +90,9 @@ func poolCases(bufSize int, budget uint64) []poolCase {
 	}
 	return []poolCase{
 		{name: "fastbfs/fixed/topdown", store: graph.StoreOptions{Reverse: true},
-			opts: Options{Base: base(xstream.DirectionTopDown), ResidencyBudget: ResidencyOff}},
+			opts: Options{Base: base(xstream.DirectionTopDown)}},
 		{name: "fastbfs/delta+reorder/auto", store: graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true},
-			opts: Options{Base: base(xstream.DirectionAuto), ResidencyBudget: ResidencyOff}},
+			opts: Options{Base: base(xstream.DirectionAuto)}},
 		{name: "xstream/fixed/topdown", store: graph.StoreOptions{Reverse: true}, xstream: true,
 			opts: Options{Base: base(xstream.DirectionTopDown)}},
 	}

@@ -65,7 +65,7 @@ func TestSparseMatchesDense(t *testing.T) {
 					label := fmt.Sprintf("%s/%s/P=%d/%s", engine, storeCodec(g.store), parts, dir)
 					run := func(vol storage.Volume) *Result {
 						o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: parts, StreamBufSize: 4096,
-							Sim: sparseSim(), Direction: dir, Codec: storeCodec(g.store)}, ResidencyBudget: ResidencyOff}
+							Sim: sparseSim(), Direction: dir, Codec: storeCodec(g.store)}}
 						var res *Result
 						var err error
 						if engine == EngineName {
@@ -153,7 +153,7 @@ func TestSparseReadsMiBFrames(t *testing.T) {
 	}
 	run := func(vol storage.Volume) *Result {
 		o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
-			Sim: sparseSim(), Codec: graph.CodecDelta}, ResidencyBudget: ResidencyOff}
+			Sim: sparseSim(), Codec: graph.CodecDelta}}
 		res, err := Run(vol, m.Name, o)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSparseReadsMiBFrames(t *testing.T) {
 func TestSparseResume(t *testing.T) {
 	resumedSparse := 0
 	for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
-		c := ckCase{dir, ResidencyOff, graph.CodecFixed}
+		c := ckCase{dir, graph.CodecFixed}
 		opts := func(ck storage.Volume, resume bool, maxIter int) Options {
 			o := ckOpts(c, ck, resume, maxIter)
 			o.Base.Sim, o.Base.Codec = sparseSim(), graph.CodecFixed

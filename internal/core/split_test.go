@@ -10,9 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"fastbfs/internal/bfs"
 	"fastbfs/internal/errs"
+	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -29,29 +30,77 @@ func storeCodec(so graph.StoreOptions) graph.Codec {
 	return so.Codec
 }
 
-// TestPromotionReservesWhatItHolds: a promotion reserves what its capture
-// will hold, decoded — the partition's live edges — not the delta-coded
-// input it scans, so the cache stays inside ResidencyBudget at every
-// iteration. (Reserving the input's 2–3 B/edge, one of these two
-// partitions took 28 KB of the 24 KiB.)
-func TestPromotionReservesWhatItHolds(t *testing.T) {
-	vol, m, root := storedRMAT(t, 9, 8, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true})
-	const budget = 24 << 10
-	col := &obs.Collect{}
-	o := smallOpts()
-	o.Base.Root, o.Base.MemoryBudget, o.Base.Tracer = root, 4096, obs.New(col)
-	o.Base.Direction = xstream.DirectionTopDown
-	o.ResidencyBudget = budget
-	res, err := Run(vol, m.Name, o)
+// TestParentsIndependentOfPartitionCount: on a source-sorted store the
+// first frontier parent a pass meets for a vertex is its smallest, whatever
+// the partition count, so levels and parents are the same for P = 1, 2 and
+// 8 — on fixed, delta and delta+reordered stores, top-down and auto, with
+// the update filter on, trimming by the counts (stored passes, then a
+// split) and at every scatter (split up front): every run of a store grows
+// its first run's tree. The fixed store must offer ties across the P = 8
+// partitions, or the test checks nothing.
+func TestParentsIndependentOfPartitionCount(t *testing.T) {
+	m, edges, err := gen.RMAT(9, 8, gen.Graph500(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.ResidentParts < 2 {
-		t.Fatalf("%d partitions promoted; the budget checked nothing", res.Metrics.ResidentParts)
+	root := maxDegreeVertex(m, edges)
+	ref, err := bfs.Run(m, edges, root)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, ev := range col.Events() {
-		if got := ev.Counters[obs.CtrResidentBytes]; ev.Kind == obs.KindCounters && got > budget {
-			t.Fatalf("iteration %d ended with %d resident bytes, budget %d", ev.Counters[obs.CtrIteration], got, budget)
+	parts, err := graph.NewPartitioning(m.Vertices, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// seen is the partition of a vertex's first tree-parent candidate, -1
+	// until there is one; a vertex with candidates in two partitions is a tie.
+	seen := make([]int, m.Vertices)
+	for v := range seen {
+		seen[v] = -1
+	}
+	ties := 0
+	for _, x := range edges {
+		if ref.Level[x.Src] == bfs.NoLevel || ref.Level[x.Dst] != ref.Level[x.Src]+1 {
+			continue
+		}
+		switch p := parts.Of(x.Src); {
+		case seen[x.Dst] < 0:
+			seen[x.Dst] = p
+		case seen[x.Dst] != p:
+			ties++
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no vertex has tree-parent candidates in two partitions")
+	}
+	for _, store := range []graph.StoreOptions{
+		{Reverse: true},
+		{Codec: graph.CodecDelta, Reverse: true},
+		{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true},
+	} {
+		vol := storage.NewMem()
+		if err := graph.StoreGraph(vol, m, edges, store); err != nil {
+			t.Fatal(err)
+		}
+		var want *Result
+		for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
+			for _, trimStart := range []int{0, TrimEveryIteration} {
+				for _, p := range []int{1, 2, 8} {
+					o := smallOpts()
+					o.Base.Root, o.Base.Partitions, o.Base.Direction = root, p, dir
+					o.Base.Codec, o.TrimStartIteration = storeCodec(store), trimStart
+					got, err := Run(vol, m.Name, o)
+					label := fmt.Sprintf("%s/reorder=%v/%s/trimstart=%d/P=%d", storeCodec(store), store.ReorderByDegree, dir, trimStart, p)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					assertSameResult(t, label+" against the store's first run", got, want)
+				}
+			}
 		}
 	}
 }

@@ -31,8 +31,8 @@ type Costs struct {
 	// update function.
 	EdgeVisit float64
 	// MemBandwidth is the sequential RAM scan rate in bytes/second,
-	// charged (as serial compute) when an engine scans a resident
-	// in-memory partition instead of streaming it from a device.
+	// charged (as serial compute) when an engine scans an edge list held
+	// in memory instead of streaming it from a device.
 	MemBandwidth float64
 }
 

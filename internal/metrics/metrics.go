@@ -102,15 +102,14 @@ type Run struct {
 	// (the paper's condition 1, §III).
 	StayBufferWaits int64
 
-	// ResidentParts is the number of partitions the residency cache
-	// promoted into RAM by the end of the run (FastBFS, DESIGN.md §8).
+	// Deprecated: always zero. ResidentParts and the three fields below
+	// counted the resident-partition cache, which is gone (DESIGN.md §8).
 	ResidentParts int64
-	// ResidentBytes is the cache's final footprint in bytes.
+	// Deprecated: always zero.
 	ResidentBytes int64
-	// ResidentScans counts partition scatters served from RAM.
+	// Deprecated: always zero.
 	ResidentScans int64
-	// ResidentBytesSaved is device traffic the cache avoided: edge reads
-	// served from RAM plus stay-file writes never issued.
+	// Deprecated: always zero.
 	ResidentBytesSaved int64
 
 	// IORetries counts transient I/O faults cleared by the stream
@@ -199,9 +198,6 @@ func (r *Run) String() string {
 	if r.StayBufferWaits > 0 {
 		s += fmt.Sprintf(" staywaits=%d", r.StayBufferWaits)
 	}
-	if r.ResidentParts > 0 {
-		s += fmt.Sprintf(" resident=%d saved=%.3fGB", r.ResidentParts, GB(r.ResidentBytesSaved))
-	}
 	if r.IORetries > 0 || r.IOFailures > 0 {
 		s += fmt.Sprintf(" retries=%d iofail=%d", r.IORetries, r.IOFailures)
 	}
@@ -243,12 +239,6 @@ func (r *Run) Report() string {
 	}
 	if r.StayBufferWaits > 0 {
 		fmt.Fprintf(&b, "stay-buf waits: %d\n", r.StayBufferWaits)
-	}
-	if r.ResidentParts > 0 {
-		fmt.Fprintf(&b, "resident parts: %d (%.4f GB held, %d RAM scans)\n",
-			r.ResidentParts, GB(r.ResidentBytes), r.ResidentScans)
-		fmt.Fprintf(&b, "device bytes saved: %d (%.4f GB)\n",
-			r.ResidentBytesSaved, GB(r.ResidentBytesSaved))
 	}
 	if r.IORetries > 0 || r.IOFailures > 0 {
 		fmt.Fprintf(&b, "io retries:    %d (failures past budget: %d)\n", r.IORetries, r.IOFailures)

@@ -488,10 +488,6 @@ const (
 	CtrScatterWorkers  = "scatter_workers"
 	CtrScatterChunks   = "scatter_chunks"
 	CtrScatterBusyNs   = "scatter_busy_ns"
-	CtrResidentParts   = "resident_parts"
-	CtrResidentBytes   = "resident_bytes"
-	CtrResidentScans   = "resident_scans"
-	CtrPromotions      = "promotions"
 	CtrIORetries       = "io_retries"          // transient I/O faults cleared by retry
 	CtrIOFailures      = "io_failures"         // I/O operations failed past the retry budget
 	CtrStayCorruptions = "stay_corruptions"    // adopted stay files that failed frame checks
@@ -589,10 +585,6 @@ type EngineCounters struct {
 	ScatterWorkers *Counter // gauge: scatter worker-pool size
 	ScatterChunks  *Counter // edge chunks processed by scatter workers
 	ScatterBusyNs  *Counter // cumulative worker wall-nanoseconds classifying chunks
-	ResidentParts  *Counter // gauge: partitions promoted to the RAM cache
-	ResidentBytes  *Counter // gauge: bytes held by the resident-partition cache
-	ResidentScans  *Counter // partition scatters served from RAM
-	Promotions     *Counter // partition promotions (== resident parts; monotone)
 	IORetries      *Counter // transient I/O faults cleared by retry
 	IOFailures     *Counter // I/O operations failed past the retry budget
 	StayCorrupt    *Counter // adopted stay files that failed frame verification
@@ -625,10 +617,6 @@ func NewEngineCounters(t *Tracer) EngineCounters {
 		ScatterWorkers: t.Counter(CtrScatterWorkers),
 		ScatterChunks:  t.Counter(CtrScatterChunks),
 		ScatterBusyNs:  t.Counter(CtrScatterBusyNs),
-		ResidentParts:  t.Counter(CtrResidentParts),
-		ResidentBytes:  t.Counter(CtrResidentBytes),
-		ResidentScans:  t.Counter(CtrResidentScans),
-		Promotions:     t.Counter(CtrPromotions),
 		IORetries:      t.Counter(CtrIORetries),
 		IOFailures:     t.Counter(CtrIOFailures),
 		StayCorrupt:    t.Counter(CtrStayCorruptions),

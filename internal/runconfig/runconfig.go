@@ -62,10 +62,6 @@ type Config struct {
 	StayBufCount               int
 	GracePeriod                float64
 	GraceWallMillis            int
-	// ResidencyBudget is the resident-partition cache budget in
-	// core.Options semantics (0 = env/off, core.ResidencyOff,
-	// core.ResidencyUnbounded).
-	ResidencyBudget int64
 
 	// Simulated testbed. Sim=false runs wall-clock against real files.
 	Sim bool
@@ -195,8 +191,6 @@ func (c *Config) set(key, val string) error {
 		c.GracePeriod, err = strconv.ParseFloat(val, 64)
 	case "grace_wall_ms":
 		c.GraceWallMillis, err = strconv.Atoi(val)
-	case "residency_budget":
-		c.ResidencyBudget, err = core.ParseResidencyBudget(val)
 	case "sim":
 		c.Sim, err = strconv.ParseBool(val)
 	case "device":
@@ -347,6 +341,5 @@ func (c Config) CoreOptions() core.Options {
 		StayBufCount:               c.StayBufCount,
 		GracePeriod:                c.GracePeriod,
 		GraceWall:                  time.Duration(c.GraceWallMillis) * time.Millisecond,
-		ResidencyBudget:            c.ResidencyBudget,
 	}
 }

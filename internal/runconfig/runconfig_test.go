@@ -31,7 +31,6 @@ stay_buf_size = 1M
 stay_buf_count = 16
 grace_period = 0.1
 grace_wall_ms = 20
-residency_budget = 64M
 sim = true
 device = ssd
 seek_scale = 2048
@@ -64,9 +63,6 @@ stay_disk_bandwidth_frac = 0.5
 	}
 	if o.GraceWall != 20*time.Millisecond || o.GracePeriod != 0.1 || o.StayBufCount != 16 {
 		t.Fatalf("core opts: %+v", o)
-	}
-	if o.ResidencyBudget != 64<<20 {
-		t.Fatalf("residency budget: %d", o.ResidencyBudget)
 	}
 	if o.Base.Direction != xstream.DirectionAuto {
 		t.Fatalf("direction not propagated: %+v", o.Base)
@@ -149,9 +145,10 @@ cache_ttl_ms = 60000
 	if cfg.Shed != 1 || cfg.BreakerThreshold != 3 || cfg.CacheTTLMillis != 60000 {
 		t.Fatalf("overload keys: %+v", cfg)
 	}
-	// The admission knobs no deployment set are gone: a file that still
-	// names one is rejected like any other unknown key.
-	for _, key := range []string{"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header"} {
+	// The admission knobs no deployment set, and the residency budget, are
+	// gone: a file that still names one is rejected like any other unknown
+	// key.
+	for _, key := range []string{"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header", "residency_budget"} {
 		if _, err := Parse(strings.NewReader(key + " = 1\n")); err == nil {
 			t.Errorf("removed key %s accepted", key)
 		}
@@ -221,10 +218,9 @@ func TestFlagBuiltMatchesFileBuilt(t *testing.T) {
 				c.Engine, c.Root, c.ScatterWorkers = "xstream", 42, 3
 				c.Direction, c.Codec = xstream.DirectionAuto, graph.CodecDelta
 				c.TrimStartIteration, c.DisableTrimming, c.DisableSelectiveScheduling = -1, true, true
-				c.ResidencyBudget = 64 << 20
 			},
 			"engine = xstream\nroot = 42\nscatter_workers = 3\ndirection = auto\ncodec = delta\n" +
-				"trim_start_iteration = -1\ndisable_trimming = true\ndisable_selective_scheduling = true\nresidency_budget = 64M", nil},
+				"trim_start_iteration = -1\ndisable_trimming = true\ndisable_selective_scheduling = true", nil},
 	} {
 		built := Default()
 		c.flags(&built)

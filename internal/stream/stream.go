@@ -300,9 +300,6 @@ func (s *Scanner[T]) refill() error {
 // the device's view, so compressed bytes for delta files.
 func (s *Scanner[T]) BytesRead() int64 { return s.read }
 
-// Size returns the underlying file's size in bytes.
-func (s *Scanner[T]) Size() int64 { return s.r.Size() }
-
 // Close releases the underlying file and returns the buffer to the
 // run's free-list, cancelling any outstanding read-ahead (refunding its
 // unconsumed device time and bytes). Reading a closed scanner is an

@@ -21,7 +21,7 @@ import (
 // one fails the run (errs.ErrCorrupted), as its predecessor is gone; one
 // that cannot be written degrades the partition to untrimmed rescans. A
 // partition with no unvisited vertex is skipped on the visited tallies,
-// without I/O. Residency holds forward edges only.
+// without I/O.
 
 // dirRun is a streaming run's frontier bitmaps and the state of the passes
 // that form a level without an update file, bottom-up and stored

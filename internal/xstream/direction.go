@@ -38,8 +38,8 @@ const (
 	DirectionAuto     Direction = "auto"
 )
 
-// Default switch ratios of the hybrid heuristic, matching the
-// in-memory reference (internal/bfs.DefaultDirectionOpt).
+// Default switch ratios of the hybrid heuristic, Beamer et al.'s
+// α = 14 and β = 24; DirState.Decide applies them.
 const (
 	DefaultDirectionAlpha = 14
 	DefaultDirectionBeta  = 24

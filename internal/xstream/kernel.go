@@ -17,10 +17,10 @@ import (
 // This file is the one out-of-core BFS loop (DESIGN.md §19). The paper
 // builds FastBFS "as a modification of X-Stream", and so does this
 // package: X-Stream is the loop below run under the zero Policy, FastBFS
-// (internal/core) the same loop with trimming, selective scheduling, the
-// residency cache and checkpointing switched on. bottomup.go holds the
-// loop's bottom-up iterations, split.go its passes over the stored edge
-// file, checkpoint.go its manifest and resume.
+// (internal/core) the same loop with trimming, selective scheduling and
+// checkpointing switched on. bottomup.go holds the loop's bottom-up
+// iterations, split.go its passes over the stored edge file, checkpoint.go
+// its manifest and resume.
 //
 // The trim rule is "eliminate iff the source vertex is visited", which is
 // equivalent to the paper's "eliminate if processing generated an update"
@@ -53,10 +53,6 @@ type Policy struct {
 	StayBufCount int
 	GracePeriod  float64
 	GraceWall    time.Duration
-
-	// ResidencyBudget is the resident-partition cache's byte budget
-	// (DESIGN.md §8); zero or negative leaves the cache off.
-	ResidencyBudget int64
 
 	// CheckpointVol, when non-nil, makes a streaming run keep a log of
 	// every level it forms and persist a manifest naming them after every
@@ -147,11 +143,6 @@ type partState struct {
 	// trimming is degraded off for it (each scatter would otherwise burn
 	// a grace wait and a cancellation on a write that cannot succeed).
 	stayBroken bool
-	// resident, when non-nil, holds this partition's live edge set in
-	// RAM: the partition was promoted by the residency cache and its
-	// scatters no longer touch the device (DESIGN.md §8). Promotion is
-	// monotone, so resident never reverts to nil.
-	resident *stream.Resident
 	// updates is the number of updates routed to this partition by the
 	// last scatter phase; selective scheduling skips the partition when
 	// it is zero.
@@ -198,7 +189,6 @@ type kernel struct {
 	sw    *stream.StayWriter // nil unless pol.Trim
 	pool  *stream.ScatterPool
 	parts []partState
-	resd  *stream.Residency
 
 	tr  *obs.Tracer
 	ctr obs.EngineCounters
@@ -283,11 +273,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 	}
 	e.ds = NewDirState(e.rt, dir)
 	e.ctr.SwitchIteration.Set(-1)
-	e.resd = stream.NewResidency(e.pol.ResidencyBudget, e.rt.Parts.P())
 	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
-	if e.resd != nil {
-		runSpan.Attr("residency_budget", e.pol.ResidencyBudget)
-	}
 
 	e.parts = make([]partState, e.rt.Parts.P())
 	for p := range e.parts {
@@ -406,10 +392,6 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if e.sw != nil {
 		e.run.StayBufferWaits = e.sw.BufferWaits()
 	}
-	e.run.ResidentParts = e.resd.ResidentParts()
-	e.run.ResidentBytes = e.resd.Bytes()
-	e.run.ResidentScans = e.resd.Scans()
-	e.run.ResidentBytesSaved = e.resd.SavedBytes()
 	// A cancel a short query's last writes outlast is seen before the collect.
 	if err := e.rt.Checkpoint(); err != nil {
 		return nil, err
@@ -633,10 +615,9 @@ func (e *kernel) dropFallback(st *partState) {
 }
 
 // iteratePartition runs partition p's share of one top-down iteration:
-// gather the updates addressed to it, then scatter its edge input —
-// from RAM once the residency cache promoted the partition, else from the
-// device, adopting or cancelling the pending stay file and writing a new
-// one if trimming is active.
+// gather the updates addressed to it, then scatter its edge input from
+// the device, adopting or cancelling the pending stay file and writing a
+// new one if trimming is active.
 func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span) error {
 	st := &e.parts[p]
 
@@ -654,27 +635,21 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	// read-ahead overlaps the update streaming. The grace wait for a
 	// late stay write is time spent on the stay mechanism, hence the
 	// stay-write span — a phase of runs that have the mechanism, so an
-	// X-Stream trace never shows it. A promoted partition's edges live in
-	// RAM: it has no stay file to resolve and no device input to open
-	// (DESIGN.md §8).
-	if e.pol.Trim && st.resident == nil {
+	// X-Stream trace never shows it.
+	if e.pol.Trim {
 		sws := itSpan.Child("stay-write").SetPart(p)
 		e.resolvePending(st, itRow)
 		sws.End()
 	}
 	lds := itSpan.Child("load").SetPart(p)
-	var edgeScan *stream.Scanner[graph.Edge]
-	if st.resident == nil {
-		var err error
-		if edgeScan, err = e.openInput(st); err != nil {
-			return err
-		}
+	edgeScan, err := e.openInput(st)
+	if err != nil {
+		return err
 	}
 
 	// The paper pin's vertex file, started at iteration 0 (DESIGN.md §5);
 	// a run that keeps logs has its state in the bitmaps.
 	var v *Verts
-	var err error
 	switch {
 	case e.logs:
 	case iter == 0:
@@ -690,9 +665,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 		_, err = e.gatherInto(p, iter, v, itRow, itSpan)
 	}
 	if err != nil {
-		if edgeScan != nil {
-			edgeScan.Close()
-		}
+		edgeScan.Close()
 		return err
 	}
 
@@ -703,14 +676,10 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	case st.frontier == 0 && e.pol.SelectiveScheduling:
 		// The speculative input open is abandoned; Close cancels its
 		// read-ahead with a device refund.
-		if edgeScan != nil {
-			edgeScan.Close()
-		}
+		edgeScan.Close()
 		if iter > 0 {
 			e.skip(itRow)
 		}
-	case st.resident != nil:
-		err = e.scatterResident(st, p, sh, itRow, itSpan)
 	default:
 		err = e.scatterDevice(st, p, iter, trimNow, sh, itRow, itSpan, edgeScan)
 	}
@@ -815,64 +784,32 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 	return nil
 }
 
-// scatterInput runs one scatter attempt over st.input: pick the trim
-// sink, stream the input through the worker pool and finalize the sink.
-// The scanner is consumed and closed in all cases. In an iteration that
-// trims, the surviving edges go to a residency capture when they fit the
-// cache's fair share — the live count's worth of edges, or the whole input
-// without one — and this scatter then promotes the partition:
-// the stays stay in RAM, so there is no async write, no grace race and no
-// possible cancellation for this partition ever again — and otherwise to a
-// stay file, when the trim rule finds, on this partition's counts, that
-// writing one pays. A capture writes nothing, so it does not ask.
+// scatterInput runs one scatter attempt over st.input: open the stay file
+// when the trim rule finds, on this partition's counts, that writing one
+// pays, stream the input through the worker pool and finalize the stay
+// file. The scanner is consumed and closed in all cases.
 func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge]) error {
-	var sink edgeSink
 	var stay *stream.StayFile
-	var capture *stream.Resident
-	var reserved int64
-	if trimNow && !st.stayBroken {
-		// The capture will hold the live edges, decoded: reserve that, and the
-		// input's size only where nobody counted them.
-		sz := edgeScan.Size()
-		if st.live >= 0 {
-			sz = st.live * graph.EdgeBytes
+	if trimNow && !st.stayBroken && e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.inputEdges) {
+		stayTiming := e.otherTiming(st.inputTiming)
+		f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Codec)
+		switch {
+		case err == nil:
+			stay = f
+			st.pendingTiming = stayTiming
+		case errors.Is(err, errs.ErrIOFailed):
+			// Could not even create the stay file: degrade this
+			// partition to untrimmed scatters instead of failing the
+			// run.
+			e.markStayBroken(&st.stayBroken)
+		default:
+			edgeScan.Close()
+			return err
 		}
-		if e.resd.TryReserve(sz) {
-			reserved = sz
-			capture = stream.NewResident(sz / graph.EdgeBytes)
-			sink = capture
-		} else if e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.inputEdges) {
-			stayTiming := e.otherTiming(st.inputTiming)
-			f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Codec)
-			switch {
-			case err == nil:
-				stay = f
-				sink = stay
-				st.pendingTiming = stayTiming
-			case errors.Is(err, errs.ErrIOFailed):
-				// Could not even create the stay file: degrade this
-				// partition to untrimmed scatters instead of failing the
-				// run.
-				e.markStayBroken(&st.stayBroken)
-			default:
-				edgeScan.Close()
-				return err
-			}
-		}
-	}
-	var keep func([]graph.Edge) error
-	if sink != nil {
-		keep = sink.AppendChunk
 	}
 	ss := itSpan.Child("scatter").SetPart(p)
 	defer ss.End()
-	scanned, stayed, err := e.scatter(p, sh, keep, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
-		if err := e.pool.RunScanner(edgeScan, classify, merge); err != nil {
-			return err
-		}
-		e.rt.BytesRead += edgeScan.BytesRead()
-		return nil
-	})
+	scanned, stayed, err := e.scatter(p, sh, stay, edgeScan)
 	edgeScan.Close()
 	ss.Attr("edges", scanned).Attr("stayed", stayed)
 	if st.live >= 0 {
@@ -885,50 +822,29 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 			stay.Close()
 			stay.Discard()
 		}
-		e.resd.Release(reserved)
 		return err
 	}
 	itRow.EdgesStreamed += scanned
-	if stay != nil {
-		if err := stay.Close(); err != nil {
-			return err
-		}
-		st.pending = stay
-		e.ctr.StayEdges.Add(stayed)
-		e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
+	if stay == nil {
+		return nil
 	}
-	if capture != nil {
-		// Promotion: the live edge set is now in RAM; the on-device
-		// input is gone for good. The stay write that a device run
-		// would have issued is traffic saved.
-		e.resd.Commit(reserved, capture.Bytes())
-		e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
-		st.resident = capture
-		e.rt.Vol.Remove(st.input)
-		st.input, st.inputTiming = "", stream.Timing{}
-		e.ctr.Promotions.Add(1)
-		e.ctr.ResidentParts.Set(e.resd.ResidentParts())
-		e.ctr.ResidentBytes.Set(e.resd.Bytes())
-		ss.Attr("promote", 1)
+	if err := stay.Close(); err != nil {
+		return err
 	}
-	if sink != nil {
-		e.bookTrim(st, itRow, scanned, stayed)
-	}
-	return nil
-}
-
-// bookTrim books a scatter that trimmed its partition, to a stay file or
-// in RAM: stayed of the scanned edges survived. A known live count is what
-// the rule predicted before the scan, and the row gets both: a miss is for
-// the record's reader to see (and the suites to fail on), never the query's
-// problem — the survivors just counted are the live edges.
-func (e *kernel) bookTrim(st *partState, itRow *metrics.Iteration, scanned, stayed int64) {
+	st.pending = stay
+	e.ctr.StayEdges.Add(stayed)
+	e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
+	// stayed of the scanned edges survived. A known live count is what the
+	// rule predicted before the scan, and the row gets both: a miss is for
+	// the record's reader to see (and the suites to fail on), never the
+	// query's problem — the survivors just counted are the live edges.
 	itRow.StayEdges += stayed
 	e.run.TrimmedEdges += scanned - stayed
 	if st.live >= 0 {
 		itRow.StayPredicted += st.live
 		st.live = stayed
 	}
+	return nil
 }
 
 // bookStays books a pass that kept stayed of its scanned edges in files.
@@ -1042,31 +958,21 @@ func (e *kernel) gather(p int, v *Verts, updFile string, level uint32) (newly ui
 	return newly, deg, applied, nil
 }
 
-// edgeSink receives the edges that survive the trim rule during a device
-// scatter, a merged chunk at a time: a *stream.StayFile, or a
-// *stream.Resident when the scatter is promoting the partition into the
-// residency cache.
-type edgeSink interface {
-	AppendChunk([]graph.Edge) error
-}
-
-// scatter streams partition p's edges through the worker pool — run
-// feeds them to it from the device scanner or the resident slice and
-// settles that source's own accounting. Frontier sources emit updates
-// through the run's update filter; when keep is non-nil it receives, chunk
-// by chunk, the edges with unvisited sources (the trim rule — a visited
-// source can never produce a future update). Workers only classify, on the
-// bitmaps (frontier test, visited test, partition routing); the filter's
-// claims, the shuffler and the survivors' sink (a stay file's buffer
-// hand-offs interact with the virtual clock) stay on the engine thread,
-// fed in chunk order, so file bytes, timing and all accounting are
-// identical for any worker count (see internal/stream/parallel.go).
-func (e *kernel) scatter(p int, sh *stream.Shuffler, keep func([]graph.Edge) error,
-	run func(stream.ScatterFunc, stream.MergeFunc) error) (scanned, stayed int64, err error) {
+// scatter streams partition p's edges from edgeScan through the worker
+// pool. Frontier sources emit updates through the run's update filter;
+// when stay is non-nil it receives, chunk by chunk, the edges with
+// unvisited sources (the trim rule — a visited source can never produce a
+// future update). Workers only classify, on the bitmaps (frontier test,
+// visited test, partition routing); the filter's claims, the shuffler and
+// the stay file (its buffer hand-offs interact with the virtual clock)
+// stay on the engine thread, fed in chunk order, so file bytes, timing and
+// all accounting are identical for any worker count (see
+// internal/stream/parallel.go).
+func (e *kernel) scatter(p int, sh *stream.Shuffler, stay *stream.StayFile, edgeScan *stream.Scanner[graph.Edge]) (scanned, stayed int64, err error) {
 	var written int64
 	lo, hi := e.rt.Parts.Interval(p)
 	front, visited := e.dir.frontier, e.rt.VisitedBits
-	trim := keep != nil
+	trim := stay != nil
 	f := e.filter
 	classify := func(edges []graph.Edge, out *stream.Shard) {
 		for _, edge := range edges {
@@ -1093,55 +999,16 @@ func (e *kernel) scatter(p int, sh *stream.Shuffler, keep func([]graph.Edge) err
 		if err != nil || !trim {
 			return err
 		}
-		return keep(s.Stays)
+		return stay.AppendChunk(s.Stays)
 	}
-	if err := run(classify, merge); err != nil {
+	if err := e.pool.RunScanner(edgeScan, classify, merge); err != nil {
 		return scanned, stayed, err
 	}
+	e.rt.BytesRead += edgeScan.BytesRead()
 	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
 		float64(written)*e.rt.Costs.AppendPerUpdate +
 		float64(stayed)*e.rt.Costs.AppendPerStay)
 	return scanned, stayed, nil
-}
-
-// scatterResident scatters a promoted partition from RAM through the
-// same worker pool. The device read is replaced by a serial
-// memory-bandwidth charge on the virtual clock, and trimming becomes an
-// in-place compaction of the resident slice: merged chunks append their
-// survivors at indices strictly below any chunk still being classified
-// (the merge frontier trails the dispatch frontier), so workers never
-// see a mutated edge. No stay file is written — the avoided write is
-// counted as device traffic saved.
-func (e *kernel) scatterResident(st *partState, p int, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span) error {
-	res := st.resident
-	edges := res.Edges()
-	kept := edges[:0]
-	ss := itSpan.Child("scatter").SetPart(p).Attr("resident", 1)
-	scanned, stayed, err := e.scatter(p, sh, func(stays []graph.Edge) error {
-		kept = append(kept, stays...)
-		return nil
-	}, func(classify stream.ScatterFunc, merge stream.MergeFunc) error {
-		if err := e.pool.RunSlice(edges, classify, merge); err != nil {
-			return err
-		}
-		scannedBytes := int64(len(edges)) * graph.EdgeBytes
-		e.rt.RAMScan(scannedBytes)
-		e.resd.NoteScan(scannedBytes)
-		return nil
-	})
-	ss.Attr("edges", scanned).Attr("stayed", stayed).End()
-	if err != nil {
-		return err
-	}
-	freed := res.Bytes() - int64(len(kept))*graph.EdgeBytes
-	res.Replace(kept)
-	e.resd.Shrink(freed)
-	e.resd.NoteSavedWrite(stayed * graph.EdgeBytes)
-	itRow.EdgesStreamed += scanned
-	e.bookTrim(st, itRow, scanned, stayed)
-	e.ctr.ResidentScans.Add(1)
-	e.ctr.ResidentBytes.Set(e.resd.Bytes())
-	return nil
 }
 
 // drainPending resolves stay files still owned by the writer when the

@@ -162,8 +162,8 @@ type Options struct {
 	RetryAttempts int
 	// Direction selects the traversal direction policy for the streaming
 	// engines: pure top-down (the default), pure bottom-up after the
-	// root iteration, or the Beamer-style automatic hybrid (see
-	// internal/bfs/directionopt.go for the in-memory reference). Bottom-up
+	// root iteration, or the Beamer-style automatic hybrid (DirState.Decide,
+	// with the α and β constants of direction.go). Bottom-up
 	// iterations stream the reverse-edge partitions split from the
 	// dataset's .rev file; `auto` on a graph stored without one falls
 	// back to pure top-down (counted, never an error), while an explicit
@@ -536,7 +536,7 @@ func (rt *Runtime) Compute(seconds float64) {
 }
 
 // RAMScan charges the serial memory-bandwidth cost of scanning n bytes
-// of a resident in-memory partition. A RAM scan is a single sequential
+// of an edge list held in memory. A RAM scan is a single sequential
 // sweep, so it does not scale with the thread count the way per-edge
 // classification compute does; it is also what replaces a device read,
 // so it must hit the clock even when per-edge costs are zeroed. No-op

@@ -19,10 +19,12 @@ import (
 // each top-down iteration of a FastBFS run that trims by the counts until
 // writing the partitions pays (storedIteration); other runs split up front
 // with Prepare. Reverse, over the .rev file, it is a run's first bottom-up
-// pass (fusedFirstBottomUp). Both keep the winner top-down's gather would —
-// smallest source partition, then first position: every partition file is
-// an order-preserving subsequence of its dataset file, so that is the update
-// a partition-ordered scatter claims first, whichever pass forms a level.
+// pass (fusedFirstBottomUp). Both keep the first parent they meet, the
+// winner top-down's gather would: graph.StoreGraph sorts both files by
+// source, so the first parent in scan order is in the smallest source
+// partition, and every partition file is an order-preserving subsequence of
+// its dataset file, so that is the update a partition-ordered scatter claims
+// first, whichever pass forms a level and whatever the partition count.
 
 // passStats is what a split pass counted: edges scanned, the frontier's
 // among them (emitted, before any filter), those to an unvisited vertex
@@ -124,12 +126,9 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 				}
 				if !visited.Get(key) {
 					ps.candidates++
-					switch b := best[key]; {
-					case b == graph.NoVertex:
+					if best[key] == graph.NoVertex {
 						best[key] = par
 						ps.claims++
-					case parts.Of(par) < parts.Of(b):
-						best[key] = par
 					}
 				}
 			}
