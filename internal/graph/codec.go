@@ -28,7 +28,8 @@ import (
 // Deltas reset at each block boundary (the first edge is encoded
 // against the implicit previous edge (0,0)), so any block decodes
 // independently of its neighbours. Blocks are carried inside the
-// CRC32-C framed container under the FBD1 magic; the frame CRC is the
+// CRC32-C framed container under the FBD1 magic, whole blocks to a frame
+// (a block that runs past its frame's end is corrupt); the frame CRC is the
 // integrity check, the caps below are what keep a corrupted length
 // field from driving a giant allocation before the CRC is even
 // consulted.
@@ -119,25 +120,6 @@ func AppendDeltaBlocks(dst, raw []byte) ([]byte, error) {
 // delta-block byte slice.
 func EncodeDeltaBlocks(raw []byte) ([]byte, error) { return AppendDeltaBlocks(nil, raw) }
 
-// DeltaBlockSpan inspects the front of b and returns the total encoded
-// size of the first block. ok=false means b is a valid prefix but too
-// short to span a whole block (the caller needs more data); a non-nil
-// error wraps errs.ErrCorrupted.
-func DeltaBlockSpan(b []byte) (total int, ok bool, err error) {
-	bodyLen, n := binary.Uvarint(b)
-	if n == 0 {
-		return 0, false, nil // incomplete header
-	}
-	if n < 0 || bodyLen > MaxDeltaBlockBody {
-		return 0, false, fmt.Errorf("graph: %w: delta block body length %d exceeds cap %d", errs.ErrCorrupted, bodyLen, MaxDeltaBlockBody)
-	}
-	total = n + int(bodyLen)
-	if len(b) < total {
-		return total, false, nil
-	}
-	return total, true, nil
-}
-
 // DecodeDeltaBlock decodes the first complete block in b, appending the
 // decoded fixed-width edge records to out. It returns the grown slice
 // and the number of encoded bytes consumed. Every malformed input —
@@ -146,15 +128,12 @@ func DeltaBlockSpan(b []byte) (total int, ok bool, err error) {
 // over after the last edge — surfaces as an error wrapping
 // errs.ErrCorrupted.
 func DecodeDeltaBlock(out, b []byte) ([]byte, int, error) {
-	total, ok, err := DeltaBlockSpan(b)
-	if err != nil {
-		return out, 0, err
-	}
-	if !ok {
-		return out, 0, fmt.Errorf("graph: %w: truncated delta block (%d of %d bytes)", errs.ErrCorrupted, len(b), total)
-	}
 	bodyLen, n := binary.Uvarint(b)
-	body := b[n : n+int(bodyLen)]
+	if n <= 0 || bodyLen > MaxDeltaBlockBody || bodyLen > uint64(len(b)-n) {
+		return out, 0, fmt.Errorf("graph: %w: delta block of body length %d (cap %d) in %d bytes", errs.ErrCorrupted, bodyLen, MaxDeltaBlockBody, len(b))
+	}
+	total := n + int(bodyLen)
+	body := b[n:total]
 	count, cn := binary.Uvarint(body)
 	if cn <= 0 || count == 0 || count > DeltaBlockMaxEdges {
 		return out, 0, fmt.Errorf("graph: %w: delta block edge count %d outside (0, %d]", errs.ErrCorrupted, count, DeltaBlockMaxEdges)

@@ -272,6 +272,19 @@ func (fr *FrameReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// Next returns the next frame's whole payload, valid until the next read,
+// or io.EOF once the terminator is read.
+func (fr *FrameReader) Next() ([]byte, error) {
+	if fr.err != nil || fr.done {
+		return nil, cmp.Or(fr.err, io.EOF)
+	}
+	if err := fr.nextFrame(); err != nil {
+		return nil, err
+	}
+	fr.off = len(fr.buf)
+	return fr.buf, nil
+}
+
 // DeframeAll decodes an entire framed byte slice (magic included) back
 // into its concatenated payload. It is the test- and tool-side helper
 // for inspecting framed files. Both container magics are accepted; the

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"slices"
 	"sort"
@@ -59,9 +60,9 @@ func loadIndex(t *testing.T, vol storage.Volume, m Meta) ([]uint32, []int64) {
 		t.Fatal(err)
 	}
 	deg := make([]uint32, m.Vertices)
-	frames, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
-	if err != nil {
-		t.Fatal(err)
+	frames, grain, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
+	if err != nil || grain != IndexFrameEdges {
+		t.Fatalf("%d-edge frames, err %v", grain, err)
 	}
 	return deg, frames
 }
@@ -164,33 +165,47 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 	}
 }
 
-// TestIndexBeforeBlockGrainLoads: a delta store written before the block
-// grain framed its edge file in MiB frames, and its .idx holds their
-// offsets. ReadIndex tells the grain by the index's size and loads it: the
-// degrees, and the offset of every MiB frame.
+// fbc1IndexBytes is a .idx in the FBC1 layout stored before the FBD1 one:
+// the frame offsets, 8 B each, then the degrees, 4 B each, raw in MiB frames.
+func fbc1IndexBytes(deg []uint32, frames []int64) []byte {
+	var b []byte
+	for _, off := range frames {
+		b = binary.LittleEndian.AppendUint64(b, uint64(off))
+	}
+	for _, d := range deg {
+		b = binary.LittleEndian.AppendUint32(b, d)
+	}
+	return framedMiB(b)
+}
+
+// TestIndexBeforeBlockGrainLoads: ReadIndex loads the two FBC1 layouts stored
+// before the FBD1 one StoreGraph writes — of a delta edge file in frames of a
+// block or, before the block grain, of a MiB — and the FBD1 one, each with its
+// frames' edges: the degrees, and the offset of every frame.
 func TestIndexBeforeBlockGrainLoads(t *testing.T) {
-	const vertices = 3000
+	const vertices = 3001 // odd: the FBD1 degrees end on a pad word
 	edges := skewedEdges(vertices, 2*mibFrameEdges+777)
 	m := Meta{Name: "g", Vertices: vertices, Edges: uint64(len(edges)), Codec: CodecDelta}
 	sorted, deg := sortBySource(vertices, edges, nil)
-	for _, grain := range []int{IndexFrameEdges, mibFrameEdges} {
-		file, want := deltaFileBytes(EdgesToBytes(sorted), grain)
+	for _, c := range []struct {
+		grain int
+		index func([]uint32, []int64) []byte
+	}{{IndexFrameEdges, indexBytes}, {IndexFrameEdges, fbc1IndexBytes}, {mibFrameEdges, fbc1IndexBytes}} {
+		file, want := deltaFileBytes(EdgesToBytes(sorted), c.grain)
 		m.StoredBytes = uint64(len(file))
-		idx := indexBytes(deg, want)
-		if got := IndexFrame(m, int64(len(idx))); got != int64(grain) {
-			t.Fatalf("an index of %d-edge frames reads as %d-edge frames", grain, got)
-		}
+		idx := c.index(deg, want)
 		got := make([]uint32, vertices)
-		frames, err := ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, got, nil)
-		if err != nil || !slices.Equal(frames, want) || !slices.Equal(got, deg) {
-			t.Fatalf("%d-edge frames: loaded %d offsets (want %d), degrees equal %v, err %v",
-				grain, len(frames), len(want), slices.Equal(got, deg), err)
+		frames, grain, err := ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, got, nil)
+		if err != nil || grain != int64(c.grain) || !slices.Equal(frames, want) || !slices.Equal(got, deg) {
+			t.Fatalf("%d-edge frames, %d-byte index: loaded %d offsets (want %d) of %d-edge frames, degrees equal %v, err %v",
+				c.grain, len(idx), len(frames), len(want), grain, slices.Equal(got, deg), err)
 		}
 	}
 }
 
 // indexMetas are the stores FuzzIndex reads indexes against: a fixed file
-// and a delta file of three MiB frames or 65 block frames.
+// and a delta file of three MiB frames or 65 block frames, of an odd vertex
+// count.
 var indexMetas = []Meta{
 	{Name: "f", Vertices: 37, Edges: 100, Codec: CodecFixed},
 	{Name: "d", Vertices: 37, Edges: 2*mibFrameEdges + 5, Codec: CodecDelta, StoredBytes: 900_000},
@@ -202,24 +217,31 @@ func FuzzIndex(f *testing.F) {
 	// summing to Edges, with frame offsets rising from the first frame to
 	// inside the edge file, or fail with errs.ErrCorrupted; the loader
 	// never panics, and sizes nothing by a length it has not checked. The
-	// corpus holds a valid index of each store, the delta one at each grain,
-	// and well-framed ones that break each check past the CRC.
+	// corpus holds a valid index of each store in each layout — FBD1, and
+	// FBC1 with the delta one at each grain — and well-framed ones that
+	// break each check past the CRC.
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), FrameAll(make([]byte, 4*37)))
+	deg := make([]uint32, 37)
+	deg[0] = 100
+	f.Add(uint8(0), indexBytes(deg, nil))
+	f.Add(uint8(0), fbc1IndexBytes(deg, nil))
 	d := indexMetas[1]
-	deg := make([]uint32, d.Vertices)
 	deg[0] = uint32(d.Edges)
 	for _, grain := range []uint64{IndexFrameEdges, mibFrameEdges} {
 		frames := make([]int64, indexFrames(d, grain))
 		for i := range frames {
 			frames[i] = 4 + int64(i)*10_000
 		}
-		f.Add(uint8(1), indexBytes(deg, frames))
+		f.Add(uint8(1), fbc1IndexBytes(deg, frames))
+		if grain == IndexFrameEdges {
+			f.Add(uint8(1), indexBytes(deg, frames))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, b []byte) {
 		m := indexMetas[int(which)%len(indexMetas)]
 		deg := make([]uint32, m.Vertices)
-		frames, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
+		frames, grain, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
 		if err != nil {
 			if !errors.Is(err, errs.ErrCorrupted) {
 				t.Fatalf("%s: error %v does not wrap ErrCorrupted", m.Name, err)
@@ -230,9 +252,9 @@ func FuzzIndex(f *testing.F) {
 		for _, d := range deg {
 			sum += uint64(d)
 		}
-		want := indexFrames(m, uint64(IndexFrame(m, int64(len(b)))))
-		if sum != m.Edges || uint64(len(frames)) != want {
-			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames (want %d)", m.Name, sum, m.Edges, len(frames), want)
+		want := indexFrames(m, uint64(grain))
+		if sum != m.Edges || uint64(len(frames)) != want || grain != IndexFrameEdges && grain != mibFrameEdges {
+			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames of %d edges (want %d)", m.Name, sum, m.Edges, len(frames), grain, want)
 		}
 		for j, off := range frames {
 			if j == 0 && off != 4 || j > 0 && off <= frames[j-1] || off >= int64(m.StoredBytes)-8 {

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -122,39 +121,42 @@ func DegreePermutation(vertices uint64, edges []Edge) *Permutation {
 	return p
 }
 
-// StorePerm writes the permutation sidecar: the stored→original uint32
-// array inside the checksummed framed container.
+// StorePerm writes the permutation sidecar: the stored→original ids, two to
+// an FBD1 record (DESIGN.md §14).
 func StorePerm(vol storage.Volume, name string, p *Permutation) error {
-	payload := make([]byte, 4*len(p.origOf))
-	for i, v := range p.origOf {
-		binary.LittleEndian.PutUint32(payload[4*i:], uint32(v))
-	}
-	return storage.WriteAll(vol, PermFileName(name), FrameAll(payload))
+	return storage.WriteAll(vol, PermFileName(name), words32(p.origOf))
 }
 
 // LoadPerm reads and validates the permutation sidecar of a reordered
-// dataset. Integrity violations — framing damage, a length that does
-// not match the vertex count, a non-bijective mapping — wrap
+// dataset, FBD1 or the FBC1 uint32 array stored before it, decoding the ids
+// straight into the mapping. Integrity violations — framing damage, a length
+// that does not match the vertex count, a non-bijective mapping — wrap
 // errs.ErrCorrupted.
 func LoadPerm(vol storage.Volume, name string, vertices uint64) (*Permutation, error) {
-	b, err := storage.ReadAll(vol, PermFileName(name))
-	if err != nil {
+	fail := func(err error) (*Permutation, error) {
 		return nil, fmt.Errorf("graph: permutation for %s: %w", name, err)
 	}
-	payload, err := DeframeAll(b)
+	r, err := vol.Open(PermFileName(name))
 	if err != nil {
-		return nil, fmt.Errorf("graph: permutation for %s: %w", name, err)
+		return fail(err)
 	}
-	if uint64(len(payload)) != 4*vertices {
-		return nil, fmt.Errorf("graph: %w: permutation for %s is %d bytes, want %d", errs.ErrCorrupted, name, len(payload), 4*vertices)
+	defer r.Close()
+	magic, _, err := SniffContainer(r)
+	if err != nil {
+		return fail(err)
+	}
+	if uint64(r.Size()) < vertices { // an id takes a byte at least
+		return fail(fmt.Errorf("%w: %d bytes for %d vertices", errs.ErrCorrupted, r.Size(), vertices))
 	}
 	origOf := make([]VertexID, vertices)
-	for i := range origOf {
-		origOf[i] = VertexID(binary.LittleEndian.Uint32(payload[4*i:]))
+	fr := NewFrameReader(r)
+	fr.limit = int(min(r.Size(), MaxFramePayload)) // no frame outgrows its file
+	if err := readWords(fr, magic, vertices, func(i uint64, w uint32) { origOf[i] = VertexID(w) }); err != nil {
+		return fail(err)
 	}
 	p, err := NewPermutation(origOf)
 	if err != nil {
-		return nil, fmt.Errorf("graph: permutation for %s: %w", name, err)
+		return fail(err)
 	}
 	return p, nil
 }

@@ -295,7 +295,7 @@ const frameMiB = 1 << 20
 const IndexFrameEdges = DeltaBlockMaxEdges
 
 // mibFrameEdges frames a delta .rev file, and a delta edge file stored
-// before the block grain (whose index still loads: IndexFrame).
+// before the block grain (whose index still loads: fbc1IndexFrame).
 const mibFrameEdges = frameMiB / EdgeBytes
 
 // sortBySource returns edges sorted by source and the out-degree table: a
@@ -340,80 +340,126 @@ func indexFrames(m Meta, grain uint64) uint64 {
 	return (m.Edges + grain - 1) / grain
 }
 
-// IndexFrame is the frame edges of m's .idx of size bytes, told by the size:
-// IndexFrameEdges, or mibFrameEdges for a delta file stored before the block
-// grain; 0 when neither fits.
-func IndexFrame(m Meta, size int64) int64 {
+// fbc1IndexFrame is the frame edges of m's FBC1 .idx of size bytes, the
+// layout stored before the FBD1 one, told by the size: IndexFrameEdges, or
+// mibFrameEdges for a delta file stored before the block grain; 0 when
+// neither fits.
+func fbc1IndexFrame(m Meta, size int64) uint64 {
 	for _, g := range []uint64{IndexFrameEdges, mibFrameEdges} {
 		if payload := 8*indexFrames(m, g) + 4*m.Vertices; uint64(size) == 12+8*((payload+frameMiB-1)/frameMiB)+payload {
-			return int64(g)
+			return g
 		}
 	}
 	return 0
 }
 
-// indexBytes encodes a .idx file: the frame offsets, 8 B each, then the
-// degrees, 4 B each, little-endian.
+// words32 is an FBD1 file of the little-endian 32-bit words of w, two to a
+// record, an odd count padded by a zero.
+func words32[T ~uint32](w ...[]T) []byte {
+	var b []byte
+	for _, x := range slices.Concat(w...) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
+	}
+	file, _ := deltaFileBytes(append(b, make([]byte, len(b)%EdgeBytes)...), IndexFrameEdges)
+	return file
+}
+
+// indexBytes encodes a .idx file: the frame offsets, one 8-byte record
+// each, then the degrees, two to a record.
 func indexBytes(deg []uint32, frames []int64) []byte {
-	b := make([]byte, 0, 8*len(frames)+4*len(deg))
-	for _, off := range frames {
-		b = binary.LittleEndian.AppendUint64(b, uint64(off))
+	off := make([]uint32, 0, 2*len(frames))
+	for _, o := range frames {
+		off = append(off, uint32(o), uint32(o>>32))
 	}
-	for _, d := range deg {
-		b = binary.LittleEndian.AppendUint32(b, d)
+	return words32(off, deg)
+}
+
+// readWords hands fn the first n little-endian 32-bit words of the payload
+// fr reads, frame by frame, then requires the payload to end — after one pad
+// word when FBD1 records hold an odd n. magic is the file's; a payload of
+// another length, or no frame magic, is errs.ErrCorrupted.
+func readWords(fr *FrameReader, magic uint32, n uint64, fn func(i uint64, w uint32)) error {
+	total, i := n, uint64(0)
+	if magic == 0 {
+		return fmt.Errorf("%w: no frame magic", errs.ErrCorrupted)
+	} else if magic == FrameMagicDelta {
+		total += n % 2
 	}
-	return framedMiB(b)
+	var blk [DeltaBlockMaxEdges * EdgeBytes]byte
+	for p, err := fr.Next(); err != io.EOF; p, err = fr.Next() {
+		if err != nil {
+			return err
+		}
+		for k := 0; len(p) > 0; p = p[k:] {
+			words := p
+			if k = len(p); magic == FrameMagicDelta {
+				if words, k, err = DecodeDeltaBlock(blk[:0], p); err != nil {
+					return err
+				}
+			}
+			if len(words)%4 != 0 || uint64(len(words)/4) > total-i {
+				return fmt.Errorf("%w: payload past %d words", errs.ErrCorrupted, total)
+			}
+			for j := 0; j < len(words); j, i = j+4, i+1 {
+				if i < n {
+					fn(i, binary.LittleEndian.Uint32(words[j:]))
+				}
+			}
+		}
+	}
+	if i != total {
+		return fmt.Errorf("%w: payload ends at word %d of %d", errs.ErrCorrupted, i, total)
+	}
+	return nil
 }
 
 // ReadIndex reads m's size-byte .idx file from r: the degrees into deg (len
 // m.Vertices), the frame offsets into the slice it returns (nil for a fixed
-// file; each frame IndexFrame edges), the frames through a buffer from bufs.
-// It checks the size m implies before it reads or allocates, each frame's
-// CRC, that the degrees sum to m.Edges and that the offsets rise from the
-// first frame to inside the edge file: anything else is errs.ErrCorrupted.
-func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, error) {
+// file) with the edges each frame holds, the frames through buffers from
+// bufs. The FBD1 layout's grain is IndexFrameEdges; the FBC1 one, stored
+// before, holds the same words raw, at a grain told by its size. It checks
+// what m implies before it allocates, each frame's CRC, that the degrees sum
+// to m.Edges and that the offsets rise from the first frame to inside the
+// edge file: anything else is errs.ErrCorrupted.
+func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, int64, error) {
 	bad := func(format string, a ...any) error {
 		return fmt.Errorf("graph %s: %w: index "+format, append([]any{m.Name, errs.ErrCorrupted}, a...)...)
 	}
-	grain := IndexFrame(m, size)
-	nf := indexFrames(m, uint64(max(grain, 1)))
-	payload := 8*nf + 4*m.Vertices
-	if grain == 0 || nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices {
-		return nil, bad("of %d bytes for %d vertices and %d frames", size, m.Vertices, nf)
+	magic, _, err := SniffContainer(r)
+	grain := uint64(IndexFrameEdges)
+	if magic == FrameMagic {
+		grain = fbc1IndexFrame(m, size)
 	}
-	if magic, _, err := SniffContainer(r); err != nil || magic != FrameMagic {
-		return nil, bad("with no frame magic (%v)", err)
+	nf := indexFrames(m, max(grain, 1))
+	if err != nil || grain == 0 || nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices {
+		return nil, 0, bad("of %d bytes for %d vertices and %d frames (%v)", size, m.Vertices, nf, err)
 	}
-	fr := NewFrameReaderBufs(r, bufs, frameMiB)
-	fr.limit = frameMiB
-	defer fr.Release()
 	var frames []int64
 	if nf > 0 {
 		frames = make([]int64, nf)
 	}
 	var sum uint64
-	var buf [4096]byte
-	for at := uint64(0); at < payload; { // reads start 8-aligned: no offset straddles two
-		c := buf[:min(payload-at, uint64(len(buf)))]
-		if _, err := io.ReadFull(fr, c); err != nil {
-			return nil, bad("payload: %v", err)
+	fr := NewFrameReaderBufs(r, bufs, frameMiB)
+	fr.limit = frameMiB
+	defer fr.Release()
+	err = readWords(fr, magic, 2*nf+m.Vertices, func(i uint64, w uint32) {
+		if i < 2*nf {
+			frames[i/2] |= int64(w) << (32 * (i % 2))
+		} else {
+			deg[i-2*nf] = w
+			sum += uint64(w)
 		}
-		for i := 0; i < len(c); i, at = i+4, at+4 {
-			if at >= 8*nf {
-				deg[(at-8*nf)/4] = binary.LittleEndian.Uint32(c[i:])
-				sum += uint64(deg[(at-8*nf)/4])
-			} else if at%8 == 0 {
-				frames[at/8] = int64(binary.LittleEndian.Uint64(c[i:]))
-			}
-		}
+	})
+	if err == nil && sum != m.Edges {
+		err = fmt.Errorf("degrees summing to %d, not %d", sum, m.Edges)
 	}
-	if n, err := fr.Read(buf[:1]); n != 0 || err != io.EOF || sum != m.Edges {
-		return nil, bad("payload past %d bytes (%v), or degrees summing to %d, not %d", payload, err, sum, m.Edges)
+	if err != nil {
+		return nil, 0, bad("of %d bytes: %v", size, err)
 	}
 	for i, off := range append(frames, int64(m.StoredBytes)-frameHeaderBytes)[1:] { // the terminator ends the last
 		if frames[0] != 4 || off-frames[i] <= frameHeaderBytes {
-			return nil, bad("frame %d at byte %d, the next at %d", i, frames[i], off)
+			return nil, 0, bad("frame %d at byte %d, the next at %d", i, frames[i], off)
 		}
 	}
-	return frames, nil
+	return frames, int64(grain), nil
 }

@@ -9,7 +9,7 @@ import (
 // BufPool is one streaming run's free-list of stream buffers — the
 // prototype's fixed set of "stream buffers for reading edges and writing
 // updates" (§III). Every scanner, writer, stay file, frame reader and
-// delta stage of a run draws its buffer here at open and gives it back
+// delta block buffer of a run draws its buffer here and gives it back
 // at Close/Abort, so a run allocates its peak working set once instead
 // of one fresh (and freshly cleared) buffer per stream open.
 //

@@ -231,8 +231,8 @@ func TestStreamsReturnBuffersAndFailAfterClose(t *testing.T) {
 	if n := a.Outstanding(); n != 0 {
 		t.Fatalf("%d buffers outstanding after an Abort and an abandoned scan", n)
 	}
-	if a.Peak() > 4 {
-		t.Fatalf("peak of %d buffers for one stream at a time; want at most 4 (scan buffer, frame payload, delta stage, delta block)", a.Peak())
+	if a.Peak() > 3 {
+		t.Fatalf("peak of %d buffers for one stream at a time; want at most 3 (scan buffer, frame payload, delta block)", a.Peak())
 	}
 }
 

@@ -1,10 +1,6 @@
 package stream
 
 import (
-	"fmt"
-	"io"
-
-	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 )
@@ -33,87 +29,67 @@ type deviceByter interface {
 	DeviceBytes() int64
 }
 
-// deltaStageSize is the compressed staging buffer: comfortably larger
-// than the largest possible block span (MaxDeltaBlockBody plus its
-// varint header).
-const deltaStageSize = 128 << 10
-
-// deltaReader decodes an FBD1 payload stream (delta blocks, already
-// deframed and CRC-verified by the frame reader underneath) into
-// fixed-width records. Size reports the raw file size, like
-// framedReader, so read-ahead stays deterministic in compressed space.
+// deltaReader decodes an FBD1 payload stream (delta blocks, whole blocks
+// to a frame, each frame CRC-verified by the frame reader underneath) into
+// fixed-width records. Size reports the raw file size, like framedReader,
+// so read-ahead stays deterministic in compressed space.
 type deltaReader struct {
 	inner storage.Reader
 	src   *graph.FrameReader // deframed compressed payload
 	bufs  *BufPool
-	cbuf  []byte // compressed staging
-	cpos  int
-	cfill int
-	out   []byte // decoded block not yet delivered
+	frame []byte // the current frame's blocks not yet decoded
+	out   []byte // a decoded block not yet delivered
 	opos  int
 	taken int64 // compressed payload bytes decoded so far
-	eof   bool  // src exhausted
 }
 
-// deltaBlockBytes is the largest decoded block, so the decode target
-// never grows out of its pooled buffer.
+// deltaBlockBytes is the largest decoded block.
 const deltaBlockBytes = graph.DeltaBlockMaxEdges * graph.EdgeBytes
 
 func newDeltaReader(inner storage.Reader, src *graph.FrameReader, bufs *BufPool) *deltaReader {
-	return &deltaReader{inner: inner, src: src, bufs: bufs,
-		cbuf: bufs.Get(deltaStageSize), out: bufs.Get(deltaBlockBytes)[:0]}
+	return &deltaReader{inner: inner, src: src, bufs: bufs}
 }
 
+// Read decodes a block straight into a p that holds the largest one, else
+// through a block buffer from the run's free-list, kept until Close.
 func (d *deltaReader) Read(p []byte) (int, error) {
-	for {
-		if d.opos < len(d.out) {
-			n := copy(p, d.out[d.opos:])
-			d.opos += n
-			return n, nil
+	for d.opos == len(d.out) {
+		if len(d.frame) == 0 {
+			var err error
+			if d.frame, err = d.src.Next(); err != nil {
+				return 0, err
+			}
+			continue
 		}
-		span, ok, err := graph.DeltaBlockSpan(d.cbuf[d.cpos:d.cfill])
+		dst, direct := p[:0], len(p) >= deltaBlockBytes
+		if !direct {
+			if d.out == nil {
+				d.out = d.bufs.Get(deltaBlockBytes)
+			}
+			dst = d.out[:0]
+		}
+		got, n, err := graph.DecodeDeltaBlock(dst, d.frame)
 		if err != nil {
 			return 0, err
 		}
-		if ok {
-			d.out, _, err = graph.DecodeDeltaBlock(d.out[:0], d.cbuf[d.cpos:d.cfill])
-			if err != nil {
-				return 0, err
-			}
-			d.cpos += span
-			d.taken += int64(span)
-			d.opos = 0
-			continue
+		if d.frame, d.taken = d.frame[n:], d.taken+int64(n); direct {
+			return len(got), nil
 		}
-		if d.eof {
-			if d.cfill == d.cpos {
-				return 0, io.EOF
-			}
-			return 0, fmt.Errorf("stream: %w: delta stream truncated mid-block (%d bytes)", errs.ErrCorrupted, d.cfill-d.cpos)
-		}
-		copy(d.cbuf, d.cbuf[d.cpos:d.cfill])
-		d.cfill -= d.cpos
-		d.cpos = 0
-		n, err := d.src.Read(d.cbuf[d.cfill:])
-		d.cfill += n
-		if err == io.EOF {
-			d.eof = true
-		} else if err != nil {
-			return 0, err
-		}
+		d.out, d.opos = got, 0
 	}
+	n := copy(p, d.out[d.opos:])
+	d.opos += n
+	return n, nil
 }
 
 func (d *deltaReader) Size() int64        { return d.inner.Size() }
 func (d *deltaReader) DeviceBytes() int64 { return d.taken }
 
-// Close returns the stage, the decode target and the frame payload
-// buffer to the run's free-list. The scanner above never reads a closed
-// reader.
+// Close returns the block buffer and the frame payload buffer to the
+// run's free-list. The scanner above never reads a closed reader.
 func (d *deltaReader) Close() error {
-	d.bufs.Put(d.cbuf)
 	d.bufs.Put(d.out)
-	d.cbuf, d.out = nil, nil
+	d.frame, d.out = nil, nil
 	d.src.Release()
 	return d.inner.Close()
 }

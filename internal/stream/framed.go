@@ -96,7 +96,7 @@ func (f *framedReader) Close() error {
 // reader producing the record stream: deframed (CRC-verified) for FBC1
 // files, deframed and block-decoded for FBD1 delta files,
 // byte-for-byte for raw ones. The frame payload buffer (bufSize bytes,
-// the reading scanner's own size) and the delta stage come from
+// the reading scanner's own size) and the delta block buffer come from
 // timing.Bufs and go back at Close.
 func openSniffed(vol storage.Volume, name string, timing Timing, bufSize int) (storage.Reader, error) {
 	r, err := openRetrying(vol, name, timing.Retry)

@@ -523,15 +523,21 @@ func (e *kernel) finish(runSpan *obs.Span, collect func() (*Result, error)) (*Re
 
 // collectLogs assembles the BFS tree of a run that keeps logs: the root at
 // level 0, its own parent, then the logs in level order, where a vertex's
-// first record sets its level and parent. Like CollectResult it charges no
-// time. A log that is missing, or logs that reach fewer vertices than the
-// run visited, are errs.ErrCorrupted.
+// first record sets its level and parent — in original labels, read through
+// a reordered graph's permutation. Like CollectResult it charges no time. A
+// log that is missing, or logs that reach fewer vertices than the run
+// visited, are errs.ErrCorrupted.
 func (e *kernel) collectLogs() (*Result, error) {
-	rt, root, n := e.rt, e.rt.Opts.Root, e.rt.Meta.Vertices
+	rt, n := e.rt, e.rt.Meta.Vertices
+	orig := func(v graph.VertexID) graph.VertexID { return v }
+	if rt.Perm != nil {
+		orig = rt.Perm.ToOrig
+	}
 	res := &Result{Levels: make([]uint32, n), Parents: make([]graph.VertexID, n), Visited: 1}
 	for i := range res.Levels {
 		res.Levels[i], res.Parents[i] = NoLevel, graph.NoVertex
 	}
+	root := orig(rt.Opts.Root)
 	res.Levels[root], res.Parents[root] = 0, root
 	chunk := rt.UpdateChunk()
 	for j := 0; j < e.levels; j++ {
@@ -540,10 +546,10 @@ func (e *kernel) collectLogs() (*Result, error) {
 			for k := -1; err == nil && k != 0; {
 				k, err = sc.NextChunk(chunk)
 				for _, u := range chunk[:k] {
-					if uint64(u.Dst) >= n {
+					if uint64(u.Dst) >= n || uint64(u.Parent) >= n {
 						err = fmt.Errorf("%w: update %v past the vertices", errs.ErrCorrupted, u)
-					} else if res.Levels[u.Dst] == NoLevel {
-						res.Levels[u.Dst], res.Parents[u.Dst] = uint32(j)+1, u.Parent
+					} else if v := orig(u.Dst); res.Levels[v] == NoLevel {
+						res.Levels[v], res.Parents[v] = uint32(j)+1, orig(u.Parent)
 						res.Visited++
 					}
 				}
@@ -562,7 +568,6 @@ func (e *kernel) collectLogs() (*Result, error) {
 	if res.Visited < e.run.Visited {
 		return nil, fmt.Errorf("%s: %w: the level logs reach %d vertices, the run visited %d", e.run.Engine, errs.ErrCorrupted, res.Visited, e.run.Visited)
 	}
-	rt.TranslateResult(res)
 	return res, nil
 }
 

@@ -323,25 +323,35 @@ func (e *kernel) logFile(iter, p int) string {
 }
 
 // writeLog writes the winners in d.best, the level iteration iter formed,
-// one update record each, to per-partition log files.
-func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) error {
-	ls := itSpan.Child("shuffle")
-	defer ls.End()
-	sh, err := stream.NewShuffler(e.rt.Vol, e.rt.Parts, e.rt.AuxTiming(), e.rt.Opts.StreamBufSize,
-		func(p int) string { return e.logFile(iter, p) })
-	if err != nil {
-		return err
-	}
-	sh.SetAsync()
-	for v, b := range d.best {
-		if b != graph.NoVertex {
-			if err := sh.Append(graph.Update{Dst: graph.VertexID(v), Parent: b}); err != nil {
-				sh.Abort()
-				return err
+// to per-partition log files: in vertex order, so as FBD1 delta blocks
+// (DESIGN.md §10) of update records — an edge's layout, read back as updates
+// — a partition at a time through one writer's buffers. A failure removes
+// the logs it wrote.
+func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) (err error) {
+	defer itSpan.Child("shuffle").End()
+	for p := 0; p < len(e.parts) && err == nil; p++ {
+		var w *stream.Writer[graph.Edge]
+		if w, err = stream.NewCodecEdgeWriter(e.rt.Vol, e.logFile(iter, p), e.rt.AuxTiming(), e.rt.Opts.StreamBufSize, graph.CodecDelta); err != nil {
+			break
+		}
+		w.SetAsync()
+		for v, hi := e.rt.Parts.Interval(p); v < hi && err == nil; v++ {
+			if d.best[v] != graph.NoVertex {
+				err = w.Append(graph.Edge{Src: v, Dst: d.best[v]}) // {Dst, Parent}
 			}
 		}
+		if err == nil {
+			err = w.Close()
+		} else {
+			w.Abort()
+		}
+		e.rt.BytesWritten += w.BytesWritten()
+		e.rt.RegisterReady(e.logFile(iter, p), w.LastOp())
 	}
-	return sealWriters(e.rt, sh.WriterSet)
+	for p := 0; err != nil && p < len(e.parts); p++ {
+		e.rt.Vol.Remove(e.logFile(iter, p))
+	}
+	return err
 }
 
 // bookCarried books into itRow the level the last stored pass formed as
@@ -377,12 +387,11 @@ func (e *kernel) openIndex() error {
 	if err != nil {
 		return nil // stored before the index
 	}
-	ix := &storedIndex{frameEdges: graph.IndexFrame(rt.Meta, isz), size: int64(rt.Meta.DataBytes()),
-		edges: int64(rt.Meta.Edges), grain: 64 << 10}
+	ix := &storedIndex{size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: 64 << 10}
 	var least int64
 	if rt.Meta.EdgeCodec() == graph.CodecDelta {
 		ix.size = int64(rt.Meta.StoredBytes)
-		least = ix.size * min(ix.frameEdges, ix.edges) / max(ix.edges, 1)
+		least = ix.size * min(graph.IndexFrameEdges, ix.edges) / max(ix.edges, 1)
 	}
 	if sim := rt.Opts.Sim; sim != nil {
 		ix.grain = int64(sim.MainDisk.SeekLatency * sim.MainDisk.Bandwidth)
@@ -395,7 +404,7 @@ func (e *kernel) openIndex() error {
 		return err
 	}
 	defer rr.Close()
-	if ix.frames, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
+	if ix.frames, ix.frameEdges, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
 		return err
 	}
 	if rt.Clock != nil {
