@@ -33,7 +33,9 @@
 // stderr (suppress with -quiet). -tracefile writes a JSONL span/counter
 // trace readable by cmd/tracecat. -debugaddr serves net/http/pprof under
 // /debug/pprof/, the live engine counters as expvar under /debug/vars,
-// and a plain-text progress page at /.
+// and a plain-text progress page at /. The counters repeat the run record:
+// scatter_chunks and scatter_busy_ns move with every scatter chunk, the
+// rest as each iteration ends (DESIGN.md §11).
 package main
 
 import (

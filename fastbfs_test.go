@@ -2,7 +2,9 @@ package fastbfs
 
 import (
 	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
@@ -99,7 +101,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 // index, stored passes, working files and the collect of the tree — in the
 // two out-of-core configurations the benchmark runs: a fixed store
 // top-down, and a reordered delta store under direction auto, both at 8
-// partitions.
+// partitions. It holds too when every stay write takes 20 ms, so that the
+// last stay files are still with the background writer as the loop ends.
 func TestRunBytesReconcileWithTheVolume(t *testing.T) {
 	for _, c := range []struct {
 		store StoreOptions
@@ -112,29 +115,49 @@ func TestRunBytesReconcileWithTheVolume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vol := storage.NewCounting(osv, "disk")
-		meta, edges, err := GenerateRMAT(12, 16, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := StoreGraph(context.Background(), vol, meta, edges, c.store); err != nil {
-			t.Fatal(err)
-		}
-		opts := Options{Base: EngineOptions{Root: edges[0].Src, MemoryBudget: 8192, ScatterWorkers: 2, Direction: xstream.Direction(c.dir)}}
-		before := vol.Stats()
-		res, err := Run(context.Background(), EngineFastBFS, vol, meta.Name, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		moved, r := vol.Stats().Sub(before), res.Metrics
-		if r.BytesRead != moved.BytesRead || r.BytesWritten != moved.BytesWritten {
-			t.Fatalf("%s/%s: the run records %d bytes read and %d written, the volume moved %d and %d",
-				c.store.Codec, c.dir, r.BytesRead, r.BytesWritten, moved.BytesRead, moved.BytesWritten)
-		}
-		if len(r.Devices) != 1 || r.Devices[0].Name != "disk" || res.Visited < meta.Vertices/4 {
-			t.Fatalf("%s/%s: devices %+v, %d vertices visited", c.store.Codec, c.dir, r.Devices, res.Visited)
+		for _, inner := range []storage.Volume{osv, lateStays{storage.NewMem()}} {
+			vol := storage.NewCounting(inner, "disk")
+			meta, edges, err := GenerateRMAT(12, 16, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := StoreGraph(context.Background(), vol, meta, edges, c.store); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Base: EngineOptions{Root: edges[0].Src, MemoryBudget: 8192, ScatterWorkers: 2, Direction: xstream.Direction(c.dir)}}
+			before := vol.Stats()
+			res, err := Run(context.Background(), EngineFastBFS, vol, meta.Name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved, r := vol.Stats().Sub(before), res.Metrics
+			if r.BytesRead != moved.BytesRead || r.BytesWritten != moved.BytesWritten {
+				t.Fatalf("%s/%s on %T: the run records %d bytes read and %d written, the volume moved %d and %d",
+					c.store.Codec, c.dir, inner, r.BytesRead, r.BytesWritten, moved.BytesRead, moved.BytesWritten)
+			}
+			if len(r.Devices) != 1 || r.Devices[0].Name != "disk" || res.Visited < meta.Vertices/4 {
+				t.Fatalf("%s/%s on %T: devices %+v, %d vertices visited", c.store.Codec, c.dir, inner, r.Devices, res.Visited)
+			}
 		}
 	}
+}
+
+// lateStays holds every write to a stay file 20 ms, as a busy disk might.
+type lateStays struct{ storage.Volume }
+
+func (v lateStays) Create(name string) (storage.Writer, error) {
+	w, err := v.Volume.Create(name)
+	if err != nil || !strings.Contains(name, "_stay") {
+		return w, err
+	}
+	return lateWriter{w}, nil
+}
+
+type lateWriter struct{ storage.Writer }
+
+func (w lateWriter) Write(p []byte) (int, error) {
+	time.Sleep(20 * time.Millisecond)
+	return w.Writer.Write(p)
 }
 
 func TestPublicAPIGenerators(t *testing.T) {

@@ -331,8 +331,7 @@ func TestResumeRebuildsUpdateFilter(t *testing.T) {
 // TestCheckpointedAutoRecordsDirectionFallback: checkpointing no longer
 // pins direction auto, so a checkpointed auto run — fresh or resumed —
 // records a direction fallback exactly when an unchecked one does: when
-// the graph was stored without its reverse-edge file. The metrics record
-// and the direction_fallbacks counter agree.
+// the graph was stored without its reverse-edge file.
 func TestCheckpointedAutoRecordsDirectionFallback(t *testing.T) {
 	c := ckCase{xstream.DirectionAuto, graph.CodecFixed}
 	for _, reverse := range []bool{true, false} {
@@ -349,23 +348,12 @@ func TestCheckpointedAutoRecordsDirectionFallback(t *testing.T) {
 		}
 		run := func(tag string, vol storage.Volume, opts Options) *Result {
 			t.Helper()
-			col := &obs.Collect{}
-			tr := obs.New(col)
-			opts.Base.Tracer = tr
 			res, err := Run(vol, m.Name, opts)
-			tr.Close()
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
 			if res.Metrics.DirectionFallback == reverse {
 				t.Errorf("%s: DirectionFallback = %v with reverse file %v", tag, res.Metrics.DirectionFallback, reverse)
-			}
-			want := int64(0)
-			if !reverse {
-				want = 1
-			}
-			if got := obs.Summarize(col.Events()).Counters[obs.CtrDirectionFallbacks]; got != want {
-				t.Errorf("%s: direction_fallbacks counter = %d, want %d", tag, got, want)
 			}
 			return res
 		}

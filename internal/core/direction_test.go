@@ -9,7 +9,6 @@ import (
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -222,41 +221,5 @@ func TestFastBFSCorruptReverseFailsStop(t *testing.T) {
 	o.Base.Direction = xstream.DirectionBottomUp
 	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("corrupt .rev: err = %v, want ErrCorrupted", err)
-	}
-}
-
-func TestFastBFSDirectionObsCounters(t *testing.T) {
-	// The direction decision is observable live: the switch iteration,
-	// bottom-up iteration count and mode changes stream out as counters
-	// and must agree with the post-mortem metrics record.
-	m, edges, err := gen.RMAT(10, 8, gen.Graph500(), 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vol := storage.NewMem()
-	if err := graph.Store(vol, m, edges); err != nil {
-		t.Fatal(err)
-	}
-	col := &obs.Collect{}
-	o := smallOpts()
-	o.Base.Root = maxDegreeVertex(m, edges)
-	o.Base.Direction = xstream.DirectionAuto
-	o.Base.Tracer = obs.New(col)
-	res := runDirection(t, vol, m.Name, o)
-	if res.Metrics.BottomUpIterations == 0 {
-		t.Fatal("auto stayed top-down; counter test needs a switch")
-	}
-	sum := obs.Summarize(col.Events())
-	if got := sum.Counters[obs.CtrSwitchIteration]; got != int64(res.Metrics.SwitchIteration) {
-		t.Errorf("switch_iteration counter = %d, metrics %d", got, res.Metrics.SwitchIteration)
-	}
-	if got := sum.Counters[obs.CtrBottomUpIters]; got != int64(res.Metrics.BottomUpIterations) {
-		t.Errorf("bottomup_iterations counter = %d, metrics %d", got, res.Metrics.BottomUpIterations)
-	}
-	if got := sum.Counters[obs.CtrDirectionSwitches]; got != int64(res.Metrics.DirectionSwitches) {
-		t.Errorf("direction_switches counter = %d, metrics %d", got, res.Metrics.DirectionSwitches)
-	}
-	if got := sum.Counters[obs.CtrDirectionFallbacks]; got != 0 {
-		t.Errorf("direction_fallbacks counter = %d on a healthy run", got)
 	}
 }

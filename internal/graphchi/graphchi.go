@@ -122,9 +122,6 @@ type engine struct {
 	rt *xstream.Runtime
 	rv storage.RangeVolume
 
-	tr  *obs.Tracer
-	ctr obs.EngineCounters
-
 	// windows[q][p] is the byte offset in shard q of the first record
 	// whose source is in interval p; windows[q][P] is the shard size.
 	windows [][]int64
@@ -148,9 +145,7 @@ func (e *engine) readWindow(q int, off, end int64) ([]byte, error) {
 
 func (e *engine) run() (*xstream.Result, error) {
 	run := metrics.Run{Engine: EngineName}
-	e.tr = e.rt.Tracer()
-	e.ctr = obs.NewEngineCounters(e.tr)
-	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
+	runSpan := e.rt.Tracer().Span("run").Attr("partitions", int64(e.rt.Parts.P()))
 
 	pps := runSpan.Child("preprocess")
 	if err := e.preprocess(); err != nil {
@@ -169,7 +164,7 @@ func (e *engine) run() (*xstream.Result, error) {
 	for p := 0; p < P; p++ {
 		v := e.rt.InitVerts(p)
 		if e.rt.MarkRoot(v) {
-			e.ctr.Visited.Add(1)
+			run.Visited++
 		}
 		if err := e.rt.SaveVerts(p, v); err != nil {
 			return nil, err
@@ -185,13 +180,11 @@ func (e *engine) run() (*xstream.Result, error) {
 	if maxIter <= 0 {
 		maxIter = int(e.rt.Meta.Vertices) + 1
 	}
-	var visited uint64
 	for pass := 0; pass < maxIter; pass++ {
 		if err := e.rt.Checkpoint(); err != nil {
 			return nil, err
 		}
 		itSpan := runSpan.Child("iteration").SetIter(pass)
-		e.ctr.Iteration.Set(int64(pass))
 		itRow := metrics.Iteration{Index: pass}
 		changed := false
 		for p := 0; p < P; p++ {
@@ -208,27 +201,24 @@ func (e *engine) run() (*xstream.Result, error) {
 		}
 		itRow.Frontier = itRow.NewlyVisited
 		run.Iterations = append(run.Iterations, itRow)
-		e.ctr.Frontier.Set(int64(itRow.Frontier))
-		e.ctr.BytesRead.Set(e.rt.BytesRead)
-		e.ctr.BytesWritten.Set(e.rt.BytesWritten)
+		run.Visited += itRow.NewlyVisited
 		itSpan.Attr("frontier", int64(itRow.Frontier)).
 			Attr("new", int64(itRow.NewlyVisited)).
 			Attr("edges", itRow.EdgesStreamed).End()
-		e.tr.EmitCounters()
+		e.rt.Publish(&run, 0)
 		if !changed {
 			break
 		}
 	}
 	runSpan.End()
-	e.tr.EmitCounters()
 
 	res, err := e.rt.CollectResult()
 	if err != nil {
 		return nil, err
 	}
-	visited = res.Visited
-	run.Visited = visited
+	run.Visited = res.Visited
 	e.rt.FinishMetrics(&run)
+	e.rt.Publish(&run, 0)
 	if e.rt.Clock != nil {
 		// Report PSW execution time (and its iowait) net of sharding, as
 		// the paper does ("even with the preprocessing costs excluded",
@@ -395,7 +385,6 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 	rt.BytesRead += int64(len(memData))
 	nMem := len(memData) / shardRecBytes
 	scanned += int64(nMem)
-	e.ctr.Edges.Add(int64(nMem))
 	lds.End()
 
 	// Group in-edges by destination.
@@ -451,7 +440,6 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 			}
 		}
 	}
-	e.ctr.Visited.Add(int64(newly))
 	ups.End()
 
 	// Sliding windows: push updated levels onto out-edges living in the
@@ -476,7 +464,6 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 		rt.BytesRead += end - off
 		n := len(data) / shardRecBytes
 		scanned += int64(n)
-		e.ctr.Edges.Add(int64(n))
 		winChanged := false
 		for i := 0; i < n; i++ {
 			r := getShardRec(data[i*shardRecBytes:])

@@ -469,14 +469,16 @@ func (s *Span) End() {
 }
 
 // Standard counter names shared by the engines, the CLI's expvar
-// publication and the debug progress page.
+// publication and the debug progress page. The scatter pool moves
+// scatter_chunks and scatter_busy_ns per chunk; every other one is set
+// from the run record, as each iteration's row is filed and once as the
+// run ends (xstream.Runtime.Publish, DESIGN.md §11).
 const (
 	CtrEdgesStreamed   = "edges_streamed"
 	CtrUpdatesEmitted  = "updates_emitted"
 	CtrUpdatesFiltered = "updates_filtered" // emitted updates the update filter dropped before the shuffle
 	CtrUpdatesApplied  = "updates_applied"
 	CtrStayEdges       = "stay_edges"
-	CtrStayBytes       = "stay_bytes_written"
 	CtrStayBufferWaits = "stay_buffer_waits"
 	CtrCancellations   = "cancellations"
 	CtrSkippedParts    = "partitions_skipped"
@@ -564,68 +566,3 @@ const (
 	// time.Duration, so a batch of B roots is recorded as B seconds.
 	HistServeBatchSize = "serve_batch_size"
 )
-
-// EngineCounters bundles the standard live counters an engine maintains.
-// Built from a nil Tracer, every field is the no-op counter.
-type EngineCounters struct {
-	Edges          *Counter // edges streamed through scatter
-	UpdatesEmitted *Counter // updates emitted by scatter
-	Filtered       *Counter // of those, dropped by the update filter before the shuffle
-	UpdatesApplied *Counter // updates applied by gather
-	StayEdges      *Counter // edges written to stay files
-	StayBytes      *Counter // bytes written to stay files
-	BufferWaits    *Counter // stalls on stay-buffer exhaustion
-	Cancellations  *Counter // stay writes cancelled
-	Skipped        *Counter // partitions skipped by selective scheduling
-	Visited        *Counter // vertices discovered so far
-	Frontier       *Counter // gauge: current frontier size
-	Iteration      *Counter // gauge: current iteration index
-	BytesRead      *Counter // gauge: engine bytes read so far
-	BytesWritten   *Counter // gauge: engine bytes written so far
-	ScatterWorkers *Counter // gauge: scatter worker-pool size
-	ScatterChunks  *Counter // edge chunks processed by scatter workers
-	ScatterBusyNs  *Counter // cumulative worker wall-nanoseconds classifying chunks
-	IORetries      *Counter // transient I/O faults cleared by retry
-	IOFailures     *Counter // I/O operations failed past the retry budget
-	StayCorrupt    *Counter // adopted stay files that failed frame verification
-	StayDisabled   *Counter // gauge: partitions with stay writing degraded off
-	Checkpoints    *Counter // iteration manifests durably written
-
-	BottomUpIters      *Counter // iterations run in bottom-up direction
-	DirectionSwitches  *Counter // top-down↔bottom-up mode changes
-	SwitchIteration    *Counter // gauge: first bottom-up iteration (-1 = never)
-	DirectionFallbacks *Counter // auto runs demoted to top-down (no reverse-edge file)
-}
-
-// NewEngineCounters registers (or re-fetches) the standard counter set.
-func NewEngineCounters(t *Tracer) EngineCounters {
-	return EngineCounters{
-		Edges:          t.Counter(CtrEdgesStreamed),
-		UpdatesEmitted: t.Counter(CtrUpdatesEmitted),
-		Filtered:       t.Counter(CtrUpdatesFiltered),
-		UpdatesApplied: t.Counter(CtrUpdatesApplied),
-		StayEdges:      t.Counter(CtrStayEdges),
-		StayBytes:      t.Counter(CtrStayBytes),
-		BufferWaits:    t.Counter(CtrStayBufferWaits),
-		Cancellations:  t.Counter(CtrCancellations),
-		Skipped:        t.Counter(CtrSkippedParts),
-		Visited:        t.Counter(CtrVisited),
-		Frontier:       t.Counter(CtrFrontier),
-		Iteration:      t.Counter(CtrIteration),
-		BytesRead:      t.Counter(CtrBytesRead),
-		BytesWritten:   t.Counter(CtrBytesWritten),
-		ScatterWorkers: t.Counter(CtrScatterWorkers),
-		ScatterChunks:  t.Counter(CtrScatterChunks),
-		ScatterBusyNs:  t.Counter(CtrScatterBusyNs),
-		IORetries:      t.Counter(CtrIORetries),
-		IOFailures:     t.Counter(CtrIOFailures),
-		StayCorrupt:    t.Counter(CtrStayCorruptions),
-		StayDisabled:   t.Counter(CtrStayDisabled),
-		Checkpoints:    t.Counter(CtrCheckpoints),
-
-		BottomUpIters:      t.Counter(CtrBottomUpIters),
-		DirectionSwitches:  t.Counter(CtrDirectionSwitches),
-		SwitchIteration:    t.Counter(CtrSwitchIteration),
-		DirectionFallbacks: t.Counter(CtrDirectionFallbacks),
-	}
-}

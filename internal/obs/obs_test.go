@@ -153,20 +153,21 @@ func TestNilTracerIsNoop(t *testing.T) {
 	}
 }
 
-// noopScatterPath is the per-edge instrumentation sequence of the
-// engines' scatter hot path, against a disabled tracer.
-func noopScatterPath(tr *Tracer, ctr EngineCounters) {
+// noopScatterPath is the instrumentation the engines' scatter hot path
+// keeps — its spans and the worker pool's two live counters — against a
+// disabled tracer.
+func noopScatterPath(tr *Tracer, chunks, busy *Counter) {
 	sp := tr.Span("scatter")
 	sp = sp.SetIter(3).SetPart(1)
-	ctr.Edges.Add(1)
-	ctr.UpdatesEmitted.Add(1)
+	chunks.Add(1)
+	busy.Add(1)
 	sp.Attr("edges", 1).End()
 }
 
 func TestNoopZeroAllocs(t *testing.T) {
 	var tr *Tracer
-	ctr := NewEngineCounters(tr)
-	if avg := testing.AllocsPerRun(1000, func() { noopScatterPath(tr, ctr) }); avg != 0 {
+	chunks, busy := tr.Counter(CtrScatterChunks), tr.Counter(CtrScatterBusyNs)
+	if avg := testing.AllocsPerRun(1000, func() { noopScatterPath(tr, chunks, busy) }); avg != 0 {
 		t.Errorf("no-op tracer allocates %v per op, want 0", avg)
 	}
 }
@@ -175,10 +176,10 @@ func TestNoopZeroAllocs(t *testing.T) {
 // 0 allocs/op with the tracer disabled.
 func BenchmarkNoopScatterPath(b *testing.B) {
 	var tr *Tracer
-	ctr := NewEngineCounters(tr)
+	chunks, busy := tr.Counter(CtrScatterChunks), tr.Counter(CtrScatterBusyNs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		noopScatterPath(tr, ctr)
+		noopScatterPath(tr, chunks, busy)
 	}
 }
 

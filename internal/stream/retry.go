@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fastbfs/internal/errs"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 )
 
@@ -50,11 +49,6 @@ type Retrier struct {
 	rng      atomic.Uint64 // seeded by SeedJitter; splitmix64 stream
 	retries  atomic.Int64
 	failures atomic.Int64
-
-	// RetryCounter / FailureCounter, when non-nil, mirror the counts
-	// into live observability counters.
-	RetryCounter   *obs.Counter
-	FailureCounter *obs.Counter
 }
 
 // Defaults for the retry budget. Three retries with 1ms/2ms/4ms base
@@ -158,7 +152,6 @@ func (r *Retrier) classify(desc string, err error) error {
 	}
 	if r != nil {
 		r.failures.Add(1)
-		r.FailureCounter.Add(1)
 	}
 	return fmt.Errorf("stream: %s: %w: %w", desc, errs.ErrIOFailed, err)
 }
@@ -184,7 +177,6 @@ func (r *Retrier) Do(desc string, f func() error) error {
 			break
 		}
 		r.retries.Add(1)
-		r.RetryCounter.Add(1)
 		if !r.sleep(r.backoff(try)) {
 			// The owning run died while we were backing off. That is a
 			// cancellation, not an I/O failure: the transient fault never

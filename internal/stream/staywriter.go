@@ -9,7 +9,6 @@ import (
 
 	"fastbfs/internal/disksim"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 )
 
@@ -62,10 +61,6 @@ type StayWriter struct {
 	// bufferWaits counts the times the engine stalled because all
 	// private buffers were in flight.
 	bufferWaits int64
-
-	// WaitCounter, when non-nil, mirrors bufferWaits into a live
-	// observability counter (engine-thread only, like flushAsync).
-	WaitCounter *obs.Counter
 
 	// ctx is the owning query's context (never nil; defaults to
 	// Background). A cancelled context short-circuits wall-clock grace
@@ -320,7 +315,6 @@ func (f *StayFile) flushAsync() {
 		// consumed out" the engine must wait for one to free up.
 		if len(sw.inflight) >= sw.bufCount {
 			sw.bufferWaits++
-			sw.WaitCounter.Add(1)
 			c.WaitUntil(c.BgCompletion(sw.inflight[0]))
 			sw.inflight = sw.inflight[1:]
 		}

@@ -89,10 +89,6 @@ func (e *kernel) unvisitedIn(p int) int64 {
 // complete.
 func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (uint64, error) {
 	itSpan := runSpan.Child("iteration").SetIter(iter)
-	e.ctr.Iteration.Set(int64(iter))
-	if iter == e.ds.SwitchIteration {
-		e.ctr.SwitchIteration.Set(int64(iter))
-	}
 	d := e.dir
 	// The reverse stay chain keeps no edge counts for the trim rule.
 	itRow := metrics.Iteration{Index: iter, BottomUp: true,
@@ -179,7 +175,6 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 	e.run.Visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ds.RecordBottomUp(itRow.EdgesStreamed)
-	e.ctr.BottomUpIters.Add(1)
 	itRow.NewlyVisited += newly
 	d.carryFrontier = newly
 	d.frontier, d.next = d.next, d.frontier
@@ -315,7 +310,6 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	merge := func(s *stream.Shard) error {
 		scanned += s.Scanned
 		candidates += s.Emitted
-		e.ctr.Edges.Add(s.Scanned)
 		for pu, cands := range s.ByPart {
 			for _, c := range cands {
 				if b := best[c.Dst]; b == graph.NoVertex || pu < e.rt.Parts.Of(b) {

@@ -77,7 +77,6 @@ func (e *kernel) writeManifest(iter int, done bool) error {
 		return fmt.Errorf("%s: checkpoint after iteration %d: %w", e.run.Engine, iter, err)
 	}
 	e.run.Checkpoints++
-	e.ctr.Checkpoints.Add(1)
 	return nil
 }
 

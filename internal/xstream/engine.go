@@ -69,7 +69,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 		return nil, err
 	}
 	rt.BytesRead += n
-	e.ctr.BytesRead.Set(rt.BytesRead)
 	edges := pg.edges
 	lds.Attr("edges", int64(len(edges))).End()
 
@@ -89,7 +88,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 			return nil, err
 		}
 		itSpan := runSpan.Child("iteration").SetIter(int(iter))
-		e.ctr.Iteration.Set(int64(iter))
 		itRow := metrics.Iteration{Index: int(iter), Frontier: frontier, EdgesStreamed: int64(len(edges))}
 		ss := itSpan.Child("scatter")
 		updates = updates[:0]
@@ -108,8 +106,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 			return nil, err
 		}
 		itRow.Updates = int64(len(updates))
-		e.ctr.Edges.Add(itRow.EdgesStreamed)
-		e.ctr.UpdatesEmitted.Add(itRow.Updates)
 		rt.RAMScan(itRow.EdgesStreamed * graph.EdgeBytes)
 		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(len(updates))*rt.Costs.AppendPerUpdate)
 		ss.Attr("edges", itRow.EdgesStreamed).Attr("emitted", itRow.Updates).End()
@@ -123,8 +119,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 		}
 		rt.Compute(float64(len(updates)) * rt.Costs.GatherPerUpdate)
 		gs.Attr("applied", itRow.Updates).End()
-		e.ctr.UpdatesApplied.Add(itRow.Updates)
-		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
 		e.run.Visited += itRow.NewlyVisited
 		frontier = itRow.NewlyVisited
 		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices, UnknownEdges, UnknownEdges) {
@@ -141,7 +135,6 @@ func (e *kernel) runInMemory() (*Result, error) {
 			e.run.TrimmedEdges += itRow.EdgesStreamed - itRow.StayEdges
 			rt.Compute(float64(itRow.EdgesStreamed) * rt.Costs.AppendPerStay)
 			ts.Attr("stay_edges", itRow.StayEdges).End()
-			e.ctr.StayEdges.Add(itRow.StayEdges)
 		}
 		e.endIteration(itRow, itSpan)
 		if len(updates) == 0 {
@@ -165,7 +158,6 @@ func (e *kernel) plantRoot() (level []uint32, parent []graph.VertexID) {
 	rt.Compute(float64(rt.Meta.Vertices) * rt.Costs.PerVertex)
 	level[rt.Opts.Root], parent[rt.Opts.Root] = 0, rt.Opts.Root
 	e.run.Visited = 1
-	e.ctr.Visited.Add(1)
 	return level, parent
 }
 
@@ -204,8 +196,7 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 	frontier, next := append(scratch.queue[0][:0], root), scratch.queue[1]
 	defer func() { scratch.queue = [2][]graph.VertexID{frontier, next} }()
 	bits := &Bitset{w: scratch.Bitmap(len(level))}
-	ds := NewDirState(rt, conf)
-	e.ctr.SwitchIteration.Set(-1)
+	e.ds = NewDirState(rt, conf)
 	// What the heuristic weighs: the out-degree sum of the frontier, all a
 	// top-down level can expand, and the in-degree sum of the unvisited
 	// vertices, all a bottom-up one can scan.
@@ -223,7 +214,6 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 			rt.Opts.FaultHook() // same chaos seam as a scatter chunk
 		}
 		itSpan := runSpan.Child("iteration").SetIter(int(iter))
-		e.ctr.Iteration.Set(int64(iter))
 		itRow := metrics.Iteration{Index: int(iter), Frontier: uint64(len(frontier))}
 		if frontierOut == 0 {
 			// Nothing leaves the frontier. The edge-list loop learns that
@@ -231,13 +221,9 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 			e.endIteration(itRow, itSpan)
 			break
 		}
-		switches := ds.Switches
-		itRow.BottomUp = ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-e.run.Visited, unvisitedIn)
-		e.ctr.DirectionSwitches.Add(ds.Switches - switches)
+		itRow.BottomUp = e.ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-e.run.Visited, unvisitedIn)
 		var examined uint64
 		if itRow.BottomUp {
-			e.ctr.BottomUpIters.Add(1)
-			e.ctr.SwitchIteration.Set(int64(ds.SwitchIteration))
 			ls := itSpan.Child("bottomup")
 			next, examined = ix.bottomUp(frontier, next[:0], bits, level, parent, iter)
 			ls.End()
@@ -255,14 +241,9 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 		}
 		frontier, next = next, frontier
 		e.run.Visited += itRow.NewlyVisited
-		e.ctr.Edges.Add(itRow.EdgesStreamed)
-		e.ctr.Visited.Add(int64(itRow.NewlyVisited))
 		rt.RAMScan(itRow.EdgesStreamed * 4) // each entry charged as a vertex ID
 		rt.Compute(float64(examined)*rt.Costs.ScatterPerEdge + float64(itRow.NewlyVisited)*rt.Costs.GatherPerUpdate)
 		e.endIteration(itRow, itSpan)
 	}
-	e.run.BottomUpIterations = int(ds.BottomUpIters)
-	e.run.DirectionSwitches = int(ds.Switches)
-	e.run.SwitchIteration = ds.SwitchIteration
 	return e.finishTree(runSpan, level, parent)
 }

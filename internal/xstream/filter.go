@@ -2,7 +2,6 @@ package xstream
 
 import (
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/stream"
 )
 
@@ -38,7 +37,8 @@ import (
 // "was anything written" — termination, selective scheduling — reads the
 // shuffler's counts, which now hold only what passed.
 
-// Wave totals the scatters of one top-down iteration.
+// Wave totals the scatters of one top-down iteration, or what those of a
+// stored pass would have made (storedIteration).
 type Wave struct {
 	// Emitted counts the updates generated, one per frontier out-edge;
 	// Written those that passed the filter into the shuffler.
@@ -55,7 +55,8 @@ func (w Wave) Filtered() int64 { return w.Emitted - w.Written }
 // shards into the shuffler, dropping the dead ones on the way. With
 // Options.DisableUpdateFilter it drops nothing and only routes and
 // counts. One serves a whole run; the engine zeroes Wave as each
-// top-down iteration starts.
+// iteration starts, so until the next one Wave.Written is what the last
+// row wrote for the next to gather.
 type UpdateFilter struct {
 	Wave Wave
 
@@ -63,7 +64,6 @@ type UpdateFilter struct {
 	outDeg []uint32
 	// visited and claimed are nil when the filter is disabled.
 	visited, claimed *Bitset
-	emitted, dropped *obs.Counter
 }
 
 // NewUpdateFilter builds the run's filter over the bitmaps Prepare, the
@@ -71,8 +71,8 @@ type UpdateFilter struct {
 // resolved direction policy: only a run that may go bottom-up has a
 // reader for Wave.CandDeg, so a top-down run sums nothing, whether or
 // not the trim rule keeps a degree table.
-func (rt *Runtime) NewUpdateFilter(dir Direction, ctr obs.EngineCounters) *UpdateFilter {
-	f := &UpdateFilter{parts: rt.Parts, emitted: ctr.UpdatesEmitted, dropped: ctr.Filtered}
+func (rt *Runtime) NewUpdateFilter(dir Direction) *UpdateFilter {
+	f := &UpdateFilter{parts: rt.Parts}
 	if dir != DirectionTopDown {
 		f.outDeg = rt.OutDeg
 	}
@@ -122,8 +122,6 @@ func (f *UpdateFilter) Flush(s *stream.Shard, sh *stream.Shuffler) (written int6
 	f.Wave.Emitted += s.Emitted
 	f.Wave.Written += written
 	f.Wave.CandDeg += s.CandDeg
-	f.emitted.Add(s.Emitted)
-	f.dropped.Add(s.Emitted - written)
 	return written, nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
@@ -69,7 +68,7 @@ func TestUpdateFilterFirstClaimIsFirstWins(t *testing.T) {
 			t.Fatalf("dir %s, filter off: VisitedBits %v, claimed %v", dir, off.VisitedBits, off.claimed)
 		}
 		V := graph.VertexID(on.Meta.Vertices)
-		fOn, fOff := on.NewUpdateFilter(dir, obs.EngineCounters{}), off.NewUpdateFilter(dir, obs.EngineCounters{})
+		fOn, fOff := on.NewUpdateFilter(dir), off.NewUpdateFilter(dir)
 		parentOn, parentOff := make([]graph.VertexID, V), make([]graph.VertexID, V)
 		for i := range parentOn {
 			parentOn[i], parentOff[i] = graph.NoVertex, graph.NoVertex

@@ -182,16 +182,15 @@ type kernel struct {
 
 	// run is the measurement record, and the only place the run's totals
 	// live: the loop counts straight into it (visited vertices, skips,
-	// cancellations, trimmed edges, iteration rows), so nothing is copied
-	// out at the end.
+	// cancellations, trimmed edges, iteration rows), and the live counters
+	// are published from it (publish).
 	run metrics.Run
 
 	sw    *stream.StayWriter // nil unless pol.Trim
 	pool  *stream.ScatterPool
 	parts []partState
 
-	tr  *obs.Tracer
-	ctr obs.EngineCounters
+	tr *obs.Tracer
 
 	// ds is the direction heuristic state; dir the frontier bitmaps and
 	// the bottom-up and stored passes' working state (bottomup.go,
@@ -218,7 +217,7 @@ type kernel struct {
 }
 
 // newKernel sets up what both regimes share: the record, named for the
-// engine, the tracer with its live counters, and the scatter worker pool.
+// engine, the tracer, and the scatter worker pool with its live counters.
 // The pool is the scratch's, so a prepared run inherits the shards and
 // chunk buffers of the runs before it; its shards are shardParts wide.
 // The chunk size is the stream buffer's edge capacity, so chunk boundaries
@@ -227,12 +226,11 @@ type kernel struct {
 // deterministic.
 func newKernel(rt *Runtime, engine string, pol Policy, shardParts int) *kernel {
 	e := &kernel{rt: rt, pol: pol, run: metrics.Run{Engine: engine, SwitchIteration: -1}, tr: rt.Tracer()}
-	e.ctr = obs.NewEngineCounters(e.tr)
 	e.pool = rt.scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, shardParts)
-	e.pool.ChunkCounter = e.ctr.ScatterChunks
-	e.pool.BusyCounter = e.ctr.ScatterBusyNs
+	e.pool.ChunkCounter = e.tr.Counter(obs.CtrScatterChunks)
+	e.pool.BusyCounter = e.tr.Counter(obs.CtrScatterBusyNs)
 	e.pool.FaultHook = rt.Opts.FaultHook
-	e.ctr.ScatterWorkers.Set(int64(e.pool.Workers()))
+	e.tr.Counter(obs.CtrScatterWorkers).Set(int64(e.pool.Workers()))
 	return e
 }
 
@@ -267,12 +265,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if fellBack {
-		e.run.DirectionFallback = true
-		e.ctr.DirectionFallbacks.Add(1)
-	}
+	e.run.DirectionFallback = fellBack
 	e.ds = NewDirState(e.rt, dir)
-	e.ctr.SwitchIteration.Set(-1)
 	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
 
 	e.parts = make([]partState, e.rt.Parts.P())
@@ -332,11 +326,10 @@ func (e *kernel) runStreaming() (*Result, error) {
 		}
 		prep.Attr("edges", int64(e.rt.Meta.Edges)).End()
 	}
-	e.filter = e.rt.NewUpdateFilter(dir, e.ctr)
+	e.filter = e.rt.NewUpdateFilter(dir)
 	if e.pol.Trim {
 		e.sw = stream.NewStayWriter(e.rt.Vol, e.pol.StayBufSize, e.pol.StayBufCount)
 		e.sw.SetContext(e.rt.Context())
-		e.sw.WaitCounter = e.ctr.BufferWaits
 		defer e.sw.Shutdown()
 		defer e.drainPending()
 	}
@@ -359,10 +352,8 @@ func (e *kernel) runStreaming() (*Result, error) {
 		if err := e.rt.Checkpoint(); err != nil {
 			return nil, err
 		}
+		e.filter.Wave = Wave{}
 		bottom, stored := e.ds.Decide(iter), e.stored
-		if bottom != prevBottom {
-			e.ctr.DirectionSwitches.Add(1)
-		}
 		var done bool
 		switch {
 		case bottom:
@@ -386,11 +377,13 @@ func (e *kernel) runStreaming() (*Result, error) {
 			break
 		}
 	}
-	e.run.BottomUpIterations = int(e.ds.BottomUpIters)
-	e.run.DirectionSwitches = int(e.ds.Switches)
-	e.run.SwitchIteration = e.ds.SwitchIteration
-	if e.sw != nil {
-		e.run.StayBufferWaits = e.sw.BufferWaits()
+	// A stay file still pending is written before the record counts the
+	// volume (a discarded one was, as Discard waits); drainPending discards
+	// it, and refunds its simulated time, after.
+	for p := range e.parts {
+		if f := e.parts[p].pending; f != nil {
+			f.Use()
+		}
 	}
 	// A cancel a short query's last writes outlast is seen before the collect.
 	if err := e.rt.Checkpoint(); err != nil {
@@ -409,9 +402,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 // nothing written means no partition has anything to gather, whatever the
 // frontier still emitted at visited vertices.
 func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan *obs.Span) (done bool, err error) {
-	e.filter.Wave = Wave{}
 	itSpan := runSpan.Child("iteration").SetIter(iter)
-	e.ctr.Iteration.Set(int64(iter))
 	if !skipGather {
 		e.dir.frontier.Clear() // the gathers set this iteration's frontier
 	}
@@ -461,7 +452,7 @@ func (e *kernel) topDownIteration(iter int, skipGather, wasBottom bool, runSpan 
 	// pass formed (and recorded) it before this iteration.
 	e.ds.RecordFrontier(itRow.Frontier, float64(wave.Emitted), !wasBottom)
 	e.ds.RecordScatter(wave.Emitted, float64(wave.CandDeg))
-	e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
+	e.endIteration(itRow, itSpan)
 	if !skipGather {
 		e.dropUpdates(iter)
 	}
@@ -491,32 +482,48 @@ func (e *kernel) dropUpdates(iter int) {
 	}
 }
 
-// endIteration files a finished iteration's row and closes its span and
-// live counters, in either direction and either regime.
+// endIteration files a finished iteration's row, closes its span with the
+// row's fields attached and publishes the record, in either direction and
+// either regime.
 func (e *kernel) endIteration(itRow metrics.Iteration, itSpan *obs.Span) {
 	e.run.Iterations = append(e.run.Iterations, itRow)
-	e.ctr.Frontier.Set(int64(itRow.Frontier))
-	e.ctr.BytesRead.Set(e.rt.BytesRead)
-	e.ctr.BytesWritten.Set(e.rt.BytesWritten)
-	itSpan.Attr("frontier", int64(itRow.Frontier)).
-		Attr("new", int64(itRow.NewlyVisited)).
-		Attr("edges", itRow.EdgesStreamed).End()
-	e.tr.EmitCounters()
+	itSpan.Attr("frontier", int64(itRow.Frontier)).Attr("new", int64(itRow.NewlyVisited)).
+		Attr("edges", itRow.EdgesStreamed).Attr("filtered", itRow.Filtered).
+		Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).End()
+	e.publish()
+}
+
+// publish brings the record's run-level fields kept elsewhere during the
+// run up to date — the direction state's tallies, the stay writer's
+// waits — and publishes the record to the live counters, with the
+// updates the last row wrote that no gather has applied yet.
+func (e *kernel) publish() {
+	if ds := e.ds; ds != nil {
+		e.run.BottomUpIterations, e.run.DirectionSwitches, e.run.SwitchIteration = int(ds.BottomUpIters), int(ds.Switches), ds.SwitchIteration
+	}
+	if e.sw != nil {
+		e.run.StayBufferWaits = e.sw.BufferWaits()
+	}
+	var unapplied int64
+	if e.filter != nil {
+		unapplied = e.filter.Wave.Written
+	}
+	e.rt.Publish(&e.run, unapplied)
 }
 
 // finish ends a run whose loop is over: it closes the run span, has
 // collect assemble the BFS tree — outside the span, like the paper's
-// output step — and completes the record with the runtime's timing and
-// device totals.
+// output step — completes the record with the runtime's timing and
+// device totals, and publishes it.
 func (e *kernel) finish(runSpan *obs.Span, collect func() (*Result, error)) (*Result, error) {
 	runSpan.Attr("visited", int64(e.run.Visited)).End()
-	e.tr.EmitCounters()
 	res, err := collect()
 	if err != nil {
 		return nil, err
 	}
 	res.Visited = e.run.Visited
 	e.rt.FinishMetrics(&e.run)
+	e.publish()
 	res.Metrics = e.run
 	return res, nil
 }
@@ -589,7 +596,6 @@ func (e *kernel) saveVerts(p int, v *Verts, itSpan *obs.Span) error {
 func (e *kernel) skip(itRow *metrics.Iteration) {
 	itRow.SkippedPartitions++
 	e.run.Skipped++
-	e.ctr.Skipped.Add(1)
 }
 
 // markStayBroken degrades a partition to untrimmed scatters after a
@@ -602,7 +608,6 @@ func (e *kernel) markStayBroken(broken *bool) {
 	}
 	*broken = true
 	e.run.StayDisabledParts++
-	e.ctr.StayDisabled.Set(int64(e.run.StayDisabledParts))
 }
 
 // dropFallback releases the superseded input once the adopted stay file
@@ -712,7 +717,6 @@ func (e *kernel) markRoot(itRow *metrics.Iteration) {
 	st.frontier = 1
 	st.visit(1, e.rt.outDegree(root))
 	e.run.Visited++
-	e.ctr.Visited.Add(1)
 	itRow.NewlyVisited++
 }
 
@@ -742,8 +746,6 @@ func (e *kernel) gatherInto(p, iter int, v *Verts, itRow *metrics.Iteration, itS
 		return 0, err
 	}
 	st := &e.parts[p]
-	e.ctr.UpdatesApplied.Add(applied)
-	e.ctr.Visited.Add(int64(newly))
 	st.frontier = newly
 	st.visit(newly, deg)
 	e.run.Visited += newly
@@ -777,8 +779,6 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 		e.run.StayCorruptions++
 		e.run.Cancellations++ // a late cancellation of the stay adoption
 		itRow.Cancelled++
-		e.ctr.Cancellations.Add(1)
-		e.ctr.StayCorrupt.Add(1)
 		if edgeScan, err = e.openInput(st); err != nil {
 			return err
 		}
@@ -837,8 +837,6 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 		return err
 	}
 	st.pending = stay
-	e.ctr.StayEdges.Add(stayed)
-	e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 	// stayed of the scanned edges survived. A known live count is what the
 	// rule predicted before the scan, and the row gets both: a miss is for
 	// the record's reader to see (and the suites to fail on), never the
@@ -856,8 +854,6 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 func (e *kernel) bookStays(itRow *metrics.Iteration, scanned, stayed int64) {
 	itRow.StayEdges += stayed
 	e.run.TrimmedEdges += scanned - stayed
-	e.ctr.StayEdges.Add(stayed)
-	e.ctr.StayBytes.Add(stayed * graph.EdgeBytes)
 }
 
 // resolvePending decides what becomes of the stay file st's previous
@@ -894,7 +890,6 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 		f.Discard()
 		e.run.Cancellations++
 		itRow.Cancelled++
-		e.ctr.Cancellations.Add(1)
 		if useErr != nil {
 			// The background write failed outright (not merely late):
 			// further stay writes for this partition would fail the same
@@ -998,7 +993,6 @@ func (e *kernel) scatter(p int, sh *stream.Shuffler, stay *stream.StayFile, edge
 	merge := func(s *stream.Shard) error {
 		scanned += s.Scanned
 		stayed += s.Stayed
-		e.ctr.Edges.Add(s.Scanned)
 		w, err := f.Flush(s, sh)
 		written += w
 		if err != nil || !trim {

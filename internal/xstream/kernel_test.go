@@ -7,6 +7,7 @@ import (
 
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/metrics"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 )
@@ -206,5 +207,15 @@ func TestTrimRuleSharedByBothRegimes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestPublishNoopZeroAllocs: with tracing off, publishing the record as
+// each row is filed costs nothing — no allocation, whatever the record holds.
+func TestPublishNoopZeroAllocs(t *testing.T) {
+	rt := &Runtime{}
+	run := &metrics.Run{Iterations: make([]metrics.Iteration, 64), DirectionFallback: true}
+	if avg := testing.AllocsPerRun(1000, func() { rt.Publish(run, 1) }); avg != 0 {
+		t.Errorf("publishing to a nil tracer allocates %v per call, want 0", avg)
 	}
 }

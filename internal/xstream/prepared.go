@@ -9,7 +9,6 @@ import (
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
-	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
@@ -229,8 +228,6 @@ func faultVolume(vol storage.Volume) (storage.Volume, error) {
 func newRetrier(ctx context.Context, opts Options) *stream.Retrier {
 	retry := stream.NewRetrier(ctx, uint64(opts.Root)+1)
 	retry.Attempts = opts.RetryAttempts
-	retry.RetryCounter = opts.Tracer.Counter(obs.CtrIORetries)
-	retry.FailureCounter = opts.Tracer.Counter(obs.CtrIOFailures)
 	return retry
 }
 

@@ -361,6 +361,9 @@ type Runtime struct {
 	// keepLogs makes Cleanup leave the level logs, a checkpointed run's
 	// durable state (checkpoint.go).
 	keepLogs bool
+
+	// published is what Publish has sent so far.
+	published published
 }
 
 // Tracer returns the run's tracer (nil when tracing is disabled; all
@@ -583,6 +586,71 @@ func (rt *Runtime) FinishMetrics(run *metrics.Run) {
 			})
 		}
 	}
+}
+
+// counted names the cumulative engine counters Publish keeps, in the order
+// of its totals.
+var counted = [...]string{obs.CtrEdgesStreamed, obs.CtrUpdatesApplied, obs.CtrUpdatesFiltered,
+	obs.CtrStayEdges, obs.CtrUpdatesEmitted, obs.CtrVisited, obs.CtrSkippedParts, obs.CtrCancellations,
+	obs.CtrStayBufferWaits, obs.CtrStayCorruptions, obs.CtrCheckpoints, obs.CtrBottomUpIters,
+	obs.CtrDirectionSwitches, obs.CtrDirectionFallbacks, obs.CtrIORetries, obs.CtrIOFailures}
+
+// published is what a runtime's Publish calls have sent: the rows summed
+// so far and their sums, and each counted total.
+type published struct {
+	rows                           int
+	edges, applied, filtered, stay int64
+	sent                           [len(counted)]int64
+}
+
+// Publish sets the engine counters on the run's tracer from run, the
+// record as far as it is filed, and from what the runtime counts itself:
+// its bytes and its retrier's tallies. The record is the engines' only
+// tally (DESIGN.md §11); the counters repeat it. unapplied is the number of
+// updates the last row wrote that no gather has applied yet — emitted,
+// but in no row's Updates until the next. A cumulative counter moves by
+// its change since this runtime's last publish, so runs sharing a tracer
+// add up; a gauge is set. Engines publish as they file each row and once
+// as the run ends; each call emits a counters event. With no tracer it
+// does nothing.
+func (rt *Runtime) Publish(run *metrics.Run, unapplied int64) {
+	t := rt.Tracer()
+	if t == nil {
+		return
+	}
+	p := &rt.published
+	for _, it := range run.Iterations[p.rows:] {
+		p.edges += it.EdgesStreamed
+		p.applied += it.Updates
+		p.filtered += it.Filtered
+		p.stay += it.StayEdges
+	}
+	p.rows = len(run.Iterations)
+	var fellBack int64
+	if run.DirectionFallback {
+		fellBack = 1
+	}
+	tot := [len(counted)]int64{p.edges, p.applied, p.filtered, p.stay, p.applied + p.filtered + unapplied,
+		int64(run.Visited), int64(run.Skipped), int64(run.Cancellations), run.StayBufferWaits,
+		int64(run.StayCorruptions), int64(run.Checkpoints), int64(run.BottomUpIterations),
+		int64(run.DirectionSwitches), fellBack, rt.Retry.Retries(), rt.Retry.Failures()}
+	for i, name := range counted {
+		t.Counter(name).Add(tot[i] - p.sent[i])
+	}
+	p.sent = tot
+	iter, front := t.Counter(obs.CtrIteration), t.Counter(obs.CtrFrontier)
+	if n := len(run.Iterations); n > 0 {
+		iter.Set(int64(run.Iterations[n-1].Index))
+		front.Set(int64(run.Iterations[n-1].Frontier))
+	}
+	t.Counter(obs.CtrSwitchIteration).Set(int64(run.SwitchIteration))
+	t.Counter(obs.CtrStayDisabled).Set(int64(run.StayDisabledParts))
+	t.Counter(obs.CtrBytesRead).Set(rt.BytesRead)
+	t.Counter(obs.CtrBytesWritten).Set(rt.BytesWritten)
+	for _, name := range [...]string{obs.CtrScatterWorkers, obs.CtrScatterChunks, obs.CtrScatterBusyNs} {
+		t.Counter(name) // the pool's, named in every engine's events
+	}
+	t.EmitCounters()
 }
 
 // File names for the engine's working set.

@@ -114,7 +114,6 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 		ps.scanned += s.Scanned
 		ps.emitted += s.Emitted
 		ps.candDeg += s.CandDeg
-		e.ctr.Edges.Add(s.Scanned)
 		for _, x := range s.Stays {
 			key, par := ends(x)
 			if count {
@@ -181,7 +180,6 @@ func (e *kernel) work(ps passStats, newly uint64) {
 func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.Span) (done bool, err error) {
 	d := e.dir
 	itSpan := runSpan.Child("iteration").SetIter(iter).Attr("stored", 1)
-	e.ctr.Iteration.Set(int64(iter))
 	itRow := metrics.Iteration{Index: iter, Stored: true,
 		TrimActive: e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)}
 	n, edges := e.rt.Meta.Vertices, int64(e.rt.Meta.Edges)
@@ -254,7 +252,8 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	}
 	// The replaced scatter would have written, through the update filter,
 	// the first claim on each unvisited destination; without it, all.
-	wave := Wave{Emitted: ps.emitted, Written: ps.claims, CandDeg: ps.candDeg}
+	wave := &e.filter.Wave
+	*wave = Wave{Emitted: ps.emitted, Written: ps.claims, CandDeg: ps.candDeg}
 	if e.filter.claimed == nil {
 		wave.Written = wave.Emitted
 	}
@@ -270,9 +269,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	d.frontier, d.next = d.next, d.frontier
 	d.carryFrontier, d.carryDeg, d.carryUpdates, d.unbooked = newly, degSum, wave.Written, true
 	itRow.Filtered = wave.Filtered()
-	e.ctr.UpdatesEmitted.Add(wave.Emitted)
-	e.ctr.Filtered.Add(wave.Filtered())
-	e.endIteration(itRow, itSpan.Attr("stay_edges", itRow.StayEdges).Attr("stay_predicted", itRow.StayPredicted).Attr("filtered", itRow.Filtered))
+	e.endIteration(itRow, itSpan)
 	return wave.Written == 0, nil
 }
 
@@ -294,7 +291,6 @@ func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
 	st := &e.parts[p]
 	st.updates, st.frontier = int64(n), n
 	st.visit(n, deg)
-	e.ctr.Visited.Add(int64(n))
 	return n, float64(deg)
 }
 
@@ -364,7 +360,6 @@ func (e *kernel) bookCarried(itRow *metrics.Iteration) {
 		itRow.NewlyVisited += d.carryFrontier
 		itRow.Updates += d.carryUpdates
 		e.run.Visited += d.carryFrontier
-		e.ctr.UpdatesApplied.Add(d.carryUpdates)
 	}
 }
 
