@@ -23,9 +23,9 @@
 // every BFS query is one indexed traversal on its own slot and meets
 // -max-queue like any other query. -config loads a runtime-settings file
 // (internal/runconfig) in place of the engine flags (-mem, -threads,
-// -workers, -sim, -simscale, -ssd); its
-// batch_size/batch_wait_ms keys supply batch defaults that explicit
-// -batch-size/-batch-wait flags override.
+// -workers, -sim, -simscale, -ssd). The file holds engine settings only:
+// the daemon's own settings are flags, and a file naming one is rejected
+// like any unknown key.
 //
 // Overload resilience (DESIGN.md §15): -shed turns on deadline-aware
 // admission and CoDel-style queue aging (shed queries get 429 +
@@ -33,10 +33,8 @@
 // (0 disables), -cache-ttl bounds result-cache freshness (expired
 // entries still answer allow_stale queries in degraded mode), and
 // -panic-root poisons one root with a mid-scatter panic — the chaos hook
-// CI uses to prove panic isolation. The runconfig keys shed,
-// breaker_threshold and cache_ttl_ms supply defaults that explicit flags
-// override (flag > config). The daemon's own settings have those two
-// channels and no environment variables.
+// CI uses to prove panic isolation. The daemon's own settings have no
+// environment variables.
 //
 // Endpoints:
 //
@@ -136,29 +134,9 @@ func main() {
 		if *ssd {
 			rc.Device = "ssd"
 		}
-	} else {
-		// The settings file replaces the engine-option flags wholesale;
-		// its batch keys are defaults that explicit flags still override.
-		if rc, err = runconfig.ParseFile(*configPath); err != nil {
-			fail(err)
-		}
-		setFlags := map[string]bool{}
-		flag.Visit(func(fl *flag.Flag) { setFlags[fl.Name] = true })
-		if !setFlags["batch-size"] && rc.BatchSize >= 0 {
-			*batchSize = rc.BatchSize
-		}
-		if !setFlags["batch-wait"] && rc.BatchWaitMillis > 0 {
-			*batchWait = time.Duration(rc.BatchWaitMillis) * time.Millisecond
-		}
-		if !setFlags["shed"] && rc.Shed >= 0 {
-			*shed = rc.Shed != 0
-		}
-		if !setFlags["breaker-threshold"] && rc.BreakerThreshold >= 0 {
-			*breakerThreshold = rc.BreakerThreshold
-		}
-		if !setFlags["cache-ttl"] && rc.CacheTTLMillis >= 0 {
-			*cacheTTL = time.Duration(rc.CacheTTLMillis) * time.Millisecond
-		}
+	} else if rc, err = runconfig.ParseFile(*configPath); err != nil {
+		// The settings file replaces the engine-option flags wholesale.
+		fail(err)
 	}
 	base := rc.CoreOptions()
 

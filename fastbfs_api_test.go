@@ -169,3 +169,37 @@ func TestResidencyAPIPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestDeprecatedKnobsIgnored names the engine options that stopped acting
+// when α and β became constants and GracePeriod the grace period in both
+// clocks, so removing one fails to compile: setting them changes no byte
+// of the run's record. Like TestResidencyAPIPinned it names them as
+// literal keys only.
+func TestDeprecatedKnobsIgnored(t *testing.T) {
+	vol := NewMemVolume()
+	meta, edges, err := GenerateRMAT(9, 8, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Store(vol, meta, edges); err != nil {
+		t.Fatal(err)
+	}
+	run := func(opts Options) *Result {
+		opts.Base.Root, opts.Base.MemoryBudget, opts.Base.StreamBufSize = 1, 4096, 256
+		opts.Base.Sim, opts.Base.Direction = DefaultSim(), "auto"
+		res, err := Run(context.Background(), EngineFastBFS, vol, meta.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(Options{})
+	got := run(Options{Base: EngineOptions{DirectionAlpha: 1, DirectionBeta: 1000}, // Deprecated: ignored
+		GraceWall: time.Nanosecond}) // Deprecated: ignored
+	if want.Metrics.BottomUpIterations == 0 {
+		t.Fatal("the run never went bottom-up: α and β went untested")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("deprecated knobs moved the run: %+v, want %+v", got.Metrics, want.Metrics)
+	}
+}

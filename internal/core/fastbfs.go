@@ -76,12 +76,12 @@ type Options struct {
 	StayBufSize  int
 	StayBufCount int
 
-	// GracePeriod is how long (virtual seconds) a scatter waits for its
-	// partition's late stay file before cancelling (§II-C2). Default
-	// 50 ms.
+	// GracePeriod is how long, in seconds, a scatter waits for its
+	// partition's late stay file before cancelling it (§II-C2): simulated
+	// seconds under Base.Sim, wall-clock seconds otherwise. Default 50 ms.
 	GracePeriod float64
-	// GraceWall is the wall-clock grace period in real-disk mode.
-	// Default 50 ms.
+	// Deprecated: GraceWall is ignored. GracePeriod is the grace period
+	// in both clocks.
 	GraceWall time.Duration
 
 	// Deprecated: ResidencyBudget is ignored. The resident-partition cache
@@ -114,9 +114,6 @@ func (o *Options) SetDefaults() {
 	}
 	if o.GracePeriod == 0 {
 		o.GracePeriod = 0.05
-	}
-	if o.GraceWall == 0 {
-		o.GraceWall = 50 * time.Millisecond
 	}
 }
 
@@ -156,7 +153,6 @@ func (o *Options) policy() xstream.Policy {
 		StayBufSize:         o.StayBufSize,
 		StayBufCount:        o.StayBufCount,
 		GracePeriod:         o.GracePeriod,
-		GraceWall:           o.GraceWall,
 		CheckpointVol:       o.CheckpointVol,
 		Resume:              o.Resume,
 	}

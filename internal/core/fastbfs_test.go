@@ -283,11 +283,18 @@ func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
 				if err := graph.StoreGraph(vol, m, edges, store); err != nil {
 					t.Fatal(err)
 				}
+				sparseStar := m.Name == "star400" && store.Codec == "" && si == 1
 				run := func(mod func(*Options)) *Result {
 					o := smallOpts()
 					o.Base.Sim = sim()
 					o.Base.MemoryBudget = 1024 // several partitions of the path too
 					o.Base.Direction = xstream.DirectionTopDown
+					if sparseStar {
+						// Working files in the stored codec: under another
+						// (FASTBFS_CODEC=delta) the run splits up front and
+						// has no stored pass to read sparse.
+						o.Base.Codec = graph.CodecFixed
+					}
 					mod(&o)
 					return checkStoredAgainstReference(t, vol, m, edges, root, o)
 				}
@@ -295,7 +302,7 @@ func TestFastBFSTrimsOnlyWhenItPays(t *testing.T) {
 				counts := run(func(o *Options) { o.Base.Tracer = obs.New(col) })
 				every := run(func(o *Options) { o.TrimStartIteration = TrimEveryIteration })
 				never := run(func(o *Options) { o.DisableTrimming = true })
-				if m.Name == "star400" && store.Codec == "" && si == 1 {
+				if sparseStar {
 					// The one cell that reads sparse instead of trimming: the
 					// fixed star is worth indexing at sparseSim's seek, so
 					// its second pass reads the leaves' empty ranges, no byte.

@@ -410,8 +410,8 @@ func TestWallModeCancellationViaSlowWriter(t *testing.T) {
 		return nil
 	})
 	opts := Options{
-		Base:      xstream.Options{MemoryBudget: 4096, StreamBufSize: 256},
-		GraceWall: 1, // nanoseconds: effectively immediate timeout
+		Base:        xstream.Options{MemoryBudget: 4096, StreamBufSize: 256},
+		GracePeriod: 1e-9, // a nanosecond: effectively immediate timeout
 	}
 	res, err := Run(vol, m.Name, opts)
 	if err != nil {

@@ -1,12 +1,12 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
@@ -14,51 +14,8 @@ import (
 
 // Tests of the FBD1 metadata (DESIGN.md §5, §10, §14): the degree index, the
 // permutation and the level logs a run writes in vertex order are delta
-// blocks, and stores and checkpoints written before, with FBC1 ones, still
-// run.
-
-// toFBC1Layouts rewrites a store's .idx and .perm in the FBC1 layouts stored
-// before FBD1: the frame offsets, 8 B each, then the degrees, 4 B each, in
-// MiB frames; the stored→original ids, 4 B each, in one frame.
-func toFBC1Layouts(t *testing.T, vol storage.Volume, m graph.Meta) {
-	t.Helper()
-	idx, err := storage.ReadAll(vol, graph.IndexFileName(m.Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := make([]uint32, m.Vertices)
-	frames, _, err := graph.ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, deg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old []byte
-	for _, off := range frames {
-		old = binary.LittleEndian.AppendUint64(old, uint64(off))
-	}
-	for _, d := range deg {
-		old = binary.LittleEndian.AppendUint32(old, d)
-	}
-	if len(old) > 1<<20 {
-		t.Fatalf("an index of %d bytes spans MiB frames", len(old))
-	}
-	files := map[string][]byte{graph.IndexFileName(m.Name): graph.FrameAll(old)}
-	if m.Reordered {
-		perm, err := graph.LoadPerm(vol, m.Name, m.Vertices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ids []byte
-		for v := range m.Vertices {
-			ids = binary.LittleEndian.AppendUint32(ids, uint32(perm.ToOrig(graph.VertexID(v))))
-		}
-		files[graph.PermFileName(m.Name)] = graph.FrameAll(ids)
-	}
-	for name, b := range files {
-		if err := storage.WriteAll(vol, name, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
+// blocks; checkpoints written before, with FBC1 logs, still resume, and
+// stores written before, with an FBC1 or no index, are rejected.
 
 // deltaLogs returns the FBD1 level logs a checkpointed run left on vol:
 // each file, and its update records decoded.
@@ -86,56 +43,40 @@ func deltaLogs(t *testing.T, vol storage.Volume) (files, records map[string][]by
 	return files, records
 }
 
-// TestOldMetadataLayoutsRun: a store whose .idx and .perm are the FBC1
-// layouts stored before FBD1 grows, read sparse, the tree its FBD1 store
-// grows, top-down and auto; and a checkpoint of it whose every log is an
-// FBC1 update file, as a run wrote them before, resumes at each boundary
-// into the uninterrupted run's tree.
+// TestOldMetadataLayoutsRun: a checkpoint whose every log is an FBC1 update
+// file, as a run wrote them before FBD1, resumes at each boundary into the
+// uninterrupted run's tree, top-down and auto.
 func TestOldMetadataLayoutsRun(t *testing.T) {
 	for _, so := range []graph.StoreOptions{
 		{Reverse: true},
 		{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true},
 	} {
-		current, m, root := storedRMAT(t, 13, 24, so)
-		old, _, _ := storedRMAT(t, 13, 24, so)
-		m, err := graph.LoadMeta(old, m.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		toFBC1Layouts(t, old, m)
+		vol, m, root := storedRMAT(t, 13, 24, so)
 		for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
 			label := fmt.Sprintf("%s/%s", storeCodec(so), dir)
 			opts := func(ck storage.Volume, resume bool, maxIter int) Options {
 				return Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
 					Sim: sparseSim(), Direction: dir, Codec: storeCodec(so), MaxIterations: maxIter}, CheckpointVol: ck, Resume: resume}
 			}
-			want, err := Run(current, m.Name, opts(nil, false, 0))
+			want, err := Run(vol, m.Name, opts(nil, false, 0))
 			if err != nil {
 				t.Fatal(err)
-			}
-			got, err := Run(old, m.Name, opts(nil, false, 0))
-			if err != nil {
-				t.Fatalf("%s: FBC1 metadata: %v", label, err)
-			}
-			assertSameResult(t, label+", FBC1 metadata", got, want)
-			if !checkFileRows(t, label, got) {
-				t.Fatalf("%s: the FBC1 index was not read sparse", label)
 			}
 			converted := 0
 			for kill := 1; kill < len(want.Metrics.Iterations); kill++ {
 				tag := fmt.Sprintf("%s, kill %d", label, kill)
 				ck := storage.NewMem()
-				if _, err := Run(old, m.Name, opts(ck, false, kill)); err != nil {
+				if _, err := Run(vol, m.Name, opts(ck, false, kill)); err != nil {
 					t.Fatalf("%s: partial run: %v", tag, err)
 				}
-				_, records := deltaLogs(t, old)
+				_, records := deltaLogs(t, vol)
 				for name, raw := range records {
-					if err := storage.WriteAll(old, name, graph.FrameAll(raw)); err != nil {
+					if err := storage.WriteAll(vol, name, graph.FrameAll(raw)); err != nil {
 						t.Fatal(err)
 					}
 					converted++
 				}
-				resumed, err := Run(old, m.Name, opts(ck, true, 0))
+				resumed, err := Run(vol, m.Name, opts(ck, true, 0))
 				if err != nil {
 					t.Fatalf("%s: resume from FBC1 logs: %v", tag, err)
 				}
@@ -144,6 +85,53 @@ func TestOldMetadataLayoutsRun(t *testing.T) {
 			if converted == 0 {
 				t.Fatalf("%s: no checkpoint held an FBD1 log to rewrite", label)
 			}
+		}
+	}
+}
+
+// TestStoreBeforeIndexRejected: a run whose stored passes need the degree
+// index fails with errs.ErrCorrupted, naming the fix, over a store with no
+// .idx or with the FBC1 .idx or .perm written before FBD1 — whose edges may
+// not be sorted by source — instead of growing a tree whose parents may
+// differ from top-down's. The store with both files current runs.
+func TestStoreBeforeIndexRejected(t *testing.T) {
+	so := graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}
+	for _, c := range []struct {
+		name string
+		file func(string) string
+		data func([]byte) []byte
+	}{
+		{"current", graph.IndexFileName, nil},
+		{"no .idx", graph.IndexFileName, nil},
+		{"FBC1 .idx", graph.IndexFileName, func(b []byte) []byte { return graph.FrameAll(b) }},
+		{"FBC1 .perm", graph.PermFileName, func(b []byte) []byte { return graph.FrameAll(b) }},
+	} {
+		vol, m, root := storedRMAT(t, 12, 16, so)
+		name := c.file(m.Name)
+		switch {
+		case c.name == "no .idx":
+			if err := vol.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		case c.data != nil:
+			b, err := storage.ReadAll(vol, name)
+			if err == nil {
+				b, err = graph.DeframeAll(b)
+			}
+			if err == nil {
+				err = storage.WriteAll(vol, name, c.data(b))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, StreamBufSize: 512, Sim: sparseSim()}})
+		if c.name == "current" {
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		} else if !errors.Is(err, errs.ErrCorrupted) || !strings.Contains(err.Error(), "store the graph again") {
+			t.Fatalf("%s: err = %v, want ErrCorrupted asking for the graph to be stored again", c.name, err)
 		}
 	}
 }

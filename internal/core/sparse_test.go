@@ -1,10 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"strings"
 	"testing"
 
 	"fastbfs/internal/graph"
@@ -40,12 +37,12 @@ func checkFileRows(t testing.TB, label string, res *Result) (sparse bool) {
 	return sparse
 }
 
-// TestSparseMatchesDense: every indexed store, run as it is and with its
-// .idx removed — how a graph stored before the index runs — grows
-// byte-identical levels and parents across engine × partitions × codec ×
-// direction, and the indexed run moves no more device bytes. The delta
-// graph spans 48 frames of a delta block each, so a sparse pass reads a
-// few.
+// TestSparseMatchesDense: every indexed store, run on sparseSim's device
+// and on the HDD, whose seek is worth more than the file, so that every pass
+// reads it whole, grows byte-identical levels and parents across engine ×
+// partitions × codec × direction, and the sparse run moves no more device
+// bytes. The delta graph spans 48 frames of a delta block each, so a sparse
+// pass reads a few.
 func TestSparseMatchesDense(t *testing.T) {
 	for _, g := range []struct {
 		store             graph.StoreOptions
@@ -54,18 +51,14 @@ func TestSparseMatchesDense(t *testing.T) {
 		{graph.StoreOptions{Reverse: true}, 10, 8},
 		{graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}, 13, 24},
 	} {
-		indexed, m, root := storedRMAT(t, g.scale, g.edgeFactor, g.store)
-		dense, _, _ := storedRMAT(t, g.scale, g.edgeFactor, g.store)
-		if err := dense.Remove(graph.IndexFileName(m.Name)); err != nil {
-			t.Fatal(err)
-		}
+		vol, m, root := storedRMAT(t, g.scale, g.edgeFactor, g.store)
 		for _, engine := range []string{EngineName, xstream.EngineName} {
 			for _, parts := range []int{1, 2, 8} {
 				for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
 					label := fmt.Sprintf("%s/%s/P=%d/%s", engine, storeCodec(g.store), parts, dir)
-					run := func(vol storage.Volume) *Result {
+					run := func(sim *xstream.SimConfig) *Result {
 						o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: parts, StreamBufSize: 4096,
-							Sim: sparseSim(), Direction: dir, Codec: storeCodec(g.store)}}
+							Sim: sim, Direction: dir, Codec: storeCodec(g.store)}}
 						var res *Result
 						var err error
 						if engine == EngineName {
@@ -78,13 +71,13 @@ func TestSparseMatchesDense(t *testing.T) {
 						}
 						return res
 					}
-					got, want := run(indexed), run(dense)
+					got, want := run(sparseSim()), run(xstream.DefaultSim())
 					assertSameResult(t, label, got, want)
 					if got.Metrics.TotalBytes() > want.Metrics.TotalBytes() {
-						t.Fatalf("%s: indexed run moved %d device bytes, the dense run %d", label, got.Metrics.TotalBytes(), want.Metrics.TotalBytes())
+						t.Fatalf("%s: sparse run moved %d device bytes, the dense run %d", label, got.Metrics.TotalBytes(), want.Metrics.TotalBytes())
 					}
 					if checkFileRows(t, label, want) {
-						t.Fatalf("%s: a run without the index read sparse", label)
+						t.Fatalf("%s: a run on the HDD read sparse", label)
 					}
 					if sparse := checkFileRows(t, label, got); sparse != (engine == EngineName) {
 						t.Fatalf("%s: read sparse %v; only FastBFS has stored passes, and every one of these has a pass that pays", label, sparse)
@@ -92,78 +85,6 @@ func TestSparseMatchesDense(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestSparseReadsMiBFrames: a delta store written before the block grain —
-// its edge file in frames of 131,072 edges, its index holding their
-// offsets — still reads sparse and grows the tree its block-framed store
-// grows, moving more bytes: a sparse pass reads whole frames.
-func TestSparseReadsMiBFrames(t *testing.T) {
-	so := graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}
-	blocks, m, root := storedRMAT(t, 13, 24, so)
-	mib, _, _ := storedRMAT(t, 13, 24, so)
-	b, err := storage.ReadAll(mib, graph.EdgeFileName(m.Name))
-	if err == nil {
-		b, err = graph.DeframeAll(b)
-	}
-	if err == nil {
-		b, err = graph.DecodeDeltaStream(b)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file bytes.Buffer
-	fw := graph.NewFrameWriterMagic(&file, graph.FrameMagicDelta)
-	var index []byte
-	for off, frame := 0, (1<<20)/graph.EdgeBytes*graph.EdgeBytes; off < len(b); off += frame {
-		enc, err := graph.AppendDeltaBlocks(nil, b[off:min(off+frame, len(b))])
-		if err == nil {
-			_, err = fw.Write(enc)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		index = binary.LittleEndian.AppendUint64(index, uint64(file.Len()-8-len(enc)))
-	}
-	edges, err := graph.BytesToEdges(b)
-	if err == nil {
-		err = fw.Finish()
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range graph.Degrees(m.Vertices, edges) {
-		index = binary.LittleEndian.AppendUint32(index, d)
-	}
-	m, err = graph.LoadMeta(mib, m.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.StoredBytes = uint64(file.Len())
-	var conf strings.Builder
-	if err := graph.WriteConfig(&conf, m); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{graph.EdgeFileName(m.Name): file.Bytes(),
-		graph.IndexFileName(m.Name): graph.FrameAll(index), graph.ConfFileName(m.Name): []byte(conf.String())} {
-		if err := storage.WriteAll(mib, name, data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run := func(vol storage.Volume) *Result {
-		o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
-			Sim: sparseSim(), Codec: graph.CodecDelta}}
-		res, err := Run(vol, m.Name, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	got, want := run(mib), run(blocks)
-	assertSameResult(t, "MiB frames", got, want)
-	if !checkFileRows(t, "MiB frames", got) || got.Metrics.TotalBytes() <= want.Metrics.TotalBytes() {
-		t.Fatalf("MiB frames: sparse %v, %d device bytes; block frames %d", checkFileRows(t, "", got), got.Metrics.TotalBytes(), want.Metrics.TotalBytes())
 	}
 }
 

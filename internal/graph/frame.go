@@ -171,14 +171,6 @@ func (fr *FrameReader) grow(n int) {
 	fr.buf = fr.bufs.Get(max(n, fr.hint))
 }
 
-// SniffMagic reads up to 4 bytes from r and reports whether they are
-// the frame magic. It returns the bytes consumed so a raw reader can
-// replay them.
-func SniffMagic(r io.Reader) (isFramed bool, prefix []byte, err error) {
-	magic, prefix, err := SniffContainer(r)
-	return magic == FrameMagic, prefix, err
-}
-
 // SniffContainer reads up to 4 bytes from r and classifies the file:
 // it returns FrameMagic or FrameMagicDelta for framed containers
 // (prefix nil), or 0 with the consumed bytes for a raw file, so a raw

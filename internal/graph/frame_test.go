@@ -84,24 +84,24 @@ func TestFrameTrailingGarbageDetected(t *testing.T) {
 
 func TestSniffMagic(t *testing.T) {
 	framed := frameBytes(t, []byte("payload"))
-	ok, prefix, err := SniffMagic(bytes.NewReader(framed))
-	if err != nil || !ok || len(prefix) != 0 {
-		t.Fatalf("framed sniff: ok=%v prefix=%v err=%v", ok, prefix, err)
+	magic, prefix, err := SniffContainer(bytes.NewReader(framed))
+	if err != nil || magic != FrameMagic || len(prefix) != 0 {
+		t.Fatalf("framed sniff: magic=%#x prefix=%v err=%v", magic, prefix, err)
 	}
 
 	raw := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	ok, prefix, err = SniffMagic(bytes.NewReader(raw))
-	if err != nil || ok {
-		t.Fatalf("raw sniff: ok=%v err=%v", ok, err)
+	magic, prefix, err = SniffContainer(bytes.NewReader(raw))
+	if err != nil || magic != 0 {
+		t.Fatalf("raw sniff: magic=%#x err=%v", magic, err)
 	}
 	if !bytes.Equal(prefix, raw[:4]) {
 		t.Fatalf("raw sniff consumed %v, want first 4 bytes", prefix)
 	}
 
 	// Short files (under 4 bytes) are raw with a short prefix.
-	ok, prefix, err = SniffMagic(bytes.NewReader([]byte{9, 9}))
-	if err != nil || ok || !bytes.Equal(prefix, []byte{9, 9}) {
-		t.Fatalf("short sniff: ok=%v prefix=%v err=%v", ok, prefix, err)
+	magic, prefix, err = SniffContainer(bytes.NewReader([]byte{9, 9}))
+	if err != nil || magic != 0 || !bytes.Equal(prefix, []byte{9, 9}) {
+		t.Fatalf("short sniff: magic=%#x prefix=%v err=%v", magic, prefix, err)
 	}
 }
 

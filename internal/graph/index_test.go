@@ -60,9 +60,9 @@ func loadIndex(t *testing.T, vol storage.Volume, m Meta) ([]uint32, []int64) {
 		t.Fatal(err)
 	}
 	deg := make([]uint32, m.Vertices)
-	frames, grain, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
-	if err != nil || grain != IndexFrameEdges {
-		t.Fatalf("%d-edge frames, err %v", grain, err)
+	frames, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return deg, frames
 }
@@ -165,8 +165,9 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 	}
 }
 
-// fbc1IndexBytes is a .idx in the FBC1 layout stored before the FBD1 one:
-// the frame offsets, 8 B each, then the degrees, 4 B each, raw in MiB frames.
+// fbc1IndexBytes is a .idx in the FBC1 layout stored before the FBD1 one,
+// which ReadIndex no longer reads: the frame offsets, 8 B each, then the
+// degrees, 4 B each, raw in MiB frames.
 func fbc1IndexBytes(deg []uint32, frames []int64) []byte {
 	var b []byte
 	for _, off := range frames {
@@ -178,11 +179,11 @@ func fbc1IndexBytes(deg []uint32, frames []int64) []byte {
 	return framedMiB(b)
 }
 
-// TestIndexBeforeBlockGrainLoads: ReadIndex loads the two FBC1 layouts stored
-// before the FBD1 one StoreGraph writes — of a delta edge file in frames of a
-// block or, before the block grain, of a MiB — and the FBD1 one, each with its
-// frames' edges: the degrees, and the offset of every frame.
-func TestIndexBeforeBlockGrainLoads(t *testing.T) {
+// TestIndexLayouts: ReadIndex loads the FBD1 .idx StoreGraph writes, the
+// degrees and the offset of every frame, and rejects as errs.ErrCorrupted the
+// two FBC1 layouts stored before it — of a delta edge file in frames of a
+// block or, before the block grain, of a MiB.
+func TestIndexLayouts(t *testing.T) {
 	const vertices = 3001 // odd: the FBD1 degrees end on a pad word
 	edges := skewedEdges(vertices, 2*mibFrameEdges+777)
 	m := Meta{Name: "g", Vertices: vertices, Edges: uint64(len(edges)), Codec: CodecDelta}
@@ -195,10 +196,14 @@ func TestIndexBeforeBlockGrainLoads(t *testing.T) {
 		m.StoredBytes = uint64(len(file))
 		idx := c.index(deg, want)
 		got := make([]uint32, vertices)
-		frames, grain, err := ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, got, nil)
-		if err != nil || grain != int64(c.grain) || !slices.Equal(frames, want) || !slices.Equal(got, deg) {
-			t.Fatalf("%d-edge frames, %d-byte index: loaded %d offsets (want %d) of %d-edge frames, degrees equal %v, err %v",
-				c.grain, len(idx), len(frames), len(want), grain, slices.Equal(got, deg), err)
+		frames, err := ReadIndex(bytes.NewReader(idx), int64(len(idx)), m, got, nil)
+		if binary.LittleEndian.Uint32(idx) == FrameMagic {
+			if !errors.Is(err, errs.ErrCorrupted) {
+				t.Fatalf("%d-edge frames, %d-byte FBC1 index: err %v, want ErrCorrupted", c.grain, len(idx), err)
+			}
+		} else if err != nil || !slices.Equal(frames, want) || !slices.Equal(got, deg) {
+			t.Fatalf("%d-edge frames, %d-byte index: loaded %d offsets (want %d), degrees equal %v, err %v",
+				c.grain, len(idx), len(frames), len(want), slices.Equal(got, deg), err)
 		}
 	}
 }
@@ -216,10 +221,11 @@ func FuzzIndex(f *testing.F) {
 	// reads. Arbitrary bytes either load as a table of Vertices degrees
 	// summing to Edges, with frame offsets rising from the first frame to
 	// inside the edge file, or fail with errs.ErrCorrupted; the loader
-	// never panics, and sizes nothing by a length it has not checked. The
-	// corpus holds a valid index of each store in each layout — FBD1, and
-	// FBC1 with the delta one at each grain — and well-framed ones that
-	// break each check past the CRC.
+	// never panics, and sizes nothing by a length it has not checked; an
+	// FBC1 file, the layout stored before FBD1, never loads. The corpus
+	// holds a valid index of each store in each layout — FBD1, and FBC1
+	// with the delta one at each grain — and well-framed ones that break
+	// each check past the CRC.
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), FrameAll(make([]byte, 4*37)))
 	deg := make([]uint32, 37)
@@ -241,7 +247,10 @@ func FuzzIndex(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, b []byte) {
 		m := indexMetas[int(which)%len(indexMetas)]
 		deg := make([]uint32, m.Vertices)
-		frames, grain, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
+		frames, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
+		if err == nil && len(b) >= 4 && binary.LittleEndian.Uint32(b) == FrameMagic {
+			t.Fatalf("%s: an FBC1 index loaded", m.Name)
+		}
 		if err != nil {
 			if !errors.Is(err, errs.ErrCorrupted) {
 				t.Fatalf("%s: error %v does not wrap ErrCorrupted", m.Name, err)
@@ -252,9 +261,8 @@ func FuzzIndex(f *testing.F) {
 		for _, d := range deg {
 			sum += uint64(d)
 		}
-		want := indexFrames(m, uint64(grain))
-		if sum != m.Edges || uint64(len(frames)) != want || grain != IndexFrameEdges && grain != mibFrameEdges {
-			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames of %d edges (want %d)", m.Name, sum, m.Edges, len(frames), grain, want)
+		if want := indexFrames(m, IndexFrameEdges); sum != m.Edges || uint64(len(frames)) != want {
+			t.Fatalf("%s: loaded degrees sum to %d (want %d), %d frames (want %d)", m.Name, sum, m.Edges, len(frames), want)
 		}
 		for j, off := range frames {
 			if j == 0 && off != 4 || j > 0 && off <= frames[j-1] || off >= int64(m.StoredBytes)-8 {

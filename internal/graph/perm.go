@@ -127,11 +127,10 @@ func StorePerm(vol storage.Volume, name string, p *Permutation) error {
 	return storage.WriteAll(vol, PermFileName(name), words32(p.origOf))
 }
 
-// LoadPerm reads and validates the permutation sidecar of a reordered
-// dataset, FBD1 or the FBC1 uint32 array stored before it, decoding the ids
-// straight into the mapping. Integrity violations — framing damage, a length
-// that does not match the vertex count, a non-bijective mapping — wrap
-// errs.ErrCorrupted.
+// LoadPerm reads and validates the FBD1 permutation sidecar of a reordered
+// dataset, decoding the ids straight into the mapping. Integrity violations
+// — framing damage, a length that does not match the vertex count, a
+// non-bijective mapping — wrap errs.ErrCorrupted.
 func LoadPerm(vol storage.Volume, name string, vertices uint64) (*Permutation, error) {
 	fail := func(err error) (*Permutation, error) {
 		return nil, fmt.Errorf("graph: permutation for %s: %w", name, err)

@@ -185,26 +185,6 @@ func StoreWeighted(vol storage.Volume, m Meta, edges []WEdge) error {
 	return storage.WriteAll(vol, ConfFileName(m.Name), []byte(conf.String()))
 }
 
-// LoadWEdges reads a stored weighted graph's full edge list into memory.
-func LoadWEdges(vol storage.Volume, name string) (Meta, []WEdge, error) {
-	m, err := LoadMeta(vol, name)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	if !m.Weighted {
-		return Meta{}, nil, fmt.Errorf("graph %s is not weighted", name)
-	}
-	b, err := storage.ReadAll(vol, EdgeFileName(name))
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	edges, err := BytesToWEdges(b)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	return m, edges, nil
-}
-
 // LoadMeta reads a stored graph's configuration file.
 func LoadMeta(vol storage.Volume, name string) (Meta, error) {
 	b, err := storage.ReadAll(vol, ConfFileName(name))
@@ -294,8 +274,7 @@ const frameMiB = 1 << 20
 // index places its edges and a sparse pass reads them.
 const IndexFrameEdges = DeltaBlockMaxEdges
 
-// mibFrameEdges frames a delta .rev file, and a delta edge file stored
-// before the block grain (whose index still loads: fbc1IndexFrame).
+// mibFrameEdges frames a delta .rev file.
 const mibFrameEdges = frameMiB / EdgeBytes
 
 // sortBySource returns edges sorted by source and the out-degree table: a
@@ -340,19 +319,6 @@ func indexFrames(m Meta, grain uint64) uint64 {
 	return (m.Edges + grain - 1) / grain
 }
 
-// fbc1IndexFrame is the frame edges of m's FBC1 .idx of size bytes, the
-// layout stored before the FBD1 one, told by the size: IndexFrameEdges, or
-// mibFrameEdges for a delta file stored before the block grain; 0 when
-// neither fits.
-func fbc1IndexFrame(m Meta, size int64) uint64 {
-	for _, g := range []uint64{IndexFrameEdges, mibFrameEdges} {
-		if payload := 8*indexFrames(m, g) + 4*m.Vertices; uint64(size) == 12+8*((payload+frameMiB-1)/frameMiB)+payload {
-			return g
-		}
-	}
-	return 0
-}
-
 // words32 is an FBD1 file of the little-endian 32-bit words of w, two to a
 // record, an odd count padded by a zero.
 func words32[T ~uint32](w ...[]T) []byte {
@@ -374,29 +340,28 @@ func indexBytes(deg []uint32, frames []int64) []byte {
 	return words32(off, deg)
 }
 
-// readWords hands fn the first n little-endian 32-bit words of the payload
-// fr reads, frame by frame, then requires the payload to end — after one pad
-// word when FBD1 records hold an odd n. magic is the file's; a payload of
-// another length, or no frame magic, is errs.ErrCorrupted.
+// readWords hands fn the first n little-endian 32-bit words of the FBD1
+// payload fr reads, frame by frame, then requires the payload to end — after
+// one pad word when the records hold an odd n. magic is the file's; a
+// payload of another length, or another magic, is errs.ErrCorrupted: the
+// FBC1 layouts of the .idx and .perm files written before FBD1 are no longer
+// read, and a graph stored with them has to be stored again.
 func readWords(fr *FrameReader, magic uint32, n uint64, fn func(i uint64, w uint32)) error {
-	total, i := n, uint64(0)
-	if magic == 0 {
-		return fmt.Errorf("%w: no frame magic", errs.ErrCorrupted)
-	} else if magic == FrameMagicDelta {
-		total += n % 2
+	if magic != FrameMagicDelta {
+		return fmt.Errorf("%w: frame magic %#x, not FBD1 (store the graph again)", errs.ErrCorrupted, magic)
 	}
+	total, i := n+n%2, uint64(0)
 	var blk [DeltaBlockMaxEdges * EdgeBytes]byte
 	for p, err := fr.Next(); err != io.EOF; p, err = fr.Next() {
 		if err != nil {
 			return err
 		}
-		for k := 0; len(p) > 0; p = p[k:] {
-			words := p
-			if k = len(p); magic == FrameMagicDelta {
-				if words, k, err = DecodeDeltaBlock(blk[:0], p); err != nil {
-					return err
-				}
+		for len(p) > 0 {
+			words, k, err := DecodeDeltaBlock(blk[:0], p)
+			if err != nil {
+				return err
 			}
+			p = p[k:]
 			if len(words)%4 != 0 || uint64(len(words)/4) > total-i {
 				return fmt.Errorf("%w: payload past %d words", errs.ErrCorrupted, total)
 			}
@@ -414,25 +379,20 @@ func readWords(fr *FrameReader, magic uint32, n uint64, fn func(i uint64, w uint
 }
 
 // ReadIndex reads m's size-byte .idx file from r: the degrees into deg (len
-// m.Vertices), the frame offsets into the slice it returns (nil for a fixed
-// file) with the edges each frame holds, the frames through buffers from
-// bufs. The FBD1 layout's grain is IndexFrameEdges; the FBC1 one, stored
-// before, holds the same words raw, at a grain told by its size. It checks
-// what m implies before it allocates, each frame's CRC, that the degrees sum
-// to m.Edges and that the offsets rise from the first frame to inside the
-// edge file: anything else is errs.ErrCorrupted.
-func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, int64, error) {
+// m.Vertices) and the offsets of a delta file's frames of IndexFrameEdges
+// edges into the slice it returns (nil for a fixed file), the frames through
+// buffers from bufs. It checks what m implies before it allocates, each
+// frame's CRC, that the degrees sum to m.Edges and that the offsets rise from
+// the first frame to inside the edge file: anything else is
+// errs.ErrCorrupted.
+func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]int64, error) {
 	bad := func(format string, a ...any) error {
 		return fmt.Errorf("graph %s: %w: index "+format, append([]any{m.Name, errs.ErrCorrupted}, a...)...)
 	}
 	magic, _, err := SniffContainer(r)
-	grain := uint64(IndexFrameEdges)
-	if magic == FrameMagic {
-		grain = fbc1IndexFrame(m, size)
-	}
-	nf := indexFrames(m, max(grain, 1))
-	if err != nil || grain == 0 || nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices {
-		return nil, 0, bad("of %d bytes for %d vertices and %d frames (%v)", size, m.Vertices, nf, err)
+	nf := indexFrames(m, IndexFrameEdges)
+	if err != nil || nf > m.StoredBytes/9 || uint64(len(deg)) != m.Vertices {
+		return nil, bad("of %d bytes for %d vertices and %d frames (%v)", size, m.Vertices, nf, err)
 	}
 	var frames []int64
 	if nf > 0 {
@@ -454,12 +414,12 @@ func ReadIndex(r io.Reader, size int64, m Meta, deg []uint32, bufs Buffers) ([]i
 		err = fmt.Errorf("degrees summing to %d, not %d", sum, m.Edges)
 	}
 	if err != nil {
-		return nil, 0, bad("of %d bytes: %v", size, err)
+		return nil, bad("of %d bytes: %v", size, err)
 	}
 	for i, off := range append(frames, int64(m.StoredBytes)-frameHeaderBytes)[1:] { // the terminator ends the last
 		if frames[0] != 4 || off-frames[i] <= frameHeaderBytes {
-			return nil, 0, bad("frame %d at byte %d, the next at %d", i, frames[i], off)
+			return nil, bad("frame %d at byte %d, the next at %d", i, frames[i], off)
 		}
 	}
-	return frames, int64(grain), nil
+	return frames, nil
 }

@@ -3,9 +3,24 @@
 // to describe the graph characteristics (e.g., vertices number) and
 // runtime settings (e.g., the additional disk location), etc." (§III).
 // Graph characteristics live next to the dataset (graph.ReadConfig);
-// this file carries the per-run knobs — engine, budgets, buffers, trim
-// policy, and the simulated device layout — in the same plain key=value
-// format.
+// this file carries the engine's per-run settings in the same plain
+// key=value format, and nothing else: a daemon's own settings are its
+// flags. It has 23 keys:
+//
+//	engine, root                          which engine, from which vertex
+//	memory_budget, threads, stream_buf,   the settings every engine shares
+//	prefetch_buffers, partitions,
+//	max_iterations, scatter_workers,
+//	direction, codec
+//	trim_start_iteration,                 FastBFS's trim policy
+//	trim_visited_fraction,
+//	disable_trimming,
+//	disable_selective_scheduling,
+//	stay_buf_size, stay_buf_count,
+//	grace_period
+//	sim, device, seek_scale,              the simulated testbed
+//	additional_disk,
+//	stay_disk_bandwidth_frac
 package runconfig
 
 import (
@@ -15,7 +30,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"fastbfs/internal/core"
 	"fastbfs/internal/disksim"
@@ -46,12 +60,6 @@ type Config struct {
 	// else the dataset's stored codec — so the precedence is
 	// flag/config > env > stored > fixed.
 	Codec graph.Codec
-	// Reorder is the store-time half of the codec surface: tools that
-	// build datasets from a settings file (see StoreOptions) relabel
-	// vertices by descending degree. Engines ignore it — a reordered
-	// dataset is detected from its own config and translated at the API
-	// boundary.
-	Reorder bool
 
 	// FastBFS trim policy.
 	TrimStartIteration         int
@@ -61,7 +69,6 @@ type Config struct {
 	StayBufSize                int
 	StayBufCount               int
 	GracePeriod                float64
-	GraceWallMillis            int
 
 	// Simulated testbed. Sim=false runs wall-clock against real files.
 	Sim bool
@@ -75,32 +82,11 @@ type Config struct {
 	// StayDiskBandwidthFrac, when > 0, adds a dedicated stay disk with
 	// the main device's bandwidth multiplied by this fraction.
 	StayDiskBandwidthFrac float64
-
-	// Serving-layer batch execution (DESIGN.md §13); these only matter
-	// to the daemon, engine runs ignore them. BatchSize -1 means "not
-	// specified" (the daemon's flag/env default applies); 0 disables
-	// batching; positive values cap the distinct roots per shared run.
-	BatchSize int
-	// BatchWaitMillis is the batch hold window in milliseconds; 0 means
-	// not specified.
-	BatchWaitMillis int
-
-	// Overload-control settings (DESIGN.md §15), daemon-only like the
-	// batch knobs. Shed uses -1 for "not specified" (the daemon's flag
-	// default applies), 0 for off, 1 for on.
-	Shed int
-	// BreakerThreshold is the circuit breaker's consecutive-I/O-failure
-	// trip count: -1 not specified, 0 disables the breaker.
-	BreakerThreshold int
-	// CacheTTLMillis bounds result-cache freshness: -1 not specified,
-	// 0 means entries never expire.
-	CacheTTLMillis int
 }
 
 // Default returns the configuration used when a key is absent.
 func Default() Config {
-	return Config{Engine: "fastbfs", Device: "hdd", SeekScale: 1, BatchSize: -1,
-		Shed: -1, BreakerThreshold: -1, CacheTTLMillis: -1}
+	return Config{Engine: "fastbfs", Device: "hdd", SeekScale: 1}
 }
 
 // Parse reads a runtime-settings file. Unknown keys are rejected —
@@ -171,8 +157,6 @@ func (c *Config) set(key, val string) error {
 		c.Direction, err = xstream.ParseDirection(val)
 	case "codec":
 		c.Codec, err = graph.ParseCodec(val)
-	case "reorder":
-		c.Reorder, err = strconv.ParseBool(val)
 	case "trim_start_iteration":
 		c.TrimStartIteration, err = strconv.Atoi(val)
 	case "trim_visited_fraction":
@@ -189,8 +173,6 @@ func (c *Config) set(key, val string) error {
 		c.StayBufCount, err = strconv.Atoi(val)
 	case "grace_period":
 		c.GracePeriod, err = strconv.ParseFloat(val, 64)
-	case "grace_wall_ms":
-		c.GraceWallMillis, err = strconv.Atoi(val)
 	case "sim":
 		c.Sim, err = strconv.ParseBool(val)
 	case "device":
@@ -201,21 +183,6 @@ func (c *Config) set(key, val string) error {
 		c.AdditionalDisk, err = strconv.ParseBool(val)
 	case "stay_disk_bandwidth_frac":
 		c.StayDiskBandwidthFrac, err = strconv.ParseFloat(val, 64)
-	case "batch_size":
-		c.BatchSize, err = strconv.Atoi(val)
-	case "batch_wait_ms":
-		c.BatchWaitMillis, err = strconv.Atoi(val)
-	case "shed":
-		var b bool
-		b, err = strconv.ParseBool(val)
-		c.Shed = 0
-		if b {
-			c.Shed = 1
-		}
-	case "breaker_threshold":
-		c.BreakerThreshold, err = strconv.Atoi(val)
-	case "cache_ttl_ms":
-		c.CacheTTLMillis, err = strconv.Atoi(val)
 	default:
 		return fmt.Errorf("unknown key %q", key)
 	}
@@ -265,18 +232,6 @@ func (c Config) Validate() error {
 	if c.StayDiskBandwidthFrac < 0 {
 		return fmt.Errorf("runconfig: stay_disk_bandwidth_frac must be non-negative")
 	}
-	if c.BatchSize < -1 {
-		return fmt.Errorf("runconfig: batch_size must be -1 (unset), 0 (off) or positive, got %d", c.BatchSize)
-	}
-	if c.BatchWaitMillis < 0 {
-		return fmt.Errorf("runconfig: batch_wait_ms must be non-negative, got %d", c.BatchWaitMillis)
-	}
-	if c.BreakerThreshold < -1 {
-		return fmt.Errorf("runconfig: breaker_threshold must be -1 (unset), 0 (off) or positive, got %d", c.BreakerThreshold)
-	}
-	if c.CacheTTLMillis < -1 {
-		return fmt.Errorf("runconfig: cache_ttl_ms must be -1 (unset) or non-negative, got %d", c.CacheTTLMillis)
-	}
 	return nil
 }
 
@@ -321,14 +276,6 @@ func (c Config) EngineOptions() xstream.Options {
 	return o
 }
 
-// StoreOptions materializes the store-time settings (codec, degree
-// reordering) for tools that build datasets from the same settings
-// file. Reverse is always requested — stored datasets carry the
-// reverse file so every traversal direction works.
-func (c Config) StoreOptions() graph.StoreOptions {
-	return graph.StoreOptions{Codec: c.Codec, Reverse: true, ReorderByDegree: c.Reorder}
-}
-
 // CoreOptions materializes the full FastBFS option set.
 func (c Config) CoreOptions() core.Options {
 	return core.Options{
@@ -340,6 +287,5 @@ func (c Config) CoreOptions() core.Options {
 		StayBufSize:                c.StayBufSize,
 		StayBufCount:               c.StayBufCount,
 		GracePeriod:                c.GracePeriod,
-		GraceWall:                  time.Duration(c.GraceWallMillis) * time.Millisecond,
 	}
 }

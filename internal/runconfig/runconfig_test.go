@@ -4,13 +4,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"fastbfs/internal/disksim"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/xstream"
 )
 
+// TestParseFull sets every one of the 23 keys the package doc lists.
 func TestParseFull(t *testing.T) {
 	in := `
 # the paper's example: an additional disk for update and stay streams
@@ -22,7 +22,9 @@ stream_buf = 64K
 prefetch_buffers = 4
 partitions = 3
 max_iterations = 100
+scatter_workers = 3
 direction = auto
+codec = delta
 trim_start_iteration = 2
 trim_visited_fraction = 0.25
 disable_trimming = false
@@ -30,7 +32,6 @@ disable_selective_scheduling = true
 stay_buf_size = 1M
 stay_buf_count = 16
 grace_period = 0.1
-grace_wall_ms = 20
 sim = true
 device = ssd
 seek_scale = 2048
@@ -53,15 +54,15 @@ stay_disk_bandwidth_frac = 0.5
 	if cfg.TrimStartIteration != 2 || cfg.TrimVisitedFraction != 0.25 || !cfg.DisableSelectiveScheduling {
 		t.Fatalf("trim policy: %+v", cfg)
 	}
-	if cfg.Direction != xstream.DirectionAuto {
-		t.Fatalf("direction: %+v", cfg)
+	if cfg.ScatterWorkers != 3 || cfg.Direction != xstream.DirectionAuto || cfg.Codec != graph.CodecDelta {
+		t.Fatalf("workers, direction and codec: %+v", cfg)
 	}
 
 	o := cfg.CoreOptions()
 	if o.Base.MemoryBudget != 256<<20 || o.Base.Threads != 8 {
 		t.Fatalf("core base: %+v", o.Base)
 	}
-	if o.GraceWall != 20*time.Millisecond || o.GracePeriod != 0.1 || o.StayBufCount != 16 {
+	if o.GracePeriod != 0.1 || o.StayBufCount != 16 {
 		t.Fatalf("core opts: %+v", o)
 	}
 	if o.Base.Direction != xstream.DirectionAuto {
@@ -133,53 +134,16 @@ func TestParseBytesSuffixes(t *testing.T) {
 }
 
 func TestParseOverloadKeys(t *testing.T) {
-	in := `
-shed = true
-breaker_threshold = 3
-cache_ttl_ms = 60000
-`
-	cfg, err := Parse(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shed != 1 || cfg.BreakerThreshold != 3 || cfg.CacheTTLMillis != 60000 {
-		t.Fatalf("overload keys: %+v", cfg)
-	}
-	// The admission knobs no deployment set, and the residency budget, are
-	// gone: a file that still names one is rejected like any other unknown
-	// key.
-	for _, key := range []string{"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header", "residency_budget"} {
-		if _, err := Parse(strings.NewReader(key + " = 1\n")); err == nil {
-			t.Errorf("removed key %s accepted", key)
-		}
-	}
-}
-
-func TestParseOverloadDefaultsUnset(t *testing.T) {
-	// The tri-state keys must default to "not specified" (-1) so the
-	// daemon's flag > runconfig > env chain can tell silence from zero.
-	cfg, err := Parse(strings.NewReader(""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Shed != -1 || cfg.BreakerThreshold != -1 || cfg.CacheTTLMillis != -1 {
-		t.Fatalf("unset sentinels: shed=%d breaker_threshold=%d cache_ttl_ms=%d, want -1/-1/-1",
-			cfg.Shed, cfg.BreakerThreshold, cfg.CacheTTLMillis)
-	}
-	if _, err := Parse(strings.NewReader("shed = false\nbreaker_threshold = 0\n")); err != nil {
-		t.Fatalf("explicit off values rejected: %v", err)
-	}
-}
-
-func TestParseOverloadErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad shed bool": "shed = maybe\n",
-		"bad breaker":   "breaker_threshold = -2\n",
-		"bad cache ttl": "cache_ttl_ms = -2\n",
-	}
-	for name, in := range cases {
-		if _, err := Parse(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
+	// A settings file holds engine settings only. The daemon's batching
+	// and overload settings are its flags; the admission knobs no
+	// deployment set, the residency budget, the store-time reorder and
+	// the second grace period are gone. A file that names one is rejected
+	// like any other unknown key.
+	for _, key := range []string{"batch_size", "batch_wait_ms", "shed", "breaker_threshold", "cache_ttl_ms",
+		"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header",
+		"residency_budget", "reorder", "grace_wall_ms"} {
+		if _, err := Parse(strings.NewReader(key + " = 1\n")); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("removed key %s: err %v, want an unknown key", key, err)
 		}
 	}
 }

@@ -38,11 +38,11 @@ const (
 	DirectionAuto     Direction = "auto"
 )
 
-// Default switch ratios of the hybrid heuristic, Beamer et al.'s
-// α = 14 and β = 24; DirState.Decide applies them.
+// The switch ratios of the hybrid heuristic, Beamer et al.'s α = 14 and
+// β = 24, fixed parameters as in Buluç et al.; DirState applies them.
 const (
-	DefaultDirectionAlpha = 14
-	DefaultDirectionBeta  = 24
+	directionAlpha = 14
+	directionBeta  = 24
 )
 
 // ParseDirection parses a direction policy. Empty means topdown (the
@@ -147,8 +147,7 @@ type DirState struct {
 	Conf Direction
 	dirHistory
 
-	alpha, beta float64
-	vertices    float64
+	vertices float64
 	// held says Decide just held a bottom-up pass back from a stored one.
 	held bool
 }
@@ -186,7 +185,7 @@ type dirHistory struct {
 func NewDirState(rt *Runtime, dir Direction) *DirState {
 	return &DirState{Conf: dir,
 		dirHistory: dirHistory{Mode: DirectionTopDown, SwitchIteration: -1, Unexplored: float64(rt.Meta.Edges)},
-		alpha:      float64(rt.Opts.DirectionAlpha), beta: float64(rt.Opts.DirectionBeta), vertices: float64(rt.Meta.Vertices)}
+		vertices:   float64(rt.Meta.Vertices)}
 }
 
 // Decide picks iteration iter's mode (true = bottom-up) from what the
@@ -197,10 +196,10 @@ func (ds *DirState) Decide(iter int) bool {
 	// candidate wave's out-edges dominate the unexplored remainder — and
 	// only while the wave is still growing, so the collapsing tail stays
 	// top-down.
-	stay := float64(ds.LastCount) >= ds.vertices/ds.beta
+	stay := float64(ds.LastCount) >= ds.vertices/directionBeta
 	ds.held = !stay && ds.StoredPrice > 0 && ds.Mode == DirectionBottomUp
 	return ds.pick(iter, stay || ds.held,
-		ds.CandCount > ds.PrevCand && ds.CandDeg > ds.Unexplored/ds.alpha)
+		ds.CandCount > ds.PrevCand && ds.CandDeg > ds.Unexplored/directionAlpha)
 }
 
 // DecideExact is Decide for the indexed resident traversal (engine.go),
@@ -215,8 +214,8 @@ func (ds *DirState) DecideExact(iter int, frontier, frontierOut, unvisited, unvi
 	growing := frontier > ds.LastCount
 	ds.LastCount = frontier
 	return ds.pick(iter,
-		float64(frontier) >= ds.vertices/ds.beta,
-		growing && float64(frontierOut) > max(float64(unvisitedIn)/ds.alpha, float64(unvisited)))
+		float64(frontier) >= ds.vertices/directionBeta,
+		growing && float64(frontierOut) > max(float64(unvisitedIn)/directionAlpha, float64(unvisited)))
 }
 
 // pick applies the policy to the heuristic's two verdicts — stay

@@ -29,8 +29,7 @@ func TestParseDirection(t *testing.T) {
 }
 
 func TestDirStateHeuristic(t *testing.T) {
-	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
-		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
+	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000}}
 	ds := NewDirState(rt, DirectionAuto)
 	if ds.Decide(0) {
 		t.Fatal("iteration 0 must be top-down")
@@ -77,8 +76,7 @@ func TestDirStateHeuristic(t *testing.T) {
 // held passes have read that many edges, then drops back; passes it did
 // not hold pay nothing.
 func TestDirStateStoredPrice(t *testing.T) {
-	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000},
-		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
+	rt := &Runtime{Meta: graph.Meta{Vertices: 1000, Edges: 10000}}
 	ds := NewDirState(rt, DirectionAuto)
 	ds.StoredPrice = float64(rt.Meta.Edges)
 	ds.Decide(0)
@@ -103,8 +101,7 @@ func TestDirStateStoredPrice(t *testing.T) {
 }
 
 func TestDirStateForcedModes(t *testing.T) {
-	rt := &Runtime{Meta: graph.Meta{Vertices: 100, Edges: 500},
-		Opts: Options{DirectionAlpha: DefaultDirectionAlpha, DirectionBeta: DefaultDirectionBeta}}
+	rt := &Runtime{Meta: graph.Meta{Vertices: 100, Edges: 500}}
 	td := NewDirState(rt, DirectionTopDown)
 	bu := NewDirState(rt, DirectionBottomUp)
 	for iter := 0; iter < 5; iter++ {

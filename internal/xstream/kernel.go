@@ -46,13 +46,12 @@ type Policy struct {
 	SelectiveScheduling bool
 
 	// StayBufSize and StayBufCount size the stay writer's private edge
-	// buffers; GracePeriod (virtual seconds) and GraceWall (real-disk
-	// mode) are how long a scatter waits for its partition's late stay
+	// buffers; GracePeriod is how long, in seconds of the run's clock
+	// (simulated or wall), a scatter waits for its partition's late stay
 	// file before cancelling it (§II-C2). Read only when Trim is set.
 	StayBufSize  int
 	StayBufCount int
 	GracePeriod  float64
-	GraceWall    time.Duration
 
 	// CheckpointVol, when non-nil, makes a streaming run keep a log of
 	// every level it forms and persist a manifest naming them after every
@@ -879,7 +878,7 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 			}
 		}
 	} else {
-		ok, err := f.TryUse(e.pol.GraceWall)
+		ok, err := f.TryUse(time.Duration(e.pol.GracePeriod * float64(time.Second)))
 		if ok && err == nil {
 			adopt = true
 		} else if err != nil {

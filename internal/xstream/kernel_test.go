@@ -3,7 +3,6 @@ package xstream
 import (
 	"context"
 	"testing"
-	"time"
 
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
@@ -71,7 +70,7 @@ func TestManifestRecordsLastCompletedIteration(t *testing.T) {
 		res, err := RunPolicy(context.Background(), vol, m.Name, engine, o, Policy{
 			Trim: true, SelectiveScheduling: true,
 			StayBufSize: o.StreamBufSize, StayBufCount: 8,
-			GracePeriod: 0.05, GraceWall: 50 * time.Millisecond,
+			GracePeriod:   0.05,
 			CheckpointVol: ck,
 		})
 		if err != nil {
@@ -149,7 +148,7 @@ func TestTrimRuleSharedByBothRegimes(t *testing.T) {
 				}
 				pol := Policy{Trim: true, TrimStartIteration: start, TrimVisitedFraction: fraction,
 					SelectiveScheduling: true, StayBufSize: o.StreamBufSize, StayBufCount: 8,
-					GracePeriod: 0.05, GraceWall: 50 * time.Millisecond}
+					GracePeriod: 0.05}
 				res, err := RunPolicy(context.Background(), vol, m.Name, "fastbfs", o, pol)
 				if err != nil {
 					t.Fatal(err)

@@ -173,11 +173,9 @@ type Options struct {
 	// Prepared graph it chooses a direction per level by α and β, and the
 	// one-shot edge-list loop has no direction at all.
 	Direction Direction
-	// DirectionAlpha and DirectionBeta are the hybrid heuristic's switch
-	// ratios (Beamer's α and β): switch to bottom-up when the frontier's
-	// emitted-edge count exceeds unexplored/α, back to top-down when the
-	// frontier shrinks below vertices/β. Defaults 14 and 24, matching
-	// the in-memory reference.
+	// Deprecated: DirectionAlpha and DirectionBeta are ignored. The
+	// hybrid heuristic's switch ratios are fixed at Beamer's α = 14 and
+	// β = 24 (direction.go).
 	DirectionAlpha int
 	DirectionBeta  int
 	// Codec selects the edge codec for the run's working files —
@@ -252,12 +250,6 @@ func (o *Options) SetDefaults(engineName string) {
 			}
 		}
 	}
-	if o.DirectionAlpha <= 0 {
-		o.DirectionAlpha = DefaultDirectionAlpha
-	}
-	if o.DirectionBeta <= 0 {
-		o.DirectionBeta = DefaultDirectionBeta
-	}
 }
 
 // Result is the output of an engine run: the BFS tree plus the
@@ -316,8 +308,8 @@ type Runtime struct {
 	Perm *graph.Permutation
 
 	// BytesRead and BytesWritten are the traffic the time model charges, in
-	// payload units (framing is invisible to it); a wall-clock record
-	// reports io's count instead.
+	// payload units (framing is invisible to it); a wall-clock run reports
+	// io's count instead (moved).
 	BytesRead    int64
 	BytesWritten int64
 
@@ -551,11 +543,21 @@ func (rt *Runtime) RAMScan(n int64) {
 	rt.Clock.ComputeSerial(float64(n) / rt.Costs.MemBandwidth)
 }
 
+// moved is the bytes this run has read and written so far: the tally the
+// simulated devices are charged by, or in wall mode everything that
+// crossed the run's volume.
+func (rt *Runtime) moved() (read, written int64) {
+	if rt.Clock != nil {
+		return rt.BytesRead, rt.BytesWritten
+	}
+	d := rt.io.Stats()
+	return d.BytesRead, d.BytesWritten
+}
+
 // FinishMetrics fills the timing and device fields of a metrics record.
 func (rt *Runtime) FinishMetrics(run *metrics.Run) {
 	run.Graph = rt.Meta.Name
-	run.BytesRead = rt.BytesRead
-	run.BytesWritten = rt.BytesWritten
+	run.BytesRead, run.BytesWritten = rt.moved()
 	run.IORetries = rt.Retry.Retries()
 	run.IOFailures = rt.Retry.Failures()
 	if rt.Clock != nil {
@@ -577,9 +579,8 @@ func (rt *Runtime) FinishMetrics(run *metrics.Run) {
 		}
 	} else {
 		run.ExecTime = time.Since(rt.wallStart).Seconds()
-		d := rt.io.Stats()
-		run.BytesRead, run.BytesWritten = d.BytesRead, d.BytesWritten
 		if rt.volName != "" {
+			d := rt.io.Stats()
 			run.Devices = append(run.Devices, metrics.DeviceStats{
 				Name: rt.volName, BytesRead: d.BytesRead, BytesWritten: d.BytesWritten,
 				Ops: d.ReadOps + d.WriteOps,
@@ -605,7 +606,8 @@ type published struct {
 
 // Publish sets the engine counters on the run's tracer from run, the
 // record as far as it is filed, and from what the runtime counts itself:
-// its bytes and its retrier's tallies. The record is the engines' only
+// the bytes it has moved (moved, as the record takes them) and its
+// retrier's tallies. The record is the engines' only
 // tally (DESIGN.md §11); the counters repeat it. unapplied is the number of
 // updates the last row wrote that no gather has applied yet — emitted,
 // but in no row's Updates until the next. A cumulative counter moves by
@@ -645,8 +647,9 @@ func (rt *Runtime) Publish(run *metrics.Run, unapplied int64) {
 	}
 	t.Counter(obs.CtrSwitchIteration).Set(int64(run.SwitchIteration))
 	t.Counter(obs.CtrStayDisabled).Set(int64(run.StayDisabledParts))
-	t.Counter(obs.CtrBytesRead).Set(rt.BytesRead)
-	t.Counter(obs.CtrBytesWritten).Set(rt.BytesWritten)
+	read, written := rt.moved()
+	t.Counter(obs.CtrBytesRead).Set(read)
+	t.Counter(obs.CtrBytesWritten).Set(written)
 	for _, name := range [...]string{obs.CtrScatterWorkers, obs.CtrScatterChunks, obs.CtrScatterBusyNs} {
 		t.Counter(name) // the pool's, named in every engine's events
 	}

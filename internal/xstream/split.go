@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -10,6 +11,7 @@ import (
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
 	"fastbfs/internal/obs"
+	"fastbfs/internal/storage"
 	"fastbfs/internal/stream"
 )
 
@@ -364,23 +366,27 @@ func (e *kernel) bookCarried(itRow *metrics.Iteration) {
 }
 
 // storedIndex is the stored edge file's degree index (DESIGN.md §5; the
-// degrees are OutDeg): its delta frames' offsets (nil when fixed) and the
-// edges each frame holds, the file's bytes and edges, and the grain, the
-// bytes a positioning is worth.
+// degrees are OutDeg): its delta frames' offsets (nil when fixed), each
+// frame graph.IndexFrameEdges edges, the file's bytes and edges, and the
+// grain, the bytes a positioning is worth.
 type storedIndex struct {
-	frames                         []int64
-	frameEdges, size, edges, grain int64
+	frames             []int64
+	size, edges, grain int64
 }
 
 // openIndex loads the degrees into OutDeg for a run entering its stored
 // phase. It leaves e.index nil — the run counts and reads dense — when the
-// graph has no index, or when the least a sparse pass reads (a delta frame
-// at the file's mean bytes an edge), a grain and the index reach the file.
+// least a sparse pass reads (a delta frame at the file's mean bytes an
+// edge), a grain and the index reach the file. A graph with no index was
+// stored before it, and is errs.ErrCorrupted: its edges may not be sorted
+// by source, which the stored passes' parents rely on.
 func (e *kernel) openIndex() error {
 	rt, name := e.rt, graph.IndexFileName(e.rt.Meta.Name)
 	isz, err := rt.Vol.Size(name)
-	if err != nil {
-		return nil // stored before the index
+	if errors.Is(err, storage.ErrNotExist) {
+		return fmt.Errorf("graph %s: %w: no degree index %s (store the graph again)", rt.Meta.Name, errs.ErrCorrupted, name)
+	} else if err != nil {
+		return err
 	}
 	ix := &storedIndex{size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: 64 << 10}
 	var least int64
@@ -399,7 +405,7 @@ func (e *kernel) openIndex() error {
 		return err
 	}
 	defer rr.Close()
-	if ix.frames, ix.frameEdges, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
+	if ix.frames, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
 		return err
 	}
 	if rt.Clock != nil {
@@ -417,10 +423,10 @@ func (ix *storedIndex) span(lo, hi int64) (off, end int64) {
 		return lo * graph.EdgeBytes, hi * graph.EdgeBytes
 	}
 	end = ix.size - 8 // the terminator frame
-	if g := (hi-1)/ix.frameEdges + 1; g < int64(len(ix.frames)) {
+	if g := (hi-1)/graph.IndexFrameEdges + 1; g < int64(len(ix.frames)) {
 		end = ix.frames[g]
 	}
-	return ix.frames[lo/ix.frameEdges], end
+	return ix.frames[lo/graph.IndexFrameEdges], end
 }
 
 // edgesOf is the edges [first, last) a range of spans holds.
@@ -430,7 +436,7 @@ func (ix *storedIndex) edgesOf(r stream.Range) (first, last int64) {
 	}
 	f, _ := slices.BinarySearch(ix.frames, r.Off)
 	g, _ := slices.BinarySearch(ix.frames, r.Off+r.Len) // len(frames) at the terminator
-	return int64(f) * ix.frameEdges, min(int64(g)*ix.frameEdges, ix.edges)
+	return int64(f) * graph.IndexFrameEdges, min(int64(g)*graph.IndexFrameEdges, ix.edges)
 }
 
 // sparseRuns returns the ranges a forward stored pass reads sparse — the

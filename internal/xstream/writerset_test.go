@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
@@ -26,7 +25,7 @@ import (
 func TestSplitFaultLeavesNothing(t *testing.T) {
 	vol, m, edges := rmatStored(t, graph.StoreOptions{Reverse: true})
 	const parts = 4
-	counts := Policy{Trim: true, SelectiveScheduling: true, StayBufSize: 512, StayBufCount: 8, GracePeriod: 0.05, GraceWall: time.Second}
+	counts := Policy{Trim: true, SelectiveScheduling: true, StayBufSize: 512, StayBufCount: 8, GracePeriod: 0.05}
 	for _, split := range []struct {
 		file string
 		pol  Policy
