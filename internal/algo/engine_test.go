@@ -128,7 +128,7 @@ func TestEngineCleansUp(t *testing.T) {
 	if _, err := Run(vol, m.Name, NewBFS(0), opts()); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(vol.List()); n != 4 {
+	if n := len(vol.List()); n != 5 {
 		t.Fatalf("leftover files: %v", vol.List())
 	}
 }

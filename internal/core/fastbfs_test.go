@@ -537,7 +537,7 @@ func TestFastBFSWallClockOnOSVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the dataset files remain.
-	if n := len(vol.List()); n != 4 {
+	if n := len(vol.List()); n != 5 {
 		t.Fatalf("files left on OS volume: %v", vol.List())
 	}
 }

@@ -111,7 +111,7 @@ func TestRunSurfacesPrepareFailure(t *testing.T) {
 	}
 	// Only the dataset survives; no half-written working files.
 	for _, f := range vol.List() {
-		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.IndexFileName(m.Name) {
+		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.ReverseIndexFileName(m.Name) && f != graph.IndexFileName(m.Name) {
 			t.Errorf("leftover file %s after failed run", f)
 		}
 	}
@@ -275,7 +275,7 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 		checkTrimRows(t, "transient faults", res, true)
 		// Zero file leaks: only the stored dataset survives the run.
 		for _, f := range vol.List() {
-			if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.IndexFileName(m.Name) {
+			if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.ReverseIndexFileName(m.Name) && f != graph.IndexFileName(m.Name) {
 				t.Errorf("leftover working file %s", f)
 			}
 		}
@@ -363,7 +363,7 @@ func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 					prefixes++
 				}
 				for _, f := range vol.List() {
-					if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.IndexFileName(m.Name) {
+					if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.ReverseIndexFileName(m.Name) && f != graph.IndexFileName(m.Name) {
 						t.Errorf("%s: leftover working file %s", label, f)
 					}
 				}

@@ -136,8 +136,46 @@ func TestStoreBeforeIndexRejected(t *testing.T) {
 	}
 }
 
+// TestStoreBeforeTransposeRejected: a run's first bottom-up pass fails with
+// errs.ErrCorrupted, naming the fix, over a store with no .ridx or with the
+// .rev stored before the transposed graph — every edge swapped, in the
+// edge list's order — instead of growing a tree from in-edges its index
+// does not describe. The current store runs.
+func TestStoreBeforeTransposeRejected(t *testing.T) {
+	for _, c := range []string{"current", "no .ridx", "old-order .rev"} {
+		vol, m, root := storedRMAT(t, 12, 16, graph.StoreOptions{Reverse: true})
+		switch c {
+		case "no .ridx":
+			if err := vol.Remove(graph.ReverseIndexFileName(m.Name)); err != nil {
+				t.Fatal(err)
+			}
+		case "old-order .rev":
+			_, edges, err := graph.LoadEdges(vol, m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range edges {
+				edges[i] = e.Reverse()
+			}
+			if err := storage.WriteAll(vol, graph.ReverseFileName(m.Name), graph.FrameAll(graph.EdgesToBytes(edges))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, StreamBufSize: 512,
+			Direction: xstream.DirectionBottomUp}})
+		if c == "current" {
+			if err != nil {
+				t.Fatalf("%s: %v", c, err)
+			}
+		} else if !errors.Is(err, errs.ErrCorrupted) || !strings.Contains(err.Error(), "store the graph again") {
+			t.Fatalf("%s: err = %v, want ErrCorrupted asking for the graph to be stored again", c, err)
+		}
+	}
+}
+
 // TestMetadataSizes: on a reordered delta rmat12 store the index takes at
-// most 1.2 B a vertex and 8 B a frame, the permutation 1.6 B a vertex, and
+// most 1.2 B a vertex and 8 B a frame, the reverse index 3 B a vertex and
+// 8 B a slot, the permutation 1.6 B a vertex, and
 // the FBD1 level logs of a direction-auto run — its stored and bottom-up
 // passes' — 4 B a winner, files whole.
 func TestMetadataSizes(t *testing.T) {
@@ -160,6 +198,9 @@ func TestMetadataSizes(t *testing.T) {
 	if perm := size(graph.PermFileName(m.Name)); perm > 1.6*float64(m.Vertices) {
 		t.Fatalf(".perm is %.0f bytes for %d vertices", perm, m.Vertices)
 	}
+	if ridx := size(graph.ReverseIndexFileName(m.Name)); ridx > 3*float64(m.Vertices)+8*float64(frames+1) {
+		t.Fatalf(".ridx is %.0f bytes for %d vertices and %d slots", ridx, m.Vertices, frames+1)
+	}
 	ck := storage.NewMem()
 	o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
 		Sim: sparseSim(), Direction: xstream.DirectionAuto}, CheckpointVol: ck}
@@ -174,6 +215,6 @@ func TestMetadataSizes(t *testing.T) {
 	if winners == 0 || float64(bytes) > 4*float64(winners) {
 		t.Fatalf("FBD1 logs: %d bytes for %d winners", bytes, winners)
 	}
-	t.Logf(".idx %.0f B, .perm %.0f B for %d vertices; FBD1 logs %d B for %d winners (%.2f B each)",
-		size(graph.IndexFileName(m.Name)), size(graph.PermFileName(m.Name)), m.Vertices, bytes, winners, float64(bytes)/float64(winners))
+	t.Logf(".idx %.0f B, .ridx %.0f B, .perm %.0f B for %d vertices; FBD1 logs %d B for %d winners (%.2f B each)",
+		size(graph.IndexFileName(m.Name)), size(graph.ReverseIndexFileName(m.Name)), size(graph.PermFileName(m.Name)), m.Vertices, bytes, winners, float64(bytes)/float64(winners))
 }

@@ -18,14 +18,19 @@ import (
 // ranges (the HDD's 1 MB seek keeps every one of them dense).
 func sparseSim() *xstream.SimConfig { return xstream.ScaledSim(512) }
 
-// checkFileRows asserts what every stored row records of its read: a sparse
-// one read exactly the bytes its ranges promised, a dense one promised
-// nothing; sparse reports whether any row read sparse.
+// checkFileRows asserts what every file row records of its read — a stored
+// row's, or the first bottom-up row's, of the transposed graph: a sparse one
+// read exactly the bytes its ranges promised, a dense one promised nothing;
+// sparse reports whether any row read sparse.
 func checkFileRows(t testing.TB, label string, res *Result) (sparse bool) {
 	t.Helper()
-	for _, it := range res.Metrics.Iterations {
+	fused := -1 // the first bottom-up row
+	for i, it := range res.Metrics.Iterations {
+		if it.BottomUp && fused < 0 {
+			fused = i
+		}
 		switch {
-		case it.Sparse && (!it.Stored || it.FilePredicted != it.FileBytes):
+		case it.Sparse && (!it.Stored && i != fused || it.FilePredicted != it.FileBytes):
 			t.Fatalf("%s: sparse iteration %d read %d bytes, its ranges promised %d", label, it.Index, it.FileBytes, it.FilePredicted)
 		case !it.Sparse && it.FilePredicted != 0:
 			t.Fatalf("%s: dense iteration %d promised %d bytes", label, it.Index, it.FilePredicted)
@@ -79,8 +84,10 @@ func TestSparseMatchesDense(t *testing.T) {
 					if checkFileRows(t, label, want) {
 						t.Fatalf("%s: a run on the HDD read sparse", label)
 					}
-					if sparse := checkFileRows(t, label, got); sparse != (engine == EngineName) {
+					if sparse := checkFileRows(t, label, got); sparse != (engine == EngineName) && dir == xstream.DirectionTopDown {
 						t.Fatalf("%s: read sparse %v; only FastBFS has stored passes, and every one of these has a pass that pays", label, sparse)
+					} else if engine == EngineName && !sparse {
+						t.Fatalf("%s: read nothing sparse; every one of its stored passes pays", label)
 					}
 				}
 			}
@@ -128,4 +135,44 @@ func TestSparseResume(t *testing.T) {
 		t.Fatal("no resumed run read sparse")
 	}
 	t.Logf("%d resumed runs read sparse", resumedSparse)
+}
+
+// TestReverseSparseNeedsReorder: in wall mode, where a positioning is worth
+// 64 KiB, the first bottom-up pass reads the transposed graph's tails sparse
+// on a degree-reordered rmat, fewer bytes than the file, and whole on the
+// same graph stored without the reordering, whose open targets' tails span
+// the file; both grow top-down's tree.
+func TestReverseSparseNeedsReorder(t *testing.T) {
+	for _, reorder := range []bool{true, false} {
+		vol, m, root := storedRMAT(t, 13, 24, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: reorder, Reverse: true})
+		run := func(dir xstream.Direction) *Result {
+			res, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
+				StreamBufSize: 4096, Direction: dir, Codec: graph.CodecDelta}})
+			if err != nil {
+				t.Fatalf("reorder %v, %s: %v", reorder, dir, err)
+			}
+			return res
+		}
+		got := run(xstream.DirectionAuto)
+		assertSameResult(t, fmt.Sprintf("reorder %v", reorder), got, run(xstream.DirectionTopDown))
+		checkFileRows(t, fmt.Sprintf("reorder %v", reorder), got)
+		size, err := vol.Size(graph.ReverseFileName(m.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range got.Metrics.Iterations {
+			if !it.BottomUp {
+				continue
+			}
+			if it.Sparse != reorder || it.FileBytes == 0 || it.FileBytes >= size {
+				t.Fatalf("reorder %v: the first bottom-up row, iteration %d, read sparse %v: %d bytes of the %d-byte .rev",
+					reorder, it.Index, it.Sparse, it.FileBytes, size)
+			}
+			t.Logf("reorder %v: iteration %d read %d bytes of the %d-byte .rev, sparse %v", reorder, it.Index, it.FileBytes, size, it.Sparse)
+			break
+		}
+		if got.Metrics.BottomUpIterations == 0 {
+			t.Fatalf("reorder %v: the run never went bottom-up", reorder)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -128,72 +129,58 @@ func FuzzFrameFormat(f *testing.F) {
 }
 
 func FuzzReverseFormat(f *testing.F) {
-	// The reverse-edge (.rev) file: every edge endpoint-swapped, in
-	// original order, inside the framed container. The bottom-up engines
-	// trust this file for correctness (a wrong in-edge silently corrupts
-	// parent trees), so the format must round-trip exactly and every
-	// truncation or byte flip must be detected — never decoded quietly.
+	// The transposed graph StoreGraph writes, .rev and .ridx: the bottom-up
+	// engines trust it for correctness (a wrong in-edge silently corrupts
+	// parent trees), so it must read back as exactly the transpose, sorted by
+	// target and then by source, under either codec, and every truncation or
+	// bit flip of either file must fail the read — never decode quietly.
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0}, uint16(3))
 	f.Add([]byte{7, 0, 0, 0, 7, 0, 0, 0, 0, 1, 0, 0, 0xfe, 0, 0, 0}, uint16(11))
 	f.Add(bytes.Repeat([]byte{0x05, 0, 0, 0}, 64), uint16(200))
 	f.Fuzz(func(t *testing.T, b []byte, mut uint16) {
-		n := len(b) / EdgeBytes * EdgeBytes
-		edges, err := BytesToEdges(b[:n])
+		const vertices = 61
+		edges, err := BytesToEdges(b[:len(b)/EdgeBytes*EdgeBytes])
 		if err != nil {
 			t.Fatalf("aligned prefix rejected: %v", err)
 		}
-		rev := make([]Edge, len(edges))
-		for i, e := range edges {
-			rev[i] = e.Reverse()
+		for i := range edges {
+			edges[i].Src, edges[i].Dst = edges[i].Src%vertices, edges[i].Dst%vertices
 		}
-		enc := framedMiB(EdgesToBytes(rev)) // StoreGraph's fixed .rev
+		m := Meta{Name: "g", Vertices: vertices, Edges: uint64(len(edges)), Codec: []Codec{CodecFixed, CodecDelta}[mut%2]}
+		sorted, _ := sortBySource(vertices, edges, nil)
+		rev, ridx := reverseFiles(vertices, sorted, m.Codec)
 
-		// Property 1: round trip. Deframing yields exactly the input
-		// edges, endpoint-swapped, in original order.
-		payload, err := DeframeAll(enc)
+		// Property 1: round trip. The files read back as the transpose.
+		got, err := readTransposed(m, rev, ridx)
 		if err != nil {
-			t.Fatalf("clean reverse stream rejected: %v", err)
+			t.Fatalf("%s: clean files rejected: %v", m.Codec, err)
 		}
-		got, err := BytesToEdges(payload)
-		if err != nil {
-			t.Fatalf("reverse payload misaligned: %v", err)
-		}
-		if len(got) != len(edges) {
-			t.Fatalf("reverse holds %d edges, stored %d", len(got), len(edges))
-		}
-		for i := range got {
-			if got[i] != edges[i].Reverse() {
-				t.Fatalf("record %d: %v, want %v reversed", i, got[i], edges[i])
-			}
-		}
-		if len(enc) == 0 {
-			return
+		if want := transpose(edges); !slices.Equal(got, want) {
+			t.Fatalf("%s: read back %v, want the transpose %v", m.Codec, got, want)
 		}
 
-		// Property 2: every strict truncation is detected.
-		if cut := int(mut) % len(enc); cut < len(enc) {
-			if _, err := DeframeAll(enc[:cut]); err == nil {
-				t.Fatalf("truncation to %d of %d bytes went undetected", cut, len(enc))
+		// Properties 2 and 3: every strict truncation, and every bit flip, of
+		// either file fails the read.
+		for i, file := range [][]byte{rev, ridx} {
+			cut, pos := int(mut/2)%len(file), int(mut/2)%len(file)
+			bad := [2][]byte{rev, ridx}
+			bad[i] = file[:cut]
+			if _, err := readTransposed(m, bad[0], bad[1]); err == nil {
+				t.Fatalf("%s: file %d truncated to %d of %d bytes went undetected", m.Codec, i, cut, len(file))
 			}
-		}
-
-		// Property 3: a single flipped byte never reproduces the clean
-		// payload — it must surface as an error or as different bytes
-		// (the engines compare the decoded count against the config and
-		// fail stop on either signal).
-		pos := int(mut) % len(enc)
-		mutb := bytes.Clone(enc)
-		mutb[pos] ^= 0x01
-		if out, err := DeframeAll(mutb); err == nil && bytes.Equal(out, payload) {
-			t.Fatalf("flipped byte %d of %d went undetected", pos, len(enc))
+			bad[i] = bytes.Clone(file)
+			bad[i][pos] ^= 1 << (mut % 8)
+			if _, err := readTransposed(m, bad[0], bad[1]); err == nil {
+				t.Fatalf("%s: file %d with bit %d of byte %d flipped went undetected", m.Codec, i, mut%8, pos)
+			}
 		}
 	})
 }
 
 func FuzzWEdgeBytesRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0x80, 0x3f}) // 1 -> 2 weight 1.0
+	f.Add([]byte{1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0x80, 0x3f})       // 1 -> 2 weight 1.0
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f}) // NaN payload
 	f.Fuzz(func(t *testing.T, b []byte) {
 		wedges, err := BytesToWEdges(b)

@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -67,18 +69,51 @@ func loadIndex(t *testing.T, vol storage.Volume, m Meta) ([]uint32, []int64) {
 	return deg, frames
 }
 
+// checkFrameOffsets asserts that frames, the offsets an index gives, place
+// want in file: each frame's bytes, closed by a terminator, are a framed
+// stream of IndexFrameEdges of them but the last.
+func checkFrameOffsets(t *testing.T, label string, file []byte, frames []int64, want []Edge) {
+	t.Helper()
+	if n := (len(want) + IndexFrameEdges - 1) / IndexFrameEdges; len(frames) != n {
+		t.Fatalf("%s: %d frame offsets for %d edges", label, len(frames), len(want))
+	}
+	for i, off := range frames {
+		end := int64(len(file)) - 8
+		if i+1 < len(frames) {
+			end = frames[i+1]
+		}
+		magic, payload, err := DeframeAllMagic(append(append(file[:4:4], file[off:end]...), make([]byte, 8)...))
+		if err == nil && magic == FrameMagicDelta {
+			payload, err = DecodeDeltaStream(payload)
+		}
+		n := min(IndexFrameEdges, len(want)-i*IndexFrameEdges)
+		if err != nil || !bytes.Equal(payload, EdgesToBytes(want[i*IndexFrameEdges:i*IndexFrameEdges+n])) {
+			t.Fatalf("%s: frame %d at byte %d does not hold edges %d..%d (err %v)", label, i, off, i*IndexFrameEdges, i*IndexFrameEdges+n, err)
+		}
+	}
+}
+
 // TestStoreSortsAndIndexes: a stored edge file holds the given edges
 // stably sorted by source — each source's edges in their given order — and
 // its index holds the out-degrees and, for a delta file, the offset of
-// every frame, each frame IndexFrameEdges edges but the last.
+// every frame, each frame IndexFrameEdges edges but the last. Its
+// transposed graph reads back as the transpose, and the reverse index
+// places every tail frame.
 func TestStoreSortsAndIndexes(t *testing.T) {
 	const vertices = 3000
-	edges := skewedEdges(vertices, 2*IndexFrameEdges+777)
+	edges := skewedEdges(vertices, 3*IndexFrameEdges+777)
 	want := slices.Clone(edges)
 	slices.SortStableFunc(want, func(a, b Edge) int { return int(a.Src) - int(b.Src) })
+	trans := transpose(edges)
+	var tails []Edge // the transpose less each target's first record
+	for i, x := range trans {
+		if i > 0 && trans[i-1].Src == x.Src {
+			tails = append(tails, x)
+		}
+	}
 	for _, codec := range []Codec{CodecFixed, CodecDelta} {
 		vol := storage.NewMem()
-		if err := StoreGraph(vol, Meta{Name: "g", Vertices: vertices}, edges, StoreOptions{Codec: codec}); err != nil {
+		if err := StoreGraph(vol, Meta{Name: "g", Vertices: vertices}, edges, StoreOptions{Codec: codec, Reverse: true}); err != nil {
 			t.Fatal(err)
 		}
 		m, err := LoadMeta(vol, "g")
@@ -92,45 +127,96 @@ func TestStoreSortsAndIndexes(t *testing.T) {
 		if !slices.Equal(deg, Degrees(vertices, edges)) {
 			t.Fatalf("%s: index degrees differ from the counted ones", codec)
 		}
-		if codec == CodecFixed {
-			if frames != nil {
-				t.Fatalf("fixed: index holds %d frame offsets", len(frames))
-			}
-			continue
-		}
 		file, err := storage.ReadAll(vol, EdgeFileName("g"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(frames) != 3 {
-			t.Fatalf("delta: %d frame offsets for %d edges", len(frames), len(edges))
+		if codec == CodecFixed && frames != nil {
+			t.Fatalf("fixed: index holds %d frame offsets", len(frames))
+		} else if codec == CodecDelta {
+			checkFrameOffsets(t, "delta .edges", file, frames, want)
 		}
-		for i, off := range frames {
-			end := int64(len(file)) - 8
-			if i+1 < len(frames) {
-				end = frames[i+1]
-			}
-			// A frame's bytes, closed by a terminator, are a framed stream
-			// of its edges.
-			payload, err := DeframeAll(append(append(file[:4:4], file[off:end]...), make([]byte, 8)...))
-			if err == nil {
-				payload, err = DecodeDeltaStream(payload)
-			}
-			if err != nil {
-				t.Fatalf("delta: frame %d at byte %d: %v", i, off, err)
-			}
-			n := min(IndexFrameEdges, len(edges)-i*IndexFrameEdges)
-			if !bytes.Equal(payload, EdgesToBytes(want[i*IndexFrameEdges:i*IndexFrameEdges+n])) {
-				t.Fatalf("delta: frame %d does not hold edges %d..%d", i, i*IndexFrameEdges, i*IndexFrameEdges+n)
-			}
+		rev, err := storage.ReadAll(vol, ReverseFileName("g"))
+		if err == nil {
+			file, err = storage.ReadAll(vol, ReverseIndexFileName("g"))
 		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := readTransposed(m, rev, file); err != nil || !slices.Equal(got, trans) {
+			t.Fatalf("%s: the transposed graph reads back as %d records (err %v), not the transpose", codec, len(got), err)
+		}
+		frames, err = ReadReverseIndex(bytes.NewReader(file), int64(len(file)), m, int64(len(rev)), nil, func(VertexID, uint32, VertexID) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFrameOffsets(t, string(codec)+" .rev", rev, frames, tails)
 	}
 }
 
-// TestReorderedStoreBytesUnchanged: a reordered store writes the .edges
-// and .rev files it wrote when it sorted the relabelled list by (Src, Dst)
-// with a comparison sort: the counting sort by source and the per-source
-// sort by destination give the same order.
+// transpose is edges reversed, sorted by a comparison sort by target and
+// then by source.
+func transpose(edges []Edge) []Edge {
+	rev := make([]Edge, len(edges))
+	for i, e := range edges {
+		rev[i] = e.Reverse()
+	}
+	slices.SortFunc(rev, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst)) })
+	return rev
+}
+
+// readTransposed reads a .rev and .ridx pair of m's, whole, back into the
+// transposed graph's records: each vertex's head, then its tails. A file
+// that fails a check, or tails off their in-degrees, is an error.
+func readTransposed(m Meta, rev, ridx []byte) ([]Edge, error) {
+	deg, heads := make([]uint32, m.Vertices), make([]VertexID, m.Vertices)
+	frames, err := ReadReverseIndex(bytes.NewReader(ridx), int64(len(ridx)), m, int64(len(rev)), nil, func(v VertexID, d uint32, h VertexID) {
+		deg[v], heads[v] = d, h
+	})
+	if err != nil {
+		return nil, err
+	}
+	magic, payload, err := DeframeAllMagic(rev)
+	if err == nil && magic != map[Codec]uint32{CodecFixed: FrameMagic, CodecDelta: FrameMagicDelta}[m.EdgeCodec()] {
+		err = fmt.Errorf("%s .rev with magic %#x", m.EdgeCodec(), magic)
+	}
+	if err == nil && magic == FrameMagicDelta {
+		payload, err = DecodeDeltaStream(payload)
+	}
+	if err != nil {
+		return nil, err
+	}
+	tails, err := BytesToEdges(payload)
+	if err != nil {
+		return nil, err
+	}
+	if want := (len(tails) + IndexFrameEdges - 1) / IndexFrameEdges; len(frames) != want {
+		return nil, fmt.Errorf("%d tail frames for %d tails", len(frames), len(tails))
+	}
+	var out []Edge
+	for v, d := range deg {
+		for i := uint32(0); i < d; i++ {
+			x := Edge{Src: VertexID(v), Dst: heads[v]}
+			if i > 0 {
+				if len(tails) == 0 || tails[0].Src != VertexID(v) {
+					return nil, fmt.Errorf("vertex %d's tail %d missing", v, i)
+				}
+				x, tails = tails[0], tails[1:]
+			}
+			out = append(out, x)
+		}
+	}
+	if len(tails) > 0 {
+		return nil, fmt.Errorf("%d tails past the in-degrees", len(tails))
+	}
+	return out, nil
+}
+
+// TestReorderedStoreBytesUnchanged: a reordered store writes the .edges,
+// .rev and .ridx files it would write had it sorted the relabelled list by
+// (Src, Dst), and its transpose by (target, source), with a comparison sort:
+// the counting sorts, and the per-source sort by destination, give the same
+// order.
 func TestReorderedStoreBytesUnchanged(t *testing.T) {
 	const vertices = 3000
 	edges := skewedEdges(vertices, IndexFrameEdges+999)
@@ -147,14 +233,9 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 		}
 		return relabeled[i].Dst < relabeled[j].Dst
 	})
-	raw := EdgesToBytes(relabeled)
-	rraw := make([]byte, len(raw))
-	for off := 0; off < len(raw); off += EdgeBytes {
-		PutEdge(rraw[off:], GetEdge(raw[off:]).Reverse())
-	}
-	wantEdges, _ := deltaFileBytes(raw, IndexFrameEdges)
-	wantRev, _ := deltaFileBytes(rraw, mibFrameEdges)
-	for name, want := range map[string][]byte{EdgeFileName("g"): wantEdges, ReverseFileName("g"): wantRev} {
+	wantEdges, _ := framedFile(relabeled, IndexFrameEdges, CodecDelta)
+	wantRev, wantRidx := reverseFiles(vertices, slices.Clone(relabeled), CodecDelta)
+	for name, want := range map[string][]byte{EdgeFileName("g"): wantEdges, ReverseFileName("g"): wantRev, ReverseIndexFileName("g"): wantRidx} {
 		got, err := storage.ReadAll(vol, name)
 		if err != nil {
 			t.Fatal(err)
@@ -163,6 +244,19 @@ func TestReorderedStoreBytesUnchanged(t *testing.T) {
 			t.Fatalf("%s: %d bytes, differing from the comparison sort's %d", name, len(got), len(want))
 		}
 	}
+}
+
+// mibFrameEdges is the frame of the FBC1 .idx files stored before the
+// block grain.
+const mibFrameEdges = frameMiB / EdgeBytes
+
+// framedMiB frames b in payloads of frameMiB, the last shorter.
+func framedMiB(b []byte) []byte {
+	var chunks [][]byte
+	for ; len(b) > 0; b = b[min(len(b), frameMiB):] {
+		chunks = append(chunks, b[:min(len(b), frameMiB)])
+	}
+	return FrameAll(chunks...)
 }
 
 // fbc1IndexBytes is a .idx in the FBC1 layout stored before the FBD1 one,
@@ -192,7 +286,7 @@ func TestIndexLayouts(t *testing.T) {
 		grain int
 		index func([]uint32, []int64) []byte
 	}{{IndexFrameEdges, indexBytes}, {IndexFrameEdges, fbc1IndexBytes}, {mibFrameEdges, fbc1IndexBytes}} {
-		file, want := deltaFileBytes(EdgesToBytes(sorted), c.grain)
+		file, want := framedFile(sorted, c.grain, CodecDelta)
 		m.StoredBytes = uint64(len(file))
 		idx := c.index(deg, want)
 		got := make([]uint32, vertices)
@@ -218,14 +312,17 @@ var indexMetas = []Meta{
 
 func FuzzIndex(f *testing.F) {
 	// The degree index (.idx) a stored pass trusts to place the edges it
-	// reads. Arbitrary bytes either load as a table of Vertices degrees
-	// summing to Edges, with frame offsets rising from the first frame to
-	// inside the edge file, or fail with errs.ErrCorrupted; the loader
-	// never panics, and sizes nothing by a length it has not checked; an
-	// FBC1 file, the layout stored before FBD1, never loads. The corpus
-	// holds a valid index of each store in each layout — FBD1, and FBC1
-	// with the delta one at each grain — and well-framed ones that break
-	// each check past the CRC.
+	// reads, and the reverse index (.ridx) a bottom-up pass trusts to place
+	// the tails and hand it the heads — read as a .ridx when bit 1 of which
+	// is set, against its store's .rev. Arbitrary bytes either load as a
+	// table of Vertices degrees summing to Edges (and, for a .ridx, heads in
+	// the graph), with frame offsets rising from the first frame to inside
+	// the file they index, or fail with errs.ErrCorrupted; the loader never
+	// panics, and sizes nothing by a length it has not checked; an FBC1
+	// file, the layout stored before FBD1, never loads. The corpus holds a
+	// valid index of each store in each layout — FBD1, and FBC1 with the
+	// delta one at each grain — a valid .ridx of each store, and well-framed
+	// ones that break each check past the CRC.
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), FrameAll(make([]byte, 4*37)))
 	deg := make([]uint32, 37)
@@ -244,8 +341,47 @@ func FuzzIndex(f *testing.F) {
 			f.Add(uint8(1), indexBytes(deg, frames))
 		}
 	}
+	revSizes := make([]int64, len(indexMetas))
+	for i, m := range indexMetas {
+		sorted, _ := sortBySource(m.Vertices, skewedEdges(uint32(m.Vertices), int(m.Edges)), nil)
+		rev, ridx := reverseFiles(m.Vertices, sorted, m.EdgeCodec())
+		revSizes[i] = int64(len(rev))
+		f.Add(uint8(2+i), ridx)
+		if i > 0 {
+			continue
+		}
+		// The fixed store's .ridx, broken past the CRC: a head outside the
+		// graph, in-degrees short, the last slot off the .rev's end; and its
+		// words framed FBC1.
+		raw, err := DeframeAll(ridx)
+		if err == nil {
+			raw, err = DecodeDeltaStream(raw)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+		words := make([]uint32, len(raw)/4)
+		for j := range words {
+			words[j] = binary.LittleEndian.Uint32(raw[4*j:])
+		}
+		ns := int(2 * reverseSlots(m.Edges))
+		for _, edit := range []func(w []uint32){
+			func(w []uint32) { w[ns+1] = uint32(m.Vertices) }, // vertex 0's head
+			func(w []uint32) { w[ns]-- },                      // vertex 0's in-degree
+			func(w []uint32) { w[ns-2]++ },                    // the last slot
+		} {
+			w := slices.Clone(words)
+			edit(w)
+			f.Add(uint8(2+i), words32(w))
+		}
+		f.Add(uint8(2+i), FrameAll(raw))
+	}
 	f.Fuzz(func(t *testing.T, which uint8, b []byte) {
 		m := indexMetas[int(which)%len(indexMetas)]
+		if which&2 != 0 {
+			checkReverseIndex(t, m, revSizes[int(which)%len(indexMetas)], b)
+			return
+		}
 		deg := make([]uint32, m.Vertices)
 		frames, err := ReadIndex(bytes.NewReader(b), int64(len(b)), m, deg, nil)
 		if err == nil && len(b) >= 4 && binary.LittleEndian.Uint32(b) == FrameMagic {
@@ -270,4 +406,33 @@ func FuzzIndex(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkReverseIndex is FuzzIndex's check of b read as m's .ridx, against a
+// revSize-byte .rev.
+func checkReverseIndex(t *testing.T, m Meta, revSize int64, b []byte) {
+	var seen, sum, tails uint64
+	frames, err := ReadReverseIndex(bytes.NewReader(b), int64(len(b)), m, revSize, nil, func(v VertexID, d uint32, h VertexID) {
+		if uint64(v) != seen || uint64(h) >= m.Vertices || d == 0 && h != 0 {
+			t.Fatalf("%s: handed vertex %d (expected %d) in-degree %d, head %d", m.Name, v, seen, d, h)
+		}
+		seen, sum, tails = seen+1, sum+uint64(d), tails+uint64(max(d, 1)-1)
+	})
+	if err == nil && len(b) >= 4 && binary.LittleEndian.Uint32(b) == FrameMagic {
+		t.Fatalf("%s: an FBC1 reverse index loaded", m.Name)
+	}
+	if err != nil {
+		if !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("%s: error %v does not wrap ErrCorrupted", m.Name, err)
+		}
+		return
+	}
+	if want := (tails + IndexFrameEdges - 1) / IndexFrameEdges; seen != m.Vertices || sum != m.Edges || uint64(len(frames)) != want {
+		t.Fatalf("%s: loaded %d vertices, in-degrees summing to %d (want %d), %d tail frames (want %d)", m.Name, seen, sum, m.Edges, len(frames), want)
+	}
+	for j, off := range frames {
+		if j == 0 && off != 4 || j > 0 && off <= frames[j-1]+8 || off >= revSize-16 {
+			t.Fatalf("%s: tail frame %d at byte %d of a %d-byte .rev (offsets %v)", m.Name, j, off, revSize, frames)
+		}
+	}
 }

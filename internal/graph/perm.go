@@ -140,17 +140,12 @@ func LoadPerm(vol storage.Volume, name string, vertices uint64) (*Permutation, e
 		return fail(err)
 	}
 	defer r.Close()
-	magic, _, err := SniffContainer(r)
-	if err != nil {
-		return fail(err)
-	}
 	if uint64(r.Size()) < vertices { // an id takes a byte at least
 		return fail(fmt.Errorf("%w: %d bytes for %d vertices", errs.ErrCorrupted, r.Size(), vertices))
 	}
 	origOf := make([]VertexID, vertices)
-	fr := NewFrameReader(r)
-	fr.limit = int(min(r.Size(), MaxFramePayload)) // no frame outgrows its file
-	if err := readWords(fr, magic, vertices, func(i uint64, w uint32) { origOf[i] = VertexID(w) }); err != nil {
+	// No frame outgrows its file.
+	if err := readWords(r, nil, int(min(r.Size(), MaxFramePayload)), vertices, func(i uint64, w uint32) { origOf[i] = VertexID(w) }); err != nil {
 		return fail(err)
 	}
 	p, err := NewPermutation(origOf)

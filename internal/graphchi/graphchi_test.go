@@ -156,7 +156,7 @@ func TestGraphChiCleansUp(t *testing.T) {
 	if _, err := Run(vol, m.Name, smallOpts()); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(vol.List()); n != 4 {
+	if n := len(vol.List()); n != 5 {
 		t.Fatalf("leftover files: %v", vol.List())
 	}
 }

@@ -65,10 +65,12 @@ type Iteration struct {
 	// update file: the next row's Updates and NewlyVisited book it, as the
 	// gather it replaced would have.
 	Stored bool
-	// Sparse reports a stored row whose pass read only the byte ranges of
-	// the indexed stored file its frontier needed; FileBytes is what the
-	// pass read of the file, and FilePredicted what the ranges promised
-	// before the read (0 on a dense row, which reads the whole file).
+	// Sparse reports a row whose pass over a dataset file — a stored row's
+	// over the edge list, or the first bottom-up row's over the transposed
+	// graph's tails — read only the byte ranges of the indexed file it
+	// needed; FileBytes is what such a pass read of the file, and
+	// FilePredicted what the ranges promised before the read (0 on a dense
+	// row, which reads the whole file).
 	Sparse                   bool
 	FileBytes, FilePredicted int64
 }

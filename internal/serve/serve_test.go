@@ -119,7 +119,7 @@ func (g *writeGate) release() {
 func assertOnlyDataset(t *testing.T, vol *storage.Mem, m graph.Meta) {
 	t.Helper()
 	for _, f := range vol.List() {
-		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.IndexFileName(m.Name) {
+		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.ReverseIndexFileName(m.Name) && f != graph.IndexFileName(m.Name) {
 			t.Errorf("leftover working file %s after drain", f)
 		}
 	}

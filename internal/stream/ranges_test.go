@@ -14,9 +14,9 @@ import (
 
 // readRanges scans ranges of name to the end, returning the edges and the
 // scanner's byte count.
-func readRanges(t *testing.T, vol storage.Volume, name string, tm Timing, ranges []Range, framed bool) ([]graph.Edge, int64, error) {
+func readRanges(t *testing.T, vol storage.Volume, name string, tm Timing, ranges []Range, magic uint32) ([]graph.Edge, int64, error) {
 	t.Helper()
-	sc, err := NewRangeScanner(vol, name, tm, 64, ranges, framed) // 8 edges a refill
+	sc, err := NewRangeScanner(vol, name, tm, 64, ranges, magic) // 8 edges a refill
 	if err != nil {
 		return nil, 0, err
 	}
@@ -36,8 +36,8 @@ func readRanges(t *testing.T, vol storage.Volume, name string, tm Timing, ranges
 }
 
 // TestRangeScannerReadsItsRanges: a range scanner yields exactly the records
-// of its ranges, in order — raw ones of a fixed file, the frames of a delta
-// one checked and decoded — counts exactly their bytes, costs the device
+// of its ranges, in order — raw ones of a fixed file, the frames of an FBC1
+// one checked, of a delta one checked and decoded — counts exactly their bytes, costs the device
 // one positioning a range, survives transient faults, and gives back every
 // buffer.
 func TestRangeScannerReadsItsRanges(t *testing.T) {
@@ -56,34 +56,45 @@ func TestRangeScannerReadsItsRanges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, err := storage.ReadAll(vol, "delta")
-	if err != nil {
+	var chunks [][]byte // the FBC1 file: a frame of 100 raw edges each
+	for lo := 0; lo < len(edges); lo += 100 {
+		chunks = append(chunks, graph.EdgesToBytes(edges[lo:lo+100]))
+	}
+	if err := storage.WriteAll(vol, "fbc1", graph.FrameAll(chunks...)); err != nil {
 		t.Fatal(err)
 	}
-	var frames []int64 // offset of every frame, then of the terminator
-	for off := int64(4); ; off += 8 + int64(binary.LittleEndian.Uint32(file[off:])) {
-		frames = append(frames, off)
-		if binary.LittleEndian.Uint32(file[off:]) == 0 {
-			break
+	spans := map[string]func(f, g int) Range{}
+	for _, name := range []string{"delta", "fbc1"} {
+		file, err := storage.ReadAll(vol, name)
+		if err != nil {
+			t.Fatal(err)
 		}
+		var frames []int64 // offset of every frame, then of the terminator
+		for off := int64(4); ; off += 8 + int64(binary.LittleEndian.Uint32(file[off:])) {
+			frames = append(frames, off)
+			if binary.LittleEndian.Uint32(file[off:]) == 0 {
+				break
+			}
+		}
+		spans[name] = func(f, g int) Range { return Range{Off: frames[f], Len: frames[g] - frames[f]} }
 	}
-	span := func(f, g int) Range { return Range{Off: frames[f], Len: frames[g] - frames[f]} }
 	for _, tc := range []struct {
 		name   string
 		ranges []Range
-		framed bool
+		magic  uint32
 		want   []graph.Edge
 	}{
-		{"fixed", []Range{{80, 80}, {800, 8}, {7920, 80}}, false,
+		{"fixed", []Range{{80, 80}, {800, 8}, {7920, 80}}, 0,
 			slices.Concat(edges[10:20], edges[100:101], edges[990:1000])},
-		{"delta", []Range{span(1, 3), span(9, 10)}, true, slices.Concat(edges[100:300], edges[900:1000])},
-		{"nothing", nil, true, nil},
+		{"delta", []Range{spans["delta"](1, 3), spans["delta"](9, 10)}, graph.FrameMagicDelta, slices.Concat(edges[100:300], edges[900:1000])},
+		{"fbc1", []Range{spans["fbc1"](0, 1), spans["fbc1"](4, 6)}, graph.FrameMagic, slices.Concat(edges[:100], edges[400:600])},
+		{"nothing", nil, graph.FrameMagicDelta, nil},
 	} {
 		var lens int64
 		for _, r := range tc.ranges {
 			lens += r.Len
 		}
-		name := map[bool]string{false: "fixed", true: "delta"}[tc.framed]
+		name := map[uint32]string{0: "fixed", graph.FrameMagicDelta: "delta", graph.FrameMagic: "fbc1"}[tc.magic]
 		for _, faults := range []bool{false, true} {
 			tm, _ := timing(disksim.HDD("d"))
 			tm.Bufs = NewBufPool()
@@ -92,7 +103,7 @@ func TestRangeScannerReadsItsRanges(t *testing.T) {
 				v = storage.NewFaulty(vol, storage.FaultSpec{Seed: 3, ReadP: 0.3})
 				tm.Retry = &Retrier{Attempts: 30, Base: 1, Max: 1}
 			}
-			got, read, err := readRanges(t, v, name, tm, tc.ranges, tc.framed)
+			got, read, err := readRanges(t, v, name, tm, tc.ranges, tc.magic)
 			if err != nil {
 				t.Fatalf("%s faults=%v: %v", tc.name, faults, err)
 			}
@@ -113,7 +124,7 @@ func TestRangeScannerReadsItsRanges(t *testing.T) {
 	}
 	// A range the file ends inside was promised bytes it does not hold.
 	tm, _ := timing(disksim.HDD("d"))
-	if _, _, err := readRanges(t, vol, "fixed", tm, []Range{{7992, 16}}, false); !errors.Is(err, errs.ErrCorrupted) {
+	if _, _, err := readRanges(t, vol, "fixed", tm, []Range{{7992, 16}}, 0); !errors.Is(err, errs.ErrCorrupted) {
 		t.Fatalf("range past the end: err = %v, want ErrCorrupted", err)
 	}
 }

@@ -366,19 +366,25 @@ func OpenRange(vol storage.Volume, name string, rt *Retrier) (RangeReader, error
 type Range struct{ Off, Len int64 }
 
 // NewRangeScanner streams the edges in ranges of an edge file, in order,
-// read into the scanner's pooled buffer: raw records, or — framed — a delta
-// file's whole frames, CRC-checked and decoded. Each range costs the device
-// a positioning and its transfer; BytesRead counts the ranges' bytes.
-func NewRangeScanner(vol storage.Volume, name string, timing Timing, bufSize int, ranges []Range, framed bool) (*Scanner[graph.Edge], error) {
+// read into the scanner's pooled buffer: raw records when magic is 0, or a
+// framed file's whole frames, CRC-checked — and, under graph.FrameMagicDelta,
+// decoded. Each range costs the device a positioning and its transfer;
+// BytesRead counts the ranges' bytes.
+func NewRangeScanner(vol storage.Volume, name string, timing Timing, bufSize int, ranges []Range, magic uint32) (*Scanner[graph.Edge], error) {
 	rr, err := OpenRange(vol, name, timing.Retry)
 	if err != nil {
 		return nil, err
 	}
 	src := &rangeSource{RangeReader: rr, timing: timing, ranges: ranges}
 	var r storage.Reader = src
-	if framed {
+	if magic != 0 {
 		src.tail = 8 // a terminator frame closes the ranges' frames
-		r = rangeDelta{newDeltaReader(src, graph.NewFrameReaderBufs(src, timing.Bufs, recordBufSize(bufSize, graph.EdgeBytes)), timing.Bufs), src}
+		fr := graph.NewFrameReaderBufs(src, timing.Bufs, recordBufSize(bufSize, graph.EdgeBytes))
+		if magic == graph.FrameMagicDelta {
+			r = rangeFramed{newDeltaReader(src, fr, timing.Bufs), src}
+		} else {
+			r = rangeFramed{&framedReader{inner: src, r: fr, fr: fr}, src}
+		}
 	}
 	sc := newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge, decodeEdges)
 	sc.charged = true
@@ -426,13 +432,13 @@ func (s *rangeSource) Read(p []byte) (int, error) {
 	return int(n), nil
 }
 
-// rangeDelta decodes a rangeSource; its device bytes are the ranges'.
-type rangeDelta struct {
-	*deltaReader
+// rangeFramed deframes a rangeSource; its device bytes are the ranges'.
+type rangeFramed struct {
+	storage.Reader
 	src *rangeSource
 }
 
-func (d rangeDelta) DeviceBytes() int64 { return d.src.read }
+func (d rangeFramed) DeviceBytes() int64 { return d.src.read }
 
 // Writer buffers fixed-size records of type T into a file, flushing (and
 // charging a device write) whenever the buffer fills. By default flushes

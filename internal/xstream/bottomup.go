@@ -1,8 +1,10 @@
 package xstream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io"
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
@@ -186,15 +188,13 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 }
 
 // fusedFirstBottomUp is the run's first bottom-up pass, fused with the
-// reverse-edge split: the reverse instance of the split pass (split.go)
-// scans the dataset's .rev file once, resolving this pass's winners into a
-// global table (like OutDeg outside the modelled budget — winners land
-// across every partition because the .rev scan is in dataset order, not
-// partition order) and writing each partition's reverse input for the next
-// pass — lazy (a run that stays top-down pays nothing), late (the visited
-// filter covers everything the transition just formed), and, while
-// trimming, already winner-filtered instead of full-size files the next
-// pass immediately re-trims. The winners are then booked partition by
+// reverse split, and lazy: a run that stays top-down pays nothing. The
+// transposed graph's index hands each open target its head (reverseIndex),
+// then the reverse split pass (split.go) reads the open targets' tails,
+// sparse when that pays. Both resolve winners into a global table and write
+// each partition's reverse input for the next pass — late (the visited
+// filter covers everything the transition just formed) and, while trimming,
+// already winner-filtered. The winners are then booked partition by
 // partition.
 func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
 	bs := itSpan.Child("reverse-split")
@@ -203,12 +203,16 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		func(name string) (*stream.Writer[graph.Edge], error) {
 			return stream.NewCodecFramedEdgeWriter(e.rt.Vol, name, stayTiming, e.rt.Opts.StreamBufSize, e.rt.Codec)
 		})
-	var ps passStats
+	var ix *storedIndex
+	var hs, ps passStats
 	trim := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
 	if err == nil {
 		defer outs.Abort() // whatever an error return leaves open
 		outs.SetAsync()
-		if ps, err = e.splitPass(iter, true, trim, d.best, outs); err == nil {
+		if ix, hs, err = e.reverseIndex(d.best, outs.W, trim); err == nil {
+			ps, err = e.splitPass(iter, ix, true, trim, d.best, outs)
+		}
+		if err == nil {
 			err = sealWriters(e.rt, outs)
 		}
 	}
@@ -221,6 +225,12 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		d.revInput[p], d.revTiming[p] = outs.Names[p], stayTiming
 	}
 	d.split = true
+	itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = ps.sparse, ps.read, ps.predicted
+	if ps.sparse {
+		bs.Attr("sparse", 1)
+	}
+	bs.Attr("bytes", ps.read).Attr("bytes_predicted", ps.predicted)
+	ps.scanned, ps.candidates, ps.stayed = ps.scanned+hs.scanned, ps.candidates+hs.candidates, ps.stayed+hs.stayed
 	itRow.EdgesStreamed += ps.scanned
 	if trim {
 		e.bookStays(itRow, ps.scanned, ps.stayed)
@@ -242,19 +252,63 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	return newly, degSum, nil
 }
 
+// reverseIndex reads the transposed graph's index, the tail counts into a
+// table from the run's scratch. As it decodes, each unvisited target whose
+// head is in the frontier wins it into best, and each open target — with
+// dropWon, one that did not — has its head written to its partition's
+// writer in w, ahead of its tails; hs counts the heads as a split pass
+// counts edges. A graph stored without the index, or with a .rev of another
+// layout, is errs.ErrCorrupted.
+func (e *kernel) reverseIndex(best []graph.VertexID, w []*stream.Writer[graph.Edge], dropWon bool) (ix *storedIndex, hs passStats, err error) {
+	rt := e.rt
+	ix = &storedIndex{name: graph.ReverseFileName(rt.Meta.Name), magic: graph.FrameMagic,
+		deg: chunk(&rt.scratch.tails, int(rt.Meta.Vertices)), grain: rt.grain()}
+	if rt.Meta.EdgeCodec() == graph.CodecDelta {
+		ix.magic = graph.FrameMagicDelta
+	}
+	if ix.size, err = rt.Vol.Size(ix.name); err != nil {
+		return nil, hs, err
+	}
+	front, visited := e.dir.frontier, rt.VisitedBits
+	var werr error
+	err = rt.readIndexFile(graph.ReverseIndexFileName(rt.Meta.Name), func(int64) bool { return true }, func(r io.Reader, isz int64) (err error) {
+		ix.frames, err = graph.ReadReverseIndex(r, isz, rt.Meta, ix.size, rt.Bufs, func(v graph.VertexID, deg uint32, head graph.VertexID) {
+			ix.deg[v] = max(deg, 1) - 1
+			ix.edges += int64(ix.deg[v])
+			if deg == 0 {
+				return
+			}
+			if hs.scanned++; visited.Get(v) {
+				return
+			}
+			won := front.Get(head)
+			if won {
+				hs.candidates++
+				best[v] = head
+			}
+			if werr == nil && !(dropWon && won) {
+				if werr = w[rt.Parts.Of(v)].Append(graph.Edge{Src: v, Dst: head}); werr == nil {
+					hs.stayed++
+				}
+			}
+		})
+		return cmp.Or(err, werr)
+	})
+	return ix, hs, err
+}
+
 // bottomUpPartition scans one partition's reverse-edge input against
-// the frontier bitmap, applying the shared byte-identity winner rule
-// (smallest source partition, first seen wins ties — see
-// direction.go). When trimming is active the edges
-// that survive the trim rule — target still unvisited when its stay
-// decision merges — are rewritten to a reverse stay file that replaces
-// the input. Classification needs only the in-RAM visited bitmap, so a
-// paper-pin run loads its vertex file (and writes it back) only when
-// the scan actually discovered vertices. Classification runs on the
-// pool's workers against read-only state; winners and stay appends are
-// resolved on the engine thread in chunk order and winners applied
-// after the pool drains, so file bytes and results are identical for
-// any worker count.
+// the frontier bitmap. The input lists each target's in-edges in source
+// order, so a target's first frontier in-edge is its smallest-id frontier
+// parent, the winner top-down's gather would pick: the first hit wins. When
+// trimming is active the edges that survive the trim rule — target still
+// unvisited when its stay decision merges — are rewritten to a reverse stay
+// file that replaces the input. Classification needs only the in-RAM
+// visited bitmap, so a paper-pin run loads its vertex file (and writes it
+// back) only when the scan actually discovered vertices. Classification
+// runs on the pool's workers against read-only state; winners and stay
+// appends are resolved on the engine thread in chunk order, so file bytes
+// and results are identical for any worker count.
 func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
 	e.rt.AwaitFile(d.revInput[p])
 	sc, err := stream.NewEdgeScanner(e.rt.Vol, d.revInput[p], d.revTiming[p], e.rt.Opts.StreamBufSize)
@@ -297,25 +351,24 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 			if e.rt.VisitedBits.Get(r.Src) {
 				continue // target has its parent — dead in-edge
 			}
-			if trim {
+			if cand := d.frontier.Get(r.Dst); cand || trim {
 				out.Stays = append(out.Stays, r)
-			}
-			if d.frontier.Get(r.Dst) {
-				pu := e.rt.Parts.Of(r.Dst)
-				out.ByPart[pu] = append(out.ByPart[pu], graph.Update{Dst: r.Src, Parent: r.Dst})
-				out.Emitted++
+				if cand {
+					out.Emitted++
+				}
 			}
 		}
 	}
 	merge := func(s *stream.Shard) error {
 		scanned += s.Scanned
 		candidates += s.Emitted
-		for pu, cands := range s.ByPart {
-			for _, c := range cands {
-				if b := best[c.Dst]; b == graph.NoVertex || pu < e.rt.Parts.Of(b) {
-					best[c.Dst] = c.Parent
-				}
+		for _, r := range s.Stays {
+			if best[r.Src] == graph.NoVertex && d.frontier.Get(r.Dst) {
+				best[r.Src] = r.Dst
 			}
+		}
+		if !trim {
+			return nil
 		}
 		// The candidates merged so far (strictly in chunk order, so the
 		// filter is deterministic for any worker count) are vertices

@@ -19,14 +19,12 @@ import (
 // for every still-unvisited vertex, looks for a parent in the frontier
 // bitmap — no update files at all. To keep results byte-identical to
 // top-down, the winning parent for a vertex v must be the same one
-// top-down's first-update-wins gather would pick: the minimum over v's
-// in-edges of (source partition, original edge position). The scatter
-// appends update files in source-partition order, each partition's
-// edges in original order, so that pair is exactly top-down's file
-// order; bottom-up reproduces it by scanning the reverse partition
-// (original order preserved by the split) and keeping, per vertex, the
-// candidate with the strictly smallest source partition — first seen
-// wins ties, which is the original-position tie-break.
+// top-down's first-update-wins gather would pick: the first of v's
+// in-edges in the update files, which the scatter appends in
+// source-partition order, each partition's edges in stored order — sorted
+// by source — so v's smallest-id frontier in-neighbour. The transposed
+// graph lists each vertex's in-edges in source order, and every reverse
+// input keeps that order, so bottom-up's first hit is that winner.
 
 // Direction is a traversal direction policy.
 type Direction string

@@ -215,26 +215,31 @@ func TestXStreamAutoFallsBackWithoutReverse(t *testing.T) {
 }
 
 func TestXStreamCorruptReverseSurfacesErrCorrupted(t *testing.T) {
-	m, edges, _ := gen.BinaryTree(300)
-	vol := storage.NewMem()
-	if err := graph.Store(vol, m, edges); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one payload byte in the framed reverse file: the CRC must
-	// catch it during the lazy reverse split, never wrong output.
-	name := graph.ReverseFileName(m.Name)
-	b, err := storage.ReadAll(vol, name)
+	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b = bytes.Clone(b)
-	b[len(b)/2] ^= 0x40
-	if err := storage.WriteAll(vol, name, b); err != nil {
-		t.Fatal(err)
-	}
-	o := smallOpts()
-	o.Direction = DirectionBottomUp
-	if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
-		t.Fatalf("corrupt .rev: err = %v, want ErrCorrupted", err)
+	// Flip one payload byte in either file of the transposed graph: a CRC
+	// must catch it during the lazy reverse split, never wrong output. (A
+	// tree's .rev holds no records to corrupt: its every in-edge is a head.)
+	for _, name := range []string{graph.ReverseFileName(m.Name), graph.ReverseIndexFileName(m.Name)} {
+		vol := storage.NewMem()
+		if err := graph.Store(vol, m, edges); err != nil {
+			t.Fatal(err)
+		}
+		b, err := storage.ReadAll(vol, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = bytes.Clone(b)
+		b[len(b)/2] ^= 0x40
+		if err := storage.WriteAll(vol, name, b); err != nil {
+			t.Fatal(err)
+		}
+		o := smallOpts()
+		o.Direction = DirectionBottomUp
+		if _, err := Run(vol, m.Name, o); !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("corrupt %s: err = %v, want ErrCorrupted", name, err)
+		}
 	}
 }

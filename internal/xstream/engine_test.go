@@ -197,7 +197,7 @@ func TestXStreamCleansUpWorkingFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range vol.List() {
-		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.IndexFileName(m.Name) {
+		if f != graph.EdgeFileName(m.Name) && f != graph.ConfFileName(m.Name) && f != graph.ReverseFileName(m.Name) && f != graph.ReverseIndexFileName(m.Name) && f != graph.IndexFileName(m.Name) {
 			t.Fatalf("leftover working file %s", f)
 		}
 	}

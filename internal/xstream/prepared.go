@@ -101,8 +101,9 @@ type Scratch struct {
 	// winner table (Runtime.Winners).
 	visited, claimed Bitset
 	bestParent       []graph.VertexID
-	// outDeg backs the run's out-degree table (Runtime.OutDeg).
-	outDeg []uint32
+	// outDeg backs the run's out-degree table (Runtime.OutDeg), and tails
+	// the transposed graph's (kernel.reverseIndex).
+	outDeg, tails []uint32
 
 	pool                             *stream.ScatterPool
 	poolWorkers, poolSize, poolParts int

@@ -832,8 +832,8 @@ func (rt *Runtime) UpdateChunk() []graph.Update {
 
 // Winners returns a pass's run-owned winner table over n vertices, all
 // NoVertex (no candidate yet), valid until the next call. It holds each
-// vertex's best parent so far; the winner rule's other key, the parent's
-// partition, is closed-form (Partitioning.Of), so it takes no array.
+// vertex's parent once a pass has found it, the first frontier parent the
+// pass meets.
 func (rt *Runtime) Winners(n int) []graph.VertexID {
 	best := chunk(&rt.scratch.bestParent, n)
 	for i := range best {

@@ -16,17 +16,17 @@ import (
 )
 
 // This file holds the split pass (DESIGN.md §5, §12): one scan of a dataset
-// edge file in stored order that forms the next level and can write each
+// file in stored order that forms the next level and can write each
 // partition's input on the way. Forward, over the stored edge list, it is
 // each top-down iteration of a FastBFS run that trims by the counts until
 // writing the partitions pays (storedIteration); other runs split up front
-// with Prepare. Reverse, over the .rev file, it is a run's first bottom-up
-// pass (fusedFirstBottomUp). Both keep the first parent they meet, the
-// winner top-down's gather would: graph.StoreGraph sorts both files by
-// source, so the first parent in scan order is in the smallest source
-// partition, and every partition file is an order-preserving subsequence of
-// its dataset file, so that is the update a partition-ordered scatter claims
-// first, whichever pass forms a level and whatever the partition count.
+// with Prepare. Reverse, over the transposed graph, it is a run's first
+// bottom-up pass (fusedFirstBottomUp). Both keep the first parent they meet,
+// the winner top-down's gather would: the smallest-id frontier parent, as
+// graph.StoreGraph sorts the edge list by source and the transposed graph
+// by target and then by source, and every partition file is an
+// order-preserving subsequence of its dataset file, whichever pass forms a
+// level and whatever the partition count.
 
 // passStats is what a split pass counted: edges scanned, the frontier's
 // among them (emitted, before any filter), those to an unvisited vertex
@@ -38,33 +38,38 @@ type passStats struct {
 	sparse                                                                 bool
 }
 
-// splitPass scans the stored edge file — the .rev file when rev is set —
-// against e.dir.frontier, resolving into best the parent each unvisited
-// vertex wins: a forward edge offers its destination its source, a reverse
-// one its target its other end. With outs, an edge whose source (a reverse
-// edge's target) is unvisited goes to that vertex's partition file — with
-// dropWon, unless the vertex has just won: its other in-edges are dead.
-// Over an indexed file a forward pass reads sparse when that pays
-// (sparseRuns, runCheck); without an index iteration 0's counts the degree
-// table. Workers classify; winners and writes resolve on the engine thread
-// in scan order, sparse or dense alike. The reverse pass runs one chunk
-// deep, the device operations of a serial loop; the forward one two, since
-// a stored file 32 chunks deep in flight is 32 stream buffers. A malformed
-// edge or an edge count off the metadata is errs.ErrCorrupted.
-func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
-	name, depth := graph.EdgeFileName(e.rt.Meta.Name), 2
-	if rev {
-		name, depth = graph.ReverseFileName(e.rt.Meta.Name), 1
+// splitPass scans a dataset file — the stored edge file, or with rev the
+// transposed graph's tails — against e.dir.frontier, resolving into best the
+// parent each unvisited vertex wins: a forward edge offers its destination
+// its source, a record {target, source} its target its source. With outs,
+// an edge whose source (a record's target) is open — unvisited and, with
+// dropWon, not just won: its other in-edges are dead — goes to that
+// vertex's partition file. Over an index the pass reads sparse when that
+// pays (sparseRuns, runCheck): the ranges of the frontier and, splitting,
+// of every unvisited source, or of the open targets. Without one iteration
+// 0 counts the degree table. Workers classify; winners and writes resolve on
+// the engine thread in scan order, sparse or dense alike. A malformed edge
+// or an edge count off the index or the metadata is errs.ErrCorrupted.
+func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
+	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
+	name, total := graph.EdgeFileName(m.Name), int64(m.Edges)
+	if ix != nil {
+		name, total = ix.name, ix.edges
 	}
 	var runs []stream.Range
-	if !rev && e.index != nil {
-		runs, ps.predicted, ps.sparse = e.sparseRuns(outs != nil)
+	if ix != nil {
+		runs, ps.predicted, ps.sparse = ix.sparseRuns(func(v graph.VertexID) bool {
+			if rev { // the open targets
+				return !visited.Get(v) && (!dropWon || best[v] == graph.NoVertex)
+			}
+			return front.Get(v) || outs != nil && !visited.Get(v)
+		})
 	}
 	var sc *stream.Scanner[graph.Edge]
 	var src stream.EdgeChunks
 	if ps.sparse {
-		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, runs, e.index.frames != nil)
-		src = &runCheck{Scanner: sc, ix: e.index, deg: e.rt.OutDeg, runs: runs, v: -1}
+		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, runs, ix.magic)
+		src = &runCheck{Scanner: sc, ix: ix, runs: runs, v: -1}
 	} else {
 		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
 		src = sc
@@ -73,14 +78,13 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 		return ps, err
 	}
 	defer sc.Close()
-	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
 	var w []*stream.Writer[graph.Edge]
 	if outs != nil {
 		w = outs.W
 	}
 	// Without an index, iteration 0 counts the table as it scans, and sums
 	// α's look-ahead over the root's out-edges once the count is complete.
-	count, deg := !rev && iter == 0 && e.index == nil, e.filter.outDeg
+	count, deg := !rev && iter == 0 && ix == nil, e.filter.outDeg
 	var rootOut []graph.VertexID
 	if count {
 		deg = nil
@@ -143,11 +147,11 @@ func (e *kernel) splitPass(iter int, rev, dropWon bool, best []graph.VertexID, o
 		}
 		return nil
 	}
-	if err := e.pool.RunScannerDepth(src, depth, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(src, 2, classify, merge); err != nil {
 		return ps, err
 	}
-	if !ps.sparse && uint64(ps.scanned) != m.Edges {
-		return ps, fmt.Errorf("%w: edge file %s has %d edges, config says %d", errs.ErrCorrupted, name, ps.scanned, m.Edges)
+	if !ps.sparse && ps.scanned != total {
+		return ps, fmt.Errorf("%w: edge file %s has %d edges, its index or config %d", errs.ErrCorrupted, name, ps.scanned, total)
 	}
 	ps.read = sc.BytesRead()
 	e.rt.BytesRead += ps.read
@@ -211,7 +215,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	d.next.Clear()
 	d.best = e.rt.Winners(int(n))
 	ss := itSpan.Child("scatter")
-	ps, err := e.splitPass(iter, false, false, d.best, outs)
+	ps, err := e.splitPass(iter, e.index, false, false, d.best, outs)
 	if err == nil && outs != nil {
 		err = sealWriters(e.rt, outs)
 	}
@@ -365,13 +369,27 @@ func (e *kernel) bookCarried(itRow *metrics.Iteration) {
 	}
 }
 
-// storedIndex is the stored edge file's degree index (DESIGN.md §5; the
-// degrees are OutDeg): its delta frames' offsets (nil when fixed), each
-// frame graph.IndexFrameEdges edges, the file's bytes and edges, and the
-// grain, the bytes a positioning is worth.
+// storedIndex is a dataset file's index: the stored edge file's (DESIGN.md
+// §5), whose degrees are OutDeg, or the transposed graph's (§12), whose
+// count each vertex's tails. It names the file and its container (magic 0:
+// raw fixed records, with no frames), its frames' offsets, each frame
+// graph.IndexFrameEdges edges, the file's bytes and edges, and the grain,
+// the bytes a positioning is worth.
 type storedIndex struct {
+	name               string
+	magic              uint32
+	deg                []uint32
 	frames             []int64
 	size, edges, grain int64
+}
+
+// grain is the bytes a positioning of the main disk is worth: 64 KiB on a
+// real volume, seek time at the bandwidth on a simulated one.
+func (rt *Runtime) grain() int64 {
+	if sim := rt.Opts.Sim; sim != nil {
+		return int64(sim.MainDisk.SeekLatency * sim.MainDisk.Bandwidth)
+	}
+	return 64 << 10
 }
 
 // openIndex loads the degrees into OutDeg for a run entering its stored
@@ -381,38 +399,45 @@ type storedIndex struct {
 // stored before it, and is errs.ErrCorrupted: its edges may not be sorted
 // by source, which the stored passes' parents rely on.
 func (e *kernel) openIndex() error {
-	rt, name := e.rt, graph.IndexFileName(e.rt.Meta.Name)
-	isz, err := rt.Vol.Size(name)
-	if errors.Is(err, storage.ErrNotExist) {
-		return fmt.Errorf("graph %s: %w: no degree index %s (store the graph again)", rt.Meta.Name, errs.ErrCorrupted, name)
-	} else if err != nil {
-		return err
-	}
-	ix := &storedIndex{size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: 64 << 10}
+	rt := e.rt
+	ix := &storedIndex{name: graph.EdgeFileName(rt.Meta.Name), deg: rt.OutDeg,
+		size: int64(rt.Meta.DataBytes()), edges: int64(rt.Meta.Edges), grain: rt.grain()}
 	var least int64
 	if rt.Meta.EdgeCodec() == graph.CodecDelta {
-		ix.size = int64(rt.Meta.StoredBytes)
+		ix.magic, ix.size = graph.FrameMagicDelta, int64(rt.Meta.StoredBytes)
 		least = ix.size * min(graph.IndexFrameEdges, ix.edges) / max(ix.edges, 1)
 	}
-	if sim := rt.Opts.Sim; sim != nil {
-		ix.grain = int64(sim.MainDisk.SeekLatency * sim.MainDisk.Bandwidth)
-	}
-	if least+ix.grain+isz >= ix.size {
-		return nil
+	return rt.readIndexFile(graph.IndexFileName(rt.Meta.Name), func(isz int64) bool { return least+ix.grain+isz < ix.size },
+		func(r io.Reader, isz int64) (err error) {
+			if ix.frames, err = graph.ReadIndex(r, isz, rt.Meta, rt.OutDeg, rt.Bufs); err == nil {
+				e.index = ix
+			}
+			return err
+		})
+}
+
+// readIndexFile hands read the run's index file name, when pays allows its
+// size, and books the read with the run and its clock. A graph without the
+// file was stored before it: errs.ErrCorrupted.
+func (rt *Runtime) readIndexFile(name string, pays func(isz int64) bool, read func(r io.Reader, isz int64) error) error {
+	isz, err := rt.Vol.Size(name)
+	if errors.Is(err, storage.ErrNotExist) {
+		return fmt.Errorf("graph %s: %w: no index %s (store the graph again)", rt.Meta.Name, errs.ErrCorrupted, name)
+	} else if err != nil || !pays(isz) {
+		return err
 	}
 	rr, err := stream.OpenRange(rt.Vol, name, rt.Retry)
 	if err != nil {
 		return err
 	}
 	defer rr.Close()
-	if ix.frames, err = graph.ReadIndex(io.NewSectionReader(rr, 0, isz), isz, rt.Meta, rt.OutDeg, rt.Bufs); err != nil {
+	if err := read(io.NewSectionReader(rr, 0, isz), isz); err != nil {
 		return err
 	}
 	if rt.Clock != nil {
 		rt.Clock.Read(rt.Opts.Sim.MainDisk, isz, disksim.NewStreamID())
 	}
 	rt.BytesRead += isz
-	e.index = ix
 	return nil
 }
 
@@ -439,16 +464,15 @@ func (ix *storedIndex) edgesOf(r stream.Range) (first, last int64) {
 	return int64(f) * graph.IndexFrameEdges, min(int64(g)*graph.IndexFrameEdges, ix.edges)
 }
 
-// sparseRuns returns the ranges a forward stored pass reads sparse — the
-// frontier's out-edges and, when it splits, every unvisited source's — in
-// file order, merged across gaps under a grain, and their bytes; or sparse
-// false, for a dense pass, once bytes plus a grain a range reach the file's.
-func (e *kernel) sparseRuns(split bool) (runs []stream.Range, bytes int64, sparse bool) {
-	ix, front, visited := e.index, e.dir.frontier, e.rt.VisitedBits
+// sparseRuns returns the ranges of the file holding the edges of the
+// vertices a pass wants, in file order, merged across gaps under a grain,
+// and their bytes; or sparse false, for a dense pass, once bytes plus a grain
+// a range reach the file's.
+func (ix *storedIndex) sparseRuns(want func(graph.VertexID) bool) (runs []stream.Range, bytes int64, sparse bool) {
 	var pos int64
-	for v, d := range e.rt.OutDeg {
+	for v, d := range ix.deg {
 		lo := pos
-		if pos += int64(d); d == 0 || !front.Get(graph.VertexID(v)) && (!split || visited.Get(graph.VertexID(v))) {
+		if pos += int64(d); d == 0 || !want(graph.VertexID(v)) {
 			continue
 		}
 		off, end := ix.span(lo, pos)
@@ -471,7 +495,6 @@ func (e *kernel) sparseRuns(split bool) (runs []stream.Range, bytes int64, spars
 type runCheck struct {
 	*stream.Scanner[graph.Edge]
 	ix            *storedIndex
-	deg           []uint32
 	runs          []stream.Range
 	v             int   // the source of edge at, vEnd edges preceding v+1
 	vEnd, at, due int64 // due: what the current range still holds
@@ -486,15 +509,15 @@ func (c *runCheck) NextChunk(dst []graph.Edge) (int, error) {
 		}
 		for c.due > 0 && c.vEnd <= c.at {
 			c.v++
-			c.vEnd += int64(c.deg[c.v])
+			c.vEnd += int64(c.ix.deg[c.v])
 		}
 		if c.due == 0 || x.Src != graph.VertexID(c.v) {
-			return 0, fmt.Errorf("%w: stored edge file: edge %v where the index has %d's", errs.ErrCorrupted, x, c.v)
+			return 0, fmt.Errorf("%w: %s: edge %v where the index has %d's", errs.ErrCorrupted, c.ix.name, x, c.v)
 		}
 		c.at, c.due = c.at+1, c.due-1
 	}
 	if n == 0 && err == nil && c.due+int64(len(c.runs)) > 0 {
-		return 0, fmt.Errorf("%w: stored edge file: a range ends short of its edges", errs.ErrCorrupted)
+		return 0, fmt.Errorf("%w: %s: a range ends short of its edges", errs.ErrCorrupted, c.ix.name)
 	}
 	return n, err
 }
