@@ -175,7 +175,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		if n < len(vals) {
 			return nil, fmt.Errorf("algo: value file %s truncated", vertexFile(p))
 		}
-		rt.BytesRead += sc.BytesRead()
 		return vals, nil
 	}
 	saveVals := func(p int, vals []uint64) error {
@@ -188,11 +187,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			w.Abort()
 			return err
 		}
-		if err := w.Close(); err != nil {
-			return err
-		}
-		rt.BytesWritten += w.BytesWritten()
-		return nil
+		return w.Close()
 	}
 
 	// Initialize vertex values (partition 0 is a widest).
@@ -272,16 +267,11 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 					}
 				}
 			}
-			rt.BytesRead += sc.BytesRead()
 			sc.Close()
 			rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
 			itRow.EdgesStreamed += scanned
 		}
-		if err := shuf.Close(); err != nil {
-			return 0, err
-		}
-		rt.BytesWritten += shuf.Bytes()
-		return emitted, nil
+		return emitted, shuf.Close()
 	}
 
 	for iter := 0; iter < maxIter; iter++ {
@@ -329,7 +319,6 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 					vals[i], _ = applyTo(iter, u.dst, vals[i], u.payload)
 				}
 			}
-			rt.BytesRead += sc.BytesRead()
 			sc.Close()
 			for i := range vals {
 				nv, changed := prog.EndGather(iter, vals[i])
@@ -502,11 +491,7 @@ func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string, chunk []gra
 		return err
 	}
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	if err := outs.Close(); err != nil {
-		return err
-	}
-	rt.BytesWritten += outs.Bytes()
-	return nil
+	return outs.Close()
 }
 
 // routeEdges is prepareWeighted's scan, chunk by aligned chunk: every
@@ -535,6 +520,5 @@ func routeEdges[T any](rt *xstream.Runtime, sc *stream.Scanner[T], chunk []T, ou
 			}
 		}
 	}
-	rt.BytesRead += sc.BytesRead()
 	return nil
 }

@@ -82,7 +82,6 @@ type AsyncOp struct {
 	service float64 // this op's total service time
 	endMark float64 // cumulative lane `served` value at which the op completes
 	bytes   int64
-	isRead  bool
 	done    bool
 	doneAt  float64
 }
@@ -260,12 +259,12 @@ func (d *Device) fgOp(now float64, n int64, sid StreamID) float64 {
 
 // asyncIssue enqueues a non-blocking op of n bytes from stream sid at
 // time `now` on the given lane.
-func (d *Device) asyncIssue(ln *lane, now float64, n int64, sid StreamID, isRead bool) *AsyncOp {
+func (d *Device) asyncIssue(ln *lane, now float64, n int64, sid StreamID) *AsyncOp {
 	d.advance(now)
 	service := d.opTime(n, sid)
 	ln.backlog += service
 	d.ops++
-	op := &AsyncOp{dev: d, ln: ln, service: service, bytes: n, isRead: isRead, endMark: ln.served + ln.backlog}
+	op := &AsyncOp{dev: d, ln: ln, service: service, bytes: n, endMark: ln.served + ln.backlog}
 	ln.queue = append(ln.queue, op)
 	return op
 }
@@ -300,8 +299,9 @@ func (op *AsyncOp) Done(q float64) bool {
 // Bytes returns the op's size.
 func (op *AsyncOp) Bytes() int64 { return op.bytes }
 
-// cancel abandons the op's unperformed service at time q, refunding the
-// untransferred bytes. Returns the refunded byte count.
+// cancel abandons the op's unperformed service at time q. A write refunds
+// its untransferred bytes, and the refunded count is returned; a read-ahead
+// booked none (see Clock.ReadAsync), so it refunds none.
 func (d *Device) cancel(op *AsyncOp, q float64) int64 {
 	d.advance(q)
 	if op.done {
@@ -342,23 +342,20 @@ func (d *Device) cancel(op *AsyncOp, q float64) int64 {
 	ln.queue = append(ln.queue[:idx], ln.queue[idx+1:]...)
 	op.done = true
 	op.doneAt = d.t
-	refund := int64(float64(op.bytes) * ownRemaining / op.service)
-	if op.isRead {
-		if refund > d.bytesRead {
-			refund = d.bytesRead
-		}
-		d.bytesRead -= refund
-	} else {
-		if refund > d.bytesWritten {
-			refund = d.bytesWritten
-		}
-		d.bytesWritten -= refund
+	if ln == &d.fg {
+		return 0
 	}
+	refund := min(int64(float64(op.bytes)*ownRemaining/op.service), d.bytesWritten)
+	d.bytesWritten -= refund
 	return refund
 }
 
-// BytesRead returns the total bytes read from the device.
+// BytesRead returns the total bytes read from the device: every blocking
+// read, and the bytes read-ahead delivered (BookRead).
 func (d *Device) BytesRead() int64 { return d.bytesRead }
+
+// BookRead books n bytes a read-ahead delivered to its reader.
+func (d *Device) BookRead(n int64) { d.bytesRead += n }
 
 // BytesWritten returns the total bytes written to the device (cancelled
 // background bytes refunded).
@@ -509,32 +506,32 @@ func (c *Clock) WriteAsync(d *Device, n int64, sid StreamID) *AsyncOp {
 	if n < 0 {
 		panic(fmt.Sprintf("disksim: negative write size %d", n))
 	}
-	op := d.asyncIssue(&d.bg, c.now, n, sid, false)
+	op := d.asyncIssue(&d.bg, c.now, n, sid)
 	d.bytesWritten += n
 	return op
 }
 
-// ReadAsync enqueues an n-byte read-ahead on d's foreground lane without
+// ReadAsync reserves an n-byte read-ahead on d's foreground lane without
 // advancing the clock: the prefetch keeps engine priority over
 // background writes but lets the engine keep working (or stall on
-// another device) while it streams in. The caller later waits on the
-// returned handle's completion before consuming the data.
+// another device) while it streams in. It reserves device time only: the
+// reader waits on the returned handle's completion before consuming the
+// data, and books the bytes it consumed with Device.BookRead.
 func (c *Clock) ReadAsync(d *Device, n int64, sid StreamID) *AsyncOp {
 	if n < 0 {
 		panic(fmt.Sprintf("disksim: negative read size %d", n))
 	}
-	op := d.asyncIssue(&d.fg, c.now, n, sid, true)
-	d.bytesRead += n
-	return op
+	return d.asyncIssue(&d.fg, c.now, n, sid)
 }
 
 // BgCompletion returns op's completion time as projected at the current
 // clock time.
 func (c *Clock) BgCompletion(op *AsyncOp) float64 { return op.CompletionAt(c.now) }
 
-// CancelAsync abandons an in-flight background write, refunding its
-// untransferred bytes and freeing the device — the paper's stay-write
-// cancellation ("pulls out in time from expensive data writing").
+// CancelAsync abandons an in-flight async op and frees the device of its
+// unperformed service. A background write refunds its untransferred bytes
+// — the paper's stay-write cancellation ("pulls out in time from
+// expensive data writing").
 func (c *Clock) CancelAsync(op *AsyncOp) (refundedBytes int64) {
 	return op.dev.cancel(op, c.now)
 }

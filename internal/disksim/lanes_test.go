@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 )
 
+// A read-ahead reserves device time only: its bytes count once the reader
+// books what it consumed.
 func TestReadAsyncDoesNotStallClock(t *testing.T) {
 	d := &Device{Name: "d", SeekLatency: 0, Bandwidth: 100}
 	c := NewClock(DefaultCPU(), 1)
@@ -15,8 +17,12 @@ func TestReadAsyncDoesNotStallClock(t *testing.T) {
 	if got := c.BgCompletion(op); !approx(got, 1.0) {
 		t.Fatalf("completion = %v, want 1.0", got)
 	}
-	if d.BytesRead() != 100 {
-		t.Fatalf("bytesRead = %d", d.BytesRead())
+	if d.BytesRead() != 0 {
+		t.Fatalf("bytesRead = %d at issue, want 0", d.BytesRead())
+	}
+	d.BookRead(60)
+	if d.BytesRead() != 60 {
+		t.Fatalf("bytesRead = %d after booking 60", d.BytesRead())
 	}
 }
 
@@ -45,13 +51,20 @@ func TestReadAsyncPreemptsBackgroundWrites(t *testing.T) {
 	}
 }
 
-func TestCancelReadAsyncRefundsBytesRead(t *testing.T) {
+// A cancelled read-ahead frees the device and, having booked nothing,
+// refunds nothing.
+func TestCancelReadAsyncBooksNoBytes(t *testing.T) {
 	d := &Device{Name: "d", SeekLatency: 0, Bandwidth: 100}
 	c := NewClock(DefaultCPU(), 1)
+	c.Read(d, 100, 0) // 1s
 	op := c.ReadAsync(d, 100, 0)
 	refund := c.CancelAsync(op)
-	if refund != 100 || d.BytesRead() != 0 {
-		t.Fatalf("refund = %d, bytesRead = %d", refund, d.BytesRead())
+	if refund != 0 || d.BytesRead() != 100 {
+		t.Fatalf("refund = %d, bytesRead = %d; want 0 and the blocking read's 100", refund, d.BytesRead())
+	}
+	c.Read(d, 100, 0)
+	if !approx(c.Now(), 2.0) {
+		t.Fatalf("read after cancel: Now = %v, want 2.0", c.Now())
 	}
 }
 

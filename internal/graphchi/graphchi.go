@@ -274,13 +274,11 @@ func (e *engine) preprocess() error {
 			}
 		}
 	}
-	rt.BytesRead += sc.BytesRead()
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
 	for _, w := range outs {
 		if err := w.Close(); err != nil {
 			return err
 		}
-		rt.BytesWritten += w.BytesWritten()
 	}
 
 	// Pass 2: sort each shard by source (read, in-memory sort, rewrite).
@@ -293,10 +291,7 @@ func (e *engine) preprocess() error {
 		if err != nil {
 			return err
 		}
-		if tm.Clock != nil {
-			tm.Clock.Read(tm.Device, int64(len(data)), disksim.NewStreamID())
-		}
-		rt.BytesRead += int64(len(data))
+		tm.Read(int64(len(data)), disksim.NewStreamID())
 		n := len(data) / shardRecBytes
 		recs := make([]shardRec, n)
 		for i := range recs {
@@ -310,10 +305,7 @@ func (e *engine) preprocess() error {
 		if err := stream.WriteAll(rt.Vol, e.shardFile(q), data, rt.Retry); err != nil {
 			return err
 		}
-		if tm.Clock != nil {
-			tm.Clock.WriteSync(tm.Device, int64(len(data)), disksim.NewStreamID())
-		}
-		rt.BytesWritten += int64(len(data))
+		tm.WriteSync(int64(len(data)), disksim.NewStreamID())
 
 		// Window index: first record of each source interval.
 		offs := make([]int64, P+1)
@@ -379,10 +371,7 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 	if err != nil {
 		return false, 0, 0, err
 	}
-	if tm.Clock != nil {
-		tm.Clock.Read(tm.Device, int64(len(memData)), disksim.NewStreamID())
-	}
-	rt.BytesRead += int64(len(memData))
+	tm.Read(int64(len(memData)), disksim.NewStreamID())
 	nMem := len(memData) / shardRecBytes
 	scanned += int64(nMem)
 	lds.End()
@@ -458,10 +447,7 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 		if err != nil {
 			return changed, scanned, newly, err
 		}
-		if tm.Clock != nil {
-			tm.Clock.Read(tm.Device, end-off, disksim.NewStreamID())
-		}
-		rt.BytesRead += end - off
+		tm.Read(end-off, disksim.NewStreamID())
 		n := len(data) / shardRecBytes
 		scanned += int64(n)
 		winChanged := false
@@ -479,10 +465,7 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 			if err := e.rv.Patch(e.shardFile(q), off, data); err != nil {
 				return changed, scanned, newly, err
 			}
-			if tm.Clock != nil {
-				tm.Clock.WriteSync(tm.Device, end-off, disksim.NewStreamID())
-			}
-			rt.BytesWritten += end - off
+			tm.WriteSync(end-off, disksim.NewStreamID())
 		}
 	}
 	wns.End()
@@ -493,10 +476,7 @@ func (e *engine) executeInterval(p int, itSpan *obs.Span) (changed bool, scanned
 		if err := e.rv.Patch(e.shardFile(p), 0, memData); err != nil {
 			return changed, scanned, newly, err
 		}
-		if tm.Clock != nil {
-			tm.Clock.WriteSync(tm.Device, int64(len(memData)), disksim.NewStreamID())
-		}
-		rt.BytesWritten += int64(len(memData))
+		tm.WriteSync(int64(len(memData)), disksim.NewStreamID())
 	}
 	if err := rt.SaveVerts(p, verts); err != nil {
 		return changed, scanned, newly, err

@@ -13,13 +13,13 @@ type IOStats struct {
 	WriteOps     int64 // successfully closed Create calls
 }
 
-// Sub returns the delta s - start (traffic since an earlier snapshot).
-func (s IOStats) Sub(start IOStats) IOStats {
+// Sub returns the delta s - base (traffic since an earlier snapshot).
+func (s IOStats) Sub(base IOStats) IOStats {
 	return IOStats{
-		BytesRead:    s.BytesRead - start.BytesRead,
-		BytesWritten: s.BytesWritten - start.BytesWritten,
-		ReadOps:      s.ReadOps - start.ReadOps,
-		WriteOps:     s.WriteOps - start.WriteOps,
+		BytesRead:    s.BytesRead - base.BytesRead,
+		BytesWritten: s.BytesWritten - base.BytesWritten,
+		ReadOps:      s.ReadOps - base.ReadOps,
+		WriteOps:     s.WriteOps - base.WriteOps,
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // This file adapts the delta edge codec (internal/graph FBD1 blocks) to
 // the stream layer. The split in the cost model is the point:
 //
-//   - Device time is charged on *compressed* bytes — that is what moves
-//     over the simulated disk, and what BytesRead/BytesWritten report.
+//   - Device time and bytes are charged on *compressed* bytes — that is
+//     what moves over the simulated disk.
 //   - The decode/encode pass is charged on *decoded* bytes through
 //     Timing.MemBW (the disksim MemBandwidth model), so the sim stays
 //     honest about where the codec shifts cost: from the device lane to

@@ -22,10 +22,9 @@ import (
 // (retryWriter/retryReader wrap the storage file, the framer wraps
 // them), so a transient fault retried mid-frame re-issues exactly the
 // failed byte range and never desynchronizes the frame structure.
-// Byte accounting (BytesRead/BytesWritten, disksim charges) stays in
-// payload units — the scanner and writer count their own buffers, and
-// the framing overhead below them is invisible to the time model, so
-// metrics are identical between framed and raw formats.
+// Device charges stay in payload units — the scanner and writer charge
+// their own buffers, and the framing overhead below them is invisible to
+// the time model, so metrics are identical between framed and raw formats.
 
 // framedWriter is a storage.Writer that emits one checksummed frame
 // per Write and the terminator at Close.
@@ -72,8 +71,8 @@ func createFramed(vol storage.Volume, name string, rt *Retrier) (storage.Writer,
 // the underlying file. Size deliberately reports the *raw* file size:
 // the scanner's read-ahead sizes its look-ahead window from it, and
 // raw size is a deterministic property of the file, so prefetch issues
-// the same operation sequence no matter how records are consumed (any
-// over-issue past the payload is cancelled and refunded at Close).
+// the same operation sequence no matter how records are consumed (the
+// refill that reaches the end waits for the ops left; see consume).
 type framedReader struct {
 	inner storage.Reader
 	r     io.Reader

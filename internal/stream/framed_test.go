@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"fastbfs/internal/disksim"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
@@ -60,7 +61,9 @@ func TestUpdateWriterProducesFramedFile(t *testing.T) {
 
 func TestWriterBytesAccountingIsPayloadOnly(t *testing.T) {
 	vol := storage.NewMem()
-	w, err := NewUpdateWriter(vol, "u", Timing{}, 1<<20)
+	dev := disksim.HDD("d")
+	tm, _ := timing(dev)
+	w, err := NewUpdateWriter(vol, "u", tm, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +75,15 @@ func TestWriterBytesAccountingIsPayloadOnly(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := w.BytesWritten(), int64(1000*graph.UpdateBytes); got != want {
-		t.Fatalf("BytesWritten = %d, want payload-only %d", got, want)
+	if got, want := dev.BytesWritten(), int64(1000*graph.UpdateBytes); got != want {
+		t.Fatalf("device BytesWritten = %d, want payload-only %d", got, want)
 	}
 	size, err := vol.Size("u")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if size <= w.BytesWritten() {
-		t.Fatalf("raw file %d bytes not larger than payload %d (no framing overhead?)", size, w.BytesWritten())
+	if size <= dev.BytesWritten() {
+		t.Fatalf("raw file %d bytes not larger than payload %d (no framing overhead?)", size, dev.BytesWritten())
 	}
 }
 

@@ -121,19 +121,103 @@ func TestPrefetchCloseCancelsOutstandingReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc.Prefetch(16) // covers the whole file
-	issued := dev.BytesRead()
-	if issued == 0 {
+	if dev.IdleAt() <= c.Now() {
 		t.Fatal("no read-ahead issued at Prefetch")
 	}
 	// Consume just one buffer, then abandon the scan.
 	if _, ok, err := sc.Next(); !ok || err != nil {
 		t.Fatalf("Next: ok=%v err=%v", ok, err)
 	}
+	if dev.IdleAt() <= c.Now() {
+		t.Fatal("the read-ahead past the first buffer is already done; nothing left to cancel")
+	}
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := dev.BytesRead(); got >= issued {
-		t.Fatalf("Close refunded nothing: issued %d, after close %d", issued, got)
+	if idle := dev.IdleAt(); idle > c.Now()+1e-12 {
+		t.Fatalf("device busy until %v after Close at %v: the read-ahead was not cancelled", idle, c.Now())
+	}
+	if got, want := dev.BytesRead(), sc.BytesRead(); got != want || want != 4096 {
+		t.Fatalf("device booked %d bytes, the scan consumed %d (want one 4096-byte buffer)", got, want)
+	}
+}
+
+// TestPrefetchBooksWhatItConsumed: a read-ahead scan books exactly the
+// device bytes it consumed (its BytesRead) and has waited for every op
+// those bytes came from — over raw, framed and delta files, read to the
+// end, closed after one refill, or closed unread. A framed or delta file's
+// ops are sized in file bytes, which its device bytes fall short of.
+func TestPrefetchBooksWhatItConsumed(t *testing.T) {
+	edges := makeEdges(8192) // 64 KiB of records
+	vol := storage.NewMem()
+	writeEdgesFile(t, vol, "raw", edges)
+	for _, f := range []struct {
+		name string
+		open func(name string) (*Writer[graph.Edge], error)
+	}{
+		{"framed", func(name string) (*Writer[graph.Edge], error) { return NewFramedEdgeWriter(vol, name, Timing{}, 3000) }},
+		{"delta", func(name string) (*Writer[graph.Edge], error) {
+			return NewCodecEdgeWriter(vol, name, Timing{}, 3000, graph.CodecDelta)
+		}},
+	} {
+		w, err := f.open(f.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendChunk(edges); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bufSize = 4096
+	for _, file := range []string{"raw", "framed", "delta"} {
+		for _, refills := range []int{-1, 1, 0} { // -1: to the end
+			dev := disksim.HDD("d")
+			c := disksim.NewClock(disksim.DefaultCPU(), 1)
+			sc, err := NewEdgeScanner(vol, file, Timing{Clock: c, Device: dev, MemBW: 1e9}, bufSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc.Prefetch(64) // issues every op of the file up front
+			ops, sizes := append([]*disksim.AsyncOp(nil), sc.pending...), append([]int64(nil), sc.pendingN...)
+			if size, err := vol.Size(file); err != nil || sc.issued != size {
+				t.Fatalf("%s: read-ahead covers %d of %d file bytes (%v)", file, sc.issued, size, err)
+			}
+			chunk := make([]graph.Edge, bufSize/graph.EdgeBytes)
+			for i := 0; refills < 0 || i < refills; i++ {
+				n, err := sc.NextChunk(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+			}
+			used := sc.BytesRead()
+			var start int64
+			for i, op := range ops {
+				if (used > start || refills < 0) && !op.Done(c.Now()) {
+					t.Errorf("%s, %d refills: op %d (bytes %d..%d) served the scan's %d bytes but the clock at %v never waited for it",
+						file, refills, i, start, start+sizes[i], used, c.Now())
+				}
+				start += sizes[i]
+			}
+			if err := sc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got := dev.BytesRead(); got != used {
+				t.Errorf("%s, %d refills: device booked %d bytes, the scan consumed %d", file, refills, got, used)
+			}
+			if refills == 0 && (used != 0 || c.Now() != 0) {
+				t.Errorf("%s: an unread scan consumed %d bytes and took %v s", file, used, c.Now())
+			}
+			// Raw and framed files move their record bytes, delta ones fewer.
+			if records := int64(len(edges) * graph.EdgeBytes); refills < 0 && (used > records || file != "delta" && used != records) {
+				t.Errorf("%s: a full scan consumed %d device bytes for %d record bytes", file, used, records)
+			}
+		}
 	}
 }
 

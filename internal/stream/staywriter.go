@@ -166,10 +166,6 @@ type StayFile struct {
 	buf   []byte
 	fill  int
 	count int64
-	// dev is the device-view byte total of the flushed buffers: raw
-	// record bytes for fixed stay files, encoded bytes for delta ones —
-	// exactly what the WriteAsync reservations covered.
-	dev int64
 
 	// ops are the device handles of this file's background buffer
 	// writes, used for completion queries and cancellation refunds.
@@ -229,10 +225,6 @@ func (f *StayFile) Name() string { return f.name }
 
 // Count returns the number of edges appended.
 func (f *StayFile) Count() int64 { return f.count }
-
-// DeviceBytes returns the device-view size of the flushed buffers (see
-// the dev field) — what an adoption should add to a run's BytesWritten.
-func (f *StayFile) DeviceBytes() int64 { return f.dev }
 
 // Append adds a live edge to the stay list, handing the buffer to the
 // writer thread when it fills.
@@ -305,7 +297,6 @@ func (f *StayFile) flushAsync() {
 		f.buf = nil // travels with the task
 	}
 	f.fill = 0
-	f.dev += int64(len(data))
 	if c := f.timing.Clock; c != nil {
 		// Retire buffers whose writes completed.
 		for len(sw.inflight) > 0 && sw.inflight[0].Done(c.Now()) {

@@ -45,13 +45,16 @@ type Timing struct {
 	Bufs *BufPool
 }
 
-func (t Timing) read(n int64, sid disksim.StreamID) {
+// Read charges a synchronous n-byte read from stream sid: the clock stalls
+// until the device has done it. A no-op without a clock.
+func (t Timing) Read(n int64, sid disksim.StreamID) {
 	if t.Clock != nil {
 		t.Clock.Read(t.Device, n, sid)
 	}
 }
 
-func (t Timing) writeSync(n int64, sid disksim.StreamID) {
+// WriteSync charges a synchronous n-byte write from stream sid, like Read.
+func (t Timing) WriteSync(n int64, sid disksim.StreamID) {
 	if t.Clock != nil {
 		t.Clock.WriteSync(t.Device, n, sid)
 	}
@@ -87,15 +90,14 @@ type Scanner[T any] struct {
 	// range (NewRangeScanner).
 	charged bool
 
-	// Read-ahead state: issued chunks not yet consumed (with their
-	// sizes) and how many bytes of the file have been covered by
-	// issued operations. retired accumulates device bytes consumed but
-	// not yet attributed to an issued op; once it covers the head op's
-	// size, that op is retired (its completion waited on).
+	// Read-ahead state: issued ops not yet consumed (with their sizes) and
+	// how many bytes of the file they cover. into is the device bytes
+	// consumed from the head op, and started says a refill has waited for it.
 	pending  []*disksim.AsyncOp
 	pendingN []int64
 	issued   int64
-	retired  int64
+	into     int64
+	started  bool
 	depth    int
 	closed   bool
 
@@ -259,41 +261,48 @@ func (s *Scanner[T]) refill() error {
 			return fmt.Errorf("stream: scanner read: %w", err)
 		}
 	}
+	// Device bytes for this refill: the record bytes for raw and framed
+	// files, the compressed bytes a decoding reader actually consumed for
+	// delta files (the decoded bytes are then charged as a memory pass).
+	var dev int64
 	if s.fill > 0 {
-		// Device bytes for this refill: the record bytes for raw and
-		// framed files, the compressed bytes a decoding reader actually
-		// consumed for delta files (the decoded bytes are then charged
-		// as a memory pass).
-		dev := int64(s.fill)
+		dev = int64(s.fill)
 		if db, ok := s.r.(deviceByter); ok {
 			s.timing.memPass(int64(s.fill))
 			dev = db.DeviceBytes() - s.devSeen
 			s.devSeen += dev
 		}
-		if s.depth > 0 && s.timing.Clock != nil {
-			// Read-ahead: retire the issued ops this refill's device
-			// bytes complete, waiting for each retired op's completion
-			// instead of issuing a blocking read. A decoding refill may
-			// span a fraction of an op (or several); ops never issued
-			// past the payload are cancelled and refunded at Close.
-			s.retired += dev
-			waited := false
-			for len(s.pending) > 0 && s.pendingN[0] <= s.retired {
-				op := s.pending[0]
-				s.retired -= s.pendingN[0]
-				s.pending, s.pendingN = s.pending[1:], s.pendingN[1:]
-				s.timing.Clock.WaitUntil(s.timing.Clock.BgCompletion(op))
-				waited = true
-			}
-			if waited {
-				s.topUp()
-			}
-		} else if !s.charged {
-			s.timing.read(dev, s.sid)
-		}
 		s.read += dev
 	}
+	if s.depth > 0 && s.timing.Clock != nil {
+		s.consume(dev) // an empty refill is the end of the file: see consume
+	} else if s.fill > 0 && !s.charged {
+		s.timing.Read(dev, s.sid)
+	}
 	return nil
+}
+
+// consume books a read-ahead refill's dev device bytes and waits for every
+// op they came from, the one they only start included, then tops the
+// read-ahead up. Ops are sized in file bytes, and a framed or delta file's
+// device bytes fall short of them by its framing, so the refill that
+// reaches the end of the file waits for every op left.
+func (s *Scanner[T]) consume(dev int64) {
+	c := s.timing.Clock
+	s.timing.Device.BookRead(dev)
+	s.into += dev
+	for len(s.pending) > 0 && (s.into > 0 || s.eof) {
+		if !s.started {
+			c.WaitUntil(c.BgCompletion(s.pending[0]))
+			s.started = true
+		}
+		if s.into < s.pendingN[0] && !s.eof {
+			break
+		}
+		s.into -= s.pendingN[0]
+		s.pending, s.pendingN, s.started = s.pending[1:], s.pendingN[1:], false
+	}
+	s.topUp()
 }
 
 // BytesRead reports the payload bytes consumed from the file so far —
@@ -301,18 +310,19 @@ func (s *Scanner[T]) refill() error {
 func (s *Scanner[T]) BytesRead() int64 { return s.read }
 
 // Close releases the underlying file and returns the buffer to the
-// run's free-list, cancelling any outstanding read-ahead (refunding its
-// unconsumed device time and bytes). Reading a closed scanner is an
-// error.
+// run's free-list, cancelling the read-ahead no refill started: device
+// time the scan never used, booked as no bytes. Reading a closed scanner
+// is an error.
 func (s *Scanner[T]) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	if s.timing.Clock != nil {
-		for _, op := range s.pending {
-			s.timing.Clock.CancelAsync(op)
-		}
+	if s.started {
+		s.pending = s.pending[1:]
+	}
+	for _, op := range s.pending {
+		s.timing.Clock.CancelAsync(op)
 	}
 	s.pending, s.pendingN = nil, nil
 	s.timing.Bufs.Put(s.buf)
@@ -427,7 +437,7 @@ func (s *rangeSource) Read(p []byte) (int, error) {
 	if s.sid == 0 {
 		s.sid = disksim.NewStreamID()
 	}
-	s.timing.read(n, s.sid)
+	s.timing.Read(n, s.sid)
 	s.off, s.read = s.off+n, s.read+n
 	return int(n), nil
 }
@@ -456,12 +466,11 @@ type Writer[T any] struct {
 	recSize int
 	encode  func([]byte, T)
 	// span is encode over a run of records (see Scanner.span).
-	span    func(dst []byte, recs []T)
-	count   int64
-	written int64
-	closed  bool
-	async   bool
-	lastOp  *disksim.AsyncOp
+	span   func(dst []byte, recs []T)
+	count  int64
+	closed bool
+	async  bool
+	lastOp *disksim.AsyncOp
 	// devSeen mirrors Scanner.devSeen for encoding writers: cumulative
 	// device bytes observed from a deviceByter sink.
 	devSeen int64
@@ -550,19 +559,14 @@ func (w *Writer[T]) Flush() error {
 	if w.async && w.timing.Clock != nil {
 		w.lastOp = w.timing.Clock.WriteAsync(w.timing.Device, dev, w.sid)
 	} else {
-		w.timing.writeSync(dev, w.sid)
+		w.timing.WriteSync(dev, w.sid)
 	}
-	w.written += dev
 	w.fill = 0
 	return nil
 }
 
 // Count returns the number of records appended so far.
 func (w *Writer[T]) Count() int64 { return w.count }
-
-// BytesWritten returns the bytes flushed to the file so far — the
-// device's view, so encoded bytes for delta files.
-func (w *Writer[T]) BytesWritten() int64 { return w.written }
 
 // Close flushes and publishes the file, and returns the buffer to the
 // run's free-list.
@@ -669,15 +673,6 @@ func (s *WriterSet[T]) Counts() []int64 {
 		c[p] = w.Count()
 	}
 	return c
-}
-
-// Bytes returns the bytes flushed so far, all partitions together.
-func (s *WriterSet[T]) Bytes() int64 {
-	var n int64
-	for _, w := range s.W {
-		n += w.BytesWritten()
-	}
-	return n
 }
 
 // LastOps returns each writer's latest write-behind handle (nil entries

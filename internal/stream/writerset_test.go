@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fastbfs/internal/disksim"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 )
@@ -100,13 +101,15 @@ func TestWriterSetFaultLeavesNothing(t *testing.T) {
 	}
 }
 
-// TestWriterSetAccounts: the set's totals are its writers' — counts per
-// partition, bytes over all of them — and Abort after a clean Close
-// leaves the published files alone.
+// TestWriterSetAccounts: the set's counts are its writers' per partition,
+// its device is charged the bytes of all of them, and Abort after a clean
+// Close leaves the published files alone.
 func TestWriterSetAccounts(t *testing.T) {
 	audited(t)
 	vol := storage.NewMem()
-	tm := Timing{Bufs: NewBufPool()}
+	dev := disksim.HDD("d")
+	tm, _ := timing(dev)
+	tm.Bufs = NewBufPool()
 	ws, err := OpenWriterSet(vol, 3, func(p int) string { return fmt.Sprintf("e%d", p) },
 		func(name string) (*Writer[graph.Edge], error) { return NewEdgeWriter(vol, name, tm, 64) })
 	if err != nil {
@@ -124,8 +127,8 @@ func TestWriterSetAccounts(t *testing.T) {
 	if c := ws.Counts(); c[0] != 15 || c[1] != 15 || c[2] != 0 {
 		t.Errorf("counts = %v, want [15 15 0]", c)
 	}
-	if b := ws.Bytes(); b != 30*graph.EdgeBytes {
-		t.Errorf("bytes = %d, want %d", b, 30*graph.EdgeBytes)
+	if b := dev.BytesWritten(); b != 30*graph.EdgeBytes {
+		t.Errorf("device bytes = %d, want %d", b, 30*graph.EdgeBytes)
 	}
 	ws.Abort()
 	if files := vol.List(); len(files) != 3 {

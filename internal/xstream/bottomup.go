@@ -400,7 +400,6 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 		return 0, 0, err
 	}
-	e.rt.BytesRead += sc.BytesRead()
 	bs.Attr("edges", scanned).End()
 
 	if stay != nil {
@@ -409,7 +408,6 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 			// degrade to untrimmed rescans of it.
 			e.markStayBroken(&d.revBroken[p])
 		} else {
-			e.rt.BytesWritten += stay.BytesWritten()
 			e.rt.RegisterReady(e.revStayFile(iter, p), stay.LastOp())
 			e.rt.Vol.Remove(d.revInput[p])
 			d.revInput[p] = e.revStayFile(iter, p)

@@ -60,15 +60,12 @@ func (e *kernel) runInMemory() (*Result, error) {
 	}
 	runSpan := e.tr.Span("run").Attr("in_memory", 1)
 	lds := runSpan.Child("load")
-	// Loaded through the run's own timing, so the list is charged to
-	// BytesRead and the simulation clock exactly like the streaming load
-	// it replaces.
+	// Loaded through the run's own timing, so the list is charged to the
+	// main disk exactly like the streaming load it replaces.
 	pg := &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm, Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
-	n, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize)
-	if err != nil {
+	if _, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize); err != nil {
 		return nil, err
 	}
-	rt.BytesRead += n
 	edges := pg.edges
 	lds.Attr("edges", int64(len(edges))).End()
 

@@ -376,14 +376,10 @@ func (e *kernel) runStreaming() (*Result, error) {
 			break
 		}
 	}
-	// A stay file still pending is written before the record counts the
-	// volume (a discarded one was, as Discard waits); drainPending discards
-	// it, and refunds its simulated time, after.
-	for p := range e.parts {
-		if f := e.parts[p].pending; f != nil {
-			f.Use()
-		}
-	}
+	// A stay file still pending is discarded before the record is taken:
+	// the volume has counted its writes by then, as Discard waits for them,
+	// and its device has refunded the share it had not yet written.
+	e.drainPending()
 	// A cancel a short query's last writes outlast is seen before the collect.
 	if err := e.rt.Checkpoint(); err != nil {
 		return nil, err
@@ -684,7 +680,7 @@ func (e *kernel) iteratePartition(p, iter int, trimNow, skipGather bool, sh *str
 	switch {
 	case st.frontier == 0 && e.pol.SelectiveScheduling:
 		// The speculative input open is abandoned; Close cancels its
-		// read-ahead with a device refund.
+		// read-ahead, which no refill started, so it moved nothing.
 		edgeScan.Close()
 		if iter > 0 {
 			e.skip(itRow)
@@ -905,10 +901,6 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 		// bit-flipped stay write detected before that falls back to it.
 		st.fallback, st.fallbackTiming, st.fallbackEdges = st.input, st.inputTiming, st.inputEdges
 	}
-	// The adopted stay file's device bytes are the write amount trimming
-	// really added (cancelled writes were refunded on the device
-	// timeline; delta stays count their encoded size).
-	e.rt.BytesWritten += f.DeviceBytes()
 	st.input, st.inputTiming, st.inputEdges = f.Name(), st.pendingTiming, f.Count()
 }
 
@@ -952,7 +944,6 @@ func (e *kernel) gather(p int, v *Verts, updFile string, level uint32) (newly ui
 			}
 		}
 	}
-	e.rt.BytesRead += sc.BytesRead()
 	e.rt.Compute(float64(applied) * e.rt.Costs.GatherPerUpdate)
 	return newly, deg, applied, nil
 }
@@ -1002,7 +993,6 @@ func (e *kernel) scatter(p int, sh *stream.Shuffler, stay *stream.StayFile, edge
 	if err := e.pool.RunScanner(edgeScan, classify, merge); err != nil {
 		return scanned, stayed, err
 	}
-	e.rt.BytesRead += edgeScan.BytesRead()
 	e.rt.Compute(float64(scanned)*e.rt.Costs.ScatterPerEdge +
 		float64(written)*e.rt.Costs.AppendPerUpdate +
 		float64(stayed)*e.rt.Costs.AppendPerStay)

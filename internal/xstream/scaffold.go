@@ -307,12 +307,6 @@ type Runtime struct {
 	// callers never see stored labels.
 	Perm *graph.Permutation
 
-	// BytesRead and BytesWritten are the traffic the time model charges, in
-	// payload units (framing is invisible to it); a wall-clock run reports
-	// io's count instead (moved).
-	BytesRead    int64
-	BytesWritten int64
-
 	// fileReady maps a file name to its pending write-behind barrier:
 	// the last background flush that must complete before a reader can
 	// depend on the file's contents (time-model only; data is always
@@ -327,6 +321,10 @@ type Runtime struct {
 	// after the storage.Counting volume the run was handed, if any (volName).
 	io      *storage.Counting
 	volName string
+	// devBase is each simulated device's counts when the run began: one
+	// SimConfig may serve several runs, and a run's record is what its
+	// devices moved since (devices).
+	devBase []metrics.DeviceStats
 
 	// OutDeg is the per-vertex out-degree table, counted by the first pass
 	// over the stored edge file — Prepare's, or iteration 0's stored pass
@@ -479,6 +477,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		}
 		rt.Clock = disksim.NewClock(opts.Sim.CPU, opts.Threads)
 		rt.Costs = opts.Sim.Costs
+		rt.devBase = rt.devices()
 		// Trace in simulated seconds: span timestamps then line up with
 		// the clock-derived ExecTime in the metrics record.
 		opts.Tracer.SetTimeSource(rt.Clock.Now)
@@ -543,15 +542,38 @@ func (rt *Runtime) RAMScan(n int64) {
 	rt.Clock.ComputeSerial(float64(n) / rt.Costs.MemBandwidth)
 }
 
-// moved is the bytes this run has read and written so far: the tally the
-// simulated devices are charged by, or in wall mode everything that
-// crossed the run's volume.
-func (rt *Runtime) moved() (read, written int64) {
-	if rt.Clock != nil {
-		return rt.BytesRead, rt.BytesWritten
+// devices is what each simulated device — MainDisk, then AuxDisk and
+// StayDisk when set — has done since the run began.
+func (rt *Runtime) devices() []metrics.DeviceStats {
+	var ds []metrics.DeviceStats
+	for _, d := range []*disksim.Device{rt.Opts.Sim.MainDisk, rt.Opts.Sim.AuxDisk, rt.Opts.Sim.StayDisk} {
+		if d == nil {
+			continue
+		}
+		s := metrics.DeviceStats{Name: d.Name, BytesRead: d.BytesRead(), BytesWritten: d.BytesWritten(),
+			BusyTime: d.BusyTime(), Ops: d.Ops()}
+		if i := len(ds); i < len(rt.devBase) {
+			b := rt.devBase[i]
+			s.BytesRead, s.BytesWritten = s.BytesRead-b.BytesRead, s.BytesWritten-b.BytesWritten
+			s.BusyTime, s.Ops = s.BusyTime-b.BusyTime, s.Ops-b.Ops
+		}
+		ds = append(ds, s)
 	}
-	d := rt.io.Stats()
-	return d.BytesRead, d.BytesWritten
+	return ds
+}
+
+// moved is the bytes this run has read and written so far: what its
+// simulated devices moved, or in wall mode everything that crossed the
+// run's volume.
+func (rt *Runtime) moved() (read, written int64) {
+	if rt.Clock == nil {
+		d := rt.io.Stats()
+		return d.BytesRead, d.BytesWritten
+	}
+	for _, d := range rt.devices() {
+		read, written = read+d.BytesRead, written+d.BytesWritten
+	}
+	return read, written
 }
 
 // FinishMetrics fills the timing and device fields of a metrics record.
@@ -564,19 +586,7 @@ func (rt *Runtime) FinishMetrics(run *metrics.Run) {
 		run.ExecTime = rt.Clock.Now()
 		run.IOWait = rt.Clock.IOWait()
 		run.ComputeTime = rt.Clock.ComputeTime()
-		devs := []*disksim.Device{rt.Opts.Sim.MainDisk}
-		if rt.Opts.Sim.AuxDisk != nil {
-			devs = append(devs, rt.Opts.Sim.AuxDisk)
-		}
-		if rt.Opts.Sim.StayDisk != nil {
-			devs = append(devs, rt.Opts.Sim.StayDisk)
-		}
-		for _, d := range devs {
-			run.Devices = append(run.Devices, metrics.DeviceStats{
-				Name: d.Name, BytesRead: d.BytesRead(), BytesWritten: d.BytesWritten(),
-				BusyTime: d.BusyTime(), Ops: d.Ops(),
-			})
-		}
+		run.Devices = rt.devices()
 	} else {
 		run.ExecTime = time.Since(rt.wallStart).Seconds()
 		if rt.volName != "" {
@@ -777,7 +787,6 @@ func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 			}
 		}
 	}
-	rt.BytesRead += sc.BytesRead()
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
 	return nil
 }
@@ -799,13 +808,12 @@ func (rt *Runtime) outDegree(v graph.VertexID) int64 {
 	return int64(rt.OutDeg[v])
 }
 
-// sealWriters closes a writer set and books it with the run: the bytes it
-// wrote, and each file's write-behind barrier for the file's first reader.
+// sealWriters closes a writer set and books each file's write-behind
+// barrier for the file's first reader.
 func sealWriters[T any](rt *Runtime, ws *stream.WriterSet[T]) error {
 	if err := ws.Close(); err != nil {
 		return err
 	}
-	rt.BytesWritten += ws.Bytes()
 	for p, op := range ws.LastOps() {
 		rt.RegisterReady(ws.Names[p], op)
 	}
@@ -927,7 +935,6 @@ func (rt *Runtime) LoadVerts(p int) (*Verts, error) {
 		}
 		i += k
 	}
-	rt.BytesRead += sc.BytesRead()
 	rt.Compute(float64(n) * rt.Costs.PerVertex)
 	return v, nil
 }
@@ -956,7 +963,6 @@ func (rt *Runtime) SaveVerts(p int, v *Verts) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	rt.BytesWritten += w.BytesWritten()
 	rt.RegisterReady(name, w.LastOp())
 	rt.Compute(float64(len(v.Level)) * rt.Costs.PerVertex)
 	return nil

@@ -154,7 +154,6 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		return ps, fmt.Errorf("%w: edge file %s has %d edges, its index or config %d", errs.ErrCorrupted, name, ps.scanned, total)
 	}
 	ps.read = sc.BytesRead()
-	e.rt.BytesRead += ps.read
 	for _, v := range rootOut {
 		ps.candDeg += int64(e.rt.OutDeg[v])
 	}
@@ -347,7 +346,6 @@ func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) (err error) {
 		} else {
 			w.Abort()
 		}
-		e.rt.BytesWritten += w.BytesWritten()
 		e.rt.RegisterReady(e.logFile(iter, p), w.LastOp())
 	}
 	for p := 0; err != nil && p < len(e.parts); p++ {
@@ -417,7 +415,7 @@ func (e *kernel) openIndex() error {
 }
 
 // readIndexFile hands read the run's index file name, when pays allows its
-// size, and books the read with the run and its clock. A graph without the
+// size, and charges the read to the main disk. A graph without the
 // file was stored before it: errs.ErrCorrupted.
 func (rt *Runtime) readIndexFile(name string, pays func(isz int64) bool, read func(r io.Reader, isz int64) error) error {
 	isz, err := rt.Vol.Size(name)
@@ -434,10 +432,7 @@ func (rt *Runtime) readIndexFile(name string, pays func(isz int64) bool, read fu
 	if err := read(io.NewSectionReader(rr, 0, isz), isz); err != nil {
 		return err
 	}
-	if rt.Clock != nil {
-		rt.Clock.Read(rt.Opts.Sim.MainDisk, isz, disksim.NewStreamID())
-	}
-	rt.BytesRead += isz
+	rt.MainTiming().Read(isz, disksim.NewStreamID())
 	return nil
 }
 
