@@ -372,7 +372,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 // and because an out-of-core run at one partition applies its updates in
 // exactly this order, the result is byte-identical to it. The shared
 // edge list is only read; the two value arrays and the bitmap come from
-// the prepared graph's scratch free-list.
+// the run's scratch.
 //
 // With a SourceFilter the pass over an inactive source's edge is a test
 // on a bitmap small enough to stay in the nearest cache. Without one

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fastbfs/internal/errs"
@@ -37,21 +38,31 @@ type Permutation struct {
 // NewPermutation builds a Permutation from the stored→original array,
 // validating that it is a bijection on [0, len).
 func NewPermutation(origOf []VertexID) (*Permutation, error) {
-	n := len(origOf)
-	newOf := make([]VertexID, n)
-	for i := range newOf {
-		newOf[i] = NoVertex
+	p := &Permutation{origOf: origOf}
+	if err := p.invert(); err != nil {
+		return nil, err
 	}
-	for stored, orig := range origOf {
+	return p, nil
+}
+
+// invert builds newOf from origOf, reusing newOf's memory, and validates
+// that origOf is a bijection on [0, len).
+func (p *Permutation) invert() error {
+	n := len(p.origOf)
+	p.newOf = slices.Grow(p.newOf[:0], n)[:n]
+	for i := range p.newOf {
+		p.newOf[i] = NoVertex
+	}
+	for stored, orig := range p.origOf {
 		if int(orig) >= n {
-			return nil, fmt.Errorf("graph: %w: permutation maps stored id %d to out-of-range vertex %d", errs.ErrCorrupted, stored, orig)
+			return fmt.Errorf("graph: %w: permutation maps stored id %d to out-of-range vertex %d", errs.ErrCorrupted, stored, orig)
 		}
-		if newOf[orig] != NoVertex {
-			return nil, fmt.Errorf("graph: %w: permutation maps vertex %d twice", errs.ErrCorrupted, orig)
+		if p.newOf[orig] != NoVertex {
+			return fmt.Errorf("graph: %w: permutation maps vertex %d twice", errs.ErrCorrupted, orig)
 		}
-		newOf[orig] = VertexID(stored)
+		p.newOf[orig] = VertexID(stored)
 	}
-	return &Permutation{origOf: origOf, newOf: newOf}, nil
+	return nil
 }
 
 // Len returns the number of vertices the permutation covers.
@@ -128,12 +139,24 @@ func StorePerm(vol storage.Volume, name string, p *Permutation) error {
 }
 
 // LoadPerm reads and validates the FBD1 permutation sidecar of a reordered
-// dataset, decoding the ids straight into the mapping. Integrity violations
-// — framing damage, a length that does not match the vertex count, a
-// non-bijective mapping — wrap errs.ErrCorrupted.
+// dataset into a new Permutation (see Load).
 func LoadPerm(vol storage.Volume, name string, vertices uint64) (*Permutation, error) {
-	fail := func(err error) (*Permutation, error) {
-		return nil, fmt.Errorf("graph: permutation for %s: %w", name, err)
+	p := &Permutation{}
+	if err := p.Load(vol, name, vertices, nil); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// Load reads and validates the FBD1 permutation sidecar of a reordered
+// dataset, decoding the ids straight into p's arrays, which it reuses where
+// they are large enough, through a frame buffer from bufs (nil: its own).
+// Integrity violations — framing damage, a length
+// that does not match the vertex count, a non-bijective mapping — wrap
+// errs.ErrCorrupted; p is then unusable until the next Load.
+func (p *Permutation) Load(vol storage.Volume, name string, vertices uint64, bufs Buffers) error {
+	fail := func(err error) error {
+		return fmt.Errorf("graph: permutation for %s: %w", name, err)
 	}
 	r, err := vol.Open(PermFileName(name))
 	if err != nil {
@@ -143,14 +166,13 @@ func LoadPerm(vol storage.Volume, name string, vertices uint64) (*Permutation, e
 	if uint64(r.Size()) < vertices { // an id takes a byte at least
 		return fail(fmt.Errorf("%w: %d bytes for %d vertices", errs.ErrCorrupted, r.Size(), vertices))
 	}
-	origOf := make([]VertexID, vertices)
+	p.origOf = slices.Grow(p.origOf[:0], int(vertices))[:vertices]
 	// No frame outgrows its file.
-	if err := readWords(r, nil, int(min(r.Size(), MaxFramePayload)), vertices, func(i uint64, w uint32) { origOf[i] = VertexID(w) }); err != nil {
+	if err := readWords(r, bufs, int(min(r.Size(), MaxFramePayload)), vertices, func(i uint64, w uint32) { p.origOf[i] = VertexID(w) }); err != nil {
 		return fail(err)
 	}
-	p, err := NewPermutation(origOf)
-	if err != nil {
+	if err := p.invert(); err != nil {
 		return fail(err)
 	}
-	return p, nil
+	return nil
 }

@@ -43,7 +43,7 @@ func residentBase() core.Options {
 // streamingBase is a budget below every test graph (4 partitions on the
 // 256-vertex one): the prepared graph holds metadata and permutation
 // only, and every query streams — on the buffers of a scratch borrowed
-// from the prepared graph's free-list.
+// from the free-list.
 func streamingBase() core.Options {
 	o := residentBase()
 	o.Base.MemoryBudget = 1024
@@ -99,8 +99,8 @@ func waitGoroutines(t *testing.T, before int, what string) {
 // traffic between the opens and the closes, and the shared edge lists
 // must come out exactly as they went in; at the out-of-core budget
 // every query streams on a scratch (stream buffers, scatter pool,
-// vertex arrays) handed from query to query through the prepared
-// graph's free-list, four at a time.
+// vertex arrays) handed from query to query through the scratch
+// free-list, four at a time.
 func TestPreparedConcurrentQueriesMatchUnpreparedRuns(t *testing.T) {
 	t.Run("resident", func(t *testing.T) { preparedConcurrentQueries(t, residentBase(), true) })
 	t.Run("out-of-core", func(t *testing.T) { preparedConcurrentQueries(t, streamingBase(), false) })
@@ -428,12 +428,14 @@ func TestPreparedWarmQueryAllocation(t *testing.T) {
 }
 
 // TestPreparedOutOfCoreWarmQueryAllocation: with a budget below the
-// graph a served query streams, but on a scratch it borrows from the
-// prepared graph — stream buffers, scatter chunks and shards, vertex
-// arrays, all warmed by the queries before it. It must allocate less
-// than half of what the same query allocates as a stand-alone
-// core.RunContext, which builds its own pool and drops it, and answer
-// with the same levels and parents byte for byte.
+// graph a query streams, on a scratch it borrows from the process-wide
+// free-list — stream buffers, scatter chunks and shards, vertex arrays,
+// all warmed by the queries before it — whether it is served or a
+// stand-alone core.RunContext. Either way a warmed query allocates less
+// than three of its 256 KiB stream buffers — a run that builds its own set
+// allocates about twenty — and the two answer with the same levels and
+// parents byte for byte. What a warmed query does allocate is mostly the
+// Mem volume's images of the files it writes, more under the delta codec.
 func TestPreparedOutOfCoreWarmQueryAllocation(t *testing.T) {
 	if os.Getenv("FASTBFS_FAULTS") != "" {
 		t.Skip("the fault-injecting volume keeps an image of every file it writes, served or not")
@@ -498,8 +500,8 @@ func TestPreparedOutOfCoreWarmQueryAllocation(t *testing.T) {
 	warm := perQuery(func(i int) { served(i) })
 	alone := perQuery(func(i int) { standalone(i) })
 	t.Logf("warmed out-of-core served query: %d bytes allocated; stand-alone run: %d (edge list %d)", warm, alone, m.Edges*graph.EdgeBytes)
-	if 2*warm >= alone {
-		t.Fatalf("a warmed served query allocates %d bytes, the stand-alone run %d; want less than half", warm, alone)
+	if bound := uint64(3 * base.Base.StreamBufSize); warm >= bound || alone >= bound {
+		t.Fatalf("a warmed served query allocates %d bytes, a warmed stand-alone run %d; want both under three stream buffers, %d", warm, alone, bound)
 	}
 }
 

@@ -19,12 +19,11 @@ import (
 // operations in the same order with or without reuse. A recycled buffer
 // is NOT zeroed; every consumer bounds itself by its own fill mark.
 //
-// The list is uncapped: it holds only what its run returned, so it can
-// never exceed the run's own peak. It lives as long as its owner — one
-// run, or the per-graph scratch a prepared run borrows (see
-// xstream.Scratch) — and travels to the streams inside Timing, like the
-// retry policy. A nil *BufPool is valid and means "no reuse": Get
-// allocates, Put drops. Safe for concurrent use (the stay-writer
+// The list is uncapped: it holds only what its runs returned, so it can
+// never exceed one run's peak. It lives as long as its owner, the scratch
+// every run borrows from a process-wide free-list (see xstream.Scratch),
+// and travels to the streams inside Timing, like the retry policy. A nil
+// *BufPool is valid and means "no reuse": Get allocates, Put drops. Safe for concurrent use (the stay-writer
 // goroutine returns buffers while the engine thread takes them).
 type BufPool struct {
 	mu    sync.Mutex
@@ -70,13 +69,24 @@ func (p *BufPool) Put(b []byte) {
 	p.mu.Unlock()
 }
 
+// Reattach puts the pool under the audit installed now, or under none,
+// and reports whether it is audited. An owner that keeps the pool across
+// runs calls it whenever no buffer is outstanding — as it lends the pool
+// to a run and as it takes it back — so an audit checks every run that
+// starts while it is installed, whenever its pool was made.
+func (p *BufPool) Reattach() bool {
+	p.audit = activeAudit.Load()
+	return p.audit != nil
+}
+
 // PoolAudit is the checking mode of BufPool, for tests: while one is
-// installed every pool created records the buffers it has handed out,
-// fills every buffer with 0xA5 as it leaves and again as it comes back
-// (so a consumer that reads past its fill mark, counts on zeroed memory,
-// or keeps using a buffer it gave back computes visibly wrong bytes),
-// and panics on a Put of a buffer that is not outstanding from that very
-// pool — a double Put, or a slice that came from elsewhere.
+// installed every pool created or reattached records the buffers it has
+// handed out, fills every buffer with 0xA5 as it leaves and again as it
+// comes back (so a consumer that reads past its fill mark, counts on
+// zeroed memory, or keeps using a buffer it gave back computes visibly
+// wrong bytes), and panics on a Put of a buffer that is not outstanding
+// from that very pool — a double Put, or a slice that came from
+// elsewhere.
 type PoolAudit struct {
 	mu   sync.Mutex
 	out  map[*byte]*BufPool
@@ -85,19 +95,20 @@ type PoolAudit struct {
 
 var activeAudit atomic.Pointer[PoolAudit]
 
-// AuditPools installs a fresh audit for every BufPool created until
-// Stop. Tests only; audits do not nest.
+// AuditPools installs a fresh audit for every BufPool created or
+// reattached until Stop. Tests only; audits do not nest.
 func AuditPools() *PoolAudit {
 	a := &PoolAudit{out: make(map[*byte]*BufPool)}
 	activeAudit.Store(a)
 	return a
 }
 
-// Stop uninstalls the audit; pools created under it stay audited.
+// Stop uninstalls the audit; pools created under it stay audited until
+// they are reattached.
 func (a *PoolAudit) Stop() { activeAudit.CompareAndSwap(a, nil) }
 
 // Outstanding is the number of buffers taken and not yet returned,
-// over every pool created under the audit.
+// over every pool under the audit.
 func (a *PoolAudit) Outstanding() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -115,7 +126,7 @@ func (a *PoolAudit) took(p *BufPool, b []byte) {
 	if a == nil || len(b) == 0 {
 		return
 	}
-	poison(b)
+	Poison(b)
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, dup := a.out[&b[0]]; dup {
@@ -125,7 +136,8 @@ func (a *PoolAudit) took(p *BufPool, b []byte) {
 	a.peak = max(a.peak, len(a.out))
 }
 
-func poison(b []byte) {
+// Poison fills b with 0xA5, the audit's mark for memory nobody filled.
+func Poison(b []byte) {
 	for i := range b {
 		b[i] = 0xA5
 	}
@@ -147,5 +159,5 @@ func (a *PoolAudit) gave(p *BufPool, b []byte) {
 	if owner != p {
 		panic(fmt.Sprintf("stream: Put of a %d-byte buffer into a pool that did not hand it out", len(b)))
 	}
-	poison(b)
+	Poison(b)
 }

@@ -113,7 +113,7 @@ type ScatterPool struct {
 	// shards and chunks are the free-lists of recycled shards and decoded
 	// edge-chunk buffers, held strongly so they (and the shards' grown
 	// update slices) survive garbage collections for as long as the pool
-	// lives (one run, or many for a pool kept in a per-graph scratch); at
+	// lives (one run, or many for a pool kept in a reused scratch); at
 	// most PipelineDepth plus Workers of either ever exist. mu guards
 	// both, since workers fetch their own shards and release their chunks.
 	mu     sync.Mutex

@@ -282,6 +282,7 @@ func TestIndexedHybridReadsAFractionOfTheEdges(t *testing.T) {
 // scratch back on the free-list — and calls the fault hook once a level;
 // a hook that panics costs the free-list nothing either.
 func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
+	DropFreeScratch()
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
 	opts := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 1 << 20}
 	pg, err := LoadPrepared(context.Background(), vol, m.Name, opts)
@@ -321,8 +322,8 @@ func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 	if levels != 2 {
 		t.Fatalf("fault hook called %d times before the run stopped, want once a level for 2 levels", levels)
 	}
-	if len(pg.free) != 1 {
-		t.Fatalf("%d scratches on the free-list after the cancelled run, want 1", len(pg.free))
+	if n := len(freeScratch()); n != 1 {
+		t.Fatalf("%d scratches on the free-list after the cancelled run, want 1", n)
 	}
 
 	opts.FaultHook = func() { panic("injected") }
@@ -334,8 +335,8 @@ func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 		}()
 		Run(vol, m.Name, opts)
 	}()
-	if len(pg.free) != 1 {
-		t.Fatalf("%d scratches on the free-list after the cancelled and the panicked run, want 1", len(pg.free))
+	if n := len(freeScratch()); n != 1 {
+		t.Fatalf("%d scratches on the free-list after the cancelled and the panicked run, want 1", n)
 	}
 }
 
@@ -382,7 +383,7 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 	if !reflect.DeepEqual(pg.Edges(), list) || !reflect.DeepEqual(*pg.index, index) {
 		t.Fatal("the shared edge list or index changed under the queries")
 	}
-	if len(pg.free) == 0 || len(pg.free) > maxFreeScratch {
-		t.Fatalf("%d scratches on the free-list after %d concurrent queries, want 1..%d", len(pg.free), queries, maxFreeScratch)
+	if n := len(freeScratch()); n == 0 || n > maxFreeScratch {
+		t.Fatalf("%d scratches on the free-list after %d concurrent queries, want 1..%d", n, queries, maxFreeScratch)
 	}
 }

@@ -217,8 +217,8 @@ type kernel struct {
 
 // newKernel sets up what both regimes share: the record, named for the
 // engine, the tracer, and the scatter worker pool with its live counters.
-// The pool is the scratch's, so a prepared run inherits the shards and
-// chunk buffers of the runs before it; its shards are shardParts wide.
+// The pool is the scratch's, so a run inherits the shards and chunk
+// buffers of the runs before it; its shards are shardParts wide.
 // The chunk size is the stream buffer's edge capacity, so chunk boundaries
 // line up with scanner refills and — critically — depend only on the
 // buffer size, never on the worker count, keeping output bytes

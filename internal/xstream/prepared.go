@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"time"
+	"unsafe"
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
@@ -26,8 +27,7 @@ import (
 // Edges/Weights and from the index is shared by every concurrent run and
 // is READ-ONLY after LoadPrepared returns: no run writes through those
 // slices, and none needs to — the indexed traversal (engine.go) reads
-// only the adjacency it is about to use, so it has nothing to trim. The
-// only mutable state is the scratch free-list, guarded by mu.
+// only the adjacency it is about to use, so it has nothing to trim.
 type PreparedGraph struct {
 	Meta graph.Meta
 	Perm *graph.Permutation // nil unless the dataset was stored reordered
@@ -46,9 +46,6 @@ type PreparedGraph struct {
 	edges   []graph.Edge // nil unless resident; shared, never written
 	weights []float32    // parallel to edges; nil for unweighted graphs
 	index   *adjIndex    // over edges, nil unless resident; shared, never written
-
-	mu   sync.Mutex
-	free []*Scratch
 }
 
 // Resident reports whether the edge list is held in memory. Nil-safe: a
@@ -69,12 +66,12 @@ func (pg *PreparedGraph) ResidentBytes() int64 {
 	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4 + pg.index.bytes()
 }
 
-// Scratch is one run's private working memory: every Runtime owns one
-// from construction to Cleanup. A run over Options.Prepared borrows it
-// from the PreparedGraph's free-list, so its buffers keep their grown
-// capacity across iterations and across queries (the list holds at most
-// maxFreeScratch entries); any other run builds an empty one and drops
-// it with the Runtime.
+// Scratch is one run's private working memory: every Runtime takes one
+// from the process-wide free-list at construction and gives it back at
+// Cleanup, so its buffers keep their grown capacity across iterations and
+// across runs, whatever the graph, engine or options. Only memory is
+// reused: every run fills what it reads before reading it, and nothing
+// read from a volume outlives the run that read it.
 type Scratch struct {
 	// Updates is the edge-list in-memory loop's per-iteration update list.
 	Updates []graph.Update
@@ -104,44 +101,88 @@ type Scratch struct {
 	// outDeg backs the run's out-degree table (Runtime.OutDeg), and tails
 	// the transposed graph's (kernel.reverseIndex).
 	outDeg, tails []uint32
+	// perm backs a reordered graph's permutation (Runtime.Perm) when no
+	// prepared graph supplies it.
+	perm graph.Permutation
 
 	pool                             *stream.ScatterPool
 	poolWorkers, poolSize, poolParts int
 }
 
-func newScratch() *Scratch { return &Scratch{bufs: stream.NewBufPool()} }
-
-// AcquireScratch pops a scratch off the free-list, or makes an empty one.
-func (pg *PreparedGraph) AcquireScratch() *Scratch {
-	pg.mu.Lock()
-	defer pg.mu.Unlock()
-	if n := len(pg.free); n > 0 {
-		s := pg.free[n-1]
-		pg.free = pg.free[:n-1]
-		return s
-	}
-	return newScratch()
+// scratchList is the free-list every run borrows its Scratch from.
+var scratchList struct {
+	sync.Mutex
+	free []*Scratch
 }
 
 // maxFreeScratch caps the free-list. A warmed scratch pins vertex-sized
-// arrays (two frontier queues and a bitmap, or the algo engine's two
-// value arrays) — or, out of core, a streaming run's peak set of stream
-// buffers — none of it in the MemoryBudget accounting, so a burst of N
-// concurrent runs must not leave N of them behind for good: releases
-// beyond the cap go to the garbage collector. Four is the serving
-// layer's default concurrency; a wider service reallocates scratch only
-// for its runs beyond the fourth.
+// arrays and a streaming run's peak set of stream buffers, none of it in
+// the MemoryBudget accounting, so a burst of N concurrent runs must not
+// leave N of them behind for good: releases beyond the cap go to the
+// garbage collector. Four is the serving layer's default concurrency; a
+// wider service reallocates scratch only for its runs beyond the fourth.
 const maxFreeScratch = 4
 
-// ReleaseScratch returns a scratch to the free-list, or drops it when
-// the list is full. The caller must hold no reference into its buffers
-// afterwards.
-func (pg *PreparedGraph) ReleaseScratch(s *Scratch) {
-	pg.mu.Lock()
-	if len(pg.free) < maxFreeScratch {
-		pg.free = append(pg.free, s)
+// acquireScratch pops a scratch off the free-list, or makes an empty one,
+// and puts its buffer pool under the poisoning audit if one is installed
+// (stream.AuditPools), poisoning its vertex arrays too.
+func acquireScratch() *Scratch {
+	scratchList.Lock()
+	var s *Scratch
+	if n := len(scratchList.free); n > 0 {
+		s, scratchList.free[n-1] = scratchList.free[n-1], nil
+		scratchList.free = scratchList.free[:n-1]
 	}
-	pg.mu.Unlock()
+	scratchList.Unlock()
+	if s == nil {
+		s = &Scratch{bufs: stream.NewBufPool()}
+	}
+	if s.bufs.Reattach() {
+		s.poison()
+	}
+	return s
+}
+
+// releaseScratch returns a scratch to the free-list, or drops it when the
+// list is full. The caller must hold no reference into it afterwards;
+// under the audit its vertex arrays are poisoned, like a returned buffer.
+func releaseScratch(s *Scratch) {
+	if s.bufs.Reattach() {
+		s.poison()
+	}
+	scratchList.Lock()
+	if len(scratchList.free) < maxFreeScratch {
+		scratchList.free = append(scratchList.free, s)
+	}
+	scratchList.Unlock()
+}
+
+// poison fills every vertex-sized array and decode target of s with 0xA5
+// bytes, so a run that trusts what an earlier run left there computes
+// visibly wrong answers under the audit. (The permutation needs none: a
+// load rewrites all of it.)
+func (s *Scratch) poison() {
+	for _, a := range [][]uint64{s.Values[0], s.Values[1], s.Bits, s.visited.w, s.claimed.w} {
+		poison(a)
+	}
+	for _, a := range [][]graph.VertexID{s.queue[0], s.queue[1], s.parent, s.bestParent} {
+		poison(a)
+	}
+	for _, a := range [][]uint32{s.level, s.outDeg, s.tails} {
+		poison(a)
+	}
+	poison(s.Updates)
+	poison(s.updChunk)
+	poison(s.edgeChunk)
+	poison(s.vertRecs)
+}
+
+// poison fills a slice's whole capacity with 0xA5 bytes; T holds no
+// pointers.
+func poison[T any](s []T) {
+	if s = s[:cap(s)]; len(s) > 0 {
+		stream.Poison(unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0]))))
+	}
 }
 
 // ValuePair returns the two value arrays sized to n vertices.
@@ -233,8 +274,10 @@ func newRetrier(ctx context.Context, opts Options) *stream.Retrier {
 }
 
 // loadMetaPerm reads a stored graph's configuration and, for a reordered
-// dataset, its permutation sidecar, retrying transient faults.
-func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string) (graph.Meta, *graph.Permutation, error) {
+// dataset, its permutation sidecar into perm through bufs (nil: a buffer
+// of its own), retrying transient faults. It returns perm, or nil for a
+// dataset that is not reordered.
+func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string, perm *graph.Permutation, bufs *stream.BufPool) (graph.Meta, *graph.Permutation, error) {
 	var m graph.Meta
 	if err := retry.Do("load meta "+graphName, func() error {
 		var e error
@@ -243,15 +286,11 @@ func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string) (
 	}); err != nil {
 		return graph.Meta{}, nil, err
 	}
-	var perm *graph.Permutation
-	if m.Reordered {
-		if err := retry.Do("load perm "+graphName, func() error {
-			var e error
-			perm, e = graph.LoadPerm(vol, graphName, m.Vertices)
-			return e
-		}); err != nil {
-			return graph.Meta{}, nil, err
-		}
+	if !m.Reordered {
+		return m, nil, nil
+	}
+	if err := retry.Do("load perm "+graphName, func() error { return perm.Load(vol, graphName, m.Vertices, bufs) }); err != nil {
+		return graph.Meta{}, nil, err
 	}
 	return m, perm, nil
 }
@@ -271,7 +310,7 @@ func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opt
 		return nil, err
 	}
 	retry := newRetrier(ctx, opts)
-	m, perm, err := loadMetaPerm(retry, vol, graphName)
+	m, perm, err := loadMetaPerm(retry, vol, graphName, new(graph.Permutation), nil)
 	if err != nil {
 		return nil, err
 	}

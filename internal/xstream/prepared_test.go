@@ -3,9 +3,12 @@ package xstream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
@@ -36,6 +39,7 @@ func rmatStored(t *testing.T, opts graph.StoreOptions) (*storage.Mem, graph.Meta
 // free-list, which therefore never outgrows the runs in flight.
 func TestPreparedRunMatchesOneShot(t *testing.T) {
 	for _, so := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
+		DropFreeScratch()
 		vol, m, edges := rmatStored(t, so)
 		root := maxDegreeVertex(m, edges)
 		opts := Options{Root: root, MemoryBudget: 1 << 20, StreamBufSize: 512, Sim: DefaultSim()}
@@ -86,8 +90,8 @@ func TestPreparedRunMatchesOneShot(t *testing.T) {
 					so.Codec, i, got.Metrics.BytesRead, got.Metrics.ExecTime, want.Metrics.ExecTime)
 			}
 		}
-		if len(pg.free) != 1 {
-			t.Fatalf("%d scratches on the free-list after sequential runs, want 1", len(pg.free))
+		if n := len(freeScratch()); n != 1 {
+			t.Fatalf("%d scratches on the free-list after sequential runs, want 1", n)
 		}
 		if !reflect.DeepEqual(pg.Edges(), shared) {
 			t.Fatal("shared edge list was written")
@@ -95,19 +99,47 @@ func TestPreparedRunMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestScratchFreeListIsCapped: a burst of concurrent runs leaves at most
-// maxFreeScratch warmed scratches pinned behind it.
+// TestScratchFreeListIsCapped: a burst of concurrent streaming runs, each
+// holding its own scratch at once, leaves at most maxFreeScratch warmed
+// scratches pinned behind it, and the runs after it take those.
 func TestScratchFreeListIsCapped(t *testing.T) {
-	pg := &PreparedGraph{}
-	burst := make([]*Scratch, 2*maxFreeScratch)
-	for i := range burst {
-		burst[i] = pg.AcquireScratch()
+	DropFreeScratch()
+	vol, m, edges := rmatStored(t, graph.StoreOptions{})
+	opts := smallOpts()
+	opts.Sim = nil
+	opts.Root = maxDegreeVertex(m, edges)
+	const burst = 2 * maxFreeScratch
+	var all sync.WaitGroup
+	all.Add(burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(opts Options) {
+			defer wg.Done()
+			// Every run waits in its first scatter chunk for the others.
+			var once sync.Once
+			opts.FilePrefix = fmt.Sprintf("burst%d", i)
+			opts.FaultHook = func() { once.Do(func() { all.Done(); all.Wait() }) }
+			if _, err := Run(vol, m.Name, opts); err != nil {
+				t.Error(err)
+			}
+		}(opts)
 	}
-	for _, s := range burst {
-		pg.ReleaseScratch(s)
+	wg.Wait()
+	kept := freeScratch()
+	if len(kept) != maxFreeScratch {
+		t.Fatalf("%d scratches kept after a burst of %d runs, want %d", len(kept), burst, maxFreeScratch)
 	}
-	if len(pg.free) != maxFreeScratch {
-		t.Fatalf("%d scratches kept after a burst of %d, want %d", len(pg.free), len(burst), maxFreeScratch)
+	for _, s := range kept {
+		if s.pool == nil || cap(s.level) == 0 {
+			t.Fatal("a kept scratch holds no scatter pool or vertex arrays; the runs did not warm it")
+		}
+	}
+	if _, err := Run(vol, m.Name, opts); err != nil {
+		t.Fatal(err)
+	}
+	if after := freeScratch(); len(after) != maxFreeScratch || after[len(after)-1] != kept[len(kept)-1] {
+		t.Fatal("the run after the burst did not take and return a kept scratch")
 	}
 }
 
@@ -208,11 +240,13 @@ func TestPreparedNonResidentStillStreams(t *testing.T) {
 
 // TestStreamingRunBorrowsPreparedScratch: a streaming run over a
 // prepared graph works on a scratch — stream buffers, scatter pool,
-// vertex arrays — taken from the graph's free-list and left there for
-// the next run, whichever way it returns; a run that fails before it
-// starts takes none. Under the stream layer's poisoning audit, so the
-// second run reads 0xA5 wherever it trusts what the first left behind.
+// vertex arrays — taken from the free-list and left there for the next
+// run, whichever way it returns, like the stand-alone run before it; a
+// run that fails before it starts hands it back too. Under the stream
+// layer's poisoning audit, so each run reads 0xA5 wherever it trusts what
+// the one before left behind.
 func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
+	DropFreeScratch()
 	audit := stream.AuditPools()
 	defer audit.Stop()
 	vol, m, edges := rmatStored(t, graph.StoreOptions{Reverse: true})
@@ -239,10 +273,11 @@ func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
 			got.Metrics.ExecTime != want.Metrics.ExecTime {
 			t.Fatalf("run %d on a borrowed scratch differs from the run that owns its own", i)
 		}
-		if len(pg.free) != 1 || scratch != nil && pg.free[0] != scratch {
-			t.Fatalf("run %d: %d scratches on the free-list, want the one every run shares", i, len(pg.free))
+		free := freeScratch()
+		if len(free) != 1 || scratch != nil && free[0] != scratch {
+			t.Fatalf("run %d: %d scratches on the free-list, want the one every run shares", i, len(free))
 		}
-		scratch = pg.free[0]
+		scratch = free[0]
 		if scratch.bufs == nil || scratch.pool == nil || cap(scratch.level) == 0 {
 			t.Fatalf("run %d left a scratch without its stream buffers, scatter pool or vertex arrays", i)
 		}
@@ -257,8 +292,8 @@ func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
 	if _, err := Run(vol, m.Name, opts); !errors.Is(err, errs.ErrBadOptions) {
 		t.Fatalf("run from a root outside the graph: err = %v", err)
 	}
-	if len(pg.free) != 1 || pg.free[0] != scratch {
-		t.Fatalf("%d scratches on the free-list after a cancelled and a rejected run, want the same one", len(pg.free))
+	if free := freeScratch(); len(free) != 1 || free[0] != scratch {
+		t.Fatalf("%d scratches on the free-list after a cancelled and a rejected run, want the same one", len(free))
 	}
 	if n := audit.Outstanding(); n != 0 {
 		t.Fatalf("%d stream buffers outstanding after every run returned", n)
@@ -281,4 +316,61 @@ func TestLoadPreparedRejectsDamagedEdges(t *testing.T) {
 	if pg, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 4096}); err != nil || pg.Resident() {
 		t.Fatalf("non-resident open of a damaged edge file: %v", err)
 	}
+}
+
+// TestReleasedScratchIsPoisonedUnderAudit: a scratch made before the
+// stream layer's poisoning audit is audited again once a run takes it —
+// its buffers are checked and poisoned like a new pool's — and as it goes
+// back on the free-list its vertex arrays and decode targets are filled
+// with 0xA5 too, so a run that trusts what an earlier one left
+// there computes visibly wrong answers.
+func TestReleasedScratchIsPoisonedUnderAudit(t *testing.T) {
+	DropFreeScratch()
+	vol, m, edges := rmatStored(t, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true})
+	opts := smallOpts()
+	opts.Root = maxDegreeVertex(m, edges)
+	opts.Direction = DirectionAuto
+	want, err := Run(vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	audit := stream.AuditPools()
+	defer audit.Stop()
+	opts.Sim = DefaultSim()
+	got, err := Run(vol, m.Name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) {
+		t.Fatal("the audited run on a reused scratch answers differently")
+	}
+	if audit.Peak() == 0 || audit.Outstanding() != 0 {
+		t.Fatalf("audit saw a peak of %d buffers and %d outstanding; want the reused pool audited and every buffer back", audit.Peak(), audit.Outstanding())
+	}
+	free := freeScratch()
+	if len(free) != 1 {
+		t.Fatalf("%d scratches on the free-list, want 1", len(free))
+	}
+	s := free[0]
+	arrays := map[string][]byte{"level": asBytes(s.level), "parent": asBytes(s.parent), "vertRecs": asBytes(s.vertRecs),
+		"edgeChunk": asBytes(s.edgeChunk), "updChunk": asBytes(s.updChunk), "visited": asBytes(s.visited.w),
+		"claimed": asBytes(s.claimed.w), "bestParent": asBytes(s.bestParent), "outDeg": asBytes(s.outDeg)}
+	for name, b := range arrays {
+		if len(b) == 0 {
+			t.Errorf("the run left %s empty; nothing to check", name)
+		}
+		for i, c := range b {
+			if c != 0xA5 {
+				t.Fatalf("byte %d of the released scratch's %s = %#x, want the poison 0xA5", i, name, c)
+			}
+		}
+	}
+}
+
+// asBytes views the whole capacity of a slice of pointer-free elements.
+func asBytes[T any](s []T) []byte {
+	if s = s[:cap(s)]; len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(s[0])))
 }

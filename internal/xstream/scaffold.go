@@ -285,9 +285,9 @@ type Runtime struct {
 	// Bufs is the run's stream-buffer free-list, carried to every stream
 	// by MainTiming/AuxTiming like Retry (engines that build a Timing by
 	// hand must set it too). It belongs to scratch, the run's private
-	// working memory — borrowed from Options.Prepared's free-list when
-	// the run has one, so a served query reuses the buffers of the
-	// queries before it, and returned there by Cleanup.
+	// working memory — borrowed from the process-wide free-list, so a run
+	// reuses the buffers of the runs before it, and returned there by
+	// Cleanup.
 	Bufs    *stream.BufPool
 	scratch *Scratch
 	// verts is the one partition's vertex state InitVerts/LoadVerts hand
@@ -408,14 +408,21 @@ func NewRuntime(vol storage.Volume, graphName string, opts Options) (*Runtime, e
 
 // NewRuntimeContext is NewRuntime bound to a cancellation context: the
 // run's engine observes ctx through Runtime.Checkpoint.
-func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*Runtime, error) {
+func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string, opts Options) (_ *Runtime, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	vol, err := faultVolume(vol)
-	if err != nil {
+	if vol, err = faultVolume(vol); err != nil {
 		return nil, err
 	}
+	// Taken first, so a reordered graph's permutation decodes into it;
+	// every error return hands it back.
+	scratch := acquireScratch()
+	defer func() {
+		if err != nil {
+			releaseScratch(scratch)
+		}
+	}()
 	// Name the device after a Counting volume, even under the fault wrapper.
 	inner := vol
 	for f, ok := inner.(*storage.Faulty); ok; f, ok = inner.(*storage.Faulty) {
@@ -438,7 +445,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 			return nil, fmt.Errorf("xstream: prepared graph is %s, run is over %s: %w", pg.Meta.Name, graphName, errs.ErrBadOptions)
 		}
 		m, perm = pg.Meta, pg.Perm
-	} else if m, perm, err = loadMetaPerm(retry, vol, graphName); err != nil {
+	} else if m, perm, err = loadMetaPerm(retry, vol, graphName, &scratch.perm, scratch.bufs); err != nil {
 		return nil, err
 	}
 	if uint64(opts.Root) >= m.Vertices {
@@ -469,7 +476,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		return nil, err
 	}
 	rt := &Runtime{Vol: vol, Meta: m, Parts: parts, Opts: opts, ctx: ctx, Retry: retry,
-		Codec: codec, Perm: perm, io: io, volName: volName,
+		Codec: codec, Perm: perm, io: io, volName: volName, scratch: scratch, Bufs: scratch.bufs,
 		fileReady: make(map[string]*disksim.AsyncOp), wallStart: time.Now()}
 	if opts.Sim != nil {
 		if opts.Sim.MainDisk == nil {
@@ -482,13 +489,6 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		// the clock-derived ExecTime in the metrics record.
 		opts.Tracer.SetTimeSource(rt.Clock.Now)
 	}
-	// Last, so no error return above strands a borrowed scratch.
-	if pg := opts.Prepared; pg != nil {
-		rt.scratch = pg.AcquireScratch()
-	} else {
-		rt.scratch = newScratch()
-	}
-	rt.Bufs = rt.scratch.bufs
 	return rt, nil
 }
 
@@ -692,7 +692,7 @@ func (rt *Runtime) StayFile(iter, p int) string {
 
 // Cleanup ends the run: it removes every working file with the run's
 // prefix but a checkpointed run's level logs (unless KeepFiles), and hands
-// a borrowed scratch back to the prepared graph. Engines defer it first,
+// the run's scratch back to the free-list. Engines defer it first,
 // so it runs after everything that could still hold a stream buffer —
 // open streams, the stay-writer goroutine — has been closed or joined.
 func (rt *Runtime) Cleanup() {
@@ -705,10 +705,10 @@ func (rt *Runtime) Cleanup() {
 			}
 		}
 	}
-	if pg := rt.Opts.Prepared; pg != nil && rt.scratch != nil {
-		// The next run to acquire it owns its buffers from here on.
-		pg.ReleaseScratch(rt.scratch)
-		rt.scratch, rt.Bufs, rt.verts = nil, nil, Verts{}
+	if rt.scratch != nil {
+		// The next run to acquire it owns its memory from here on.
+		releaseScratch(rt.scratch)
+		rt.scratch, rt.Bufs, rt.verts, rt.Perm = nil, nil, Verts{}, nil
 		rt.VisitedBits, rt.claimed, rt.OutDeg = nil, nil, nil
 	}
 }
