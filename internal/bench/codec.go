@@ -32,8 +32,9 @@ func CodecSweep(cfg Config) (*Table, error) {
 		ID:     "codec",
 		Title:  "Storage codec sweep (fixed vs delta, ± degree reorder, HDD sim)",
 		Header: []string{"codec", "reorder", "stored B/edge", "exec (s)", "speedup", "dev read (MB)", "dev written (MB)", "bytes vs fixed", "visited"},
-		PaperNote: "beyond the paper: zig-zag varint delta blocks over the paper's raw binary edge lists; " +
-			"degree reordering clusters hub edges so consecutive deltas collapse to one or two bytes, " +
+		PaperNote: "beyond the paper: varint delta blocks over the paper's raw binary edge lists, each block " +
+			"in the smaller of two layouts (zig-zag pairs, or runs that store a shared source once); " +
+			"degree reordering clusters hub edges so destination gaps collapse to one byte, " +
 			"compounding with trimming (smaller stay rewrites)",
 	}
 

@@ -19,9 +19,10 @@ import (
 // baselineFile holds the simulated measurement record of X-Stream and
 // the paper's FastBFS (every scatter trims) over a small fixed grid,
 // captured at commit 0bc7183 — the last one where the two engines were
-// separately written loops — and regenerated once since, when the record
-// became what the simulated devices moved (reads and rows kept). The
-// single kernel must reproduce every number in it. Regenerate (only when a
+// separately written loops — and regenerated twice since: when the record
+// became what the simulated devices moved (reads and rows kept), and when
+// delta blocks gained the runs layout (delta rows only; DESIGN.md §14).
+// The single kernel must reproduce every number in it. Regenerate (only when a
 // change is meant to move simulated numbers) with
 //
 //	FASTBFS_UPDATE_BASELINE=1 go test ./internal/core -run TestPinnedBaselineRuns

@@ -4,35 +4,30 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"fastbfs/internal/errs"
 )
 
-// This file implements the block-compressed "delta" edge codec: an
-// alternative on-disk encoding for edge streams in which each edge is
-// stored as the zig-zag varint delta of its endpoints against the
-// previous edge in the block. Degree-ordered datasets (see
-// DegreePermutation) cluster hub edges so consecutive edges share high
-// bits and the deltas collapse to one or two bytes.
-//
-// The encoding is order-preserving: decoding yields exactly the input
-// record sequence, so every downstream invariant that depends on edge
-// order — first-update-wins parent selection, deterministic chunk
-// merges, byte-identical update files — holds across codecs.
-//
-// A block is self-delimiting:
+// This file implements the block-compressed "delta" edge codec. Each
+// block of at most DeltaBlockMaxEdges records is varints in the smaller
+// of two layouts (pairs on a tie), and deltas reset at each block:
 //
 //	[uvarint bodyLen][body]
-//	body = [uvarint edgeCount][edgeCount × (zigzag Δsrc, zigzag Δdst)]
+//	pairs: body = [uvarint n][n × (zigzag Δsrc, zigzag Δdst)]
+//	runs:  body = [uvarint DeltaBlockMaxEdges+n][runs]
+//	run = [zigzag Δsrc][uvarint len−1][uvarint dst][len−1 × uvarint Δdst]
 //
-// Deltas reset at each block boundary (the first edge is encoded
-// against the implicit previous edge (0,0)), so any block decodes
-// independently of its neighbours. Blocks are carried inside the
-// CRC32-C framed container under the FBD1 magic, whole blocks to a frame
-// (a block that runs past its frame's end is corrupt); the frame CRC is the
-// integrity check, the caps below are what keep a corrupted length
-// field from driving a giant allocation before the CRC is even
-// consulted.
+// A pairs record is taken against the previous one. A run is a maximal
+// stretch of records that share a source, taken against the previous
+// run's, and have non-decreasing destinations: a sorted file pays for a
+// source once, and on a degree-ordered one (DegreePermutation) most gaps
+// take a byte. A decoder that knows only pairs rejects a runs block's
+// count as corrupt. Decoding yields exactly the input records, so every
+// invariant that depends on edge order holds across codecs. Blocks travel
+// whole in FBD1 frames, whose CRC is the integrity check; the caps below
+// keep a corrupted length from driving a giant allocation before it.
 
 // Codec names an on-disk edge encoding.
 type Codec string
@@ -41,7 +36,7 @@ const (
 	// CodecFixed is the raw fixed-width record format ("" reads as
 	// fixed everywhere for backward compatibility).
 	CodecFixed Codec = "fixed"
-	// CodecDelta is the block-compressed zig-zag varint delta format.
+	// CodecDelta is the block-compressed varint delta format.
 	CodecDelta Codec = "delta"
 )
 
@@ -73,9 +68,8 @@ const FrameMagicDelta = uint32(0x31444246)
 // decoder's per-block output to DeltaBlockMaxEdges*EdgeBytes bytes.
 const DeltaBlockMaxEdges = 4096
 
-// MaxDeltaBlockBody caps a block's encoded body. A full block is at
-// most ~10 bytes per edge (two 5-byte varints), so the cap leaves
-// headroom while keeping a corrupted length harmless.
+// MaxDeltaBlockBody caps a block's encoded body: a full block is at most
+// ~10 bytes per edge (pairs of 5-byte varints), under the cap.
 const MaxDeltaBlockBody = 64 << 10
 
 // zigzag maps a signed delta to an unsigned varint-friendly value.
@@ -84,36 +78,82 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// UvarintLen is the number of bytes binary.PutUvarint writes for x.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// record returns the endpoints of the fixed-width record at raw[off:].
+func record(raw []byte, off int) (src, dst int64) {
+	v := binary.LittleEndian.Uint64(raw[off:])
+	return int64(uint32(v)), int64(v >> 32)
+}
+
 // AppendDeltaBlocks encodes raw fixed-width edge records (len must be a
 // multiple of EdgeBytes) into self-delimiting delta blocks appended to
-// dst. It is the single encoder used by StoreGraph, the stay-file
-// writers and the reverse-file builder.
+// dst, each in the smaller of its two layouts (pairs on a tie). It is the
+// single encoder used by StoreGraph, the stay-file writers and the
+// reverse-file builder.
 func AppendDeltaBlocks(dst, raw []byte) ([]byte, error) {
 	if len(raw)%EdgeBytes != 0 {
 		return dst, fmt.Errorf("graph: delta encode: %d bytes is not a whole number of edges", len(raw))
 	}
-	var body [MaxDeltaBlockBody]byte
-	var hdr [binary.MaxVarintLen64]byte
-	for off := 0; off < len(raw); {
-		end := off + DeltaBlockMaxEdges*EdgeBytes
-		if end > len(raw) {
-			end = len(raw)
+	for off := 0; off < len(raw); off += DeltaBlockMaxEdges * EdgeBytes {
+		blk := raw[off:min(off+DeltaBlockMaxEdges*EdgeBytes, len(raw))]
+		n := uint64(len(blk) / EdgeBytes)
+		// Runs go in after room for the longest length, then move down to
+		// it, unless pairs is no longer and replaces them.
+		h := len(dst)
+		var pairs int
+		dst, pairs = appendRuns(binary.AppendUvarint(append(dst, 0, 0, 0), DeltaBlockMaxEdges+n), blk)
+		runs := len(dst) - h - 3
+		if pairs += UvarintLen(n); pairs <= runs {
+			dst = appendPairs(binary.AppendUvarint(binary.AppendUvarint(dst[:h], uint64(pairs)), n), blk)
+		} else {
+			hn := len(binary.AppendUvarint(dst[:h], uint64(runs))) - h
+			dst = dst[:h+hn+copy(dst[h+hn:], dst[h+3:])]
 		}
-		n := (end - off) / EdgeBytes
-		bn := binary.PutUvarint(body[:], uint64(n))
-		var prevSrc, prevDst int64
-		for ; off < end; off += EdgeBytes {
-			src := int64(binary.LittleEndian.Uint32(raw[off : off+4]))
-			dst32 := int64(binary.LittleEndian.Uint32(raw[off+4 : off+8]))
-			bn += binary.PutUvarint(body[bn:], zigzag(src-prevSrc))
-			bn += binary.PutUvarint(body[bn:], zigzag(dst32-prevDst))
-			prevSrc, prevDst = src, dst32
-		}
-		hn := binary.PutUvarint(hdr[:], uint64(bn))
-		dst = append(dst, hdr[:hn]...)
-		dst = append(dst, body[:bn]...)
 	}
 	return dst, nil
+}
+
+// appendPairs appends blk's records in the pairs layout.
+func appendPairs(dst, blk []byte) []byte {
+	var prevSrc, prevDst int64
+	for off := 0; off < len(blk); off += EdgeBytes {
+		src, d := record(blk, off)
+		dst = binary.AppendUvarint(binary.AppendUvarint(dst, zigzag(src-prevSrc)), zigzag(d-prevDst))
+		prevSrc, prevDst = src, d
+	}
+	return dst
+}
+
+// appendRuns appends blk's records in the runs layout and returns the
+// length of the pairs layout's records too.
+func appendRuns(dst, blk []byte) ([]byte, int) {
+	var runSrc, prevDst int64
+	pairs := 0
+	for off := 0; off < len(blk); {
+		src, first := record(blk, off)
+		end, prev := off+EdgeBytes, first
+		for ; end < len(blk); end += EdgeBytes {
+			s, d := record(blk, end)
+			if s != src || d < prev {
+				break
+			}
+			prev = d
+		}
+		pairs += UvarintLen(zigzag(src-runSrc)) + UvarintLen(zigzag(first-prevDst))
+		dst = binary.AppendUvarint(dst, zigzag(src-runSrc))
+		dst = binary.AppendUvarint(dst, uint64((end-off)/EdgeBytes-1))
+		dst = binary.AppendUvarint(dst, uint64(first))
+		for prev, off = first, off+EdgeBytes; off < end; off += EdgeBytes {
+			_, d := record(blk, off)
+			pairs += 1 + UvarintLen(zigzag(d-prev))
+			dst = binary.AppendUvarint(dst, uint64(d-prev))
+			prev = d
+		}
+		runSrc, prevDst = src, prev
+	}
+	return dst, pairs
 }
 
 // EncodeDeltaBlocks encodes fixed-width edge records into a fresh
@@ -121,62 +161,115 @@ func AppendDeltaBlocks(dst, raw []byte) ([]byte, error) {
 func EncodeDeltaBlocks(raw []byte) ([]byte, error) { return AppendDeltaBlocks(nil, raw) }
 
 // DecodeDeltaBlock decodes the first complete block in b, appending the
-// decoded fixed-width edge records to out. It returns the grown slice
-// and the number of encoded bytes consumed. Every malformed input —
-// truncated header or body, edge count outside (0, DeltaBlockMaxEdges],
-// varint overflow, endpoint outside the uint32 range, body bytes left
-// over after the last edge — surfaces as an error wrapping
-// errs.ErrCorrupted.
+// decoded fixed-width edge records to out. It returns the grown slice and
+// the number of encoded bytes consumed. Every malformed block — see
+// blockHeader and decodeBody — is an error wrapping errs.ErrCorrupted.
 func DecodeDeltaBlock(out, b []byte) ([]byte, int, error) {
-	bodyLen, n := binary.Uvarint(b)
-	if n <= 0 || bodyLen > MaxDeltaBlockBody || bodyLen > uint64(len(b)-n) {
-		return out, 0, fmt.Errorf("graph: %w: delta block of body length %d (cap %d) in %d bytes", errs.ErrCorrupted, bodyLen, MaxDeltaBlockBody, len(b))
+	count, runs, body, total, err := blockHeader(b)
+	if err != nil {
+		return out, 0, err
 	}
-	total := n + int(bodyLen)
-	body := b[n:total]
-	count, cn := binary.Uvarint(body)
-	if cn <= 0 || count == 0 || count > DeltaBlockMaxEdges {
-		return out, 0, fmt.Errorf("graph: %w: delta block edge count %d outside (0, %d]", errs.ErrCorrupted, count, DeltaBlockMaxEdges)
-	}
-	body = body[cn:]
-	var prevSrc, prevDst int64
-	var rec [EdgeBytes]byte
-	for i := uint64(0); i < count; i++ {
-		zs, sn := binary.Uvarint(body)
-		if sn <= 0 {
-			return out, 0, fmt.Errorf("graph: %w: delta block truncated inside edge %d", errs.ErrCorrupted, i)
-		}
-		body = body[sn:]
-		zd, dn := binary.Uvarint(body)
-		if dn <= 0 {
-			return out, 0, fmt.Errorf("graph: %w: delta block truncated inside edge %d", errs.ErrCorrupted, i)
-		}
-		body = body[dn:]
-		src := prevSrc + unzigzag(zs)
-		dst := prevDst + unzigzag(zd)
-		if src < 0 || src > math.MaxUint32 || dst < 0 || dst > math.MaxUint32 {
-			return out, 0, fmt.Errorf("graph: %w: delta block edge %d endpoint outside the uint32 range", errs.ErrCorrupted, i)
-		}
-		binary.LittleEndian.PutUint32(rec[0:4], uint32(src))
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(dst))
-		out = append(out, rec[:]...)
-		prevSrc, prevDst = src, dst
-	}
-	if len(body) != 0 {
-		return out, 0, fmt.Errorf("graph: %w: delta block carries %d trailing bytes", errs.ErrCorrupted, len(body))
+	base := len(out)
+	out = slices.Grow(out, count*EdgeBytes)[:base+count*EdgeBytes]
+	if bad := decodeBody(out[base:], b[body:total], runs); bad != "" {
+		return out[:base], 0, fmt.Errorf("graph: %w: delta block %s", errs.ErrCorrupted, bad)
 	}
 	return out, total, nil
 }
 
+// blockHeader reads the header of the block at the start of b: its edge
+// count and layout, and the offsets of its records and of its end.
+func blockHeader(b []byte) (count int, runs bool, body, total int, err error) {
+	bodyLen, n := binary.Uvarint(b)
+	if n <= 0 || bodyLen > MaxDeltaBlockBody || bodyLen > uint64(len(b)-n) {
+		return 0, false, 0, 0, fmt.Errorf("graph: %w: delta block of body length %d (cap %d) in %d bytes", errs.ErrCorrupted, bodyLen, MaxDeltaBlockBody, len(b))
+	}
+	total = n + int(bodyLen)
+	c, cn := binary.Uvarint(b[n:total])
+	if runs = c > DeltaBlockMaxEdges; runs {
+		c -= DeltaBlockMaxEdges
+	}
+	if cn <= 0 || c == 0 || c > DeltaBlockMaxEdges || c > bodyLen {
+		return 0, false, 0, 0, fmt.Errorf("graph: %w: delta block edge count %d outside (0, %d] in either layout", errs.ErrCorrupted, c, DeltaBlockMaxEdges)
+	}
+	return int(c), runs, n + cn, total, nil
+}
+
+// uvarint reads the varint at body[p:], one or two bytes without a
+// call. A truncated or overlong varint, or p < 0, yields p = -1.
+func uvarint(body []byte, p int) (uint64, int) {
+	if p < 0 {
+		return 0, -1
+	} else if p+1 < len(body) {
+		if c := body[p]; c < 0x80 {
+			return uint64(c), p + 1
+		} else if d := body[p+1]; d < 0x80 {
+			return uint64(c&0x7f) | uint64(d)<<7, p + 2
+		}
+	}
+	if v, n := binary.Uvarint(body[p:]); n > 0 { // p <= len(body): p passes whole varints
+		return v, p + n
+	}
+	return 0, -1
+}
+
+// decodeBody decodes a block body in its layout into rec, whose length is
+// the count, and returns what is wrong with the body, if anything.
+func decodeBody(rec, body []byte, runs bool) string {
+	var src, dst uint64
+	p := 0
+	for j := 0; j < len(rec); j += EdgeBytes {
+		zs, q := uvarint(body, p)
+		v, q := uvarint(body, q)
+		more := uint64(0) // a pairs record is a run of one
+		if runs {
+			more = v
+			dst, q = uvarint(body, q)
+		} else {
+			dst += uint64(unzigzag(v))
+		}
+		src, p = src+uint64(unzigzag(zs)), q
+		if p < 0 || src > math.MaxUint32 || dst > math.MaxUint32 || more >= uint64((len(rec)-j)/EdgeBytes) {
+			return "truncated, or an endpoint outside the uint32 range, or a run past the edge count"
+		}
+		binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+		for end := j + int(more)*EdgeBytes; j < end; {
+			gap := uint64(0)
+			if uint(p) < uint(len(body)) && body[p] < 0x80 {
+				gap, p = uint64(body[p]), p+1
+			} else {
+				gap, p = uvarint(body, p)
+			}
+			if dst += gap; p < 0 || gap > math.MaxUint32 || dst > math.MaxUint32 {
+				return "truncated, or a gap past the uint32 range"
+			}
+			j += EdgeBytes
+			binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+		}
+	}
+	if p != len(body) {
+		return "carries trailing bytes"
+	}
+	return ""
+}
+
 // DecodeDeltaStream decodes a complete concatenation of delta blocks
-// (e.g. a deframed .edges file) back into fixed-width edge records.
+// (e.g. a deframed .edges file) back into fixed-width edge records, sized
+// once from the block headers.
 func DecodeDeltaStream(blocks []byte) ([]byte, error) {
-	var out []byte
+	records := 0
+	for b := blocks; len(b) > 0; {
+		count, _, _, total, err := blockHeader(b)
+		if err != nil {
+			break // the decode below reports it
+		}
+		records, b = records+count, b[total:]
+	}
+	out := make([]byte, 0, records*EdgeBytes)
 	for len(blocks) > 0 {
 		var n int
 		var err error
-		out, n, err = DecodeDeltaBlock(out, blocks)
-		if err != nil {
+		if out, n, err = DecodeDeltaBlock(out, blocks); err != nil {
 			return nil, err
 		}
 		blocks = blocks[n:]

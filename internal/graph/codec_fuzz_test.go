@@ -22,6 +22,16 @@ func FuzzBlockCodec(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x02}, uint16(96))
 	f.Add(bytes.Repeat([]byte{0x07, 0, 0, 0}, 64), uint16(200))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x7f}, uint16(1)) // header past the body cap
+	// Runs-layout seeds: records that share a source in rising order, with
+	// duplicates, a destination that falls mid-source (a second run of
+	// the same source), an unsorted tail, and blocks of 1 and 4096 records.
+	f.Add(sortedEdges(64, 40, 3), uint16(17))
+	f.Add(append(bytes.Repeat([]byte{9, 0, 0, 0, 4, 0, 0, 0}, 20), 9, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0, 3, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0), uint16(40))
+	f.Add(sortedEdges(1<<16, 1, 4), uint16(2))
+	f.Add(sortedEdges(1<<12, DeltaBlockMaxEdges, 5), uint16(999))
+	f.Add(sortedEdges(1<<12, DeltaBlockMaxEdges+1, 6), uint16(5000))
+	f.Add(runsBlock(4, zigzag(3), 2, 5, 2, 0, zigzag(-2), 0, 9), uint16(7))
+	f.Add(runsBlock(2, zigzag(3), 1, 1<<32-2, 2), uint16(3)) // gap overflow
 	f.Fuzz(func(t *testing.T, b []byte, mut uint16) {
 		// Property 1: the fuzz payload fed straight to the decoder as a
 		// block stream either decodes or fails with ErrCorrupted — never
@@ -54,6 +64,15 @@ func FuzzBlockCodec(f *testing.F) {
 		}
 		if !bytes.Equal(got, raw) && !(len(got) == 0 && len(raw) == 0) {
 			t.Fatalf("round trip: %d bytes out, %d in", len(got), len(raw))
+		}
+		// Each block is in the smaller layout: never past its pairs encoding.
+		for e, p := enc, pairsOnly(raw); len(e) > 0; {
+			_, _, _, et, err := blockHeader(e)
+			_, _, _, pt, perr := blockHeader(p)
+			if err != nil || perr != nil || et > pt {
+				t.Fatalf("block of %d bytes against %d in pairs: %v, %v", et, pt, err, perr)
+			}
+			e, p = e[et:], p[pt:]
 		}
 		if len(enc) == 0 {
 			return

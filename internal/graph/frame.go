@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -297,20 +298,8 @@ func DeframeAllMagic(b []byte) (uint32, []byte, error) {
 	if magic != FrameMagic && magic != FrameMagicDelta {
 		return 0, nil, fmt.Errorf("graph: %w: not a framed stream (no magic)", errs.ErrCorrupted)
 	}
-	fr := NewFrameReader(&sliceReader{b: b[4:]})
-	payload, err := io.ReadAll(fr)
+	payload, err := io.ReadAll(NewFrameReader(bytes.NewReader(b[4:])))
 	return magic, payload, err
-}
-
-type sliceReader struct{ b []byte }
-
-func (s *sliceReader) Read(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, s.b)
-	s.b = s.b[n:]
-	return n, nil
 }
 
 // FrameAll encodes payload chunks into a complete framed byte slice

@@ -81,7 +81,7 @@ type Meta struct {
 	Undirected bool
 	// Codec names the edge-file encoding: CodecFixed ("" reads as
 	// fixed, the pre-codec default) or CodecDelta for block-compressed
-	// zig-zag varint deltas inside the FBD1 framed container.
+	// varint deltas inside the FBD1 framed container.
 	Codec Codec
 	// Reordered records that vertex ids were relabeled by descending
 	// degree at store time; a .perm sidecar maps stored ids back to the

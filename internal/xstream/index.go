@@ -2,7 +2,6 @@ package xstream
 
 import (
 	"encoding/binary"
-	"math/bits"
 
 	"fastbfs/internal/graph"
 )
@@ -41,9 +40,6 @@ func (ix *adjIndex) bytes() int64 {
 
 func (ix *adjIndex) inDeg(v graph.VertexID) uint64 { return ix.inOff[v+1] - ix.inOff[v] }
 
-// uvarintLen is the number of bytes binary.PutUvarint writes for x.
-func uvarintLen(x uint32) uint64 { return uint64(bits.Len32(x|1)+6) / 7 }
-
 // buildIndex indexes a validated edge list. Apart from the index itself
 // it holds one array of vertex-sized state, nothing the size of the list.
 func buildIndex(vertices uint64, edges []graph.Edge) *adjIndex {
@@ -76,7 +72,7 @@ func buildIndex(vertices uint64, edges []graph.Edge) *adjIndex {
 	for v := range cur {
 		for _, u := range in[ix.inOff[v]:ix.inOff[v+1]] {
 			c := &cur[u]
-			c.pos += uvarintLen(uint32(v) - uint32(c.last))
+			c.pos += uint64(graph.UvarintLen(uint64(uint32(v) - uint32(c.last))))
 			c.last = graph.VertexID(v)
 			c.deg++
 		}
