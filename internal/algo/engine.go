@@ -365,27 +365,28 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 }
 
 // runResident is RunContext's in-memory regime: the same BSP loop over
-// the PreparedGraph's shared resident edge list, in stored-edge order,
-// with no device traffic. Scatter reads the values the iteration started
-// with and every emitted update is folded straight into the next-values
-// array, so there is no update file and no materialised update list —
-// and because an out-of-core run at one partition applies its updates in
-// exactly this order, the result is byte-identical to it. The shared
-// edge list is only read; the two value arrays and the bitmap come from
-// the run's scratch.
+// the PreparedGraph's shared resident out-lists, walked source by source
+// in id order — the stored edge list's order — with no device traffic.
+// Scatter reads the values the iteration started with and every emitted
+// update is folded straight into the next-values array, so there is no
+// update file and no materialised update list — and because an
+// out-of-core run at one partition applies its updates in exactly this
+// order, the result is byte-identical to it. The shared lists are only
+// read; the two value arrays and the bitmap come from the run's scratch.
 //
-// With a SourceFilter the pass over an inactive source's edge is a test
-// on a bitmap small enough to stay in the nearest cache. Without one
-// every edge is a random read into a vertex-sized array, and in all but
-// the one or two wide iterations of a traversal that read is the whole
-// cost: the run time then follows whatever else is contending for the
-// outer caches, run to run, where a sequential scan does not.
+// With a SourceFilter an inactive source is skipped, its whole list at
+// once, on a test of a bitmap small enough to stay in the nearest cache.
+// Without one every edge is a random read into a vertex-sized array, and
+// in all but the one or two wide iterations of a traversal that read is
+// the whole cost: the run time then follows whatever else is contending
+// for the outer caches, run to run, where a sequential scan does not.
 func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, filter SourceFilter,
 	applyTo func(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool), run metrics.Run) (*Result, error) {
 	scratch := rt.Scratch()
-	edges, weights := pg.Edges(), pg.Weights()
-	// What an iteration scans: the list, whatever the program.
-	scanned := int64(len(edges))*graph.EdgeBytes + int64(len(weights))*4
+	off, dst, weights := pg.Out()
+	// What an iteration is charged: a scan of the edge list, whatever the
+	// program.
+	scanned := int64(len(dst))*graph.EdgeBytes + int64(len(weights))*4
 	cur, next := scratch.ValuePair(int(rt.Meta.Vertices))
 	for v := range cur {
 		cur[v] = prog.Init(graph.VertexID(v))
@@ -420,17 +421,19 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 		}
 		var emitted int64
 		weight := float32(1)
-		for i, e := range edges {
-			if active != nil && active[e.Src>>6]&(1<<(e.Src&63)) == 0 {
+		for u, val := range cur {
+			if active != nil && active[u>>6]&(1<<(u&63)) == 0 {
 				continue
 			}
-			if weights != nil {
-				weight = weights[i]
-			}
-			payload, emit := prog.Scatter(iter, e.Src, cur[e.Src], e.Dst, weight)
-			if emit {
-				next[e.Dst], _ = applyTo(iter, e.Dst, next[e.Dst], payload)
-				emitted++
+			for i := off[u]; i < off[u+1]; i++ {
+				if weights != nil {
+					weight = weights[i]
+				}
+				v := dst[i]
+				if payload, emit := prog.Scatter(iter, graph.VertexID(u), val, v, weight); emit {
+					next[v], _ = applyTo(iter, v, next[v], payload)
+					emitted++
+				}
 			}
 		}
 		var changes uint64
@@ -443,10 +446,10 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 		}
 		cur, next = next, cur
 		rt.RAMScan(scanned)
-		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate +
+		rt.Compute(float64(len(dst))*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate +
 			float64(emitted)*rt.Costs.GatherPerUpdate + float64(len(cur))*rt.Costs.PerVertex)
 		run.Iterations = append(run.Iterations, metrics.Iteration{
-			Index: iter, EdgesStreamed: int64(len(edges)), Updates: emitted, NewlyVisited: changes})
+			Index: iter, EdgesStreamed: int64(len(dst)), Updates: emitted, NewlyVisited: changes})
 		if prog.Converged(iter, changes, emitted) {
 			break
 		}

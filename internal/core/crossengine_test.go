@@ -133,9 +133,9 @@ func TestEnginesAgreeAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graph %d: reference: %v", g, err)
 		}
-		// Small budgets stream with varied partition counts; every fifth
-		// graph gets a budget big enough for the in-memory fast path, so
-		// both pool entry points (RunScanner and RunSlice) are swept.
+		// Small budgets stream with varied partition counts, through the
+		// scatter pool; every fifth graph gets a budget big enough for the
+		// in-memory fast path, so the one-shot loop is swept too.
 		budget := uint64(512 + rng.Intn(3584))
 		if g%5 == 4 {
 			budget = 1 << 20

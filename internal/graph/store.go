@@ -218,7 +218,7 @@ func LoadMeta(vol storage.Volume, name string) (Meta, error) {
 		want = m.StoredBytes
 	}
 	if uint64(sz) != want {
-		return Meta{}, fmt.Errorf("graph %s: edge file is %d bytes, config says %d", name, sz, want)
+		return Meta{}, fmt.Errorf("graph %s: %w: edge file is %d bytes, config says %d", name, errs.ErrCorrupted, sz, want)
 	}
 	return m, nil
 }

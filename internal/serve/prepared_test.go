@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -62,15 +63,12 @@ func hubRoots(vertices uint64, edges []graph.Edge, n int) []graph.VertexID {
 	return vs[:n]
 }
 
+// edgeChecksum checksums the shared resident out-lists and weights.
 func edgeChecksum(pg *xstream.PreparedGraph) uint32 {
 	h := crc32.NewIEEE()
-	var b [graph.EdgeBytes]byte
-	for _, e := range pg.Edges() {
-		graph.PutEdge(b[:], e)
-		h.Write(b[:])
-	}
-	for _, w := range pg.Weights() {
-		fmt.Fprint(h, w)
+	off, dst, weights := pg.Out()
+	for _, a := range []any{off, dst, weights} {
+		binary.Write(h, binary.LittleEndian, a)
 	}
 	return h.Sum32()
 }
@@ -322,7 +320,7 @@ func preparedConcurrentQueries(t *testing.T, base core.Options, resident bool) {
 			t.Fatal(err)
 		}
 		if got := edgeChecksum(serve.PreparedOf(svc)); got != sums[i] {
-			t.Errorf("service %d: shared edge list changed under the load", i)
+			t.Errorf("service %d: shared out-lists changed under the load", i)
 		}
 	}
 	if d := vol.Stats().Sub(io0); resident && (d.BytesRead != 0 || d.BytesWritten != 0) {
@@ -634,11 +632,11 @@ func TestPreparedObservability(t *testing.T) {
 			t.Errorf("open logged %q, want one line containing %q", got, c.logWant)
 		}
 		st := svc.Stats()
-		// Resident is the edge list and the adjacency index over it, which
-		// at its largest is the list's bytes again and two offset arrays.
+		// Resident is the resident form: out- and in-lists of 4 bytes an
+		// edge, so the edge list's bytes, and their two offset arrays.
 		pg := serve.PreparedOf(svc)
 		wantEdges, wantBytes := int64(m.Edges)*c.resident, pg.ResidentBytes()
-		if list := int64(m.DataBytes()) * c.resident; wantBytes < list+list/2 || wantBytes > 2*list+16*int64(m.Vertices+1)*c.resident {
+		if list := int64(m.DataBytes()) * c.resident; wantBytes != list+16*int64(m.Vertices+1)*c.resident {
 			t.Errorf("resident=%d: prepared graph holds %d bytes for a %d-byte edge list", c.resident, wantBytes, list)
 		}
 		if st.PreparedResident != c.resident || st.PreparedEdges != wantEdges || st.PreparedBytes != wantBytes ||

@@ -19,8 +19,8 @@
 //
 // Concurrent queries share one volume and one immutable
 // xstream.PreparedGraph (DESIGN.md §16) — metadata, permutation and,
-// when the graph fits the memory budget, the resident edge list and its
-// adjacency index, all built once at New; isolation comes from a unique
+// when the graph fits the memory budget, the graph's resident out- and
+// in-lists, all built once at New; isolation comes from a unique
 // per-query FilePrefix, a per-query clone of the simulated-device
 // configuration (devices accumulate fluid state) and a nil engine tracer
 // (a shared tracer's time source is engine-thread-only). The service
@@ -399,8 +399,8 @@ type GraphService struct {
 
 // New opens graphName on vol for serving: it builds the shared
 // PreparedGraph — metadata, permutation and, when the graph fits
-// cfg.Base's memory budget, the whole validated edge list and the
-// adjacency index over it — once, with the engines' fault injection and
+// cfg.Base's memory budget, the validated edge file as resident out- and
+// in-lists — once, with the engines' fault injection and
 // transient-fault retries. A missing graph fails with
 // errs.ErrGraphNotFound; a volume that cannot be read or a damaged graph
 // fails here with errs.ErrIOFailed / errs.ErrCorrupted rather than
@@ -413,8 +413,8 @@ func New(vol storage.Volume, graphName string, cfg Config) (*GraphService, error
 		return nil, err
 	}
 	if pg.Resident() {
-		log.Printf("serve: %s: resident: %d edges (%d bytes with the index) loaded in %.3fs; memory budget %d >= in-memory need %d",
-			graphName, len(pg.Edges()), pg.ResidentBytes(), pg.LoadTime.Seconds(), pg.Budget, pg.Need)
+		log.Printf("serve: %s: resident: %d edges (%d bytes in the resident form) loaded in %.3fs; memory budget %d >= in-memory need %d",
+			graphName, pg.Meta.Edges, pg.ResidentBytes(), pg.LoadTime.Seconds(), pg.Budget, pg.Need)
 		// A batch shares a pass over the device. A resident query makes
 		// none — it is one indexed traversal on its own admission slot — so
 		// residency, not the setting, turns batching off (and /healthz says
@@ -1116,9 +1116,9 @@ type Stats struct {
 	BreakerTrips     int64 `json:"breaker_trips"`
 	BreakerFastFails int64 `json:"breaker_fast_fails"`
 	BreakerOpen      int64 `json:"breaker_open"`
-	// The prepared graph (DESIGN.md §16), fixed at open: whether the edge
-	// list is resident (0/1), how many edges it holds, how many bytes with
-	// its adjacency index, and how long loading and indexing took.
+	// The prepared graph (DESIGN.md §16), fixed at open: whether the graph
+	// is resident (0/1), how many edges it holds, how many bytes its
+	// resident form takes, and how long loading it took.
 	// Resident queries move no device bytes.
 	PreparedResident    int64   `json:"prepared_resident"`
 	PreparedEdges       int64   `json:"prepared_edges"`
@@ -1128,13 +1128,13 @@ type Stats struct {
 
 // Stats reads the current counter values.
 func (s *GraphService) Stats() Stats {
-	var resident int64
+	var resident, edges int64
 	if s.prepared.Resident() {
-		resident = 1
+		resident, edges = 1, int64(s.prepared.Meta.Edges)
 	}
 	return Stats{
 		PreparedResident:    resident,
-		PreparedEdges:       int64(len(s.prepared.Edges())),
+		PreparedEdges:       edges,
 		PreparedBytes:       s.prepared.ResidentBytes(),
 		PreparedLoadSeconds: s.prepared.LoadTime.Seconds(),
 

@@ -39,10 +39,9 @@ type Shard struct {
 	// partition, each slice in edge-scan order.
 	ByPart [][]graph.Update
 	// Stays holds the chunk's surviving (trim-rule) edges in scan order.
-	// For a chunk decoded from a scanner it starts as the empty front of
-	// the pool-owned buffer the chunk itself sits in, so appending
-	// survivors compacts them in place instead of growing a second copy
-	// (see ScatterFunc); for a caller's slice it is the shard's own.
+	// It starts as the empty front of the pool-owned buffer the chunk
+	// itself sits in, so appending survivors compacts them in place
+	// instead of growing a second copy (see ScatterFunc).
 	Stays []graph.Edge
 
 	Scanned int64
@@ -57,10 +56,8 @@ type Shard struct {
 	// partition's vertex interval).
 	Err error
 
-	// own is the shard's own survivor storage, kept (with its grown
-	// capacity) while Stays borrows a chunk buffer; chunk is that buffer,
-	// held until the shard has been merged.
-	own   []graph.Edge
+	// chunk is the buffer Stays borrows, held until the shard has been
+	// merged.
 	chunk []graph.Edge
 }
 
@@ -68,13 +65,13 @@ func (s *Shard) reset() {
 	for i := range s.ByPart {
 		s.ByPart[i] = s.ByPart[i][:0]
 	}
-	s.Stays = s.own[:0]
+	s.Stays = nil
 	s.Scanned, s.Emitted, s.Stayed, s.CandDeg, s.Err = 0, 0, 0, 0, nil
 }
 
 // ScatterFunc classifies one chunk of edges into out. It runs on a
 // worker goroutine: it must only read shared state (vertex levels) and
-// write to out. out.Stays may alias the front of edges: append to it at
+// write to out. out.Stays aliases the front of edges: append to it at
 // most one survivor per edge scanned, in scan order, and do not go back
 // to an edge already passed.
 type ScatterFunc func(edges []graph.Edge, out *Shard)
@@ -155,9 +152,6 @@ func (sp *ScatterPool) getShard() *Shard {
 }
 
 func (sp *ScatterPool) putShard(sh *Shard) {
-	if sh.chunk == nil {
-		sh.own = sh.Stays // keep what a caller's-slice chunk grew
-	}
 	sp.mu.Lock()
 	if sh.chunk != nil {
 		sp.chunks = append(sp.chunks, sh.chunk)
@@ -204,44 +198,23 @@ func (sp *ScatterPool) RunScanner(sc EdgeChunks, fn ScatterFunc, merge MergeFunc
 // at depth 1 the device sees what a serial read-then-process loop issues.
 // Like PipelineDepth, depth must not depend on the worker count.
 func (sp *ScatterPool) RunScannerDepth(sc EdgeChunks, depth int, fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, bool, error) {
+	next := func() ([]graph.Edge, error) {
 		buf := sp.getChunk()
 		n, err := sc.NextChunk(buf)
 		if err != nil || n == 0 {
 			sp.putChunk(buf)
-			return nil, false, err
+			return nil, err
 		}
-		return buf[:n], true, nil
+		return buf[:n], nil
 	}
 	return sp.run(next, depth, fn, merge)
 }
 
-// RunSlice runs the pool over an in-memory edge list (the engines'
-// in-memory fast path), chunking it into subslices without copying.
-func (sp *ScatterPool) RunSlice(edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
-	off := 0
-	next := func() ([]graph.Edge, bool, error) {
-		if off >= len(edges) {
-			return nil, false, nil
-		}
-		end := off + sp.chunkEdges
-		if end > len(edges) {
-			end = len(edges)
-		}
-		c := edges[off:end]
-		off = end
-		return c, false, nil
-	}
-	return sp.run(next, PipelineDepth, fn, merge)
-}
-
 // chunkJob carries one chunk to a worker; out (buffered, capacity 1)
 // carries the shard back so a worker never blocks on delivering results.
-// pooled marks edges as the front of a getChunk buffer.
 type chunkJob struct {
-	edges  []graph.Edge
-	pooled bool
-	out    chan *Shard
+	edges []graph.Edge
+	out   chan *Shard
 }
 
 // PipelineDepth is how many chunks may be dispatched ahead of the merge
@@ -255,8 +228,8 @@ type chunkJob struct {
 // depth can't all be kept busy.
 const PipelineDepth = 32
 
-// run is the pool's engine: next yields chunks (nil = end of stream; the
-// bool marks the front of a getChunk buffer) on the calling goroutine,
+// run is the pool's engine: next yields chunks, each the front of a
+// getChunk buffer (nil = end of stream), on the calling goroutine,
 // fn classifies them, merge folds shards back in chunk order, at most
 // depth chunks behind dispatch. Serial and parallel modes share the same dispatch/merge
 // structure (classification just happens inline vs. on a worker), so
@@ -264,7 +237,7 @@ const PipelineDepth = 32
 // clock observes — is identical for every worker count. On any error —
 // scan, classify or merge — it stops dispatching, joins every worker
 // and returns the first error.
-func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), depth int, fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) run(next func() ([]graph.Edge, error), depth int, fn ScatterFunc, merge MergeFunc) error {
 	parallel := sp.workers > 1
 	var jobs chan chunkJob
 	var wg sync.WaitGroup
@@ -275,7 +248,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), depth int, f
 			go func() {
 				defer wg.Done()
 				for j := range jobs {
-					j.out <- sp.classify(j.edges, j.pooled, fn)
+					j.out <- sp.classify(j.edges, fn)
 				}
 			}()
 		}
@@ -295,17 +268,17 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), depth int, f
 		}
 		sp.putShard(sh)
 	}
-	dispatch := func(edges []graph.Edge, pooled bool) {
+	dispatch := func(edges []graph.Edge) {
 		out := make(chan *Shard, 1)
 		if parallel {
-			jobs <- chunkJob{edges: edges, pooled: pooled, out: out}
+			jobs <- chunkJob{edges: edges, out: out}
 		} else {
-			out <- sp.classify(edges, pooled, fn)
+			out <- sp.classify(edges, fn)
 		}
 		pending = append(pending, out)
 	}
 	for firstErr == nil {
-		edges, pooled, err := next()
+		edges, err := next()
 		if err != nil {
 			firstErr = err
 			break
@@ -313,7 +286,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, bool, error), depth int, f
 		if edges == nil {
 			break
 		}
-		dispatch(edges, pooled)
+		dispatch(edges)
 		if len(pending) >= depth {
 			mergeOne()
 		}
@@ -344,23 +317,19 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return errs.ErrInternal }
 
-// classify runs fn over one chunk into a recycled shard. A pooled
-// chunk's survivors compact into the front of its own buffer, which the
-// shard then holds until it has been merged; a chunk that kept none gives
-// the buffer straight back.
-func (sp *ScatterPool) classify(edges []graph.Edge, pooled bool, fn ScatterFunc) *Shard {
+// classify runs fn over one chunk into a recycled shard. The chunk's
+// survivors compact into the front of its own buffer, which the shard
+// then holds until it has been merged; a chunk that kept none gives the
+// buffer straight back.
+func (sp *ScatterPool) classify(edges []graph.Edge, fn ScatterFunc) *Shard {
 	sh := sp.getShard()
-	if pooled {
-		sh.Stays = edges[:0]
-	}
+	sh.Stays = edges[:0]
 	sp.classifyInto(edges, sh, fn)
-	if pooled {
-		if len(sh.Stays) > 0 {
-			sh.chunk = edges[:cap(edges)]
-		} else {
-			sh.Stays = sh.own[:0]
-			sp.putChunk(edges[:cap(edges)])
-		}
+	if len(sh.Stays) > 0 {
+		sh.chunk = edges[:cap(edges)]
+	} else {
+		sh.Stays = nil
+		sp.putChunk(edges[:cap(edges)])
 	}
 	return sh
 }

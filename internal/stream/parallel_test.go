@@ -12,6 +12,21 @@ import (
 	"fastbfs/internal/storage"
 )
 
+// runSlice is a slice source over the pool's engine: edges copied chunk
+// by chunk into the pool's own buffers, as a scanner decodes them.
+func runSlice(sp *ScatterPool, edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
+	next := func() ([]graph.Edge, error) {
+		if len(edges) == 0 {
+			return nil, nil
+		}
+		c := sp.getChunk()
+		n := copy(c, edges)
+		edges = edges[n:]
+		return c[:n], nil
+	}
+	return sp.run(next, PipelineDepth, fn, merge)
+}
+
 // collectRun drives a pool over edges and returns the merged output in
 // merge order: the per-chunk update batches flattened, plus the chunk
 // sizes seen, so tests can assert both content and chunking.
@@ -38,12 +53,12 @@ func TestScatterPoolSliceMatchesSerialForAnyWorkerCount(t *testing.T) {
 	edges := makeEdges(10_000)
 	want, wantChunks := collectRun(t, NewScatterPool(1, 97, 1), edges,
 		func(fn ScatterFunc, m MergeFunc) error {
-			return NewScatterPool(1, 97, 1).RunSlice(edges, fn, m)
+			return runSlice(NewScatterPool(1, 97, 1), edges, fn, m)
 		})
 	for _, workers := range []int{2, 3, 4, 8, runtime.NumCPU()} {
 		sp := NewScatterPool(workers, 97, 1)
 		got, gotChunks := collectRun(t, sp, edges,
-			func(fn ScatterFunc, m MergeFunc) error { return sp.RunSlice(edges, fn, m) })
+			func(fn ScatterFunc, m MergeFunc) error { return runSlice(sp, edges, fn, m) })
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d updates, want %d", workers, len(got), len(want))
 		}
@@ -65,7 +80,7 @@ func TestScatterPoolScannerMatchesSlice(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sp := NewScatterPool(workers, 100, 1)
 		sliceGot, _ := collectRun(t, sp, edges,
-			func(fn ScatterFunc, m MergeFunc) error { return sp.RunSlice(edges, fn, m) })
+			func(fn ScatterFunc, m MergeFunc) error { return runSlice(sp, edges, fn, m) })
 		sc, err := NewEdgeScanner(vol, "edges", Timing{}, 256)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +140,7 @@ func TestScatterPoolPropagatesClassifyError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sp := NewScatterPool(workers, 64, 1)
 		merged := 0
-		err := sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {
+		err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {
 			for _, e := range chunk {
 				if e.Src == 1_000 {
 					out.Err = boom
@@ -154,7 +169,7 @@ func TestScatterPoolPropagatesMergeError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		sp := NewScatterPool(workers, 64, 1)
 		merged := 0
-		err := sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {}, func(s *Shard) error {
+		err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {}, func(s *Shard) error {
 			merged++
 			if merged == 3 {
 				return boom
@@ -176,7 +191,7 @@ func TestScatterPoolLeaksNoGoroutinesOnError(t *testing.T) {
 	edges := makeEdges(100_000)
 	for i := 0; i < 20; i++ {
 		sp := NewScatterPool(8, 128, 1)
-		sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {
+		runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {
 			if chunk[0].Src >= 1_000 {
 				out.Err = boom
 			}
@@ -196,7 +211,7 @@ func TestScatterPoolPartitionedShards(t *testing.T) {
 	edges := makeEdges(1_000)
 	sp := NewScatterPool(4, 33, parts)
 	perPart := make([][]graph.Update, parts)
-	err := sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {
+	err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {
 		for _, e := range chunk {
 			p := int(e.Dst) % parts
 			out.ByPart[p] = append(out.ByPart[p], graph.Update{Dst: e.Dst, Parent: e.Src})
@@ -299,7 +314,7 @@ func TestScatterPoolRecoversPanics(t *testing.T) {
 	edges := makeEdges(5_000)
 	for _, workers := range []int{1, 4} {
 		sp := NewScatterPool(workers, 64, 1)
-		err := sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {
+		err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {
 			for _, e := range chunk {
 				if e.Src == 1_000 {
 					panic("poisoned edge")
@@ -321,7 +336,7 @@ func TestScatterPoolRecoversPanics(t *testing.T) {
 		// pool with the same workers must run clean — no worker died.
 		clean := NewScatterPool(workers, 64, 1)
 		scanned := 0
-		if err := clean.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {
+		if err := runSlice(clean, edges, func(chunk []graph.Edge, out *Shard) {
 			out.Scanned += int64(len(chunk))
 		}, func(s *Shard) error { scanned += int(s.Scanned); return nil }); err != nil {
 			t.Fatalf("workers=%d: pool after a recovered panic: %v", workers, err)
@@ -338,7 +353,7 @@ func TestScatterPoolFaultHookPanic(t *testing.T) {
 	edges := makeEdges(500)
 	sp := NewScatterPool(2, 64, 1)
 	sp.FaultHook = func() { panic("injected fault") }
-	err := sp.RunSlice(edges, func(chunk []graph.Edge, out *Shard) {}, func(s *Shard) error { return nil })
+	err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {}, func(s *Shard) error { return nil })
 	if !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("fault-hook panic: err = %v, want ErrInternal", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fastbfs/internal/metrics"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
-	"fastbfs/internal/stream"
 )
 
 // EngineName identifies X-Stream in metrics and file prefixes.
@@ -43,35 +42,32 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, opts 
 
 // runInMemory is the fast path when the whole graph fits the memory
 // budget (the paper's Fig. 9 cliff at 4 GB). A run handed a resident
-// Options.Prepared traverses its adjacency index (runIndexed) and reads
-// nothing from the device. Any other run — the CLI, the library — loads a
-// one-shot edge list and iterates over that: an index costs a pass over
-// the list, which a list used once never repays. Of the policy only
-// trimming applies, and only to that loop: an iteration the trim
-// threshold admits drops, after its gather, every edge whose source is
-// already visited — level below the next frontier's; NoLevel is the
-// maximum uint32, so "keep iff level[src] > iter" keeps exactly the
-// unvisited and just-discovered sources. The list is the run's alone, so
-// it is compacted in place.
+// Options.Prepared traverses its out- and in-lists (runIndexed) and reads
+// nothing from the device. Any other run — the CLI, the library — loads
+// the out-lists alone (loadCSR) and, at every level, walks the sources in
+// id order and scatters the list of each one at that level: an in-half
+// costs a pass over the lists, which a run used once never repays. The
+// out-lists are the stored edge list in stored order, so the first update
+// to reach a vertex comes from its earliest stored in-edge, and it wins.
+// Of the policy only trimming applies, and only to the record: an
+// iteration the trim threshold admits drops, after its gather, every edge
+// whose source is already visited, which is every edge a level up to this
+// one scattered — the list a later level would scan is E less the
+// updates emitted so far.
 func (e *kernel) runInMemory() (*Result, error) {
 	rt := e.rt
 	if pg := rt.Opts.Prepared; pg.Resident() {
-		return e.runIndexed(pg.index, DirectionAuto)
+		return e.runIndexed(pg.g, DirectionAuto)
 	}
 	runSpan := e.tr.Span("run").Attr("in_memory", 1)
 	lds := runSpan.Child("load")
-	// Loaded through the run's own timing, so the list is charged to the
-	// main disk exactly like the streaming load it replaces.
-	pg := &PreparedGraph{Meta: rt.Meta, Perm: rt.Perm, Budget: rt.Opts.MemoryBudget, Need: InMemoryNeed(rt.Meta)}
-	if _, err := pg.loadEdges(rt.Vol, rt.MainTiming(), rt.Opts.StreamBufSize); err != nil {
+	// Loaded through the run's own timing, so the lists are charged to the
+	// main disk exactly like the streaming load they replace.
+	g, _, err := loadCSR(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize)
+	if err != nil {
 		return nil, err
 	}
-	edges := pg.edges
-	lds.Attr("edges", int64(len(edges))).End()
-
-	scratch := rt.scratch
-	updates := scratch.Updates[:0]
-	defer func() { scratch.Updates = updates }()
+	lds.Attr("edges", int64(len(g.out))).End()
 
 	level, parent := e.plantRoot()
 
@@ -80,61 +76,50 @@ func (e *kernel) runInMemory() (*Result, error) {
 		maxIter = int(rt.Meta.Vertices) + 1
 	}
 	frontier := uint64(1) // the vertices at level iter: what iteration iter scatters
+	live, emitted := int64(len(g.out)), int64(0)
 	for iter := uint32(0); int(iter) < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
 			return nil, err
 		}
+		if rt.Opts.FaultHook != nil {
+			rt.Opts.FaultHook() // same chaos seam as a scatter chunk
+		}
 		itSpan := runSpan.Child("iteration").SetIter(int(iter))
-		itRow := metrics.Iteration{Index: int(iter), Frontier: frontier, EdgesStreamed: int64(len(edges))}
+		itRow := metrics.Iteration{Index: int(iter), Frontier: frontier, EdgesStreamed: live}
 		ss := itSpan.Child("scatter")
-		updates = updates[:0]
-		// Chunk-order merge reproduces the sequential update order exactly.
-		err := e.pool.RunSlice(edges, func(chunk []graph.Edge, out *stream.Shard) {
-			for _, edge := range chunk {
-				if level[edge.Src] == iter {
-					out.ByPart[0] = append(out.ByPart[0], graph.Update{Dst: edge.Dst, Parent: edge.Src})
+		for u, l := range level {
+			if l != iter {
+				continue
+			}
+			list := g.out[g.outOff[u]:g.outOff[u+1]]
+			itRow.Updates += int64(len(list))
+			for _, v := range list {
+				if level[v] == NoLevel {
+					level[v], parent[v] = iter+1, graph.VertexID(u)
+					itRow.NewlyVisited++
 				}
 			}
-		}, func(s *stream.Shard) error {
-			updates = append(updates, s.ByPart[0]...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
-		itRow.Updates = int64(len(updates))
+		emitted += itRow.Updates
 		rt.RAMScan(itRow.EdgesStreamed * graph.EdgeBytes)
-		rt.Compute(float64(len(edges))*rt.Costs.ScatterPerEdge + float64(len(updates))*rt.Costs.AppendPerUpdate)
+		rt.Compute(float64(live)*rt.Costs.ScatterPerEdge + float64(itRow.Updates)*rt.Costs.AppendPerUpdate)
 		ss.Attr("edges", itRow.EdgesStreamed).Attr("emitted", itRow.Updates).End()
 		gs := itSpan.Child("gather")
-		for _, u := range updates {
-			if level[u.Dst] == NoLevel {
-				level[u.Dst] = iter + 1
-				parent[u.Dst] = u.Parent
-				itRow.NewlyVisited++
-			}
-		}
-		rt.Compute(float64(len(updates)) * rt.Costs.GatherPerUpdate)
+		rt.Compute(float64(itRow.Updates) * rt.Costs.GatherPerUpdate)
 		gs.Attr("applied", itRow.Updates).End()
 		e.run.Visited += itRow.NewlyVisited
 		frontier = itRow.NewlyVisited
 		if e.pol.TrimActive(int(iter), e.run.Visited, rt.Meta.Vertices, UnknownEdges, UnknownEdges) {
 			ts := itSpan.Child("stay-write")
-			live := edges[:0]
-			for _, edge := range edges {
-				if level[edge.Src] > iter {
-					live = append(live, edge)
-				}
-			}
-			edges = live
-			itRow.StayEdges = int64(len(edges))
+			live = int64(len(g.out)) - emitted
+			itRow.StayEdges = live
 			itRow.TrimActive = true
 			e.run.TrimmedEdges += itRow.EdgesStreamed - itRow.StayEdges
 			rt.Compute(float64(itRow.EdgesStreamed) * rt.Costs.AppendPerStay)
 			ts.Attr("stay_edges", itRow.StayEdges).End()
 		}
 		e.endIteration(itRow, itSpan)
-		if len(updates) == 0 {
+		if itRow.Updates == 0 {
 			break
 		}
 	}
@@ -178,12 +163,12 @@ func (e *kernel) finishTree(runSpan *obs.Span, level []uint32, parent []graph.Ve
 // (DirState.DecideExact); the pure policies are the tests' seam. One
 // goroutine per run: the daemon's concurrency is across queries.
 //
-// Levels, parents and the row sequence are the edge-list loop's. Its
+// Levels, parents and the row sequence are the one-shot run's. Its
 // parent rule is first update wins, which picks the frontier in-neighbour
 // whose edge sits earliest in the stored list; a vertex's in-list keeps
 // stored order, so the first frontier vertex in it is that neighbour in
 // either direction.
-func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
+func (e *kernel) runIndexed(ix *csr, conf Direction) (*Result, error) {
 	rt := e.rt
 	runSpan := e.tr.Span("run").Attr("in_memory", 1).Attr("indexed", 1)
 	level, parent := e.plantRoot()
@@ -197,7 +182,7 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 	// What the heuristic weighs: the out-degree sum of the frontier, all a
 	// top-down level can expand, and the in-degree sum of the unvisited
 	// vertices, all a bottom-up one can scan.
-	frontierOut, unvisitedIn := uint64(ix.outDeg[root]), rt.Meta.Edges-ix.inDeg(root)
+	frontierOut, unvisitedIn := ix.outDeg(root), rt.Meta.Edges-ix.inDeg(root)
 
 	maxIter := rt.Opts.MaxIterations
 	if maxIter <= 0 {
@@ -213,8 +198,8 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 		itSpan := runSpan.Child("iteration").SetIter(int(iter))
 		itRow := metrics.Iteration{Index: int(iter), Frontier: uint64(len(frontier))}
 		if frontierOut == 0 {
-			// Nothing leaves the frontier. The edge-list loop learns that
-			// from a scan that emits no update; this is that closing row.
+			// Nothing leaves the frontier. The one-shot run learns that
+			// from a level that emits no update; this is that closing row.
 			e.endIteration(itRow, itSpan)
 			break
 		}
@@ -233,7 +218,7 @@ func (e *kernel) runIndexed(ix *adjIndex, conf Direction) (*Result, error) {
 		itRow.NewlyVisited = uint64(len(next))
 		frontierOut = 0
 		for _, v := range next {
-			frontierOut += uint64(ix.outDeg[v])
+			frontierOut += ix.outDeg(v)
 			unvisitedIn -= ix.inDeg(v)
 		}
 		frontier, next = next, frontier

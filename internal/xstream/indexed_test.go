@@ -2,7 +2,6 @@ package xstream
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"reflect"
 	"slices"
@@ -14,6 +13,7 @@ import (
 	"fastbfs/internal/graph"
 	"fastbfs/internal/metrics"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 )
 
 type indexedGraph struct {
@@ -69,7 +69,7 @@ func runIndexedAs(t *testing.T, vol storage.Volume, name string, opts Options, c
 		t.Fatal(err)
 	}
 	defer rt.Cleanup()
-	res, err := newKernel(rt, EngineName, Policy{}, 1).runIndexed(opts.Prepared.index, conf)
+	res, err := newKernel(rt, EngineName, Policy{}).runIndexed(opts.Prepared.g, conf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,9 +81,9 @@ func examinedEntries(run metrics.Run) uint64 { return uint64(run.EdgesStreamed()
 // TestIndexedTraversalMatchesEdgeListLoops: over every graph shape, store
 // layout and root, the indexed resident run returns the levels and
 // parents of the one-shot in-memory run and of the one-partition
-// streaming run, byte for byte, whichever directions it takes; its index
-// lists every vertex's neighbours in stored edge order; and it examines
-// at most E + V adjacency entries.
+// streaming run, byte for byte, whichever directions it takes; its
+// resident form lists every vertex's neighbours in stored edge order; and
+// it examines at most E + V adjacency entries.
 func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 	ctx := context.Background()
 	hybridWentBottomUp := false
@@ -102,7 +102,7 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 			if !pg.Resident() || uint64(pg.ResidentBytes()) > pg.Need {
 				t.Fatalf("%s: resident=%v holding %d bytes, in-memory need %d", name, pg.Resident(), pg.ResidentBytes(), pg.Need)
 			}
-			checkIndexOrder(t, name, pg)
+			checkIndexOrder(t, vol, name, pg)
 			if plain == nil {
 				plain = pg
 			}
@@ -149,7 +149,8 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 		}
 
 		// A weighted store of the same graph: BFS refuses it on every path,
-		// and the index over its resident list is the unweighted store's.
+		// and its resident form is the unweighted store's plus a weight an
+		// edge.
 		wm, wedges, err := gen.Weigh(g.m, g.edges, 1, 9, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -162,8 +163,12 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(weighted.index, plain.index) || uint64(weighted.ResidentBytes()) > weighted.Need {
-			t.Fatalf("%s: weighted store indexed differently, or holds %d bytes against a need of %d", name, weighted.ResidentBytes(), weighted.Need)
+		lists := *weighted.g
+		lists.weights = nil
+		if !reflect.DeepEqual(lists, *plain.g) || uint64(len(weighted.g.weights)) != wm.Edges ||
+			uint64(weighted.ResidentBytes()) > weighted.Need {
+			t.Fatalf("%s: weighted store's lists differ from the unweighted store's, or it holds %d bytes against a need of %d",
+				name, weighted.ResidentBytes(), weighted.Need)
 		}
 		for _, prepared := range []*PreparedGraph{nil, weighted} {
 			if _, err := Run(vol, wm.Name, Options{MemoryBudget: 1 << 30, Prepared: prepared}); !errors.Is(err, errs.ErrBadOptions) {
@@ -176,32 +181,41 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 	}
 }
 
-// checkIndexOrder checks the index against the list it was built from:
-// each vertex's in-list is its in-edges' sources in the order the edges
-// are stored, and its out-list decodes to its out-edges' destinations,
-// ascending.
-func checkIndexOrder(t *testing.T, name string, pg *PreparedGraph) {
+// checkIndexOrder checks the resident form against the stored edge file
+// it was loaded from: the file's sources never decrease, each vertex's
+// out-list is its out-edges' destinations and its in-list its in-edges'
+// sources, both in the order the edges are stored.
+func checkIndexOrder(t *testing.T, vol storage.Volume, name string, pg *PreparedGraph) {
 	t.Helper()
+	sc, err := stream.NewEdgeScanner(vol, graph.EdgeFileName(name), stream.Timing{}, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
 	out := make([][]graph.VertexID, pg.Meta.Vertices)
 	in := make([][]graph.VertexID, pg.Meta.Vertices)
-	for _, e := range pg.Edges() {
+	for last := graph.VertexID(0); ; {
+		e, ok, err := sc.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if e.Src < last {
+			t.Fatalf("%s: stored source %d follows %d", name, e.Src, last)
+		}
+		last = e.Src
 		out[e.Src] = append(out[e.Src], e.Dst)
 		in[e.Dst] = append(in[e.Dst], e.Src)
 	}
-	ix := pg.index
+	g := pg.g
 	for v := range out {
-		if got := ix.in[ix.inOff[v]:ix.inOff[v+1]]; !slices.Equal(got, in[v]) {
-			t.Fatalf("%s: vertex %d indexed in-neighbours %v, stored order gives %v", name, v, got, in[v])
+		if got := g.out[g.outOff[v]:g.outOff[v+1]]; !slices.Equal(got, out[v]) {
+			t.Fatalf("%s: vertex %d resident out-neighbours %v, stored order gives %v", name, v, got, out[v])
 		}
-		slices.Sort(out[v])
-		var got []graph.VertexID
-		for list, last := ix.out[ix.outOff[v]:ix.outOff[v+1]], uint64(0); len(list) > 0; {
-			gap, n := binary.Uvarint(list)
-			list, last = list[n:], last+gap
-			got = append(got, graph.VertexID(last))
-		}
-		if int(ix.outDeg[v]) != len(out[v]) || !slices.Equal(got, out[v]) {
-			t.Fatalf("%s: vertex %d indexed %d out-neighbours %v, the edges give %v", name, v, ix.outDeg[v], got, out[v])
+		if got := g.in[g.inOff[v]:g.inOff[v+1]]; !slices.Equal(got, in[v]) {
+			t.Fatalf("%s: vertex %d resident in-neighbours %v, stored order gives %v", name, v, got, in[v])
 		}
 	}
 }
@@ -276,11 +290,12 @@ func TestIndexedHybridReadsAFractionOfTheEdges(t *testing.T) {
 	}
 }
 
-// TestIndexedRunKeepsTheLoopSeams: the indexed traversal stops where the
-// edge-list loop would — at the iteration cap, with the same partial
-// answer, and at the level boundary after a cancellation, with its
-// scratch back on the free-list — and calls the fault hook once a level;
-// a hook that panics costs the free-list nothing either.
+// TestIndexedRunKeepsTheLoopSeams: both in-memory loops, the indexed
+// traversal and the one-shot run, stop where the loop should — at the
+// iteration cap, with the same partial answer, and at the level boundary
+// after a cancellation, with the scratch back on the free-list — and call
+// the fault hook once a level; a hook that panics costs the free-list
+// nothing either.
 func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 	DropFreeScratch()
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
@@ -300,50 +315,54 @@ func TestIndexedRunKeepsTheLoopSeams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Metrics.Iterations) != maxIter || got.Visited != want.Visited ||
+		if len(want.Metrics.Iterations) != maxIter || len(got.Metrics.Iterations) != maxIter || got.Visited != want.Visited ||
 			!reflect.DeepEqual(got.Levels, want.Levels) || !reflect.DeepEqual(got.Parents, want.Parents) {
-			t.Fatalf("cap %d: indexed run stopped after %d rows with %d visited, one-shot run visited %d",
-				maxIter, len(got.Metrics.Iterations), got.Visited, want.Visited)
+			t.Fatalf("cap %d: indexed run stopped after %d rows with %d visited, one-shot run after %d with %d",
+				maxIter, len(got.Metrics.Iterations), got.Visited, len(want.Metrics.Iterations), want.Visited)
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	levels := 0
 	opts.MaxIterations = 0
-	opts.FaultHook = func() {
-		if levels++; levels == 2 {
-			cancel() // inside level 1: level 2's checkpoint must stop the run
-		}
-	}
-	if _, err := RunContext(ctx, vol, m.Name, opts); !errors.Is(err, errs.ErrCancelled) {
-		t.Fatalf("run cancelled mid-traversal: err = %v, want ErrCancelled", err)
-	}
-	if levels != 2 {
-		t.Fatalf("fault hook called %d times before the run stopped, want once a level for 2 levels", levels)
-	}
-	if n := len(freeScratch()); n != 1 {
-		t.Fatalf("%d scratches on the free-list after the cancelled run, want 1", n)
-	}
-
-	opts.FaultHook = func() { panic("injected") }
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("the run swallowed its fault hook's panic")
+	for _, prepared := range []*PreparedGraph{pg, nil} {
+		loop := map[bool]string{true: "indexed", false: "one-shot"}[prepared != nil]
+		opts.Prepared = prepared
+		ctx, cancel := context.WithCancel(context.Background())
+		levels := 0
+		opts.FaultHook = func() {
+			if levels++; levels == 2 {
+				cancel() // inside level 1: level 2's checkpoint must stop the run
 			}
+		}
+		if _, err := RunContext(ctx, vol, m.Name, opts); !errors.Is(err, errs.ErrCancelled) {
+			t.Fatalf("%s run cancelled mid-traversal: err = %v, want ErrCancelled", loop, err)
+		}
+		cancel()
+		if levels != 2 {
+			t.Fatalf("%s run: fault hook called %d times before the run stopped, want once a level for 2 levels", loop, levels)
+		}
+		if n := len(freeScratch()); n != 1 {
+			t.Fatalf("%d scratches on the free-list after the cancelled %s run, want 1", n, loop)
+		}
+
+		opts.FaultHook = func() { panic("injected") }
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("the %s run swallowed its fault hook's panic", loop)
+				}
+			}()
+			Run(vol, m.Name, opts)
 		}()
-		Run(vol, m.Name, opts)
-	}()
-	if n := len(freeScratch()); n != 1 {
-		t.Fatalf("%d scratches on the free-list after the cancelled and the panicked run, want 1", n)
+		if n := len(freeScratch()); n != 1 {
+			t.Fatalf("%d scratches on the free-list after the cancelled and the panicked %s run, want 1", n, loop)
+		}
 	}
 }
 
 // TestIndexedConcurrentQueriesShareTheIndex: 36 queries at once over one
 // prepared graph each answer like the one-shot run from their root, and
-// leave the shared edge list and index exactly as LoadPrepared built them.
-// Run under -race in CI: the index is read by all and written by none.
+// leave the shared resident form exactly as LoadPrepared built it. Run
+// under -race in CI: the lists are read by all and written by none.
 func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
 	opts := Options{MemoryBudget: 1 << 20}
@@ -351,9 +370,8 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list := slices.Clone(pg.Edges())
-	index := adjIndex{inOff: slices.Clone(pg.index.inOff), in: slices.Clone(pg.index.in),
-		outOff: slices.Clone(pg.index.outOff), out: slices.Clone(pg.index.out), outDeg: slices.Clone(pg.index.outDeg)}
+	built := csr{outOff: slices.Clone(pg.g.outOff), out: slices.Clone(pg.g.out),
+		inOff: slices.Clone(pg.g.inOff), in: slices.Clone(pg.g.in)}
 	const queries = 36
 	want := make([]*Result, queries)
 	for i := range want {
@@ -380,8 +398,8 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 		}(i, opts)
 	}
 	wg.Wait()
-	if !reflect.DeepEqual(pg.Edges(), list) || !reflect.DeepEqual(*pg.index, index) {
-		t.Fatal("the shared edge list or index changed under the queries")
+	if !reflect.DeepEqual(*pg.g, built) {
+		t.Fatal("the shared resident form changed under the queries")
 	}
 	if n := len(freeScratch()); n == 0 || n > maxFreeScratch {
 		t.Fatalf("%d scratches on the free-list after %d concurrent queries, want 1..%d", n, queries, maxFreeScratch)

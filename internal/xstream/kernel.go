@@ -80,7 +80,7 @@ func (p Policy) static() bool { return p.TrimStartIteration != 0 || p.TrimVisite
 // saves input-live edges of the next read, so it pays once it at least
 // halves its input; both files are in the run's working codec, so counting
 // edges is counting bytes. A caller with no counts (UnknownEdges: the
-// in-memory compaction, which writes nothing, and the reverse stay chain)
+// one-shot run, whose trim writes nothing, and the reverse stay chain)
 // trims. The split of the stored file asks it in its own terms (split.go).
 //
 // With the paper's static threshold set (§II-C3) the counts are not
@@ -113,11 +113,9 @@ func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string
 		return nil, fmt.Errorf("%s: %w: BFS takes unweighted graphs; %s is weighted", engine, errs.ErrBadOptions, graphName)
 	}
 	if rt.InMemory() {
-		// The in-memory fast path has no destination partitions to route by,
-		// so its shards hold a single slot.
-		return newKernel(rt, engine, pol, 1).runInMemory()
+		return newKernel(rt, engine, pol).runInMemory()
 	}
-	return newKernel(rt, engine, pol, rt.Parts.P()).runStreaming()
+	return newKernel(rt, engine, pol).runStreaming()
 }
 
 // partState tracks one partition's edge input and pending stay write.
@@ -216,21 +214,9 @@ type kernel struct {
 }
 
 // newKernel sets up what both regimes share: the record, named for the
-// engine, the tracer, and the scatter worker pool with its live counters.
-// The pool is the scratch's, so a run inherits the shards and chunk
-// buffers of the runs before it; its shards are shardParts wide.
-// The chunk size is the stream buffer's edge capacity, so chunk boundaries
-// line up with scanner refills and — critically — depend only on the
-// buffer size, never on the worker count, keeping output bytes
-// deterministic.
-func newKernel(rt *Runtime, engine string, pol Policy, shardParts int) *kernel {
-	e := &kernel{rt: rt, pol: pol, run: metrics.Run{Engine: engine, SwitchIteration: -1}, tr: rt.Tracer()}
-	e.pool = rt.scratch.ScatterPool(rt.Opts.ScatterWorkers, rt.Opts.StreamBufSize/graph.EdgeBytes, shardParts)
-	e.pool.ChunkCounter = e.tr.Counter(obs.CtrScatterChunks)
-	e.pool.BusyCounter = e.tr.Counter(obs.CtrScatterBusyNs)
-	e.pool.FaultHook = rt.Opts.FaultHook
-	e.tr.Counter(obs.CtrScatterWorkers).Set(int64(e.pool.Workers()))
-	return e
+// engine, and the tracer; runStreaming adds the scatter pool.
+func newKernel(rt *Runtime, engine string, pol Policy) *kernel {
+	return &kernel{rt: rt, pol: pol, run: metrics.Run{Engine: engine, SwitchIteration: -1}, tr: rt.Tracer()}
 }
 
 // otherTiming returns the device the stay-out stream should use: a
@@ -266,6 +252,16 @@ func (e *kernel) runStreaming() (*Result, error) {
 	}
 	e.run.DirectionFallback = fellBack
 	e.ds = NewDirState(e.rt, dir)
+	// The scratch's scatter worker pool, with the shards and chunk buffers
+	// of the runs before it; a shard holds a slot per partition. A chunk is
+	// the stream buffer's edge capacity, so chunk boundaries line up with
+	// scanner refills and depend only on the buffer size, never on the
+	// worker count, keeping output bytes deterministic.
+	e.pool = e.rt.scratch.ScatterPool(e.rt.Opts.ScatterWorkers, e.rt.Opts.StreamBufSize/graph.EdgeBytes, e.rt.Parts.P())
+	e.pool.ChunkCounter = e.tr.Counter(obs.CtrScatterChunks)
+	e.pool.BusyCounter = e.tr.Counter(obs.CtrScatterBusyNs)
+	e.pool.FaultHook = e.rt.Opts.FaultHook
+	e.tr.Counter(obs.CtrScatterWorkers).Set(int64(e.pool.Workers()))
 	runSpan := e.tr.Span("run").Attr("partitions", int64(e.rt.Parts.P()))
 
 	e.parts = make([]partState, e.rt.Parts.P())

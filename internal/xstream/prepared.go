@@ -16,16 +16,15 @@ import (
 
 // PreparedGraph is the load-once, query-many form of a stored graph
 // (DESIGN.md §16): the metadata, the stored permutation and — when the
-// whole graph fits the memory budget it was
-// prepared under (the InMemory rule) — the validated edge list itself
-// with an adjacency index over it.
+// whole graph fits the memory budget it was prepared under (the InMemory
+// rule) — its resident form, the stored edge file as out- and in-lists.
 // A long-lived caller builds one with LoadPrepared and hands it to every
 // run through Options.Prepared; runs then skip the per-run metadata,
-// permutation and edge loads, and a BFS traverses the index.
+// permutation and edge loads, and a BFS traverses the lists.
 //
-// Ownership. Everything reachable from the exported fields, from
-// Edges/Weights and from the index is shared by every concurrent run and
-// is READ-ONLY after LoadPrepared returns: no run writes through those
+// Ownership. Everything reachable from the exported fields, from Out and
+// from the resident form is shared by every concurrent run and is
+// READ-ONLY after LoadPrepared returns: no run writes through those
 // slices, and none needs to — the indexed traversal (engine.go) reads
 // only the adjacency it is about to use, so it has nothing to trim.
 type PreparedGraph struct {
@@ -35,36 +34,35 @@ type PreparedGraph struct {
 	// Budget is the memory budget the residency decision was made under
 	// and Need what InMemory asks of it; Resident() == (Budget >= Need).
 	Budget, Need uint64
-	// LoadBytes are the device bytes the resident edge load read and
-	// LoadTime the wall time that load and the index build over it took
-	// (zero when not resident); LoadRetries counts the transient faults
-	// retried while opening the graph.
+	// LoadBytes are the device bytes the resident load read and LoadTime
+	// the wall time that load and the in-half build took (zero when not
+	// resident); LoadRetries counts the transient faults retried while
+	// opening the graph.
 	LoadBytes   int64
 	LoadTime    time.Duration
 	LoadRetries int64
 
-	edges   []graph.Edge // nil unless resident; shared, never written
-	weights []float32    // parallel to edges; nil for unweighted graphs
-	index   *adjIndex    // over edges, nil unless resident; shared, never written
+	g *csr // nil unless resident; shared, never written
 }
 
-// Resident reports whether the edge list is held in memory. Nil-safe: a
-// nil PreparedGraph is "nothing prepared".
-func (pg *PreparedGraph) Resident() bool { return pg != nil && pg.edges != nil }
+// Resident reports whether the graph is held in memory. Nil-safe: a nil
+// PreparedGraph is "nothing prepared".
+func (pg *PreparedGraph) Resident() bool { return pg != nil && pg.g != nil }
 
-// Edges returns the shared resident edge list in stored order (nil when
-// not resident). Callers must not write through it.
-func (pg *PreparedGraph) Edges() []graph.Edge { return pg.edges }
-
-// Weights returns the edge weights parallel to Edges, or nil for an
-// unweighted graph (every edge then weighs 1). Read-only, like Edges.
-func (pg *PreparedGraph) Weights() []float32 { return pg.weights }
-
-// ResidentBytes is the memory the shared edge list, its weights and the
-// adjacency index hold.
-func (pg *PreparedGraph) ResidentBytes() int64 {
-	return int64(len(pg.edges))*graph.EdgeBytes + int64(len(pg.weights))*4 + pg.index.bytes()
+// Out returns the shared resident out-lists: dst[off[u]:off[u+1]] are
+// u's out-neighbours in stored order, so walking the sources in id order
+// reads the stored edge list, and the same span of weights their weights
+// (nil for an unweighted graph: every edge weighs 1). All three are nil
+// when not resident. Callers must not write through them.
+func (pg *PreparedGraph) Out() (off []uint64, dst []graph.VertexID, weights []float32) {
+	if !pg.Resident() {
+		return nil, nil, nil
+	}
+	return pg.g.outOff, pg.g.out, pg.g.weights
 }
+
+// ResidentBytes is the memory the resident form holds.
+func (pg *PreparedGraph) ResidentBytes() int64 { return pg.g.bytes() }
 
 // Scratch is one run's private working memory: every Runtime takes one
 // from the process-wide free-list at construction and gives it back at
@@ -73,8 +71,6 @@ func (pg *PreparedGraph) ResidentBytes() int64 {
 // reused: every run fills what it reads before reading it, and nothing
 // read from a volume outlives the run that read it.
 type Scratch struct {
-	// Updates is the edge-list in-memory loop's per-iteration update list.
-	Updates []graph.Update
 	// Values are the algo engine's current and next vertex values.
 	Values [2][]uint64
 	// Bits is the algo engine's active-source bitmap and the indexed
@@ -171,7 +167,6 @@ func (s *Scratch) poison() {
 	for _, a := range [][]uint32{s.level, s.outDeg, s.tails} {
 		poison(a)
 	}
-	poison(s.Updates)
 	poison(s.updChunk)
 	poison(s.edgeChunk)
 	poison(s.vertRecs)
@@ -197,9 +192,9 @@ func (s *Scratch) Bitmap(n int) []uint64 {
 }
 
 // ScatterPool returns the scratch's scatter pool for the given worker
-// count, chunk size and destination-partition count (1 in memory) —
-// kept across runs, so its shards and chunk buffers are too; the caller
-// sets the per-run counters and fault hook.
+// count, chunk size and destination-partition count — kept across runs,
+// so its shards and chunk buffers are too; the caller sets the per-run
+// counters and fault hook.
 func (s *Scratch) ScatterPool(workers, chunkEdges, parts int) *stream.ScatterPool {
 	if s.pool == nil || s.poolWorkers != workers || s.poolSize != chunkEdges || s.poolParts != parts {
 		s.pool = stream.NewScatterPool(workers, chunkEdges, parts)
@@ -235,11 +230,12 @@ func chunk[T any](buf *[]T, n int) []T {
 }
 
 // InMemoryNeed is the memory budget at which a graph runs in memory:
-// InMemoryFactor times its edge data plus two sets of vertex state. A
-// resident PreparedGraph spends one share of the edge data on the list
-// and less than a second on the adjacency index (at most 9 bytes an edge
-// and 20 a vertex, of the 16 and 32 left), so ResidentBytes never exceeds
-// it; the rest is its runs' vertex-sized arrays.
+// InMemoryFactor times its edge data plus two sets of vertex state. The
+// resident form takes at most one share of the edge data and one set of
+// vertex state — 4 bytes an edge for each half (plus 4 for a weight) and
+// 8 a vertex for each half's offsets — so ResidentBytes never exceeds it;
+// a one-shot run holds the out-half only. The rest is the runs'
+// vertex-sized arrays.
 func InMemoryNeed(m graph.Meta) uint64 {
 	return InMemoryFactor*m.DataBytes() + 2*PerVertexMemBytes*m.Vertices
 }
@@ -297,11 +293,12 @@ func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string, p
 
 // LoadPrepared opens graphName once for many runs: it reads and
 // validates the metadata and permutation and, when the graph fits
-// opts.MemoryBudget, loads and validates the whole edge list and indexes
-// it — all through the same FASTBFS_FAULTS wrapping and transient-fault
-// Retrier as an engine run, so a flaky volume is retried and a broken one
-// fails here (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound)
-// instead of failing every later query. Only the budget, stream buffer
+// opts.MemoryBudget, loads and validates the stored edge file into its
+// resident form (loadCSR) and adds the in-half — all through the same
+// FASTBFS_FAULTS wrapping and transient-fault Retrier as an engine run,
+// so a flaky volume is retried and a broken one fails here
+// (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound) instead
+// of failing every later query. Only the budget, stream buffer
 // size, retry budget and tracer of opts are used.
 func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opts Options) (*PreparedGraph, error) {
 	opts.SetDefaults("prepared")
@@ -317,106 +314,14 @@ func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opt
 	pg := &PreparedGraph{Meta: m, Perm: perm, Budget: opts.MemoryBudget, Need: InMemoryNeed(m)}
 	if pg.Budget >= pg.Need {
 		start := time.Now()
-		if pg.LoadBytes, err = pg.loadEdges(vol, stream.Timing{Retry: retry}, opts.StreamBufSize); err != nil {
+		g, read, err := loadCSR(vol, m, stream.Timing{Retry: retry}, opts.StreamBufSize)
+		if err != nil {
 			return nil, err
 		}
-		pg.index = buildIndex(m.Vertices, pg.edges)
+		g.addIn()
+		pg.g, pg.LoadBytes = g, read
 		pg.LoadTime = time.Since(start)
 	}
 	pg.LoadRetries = retry.Retries()
 	return pg, nil
-}
-
-// loadEdges reads the stored edge file into pg.edges (and pg.weights)
-// chunk by chunk, validating every endpoint, and returns the device
-// bytes it consumed. The scanner refills exactly as a record-at-a-time
-// read would, so a timing that carries a simulation clock is charged the
-// same operation sequence as the streaming load it replaces.
-func (pg *PreparedGraph) loadEdges(vol storage.Volume, tm stream.Timing, bufSize int) (int64, error) {
-	m := pg.Meta
-	name := graph.EdgeFileName(m.Name)
-	edges := make([]graph.Edge, m.Edges)
-	check := func(es []graph.Edge) error {
-		for _, e := range es {
-			if uint64(e.Src) >= m.Vertices || uint64(e.Dst) >= m.Vertices {
-				return fmt.Errorf("xstream: %w: %w", errs.ErrCorrupted, m.CheckEdge(e))
-			}
-		}
-		return nil
-	}
-	miscount := func(rel string) error {
-		return fmt.Errorf("xstream: %w: %s holds %s than the %d edges its config declares", errs.ErrCorrupted, name, rel, m.Edges)
-	}
-	chunk := bufSize / graph.EdgeBytes
-	if chunk < 1 {
-		chunk = 1
-	}
-	if !m.Weighted {
-		sc, err := stream.NewEdgeScanner(vol, name, tm, bufSize)
-		if err != nil {
-			return 0, err
-		}
-		defer sc.Close()
-		for n := 0; n < len(edges); {
-			end := min(n+chunk, len(edges))
-			k, err := sc.NextChunk(edges[n:end])
-			if err != nil {
-				return 0, err
-			}
-			if k == 0 {
-				return 0, miscount("fewer")
-			}
-			if err := check(edges[n : n+k]); err != nil {
-				return 0, err
-			}
-			n += k
-		}
-		// Read through to end of stream: the trailing refill is part of
-		// the charged operation sequence, and extra records are damage.
-		var extra [1]graph.Edge
-		if k, err := sc.NextChunk(extra[:]); err != nil {
-			return 0, err
-		} else if k > 0 {
-			return 0, miscount("more")
-		}
-		pg.edges = edges
-		return sc.BytesRead(), nil
-	}
-
-	sc, err := stream.NewScanner(vol, name, tm, bufSize, graph.WEdgeBytes, graph.GetWEdge)
-	if err != nil {
-		return 0, err
-	}
-	defer sc.Close()
-	weights := make([]float32, m.Edges)
-	buf := make([]graph.WEdge, min(chunk, len(edges)+1))
-	n := 0
-	for {
-		k, err := sc.NextChunk(buf)
-		if err != nil {
-			return 0, err
-		}
-		if k == 0 {
-			break
-		}
-		if n+k > len(edges) {
-			return 0, miscount("more")
-		}
-		for i, we := range buf[:k] {
-			if we.Weight < 0 {
-				return 0, fmt.Errorf("xstream: %w: negative weight on %d->%d", errs.ErrCorrupted, we.Src, we.Dst)
-			}
-			edges[n+i] = graph.Edge{Src: we.Src, Dst: we.Dst}
-			weights[n+i] = we.Weight
-		}
-		if err := check(edges[n : n+k]); err != nil {
-			return 0, err
-		}
-		n += k
-	}
-	if n < len(edges) {
-		return 0, miscount("fewer")
-	}
-	pg.edges, pg.weights = edges, weights
-	return sc.BytesRead(), nil
 }

@@ -1,11 +1,13 @@
 package xstream
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -55,11 +57,12 @@ func TestPreparedRunMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !pg.Resident() || uint64(len(pg.Edges())) != m.Edges || pg.LoadBytes != want.Metrics.BytesRead {
+		off, dst, _ := pg.Out()
+		if !pg.Resident() || uint64(len(dst)) != m.Edges || pg.LoadBytes != want.Metrics.BytesRead {
 			t.Fatalf("prepared: resident=%v edges=%d load bytes=%d, want %d edges and the one-shot run's %d bytes",
-				pg.Resident(), len(pg.Edges()), pg.LoadBytes, m.Edges, want.Metrics.BytesRead)
+				pg.Resident(), len(dst), pg.LoadBytes, m.Edges, want.Metrics.BytesRead)
 		}
-		shared := append([]graph.Edge(nil), pg.Edges()...)
+		sharedOff, sharedDst := slices.Clone(off), slices.Clone(dst)
 		opts.Prepared = pg
 		for i := 0; i < 3; i++ {
 			opts.Sim = DefaultSim() // devices accumulate state: one per run
@@ -93,8 +96,8 @@ func TestPreparedRunMatchesOneShot(t *testing.T) {
 		if n := len(freeScratch()); n != 1 {
 			t.Fatalf("%d scratches on the free-list after sequential runs, want 1", n)
 		}
-		if !reflect.DeepEqual(pg.Edges(), shared) {
-			t.Fatal("shared edge list was written")
+		if !slices.Equal(off, sharedOff) || !slices.Equal(dst, sharedDst) {
+			t.Fatal("shared out-lists were written")
 		}
 	}
 }
@@ -143,10 +146,11 @@ func TestScratchFreeListIsCapped(t *testing.T) {
 	}
 }
 
-// TestOneShotTrimCompactsInPlace: a run that loaded its own one-shot edge
-// list shares it with nobody, so trimming compacts it in place from the
-// first pass — a trimming run allocates no second edge-list-sized buffer
-// over a run that never trims.
+// TestOneShotTrimCompactsInPlace: a one-shot run's trim is a count — the
+// edges a later level would scan are those whose source is unvisited or
+// just found, E less the updates emitted so far — so a trimming run books
+// every row's scan as the edge list it would have compacted to, and
+// allocates no second edge-list-sized buffer over a run that never trims.
 func TestOneShotTrimCompactsInPlace(t *testing.T) {
 	m, edges, err := gen.RMAT(10, 16, gen.Graph500(), 13)
 	if err != nil {
@@ -167,7 +171,7 @@ func TestOneShotTrimCompactsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer rt.Cleanup()
-		res, err := newKernel(rt, "oneshot", pol, 1).runInMemory()
+		res, err := newKernel(rt, "oneshot", pol).runInMemory()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +185,18 @@ func TestOneShotTrimCompactsInPlace(t *testing.T) {
 	}
 	if trimmed.Metrics.TrimmedEdges == 0 {
 		t.Fatal("the trimming run trimmed nothing")
+	}
+	for r, row := range trimmed.Metrics.Iterations {
+		var want int64 // every scatter trims: row r scans the edges of sources at level r or later
+		for _, e := range edges {
+			if trimmed.Levels[e.Src] >= uint32(r) {
+				want++
+			}
+		}
+		if row.EdgesStreamed != want || !row.TrimActive || row.StayEdges != want-row.Updates {
+			t.Fatalf("row %d: streamed %d kept %d (trim %v), the compacted list holds %d and keeps %d",
+				r, row.EdgesStreamed, row.StayEdges, row.TrimActive, want, want-row.Updates)
+		}
 	}
 	if list := m.Edges * graph.EdgeBytes; trimBytes > plainBytes+list/2 {
 		t.Fatalf("trimming run allocated %d bytes, plain run %d: a second %d-byte edge buffer was made",
@@ -204,7 +220,7 @@ func TestPreparedNonResidentStillStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pg.Resident() || pg.Edges() != nil || pg.Budget >= pg.Need {
+	if pg.Resident() || pg.Budget >= pg.Need {
 		t.Fatalf("4 KiB budget: resident=%v budget=%d need=%d", pg.Resident(), pg.Budget, pg.Need)
 	}
 	if err := vol.Remove(graph.ConfFileName(m.Name)); err != nil {
@@ -300,17 +316,41 @@ func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
 	}
 }
 
-// TestLoadPreparedRejectsDamagedEdges: the resident load validates what
-// it keeps — an endpoint outside the vertex space is corruption, found
-// at open rather than by every later run.
+// TestLoadPreparedRejectsDamagedEdges: the one loader validates what it
+// keeps — an endpoint outside the vertex space, a source below the one
+// before it (a file stored before edges were sorted by source) and a
+// record past the count the config declares are corruption, found by the
+// resident open and by a one-shot run alike, with every stream buffer
+// back.
 func TestLoadPreparedRejectsDamagedEdges(t *testing.T) {
+	audit := stream.AuditPools()
+	defer audit.Stop()
 	vol, m, edges := rmatStored(t, graph.StoreOptions{})
-	edges[len(edges)/2].Dst = graph.VertexID(m.Vertices)
-	if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(edges)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
-		t.Fatalf("out-of-range endpoint: err = %v, want ErrCorrupted", err)
+	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.Src, b.Src) })
+	last := len(edges) - 1
+	for _, c := range []struct {
+		name   string
+		damage func([]graph.Edge) []graph.Edge
+	}{
+		// A fixed-width file's size already gives this one away to the
+		// config check, before any edge is read.
+		{"trailing record", func(es []graph.Edge) []graph.Edge { return append(es, es[last]) }},
+		{"out-of-range endpoint", func(es []graph.Edge) []graph.Edge { es[len(es)/2].Dst = graph.VertexID(m.Vertices); return es }},
+		{"descending source", func(es []graph.Edge) []graph.Edge { es[0], es[last] = es[last], es[0]; return es }},
+	} {
+		damaged := c.damage(slices.Clone(edges))
+		if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(damaged)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("%s: LoadPrepared err = %v, want ErrCorrupted", c.name, err)
+		}
+		if _, err := Run(vol, m.Name, Options{Root: edges[0].Src, MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("%s: one-shot run err = %v, want ErrCorrupted", c.name, err)
+		}
+		if n := audit.Outstanding(); n != 0 {
+			t.Fatalf("%s: %d stream buffers outstanding after the failed loads", c.name, n)
+		}
 	}
 	// Below the in-memory budget the edge file is not read at open.
 	if pg, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 4096}); err != nil || pg.Resident() {

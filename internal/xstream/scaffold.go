@@ -46,10 +46,8 @@ const PerVertexMemBytes = 16
 // InMemoryFactor is how many times the binary edge-list size must fit in
 // the memory budget before the engine switches to the in-memory fast
 // path, matching the paper's observation that rmat22's 768 MB ran in
-// memory at 4 GB but not 2 GB. A one-shot run spends it on the edges, an
-// update set and working room; a resident PreparedGraph on the edges
-// (1×) and the adjacency index over them (under 1×), the rest being its
-// runs' vertex state (see InMemoryNeed).
+// memory at 4 GB but not 2 GB. The graph's resident form takes at most
+// one share (see InMemoryNeed).
 const InMemoryFactor = 3
 
 // SimConfig selects simulated-time mode and carries the device and cost
@@ -171,7 +169,7 @@ type Options struct {
 	// in-memory fast path ignores the policy (it has no device traffic to
 	// save and its answer is the same either way): over a resident
 	// Prepared graph it chooses a direction per level by α and β, and the
-	// one-shot edge-list loop has no direction at all.
+	// one-shot run has no direction at all.
 	Direction Direction
 	// Deprecated: DirectionAlpha and DirectionBeta are ignored. The
 	// hybrid heuristic's switch ratios are fixed at Beamer's α = 14 and
@@ -201,7 +199,7 @@ type Options struct {
 	// this run is over (see PreparedGraph): the run takes metadata and
 	// permutation from it instead of re-reading them, and a run the
 	// InMemory rule sends down the in-memory path traverses its resident
-	// adjacency index instead of reloading the edge file. It adds no
+	// form instead of reloading the edge file. It adds no
 	// policy of its own — which path a run takes is still decided by
 	// MemoryBudget alone.
 	Prepared *PreparedGraph
