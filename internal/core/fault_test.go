@@ -34,20 +34,22 @@ func storedGraph(t *testing.T) (*storage.Mem, graph.Meta) {
 	return vol, m
 }
 
-// A run that trims by the counts keeps its levels in logs: its update
-// files are the logs of the levels they form (DESIGN.md §5).
-const levelLog = EngineName + "_won"
+// updateSet names a run's update files, the per-query working files every
+// top-down scatter writes and the next gather reads. Working files in
+// another codec than the stored file's make the run split up front, so
+// that every iteration has them (DESIGN.md §5).
+const updateSet = EngineName + "_upd"
 
 func TestRunSurfacesUpdateWriteFailure(t *testing.T) {
 	vol, m := storedGraph(t)
 	boom := errors.New("update disk full")
 	vol.FailWrites(func(name string, written int64) error {
-		if strings.Contains(name, levelLog) {
+		if strings.Contains(name, updateSet) {
 			return boom
 		}
 		return nil
 	})
-	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim(), Codec: graph.CodecDelta}})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -140,10 +142,8 @@ func TestParallelScatterFaultAbortsCleanly(t *testing.T) {
 			// shards are already merged and more are in flight. The call
 			// count covers wrapped volumes (the FASTBFS_FAULTS chaos cell)
 			// that batch a file into one write at publish time, where the
-			// offset never advances past the first chunk. Working files in
-			// another codec than the stored file's make the run split up
-			// front, so that every log it writes is a scatter's update stream.
-			if strings.Contains(name, levelLog) && (written >= 512 || updWrites.Add(1) >= 2) {
+			// offset never advances past the first chunk.
+			if strings.Contains(name, updateSet) && (written >= 512 || updWrites.Add(1) >= 2) {
 				return boom
 			}
 			return nil
@@ -214,8 +214,8 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 
 	for i := 0; i < 5; i++ {
 		vol, m := storedGraph(t)
-		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: levelLog})
-		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}})
+		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: updateSet})
+		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim(), Codec: graph.CodecDelta}})
 		if !errors.Is(err, errs.ErrIOFailed) {
 			t.Fatalf("run %d: err = %v, want ErrIOFailed", i, err)
 		}

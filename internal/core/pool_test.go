@@ -399,6 +399,7 @@ func TestConcurrentRunsShareNoBuffers(t *testing.T) {
 				_, err := pc.run(context.Background(), av, m.Name, graph.VertexID(1+side), func(o *Options) {
 					o.Base.Prepared = pg
 					o.Base.ScatterWorkers = 2
+					o.Base.Codec = graph.CodecDelta // split up front: working files from iteration 0 on
 					o.Base.FilePrefix = fmt.Sprintf("run%d", side)
 					o.Base.FaultHook = func() { once.Do(func() { both.Done(); both.Wait() }) }
 				})

@@ -91,20 +91,6 @@ func ReindexByPerm[T any](p *Permutation, vals []T) []T {
 	return out
 }
 
-// TranslateParents re-bases a parent array from the stored space to the
-// original space, mapping both the index and the stored parent id (the
-// NoVertex sentinel passes through).
-func (p *Permutation) TranslateParents(parents []VertexID) []VertexID {
-	out := make([]VertexID, len(parents))
-	for stored, par := range parents {
-		if par != NoVertex {
-			par = p.origOf[par]
-		}
-		out[p.origOf[stored]] = par
-	}
-	return out
-}
-
 // DegreePermutation builds the descending-total-degree relabeling:
 // stored id 0 is the highest-degree vertex. Ties break on ascending
 // original label, so the permutation is deterministic for a given edge

@@ -86,7 +86,7 @@ func (e *kernel) unvisitedIn(p int) int64 {
 // (formed: bottom-up, or stored) there is nothing to gather. It then splits
 // the reverse-edge file if this is the run's first switch. Every bottom-up
 // iteration ends with a reverse-input pass over each partition, and logs
-// the level it forms (writeLog) in a run that keeps logs. It returns the
+// the level it forms (writeLog) in a checkpointed run. It returns the
 // number of vertices that pass discovered; zero means the traversal is
 // complete.
 func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (uint64, error) {
@@ -111,9 +111,9 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 				st.frontier = 0
 				continue
 			}
-			var v *Verts
+			v := e.tree
 			var err error
-			if !e.logs {
+			if v == nil {
 				if v, err = e.loadVerts(p, itSpan); err != nil {
 					return 0, err
 				}
@@ -123,7 +123,7 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 				return 0, err
 			}
 			aDeg += deg
-			if v != nil && st.frontier > 0 {
+			if v != e.tree && st.frontier > 0 {
 				if err := e.saveVerts(p, v, itSpan); err != nil {
 					return 0, err
 				}
@@ -168,12 +168,9 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 			degSum += dg
 		}
 	}
-	if e.logs {
-		if err := e.writeLog(iter, d, itSpan); err != nil {
-			return 0, err
-		}
+	if err := e.writeLog(iter, d, itSpan); err != nil {
+		return 0, err
 	}
-	e.levels = iter + 1
 	e.run.Visited += newly
 	e.ds.RecordFrontier(newly, degSum, true)
 	e.ds.RecordBottomUp(itRow.EdgesStreamed)
@@ -241,7 +238,7 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		if err := e.rt.Checkpoint(); err != nil {
 			return 0, 0, err
 		}
-		n, dg := e.formLevel(p, d)
+		n, dg := e.formLevel(p, iter, d)
 		if err := e.saveLevel(p, iter, n, d, itSpan); err != nil {
 			return 0, 0, err
 		}
@@ -417,7 +414,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 	}
 
-	newly, degSum = e.formLevel(p, d)
+	newly, degSum = e.formLevel(p, iter, d)
 	if err := e.saveLevel(p, iter, newly, d, itSpan); err != nil {
 		return 0, 0, err
 	}
@@ -428,9 +425,9 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 
 // saveLevel writes the newly vertices partition p won in d.best to its
 // vertex file as level iter+1, with one load and one save: the paper pin's
-// bottom-up passes. A run that keeps logs logs the level instead.
+// bottom-up passes. Any other run's tree has it from formLevel.
 func (e *kernel) saveLevel(p, iter int, newly uint64, d *dirRun, itSpan *obs.Span) error {
-	if e.logs || newly == 0 {
+	if e.tree != nil || newly == 0 {
 		return nil
 	}
 	v, err := e.loadVerts(p, itSpan)

@@ -1,9 +1,9 @@
 // Checkpoint and resume (DESIGN.md §10). A run's durable state is its
-// levels: a run that keeps logs logs every level per partition (logFile),
-// and checkpointing adds an atomic manifest, after each iteration, naming
-// the logs and the direction heuristic's state. Every partition input is an
-// order-keeping subset of the stored edge file (stay ⊆ input, PAPER.md §1
-// idea 2), so a resumed run needs nothing else: it folds the logs into its
+// levels: a checkpointed run logs every level per partition (logFile) and,
+// after each iteration, writes an atomic manifest naming the logs and the
+// direction heuristic's state. Every partition input is an order-keeping
+// subset of the stored edge file (stay ⊆ input, PAPER.md §1 idea 2), so a
+// resumed run needs nothing else: it folds the logs into its tree and
 // bitmaps and starts again from the stored file.
 package xstream
 
@@ -15,7 +15,9 @@ import (
 
 	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 )
 
 // manifestVersion guards the manifest schema: a mismatch is corruption,
@@ -46,6 +48,47 @@ func (m *checkpointManifest) check() error {
 			m.Version, m.Iteration, m.Parts, m.Dir.Mode, errs.ErrCorrupted)
 	}
 	return nil
+}
+
+// logFile is partition p's log of the level iteration iter formed, kept by
+// a checkpointed run for resume: its winners, or the update file whose
+// first record for a vertex is its winner.
+func (e *kernel) logFile(iter, p int) string {
+	return fmt.Sprintf("%s_won%d_%d", e.rt.Opts.FilePrefix, iter, p)
+}
+
+// writeLog writes the winners in d.best, the level iteration iter formed,
+// to per-partition log files: in vertex order, so as FBD1 delta blocks
+// (DESIGN.md §10) of update records — an edge's layout, read back as updates
+// — a partition at a time through one writer's buffers. A failure removes
+// the logs it wrote. No-op without a checkpoint volume.
+func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) (err error) {
+	if e.ck == nil {
+		return nil
+	}
+	defer itSpan.Child("shuffle").End()
+	for p := 0; p < len(e.parts) && err == nil; p++ {
+		var w *stream.Writer[graph.Edge]
+		if w, err = stream.NewCodecEdgeWriter(e.rt.Vol, e.logFile(iter, p), e.rt.AuxTiming(), e.rt.Opts.StreamBufSize, graph.CodecDelta); err != nil {
+			break
+		}
+		w.SetAsync()
+		for v, hi := e.rt.Parts.Interval(p); v < hi && err == nil; v++ {
+			if d.best[v] != graph.NoVertex {
+				err = w.Append(graph.Edge{Src: v, Dst: d.best[v]}) // {Dst, Parent}
+			}
+		}
+		if err == nil {
+			err = w.Close()
+		} else {
+			w.Abort()
+		}
+		e.rt.RegisterReady(e.logFile(iter, p), w.LastOp())
+	}
+	for p := 0; err != nil && p < len(e.parts); p++ {
+		e.rt.Vol.Remove(e.logFile(iter, p))
+	}
+	return err
 }
 
 // writeManifest records that iteration iter completed and logged its level:
@@ -112,13 +155,14 @@ func parseManifest(raw []byte) (*checkpointManifest, error) {
 	return man, man.check()
 }
 
-// resume folds the manifest's logs into the bitmaps (claims included) and
-// the partitions' counts, for the loop to re-enter at man.Iteration+1 as
-// it re-enters top-down after a bottom-up pass: the frontier formed,
-// nothing to gather. Unless the run is done, it then takes the degree
-// table: a run back in its stored phase loads it with the index, or
-// recounts it reading the stored file once; the others call Prepare. A
-// manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
+// resume folds the manifest's logs, through the gather, into the run's
+// tree, the bitmaps (claims included) and the partitions' counts, for the
+// loop to re-enter at man.Iteration+1 as it re-enters top-down after a
+// bottom-up pass: the frontier formed, nothing to gather. Unless the run
+// is done, it then takes the degree table: a run back in its stored phase
+// loads it with the index, or recounts it reading the stored file once;
+// the others call Prepare. A manifest from another run, or whose logs are
+// gone, is errs.ErrCorrupted.
 func (e *kernel) resume(man *checkpointManifest) error {
 	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
 		man.Root != e.rt.Opts.Root || man.Parts != e.rt.Parts.P() || uint64(man.Iteration) >= e.rt.Meta.Vertices {
@@ -136,7 +180,7 @@ func (e *kernel) resume(man *checkpointManifest) error {
 		}
 		for p := range e.parts {
 			st := &e.parts[p]
-			newly, _, applied, err := e.gather(p, nil, e.logFile(j, p), 0)
+			newly, _, applied, err := e.gather(p, e.tree, e.logFile(j, p), uint32(j)+1)
 			if errors.Is(err, storage.ErrNotExist) {
 				return fmt.Errorf("%s: checkpoint manifest names a log the working volume lacks: %w: %w", e.run.Engine, errs.ErrCorrupted, err)
 			} else if err != nil {
@@ -151,7 +195,6 @@ func (e *kernel) resume(man *checkpointManifest) error {
 			}
 		}
 	}
-	e.levels = man.Iteration + 1
 	if e.rt.claimed != nil {
 		copy(e.rt.claimed.w, e.rt.VisitedBits.w)
 	}

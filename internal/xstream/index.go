@@ -14,9 +14,9 @@ import (
 // the out-lists in stored order are the edge list less its source column,
 // and walking them in source order is reading the list.
 //
-// The in-half, which a prepared graph adds (addIn), lists every vertex's
-// in-neighbours in that same order. That order is what keeps an indexed
-// traversal's parents those of the one-shot run: among a vertex's
+// The in-half, which a prepared unweighted graph adds (addIn), lists every
+// vertex's in-neighbours in that same order. That order is what keeps an
+// indexed traversal's parents those of the one-shot run: among a vertex's
 // in-neighbours on the frontier, the first in its in-list is the one whose
 // edge sits earliest in the stored list — first-update-wins, with no edge
 // position kept.

@@ -149,8 +149,9 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 		}
 
 		// A weighted store of the same graph: BFS refuses it on every path,
-		// and its resident form is the unweighted store's plus a weight an
-		// edge.
+		// and its resident form is the unweighted store's out-half plus a
+		// weight an edge — 8 B an edge and 8 a vertex — with no in-half,
+		// whose one reader is BFS.
 		wm, wedges, err := gen.Weigh(g.m, g.edges, 1, 9, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -163,12 +164,11 @@ func TestIndexedTraversalMatchesEdgeListLoops(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lists := *weighted.g
-		lists.weights = nil
-		if !reflect.DeepEqual(lists, *plain.g) || uint64(len(weighted.g.weights)) != wm.Edges ||
-			uint64(weighted.ResidentBytes()) > weighted.Need {
-			t.Fatalf("%s: weighted store's lists differ from the unweighted store's, or it holds %d bytes against a need of %d",
-				name, weighted.ResidentBytes(), weighted.Need)
+		w := weighted.g
+		if !reflect.DeepEqual(w.outOff, plain.g.outOff) || !reflect.DeepEqual(w.out, plain.g.out) || w.inOff != nil || w.in != nil ||
+			uint64(len(w.weights)) != wm.Edges || weighted.ResidentBytes() != int64(8*wm.Edges+8*(wm.Vertices+1)) {
+			t.Fatalf("%s: weighted store's out-lists differ from the unweighted store's, it has an in-half, or it holds %d bytes",
+				name, weighted.ResidentBytes())
 		}
 		for _, prepared := range []*PreparedGraph{nil, weighted} {
 			if _, err := Run(vol, wm.Name, Options{MemoryBudget: 1 << 30, Prepared: prepared}); !errors.Is(err, errs.ErrBadOptions) {

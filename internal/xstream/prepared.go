@@ -82,7 +82,8 @@ type Scratch struct {
 	// bufs is the streaming run's buffer free-list (Runtime.Bufs).
 	bufs *stream.BufPool
 	// level and parent back the one partition's vertex state a streaming
-	// run holds at a time (Runtime.InitVerts/LoadVerts); vertRecs,
+	// run holds at a time (Runtime.InitVerts/LoadVerts), or a run's tree
+	// over a reordered store (Runtime.treeArrays); vertRecs,
 	// edgeChunk and updChunk are its NextChunk decode targets.
 	level     []uint32
 	parent    []graph.VertexID
@@ -232,10 +233,10 @@ func chunk[T any](buf *[]T, n int) []T {
 // InMemoryNeed is the memory budget at which a graph runs in memory:
 // InMemoryFactor times its edge data plus two sets of vertex state. The
 // resident form takes at most one share of the edge data and one set of
-// vertex state — 4 bytes an edge for each half (plus 4 for a weight) and
-// 8 a vertex for each half's offsets — so ResidentBytes never exceeds it;
-// a one-shot run holds the out-half only. The rest is the runs'
-// vertex-sized arrays.
+// vertex state — 4 bytes an edge for each half and 8 a vertex for each
+// half's offsets, or on a weighted graph the out-half and 4 bytes an edge
+// of weights — so ResidentBytes never exceeds it; a one-shot run holds the
+// out-half only. The rest is the runs' vertex-sized arrays.
 func InMemoryNeed(m graph.Meta) uint64 {
 	return InMemoryFactor*m.DataBytes() + 2*PerVertexMemBytes*m.Vertices
 }
@@ -294,9 +295,10 @@ func loadMetaPerm(retry *stream.Retrier, vol storage.Volume, graphName string, p
 // LoadPrepared opens graphName once for many runs: it reads and
 // validates the metadata and permutation and, when the graph fits
 // opts.MemoryBudget, loads and validates the stored edge file into its
-// resident form (loadCSR) and adds the in-half — all through the same
-// FASTBFS_FAULTS wrapping and transient-fault Retrier as an engine run,
-// so a flaky volume is retried and a broken one fails here
+// resident form (loadCSR) and adds the in-half, unless the graph is
+// weighted (BFS, the in-half's one reader, refuses it) — all through the
+// same FASTBFS_FAULTS wrapping and transient-fault Retrier as an engine
+// run, so a flaky volume is retried and a broken one fails here
 // (errs.ErrIOFailed, errs.ErrCorrupted, errs.ErrGraphNotFound) instead
 // of failing every later query. Only the budget, stream buffer
 // size, retry budget and tracer of opts are used.
@@ -318,7 +320,9 @@ func LoadPrepared(ctx context.Context, vol storage.Volume, graphName string, opt
 		if err != nil {
 			return nil, err
 		}
-		g.addIn()
+		if !m.Weighted {
+			g.addIn()
+		}
 		pg.g, pg.LoadBytes = g, read
 		pg.LoadTime = time.Since(start)
 	}

@@ -848,11 +848,11 @@ func (rt *Runtime) Winners(n int) []graph.VertexID {
 	return best
 }
 
-// Verts is one partition's in-memory vertex state: BFS level (NoLevel =
-// unvisited) and parent, the paper pin's and GraphChi's (a run that keeps
-// level logs has none). A streaming run holds one partition at a time:
-// the Verts InitVerts and LoadVerts return is backed by run-owned arrays
-// and stays valid only until the next call of either.
+// Verts is vertex state from vertex Lo on: BFS level (NoLevel =
+// unvisited) and parent. The paper pin and GraphChi hold one partition's
+// at a time: the Verts InitVerts and LoadVerts return is backed by
+// run-owned arrays and stays valid only until the next call of either.
+// Every other streaming run holds every vertex's, its answer (kernel.tree).
 type Verts struct {
 	Lo     graph.VertexID
 	Level  []uint32
@@ -985,10 +985,7 @@ func (rt *Runtime) MarkRoot(v *Verts) bool {
 // vertex file. It does not charge I/O time: dumping the result is
 // outside the measured execution, like the paper's output step.
 func (rt *Runtime) CollectResult() (*Result, error) {
-	res := &Result{
-		Levels:  make([]uint32, rt.Meta.Vertices),
-		Parents: make([]graph.VertexID, rt.Meta.Vertices),
-	}
+	level, parent := rt.treeArrays()
 	for p := 0; p < rt.Parts.P(); p++ {
 		name := rt.VertexFile(p)
 		b, err := stream.ReadAll(rt.Vol, name, rt.Retry)
@@ -1000,26 +997,46 @@ func (rt *Runtime) CollectResult() (*Result, error) {
 			return nil, fmt.Errorf("xstream: vertex file %s has %d bytes, want %d", name, len(b), int(hi-lo)*vertRecBytes)
 		}
 		for i := 0; i < int(hi-lo); i++ {
-			u := graph.GetUpdate(b[i*vertRecBytes:])
-			res.Levels[int(lo)+i] = uint32(u.Dst)
-			res.Parents[int(lo)+i] = u.Parent
-			if uint32(u.Dst) != NoLevel {
-				res.Visited++
-			}
+			rec := getVertRec(b[i*vertRecBytes:])
+			level[int(lo)+i], parent[int(lo)+i] = rec.level, rec.parent
 		}
 	}
-	rt.TranslateResult(res)
+	res := rt.answer(level, parent)
+	for _, l := range res.Levels {
+		if l != NoLevel {
+			res.Visited++
+		}
+	}
 	return res, nil
 }
 
-// TranslateResult maps a result computed in the stored label space of a
-// reordered dataset back to original labels (no-op otherwise). Engines
-// that assemble a Result without CollectResult — the in-memory fast
-// path — must call it before returning.
-func (rt *Runtime) TranslateResult(res *Result) {
+// treeArrays returns level and parent arrays over every vertex, contents
+// arbitrary, for a run's answer in stored labels: fresh, or over a
+// reordered store the run's scratch, which answer translates into fresh
+// ones. Either way a run allocates one vertex-sized pair.
+func (rt *Runtime) treeArrays() ([]uint32, []graph.VertexID) {
+	n := int(rt.Meta.Vertices)
 	if rt.Perm == nil {
-		return
+		return make([]uint32, n), make([]graph.VertexID, n)
 	}
-	res.Levels = graph.ReindexByPerm(rt.Perm, res.Levels)
-	res.Parents = rt.Perm.TranslateParents(res.Parents)
+	return chunk(&rt.scratch.level, n), chunk(&rt.scratch.parent, n)
+}
+
+// answer is the Result of a run whose tree is level and parent
+// (treeArrays), in the caller's vertex labels.
+func (rt *Runtime) answer(level []uint32, parent []graph.VertexID) *Result {
+	p := rt.Perm
+	if p == nil {
+		return &Result{Levels: level, Parents: parent}
+	}
+	res := &Result{Levels: make([]uint32, len(level)), Parents: make([]graph.VertexID, len(parent))}
+	for v, l := range level {
+		par := parent[v]
+		if par != graph.NoVertex {
+			par = p.ToOrig(par)
+		}
+		o := p.ToOrig(graph.VertexID(v))
+		res.Levels[o], res.Parents[o] = l, par
+	}
+	return res
 }

@@ -252,8 +252,6 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	}
 	if last {
 		d.best = e.rt.Winners(int(n))
-	} else {
-		e.levels = iter + 1
 	}
 	// The replaced scatter would have written, through the update filter,
 	// the first claim on each unvisited destination; without it, all.
@@ -265,7 +263,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	var newly uint64
 	var degSum float64
 	for p := range e.parts {
-		k, dg := e.formLevel(p, d)
+		k, dg := e.formLevel(p, iter, d)
 		newly, degSum = newly+k, degSum+dg
 	}
 	e.work(ps, newly)
@@ -278,10 +276,11 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	return wave.Written == 0, nil
 }
 
-// formLevel books partition p's winners in d.best — the next level, in the
-// bitmaps and the partition's counts — and returns their number and
-// out-degree sum; writeLog, or the paper pin's saveLevel, writes them.
-func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
+// formLevel books partition p's winners in d.best — the level iteration
+// iter forms, in the bitmaps, the partition's counts and the run's tree —
+// and returns their number and out-degree sum; the paper pin's saveLevel
+// writes them to its vertex file.
+func (e *kernel) formLevel(p, iter int, d *dirRun) (uint64, float64) {
 	lo, hi := e.rt.Parts.Interval(p)
 	var n uint64
 	var deg int64
@@ -291,6 +290,9 @@ func (e *kernel) formLevel(p int, d *dirRun) (uint64, float64) {
 			e.rt.VisitedBits.Set(v)
 			n++
 			deg += e.rt.outDegree(v)
+			if e.tree != nil {
+				e.tree.Level[v], e.tree.Parent[v] = uint32(iter)+1, d.best[v]
+			}
 		}
 	}
 	st := &e.parts[p]
@@ -315,43 +317,6 @@ func (e *kernel) countLive() (frontierDeg int64) {
 		}
 	}
 	return frontierDeg
-}
-
-// logFile is partition p's log of the level iteration iter formed: its
-// winners, or the update file whose first record for a vertex is its winner.
-func (e *kernel) logFile(iter, p int) string {
-	return fmt.Sprintf("%s_won%d_%d", e.rt.Opts.FilePrefix, iter, p)
-}
-
-// writeLog writes the winners in d.best, the level iteration iter formed,
-// to per-partition log files: in vertex order, so as FBD1 delta blocks
-// (DESIGN.md §10) of update records — an edge's layout, read back as updates
-// — a partition at a time through one writer's buffers. A failure removes
-// the logs it wrote.
-func (e *kernel) writeLog(iter int, d *dirRun, itSpan *obs.Span) (err error) {
-	defer itSpan.Child("shuffle").End()
-	for p := 0; p < len(e.parts) && err == nil; p++ {
-		var w *stream.Writer[graph.Edge]
-		if w, err = stream.NewCodecEdgeWriter(e.rt.Vol, e.logFile(iter, p), e.rt.AuxTiming(), e.rt.Opts.StreamBufSize, graph.CodecDelta); err != nil {
-			break
-		}
-		w.SetAsync()
-		for v, hi := e.rt.Parts.Interval(p); v < hi && err == nil; v++ {
-			if d.best[v] != graph.NoVertex {
-				err = w.Append(graph.Edge{Src: v, Dst: d.best[v]}) // {Dst, Parent}
-			}
-		}
-		if err == nil {
-			err = w.Close()
-		} else {
-			w.Abort()
-		}
-		e.rt.RegisterReady(e.logFile(iter, p), w.LastOp())
-	}
-	for p := 0; err != nil && p < len(e.parts); p++ {
-		e.rt.Vol.Remove(e.logFile(iter, p))
-	}
-	return err
 }
 
 // bookCarried books into itRow the level the last stored pass formed as
