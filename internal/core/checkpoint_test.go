@@ -16,6 +16,7 @@ import (
 	"fastbfs/internal/graph"
 	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/stream"
 	"fastbfs/internal/xstream"
 )
 
@@ -547,6 +548,77 @@ func TestResumeCorruptManifestFails(t *testing.T) {
 		// never guesses at one.
 		corrupt(t, func([]byte) []byte { return graph.FrameAll([]byte(`{"version":1,"iteration":0,"parts":[{}]}`)) })
 	})
+}
+
+// TestResumeRejectsParentPastTheGraph: a checkpoint's logs are read back
+// from disk, so a log record whose parent is not a vertex of the graph
+// fails the resume as ErrCorrupted, on a reordered store too, where the
+// answer's translation would otherwise index past the permutation.
+func TestResumeRejectsParentPastTheGraph(t *testing.T) {
+	for _, so := range []graph.StoreOptions{{Reverse: true}, {Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}} {
+		c := ckCase{xstream.DirectionTopDown, so.Codec}
+		vol := storage.NewMem()
+		m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.StoreGraph(vol, m, edges, so); err != nil {
+			t.Fatal(err)
+		}
+		ck := storage.NewMem()
+		if _, err := Run(vol, m.Name, ckOpts(c, ck, false, 2)); err != nil {
+			t.Fatal(err)
+		}
+		// Rewrite the first non-empty level log with its first record's
+		// parent past the last vertex.
+		var bad string
+		for _, f := range vol.List() {
+			if !strings.HasPrefix(f, EngineName+"_won") {
+				continue
+			}
+			sc, err := stream.NewUpdateScanner(vol, f, stream.Timing{}, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ups []graph.Update
+			chunk := make([]graph.Update, 64)
+			for {
+				n, err := sc.NextChunk(chunk)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					break
+				}
+				ups = append(ups, chunk[:n]...)
+			}
+			sc.Close()
+			if len(ups) == 0 {
+				continue
+			}
+			ups[0].Parent = graph.VertexID(m.Vertices) + 5
+			w, err := stream.NewCodecEdgeWriter(vol, f, stream.Timing{}, 256, graph.CodecDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range ups {
+				if err := w.Append(graph.Edge{Src: u.Dst, Dst: u.Parent}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			bad = f
+			break
+		}
+		if bad == "" {
+			t.Fatalf("%v: the capped run left no non-empty level log", so)
+		}
+		if _, err := Run(vol, m.Name, ckOpts(c, ck, true, 0)); !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("%v: resume with a parent past the graph in %s: %v, want ErrCorrupted", so, bad, err)
+		}
+	}
 }
 
 func TestResumeMismatchedRunFails(t *testing.T) {

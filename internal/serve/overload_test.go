@@ -248,7 +248,7 @@ func TestServiceBreakerFastFailAndStale(t *testing.T) {
 	svc, err := serve.New(vol, m.Name, serve.Config{
 		MaxInFlight: 2, CacheTTL: time.Millisecond,
 		BreakerThreshold: 2, BreakerBackoff: 10 * time.Minute,
-		Base: smallBase(),
+		Base: splittingBase(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestServiceBreakerProbeRecovery(t *testing.T) {
 	svc, err := serve.New(vol, m.Name, serve.Config{
 		MaxInFlight: 2, CacheEntries: -1,
 		BreakerThreshold: 2, BreakerBackoff: 20 * time.Millisecond,
-		Base: smallBase(),
+		Base: splittingBase(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestHTTPOverloadSurface(t *testing.T) {
 	svc, err := serve.New(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 1, CacheEntries: -1,
 		BreakerThreshold: 2, BreakerBackoff: 200 * time.Millisecond,
-		Base: smallBase(),
+		Base: splittingBase(),
 	})
 	if err != nil {
 		t.Fatal(err)
