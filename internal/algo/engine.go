@@ -203,10 +203,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		}
 	}
 
-	maxIter := rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(rt.Meta.Vertices) + 1
-	}
+	maxIter := rt.IterationCap()
 
 	// scatterPass streams every partition's edges once, shuffling what the
 	// program emits into iteration iter's update files. Whatever writer is
@@ -396,10 +393,7 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 		active = scratch.Bitmap(len(cur))
 	}
 
-	maxIter := rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(rt.Meta.Vertices) + 1
-	}
+	maxIter := rt.IterationCap()
 	for iter := 0; iter < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
 			return nil, err

@@ -273,6 +273,58 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 	t.Logf("largest resume overhead, %.0f%% of its bound: %s", 100*worst, worstTag)
 }
 
+// TestCrashMatrixCappedResumeOnlyCollects: a capped checkpointed run's
+// last iteration logs a level it never forms. Resumed under the same cap,
+// in every direction over both codecs, the run re-executes nothing and
+// answers like the fresh capped run — levels, parents, Visited, and a
+// tree that reaches exactly Visited vertices; resumed again with no cap,
+// it goes on from the last log to the uncapped run's answer.
+func TestCrashMatrixCappedResumeOnlyCollects(t *testing.T) {
+	for _, c := range ckCases() {
+		refVol, m := seededGraph(t, 5, c.codec)
+		full, err := Run(refVol, m.Name, ckOpts(c, nil, false, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for maxIter := 1; maxIter < len(full.Metrics.Iterations); maxIter++ {
+			tag := fmt.Sprintf("%s, cap %d", c, maxIter)
+			want, err := Run(refVol, m.Name, ckOpts(c, nil, false, maxIter))
+			if err != nil {
+				t.Fatal(err)
+			}
+			vol, _ := seededGraph(t, 5, c.codec)
+			ck := storage.NewMem()
+			if _, err := Run(vol, m.Name, ckOpts(c, ck, false, maxIter)); err != nil {
+				t.Fatalf("%s: capped run: %v", tag, err)
+			}
+			tr, iters := iterRecorder()
+			o := ckOpts(c, ck, true, maxIter)
+			o.Base.Tracer = tr
+			resumed, err := Run(vol, m.Name, o)
+			tr.Close()
+			if err != nil {
+				t.Fatalf("%s: resume: %v", tag, err)
+			}
+			assertSameResult(t, tag+", resumed under the cap", resumed, want)
+			var reached uint64
+			for _, l := range resumed.Levels {
+				if l != xstream.NoLevel {
+					reached++
+				}
+			}
+			if len(*iters) != 0 || reached != resumed.Visited {
+				t.Fatalf("%s: resume under the cap executed iterations %v and its tree reaches %d vertices, Visited %d",
+					tag, *iters, reached, resumed.Visited)
+			}
+			uncapped, err := Run(vol, m.Name, ckOpts(c, ck, true, 0))
+			if err != nil {
+				t.Fatalf("%s: resume with no cap: %v", tag, err)
+			}
+			assertSameResult(t, tag+", resumed with no cap", uncapped, full)
+		}
+	}
+}
+
 // TestResumeRebuildsUpdateFilter kills a top-down run at every iteration
 // boundary in turn — the last one included, where a resumed run that
 // forgot which destinations were already claimed would shuffle dead

@@ -176,10 +176,7 @@ func (e *engine) run() (*xstream.Result, error) {
 	}
 	ini.End()
 
-	maxIter := e.rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(e.rt.Meta.Vertices) + 1
-	}
+	maxIter := e.rt.IterationCap()
 	for pass := 0; pass < maxIter; pass++ {
 		if err := e.rt.Checkpoint(); err != nil {
 			return nil, err

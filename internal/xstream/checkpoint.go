@@ -158,12 +158,15 @@ func parseManifest(raw []byte) (*checkpointManifest, error) {
 // resume folds the manifest's logs, through the gather, into the run's
 // tree, the bitmaps (claims included) and the partitions' counts, for the
 // loop to re-enter at man.Iteration+1 as it re-enters top-down after a
-// bottom-up pass: the frontier formed, nothing to gather. Unless the run
-// is done, it then takes the degree table: a run back in its stored phase
-// loads it with the index, or recounts it reading the stored file once;
-// the others call Prepare. A manifest from another run, or whose logs are
-// gone, is errs.ErrCorrupted.
-func (e *kernel) resume(man *checkpointManifest) error {
+// bottom-up pass: the frontier formed, nothing to gather. A run resumed
+// under maxIter, the cap the checkpointed run stopped at, may not go on:
+// like a done run it only collects, and it folds only the levels that run
+// formed — its last log is a level it never formed, kept for a run that
+// goes on, unless a bottom-up pass formed it. Otherwise it then takes the
+// degree table: a run back in its stored phase loads it with the index,
+// or recounts it reading the stored file once; the others call Prepare. A
+// manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
+func (e *kernel) resume(man *checkpointManifest, maxIter int) error {
 	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
 		man.Root != e.rt.Opts.Root || man.Parts != e.rt.Parts.P() || uint64(man.Iteration) >= e.rt.Meta.Vertices {
 		return fmt.Errorf("%s: the checkpoint manifest is another run's: %w", e.run.Engine, errs.ErrCorrupted)
@@ -174,8 +177,12 @@ func (e *kernel) resume(man *checkpointManifest) error {
 	d := e.dir
 	e.rt.VisitedBits.Set(e.rt.Opts.Root)
 	e.parts[e.rt.Parts.Of(e.rt.Opts.Root)].visitedCount, e.run.Visited = 1, 1
-	for j := 0; j <= man.Iteration; j++ {
-		if j == man.Iteration {
+	last, capped := man.Iteration, !man.Done && maxIter == man.Iteration+1
+	if capped && man.Dir.Mode != DirectionBottomUp {
+		last--
+	}
+	for j := 0; j <= last; j++ {
+		if j == last {
 			d.frontier.Clear() // the last level is the frontier the loop re-enters at
 		}
 		for p := range e.parts {
@@ -189,7 +196,7 @@ func (e *kernel) resume(man *checkpointManifest) error {
 			st.frontier, st.updates = newly, int64(newly)
 			st.visitedCount += newly
 			e.run.Visited += newly
-			if j == man.Iteration {
+			if j == last {
 				d.carryFrontier += newly
 				d.carryUpdates += applied
 			}
@@ -198,7 +205,7 @@ func (e *kernel) resume(man *checkpointManifest) error {
 	if e.rt.claimed != nil {
 		copy(e.rt.claimed.w, e.rt.VisitedBits.w)
 	}
-	if e.run.Resumed = man.Iteration + 1; man.Done {
+	if e.run.Resumed = man.Iteration + 1; man.Done || capped {
 		return nil
 	}
 	// Prepare keeps the frontier's edges, the next scatter's.

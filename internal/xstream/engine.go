@@ -71,10 +71,7 @@ func (e *kernel) runInMemory() (*Result, error) {
 
 	level, parent := e.plantInMemoryRoot()
 
-	maxIter := rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(rt.Meta.Vertices) + 1
-	}
+	maxIter := rt.IterationCap()
 	frontier := uint64(1) // the vertices at level iter: what iteration iter scatters
 	live, emitted := int64(len(g.out)), int64(0)
 	for iter := uint32(0); int(iter) < maxIter; iter++ {
@@ -157,8 +154,8 @@ func (e *kernel) finishTree(runSpan *obs.Span, level []uint32, parent []graph.Ve
 // runIndexed is the in-memory path over a resident graph's adjacency
 // index: a BFS from the run's root that examines only the adjacency it
 // needs. A top-down level expands the frontier queue's out-lists; a
-// bottom-up level scans each unvisited vertex's in-list against a bitmap
-// of the frontier and stops at the first hit. conf is the direction
+// bottom-up level scans each open vertex's in-list against a bitmap of
+// the frontier and stops at the first hit. conf is the direction
 // policy — DirectionAuto for every real run, which picks per level by α
 // and β on the exact frontier out-degree and unvisited in-degree sums
 // (DirState.DecideExact); the pure policies are the tests' seam. One
@@ -179,16 +176,16 @@ func (e *kernel) runIndexed(ix *csr, conf Direction) (*Result, error) {
 	frontier, next := append(scratch.queue[0][:0], root), scratch.queue[1]
 	defer func() { scratch.queue = [2][]graph.VertexID{frontier, next} }()
 	bits := &Bitset{w: scratch.Bitmap(len(level))}
+	// The open list bottomUp keeps, in the winner table a streaming pass
+	// uses: empty until the first bottom-up level sweeps for it.
+	open, swept := chunk(&scratch.bestParent, len(level))[:0], false
 	e.ds = NewDirState(rt, conf)
 	// What the heuristic weighs: the out-degree sum of the frontier, all a
 	// top-down level can expand, and the in-degree sum of the unvisited
 	// vertices, all a bottom-up one can scan.
 	frontierOut, unvisitedIn := ix.outDeg(root), rt.Meta.Edges-ix.inDeg(root)
 
-	maxIter := rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(rt.Meta.Vertices) + 1
-	}
+	maxIter := rt.IterationCap()
 	for iter := uint32(0); int(iter) < maxIter; iter++ {
 		if err := rt.Checkpoint(); err != nil {
 			return nil, err
@@ -205,23 +202,25 @@ func (e *kernel) runIndexed(ix *csr, conf Direction) (*Result, error) {
 			break
 		}
 		itRow.BottomUp = e.ds.DecideExact(int(iter), itRow.Frontier, frontierOut, rt.Meta.Vertices-e.run.Visited, unvisitedIn)
-		var examined uint64
+		var examined, nextIn uint64
 		if itRow.BottomUp {
 			ls := itSpan.Child("bottomup")
-			next, examined = ix.bottomUp(frontier, next[:0], bits, level, parent, iter)
+			next, open, examined, frontierOut, nextIn = ix.bottomUp(frontier, next[:0], open, !swept, bits, level, parent, iter)
+			swept = true
 			ls.End()
 		} else {
 			ls := itSpan.Child("scatter")
 			next, examined = ix.topDown(frontier, next[:0], level, parent, iter)
 			ls.End()
+			frontierOut = 0
+			for _, v := range next {
+				frontierOut += ix.outDeg(v)
+				nextIn += ix.inDeg(v)
+			}
 		}
+		unvisitedIn -= nextIn
 		itRow.EdgesStreamed = int64(examined)
 		itRow.NewlyVisited = uint64(len(next))
-		frontierOut = 0
-		for _, v := range next {
-			frontierOut += ix.outDeg(v)
-			unvisitedIn -= ix.inDeg(v)
-		}
 		frontier, next = next, frontier
 		e.run.Visited += itRow.NewlyVisited
 		rt.RAMScan(itRow.EdgesStreamed * 4) // each entry charged as a vertex ID

@@ -190,30 +190,48 @@ func (g *csr) topDown(frontier, next []graph.VertexID, level []uint32, parent []
 	return next, examined
 }
 
-// bottomUp forms level iter+1 from the other side: every unvisited vertex
-// reads its in-list until it meets a member of the frontier, set in bits,
-// which becomes its parent. examined counts the adjacency entries read.
-func (g *csr) bottomUp(frontier, next []graph.VertexID, bits *Bitset, level []uint32, parent []graph.VertexID, iter uint32) ([]graph.VertexID, uint64) {
+// bottomUp forms level iter+1 from the other side: every open vertex reads
+// its in-list until it meets a member of the frontier, set in bits, which
+// becomes its parent. The open vertices are the unvisited ones with an
+// in-edge, in id order: the run's first bottom-up level (sweep) finds them
+// among all V, and each level keeps in open those it leaves parentless and
+// drops those a top-down level visited since — FastBFS's trimming
+// (PAPER.md §1 idea 2) in RAM. open must have room for every vertex; a
+// sweep writes it below the vertex it reads, a walk where it has read. It
+// returns next, open, the adjacency entries read and next's out- and
+// in-degree sums.
+func (g *csr) bottomUp(frontier, next, open []graph.VertexID, sweep bool, bits *Bitset, level []uint32, parent []graph.VertexID, iter uint32) (_, _ []graph.VertexID, examined, nextOut, nextIn uint64) {
 	bits.Clear()
 	for _, u := range frontier {
 		bits.Set(u)
 	}
-	var examined uint64
-	for v, l := range level {
-		if l != NoLevel {
-			continue
+	n := len(open)
+	if sweep {
+		n = len(level)
+	}
+	kept := open[:0]
+	for i := 0; i < n; i++ {
+		v := graph.VertexID(i)
+		if !sweep {
+			v = open[i]
 		}
 		in := g.in[g.inOff[v]:g.inOff[v+1]]
-		read := len(in)
-		for i, u := range in {
-			if bits.Get(u) {
-				level[v], parent[v] = iter+1, u
-				next = append(next, graph.VertexID(v))
-				read = i + 1
-				break
-			}
+		if level[v] != NoLevel || len(in) == 0 {
+			continue
 		}
-		examined += uint64(read)
+		j := 0
+		for j < len(in) && !bits.Get(in[j]) {
+			j++
+		}
+		if j == len(in) {
+			examined += uint64(j)
+			kept = append(kept, v)
+			continue
+		}
+		examined += uint64(j) + 1
+		level[v], parent[v] = iter+1, in[j]
+		next = append(next, v)
+		nextOut, nextIn = nextOut+g.outDeg(v), nextIn+uint64(len(in))
 	}
-	return next, examined
+	return next, kept, examined, nextOut, nextIn
 }

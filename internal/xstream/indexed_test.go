@@ -3,7 +3,10 @@ package xstream
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -403,5 +406,184 @@ func TestIndexedConcurrentQueriesShareTheIndex(t *testing.T) {
 	}
 	if n := len(freeScratch()); n == 0 || n > maxFreeScratch {
 		t.Fatalf("%d scratches on the free-list after %d concurrent queries, want 1..%d", n, queries, maxFreeScratch)
+	}
+}
+
+// bottomUpSweep is the bottom-up level before the open list, kept as the
+// oracle: every unvisited vertex of all V reads its in-list until it
+// meets a member of the frontier, set in bits, which becomes its parent.
+func (g *csr) bottomUpSweep(frontier, next []graph.VertexID, bits *Bitset, level []uint32, parent []graph.VertexID, iter uint32) ([]graph.VertexID, uint64) {
+	bits.Clear()
+	for _, u := range frontier {
+		bits.Set(u)
+	}
+	var examined uint64
+	for v, l := range level {
+		if l != NoLevel {
+			continue
+		}
+		in := g.in[g.inOff[v]:g.inOff[v+1]]
+		read := len(in)
+		for i, u := range in {
+			if bits.Get(u) {
+				level[v], parent[v] = iter+1, u
+				next = append(next, graph.VertexID(v))
+				read = i + 1
+				break
+			}
+		}
+		examined += uint64(read)
+	}
+	return next, examined
+}
+
+// TestIndexedOpenListMatchesTheSweep drives the open-list bottom-up and
+// the sweep it replaced level by level, over every graph shape, store
+// layout and root, under direction sequences that alternate from either
+// side and seeded random ones: each level forms the same next queue in
+// the same order, examines as many entries and leaves the same levels and
+// parents, and the degree sums bottomUp returns are next's. After every
+// bottom-up level the open list is exactly the unvisited vertices with an
+// in-edge, in id order — an isolated vertex never in it, an in-only one
+// until a level claims it — and a top-down level in between leaves the
+// vertices it visits for the next bottom-up level to drop.
+func TestIndexedOpenListMatchesTheSweep(t *testing.T) {
+	ctx := context.Background()
+	dropped := false // a bottom-up level after a top-down one dropped a vertex it visited
+	for name, g := range indexedGraphs(t) {
+		for _, so := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
+			vol := storage.NewMem()
+			if err := graph.StoreGraph(vol, g.m, g.edges, so); err != nil {
+				t.Fatal(err)
+			}
+			pg, err := LoadPrepared(ctx, vol, name, Options{MemoryBudget: InMemoryNeed(g.m)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, n := pg.g, int(g.m.Vertices)
+			for _, root := range g.roots {
+				if pg.Perm != nil {
+					root = pg.Perm.ToStored(root)
+				}
+				for seed := int64(0); seed < 6; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					bottomUpAt := func(iter uint32) bool {
+						if seed < 2 {
+							return int64(iter%2) == seed // bottom-up at even levels, or at odd ones
+						}
+						return rng.Intn(2) == 0
+					}
+					tag := fmt.Sprintf("%s (codec %q) root %d seed %d", name, so.Codec, root, seed)
+					wantLevel, wantParent := make([]uint32, n), make([]graph.VertexID, n)
+					for v := range wantLevel {
+						wantLevel[v], wantParent[v] = NoLevel, graph.NoVertex
+					}
+					wantLevel[root], wantParent[root] = 0, root
+					level, parent := slices.Clone(wantLevel), slices.Clone(wantParent)
+					frontier, wantFrontier := []graph.VertexID{root}, []graph.VertexID{root}
+					bits := &Bitset{w: make([]uint64, (n+63)/64)}
+					open, swept, afterTopDown := make([]graph.VertexID, 0, n), false, false
+					for iter := uint32(0); len(frontier) > 0; iter++ {
+						var next, want []graph.VertexID
+						var examined, wantExamined uint64
+						if bottomUpAt(iter) {
+							var nextOut, nextIn uint64
+							before := len(open)
+							next, open, examined, nextOut, nextIn = ix.bottomUp(frontier, nil, open, !swept, bits, level, parent, iter)
+							want, wantExamined = ix.bottomUpSweep(wantFrontier, nil, bits, wantLevel, wantParent, iter)
+							var out, in uint64
+							for _, v := range want {
+								out, in = out+ix.outDeg(v), in+ix.inDeg(v)
+							}
+							if nextOut != out || nextIn != in {
+								t.Fatalf("%s level %d: bottomUp summed out-degrees %d and in-degrees %d, next's are %d and %d", tag, iter, nextOut, nextIn, out, in)
+							}
+							var stillOpen []graph.VertexID
+							for v, l := range wantLevel {
+								if l == NoLevel && ix.inDeg(graph.VertexID(v)) > 0 {
+									stillOpen = append(stillOpen, graph.VertexID(v))
+								}
+							}
+							if !slices.Equal(open, stillOpen) {
+								t.Fatalf("%s level %d: open list %v, want the unvisited vertices with an in-edge %v", tag, iter, open, stillOpen)
+							}
+							dropped = dropped || swept && afterTopDown && before > len(open)+len(next)
+							swept, afterTopDown = true, false
+						} else {
+							next, examined = ix.topDown(frontier, nil, level, parent, iter)
+							want, wantExamined = ix.topDown(wantFrontier, nil, wantLevel, wantParent, iter)
+							afterTopDown = true
+						}
+						if !slices.Equal(next, want) || examined != wantExamined ||
+							!slices.Equal(level, wantLevel) || !slices.Equal(parent, wantParent) {
+							t.Fatalf("%s level %d: next %v after %d entries, the sweep's %v after %d, or the trees differ",
+								tag, iter, next, examined, want, wantExamined)
+						}
+						frontier, wantFrontier = next, want
+					}
+				}
+			}
+		}
+	}
+	if !dropped {
+		t.Fatal("no bottom-up level after a top-down one found a vertex it visited in the open list")
+	}
+}
+
+// TestIndexedRunOnPoisonedScratch: a warmed resident query allocates its
+// answer pair and under a quarter of it more — the open list, the queues
+// and the bitmap are the pooled scratch's — and, on either layout, a
+// query on a scratch the poisoning audit has filled with 0xA5 answers
+// like the one-shot run, its open list in the winner table.
+func TestIndexedRunOnPoisonedScratch(t *testing.T) {
+	m, edges, err := gen.RMAT(14, 8, gen.Graph500(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, so := range []graph.StoreOptions{{}, {Codec: graph.CodecDelta, ReorderByDegree: true}} {
+		DropFreeScratch()
+		vol := storage.NewMem()
+		if err := graph.StoreGraph(vol, m, edges, so); err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 1 << 30}
+		want, err := Run(vol, m.Name, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Prepared, err = LoadPrepared(context.Background(), vol, m.Name, opts); err != nil {
+			t.Fatal(err)
+		}
+		run := func() *Result {
+			t.Helper()
+			got, err := Run(vol, m.Name, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Metrics.BottomUpIterations == 0 || !slices.Equal(got.Levels, want.Levels) || !slices.Equal(got.Parents, want.Parents) {
+				t.Fatalf("codec %q: %d bottom-up levels, or the tree differs from the one-shot run's", so.Codec, got.Metrics.BottomUpIterations)
+			}
+			return got
+		}
+		run() // warm: grow the scratch to the graph
+		const runs = 8
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&ms1)
+		answer := m.Vertices * 8
+		if perRun := (ms1.TotalAlloc - ms0.TotalAlloc) / runs; perRun >= answer+answer/4 {
+			t.Fatalf("codec %q: a warmed query allocates %d bytes; want < %d (answer pair %d + 1/4)", so.Codec, perRun, answer+answer/4, answer)
+		}
+
+		audit := stream.AuditPools()
+		run()
+		audit.Stop()
+		s := freeScratch()[0]
+		if uint64(len(s.bestParent)) != m.Vertices || slices.ContainsFunc(asBytes(s.bestParent), func(b byte) bool { return b != 0xA5 }) {
+			t.Fatalf("codec %q: the released winner table holds %d vertices, not the %d poisoned the open list left", so.Codec, len(s.bestParent), m.Vertices)
+		}
 	}
 }

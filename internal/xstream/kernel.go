@@ -298,10 +298,11 @@ func (e *kernel) runStreaming() (*Result, error) {
 	// edge counts are bytes; the rest split up front. A resumed run goes back
 	// to its stored phase if it had not split: β still prices a stored pass.
 	e.stored = counting && e.rt.Codec == e.rt.Meta.EdgeCodec() && (man == nil || man.Dir.StoredPrice > 0)
+	maxIter := e.rt.IterationCap()
 	startIter := 0
 	switch {
 	case man != nil:
-		if err := e.resume(man); err != nil {
+		if err := e.resume(man, maxIter); err != nil {
 			return nil, err
 		}
 		startIter = man.Iteration + 1
@@ -333,10 +334,6 @@ func (e *kernel) runStreaming() (*Result, error) {
 		defer e.drainPending()
 	}
 
-	maxIter := e.rt.Opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = int(e.rt.Meta.Vertices) + 1
-	}
 	// prevBottom is whether the last iteration went bottom-up; formed,
 	// whether it formed this one's frontier without an update file (a
 	// bottom-up or a stored pass, or a resume), leaving nothing to gather.

@@ -92,7 +92,7 @@ type Scratch struct {
 	updChunk  []graph.Update
 	// visited and claimed back the run's vertex bitmaps (Runtime.VisitedBits
 	// and the update filter's claims, see filter.go); bestParent a pass's
-	// winner table (Runtime.Winners).
+	// winner table (Runtime.Winners) or the indexed traversal's open list.
 	visited, claimed Bitset
 	bestParent       []graph.VertexID
 	// outDeg backs the run's out-degree table (Runtime.OutDeg), and tails

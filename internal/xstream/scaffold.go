@@ -494,6 +494,15 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 // the run's until Cleanup.
 func (rt *Runtime) Scratch() *Scratch { return rt.scratch }
 
+// IterationCap is the most iterations the run may take:
+// Options.MaxIterations, or one more than the vertices when that is unset.
+func (rt *Runtime) IterationCap() int {
+	if rt.Opts.MaxIterations > 0 {
+		return rt.Opts.MaxIterations
+	}
+	return int(rt.Meta.Vertices) + 1
+}
+
 // InMemory reports whether the whole graph fits the memory budget.
 func (rt *Runtime) InMemory() bool {
 	return rt.Opts.MemoryBudget >= InMemoryNeed(rt.Meta)
