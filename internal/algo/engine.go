@@ -145,20 +145,12 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 	P := rt.Parts.P()
 	vertexFile := func(p int) string { return fmt.Sprintf("%s_val_%d", rt.Opts.FilePrefix, p) }
 	updFile := func(set, p int) string { return fmt.Sprintf("%s_u%d_%d", rt.Opts.FilePrefix, set, p) }
-	edgeFile := func(p int) string { return fmt.Sprintf("%s_we_%d", rt.Opts.FilePrefix, p) }
 
 	// NextChunk targets that divide the stream buffer: a chunk never
 	// straddles a refill, so every device read stays where reading record
 	// by record put it among the writes around it.
-	wedges := make([]graph.WEdge, rt.ChunkLen(graph.WEdgeBytes))
+	edges := rt.EdgeChunk()
 	upds := make([]updRec, rt.ChunkLen(updateRecBytes))
-
-	// Prepare: split the stored graph into per-partition weighted edge
-	// files. Unweighted inputs get unit weights, so every Program runs
-	// on either representation.
-	if err := prepareWeighted(rt, edgeFile, wedges); err != nil {
-		return nil, err
-	}
 
 	loadVals := func(p int) ([]uint64, error) {
 		sc, err := stream.NewScanner(rt.Vol, vertexFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, 8,
@@ -205,11 +197,13 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 
 	maxIter := rt.IterationCap()
 
-	// scatterPass streams every partition's edges once, shuffling what the
-	// program emits into iteration iter's update files. Whatever writer is
-	// still open when it returns — a cancelled or failed pass, a panicking
-	// FaultHook — is aborted, so no early exit leaves a half-written update
-	// file or a stream buffer behind.
+	// scatterPass streams the stored edge file once (xstream.ScanStored),
+	// shuffling what the program emits into iteration iter's update files.
+	// The file is sorted by source, so it is the partitions' edges in
+	// sequence: a partition's values load when its first source appears.
+	// Whatever writer is still open when it returns — a cancelled or failed
+	// pass, a panicking FaultHook — is aborted, so no early exit leaves a
+	// half-written update file or a stream buffer behind.
 	scatterPass := func(iter int, itRow *metrics.Iteration) (emitted int64, err error) {
 		shuf, err := stream.OpenWriterSet(rt.Vol, P, func(p int) string { return updFile(0, p) },
 			func(name string) (*stream.Writer[updRec], error) {
@@ -220,54 +214,47 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 		}
 		defer shuf.Abort()
 		w := shuf.W
-		for p := 0; p < P; p++ {
-			if err := rt.Checkpoint(); err != nil {
-				return 0, err
-			}
-			if rt.Opts.FaultHook != nil {
-				// The chaos seam the streaming engines expose through their
-				// scatter pools; the algo engine scatters serially, so the
-				// hook fires here. A panicking hook unwinds through the
-				// deferred rt.Cleanup (working files removed) and is
-				// recovered by the serving layer's per-query isolation.
-				rt.Opts.FaultHook()
-			}
-			vals, err := loadVals(p)
-			if err != nil {
-				return 0, err
-			}
-			lo, _ := rt.Parts.Interval(p)
-			sc, err := stream.NewScanner(rt.Vol, edgeFile(p), rt.MainTiming(), rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge)
-			if err != nil {
-				return 0, err
-			}
-			sc.Prefetch(rt.Opts.PrefetchBuffers)
-			var scanned int64
-			for {
-				n, err := sc.NextChunk(wedges)
-				if err != nil {
-					sc.Close()
-					return 0, err
-				}
-				if n == 0 {
-					break
-				}
-				scanned += int64(n)
-				for _, e := range wedges[:n] {
-					payload, emit := prog.Scatter(iter, e.Src, vals[int(e.Src-lo)], e.Dst, e.Weight)
-					if emit {
-						if err := w[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
-							sc.Close()
-							return 0, err
-						}
-						emitted++
+		var vals []uint64
+		var lo, hi graph.VertexID
+		weight := float32(1)
+		if _, err := xstream.ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, edges, func(es []graph.Edge, weights []float32) error {
+			for i, e := range es {
+				if e.Src >= hi { // the first source of a partition: hi starts at 0
+					if err := rt.Checkpoint(); err != nil {
+						return err
+					}
+					if rt.Opts.FaultHook != nil {
+						// The chaos seam the streaming engines expose through
+						// their scatter pools; the algo engine scatters
+						// serially, so the hook fires here. A panicking hook
+						// unwinds through the deferred rt.Cleanup (working
+						// files removed) and is recovered by the serving
+						// layer's per-query isolation.
+						rt.Opts.FaultHook()
+					}
+					p := rt.Parts.Of(e.Src)
+					lo, hi = rt.Parts.Interval(p)
+					var err error
+					if vals, err = loadVals(p); err != nil {
+						return err
 					}
 				}
+				if weights != nil {
+					weight = weights[i]
+				}
+				if payload, emit := prog.Scatter(iter, e.Src, vals[e.Src-lo], e.Dst, weight); emit {
+					if err := w[rt.Parts.Of(e.Dst)].Append(updRec{dst: e.Dst, payload: payload}); err != nil {
+						return err
+					}
+					emitted++
+				}
 			}
-			sc.Close()
-			rt.Compute(float64(scanned)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
-			itRow.EdgesStreamed += scanned
+			return nil
+		}); err != nil {
+			return 0, err
 		}
+		rt.Compute(float64(rt.Meta.Edges)*rt.Costs.ScatterPerEdge + float64(emitted)*rt.Costs.AppendPerUpdate)
+		itRow.EdgesStreamed += int64(rt.Meta.Edges)
 		return emitted, shuf.Close()
 	}
 
@@ -458,64 +445,4 @@ func runResident(rt *xstream.Runtime, pg *xstream.PreparedGraph, prog Program, f
 	rt.FinishMetrics(&run)
 	res.Metrics = run
 	return res, nil
-}
-
-// prepareWeighted splits the stored graph (weighted or not) into
-// per-partition weighted edge files; unweighted edges get weight 1. chunk
-// is the run's weighted-edge NextChunk target.
-func prepareWeighted(rt *xstream.Runtime, edgeFile func(int) string, chunk []graph.WEdge) error {
-	tm := rt.MainTiming()
-	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), edgeFile, func(name string) (*stream.Writer[graph.WEdge], error) {
-		return stream.NewWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.PutWEdge)
-	})
-	if err != nil {
-		return err
-	}
-	defer outs.Abort() // whatever an error return leaves open
-	name := graph.EdgeFileName(rt.Meta.Name)
-	if rt.Meta.Weighted {
-		var sc *stream.Scanner[graph.WEdge]
-		if sc, err = stream.NewScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize, graph.WEdgeBytes, graph.GetWEdge); err == nil {
-			err = routeEdges(rt, sc, chunk, outs.W, func(e graph.WEdge) graph.WEdge { return e })
-		}
-	} else {
-		var sc *stream.Scanner[graph.Edge]
-		if sc, err = stream.NewEdgeScanner(rt.Vol, name, tm, rt.Opts.StreamBufSize); err == nil {
-			err = routeEdges(rt, sc, rt.EdgeChunk(), outs.W, func(e graph.Edge) graph.WEdge { return graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: 1} })
-		}
-	}
-	if err != nil {
-		return err
-	}
-	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	return outs.Close()
-}
-
-// routeEdges is prepareWeighted's scan, chunk by aligned chunk: every
-// record of sc, as the weighted edge wedge makes of it, checked and
-// appended to its source's partition writer. It closes sc.
-func routeEdges[T any](rt *xstream.Runtime, sc *stream.Scanner[T], chunk []T, outs []*stream.Writer[graph.WEdge], wedge func(T) graph.WEdge) error {
-	defer sc.Close()
-	for {
-		n, err := sc.NextChunk(chunk)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, rec := range chunk[:n] {
-			e := wedge(rec)
-			if e.Weight < 0 {
-				return fmt.Errorf("algo: negative weight on %d->%d", e.Src, e.Dst)
-			}
-			if err := rt.Meta.CheckEdge(graph.Edge{Src: e.Src, Dst: e.Dst}); err != nil {
-				return err
-			}
-			if err := outs[rt.Parts.Of(e.Src)].Append(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

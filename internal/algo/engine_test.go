@@ -177,8 +177,8 @@ func TestEngineManyPartitions(t *testing.T) {
 }
 
 // TestAlgoWriterFaultLeavesNothing drives stream.WriterSet's all-or-nothing
-// contract through this engine's two uses of it — the weighted split and
-// an iteration's update shuffle — with a permanent write fault on
+// contract through this engine's use of it, an iteration's update
+// shuffle, with a permanent write fault on
 // partition k's file, failing an Append's flush (small buffer) or the
 // Close (large one). The run keeps its files, so a file of the set still
 // on the volume is one the set left there, and every pooled buffer must be
@@ -193,7 +193,7 @@ func TestAlgoWriterFaultLeavesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	const parts = 4
-	for _, set := range []string{"_we_", "_u0_"} {
+	for _, set := range []string{"_u0_"} {
 		for _, bufSize := range []int{512, 1 << 20} {
 			for k := 0; k < parts; k++ {
 				name := fmt.Sprintf("%s%d/buf=%d", set, k, bufSize)

@@ -273,54 +273,88 @@ func TestCrashMatrixBoundaryKills(t *testing.T) {
 	t.Logf("largest resume overhead, %.0f%% of its bound: %s", 100*worst, worstTag)
 }
 
-// TestCrashMatrixCappedResumeOnlyCollects: a capped checkpointed run's
-// last iteration logs a level it never forms. Resumed under the same cap,
-// in every direction over both codecs, the run re-executes nothing and
-// answers like the fresh capped run — levels, parents, Visited, and a
-// tree that reaches exactly Visited vertices; resumed again with no cap,
-// it goes on from the last log to the uncapped run's answer.
+// TestCrashMatrixCappedResumeOnlyCollects: over direction × codec ×
+// reorder, a run checkpointed at every cap (the last one lets it finish)
+// is resumed under every cap and none. A resume under a lower cap than the
+// checkpoint's is refused with errs.ErrBadOptions and leaves the working
+// volume and the manifest as they were, so a resume with no cap still
+// answers like the uncapped run. Every other resume answers like the fresh
+// run under its cap — levels, parents, Visited, and a tree that reaches
+// exactly Visited vertices — and one under the checkpoint's own cap
+// re-executes nothing: a capped run's last iteration logs a level it never
+// forms, which only a run that goes on folds.
 func TestCrashMatrixCappedResumeOnlyCollects(t *testing.T) {
+	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range ckCases() {
-		refVol, m := seededGraph(t, 5, c.codec)
-		full, err := Run(refVol, m.Name, ckOpts(c, nil, false, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for maxIter := 1; maxIter < len(full.Metrics.Iterations); maxIter++ {
-			tag := fmt.Sprintf("%s, cap %d", c, maxIter)
-			want, err := Run(refVol, m.Name, ckOpts(c, nil, false, maxIter))
+		for _, reorder := range []bool{false, true} {
+			stored := func() *storage.Mem {
+				vol := storage.NewMem()
+				if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{Codec: c.codec, Reverse: true, ReorderByDegree: reorder}); err != nil {
+					t.Fatal(err)
+				}
+				return vol
+			}
+			refVol := stored()
+			fresh := []*Result{nil} // fresh[k]: the run under cap k, 0 none
+			full, err := Run(refVol, m.Name, ckOpts(c, nil, false, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			vol, _ := seededGraph(t, 5, c.codec)
-			ck := storage.NewMem()
-			if _, err := Run(vol, m.Name, ckOpts(c, ck, false, maxIter)); err != nil {
-				t.Fatalf("%s: capped run: %v", tag, err)
+			n := len(full.Metrics.Iterations)
+			for k := 1; k <= n; k++ {
+				want, err := Run(refVol, m.Name, ckOpts(c, nil, false, k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fresh = append(fresh, want)
 			}
-			tr, iters := iterRecorder()
-			o := ckOpts(c, ck, true, maxIter)
-			o.Base.Tracer = tr
-			resumed, err := Run(vol, m.Name, o)
-			tr.Close()
-			if err != nil {
-				t.Fatalf("%s: resume: %v", tag, err)
-			}
-			assertSameResult(t, tag+", resumed under the cap", resumed, want)
-			var reached uint64
-			for _, l := range resumed.Levels {
-				if l != xstream.NoLevel {
-					reached++
+			fresh[0] = full
+			for ckCap := 1; ckCap <= n; ckCap++ {
+				for resCap := 0; resCap <= n; resCap++ {
+					tag := fmt.Sprintf("%s reorder=%v, checkpoint cap %d, resume cap %d", c, reorder, ckCap, resCap)
+					vol, ck := stored(), storage.NewMem()
+					if _, err := Run(vol, m.Name, ckOpts(c, ck, false, ckCap)); err != nil {
+						t.Fatalf("%s: capped run: %v", tag, err)
+					}
+					files, manifest := vol.List(), ck.List()
+					tr, iters := iterRecorder()
+					o := ckOpts(c, ck, true, resCap)
+					o.Base.Tracer = tr
+					resumed, err := Run(vol, m.Name, o)
+					tr.Close()
+					if resCap != 0 && resCap < ckCap {
+						if !errors.Is(err, errs.ErrBadOptions) {
+							t.Fatalf("%s: resume under a lower cap: err = %v, want ErrBadOptions", tag, err)
+						}
+						if !slices.Equal(vol.List(), files) || !slices.Equal(ck.List(), manifest) {
+							t.Fatalf("%s: the refused resume changed the volumes: %v -> %v, %v -> %v", tag, files, vol.List(), manifest, ck.List())
+						}
+						resumed, err = Run(vol, m.Name, ckOpts(c, ck, true, 0))
+						if err != nil {
+							t.Fatalf("%s: resume with no cap after the refusal: %v", tag, err)
+						}
+						assertSameResult(t, tag+", resumed with no cap after the refusal", resumed, full)
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: resume: %v", tag, err)
+					}
+					assertSameResult(t, tag, resumed, fresh[resCap])
+					var reached uint64
+					for _, l := range resumed.Levels {
+						if l != xstream.NoLevel {
+							reached++
+						}
+					}
+					if reached != resumed.Visited || resCap == ckCap && len(*iters) != 0 {
+						t.Fatalf("%s: resume executed iterations %v and its tree reaches %d vertices, Visited %d",
+							tag, *iters, reached, resumed.Visited)
+					}
 				}
 			}
-			if len(*iters) != 0 || reached != resumed.Visited {
-				t.Fatalf("%s: resume under the cap executed iterations %v and its tree reaches %d vertices, Visited %d",
-					tag, *iters, reached, resumed.Visited)
-			}
-			uncapped, err := Run(vol, m.Name, ckOpts(c, ck, true, 0))
-			if err != nil {
-				t.Fatalf("%s: resume with no cap: %v", tag, err)
-			}
-			assertSameResult(t, tag+", resumed with no cap", uncapped, full)
 		}
 	}
 }

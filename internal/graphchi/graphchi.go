@@ -237,45 +237,28 @@ func (e *engine) preprocess() error {
 	tm := rt.MainTiming()
 
 	// Pass 1: shuffle by destination into unsorted shards.
-	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), tm, rt.Opts.StreamBufSize)
+	outs, err := stream.OpenWriterSet(rt.Vol, P, e.shardFile, func(name string) (*stream.Writer[shardRec], error) {
+		return stream.NewWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, shardRecBytes, putShardRec)
+	})
 	if err != nil {
 		return err
 	}
-	defer sc.Close()
-	outs := make([]*stream.Writer[shardRec], P)
-	for q := range outs {
-		w, err := stream.NewWriter(rt.Vol, e.shardFile(q), tm, rt.Opts.StreamBufSize, shardRecBytes, putShardRec)
-		if err != nil {
-			return err
-		}
-		outs[q] = w
-	}
+	defer outs.Abort() // whatever an error return leaves open
 	// An aligned chunk never straddles a refill: device reads stay where
 	// reading edge by edge put them among the shard writes.
-	chunk := rt.EdgeChunk()
-	for {
-		n, err := sc.NextChunk(chunk)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, edge := range chunk[:n] {
-			if err := rt.Meta.CheckEdge(edge); err != nil {
-				return err
-			}
-			rec := shardRec{src: edge.Src, dst: edge.Dst, value: NoLevel}
-			if err := outs[rt.Parts.Of(edge.Dst)].Append(rec); err != nil {
+	if _, err := xstream.ScanStored(rt.Vol, rt.Meta, tm, rt.Opts.StreamBufSize, rt.EdgeChunk(), func(edges []graph.Edge, _ []float32) error {
+		for _, edge := range edges {
+			if err := outs.W[rt.Parts.Of(edge.Dst)].Append(shardRec{src: edge.Src, dst: edge.Dst, value: NoLevel}); err != nil {
 				return err
 			}
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	for _, w := range outs {
-		if err := w.Close(); err != nil {
-			return err
-		}
+	if err := outs.Close(); err != nil {
+		return err
 	}
 
 	// Pass 2: sort each shard by source (read, in-memory sort, rewrite).

@@ -163,70 +163,95 @@ func TestHTTPQueryAndHealth(t *testing.T) {
 }
 
 func TestHTTPIOFailureReasonAndDegradedHealth(t *testing.T) {
-	// Permanent read faults on the per-query update files exhaust the
-	// engine's retry budget: the query must answer 500 with a
-	// machine-readable reason, and /healthz must flip to "degraded"
-	// (still 200 — the service keeps serving) once a failure is on
-	// record. Draining still wins over degraded.
-	vol, m := storedGraph(t)
-	faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 1, PReadP: 1, Match: "_upd"})
-	svc, err := serve.New(faulty, m.Name, serve.Config{CacheEntries: -1, Base: splittingBase()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(svc.Handler())
-	t.Cleanup(ts.Close)
-	t.Cleanup(func() { svc.Close() })
+	// A query that fails on the volume answers 500 with a machine-readable
+	// reason, counts toward the breaker (a threshold of one trips it), and
+	// /healthz flips to "degraded" (still 200 — the service keeps
+	// serving). Draining still wins over degraded. Two failures: permanent
+	// read faults on the per-query update files exhaust the engine's retry
+	// budget (io_failed), and an out-of-core batched BFS reads a stored
+	// edge file with an endpoint past the last vertex (corrupted).
+	for _, c := range []struct {
+		reason string
+		open   func(t *testing.T) (storage.Volume, graph.Meta, serve.Config)
+	}{
+		{"io_failed", func(t *testing.T) (storage.Volume, graph.Meta, serve.Config) {
+			vol, m := storedGraph(t)
+			faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: 1, PReadP: 1, Match: "_upd"})
+			return faulty, m, serve.Config{CacheEntries: -1, Base: splittingBase()}
+		}},
+		{"corrupted", func(t *testing.T) (storage.Volume, graph.Meta, serve.Config) {
+			vol, m := storedGraph(t)
+			_, edges, err := graph.LoadEdges(vol, m.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edges[len(edges)/2].Dst = graph.VertexID(m.Vertices)
+			if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(edges)); err != nil {
+				t.Fatal(err)
+			}
+			return vol, m, serve.Config{CacheEntries: -1, BatchSize: 2, BatchWait: time.Millisecond, Base: smallBase()}
+		}},
+	} {
+		vol, m, cfg := c.open(t)
+		cfg.BreakerThreshold = 1
+		svc, err := serve.New(vol, m.Name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		t.Cleanup(ts.Close)
+		t.Cleanup(func() { svc.Close() })
 
-	resp, body := postQuery(t, ts.URL, `{"algorithm":"bfs","root":1}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("faulted query: status = %d (%s), want 500", resp.StatusCode, body)
-	}
-	var he struct {
-		Error  string `json:"error"`
-		Reason string `json:"reason"`
-	}
-	if err := json.Unmarshal(body, &he); err != nil {
-		t.Fatalf("error body is not JSON (%v): %s", err, body)
-	}
-	if he.Reason != "io_failed" || he.Error == "" {
-		t.Fatalf("error body = %s, want reason io_failed", body)
-	}
+		resp, body := postQuery(t, ts.URL, `{"algorithm":"bfs","root":1}`)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: failed query: status = %d (%s), want 500", c.reason, resp.StatusCode, body)
+		}
+		var he struct {
+			Error  string `json:"error"`
+			Reason string `json:"reason"`
+		}
+		if err := json.Unmarshal(body, &he); err != nil {
+			t.Fatalf("%s: error body is not JSON (%v): %s", c.reason, err, body)
+		}
+		if he.Reason != c.reason || he.Error == "" {
+			t.Fatalf("error body = %s, want reason %s", body, c.reason)
+		}
 
-	hresp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hz struct {
-		Status string      `json:"status"`
-		Stats  serve.Stats `json:"stats"`
-	}
-	err = json.NewDecoder(hresp.Body).Decode(&hz)
-	hresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hresp.StatusCode != http.StatusOK || hz.Status != "degraded" {
-		t.Fatalf("healthz after I/O failure = %d %q, want 200 degraded", hresp.StatusCode, hz.Status)
-	}
-	if hz.Stats.IOFailures == 0 {
-		t.Fatalf("stats after failed query = %+v, want io_failures > 0", hz.Stats)
-	}
+		hresp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hz struct {
+			Status string      `json:"status"`
+			Stats  serve.Stats `json:"stats"`
+		}
+		err = json.NewDecoder(hresp.Body).Decode(&hz)
+		hresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hresp.StatusCode != http.StatusOK || hz.Status != "degraded" {
+			t.Fatalf("%s: healthz after the failure = %d %q, want 200 degraded", c.reason, hresp.StatusCode, hz.Status)
+		}
+		if hz.Stats.IOFailures == 0 || hz.Stats.BreakerTrips != 1 || cfg.BatchSize > 0 && hz.Stats.BatchQueries != 1 {
+			t.Fatalf("%s: stats after the failed query = %+v, want io_failures > 0, one breaker trip and a batched query when batching", c.reason, hz.Stats)
+		}
 
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	hresp, err = http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = json.NewDecoder(hresp.Body).Decode(&hz)
-	hresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hresp.StatusCode != http.StatusServiceUnavailable || hz.Status != "draining" {
-		t.Fatalf("healthz while draining = %d %q, want 503 draining", hresp.StatusCode, hz.Status)
+		if err := svc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hresp, err = http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(hresp.Body).Decode(&hz)
+		hresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hresp.StatusCode != http.StatusServiceUnavailable || hz.Status != "draining" {
+			t.Fatalf("%s: healthz while draining = %d %q, want 503 draining", c.reason, hresp.StatusCode, hz.Status)
+		}
 	}
 }
 

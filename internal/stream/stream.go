@@ -630,9 +630,9 @@ func NewUpdateWriter(vol storage.Volume, name string, timing Timing, bufSize int
 
 // WriterSet is one Writer per partition, opened, accounted and closed as
 // a unit — every partitioned output in this repository: X-Stream's edge
-// split, the reverse split, the update shuffle (Shuffler) and
-// internal/algo's weighted split and shuffle. Routing stays with the
-// caller, whose hot loop indexes W directly.
+// split, the reverse split, the update shuffle (Shuffler), internal/algo's
+// shuffle and GraphChi's shards. Routing stays with the caller, whose hot
+// loop indexes W directly.
 //
 // A set publishes every file or leaves none: a failed open aborts the
 // writers already opened, a failed Close aborts the ones still open and

@@ -158,18 +158,26 @@ func parseManifest(raw []byte) (*checkpointManifest, error) {
 // resume folds the manifest's logs, through the gather, into the run's
 // tree, the bitmaps (claims included) and the partitions' counts, for the
 // loop to re-enter at man.Iteration+1 as it re-enters top-down after a
-// bottom-up pass: the frontier formed, nothing to gather. A run resumed
-// under maxIter, the cap the checkpointed run stopped at, may not go on:
-// like a done run it only collects, and it folds only the levels that run
-// formed — its last log is a level it never formed, kept for a run that
-// goes on, unless a bottom-up pass formed it. Otherwise it then takes the
-// degree table: a run back in its stored phase loads it with the index,
-// or recounts it reading the stored file once; the others call Prepare. A
-// manifest from another run, or whose logs are gone, is errs.ErrCorrupted.
+// bottom-up pass: the frontier formed, nothing to gather. A resume under a
+// cap below the checkpointed run's (maxIter <= man.Iteration, done or not)
+// is errs.ErrBadOptions before any log is read: the manifest does not say
+// which levels a run stopped there would have formed, and the refused run
+// leaves the manifest and the logs for a resume under a cap that fits. A
+// run resumed under maxIter, the cap the checkpointed run stopped at, may
+// not go on: like a done run it only collects, and it folds only the
+// levels that run formed — its last log is a level it never formed, kept
+// for a run that goes on, unless a bottom-up pass formed it. Otherwise it
+// then takes the degree table: a run back in its stored phase loads it
+// with the index, or recounts it reading the stored file once; the others
+// call Prepare. A manifest from another run, or whose logs are gone, is
+// errs.ErrCorrupted.
 func (e *kernel) resume(man *checkpointManifest, maxIter int) error {
 	if man.Engine != e.run.Engine || man.Graph != e.rt.Meta.Name || man.FilePrefix != e.rt.Opts.FilePrefix ||
 		man.Root != e.rt.Opts.Root || man.Parts != e.rt.Parts.P() || uint64(man.Iteration) >= e.rt.Meta.Vertices {
 		return fmt.Errorf("%s: the checkpoint manifest is another run's: %w", e.run.Engine, errs.ErrCorrupted)
+	}
+	if maxIter <= man.Iteration {
+		return fmt.Errorf("%s: %w: the checkpoint is past iteration %d, beyond the iteration cap %d", e.run.Engine, errs.ErrBadOptions, man.Iteration, maxIter)
 	}
 	if e.ds.dirHistory = man.Dir; !e.stored {
 		e.ds.StoredPrice = 0

@@ -42,90 +42,109 @@ func (g *csr) outDeg(u graph.VertexID) uint64 { return g.outOff[u+1] - g.outOff[
 
 func (g *csr) inDeg(v graph.VertexID) uint64 { return g.inOff[v+1] - g.inOff[v] }
 
-// loadCSR reads m's stored edge file once, chunk by chunk, into the
-// out-half of its resident form and returns it with the device bytes it
-// consumed. It validates what it keeps: every endpoint, the count (records
-// past it included) and that sources never decrease — a file that breaks
-// the last was stored before the store sorted by source, and must be
-// stored again. The scanner refills as a record-at-a-time read would, so a
-// timing that carries a simulation clock is charged the same operation
-// sequence as the streaming load it replaces.
+// loadCSR reads m's stored edge file once (ScanStored) into the out-half
+// of its resident form and returns it with the device bytes it consumed.
+// The scanner refills as a record-at-a-time read would, so a timing that
+// carries a simulation clock is charged the same operation sequence as
+// the streaming load it replaces.
 func loadCSR(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int) (*csr, int64, error) {
-	name := graph.EdgeFileName(m.Name)
-	g := &csr{outOff: make([]uint64, m.Vertices+1), out: make([]graph.VertexID, m.Edges)}
-	var read int64
-	var err error
-	if !m.Weighted {
-		var sc *stream.Scanner[graph.Edge]
-		if sc, err = stream.NewEdgeScanner(vol, name, tm, bufSize); err == nil {
-			read, err = fillCSR(g, m, sc, bufSize/graph.EdgeBytes, func(_ int, e graph.Edge) (graph.Edge, error) { return e, nil })
-		}
-	} else {
-		g.weights = make([]float32, m.Edges)
-		var sc *stream.Scanner[graph.WEdge]
-		if sc, err = stream.NewScanner(vol, name, tm, bufSize, graph.WEdgeBytes, graph.GetWEdge); err == nil {
-			read, err = fillCSR(g, m, sc, bufSize/graph.WEdgeBytes, func(i int, we graph.WEdge) (graph.Edge, error) {
-				if we.Weight < 0 {
-					return graph.Edge{}, fmt.Errorf("xstream: %w: negative weight on %d->%d", errs.ErrCorrupted, we.Src, we.Dst)
-				}
-				g.weights[i] = we.Weight
-				return graph.Edge{Src: we.Src, Dst: we.Dst}, nil
-			})
-		}
+	g := &csr{outOff: make([]uint64, m.Vertices+1), out: make([]graph.VertexID, 0, m.Edges)}
+	if m.Weighted {
+		g.weights = make([]float32, 0, m.Edges)
 	}
+	read, err := ScanStored(vol, m, tm, bufSize, make([]graph.Edge, alignedChunk(bufSize/graph.EdgeBytes)),
+		func(edges []graph.Edge, weights []float32) error {
+			for _, e := range edges {
+				g.out = append(g.out, e.Dst)
+				g.outOff[e.Src+1]++
+			}
+			g.weights = append(g.weights, weights...)
+			return nil
+		})
 	if err != nil {
 		return nil, 0, err
-	}
-	return g, read, nil
-}
-
-// fillCSR is loadCSR's scan: every record of sc, as edge makes of the
-// i-th, checked and placed; it closes sc. recs is how many records a
-// stream buffer holds.
-func fillCSR[T any](g *csr, m graph.Meta, sc *stream.Scanner[T], recs int, edge func(i int, rec T) (graph.Edge, error)) (int64, error) {
-	defer sc.Close()
-	miscount := func(rel string) error {
-		return fmt.Errorf("xstream: %w: %s holds %s than the %d edges its config declares",
-			errs.ErrCorrupted, graph.EdgeFileName(m.Name), rel, m.Edges)
-	}
-	buf := make([]T, alignedChunk(recs))
-	n, last := 0, graph.VertexID(0)
-	for {
-		k, err := sc.NextChunk(buf)
-		if err != nil {
-			return 0, err
-		}
-		if k == 0 {
-			break
-		}
-		if n+k > len(g.out) {
-			return 0, miscount("more")
-		}
-		for _, rec := range buf[:k] {
-			e, err := edge(n, rec)
-			if err != nil {
-				return 0, err
-			}
-			if uint64(e.Src) >= m.Vertices || uint64(e.Dst) >= m.Vertices {
-				return 0, fmt.Errorf("xstream: %w: %w", errs.ErrCorrupted, m.CheckEdge(e))
-			}
-			if e.Src < last {
-				return 0, fmt.Errorf("xstream: %w: %s: edge %d's source %d follows %d; the file predates sorting by source, store the graph again",
-					errs.ErrCorrupted, graph.EdgeFileName(m.Name), n, e.Src, last)
-			}
-			last = e.Src
-			g.out[n] = e.Dst
-			g.outOff[e.Src+1]++
-			n++
-		}
-	}
-	if n < len(g.out) {
-		return 0, miscount("fewer")
 	}
 	for v := 1; v < len(g.outOff); v++ {
 		g.outOff[v] += g.outOff[v-1]
 	}
-	return sc.BytesRead(), nil
+	return g, read, nil
+}
+
+// ScanStored is the one checked reader of m's stored edge file: it reads
+// the file once, in stored order, through a scanner of bufSize bytes, and
+// hands visit each NextChunk of it, decoded into chunk, with the edges'
+// weights (nil on an unweighted graph, whose chunk the caller aligns to
+// the buffer; a weighted file decodes through aligned buffers of the
+// call's own). visit sees only checked edges and keeps neither slice. An
+// endpoint outside the graph, a negative weight, a source below the one
+// before it (a file stored before the store sorted by source; store the
+// graph again) or a record count other than m.Edges is errs.ErrCorrupted.
+// It returns the device bytes it consumed.
+func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int, chunk []graph.Edge,
+	visit func(edges []graph.Edge, weights []float32) error) (int64, error) {
+	name := graph.EdgeFileName(m.Name)
+	var next func() ([]graph.Edge, []float32, error)
+	var read func() int64
+	if !m.Weighted {
+		sc, err := stream.NewEdgeScanner(vol, name, tm, bufSize)
+		if err != nil {
+			return 0, err
+		}
+		defer sc.Close()
+		read, next = sc.BytesRead, func() ([]graph.Edge, []float32, error) {
+			n, err := sc.NextChunk(chunk)
+			return chunk[:n], nil, err
+		}
+	} else {
+		sc, err := stream.NewScanner(vol, name, tm, bufSize, graph.WEdgeBytes, graph.GetWEdge)
+		if err != nil {
+			return 0, err
+		}
+		defer sc.Close()
+		wedges := make([]graph.WEdge, alignedChunk(bufSize/graph.WEdgeBytes))
+		chunk, weights := make([]graph.Edge, len(wedges)), make([]float32, len(wedges))
+		read, next = sc.BytesRead, func() ([]graph.Edge, []float32, error) {
+			n, err := sc.NextChunk(wedges)
+			for i, we := range wedges[:n] {
+				chunk[i], weights[i] = graph.Edge{Src: we.Src, Dst: we.Dst}, we.Weight
+			}
+			return chunk[:n], weights[:n], err
+		}
+	}
+	var n uint64
+	last := graph.VertexID(0)
+	for {
+		edges, weights, err := next()
+		if err != nil {
+			return 0, err
+		}
+		if len(edges) == 0 {
+			break
+		}
+		if n += uint64(len(edges)); n > m.Edges {
+			return 0, fmt.Errorf("xstream: %w: %s holds more than the %d edges its config declares", errs.ErrCorrupted, name, m.Edges)
+		}
+		for i, e := range edges {
+			if uint64(e.Src) >= m.Vertices || uint64(e.Dst) >= m.Vertices {
+				return 0, fmt.Errorf("xstream: %w: %w", errs.ErrCorrupted, m.CheckEdge(e))
+			}
+			if e.Src < last {
+				return 0, fmt.Errorf("xstream: %w: %s: source %d follows %d; the file predates sorting by source, store the graph again",
+					errs.ErrCorrupted, name, e.Src, last)
+			}
+			if weights != nil && weights[i] < 0 {
+				return 0, fmt.Errorf("xstream: %w: negative weight on %d->%d", errs.ErrCorrupted, e.Src, e.Dst)
+			}
+			last = e.Src
+		}
+		if err := visit(edges, weights); err != nil {
+			return 0, err
+		}
+	}
+	if n < m.Edges {
+		return 0, fmt.Errorf("xstream: %w: %s holds fewer than the %d edges its config declares", errs.ErrCorrupted, name, m.Edges)
+	}
+	return read(), nil
 }
 
 // addIn adds the in-half: a stable counting sort of the sources by

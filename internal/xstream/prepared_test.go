@@ -1,8 +1,6 @@
 package xstream
 
 import (
-	"bytes"
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -314,89 +312,6 @@ func TestStreamingRunBorrowsPreparedScratch(t *testing.T) {
 	}
 	if n := audit.Outstanding(); n != 0 {
 		t.Fatalf("%d stream buffers outstanding after every run returned", n)
-	}
-}
-
-// TestLoadPreparedRejectsDamagedEdges: the one loader validates what it
-// keeps — an endpoint outside the vertex space, a source below the one
-// before it (a file stored before edges were sorted by source) and a
-// record past or short of the count the config declares are corruption,
-// found by the resident open and by a one-shot run alike, with every
-// stream buffer back.
-func TestLoadPreparedRejectsDamagedEdges(t *testing.T) {
-	audit := stream.AuditPools()
-	defer audit.Stop()
-	vol, m, edges := rmatStored(t, graph.StoreOptions{})
-	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.Src, b.Src) })
-	last := len(edges) - 1
-	check := func(name string, vol storage.Volume) {
-		t.Helper()
-		if _, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
-			t.Fatalf("%s: LoadPrepared err = %v, want ErrCorrupted", name, err)
-		}
-		if _, err := Run(vol, m.Name, Options{Root: edges[0].Src, MemoryBudget: 1 << 20}); !errors.Is(err, errs.ErrCorrupted) {
-			t.Fatalf("%s: one-shot run err = %v, want ErrCorrupted", name, err)
-		}
-		if n := audit.Outstanding(); n != 0 {
-			t.Fatalf("%s: %d stream buffers outstanding after the failed loads", name, n)
-		}
-	}
-	for _, c := range []struct {
-		name   string
-		damage func([]graph.Edge) []graph.Edge
-	}{
-		// A fixed-width file's size already gives this one away to the
-		// config check, before any edge is read.
-		{"trailing record", func(es []graph.Edge) []graph.Edge { return append(es, es[last]) }},
-		{"out-of-range endpoint", func(es []graph.Edge) []graph.Edge { es[len(es)/2].Dst = graph.VertexID(m.Vertices); return es }},
-		{"descending source", func(es []graph.Edge) []graph.Edge { es[0], es[last] = es[last], es[0]; return es }},
-	} {
-		damaged := c.damage(slices.Clone(edges))
-		if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(damaged)); err != nil {
-			t.Fatal(err)
-		}
-		check(c.name, vol)
-	}
-	// A delta config records its file's bytes, not a size the count implies:
-	// a file whose frames decode to a record more or fewer than the config's
-	// count passes the config check and is caught by the loader's own.
-	dvol, _, _ := rmatStored(t, graph.StoreOptions{Codec: graph.CodecDelta})
-	dm, err := graph.LoadMeta(dvol, m.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name  string
-		edges []graph.Edge
-	}{
-		{"delta file, one record more", append(slices.Clone(edges), edges[last])},
-		{"delta file, one record fewer", edges[:last]},
-	} {
-		tmp, tm := storage.NewMem(), dm
-		tm.Edges = uint64(len(c.edges))
-		if err := graph.StoreGraph(tmp, tm, c.edges, graph.StoreOptions{Codec: graph.CodecDelta}); err != nil {
-			t.Fatal(err)
-		}
-		file, err := storage.ReadAll(tmp, graph.EdgeFileName(m.Name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		conf, declared := new(bytes.Buffer), dm
-		declared.StoredBytes = uint64(len(file))
-		if err := graph.WriteConfig(conf, declared); err != nil {
-			t.Fatal(err)
-		}
-		if err := storage.WriteAll(dvol, graph.EdgeFileName(m.Name), file); err != nil {
-			t.Fatal(err)
-		}
-		if err := storage.WriteAll(dvol, graph.ConfFileName(m.Name), conf.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		check(c.name, dvol)
-	}
-	// Below the in-memory budget the edge file is not read at open.
-	if pg, err := LoadPrepared(context.Background(), vol, m.Name, Options{MemoryBudget: 4096}); err != nil || pg.Resident() {
-		t.Fatalf("non-resident open of a damaged edge file: %v", err)
 	}
 }
 

@@ -760,30 +760,14 @@ func (rt *Runtime) openEdgeFiles() (*stream.WriterSet[graph.Edge], error) {
 	return outs, nil
 }
 
-// scanStored is the one pass over the dataset's stored edge file: each edge
-// is checked against the metadata, counted into the out-degree table when
-// the run keeps one, and appended to its source's partition writer in w
-// unless the source is visited — w is nil for a resumed run that streams
-// the stored file, which only recounts the table.
+// scanStored is the one pass over the dataset's stored edge file
+// (ScanStored): each edge is counted into the out-degree table when the run
+// keeps one, and appended to its source's partition writer in w unless the
+// source is visited — w is nil for a resumed run that streams the stored
+// file, which only recounts the table.
 func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
-	sc, err := stream.NewEdgeScanner(rt.Vol, graph.EdgeFileName(rt.Meta.Name), rt.MainTiming(), rt.Opts.StreamBufSize)
-	if err != nil {
-		return err
-	}
-	defer sc.Close()
-	chunk := rt.EdgeChunk()
-	for {
-		n, err := sc.NextChunk(chunk)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			break
-		}
-		for _, e := range chunk[:n] {
-			if err := rt.Meta.CheckEdge(e); err != nil {
-				return err
-			}
+	_, err := ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, rt.EdgeChunk(), func(edges []graph.Edge, _ []float32) error {
+		for _, e := range edges {
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
 			}
@@ -793,9 +777,12 @@ func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
 				}
 			}
 		}
+		return nil
+	})
+	if err == nil {
+		rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
 	}
-	rt.Compute(float64(rt.Meta.Edges) * rt.Costs.ScatterPerEdge)
-	return nil
+	return err
 }
 
 // allocOutDeg sets up the out-degree table from the run's scratch, all
