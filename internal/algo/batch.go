@@ -19,27 +19,27 @@ const MaxBatchRoots = 32
 // parents — is recoverable afterwards, byte-identical to a standalone
 // single-source run of the same engine options.
 //
-// The on-disk vertex value carries only the bit-parallel traversal
+// The packed vertex value carries only the bit-parallel traversal
 // state: value = (frontierMask << 32) | seenMask, where bit r of
 // seenMask says root r has reached the vertex and bit r of frontierMask
-// says it did so in the previous iteration. One scatter/gather pass per
+// says it did so in the previous iteration. One pass over the edges per
 // iteration serves every root at once: an edge whose source is on any
 // root's frontier emits a single update (frontierMask, src) no matter
 // how many roots share it — that sharing is where the device-byte
 // amortization comes from (DESIGN.md §13).
 //
 // Per-root trees live in program-owned RAM side arrays, filled in
-// ApplyTo (the engine's gather is single-threaded, so no locking).
+// ApplyTo (the engine's loop is single-threaded, so no locking).
 // Equivalence to a standalone run holds because, for each root bit r,
 // the subsequence of updates carrying r is exactly the update stream a
-// solo run from r would produce, in the same (source partition,
-// original edge position) order — so the solo engines' first-update-
-// wins parent rule picks the same parent, and first discovery happens
-// at the same iteration.
+// solo run from r would produce, reaching each vertex in the same
+// stored-edge order — so the solo engines' first-update-wins parent
+// rule picks the same parent, and first discovery happens at the same
+// iteration.
 //
 // The pass over the device is what a batch shares, so the serving layer
 // forms batches only out of core; over a resident prepared graph a
-// BatchBFS is a Program like any other on the in-memory loop.
+// BatchBFS is a Program like any other, walking the out-lists.
 type BatchBFS struct {
 	rootBit map[graph.VertexID]int
 	roots   []graph.VertexID
@@ -131,9 +131,9 @@ func (b *BatchBFS) Apply(iter int, val, payload uint64) (uint64, bool) {
 
 // ApplyTo implements DstApplier: roots whose bit is in the payload but
 // not yet in the seen mask discover dst this iteration, through the
-// payload's source — and because updates are applied in deterministic
-// (source partition, original position) order, the first such update
-// per root bit picks the same parent a standalone run would.
+// payload's source — and because updates are applied in stored-edge
+// order, the first such update per root bit picks the same parent a
+// standalone run would.
 func (b *BatchBFS) ApplyTo(iter int, dst graph.VertexID, val, payload uint64) (uint64, bool) {
 	mask, src := unpack(payload)
 	frontier, seen := unpack(val)

@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"fastbfs/internal/bfs"
 	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 // TestBatchBFSMatchesStandaloneRuns is the program-level half of the
@@ -124,5 +127,72 @@ func TestBatchBFSRejectsBadBatches(t *testing.T) {
 		t.Fatal(err)
 	} else if prog.RootIndex(5) != -1 {
 		t.Error("RootIndex of an absent root != -1")
+	}
+}
+
+// createCounter counts the files a run creates on its volume.
+type createCounter struct {
+	storage.Volume
+	creates int
+}
+
+func (v *createCounter) Create(name string) (storage.Writer, error) {
+	v.creates++
+	return v.Volume.Create(name)
+}
+
+// TestOutOfCoreBatchKeepsValuesInRAM: a warmed out-of-core BatchBFS x2
+// run — the serving layer's batched query — creates no file on its volume
+// and allocates no more than its program's side arrays, its result and a
+// margin: the value arrays, the bitmap, the edge chunk and the stream
+// buffer all come back from the scratch and the pools the first run
+// warmed. The margin covers the config read's 64 KiB buffer and the run's
+// bookkeeping; a run that allocated its value arrays or an update chunk
+// would exceed it.
+func TestOutOfCoreBatchKeepsValuesInRAM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rmat14/ef16")
+	}
+	m, edges, err := gen.RMAT(14, 16, gen.Graph500(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := &createCounter{Volume: storage.NewMem()}
+	if err := graph.Store(vol, m, edges); err != nil {
+		t.Fatal(err)
+	}
+	roots := hubs(graph.Degrees(m.Vertices, edges), 2)
+	o := xstream.Options{MemoryBudget: 1 << 16, Partitions: 8}
+	run := func() {
+		b, err := NewBatchBFS(roots, m.Vertices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(vol, m.Name, b, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Metrics.Iterations) < 3 || res.Metrics.BytesRead == 0 {
+			t.Fatalf("%d iterations, %d bytes read: not an out-of-core traversal", len(res.Metrics.Iterations), res.Metrics.BytesRead)
+		}
+	}
+	run()
+	vol.creates = 0
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if vol.creates != 0 {
+		t.Errorf("%d files created by %d runs", vol.creates, runs)
+	}
+	V := int64(m.Vertices)
+	side, result := int64(len(roots))*V*(4+4), V*8
+	const margin = 128 << 10
+	if got := int64(after.TotalAlloc-before.TotalAlloc) / runs; got > side+result+margin {
+		t.Errorf("a run allocates %d B, want at most %d (side arrays) + %d (result) + %d", got, side, result, margin)
 	}
 }

@@ -3,6 +3,7 @@ package algo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -176,50 +177,71 @@ func TestEngineManyPartitions(t *testing.T) {
 	}
 }
 
-// TestAlgoWriterFaultLeavesNothing drives stream.WriterSet's all-or-nothing
-// contract through this engine's use of it, an iteration's update
-// shuffle, with a permanent write fault on
-// partition k's file, failing an Append's flush (small buffer) or the
-// Close (large one). The run keeps its files, so a file of the set still
-// on the volume is one the set left there, and every pooled buffer must be
-// back, which an open writer's would not be.
+// failAfter fails every Read of a file whose name holds match, from the
+// reads-th on, with a permanent injected fault.
+type failAfter struct {
+	storage.Volume
+	match string
+	reads int
+}
+
+type failingReader struct {
+	storage.Reader
+	v *failAfter
+}
+
+func (v *failAfter) Open(name string) (storage.Reader, error) {
+	r, err := v.Volume.Open(name)
+	if err != nil || !strings.Contains(name, v.match) {
+		return r, err
+	}
+	return &failingReader{Reader: r, v: v}, nil
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	if r.v.reads--; r.v.reads < 0 {
+		return 0, &storage.FaultError{Op: "read", Name: r.v.match}
+	}
+	return r.Reader.Read(p)
+}
+
+// TestAlgoWriterFaultLeavesNothing: a permanent read fault on the stored
+// edge file — at its first read, partway through the first iteration's
+// pass or through the second's — ends the run with ErrIOFailed, every
+// pooled buffer back and the volume holding only the stored graph: the
+// run writes no file, so a failed one leaves none. (The writer set's
+// all-or-nothing contract is TestWriterSetFaultLeavesNothing's and
+// TestSplitFaultLeavesNothing's.)
 func TestAlgoWriterFaultLeavesNothing(t *testing.T) {
 	m, edges, err := gen.RMAT(7, 8, gen.Graph500(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vol := storage.NewMem()
-	if err := graph.Store(vol, m, edges); err != nil {
-		t.Fatal(err)
-	}
-	const parts = 4
-	for _, set := range []string{"_u0_"} {
-		for _, bufSize := range []int{512, 1 << 20} {
-			for k := 0; k < parts; k++ {
-				name := fmt.Sprintf("%s%d/buf=%d", set, k, bufSize)
-				audit := stream.AuditPools()
-				o := xstream.Options{MemoryBudget: 4096, Partitions: parts, StreamBufSize: bufSize,
-					KeepFiles: true, FilePrefix: "t", Sim: xstream.DefaultSim()}
-				faulty := storage.NewFaulty(vol, storage.FaultSpec{PWriteP: 1, Match: fmt.Sprintf("t%s%d", set, k)})
-				// Emits on every edge, so every partition's update file is written.
-				_, err := Run(faulty, m.Name, &countingProgram{maxIter: 2}, o)
-				audit.Stop()
-				var fe *storage.FaultError
-				if !errors.Is(err, errs.ErrIOFailed) || !errors.As(err, &fe) || fe.Transient {
-					t.Fatalf("%s: err = %v, want the permanent write fault as ErrIOFailed", name, err)
-				}
-				for _, f := range vol.List() {
-					if strings.Contains(f, set) {
-						t.Errorf("%s: the failed set left %s on the volume", name, f)
-					}
-					if strings.HasPrefix(f, "t_") {
-						vol.Remove(f)
-					}
-				}
-				if n := audit.Outstanding(); n != 0 {
-					t.Errorf("%s: %d pooled buffers outstanding after the failed run", name, n)
-				}
-			}
+	vol := store(t, m, edges)
+	stored := vol.List()
+	const bufSize = 256 // 32 edges a read, 32 reads a pass
+	for _, c := range []struct{ reads, iters int }{{0, 1}, {10, 1}, {40, 2}} {
+		name := fmt.Sprintf("fault at read %d", c.reads)
+		audit := stream.AuditPools()
+		iters := 0
+		o := xstream.Options{MemoryBudget: 4096, StreamBufSize: bufSize, KeepFiles: true, FilePrefix: "t",
+			Sim: xstream.DefaultSim(), FaultHook: func() { iters++ }}
+		faulty := &failAfter{Volume: vol, match: graph.EdgeFileName(m.Name), reads: c.reads}
+		// Emits on every edge, so the pass folds updates when it fails.
+		_, err := Run(faulty, m.Name, &countingProgram{maxIter: 3}, o)
+		audit.Stop()
+		var fe *storage.FaultError
+		if !errors.Is(err, errs.ErrIOFailed) || !errors.As(err, &fe) || fe.Transient {
+			t.Fatalf("%s: err = %v, want the permanent read fault as ErrIOFailed", name, err)
+		}
+		if iters != c.iters {
+			t.Errorf("%s: failed in iteration %d, want %d", name, iters-1, c.iters-1)
+		}
+		if got := vol.List(); !slices.Equal(got, stored) {
+			t.Errorf("%s: volume holds %v after the failed run, want %v", name, got, stored)
+		}
+		if n := audit.Outstanding(); n != 0 {
+			t.Errorf("%s: %d pooled buffers outstanding after the failed run", name, n)
 		}
 	}
 }

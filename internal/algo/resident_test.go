@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"reflect"
 	"sort"
@@ -57,11 +58,11 @@ func edgeSum(pg *xstream.PreparedGraph) uint32 {
 // TestResidentRunMatchesStreaming is the in-memory regime's contract:
 // for every program, a run over a resident PreparedGraph produces the
 // same packed values, byte for byte, as the streaming run of the same
-// options without one (one partition, so the update order coincides) —
-// on a plain store, a delta+reordered store and a weighted store —
-// while moving no device bytes and never writing the shared edge list.
-// A BatchBFS is held to every root's tree as well — levels, parents and
-// visited count — at every width, capped or not.
+// options without one, at 1, 3 or 16 partitions — on a plain store, a
+// delta+reordered store and a weighted store — while moving no device
+// bytes and never writing the shared edge list. A BatchBFS is held to
+// every root's tree as well — levels, parents and visited count — at
+// every width, capped or not.
 func TestResidentRunMatchesStreaming(t *testing.T) {
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 21)
 	if err != nil {
@@ -129,14 +130,6 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 		for _, pc := range g.progs {
 			o := residentOpts()
 			o.MaxIterations = pc.maxIter
-			streamProg := pc.newProg()
-			want, err := Run(vol, g.name, streamProg, o)
-			if err != nil {
-				t.Fatalf("%s/%s streaming: %v", g.name, pc.name, err)
-			}
-			if want.Metrics.BytesRead == 0 {
-				t.Fatalf("%s/%s: the reference run did not stream", g.name, pc.name)
-			}
 			o.Prepared = pg
 			residentProg := pc.newProg()
 			got, err := Run(vol, g.name, residentProg, o)
@@ -147,27 +140,38 @@ func TestResidentRunMatchesStreaming(t *testing.T) {
 				t.Errorf("%s/%s: resident run moved %d/%d device bytes", g.name, pc.name,
 					got.Metrics.BytesRead, got.Metrics.BytesWritten)
 			}
-			if b, ok := residentProg.(*BatchBFS); ok {
-				sb := streamProg.(*BatchBFS)
-				for i := range b.Roots() {
-					if !reflect.DeepEqual(b.LevelsOf(i), sb.LevelsOf(i)) || !reflect.DeepEqual(b.ParentsOf(i), sb.ParentsOf(i)) || b.VisitedOf(i) != sb.VisitedOf(i) {
-						t.Errorf("%s/%s: root %d tree differs from the streaming run", g.name, pc.name, i)
+			for _, parts := range []int{1, 3, 16} {
+				name := fmt.Sprintf("%s/%s/partitions=%d", g.name, pc.name, parts)
+				o.Prepared, o.Partitions = nil, parts
+				streamProg := pc.newProg()
+				want, err := Run(vol, g.name, streamProg, o)
+				if err != nil {
+					t.Fatalf("%s streaming: %v", name, err)
+				}
+				if want.Metrics.BytesRead == 0 {
+					t.Fatalf("%s: the reference run did not stream", name)
+				}
+				if b, ok := residentProg.(*BatchBFS); ok {
+					sb := streamProg.(*BatchBFS)
+					for i := range b.Roots() {
+						if !reflect.DeepEqual(b.LevelsOf(i), sb.LevelsOf(i)) || !reflect.DeepEqual(b.ParentsOf(i), sb.ParentsOf(i)) || b.VisitedOf(i) != sb.VisitedOf(i) {
+							t.Errorf("%s: root %d tree differs from the streaming run", name, i)
+						}
 					}
 				}
-			}
-			if !reflect.DeepEqual(got.Values, want.Values) {
-				t.Errorf("%s/%s: resident values differ from the streaming run", g.name, pc.name)
-			}
-			if len(got.Metrics.Iterations) != len(want.Metrics.Iterations) {
-				t.Errorf("%s/%s: %d resident iterations, %d streaming", g.name, pc.name,
-					len(got.Metrics.Iterations), len(want.Metrics.Iterations))
-			} else {
-				// The active-source bitmap skips work, never a count.
+				if !reflect.DeepEqual(got.Values, want.Values) {
+					t.Errorf("%s: resident values differ from the streaming run", name)
+				}
+				if len(got.Metrics.Iterations) != len(want.Metrics.Iterations) {
+					t.Errorf("%s: %d resident iterations, %d streaming", name,
+						len(got.Metrics.Iterations), len(want.Metrics.Iterations))
+					continue
+				}
 				for i, it := range got.Metrics.Iterations {
 					w := want.Metrics.Iterations[i]
 					if it.EdgesStreamed != w.EdgesStreamed || it.Updates != w.Updates || it.NewlyVisited != w.NewlyVisited {
-						t.Errorf("%s/%s iteration %d: resident streamed %d edges, %d updates, %d changes; streaming %d, %d, %d",
-							g.name, pc.name, i, it.EdgesStreamed, it.Updates, it.NewlyVisited, w.EdgesStreamed, w.Updates, w.NewlyVisited)
+						t.Errorf("%s iteration %d: resident streamed %d edges, %d updates, %d changes; streaming %d, %d, %d",
+							name, i, it.EdgesStreamed, it.Updates, it.NewlyVisited, w.EdgesStreamed, w.Updates, w.NewlyVisited)
 					}
 				}
 			}
@@ -243,11 +247,23 @@ func TestSourceFilterContract(t *testing.T) {
 	}
 }
 
-// TestResidentRunPollsContextAndFaultHook: the in-memory loop keeps the
-// streaming loop's seams — the fault hook fires once per iteration and a
-// context cancelled mid-run stops the run at the next iteration boundary
-// with ErrCancelled, its scratch back on the free-list for the next run,
-// for a BatchBFS as for any program.
+// scatterHook calls hook before every Scatter of its program.
+type scatterHook struct {
+	Program
+	hook func()
+}
+
+func (c *scatterHook) Scatter(iter int, src graph.VertexID, srcVal uint64, dst graph.VertexID, weight float32) (uint64, bool) {
+	c.hook()
+	return c.Program.Scatter(iter, src, srcVal, dst, weight)
+}
+
+// TestResidentRunPollsContextAndFaultHook: both regimes keep the same
+// seams — the fault hook fires once per iteration and a context cancelled
+// mid-run stops the run at the next iteration boundary with ErrCancelled,
+// its scratch back on the free-list for the next run, for a BatchBFS as
+// for any program. Out of core the run also stops within the chunk of the
+// edge file it is folding.
 func TestResidentRunPollsContextAndFaultHook(t *testing.T) {
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 21)
 	if err != nil {
@@ -256,57 +272,85 @@ func TestResidentRunPollsContextAndFaultHook(t *testing.T) {
 	vol := store(t, m, edges)
 	pg := prepare(t, vol, m.Name)
 	roots := hubs(graph.Degrees(m.Vertices, edges), 2)
+	streaming := residentOpts()
+	streaming.MemoryBudget = 4096
+	resident := residentOpts()
+	resident.Prepared = pg
 
-	for name, newProg := range map[string]func() Program{
-		"bfs": func() Program { return NewBFS(roots[0]) },
-		"batch": func() Program {
-			b, err := NewBatchBFS(roots, m.Vertices)
+	for _, regime := range []struct {
+		name string
+		opts xstream.Options
+	}{{"resident", resident}, {"streaming", streaming}} {
+		for name, newProg := range map[string]func() Program{
+			"bfs": func() Program { return NewBFS(roots[0]) },
+			"batch": func() Program {
+				b, err := NewBatchBFS(roots, m.Vertices)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			},
+		} {
+			name = regime.name + "/" + name
+			o := regime.opts
+			calls := 0
+			o.FaultHook = func() { calls++ }
+			first := newProg()
+			res, err := Run(vol, m.Name, first, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return b
-		},
-	} {
-		o := residentOpts()
-		o.Prepared = pg
-		calls := 0
-		o.FaultHook = func() { calls++ }
-		first := newProg()
-		res, err := Run(vol, m.Name, first, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iters := len(res.Metrics.Iterations); iters < 3 || calls != iters {
-			t.Fatalf("%s: fault hook fired %d times over %d iterations", name, calls, iters)
-		}
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		calls = 0
-		o.FaultHook = func() {
-			if calls++; calls == 2 {
-				cancel()
+			if iters := len(res.Metrics.Iterations); iters < 3 || calls != iters {
+				t.Fatalf("%s: fault hook fired %d times over %d iterations", name, calls, iters)
 			}
-		}
-		if _, err := RunContext(ctx, vol, m.Name, newProg(), o); !errors.Is(err, errs.ErrCancelled) {
-			t.Fatalf("%s: run cancelled in iteration 1: err = %v, want ErrCancelled", name, err)
-		}
-		if calls != 2 {
-			t.Fatalf("%s: cancelled run kept iterating: %d hook calls", name, calls)
-		}
+			if regime.opts.Prepared == nil && res.Metrics.BytesRead == 0 {
+				t.Fatalf("%s: the run did not stream", name)
+			}
 
-		o.FaultHook = nil
-		second := newProg()
-		again, err := Run(vol, m.Name, second, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(again.Values, res.Values) {
-			t.Fatalf("%s: run after a cancelled one (reused scratch) differs", name)
-		}
-		if b, ok := second.(*BatchBFS); ok {
-			if f := first.(*BatchBFS); !reflect.DeepEqual(b.levels, f.levels) || !reflect.DeepEqual(b.parents, f.parents) {
-				t.Fatal("batch after a cancelled one (reused scratch) grew other trees")
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			calls = 0
+			o.FaultHook = func() {
+				if calls++; calls == 2 {
+					cancel()
+				}
+			}
+			if _, err := RunContext(ctx, vol, m.Name, newProg(), o); !errors.Is(err, errs.ErrCancelled) {
+				t.Fatalf("%s: run cancelled in iteration 1: err = %v, want ErrCancelled", name, err)
+			}
+			if calls != 2 {
+				t.Fatalf("%s: cancelled run kept iterating: %d hook calls", name, calls)
+			}
+
+			o.FaultHook = nil
+			if regime.opts.Prepared == nil {
+				// Cancelled at its 100th Scatter, mid-pass: the run
+				// folds at most the rest of that chunk.
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				scatters := 0
+				prog := &scatterHook{Program: newProg(), hook: func() {
+					if scatters++; scatters == 100 {
+						cancel()
+					}
+				}}
+				chunk := o.StreamBufSize / graph.EdgeBytes
+				if _, err := RunContext(ctx, vol, m.Name, prog, o); !errors.Is(err, errs.ErrCancelled) || scatters >= 100+chunk {
+					t.Fatalf("%s: cancelled at edge 100: err = %v after %d edges, want ErrCancelled within %d", name, err, scatters, 100+chunk)
+				}
+			}
+			second := newProg()
+			again, err := Run(vol, m.Name, second, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(again.Values, res.Values) {
+				t.Fatalf("%s: run after a cancelled one (reused scratch) differs", name)
+			}
+			if b, ok := second.(*BatchBFS); ok {
+				if f := first.(*BatchBFS); !reflect.DeepEqual(b.levels, f.levels) || !reflect.DeepEqual(b.parents, f.parents) {
+					t.Fatalf("%s: batch after a cancelled one (reused scratch) grew other trees", name)
+				}
 			}
 		}
 	}

@@ -26,7 +26,9 @@ import (
 // record past or short of the count the config declares — and reports it
 // as errs.ErrCorrupted with every stream buffer back: the resident open,
 // the one-shot run, X-Stream and FastBFS without trimming out of core
-// (Prepare), GraphChi's sharding pass and the algo engine's scatter.
+// (Prepare), GraphChi's sharding pass and the algo engine's edge walk.
+// FastBFS's default run reads the file in its split passes instead, top
+// down and with direction auto, and finds the same damage on both stores.
 func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 	audit := stream.AuditPools()
 	defer audit.Stop()
@@ -55,6 +57,16 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 		}},
 		{"fastbfs, trimming off", func(vol storage.Volume) error {
 			_, err := core.Run(vol, m.Name, core.Options{Base: ooc, DisableTrimming: true})
+			return err
+		}},
+		{"fastbfs, stored passes", func(vol storage.Volume) error {
+			_, err := core.Run(vol, m.Name, core.Options{Base: ooc})
+			return err
+		}},
+		{"fastbfs, direction auto", func(vol storage.Volume) error {
+			auto := ooc
+			auto.Direction = xstream.DirectionAuto
+			_, err := core.Run(vol, m.Name, core.Options{Base: auto})
 			return err
 		}},
 		{"graphchi", func(vol storage.Volume) error {
@@ -91,6 +103,9 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 		{"trailing record", func(es []graph.Edge) []graph.Edge { return append(es, es[last]) }},
 		{"out-of-range endpoint", func(es []graph.Edge) []graph.Edge { es[len(es)/2].Dst = graph.VertexID(m.Vertices); return es }},
 		{"descending source", func(es []graph.Edge) []graph.Edge { es[0], es[last] = es[last], es[0]; return es }},
+		// Sorted within every 32-edge chunk of a 256 B buffer, descending
+		// only where two chunks meet.
+		{"descending across chunks", func(es []graph.Edge) []graph.Edge { return slices.Concat(es[len(es)-64:], es[:len(es)-64]) }},
 	} {
 		if err := storage.WriteAll(vol, graph.EdgeFileName(m.Name), graph.EdgesToBytes(c.damage(slices.Clone(edges)))); err != nil {
 			t.Fatal(err)
@@ -106,35 +121,59 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 	// a file whose frames decode to a record more or fewer than the config's
 	// count passes the config check and is caught by the reader's own.
 	dvol := storage.NewMem()
-	if err := graph.StoreGraph(dvol, m, edges, graph.StoreOptions{Codec: graph.CodecDelta}); err != nil {
+	if err := graph.StoreGraph(dvol, m, edges, graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}); err != nil {
 		t.Fatal(err)
 	}
 	dm, err := graph.LoadMeta(dvol, m.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name  string
-		edges []graph.Edge
-	}{
-		{"delta file, one record more", append(slices.Clone(edges), edges[last])},
-		{"delta file, one record fewer", edges[:last]},
-	} {
+	stored := func(es []graph.Edge) []byte {
 		tmp, tm := storage.NewMem(), dm
-		tm.Edges = uint64(len(c.edges))
-		if err := graph.StoreGraph(tmp, tm, c.edges, graph.StoreOptions{Codec: graph.CodecDelta}); err != nil {
+		tm.Edges = uint64(len(es))
+		if err := graph.StoreGraph(tmp, tm, es, graph.StoreOptions{Codec: graph.CodecDelta}); err != nil {
 			t.Fatal(err)
 		}
 		file, err := storage.ReadAll(tmp, graph.EdgeFileName(m.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
+		return file
+	}
+	// StoreGraph sorts by source, so a descending one is framed here.
+	unsorted := func(es []graph.Edge) []byte {
+		var file bytes.Buffer
+		fw := graph.NewFrameWriterMagic(&file, graph.FrameMagicDelta)
+		for lo := 0; lo < len(es); lo += graph.IndexFrameEdges {
+			blk, err := graph.EncodeDeltaBlocks(graph.EdgesToBytes(es[lo:min(lo+graph.IndexFrameEdges, len(es))]))
+			if err == nil {
+				_, err = fw.Write(blk)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return file.Bytes()
+	}
+	swapped := slices.Clone(edges)
+	swapped[0], swapped[last] = swapped[last], swapped[0]
+	for _, c := range []struct {
+		name string
+		file []byte
+	}{
+		{"delta file, one record more", stored(append(slices.Clone(edges), edges[last]))},
+		{"delta file, one record fewer", stored(edges[:last])},
+		{"delta file, descending source", unsorted(swapped)},
+	} {
 		conf, declared := new(bytes.Buffer), dm
-		declared.StoredBytes = uint64(len(file))
+		declared.StoredBytes = uint64(len(c.file))
 		if err := graph.WriteConfig(conf, declared); err != nil {
 			t.Fatal(err)
 		}
-		if err := storage.WriteAll(dvol, graph.EdgeFileName(m.Name), file); err != nil {
+		if err := storage.WriteAll(dvol, graph.EdgeFileName(m.Name), c.file); err != nil {
 			t.Fatal(err)
 		}
 		if err := storage.WriteAll(dvol, graph.ConfFileName(m.Name), conf.Bytes()); err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,19 +203,20 @@ func TestBatchFillsResultCache(t *testing.T) {
 	}
 }
 
-// batchGate pins batch runs (working-file prefix "b") mid-write so
-// member cancellation can be exercised while the shared run is
-// observably in flight.
-func newBatchGate(vol *storage.Mem) *writeGate {
+// newBatchGate returns smallBase with a fault hook that pins every run
+// at its first iteration until the gate is released, so member
+// cancellation can be exercised while a batch's shared run is observably
+// in flight.
+func newBatchGate() (*writeGate, core.Options) {
 	g := &writeGate{gate: make(chan struct{})}
 	g.on.Store(true)
-	vol.FailWrites(func(name string, written int64) error {
-		if g.on.Load() && strings.HasPrefix(name, "b") {
+	base := smallBase()
+	base.Base.FaultHook = func() {
+		if g.on.Load() {
 			<-g.gate
 		}
-		return nil
-	})
-	return g
+	}
+	return g, base
 }
 
 // TestBatchMemberCancellationIsTruthful: a member cancelled while its
@@ -224,15 +224,15 @@ func newBatchGate(vol *storage.Mem) *writeGate {
 // batch keeps running and delivers correct results to the survivors.
 func TestBatchMemberCancellationIsTruthful(t *testing.T) {
 	vol, m := storedGraph(t)
+	gate, base := newBatchGate()
 	svc, err := serve.New(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 8, CacheEntries: -1,
 		BatchSize: 8, BatchWait: 50 * time.Millisecond,
-		Base: smallBase(),
+		Base: base,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newBatchGate(vol)
 
 	victimCtx, cancelVictim := context.WithCancel(context.Background())
 	var victim, survivor outcome
@@ -249,7 +249,7 @@ func TestBatchMemberCancellationIsTruthful(t *testing.T) {
 		survivor = outcome{res, err}
 	}()
 
-	// Both members join one batch; the gate holds its run mid-write.
+	// Both members join one batch; the gate holds its run in iteration 0.
 	waitFor(t, func() bool { return svc.Stats().BatchQueries == 2 }, "batch to start executing")
 	cancelVictim()
 	waitFor(t, func() bool { return svc.Stats().BatchEvicted == 1 }, "victim to leave the batch")
@@ -285,15 +285,15 @@ func TestBatchMemberCancellationIsTruthful(t *testing.T) {
 // serving.
 func TestBatchAbandonment(t *testing.T) {
 	vol, m := storedGraph(t)
+	gate, base := newBatchGate()
 	svc, err := serve.New(vol, m.Name, serve.Config{
 		MaxInFlight: 1, MaxQueue: 8, CacheEntries: -1,
 		BatchSize: 8, BatchWait: 50 * time.Millisecond,
-		Base: smallBase(),
+		Base: base,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := newBatchGate(vol)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup

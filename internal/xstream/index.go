@@ -129,8 +129,7 @@ func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int,
 				return 0, fmt.Errorf("xstream: %w: %w", errs.ErrCorrupted, m.CheckEdge(e))
 			}
 			if e.Src < last {
-				return 0, fmt.Errorf("xstream: %w: %s: source %d follows %d; the file predates sorting by source, store the graph again",
-					errs.ErrCorrupted, name, e.Src, last)
+				return 0, descending(name, e.Src, last)
 			}
 			if weights != nil && weights[i] < 0 {
 				return 0, fmt.Errorf("xstream: %w: negative weight on %d->%d", errs.ErrCorrupted, e.Src, e.Dst)

@@ -71,11 +71,11 @@ func (pg *PreparedGraph) ResidentBytes() int64 { return pg.g.bytes() }
 // reused: every run fills what it reads before reading it, and nothing
 // read from a volume outlives the run that read it.
 type Scratch struct {
-	// Values are the algo engine's current and next vertex values.
-	Values [2][]uint64
-	// Bits is the algo engine's active-source bitmap and the indexed
-	// traversal's frontier bitmap.
-	Bits []uint64
+	// values are the algo engine's current and next vertex values
+	// (ValuePair); bits its active-source bitmap and the indexed
+	// traversal's frontier bitmap (Bitmap).
+	values [2][]uint64
+	bits   []uint64
 	// queue holds the indexed traversal's current and next frontier.
 	queue [2][]graph.VertexID
 
@@ -159,7 +159,7 @@ func releaseScratch(s *Scratch) {
 // visibly wrong answers under the audit. (The permutation needs none: a
 // load rewrites all of it.)
 func (s *Scratch) poison() {
-	for _, a := range [][]uint64{s.Values[0], s.Values[1], s.Bits, s.visited.w, s.claimed.w} {
+	for _, a := range [][]uint64{s.values[0], s.values[1], s.bits, s.visited.w, s.claimed.w} {
 		poison(a)
 	}
 	for _, a := range [][]graph.VertexID{s.queue[0], s.queue[1], s.parent, s.bestParent} {
@@ -183,13 +183,13 @@ func poison[T any](s []T) {
 
 // ValuePair returns the two value arrays sized to n vertices.
 func (s *Scratch) ValuePair(n int) (cur, next []uint64) {
-	return chunk(&s.Values[0], n), chunk(&s.Values[1], n)
+	return chunk(&s.values[0], n), chunk(&s.values[1], n)
 }
 
 // Bitmap returns the bitmap sized to one bit per vertex of n; the caller
 // writes every word before reading it.
 func (s *Scratch) Bitmap(n int) []uint64 {
-	return chunk(&s.Bits, (n+63)/64)
+	return chunk(&s.bits, (n+63)/64)
 }
 
 // ScatterPool returns the scratch's scatter pool for the given worker

@@ -121,7 +121,7 @@ type Options struct {
 	// Partitions overrides the partition count derived from
 	// MemoryBudget when nonzero. GraphChi uses it because its memory
 	// shard holds edges, not just vertices, so its interval count is
-	// edge-bound.
+	// edge-bound. It changes nothing in algo, whose values stay in RAM.
 	Partitions int
 	// Threads is the compute thread count (Fig. 8). Default 4.
 	Threads int
@@ -814,22 +814,17 @@ func sealWriters[T any](rt *Runtime, ws *stream.WriterSet[T]) error {
 	return nil
 }
 
-// ChunkLen is the NextChunk length for a stream of recSize-byte records
-// read with the run's stream buffer size (see alignedChunk).
-func (rt *Runtime) ChunkLen(recSize int) int {
-	return alignedChunk(rt.Opts.StreamBufSize / recSize)
-}
-
 // EdgeChunk and UpdateChunk return the run-owned NextChunk targets for
-// the engines' sequential passes over an edge or update stream; each is
-// valid until the next call.
+// the engines' sequential passes over an edge or update stream, sized to
+// the run's stream buffer (see alignedChunk); each is valid until the
+// next call.
 func (rt *Runtime) EdgeChunk() []graph.Edge {
-	return chunk(&rt.scratch.edgeChunk, rt.ChunkLen(graph.EdgeBytes))
+	return chunk(&rt.scratch.edgeChunk, alignedChunk(rt.Opts.StreamBufSize/graph.EdgeBytes))
 }
 
 // UpdateChunk is EdgeChunk for update streams.
 func (rt *Runtime) UpdateChunk() []graph.Update {
-	return chunk(&rt.scratch.updChunk, rt.ChunkLen(graph.UpdateBytes))
+	return chunk(&rt.scratch.updChunk, alignedChunk(rt.Opts.StreamBufSize/graph.UpdateBytes))
 }
 
 // Winners returns a pass's run-owned winner table over n vertices, all

@@ -48,8 +48,9 @@ type passStats struct {
 // pays (sparseRuns, runCheck): the ranges of the frontier and, splitting,
 // of every unvisited source, or of the open targets. Without one iteration
 // 0 counts the degree table. Workers classify; winners and writes resolve on
-// the engine thread in scan order, sparse or dense alike. A malformed edge
-// or an edge count off the index or the metadata is errs.ErrCorrupted.
+// the engine thread in scan order, sparse or dense alike. A malformed edge,
+// a source (a record's target) below the one before it, or an edge count off
+// the index or the metadata is errs.ErrCorrupted.
 func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
 	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
 	name, total := graph.EdgeFileName(m.Name), int64(m.Edges)
@@ -72,7 +73,7 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		src = &runCheck{Scanner: sc, ix: ix, runs: runs, v: -1}
 	} else {
 		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
-		src = sc
+		src = &ascending{Scanner: sc, name: name}
 	}
 	if err != nil {
 		return ps, err
@@ -96,11 +97,17 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		return x.Dst, x.Src
 	}
 	classify := func(edges []graph.Edge, out *stream.Shard) {
+		last := edges[0].Src
 		for _, x := range edges {
 			if err := m.CheckEdge(x); err != nil {
 				out.Err = fmt.Errorf("%w: edge file %s: %w", errs.ErrCorrupted, name, err)
 				return
 			}
+			if x.Src < last {
+				out.Err = descending(name, x.Src, last)
+				return
+			}
+			last = x.Src
 			out.Scanned++
 			key, par := ends(x)
 			cand := front.Get(par)
@@ -447,6 +454,31 @@ func (ix *storedIndex) sparseRuns(want func(graph.VertexID) bool) (runs []stream
 		}
 	}
 	return runs, bytes, true
+}
+
+// ascending checks, on the engine thread, that each chunk of a dense pass
+// starts at or after the source the chunk before it ended on; classify
+// checks the order within a chunk.
+type ascending struct {
+	*stream.Scanner[graph.Edge]
+	name string
+	last graph.VertexID
+}
+
+func (a *ascending) NextChunk(dst []graph.Edge) (int, error) {
+	n, err := a.Scanner.NextChunk(dst)
+	if n > 0 {
+		if dst[0].Src < a.last {
+			return 0, descending(a.name, dst[0].Src, a.last)
+		}
+		a.last = dst[n-1].Src
+	}
+	return n, err
+}
+
+func descending(name string, src, last graph.VertexID) error {
+	return fmt.Errorf("%w: %s: source %d follows %d; the file predates sorting by source, store the graph again",
+		errs.ErrCorrupted, name, src, last)
 }
 
 // runCheck checks each edge a sparse pass reads: a range holds the edges
