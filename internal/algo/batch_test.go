@@ -146,9 +146,8 @@ func (v *createCounter) Create(name string) (storage.Writer, error) {
 // and allocates no more than its program's side arrays, its result and a
 // margin: the value arrays, the bitmap, the edge chunk and the stream
 // buffer all come back from the scratch and the pools the first run
-// warmed. The margin covers the config read's 64 KiB buffer and the run's
-// bookkeeping; a run that allocated its value arrays or an update chunk
-// would exceed it.
+// warmed. The margin covers the run's bookkeeping; a run that allocated
+// its value arrays or an update chunk would exceed it.
 func TestOutOfCoreBatchKeepsValuesInRAM(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rmat14/ef16")
@@ -162,13 +161,49 @@ func TestOutOfCoreBatchKeepsValuesInRAM(t *testing.T) {
 		t.Fatal(err)
 	}
 	roots := hubs(graph.Degrees(m.Vertices, edges), 2)
-	o := xstream.Options{MemoryBudget: 1 << 16, Partitions: 8}
-	run := func() {
+	V := int64(m.Vertices)
+	warmedRunAllocates(t, vol, int64(len(roots))*V*(4+4), V*8, func() (*Result, error) {
 		b, err := NewBatchBFS(roots, m.Vertices)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(vol, m.Name, b, o)
+		return Run(vol, m.Name, b, xstream.Options{MemoryBudget: 1 << 16, Partitions: 8})
+	})
+}
+
+// TestOutOfCoreSSSPDecodesIntoScratch is the same bound for a weighted
+// store's out-of-core SSSP, which has no side arrays: its edge, weight and
+// record chunks come from the scratch, where a run that allocated them at
+// each iteration's scan would take about 2 MiB a scan.
+func TestOutOfCoreSSSPDecodesIntoScratch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("rmat14/ef16")
+	}
+	m, edges, err := gen.RMAT(14, 16, gen.Graph500(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wedges := make([]graph.WEdge, len(edges))
+	for i, e := range edges {
+		wedges[i] = graph.WEdge{Src: e.Src, Dst: e.Dst, Weight: float32(1 + i%7)}
+	}
+	vol := &createCounter{Volume: storage.NewMem()}
+	if err := graph.StoreWeighted(vol, m, wedges); err != nil {
+		t.Fatal(err)
+	}
+	root := hubs(graph.Degrees(m.Vertices, edges), 1)[0]
+	warmedRunAllocates(t, vol, 0, int64(m.Vertices)*8, func() (*Result, error) {
+		return Run(vol, m.Name, NewSSSP(root), xstream.Options{MemoryBudget: 1 << 16, Partitions: 8})
+	})
+}
+
+// warmedRunAllocates runs an out-of-core traversal once to warm the
+// scratch and the pools, then requires each of three more to create no
+// file and to allocate at most side + result + 128 KiB.
+func warmedRunAllocates(t *testing.T, vol *createCounter, side, result int64, run func() (*Result, error)) {
+	t.Helper()
+	once := func() {
+		res, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,21 +211,19 @@ func TestOutOfCoreBatchKeepsValuesInRAM(t *testing.T) {
 			t.Fatalf("%d iterations, %d bytes read: not an out-of-core traversal", len(res.Metrics.Iterations), res.Metrics.BytesRead)
 		}
 	}
-	run()
+	once()
 	vol.creates = 0
 	const runs = 3
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		run()
+		once()
 	}
 	runtime.ReadMemStats(&after)
 	if vol.creates != 0 {
 		t.Errorf("%d files created by %d runs", vol.creates, runs)
 	}
-	V := int64(m.Vertices)
-	side, result := int64(len(roots))*V*(4+4), V*8
 	const margin = 128 << 10
 	if got := int64(after.TotalAlloc-before.TotalAlloc) / runs; got > side+result+margin {
 		t.Errorf("a run allocates %d B, want at most %d (side arrays) + %d (result) + %d", got, side, result, margin)

@@ -189,7 +189,7 @@ func RunContext(ctx context.Context, vol storage.Volume, graphName string, prog 
 			// What a resident iteration is charged for the edges: a scan
 			// of the list, whatever the program.
 			rt.RAMScan(int64(len(dsts))*graph.EdgeBytes + int64(len(weights))*4)
-		} else if _, err := xstream.ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, rt.EdgeChunk(),
+		} else if _, err := xstream.ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, rt.Scratch(),
 			func(es []graph.Edge, ws []float32) error {
 				for i, e := range es {
 					if active != nil && active[e.Src>>6]&(1<<(e.Src&63)) == 0 {

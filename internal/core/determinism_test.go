@@ -118,28 +118,7 @@ func TestScatterWorkerCountIsByteDeterministic(t *testing.T) {
 		t.Fatalf("want both stay and update files in the log, got %d stay / %d update names", stays, upds)
 	}
 
-	for name, seq1 := range rv1.log {
-		seq8, ok := rv8.log[name]
-		if !ok {
-			t.Errorf("workers=8 never published %s (workers=1 did, %d times)", name, len(seq1))
-			continue
-		}
-		if len(seq8) != len(seq1) {
-			t.Errorf("%s: published %d times with 1 worker, %d with 8", name, len(seq1), len(seq8))
-			continue
-		}
-		for i := range seq1 {
-			if !bytes.Equal(seq1[i], seq8[i]) {
-				t.Errorf("%s publication %d: %d bytes vs %d bytes differ between worker counts",
-					name, i, len(seq1[i]), len(seq8[i]))
-			}
-		}
-	}
-	for name := range rv8.log {
-		if _, ok := rv1.log[name]; !ok {
-			t.Errorf("workers=1 never published %s (workers=8 did)", name)
-		}
-	}
+	assertSamePublications(t, rv1, rv8)
 
 	if res1.Visited != res8.Visited {
 		t.Errorf("visited: %d vs %d", res1.Visited, res8.Visited)
@@ -162,6 +141,67 @@ func TestScatterWorkerCountIsByteDeterministic(t *testing.T) {
 	for i := range res1.Levels {
 		if res1.Levels[i] != res8.Levels[i] || res1.Parents[i] != res8.Parents[i] {
 			t.Fatalf("vertex %d: level/parent differ between worker counts", i)
+		}
+	}
+}
+
+// assertSamePublications requires a 1-worker and an 8-worker run to have
+// published the same files, each the same number of times with the same
+// bytes.
+func assertSamePublications(t *testing.T, rv1, rv8 *recordingVolume) {
+	t.Helper()
+	for name, seq1 := range rv1.log {
+		seq8, ok := rv8.log[name]
+		if !ok {
+			t.Errorf("workers=8 never published %s (workers=1 did, %d times)", name, len(seq1))
+			continue
+		}
+		if len(seq8) != len(seq1) {
+			t.Errorf("%s: published %d times with 1 worker, %d with 8", name, len(seq1), len(seq8))
+			continue
+		}
+		for i := range seq1 {
+			if !bytes.Equal(seq1[i], seq8[i]) {
+				t.Errorf("%s publication %d: %d bytes vs %d bytes differ between worker counts",
+					name, i, len(seq1[i]), len(seq8[i]))
+			}
+		}
+	}
+	for name := range rv8.log {
+		if _, ok := rv1.log[name]; !ok {
+			t.Errorf("workers=1 never published %s (workers=8 did)", name)
+		}
+	}
+}
+
+// TestDroppedRunsAreWorkerInvariant: on a delta + reorder store with
+// direction auto, where the stored, fused and bottom-up passes drop the
+// runs their hints reject, every file a run publishes — partition inputs,
+// reverse stays — its rows and its tree are the same for 1 and 8 workers:
+// a hint reads the winner table only on the engine thread, between merges,
+// in dispatch order.
+func TestDroppedRunsAreWorkerInvariant(t *testing.T) {
+	run := func(workers int) (*recordingVolume, *Result) {
+		vol, m, root := storedRMAT(t, 12, 16, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true})
+		rv := newRecordingVolume(vol)
+		rv.all = true
+		res, err := Run(rv, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
+			StreamBufSize: 4096, Direction: xstream.DirectionAuto, ScatterWorkers: workers}, GracePeriod: 1e9})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return rv, res
+	}
+	rv1, res1 := run(1)
+	rv8, res8 := run(8)
+	if res1.Metrics.BottomUpIterations == 0 || len(rv1.log) == 0 {
+		t.Fatalf("%d bottom-up iterations, %d files published: the test is vacuous", res1.Metrics.BottomUpIterations, len(rv1.log))
+	}
+	assertSamePublications(t, rv1, rv8)
+	assertSameTree(t, "workers", res8, res1)
+	for i, it := range res1.Metrics.Iterations {
+		if it != res8.Metrics.Iterations[i] {
+			t.Errorf("iteration %d rows differ: %+v vs %+v", i, it, res8.Metrics.Iterations[i])
 		}
 	}
 }

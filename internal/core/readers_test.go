@@ -142,21 +142,8 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 	}
 	// StoreGraph sorts by source, so a descending one is framed here.
 	unsorted := func(es []graph.Edge) []byte {
-		var file bytes.Buffer
-		fw := graph.NewFrameWriterMagic(&file, graph.FrameMagicDelta)
-		for lo := 0; lo < len(es); lo += graph.IndexFrameEdges {
-			blk, err := graph.EncodeDeltaBlocks(graph.EdgesToBytes(es[lo:min(lo+graph.IndexFrameEdges, len(es))]))
-			if err == nil {
-				_, err = fw.Write(blk)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fw.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		return file.Bytes()
+		file, _ := deltaFrames(t, es)
+		return file
 	}
 	swapped := slices.Clone(edges)
 	swapped[0], swapped[last] = swapped[last], swapped[0]
@@ -181,4 +168,180 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 		}
 		check(c.name, dvol)
 	}
+	checkDroppedRunDamage(t, audit)
+}
+
+// checkDroppedRunDamage: damage in a run a pass reads but drops, one whose
+// source (a record's target) it does not want, is found before the run is
+// passed over, each kind by one per-run check: an endpoint outside the
+// vertex space by the run's last destination, a source out of its place by
+// the index, and a run past its source's degree by the degree. The reverse
+// pass is the first bottom-up one, reading the whole .rev and dropping the
+// tails of the targets the root's level visited or their head won; the
+// forward one is iteration 0's sparse pass, dropping every other source in
+// the frames of the root's edges. Each damage keeps every frame its size, so the index
+// still places the frames.
+func checkDroppedRunDamage(t *testing.T, audit *stream.PoolAudit) {
+	m, edges, err := gen.RMAT(12, 16, gen.Graph500(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortStableFunc(edges, func(a, b graph.Edge) int { return cmp.Compare(a.Src, b.Src) })
+	deg := graph.Degrees(m.Vertices, edges)
+	root := graph.VertexID(slices.Index(deg, slices.Max(deg)))
+	visited, head := map[graph.VertexID]bool{root: true}, map[graph.VertexID]graph.VertexID{}
+	for _, e := range edges { // sorted by source: a target's first in-edge is its head's
+		if e.Src == root {
+			visited[e.Dst] = true
+		}
+		if _, ok := head[e.Dst]; !ok {
+			head[e.Dst] = e.Src
+		}
+	}
+	type group struct {
+		src        graph.VertexID
+		start, end int
+	}
+	kinds := []struct {
+		name string
+		try  func(es []graph.Edge, g group, h *group) bool // h: a dropped run right after g
+	}{
+		{"out-of-range endpoint", func(es []graph.Edge, g group, _ *group) bool {
+			es[g.end-1].Dst = graph.VertexID(m.Vertices)
+			return true
+		}},
+		{"source out of place", func(es []graph.Edge, g group, h *group) bool {
+			if h == nil || g.end-g.start != h.end-h.start {
+				return false
+			}
+			copy(es[g.start:h.end], slices.Concat(es[h.start:h.end], es[g.start:g.end]))
+			return true
+		}},
+		{"run past its degree", func(es []graph.Edge, g group, h *group) bool {
+			if h == nil {
+				return false
+			}
+			es[h.start] = es[g.end-1] // h's first record repeats g's last: g's run grows by one
+			return true
+		}},
+	}
+	// The first bottom-up pass, at iteration 1, trims: it drops the targets
+	// the root's level visited and those whose head is in that level.
+	reverse := core.Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 4, StreamBufSize: 256,
+		Sim: xstream.DefaultSim(), Direction: xstream.DirectionBottomUp}}
+	for _, pass := range []struct {
+		name string
+		file string
+		opts core.Options
+		// dropped says whether the pass reads and drops record i's run.
+		dropped func(es []graph.Edge, i int) bool
+	}{
+		{"reverse pass, visited targets", graph.ReverseFileName(m.Name), reverse,
+			func(es []graph.Edge, i int) bool { return visited[es[i].Src] }},
+		{"reverse pass, head-won targets", graph.ReverseFileName(m.Name), reverse,
+			func(es []graph.Edge, i int) bool { return !visited[es[i].Src] && visited[head[es[i].Src]] }},
+		{"sparse forward pass", graph.EdgeFileName(m.Name),
+			core.Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 4, StreamBufSize: 256}},
+			func(es []graph.Edge, i int) bool {
+				first, _ := slices.BinarySearchFunc(es, root, func(e graph.Edge, v graph.VertexID) int { return cmp.Compare(e.Src, v) })
+				frame := func(j int) int { return j / graph.IndexFrameEdges }
+				return es[i].Src != root && frame(i) >= frame(first) && frame(i) <= frame(first+int(deg[root])-1)
+			}},
+	} {
+		clean, err := storage.ReadAll(vol, pass.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, blocks, err := graph.DeframeAllMagic(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := graph.DecodeDeltaStream(blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := graph.BytesToEdges(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := deltaFrames(t, recs); !bytes.Equal(again, clean) {
+			t.Fatalf("%s: %s frames differently here", pass.name, pass.file)
+		}
+		res, err := core.Run(vol, m.Name, pass.opts)
+		if err != nil {
+			t.Fatalf("%s: clean store: %v", pass.name, err)
+		}
+		if it := res.Metrics.Iterations[0]; pass.opts.Base.Sim == nil && !(it.Stored && it.Sparse) {
+			t.Fatalf("%s: iteration 0 is no sparse stored pass: %+v", pass.name, it)
+		}
+		var groups []group // the dropped runs' sources, in file order
+		for i := 0; i < len(recs); {
+			j := i + 1
+			for j < len(recs) && recs[j].Src == recs[i].Src {
+				j++
+			}
+			if pass.dropped(recs, i) {
+				groups = append(groups, group{recs[i].Src, i, j})
+			}
+			i = j
+		}
+		_, sizes := deltaFrames(t, recs)
+		for _, k := range kinds {
+			var damaged []byte
+			for gi := 0; gi < len(groups) && damaged == nil; gi++ {
+				var h *group
+				if gi+1 < len(groups) && groups[gi+1].start == groups[gi].end {
+					h = &groups[gi+1]
+				}
+				es := slices.Clone(recs)
+				if !k.try(es, groups[gi], h) {
+					continue
+				}
+				if file, got := deltaFrames(t, es); slices.Equal(got, sizes) {
+					damaged = file
+				}
+			}
+			if damaged == nil {
+				t.Fatalf("%s: no %s in a dropped run keeps the frames", pass.name, k.name)
+			}
+			if err := storage.WriteAll(vol, pass.file, damaged); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Run(vol, m.Name, pass.opts); !errors.Is(err, errs.ErrCorrupted) {
+				t.Errorf("%s, %s: err = %v, want ErrCorrupted", pass.name, k.name, err)
+			}
+			if n := audit.Outstanding(); n != 0 {
+				t.Fatalf("%s, %s: %d stream buffers outstanding after the failed run", pass.name, k.name, n)
+			}
+		}
+		if err := storage.WriteAll(vol, pass.file, clean); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// deltaFrames frames es as a store frames a delta file, graph.IndexFrameEdges
+// records to a frame, and returns the file and each frame's payload size.
+func deltaFrames(t *testing.T, es []graph.Edge) (file []byte, sizes []int) {
+	t.Helper()
+	var buf bytes.Buffer
+	fw := graph.NewFrameWriterMagic(&buf, graph.FrameMagicDelta)
+	for lo := 0; lo < len(es); lo += graph.IndexFrameEdges {
+		blk, err := graph.EncodeDeltaBlocks(graph.EdgesToBytes(es[lo:min(lo+graph.IndexFrameEdges, len(es))]))
+		if err == nil {
+			_, err = fw.Write(blk)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(blk))
+	}
+	if err := fw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), sizes
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"fastbfs/internal/graph"
+	"fastbfs/internal/metrics"
+	"fastbfs/internal/obs"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -176,3 +179,69 @@ func TestReverseSparseNeedsReorder(t *testing.T) {
 		}
 	}
 }
+
+// TestFusedPassKeepsOpenTails: on a delta + reorder store with direction
+// auto, the first bottom-up pass hands classify (its reverse-split span's
+// kept) no more than the tails of the targets open when it starts —
+// unvisited and, trimming, not won by their head — while its row streams
+// the records of every frame it reads, as many as a pass that keeps them
+// all. The pinned count is that pass's.
+func TestFusedPassKeepsOpenTails(t *testing.T) {
+	vol, m, root := storedRMAT(t, 13, 24, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true})
+	col := &obs.Collect{}
+	res, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
+		StreamBufSize: 4096, Direction: xstream.DirectionAuto, Tracer: obs.New(col)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := slices.IndexFunc(res.Metrics.Iterations, func(it metrics.Iteration) bool { return it.BottomUp })
+	if fused < 0 {
+		t.Fatal("the run never went bottom-up")
+	}
+	row := res.Metrics.Iterations[fused]
+	var kept, edges int64 = -1, -1
+	for _, ev := range col.Events() {
+		if k, ok := ev.Attrs["kept"]; ok && ev.Name == "reverse-split" {
+			kept, edges = k, ev.Attrs["edges"]
+		}
+	}
+	if edges != row.EdgesStreamed {
+		t.Fatalf("the reverse-split span streamed %d edges, its row %d", edges, row.EdgesStreamed)
+	}
+
+	_, es, err := graph.LoadEdges(vol, m.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm, err := graph.LoadPerm(vol, m.Name, m.Vertices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := uint32(row.Index) // the level the pass expands
+	indeg, head := make([]int64, m.Vertices), make([]graph.VertexID, m.Vertices)
+	for _, e := range es { // a target's head is its in-neighbour of the smallest stored id
+		if indeg[e.Dst]++; indeg[e.Dst] == 1 || perm.ToStored(e.Src) < perm.ToStored(head[e.Dst]) {
+			head[e.Dst] = e.Src
+		}
+	}
+	var open, unvisited int64
+	for v, d := range indeg {
+		if d > 0 && res.Levels[v] > iter {
+			unvisited += d - 1
+			if !row.TrimActive || res.Levels[head[v]] != iter {
+				open += d - 1
+			}
+		}
+	}
+	t.Logf("iteration %d (trim %v): %d records streamed, %d kept; %d tails of unvisited targets, %d of open", row.Index, row.TrimActive, row.EdgesStreamed, kept, unvisited, open)
+	if kept < 0 || kept > open {
+		t.Fatalf("the pass kept %d records, the open targets have %d tails", kept, open)
+	}
+	if want := int64(pinnedFusedEdges); row.EdgesStreamed != want {
+		t.Fatalf("the pass streamed %d records, want %d", row.EdgesStreamed, want)
+	}
+}
+
+// pinnedFusedEdges is what TestFusedPassKeepsOpenTails's pass streamed
+// when every record it read was handed to classify.
+const pinnedFusedEdges = 16384

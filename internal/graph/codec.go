@@ -160,19 +160,35 @@ func appendRuns(dst, blk []byte) ([]byte, int) {
 // delta-block byte slice.
 func EncodeDeltaBlocks(raw []byte) ([]byte, error) { return AppendDeltaBlocks(nil, raw) }
 
+// RunHint steers a delta block decode one run at a time: a stretch of
+// records that share a source, or one record of a pairs block. Keep is
+// asked before the run's n records are decoded, and says whether to write
+// them; Last is told the run's last destination once it is decoded, which,
+// as a run's destinations rise, bounds them all. Either stops the decode
+// with its error. A run the hint drops is decoded and checked like any
+// other but not written. A skip mark stands in the first slot of each
+// stretch of dropped runs, and the rest of the stretch is left as it was:
+// a record of source NoVertex, which no vertex has (a hinted decode writes
+// no run of it), whose destination is the stretch's length in records.
+type RunHint interface {
+	Keep(src VertexID, n int) (bool, error)
+	Last(dst VertexID) error
+}
+
 // DecodeDeltaBlock decodes the first complete block in b, appending the
 // decoded fixed-width edge records to out. It returns the grown slice and
 // the number of encoded bytes consumed. Every malformed block — see
-// blockHeader and decodeBody — is an error wrapping errs.ErrCorrupted.
-func DecodeDeltaBlock(out, b []byte) ([]byte, int, error) {
+// blockHeader and decodeBody — is an error wrapping errs.ErrCorrupted; an
+// error of hint's (nil: every run is written) is returned as it is.
+func DecodeDeltaBlock(out, b []byte, hint RunHint) ([]byte, int, error) {
 	count, runs, body, total, err := blockHeader(b)
 	if err != nil {
 		return out, 0, err
 	}
 	base := len(out)
 	out = slices.Grow(out, count*EdgeBytes)[:base+count*EdgeBytes]
-	if bad := decodeBody(out[base:], b[body:total], runs); bad != "" {
-		return out[:base], 0, fmt.Errorf("graph: %w: delta block %s", errs.ErrCorrupted, bad)
+	if err := decodeBody(out[base:], b[body:total], runs, hint); err != nil {
+		return out[:base], 0, err
 	}
 	return out, total, nil
 }
@@ -214,10 +230,12 @@ func uvarint(body []byte, p int) (uint64, int) {
 }
 
 // decodeBody decodes a block body in its layout into rec, whose length is
-// the count, and returns what is wrong with the body, if anything.
-func decodeBody(rec, body []byte, runs bool) string {
+// the count, and returns what is wrong with the body, if anything. With a
+// hint it writes only the runs the hint keeps, and a skip mark in the
+// first slot of each stretch of runs it drops.
+func decodeBody(rec, body []byte, runs bool, hint RunHint) error {
 	var src, dst uint64
-	p := 0
+	p, mark, skipped := 0, 0, 0 // skipped: the records of the stretch marked at mark
 	for j := 0; j < len(rec); j += EdgeBytes {
 		zs, q := uvarint(body, p)
 		v, q := uvarint(body, q)
@@ -230,9 +248,25 @@ func decodeBody(rec, body []byte, runs bool) string {
 		}
 		src, p = src+uint64(unzigzag(zs)), q
 		if p < 0 || src > math.MaxUint32 || dst > math.MaxUint32 || more >= uint64((len(rec)-j)/EdgeBytes) {
-			return "truncated, or an endpoint outside the uint32 range, or a run past the edge count"
+			return corruptBlock("truncated, or an endpoint outside the uint32 range, or a run past the edge count")
 		}
-		binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+		keep := true
+		if hint != nil {
+			k, err := hint.Keep(VertexID(src), int(more)+1)
+			if err != nil {
+				return err
+			}
+			if keep = k && src != uint64(NoVertex); !keep {
+				if skipped == 0 || mark+skipped*EdgeBytes != j {
+					mark, skipped = j, 0
+				}
+				skipped += int(more) + 1
+				binary.LittleEndian.PutUint64(rec[mark:], uint64(skipped)<<32|uint64(NoVertex))
+			}
+		}
+		if keep {
+			binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+		}
 		for end := j + int(more)*EdgeBytes; j < end; {
 			gap := uint64(0)
 			if uint(p) < uint(len(body)) && body[p] < 0x80 {
@@ -241,16 +275,26 @@ func decodeBody(rec, body []byte, runs bool) string {
 				gap, p = uvarint(body, p)
 			}
 			if dst += gap; p < 0 || gap > math.MaxUint32 || dst > math.MaxUint32 {
-				return "truncated, or a gap past the uint32 range"
+				return corruptBlock("truncated, or a gap past the uint32 range")
 			}
-			j += EdgeBytes
-			binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+			if j += EdgeBytes; keep {
+				binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+			}
+		}
+		if hint != nil {
+			if err := hint.Last(VertexID(dst)); err != nil {
+				return err
+			}
 		}
 	}
 	if p != len(body) {
-		return "carries trailing bytes"
+		return corruptBlock("carries trailing bytes")
 	}
-	return ""
+	return nil
+}
+
+func corruptBlock(bad string) error {
+	return fmt.Errorf("graph: %w: delta block %s", errs.ErrCorrupted, bad)
 }
 
 // DecodeDeltaStream decodes a complete concatenation of delta blocks
@@ -269,7 +313,7 @@ func DecodeDeltaStream(blocks []byte) ([]byte, error) {
 	for len(blocks) > 0 {
 		var n int
 		var err error
-		if out, n, err = DecodeDeltaBlock(out, blocks); err != nil {
+		if out, n, err = DecodeDeltaBlock(out, blocks, nil); err != nil {
 			return nil, err
 		}
 		blocks = blocks[n:]

@@ -52,6 +52,14 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 		}
 
+		// Property 5 (for the payload here, for its clean encoding below):
+		// a hinted decode shows its hint the same runs as a full one,
+		// rejects exactly the streams the full one rejects, and yields as
+		// many records, the full decode's where the hint keeps the source
+		// and skip marks standing for exactly the rest.
+		keep := func(v VertexID) bool { return uint32(v)>>(mut%7)&1 == uint32(mut>>8)&1 }
+		checkHinted(t, b, keep)
+
 		// Property 2: exact round trip of the aligned prefix.
 		raw := b[:len(b)/EdgeBytes*EdgeBytes]
 		enc, err := EncodeDeltaBlocks(raw)
@@ -74,6 +82,7 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 			e, p = e[et:], p[pt:]
 		}
+		checkHinted(t, enc, keep)
 		if len(enc) == 0 {
 			return
 		}
@@ -107,4 +116,110 @@ func FuzzBlockCodec(f *testing.F) {
 			t.Fatalf("flipped byte %d of %d went undetected", pos, len(framed))
 		}
 	})
+}
+
+// runLog is a RunHint that keeps the sources keep accepts (nil: all) and
+// logs every run it is shown.
+type runLog struct {
+	keep func(VertexID) bool
+	runs [][3]uint64 // source, records, last destination
+}
+
+func (l *runLog) Keep(src VertexID, n int) (bool, error) {
+	l.runs = append(l.runs, [3]uint64{uint64(src), uint64(n)})
+	return l.keep == nil || l.keep(src), nil
+}
+
+func (l *runLog) Last(dst VertexID) error {
+	l.runs[len(l.runs)-1][2] = uint64(dst)
+	return nil
+}
+
+// decodeHinted decodes a block stream block by block under hint.
+func decodeHinted(b []byte, hint RunHint) ([]byte, error) {
+	var out []byte
+	for len(b) > 0 {
+		var n int
+		var err error
+		if out, n, err = DecodeDeltaBlock(out, b, hint); err != nil {
+			return nil, err
+		}
+		b = b[n:]
+	}
+	return out, nil
+}
+
+// checkHinted holds a decode of b hinted by keep to the full decode of b
+// (Property 5 of FuzzBlockCodec).
+func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool) {
+	t.Helper()
+	all, part := &runLog{}, &runLog{keep: keep}
+	full, ferr := DecodeDeltaStream(b)
+	logged, lerr := decodeHinted(b, all)
+	got, err := decodeHinted(b, part)
+	if (ferr == nil) != (err == nil) || (ferr == nil) != (lerr == nil) {
+		t.Fatalf("full decode: %v; hinted, keeping all: %v; hinted: %v", ferr, lerr, err)
+	}
+	if err != nil && !errors.Is(err, errs.ErrCorrupted) {
+		t.Fatalf("hinted decode error does not wrap ErrCorrupted: %v", err)
+	}
+	if len(all.runs) != len(part.runs) {
+		t.Fatalf("%d runs shown keeping all, %d keeping some", len(all.runs), len(part.runs))
+	}
+	for i := range all.runs {
+		if all.runs[i] != part.runs[i] {
+			t.Fatalf("run %d: %v keeping all, %v keeping some", i, all.runs[i], part.runs[i])
+		}
+	}
+	if err != nil {
+		return
+	}
+	if len(logged) != len(full) || len(got) != len(full) {
+		t.Fatalf("hinted decodes of %d and %d bytes, full %d", len(logged), len(got), len(full))
+	}
+	var runs uint64
+	for _, r := range part.runs {
+		runs += r[1]
+	}
+	if runs != uint64(len(full)/EdgeBytes) {
+		t.Fatalf("runs of %d records in all, the decode %d", runs, len(full)/EdgeBytes)
+	}
+	starts := blockStarts(b)
+	for i := 0; i < len(full); {
+		want, rec := GetEdge(full[i:]), GetEdge(got[i:])
+		if keep(want.Src) && want.Src != NoVertex {
+			if rec != want {
+				t.Fatalf("record %d: %v kept as %v", i/EdgeBytes, want, rec)
+			}
+			i += EdgeBytes
+			continue
+		}
+		if rec.Src != NoVertex || rec.Dst == 0 || i+int(rec.Dst)*EdgeBytes > len(full) {
+			t.Fatalf("record %d: %v dropped, %v in its place, not a skip mark", i/EdgeBytes, want, rec)
+		}
+		for end := i + int(rec.Dst)*EdgeBytes; i < end; i += EdgeBytes {
+			if e := GetEdge(full[i:]); keep(e.Src) && e.Src != NoVertex {
+				t.Fatalf("record %d: %v kept by the hint, under a skip mark", i/EdgeBytes, e)
+			}
+		}
+		// A mark stands for the whole stretch of dropped records it starts
+		// in its block.
+		if e := GetEdge(full[min(i, len(full)-EdgeBytes):]); i < len(full) && !starts[i] && (!keep(e.Src) || e.Src == NoVertex) {
+			t.Fatalf("record %d: %v dropped after a skip mark that ends before it", i/EdgeBytes, e)
+		}
+	}
+}
+
+// blockStarts is the offsets in its decode at which b's blocks start.
+func blockStarts(b []byte) map[int]bool {
+	starts := map[int]bool{}
+	for at := 0; len(b) > 0; {
+		count, _, _, total, err := blockHeader(b)
+		if err != nil {
+			break
+		}
+		starts[at] = true
+		at, b = at+count*EdgeBytes, b[total:]
+	}
+	return starts
 }

@@ -152,7 +152,7 @@ func TestDeltaDecodeIntoStackBuffer(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		var blk [DeltaBlockMaxEdges * EdgeBytes]byte
-		if _, _, err := DecodeDeltaBlock(blk[:0], enc); err != nil {
+		if _, _, err := DecodeDeltaBlock(blk[:0], enc, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -174,7 +174,7 @@ func BenchmarkDeltaDecode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for p := enc; len(p) > 0; {
 			var n int
-			if out, n, err = DecodeDeltaBlock(out[:0], p); err != nil {
+			if out, n, err = DecodeDeltaBlock(out[:0], p, nil); err != nil {
 				b.Fatal(err)
 			}
 			p = p[n:]

@@ -395,7 +395,7 @@ func readWords(r io.Reader, bufs Buffers, limit int, n uint64, fn func(i uint64,
 			return err
 		}
 		for len(p) > 0 {
-			words, k, err := DecodeDeltaBlock(blk[:0], p)
+			words, k, err := DecodeDeltaBlock(blk[:0], p, nil)
 			if err != nil {
 				return err
 			}

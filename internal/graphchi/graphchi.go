@@ -246,7 +246,7 @@ func (e *engine) preprocess() error {
 	defer outs.Abort() // whatever an error return leaves open
 	// An aligned chunk never straddles a refill: device reads stay where
 	// reading edge by edge put them among the shard writes.
-	if _, err := xstream.ScanStored(rt.Vol, rt.Meta, tm, rt.Opts.StreamBufSize, rt.EdgeChunk(), func(edges []graph.Edge, _ []float32) error {
+	if _, err := xstream.ScanStored(rt.Vol, rt.Meta, tm, rt.Opts.StreamBufSize, rt.Scratch(), func(edges []graph.Edge, _ []float32) error {
 		for _, edge := range edges {
 			if err := outs.W[rt.Parts.Of(edge.Dst)].Append(shardRec{src: edge.Src, dst: edge.Dst, value: NoLevel}); err != nil {
 				return err

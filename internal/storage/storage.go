@@ -100,16 +100,29 @@ func ReadAll(v Volume, name string) ([]byte, error) {
 		return nil, err
 	}
 	defer r.Close()
-	b := make([]byte, 0, r.Size())
-	buf := make([]byte, 64*1024)
+	b, err := ReadRest(r)
+	if err != nil {
+		return b, fmt.Errorf("storage: reading %s: %w", name, err)
+	}
+	return b, nil
+}
+
+// ReadRest reads r to its end straight into a slice of its Size, and one
+// byte more to meet the end without growing it; a file longer than its
+// Size grows the slice as append does.
+func ReadRest(r Reader) ([]byte, error) {
+	b := make([]byte, 0, max(r.Size(), 0)+1)
 	for {
-		n, err := r.Read(buf)
-		b = append(b, buf[:n]...)
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
 		if err == io.EOF {
 			return b, nil
 		}
 		if err != nil {
-			return b, fmt.Errorf("storage: reading %s: %w", name, err)
+			return b, err
 		}
 	}
 }

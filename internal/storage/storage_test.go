@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -399,5 +400,30 @@ func TestReadersReadRanges(t *testing.T) {
 				fr.Close()
 			}
 		})
+	}
+}
+
+// TestReadAllAllocatesTheFile: ReadAll reads into one slice of the file's
+// size, so a 100-byte file — a graph's config — costs well under a KiB a
+// read, where a copy buffer would cost 64 KiB whatever the file.
+func TestReadAllAllocatesTheFile(t *testing.T) {
+	v := NewMem()
+	want := bytes.Repeat([]byte{7}, 100)
+	if err := WriteAll(v, "small.conf", want); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		got, err := ReadAll(v, "small.conf")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %q, %v", got, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1<<10 {
+		t.Errorf("a read of a 100-byte file allocates %d B, want under 1 KiB", got)
 	}
 }

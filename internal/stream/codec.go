@@ -41,6 +41,7 @@ type deltaReader struct {
 	out   []byte // a decoded block not yet delivered
 	opos  int
 	taken int64 // compressed payload bytes decoded so far
+	hint  graph.RunHint
 }
 
 // deltaBlockBytes is the largest decoded block.
@@ -68,7 +69,7 @@ func (d *deltaReader) Read(p []byte) (int, error) {
 			}
 			dst = d.out[:0]
 		}
-		got, n, err := graph.DecodeDeltaBlock(dst, d.frame)
+		got, n, err := graph.DecodeDeltaBlock(dst, d.frame, d.hint)
 		if err != nil {
 			return 0, err
 		}

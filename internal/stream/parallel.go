@@ -44,6 +44,9 @@ type Shard struct {
 	// instead of growing a second copy (see ScatterFunc).
 	Stays []graph.Edge
 
+	// Read is the records the scanner read for the chunk, set by the pool:
+	// those it kept, which fn sees, and those a hint dropped (Keep).
+	Read    int64
 	Scanned int64
 	Emitted int64
 	Stayed  int64
@@ -66,7 +69,7 @@ func (s *Shard) reset() {
 		s.ByPart[i] = s.ByPart[i][:0]
 	}
 	s.Stays = nil
-	s.Scanned, s.Emitted, s.Stayed, s.CandDeg, s.Err = 0, 0, 0, 0, nil
+	s.Read, s.Scanned, s.Emitted, s.Stayed, s.CandDeg, s.Err = 0, 0, 0, 0, 0, nil
 }
 
 // ScatterFunc classifies one chunk of edges into out. It runs on a
@@ -180,16 +183,11 @@ func (sp *ScatterPool) putChunk(c []graph.Edge) {
 	sp.mu.Unlock()
 }
 
-// EdgeChunks is what the pool reads edges from: a *Scanner[graph.Edge], or
-// a wrapper checking what one reads.
-type EdgeChunks interface {
-	NextChunk([]graph.Edge) (int, error)
-}
-
 // RunScanner streams sc chunk by chunk through the pool. The scanner is
 // consumed on the calling goroutine (its refills charge the clock); the
-// caller still owns closing it.
-func (sp *ScatterPool) RunScanner(sc EdgeChunks, fn ScatterFunc, merge MergeFunc) error {
+// caller still owns closing it. A chunk is the records read (NextKept),
+// which fix its place among the refills; fn sees the ones kept, maybe none.
+func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
 	return sp.RunScannerDepth(sc, PipelineDepth, fn, merge)
 }
 
@@ -197,15 +195,15 @@ func (sp *ScatterPool) RunScanner(sc EdgeChunks, fn ScatterFunc, merge MergeFunc
 // ahead of the merge: fewer chunk buffers in flight over a long stream, and
 // at depth 1 the device sees what a serial read-then-process loop issues.
 // Like PipelineDepth, depth must not depend on the worker count.
-func (sp *ScatterPool) RunScannerDepth(sc EdgeChunks, depth int, fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, error) {
+func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, fn ScatterFunc, merge MergeFunc) error {
+	next := func() ([]graph.Edge, int, error) {
 		buf := sp.getChunk()
-		n, err := sc.NextChunk(buf)
-		if err != nil || n == 0 {
+		n, read, err := sc.NextKept(buf)
+		if err != nil || read == 0 {
 			sp.putChunk(buf)
-			return nil, err
+			return nil, 0, err
 		}
-		return buf[:n], nil
+		return buf[:n], read, nil
 	}
 	return sp.run(next, depth, fn, merge)
 }
@@ -214,6 +212,7 @@ func (sp *ScatterPool) RunScannerDepth(sc EdgeChunks, depth int, fn ScatterFunc,
 // carries the shard back so a worker never blocks on delivering results.
 type chunkJob struct {
 	edges []graph.Edge
+	read  int
 	out   chan *Shard
 }
 
@@ -229,15 +228,15 @@ type chunkJob struct {
 const PipelineDepth = 32
 
 // run is the pool's engine: next yields chunks, each the front of a
-// getChunk buffer (nil = end of stream), on the calling goroutine,
-// fn classifies them, merge folds shards back in chunk order, at most
-// depth chunks behind dispatch. Serial and parallel modes share the same dispatch/merge
-// structure (classification just happens inline vs. on a worker), so
+// getChunk buffer with the records read for it (0 = end of stream), on
+// the calling goroutine, fn classifies them, merge folds shards back in
+// chunk order, at most depth chunks behind dispatch. Serial and parallel
+// modes share the same dispatch/merge structure (classification just happens inline vs. on a worker), so
 // the sequence of next and merge calls — and everything the simulated
 // clock observes — is identical for every worker count. On any error —
 // scan, classify or merge — it stops dispatching, joins every worker
 // and returns the first error.
-func (sp *ScatterPool) run(next func() ([]graph.Edge, error), depth int, fn ScatterFunc, merge MergeFunc) error {
+func (sp *ScatterPool) run(next func() ([]graph.Edge, int, error), depth int, fn ScatterFunc, merge MergeFunc) error {
 	parallel := sp.workers > 1
 	var jobs chan chunkJob
 	var wg sync.WaitGroup
@@ -248,7 +247,7 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, error), depth int, fn Scat
 			go func() {
 				defer wg.Done()
 				for j := range jobs {
-					j.out <- sp.classify(j.edges, fn)
+					j.out <- sp.classify(j.edges, j.read, fn)
 				}
 			}()
 		}
@@ -268,25 +267,25 @@ func (sp *ScatterPool) run(next func() ([]graph.Edge, error), depth int, fn Scat
 		}
 		sp.putShard(sh)
 	}
-	dispatch := func(edges []graph.Edge) {
+	dispatch := func(edges []graph.Edge, read int) {
 		out := make(chan *Shard, 1)
 		if parallel {
-			jobs <- chunkJob{edges: edges, out: out}
+			jobs <- chunkJob{edges: edges, read: read, out: out}
 		} else {
-			out <- sp.classify(edges, fn)
+			out <- sp.classify(edges, read, fn)
 		}
 		pending = append(pending, out)
 	}
 	for firstErr == nil {
-		edges, err := next()
+		edges, read, err := next()
 		if err != nil {
 			firstErr = err
 			break
 		}
-		if edges == nil {
+		if read == 0 {
 			break
 		}
-		dispatch(edges)
+		dispatch(edges, read)
 		if len(pending) >= depth {
 			mergeOne()
 		}
@@ -317,13 +316,13 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return errs.ErrInternal }
 
-// classify runs fn over one chunk into a recycled shard. The chunk's
-// survivors compact into the front of its own buffer, which the shard
-// then holds until it has been merged; a chunk that kept none gives the
-// buffer straight back.
-func (sp *ScatterPool) classify(edges []graph.Edge, fn ScatterFunc) *Shard {
+// classify runs fn over one chunk, read records long, into a recycled
+// shard. The chunk's survivors compact into the front of its own buffer,
+// which the shard then holds until it has been merged; a chunk that kept
+// none gives the buffer straight back.
+func (sp *ScatterPool) classify(edges []graph.Edge, read int, fn ScatterFunc) *Shard {
 	sh := sp.getShard()
-	sh.Stays = edges[:0]
+	sh.Read, sh.Stays = int64(read), edges[:0]
 	sp.classifyInto(edges, sh, fn)
 	if len(sh.Stays) > 0 {
 		sh.chunk = edges[:cap(edges)]

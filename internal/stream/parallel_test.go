@@ -15,14 +15,14 @@ import (
 // runSlice is a slice source over the pool's engine: edges copied chunk
 // by chunk into the pool's own buffers, as a scanner decodes them.
 func runSlice(sp *ScatterPool, edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, error) {
+	next := func() ([]graph.Edge, int, error) {
 		if len(edges) == 0 {
-			return nil, nil
+			return nil, 0, nil
 		}
 		c := sp.getChunk()
 		n := copy(c, edges)
 		edges = edges[n:]
-		return c[:n], nil
+		return c[:n], n, nil
 	}
 	return sp.run(next, PipelineDepth, fn, merge)
 }

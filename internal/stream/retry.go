@@ -270,18 +270,11 @@ func ReadAll(vol storage.Volume, name string, rt *Retrier) ([]byte, error) {
 		return nil, err
 	}
 	defer r.Close()
-	b := make([]byte, 0, r.Size())
-	buf := make([]byte, 64*1024)
-	for {
-		n, err := r.Read(buf)
-		b = append(b, buf[:n]...)
-		if err == io.EOF {
-			return b, nil
-		}
-		if err != nil {
-			return nil, err
-		}
+	b, err := storage.ReadRest(r)
+	if err != nil {
+		return nil, err
 	}
+	return b, nil
 }
 
 // WriteAll writes data as the named file, retrying transient write

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -192,5 +194,29 @@ func TestStreamsRecoverUnderTransientFaults(t *testing.T) {
 	}
 	if rt.Failures() != 0 {
 		t.Fatalf("%d failures leaked through retries", rt.Failures())
+	}
+}
+
+// TestReadAllAllocatesTheFile: like storage.ReadAll, the retrying ReadAll
+// reads a 100-byte file into one slice of its size, under a KiB a read.
+func TestReadAllAllocatesTheFile(t *testing.T) {
+	vol := storage.NewMem()
+	want := bytes.Repeat([]byte{7}, 100)
+	if err := storage.WriteAll(vol, "small.conf", want); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		got, err := ReadAll(vol, "small.conf", fastRetrier(context.Background()))
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %q, %v", got, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got >= 1<<10 {
+		t.Errorf("a read of a 100-byte file allocates %d B, want under 1 KiB", got)
 	}
 }

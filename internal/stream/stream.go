@@ -84,6 +84,11 @@ type Scanner[T any] struct {
 	// caller takes: NextChunk's inner loop, one call a refill instead of
 	// one a record.
 	span func(dst []T, src []byte)
+	// keep, set by Keep, is span for a scanner that may leave records out:
+	// it fills the front of dst and returns how many, skip carrying the
+	// records of a dropped stretch still ahead.
+	keep func(dst []T, src []byte, skip *int) (int, error)
+	skip int
 	eof  bool
 	read int64
 	// charged marks a reader that charges the device itself, range by
@@ -186,24 +191,104 @@ func (s *Scanner[T]) Next() (rec T, ok bool, err error) {
 // sequence of buffer-sized operations regardless of how records are
 // consumed — the property the parallel scatter's chunk determinism rests
 // on. Must be called from the goroutine that owns the scanner (refills
-// charge the simulation clock).
+// charge the simulation clock). A scanner with a hint (Keep) is read with
+// NextKept.
 func (s *Scanner[T]) NextChunk(dst []T) (int, error) {
-	n := 0
-	for n < len(dst) {
+	n, _, err := s.NextKept(dst)
+	return n, err
+}
+
+// NextKept reads up to len(dst) records, at the refills NextChunk would,
+// and returns how many it read (0 at end of stream) and how many of them
+// it kept, at the front of dst: all of them, unless a hint (Keep) drops
+// some.
+func (s *Scanner[T]) NextKept(dst []T) (kept, read int, err error) {
+	for read < len(dst) {
 		if s.pos+s.recSize > s.fill {
 			if err := s.refill(); err != nil {
-				return n, err
+				return kept, read, err
 			}
 			if s.pos+s.recSize > s.fill {
 				break
 			}
 		}
-		k := min((s.fill-s.pos)/s.recSize, len(dst)-n)
-		s.span(dst[n:n+k], s.buf[s.pos:s.fill])
+		k := min((s.fill-s.pos)/s.recSize, len(dst)-read)
+		src := s.buf[s.pos : s.pos+k*s.recSize]
+		if s.keep == nil {
+			s.span(dst[kept:kept+k], src)
+			kept += k
+		} else {
+			n, err := s.keep(dst[kept:], src, &s.skip)
+			if err != nil {
+				return kept, read, err
+			}
+			kept += n
+		}
 		s.pos += k * s.recSize
-		n += k
+		read += k
+	}
+	return kept, read, nil
+}
+
+// Keep hands an edge scanner, before its first read, a hint (graph.RunHint)
+// that is shown every run of records it reads. A delta file's decoder
+// leaves out the runs the hint drops, and NextKept passes over them; any
+// other file's records are all kept, and the hint sees them as NextKept
+// reads them, a source's records in one chunk as a run.
+func Keep(s *Scanner[graph.Edge], hint graph.RunHint) {
+	r := s.r
+	if rf, ok := r.(rangeFramed); ok {
+		r = rf.Reader
+	}
+	if d, ok := r.(*deltaReader); ok {
+		d.hint, s.keep = hint, skipMarked
+		return
+	}
+	s.keep = func(dst []graph.Edge, src []byte, _ *int) (int, error) {
+		n := len(src) / graph.EdgeBytes
+		decodeEdges(dst[:n], src)
+		return n, showRuns(hint, dst[:n])
+	}
+}
+
+// skipMarked decodes the records a hinted delta decode kept in src into
+// dst, passing over each skip mark (graph.RunHint) and the records it
+// stands for, *skip of which an earlier call left ahead.
+func skipMarked(dst []graph.Edge, src []byte, skip *int) (int, error) {
+	n, recs := 0, len(src)/graph.EdgeBytes
+	i := min(*skip, recs)
+	*skip -= i
+	for ; i < recs; i++ {
+		e := graph.GetEdge(src[i*graph.EdgeBytes:])
+		if e.Src != graph.NoVertex {
+			dst[n] = e
+			n++
+			continue
+		}
+		end := i + int(e.Dst)
+		*skip = max(end-recs, 0)
+		i = end - 1
 	}
 	return n, nil
+}
+
+// showRuns shows hint the runs of edges: each stretch of one source, with
+// its largest destination as the last.
+func showRuns(hint graph.RunHint, edges []graph.Edge) error {
+	for i := 0; i < len(edges); {
+		src, last, j := edges[i].Src, edges[i].Dst, i+1
+		for ; j < len(edges) && edges[j].Src == src; j++ {
+			last = max(last, edges[j].Dst)
+		}
+		if _, err := hint.Keep(src, j-i); err != nil {
+			return err
+		}
+		if err := hint.Last(last); err != nil {
+			return err
+		}
+		i = j
+	}
+	return nil
 }
 
 // Prefetch enables read-ahead with the given number of look-ahead

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,5 +310,89 @@ func TestShufflerAbort(t *testing.T) {
 	sh.Abort()
 	if len(vol.List()) != 0 {
 		t.Fatalf("files after abort: %v", vol.List())
+	}
+}
+
+// oddRuns is a RunHint that keeps the runs of odd sources and counts the
+// records of the runs it is shown.
+type oddRuns struct{ shown int }
+
+func (h *oddRuns) Keep(src graph.VertexID, n int) (bool, error) {
+	h.shown += n
+	return src%2 == 1, nil
+}
+
+func (h *oddRuns) Last(graph.VertexID) error { return nil }
+
+// TestKeepLeavesRefillsAlone: a hinted scan of a delta file reads, call for
+// call, the records and the device bytes an unhinted one does, and keeps
+// exactly the records of the runs the hint keeps, wherever a run, a skip
+// mark's stretch, a chunk and a refill end; a fixed-width file's hint is
+// shown every record and drops none.
+func TestKeepLeavesRefillsAlone(t *testing.T) {
+	var edges []graph.Edge
+	for s := 0; s < 600; s++ {
+		for d := 0; d < (s*7)%23+1; d++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(s), Dst: graph.VertexID(3*d + s%5)})
+		}
+	}
+	vol := storage.NewMem()
+	for _, codec := range []graph.Codec{graph.CodecDelta, graph.CodecFixed} {
+		w, err := NewCodecEdgeWriter(vol, "e_"+string(codec), Timing{}, 4096, codec)
+		if err == nil {
+			err = w.AppendChunk(edges)
+		}
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, codec := range []graph.Codec{graph.CodecDelta, graph.CodecFixed} {
+		for _, bufSize := range []int{64, 520, 4096, 1 << 20} {
+			for _, chunkLen := range []int{1, 7, 64, 1000} {
+				label := fmt.Sprintf("%s, %d B buffer, chunks of %d", codec, bufSize, chunkLen)
+				full, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hinted, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hint := &oddRuns{}
+				Keep(hinted, hint)
+				a, b := make([]graph.Edge, chunkLen), make([]graph.Edge, chunkLen)
+				var total int
+				for {
+					n, err := full.NextChunk(a)
+					kept, read, herr := hinted.NextKept(b)
+					if err != nil || herr != nil {
+						t.Fatalf("%s: %v, %v", label, err, herr)
+					}
+					if read != n || full.BytesRead() != hinted.BytesRead() {
+						t.Fatalf("%s: read %d records, %d device bytes so far; unhinted %d, %d", label, read, hinted.BytesRead(), n, full.BytesRead())
+					}
+					var want []graph.Edge
+					for _, e := range a[:n] {
+						if e.Src%2 == 1 || codec == graph.CodecFixed {
+							want = append(want, e)
+						}
+					}
+					if !slices.Equal(b[:kept], want) {
+						t.Fatalf("%s: kept %v of %v", label, b[:kept], a[:n])
+					}
+					if total += n; n == 0 {
+						break
+					}
+				}
+				full.Close()
+				hinted.Close()
+				if total != len(edges) || hint.shown != len(edges) {
+					t.Fatalf("%s: %d records read, %d shown to the hint, of %d", label, total, hint.shown, len(edges))
+				}
+			}
+		}
 	}
 }

@@ -232,7 +232,7 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	if trim {
 		e.bookStays(itRow, ps.scanned, ps.stayed)
 	}
-	bs.Attr("edges", ps.scanned).Attr("stay_edges", ps.stayed).End()
+	bs.Attr("edges", ps.scanned).Attr("kept", ps.kept).Attr("stay_edges", ps.stayed).End()
 
 	for p := 0; p < e.rt.Parts.P(); p++ {
 		if err := e.rt.Checkpoint(); err != nil {
@@ -300,8 +300,9 @@ func (e *kernel) reverseIndex(best []graph.VertexID, w []*stream.Writer[graph.Ed
 // parent, the winner top-down's gather would pick: the first hit wins. When
 // trimming is active the edges that survive the trim rule — target still
 // unvisited when its stay decision merges — are rewritten to a reverse stay
-// file that replaces the input. Classification needs only the in-RAM
-// visited bitmap, so a paper-pin run loads its vertex file (and writes it
+// file that replaces the input. A delta input's decoder drops the runs of
+// visited targets (runs, stream.Keep), each run checked to lie in the
+// partition. Classification needs only the in-RAM visited bitmap, so a paper-pin run loads its vertex file (and writes it
 // back) only when the scan actually discovered vertices. Classification
 // runs on the pool's workers against read-only state; winners and stay
 // appends are resolved on the engine thread in chunk order, so file bytes
@@ -314,6 +315,9 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
+	plo, phi := e.rt.Parts.Interval(p)
+	stream.Keep(sc, &runs{name: d.revInput[p], verts: e.rt.Meta.Vertices, part: true, lo: plo, hi: phi,
+		want: func(v graph.VertexID) bool { return !e.rt.VisitedBits.Get(v) }})
 
 	var stay *stream.Writer[graph.Edge]
 	var stayTiming stream.Timing
@@ -333,18 +337,11 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 	}
 
-	plo, phi := e.rt.Parts.Interval(p)
-	lo, n, best := plo, int(phi-plo), d.best
-	trim := stay != nil
-	var scanned, candidates, stayed int64
+	best, trim := d.best, stay != nil
+	var scanned, kept, candidates, stayed int64
 	classify := func(edges []graph.Edge, out *stream.Shard) {
+		out.Scanned = int64(len(edges))
 		for _, r := range edges {
-			out.Scanned++
-			i := int(r.Src - lo)
-			if i < 0 || i >= n {
-				out.Err = fmt.Errorf("%s: reverse edge %v outside partition [%d,%d)", e.run.Engine, r, lo, int(lo)+n)
-				return
-			}
 			if e.rt.VisitedBits.Get(r.Src) {
 				continue // target has its parent — dead in-edge
 			}
@@ -357,7 +354,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 	}
 	merge := func(s *stream.Shard) error {
-		scanned += s.Scanned
+		scanned, kept = scanned+s.Read, kept+s.Scanned
 		candidates += s.Emitted
 		for _, r := range s.Stays {
 			if best[r.Src] == graph.NoVertex && d.frontier.Get(r.Dst) {
@@ -397,7 +394,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		}
 		return 0, 0, err
 	}
-	bs.Attr("edges", scanned).End()
+	bs.Attr("edges", scanned).Attr("kept", kept).End()
 
 	if stay != nil {
 		if cerr := stay.Close(); cerr != nil {

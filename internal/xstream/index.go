@@ -52,7 +52,7 @@ func loadCSR(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int) (*
 	if m.Weighted {
 		g.weights = make([]float32, 0, m.Edges)
 	}
-	read, err := ScanStored(vol, m, tm, bufSize, make([]graph.Edge, alignedChunk(bufSize/graph.EdgeBytes)),
+	read, err := ScanStored(vol, m, tm, bufSize, nil,
 		func(edges []graph.Edge, weights []float32) error {
 			for _, e := range edges {
 				g.out = append(g.out, e.Dst)
@@ -72,17 +72,19 @@ func loadCSR(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int) (*
 
 // ScanStored is the one checked reader of m's stored edge file: it reads
 // the file once, in stored order, through a scanner of bufSize bytes, and
-// hands visit each NextChunk of it, decoded into chunk, with the edges'
-// weights (nil on an unweighted graph, whose chunk the caller aligns to
-// the buffer; a weighted file decodes through aligned buffers of the
-// call's own). visit sees only checked edges and keeps neither slice. An
-// endpoint outside the graph, a negative weight, a source below the one
-// before it (a file stored before the store sorted by source; store the
-// graph again) or a record count other than m.Edges is errs.ErrCorrupted.
-// It returns the device bytes it consumed.
-func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int, chunk []graph.Edge,
+// hands visit each NextChunk of it, decoded into chunks aligned to the
+// buffer from s (nil: buffers of the call's own), with the edges' weights
+// (nil on an unweighted graph). visit sees only checked edges and keeps
+// neither slice. An endpoint outside the graph, a negative weight, a
+// source below the one before it (a file stored before the store sorted
+// by source; store the graph again) or a record count other than m.Edges
+// is errs.ErrCorrupted. It returns the device bytes it consumed.
+func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int, s *Scratch,
 	visit func(edges []graph.Edge, weights []float32) error) (int64, error) {
 	name := graph.EdgeFileName(m.Name)
+	if s == nil {
+		s = new(Scratch)
+	}
 	var next func() ([]graph.Edge, []float32, error)
 	var read func() int64
 	if !m.Weighted {
@@ -91,6 +93,7 @@ func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int,
 			return 0, err
 		}
 		defer sc.Close()
+		chunk := chunk(&s.edgeChunk, alignedChunk(bufSize/graph.EdgeBytes))
 		read, next = sc.BytesRead, func() ([]graph.Edge, []float32, error) {
 			n, err := sc.NextChunk(chunk)
 			return chunk[:n], nil, err
@@ -101,8 +104,8 @@ func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int,
 			return 0, err
 		}
 		defer sc.Close()
-		wedges := make([]graph.WEdge, alignedChunk(bufSize/graph.WEdgeBytes))
-		chunk, weights := make([]graph.Edge, len(wedges)), make([]float32, len(wedges))
+		wedges := chunk(&s.wedges, alignedChunk(bufSize/graph.WEdgeBytes))
+		chunk, weights := chunk(&s.edgeChunk, len(wedges)), chunk(&s.weights, len(wedges))
 		read, next = sc.BytesRead, func() ([]graph.Edge, []float32, error) {
 			n, err := sc.NextChunk(wedges)
 			for i, we := range wedges[:n] {

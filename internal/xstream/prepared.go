@@ -84,12 +84,15 @@ type Scratch struct {
 	// level and parent back the one partition's vertex state a streaming
 	// run holds at a time (Runtime.InitVerts/LoadVerts), or a run's tree
 	// over a reordered store (Runtime.treeArrays); vertRecs,
-	// edgeChunk and updChunk are its NextChunk decode targets.
+	// edgeChunk and updChunk are its NextChunk decode targets, and wedges
+	// and weights a weighted file's (ScanStored).
 	level     []uint32
 	parent    []graph.VertexID
 	vertRecs  []vertRec
 	edgeChunk []graph.Edge
 	updChunk  []graph.Update
+	wedges    []graph.WEdge
+	weights   []float32
 	// visited and claimed back the run's vertex bitmaps (Runtime.VisitedBits
 	// and the update filter's claims, see filter.go); bestParent a pass's
 	// winner table (Runtime.Winners) or the indexed traversal's open list.
@@ -170,6 +173,8 @@ func (s *Scratch) poison() {
 	}
 	poison(s.updChunk)
 	poison(s.edgeChunk)
+	poison(s.wedges)
+	poison(s.weights)
 	poison(s.vertRecs)
 }
 

@@ -766,7 +766,7 @@ func (rt *Runtime) openEdgeFiles() (*stream.WriterSet[graph.Edge], error) {
 // source is visited — w is nil for a resumed run that streams the stored
 // file, which only recounts the table.
 func (rt *Runtime) scanStored(w []*stream.Writer[graph.Edge]) error {
-	_, err := ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, rt.EdgeChunk(), func(edges []graph.Edge, _ []float32) error {
+	_, err := ScanStored(rt.Vol, rt.Meta, rt.MainTiming(), rt.Opts.StreamBufSize, rt.scratch, func(edges []graph.Edge, _ []float32) error {
 		for _, e := range edges {
 			if rt.OutDeg != nil {
 				rt.OutDeg[e.Src]++
@@ -814,15 +814,10 @@ func sealWriters[T any](rt *Runtime, ws *stream.WriterSet[T]) error {
 	return nil
 }
 
-// EdgeChunk and UpdateChunk return the run-owned NextChunk targets for
-// the engines' sequential passes over an edge or update stream, sized to
-// the run's stream buffer (see alignedChunk); each is valid until the
-// next call.
-func (rt *Runtime) EdgeChunk() []graph.Edge {
-	return chunk(&rt.scratch.edgeChunk, alignedChunk(rt.Opts.StreamBufSize/graph.EdgeBytes))
-}
-
-// UpdateChunk is EdgeChunk for update streams.
+// UpdateChunk returns the run-owned NextChunk target for the engines'
+// sequential passes over an update stream, sized to the run's stream
+// buffer (see alignedChunk); it is valid until the next call. ScanStored
+// takes its edge chunks from the scratch too.
 func (rt *Runtime) UpdateChunk() []graph.Update {
 	return chunk(&rt.scratch.updChunk, alignedChunk(rt.Opts.StreamBufSize/graph.UpdateBytes))
 }

@@ -28,14 +28,15 @@ import (
 // order-preserving subsequence of its dataset file, whichever pass forms a
 // level and whatever the partition count.
 
-// passStats is what a split pass counted: edges scanned, the frontier's
+// passStats is what a split pass counted: edges scanned, those it kept for
+// classify (the rest belong to sources it does not want), the frontier's
 // among them (emitted, before any filter), those to an unvisited vertex
 // (candidates), vertices that won a parent (claims), edges written
 // (stayed), the out-degree sum over the emitted edges' targets, the bytes
 // it read and, were it sparse, the bytes its ranges promised.
 type passStats struct {
-	scanned, emitted, candidates, claims, stayed, candDeg, read, predicted int64
-	sparse                                                                 bool
+	scanned, kept, emitted, candidates, claims, stayed, candDeg, read, predicted int64
+	sparse                                                                       bool
 }
 
 // splitPass scans a dataset file — the stored edge file, or with rev the
@@ -44,41 +45,47 @@ type passStats struct {
 // its source, a record {target, source} its target its source. With outs,
 // an edge whose source (a record's target) is open — unvisited and, with
 // dropWon, not just won: its other in-edges are dead — goes to that
-// vertex's partition file. Over an index the pass reads sparse when that
-// pays (sparseRuns, runCheck): the ranges of the frontier and, splitting,
-// of every unvisited source, or of the open targets. Without one iteration
-// 0 counts the degree table. Workers classify; winners and writes resolve on
-// the engine thread in scan order, sparse or dense alike. A malformed edge,
-// a source (a record's target) below the one before it, or an edge count off
-// the index or the metadata is errs.ErrCorrupted.
+// vertex's partition file. Over an index the pass wants the frontier and,
+// splitting, every unvisited source, or the open targets: it reads their
+// ranges when that pays (sparseRuns), and keeps only their runs for
+// classify (runs, stream.Keep). Without one iteration 0 counts the degree
+// table. Workers classify; winners and writes resolve on the engine thread
+// in scan order, sparse or dense alike. A malformed edge, a source (a
+// record's target) below the one before it, or an edge count off the index
+// or the metadata is errs.ErrCorrupted, in a run kept or not.
 func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
 	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
 	name, total := graph.EdgeFileName(m.Name), int64(m.Edges)
 	if ix != nil {
 		name, total = ix.name, ix.edges
 	}
-	var runs []stream.Range
+	var want func(graph.VertexID) bool
+	var ranges []stream.Range
 	if ix != nil {
-		runs, ps.predicted, ps.sparse = ix.sparseRuns(func(v graph.VertexID) bool {
+		want = func(v graph.VertexID) bool {
 			if rev { // the open targets
 				return !visited.Get(v) && (!dropWon || best[v] == graph.NoVertex)
 			}
 			return front.Get(v) || outs != nil && !visited.Get(v)
-		})
+		}
+		ranges, ps.predicted, ps.sparse = ix.sparseRuns(want)
 	}
+	check := &runs{name: name, verts: m.Vertices, want: want, ix: ix, v: -1}
 	var sc *stream.Scanner[graph.Edge]
-	var src stream.EdgeChunks
 	if ps.sparse {
-		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, runs, ix.magic)
-		src = &runCheck{Scanner: sc, ix: ix, runs: runs, v: -1}
+		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, ranges, ix.magic)
+		check.ranges = ranges
 	} else {
 		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
-		src = &ascending{Scanner: sc, name: name}
+		if ix != nil {
+			check.due = ix.edges // one range, the whole file
+		}
 	}
 	if err != nil {
 		return ps, err
 	}
 	defer sc.Close()
+	stream.Keep(sc, check)
 	var w []*stream.Writer[graph.Edge]
 	if outs != nil {
 		w = outs.W
@@ -97,18 +104,8 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		return x.Dst, x.Src
 	}
 	classify := func(edges []graph.Edge, out *stream.Shard) {
-		last := edges[0].Src
+		out.Scanned = int64(len(edges))
 		for _, x := range edges {
-			if err := m.CheckEdge(x); err != nil {
-				out.Err = fmt.Errorf("%w: edge file %s: %w", errs.ErrCorrupted, name, err)
-				return
-			}
-			if x.Src < last {
-				out.Err = descending(name, x.Src, last)
-				return
-			}
-			last = x.Src
-			out.Scanned++
 			key, par := ends(x)
 			cand := front.Get(par)
 			if cand {
@@ -124,7 +121,7 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		}
 	}
 	merge := func(s *stream.Shard) error {
-		ps.scanned += s.Scanned
+		ps.scanned, ps.kept = ps.scanned+s.Read, ps.kept+s.Scanned
 		ps.emitted += s.Emitted
 		ps.candDeg += s.CandDeg
 		for _, x := range s.Stays {
@@ -154,8 +151,11 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		}
 		return nil
 	}
-	if err := e.pool.RunScannerDepth(src, 2, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(sc, 2, classify, merge); err != nil {
 		return ps, err
+	}
+	if ix != nil && check.due+int64(len(check.ranges)) > 0 {
+		return ps, fmt.Errorf("%w: %s: a range ends short of its edges", errs.ErrCorrupted, name)
 	}
 	if !ps.sparse && ps.scanned != total {
 		return ps, fmt.Errorf("%w: edge file %s has %d edges, its index or config %d", errs.ErrCorrupted, name, ps.scanned, total)
@@ -247,7 +247,7 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 		e.bookStays(&itRow, ps.scanned, ps.stayed)
 		ss.Attr("live", live).Attr("stay_predicted", kept)
 	}
-	ss.Attr("edges", ps.scanned).Attr("stayed", ps.stayed).End()
+	ss.Attr("edges", ps.scanned).Attr("kept", ps.kept).Attr("stayed", ps.stayed).End()
 
 	if iter == 0 { // the table just counted gives each partition its live edges
 		rootDeg := e.countLive()
@@ -456,60 +456,71 @@ func (ix *storedIndex) sparseRuns(want func(graph.VertexID) bool) (runs []stream
 	return runs, bytes, true
 }
 
-// ascending checks, on the engine thread, that each chunk of a dense pass
-// starts at or after the source the chunk before it ended on; classify
-// checks the order within a chunk.
-type ascending struct {
-	*stream.Scanner[graph.Edge]
-	name string
-	last graph.VertexID
-}
-
-func (a *ascending) NextChunk(dst []graph.Edge) (int, error) {
-	n, err := a.Scanner.NextChunk(dst)
-	if n > 0 {
-		if dst[0].Src < a.last {
-			return 0, descending(a.name, dst[0].Src, a.last)
-		}
-		a.last = dst[n-1].Src
-	}
-	return n, err
-}
-
 func descending(name string, src, last graph.VertexID) error {
 	return fmt.Errorf("%w: %s: source %d follows %d; the file predates sorting by source, store the graph again",
 		errs.ErrCorrupted, name, src, last)
 }
 
-// runCheck checks each edge a sparse pass reads: a range holds the edges
-// edgesOf gives, each with the source the degrees place it at. Anything
-// else is errs.ErrCorrupted, a file its index does not describe.
-type runCheck struct {
-	*stream.Scanner[graph.Edge]
-	ix            *storedIndex
-	runs          []stream.Range
-	v             int   // the source of edge at, vEnd edges preceding v+1
-	vEnd, at, due int64 // due: what the current range still holds
+// runs is a pass's hint (stream.Keep): it checks each run of records the
+// pass reads, kept or not, and keeps those whose source want accepts (nil:
+// every run). Every endpoint is a vertex of the graph, and, by what the
+// pass reads:
+//   - a dataset file with an index (ix), read whole or in a sparse pass's
+//     ranges: a range holds the edges edgesOf gives, and each run the
+//     source the index places at its first edge, within that source's
+//     degree, so no source falls below the one before it;
+//   - a dataset file without one: no source below the one before it;
+//   - a partition's reverse input (part): every source in [lo, hi).
+//
+// Anything else is errs.ErrCorrupted, a file its index or its writer does
+// not describe.
+type runs struct {
+	name   string
+	verts  uint64
+	want   func(graph.VertexID) bool
+	last   graph.VertexID
+	part   bool
+	lo, hi graph.VertexID
+	ix     *storedIndex
+	ranges []stream.Range
+	// v is the source of edge at, vEnd the edges before v+1's, and due
+	// what the current range still holds.
+	v             int
+	vEnd, at, due int64
 }
 
-func (c *runCheck) NextChunk(dst []graph.Edge) (int, error) {
-	n, err := c.Scanner.NextChunk(dst)
-	for _, x := range dst[:n] {
-		if c.due == 0 && len(c.runs) > 0 {
-			first, last := c.ix.edgesOf(c.runs[0])
-			c.at, c.due, c.runs = first, last-first, c.runs[1:]
+func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
+	switch {
+	case uint64(src) >= c.verts:
+		return false, fmt.Errorf("%w: %s: a run of source %d, not a vertex (vertices=%d)", errs.ErrCorrupted, c.name, src, c.verts)
+	case c.ix != nil:
+		if c.due == 0 && len(c.ranges) > 0 {
+			first, last := c.ix.edgesOf(c.ranges[0])
+			c.at, c.due, c.ranges = first, last-first, c.ranges[1:]
 		}
 		for c.due > 0 && c.vEnd <= c.at {
 			c.v++
 			c.vEnd += int64(c.ix.deg[c.v])
 		}
-		if c.due == 0 || x.Src != graph.VertexID(c.v) {
-			return 0, fmt.Errorf("%w: %s: edge %v where the index has %d's", errs.ErrCorrupted, c.ix.name, x, c.v)
+		if int64(n) > min(c.due, c.vEnd-c.at) || src != graph.VertexID(c.v) {
+			return false, fmt.Errorf("%w: %s: %d edges of %d where the index has %d of %d's", errs.ErrCorrupted, c.name, n, src, min(c.due, c.vEnd-c.at), c.v)
 		}
-		c.at, c.due = c.at+1, c.due-1
+		c.at, c.due = c.at+int64(n), c.due-int64(n)
+	case c.part:
+		if src < c.lo || src >= c.hi {
+			return false, fmt.Errorf("%w: %s: a run of source %d outside partition [%d,%d)", errs.ErrCorrupted, c.name, src, c.lo, c.hi)
+		}
+	case src < c.last:
+		return false, descending(c.name, src, c.last)
+	default:
+		c.last = src
 	}
-	if n == 0 && err == nil && c.due+int64(len(c.runs)) > 0 {
-		return 0, fmt.Errorf("%w: %s: a range ends short of its edges", errs.ErrCorrupted, c.ix.name)
+	return c.want == nil || c.want(src), nil
+}
+
+func (c *runs) Last(dst graph.VertexID) error {
+	if uint64(dst) >= c.verts {
+		return fmt.Errorf("%w: %s: a run ending at %d, not a vertex (vertices=%d)", errs.ErrCorrupted, c.name, dst, c.verts)
 	}
-	return n, err
+	return nil
 }
