@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -174,34 +176,55 @@ func assertSamePublications(t *testing.T, rv1, rv8 *recordingVolume) {
 	}
 }
 
-// TestDroppedRunsAreWorkerInvariant: on a delta + reorder store with
-// direction auto, where the stored, fused and bottom-up passes drop the
-// runs their hints reject, every file a run publishes — partition inputs,
-// reverse stays — its rows and its tree are the same for 1 and 8 workers:
-// a hint reads the winner table only on the engine thread, between merges,
-// in dispatch order.
+// TestDroppedRunsAreWorkerInvariant: on fixed, delta and delta + reorder
+// stores, top down (whose stored passes trim by the counts), bottom up and
+// with direction auto, where the stored, fused and bottom-up passes drop
+// the runs their hints reject, every file a run publishes — partition
+// inputs, stays, reverse stays — its rows and its tree are the same for 1,
+// 2 and 8 workers: workers decode and check their own chunks, and a hint
+// reads the winner table only for sources no merge in flight can win.
 func TestDroppedRunsAreWorkerInvariant(t *testing.T) {
-	run := func(workers int) (*recordingVolume, *Result) {
-		vol, m, root := storedRMAT(t, 12, 16, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true})
-		rv := newRecordingVolume(vol)
-		rv.all = true
-		res, err := Run(rv, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
-			StreamBufSize: 4096, Direction: xstream.DirectionAuto, ScatterWorkers: workers}, GracePeriod: 1e9})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return rv, res
+	stores := []struct {
+		name string
+		opts graph.StoreOptions
+	}{
+		{"fixed", graph.StoreOptions{Reverse: true}},
+		{"delta", graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}},
+		{"delta+reorder", graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}},
 	}
-	rv1, res1 := run(1)
-	rv8, res8 := run(8)
-	if res1.Metrics.BottomUpIterations == 0 || len(rv1.log) == 0 {
-		t.Fatalf("%d bottom-up iterations, %d files published: the test is vacuous", res1.Metrics.BottomUpIterations, len(rv1.log))
-	}
-	assertSamePublications(t, rv1, rv8)
-	assertSameTree(t, "workers", res8, res1)
-	for i, it := range res1.Metrics.Iterations {
-		if it != res8.Metrics.Iterations[i] {
-			t.Errorf("iteration %d rows differ: %+v vs %+v", i, it, res8.Metrics.Iterations[i])
+	for _, st := range stores {
+		for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionBottomUp, xstream.DirectionAuto} {
+			run := func(workers int) (*recordingVolume, *Result) {
+				vol, m, root := storedRMAT(t, 12, 16, st.opts)
+				rv := newRecordingVolume(vol)
+				rv.all = true
+				res, err := Run(rv, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
+					StreamBufSize: 4096, Direction: dir, ScatterWorkers: workers, Codec: cmp.Or(st.opts.Codec, graph.CodecFixed)},
+					GracePeriod: 1e9})
+				if err != nil {
+					t.Fatalf("%s, %s, workers=%d: %v", st.name, dir, workers, err)
+				}
+				return rv, res
+			}
+			rv1, res1 := run(1)
+			trimmed := false
+			for _, it := range res1.Metrics.Iterations {
+				trimmed = trimmed || it.StayEdges > 0
+			}
+			if len(rv1.log) == 0 || !res1.Metrics.Iterations[0].Stored && dir != xstream.DirectionBottomUp ||
+				res1.Metrics.BottomUpIterations == 0 && dir != xstream.DirectionTopDown || !trimmed {
+				t.Fatalf("%s, %s: %d files published, trimmed %v, rows %+v: the test is vacuous", st.name, dir, len(rv1.log), trimmed, res1.Metrics.Iterations)
+			}
+			for _, workers := range []int{2, 8} {
+				rv, res := run(workers)
+				assertSamePublications(t, rv1, rv)
+				assertSameTree(t, fmt.Sprintf("%s, %s, workers %d", st.name, dir, workers), res, res1)
+				for i, it := range res1.Metrics.Iterations {
+					if it != res.Metrics.Iterations[i] {
+						t.Errorf("%s, %s, workers=%d: iteration %d rows differ: %+v vs %+v", st.name, dir, workers, i, it, res.Metrics.Iterations[i])
+					}
+				}
+			}
 		}
 	}
 }

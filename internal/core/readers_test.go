@@ -169,6 +169,106 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 		check(c.name, dvol)
 	}
 	checkDroppedRunDamage(t, audit)
+	checkChunkDamage(t, audit)
+}
+
+// checkChunkDamage: damage the worker that decodes a chunk finds aborts the
+// pass at that chunk's merge — an endpoint outside the vertex space in the
+// file's last chunk, which the last refill reads, and in a chunk at least
+// two into a delta block, a block whose first records went to another
+// chunk. Each run, top down and with direction auto, on a fixed and on a
+// delta store, ends ErrCorrupted with every stream buffer back and no
+// working file left on the volume.
+func checkChunkDamage(t *testing.T, audit *stream.PoolAudit) {
+	m, edges, err := gen.RMAT(10, 16, gen.Graph500(), 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 32 // records a chunk holds at a 256 B buffer
+	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		vol := storage.NewMem()
+		if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{Codec: codec, Reverse: true}); err != nil {
+			t.Fatal(err)
+		}
+		files, name := vol.List(), graph.EdgeFileName(m.Name)
+		clean, err := storage.ReadAll(vol, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, sizes := clean, []int(nil)
+		if codec == graph.CodecDelta {
+			_, blocks, err := graph.DeframeAllMagic(clean)
+			if err == nil {
+				raw, err = graph.DecodeDeltaStream(blocks)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		recs, err := graph.BytesToEdges(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codec == graph.CodecDelta {
+			_, sizes = deltaFrames(t, recs)
+		}
+		deg := graph.Degrees(m.Vertices, recs)
+		hub := graph.VertexID(slices.Index(deg, slices.Max(deg)))
+		hubAt := slices.IndexFunc(recs, func(e graph.Edge) bool { return e.Src == hub })
+		var last, straddling []int // candidate records, tried in order
+		for r := len(recs) - 1; r >= len(recs)-chunk; r-- {
+			last = append(last, r)
+		}
+		for r := hubAt; r < hubAt+int(deg[hub]); r++ {
+			if r%graph.IndexFrameEdges >= 2*chunk {
+				straddling = append(straddling, r)
+			}
+		}
+		for _, c := range []struct {
+			name string
+			at   []int
+		}{{"the last chunk", last}, {"a straddling block's later chunk", straddling}} {
+			var damaged []byte
+			var root graph.VertexID
+			for _, r := range c.at {
+				es := slices.Clone(recs)
+				es[r].Dst, root = graph.VertexID(m.Vertices), es[r].Src
+				if codec == graph.CodecFixed {
+					damaged = graph.EdgesToBytes(es)
+					break
+				}
+				if file, got := deltaFrames(t, es); slices.Equal(got, sizes) {
+					damaged = file
+					break
+				}
+			}
+			if damaged == nil {
+				t.Fatalf("%s: no damage in %s keeps the frames", codec, c.name)
+			}
+			for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
+				opts := core.Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 4,
+					StreamBufSize: chunk * graph.EdgeBytes, Direction: dir, Codec: codec}}
+				if err := storage.WriteAll(vol, name, clean); err != nil {
+					t.Fatal(err)
+				}
+				if res, err := core.Run(vol, m.Name, opts); err != nil || !res.Metrics.Iterations[0].Stored {
+					t.Fatalf("%s, %s: the clean store's run (%v) starts with no stored pass", codec, dir, err)
+				}
+				if err := storage.WriteAll(vol, name, damaged); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := core.Run(vol, m.Name, opts); !errors.Is(err, errs.ErrCorrupted) {
+					t.Errorf("%s, %s, damage in %s: err = %v, want ErrCorrupted", codec, dir, c.name, err)
+				}
+				if n := audit.Outstanding(); n != 0 {
+					t.Fatalf("%s, %s, damage in %s: %d stream buffers outstanding after the failed run", codec, dir, c.name, n)
+				}
+				if left := vol.List(); !slices.Equal(left, files) {
+					t.Errorf("%s, %s, damage in %s: the failed run left %v on the volume, the store %v", codec, dir, c.name, left, files)
+				}
+			}
+		}
+	}
 }
 
 // checkDroppedRunDamage: damage in a run a pass reads but drops, one whose

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"fastbfs/internal/errs"
 )
@@ -162,35 +161,38 @@ func EncodeDeltaBlocks(raw []byte) ([]byte, error) { return AppendDeltaBlocks(ni
 
 // RunHint steers a delta block decode one run at a time: a stretch of
 // records that share a source, or one record of a pairs block. Keep is
-// asked before the run's n records are decoded, and says whether to write
-// them; Last is told the run's last destination once it is decoded, which,
-// as a run's destinations rise, bounds them all. Either stops the decode
-// with its error. A run the hint drops is decoded and checked like any
-// other but not written. A skip mark stands in the first slot of each
-// stretch of dropped runs, and the rest of the stretch is left as it was:
-// a record of source NoVertex, which no vertex has (a hinted decode writes
-// no run of it), whose destination is the stretch's length in records.
+// asked before the run's wanted records are decoded, and says whether to
+// write them; Last is told the last of their destinations once it is
+// decoded, which, as a run's destinations rise, bounds them all. Either
+// stops the decode with its error. A run the hint drops is decoded and
+// checked like any other but not written.
 type RunHint interface {
 	Keep(src VertexID, n int) (bool, error)
 	Last(dst VertexID) error
 }
 
-// DecodeDeltaBlock decodes the first complete block in b, appending the
-// decoded fixed-width edge records to out. It returns the grown slice and
-// the number of encoded bytes consumed. Every malformed block — see
-// blockHeader and decodeBody — is an error wrapping errs.ErrCorrupted; an
-// error of hint's (nil: every run is written) is returned as it is.
-func DecodeDeltaBlock(out, b []byte, hint RunHint) ([]byte, int, error) {
+// DecodeDeltaEdges decodes the block at the start of b into dst: of its
+// records those from the skip'th on, at most limit, in the runs hint keeps
+// (nil: all). It returns the records it wrote and read and the block's
+// length. A malformed block (blockHeader, decodeBody) wraps
+// errs.ErrCorrupted; hint's errors return as they are.
+func DecodeDeltaEdges(dst []Edge, b []byte, skip, limit int, hint RunHint) (kept, read, total int, err error) {
 	count, runs, body, total, err := blockHeader(b)
+	if err == nil && skip >= count {
+		err = corruptBlock("holds fewer records than the stream wants")
+	}
 	if err != nil {
-		return out, 0, err
+		return 0, 0, 0, err
 	}
-	base := len(out)
-	out = slices.Grow(out, count*EdgeBytes)[:base+count*EdgeBytes]
-	if err := decodeBody(out[base:], b[body:total], runs, hint); err != nil {
-		return out[:base], 0, err
-	}
-	return out, total, nil
+	hi := min(count, skip+limit)
+	kept, err = decodeBody(dst, b[body:total], runs, count, skip, hi, hint)
+	return kept, hi - skip, total, err
+}
+
+// DeltaBlockLen reads the record count and length of the block at b.
+func DeltaBlockLen(b []byte) (count, total int, err error) {
+	count, _, _, total, err = blockHeader(b)
+	return count, total, err
 }
 
 // blockHeader reads the header of the block at the start of b: its edge
@@ -229,68 +231,74 @@ func uvarint(body []byte, p int) (uint64, int) {
 	return 0, -1
 }
 
-// decodeBody decodes a block body in its layout into rec, whose length is
-// the count, and returns what is wrong with the body, if anything. With a
-// hint it writes only the runs the hint keeps, and a skip mark in the
-// first slot of each stretch of runs it drops.
-func decodeBody(rec, body []byte, runs bool, hint RunHint) error {
-	var src, dst uint64
-	p, mark, skipped := 0, 0, 0 // skipped: the records of the stretch marked at mark
-	for j := 0; j < len(rec); j += EdgeBytes {
-		zs, q := uvarint(body, p)
-		v, q := uvarint(body, q)
+// decodeBody decodes a block body of count records up to record hi into
+// dst: those from lo on, of the runs hint keeps, each shown its records
+// there. The body is checked to its end when hi is count. A one-byte
+// varint — a run's source step and length, most gaps — is read in place.
+func decodeBody(dst []Edge, body []byte, runs bool, count, lo, hi int, hint RunHint) (int, error) {
+	var src, d, zs, v uint64
+	p, k := 0, 0
+	for j := 0; j < hi; {
+		if uint(p) < uint(len(body)) && body[p] < 0x80 {
+			zs, p = uint64(body[p]), p+1
+		} else {
+			zs, p = uvarint(body, p)
+		}
+		if uint(p) < uint(len(body)) && body[p] < 0x80 {
+			v, p = uint64(body[p]), p+1
+		} else {
+			v, p = uvarint(body, p)
+		}
 		more := uint64(0) // a pairs record is a run of one
 		if runs {
 			more = v
-			dst, q = uvarint(body, q)
+			d, p = uvarint(body, p)
 		} else {
-			dst += uint64(unzigzag(v))
+			d += uint64(unzigzag(v))
 		}
-		src, p = src+uint64(unzigzag(zs)), q
-		if p < 0 || src > math.MaxUint32 || dst > math.MaxUint32 || more >= uint64((len(rec)-j)/EdgeBytes) {
-			return corruptBlock("truncated, or an endpoint outside the uint32 range, or a run past the edge count")
+		src += uint64(unzigzag(zs))
+		if p < 0 || src > math.MaxUint32 || d > math.MaxUint32 || more >= uint64(count-j) {
+			return k, corruptBlock("truncated, or an endpoint outside the uint32 range, or a run past the edge count")
 		}
-		keep := true
-		if hint != nil {
-			k, err := hint.Keep(VertexID(src), int(more)+1)
-			if err != nil {
-				return err
-			}
-			if keep = k && src != uint64(NoVertex); !keep {
-				if skipped == 0 || mark+skipped*EdgeBytes != j {
-					mark, skipped = j, 0
-				}
-				skipped += int(more) + 1
-				binary.LittleEndian.PutUint64(rec[mark:], uint64(skipped)<<32|uint64(NoVertex))
+		// The run is records [j, end), of which [a, b) are wanted.
+		end := j + int(more) + 1
+		a, b := max(j, lo), min(end, hi)
+		keep := a < b
+		if hint != nil && keep {
+			var err error
+			if keep, err = hint.Keep(VertexID(src), b-a); err != nil {
+				return k, err
 			}
 		}
-		if keep {
-			binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
-		}
-		for end := j + int(more)*EdgeBytes; j < end; {
+		for i := j; ; {
+			if keep && i >= a {
+				dst[k] = Edge{Src: VertexID(src), Dst: VertexID(d)}
+				k++
+			}
+			if i++; i >= b {
+				break
+			}
 			gap := uint64(0)
 			if uint(p) < uint(len(body)) && body[p] < 0x80 {
 				gap, p = uint64(body[p]), p+1
 			} else {
 				gap, p = uvarint(body, p)
 			}
-			if dst += gap; p < 0 || gap > math.MaxUint32 || dst > math.MaxUint32 {
-				return corruptBlock("truncated, or a gap past the uint32 range")
-			}
-			if j += EdgeBytes; keep {
-				binary.LittleEndian.PutUint64(rec[j:], dst<<32|src)
+			if d += gap; p < 0 || gap > math.MaxUint32 || d > math.MaxUint32 {
+				return k, corruptBlock("truncated, or a gap past the uint32 range")
 			}
 		}
-		if hint != nil {
-			if err := hint.Last(VertexID(dst)); err != nil {
-				return err
+		if hint != nil && a < b {
+			if err := hint.Last(VertexID(d)); err != nil {
+				return k, err
 			}
 		}
+		j = end
 	}
-	if p != len(body) {
-		return corruptBlock("carries trailing bytes")
+	if hi == count && p != len(body) {
+		return k, corruptBlock("carries trailing bytes")
 	}
-	return nil
+	return k, nil
 }
 
 func corruptBlock(bad string) error {
@@ -309,12 +317,16 @@ func DecodeDeltaStream(blocks []byte) ([]byte, error) {
 		}
 		records, b = records+count, b[total:]
 	}
-	out := make([]byte, 0, records*EdgeBytes)
+	out, o := make([]byte, records*EdgeBytes), 0
+	var blk [DeltaBlockMaxEdges]Edge
 	for len(blocks) > 0 {
-		var n int
-		var err error
-		if out, n, err = DecodeDeltaBlock(out, blocks, nil); err != nil {
+		k, _, n, err := DecodeDeltaEdges(blk[:], blocks, 0, DeltaBlockMaxEdges, nil)
+		if err != nil {
 			return nil, err
+		}
+		for _, e := range blk[:k] { // the headers counted them all
+			PutEdge(out[o:], e)
+			o += EdgeBytes
 		}
 		blocks = blocks[n:]
 	}

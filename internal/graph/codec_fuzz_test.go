@@ -3,6 +3,8 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"fastbfs/internal/errs"
@@ -53,12 +55,14 @@ func FuzzBlockCodec(f *testing.F) {
 		}
 
 		// Property 5 (for the payload here, for its clean encoding below):
-		// a hinted decode shows its hint the same runs as a full one,
-		// rejects exactly the streams the full one rejects, and yields as
-		// many records, the full decode's where the hint keeps the source
-		// and skip marks standing for exactly the rest.
+		// a hinted decode into edges, of whole blocks or of windows of
+		// them as chunks cut them, shows its hint the same runs as one
+		// that keeps all, rejects exactly the streams the full decode
+		// rejects, and yields exactly the full decode's records whose runs
+		// the hint keeps.
 		keep := func(v VertexID) bool { return uint32(v)>>(mut%7)&1 == uint32(mut>>8)&1 }
-		checkHinted(t, b, keep)
+		window := 1 + int(mut)%97
+		checkHinted(t, b, keep, window)
 
 		// Property 2: exact round trip of the aligned prefix.
 		raw := b[:len(b)/EdgeBytes*EdgeBytes]
@@ -82,7 +86,7 @@ func FuzzBlockCodec(f *testing.F) {
 			}
 			e, p = e[et:], p[pt:]
 		}
-		checkHinted(t, enc, keep)
+		checkHinted(t, enc, keep, window)
 		if len(enc) == 0 {
 			return
 		}
@@ -135,33 +139,48 @@ func (l *runLog) Last(dst VertexID) error {
 	return nil
 }
 
-// decodeHinted decodes a block stream block by block under hint.
-func decodeHinted(b []byte, hint RunHint) ([]byte, error) {
-	var out []byte
+// decodeHinted decodes a block stream under hint, each block in windows of
+// up to window records, as a stream's chunks cut it.
+func decodeHinted(b []byte, hint RunHint, window int) ([]Edge, error) {
+	var out []Edge
+	var dst [DeltaBlockMaxEdges]Edge
 	for len(b) > 0 {
-		var n int
-		var err error
-		if out, n, err = DecodeDeltaBlock(out, b, hint); err != nil {
+		count, _, err := DeltaBlockLen(b)
+		if err != nil {
 			return nil, err
 		}
-		b = b[n:]
+		var total int
+		for skip := 0; skip < count; skip += window {
+			var kept, read int
+			if kept, read, total, err = DecodeDeltaEdges(dst[:], b, skip, window, hint); err != nil {
+				return nil, err
+			}
+			if read != min(window, count-skip) {
+				return nil, fmt.Errorf("a window of %d records from %d of %d read %d", window, skip, count, read)
+			}
+			out = append(out, dst[:kept]...)
+		}
+		b = b[total:]
 	}
 	return out, nil
 }
 
-// checkHinted holds a decode of b hinted by keep to the full decode of b
-// (Property 5 of FuzzBlockCodec).
-func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool) {
+// checkHinted holds decodes of b hinted by keep, of whole blocks and in
+// windows, to the full decode of b (Property 5 of FuzzBlockCodec).
+func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool, window int) {
 	t.Helper()
 	all, part := &runLog{}, &runLog{keep: keep}
 	full, ferr := DecodeDeltaStream(b)
-	logged, lerr := decodeHinted(b, all)
-	got, err := decodeHinted(b, part)
-	if (ferr == nil) != (err == nil) || (ferr == nil) != (lerr == nil) {
-		t.Fatalf("full decode: %v; hinted, keeping all: %v; hinted: %v", ferr, lerr, err)
+	logged, lerr := decodeHinted(b, all, DeltaBlockMaxEdges)
+	got, err := decodeHinted(b, part, DeltaBlockMaxEdges)
+	cut, cerr := decodeHinted(b, &runLog{keep: keep}, window)
+	if (ferr == nil) != (err == nil) || (ferr == nil) != (lerr == nil) || (ferr == nil) != (cerr == nil) {
+		t.Fatalf("full decode: %v; hinted, keeping all: %v; hinted: %v; in windows of %d: %v", ferr, lerr, err, window, cerr)
 	}
-	if err != nil && !errors.Is(err, errs.ErrCorrupted) {
-		t.Fatalf("hinted decode error does not wrap ErrCorrupted: %v", err)
+	for _, err := range []error{err, lerr, cerr} {
+		if err != nil && !errors.Is(err, errs.ErrCorrupted) {
+			t.Fatalf("hinted decode error does not wrap ErrCorrupted: %v", err)
+		}
 	}
 	if len(all.runs) != len(part.runs) {
 		t.Fatalf("%d runs shown keeping all, %d keeping some", len(all.runs), len(part.runs))
@@ -174,9 +193,6 @@ func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool) {
 	if err != nil {
 		return
 	}
-	if len(logged) != len(full) || len(got) != len(full) {
-		t.Fatalf("hinted decodes of %d and %d bytes, full %d", len(logged), len(got), len(full))
-	}
 	var runs uint64
 	for _, r := range part.runs {
 		runs += r[1]
@@ -184,42 +200,21 @@ func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool) {
 	if runs != uint64(len(full)/EdgeBytes) {
 		t.Fatalf("runs of %d records in all, the decode %d", runs, len(full)/EdgeBytes)
 	}
-	starts := blockStarts(b)
-	for i := 0; i < len(full); {
-		want, rec := GetEdge(full[i:]), GetEdge(got[i:])
-		if keep(want.Src) && want.Src != NoVertex {
-			if rec != want {
-				t.Fatalf("record %d: %v kept as %v", i/EdgeBytes, want, rec)
-			}
-			i += EdgeBytes
-			continue
-		}
-		if rec.Src != NoVertex || rec.Dst == 0 || i+int(rec.Dst)*EdgeBytes > len(full) {
-			t.Fatalf("record %d: %v dropped, %v in its place, not a skip mark", i/EdgeBytes, want, rec)
-		}
-		for end := i + int(rec.Dst)*EdgeBytes; i < end; i += EdgeBytes {
-			if e := GetEdge(full[i:]); keep(e.Src) && e.Src != NoVertex {
-				t.Fatalf("record %d: %v kept by the hint, under a skip mark", i/EdgeBytes, e)
-			}
-		}
-		// A mark stands for the whole stretch of dropped records it starts
-		// in its block.
-		if e := GetEdge(full[min(i, len(full)-EdgeBytes):]); i < len(full) && !starts[i] && (!keep(e.Src) || e.Src == NoVertex) {
-			t.Fatalf("record %d: %v dropped after a skip mark that ends before it", i/EdgeBytes, e)
+	var want []Edge
+	for i := 0; i < len(full); i += EdgeBytes {
+		if e := GetEdge(full[i:]); keep(e.Src) {
+			want = append(want, e)
 		}
 	}
-}
-
-// blockStarts is the offsets in its decode at which b's blocks start.
-func blockStarts(b []byte) map[int]bool {
-	starts := map[int]bool{}
-	for at := 0; len(b) > 0; {
-		count, _, _, total, err := blockHeader(b)
-		if err != nil {
-			break
-		}
-		starts[at] = true
-		at, b = at+count*EdgeBytes, b[total:]
+	if len(logged) != len(full)/EdgeBytes {
+		t.Fatalf("a hinted decode keeping all wrote %d records of %d", len(logged), len(full)/EdgeBytes)
 	}
-	return starts
+	for i, e := range logged {
+		if e != GetEdge(full[i*EdgeBytes:]) {
+			t.Fatalf("record %d: %v, the full decode's %v", i, e, GetEdge(full[i*EdgeBytes:]))
+		}
+	}
+	if !slices.Equal(got, want) || !slices.Equal(cut, want) {
+		t.Fatalf("kept %d records, %d in windows of %d; the full decode has %d the hint keeps", len(got), len(cut), window, len(want))
+	}
 }

@@ -151,8 +151,8 @@ func TestDeltaDecodeIntoStackBuffer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
-		var blk [DeltaBlockMaxEdges * EdgeBytes]byte
-		if _, _, err := DecodeDeltaBlock(blk[:0], enc, nil); err != nil {
+		var blk [DeltaBlockMaxEdges]Edge
+		if _, _, _, err := DecodeDeltaEdges(blk[:], enc, 0, DeltaBlockMaxEdges, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -163,21 +163,40 @@ func TestDeltaDecodeIntoStackBuffer(t *testing.T) {
 // BenchmarkDeltaDecode decodes a source-sorted file's blocks, the shape of
 // a stored or tails file; ns/op over the edges is the decode cost per edge.
 func BenchmarkDeltaDecode(b *testing.B) {
+	benchDecode(b, DeltaBlockMaxEdges, nil)
+}
+
+// oddSources keeps the runs of odd sources.
+type oddSources struct{}
+
+func (oddSources) Keep(src VertexID, _ int) (bool, error) { return src%2 == 1, nil }
+func (oddSources) Last(VertexID) error                    { return nil }
+
+// BenchmarkDeltaDecodeHinted decodes the same file as a pass's workers
+// do, with a hint that keeps half the runs (the blocks a chunk boundary
+// cuts, one a chunk of 131,072 records, are decoded twice in part).
+func BenchmarkDeltaDecodeHinted(b *testing.B) {
+	benchDecode(b, DeltaBlockMaxEdges, oddSources{})
+}
+
+func benchDecode(b *testing.B, window int, hint RunHint) {
 	raw := sortedEdges(1<<17, 1<<20, 1)
 	enc, err := EncodeDeltaBlocks(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
-	out := make([]byte, 0, DeltaBlockMaxEdges*EdgeBytes)
+	out := make([]Edge, DeltaBlockMaxEdges)
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for p := enc; len(p) > 0; {
-			var n int
-			if out, n, err = DecodeDeltaBlock(out[:0], p, nil); err != nil {
-				b.Fatal(err)
+			count, total, _ := DeltaBlockLen(p)
+			for skip := 0; skip < count; skip += window {
+				if _, _, _, err = DecodeDeltaEdges(out, p, skip, window, hint); err != nil {
+					b.Fatal(err)
+				}
 			}
-			p = p[n:]
+			p = p[total:]
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(raw)/EdgeBytes), "ns/edge")

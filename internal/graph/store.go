@@ -389,24 +389,28 @@ func readWords(r io.Reader, bufs Buffers, limit int, n uint64, fn func(i uint64,
 	fr.limit = limit
 	defer fr.Release()
 	total, i := n+n%2, uint64(0)
-	var blk [DeltaBlockMaxEdges * EdgeBytes]byte
+	var blk [DeltaBlockMaxEdges]Edge
 	for p, err := fr.Next(); err != io.EOF; p, err = fr.Next() {
 		if err != nil {
 			return err
 		}
 		for len(p) > 0 {
-			words, k, err := DecodeDeltaBlock(blk[:0], p, nil)
+			k, _, used, err := DecodeDeltaEdges(blk[:], p, 0, DeltaBlockMaxEdges, nil)
 			if err != nil {
 				return err
 			}
-			p = p[k:]
-			if len(words)%4 != 0 || uint64(len(words)/4) > total-i {
+			p = p[used:]
+			if uint64(2*k) > total-i {
 				return fmt.Errorf("%w: payload past %d words", errs.ErrCorrupted, total)
 			}
-			for j := 0; j < len(words); j, i = j+4, i+1 {
+			for _, e := range blk[:k] {
 				if i < n {
-					fn(i, binary.LittleEndian.Uint32(words[j:]))
+					fn(i, uint32(e.Src))
 				}
+				if i+1 < n {
+					fn(i+1, uint32(e.Dst))
+				}
+				i += 2
 			}
 		}
 	}

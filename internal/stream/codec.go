@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"errors"
+
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 )
@@ -29,68 +31,88 @@ type deviceByter interface {
 	DeviceBytes() int64
 }
 
-// deltaReader decodes an FBD1 payload stream (delta blocks, whole blocks
-// to a frame, each frame CRC-verified by the frame reader underneath) into
-// fixed-width records. Size reports the raw file size, like framedReader,
-// so read-ahead stays deterministic in compressed space.
+// deltaReader reads an FBD1 payload stream (delta blocks, whole blocks to
+// a frame, each frame CRC-verified underneath) into its scanner's buffer
+// a window at a time, undecoded: the blocks holding the next buffer's
+// worth of records, counted from their headers. Size reports the raw file
+// size, like framedReader, so read-ahead stays deterministic.
 type deltaReader struct {
 	inner storage.Reader
 	src   *graph.FrameReader // deframed compressed payload
 	bufs  *BufPool
-	frame []byte // the current frame's blocks not yet decoded
-	out   []byte // a decoded block not yet delivered
-	opos  int
-	taken int64 // compressed payload bytes decoded so far
-	hint  graph.RunHint
+	recs  int    // the records of a window: a buffer's worth
+	frame []byte // the current frame's blocks not yet in a window
+	// at is the window's block holding its next record, after into others.
+	at, into int
+	taken    int64 // compressed payload bytes the windows took so far
 }
-
-// deltaBlockBytes is the largest decoded block.
-const deltaBlockBytes = graph.DeltaBlockMaxEdges * graph.EdgeBytes
 
 func newDeltaReader(inner storage.Reader, src *graph.FrameReader, bufs *BufPool) *deltaReader {
 	return &deltaReader{inner: inner, src: src, bufs: bufs}
 }
 
-// Read decodes a block straight into a p that holds the largest one, else
-// through a block buffer from the run's free-list, kept until Close.
-func (d *deltaReader) Read(p []byte) (int, error) {
-	for d.opos == len(d.out) {
+// refill moves the window in *win on: the block the last one ended inside
+// leads, and blocks follow until it holds d.recs records (io.EOF: fewer),
+// in a buffer from the run's free-list twice the size if they outgrow it.
+func (d *deltaReader) refill(win *[]byte) (int, error) {
+	b, end, n := *win, 0, 0
+	if d.into > 0 {
+		count, total, _ := graph.DeltaBlockLen(b[d.at:])
+		end, n = copy(b, b[d.at:d.at+total]), count-d.into
+	}
+	d.at = 0
+	for n < d.recs {
 		if len(d.frame) == 0 {
 			var err error
 			if d.frame, err = d.src.Next(); err != nil {
-				return 0, err
+				return n, err
 			}
 			continue
 		}
-		dst, direct := p[:0], len(p) >= deltaBlockBytes
-		if !direct {
-			if d.out == nil {
-				d.out = d.bufs.Get(deltaBlockBytes)
-			}
-			dst = d.out[:0]
-		}
-		got, n, err := graph.DecodeDeltaBlock(dst, d.frame, d.hint)
+		count, total, err := graph.DeltaBlockLen(d.frame)
 		if err != nil {
 			return 0, err
 		}
-		if d.frame, d.taken = d.frame[n:], d.taken+int64(n); direct {
-			return len(got), nil
+		if end+total > len(b) {
+			grown := d.bufs.Get(max(2*len(b), end+total))
+			copy(grown, b[:end])
+			d.bufs.Put(b)
+			b, *win = grown, grown
 		}
-		d.out, d.opos = got, 0
+		end += copy(b[end:], d.frame[:total])
+		d.frame, d.taken, n = d.frame[total:], d.taken+int64(total), n+count
 	}
-	n := copy(p, d.out[d.opos:])
-	d.opos += n
-	return n, nil
+	return d.recs, nil
+}
+
+// take returns the blocks of win the next k records lie in, and the
+// records of the first before them.
+func (d *deltaReader) take(win []byte, k int) ([]byte, int) {
+	start, skip, end := d.at, d.into, d.at
+	for k > 0 {
+		count, total, _ := graph.DeltaBlockLen(win[d.at:])
+		end = d.at + total
+		if left := count - d.into; k < left {
+			d.into += k
+			break
+		}
+		k -= count - d.into
+		d.at, d.into = end, 0
+	}
+	return win[start:end], skip
+}
+
+func (d *deltaReader) Read([]byte) (int, error) {
+	return 0, errors.New("stream: a delta file is read by refill")
 }
 
 func (d *deltaReader) Size() int64        { return d.inner.Size() }
 func (d *deltaReader) DeviceBytes() int64 { return d.taken }
 
-// Close returns the block buffer and the frame payload buffer to the
-// run's free-list. The scanner above never reads a closed reader.
+// Close returns the frame payload buffer to the run's free-list. The
+// scanner above never reads a closed reader.
 func (d *deltaReader) Close() error {
-	d.bufs.Put(d.out)
-	d.frame, d.out = nil, nil
+	d.frame = nil
 	d.src.Release()
 	return d.inner.Close()
 }

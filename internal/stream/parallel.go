@@ -3,7 +3,9 @@ package stream
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastbfs/internal/errs"
@@ -29,9 +31,13 @@ import (
 //
 // Timing contract. Only the engine thread (the Run caller) touches the
 // scanner, the shuffler's writers, the stay file and therefore the
-// disksim clock; workers do pure compute on decoded edges. Per-chunk
-// counters are accumulated in the shard and folded at merge, which keeps
-// the simulated-time accounting single-threaded and byte-deterministic.
+// disksim clock: it refills the scanner with stored bytes — records, or
+// whole delta blocks counted from their headers — cuts chunks from them
+// (fixed-width records straight into edges, the one decode that is a copy)
+// and merges. Workers decode delta blocks, check runs (Hints) and
+// classify: pure compute. Per-chunk counters are accumulated in the shard and folded at
+// merge, which keeps the simulated-time accounting single-threaded and
+// byte-deterministic.
 
 // Shard is one chunk's private scatter output.
 type Shard struct {
@@ -45,7 +51,7 @@ type Shard struct {
 	Stays []graph.Edge
 
 	// Read is the records the scanner read for the chunk, set by the pool:
-	// those it kept, which fn sees, and those a hint dropped (Keep).
+	// those decoded, which fn sees, and those a hint dropped.
 	Read    int64
 	Scanned int64
 	Emitted int64
@@ -56,7 +62,7 @@ type Shard struct {
 	// workers).
 	CandDeg int64
 	// Err aborts the run at this chunk's merge point (edges outside the
-	// partition's vertex interval).
+	// partition's vertex interval, a damaged chunk, a run its hint rejects).
 	Err error
 
 	// chunk is the buffer Stays borrows, held until the shard has been
@@ -110,15 +116,16 @@ type ScatterPool struct {
 	// point like any other scatter error.
 	FaultHook func()
 
-	// shards and chunks are the free-lists of recycled shards and decoded
-	// edge-chunk buffers, held strongly so they (and the shards' grown
-	// update slices) survive garbage collections for as long as the pool
-	// lives (one run, or many for a pool kept in a reused scratch); at
-	// most PipelineDepth plus Workers of either ever exist. mu guards
-	// both, since workers fetch their own shards and release their chunks.
+	// shards, chunks, raws and jobs are the free-lists of recycled shards,
+	// decoded chunks, pieces as read and jobs, held strongly so they (and
+	// the shards' grown update slices) survive garbage collections for as
+	// long as the pool lives (one run, or many for a pool kept in a reused
+	// scratch). mu guards them: workers fetch and release their own.
 	mu     sync.Mutex
 	shards []*Shard
 	chunks [][]graph.Edge
+	raws   [][]byte
+	jobs   []*chunkJob
 }
 
 // NewScatterPool sizes a pool: workers goroutines (minimum 1; 1 means
@@ -140,80 +147,98 @@ func NewScatterPool(workers, chunkEdges, parts int) *ScatterPool {
 // Workers returns the pool's worker count.
 func (sp *ScatterPool) Workers() int { return sp.workers }
 
-func (sp *ScatterPool) getShard() *Shard {
-	var sh *Shard
+// pop takes the last of *list, or, with none there, makes one.
+func pop[T any](sp *ScatterPool, list *[]T, fresh func() T) T {
 	sp.mu.Lock()
-	if n := len(sp.shards); n > 0 {
-		sh, sp.shards = sp.shards[n-1], sp.shards[:n-1]
+	defer sp.mu.Unlock()
+	n := len(*list)
+	if n == 0 {
+		return fresh()
 	}
+	x := (*list)[n-1]
+	*list = (*list)[:n-1]
+	return x
+}
+
+func push[T any](sp *ScatterPool, list *[]T, x T) {
+	sp.mu.Lock()
+	*list = append(*list, x)
 	sp.mu.Unlock()
-	if sh == nil {
-		return &Shard{ByPart: make([][]graph.Update, sp.parts)}
-	}
+}
+
+func (sp *ScatterPool) getShard() *Shard {
+	sh := pop(sp, &sp.shards, func() *Shard { return &Shard{ByPart: make([][]graph.Update, sp.parts)} })
 	sh.reset()
 	return sh
 }
 
 func (sp *ScatterPool) putShard(sh *Shard) {
-	sp.mu.Lock()
 	if sh.chunk != nil {
-		sp.chunks = append(sp.chunks, sh.chunk)
+		push(sp, &sp.chunks, sh.chunk)
 		sh.chunk = nil
 	}
-	sp.shards = append(sp.shards, sh)
-	sp.mu.Unlock()
-}
-
-func (sp *ScatterPool) getChunk() []graph.Edge {
-	var c []graph.Edge
-	sp.mu.Lock()
-	if n := len(sp.chunks); n > 0 {
-		c, sp.chunks = sp.chunks[n-1], sp.chunks[:n-1]
-	}
-	sp.mu.Unlock()
-	if c == nil {
-		c = make([]graph.Edge, sp.chunkEdges)
-	}
-	return c
-}
-
-func (sp *ScatterPool) putChunk(c []graph.Edge) {
-	sp.mu.Lock()
-	sp.chunks = append(sp.chunks, c)
-	sp.mu.Unlock()
+	push(sp, &sp.shards, sh)
 }
 
 // RunScanner streams sc chunk by chunk through the pool. The scanner is
 // consumed on the calling goroutine (its refills charge the clock); the
-// caller still owns closing it. A chunk is the records read (NextKept),
-// which fix its place among the refills; fn sees the ones kept, maybe none.
+// caller still owns closing it. A chunk is the records read, which fix its
+// place among the refills; fn sees those the workers decoded, maybe none.
 func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
-	return sp.RunScannerDepth(sc, PipelineDepth, fn, merge)
+	return sp.RunScannerDepth(sc, PipelineDepth, nil, fn, merge)
 }
 
 // RunScannerDepth is RunScanner with at most depth chunks dispatched
 // ahead of the merge: fewer chunk buffers in flight over a long stream, and
 // at depth 1 the device sees what a serial read-then-process loop issues.
-// Like PipelineDepth, depth must not depend on the worker count.
-func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, int, error) {
-		buf := sp.getChunk()
-		n, read, err := sc.NextKept(buf)
-		if err != nil || read == 0 {
-			sp.putChunk(buf)
-			return nil, 0, err
-		}
-		return buf[:n], read, nil
+// Like PipelineDepth, depth must not depend on the worker count. hints
+// (nil: none) check the runs of the pieces the workers decode: a delta
+// file's decode leaves out the runs they drop, and any other file's
+// records are all kept, a source's records in a piece shown as a run.
+func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, hints Hints, fn ScatterFunc, merge MergeFunc) error {
+	pieceLen := sp.chunkEdges // fixed-width records are decoded as cut: no piece is worth a worker
+	if sc.blocks != nil {
+		pieceLen = pieceEdges
 	}
-	return sp.run(next, depth, fn, merge)
+	return sp.run(func(p *piece, dst []graph.Edge, max int) error {
+		if sc.blocks != nil && p.raw.raw == nil {
+			p.raw.raw = pop(sp, &sp.raws, func() []byte { return make([]byte, 0, min(sp.chunkEdges, pieceEdges)*graph.EdgeBytes) })
+		}
+		err := sc.cut(&p.raw, dst, max)
+		if hints == nil {
+			p.hint = nil
+		} else if err == nil && p.raw.n > 0 {
+			p.hint = hints.Chunk(p.hint, p.raw.n)
+		}
+		return err
+	}, pieceLen, depth, fn, merge, hints)
 }
 
-// chunkJob carries one chunk to a worker; out (buffered, capacity 1)
-// carries the shard back so a worker never blocks on delivering results.
+// chunkJob is one chunk: the pieces it was cut in, which workers decode
+// and check at once in their own stretches of its edge buffer (cut
+// decodes fixed-width records there), the last of them (left) then packing
+// what they kept and classifying it. out (buffered, capacity
+// 1) carries the shard back so a worker never blocks. A recycled job keeps
+// its pieces' hints for Hints.Chunk to reuse.
 type chunkJob struct {
-	edges []graph.Edge
-	read  int
-	out   chan *Shard
+	pieces []piece
+	edges  []graph.Edge
+	left   atomic.Int32
+	out    chan *Shard
+}
+
+// piece is the records from at on of its chunk as read, with their hint,
+// and how many its worker kept at the front of their stretch, or its error.
+type piece struct {
+	raw      rawChunk
+	hint     graph.RunHint
+	at, kept int
+	err      error
+}
+
+type pieceTask struct {
+	j *chunkJob
+	i int
 }
 
 // PipelineDepth is how many chunks may be dispatched ahead of the merge
@@ -227,71 +252,98 @@ type chunkJob struct {
 // depth can't all be kept busy.
 const PipelineDepth = 32
 
-// run is the pool's engine: next yields chunks, each the front of a
-// getChunk buffer with the records read for it (0 = end of stream), on
-// the calling goroutine, fn classifies them, merge folds shards back in
-// chunk order, at most depth chunks behind dispatch. Serial and parallel
-// modes share the same dispatch/merge structure (classification just happens inline vs. on a worker), so
-// the sequence of next and merge calls — and everything the simulated
-// clock observes — is identical for every worker count. On any error —
-// scan, classify or merge — it stops dispatching, joins every worker
-// and returns the first error.
-func (sp *ScatterPool) run(next func() ([]graph.Edge, int, error), depth int, fn ScatterFunc, merge MergeFunc) error {
+// pieceEdges caps the records a worker decodes at once: a delta chunk is
+// cut in pieces, so a pass of one chunk still keeps every worker decoding. The
+// chunk is still classified and merged whole, as merges need it: a
+// bottom-up merge claims a shard's targets before it writes their stays.
+// Like the chunk size, it is not the worker count's.
+const pieceEdges = 1 << 15
+
+// run is the pool's engine: next cuts up to max records, at most pieceLen,
+// into a piece and the chunk's edges from its place on (0: end of stream)
+// on the calling goroutine until a chunk is whole; workers
+// decode the pieces and classify the chunk with fn, and merge folds its
+// shard back in chunk order, after hints (nil: none) got the pieces'
+// hints back, at most depth chunks behind dispatch. Serial and parallel
+// modes share the same dispatch/merge structure (decode and classify just
+// happen inline vs. on a worker), so the sequence of next and merge calls
+// — and everything the simulated clock observes — is identical for every
+// worker count. On any error — scan, decode, classify or merge — it stops
+// dispatching, joins every worker and returns the first error.
+func (sp *ScatterPool) run(next func(p *piece, dst []graph.Edge, max int) error, pieceLen, depth int, fn ScatterFunc, merge MergeFunc, hints Hints) error {
 	parallel := sp.workers > 1
-	var jobs chan chunkJob
+	var tasks chan pieceTask
 	var wg sync.WaitGroup
 	if parallel {
-		jobs = make(chan chunkJob, sp.workers)
+		tasks = make(chan pieceTask, sp.workers)
 		wg.Add(sp.workers)
 		for w := 0; w < sp.workers; w++ {
 			go func() {
 				defer wg.Done()
-				for j := range jobs {
-					j.out <- sp.classify(j.edges, j.read, fn)
+				for t := range tasks {
+					sp.decode(t.j, t.i, fn)
 				}
 			}()
 		}
 	}
 
-	var pending []chan *Shard
+	var pending []*chunkJob
 	var firstErr error
 	mergeOne := func() {
-		sh := <-pending[0]
+		j := pending[0]
 		pending = pending[1:]
+		sh := <-j.out
 		if firstErr == nil {
-			if sh.Err != nil {
-				firstErr = sh.Err
-			} else {
+			firstErr = sh.Err
+			for i := 0; firstErr == nil && hints != nil && i < len(j.pieces); i++ {
+				firstErr = hints.Merged(j.pieces[i].hint)
+			}
+			if firstErr == nil {
 				firstErr = merge(sh)
 			}
 		}
 		sp.putShard(sh)
+		push(sp, &sp.jobs, j)
 	}
-	dispatch := func(edges []graph.Edge, read int) {
-		out := make(chan *Shard, 1)
-		if parallel {
-			jobs <- chunkJob{edges: edges, read: read, out: out}
-		} else {
-			out <- sp.classify(edges, read, fn)
+	for end := false; firstErr == nil && !end; {
+		j := pop(sp, &sp.jobs, func() *chunkJob { return &chunkJob{out: make(chan *Shard, 1)} })
+		j.edges = pop(sp, &sp.chunks, func() []graph.Edge { return make([]graph.Edge, sp.chunkEdges) })
+		j.pieces = j.pieces[:0]
+		for got := 0; got < sp.chunkEdges && !end; got += j.pieces[len(j.pieces)-1].raw.n {
+			j.pieces = slices.Grow(j.pieces, 1)[:len(j.pieces)+1] // a recycled piece keeps its hint
+			p := &j.pieces[len(j.pieces)-1]
+			p.at, p.kept, p.err = got, 0, nil
+			max := min(pieceLen, sp.chunkEdges-got)
+			firstErr = next(p, j.edges[got:], max)
+			if end = firstErr != nil || p.raw.n < max; firstErr != nil || p.raw.n == 0 {
+				j.pieces = j.pieces[:len(j.pieces)-1]
+				sp.putRaw(p)
+				break
+			}
 		}
-		pending = append(pending, out)
-	}
-	for firstErr == nil {
-		edges, read, err := next()
-		if err != nil {
-			firstErr = err
+		if firstErr != nil || len(j.pieces) == 0 {
+			for i := range j.pieces {
+				sp.putRaw(&j.pieces[i])
+			}
+			push(sp, &sp.chunks, j.edges)
+			push(sp, &sp.jobs, j)
 			break
 		}
-		if read == 0 {
-			break
+		j.left.Store(int32(len(j.pieces)))
+		for i := range j.pieces {
+			if parallel {
+				tasks <- pieceTask{j, i}
+			} else {
+				sp.decode(j, i, fn)
+			}
 		}
-		dispatch(edges, read)
+		pending = append(pending, j)
 		if len(pending) >= depth {
 			mergeOne()
 		}
 	}
 	if parallel {
-		close(jobs)
+		close(tasks)
 	}
 	for len(pending) > 0 {
 		mergeOne()
@@ -316,20 +368,60 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return errs.ErrInternal }
 
-// classify runs fn over one chunk, read records long, into a recycled
-// shard. The chunk's survivors compact into the front of its own buffer,
-// which the shard then holds until it has been merged; a chunk that kept
-// none gives the buffer straight back.
-func (sp *ScatterPool) classify(edges []graph.Edge, read int, fn ScatterFunc) *Shard {
-	sh := sp.getShard()
-	sh.Read, sh.Stays = int64(read), edges[:0]
-	sp.classifyInto(edges, sh, fn)
+// decode decodes piece i of j into its stretch of j's edges, and, if it
+// is the chunk's last piece to finish, classifies the chunk. A damaged
+// piece, a run its hint rejects or a panic is the piece's error.
+func (sp *ScatterPool) decode(j *chunkJob, i int, fn ScatterFunc) {
+	p := &j.pieces[i]
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				p.err = &PanicError{Value: r, Stack: debug.Stack()}
+			}
+		}()
+		p.kept, p.err = p.raw.decode(j.edges[p.at:], p.hint)
+	}()
+	sp.putRaw(p)
+	if j.left.Add(-1) == 0 {
+		j.out <- sp.classify(j, fn)
+	}
+}
+
+// putRaw gives back p's delta blocks' buffer, if it has one.
+func (sp *ScatterPool) putRaw(p *piece) {
+	if p.raw.raw != nil {
+		push(sp, &sp.raws, p.raw.raw)
+		p.raw.raw = nil
+	}
+}
+
+// classify packs the records a chunk's pieces kept to the front of its
+// buffer and runs fn over them into a recycled shard; the first piece's
+// error is the shard's. The chunk's survivors compact into the front of
+// the buffer, which the shard then holds until it has been merged; a
+// chunk that kept none gives the buffer straight back.
+func (sp *ScatterPool) classify(j *chunkJob, fn ScatterFunc) *Shard {
+	sh, n := sp.getShard(), 0
+	for _, p := range j.pieces {
+		if sh.Read += int64(p.raw.n); sh.Err == nil {
+			sh.Err = p.err
+		}
+		if n != p.at {
+			copy(j.edges[n:], j.edges[p.at:p.at+p.kept])
+		}
+		n += p.kept
+	}
+	if sh.Err == nil {
+		sh.Stays = j.edges[:0]
+		sp.classifyInto(j.edges[:n], sh, fn)
+	}
 	if len(sh.Stays) > 0 {
-		sh.chunk = edges[:cap(edges)]
+		sh.chunk = j.edges
 	} else {
 		sh.Stays = nil
-		sp.putChunk(edges[:cap(edges)])
+		push(sp, &sp.chunks, j.edges)
 	}
+	j.edges = nil
 	return sh
 }
 
@@ -343,19 +435,16 @@ func (sp *ScatterPool) classifyInto(edges []graph.Edge, sh *Shard, fn ScatterFun
 			sh.Err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	if sp.BusyCounter == nil {
-		if sp.FaultHook != nil {
-			sp.FaultHook()
-		}
-		fn(edges, sh)
-		sp.ChunkCounter.Add(1)
-		return
+	var start time.Time
+	if sp.BusyCounter != nil {
+		start = time.Now()
 	}
-	start := time.Now()
 	if sp.FaultHook != nil {
 		sp.FaultHook()
 	}
 	fn(edges, sh)
-	sp.BusyCounter.Add(time.Since(start).Nanoseconds())
+	if sp.BusyCounter != nil {
+		sp.BusyCounter.Add(time.Since(start).Nanoseconds())
+	}
 	sp.ChunkCounter.Add(1)
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,19 +13,16 @@ import (
 	"fastbfs/internal/storage"
 )
 
-// runSlice is a slice source over the pool's engine: edges copied chunk
-// by chunk into the pool's own buffers, as a scanner decodes them.
+// runSlice is a slice source over the pool's engine: edges cut piece by
+// piece into the pool's own buffers, as a scanner of fixed-width records
+// decodes them.
 func runSlice(sp *ScatterPool, edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
-	next := func() ([]graph.Edge, int, error) {
-		if len(edges) == 0 {
-			return nil, 0, nil
-		}
-		c := sp.getChunk()
-		n := copy(c, edges)
-		edges = edges[n:]
-		return c[:n], n, nil
+	next := func(p *piece, dst []graph.Edge, max int) error {
+		p.raw.n = copy(dst[:min(len(edges), max)], edges)
+		edges = edges[p.raw.n:]
+		return nil
 	}
-	return sp.run(next, PipelineDepth, fn, merge)
+	return sp.run(next, pieceEdges, PipelineDepth, fn, merge, nil)
 }
 
 // collectRun drives a pool over edges and returns the merged output in
@@ -356,5 +354,66 @@ func TestScatterPoolFaultHookPanic(t *testing.T) {
 	err := runSlice(sp, edges, func(chunk []graph.Edge, out *Shard) {}, func(s *Shard) error { return nil })
 	if !errors.Is(err, errs.ErrInternal) {
 		t.Fatalf("fault-hook panic: err = %v, want ErrInternal", err)
+	}
+}
+
+// TestScatterPoolCutsChunksInPieces: a delta chunk longer than pieceEdges
+// is decoded in pieces, each with a hint of its own, and classified and
+// merged whole, in file order — the same pieces, chunks, records and kept
+// edges for every worker count, on a delta file whose blocks the piece and
+// chunk boundaries cut, and on a fixed one, cut whole.
+func TestScatterPoolCutsChunksInPieces(t *testing.T) {
+	var edges []graph.Edge
+	for s := 0; len(edges) < 3*pieceEdges; s++ {
+		for d := 0; d < s%29+1; d++ {
+			edges = append(edges, graph.Edge{Src: graph.VertexID(s), Dst: graph.VertexID(5*d + s%3)})
+		}
+	}
+	const chunk = 2*pieceEdges + 1000
+	wantChunks, wantPieces := []int{chunk, len(edges) - chunk}, []int{pieceEdges, pieceEdges, 1000, len(edges) - chunk}
+	vol := storage.NewMem()
+	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		w, err := NewCodecEdgeWriter(vol, "e_"+string(codec), Timing{}, 1<<20, codec)
+		if err == nil {
+			err = w.AppendChunk(edges)
+		}
+		if err == nil {
+			err = w.Close()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 8} {
+			sc, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, chunk*graph.EdgeBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hint := &oddRuns{}
+			var reads []int
+			var kept []graph.Edge
+			keepAll := func(es []graph.Edge, out *Shard) { out.Stays = append(out.Stays, es...) }
+			err = NewScatterPool(workers, chunk, 1).RunScannerDepth(sc, PipelineDepth, hint, keepAll, func(sh *Shard) error {
+				reads, kept = append(reads, int(sh.Read)), append(kept, sh.Stays...)
+				return nil
+			})
+			sc.Close()
+			if err != nil {
+				t.Fatalf("%s, %d workers: %v", codec, workers, err)
+			}
+			var wantKept []graph.Edge
+			for _, e := range edges {
+				if e.Src%2 == 1 || codec == graph.CodecFixed {
+					wantKept = append(wantKept, e)
+				}
+			}
+			pieces := wantPieces
+			if codec == graph.CodecFixed { // decoded as cut: one piece a chunk
+				pieces = wantChunks
+			}
+			if !slices.Equal(reads, wantChunks) || !slices.Equal(hint.pieces, pieces) || hint.shown != len(edges) || !slices.Equal(kept, wantKept) {
+				t.Fatalf("%s, %d workers: chunks of %v records in pieces of %v (want %v, %v), %d shown to the hints, %d kept of %d",
+					codec, workers, reads, hint.pieces, wantChunks, pieces, hint.shown, len(kept), len(wantKept))
+			}
+		}
 	}
 }

@@ -84,13 +84,13 @@ type Scanner[T any] struct {
 	// caller takes: NextChunk's inner loop, one call a refill instead of
 	// one a record.
 	span func(dst []T, src []byte)
-	// keep, set by Keep, is span for a scanner that may leave records out:
-	// it fills the front of dst and returns how many, skip carrying the
-	// records of a dropped stretch still ahead.
-	keep func(dst []T, src []byte, skip *int) (int, error)
-	skip int
-	eof  bool
-	read int64
+	// blocks, for a delta file, keeps a window of blocks in buf, whose
+	// records pos and fill count (deltaReader.refill); conv is a window's
+	// edges decoded for another record type.
+	blocks *deltaReader
+	conv   []graph.Edge
+	eof    bool
+	read   int64
 	// charged marks a reader that charges the device itself, range by
 	// range (NewRangeScanner).
 	charged bool
@@ -137,8 +137,15 @@ func recordBufSize(bufSize, recSize int) int {
 
 // newScannerOver builds a Scanner on an already-opened reader.
 func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T, span func([]T, []byte)) *Scanner[T] {
-	return &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(),
+	s := &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(),
 		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, decode: decode, span: span}
+	if rf, ok := r.(rangeFramed); ok {
+		r = rf.Reader
+	}
+	if s.blocks, _ = r.(*deltaReader); s.blocks != nil {
+		s.blocks.recs = len(s.buf) / recSize
+	}
+	return s
 }
 
 // decodeEdges and decodeUpdates are the edge and update scanners' span
@@ -170,6 +177,11 @@ func encodeUpdates(dst []byte, recs []graph.Update) {
 
 // Next returns the next record. ok is false at end of stream.
 func (s *Scanner[T]) Next() (rec T, ok bool, err error) {
+	if s.blocks != nil {
+		var one [1]T
+		n, err := s.NextChunk(one[:])
+		return one[0], n == 1, err
+	}
 	if s.pos+s.recSize > s.fill {
 		if err := s.refill(); err != nil {
 			var zero T
@@ -191,85 +203,129 @@ func (s *Scanner[T]) Next() (rec T, ok bool, err error) {
 // sequence of buffer-sized operations regardless of how records are
 // consumed — the property the parallel scatter's chunk determinism rests
 // on. Must be called from the goroutine that owns the scanner (refills
-// charge the simulation clock). A scanner with a hint (Keep) is read with
-// NextKept.
+// charge the simulation clock).
 func (s *Scanner[T]) NextChunk(dst []T) (int, error) {
-	n, _, err := s.NextKept(dst)
-	return n, err
-}
-
-// NextKept reads up to len(dst) records, at the refills NextChunk would,
-// and returns how many it read (0 at end of stream) and how many of them
-// it kept, at the front of dst: all of them, unless a hint (Keep) drops
-// some.
-func (s *Scanner[T]) NextKept(dst []T) (kept, read int, err error) {
+	read := 0
 	for read < len(dst) {
-		if s.pos+s.recSize > s.fill {
-			if err := s.refill(); err != nil {
-				return kept, read, err
-			}
-			if s.pos+s.recSize > s.fill {
-				break
-			}
+		k, err := s.ahead(len(dst) - read)
+		if err != nil || k == 0 {
+			return read, err
 		}
-		k := min((s.fill-s.pos)/s.recSize, len(dst)-read)
-		src := s.buf[s.pos : s.pos+k*s.recSize]
-		if s.keep == nil {
-			s.span(dst[kept:kept+k], src)
-			kept += k
-		} else {
-			n, err := s.keep(dst[kept:], src, &s.skip)
-			if err != nil {
-				return kept, read, err
-			}
-			kept += n
+		if s.blocks == nil {
+			s.span(dst[read:read+k], s.buf[s.pos:s.pos+k*s.recSize])
+		} else if err := s.decodeWindow(dst[read : read+k]); err != nil {
+			return read, err
 		}
 		s.pos += k * s.recSize
 		read += k
 	}
-	return kept, read, nil
+	return read, nil
 }
 
-// Keep hands an edge scanner, before its first read, a hint (graph.RunHint)
-// that is shown every run of records it reads. A delta file's decoder
-// leaves out the runs the hint drops, and NextKept passes over them; any
-// other file's records are all kept, and the hint sees them as NextKept
-// reads them, a source's records in one chunk as a run.
-func Keep(s *Scanner[graph.Edge], hint graph.RunHint) {
-	r := s.r
-	if rf, ok := r.(rangeFramed); ok {
-		r = rf.Reader
-	}
-	if d, ok := r.(*deltaReader); ok {
-		d.hint, s.keep = hint, skipMarked
-		return
-	}
-	s.keep = func(dst []graph.Edge, src []byte, _ *int) (int, error) {
-		n := len(src) / graph.EdgeBytes
-		decodeEdges(dst[:n], src)
-		return n, showRuns(hint, dst[:n])
-	}
-}
-
-// skipMarked decodes the records a hinted delta decode kept in src into
-// dst, passing over each skip mark (graph.RunHint) and the records it
-// stands for, *skip of which an earlier call left ahead.
-func skipMarked(dst []graph.Edge, src []byte, skip *int) (int, error) {
-	n, recs := 0, len(src)/graph.EdgeBytes
-	i := min(*skip, recs)
-	*skip -= i
-	for ; i < recs; i++ {
-		e := graph.GetEdge(src[i*graph.EdgeBytes:])
-		if e.Src != graph.NoVertex {
-			dst[n] = e
-			n++
-			continue
+// decodeWindow decodes the delta window's next len(dst) records into dst,
+// through their fixed-width bytes if they are not edges (a level log's).
+func (s *Scanner[T]) decodeWindow(dst []T) error {
+	b, skip := s.blocks.take(s.buf, len(dst))
+	edges, direct := any(dst).([]graph.Edge)
+	if !direct {
+		if len(s.conv) < len(dst) {
+			s.conv = make([]graph.Edge, s.blocks.recs)
 		}
-		end := i + int(e.Dst)
-		*skip = max(end-recs, 0)
-		i = end - 1
+		edges = s.conv[:len(dst)]
 	}
-	return n, nil
+	if _, err := decodeBlocks(edges, b, skip, len(dst), nil); err != nil || direct {
+		return err
+	}
+	var rec [graph.EdgeBytes]byte
+	for i, e := range edges {
+		graph.PutEdge(rec[:], e)
+		dst[i] = s.decode(rec[:])
+	}
+	return nil
+}
+
+// ahead returns how many of the next max records the buffer holds,
+// refilling it if it holds none: 0 at end of stream.
+func (s *Scanner[T]) ahead(max int) (int, error) {
+	if s.pos+s.recSize > s.fill {
+		if err := s.refill(); err != nil {
+			return 0, err
+		}
+	}
+	return min((s.fill-s.pos)/s.recSize, max), nil
+}
+
+// cut reads up to max records into c at NextChunk's refills: decoded into
+// dst if they are fixed-width, else as the delta blocks they lie in. c.n
+// is 0 at end of stream.
+func (s *Scanner[T]) cut(c *rawChunk, dst []T, max int) error {
+	c.raw, c.skip, c.n, c.delta = c.raw[:0], 0, 0, s.blocks != nil
+	for c.n < max {
+		k, err := s.ahead(max - c.n)
+		if err != nil || k == 0 {
+			return err
+		}
+		if s.blocks == nil {
+			s.span(dst[c.n:c.n+k], s.buf[s.pos:s.pos+k*s.recSize])
+		} else {
+			b, skip := s.blocks.take(s.buf, k)
+			if c.n == 0 {
+				c.skip = skip
+			} else if skip > 0 { // c holds the block the last window ended in
+				_, total, _ := graph.DeltaBlockLen(b)
+				b = b[total:]
+			}
+			c.raw = append(c.raw, b...)
+		}
+		s.pos += k * s.recSize
+		c.n += k
+	}
+	return nil
+}
+
+// Hints are a pool pass's run checks, cut by piece on the engine thread in
+// file order: Chunk returns the graph.RunHint the next n records' worker
+// shows their runs, in place of old (nil, or a hint it returned before and
+// may reuse), and Merged gets it back before their shard merges (an error
+// aborts the pass there).
+type Hints interface {
+	Chunk(old graph.RunHint, n int) graph.RunHint
+	Merged(graph.RunHint) error
+}
+
+// rawChunk is n records as read: fixed-width ones, which cut decodes, or
+// those of the delta blocks in raw from the skip'th on.
+type rawChunk struct {
+	raw   []byte
+	skip  int
+	n     int
+	delta bool
+}
+
+// decode decodes c into dst, where cut left fixed-width records, and
+// returns how many it kept: all, or, of delta blocks, those of the runs
+// hint keeps (nil: all).
+func (c *rawChunk) decode(dst []graph.Edge, hint graph.RunHint) (int, error) {
+	if c.delta {
+		return decodeBlocks(dst, c.raw, c.skip, c.n, hint)
+	}
+	if hint == nil {
+		return c.n, nil
+	}
+	return c.n, showRuns(hint, dst[:c.n])
+}
+
+// decodeBlocks decodes n records of the blocks in b from the skip'th on.
+func decodeBlocks(dst []graph.Edge, b []byte, skip, n int, hint graph.RunHint) (int, error) {
+	kept := 0
+	for n > 0 {
+		k, read, used, err := graph.DecodeDeltaEdges(dst[kept:], b, skip, n, hint)
+		if err != nil {
+			return kept, err
+		}
+		kept, n, b, skip = kept+k, n-read, b[used:], 0
+	}
+	return kept, nil
 }
 
 // showRuns shows hint the runs of edges: each stretch of one source, with
@@ -327,15 +383,22 @@ func (s *Scanner[T]) refill() error {
 	if s.eof {
 		return nil
 	}
-	// Preserve a partial record tail (possible only if the underlying
-	// reader returns short counts).
-	copy(s.buf, s.buf[s.pos:s.fill])
-	s.fill -= s.pos
-	s.pos = 0
+	if s.blocks != nil {
+		n, err := s.blocks.refill(&s.buf)
+		if s.pos, s.fill, s.eof = 0, n*s.recSize, err == io.EOF; err != nil && !s.eof {
+			return fmt.Errorf("stream: scanner read: %w", err)
+		}
+	} else {
+		// Preserve a partial record tail (possible only if the underlying
+		// reader returns short counts).
+		copy(s.buf, s.buf[s.pos:s.fill])
+		s.fill -= s.pos
+		s.pos = 0
+	}
 	// Fill the whole buffer (or hit EOF): short reads — the sniffed
 	// magic replay, frame boundaries — must not end a refill early, or
 	// a partial record would be mistaken for end of stream.
-	for s.fill < len(s.buf) {
+	for s.blocks == nil && s.fill < len(s.buf) {
 		n, err := s.r.Read(s.buf[s.fill:])
 		s.fill += n
 		if err == io.EOF {

@@ -313,22 +313,39 @@ func TestShufflerAbort(t *testing.T) {
 	}
 }
 
-// oddRuns is a RunHint that keeps the runs of odd sources and counts the
-// records of the runs it is shown.
-type oddRuns struct{ shown int }
+// oddRuns are Hints that keep the runs of odd sources: each piece's hint
+// counts the records it is shown, which must be the piece's, and Merged
+// adds them up and logs the pieces' sizes.
+type oddRuns struct {
+	shown  int
+	pieces []int
+}
 
-func (h *oddRuns) Keep(src graph.VertexID, n int) (bool, error) {
-	h.shown += n
+type oddChunk struct{ n, shown int }
+
+func (h *oddRuns) Chunk(_ graph.RunHint, n int) graph.RunHint { return &oddChunk{n: n} }
+
+func (h *oddRuns) Merged(hint graph.RunHint) error {
+	c := hint.(*oddChunk)
+	if c.shown != c.n {
+		return fmt.Errorf("a chunk of %d records showed its hint %d", c.n, c.shown)
+	}
+	h.shown, h.pieces = h.shown+c.shown, append(h.pieces, c.n)
+	return nil
+}
+
+func (c *oddChunk) Keep(src graph.VertexID, n int) (bool, error) {
+	c.shown += n
 	return src%2 == 1, nil
 }
 
-func (h *oddRuns) Last(graph.VertexID) error { return nil }
+func (c *oddChunk) Last(graph.VertexID) error { return nil }
 
-// TestKeepLeavesRefillsAlone: a hinted scan of a delta file reads, call for
-// call, the records and the device bytes an unhinted one does, and keeps
-// exactly the records of the runs the hint keeps, wherever a run, a skip
-// mark's stretch, a chunk and a refill end; a fixed-width file's hint is
-// shown every record and drops none.
+// TestKeepLeavesRefillsAlone: a hinted pool scan of a delta file reads,
+// chunk for chunk, the records and the device bytes an unhinted NextChunk
+// scan does, and its workers keep exactly the records of the runs the hint
+// keeps, wherever a run, a block, a chunk and a refill end; a fixed-width
+// file's hint is shown every record and drops none.
 func TestKeepLeavesRefillsAlone(t *testing.T) {
 	var edges []graph.Edge
 	for s := 0; s < 600; s++ {
@@ -352,45 +369,51 @@ func TestKeepLeavesRefillsAlone(t *testing.T) {
 	for _, codec := range []graph.Codec{graph.CodecDelta, graph.CodecFixed} {
 		for _, bufSize := range []int{64, 520, 4096, 1 << 20} {
 			for _, chunkLen := range []int{1, 7, 64, 1000} {
-				label := fmt.Sprintf("%s, %d B buffer, chunks of %d", codec, bufSize, chunkLen)
-				full, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hinted, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
-				if err != nil {
-					t.Fatal(err)
-				}
-				hint := &oddRuns{}
-				Keep(hinted, hint)
-				a, b := make([]graph.Edge, chunkLen), make([]graph.Edge, chunkLen)
-				var total int
-				for {
-					n, err := full.NextChunk(a)
-					kept, read, herr := hinted.NextKept(b)
-					if err != nil || herr != nil {
-						t.Fatalf("%s: %v, %v", label, err, herr)
+				for _, workers := range []int{1, 3} {
+					label := fmt.Sprintf("%s, %d B buffer, chunks of %d, %d workers", codec, bufSize, chunkLen, workers)
+					full, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if read != n || full.BytesRead() != hinted.BytesRead() {
-						t.Fatalf("%s: read %d records, %d device bytes so far; unhinted %d, %d", label, read, hinted.BytesRead(), n, full.BytesRead())
+					hinted, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, bufSize)
+					if err != nil {
+						t.Fatal(err)
 					}
-					var want []graph.Edge
-					for _, e := range a[:n] {
-						if e.Src%2 == 1 || codec == graph.CodecFixed {
-							want = append(want, e)
+					hint := &oddRuns{}
+					a := make([]graph.Edge, chunkLen)
+					var total int
+					keepAll := func(chunk []graph.Edge, out *Shard) { out.Stays = append(out.Stays, chunk...) }
+					err = NewScatterPool(workers, chunkLen, 1).RunScannerDepth(hinted, 1, hint, keepAll, func(sh *Shard) error {
+						n, err := full.NextChunk(a)
+						if err != nil {
+							return err
 						}
+						if int(sh.Read) != n || full.BytesRead() != hinted.BytesRead() {
+							return fmt.Errorf("read %d records, %d device bytes so far; unhinted %d, %d", sh.Read, hinted.BytesRead(), n, full.BytesRead())
+						}
+						var want []graph.Edge
+						for _, e := range a[:n] {
+							if e.Src%2 == 1 || codec == graph.CodecFixed {
+								want = append(want, e)
+							}
+						}
+						if !slices.Equal(sh.Stays, want) {
+							return fmt.Errorf("kept %v of %v", sh.Stays, a[:n])
+						}
+						total += n
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
 					}
-					if !slices.Equal(b[:kept], want) {
-						t.Fatalf("%s: kept %v of %v", label, b[:kept], a[:n])
+					if n, err := full.NextChunk(a); n != 0 || err != nil {
+						t.Fatalf("%s: the unhinted scan reads %d more records (%v)", label, n, err)
 					}
-					if total += n; n == 0 {
-						break
+					full.Close()
+					hinted.Close()
+					if total != len(edges) || hint.shown != len(edges) {
+						t.Fatalf("%s: %d records read, %d shown to the hint, of %d", label, total, hint.shown, len(edges))
 					}
-				}
-				full.Close()
-				hinted.Close()
-				if total != len(edges) || hint.shown != len(edges) {
-					t.Fatalf("%s: %d records read, %d shown to the hint, of %d", label, total, hint.shown, len(edges))
 				}
 			}
 		}

@@ -301,7 +301,7 @@ func (e *kernel) reverseIndex(best []graph.VertexID, w []*stream.Writer[graph.Ed
 // trimming is active the edges that survive the trim rule — target still
 // unvisited when its stay decision merges — are rewritten to a reverse stay
 // file that replaces the input. A delta input's decoder drops the runs of
-// visited targets (runs, stream.Keep), each run checked to lie in the
+// visited targets (runs), each run checked to lie in the
 // partition. Classification needs only the in-RAM visited bitmap, so a paper-pin run loads its vertex file (and writes it
 // back) only when the scan actually discovered vertices. Classification
 // runs on the pool's workers against read-only state; winners and stay
@@ -316,8 +316,8 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
 	plo, phi := e.rt.Parts.Interval(p)
-	stream.Keep(sc, &runs{name: d.revInput[p], verts: e.rt.Meta.Vertices, part: true, lo: plo, hi: phi,
-		want: func(v graph.VertexID) bool { return !e.rt.VisitedBits.Get(v) }})
+	check := &runs{name: d.revInput[p], verts: e.rt.Meta.Vertices, part: true, lo: plo, hi: phi,
+		want: func(v graph.VertexID) bool { return !e.rt.VisitedBits.Get(v) }}
 
 	var stay *stream.Writer[graph.Edge]
 	var stayTiming stream.Timing
@@ -382,7 +382,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 		return nil
 	}
 	bs := itSpan.Child("bottomup").SetPart(p)
-	if err := e.pool.RunScanner(sc, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(sc, stream.PipelineDepth, check, classify, merge); err != nil {
 		bs.End()
 		if stay != nil {
 			stay.Abort()

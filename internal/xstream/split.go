@@ -48,7 +48,7 @@ type passStats struct {
 // vertex's partition file. Over an index the pass wants the frontier and,
 // splitting, every unvisited source, or the open targets: it reads their
 // ranges when that pays (sparseRuns), and keeps only their runs for
-// classify (runs, stream.Keep). Without one iteration 0 counts the degree
+// classify (runs). Without one iteration 0 counts the degree
 // table. Workers classify; winners and writes resolve on the engine thread
 // in scan order, sparse or dense alike. A malformed edge, a source (a
 // record's target) below the one before it, or an edge count off the index
@@ -85,7 +85,6 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		return ps, err
 	}
 	defer sc.Close()
-	stream.Keep(sc, check)
 	var w []*stream.Writer[graph.Edge]
 	if outs != nil {
 		w = outs.W
@@ -151,7 +150,7 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		}
 		return nil
 	}
-	if err := e.pool.RunScannerDepth(sc, 2, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(sc, 2, check, classify, merge); err != nil {
 		return ps, err
 	}
 	if ix != nil && check.due+int64(len(check.ranges)) > 0 {
@@ -461,10 +460,10 @@ func descending(name string, src, last graph.VertexID) error {
 		errs.ErrCorrupted, name, src, last)
 }
 
-// runs is a pass's hint (stream.Keep): it checks each run of records the
-// pass reads, kept or not, and keeps those whose source want accepts (nil:
-// every run). Every endpoint is a vertex of the graph, and, by what the
-// pass reads:
+// runs is a pass's run checks (stream.Hints): they check each run of
+// records the pass reads, kept or not, and keep those whose source want
+// accepts (nil: every run). Every endpoint is a vertex of the graph, and,
+// by what the pass reads:
 //   - a dataset file with an index (ix), read whole or in a sparse pass's
 //     ranges: a range holds the edges edgesOf gives, and each run the
 //     source the index places at its first edge, within that source's
@@ -473,7 +472,11 @@ func descending(name string, src, last graph.VertexID) error {
 //   - a partition's reverse input (part): every source in [lo, hi).
 //
 // Anything else is errs.ErrCorrupted, a file its index or its writer does
-// not describe.
+// not describe. Each piece's worker checks a copy (Chunk) placed, with an
+// index, at the piece's first edge, whose source want is asked for there:
+// its records may start in a chunk still merging, which may win it (the
+// fused pass drops a target its own records won). want must not change
+// its answer for the other sources while a worker asks.
 type runs struct {
 	name   string
 	verts  uint64
@@ -487,6 +490,57 @@ type runs struct {
 	// what the current range still holds.
 	v             int
 	vEnd, at, due int64
+	// first is a piece's first source (NoVertex: none yet), and keepFirst
+	// want's answer for it, with an index, as the piece was cut.
+	first     graph.VertexID
+	keepFirst bool
+}
+
+// Chunk is the checks of the pass's next n records, in old if it can.
+func (c *runs) Chunk(old graph.RunHint, n int) graph.RunHint {
+	h, ok := old.(*runs)
+	if !ok {
+		h = new(runs)
+	}
+	*h = *c
+	h.last, h.first = 0, graph.NoVertex
+	if c.ix == nil {
+		return h
+	}
+	if c.place(); c.due > 0 && c.want != nil {
+		h.first, h.keepFirst = graph.VertexID(c.v), c.want(graph.VertexID(c.v))
+	}
+	h.v, h.vEnd, h.at, h.due, h.ranges = c.v, c.vEnd, c.at, c.due, c.ranges
+	for left := int64(n); left > 0 && c.due > 0; c.place() {
+		k := min(left, c.due)
+		c.at, c.due, left = c.at+k, c.due-k, left-k
+	}
+	return h
+}
+
+// place moves the checks to the next edge the pass reads: into the next
+// range once one is done, and to the source whose edges hold it.
+func (c *runs) place() {
+	if c.due == 0 && len(c.ranges) > 0 {
+		first, last := c.ix.edgesOf(c.ranges[0])
+		c.at, c.due, c.ranges = first, last-first, c.ranges[1:]
+	}
+	for c.due > 0 && c.vEnd <= c.at {
+		c.v++
+		c.vEnd += int64(c.ix.deg[c.v])
+	}
+}
+
+// Merged checks, without an index, a piece's first source against the
+// pieces' before it.
+func (c *runs) Merged(hint graph.RunHint) error {
+	if h := hint.(*runs); c.ix == nil && !c.part && h.first != graph.NoVertex {
+		if h.first < c.last {
+			return descending(c.name, h.first, c.last)
+		}
+		c.last = h.last
+	}
+	return nil
 }
 
 func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
@@ -494,14 +548,7 @@ func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
 	case uint64(src) >= c.verts:
 		return false, fmt.Errorf("%w: %s: a run of source %d, not a vertex (vertices=%d)", errs.ErrCorrupted, c.name, src, c.verts)
 	case c.ix != nil:
-		if c.due == 0 && len(c.ranges) > 0 {
-			first, last := c.ix.edgesOf(c.ranges[0])
-			c.at, c.due, c.ranges = first, last-first, c.ranges[1:]
-		}
-		for c.due > 0 && c.vEnd <= c.at {
-			c.v++
-			c.vEnd += int64(c.ix.deg[c.v])
-		}
+		c.place()
 		if int64(n) > min(c.due, c.vEnd-c.at) || src != graph.VertexID(c.v) {
 			return false, fmt.Errorf("%w: %s: %d edges of %d where the index has %d of %d's", errs.ErrCorrupted, c.name, n, src, min(c.due, c.vEnd-c.at), c.v)
 		}
@@ -513,7 +560,10 @@ func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
 	case src < c.last:
 		return false, descending(c.name, src, c.last)
 	default:
-		c.last = src
+		c.first, c.last = min(c.first, src), src
+	}
+	if c.ix != nil && src == c.first {
+		return c.keepFirst, nil
 	}
 	return c.want == nil || c.want(src), nil
 }
