@@ -171,22 +171,25 @@ type RunHint interface {
 	Last(dst VertexID) error
 }
 
-// DecodeDeltaEdges decodes the block at the start of b into dst: of its
-// records those from the skip'th on, at most limit, in the runs hint keeps
-// (nil: all). It returns the records it wrote and read and the block's
-// length. A malformed block (blockHeader, decodeBody) wraps
-// errs.ErrCorrupted; hint's errors return as they are.
-func DecodeDeltaEdges(dst []Edge, b []byte, skip, limit int, hint RunHint) (kept, read, total int, err error) {
-	count, runs, body, total, err := blockHeader(b)
-	if err == nil && skip >= count {
-		err = corruptBlock("holds fewer records than the stream wants")
+// DecodeDeltaEdges decodes n records of the blocks in b, from the skip'th
+// (below its count) of the first on, into dst: those of the runs hint keeps
+// (nil: all), returning how many. A malformed block (blockHeader,
+// decodeBody) or too few records is errs.ErrCorrupted; hint's errors pass.
+func DecodeDeltaEdges(dst []Edge, b []byte, skip, n int, hint RunHint) (int, error) {
+	kept := 0
+	for n > 0 {
+		count, runs, body, total, err := blockHeader(b)
+		if err != nil {
+			return kept, err
+		}
+		hi := min(count, skip+n)
+		k, err := decodeBody(dst[kept:], b[body:total], runs, count, skip, hi, hint)
+		if kept += k; err != nil {
+			return kept, err
+		}
+		n, b, skip = n-(hi-skip), b[total:], 0
 	}
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	hi := min(count, skip+limit)
-	kept, err = decodeBody(dst, b[body:total], runs, count, skip, hi, hint)
-	return kept, hi - skip, total, err
+	return kept, nil
 }
 
 // DeltaBlockLen reads the record count and length of the block at b.
@@ -305,30 +308,24 @@ func corruptBlock(bad string) error {
 	return fmt.Errorf("graph: %w: delta block %s", errs.ErrCorrupted, bad)
 }
 
-// DecodeDeltaStream decodes a complete concatenation of delta blocks
-// (e.g. a deframed .edges file) back into fixed-width edge records, sized
-// once from the block headers.
+// DecodeDeltaStream is DecodeDeltaEdgeStream's edges as fixed-width records.
 func DecodeDeltaStream(blocks []byte) ([]byte, error) {
+	edges, err := DecodeDeltaEdgeStream(blocks)
+	return EdgesToBytes(edges), err
+}
+
+// DecodeDeltaEdgeStream decodes a complete concatenation of delta blocks
+// (e.g. a deframed .edges file) into edges, sized once from the headers.
+func DecodeDeltaEdgeStream(blocks []byte) ([]Edge, error) {
 	records := 0
 	for b := blocks; len(b) > 0; {
 		count, _, _, total, err := blockHeader(b)
 		if err != nil {
-			break // the decode below reports it
+			return nil, err
 		}
 		records, b = records+count, b[total:]
 	}
-	out, o := make([]byte, records*EdgeBytes), 0
-	var blk [DeltaBlockMaxEdges]Edge
-	for len(blocks) > 0 {
-		k, _, n, err := DecodeDeltaEdges(blk[:], blocks, 0, DeltaBlockMaxEdges, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range blk[:k] { // the headers counted them all
-			PutEdge(out[o:], e)
-			o += EdgeBytes
-		}
-		blocks = blocks[n:]
-	}
-	return out, nil
+	out := make([]Edge, records)
+	_, err := DecodeDeltaEdges(out, blocks, 0, records, nil)
+	return out, err
 }

@@ -3,7 +3,6 @@ package graph
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -55,11 +54,11 @@ func FuzzBlockCodec(f *testing.F) {
 		}
 
 		// Property 5 (for the payload here, for its clean encoding below):
-		// a hinted decode into edges, of whole blocks or of windows of
-		// them as chunks cut them, shows its hint the same runs as one
-		// that keeps all, rejects exactly the streams the full decode
-		// rejects, and yields exactly the full decode's records whose runs
-		// the hint keeps.
+		// a hinted decode into edges, in windows of a block's records or
+		// of fewer, across blocks as chunks cut them, shows its hint the
+		// same runs as one that keeps all, rejects exactly the streams the
+		// full decode rejects, and yields exactly the full decode's
+		// records whose runs the hint keeps.
 		keep := func(v VertexID) bool { return uint32(v)>>(mut%7)&1 == uint32(mut>>8)&1 }
 		window := 1 + int(mut)%97
 		checkHinted(t, b, keep, window)
@@ -139,34 +138,39 @@ func (l *runLog) Last(dst VertexID) error {
 	return nil
 }
 
-// decodeHinted decodes a block stream under hint, each block in windows of
-// up to window records, as a stream's chunks cut it.
+// decodeHinted decodes a block stream under hint in windows of up to
+// window records, as a stream's chunks cut it: each window the blocks it
+// lies in, from the record of the first it starts at.
 func decodeHinted(b []byte, hint RunHint, window int) ([]Edge, error) {
-	var out []Edge
-	var dst [DeltaBlockMaxEdges]Edge
-	for len(b) > 0 {
-		count, _, err := DeltaBlockLen(b)
+	var starts, counts []int
+	records := 0
+	for at := 0; at < len(b); {
+		count, total, err := DeltaBlockLen(b[at:])
 		if err != nil {
 			return nil, err
 		}
-		var total int
-		for skip := 0; skip < count; skip += window {
-			var kept, read int
-			if kept, read, total, err = DecodeDeltaEdges(dst[:], b, skip, window, hint); err != nil {
-				return nil, err
-			}
-			if read != min(window, count-skip) {
-				return nil, fmt.Errorf("a window of %d records from %d of %d read %d", window, skip, count, read)
-			}
-			out = append(out, dst[:kept]...)
+		starts, counts = append(starts, at), append(counts, count)
+		records, at = records+count, at+total
+	}
+	var out []Edge
+	dst := make([]Edge, window)
+	for done, blk, skip := 0, 0, 0; done < records; {
+		n := min(window, records-done)
+		kept, err := DecodeDeltaEdges(dst, b[starts[blk]:], skip, n, hint)
+		if err != nil {
+			return nil, err
 		}
-		b = b[total:]
+		out, done = append(out, dst[:kept]...), done+n
+		for skip += n; blk < len(counts) && skip >= counts[blk]; blk++ {
+			skip -= counts[blk]
+		}
 	}
 	return out, nil
 }
 
-// checkHinted holds decodes of b hinted by keep, of whole blocks and in
-// windows, to the full decode of b (Property 5 of FuzzBlockCodec).
+// checkHinted holds decodes of b hinted by keep, in windows of a block's
+// records and of window, to the full decode of b (Property 5 of
+// FuzzBlockCodec).
 func checkHinted(t *testing.T, b []byte, keep func(VertexID) bool, window int) {
 	t.Helper()
 	all, part := &runLog{}, &runLog{keep: keep}

@@ -152,7 +152,8 @@ func TestDeltaDecodeIntoStackBuffer(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		var blk [DeltaBlockMaxEdges]Edge
-		if _, _, _, err := DecodeDeltaEdges(blk[:], enc, 0, DeltaBlockMaxEdges, nil); err != nil {
+		count, _, _ := DeltaBlockLen(enc)
+		if _, err := DecodeDeltaEdges(blk[:], enc, 0, count, nil); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
@@ -161,9 +162,10 @@ func TestDeltaDecodeIntoStackBuffer(t *testing.T) {
 }
 
 // BenchmarkDeltaDecode decodes a source-sorted file's blocks, the shape of
-// a stored or tails file; ns/op over the edges is the decode cost per edge.
+// a stored or tails file, straight into edges in one call, as a pass's
+// worker decodes a chunk; ns/op over the edges is the cost per edge.
 func BenchmarkDeltaDecode(b *testing.B) {
-	benchDecode(b, DeltaBlockMaxEdges, nil)
+	benchDecode(b, nil)
 }
 
 // oddSources keeps the runs of odd sources.
@@ -172,34 +174,27 @@ type oddSources struct{}
 func (oddSources) Keep(src VertexID, _ int) (bool, error) { return src%2 == 1, nil }
 func (oddSources) Last(VertexID) error                    { return nil }
 
-// BenchmarkDeltaDecodeHinted decodes the same file as a pass's workers
-// do, with a hint that keeps half the runs (the blocks a chunk boundary
-// cuts, one a chunk of 131,072 records, are decoded twice in part).
+// BenchmarkDeltaDecodeHinted decodes the same file with a hint that keeps
+// half the runs.
 func BenchmarkDeltaDecodeHinted(b *testing.B) {
-	benchDecode(b, DeltaBlockMaxEdges, oddSources{})
+	benchDecode(b, oddSources{})
 }
 
-func benchDecode(b *testing.B, window int, hint RunHint) {
+func benchDecode(b *testing.B, hint RunHint) {
 	raw := sortedEdges(1<<17, 1<<20, 1)
 	enc, err := EncodeDeltaBlocks(raw)
 	if err != nil {
 		b.Fatal(err)
 	}
-	out := make([]Edge, DeltaBlockMaxEdges)
+	out := make([]Edge, len(raw)/EdgeBytes)
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for p := enc; len(p) > 0; {
-			count, total, _ := DeltaBlockLen(p)
-			for skip := 0; skip < count; skip += window {
-				if _, _, _, err = DecodeDeltaEdges(out, p, skip, window, hint); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p = p[total:]
+		if _, err = DecodeDeltaEdges(out, enc, 0, len(out), hint); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(raw)/EdgeBytes), "ns/edge")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(out)), "ns/edge")
 }
 
 // BenchmarkDeltaEncode encodes the same file.

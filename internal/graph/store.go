@@ -238,6 +238,7 @@ func LoadEdges(vol storage.Volume, name string) (Meta, []Edge, error) {
 	if err != nil {
 		return Meta{}, nil, err
 	}
+	var edges []Edge
 	if m.EdgeCodec() == CodecDelta {
 		magic, blocks, err := DeframeAllMagic(b)
 		if err != nil {
@@ -246,12 +247,10 @@ func LoadEdges(vol storage.Volume, name string) (Meta, []Edge, error) {
 		if magic != FrameMagicDelta {
 			return Meta{}, nil, fmt.Errorf("graph %s: %w: delta edge file carries magic %#x", name, errs.ErrCorrupted, magic)
 		}
-		if b, err = DecodeDeltaStream(blocks); err != nil {
+		if edges, err = DecodeDeltaEdgeStream(blocks); err != nil {
 			return Meta{}, nil, fmt.Errorf("graph %s: %w", name, err)
 		}
-	}
-	edges, err := BytesToEdges(b)
-	if err != nil {
+	} else if edges, err = BytesToEdges(b); err != nil {
 		return Meta{}, nil, err
 	}
 	if m.Reordered {
@@ -395,7 +394,10 @@ func readWords(r io.Reader, bufs Buffers, limit int, n uint64, fn func(i uint64,
 			return err
 		}
 		for len(p) > 0 {
-			k, _, used, err := DecodeDeltaEdges(blk[:], p, 0, DeltaBlockMaxEdges, nil)
+			k, used, err := DeltaBlockLen(p)
+			if err == nil {
+				_, err = DecodeDeltaEdges(blk[:], p, 0, k, nil)
+			}
 			if err != nil {
 				return err
 			}
@@ -403,10 +405,8 @@ func readWords(r io.Reader, bufs Buffers, limit int, n uint64, fn func(i uint64,
 			if uint64(2*k) > total-i {
 				return fmt.Errorf("%w: payload past %d words", errs.ErrCorrupted, total)
 			}
-			for _, e := range blk[:k] {
-				if i < n {
-					fn(i, uint32(e.Src))
-				}
+			for _, e := range blk[:k] { // only the last word can pad
+				fn(i, uint32(e.Src))
 				if i+1 < n {
 					fn(i+1, uint32(e.Dst))
 				}

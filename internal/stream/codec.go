@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"errors"
-
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
 )
@@ -34,10 +32,10 @@ type deviceByter interface {
 // deltaReader reads an FBD1 payload stream (delta blocks, whole blocks to
 // a frame, each frame CRC-verified underneath) into its scanner's buffer
 // a window at a time, undecoded: the blocks holding the next buffer's
-// worth of records, counted from their headers. Size reports the raw file
-// size, like framedReader, so read-ahead stays deterministic.
+// worth of records, counted from their headers (refill, not Read). Size is
+// the file's, like framedReader's, so read-ahead stays deterministic.
 type deltaReader struct {
-	inner storage.Reader
+	storage.Reader
 	src   *graph.FrameReader // deframed compressed payload
 	bufs  *BufPool
 	recs  int    // the records of a window: a buffer's worth
@@ -47,8 +45,8 @@ type deltaReader struct {
 	taken    int64 // compressed payload bytes the windows took so far
 }
 
-func newDeltaReader(inner storage.Reader, src *graph.FrameReader, bufs *BufPool) *deltaReader {
-	return &deltaReader{inner: inner, src: src, bufs: bufs}
+func newDeltaReader(inner storage.Reader, src *graph.FrameReader, bufs *BufPool, recs int) *deltaReader {
+	return &deltaReader{Reader: inner, src: src, bufs: bufs, recs: recs}
 }
 
 // refill moves the window in *win on: the block the last one ended inside
@@ -102,11 +100,6 @@ func (d *deltaReader) take(win []byte, k int) ([]byte, int) {
 	return win[start:end], skip
 }
 
-func (d *deltaReader) Read([]byte) (int, error) {
-	return 0, errors.New("stream: a delta file is read by refill")
-}
-
-func (d *deltaReader) Size() int64        { return d.inner.Size() }
 func (d *deltaReader) DeviceBytes() int64 { return d.taken }
 
 // Close returns the frame payload buffer to the run's free-list. The
@@ -114,7 +107,7 @@ func (d *deltaReader) DeviceBytes() int64 { return d.taken }
 func (d *deltaReader) Close() error {
 	d.frame = nil
 	d.src.Release()
-	return d.inner.Close()
+	return d.Reader.Close()
 }
 
 // deltaWriter is a storage.Writer that delta-encodes each Write (one

@@ -112,7 +112,7 @@ func openSniffed(vol storage.Volume, name string, timing Timing, bufSize int) (s
 		fr := graph.NewFrameReaderBufs(r, timing.Bufs, bufSize)
 		return &framedReader{inner: r, r: fr, fr: fr}, nil
 	case graph.FrameMagicDelta:
-		return newDeltaReader(r, graph.NewFrameReaderBufs(r, timing.Bufs, bufSize), timing.Bufs), nil
+		return newDeltaReader(r, graph.NewFrameReaderBufs(r, timing.Bufs, bufSize), timing.Bufs, bufSize/graph.EdgeBytes), nil
 	}
 	if len(prefix) == 0 {
 		return r, nil

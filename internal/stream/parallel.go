@@ -3,9 +3,7 @@ package stream
 import (
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastbfs/internal/errs"
@@ -31,13 +29,11 @@ import (
 //
 // Timing contract. Only the engine thread (the Run caller) touches the
 // scanner, the shuffler's writers, the stay file and therefore the
-// disksim clock: it refills the scanner with stored bytes — records, or
-// whole delta blocks counted from their headers — cuts chunks from them
-// (fixed-width records straight into edges, the one decode that is a copy)
-// and merges. Workers decode delta blocks, check runs (Hints) and
-// classify: pure compute. Per-chunk counters are accumulated in the shard and folded at
-// merge, which keeps the simulated-time accounting single-threaded and
-// byte-deterministic.
+// disksim clock: it reads stored bytes (delta blocks undecoded), cuts
+// chunks and their hints (Hints) from them, and merges. Workers decode,
+// check runs and classify: pure compute. Per-chunk counters are
+// accumulated in the shard and folded at merge, which keeps the
+// simulated-time accounting single-threaded and byte-deterministic.
 
 // Shard is one chunk's private scatter output.
 type Shard struct {
@@ -65,9 +61,10 @@ type Shard struct {
 	// partition's vertex interval, a damaged chunk, a run its hint rejects).
 	Err error
 
-	// chunk is the buffer Stays borrows, held until the shard has been
-	// merged.
+	// chunk is the buffer Stays borrows and hint the chunk's run checks
+	// (Hints), both held until the shard has been merged.
 	chunk []graph.Edge
+	hint  graph.RunHint
 }
 
 func (s *Shard) reset() {
@@ -116,16 +113,18 @@ type ScatterPool struct {
 	// point like any other scatter error.
 	FaultHook func()
 
-	// shards, chunks, raws and jobs are the free-lists of recycled shards,
-	// decoded chunks, pieces as read and jobs, held strongly so they (and
-	// the shards' grown update slices) survive garbage collections for as
-	// long as the pool lives (one run, or many for a pool kept in a reused
-	// scratch). mu guards them: workers fetch and release their own.
+	// shards, chunks, raws, hints and outs are the free-lists of recycled
+	// shards, edge-chunk buffers, delta chunks as read, run checks and
+	// result channels, held strongly so they (and the shards' update
+	// slices) survive garbage collections for as long as the pool lives
+	// (one run, or many for a pool kept in a reused scratch). mu guards
+	// them: workers fetch their own shards and release their chunks.
 	mu     sync.Mutex
 	shards []*Shard
 	chunks [][]graph.Edge
 	raws   [][]byte
-	jobs   []*chunkJob
+	hints  []graph.RunHint
+	outs   []chan *Shard
 }
 
 // NewScatterPool sizes a pool: workers goroutines (minimum 1; 1 means
@@ -148,15 +147,14 @@ func NewScatterPool(workers, chunkEdges, parts int) *ScatterPool {
 func (sp *ScatterPool) Workers() int { return sp.workers }
 
 // pop takes the last of *list, or, with none there, makes one.
-func pop[T any](sp *ScatterPool, list *[]T, fresh func() T) T {
+func pop[T any](sp *ScatterPool, list *[]T, fresh func() T) (x T) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	n := len(*list)
 	if n == 0 {
 		return fresh()
 	}
-	x := (*list)[n-1]
-	*list = (*list)[:n-1]
+	x, *list = (*list)[n-1], (*list)[:n-1]
 	return x
 }
 
@@ -175,15 +173,18 @@ func (sp *ScatterPool) getShard() *Shard {
 func (sp *ScatterPool) putShard(sh *Shard) {
 	if sh.chunk != nil {
 		push(sp, &sp.chunks, sh.chunk)
-		sh.chunk = nil
 	}
+	if sh.hint != nil {
+		push(sp, &sp.hints, sh.hint)
+	}
+	sh.chunk, sh.hint = nil, nil
 	push(sp, &sp.shards, sh)
 }
 
 // RunScanner streams sc chunk by chunk through the pool. The scanner is
 // consumed on the calling goroutine (its refills charge the clock); the
 // caller still owns closing it. A chunk is the records read, which fix its
-// place among the refills; fn sees those the workers decoded, maybe none.
+// place among the refills; fn sees those its worker decoded, maybe none.
 func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge MergeFunc) error {
 	return sp.RunScannerDepth(sc, PipelineDepth, nil, fn, merge)
 }
@@ -192,53 +193,27 @@ func (sp *ScatterPool) RunScanner(sc *Scanner[graph.Edge], fn ScatterFunc, merge
 // ahead of the merge: fewer chunk buffers in flight over a long stream, and
 // at depth 1 the device sees what a serial read-then-process loop issues.
 // Like PipelineDepth, depth must not depend on the worker count. hints
-// (nil: none) check the runs of the pieces the workers decode: a delta
-// file's decode leaves out the runs they drop, and any other file's
-// records are all kept, a source's records in a piece shown as a run.
+// (nil: none) check each chunk's runs as its worker decodes it (Hints).
 func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, hints Hints, fn ScatterFunc, merge MergeFunc) error {
-	pieceLen := sp.chunkEdges // fixed-width records are decoded as cut: no piece is worth a worker
-	if sc.blocks != nil {
-		pieceLen = pieceEdges
+	next := func() (j chunkJob, err error) {
+		j.edges = pop(sp, &sp.chunks, func() []graph.Edge { return make([]graph.Edge, sp.chunkEdges) })
+		j.raw.raw = pop(sp, &sp.raws, func() []byte { return nil })
+		err = sc.cut(&j.raw, j.edges, sp.chunkEdges)
+		if err == nil && j.raw.n > 0 && hints != nil {
+			j.hint = hints.Chunk(pop(sp, &sp.hints, func() graph.RunHint { return nil }), j.raw.n, j.raw.head)
+		}
+		return j, err
 	}
-	return sp.run(func(p *piece, dst []graph.Edge, max int) error {
-		if sc.blocks != nil && p.raw.raw == nil {
-			p.raw.raw = pop(sp, &sp.raws, func() []byte { return make([]byte, 0, min(sp.chunkEdges, pieceEdges)*graph.EdgeBytes) })
-		}
-		err := sc.cut(&p.raw, dst, max)
-		if hints == nil {
-			p.hint = nil
-		} else if err == nil && p.raw.n > 0 {
-			p.hint = hints.Chunk(p.hint, p.raw.n)
-		}
-		return err
-	}, pieceLen, depth, fn, merge, hints)
+	return sp.run(next, depth, fn, merge, hints)
 }
 
-// chunkJob is one chunk: the pieces it was cut in, which workers decode
-// and check at once in their own stretches of its edge buffer (cut
-// decodes fixed-width records there), the last of them (left) then packing
-// what they kept and classifying it. out (buffered, capacity
-// 1) carries the shard back so a worker never blocks. A recycled job keeps
-// its pieces' hints for Hints.Chunk to reuse.
+// chunkJob carries a chunk as read, its edge buffer and its hint to a
+// worker; out (buffered, capacity 1) carries the shard back unblocked.
 type chunkJob struct {
-	pieces []piece
-	edges  []graph.Edge
-	left   atomic.Int32
-	out    chan *Shard
-}
-
-// piece is the records from at on of its chunk as read, with their hint,
-// and how many its worker kept at the front of their stretch, or its error.
-type piece struct {
-	raw      rawChunk
-	hint     graph.RunHint
-	at, kept int
-	err      error
-}
-
-type pieceTask struct {
-	j *chunkJob
-	i int
+	raw   rawChunk
+	edges []graph.Edge
+	hint  graph.RunHint
+	out   chan *Shard
 }
 
 // PipelineDepth is how many chunks may be dispatched ahead of the merge
@@ -252,98 +227,66 @@ type pieceTask struct {
 // depth can't all be kept busy.
 const PipelineDepth = 32
 
-// pieceEdges caps the records a worker decodes at once: a delta chunk is
-// cut in pieces, so a pass of one chunk still keeps every worker decoding. The
-// chunk is still classified and merged whole, as merges need it: a
-// bottom-up merge claims a shard's targets before it writes their stays.
-// Like the chunk size, it is not the worker count's.
-const pieceEdges = 1 << 15
-
-// run is the pool's engine: next cuts up to max records, at most pieceLen,
-// into a piece and the chunk's edges from its place on (0: end of stream)
-// on the calling goroutine until a chunk is whole; workers
-// decode the pieces and classify the chunk with fn, and merge folds its
-// shard back in chunk order, after hints (nil: none) got the pieces'
-// hints back, at most depth chunks behind dispatch. Serial and parallel
-// modes share the same dispatch/merge structure (decode and classify just
-// happen inline vs. on a worker), so the sequence of next and merge calls
-// — and everything the simulated clock observes — is identical for every
-// worker count. On any error — scan, decode, classify or merge — it stops
+// run is the pool's engine: next cuts each chunk into a job on the calling
+// goroutine (no records: end of stream), workers decode and classify it
+// with fn, and merge folds its shard back in chunk order, at most depth
+// chunks behind dispatch, once hints (nil: none) took its hint back.
+// Serial and parallel modes share the same dispatch/merge structure, so
+// the sequence of next and merge calls — everything the simulated clock
+// observes — is identical for every worker count. On any error it stops
 // dispatching, joins every worker and returns the first error.
-func (sp *ScatterPool) run(next func(p *piece, dst []graph.Edge, max int) error, pieceLen, depth int, fn ScatterFunc, merge MergeFunc, hints Hints) error {
+func (sp *ScatterPool) run(next func() (chunkJob, error), depth int, fn ScatterFunc, merge MergeFunc, hints Hints) error {
 	parallel := sp.workers > 1
-	var tasks chan pieceTask
+	var jobs chan chunkJob
 	var wg sync.WaitGroup
 	if parallel {
-		tasks = make(chan pieceTask, sp.workers)
+		jobs = make(chan chunkJob) // handed straight to a free worker
 		wg.Add(sp.workers)
 		for w := 0; w < sp.workers; w++ {
 			go func() {
 				defer wg.Done()
-				for t := range tasks {
-					sp.decode(t.j, t.i, fn)
+				for j := range jobs {
+					j.out <- sp.classify(j, fn)
 				}
 			}()
 		}
 	}
 
-	var pending []*chunkJob
+	var pending []chan *Shard
 	var firstErr error
 	mergeOne := func() {
-		j := pending[0]
+		sh := <-pending[0]
+		push(sp, &sp.outs, pending[0])
 		pending = pending[1:]
-		sh := <-j.out
 		if firstErr == nil {
-			firstErr = sh.Err
-			for i := 0; firstErr == nil && hints != nil && i < len(j.pieces); i++ {
-				firstErr = hints.Merged(j.pieces[i].hint)
+			if firstErr = sh.Err; firstErr == nil && hints != nil {
+				firstErr = hints.Merged(sh.hint)
 			}
 			if firstErr == nil {
 				firstErr = merge(sh)
 			}
 		}
 		sp.putShard(sh)
-		push(sp, &sp.jobs, j)
 	}
-	for end := false; firstErr == nil && !end; {
-		j := pop(sp, &sp.jobs, func() *chunkJob { return &chunkJob{out: make(chan *Shard, 1)} })
-		j.edges = pop(sp, &sp.chunks, func() []graph.Edge { return make([]graph.Edge, sp.chunkEdges) })
-		j.pieces = j.pieces[:0]
-		for got := 0; got < sp.chunkEdges && !end; got += j.pieces[len(j.pieces)-1].raw.n {
-			j.pieces = slices.Grow(j.pieces, 1)[:len(j.pieces)+1] // a recycled piece keeps its hint
-			p := &j.pieces[len(j.pieces)-1]
-			p.at, p.kept, p.err = got, 0, nil
-			max := min(pieceLen, sp.chunkEdges-got)
-			firstErr = next(p, j.edges[got:], max)
-			if end = firstErr != nil || p.raw.n < max; firstErr != nil || p.raw.n == 0 {
-				j.pieces = j.pieces[:len(j.pieces)-1]
-				sp.putRaw(p)
-				break
-			}
-		}
-		if firstErr != nil || len(j.pieces) == 0 {
-			for i := range j.pieces {
-				sp.putRaw(&j.pieces[i])
-			}
+	for firstErr == nil {
+		j, err := next()
+		if firstErr = err; err != nil || j.raw.n == 0 {
+			push(sp, &sp.raws, j.raw.raw)
 			push(sp, &sp.chunks, j.edges)
-			push(sp, &sp.jobs, j)
 			break
 		}
-		j.left.Store(int32(len(j.pieces)))
-		for i := range j.pieces {
-			if parallel {
-				tasks <- pieceTask{j, i}
-			} else {
-				sp.decode(j, i, fn)
-			}
+		if j.out = pop(sp, &sp.outs, func() chan *Shard { return make(chan *Shard, 1) }); parallel {
+			jobs <- j
+		} else {
+			j.out <- sp.classify(j, fn)
 		}
-		pending = append(pending, j)
+		pending = append(pending, j.out)
 		if len(pending) >= depth {
 			mergeOne()
 		}
 	}
 	if parallel {
-		close(tasks)
+		close(jobs)
 	}
 	for len(pending) > 0 {
 		mergeOne()
@@ -368,68 +311,29 @@ func (e *PanicError) Error() string {
 
 func (e *PanicError) Unwrap() error { return errs.ErrInternal }
 
-// decode decodes piece i of j into its stretch of j's edges, and, if it
-// is the chunk's last piece to finish, classifies the chunk. A damaged
-// piece, a run its hint rejects or a panic is the piece's error.
-func (sp *ScatterPool) decode(j *chunkJob, i int, fn ScatterFunc) {
-	p := &j.pieces[i]
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		p.kept, p.err = p.raw.decode(j.edges[p.at:], p.hint)
-	}()
-	sp.putRaw(p)
-	if j.left.Add(-1) == 0 {
-		j.out <- sp.classify(j, fn)
-	}
-}
-
-// putRaw gives back p's delta blocks' buffer, if it has one.
-func (sp *ScatterPool) putRaw(p *piece) {
-	if p.raw.raw != nil {
-		push(sp, &sp.raws, p.raw.raw)
-		p.raw.raw = nil
-	}
-}
-
-// classify packs the records a chunk's pieces kept to the front of its
-// buffer and runs fn over them into a recycled shard; the first piece's
-// error is the shard's. The chunk's survivors compact into the front of
-// the buffer, which the shard then holds until it has been merged; a
-// chunk that kept none gives the buffer straight back.
-func (sp *ScatterPool) classify(j *chunkJob, fn ScatterFunc) *Shard {
-	sh, n := sp.getShard(), 0
-	for _, p := range j.pieces {
-		if sh.Read += int64(p.raw.n); sh.Err == nil {
-			sh.Err = p.err
-		}
-		if n != p.at {
-			copy(j.edges[n:], j.edges[p.at:p.at+p.kept])
-		}
-		n += p.kept
-	}
-	if sh.Err == nil {
-		sh.Stays = j.edges[:0]
-		sp.classifyInto(j.edges[:n], sh, fn)
-	}
+// classify decodes a chunk and runs fn over the records it kept into a
+// recycled shard. The chunk's survivors compact into the front of its own
+// buffer, which the shard then holds until it has been merged; a chunk
+// that kept none gives the buffer straight back.
+func (sp *ScatterPool) classify(j chunkJob, fn ScatterFunc) *Shard {
+	sh := sp.getShard()
+	sh.Read, sh.Stays, sh.hint = int64(j.raw.n), j.edges[:0], j.hint
+	sp.classifyInto(j, sh, fn)
+	push(sp, &sp.raws, j.raw.raw)
 	if len(sh.Stays) > 0 {
 		sh.chunk = j.edges
 	} else {
 		sh.Stays = nil
 		push(sp, &sp.chunks, j.edges)
 	}
-	j.edges = nil
 	return sh
 }
 
-// classifyInto runs fn over one chunk with utilization accounting. A
-// panic in fn (or the FaultHook) is recovered into sh.Err rather than
-// killing the process: a long-lived server cannot afford one poisoned
-// chunk taking every query down with it.
-func (sp *ScatterPool) classifyInto(edges []graph.Edge, sh *Shard, fn ScatterFunc) {
+// classifyInto decodes one chunk and runs fn over it with utilization
+// accounting. A decode error or a panic (in either, or the FaultHook) is
+// sh.Err rather than killing the process: a long-lived server cannot
+// afford one poisoned chunk taking every query down with it.
+func (sp *ScatterPool) classifyInto(j chunkJob, sh *Shard, fn ScatterFunc) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.Err = &PanicError{Value: r, Stack: debug.Stack()}
@@ -439,10 +343,14 @@ func (sp *ScatterPool) classifyInto(edges []graph.Edge, sh *Shard, fn ScatterFun
 	if sp.BusyCounter != nil {
 		start = time.Now()
 	}
+	n, err := j.raw.decode(j.edges, j.hint)
+	if sh.Err = err; err != nil {
+		return
+	}
 	if sp.FaultHook != nil {
 		sp.FaultHook()
 	}
-	fn(edges, sh)
+	fn(j.edges[:n], sh)
 	if sp.BusyCounter != nil {
 		sp.BusyCounter.Add(time.Since(start).Nanoseconds())
 	}

@@ -13,16 +13,18 @@ import (
 	"fastbfs/internal/storage"
 )
 
-// runSlice is a slice source over the pool's engine: edges cut piece by
-// piece into the pool's own buffers, as a scanner of fixed-width records
-// decodes them.
+// runSlice is a slice source over the pool's engine: edges copied chunk
+// by chunk into the pool's own buffers, as a scanner of fixed-width
+// records decodes them.
 func runSlice(sp *ScatterPool, edges []graph.Edge, fn ScatterFunc, merge MergeFunc) error {
-	next := func(p *piece, dst []graph.Edge, max int) error {
-		p.raw.n = copy(dst[:min(len(edges), max)], edges)
-		edges = edges[p.raw.n:]
-		return nil
+	next := func() (j chunkJob, err error) {
+		j.edges = pop(sp, &sp.chunks, func() []graph.Edge { return make([]graph.Edge, sp.chunkEdges) })
+		j.raw.raw = pop(sp, &sp.raws, func() []byte { return nil })
+		j.raw.n = copy(j.edges, edges)
+		edges = edges[j.raw.n:]
+		return j, nil
 	}
-	return sp.run(next, pieceEdges, PipelineDepth, fn, merge, nil)
+	return sp.run(next, PipelineDepth, fn, merge, nil)
 }
 
 // collectRun drives a pool over edges and returns the merged output in
@@ -357,23 +359,24 @@ func TestScatterPoolFaultHookPanic(t *testing.T) {
 	}
 }
 
-// TestScatterPoolCutsChunksInPieces: a delta chunk longer than pieceEdges
-// is decoded in pieces, each with a hint of its own, and classified and
-// merged whole, in file order — the same pieces, chunks, records and kept
-// edges for every worker count, on a delta file whose blocks the piece and
-// chunk boundaries cut, and on a fixed one, cut whole.
-func TestScatterPoolCutsChunksInPieces(t *testing.T) {
+// TestScatterPoolGivesEachChunkOneHint: a worker decodes a chunk whole
+// against a hint of its own, told how many of the chunk's records lie in a
+// delta block begun in an earlier chunk, and the chunks are classified and
+// merged in file order — the same chunks, heads and kept edges for every
+// worker count, on a delta file whose blocks the chunk boundaries cut, and
+// on a fixed one, which has no blocks.
+func TestScatterPoolGivesEachChunkOneHint(t *testing.T) {
 	var edges []graph.Edge
-	for s := 0; len(edges) < 3*pieceEdges; s++ {
+	for s := 0; len(edges) < 20000; s++ {
 		for d := 0; d < s%29+1; d++ {
 			edges = append(edges, graph.Edge{Src: graph.VertexID(s), Dst: graph.VertexID(5*d + s%3)})
 		}
 	}
-	const chunk = 2*pieceEdges + 1000
-	wantChunks, wantPieces := []int{chunk, len(edges) - chunk}, []int{pieceEdges, pieceEdges, 1000, len(edges) - chunk}
+	const block, chunk = graph.DeltaBlockMaxEdges, 1500
 	vol := storage.NewMem()
 	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
-		w, err := NewCodecEdgeWriter(vol, "e_"+string(codec), Timing{}, 1<<20, codec)
+		// A buffer of one block flushes the file in blocks of 4096 records.
+		w, err := NewCodecEdgeWriter(vol, "e_"+string(codec), Timing{}, block*graph.EdgeBytes, codec)
 		if err == nil {
 			err = w.AppendChunk(edges)
 		}
@@ -382,6 +385,14 @@ func TestScatterPoolCutsChunksInPieces(t *testing.T) {
 		}
 		if err != nil {
 			t.Fatal(err)
+		}
+		var want [][2]int
+		for at := 0; at < len(edges); at += chunk {
+			n, head := min(chunk, len(edges)-at), 0
+			if skip := at % block; skip > 0 && codec == graph.CodecDelta {
+				head = min(block-skip, n)
+			}
+			want = append(want, [2]int{n, head})
 		}
 		for _, workers := range []int{1, 2, 8} {
 			sc, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, chunk*graph.EdgeBytes)
@@ -392,7 +403,7 @@ func TestScatterPoolCutsChunksInPieces(t *testing.T) {
 			var reads []int
 			var kept []graph.Edge
 			keepAll := func(es []graph.Edge, out *Shard) { out.Stays = append(out.Stays, es...) }
-			err = NewScatterPool(workers, chunk, 1).RunScannerDepth(sc, PipelineDepth, hint, keepAll, func(sh *Shard) error {
+			err = NewScatterPool(workers, chunk, 1).RunScannerDepth(sc, 2, hint, keepAll, func(sh *Shard) error {
 				reads, kept = append(reads, int(sh.Read)), append(kept, sh.Stays...)
 				return nil
 			})
@@ -406,13 +417,9 @@ func TestScatterPoolCutsChunksInPieces(t *testing.T) {
 					wantKept = append(wantKept, e)
 				}
 			}
-			pieces := wantPieces
-			if codec == graph.CodecFixed { // decoded as cut: one piece a chunk
-				pieces = wantChunks
-			}
-			if !slices.Equal(reads, wantChunks) || !slices.Equal(hint.pieces, pieces) || hint.shown != len(edges) || !slices.Equal(kept, wantKept) {
-				t.Fatalf("%s, %d workers: chunks of %v records in pieces of %v (want %v, %v), %d shown to the hints, %d kept of %d",
-					codec, workers, reads, hint.pieces, wantChunks, pieces, hint.shown, len(kept), len(wantKept))
+			if !slices.Equal(hint.chunks, want) || len(reads) != len(want) || hint.shown != len(edges) || !slices.Equal(kept, wantKept) {
+				t.Fatalf("%s, %d workers: chunks (records, head) %v, want %v; %d merged, %d shown to the hints, %d kept of %d",
+					codec, workers, hint.chunks, want, len(reads), hint.shown, len(kept), len(wantKept))
 			}
 		}
 	}

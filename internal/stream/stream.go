@@ -79,16 +79,13 @@ type Scanner[T any] struct {
 	pos     int
 	fill    int
 	recSize int
-	decode  func([]byte) T
-	// span is decode over a run of records, all the buffer holds or the
-	// caller takes: NextChunk's inner loop, one call a refill instead of
-	// one a record.
+	// span decodes a run of records, all the buffer holds or the caller
+	// takes: NextChunk's inner loop, one call a refill instead of one a
+	// record.
 	span func(dst []T, src []byte)
 	// blocks, for a delta file, keeps a window of blocks in buf, whose
-	// records pos and fill count (deltaReader.refill); conv is a window's
-	// edges decoded for another record type.
+	// records pos and fill count (deltaReader.refill).
 	blocks *deltaReader
-	conv   []graph.Edge
 	eof    bool
 	read   int64
 	// charged marks a reader that charges the device itself, range by
@@ -119,7 +116,7 @@ func NewScanner[T any](vol storage.Volume, name string, timing Timing, bufSize, 
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, recSize, decode, func(dst []T, src []byte) {
+	return newScannerOver(r, timing, bufSize, recSize, func(dst []T, src []byte) {
 		for i := range dst {
 			dst[i] = decode(src[i*recSize:])
 		}
@@ -136,15 +133,13 @@ func recordBufSize(bufSize, recSize int) int {
 }
 
 // newScannerOver builds a Scanner on an already-opened reader.
-func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, decode func([]byte) T, span func([]T, []byte)) *Scanner[T] {
+func newScannerOver[T any](r storage.Reader, timing Timing, bufSize, recSize int, span func([]T, []byte)) *Scanner[T] {
 	s := &Scanner[T]{r: r, timing: timing, sid: disksim.NewStreamID(),
-		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, decode: decode, span: span}
+		buf: timing.Bufs.Get(recordBufSize(bufSize, recSize)), recSize: recSize, span: span}
 	if rf, ok := r.(rangeFramed); ok {
 		r = rf.Reader
 	}
-	if s.blocks, _ = r.(*deltaReader); s.blocks != nil {
-		s.blocks.recs = len(s.buf) / recSize
-	}
+	s.blocks, _ = r.(*deltaReader)
 	return s
 }
 
@@ -177,24 +172,9 @@ func encodeUpdates(dst []byte, recs []graph.Update) {
 
 // Next returns the next record. ok is false at end of stream.
 func (s *Scanner[T]) Next() (rec T, ok bool, err error) {
-	if s.blocks != nil {
-		var one [1]T
-		n, err := s.NextChunk(one[:])
-		return one[0], n == 1, err
-	}
-	if s.pos+s.recSize > s.fill {
-		if err := s.refill(); err != nil {
-			var zero T
-			return zero, false, err
-		}
-		if s.pos+s.recSize > s.fill {
-			var zero T
-			return zero, false, nil
-		}
-	}
-	rec = s.decode(s.buf[s.pos:])
-	s.pos += s.recSize
-	return rec, true, nil
+	var one [1]T
+	n, err := s.NextChunk(one[:])
+	return one[0], n == 1, err
 }
 
 // NextChunk fills dst with up to len(dst) consecutive records and
@@ -205,133 +185,94 @@ func (s *Scanner[T]) Next() (rec T, ok bool, err error) {
 // on. Must be called from the goroutine that owns the scanner (refills
 // charge the simulation clock).
 func (s *Scanner[T]) NextChunk(dst []T) (int, error) {
-	read := 0
-	for read < len(dst) {
-		k, err := s.ahead(len(dst) - read)
-		if err != nil || k == 0 {
-			return read, err
+	return s.records(dst, len(dst), func(b []byte, skip, at, k int) error {
+		edges, direct := any(dst[at : at+k]).([]graph.Edge)
+		if !direct { // a resume reads its level logs as updates: through bytes
+			edges = make([]graph.Edge, k)
 		}
+		if _, err := graph.DecodeDeltaEdges(edges, b, skip, k, nil); err != nil || direct {
+			return err
+		}
+		s.span(dst[at:at+k], graph.EdgesToBytes(edges))
+		return nil
+	})
+}
+
+// records reads up to max records, refilling as the buffer empties, and
+// returns how many (0 at end of stream): fixed-width ones decoded into dst,
+// a delta file's k at a time from record at, shown to blocks as the blocks
+// they lie in and the records of the first before them.
+func (s *Scanner[T]) records(dst []T, max int, blocks func(b []byte, skip, at, k int) error) (int, error) {
+	n := 0
+	for n < max {
+		if s.pos+s.recSize > s.fill {
+			if err := s.refill(); err != nil || s.pos+s.recSize > s.fill {
+				return n, err
+			}
+		}
+		k := min((s.fill-s.pos)/s.recSize, max-n)
 		if s.blocks == nil {
-			s.span(dst[read:read+k], s.buf[s.pos:s.pos+k*s.recSize])
-		} else if err := s.decodeWindow(dst[read : read+k]); err != nil {
-			return read, err
+			s.span(dst[n:n+k], s.buf[s.pos:s.pos+k*s.recSize])
+		} else {
+			b, skip := s.blocks.take(s.buf, k)
+			if err := blocks(b, skip, n, k); err != nil {
+				return n, err
+			}
 		}
 		s.pos += k * s.recSize
-		read += k
+		n += k
 	}
-	return read, nil
-}
-
-// decodeWindow decodes the delta window's next len(dst) records into dst,
-// through their fixed-width bytes if they are not edges (a level log's).
-func (s *Scanner[T]) decodeWindow(dst []T) error {
-	b, skip := s.blocks.take(s.buf, len(dst))
-	edges, direct := any(dst).([]graph.Edge)
-	if !direct {
-		if len(s.conv) < len(dst) {
-			s.conv = make([]graph.Edge, s.blocks.recs)
-		}
-		edges = s.conv[:len(dst)]
-	}
-	if _, err := decodeBlocks(edges, b, skip, len(dst), nil); err != nil || direct {
-		return err
-	}
-	var rec [graph.EdgeBytes]byte
-	for i, e := range edges {
-		graph.PutEdge(rec[:], e)
-		dst[i] = s.decode(rec[:])
-	}
-	return nil
-}
-
-// ahead returns how many of the next max records the buffer holds,
-// refilling it if it holds none: 0 at end of stream.
-func (s *Scanner[T]) ahead(max int) (int, error) {
-	if s.pos+s.recSize > s.fill {
-		if err := s.refill(); err != nil {
-			return 0, err
-		}
-	}
-	return min((s.fill-s.pos)/s.recSize, max), nil
+	return n, nil
 }
 
 // cut reads up to max records into c at NextChunk's refills: decoded into
-// dst if they are fixed-width, else as the delta blocks they lie in. c.n
-// is 0 at end of stream.
-func (s *Scanner[T]) cut(c *rawChunk, dst []T, max int) error {
-	c.raw, c.skip, c.n, c.delta = c.raw[:0], 0, 0, s.blocks != nil
-	for c.n < max {
-		k, err := s.ahead(max - c.n)
-		if err != nil || k == 0 {
-			return err
+// dst if they are fixed-width, else as the delta blocks they lie in.
+func (s *Scanner[T]) cut(c *rawChunk, dst []T, max int) (err error) {
+	c.raw, c.skip, c.head = c.raw[:0], 0, 0
+	c.n, err = s.records(dst, max, func(b []byte, skip, at, _ int) error {
+		count, total, _ := graph.DeltaBlockLen(b)
+		if at == 0 && skip > 0 {
+			c.skip, c.head = skip, count-skip
+		} else if skip > 0 { // c holds the block the last window ended in
+			b = b[total:]
 		}
-		if s.blocks == nil {
-			s.span(dst[c.n:c.n+k], s.buf[s.pos:s.pos+k*s.recSize])
-		} else {
-			b, skip := s.blocks.take(s.buf, k)
-			if c.n == 0 {
-				c.skip = skip
-			} else if skip > 0 { // c holds the block the last window ended in
-				_, total, _ := graph.DeltaBlockLen(b)
-				b = b[total:]
-			}
-			c.raw = append(c.raw, b...)
-		}
-		s.pos += k * s.recSize
-		c.n += k
-	}
-	return nil
+		c.raw = append(c.raw, b...)
+		return nil
+	})
+	c.head = min(c.head, c.n)
+	return err
 }
 
-// Hints are a pool pass's run checks, cut by piece on the engine thread in
-// file order: Chunk returns the graph.RunHint the next n records' worker
-// shows their runs, in place of old (nil, or a hint it returned before and
-// may reuse), and Merged gets it back before their shard merges (an error
-// aborts the pass there).
+// Hints are a pool pass's run checks, cut by chunk on the engine thread in
+// file order: Chunk gives the hint the next n records show their runs, the
+// first head of them in a block begun in an earlier chunk, in old if it can
+// (nil, or one it gave before); Merged gets it back before their shard
+// merges (an error aborts the pass there).
 type Hints interface {
-	Chunk(old graph.RunHint, n int) graph.RunHint
+	Chunk(old graph.RunHint, n, head int) graph.RunHint
 	Merged(graph.RunHint) error
 }
 
 // rawChunk is n records as read: fixed-width ones, which cut decodes, or
-// those of the delta blocks in raw from the skip'th on.
+// those of the delta blocks in raw from the skip'th on, head in the first.
 type rawChunk struct {
-	raw   []byte
-	skip  int
-	n     int
-	delta bool
+	raw           []byte
+	skip, n, head int
 }
 
-// decode decodes c into dst, where cut left fixed-width records, and
-// returns how many it kept: all, or, of delta blocks, those of the runs
-// hint keeps (nil: all).
+// decode decodes c's delta blocks into dst, where cut left fixed-width
+// records, and returns how many it kept: those of the runs hint keeps.
 func (c *rawChunk) decode(dst []graph.Edge, hint graph.RunHint) (int, error) {
-	if c.delta {
-		return decodeBlocks(dst, c.raw, c.skip, c.n, hint)
-	}
-	if hint == nil {
-		return c.n, nil
+	if len(c.raw) > 0 {
+		return graph.DecodeDeltaEdges(dst, c.raw, c.skip, c.n, hint)
 	}
 	return c.n, showRuns(hint, dst[:c.n])
 }
 
-// decodeBlocks decodes n records of the blocks in b from the skip'th on.
-func decodeBlocks(dst []graph.Edge, b []byte, skip, n int, hint graph.RunHint) (int, error) {
-	kept := 0
-	for n > 0 {
-		k, read, used, err := graph.DecodeDeltaEdges(dst[kept:], b, skip, n, hint)
-		if err != nil {
-			return kept, err
-		}
-		kept, n, b, skip = kept+k, n-read, b[used:], 0
-	}
-	return kept, nil
-}
-
-// showRuns shows hint the runs of edges: each stretch of one source, with
-// its largest destination as the last.
+// showRuns shows hint (nil: none) the runs of edges: each stretch of one
+// source, with its largest destination as the last.
 func showRuns(hint graph.RunHint, edges []graph.Edge) error {
-	for i := 0; i < len(edges); {
+	for i := 0; hint != nil && i < len(edges); {
 		src, last, j := edges[i].Src, edges[i].Dst, i+1
 		for ; j < len(edges) && edges[j].Src == src; j++ {
 			last = max(last, edges[j].Dst)
@@ -383,17 +324,12 @@ func (s *Scanner[T]) refill() error {
 	if s.eof {
 		return nil
 	}
+	s.pos, s.fill = 0, 0 // a refill follows a buffer of whole records
 	if s.blocks != nil {
 		n, err := s.blocks.refill(&s.buf)
-		if s.pos, s.fill, s.eof = 0, n*s.recSize, err == io.EOF; err != nil && !s.eof {
+		if s.fill, s.eof = n*s.recSize, err == io.EOF; err != nil && !s.eof {
 			return fmt.Errorf("stream: scanner read: %w", err)
 		}
-	} else {
-		// Preserve a partial record tail (possible only if the underlying
-		// reader returns short counts).
-		copy(s.buf, s.buf[s.pos:s.fill])
-		s.fill -= s.pos
-		s.pos = 0
 	}
 	// Fill the whole buffer (or hit EOF): short reads — the sniffed
 	// magic replay, frame boundaries — must not end a refill early, or
@@ -487,7 +423,7 @@ func NewEdgeScanner(vol storage.Volume, name string, timing Timing, bufSize int)
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge, decodeEdges), nil
+	return newScannerOver(r, timing, bufSize, graph.EdgeBytes, decodeEdges), nil
 }
 
 // NewUpdateScanner streams graph.Update records from a file, sniffing
@@ -497,7 +433,7 @@ func NewUpdateScanner(vol storage.Volume, name string, timing Timing, bufSize in
 	if err != nil {
 		return nil, err
 	}
-	return newScannerOver(r, timing, bufSize, graph.UpdateBytes, graph.GetUpdate, decodeUpdates), nil
+	return newScannerOver(r, timing, bufSize, graph.UpdateBytes, decodeUpdates), nil
 }
 
 // RangeReader reads a file at offsets through one open, each read retried
@@ -539,12 +475,12 @@ func NewRangeScanner(vol storage.Volume, name string, timing Timing, bufSize int
 		src.tail = 8 // a terminator frame closes the ranges' frames
 		fr := graph.NewFrameReaderBufs(src, timing.Bufs, recordBufSize(bufSize, graph.EdgeBytes))
 		if magic == graph.FrameMagicDelta {
-			r = rangeFramed{newDeltaReader(src, fr, timing.Bufs), src}
+			r = rangeFramed{newDeltaReader(src, fr, timing.Bufs, recordBufSize(bufSize, graph.EdgeBytes)/graph.EdgeBytes), src}
 		} else {
 			r = rangeFramed{&framedReader{inner: src, r: fr, fr: fr}, src}
 		}
 	}
-	sc := newScannerOver(r, timing, bufSize, graph.EdgeBytes, graph.GetEdge, decodeEdges)
+	sc := newScannerOver(r, timing, bufSize, graph.EdgeBytes, decodeEdges)
 	sc.charged = true
 	return sc, nil
 }

@@ -313,24 +313,27 @@ func TestShufflerAbort(t *testing.T) {
 	}
 }
 
-// oddRuns are Hints that keep the runs of odd sources: each piece's hint
-// counts the records it is shown, which must be the piece's, and Merged
-// adds them up and logs the pieces' sizes.
+// oddRuns are Hints that keep the runs of odd sources: each chunk's hint
+// counts the records it is shown, which must be the chunk's, and Merged
+// adds them up; Chunk logs each chunk's records and head.
 type oddRuns struct {
 	shown  int
-	pieces []int
+	chunks [][2]int
 }
 
 type oddChunk struct{ n, shown int }
 
-func (h *oddRuns) Chunk(_ graph.RunHint, n int) graph.RunHint { return &oddChunk{n: n} }
+func (h *oddRuns) Chunk(_ graph.RunHint, n, head int) graph.RunHint {
+	h.chunks = append(h.chunks, [2]int{n, head})
+	return &oddChunk{n: n}
+}
 
 func (h *oddRuns) Merged(hint graph.RunHint) error {
 	c := hint.(*oddChunk)
 	if c.shown != c.n {
 		return fmt.Errorf("a chunk of %d records showed its hint %d", c.n, c.shown)
 	}
-	h.shown, h.pieces = h.shown+c.shown, append(h.pieces, c.n)
+	h.shown += c.shown
 	return nil
 }
 

@@ -146,10 +146,10 @@ func devOpsDigest(t *testing.T, scale, bufSize int, st graph.StoreOptions, dir x
 // TestSplitPassDeviceOpsArePinned: a simulated run whose stored iterations
 // are split passes issues the same reads, writes and device time at 1 and 8
 // workers, on a fixed store and on delta stores whose 4,096-record blocks
-// straddle every 512-record chunk — and, at a 1 MiB buffer, chunks that
-// workers decode in pieces — and the same as the sequence pinned below:
-// the one the engine issued when the engine thread still decoded every
-// chunk itself.
+// straddle every 512-record chunk — forced bottom-up too, where the fused
+// pass drops the runs of targets it won — and at a 1 MiB buffer, and the
+// same as the sequence pinned below: the one the engine issued when the
+// engine thread still decoded every chunk itself.
 func TestSplitPassDeviceOpsArePinned(t *testing.T) {
 	delta := graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}
 	reordered := graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}
@@ -164,8 +164,10 @@ func TestSplitPassDeviceOpsArePinned(t *testing.T) {
 		{"delta/topdown", 11, 4096, delta, xstream.DirectionTopDown, "976585d84d4e7c47"},
 		{"delta+reorder/auto", 11, 4096, reordered, xstream.DirectionAuto, "1b5ef3737bf9c0ca"},
 		{"fixed/auto", 11, 4096, graph.StoreOptions{Reverse: true}, xstream.DirectionAuto, "3c54cd976d03193d"},
-		{"pieces/fixed/auto", 13, 1 << 20, graph.StoreOptions{Reverse: true}, xstream.DirectionAuto, "128aeae1a3c8a228"},
-		{"pieces/delta+reorder/auto", 13, 1 << 20, reordered, xstream.DirectionAuto, "67d68a296b135a84"},
+		{"delta/bottomup", 11, 4096, delta, xstream.DirectionBottomUp, "60f3b540df559857"},
+		{"1MiB/fixed/auto", 13, 1 << 20, graph.StoreOptions{Reverse: true}, xstream.DirectionAuto, "128aeae1a3c8a228"},
+		{"1MiB/delta+reorder/auto", 13, 1 << 20, reordered, xstream.DirectionAuto, "67d68a296b135a84"},
+		{"1MiB/delta+reorder/bottomup", 13, 1 << 20, reordered, xstream.DirectionBottomUp, "4b7bfb2913f474bf"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -178,5 +180,34 @@ func TestSplitPassDeviceOpsArePinned(t *testing.T) {
 				t.Errorf("digest %s, pinned %s", one, c.want)
 			}
 		})
+	}
+}
+
+// TestFusedPassChargeIsPinned: a simulated FastBFS run forced bottom-up on
+// a delta store, whose fused first pass drops the runs of targets its own
+// earlier records won, charges the compute and time pinned below at 1 and 4
+// workers — those of a decode that read each block whole, deciding its runs
+// as the chunk the block began in was cut, even where a hub's records run
+// on over chunks that merged meanwhile.
+func TestFusedPassChargeIsPinned(t *testing.T) {
+	m, edges, err := gen.RMAT(12, 16, gen.Graph500(), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := core.Run(vol, m.Name, core.Options{GracePeriod: 1e9, Base: xstream.Options{Root: 70, MemoryBudget: 4096,
+			Partitions: 1, StreamBufSize: 4096, Direction: xstream.DirectionBottomUp, ScatterWorkers: workers,
+			Codec: graph.CodecDelta, Sim: xstream.ScaledSim(512)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%.12g %.12g", res.Metrics.ComputeTime, res.Metrics.ExecTime)
+		if want := "0.0007745165 0.00635077097917"; got != want {
+			t.Errorf("%d workers: compute and run time %s, pinned %s", workers, got, want)
+		}
 	}
 }

@@ -472,11 +472,10 @@ func descending(name string, src, last graph.VertexID) error {
 //   - a partition's reverse input (part): every source in [lo, hi).
 //
 // Anything else is errs.ErrCorrupted, a file its index or its writer does
-// not describe. Each piece's worker checks a copy (Chunk) placed, with an
-// index, at the piece's first edge, whose source want is asked for there:
-// its records may start in a chunk still merging, which may win it (the
-// fused pass drops a target its own records won). want must not change
-// its answer for the other sources while a worker asks.
+// not describe. Each chunk's worker checks a copy (Chunk). want is asked on
+// the engine thread for a chunk's first source, which a merge may win (the
+// fused pass drops a target its own records won), and on the worker for
+// the rest, which no merge touches.
 type runs struct {
 	name   string
 	verts  uint64
@@ -490,30 +489,36 @@ type runs struct {
 	// what the current range still holds.
 	v             int
 	vEnd, at, due int64
-	// first is a piece's first source (NoVertex: none yet), and keepFirst
-	// want's answer for it, with an index, as the piece was cut.
-	first     graph.VertexID
-	keepFirst bool
+	// A chunk's copy holds its first source (NoVertex: none) and, with an
+	// index, want's answers for it in its head and after; keepNext is the
+	// answer for the next chunk's head.
+	first                         graph.VertexID
+	head                          int
+	keepHead, keepFirst, keepNext bool
 }
 
-// Chunk is the checks of the pass's next n records, in old if it can.
-func (c *runs) Chunk(old graph.RunHint, n int) graph.RunHint {
+// Chunk is the checks of the pass's next n records, the first head of them
+// in a block begun in an earlier chunk. want is asked for their first
+// source as the chunk each block begins in is cut, as when blocks decoded whole.
+func (c *runs) Chunk(old graph.RunHint, n, head int) graph.RunHint {
 	h, ok := old.(*runs)
 	if !ok {
 		h = new(runs)
 	}
 	*h = *c
 	h.last, h.first = 0, graph.NoVertex
-	if c.ix == nil {
+	if c.ix == nil || c.want == nil {
 		return h
 	}
-	if c.place(); c.due > 0 && c.want != nil {
-		h.first, h.keepFirst = graph.VertexID(c.v), c.want(graph.VertexID(c.v))
-	}
-	h.v, h.vEnd, h.at, h.due, h.ranges = c.v, c.vEnd, c.at, c.due, c.ranges
+	c.place()
+	first := graph.VertexID(c.v)
+	h.first, h.head, h.keepHead, h.keepFirst = first, head, c.keepNext, c.want(first)
 	for left := int64(n); left > 0 && c.due > 0; c.place() {
 		k := min(left, c.due)
 		c.at, c.due, left = c.at+k, c.due-k, left-k
+	}
+	if head < n || graph.VertexID(c.v) != first { // else the head block runs on
+		c.keepNext = c.want(graph.VertexID(c.v))
 	}
 	return h
 }
@@ -531,15 +536,14 @@ func (c *runs) place() {
 	}
 }
 
-// Merged checks, without an index, a piece's first source against the
-// pieces' before it.
+// Merged checks, without an index, a chunk's first source against the
+// chunks' before it.
 func (c *runs) Merged(hint graph.RunHint) error {
-	if h := hint.(*runs); c.ix == nil && !c.part && h.first != graph.NoVertex {
-		if h.first < c.last {
-			return descending(c.name, h.first, c.last)
-		}
-		c.last = h.last
+	h := hint.(*runs)
+	if c.ix == nil && h.first < c.last {
+		return descending(c.name, h.first, c.last)
 	}
+	c.last = h.last
 	return nil
 }
 
@@ -562,8 +566,8 @@ func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
 	default:
 		c.first, c.last = min(c.first, src), src
 	}
-	if c.ix != nil && src == c.first {
-		return c.keepFirst, nil
+	if c.head -= n; c.ix != nil && src == c.first { // a run in the head block, or after it
+		return c.head+n > 0 && c.keepHead || c.head+n <= 0 && c.keepFirst, nil
 	}
 	return c.want == nil || c.want(src), nil
 }
