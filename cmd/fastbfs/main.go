@@ -74,7 +74,6 @@ func main() {
 	twoDisks := flag.Bool("twodisks", false, "simulate a second disk for update/stay streams")
 	trimStart := flag.Int("trimstart", 0, "fastbfs: delay trimming until this iteration (0 = a scatter trims when its partition's edge counts say the stay file pays; -1 = every scatter trims, the paper's default)")
 	direction := flag.String("direction", "", "search direction: topdown, bottomup, or auto (Beamer-style hybrid; empty = topdown)")
-	codec := flag.String("codec", "", "working-file codec: fixed or delta (empty = FASTBFS_CODEC env, else the dataset's stored codec)")
 	noTrim := flag.Bool("notrim", false, "fastbfs: disable trimming")
 	noSelSched := flag.Bool("noselsched", false, "fastbfs: disable selective scheduling")
 	checkpoint := flag.String("checkpoint", "", "fastbfs: persist a crash-consistent checkpoint manifest to this directory after every iteration")
@@ -122,16 +121,10 @@ func main() {
 		if *ssd {
 			cfg.Device = "ssd"
 		}
-		// An empty -direction or -codec stays unset, so the engine's
-		// defaulting (topdown; FASTBFS_CODEC else the stored codec)
-		// applies.
+		// An empty -direction stays unset, so the engine's default
+		// (topdown) applies.
 		if *direction != "" {
 			if cfg.Direction, err = xstream.ParseDirection(*direction); err != nil {
-				fail(err)
-			}
-		}
-		if *codec != "" {
-			if cfg.Codec, err = graph.ParseCodec(*codec); err != nil {
 				fail(err)
 			}
 		}

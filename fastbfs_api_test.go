@@ -171,10 +171,11 @@ func TestResidencyAPIPinned(t *testing.T) {
 }
 
 // TestDeprecatedKnobsIgnored names the engine options that stopped acting
-// when α and β became constants and GracePeriod the grace period in both
-// clocks, so removing one fails to compile: setting them changes no byte
-// of the run's record. Like TestResidencyAPIPinned it names them as
-// literal keys only.
+// when α and β became constants, GracePeriod the grace period in both
+// clocks and the stored codec every working file's, so removing one fails
+// to compile: setting them, or the FASTBFS_CODEC variable that once set
+// the working codec, changes no byte of the run's record. Like
+// TestResidencyAPIPinned it names them as literal keys only.
 func TestDeprecatedKnobsIgnored(t *testing.T) {
 	vol := NewMemVolume()
 	meta, edges, err := GenerateRMAT(9, 8, 7)
@@ -194,7 +195,9 @@ func TestDeprecatedKnobsIgnored(t *testing.T) {
 		return res
 	}
 	want := run(Options{})
-	got := run(Options{Base: EngineOptions{DirectionAlpha: 1, DirectionBeta: 1000}, // Deprecated: ignored
+	t.Setenv("FASTBFS_CODEC", "delta")
+	got := run(Options{Base: EngineOptions{DirectionAlpha: 1, DirectionBeta: 1000, // Deprecated: ignored
+		Codec: CodecDelta}, // Deprecated: ignored
 		GraceWall: time.Nanosecond}) // Deprecated: ignored
 	if want.Metrics.BottomUpIterations == 0 {
 		t.Fatal("the run never went bottom-up: α and β went untested")

@@ -19,9 +19,11 @@ import (
 // baselineFile holds the simulated measurement record of X-Stream and
 // the paper's FastBFS (every scatter trims) over a small fixed grid,
 // captured at commit 0bc7183 — the last one where the two engines were
-// separately written loops — and regenerated twice since: when the record
-// became what the simulated devices moved (reads and rows kept), and when
-// delta blocks gained the runs layout (delta rows only; DESIGN.md §14).
+// separately written loops — and regenerated three times since: when the
+// record became what the simulated devices moved (reads and rows kept),
+// when delta blocks gained the runs layout (delta rows only; DESIGN.md
+// §14), and when the delta rows' graph came to be stored delta instead of
+// a fixed store run with delta working files (delta rows only).
 // The single kernel must reproduce every number in it. Regenerate (only when a
 // change is meant to move simulated numbers) with
 //
@@ -40,7 +42,7 @@ type baselineRecord struct {
 }
 
 // TestPinnedBaselineRuns runs the grid — two graphs × {xstream, fastbfs}
-// × update filter on/off × one/two disks × fixed/delta working files ×
+// × update filter on/off × one/two disks × stored fixed/delta ×
 // 1/4 scatter workers, all top-down — and compares each run's simulated
 // time, bytes, device operations and per-iteration rows with the record.
 func TestPinnedBaselineRuns(t *testing.T) {
@@ -61,9 +63,12 @@ func TestPinnedBaselineRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vol := storage.NewMem()
-		if err := graph.Store(vol, m, edges); err != nil {
-			t.Fatal(err)
+		vols := map[graph.Codec]*storage.Mem{}
+		for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+			vols[codec] = storage.NewMem()
+			if err := graph.StoreGraph(vols[codec], m, edges, graph.StoreOptions{Codec: codec, Reverse: true}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		root := maxDegreeVertex(m, edges)
 		for _, engine := range []string{xstream.EngineName, EngineName} {
@@ -77,11 +82,12 @@ func TestPinnedBaselineRuns(t *testing.T) {
 							}
 							base := xstream.Options{
 								Root: root, MemoryBudget: g.budget, StreamBufSize: g.bufSize,
-								ScatterWorkers: workers, Sim: sim, Codec: codec,
+								ScatterWorkers: workers, Sim: sim,
 								Direction:           xstream.DirectionTopDown,
 								DisableUpdateFilter: noFilter,
 							}
 							var res *Result
+							vol := vols[codec]
 							if engine == EngineName {
 								res, err = Run(vol, m.Name, Options{Base: base, TrimStartIteration: TrimEveryIteration})
 							} else {

@@ -33,10 +33,6 @@ import (
 //     Relabeling changes partition assignment and therefore which of
 //     several equal-level parents wins first-update-wins, so parents
 //     are covered by bfs.Validate instead.
-//
-// A FastBFS run with the working-file codec forced away from the stored
-// codec (Options.Codec) rides along, pinning the override path to the
-// same bit-for-bit contract.
 func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 	codecs := []graph.Codec{graph.CodecFixed, graph.CodecDelta}
 	directions := []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto}
@@ -165,19 +161,6 @@ func TestEnginesAgreeAcrossCodecs(t *testing.T) {
 				variant := fmt.Sprintf("codec=%s,reorder=%v", codec, reorder)
 				check("graphchi("+variant+")", gc, err)
 				baseline("graphchi("+variant+")", key{"graphchi", reorder}, gc)
-
-				// Working-file codec forced away from the stored codec.
-				if codec == graph.CodecFixed {
-					bo = xstream.Options{
-						Root: root, MemoryBudget: budget, Partitions: partitions,
-						StreamBufSize: bufSize, Codec: graph.CodecDelta, Sim: xstream.DefaultSim(),
-					}
-					fb, err := Run(vol, m.Name, Options{Base: bo})
-					label := fmt.Sprintf("fastbfs(stored=fixed,work=delta,reorder=%v)", reorder)
-					check(label, fb, err)
-					checkTrimRows(t, fmt.Sprintf("graph %d %s", g, label), fb, countsTrims(m, Options{Base: bo}))
-					baseline(label, key{"fastbfs", reorder}, fb)
-				}
 			}
 		}
 		off, on := base[key{"fastbfs", false}], base[key{"fastbfs", true}]

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"strings"
 	"sync"
@@ -199,7 +198,7 @@ func TestDroppedRunsAreWorkerInvariant(t *testing.T) {
 				rv := newRecordingVolume(vol)
 				rv.all = true
 				res, err := Run(rv, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
-					StreamBufSize: 4096, Direction: dir, ScatterWorkers: workers, Codec: cmp.Or(st.opts.Codec, graph.CodecFixed)},
+					StreamBufSize: 4096, Direction: dir, ScatterWorkers: workers},
 					GracePeriod: 1e9})
 				if err != nil {
 					t.Fatalf("%s, %s, workers=%d: %v", st.name, dir, workers, err)

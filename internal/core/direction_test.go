@@ -53,11 +53,6 @@ func TestFastBFSDirectionsByteIdentical(t *testing.T) {
 	optsFor := func(d xstream.Direction) Options {
 		o := smallOpts()
 		o.Base.Direction = d
-		// The 30% device-byte bound below was calibrated on fixed-width
-		// working files; compression shrinks both sides and shifts the
-		// ratio, so pin the codec rather than inherit FASTBFS_CODEC.
-		// Cross-codec direction equivalence is TestEnginesAgreeAcrossCodecs.
-		o.Base.Codec = graph.CodecFixed
 		return o
 	}
 	// Top-down is checked against the in-memory reference; the other

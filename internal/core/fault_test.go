@@ -35,8 +35,8 @@ func storedGraph(t *testing.T) (*storage.Mem, graph.Meta) {
 }
 
 // updateSet names a run's update files, the per-query working files every
-// top-down scatter writes and the next gather reads. Working files in
-// another codec than the stored file's make the run split up front, so
+// top-down scatter writes and the next gather reads. The paper's static
+// trim threshold (TrimEveryIteration) makes the run split up front, so
 // that every iteration has them (DESIGN.md §5).
 const updateSet = EngineName + "_upd"
 
@@ -49,7 +49,8 @@ func TestRunSurfacesUpdateWriteFailure(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim(), Codec: graph.CodecDelta}})
+	_, err := Run(vol, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()},
+		TrimStartIteration: TrimEveryIteration})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want injected fault", err)
 	}
@@ -149,8 +150,8 @@ func TestParallelScatterFaultAbortsCleanly(t *testing.T) {
 			return nil
 		})
 		_, err := Run(vol, m.Name, Options{Base: xstream.Options{
-			MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(), Codec: graph.CodecDelta,
-		}})
+			MemoryBudget: 4096, StreamBufSize: 256, ScatterWorkers: 8, Sim: xstream.DefaultSim(),
+		}, TrimStartIteration: TrimEveryIteration})
 		if !errors.Is(err, boom) {
 			t.Fatalf("run %d: err = %v, want the injected fault", i, err)
 		}
@@ -215,7 +216,8 @@ func TestRunSurfacesGatherReadFailure(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		vol, m := storedGraph(t)
 		faulty := storage.NewFaulty(vol, storage.FaultSpec{Seed: uint64(i + 1), PReadP: 1, Match: updateSet})
-		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim(), Codec: graph.CodecDelta}})
+		_, err := Run(faulty, m.Name, Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()},
+			TrimStartIteration: TrimEveryIteration})
 		if !errors.Is(err, errs.ErrIOFailed) {
 			t.Fatalf("run %d: err = %v, want ErrIOFailed", i, err)
 		}
@@ -300,10 +302,10 @@ func TestRunByteIdenticalUnderTransientFaults(t *testing.T) {
 // (the first-wins gather absorbs the repeats), with nothing leaked.
 func TestCorruptAdoptedStayFallsBack(t *testing.T) {
 	opts := func(trimStart int) Options {
-		// Keep the stay files fixed-width so each spans many frames and a
-		// fault usually leaves a readable prefix (a delta stay file here is
-		// a frame or two).
-		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Codec: graph.CodecFixed, Sim: xstream.DefaultSim()},
+		// The store is fixed-width, so each stay file spans many frames and
+		// a fault usually leaves a readable prefix (a delta stay file here
+		// is a frame or two).
+		return Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()},
 			TrimStartIteration: trimStart}
 	}
 	refVol, m := storedGraph(t)

@@ -66,7 +66,7 @@ func TestCountRuleKeepsNoVertexFile(t *testing.T) {
 				t.Helper()
 				tr, iters, withVtx := vertexFileLister(vol, ck != nil)
 				o := ckOpts(c, ck, resume, maxIter)
-				o.Base.DisableUpdateFilter, o.Base.Codec, o.Base.Tracer = noFilter, c.codec, tr
+				o.Base.DisableUpdateFilter, o.Base.Tracer = noFilter, tr
 				res, err := Run(vol, m.Name, o)
 				tr.Close()
 				if err != nil {

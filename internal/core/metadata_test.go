@@ -53,10 +53,10 @@ func TestOldMetadataLayoutsRun(t *testing.T) {
 	} {
 		vol, m, root := storedRMAT(t, 13, 24, so)
 		for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
-			label := fmt.Sprintf("%s/%s", storeCodec(so), dir)
+			label := fmt.Sprintf("codec=%q/%s", so.Codec, dir)
 			opts := func(ck storage.Volume, resume bool, maxIter int) Options {
 				return Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
-					Sim: sparseSim(), Direction: dir, Codec: storeCodec(so), MaxIterations: maxIter}, CheckpointVol: ck, Resume: resume}
+					Sim: sparseSim(), Direction: dir, MaxIterations: maxIter}, CheckpointVol: ck, Resume: resume}
 			}
 			want, err := Run(vol, m.Name, opts(nil, false, 0))
 			if err != nil {

@@ -63,7 +63,7 @@ func TestPairsLayoutStoreRuns(t *testing.T) {
 
 	opts := func(ck storage.Volume) Options {
 		return Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8, StreamBufSize: 4096,
-			Sim: sparseSim(), Direction: xstream.DirectionAuto, Codec: graph.CodecDelta}, CheckpointVol: ck, Resume: ck != nil}
+			Sim: sparseSim(), Direction: xstream.DirectionAuto}, CheckpointVol: ck, Resume: ck != nil}
 	}
 	ref, err := Run(fresh, m.Name, opts(nil))
 	if err != nil {

@@ -242,7 +242,7 @@ func allocatedBy(f func()) uint64 {
 // graph: scatter chunks and shards, the result, and above all the Mem
 // volume's own file images (every byte a run writes is allocated there).
 // c and the per-edge constant are the measured allocation (workers 1, 2
-// and 4, with and without -race and FASTBFS_CODEC=delta) plus 25 %;
+// and 4, with and without -race) plus 25 %;
 // parent is what the same run allocated at the parent commit, one fresh
 // buffer per stream open, and every bound is at least 5x under it.
 func TestStreamingRunAllocation(t *testing.T) {
@@ -399,7 +399,7 @@ func TestConcurrentRunsShareNoBuffers(t *testing.T) {
 				_, err := pc.run(context.Background(), av, m.Name, graph.VertexID(1+side), func(o *Options) {
 					o.Base.Prepared = pg
 					o.Base.ScatterWorkers = 2
-					o.Base.Codec = graph.CodecDelta // split up front: working files from iteration 0 on
+					o.TrimStartIteration = TrimEveryIteration // split up front: working files from iteration 0 on
 					o.Base.FilePrefix = fmt.Sprintf("run%d", side)
 					o.Base.FaultHook = func() { once.Do(func() { both.Done(); both.Wait() }) }
 				})

@@ -247,7 +247,7 @@ func checkChunkDamage(t *testing.T, audit *stream.PoolAudit) {
 			}
 			for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
 				opts := core.Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 4,
-					StreamBufSize: chunk * graph.EdgeBytes, Direction: dir, Codec: codec}}
+					StreamBufSize: chunk * graph.EdgeBytes, Direction: dir}}
 				if err := storage.WriteAll(vol, name, clean); err != nil {
 					t.Fatal(err)
 				}

@@ -63,10 +63,10 @@ func TestSparseMatchesDense(t *testing.T) {
 		for _, engine := range []string{EngineName, xstream.EngineName} {
 			for _, parts := range []int{1, 2, 8} {
 				for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionAuto} {
-					label := fmt.Sprintf("%s/%s/P=%d/%s", engine, storeCodec(g.store), parts, dir)
+					label := fmt.Sprintf("%s/codec=%q/P=%d/%s", engine, g.store.Codec, parts, dir)
 					run := func(sim *xstream.SimConfig) *Result {
 						o := Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: parts, StreamBufSize: 4096,
-							Sim: sim, Direction: dir, Codec: storeCodec(g.store)}}
+							Sim: sim, Direction: dir}}
 						var res *Result
 						var err error
 						if engine == EngineName {
@@ -108,7 +108,7 @@ func TestSparseResume(t *testing.T) {
 		c := ckCase{dir, graph.CodecFixed}
 		opts := func(ck storage.Volume, resume bool, maxIter int) Options {
 			o := ckOpts(c, ck, resume, maxIter)
-			o.Base.Sim, o.Base.Codec = sparseSim(), graph.CodecFixed
+			o.Base.Sim = sparseSim()
 			return o
 		}
 		for seed := int64(1); seed <= 3; seed++ {
@@ -150,7 +150,7 @@ func TestReverseSparseNeedsReorder(t *testing.T) {
 		vol, m, root := storedRMAT(t, 13, 24, graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: reorder, Reverse: true})
 		run := func(dir xstream.Direction) *Result {
 			res, err := Run(vol, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
-				StreamBufSize: 4096, Direction: dir, Codec: graph.CodecDelta}})
+				StreamBufSize: 4096, Direction: dir}})
 			if err != nil {
 				t.Fatalf("reorder %v, %s: %v", reorder, dir, err)
 			}

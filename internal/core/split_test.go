@@ -21,15 +21,6 @@ import (
 // Tests of the stored passes and the split (DESIGN.md §5,
 // internal/xstream/split.go) beyond the sweeps that run them everywhere.
 
-// storeCodec is the codec a store with these options writes — the working
-// codec a run needs to stream the stored file rather than split it up front.
-func storeCodec(so graph.StoreOptions) graph.Codec {
-	if so.Codec == "" {
-		return graph.CodecFixed
-	}
-	return so.Codec
-}
-
 // TestParentsIndependentOfPartitionCount: on a source-sorted store the
 // first frontier parent a pass meets for a vertex is its smallest, whatever
 // the partition count, so levels and parents are the same for P = 1, 2 and
@@ -88,9 +79,9 @@ func TestParentsIndependentOfPartitionCount(t *testing.T) {
 				for _, p := range []int{1, 2, 8} {
 					o := smallOpts()
 					o.Base.Root, o.Base.Partitions, o.Base.Direction = root, p, dir
-					o.Base.Codec, o.TrimStartIteration = storeCodec(store), trimStart
+					o.TrimStartIteration = trimStart
 					got, err := Run(vol, m.Name, o)
-					label := fmt.Sprintf("%s/reorder=%v/%s/trimstart=%d/P=%d", storeCodec(store), store.ReorderByDegree, dir, trimStart, p)
+					label := fmt.Sprintf("codec=%q/reorder=%v/%s/trimstart=%d/P=%d", store.Codec, store.ReorderByDegree, dir, trimStart, p)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -141,8 +132,6 @@ func TestStoredPassCorruptionFailsStop(t *testing.T) {
 		var damaged atomic.Bool
 		o := smallOpts()
 		o.Base.Root, o.Base.Direction, o.Base.Sim = root, xstream.DirectionTopDown, tc.sim()
-		// The stored passes need the store's codec, whatever FASTBFS_CODEC says.
-		o.Base.Codec = storeCodec(tc.store)
 		o.Base.FaultHook = func() { // in iteration 0's pass: the next one opens the damage
 			if damaged.CompareAndSwap(false, true) {
 				b, err := storage.ReadAll(vol, name)
@@ -181,7 +170,6 @@ func TestStoredPassAbortLeavesNothing(t *testing.T) {
 		opts := func(d xstream.Direction, hook func()) Options {
 			o := smallOpts()
 			o.Base.Root, o.Base.Direction, o.Base.ScatterWorkers, o.Base.Sim, o.Base.FaultHook = root, d, 4, c.sim(), hook
-			o.Base.Codec = graph.CodecFixed // the store's: the stored passes need it
 			return o
 		}
 		want, err := Run(vol, m.Name, opts(xstream.DirectionTopDown, nil))

@@ -2,16 +2,16 @@
 // configuration file: "FastBFS ... uses an associated configuration file
 // to describe the graph characteristics (e.g., vertices number) and
 // runtime settings (e.g., the additional disk location), etc." (§III).
-// Graph characteristics live next to the dataset (graph.ReadConfig);
-// this file carries the engine's per-run settings in the same plain
-// key=value format, and nothing else: a daemon's own settings are its
-// flags. It has 23 keys:
+// Graph characteristics, the edge codec among them, live next to the
+// dataset (graph.ReadConfig); this file carries the engine's per-run
+// settings in the same plain key=value format, and nothing else: a
+// daemon's own settings are its flags. It has 22 keys:
 //
 //	engine, root                          which engine, from which vertex
 //	memory_budget, threads, stream_buf,   the settings every engine shares
 //	prefetch_buffers, partitions,
 //	max_iterations, scatter_workers,
-//	direction, codec
+//	direction
 //	trim_start_iteration,                 FastBFS's trim policy
 //	trim_visited_fraction,
 //	disable_trimming,
@@ -55,11 +55,6 @@ type Config struct {
 	// Direction is the traversal direction policy: topdown (default),
 	// bottomup, or auto for the Beamer-style hybrid. Empty means topdown.
 	Direction xstream.Direction
-	// Codec is the working-file codec for the run (fixed or delta).
-	// Empty leaves the engine's defaulting in effect — FASTBFS_CODEC,
-	// else the dataset's stored codec — so the precedence is
-	// flag/config > env > stored > fixed.
-	Codec graph.Codec
 
 	// FastBFS trim policy.
 	TrimStartIteration         int
@@ -155,8 +150,6 @@ func (c *Config) set(key, val string) error {
 		c.ScatterWorkers, err = strconv.Atoi(val)
 	case "direction":
 		c.Direction, err = xstream.ParseDirection(val)
-	case "codec":
-		c.Codec, err = graph.ParseCodec(val)
 	case "trim_start_iteration":
 		c.TrimStartIteration, err = strconv.Atoi(val)
 	case "trim_visited_fraction":
@@ -248,7 +241,6 @@ func (c Config) EngineOptions() xstream.Options {
 		MaxIterations:   c.MaxIterations,
 		ScatterWorkers:  c.ScatterWorkers,
 		Direction:       c.Direction,
-		Codec:           c.Codec,
 	}
 	if !c.Sim {
 		return o

@@ -6,11 +6,10 @@ import (
 	"testing"
 
 	"fastbfs/internal/disksim"
-	"fastbfs/internal/graph"
 	"fastbfs/internal/xstream"
 )
 
-// TestParseFull sets every one of the 23 keys the package doc lists.
+// TestParseFull sets every one of the 22 keys the package doc lists.
 func TestParseFull(t *testing.T) {
 	in := `
 # the paper's example: an additional disk for update and stay streams
@@ -24,7 +23,6 @@ partitions = 3
 max_iterations = 100
 scatter_workers = 3
 direction = auto
-codec = delta
 trim_start_iteration = 2
 trim_visited_fraction = 0.25
 disable_trimming = false
@@ -54,8 +52,8 @@ stay_disk_bandwidth_frac = 0.5
 	if cfg.TrimStartIteration != 2 || cfg.TrimVisitedFraction != 0.25 || !cfg.DisableSelectiveScheduling {
 		t.Fatalf("trim policy: %+v", cfg)
 	}
-	if cfg.ScatterWorkers != 3 || cfg.Direction != xstream.DirectionAuto || cfg.Codec != graph.CodecDelta {
-		t.Fatalf("workers, direction and codec: %+v", cfg)
+	if cfg.ScatterWorkers != 3 || cfg.Direction != xstream.DirectionAuto {
+		t.Fatalf("workers and direction: %+v", cfg)
 	}
 
 	o := cfg.CoreOptions()
@@ -136,12 +134,13 @@ func TestParseBytesSuffixes(t *testing.T) {
 func TestParseOverloadKeys(t *testing.T) {
 	// A settings file holds engine settings only. The daemon's batching
 	// and overload settings are its flags; the admission knobs no
-	// deployment set, the residency budget, the store-time reorder and
-	// the second grace period are gone. A file that names one is rejected
+	// deployment set, the residency budget, the store-time reorder, the
+	// second grace period and the working-file codec (a graph's codec is
+	// the one it was stored in) are gone. A file that names one is rejected
 	// like any other unknown key.
 	for _, key := range []string{"batch_size", "batch_wait_ms", "shed", "breaker_threshold", "cache_ttl_ms",
 		"shed_target_ms", "shed_interval_ms", "breaker_backoff_ms", "breaker_max_backoff_ms", "priority_header",
-		"residency_budget", "reorder", "grace_wall_ms"} {
+		"residency_budget", "reorder", "grace_wall_ms", "codec"} {
 		if _, err := Parse(strings.NewReader(key + " = 1\n")); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("removed key %s: err %v, want an unknown key", key, err)
 		}
@@ -180,10 +179,10 @@ func TestFlagBuiltMatchesFileBuilt(t *testing.T) {
 		{"engine, root and policy flags",
 			func(c *Config) {
 				c.Engine, c.Root, c.ScatterWorkers = "xstream", 42, 3
-				c.Direction, c.Codec = xstream.DirectionAuto, graph.CodecDelta
+				c.Direction = xstream.DirectionAuto
 				c.TrimStartIteration, c.DisableTrimming, c.DisableSelectiveScheduling = -1, true, true
 			},
-			"engine = xstream\nroot = 42\nscatter_workers = 3\ndirection = auto\ncodec = delta\n" +
+			"engine = xstream\nroot = 42\nscatter_workers = 3\ndirection = auto\n" +
 				"trim_start_iteration = -1\ndisable_trimming = true\ndisable_selective_scheduling = true", nil},
 	} {
 		built := Default()

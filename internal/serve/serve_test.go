@@ -46,13 +46,13 @@ func smallBase() core.Options {
 	return core.Options{Base: xstream.Options{MemoryBudget: 4096, StreamBufSize: 256, Sim: xstream.DefaultSim()}}
 }
 
-// splittingBase is smallBase with delta working files: over the fixed
-// store a FastBFS query then splits up front, so it writes and gathers
-// update files from iteration 0 on, which the tests that gate or fail
-// those files need.
+// splittingBase is smallBase with the paper's static trim threshold: a
+// FastBFS query then splits up front, so it writes and gathers update
+// files from iteration 0 on, which the tests that gate or fail those
+// files need.
 func splittingBase() core.Options {
 	o := smallBase()
-	o.Base.Codec = graph.CodecDelta
+	o.TrimStartIteration = core.TrimEveryIteration
 	return o
 }
 

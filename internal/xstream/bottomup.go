@@ -198,7 +198,7 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 	stayTiming := e.otherTiming(e.rt.MainTiming())
 	outs, err := stream.OpenWriterSet(e.rt.Vol, e.rt.Parts.P(), func(p int) string { return e.revStayFile(iter, p) },
 		func(name string) (*stream.Writer[graph.Edge], error) {
-			return stream.NewCodecFramedEdgeWriter(e.rt.Vol, name, stayTiming, e.rt.Opts.StreamBufSize, e.rt.Codec)
+			return stream.NewCodecFramedEdgeWriter(e.rt.Vol, name, stayTiming, e.rt.Opts.StreamBufSize, e.rt.Meta.EdgeCodec())
 		})
 	var ix *storedIndex
 	var hs, ps passStats
@@ -323,7 +323,7 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	var stayTiming stream.Timing
 	if itRow.TrimActive && !d.revBroken[p] {
 		stayTiming = e.otherTiming(d.revTiming[p])
-		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.pol.StayBufSize, e.rt.Codec)
+		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.pol.StayBufSize, e.rt.Meta.EdgeCodec())
 		switch {
 		case werr == nil:
 			w.SetAsync() // write-behind; the next pass barriers through AwaitFile

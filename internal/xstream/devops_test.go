@@ -1,7 +1,6 @@
 package xstream_test
 
 import (
-	"cmp"
 	"crypto/sha256"
 	"fmt"
 	"hash"
@@ -108,8 +107,7 @@ func devOpsDigest(t *testing.T, scale, bufSize int, st graph.StoreOptions, dir x
 	vol := &opVolume{Volume: mem, reads: sha256.New(), writes: map[string][]int{}}
 	sim := xstream.ScaledSim(512)
 	res, err := core.Run(vol, m.Name, core.Options{Base: xstream.Options{Root: 0, MemoryBudget: 8192,
-		Partitions: 4, StreamBufSize: bufSize, Direction: dir, ScatterWorkers: workers, Sim: sim,
-		Codec: cmp.Or(st.Codec, graph.CodecFixed)}})
+		Partitions: 4, StreamBufSize: bufSize, Direction: dir, ScatterWorkers: workers, Sim: sim}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +199,7 @@ func TestFusedPassChargeIsPinned(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		res, err := core.Run(vol, m.Name, core.Options{GracePeriod: 1e9, Base: xstream.Options{Root: 70, MemoryBudget: 4096,
 			Partitions: 1, StreamBufSize: 4096, Direction: xstream.DirectionBottomUp, ScatterWorkers: workers,
-			Codec: graph.CodecDelta, Sim: xstream.ScaledSim(512)}})
+			Sim: xstream.ScaledSim(512)}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -78,7 +78,7 @@ func (p Policy) static() bool { return p.TrimStartIteration != 0 || p.TrimVisite
 // out-degree sum of the still-unvisited sources, since a visited source's
 // edges are all a trim ever drops. A rewrite costs live edges written and
 // saves input-live edges of the next read, so it pays once it at least
-// halves its input; both files are in the run's working codec, so counting
+// halves its input; both files are in the graph's stored codec, so counting
 // edges is counting bytes. A caller with no counts (UnknownEdges: the
 // one-shot run, whose trim writes nothing, and the reverse stay chain)
 // trims. The split of the stored file asks it in its own terms (split.go).
@@ -293,11 +293,10 @@ func (e *kernel) runStreaming() (*Result, error) {
 		e.tree = &Verts{Level: level, Parent: parent}
 	}
 
-	// A run that trims by the counts splits when the split pays (split.go),
-	// if its working files share the stored file's codec, so that the rule's
-	// edge counts are bytes; the rest split up front. A resumed run goes back
-	// to its stored phase if it had not split: β still prices a stored pass.
-	e.stored = counting && e.rt.Codec == e.rt.Meta.EdgeCodec() && (man == nil || man.Dir.StoredPrice > 0)
+	// A run that trims by the counts splits when the split pays (split.go);
+	// the rest split up front. A resumed run goes back to its stored phase
+	// if it had not split: β still prices a stored pass.
+	e.stored = counting && (man == nil || man.Dir.StoredPrice > 0)
 	maxIter := e.rt.IterationCap()
 	startIter := 0
 	switch {
@@ -738,7 +737,7 @@ func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stre
 	var stay *stream.StayFile
 	if trimNow && !st.stayBroken && e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.inputEdges) {
 		stayTiming := e.otherTiming(st.inputTiming)
-		f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Codec)
+		f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Meta.EdgeCodec())
 		switch {
 		case err == nil:
 			stay = f

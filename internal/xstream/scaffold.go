@@ -176,11 +176,8 @@ type Options struct {
 	// β = 24 (direction.go).
 	DirectionAlpha int
 	DirectionBeta  int
-	// Codec selects the edge codec for the run's working files —
-	// partition splits, stay and reverse-stay rewrites, the reverse
-	// split. Empty takes the FASTBFS_CODEC environment variable, then
-	// the dataset's stored codec, then fixed; the resolution happens in
-	// NewRuntimeContext (see Runtime.Codec).
+	// Deprecated: Codec is ignored. A run's working files take the
+	// codec the graph was stored in (graph.StoreOptions.Codec).
 	Codec graph.Codec
 	// DisableUpdateFilter turns the streaming engines' update filter off
 	// (ablation, like core's DisableTrimming): every frontier out-edge's
@@ -241,13 +238,6 @@ func (o *Options) SetDefaults(engineName string) {
 	if o.Direction == "" {
 		o.Direction = DirectionTopDown
 	}
-	if o.Codec == "" {
-		if s := os.Getenv("FASTBFS_CODEC"); s != "" {
-			if c, err := graph.ParseCodec(s); err == nil {
-				o.Codec = c
-			}
-		}
-	}
 }
 
 // Result is the output of an engine run: the BFS tree plus the
@@ -291,12 +281,6 @@ type Runtime struct {
 	// verts is the one partition's vertex state InitVerts/LoadVerts hand
 	// out, backed by scratch.
 	verts Verts
-
-	// Codec is the resolved working-file codec (never empty): Options.Codec
-	// when set, else the dataset's stored codec. Engines pass it to every
-	// edge-carrying working-file writer; readers sniff, so mixed inputs
-	// (raw dataset + delta stays) always stream correctly.
-	Codec graph.Codec
 
 	// Perm, non-nil iff the dataset was stored with degree reordering, maps
 	// between original and stored vertex labels. The runtime operates
@@ -452,13 +436,6 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 	if _, err := ParseDirection(string(opts.Direction)); err != nil {
 		return nil, err
 	}
-	codec, err := graph.ParseCodec(string(opts.Codec))
-	if err != nil {
-		return nil, fmt.Errorf("xstream: %w", err)
-	}
-	if opts.Codec == "" {
-		codec = m.EdgeCodec()
-	}
 	if perm != nil {
 		opts.Root = perm.ToStored(opts.Root)
 	}
@@ -474,7 +451,7 @@ func NewRuntimeContext(ctx context.Context, vol storage.Volume, graphName string
 		return nil, err
 	}
 	rt := &Runtime{Vol: vol, Meta: m, Parts: parts, Opts: opts, ctx: ctx, Retry: retry,
-		Codec: codec, Perm: perm, io: io, volName: volName, scratch: scratch, Bufs: scratch.bufs,
+		Perm: perm, io: io, volName: volName, scratch: scratch, Bufs: scratch.bufs,
 		fileReady: make(map[string]*disksim.AsyncOp), wallStart: time.Now()}
 	if opts.Sim != nil {
 		if opts.Sim.MainDisk == nil {
@@ -751,7 +728,7 @@ func (rt *Runtime) Prepare() ([]int64, error) {
 func (rt *Runtime) openEdgeFiles() (*stream.WriterSet[graph.Edge], error) {
 	tm := rt.MainTiming()
 	outs, err := stream.OpenWriterSet(rt.Vol, rt.Parts.P(), rt.EdgeFile, func(name string) (*stream.Writer[graph.Edge], error) {
-		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Codec)
+		return stream.NewCodecEdgeWriter(rt.Vol, name, tm, rt.Opts.StreamBufSize, rt.Meta.EdgeCodec())
 	})
 	if err != nil {
 		return nil, err

@@ -11,13 +11,18 @@ import (
 )
 
 func newRuntime(t *testing.T, opts Options) *Runtime {
+	return newStoredRuntime(t, opts, graph.StoreOptions{Reverse: true})
+}
+
+// newStoredRuntime is newRuntime over the same graph stored with so.
+func newStoredRuntime(t *testing.T, opts Options, so graph.StoreOptions) *Runtime {
 	t.Helper()
 	vol := storage.NewMem()
 	m, edges, err := gen.RMAT(8, 8, gen.Graph500(), 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.Store(vol, m, edges); err != nil {
+	if err := graph.StoreGraph(vol, m, edges, so); err != nil {
 		t.Fatal(err)
 	}
 	opts.SetDefaults(EngineName)
@@ -54,7 +59,13 @@ func TestAwaitFileBarriers(t *testing.T) {
 }
 
 func TestPrepareSplitsEdgesBySource(t *testing.T) {
-	rt := newRuntime(t, Options{MemoryBudget: 1024, StreamBufSize: 512, Sim: DefaultSim(), KeepFiles: true})
+	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		prepareSplitsEdgesBySource(t, newStoredRuntime(t, Options{MemoryBudget: 1024, StreamBufSize: 512, Sim: DefaultSim(), KeepFiles: true},
+			graph.StoreOptions{Codec: codec, Reverse: true}))
+	}
+}
+
+func prepareSplitsEdgesBySource(t *testing.T, rt *Runtime) {
 	counts, err := rt.Prepare()
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +78,10 @@ func TestPrepareSplitsEdgesBySource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Working files carry the resolved codec (FASTBFS_CODEC may have
-		// forced delta), so deframe and decode before interpreting raw
-		// records.
-		if rt.Codec == graph.CodecDelta {
+		// Working files carry the stored codec: a delta store's
+		// partitions are deframed and decoded before their raw records
+		// are read.
+		if rt.Meta.EdgeCodec() == graph.CodecDelta {
 			magic, payload, err := graph.DeframeAllMagic(b)
 			if err != nil || magic != graph.FrameMagicDelta {
 				t.Fatalf("partition %d is not an FBD1 stream (magic %#x): %v", p, magic, err)

@@ -21,23 +21,24 @@ import (
 // flush, the large one the Close's. The run keeps its files (Cleanup
 // removes nothing), so whatever file of the set is on the volume
 // afterwards, the set itself left there; and every buffer the run's pool
-// handed out must be back, which an open writer's would not be.
+// handed out must be back, which an open writer's would not be. The graph
+// is stored fixed and delta, so the sets are written in both codecs.
 func TestSplitFaultLeavesNothing(t *testing.T) {
-	vol, m, edges := rmatStored(t, graph.StoreOptions{Reverse: true})
 	const parts = 4
 	counts := Policy{Trim: true, SelectiveScheduling: true, StayBufSize: 512, StayBufCount: 8, GracePeriod: 0.05}
-	for _, split := range []struct {
-		file string
-		pol  Policy
-		dir  Direction
-	}{{"_edge_", Policy{}, DirectionBottomUp}, {"_rstay1_", Policy{}, DirectionBottomUp}, {"_edge_", counts, DirectionTopDown}} {
-		for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+	for _, codec := range []graph.Codec{graph.CodecFixed, graph.CodecDelta} {
+		vol, m, edges := rmatStored(t, graph.StoreOptions{Codec: codec, Reverse: true})
+		for _, split := range []struct {
+			file string
+			pol  Policy
+			dir  Direction
+		}{{"_edge_", Policy{}, DirectionBottomUp}, {"_rstay1_", Policy{}, DirectionBottomUp}, {"_edge_", counts, DirectionTopDown}} {
 			for _, bufSize := range []int{512, 1 << 20} {
 				for k := 0; k < parts; k++ {
 					name := fmt.Sprintf("%s%d/%s/buf=%d/trim=%v", split.file, k, codec, bufSize, split.pol.Trim)
 					audit := stream.AuditPools()
 					o := Options{Root: maxDegreeVertex(m, edges), MemoryBudget: 4096, Partitions: parts,
-						StreamBufSize: bufSize, Codec: codec, Direction: split.dir,
+						StreamBufSize: bufSize, Direction: split.dir,
 						KeepFiles: true, FilePrefix: "t", Sim: DefaultSim()}
 					faulty := storage.NewFaulty(vol, storage.FaultSpec{PWriteP: 1, Match: fmt.Sprintf("t%s%d", split.file, k)})
 					_, err := RunPolicy(context.Background(), faulty, m.Name, "t", o, split.pol)
