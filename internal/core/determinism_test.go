@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
+	"fastbfs/internal/metrics"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
 )
@@ -181,24 +183,28 @@ func assertSamePublications(t *testing.T, rv1, rv8 *recordingVolume) {
 // the runs their hints reject, every file a run publishes — partition
 // inputs, stays, reverse stays — its rows and its tree are the same for 1,
 // 2 and 8 workers: workers decode and check their own chunks, and a hint
-// reads the winner table only for sources no merge in flight can win.
+// reads only state the pass does not change. The last store is a fixed one
+// whose fused pass reads the .rev sparse, in ranges.
 func TestDroppedRunsAreWorkerInvariant(t *testing.T) {
 	stores := []struct {
-		name string
-		opts graph.StoreOptions
+		name  string
+		opts  graph.StoreOptions
+		scale int
+		sim   *xstream.SimConfig
 	}{
-		{"fixed", graph.StoreOptions{Reverse: true}},
-		{"delta", graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}},
-		{"delta+reorder", graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}},
+		{"fixed", graph.StoreOptions{Reverse: true}, 12, nil},
+		{"delta", graph.StoreOptions{Codec: graph.CodecDelta, Reverse: true}, 12, nil},
+		{"delta+reorder", graph.StoreOptions{Codec: graph.CodecDelta, ReorderByDegree: true, Reverse: true}, 12, nil},
+		{"fixed, sparse .rev", graph.StoreOptions{Reverse: true}, 13, xstream.ScaledSim(512)},
 	}
 	for _, st := range stores {
 		for _, dir := range []xstream.Direction{xstream.DirectionTopDown, xstream.DirectionBottomUp, xstream.DirectionAuto} {
 			run := func(workers int) (*recordingVolume, *Result) {
-				vol, m, root := storedRMAT(t, 12, 16, st.opts)
+				vol, m, root := storedRMAT(t, st.scale, 16, st.opts)
 				rv := newRecordingVolume(vol)
 				rv.all = true
 				res, err := Run(rv, m.Name, Options{Base: xstream.Options{Root: root, MemoryBudget: 4096, Partitions: 8,
-					StreamBufSize: 4096, Direction: dir, ScatterWorkers: workers},
+					StreamBufSize: 4096, Direction: dir, ScatterWorkers: workers, Sim: st.sim},
 					GracePeriod: 1e9})
 				if err != nil {
 					t.Fatalf("%s, %s, workers=%d: %v", st.name, dir, workers, err)
@@ -213,6 +219,9 @@ func TestDroppedRunsAreWorkerInvariant(t *testing.T) {
 			if len(rv1.log) == 0 || !res1.Metrics.Iterations[0].Stored && dir != xstream.DirectionBottomUp ||
 				res1.Metrics.BottomUpIterations == 0 && dir != xstream.DirectionTopDown || !trimmed {
 				t.Fatalf("%s, %s: %d files published, trimmed %v, rows %+v: the test is vacuous", st.name, dir, len(rv1.log), trimmed, res1.Metrics.Iterations)
+			}
+			if fused := slices.IndexFunc(res1.Metrics.Iterations, func(it metrics.Iteration) bool { return it.BottomUp }); st.sim != nil && fused >= 0 && !res1.Metrics.Iterations[fused].Sparse {
+				t.Fatalf("%s, %s: the fused pass reads the .rev whole: the test is vacuous", st.name, dir)
 			}
 			for _, workers := range []int{2, 8} {
 				rv, res := run(workers)

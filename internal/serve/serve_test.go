@@ -660,3 +660,47 @@ func TestServiceShutdownExpiredContextWakesWaiters(t *testing.T) {
 	}
 	assertOnlyDataset(t, vol, m)
 }
+
+// TestServiceAutoDirectionOverFixedReverse: an out-of-core service over a
+// fixed store with its transposed graph, every query direction auto,
+// answers five roots whose first bottom-up pass reads the .rev in ranges
+// that cut a target's tails — each tree the top-down run's — and never
+// trips its breaker.
+func TestServiceAutoDirectionOverFixedReverse(t *testing.T) {
+	m, edges, err := gen.RMAT(15, 16, gen.Graph500(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := storage.NewMem()
+	if err := graph.StoreGraph(vol, m, edges, graph.StoreOptions{Reverse: true}); err != nil {
+		t.Fatal(err)
+	}
+	base := core.Options{Base: xstream.Options{MemoryBudget: 32 << 10, Sim: xstream.ScaledSim(512), Direction: xstream.DirectionAuto}}
+	svc, err := serve.New(vol, m.Name, serve.Config{MaxInFlight: 1, Base: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if svc.Stats().PreparedResident != 0 {
+		t.Fatal("the service holds the graph resident: the test is vacuous")
+	}
+	for _, root := range []graph.VertexID{2730, 2, 3, 4, 5} {
+		res, err := svc.Submit(context.Background(), serve.Query{Algorithm: serve.AlgoBFS, Root: root, NoCache: true})
+		if err != nil {
+			t.Errorf("root %d: %v", root, err)
+			continue
+		}
+		o := base
+		o.Base.Root, o.Base.Direction = root, xstream.DirectionTopDown
+		want, err := core.Run(vol, m.Name, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Levels, want.Levels) || !reflect.DeepEqual(res.Parents, want.Parents) {
+			t.Errorf("root %d: the service's tree is not the top-down run's", root)
+		}
+	}
+	if st := svc.Stats(); st.BreakerTrips != 0 {
+		t.Fatalf("%d breaker trips", st.BreakerTrips)
+	}
+}

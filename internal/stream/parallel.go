@@ -64,7 +64,7 @@ type Shard struct {
 	// chunk is the buffer Stays borrows and hint the chunk's run checks
 	// (Hints), both held until the shard has been merged.
 	chunk []graph.Edge
-	hint  graph.RunHint
+	hint  ChunkHint
 }
 
 func (s *Shard) reset() {
@@ -123,7 +123,7 @@ type ScatterPool struct {
 	shards []*Shard
 	chunks [][]graph.Edge
 	raws   [][]byte
-	hints  []graph.RunHint
+	hints  []ChunkHint
 	outs   []chan *Shard
 }
 
@@ -200,7 +200,7 @@ func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, hints
 		j.raw.raw = pop(sp, &sp.raws, func() []byte { return nil })
 		err = sc.cut(&j.raw, j.edges, sp.chunkEdges)
 		if err == nil && j.raw.n > 0 && hints != nil {
-			j.hint = hints.Chunk(pop(sp, &sp.hints, func() graph.RunHint { return nil }), j.raw.n, j.raw.head)
+			j.hint = hints.Chunk(pop(sp, &sp.hints, func() ChunkHint { return nil }), j.raw.n)
 		}
 		return j, err
 	}
@@ -212,7 +212,7 @@ func (sp *ScatterPool) RunScannerDepth(sc *Scanner[graph.Edge], depth int, hints
 type chunkJob struct {
 	raw   rawChunk
 	edges []graph.Edge
-	hint  graph.RunHint
+	hint  ChunkHint
 	out   chan *Shard
 }
 

@@ -360,11 +360,10 @@ func TestScatterPoolFaultHookPanic(t *testing.T) {
 }
 
 // TestScatterPoolGivesEachChunkOneHint: a worker decodes a chunk whole
-// against a hint of its own, told how many of the chunk's records lie in a
-// delta block begun in an earlier chunk, and the chunks are classified and
-// merged in file order — the same chunks, heads and kept edges for every
-// worker count, on a delta file whose blocks the chunk boundaries cut, and
-// on a fixed one, which has no blocks.
+// against a hint of its own, shown the chunk's records and no others, and
+// the chunks are classified and merged in file order — the same chunks and
+// kept edges for every worker count, on a delta file whose blocks the chunk
+// boundaries cut, and on a fixed one, which has no blocks.
 func TestScatterPoolGivesEachChunkOneHint(t *testing.T) {
 	var edges []graph.Edge
 	for s := 0; len(edges) < 20000; s++ {
@@ -386,13 +385,9 @@ func TestScatterPoolGivesEachChunkOneHint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want [][2]int
+		var want []int
 		for at := 0; at < len(edges); at += chunk {
-			n, head := min(chunk, len(edges)-at), 0
-			if skip := at % block; skip > 0 && codec == graph.CodecDelta {
-				head = min(block-skip, n)
-			}
-			want = append(want, [2]int{n, head})
+			want = append(want, min(chunk, len(edges)-at))
 		}
 		for _, workers := range []int{1, 2, 8} {
 			sc, err := NewEdgeScanner(vol, "e_"+string(codec), Timing{}, chunk*graph.EdgeBytes)
@@ -418,7 +413,7 @@ func TestScatterPoolGivesEachChunkOneHint(t *testing.T) {
 				}
 			}
 			if !slices.Equal(hint.chunks, want) || len(reads) != len(want) || hint.shown != len(edges) || !slices.Equal(kept, wantKept) {
-				t.Fatalf("%s, %d workers: chunks (records, head) %v, want %v; %d merged, %d shown to the hints, %d kept of %d",
+				t.Fatalf("%s, %d workers: chunks' records %v, want %v; %d merged, %d shown to the hints, %d kept of %d",
 					codec, workers, hint.chunks, want, len(reads), hint.shown, len(kept), len(wantKept))
 			}
 		}

@@ -228,64 +228,54 @@ func (s *Scanner[T]) records(dst []T, max int, blocks func(b []byte, skip, at, k
 // cut reads up to max records into c at NextChunk's refills: decoded into
 // dst if they are fixed-width, else as the delta blocks they lie in.
 func (s *Scanner[T]) cut(c *rawChunk, dst []T, max int) (err error) {
-	c.raw, c.skip, c.head = c.raw[:0], 0, 0
+	c.raw, c.skip = c.raw[:0], 0
 	c.n, err = s.records(dst, max, func(b []byte, skip, at, _ int) error {
-		count, total, _ := graph.DeltaBlockLen(b)
-		if at == 0 && skip > 0 {
-			c.skip, c.head = skip, count-skip
+		if at == 0 {
+			c.skip = skip
 		} else if skip > 0 { // c holds the block the last window ended in
+			_, total, _ := graph.DeltaBlockLen(b)
 			b = b[total:]
 		}
 		c.raw = append(c.raw, b...)
 		return nil
 	})
-	c.head = min(c.head, c.n)
 	return err
 }
 
-// Hints are a pool pass's run checks, cut by chunk on the engine thread in
-// file order: Chunk gives the hint the next n records show their runs, the
-// first head of them in a block begun in an earlier chunk, in old if it can
-// (nil, or one it gave before); Merged gets it back before their shard
-// merges (an error aborts the pass there).
+// Hints are a pool pass's run checks, placed chunk by chunk on the engine
+// thread in file order: Chunk gives the checks of the next n records, in old
+// if it can (nil, or one it gave before); Merged gets them back before their
+// shard merges (an error aborts the pass there).
 type Hints interface {
-	Chunk(old graph.RunHint, n, head int) graph.RunHint
-	Merged(graph.RunHint) error
+	Chunk(old ChunkHint, n int) ChunkHint
+	Merged(ChunkHint) error
+}
+
+// ChunkHint is one chunk's run checks, run by its worker: the delta decoder
+// shows it each run (graph.RunHint), and Records is shown a chunk of
+// fixed-width records whole, all of which the pass keeps.
+type ChunkHint interface {
+	graph.RunHint
+	Records([]graph.Edge) error
 }
 
 // rawChunk is n records as read: fixed-width ones, which cut decodes, or
-// those of the delta blocks in raw from the skip'th on, head in the first.
+// those of the delta blocks in raw from the skip'th on.
 type rawChunk struct {
-	raw           []byte
-	skip, n, head int
+	raw     []byte
+	skip, n int
 }
 
 // decode decodes c's delta blocks into dst, where cut left fixed-width
-// records, and returns how many it kept: those of the runs hint keeps.
-func (c *rawChunk) decode(dst []graph.Edge, hint graph.RunHint) (int, error) {
+// records, and returns how many it kept: those of the runs hint (nil: none)
+// keeps.
+func (c *rawChunk) decode(dst []graph.Edge, hint ChunkHint) (n int, err error) {
 	if len(c.raw) > 0 {
 		return graph.DecodeDeltaEdges(dst, c.raw, c.skip, c.n, hint)
+	} else if hint != nil {
+		err = hint.Records(dst[:c.n])
 	}
-	return c.n, showRuns(hint, dst[:c.n])
-}
-
-// showRuns shows hint (nil: none) the runs of edges: each stretch of one
-// source, with its largest destination as the last.
-func showRuns(hint graph.RunHint, edges []graph.Edge) error {
-	for i := 0; hint != nil && i < len(edges); {
-		src, last, j := edges[i].Src, edges[i].Dst, i+1
-		for ; j < len(edges) && edges[j].Src == src; j++ {
-			last = max(last, edges[j].Dst)
-		}
-		if _, err := hint.Keep(src, j-i); err != nil {
-			return err
-		}
-		if err := hint.Last(last); err != nil {
-			return err
-		}
-		i = j
-	}
-	return nil
+	return c.n, err
 }
 
 // Prefetch enables read-ahead with the given number of look-ahead

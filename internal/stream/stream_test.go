@@ -315,20 +315,20 @@ func TestShufflerAbort(t *testing.T) {
 
 // oddRuns are Hints that keep the runs of odd sources: each chunk's hint
 // counts the records it is shown, which must be the chunk's, and Merged
-// adds them up; Chunk logs each chunk's records and head.
+// adds them up; Chunk logs each chunk's records.
 type oddRuns struct {
 	shown  int
-	chunks [][2]int
+	chunks []int
 }
 
 type oddChunk struct{ n, shown int }
 
-func (h *oddRuns) Chunk(_ graph.RunHint, n, head int) graph.RunHint {
-	h.chunks = append(h.chunks, [2]int{n, head})
+func (h *oddRuns) Chunk(_ ChunkHint, n int) ChunkHint {
+	h.chunks = append(h.chunks, n)
 	return &oddChunk{n: n}
 }
 
-func (h *oddRuns) Merged(hint graph.RunHint) error {
+func (h *oddRuns) Merged(hint ChunkHint) error {
 	c := hint.(*oddChunk)
 	if c.shown != c.n {
 		return fmt.Errorf("a chunk of %d records showed its hint %d", c.n, c.shown)
@@ -343,6 +343,11 @@ func (c *oddChunk) Keep(src graph.VertexID, n int) (bool, error) {
 }
 
 func (c *oddChunk) Last(graph.VertexID) error { return nil }
+
+func (c *oddChunk) Records(edges []graph.Edge) error {
+	c.shown += len(edges)
+	return nil
+}
 
 // TestKeepLeavesRefillsAlone: a hinted pool scan of a delta file reads,
 // chunk for chunk, the records and the device bytes an unhinted NextChunk

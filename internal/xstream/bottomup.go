@@ -251,7 +251,8 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 
 // reverseIndex reads the transposed graph's index, the tail counts into a
 // table from the run's scratch. As it decodes, each unvisited target whose
-// head is in the frontier wins it into best, and each open target — with
+// head is in the frontier wins it into best and joins e.dir.next, where the
+// split pass's workers read it, and each open target — with
 // dropWon, one that did not — has its head written to its partition's
 // writer in w, ahead of its tails; hs counts the heads as a split pass
 // counts edges. A graph stored without the index, or with a .rev of another
@@ -282,6 +283,7 @@ func (e *kernel) reverseIndex(best []graph.VertexID, w []*stream.Writer[graph.Ed
 			if won {
 				hs.candidates++
 				best[v] = head
+				e.dir.next.Set(v)
 			}
 			if werr == nil && !(dropWon && won) {
 				if werr = w[rt.Parts.Of(v)].Append(graph.Edge{Src: v, Dst: head}); werr == nil {

@@ -182,11 +182,11 @@ func TestSplitPassDeviceOpsArePinned(t *testing.T) {
 }
 
 // TestFusedPassChargeIsPinned: a simulated FastBFS run forced bottom-up on
-// a delta store, whose fused first pass drops the runs of targets its own
-// earlier records won, charges the compute and time pinned below at 1 and 4
-// workers — those of a decode that read each block whole, deciding its runs
-// as the chunk the block began in was cut, even where a hub's records run
-// on over chunks that merged meanwhile.
+// a delta store charges the compute and time pinned below at 1 and 4
+// workers. Its fused first pass's workers drop the runs of visited targets
+// and of those their head won, read from state the pass does not change;
+// the merges drop the records of targets the pass's own earlier records
+// won, so the charge does not depend on when a chunk is cut or merged.
 func TestFusedPassChargeIsPinned(t *testing.T) {
 	m, edges, err := gen.RMAT(12, 16, gen.Graph500(), 11)
 	if err != nil {

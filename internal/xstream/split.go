@@ -1,6 +1,7 @@
 package xstream
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -56,30 +57,26 @@ type passStats struct {
 func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
 	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
 	name, total := graph.EdgeFileName(m.Name), int64(m.Edges)
-	if ix != nil {
-		name, total = ix.name, ix.edges
-	}
 	var want func(graph.VertexID) bool
 	var ranges []stream.Range
 	if ix != nil {
+		name, total = ix.name, ix.edges
 		want = func(v graph.VertexID) bool {
-			if rev { // the open targets
-				return !visited.Get(v) && (!dropWon || best[v] == graph.NoVertex)
+			if rev { // the open targets: with dropWon, not won by their head
+				return !visited.Get(v) && (!dropWon || !e.dir.next.Get(v))
 			}
 			return front.Get(v) || outs != nil && !visited.Get(v)
 		}
-		ranges, ps.predicted, ps.sparse = ix.sparseRuns(want)
+		if ranges, ps.predicted, ps.sparse = ix.sparseRuns(want); !ps.sparse {
+			ranges = []stream.Range{{Len: ix.size}} // the whole file
+		}
 	}
-	check := &runs{name: name, verts: m.Vertices, want: want, ix: ix, v: -1}
+	check := &runs{name: name, verts: m.Vertices, want: want, ix: ix, ranges: ranges, v: -1}
 	var sc *stream.Scanner[graph.Edge]
 	if ps.sparse {
 		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, ranges, ix.magic)
-		check.ranges = ranges
 	} else {
 		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
-		if ix != nil {
-			check.due = ix.edges // one range, the whole file
-		}
 	}
 	if err != nil {
 		return ps, err
@@ -465,17 +462,13 @@ func descending(name string, src, last graph.VertexID) error {
 // accepts (nil: every run). Every endpoint is a vertex of the graph, and,
 // by what the pass reads:
 //   - a dataset file with an index (ix), read whole or in a sparse pass's
-//     ranges: a range holds the edges edgesOf gives, and each run the
-//     source the index places at its first edge, within that source's
-//     degree, so no source falls below the one before it;
+//     ranges (edgesOf): each edge has the source the index places there;
 //   - a dataset file without one: no source below the one before it;
 //   - a partition's reverse input (part): every source in [lo, hi).
 //
-// Anything else is errs.ErrCorrupted, a file its index or its writer does
-// not describe. Each chunk's worker checks a copy (Chunk). want is asked on
-// the engine thread for a chunk's first source, which a merge may win (the
-// fused pass drops a target its own records won), and on the worker for
-// the rest, which no merge touches.
+// Anything else is errs.ErrCorrupted. Each chunk's worker checks a copy
+// (Chunk) and asks want, which reads only state the pass does not change:
+// the merges drop the records of the targets the pass itself wins.
 type runs struct {
 	name   string
 	verts  uint64
@@ -489,36 +482,26 @@ type runs struct {
 	// what the current range still holds.
 	v             int
 	vEnd, at, due int64
-	// A chunk's copy holds its first source (NoVertex: none) and, with an
-	// index, want's answers for it in its head and after; keepNext is the
-	// answer for the next chunk's head.
-	first                         graph.VertexID
-	head                          int
-	keepHead, keepFirst, keepNext bool
+	// first is a chunk's first source without an index (NoVertex: none).
+	first graph.VertexID
 }
 
-// Chunk is the checks of the pass's next n records, the first head of them
-// in a block begun in an earlier chunk. want is asked for their first
-// source as the chunk each block begins in is cut, as when blocks decoded whole.
-func (c *runs) Chunk(old graph.RunHint, n, head int) graph.RunHint {
+// Chunk is the checks of the pass's next n records; with an index, it
+// moves the pass's checks past them.
+func (c *runs) Chunk(old stream.ChunkHint, n int) stream.ChunkHint {
 	h, ok := old.(*runs)
 	if !ok {
 		h = new(runs)
 	}
 	*h = *c
 	h.last, h.first = 0, graph.NoVertex
-	if c.ix == nil || c.want == nil {
+	if c.ix == nil {
 		return h
 	}
 	c.place()
-	first := graph.VertexID(c.v)
-	h.first, h.head, h.keepHead, h.keepFirst = first, head, c.keepNext, c.want(first)
 	for left := int64(n); left > 0 && c.due > 0; c.place() {
 		k := min(left, c.due)
 		c.at, c.due, left = c.at+k, c.due-k, left-k
-	}
-	if head < n || graph.VertexID(c.v) != first { // else the head block runs on
-		c.keepNext = c.want(graph.VertexID(c.v))
 	}
 	return h
 }
@@ -538,7 +521,7 @@ func (c *runs) place() {
 
 // Merged checks, without an index, a chunk's first source against the
 // chunks' before it.
-func (c *runs) Merged(hint graph.RunHint) error {
+func (c *runs) Merged(hint stream.ChunkHint) error {
 	h := hint.(*runs)
 	if c.ix == nil && h.first < c.last {
 		return descending(c.name, h.first, c.last)
@@ -566,10 +549,32 @@ func (c *runs) Keep(src graph.VertexID, n int) (bool, error) {
 	default:
 		c.first, c.last = min(c.first, src), src
 	}
-	if c.head -= n; c.ix != nil && src == c.first { // a run in the head block, or after it
-		return c.head+n > 0 && c.keepHead || c.head+n <= 0 && c.keepFirst, nil
-	}
 	return c.want == nil || c.want(src), nil
+}
+
+// Records checks a chunk of fixed-width records, all kept, as runs: with
+// an index, the edges a range holds of the source placed there (past the
+// ranges, one edge, which Keep refuses); without, each stretch of a source.
+func (c *runs) Records(edges []graph.Edge) error {
+	for i, j := 0, 0; i < len(edges); i = j {
+		src := edges[i].Src
+		if j = i + 1; c.ix != nil {
+			c.place()
+			j = i + int(min(int64(len(edges)-i), max(min(c.due, c.vEnd-c.at), 1)))
+		}
+		for c.ix == nil && j < len(edges) && edges[j].Src == src {
+			j++
+		}
+		if _, err := c.Keep(src, j-i); err != nil {
+			return err
+		}
+		for _, x := range edges[i:j] {
+			if x.Src != src || uint64(x.Dst) >= c.verts {
+				return cmp.Or(c.Last(x.Dst), fmt.Errorf("%w: %s: an edge of %d among the index's of %d", errs.ErrCorrupted, c.name, x.Src, src))
+			}
+		}
+	}
+	return nil
 }
 
 func (c *runs) Last(dst graph.VertexID) error {
