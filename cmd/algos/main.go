@@ -74,7 +74,7 @@ func main() {
 		fmt.Println(res.Metrics.String())
 
 	case "pagerank":
-		m, edges, err := graph.LoadEdges(vol, *name)
+		m, edges, err := xstream.LoadEdges(vol, *name)
 		if err != nil {
 			fail(err)
 		}

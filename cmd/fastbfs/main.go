@@ -183,7 +183,7 @@ func checkpointVolume(dir string, resume bool) (storage.Volume, error) {
 }
 
 func validateResult(vol storage.Volume, name string, root graph.VertexID, res *xstream.Result) {
-	m, edges, err := graph.LoadEdges(vol, name)
+	m, edges, err := xstream.LoadEdges(vol, name)
 	if err != nil {
 		fail(err)
 	}

@@ -13,8 +13,10 @@ import (
 	"os"
 
 	"fastbfs/internal/bfs"
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 func main() {
@@ -31,7 +33,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	m, edges, err := graph.LoadEdges(vol, *name)
+	m, edges, err := xstream.LoadEdges(vol, *name)
 	if err != nil {
 		fail(err)
 	}
@@ -73,5 +75,5 @@ func main() {
 
 func fail(err error) {
 	fmt.Fprintln(os.Stderr, "graphinfo:", err)
-	os.Exit(1)
+	os.Exit(errs.ExitCode(err))
 }

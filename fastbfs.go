@@ -326,7 +326,7 @@ func ConnectedComponents(vol Volume, graphName string, opts EngineOptions) ([]ui
 // PageRankContext runs `iterations` damped power iterations over a
 // stored graph, returning a score per vertex, cancellable through ctx.
 func PageRankContext(ctx context.Context, vol Volume, graphName string, iterations int, opts EngineOptions) ([]float64, error) {
-	m, edges, err := graph.LoadEdges(vol, graphName)
+	m, edges, err := xstream.LoadEdges(vol, graphName)
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func EstimateDiameterContext(ctx context.Context, vol storage.Volume, graphName 
 	if samples < 1 {
 		return nil, fmt.Errorf("algo: need at least one sample")
 	}
-	m, edges, err := graph.LoadEdges(vol, graphName)
+	m, edges, err := xstream.LoadEdges(vol, graphName)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 	"fastbfs/internal/bfs"
 	"fastbfs/internal/core"
 	"fastbfs/internal/disksim"
-	"fastbfs/internal/graph"
 	"fastbfs/internal/graphchi"
 	"fastbfs/internal/storage"
 	"fastbfs/internal/xstream"
@@ -109,7 +108,7 @@ func Fig1(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	mid := ds[0]
-	m, edges, err := graph.LoadEdges(vol, mid.Meta.Name)
+	m, edges, err := xstream.LoadEdges(vol, mid.Meta.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -140,9 +140,16 @@ func RunCSR(m graph.Meta, csr *CSR, root graph.VertexID) *Result {
 //     when both ends are reached, and a reached source never points at
 //     an unreached destination);
 //  5. the visited count matches.
+//
+// One pass over the edges checks rule 4 and marks, in a V-bit bitmap, each
+// vertex whose tree edge it meets; one over the vertices checks the rest.
+// An endpoint, root or parent outside the vertex space is an error.
 func Validate(m graph.Meta, edges []graph.Edge, res *Result) error {
 	if uint64(len(res.Level)) != m.Vertices || uint64(len(res.Parent)) != m.Vertices {
 		return fmt.Errorf("bfs: result arrays sized %d/%d, want %d", len(res.Level), len(res.Parent), m.Vertices)
+	}
+	if uint64(res.Root) >= m.Vertices {
+		return fmt.Errorf("bfs: root %d outside vertex space [0,%d)", res.Root, m.Vertices)
 	}
 	if res.Level[res.Root] != 0 {
 		return fmt.Errorf("bfs: root level = %d, want 0", res.Level[res.Root])
@@ -150,9 +157,21 @@ func Validate(m graph.Meta, edges []graph.Edge, res *Result) error {
 	if res.Parent[res.Root] != res.Root {
 		return fmt.Errorf("bfs: root parent = %d, want itself", res.Parent[res.Root])
 	}
-	csr, err := BuildCSR(m, edges)
-	if err != nil {
-		return err
+	treeEdge := make([]uint64, (m.Vertices+63)/64)
+	for _, e := range edges {
+		if err := m.CheckEdge(e); err != nil {
+			return err
+		}
+		if res.Parent[e.Dst] == e.Src {
+			treeEdge[e.Dst/64] |= 1 << (e.Dst % 64)
+		}
+		switch ls, ld := res.Level[e.Src], res.Level[e.Dst]; {
+		case ls == NoLevel:
+		case ld == NoLevel:
+			return fmt.Errorf("bfs: edge %v from reached level %d to unreached vertex", e, ls)
+		case int64(ld)-int64(ls) > 1:
+			return fmt.Errorf("bfs: edge %v spans levels %d->%d", e, ls, ld)
+		}
 	}
 	var visited uint64
 	for v := uint64(0); v < m.Vertices; v++ {
@@ -167,29 +186,18 @@ func Validate(m graph.Meta, edges []graph.Edge, res *Result) error {
 		if graph.VertexID(v) == res.Root {
 			continue
 		}
-		pl := res.Level[p]
-		if pl == NoLevel || pl+1 != l {
+		if uint64(p) >= m.Vertices {
+			return fmt.Errorf("bfs: vertex %d has parent %d outside vertex space [0,%d)", v, p, m.Vertices)
+		}
+		if pl := res.Level[p]; pl == NoLevel || pl+1 != l {
 			return fmt.Errorf("bfs: vertex %d at level %d has parent %d at level %d", v, l, p, pl)
 		}
-		if !csr.HasEdge(p, graph.VertexID(v)) {
+		if treeEdge[v/64]&(1<<(v%64)) == 0 {
 			return fmt.Errorf("bfs: tree edge %d->%d not in graph", p, v)
 		}
 	}
 	if visited != res.Visited {
 		return fmt.Errorf("bfs: visited count %d, recorded %d", visited, res.Visited)
-	}
-	for _, e := range edges {
-		ls, ld := res.Level[e.Src], res.Level[e.Dst]
-		if ls == NoLevel {
-			continue
-		}
-		if ld == NoLevel {
-			return fmt.Errorf("bfs: edge %v from reached level %d to unreached vertex", e, ls)
-		}
-		diff := int64(ld) - int64(ls)
-		if diff > 1 {
-			return fmt.Errorf("bfs: edge %v spans levels %d->%d", e, ls, ld)
-		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package bfs
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -125,17 +127,53 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		return r
 	}
 	cases := map[string]*Result{
-		"wrong root level":   corrupt(func(r *Result) { r.Level[0] = 1 }),
-		"wrong level":        corrupt(func(r *Result) { r.Level[7] = 9 }),
-		"fake parent":        corrupt(func(r *Result) { r.Parent[7] = 8 }),
-		"missing vertex":     corrupt(func(r *Result) { r.Level[14] = NoLevel; r.Parent[14] = graph.NoVertex }),
-		"bad visited count":  corrupt(func(r *Result) { r.Visited = 3 }),
-		"level/parent split": corrupt(func(r *Result) { r.Parent[7] = graph.NoVertex }),
+		"wrong root level":                corrupt(func(r *Result) { r.Level[0] = 1 }),
+		"wrong level":                     corrupt(func(r *Result) { r.Level[7] = 9 }),
+		"fake parent":                     corrupt(func(r *Result) { r.Parent[7] = 8 }),
+		"missing vertex":                  corrupt(func(r *Result) { r.Level[14] = NoLevel; r.Parent[14] = graph.NoVertex }),
+		"bad visited count":               corrupt(func(r *Result) { r.Visited = 3 }),
+		"level/parent split":              corrupt(func(r *Result) { r.Parent[7] = graph.NoVertex }),
+		"parent outside the vertex space": corrupt(func(r *Result) { r.Parent[7] = 15 }),
+		"root outside the vertex space":   corrupt(func(r *Result) { r.Root = 15 }),
+		// 14 unreached and the count lowered to match: only the edge 6->14,
+		// from a reached vertex to an unreached one, gives it away.
+		"edge to an unreached vertex": corrupt(func(r *Result) {
+			r.Level[14], r.Parent[14], r.Visited = NoLevel, graph.NoVertex, r.Visited-1
+		}),
 	}
-	for name, r := range cases {
+	validate := func(name string, edges []graph.Edge, r *Result) {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s: validation panicked: %v", name, p)
+			}
+		}()
 		if err := Validate(m, edges, r); err == nil {
 			t.Errorf("%s: validation passed", name)
 		}
+	}
+	for name, r := range cases {
+		validate(name, edges, r)
+	}
+	validate("edge endpoint outside the graph", append(slices.Clone(edges), graph.Edge{Src: 3, Dst: 15}), base)
+}
+
+// TestValidateAllocatesBits: Validate's working memory is one bit a
+// vertex; it builds no adjacency of the edge list.
+func TestValidateAllocatesBits(t *testing.T) {
+	m, edges, err := gen.RMAT(14, 16, gen.Graph500(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := mustRun(t, m, edges, edges[0].Src)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = Validate(m, edges, res)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, m.Vertices/8+4096; got > limit {
+		t.Fatalf("Validate allocated %d bytes on %d vertices, %d edges; want at most %d", got, m.Vertices, len(edges), limit)
 	}
 }
 

@@ -150,7 +150,7 @@ func TestStoreBeforeTransposeRejected(t *testing.T) {
 				t.Fatal(err)
 			}
 		case "old-order .rev":
-			_, edges, err := graph.LoadEdges(vol, m.Name)
+			_, edges, err := xstream.LoadEdges(vol, m.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -53,11 +53,11 @@ func TestPairsLayoutStoreRuns(t *testing.T) {
 			t.Errorf("%s: %d bytes stored now, %d in pairs: the fixture tests nothing", file, now, was)
 		}
 	}
-	_, want, err := graph.LoadEdges(fresh, m.Name)
+	_, want, err := xstream.LoadEdges(fresh, m.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got, err := graph.LoadEdges(old(), m.Name); err != nil || !slices.Equal(got, want) {
+	if _, got, err := xstream.LoadEdges(old(), m.Name); err != nil || !slices.Equal(got, want) {
 		t.Fatalf("pairs store's edges differ from the fresh store's: %v", err)
 	}
 

@@ -26,7 +26,9 @@ import (
 // record past or short of the count the config declares — and reports it
 // as errs.ErrCorrupted with every stream buffer back: the resident open,
 // the one-shot run, X-Stream and FastBFS without trimming out of core
-// (Prepare), GraphChi's sharding pass and the algo engine's edge walk.
+// (Prepare), GraphChi's sharding pass, the algo engine's edge walk and
+// the whole-list loader, xstream.LoadEdges, with the diameter estimate
+// that counts degrees from it.
 // FastBFS's default run reads the file in its split passes instead, top
 // down and with direction auto, and finds the same damage on both stores.
 func TestStoredReadersRejectDamagedEdges(t *testing.T) {
@@ -77,6 +79,14 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 			_, err := algo.Run(vol, m.Name, algo.NewBFS(root), ooc)
 			return err
 		}},
+		{"xstream.LoadEdges", func(vol storage.Volume) error {
+			_, _, err := xstream.LoadEdges(vol, m.Name)
+			return err
+		}},
+		{"diameter estimate", func(vol storage.Volume) error {
+			_, err := algo.EstimateDiameterContext(context.Background(), vol, m.Name, 2, 1, core.Options{Base: ooc})
+			return err
+		}},
 	}
 	check := func(damage string, vol storage.Volume) {
 		t.Helper()
@@ -102,6 +112,8 @@ func TestStoredReadersRejectDamagedEdges(t *testing.T) {
 		// config check, before any edge is read.
 		{"trailing record", func(es []graph.Edge) []graph.Edge { return append(es, es[last]) }},
 		{"out-of-range endpoint", func(es []graph.Edge) []graph.Edge { es[len(es)/2].Dst = graph.VertexID(m.Vertices); return es }},
+		// The last record's source, so the sources still ascend.
+		{"out-of-range source", func(es []graph.Edge) []graph.Edge { es[last].Src = graph.VertexID(m.Vertices); return es }},
 		{"descending source", func(es []graph.Edge) []graph.Edge { es[0], es[last] = es[last], es[0]; return es }},
 		// Sorted within every 32-edge chunk of a 256 B buffer, descending
 		// only where two chunks meet.

@@ -125,7 +125,7 @@ func TestReverseTailsPastTheirDegreeAreCorrupted(t *testing.T) {
 	// a target is open if it is unvisited when the pass starts and its head,
 	// the in-neighbour of the smallest id, is not in the frontier.
 	head := make(map[graph.VertexID]graph.VertexID)
-	_, edges, err := graph.LoadEdges(vol, m.Name)
+	_, edges, err := xstream.LoadEdges(vol, m.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

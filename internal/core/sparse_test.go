@@ -209,7 +209,7 @@ func TestFusedPassKeepsOpenTails(t *testing.T) {
 		t.Fatalf("the reverse-split span streamed %d edges, its row %d", edges, row.EdgesStreamed)
 	}
 
-	_, es, err := graph.LoadEdges(vol, m.Name)
+	_, es, err := xstream.LoadEdges(vol, m.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

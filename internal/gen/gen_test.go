@@ -7,6 +7,7 @@ import (
 
 	"fastbfs/internal/graph"
 	"fastbfs/internal/storage"
+	"fastbfs/internal/xstream"
 )
 
 func TestRMATShape(t *testing.T) {
@@ -179,7 +180,7 @@ func TestStoreAndLoadRoundTrip(t *testing.T) {
 	if err := graph.Store(vol, m, edges); err != nil {
 		t.Fatal(err)
 	}
-	gotMeta, gotEdges, err := graph.LoadEdges(vol, m.Name)
+	gotMeta, gotEdges, err := xstream.LoadEdges(vol, m.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,15 +308,10 @@ func corruptBlock(bad string) error {
 	return fmt.Errorf("graph: %w: delta block %s", errs.ErrCorrupted, bad)
 }
 
-// DecodeDeltaStream is DecodeDeltaEdgeStream's edges as fixed-width records.
+// DecodeDeltaStream decodes a complete concatenation of delta blocks
+// (e.g. a deframed .edges file) into fixed-width records, sized once from
+// the headers.
 func DecodeDeltaStream(blocks []byte) ([]byte, error) {
-	edges, err := DecodeDeltaEdgeStream(blocks)
-	return EdgesToBytes(edges), err
-}
-
-// DecodeDeltaEdgeStream decodes a complete concatenation of delta blocks
-// (e.g. a deframed .edges file) into edges, sized once from the headers.
-func DecodeDeltaEdgeStream(blocks []byte) ([]Edge, error) {
 	records := 0
 	for b := blocks; len(b) > 0; {
 		count, _, _, total, err := blockHeader(b)
@@ -327,5 +322,5 @@ func DecodeDeltaEdgeStream(blocks []byte) ([]Edge, error) {
 	}
 	out := make([]Edge, records)
 	_, err := DecodeDeltaEdges(out, blocks, 0, records, nil)
-	return out, err
+	return EdgesToBytes(out), err
 }

@@ -223,49 +223,6 @@ func LoadMeta(vol storage.Volume, name string) (Meta, error) {
 	return m, nil
 }
 
-// LoadEdges reads a stored graph's full edge list into memory, decoding
-// compressed codecs and translating a reordered graph's endpoints back
-// to the caller's original labels, so the returned list always lines up
-// with results, roots and degree tables in original space. Intended for
-// tests, reference BFS and small graphs — engines stream the stored
-// (possibly relabeled) file instead.
-func LoadEdges(vol storage.Volume, name string) (Meta, []Edge, error) {
-	m, err := LoadMeta(vol, name)
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	b, err := storage.ReadAll(vol, EdgeFileName(name))
-	if err != nil {
-		return Meta{}, nil, err
-	}
-	var edges []Edge
-	if m.EdgeCodec() == CodecDelta {
-		magic, blocks, err := DeframeAllMagic(b)
-		if err != nil {
-			return Meta{}, nil, fmt.Errorf("graph %s: %w", name, err)
-		}
-		if magic != FrameMagicDelta {
-			return Meta{}, nil, fmt.Errorf("graph %s: %w: delta edge file carries magic %#x", name, errs.ErrCorrupted, magic)
-		}
-		if edges, err = DecodeDeltaEdgeStream(blocks); err != nil {
-			return Meta{}, nil, fmt.Errorf("graph %s: %w", name, err)
-		}
-	} else if edges, err = BytesToEdges(b); err != nil {
-		return Meta{}, nil, err
-	}
-	if m.Reordered {
-		perm, err := LoadPerm(vol, name, m.Vertices)
-		if err != nil {
-			return Meta{}, nil, err
-		}
-		for i := range edges {
-			edges[i].Src = perm.ToOrig(edges[i].Src)
-			edges[i].Dst = perm.ToOrig(edges[i].Dst)
-		}
-	}
-	return m, edges, nil
-}
-
 // IndexFileName returns the name of a dataset's degree index (DESIGN.md
 // §5). A graph stored without one is read whole.
 func IndexFileName(name string) string { return name + ".idx" }

@@ -181,7 +181,7 @@ func TestHTTPIOFailureReasonAndDegradedHealth(t *testing.T) {
 		}},
 		{"corrupted", func(t *testing.T) (storage.Volume, graph.Meta, serve.Config) {
 			vol, m := storedGraph(t)
-			_, edges, err := graph.LoadEdges(vol, m.Name)
+			_, edges, err := xstream.LoadEdges(vol, m.Name)
 			if err != nil {
 				t.Fatal(err)
 			}

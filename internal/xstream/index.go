@@ -149,6 +149,35 @@ func ScanStored(vol storage.Volume, m graph.Meta, tm stream.Timing, bufSize int,
 	return read(), nil
 }
 
+// LoadEdges reads a stored graph's edge file whole through ScanStored, so
+// it refuses what the engines refuse, and returns the list in stored order
+// with a reordered graph's endpoints translated back to original labels:
+// the list that lines up with results, roots and degree tables. It is for
+// tests, checks and small graphs; the engines stream the file.
+func LoadEdges(vol storage.Volume, name string) (graph.Meta, []graph.Edge, error) {
+	m, perm, err := loadMetaPerm(nil, vol, name, new(graph.Permutation), nil)
+	if err != nil {
+		return graph.Meta{}, nil, err
+	}
+	// A fixed file's size is checked against the count; a delta record
+	// takes at least a byte, so the file's size bounds what a config asks.
+	n := m.Edges
+	if m.EdgeCodec() == graph.CodecDelta {
+		n = min(n, m.StoredBytes)
+	}
+	edges := make([]graph.Edge, 0, n)
+	if _, err := ScanStored(vol, m, stream.Timing{}, stream.DefaultBufSize, nil, func(es []graph.Edge, _ []float32) error {
+		edges = append(edges, es...)
+		return nil
+	}); err != nil {
+		return graph.Meta{}, nil, err
+	}
+	for i := 0; perm != nil && i < len(edges); i++ {
+		edges[i] = graph.Edge{Src: perm.ToOrig(edges[i].Src), Dst: perm.ToOrig(edges[i].Dst)}
+	}
+	return m, edges, nil
+}
+
 // addIn adds the in-half: a stable counting sort of the sources by
 // destination, over the out-lists in stored order. The offsets double as
 // the placement cursors — off[v+1] is where v's list starts, and placing
