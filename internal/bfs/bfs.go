@@ -10,6 +10,7 @@ import (
 	"math"
 	"sort"
 
+	"fastbfs/internal/errs"
 	"fastbfs/internal/graph"
 )
 
@@ -89,7 +90,7 @@ func (c *CSR) HasEdge(src, dst graph.VertexID) bool {
 // Run performs the reference in-memory BFS from root.
 func Run(m graph.Meta, edges []graph.Edge, root graph.VertexID) (*Result, error) {
 	if uint64(root) >= m.Vertices {
-		return nil, fmt.Errorf("bfs: root %d outside vertex space [0,%d)", root, m.Vertices)
+		return nil, fmt.Errorf("bfs: root %d outside vertex space [0,%d): %w", root, m.Vertices, errs.ErrBadOptions)
 	}
 	csr, err := BuildCSR(m, edges)
 	if err != nil {

@@ -1,11 +1,13 @@
 package bfs
 
 import (
+	"errors"
 	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"fastbfs/internal/errs"
 	"fastbfs/internal/gen"
 	"fastbfs/internal/graph"
 )
@@ -320,5 +322,20 @@ func TestConvergenceEmptyFromIsolatedRoot(t *testing.T) {
 	}
 	if len(stats) != 1 || stats[0].Frontier != 1 || stats[0].UsefulEdges != 0 {
 		t.Fatalf("stats = %+v", stats)
+	}
+}
+
+// TestRootOutsideVertexSpaceIsBadOptions: a root past the last vertex is
+// the caller's mistake, not the graph's, for Run and Convergence alike, so
+// a command exits 2 on it, as fastbfs does for the same root.
+func TestRootOutsideVertexSpaceIsBadOptions(t *testing.T) {
+	m := graph.Meta{Name: "two", Vertices: 2, Edges: 1}
+	edges := []graph.Edge{{Src: 0, Dst: 1}}
+	_, runErr := Run(m, edges, 2)
+	_, convErr := Convergence(m, edges, 5000)
+	for name, err := range map[string]error{"Run": runErr, "Convergence": convErr} {
+		if !errors.Is(err, errs.ErrBadOptions) || errs.ExitCode(err) != 2 {
+			t.Errorf("%s: err = %v (exit %d), want ErrBadOptions (exit 2)", name, err, errs.ExitCode(err))
+		}
 	}
 }

@@ -42,27 +42,12 @@ type dirRun struct {
 	carryUpdates  int64
 	unbooked      bool
 	// best is the pass's winner table (Runtime.Winners), and excess counts
-	// the edges the stored passes read beyond a split run's.
+	// the edges the stored passes read beyond a split run's. split says
+	// the fused pass has run, splitting off each partition's reverse input
+	// (partState.rev).
 	best   []graph.VertexID
 	excess int64
-	// revInput is each partition's reverse input once the fused first
-	// pass has split it off (then, trimming, its reverse stay chain), on
-	// revTiming's device, revEdges edges long (0: skipped); revBroken
-	// marks one whose stay writes failed, rescanned untrimmed. split says
-	// the fused pass has run.
-	revInput  []string
-	revTiming []stream.Timing
-	revEdges  []int64
-	revBroken []bool
-	split     bool
-}
-
-// newDirRun allocates a streaming run's dirRun.
-func (e *kernel) newDirRun() *dirRun {
-	n, p := e.rt.Meta.Vertices, e.rt.Parts.P()
-	return &dirRun{frontier: NewBitset(n), next: NewBitset(n),
-		revInput: make([]string, p), revTiming: make([]stream.Timing, p),
-		revBroken: make([]bool, p), revEdges: make([]int64, p)}
+	split  bool
 }
 
 // revStayFile is partition p's reverse stay file written by the
@@ -154,7 +139,7 @@ func (e *kernel) bottomUpIteration(iter int, formed bool, runSpan *obs.Span) (ui
 			if err := e.rt.Checkpoint(); err != nil {
 				return 0, err
 			}
-			if e.unvisitedIn(p) == 0 || d.revEdges[p] == 0 {
+			if e.unvisitedIn(p) == 0 || e.parts[p].rev.edges == 0 {
 				e.parts[p].updates = 0
 				e.parts[p].frontier = 0
 				e.skip(&itRow)
@@ -201,13 +186,17 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 			return stream.NewCodecFramedEdgeWriter(e.rt.Vol, name, stayTiming, e.rt.Opts.StreamBufSize, e.rt.Meta.EdgeCodec())
 		})
 	var ix *storedIndex
+	var in passInput
 	var hs, ps passStats
 	trim := e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, UnknownEdges, UnknownEdges)
 	if err == nil {
 		defer outs.Abort() // whatever an error return leaves open
 		outs.SetAsync()
 		if ix, hs, err = e.reverseIndex(d.best, outs.W, trim); err == nil {
-			ps, err = e.splitPass(iter, ix, true, trim, d.best, outs)
+			// The open targets: unvisited and, trimming, not won by their head.
+			in, ps, err = e.splitDataset(iter, ix, func(v graph.VertexID) bool {
+				return !e.rt.VisitedBits.Get(v) && (!trim || !d.next.Get(v))
+			}, true, trim, outs.W)
 		}
 		if err == nil {
 			err = sealWriters(e.rt, outs)
@@ -217,16 +206,15 @@ func (e *kernel) fusedFirstBottomUp(iter int, d *dirRun, itRow *metrics.Iteratio
 		bs.End()
 		return 0, 0, err
 	}
-	copy(d.revEdges, outs.Counts())
-	for p := range d.revInput {
-		d.revInput[p], d.revTiming[p] = outs.Names[p], stayTiming
+	for p, c := range outs.Counts() {
+		e.parts[p].rev = partInput{outs.Names[p], stayTiming, c}
 	}
 	d.split = true
-	itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = ps.sparse, ps.read, ps.predicted
-	if ps.sparse {
+	itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = in.sparse, ps.read, in.predicted
+	if in.sparse {
 		bs.Attr("sparse", 1)
 	}
-	bs.Attr("bytes", ps.read).Attr("bytes_predicted", ps.predicted)
+	bs.Attr("bytes", ps.read).Attr("bytes_predicted", in.predicted)
 	ps.scanned, ps.candidates, ps.stayed = ps.scanned+hs.scanned, ps.candidates+hs.candidates, ps.stayed+hs.stayed
 	itRow.EdgesStreamed += ps.scanned
 	if trim {
@@ -296,120 +284,71 @@ func (e *kernel) reverseIndex(best []graph.VertexID, w []*stream.Writer[graph.Ed
 	return ix, hs, err
 }
 
-// bottomUpPartition scans one partition's reverse-edge input against
-// the frontier bitmap. The input lists each target's in-edges in source
-// order, so a target's first frontier in-edge is its smallest-id frontier
-// parent, the winner top-down's gather would pick: the first hit wins. When
-// trimming is active the edges that survive the trim rule — target still
-// unvisited when its stay decision merges — are rewritten to a reverse stay
-// file that replaces the input. A delta input's decoder drops the runs of
-// visited targets (runs), each run checked to lie in the
-// partition. Classification needs only the in-RAM visited bitmap, so a paper-pin run loads its vertex file (and writes it
-// back) only when the scan actually discovered vertices. Classification
-// runs on the pool's workers against read-only state; winners and stay
-// appends are resolved on the engine thread in chunk order, so file bytes
-// and results are identical for any worker count.
+// bottomUpPartition runs partition p's bottom-up pass: the split pass
+// (split.go) over its reverse input, which lists each target's in-edges in
+// source order, so a target's first frontier in-edge is its smallest-id
+// frontier parent, the winner top-down's gather would pick. The decoder
+// drops the runs of visited targets (runs), each run checked to lie in the
+// partition. While trimming, the pass writes the records of the targets
+// still open to a reverse stay file that replaces the input; one that
+// cannot be written degrades the partition to untrimmed rescans. A paper-pin
+// run loads its vertex file (and writes it back) only when the pass
+// discovered vertices.
 func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iteration, itSpan *obs.Span) (newly uint64, degSum float64, err error) {
-	e.rt.AwaitFile(d.revInput[p])
-	sc, err := stream.NewEdgeScanner(e.rt.Vol, d.revInput[p], d.revTiming[p], e.rt.Opts.StreamBufSize)
+	st := &e.parts[p]
+	e.rt.AwaitFile(st.rev.name)
+	sc, err := stream.NewEdgeScanner(e.rt.Vol, st.rev.name, st.rev.timing, e.rt.Opts.StreamBufSize)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer sc.Close()
 	sc.Prefetch(e.rt.Opts.PrefetchBuffers)
 	plo, phi := e.rt.Parts.Interval(p)
-	check := &runs{name: d.revInput[p], verts: e.rt.Meta.Vertices, part: true, lo: plo, hi: phi,
+	check := &runs{name: st.rev.name, verts: e.rt.Meta.Vertices, part: true, lo: plo, hi: phi,
 		want: func(v graph.VertexID) bool { return !e.rt.VisitedBits.Get(v) }}
 
-	var stay *stream.Writer[graph.Edge]
-	var stayTiming stream.Timing
-	if itRow.TrimActive && !d.revBroken[p] {
-		stayTiming = e.otherTiming(d.revTiming[p])
-		w, werr := stream.NewCodecFramedEdgeWriter(e.rt.Vol, e.revStayFile(iter, p), stayTiming, e.pol.StayBufSize, e.rt.Meta.EdgeCodec())
+	var w []*stream.Writer[graph.Edge]
+	var stay partInput
+	if itRow.TrimActive && !st.revBroken {
+		stay = partInput{name: e.revStayFile(iter, p), timing: e.otherTiming(st.rev.timing)}
+		sw, err := stream.NewCodecFramedEdgeWriter(e.rt.Vol, stay.name, stay.timing, e.pol.StayBufSize, e.rt.Meta.EdgeCodec())
 		switch {
-		case werr == nil:
-			w.SetAsync() // write-behind; the next pass barriers through AwaitFile
-			stay = w
-		case errors.Is(werr, errs.ErrIOFailed):
+		case err == nil:
+			sw.SetAsync() // write-behind; the next pass barriers through AwaitFile
+			w = make([]*stream.Writer[graph.Edge], e.rt.Parts.P())
+			w[p] = sw
+			defer sw.Abort() // whatever an error return leaves open
+		case errors.Is(err, errs.ErrIOFailed):
 			// Cannot create the stay file: degrade this partition to
 			// untrimmed reverse rescans instead of failing the run.
-			e.markStayBroken(&d.revBroken[p])
+			e.markStayBroken(&st.revBroken)
 		default:
-			return 0, 0, werr
+			return 0, 0, err
 		}
 	}
 
-	best, trim := d.best, stay != nil
-	var scanned, kept, candidates, stayed int64
-	classify := func(edges []graph.Edge, out *stream.Shard) {
-		out.Scanned = int64(len(edges))
-		for _, r := range edges {
-			if e.rt.VisitedBits.Get(r.Src) {
-				continue // target has its parent — dead in-edge
-			}
-			if cand := d.frontier.Get(r.Dst); cand || trim {
-				out.Stays = append(out.Stays, r)
-				if cand {
-					out.Emitted++
-				}
-			}
-		}
-	}
-	merge := func(s *stream.Shard) error {
-		scanned, kept = scanned+s.Read, kept+s.Scanned
-		candidates += s.Emitted
-		for _, r := range s.Stays {
-			if best[r.Src] == graph.NoVertex && d.frontier.Get(r.Dst) {
-				best[r.Src] = r.Dst
-			}
-		}
-		if !trim {
-			return nil
-		}
-		// The candidates merged so far (strictly in chunk order, so the
-		// filter is deterministic for any worker count) are vertices
-		// that WILL be visited when this pass ends: their remaining
-		// in-edges are dead too, and dropping them here is what keeps
-		// the first reverse stay from being a full rewrite of the pass
-		// that discovers most of the graph.
-		for _, r := range s.Stays {
-			if best[r.Src] != graph.NoVertex {
-				continue
-			}
-			stayed++
-			if err := stay.Append(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	bs := itSpan.Child("bottomup").SetPart(p)
-	if err := e.pool.RunScannerDepth(sc, stream.PipelineDepth, check, classify, merge); err != nil {
-		bs.End()
-		if stay != nil {
-			stay.Abort()
-		}
-		if errors.Is(err, errs.ErrCorrupted) {
-			// Unlike a forward stay there is no wider fallback input
-			// once the reverse chain has advanced: fail stop.
-			return 0, 0, fmt.Errorf("%s: reverse input %s: %w", e.run.Engine, d.revInput[p], err)
-		}
+	ps, err := e.splitPass(iter, passInput{sc: sc, check: check, depth: stream.PipelineDepth, total: st.rev.edges}, true, true, w)
+	bs.Attr("edges", ps.scanned).Attr("kept", ps.kept).End()
+	if errors.Is(err, errs.ErrCorrupted) {
+		// Unlike a forward stay there is no wider fallback input once the
+		// reverse chain has advanced: fail stop.
+		return 0, 0, fmt.Errorf("%s: reverse input %s: %w", e.run.Engine, st.rev.name, err)
+	} else if err != nil {
 		return 0, 0, err
 	}
-	bs.Attr("edges", scanned).Attr("kept", kept).End()
 
-	if stay != nil {
-		if cerr := stay.Close(); cerr != nil {
+	if w != nil {
+		if err := w[p].Close(); err != nil {
 			// The rewrite failed but the current input is intact:
 			// degrade to untrimmed rescans of it.
-			e.markStayBroken(&d.revBroken[p])
+			e.markStayBroken(&st.revBroken)
 		} else {
-			e.rt.RegisterReady(e.revStayFile(iter, p), stay.LastOp())
-			e.rt.Vol.Remove(d.revInput[p])
-			d.revInput[p] = e.revStayFile(iter, p)
-			d.revTiming[p] = stayTiming
-			d.revEdges[p] = stayed
-			e.bookStays(itRow, scanned, stayed)
+			e.rt.RegisterReady(stay.name, w[p].LastOp())
+			e.rt.Vol.Remove(st.rev.name)
+			stay.edges = ps.stayed
+			st.rev = stay
+			e.bookStays(itRow, ps.scanned, ps.stayed)
 		}
 	}
 
@@ -417,8 +356,8 @@ func (e *kernel) bottomUpPartition(p, iter int, d *dirRun, itRow *metrics.Iterat
 	if err := e.saveLevel(p, iter, newly, d, itSpan); err != nil {
 		return 0, 0, err
 	}
-	itRow.EdgesStreamed += scanned
-	e.work(passStats{scanned: scanned, candidates: candidates, stayed: stayed}, newly)
+	itRow.EdgesStreamed += ps.scanned
+	e.work(ps, newly)
 	return newly, degSum, nil
 }
 

@@ -228,7 +228,7 @@ func (e *kernel) resume(man *checkpointManifest, maxIter int) error {
 		counts, err = e.rt.Prepare()
 		e.rt.VisitedBits.toggle(d.frontier)
 		for p, c := range counts {
-			e.parts[p].inputEdges = c
+			e.parts[p].input.edges = c
 		}
 	}
 	if err != nil {

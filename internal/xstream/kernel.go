@@ -118,20 +118,25 @@ func RunPolicy(ctx context.Context, vol storage.Volume, graphName, engine string
 	return newKernel(rt, engine, pol).runStreaming()
 }
 
-// partState tracks one partition's edge input and pending stay write.
+// partInput is a partition's input file: forward its edges, reverse its
+// targets' in-edges; on timing's device, edges records long (UnknownEdges:
+// nobody counted them).
+type partInput struct {
+	name   string
+	timing stream.Timing
+	edges  int64
+}
+
+// partState tracks one partition's inputs and pending stay write.
 type partState struct {
-	// input is the current edge-input file; inputTiming carries the
-	// device it lives on (the "stay stream in" side).
-	input       string
-	inputTiming stream.Timing
-	// fallback, when non-empty, is the input this partition's current
-	// (adopted-stay) input replaced. It is kept until the adopted file
-	// survives one full scatter read — its frame checksums then prove
-	// the background write was neither torn nor bit-flipped — and a
-	// corruption detected before that falls back to it, which is safe
-	// because the stay list is a subset of the input it replaced.
-	fallback       string
-	fallbackTiming stream.Timing
+	// input is the current edge input: the split's, then each adopted stay
+	// file. fallback, when named, is the input the current (adopted-stay)
+	// one replaced. It is kept until the adopted file survives one full
+	// scatter read — its frame checksums then prove the background write
+	// was neither torn nor bit-flipped — and a corruption detected before
+	// that falls back to it, which is safe because the stay list is a
+	// subset of the input it replaced.
+	input, fallback partInput
 	// pending is the stay file written during this partition's previous
 	// scatter, still owned by the background writer.
 	pending       *stream.StayFile
@@ -140,6 +145,12 @@ type partState struct {
 	// trimming is degraded off for it (each scatter would otherwise burn
 	// a grace wait and a cancellation on a write that cannot succeed).
 	stayBroken bool
+	// rev is the partition's reverse input once the fused first bottom-up
+	// pass has split it off, then, trimming, its reverse stay chain (0
+	// edges: the bottom-up passes skip it); revBroken marks one whose stay
+	// writes failed, rescanned untrimmed.
+	rev       partInput
+	revBroken bool
 	// updates is the number of updates routed to this partition by the
 	// last scatter phase; selective scheduling skips the partition when
 	// it is zero.
@@ -152,14 +163,12 @@ type partState struct {
 	// pass (see visit); the bottom-up skip rule reads it instead of the
 	// vertex file.
 	visitedCount uint64
-	// inputEdges is the number of edges in input — the split's count, then
-	// each adopted stay file's — and fallbackEdges that of fallback. live is
-	// the out-degree sum of the partition's still-unvisited vertices, kept
-	// while the run has a degree table: what a trimming scatter of any of
-	// the partition's inputs keeps, known before the scan starts. The trim
-	// rule weighs them (Policy.TrimActive); each is UnknownEdges when nobody
-	// counted it.
-	inputEdges, fallbackEdges, live int64
+	// live is the out-degree sum of the partition's still-unvisited
+	// vertices, kept while the run has a degree table: what a trimming
+	// scatter of any of the partition's inputs keeps, known before the
+	// scan starts. The trim rule weighs it against input.edges
+	// (Policy.TrimActive); UnknownEdges when nobody counted it.
+	live int64
 }
 
 // visit books n newly visited vertices of the partition, whose
@@ -267,15 +276,14 @@ func (e *kernel) runStreaming() (*Result, error) {
 
 	e.parts = make([]partState, e.rt.Parts.P())
 	for p := range e.parts {
-		e.parts[p] = partState{input: e.rt.EdgeFile(p), inputTiming: e.rt.MainTiming(),
-			inputEdges: UnknownEdges, fallbackEdges: UnknownEdges, live: UnknownEdges}
+		e.parts[p] = partState{input: partInput{e.rt.EdgeFile(p), e.rt.MainTiming(), UnknownEdges}, live: UnknownEdges}
 	}
 	counting := e.pol.Trim && !e.pol.static()
 	if counting {
 		e.rt.allocOutDeg() // the trim rule weighs edge counts
 	}
 	e.rt.allocBitmaps()
-	e.dir = e.newDirRun()
+	e.dir = &dirRun{frontier: NewBitset(e.rt.Meta.Vertices), next: NewBitset(e.rt.Meta.Vertices)}
 
 	var man *checkpointManifest
 	if e.pol.CheckpointVol != nil {
@@ -318,7 +326,7 @@ func (e *kernel) runStreaming() (*Result, error) {
 			return nil, err
 		}
 		for p := range e.parts {
-			e.parts[p].inputEdges = counts[p]
+			e.parts[p].input.edges = counts[p]
 			if e.rt.OutDeg != nil {
 				e.parts[p].live = counts[p] // nothing visited yet
 			}
@@ -555,13 +563,13 @@ func (e *kernel) markStayBroken(broken *bool) {
 // fallback IS the current input again, in which case only the
 // bookkeeping is cleared.
 func (e *kernel) dropFallback(st *partState) {
-	if st.fallback == "" {
+	if st.fallback.name == "" {
 		return
 	}
-	if st.fallback != st.input {
-		e.rt.Vol.Remove(st.fallback)
+	if st.fallback.name != st.input.name {
+		e.rt.Vol.Remove(st.fallback.name)
 	}
-	st.fallback, st.fallbackTiming = "", stream.Timing{}
+	st.fallback = partInput{}
 }
 
 // iteratePartition runs partition p's share of one top-down iteration:
@@ -664,8 +672,8 @@ func (e *kernel) markRoot(itRow *metrics.Iteration) {
 // read-ahead, first waiting out the file's write-behind barrier if one is
 // pending.
 func (e *kernel) openInput(st *partState) (*stream.Scanner[graph.Edge], error) {
-	e.rt.AwaitFile(st.input)
-	sc, err := stream.NewEdgeScanner(e.rt.Vol, st.input, st.inputTiming, e.rt.Opts.StreamBufSize)
+	e.rt.AwaitFile(st.input.name)
+	sc, err := stream.NewEdgeScanner(e.rt.Vol, st.input.name, st.input.timing, e.rt.Opts.StreamBufSize)
 	if err != nil {
 		return nil, err
 	}
@@ -710,12 +718,11 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, errs.ErrCorrupted) || st.fallback == "" {
+		if !errors.Is(err, errs.ErrCorrupted) || st.fallback.name == "" {
 			return err
 		}
-		e.rt.Vol.Remove(st.input)
-		st.input, st.inputTiming, st.inputEdges = st.fallback, st.fallbackTiming, st.fallbackEdges
-		st.fallback, st.fallbackTiming = "", stream.Timing{}
+		e.rt.Vol.Remove(st.input.name)
+		st.input, st.fallback = st.fallback, partInput{}
 		e.run.StayCorruptions++
 		e.run.Cancellations++ // a late cancellation of the stay adoption
 		itRow.Cancelled++
@@ -735,8 +742,8 @@ func (e *kernel) scatterDevice(st *partState, p, iter int, trimNow bool, sh *str
 // file. The scanner is consumed and closed in all cases.
 func (e *kernel) scatterInput(st *partState, p, iter int, trimNow bool, sh *stream.Shuffler, itRow *metrics.Iteration, itSpan *obs.Span, edgeScan *stream.Scanner[graph.Edge]) error {
 	var stay *stream.StayFile
-	if trimNow && !st.stayBroken && e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.inputEdges) {
-		stayTiming := e.otherTiming(st.inputTiming)
+	if trimNow && !st.stayBroken && e.pol.TrimActive(iter, e.run.Visited, e.rt.Meta.Vertices, st.live, st.input.edges) {
+		stayTiming := e.otherTiming(st.input.timing)
 		f, err := e.sw.BeginCodec(e.rt.StayFile(iter, p), stayTiming, e.rt.Meta.EdgeCodec())
 		switch {
 		case err == nil:
@@ -838,15 +845,15 @@ func (e *kernel) resolvePending(st *partState, itRow *metrics.Iteration) {
 		}
 		return
 	}
-	if st.input != f.Name() {
+	if st.input.name != f.Name() {
 		// The stay file replaces the previous input ("FastBFS replaces
 		// the previous files ... with the new stay files", §II-A) — but
 		// the replaced file is kept as a fallback until the adopted one
 		// survives a full checksummed read (dropFallback); a torn or
 		// bit-flipped stay write detected before that falls back to it.
-		st.fallback, st.fallbackTiming, st.fallbackEdges = st.input, st.inputTiming, st.inputEdges
+		st.fallback = st.input
 	}
-	st.input, st.inputTiming, st.inputEdges = f.Name(), st.pendingTiming, f.Count()
+	st.input = partInput{f.Name(), st.pendingTiming, f.Count()}
 }
 
 // gather streams partition p's updates from updFile and visits their

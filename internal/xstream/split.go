@@ -16,81 +16,89 @@ import (
 	"fastbfs/internal/stream"
 )
 
-// This file holds the split pass (DESIGN.md §5, §12): one scan of a dataset
-// file in stored order that forms the next level and can write each
-// partition's input on the way. Forward, over the stored edge list, it is
-// each top-down iteration of a FastBFS run that trims by the counts until
-// writing the partitions pays (storedIteration); other runs split up front
-// with Prepare. Reverse, over the transposed graph, it is a run's first
-// bottom-up pass (fusedFirstBottomUp). Both keep the first parent they meet,
+// This file holds the split pass (DESIGN.md §5, §12), the one pass that
+// forms a level from a winner table, and can write each partition's input
+// on the way. Forward, over the stored edge list, it is each top-down
+// iteration of a FastBFS run that trims by the counts until writing the
+// partitions pays (storedIteration); other runs split up front with
+// Prepare. Reverse, it is a run's first bottom-up pass over the transposed
+// graph (fusedFirstBottomUp) and each later one over a partition's reverse
+// input (bottomUpPartition). Every pass keeps the first parent it meets,
 // the winner top-down's gather would: the smallest-id frontier parent, as
 // graph.StoreGraph sorts the edge list by source and the transposed graph
 // by target and then by source, and every partition file is an
 // order-preserving subsequence of its dataset file, whichever pass forms a
 // level and whatever the partition count.
 
+// passInput is what a split pass reads: sc, opened, under check's run
+// checks, depth chunks classified ahead of the merge, holding total
+// records. A sparse read (of a dataset file's ranges, sparseRuns) is
+// checked against its ranges instead, and predicted is their bytes.
+type passInput struct {
+	sc        *stream.Scanner[graph.Edge]
+	check     *runs
+	depth     int
+	total     int64
+	sparse    bool
+	predicted int64
+}
+
 // passStats is what a split pass counted: edges scanned, those it kept for
 // classify (the rest belong to sources it does not want), the frontier's
 // among them (emitted, before any filter), those to an unvisited vertex
 // (candidates), vertices that won a parent (claims), edges written
-// (stayed), the out-degree sum over the emitted edges' targets, the bytes
-// it read and, were it sparse, the bytes its ranges promised.
+// (stayed), the out-degree sum over the emitted edges' targets, and the
+// bytes it read.
 type passStats struct {
-	scanned, kept, emitted, candidates, claims, stayed, candDeg, read, predicted int64
-	sparse                                                                       bool
+	scanned, kept, emitted, candidates, claims, stayed, candDeg, read int64
 }
 
-// splitPass scans a dataset file — the stored edge file, or with rev the
-// transposed graph's tails — against e.dir.frontier, resolving into best the
-// parent each unvisited vertex wins: a forward edge offers its destination
-// its source, a record {target, source} its target its source. With outs,
-// an edge whose source (a record's target) is open — unvisited and, with
-// dropWon, not just won: its other in-edges are dead — goes to that
-// vertex's partition file. Over an index the pass wants the frontier and,
-// splitting, every unvisited source, or the open targets: it reads their
-// ranges when that pays (sparseRuns), and keeps only their runs for
-// classify (runs). Without one iteration 0 counts the degree
-// table. Workers classify; winners and writes resolve on the engine thread
-// in scan order, sparse or dense alike. A malformed edge, a source (a
-// record's target) below the one before it, or an edge count off the index
-// or the metadata is errs.ErrCorrupted, in a run kept or not.
-func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []graph.VertexID, outs *stream.WriterSet[graph.Edge]) (ps passStats, err error) {
-	m, front, visited, parts := e.rt.Meta, e.dir.frontier, e.rt.VisitedBits, e.rt.Parts
-	name, total := graph.EdgeFileName(m.Name), int64(m.Edges)
-	var want func(graph.VertexID) bool
-	var ranges []stream.Range
+// splitDataset runs a split pass over a dataset file: without an index the
+// stored edge file, whole; over one (ix), the ranges of the vertices want
+// accepts when that pays (sparseRuns), else the whole file, keeping only
+// those vertices' runs for classify.
+func (e *kernel) splitDataset(iter int, ix *storedIndex, want func(graph.VertexID) bool, rev, dropWon bool, w []*stream.Writer[graph.Edge]) (in passInput, ps passStats, err error) {
+	check := &runs{name: graph.EdgeFileName(e.rt.Meta.Name), verts: e.rt.Meta.Vertices, v: -1}
+	in.check, in.depth, in.total = check, 2, int64(e.rt.Meta.Edges)
 	if ix != nil {
-		name, total = ix.name, ix.edges
-		want = func(v graph.VertexID) bool {
-			if rev { // the open targets: with dropWon, not won by their head
-				return !visited.Get(v) && (!dropWon || !e.dir.next.Get(v))
-			}
-			return front.Get(v) || outs != nil && !visited.Get(v)
-		}
-		if ranges, ps.predicted, ps.sparse = ix.sparseRuns(want); !ps.sparse {
-			ranges = []stream.Range{{Len: ix.size}} // the whole file
+		check.name, check.want, check.ix, in.total = ix.name, want, ix, ix.edges
+		if check.ranges, in.predicted, in.sparse = ix.sparseRuns(want); !in.sparse {
+			check.ranges = []stream.Range{{Len: ix.size}} // the whole file
 		}
 	}
-	check := &runs{name: name, verts: m.Vertices, want: want, ix: ix, ranges: ranges, v: -1}
-	var sc *stream.Scanner[graph.Edge]
-	if ps.sparse {
-		sc, err = stream.NewRangeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, ranges, ix.magic)
+	if in.sparse {
+		in.sc, err = stream.NewRangeScanner(e.rt.Vol, check.name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize, check.ranges, ix.magic)
 	} else {
-		sc, err = stream.NewEdgeScanner(e.rt.Vol, name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
+		in.sc, err = stream.NewEdgeScanner(e.rt.Vol, check.name, e.rt.MainTiming(), e.rt.Opts.StreamBufSize)
 	}
 	if err != nil {
-		return ps, err
+		return in, ps, err
 	}
-	defer sc.Close()
-	var w []*stream.Writer[graph.Edge]
-	if outs != nil {
-		w = outs.W
-	}
+	defer in.sc.Close()
+	ps, err = e.splitPass(iter, in, rev, dropWon, w)
+	return in, ps, err
+}
+
+// splitPass streams in against e.dir.frontier, resolving into e.dir.best
+// the parent each unvisited vertex wins: a forward edge offers its
+// destination its source, a record {target, source} (rev) its target its
+// source. Workers classify against state the pass does not change; the
+// engine thread merges each chunk in scan order, sparse or dense alike, so
+// files and results are the same for any worker count. The merge claims
+// all the chunk's winners first, then writes to w, by partition, each edge
+// whose source (a record's target) is open: unvisited and, with dropWon,
+// not won — its other in-edges are dead. Without an index iteration 0
+// counts the degree table. A malformed edge, a source (a record's target)
+// out of place, or a record count off in.total is errs.ErrCorrupted, in a
+// run kept or not.
+func (e *kernel) splitPass(iter int, in passInput, rev, dropWon bool, w []*stream.Writer[graph.Edge]) (ps passStats, err error) {
+	front, visited, parts, best := e.dir.frontier, e.rt.VisitedBits, e.rt.Parts, e.dir.best
 	// Without an index, iteration 0 counts the table as it scans, and sums
 	// α's look-ahead over the root's out-edges once the count is complete.
-	count, deg := !rev && iter == 0 && ix == nil, e.filter.outDeg
+	// Only a forward pass's look-ahead is read (storedIteration).
+	count, deg := !rev && iter == 0 && e.index == nil, e.filter.outDeg
 	var rootOut []graph.VertexID
-	if count {
+	if count || rev {
 		deg = nil
 	}
 	ends := func(x graph.Edge) (key, par graph.VertexID) {
@@ -137,7 +145,12 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 					}
 				}
 			}
-			if w == nil || visited.Get(x.Src) || dropWon && best[x.Src] != graph.NoVertex {
+		}
+		if w == nil {
+			return nil
+		}
+		for _, x := range s.Stays {
+			if visited.Get(x.Src) || dropWon && best[x.Src] != graph.NoVertex {
 				continue
 			}
 			if err := w[parts.Of(x.Src)].Append(x); err != nil {
@@ -147,16 +160,16 @@ func (e *kernel) splitPass(iter int, ix *storedIndex, rev, dropWon bool, best []
 		}
 		return nil
 	}
-	if err := e.pool.RunScannerDepth(sc, 2, check, classify, merge); err != nil {
+	if err := e.pool.RunScannerDepth(in.sc, in.depth, in.check, classify, merge); err != nil {
 		return ps, err
 	}
-	if ix != nil && check.due+int64(len(check.ranges)) > 0 {
-		return ps, fmt.Errorf("%w: %s: a range ends short of its edges", errs.ErrCorrupted, name)
+	if c := in.check; c.ix != nil && c.due+int64(len(c.ranges)) > 0 {
+		return ps, fmt.Errorf("%w: %s: a range ends short of its edges", errs.ErrCorrupted, c.name)
 	}
-	if !ps.sparse && ps.scanned != total {
-		return ps, fmt.Errorf("%w: edge file %s has %d edges, its index or config %d", errs.ErrCorrupted, name, ps.scanned, total)
+	if !in.sparse && ps.scanned != in.total {
+		return ps, fmt.Errorf("%w: %s has %d edges, its index, config or writer %d", errs.ErrCorrupted, in.check.name, ps.scanned, in.total)
 	}
-	ps.read = sc.BytesRead()
+	ps.read = in.sc.BytesRead()
 	for _, v := range rootOut {
 		ps.candDeg += int64(e.rt.OutDeg[v])
 	}
@@ -217,7 +230,13 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 	d.next.Clear()
 	d.best = e.rt.Winners(int(n))
 	ss := itSpan.Child("scatter")
-	ps, err := e.splitPass(iter, e.index, false, false, d.best, outs)
+	var w []*stream.Writer[graph.Edge]
+	if outs != nil {
+		w = outs.W
+	}
+	in, ps, err := e.splitDataset(iter, e.index, func(v graph.VertexID) bool {
+		return d.frontier.Get(v) || w != nil && !e.rt.VisitedBits.Get(v)
+	}, false, false, w)
 	if err == nil && outs != nil {
 		err = sealWriters(e.rt, outs)
 	}
@@ -225,19 +244,19 @@ func (e *kernel) storedIteration(iter int, last, afterBottom bool, runSpan *obs.
 		ss.End()
 		return false, err
 	}
-	itRow.EdgesStreamed, itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = ps.scanned, ps.sparse, ps.read, ps.predicted
-	if ps.sparse {
+	itRow.EdgesStreamed, itRow.Sparse, itRow.FileBytes, itRow.FilePredicted = ps.scanned, in.sparse, ps.read, in.predicted
+	if in.sparse {
 		ss.Attr("sparse", 1)
 		itSpan.Attr("sparse", 1)
 	}
-	ss.Attr("bytes", ps.read).Attr("bytes_predicted", ps.predicted)
+	ss.Attr("bytes", ps.read).Attr("bytes_predicted", in.predicted)
 	if outs == nil && iter > 0 {
 		d.excess += ps.scanned - live
 	}
 	if outs != nil {
 		e.stored, e.ds.StoredPrice = false, 0
 		for p, c := range outs.Counts() {
-			e.parts[p].inputEdges = c
+			e.parts[p].input.edges = c
 		}
 		itRow.StayPredicted = kept
 		e.bookStays(&itRow, ps.scanned, ps.stayed)
